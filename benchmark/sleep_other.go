@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+// sleepUntil blocks until t on a Go timer (see sleep_linux.go for why the
+// reference platform does not).
+func sleepUntil(t time.Time) { time.Sleep(time.Until(t)) }
