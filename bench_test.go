@@ -592,8 +592,8 @@ func BenchmarkJournalTailRestore(b *testing.B) {
 }
 
 // BenchmarkFollowerReplay measures the follower's apply path: decoding
-// one entry of a shipped journal feed (the JSONL wire format the leader
-// streams) and replaying it into the local replica as its own Replay
+// one entry of a shipped journal feed (the wirecodec journal frames the
+// leader streams) and replaying it into the local replica as its own Replay
 // call — exactly what internal/replica does per entry while tailing, so
 // ns/op bounds how fast a follower drains a backlog and B/op keeps the
 // per-entry decode from growing a hidden buffer (benchgate gates it in

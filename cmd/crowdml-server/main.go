@@ -64,6 +64,10 @@
 // /v1/tasks/{id}/ routes either way; /v1/healthz reports one aggregated
 // row with per-shard sub-rows. See docs/SHARDING.md.
 //
+// -dump-journal <dir> is a one-shot audit mode, not a serving option: it
+// prints the journal segments under a task's store directory (or a
+// retention archive) as one JSON object per line and exits.
+//
 // Example: a 3-class activity-recognition task over 64-bin FFT features,
 // plus a read replica on another host:
 //
@@ -74,11 +78,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -245,11 +251,17 @@ func run() error {
 		mergeEvery = flag.Duration("merge-every", 0, "sharded merger cadence (0 = library default; per-task: \"mergeEveryMs\")")
 
 		metricsOn = flag.Bool("metrics", true, "instrument all layers and serve Prometheus telemetry on /v1/metrics")
+
+		dumpDir = flag.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	if *dumpDir != "" {
+		return dumpJournal(ctx, os.Stdout, *dumpDir)
+	}
 
 	specs := []taskSpec{{
 		ID: *taskID, Name: *taskName, Model: *modelName,
@@ -399,6 +411,46 @@ func run() error {
 		err := httpServer.Shutdown(drainCtx)
 		flushHub(h)
 		return err
+	}
+}
+
+// dumpJournal is the audit tool behind -dump-journal: it streams every
+// entry of the journal segments in dir — a task's store directory, live
+// or not, or a retention archive — through the store's own cursor and
+// prints each as a JSON line, so the binary segments stay greppable and
+// jq-able without a second reader of the format. A crash-torn live tail
+// ends the dump cleanly (the torn record was never acknowledged).
+func dumpJournal(ctx context.Context, out io.Writer, dir string) error {
+	if _, err := os.Stat(dir); err != nil {
+		return fmt.Errorf("-dump-journal: %w", err)
+	}
+	st, err := crowdml.NewFileStore(dir)
+	if err != nil {
+		return err
+	}
+	cur, err := st.OpenCursor(ctx, 0)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	w := bufio.NewWriter(out)
+	enc := json.NewEncoder(w)
+	for {
+		e, err := cur.Next()
+		if errors.Is(err, io.EOF) {
+			return w.Flush()
+		}
+		if errors.Is(err, crowdml.ErrJournalTruncated) {
+			log.Printf("journal ends in a torn record (a crash mid-append; never acknowledged): %v", err)
+			return w.Flush()
+		}
+		if err != nil {
+			_ = w.Flush() // what was read is still worth having; err is the one reported
+			return err
+		}
+		if err := enc.Encode(&e); err != nil {
+			return err
+		}
 	}
 }
 

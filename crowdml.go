@@ -406,8 +406,8 @@ func NewPortalIndex(h *Hub) http.Handler {
 type Store = store.Store
 
 // FileStore is the file-backed Store: JSON checkpoints (atomic
-// write-to-temp + rename) and a segmented JSONL journal
-// (journal-*.jsonl; sealed segments are the audit trail) under one
+// write-to-temp + rename) and a segmented journal of binary wirecodec
+// frames (journal-*.wal; sealed segments are the audit trail) under one
 // directory, guarded by an advisory flock so a second process cannot
 // open a live journal (ErrStoreLocked).
 type FileStore = store.FileStore
@@ -442,11 +442,15 @@ func NewMemRoot() *store.MemRoot { return store.NewMemRoot() }
 // is torn (the expected artifact of a crash mid-append — every valid
 // entry has been yielded, so recovery treats it as a clean end of
 // stream); ErrStoreLocked is returned by FileStore.OpenJournal when
-// another live journal holds the store directory's advisory lock.
+// another live journal holds the store directory's advisory lock;
+// ErrLegacyJournal is returned by FileStore's journal operations when
+// the directory still holds a pre-binary release's *.jsonl segments (its
+// message is the upgrade recipe; see docs/OPERATIONS.md).
 var (
 	ErrNoCheckpoint     = store.ErrNoCheckpoint
 	ErrJournalTruncated = store.ErrJournalTruncated
 	ErrStoreLocked      = store.ErrStoreLocked
+	ErrLegacyJournal    = store.ErrLegacyJournal
 )
 
 // Journal is a task's append-only, segmented write-ahead checkin log,
@@ -472,15 +476,14 @@ type JournalCursor = store.JournalCursor
 
 // SegmentInfo describes one journal segment (FileStore.Segments): its
 // file name, chain sequence number, and whether a rotation has sealed
-// it. The newest segment is live (Sealed == false) — including a legacy
-// pre-segmentation checkins.jsonl until the first rotation seals it —
-// and retention never touches a live segment.
+// it. The newest segment is live (Sealed == false), and retention never
+// touches a live segment.
 type SegmentInfo = store.SegmentInfo
 
 // RetentionPolicy decides what happens to sealed journal segments the
 // latest checkpoint fully covers (WithRetention): KeepAll (default)
 // retains everything as the audit trail, PruneCovered deletes covered
-// segments, ArchiveCovered(dir) moves them to dir as plain JSONL. The
+// segments, ArchiveCovered(dir) moves them to dir unchanged. The
 // checkpointer applies the policy only after a successful
 // checkpoint-and-rotate cycle, never to the live segment and never to a
 // segment the checkpoint does not cover — no policy can cost an

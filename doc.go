@@ -139,7 +139,7 @@
 // # Replication
 //
 // The write-ahead journal doubles as a replication feed: the HTTP
-// handler streams any stored task's journal as chunked JSONL
+// handler streams any stored task's journal as chunked binary frames
 // (GET /v1/tasks/{id}/journal?after=N, read through a cursor so the
 // leader holds one entry in memory per open feed) plus its latest
 // checkpoint, and a follower process — a task created with AsReplicaOf

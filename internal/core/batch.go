@@ -164,9 +164,10 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 // applyBatch applies a group of checkins under one acquisition of the
 // parameter lock, then — outside the critical section — runs the
 // OnCheckin hooks in iteration order. The caller delivers the returned
-// per-item results to any waiters. Checkout snapshots are republished
-// lazily by the next reader (see refreshSnapshot), so applying a batch
-// never copies the parameter matrix.
+// per-item results to any waiters. The checkout snapshot is republished
+// once per batch, inside the critical section (see applyBatchLocked), so
+// the parameter copy is amortized over the batch and no acknowledged
+// checkin is ever invisible to a later checkout.
 //
 // Algorithm 2 semantics are preserved delta by delta: each checkin gets
 // its own iteration number t, its own η(t) update step, its own staleness
@@ -318,8 +319,17 @@ func countApplied(results []error, applied int) int {
 // applyBatchLocked is the parameter-lock critical section of applyBatch.
 // It advances *applied past each item whose outcome is settled, so the
 // panic-recovery path in applyBatch can tell applied deltas apart from
-// aborted ones.
+// aborted ones. Before the lock is released — on a panicking Updater too,
+// since the items before it are still acknowledged — it publishes the
+// checkout snapshot if the batch advanced the iteration: one copy per
+// batch, and the reason a checkout that starts after a Checkin returned
+// can never serve parameters older than that checkin.
 func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error, applied *int) {
+	defer func() {
+		if s.snap.Load().version != int(s.t.Load()) {
+			s.publishSnapshotLocked()
+		}
+	}()
 	for i, p := range batch {
 		if p.abandoned.Load() {
 			// Its caller already unwound from an earlier leader panic and

@@ -79,7 +79,7 @@ func (s *Server) invalidateDeltaRing() {
 // the ring, or a base ahead of the counter all degrade to the full
 // fallback (Since = -1), never to an error.
 func (s *Server) ParamDelta(since int) *ParamDelta {
-	snap := s.refreshSnapshot()
+	snap := s.snap.Load()
 	d := &ParamDelta{
 		Version: snap.version,
 		Done:    s.evalStopped(),

@@ -23,11 +23,10 @@ type ParamView struct {
 }
 
 // ParamView returns the current published snapshot without copying the
-// parameters. Like Checkout it refreshes a stale snapshot first when the
-// parameter lock is free, so the view trails the iteration counter only
+// parameters. Like Checkout's, the view trails the iteration counter only
 // while a batch is mid-apply.
 func (s *Server) ParamView() ParamView {
-	snap := s.refreshSnapshot()
+	snap := s.snap.Load()
 	return ParamView{Params: snap.params, Version: snap.version}
 }
 

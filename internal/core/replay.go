@@ -16,11 +16,10 @@ var ErrReplayGap = errors.New("core: replay records skip an iteration")
 
 // replayPublishEvery is how many applied records a long Replay lets
 // accumulate before republishing the checkout snapshot mid-stream.
-// Replay holds the parameter lock for its whole run, which starves the
-// lazy TryLock publication path concurrent readers normally rely on — a
-// follower replica applying a long bootstrap tail while already serving
-// checkouts would otherwise pin every reader to the pre-replay
-// parameters until the stream ends. Publishing every N records bounds
+// Replay holds the parameter lock for its whole run and publishes when
+// it ends — a follower replica applying a long bootstrap tail while
+// already serving checkouts would otherwise pin every reader to the
+// pre-replay parameters until then. Publishing every N records bounds
 // that staleness at N iterations for the cost of one parameter copy per
 // N applies.
 const replayPublishEvery = 64

@@ -242,7 +242,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // publishSnapshotLocked captures w into a fresh immutable snapshot and
 // swaps it in. Callers must hold wMu (NewServer is exempt: the server is
 // not yet shared). Because t only advances under wMu, published versions
-// are monotonically non-decreasing.
+// are monotonically non-decreasing. Every path that advances t publishes
+// before it releases wMu — that is the server's read-your-writes
+// guarantee: once a Checkin has returned, every later Checkout serves a
+// snapshot at or past that checkin's iteration.
 func (s *Server) publishSnapshotLocked() {
 	snap := &paramSnapshot{
 		params:  linalg.Copy(s.w.Data()),
@@ -250,26 +253,6 @@ func (s *Server) publishSnapshotLocked() {
 	}
 	s.snap.Store(snap)
 	s.recordSnapshotLocked(snap)
-}
-
-// refreshSnapshot returns the current snapshot, republishing it first
-// when it trails the iteration counter and the parameter lock is free.
-// Publication is lazy — batch application never copies the parameters;
-// the first reader after a write burst does, and subsequent readers share
-// that snapshot. When a batch holds the lock mid-apply, the reader serves
-// the previous snapshot instead of blocking: bounded staleness a delayed
-// checkout would produce anyway, and the echoed Version keeps the
-// staleness accounting exact.
-func (s *Server) refreshSnapshot() *paramSnapshot {
-	snap := s.snap.Load()
-	if snap.version == int(s.t.Load()) {
-		return snap
-	}
-	if s.wMu.TryLock() {
-		s.publishSnapshotLocked()
-		s.wMu.Unlock()
-	}
-	return s.snap.Load()
 }
 
 // RegisterDevice enrolls a device and returns its authentication token
@@ -331,7 +314,7 @@ func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*Checkou
 		s.cfg.Metrics.observeCheckout(start, err)
 		return nil, err
 	}
-	snap := s.refreshSnapshot()
+	snap := s.snap.Load()
 	s.cfg.Metrics.observeCheckout(start, nil)
 	return &CheckoutResponse{
 		Params:  linalg.Copy(snap.params), // callers own the returned slice
@@ -450,16 +433,16 @@ func (s *Server) Iteration() int {
 }
 
 // SnapshotVersion returns the iteration of the currently published
-// checkout snapshot. Publication is lazy, so it can trail Iteration until
-// the next checkout (or while a batch is mid-apply), but it never
-// decreases.
+// checkout snapshot. Every applied batch publishes before it releases the
+// parameter lock, so it trails Iteration only while a batch is mid-apply,
+// and it never decreases.
 func (s *Server) SnapshotVersion() int {
 	return s.snap.Load().version
 }
 
 // Params returns a snapshot copy of the current parameter matrix.
 func (s *Server) Params() *linalg.Matrix {
-	snap := s.refreshSnapshot()
+	snap := s.snap.Load()
 	classes, dim := s.cfg.Model.Shape()
 	m, err := linalg.NewMatrixFrom(classes, dim, linalg.Copy(snap.params))
 	if err != nil {

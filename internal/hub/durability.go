@@ -107,8 +107,9 @@ var PruneCovered = RetentionPolicy{mode: retentionPrune}
 
 // ArchiveCovered moves covered sealed segments into dir instead of
 // deleting them: the store directory stays bounded like PruneCovered,
-// while the audit trail lives on in dir as plain JSONL segment files
-// (both backends write the same artifact).
+// while the audit trail lives on in dir as the same frame segments
+// (both backends write the same artifact; crowdml-server -dump-journal
+// dir prints it as JSON lines).
 func ArchiveCovered(dir string) RetentionPolicy {
 	return RetentionPolicy{mode: retentionArchive, dir: dir}
 }
@@ -558,9 +559,7 @@ func (d *durability) close(ctx context.Context) error {
 // successful snapshot), not by how many checkins the task has absorbed
 // in its life. A torn final journal record (ErrJournalTruncated from
 // the cursor) is tolerated as a clean end of stream — it was never
-// durable, so its checkin was never acknowledged. Entries written by
-// the v1 audit-only journal carry no gradient and cannot be replayed;
-// they are skipped (the checkpoint is the best v1 could do).
+// durable, so its checkin was never acknowledged.
 func restoreInto(ctx context.Context, srv *core.Server, st store.Store, taskID string) error {
 	covered := 0 // the checkpoint's iteration: entries at or below it are covered
 	cp, err := st.Load(ctx)
@@ -587,9 +586,6 @@ func restoreInto(ctx context.Context, srv *core.Server, st store.Store, taskID s
 			}
 			if err != nil {
 				return core.ReplayRecord{}, err
-			}
-			if !e.Replayable() {
-				continue
 			}
 			// The cursor allocates fresh slices per entry, so handing them
 			// to the request is safe; Replay consumes the record before

@@ -91,7 +91,7 @@ func TestDurableTaskJournalsEveryCheckin(t *testing.T) {
 		t.Fatalf("%d journal entries for 7 acknowledged checkins", len(entries))
 	}
 	for i, e := range entries {
-		if e.Iteration != i+1 || e.DeviceID != "d1" || !e.Replayable() {
+		if e.Iteration != i+1 || e.DeviceID != "d1" || len(e.Grad) == 0 {
 			t.Errorf("entry %d = %+v", i, e)
 		}
 	}
@@ -383,37 +383,6 @@ func TestUserHookRunsAfterJournalAppend(t *testing.T) {
 	}
 	if len(observed) != 4 {
 		t.Errorf("user hook ran %d times, want 4", len(observed))
-	}
-	if err := h.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRestoreSkipsV1AuditEntries: journals written before the WAL
-// redesign carry no gradient; they must be skipped, not break recovery.
-func TestRestoreSkipsV1AuditEntries(t *testing.T) {
-	ctx := context.Background()
-	st := store.NewMemStore()
-	j, err := st.OpenJournal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two v1 audit-only entries (no Grad/LabelCounts).
-	for i := 1; i <= 2; i++ {
-		if err := j.Append(ctx, store.JournalEntry{DeviceID: "old", Iteration: i, NumSamples: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	h := New()
-	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st))
-	if err != nil {
-		t.Fatalf("v1 journal must not break task creation: %v", err)
-	}
-	if task.Server().Iteration() != 0 {
-		t.Errorf("audit-only entries must not advance the iteration counter")
 	}
 	if err := h.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -1133,7 +1102,7 @@ func TestRetentionSkippedOnFailedRotation(t *testing.T) {
 // TestRetentionArchiveKeepsAuditTrail: ArchiveCovered moves covered
 // segments aside instead of deleting them — the store stays bounded
 // like PruneCovered, while the archive directory accumulates the full
-// covered history as ordinary JSONL segments.
+// covered history as ordinary journal segments.
 func TestRetentionArchiveKeepsAuditTrail(t *testing.T) {
 	ctx := context.Background()
 	for name, mk := range retentionBackends(t) {
@@ -1167,7 +1136,7 @@ func TestRetentionArchiveKeepsAuditTrail(t *testing.T) {
 				t.Fatalf("read archive: %v", err)
 			}
 			for i := range archived {
-				if archived[i].Iteration != i+1 || !archived[i].Replayable() {
+				if archived[i].Iteration != i+1 || len(archived[i].Grad) == 0 {
 					t.Errorf("archived entry %d = %+v", i, archived[i])
 				}
 			}

@@ -243,9 +243,6 @@ func (r *Replicator) tailOnce(ctx context.Context) error {
 		if err != nil {
 			return errOf(CategoryProtocol, "tail", err)
 		}
-		if !e.Replayable() {
-			continue // v1 audit-only entry; the checkpoint covered it
-		}
 		n, err := r.apply(e)
 		if err != nil {
 			return err

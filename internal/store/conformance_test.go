@@ -67,6 +67,7 @@ func TestStoreConformance(t *testing.T) {
 		"JournalAcrossReopens":   testJournalAcrossReopens,
 		"JournalRotation":        testJournalRotation,
 		"JournalTailBounded":     testJournalTailBounded,
+		"CursorSkipsCovered":     testCursorSkipsCovered,
 		"JournalSync":            testJournalSync,
 		"CursorMissingJournal":   testCursorMissingJournal,
 		"CursorUseAfterClose":    testCursorUseAfterClose,
@@ -214,9 +215,6 @@ func testJournalRoundTrip(t *testing.T, st Store) {
 	if !reflect.DeepEqual(entries[3], want) {
 		t.Errorf("entry 3 = %+v, want %+v", entries[3], want)
 	}
-	if !entries[3].Replayable() {
-		t.Error("entry with a gradient must report Replayable")
-	}
 }
 
 // testJournalSliceReuse: the Journal contract says Append must not
@@ -251,7 +249,7 @@ func testJournalAcrossReopens(t *testing.T, st Store) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(ctx, JournalEntry{Iteration: session}); err != nil {
+		if err := j.Append(ctx, JournalEntry{Iteration: session + 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
@@ -356,13 +354,13 @@ func testJournalTailBounded(t *testing.T, st Store) {
 			len(tail), tail[0].Iteration)
 	}
 	// A checkpoint mid-segment (iteration 5) needs the second sealed
-	// segment too; whole segments come back and Replay skips entry 5.
+	// segment too, minus the covered entry 5 that leads it.
 	tail, err = readJournalTail(st, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tail) != 5 || tail[0].Iteration != 5 {
-		t.Fatalf("tail after 5 = %d entries starting at %d, want 5 starting at 5",
+	if len(tail) != 4 || tail[0].Iteration != 6 {
+		t.Fatalf("tail after 5 = %d entries starting at %d, want 4 starting at 6",
 			len(tail), tail[0].Iteration)
 	}
 	// No checkpoint: the tail read IS the full read.
@@ -372,6 +370,39 @@ func testJournalTailBounded(t *testing.T, st Store) {
 	}
 	if len(all) != 9 {
 		t.Fatalf("tail after 0 = %d entries, want all 9", len(all))
+	}
+}
+
+// testCursorSkipsCovered: a cursor over a long live segment yields only
+// the entries past afterIteration, and pays for those alone — what lets
+// a caught-up follower poll a leader without the leader decoding (or
+// even reading) the segment it has already shipped. The allocation count
+// of a two-entry tail read must not depend on how many covered entries
+// precede it.
+func testCursorSkipsCovered(t *testing.T, st Store) {
+	j, err := st.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tailAllocs := func(n int) float64 {
+		t.Helper()
+		tail, err := readJournalTail(st, n-2)
+		if err != nil || len(tail) != 2 || tail[0].Iteration != n-1 || tail[1].Iteration != n {
+			t.Fatalf("tail after %d of %d = %+v err=%v, want iterations %d and %d", n-2, n, tail, err, n-1, n)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := readJournalTail(st, n-2); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	appendIters(t, j, 1, 16)
+	small := tailAllocs(16)
+	appendIters(t, j, 17, 1008)
+	if large := tailAllocs(1024); large > small+1 {
+		t.Errorf("a 2-entry tail read costs %.0f allocations behind 1022 covered entries but %.0f behind 14: "+
+			"the cursor pays per covered entry", large, small)
 	}
 }
 
@@ -573,9 +604,9 @@ func testRetentionNeverLive(t *testing.T, st Store) {
 }
 
 // testRetentionArchive: archived segments are moved, not lost — the
-// audit trail lives on in the archive directory as plain JSONL segment
-// files both backends render identically (readable by pointing a
-// FileStore at the directory).
+// audit trail lives on in the archive directory as the frame segments
+// both backends render identically (readable by pointing a FileStore at
+// the directory).
 func testRetentionArchive(t *testing.T, st Store) {
 	segmentedJournal(t, st)
 	dir := t.TempDir() + "/archive" // PruneSegments must create it
@@ -616,8 +647,7 @@ func testRetentionArchive(t *testing.T, st Store) {
 // corruption. This is exactly the leader-side replication race — the
 // journal feed streams through a cursor while the checkpointer prunes
 // behind it. Contract: within one cursor pass iterations are strictly
-// increasing (segment granularity means covered entries may lead the
-// stream, but pruning never reorders or duplicates), and a pass
+// increasing (pruning never reorders or duplicates), and a pass
 // terminates only with io.EOF or ErrJournalTruncated — a segment
 // vanishing under the cursor is not an error.
 func testCursorRacesPrune(t *testing.T, st Store) {

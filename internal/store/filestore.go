@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -20,23 +19,22 @@ import (
 	"github.com/crowdml/crowdml/internal/core"
 )
 
-// Journal segment naming. The journal is a sequence of JSONL segment
-// files: journal-0000000001.jsonl, journal-0000000002.jsonl, … with the
-// highest sequence number being the live (appended-to) segment and every
-// lower one sealed. A pre-segmentation journal named checkins.jsonl is
-// read as the oldest segment, so stores written by earlier versions
-// restore unchanged; the first rotation seals it like any other segment.
+// Journal segment naming. The journal is a sequence of segment files,
+// journal-0000000001.wal, journal-0000000002.wal, …, each a run of
+// wirecodec journal frames (see segment.go); the highest sequence number
+// is the live (appended-to) segment and every lower one is sealed. The
+// suffix differs from earlier releases' JSONL segments so the formats
+// cannot be confused: *.jsonl files are refused with ErrLegacyJournal.
 const (
 	segmentPrefix  = "journal-"
-	segmentSuffix  = ".jsonl"
+	segmentSuffix  = ".wal"
 	segmentPattern = segmentPrefix + "%010d" + segmentSuffix
-	legacyJournal  = "checkins.jsonl"
 	lockFileName   = "LOCK"
 )
 
 // FileStore persists checkpoints and journals under a directory:
 // checkpoint.json (atomic write-to-temp + rename) and a segmented
-// journal-*.jsonl write-ahead log (append-only, flushed per entry).
+// journal-*.wal write-ahead log (append-only, one write per entry).
 //
 // A store directory belongs to ONE live journal at a time: OpenJournal
 // repairs (truncates) a crash-torn journal tail, so a second process
@@ -92,18 +90,16 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	if state == nil {
 		return errors.New("store: nil state")
 	}
-	cp := Checkpoint{SavedAtUnixMillis: now.UnixMilli(), State: state}
-	payload, err := json.MarshalIndent(&cp, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: encode checkpoint: %w", err)
-	}
 	tmp, err := os.CreateTemp(f.dir, "checkpoint-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(payload); err != nil {
+	// Compact JSON out of the encoder's pooled buffer in one write: no
+	// indented second copy of the whole document.
+	cp := Checkpoint{SavedAtUnixMillis: now.UnixMilli(), State: state}
+	if err := json.NewEncoder(tmp).Encode(&cp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: write checkpoint: %w", err)
 	}
@@ -167,41 +163,21 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// segmentSeq parses a segment file name, returning its sequence number.
-// The legacy checkins.jsonl maps to sequence 0 (older than any numbered
-// segment, which start at 1).
+// segmentSeq parses a segment file name into its sequence number (≥ 1).
 func segmentSeq(name string) (int, bool) {
-	if name == legacyJournal {
-		return 0, true
-	}
-	if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
+	var seq int
+	if _, err := fmt.Sscanf(name, segmentPattern, &seq); err != nil || seq < 1 {
 		return 0, false
 	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-	if digits == "" {
-		return 0, false
-	}
-	seq := 0
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + int(c-'0')
-	}
-	if seq < 1 {
-		return 0, false
-	}
-	return seq, true
+	return seq, name == fmt.Sprintf(segmentPattern, seq)
 }
 
 // Segments returns the journal's segments, oldest first, with their
 // sealed-vs-live status: every segment except the newest is sealed (a
-// rotation sealed it when it created its successor). The newest is the
-// live segment — a pre-segmentation checkins.jsonl that no rotation has
-// sealed yet counts as live too, which is why retention never touches
-// it until the first rotation seals it. Empty when no journal exists
-// yet. Exposed for auditing and operations tooling; reading one is
-// plain JSONL.
+// rotation sealed it when it created its successor), and the newest is
+// the live one. Empty when no journal exists yet. A directory holding a
+// *.jsonl segment is refused with ErrLegacyJournal — every journal
+// operation lists segments first, so none half-reads a mixed directory.
 func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -215,6 +191,9 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		if e.IsDir() {
 			continue
 		}
+		if strings.HasSuffix(e.Name(), ".jsonl") {
+			return nil, fmt.Errorf("%w (found %s)", ErrLegacyJournal, filepath.Join(f.dir, e.Name()))
+		}
 		if seq, ok := segmentSeq(e.Name()); ok {
 			segs = append(segs, SegmentInfo{Name: e.Name(), Seq: seq, Sealed: true})
 		}
@@ -226,15 +205,15 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	return segs, nil
 }
 
-// fileJournal is the append-only segmented JSONL journal behind a
-// FileStore. It is safe for concurrent use; a shutdown-path Close can
-// race in-flight Appends and Rotates.
+// fileJournal is the append-only segmented journal behind a FileStore.
+// It is safe for concurrent use; a shutdown-path Close can race in-flight
+// Appends and Rotates.
 type fileJournal struct {
 	dir string
 
 	mu     sync.Mutex
 	file   *os.File // live segment
-	w      *bufio.Writer
+	buf    []byte   // frame staging, reused by every Append under mu
 	seq    int      // live segment's sequence number
 	lock   *os.File // flock'd LOCK file, held until Close
 	closed bool
@@ -242,17 +221,15 @@ type fileJournal struct {
 
 // OpenJournal opens the journal for appending: it takes the store
 // directory's advisory lock (ErrStoreLocked if a live journal already
-// holds it), opens the newest segment — creating journal-0000000001.jsonl
-// for a fresh store, or continuing a pre-segmentation checkins.jsonl —
-// and repairs a crash-torn tail first, truncating back to the last
-// decodable, newline-terminated record. The repair removes EXACTLY the
-// tail a cursor classifies as ErrJournalTruncated (one trailing
-// undecodable or unterminated line): such a record was never durable, so
-// its checkin was never acknowledged, and appending after it without the
-// repair would strand undecodable bytes mid-file and poison every later
-// journal read. Anything worse — several bad trailing lines, or a valid
-// entry after a bad line — is corruption no crash produces, and
-// OpenJournal refuses to touch it.
+// holds it), opens the newest segment — creating journal-0000000001.wal
+// for a fresh store — and repairs a crash-torn tail first. The live
+// segment ends at the last frame whose CRC verifies: a final frame cut
+// short or failing its CRC was never durable, so its checkin was never
+// acknowledged, and it is truncated away — appending after it would
+// strand unreadable bytes mid-file and poison every later read. The
+// repair removes EXACTLY what a cursor reports as ErrJournalTruncated;
+// damage with a valid frame after it is corruption no crash produces,
+// and OpenJournal refuses to touch it.
 func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -271,125 +248,69 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf(segmentPattern, 1)
+	seq := 1
 	if len(segs) > 0 {
-		name = segs[len(segs)-1].Name
+		seq = segs[len(segs)-1].Seq
 	}
-	seq, _ := segmentSeq(name)
-	file, err := os.OpenFile(filepath.Join(f.dir, name),
-		os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	path := filepath.Join(f.dir, fmt.Sprintf(segmentPattern, seq))
+	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
-	if err := repairTornTail(file); err != nil {
+	if err := repairTornTail(path); err != nil {
 		file.Close()
 		return nil, fmt.Errorf("store: repair journal tail: %w", err)
 	}
 	ok = true
-	return &fileJournal{dir: f.dir, file: file, w: bufio.NewWriter(file), seq: seq, lock: lock}, nil
+	return &fileJournal{dir: f.dir, file: file, seq: seq, lock: lock}, nil
 }
 
-// repairTornTail truncates a single torn tail record — an undecodable
-// final line, or an unterminated one (even a parseable unterminated
-// record is dropped: its Append never returned, so its checkin was
-// never acknowledged; a cursor classifies it as torn by the same
-// rule). Two broken trailing lines is damage no single crash produces
-// and is refused. Mid-file corruption (a bad line with valid entries
-// after it) is not this function's business: it is left in place for
-// the cursor to report as fatal.
-//
-// The scan finds line boundaries in one cheap forward pass without
-// decoding; only the last one or two non-blank lines are JSON-decoded,
-// so reopening a journal does not double restore's full-decode cost.
-func repairTornTail(file *os.File) error {
-	if _, err := file.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReaderSize(file, 64*1024)
-	type lineSpan struct {
-		start, end int64 // byte offsets; end includes the newline if any
-		terminated bool
-	}
-	var offset int64
-	var last, prev *lineSpan // the two most recent non-blank lines
+// repairTornTail truncates the live segment back to its last valid frame
+// when (and only when) a scan classifies its tail as torn. The scan
+// repeats after each cut: it CRC-checks only the final frame, and a power
+// loss can leave several bad frames at the end — the frame a cut exposes
+// must verify too, or the next append (O_APPEND: at the new end) would
+// bury it mid-segment.
+func repairTornTail(path string) error {
 	for {
-		raw, readErr := r.ReadBytes('\n')
-		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return fmt.Errorf("scan journal: %w", readErr)
-		}
-		if n := int64(len(raw)); n > 0 {
-			if len(bytes.TrimSuffix(raw, []byte{'\n'})) > 0 {
-				prev, last = last, &lineSpan{start: offset, end: offset + n, terminated: readErr == nil}
-			}
-			offset += n
-		}
-		if readErr != nil {
-			break
-		}
-	}
-	intact := func(l *lineSpan) (bool, error) {
-		if !l.terminated {
-			return false, nil
-		}
-		buf := make([]byte, l.end-l.start)
-		if _, err := file.ReadAt(buf, l.start); err != nil {
-			return false, err
-		}
-		var e JournalEntry
-		return json.Unmarshal(bytes.TrimSuffix(buf, []byte{'\n'}), &e) == nil, nil
-	}
-	if last != nil {
-		ok, err := intact(last)
+		file, sr, err := openSegment(path, 0, nil)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			if prev != nil {
-				prevOK, err := intact(prev)
-				if err != nil {
-					return err
-				}
-				if !prevOK {
-					return errors.New("multiple broken trailing lines (beyond a single torn append)")
-				}
-			}
-			if err := file.Truncate(last.start); err != nil {
-				return fmt.Errorf("truncate torn tail: %w", err)
-			}
+		_, err = sr.lastIteration()
+		file.Close()
+		if !errors.Is(err, errTorn) {
+			return err
+		}
+		if err := os.Truncate(path, sr.off); err != nil {
+			return fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
-	_, err := file.Seek(0, io.SeekEnd)
-	return err
 }
 
-// Append writes one entry and flushes it to the OS, so a crashed server
-// process loses at most the entry being written — and a torn tail is
-// exactly what the cursor's ErrJournalTruncated tolerance is for. The
-// flush runs before the originating Checkin is acknowledged (write-ahead
-// ordering). There is no per-entry fsync: durability is against process
-// crashes, not power loss, unless the caller follows up with Sync (the
-// hub's SyncBatch policy fsyncs once per applied batch).
+// Append encodes the entry into the journal's own buffer and hands the
+// whole frame to the OS in one write, so a crashed server process loses
+// at most the entry being written — the torn tail ErrJournalTruncated
+// tolerates. The write runs before the originating Checkin is
+// acknowledged (write-ahead ordering). There is no per-entry fsync:
+// durability is against process crashes, not power loss, unless the
+// caller follows up with Sync (the hub's SyncBatch group commit).
 func (j *fileJournal) Append(ctx context.Context, e JournalEntry) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	payload, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("store: encode journal entry: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errors.New("store: append to closed journal")
 	}
-	if _, err := j.w.Write(payload); err != nil {
-		return fmt.Errorf("store: append journal: %w", err)
+	buf, err := appendEntry(j.buf[:0], &e)
+	if err != nil {
+		return fmt.Errorf("store: encode journal entry: %w", err)
 	}
-	if err := j.w.WriteByte('\n'); err != nil {
+	j.buf = buf
+	if _, err := j.file.Write(buf); err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush journal entry: %w", err)
 	}
 	return nil
 }
@@ -405,21 +326,18 @@ func (j *fileJournal) Sync(ctx context.Context) error {
 	if j.closed {
 		return errors.New("store: sync on closed journal")
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush journal: %w", err)
-	}
 	if err := j.file.Sync(); err != nil {
 		return fmt.Errorf("store: sync journal: %w", err)
 	}
 	return nil
 }
 
-// Rotate seals the live segment — flushed, fsynced, closed, never
-// written again — and starts appending to a fresh numbered segment. The
-// new segment is created (and the directory synced) BEFORE the old file
-// is closed, so a failure at any step leaves the journal appending
-// where it was: rotation can be retried on the next checkpoint, and no
-// failure path loses the append handle.
+// Rotate seals the live segment — fsynced, closed, never written again —
+// and starts appending to a fresh numbered segment. The new segment is
+// created (and the directory synced) BEFORE the old file is closed, so a
+// failure at any step leaves the journal appending where it was:
+// rotation can be retried on the next checkpoint, and no failure path
+// loses the append handle.
 func (j *fileJournal) Rotate(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -429,9 +347,6 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	if j.closed {
 		return errors.New("store: rotate on closed journal")
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush before rotate: %w", err)
-	}
 	// Seal durably: everything in the old segment reaches stable storage
 	// before the rotation is visible. The checkpoint that triggered this
 	// rotation was itself fsynced, so after a rotation the sealed chain +
@@ -440,7 +355,7 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 		return fmt.Errorf("store: sync before rotate: %w", err)
 	}
 	next, err := os.OpenFile(filepath.Join(j.dir, fmt.Sprintf(segmentPattern, j.seq+1)),
-		os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create next segment: %w", err)
 	}
@@ -456,17 +371,16 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 		return fmt.Errorf("store: sync dir for next segment: %w", err)
 	}
 	old := j.file
-	j.file, j.w, j.seq = next, bufio.NewWriter(next), j.seq+1
+	j.file, j.seq = next, j.seq+1
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("store: close sealed segment: %w", err)
 	}
 	return nil
 }
 
-// Close flushes and closes the journal, then releases the store
-// directory's advisory lock. Idempotent: later calls return nil (a
-// retried durability flush re-runs Close after a failed checkpoint
-// save).
+// Close closes the journal, then releases the store directory's advisory
+// lock. Idempotent: later calls return nil (a retried durability flush
+// re-runs Close after a failed checkpoint save).
 func (j *fileJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -475,23 +389,18 @@ func (j *fileJournal) Close() error {
 	}
 	j.closed = true
 	defer releaseDirLock(j.lock)
-	if err := j.w.Flush(); err != nil {
-		j.file.Close()
-		return fmt.Errorf("store: flush journal: %w", err)
-	}
 	return j.file.Close()
 }
 
 // OpenCursor opens the streaming journal read. Segment selection walks
-// the chain newest-first probing only each segment's FIRST record: the
-// walk stops at the first segment whose first entry is at or below
-// afterIteration+1, because every earlier segment then holds only
-// iterations the checkpoint already covers (journal iterations are
-// monotone) — recovery cost tracks rotation cadence, not journal size.
-// A segment whose first record cannot be probed (empty, or a fully torn
-// live segment) cannot prove coverage, so the walk keeps going — erring
-// toward streaming more, never less. Whole segments are then streamed
-// oldest-first; core.Server.Replay skips leading covered entries.
+// the chain newest-first reading only each segment's FIRST frame header:
+// the walk stops at the first segment whose first iteration is at or
+// below afterIteration+1, because every earlier segment then holds only
+// iterations the checkpoint already covers (journal iterations strictly
+// increase) — recovery cost tracks rotation cadence, not journal size. A
+// segment with no readable first header cannot prove coverage, so the
+// walk keeps going — erring toward streaming more, never less. Within the
+// chosen segments, covered frames are skipped on their headers.
 func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -503,75 +412,42 @@ func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (Journal
 	start := 0
 	if afterIteration > 0 {
 		for i := len(segs) - 1; i >= 0; i-- {
-			first, ok, err := f.probeFirstEntry(segs[i].Name)
-			if err != nil {
-				return nil, err
-			}
-			if ok && first.Iteration <= afterIteration+1 {
+			if first, ok := f.firstIterationOf(segs[i].Name); ok && first <= afterIteration+1 {
 				start = i
 				break
 			}
 		}
 	}
-	return &fileCursor{dir: f.dir, segs: segs[start:]}, nil
+	return &fileCursor{dir: f.dir, segs: segs[start:], after: afterIteration}, nil
 }
 
-// probeFirstEntry decodes a segment's first non-blank record, reporting
-// ok == false when there is none or it does not decode (an empty
-// segment, or a live segment whose only record is torn — the cursor's
-// full classification handles those; the probe only needs a lower
-// bound it can trust).
-func (f *FileStore) probeFirstEntry(name string) (JournalEntry, bool, error) {
-	file, err := os.Open(filepath.Join(f.dir, name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return JournalEntry{}, false, nil // raced a concurrent prune
-	}
+// firstIterationOf reads a segment's first frame header; ok is false when
+// there is none to trust (empty, torn, just pruned, unreadable — the
+// cursor that then covers the segment will say which).
+func (f *FileStore) firstIterationOf(name string) (first int, ok bool) {
+	file, sr, err := openSegment(filepath.Join(f.dir, name), 0, nil)
 	if err != nil {
-		return JournalEntry{}, false, fmt.Errorf("store: open journal segment %s: %w", name, err)
+		return 0, false
 	}
 	defer file.Close()
-	r := bufio.NewReaderSize(file, 64*1024)
-	for {
-		raw, readErr := r.ReadBytes('\n')
-		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return JournalEntry{}, false, fmt.Errorf("store: scan journal segment %s: %w", name, readErr)
-		}
-		terminated := readErr == nil
-		raw = bytes.TrimSuffix(raw, []byte{'\n'})
-		if len(raw) > 0 {
-			var e JournalEntry
-			if json.Unmarshal(raw, &e) == nil && terminated {
-				return e, true, nil
-			}
-			return JournalEntry{}, false, nil
-		}
-		if readErr != nil {
-			return JournalEntry{}, false, nil
-		}
-	}
+	first, _, err = sr.frameAt(0)
+	return first, err == nil
 }
 
-// fileCursor streams journal segments oldest-first, line by line,
-// holding one open file and one decoded entry at a time. The per-line
-// classification is exactly the slice reader's old contract: a torn or
-// corrupt FINAL line of the LIVE (newest) segment — the expected
-// artifact of a crash mid-append — ends the stream with
-// ErrJournalTruncated after every valid entry has been yielded; a bad
-// line anywhere else (mid-segment, or in a sealed segment, which no
-// crash can tear) is real corruption and a hard error.
+// fileCursor streams journal segments oldest-first, frame by frame,
+// holding one open file and one decoded entry at a time. A torn tail on
+// the LIVE (newest) segment — the expected artifact of a crash
+// mid-append — ends the stream with ErrJournalTruncated after every valid
+// entry has been yielded; in a sealed segment (which no crash can tear),
+// or with valid frames after it, damage is corruption and a hard error.
 type fileCursor struct {
-	dir  string
-	segs []SegmentInfo // remaining + current, oldest first
-	idx  int           // next segment to open once file is nil
+	dir   string
+	segs  []SegmentInfo // remaining + current, oldest first
+	idx   int           // the open segment, or the next to open once file is nil
+	after int           // skip iterations at or below this
 
 	file *os.File
-	r    *bufio.Reader
-	line int // 1-based within the current segment
-
-	// badLine/badErr hold a suspected torn tail: one undecodable line
-	// whose verdict (torn vs corruption) depends on what follows it.
-	badLine int
-	badErr  error
+	sr   segmentReader
 
 	err error // latched terminal state (io.EOF, ErrJournalTruncated, or a hard error)
 }
@@ -580,28 +456,26 @@ var _ JournalCursor = (*fileCursor)(nil)
 
 // fail latches a terminal error and returns it.
 func (c *fileCursor) fail(err error) (JournalEntry, error) {
-	if c.file != nil {
-		c.file.Close()
-		c.file = nil
-	}
+	c.Close()
 	c.err = err
 	return JournalEntry{}, err
 }
 
 // Next returns the next journal entry, io.EOF at the clean end of the
 // chain, or ErrJournalTruncated (wrapped with the segment context) in
-// io.EOF's place when the live segment ends in a crash-torn record.
+// io.EOF's place when the live segment ends in a crash-torn frame.
 func (c *fileCursor) Next() (JournalEntry, error) {
 	if c.err != nil {
 		return JournalEntry{}, c.err
 	}
 	for {
+		if c.idx >= len(c.segs) {
+			return c.fail(io.EOF)
+		}
+		name := c.segs[c.idx].Name
 		if c.file == nil {
-			if c.idx >= len(c.segs) {
-				return c.fail(io.EOF)
-			}
-			name := c.segs[c.idx].Name
-			file, err := os.Open(filepath.Join(c.dir, name))
+			// The buffer and the floor carry over: ordering spans segments.
+			file, sr, err := openSegment(filepath.Join(c.dir, name), c.sr.floor, c.sr.buf)
 			if errors.Is(err, fs.ErrNotExist) {
 				c.idx++ // raced a concurrent prune; nothing to read here
 				continue
@@ -609,82 +483,33 @@ func (c *fileCursor) Next() (JournalEntry, error) {
 			if err != nil {
 				return c.fail(fmt.Errorf("store: open journal segment %s: %w", name, err))
 			}
-			c.file = file
-			// bufio.Reader instead of a Scanner: journal lines carry full
-			// gradients (classes·dim floats), so no fixed line-length cap
-			// may stand between an Append that succeeded and the recovery
-			// that needs to read it back.
-			c.r = bufio.NewReaderSize(file, 64*1024)
-			c.line = 0
-			c.badLine, c.badErr = 0, nil
+			c.file, c.sr = file, sr
 		}
-		name := c.segs[c.idx].Name
-		live := c.idx == len(c.segs)-1
-		raw, readErr := c.r.ReadBytes('\n')
-		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return c.fail(fmt.Errorf("store: scan journal segment %s: %w", name, readErr))
-		}
-		terminated := readErr == nil
-		c.line++
-		raw = bytes.TrimSuffix(raw, []byte{'\n'})
-		if len(raw) > 0 {
-			// An unterminated final record is torn even when its JSON
-			// happens to decode: the newline is what marks an Append (and
-			// therefore an acknowledgment) complete, and the repair in
-			// OpenJournal drops such a record by the same rule.
-			var e JournalEntry
-			decodeErr := json.Unmarshal(raw, &e)
-			if decodeErr == nil && !terminated {
-				decodeErr = errors.New("record not newline-terminated")
-			}
-			switch {
-			case decodeErr != nil && c.badLine != 0:
-				// Two undecodable lines: not a torn tail.
-				return c.fail(fmt.Errorf("store: journal segment %s line %d: %w", name, c.badLine, c.badErr))
-			case decodeErr != nil:
-				c.badLine, c.badErr = c.line, decodeErr
-			case c.badLine != 0:
-				// A valid entry AFTER a bad line means mid-journal
-				// corruption, not a crash-torn tail; replaying past it
-				// would silently drop an acknowledged checkin.
-				return c.fail(fmt.Errorf("store: journal segment %s line %d: %w", name, c.badLine, c.badErr))
-			default:
-				// A decodable entry is always newline-terminated (the
-				// unterminated case was classified torn above), so the
-				// reader is mid-file here; the EOF branch below handles
-				// segment advance on a later call.
-				return e, nil
-			}
-		}
-		if readErr != nil { // io.EOF: past the (possibly unterminated) last line
-			if c.badLine != 0 {
-				if !live {
-					// Sealed segments were flushed, fsynced and closed; no
-					// crash tears them. A bad final line here is damage,
-					// not a torn tail.
-					return c.fail(fmt.Errorf("store: journal segment %s line %d: %v", name, c.badLine, c.badErr))
-				}
-				return c.fail(fmt.Errorf("store: journal segment %s line %d: %v: %w", name, c.badLine, c.badErr, ErrJournalTruncated))
-			}
+		e, err := c.sr.next(c.after)
+		switch {
+		case err == nil:
+			return e, nil
+		case errors.Is(err, io.EOF):
 			c.file.Close()
 			c.file = nil
 			c.idx++
+		case errors.Is(err, errTorn) && c.idx == len(c.segs)-1:
+			return c.fail(fmt.Errorf("store: journal segment %s: %v: %w", name, err, ErrJournalTruncated))
+		default:
+			return c.fail(fmt.Errorf("store: journal segment %s: %w", name, err))
 		}
 	}
 }
 
 // Close releases the cursor's open segment file, if any.
 func (c *fileCursor) Close() error {
+	if c.err == nil {
+		c.err = errors.New("store: cursor closed")
+	}
 	if c.file != nil {
 		err := c.file.Close()
 		c.file = nil
-		if c.err == nil {
-			c.err = errors.New("store: cursor closed")
-		}
 		return err
-	}
-	if c.err == nil {
-		c.err = errors.New("store: cursor closed")
 	}
 	return nil
 }
@@ -695,12 +520,10 @@ var _ SegmentRetainer = (*FileStore)(nil)
 // last record's iteration is at or below coveredIteration are removed
 // (archiveDir == "") or moved into archiveDir, oldest first, stopping
 // at the first segment a checkpoint at coveredIteration does not fully
-// cover. The live segment is never touched — including a legacy
-// checkins.jsonl that no rotation has sealed yet, which stays
-// retention-exempt until the first rotation seals it. Pruning
-// oldest-first means an interruption at any point (crash mid-prune)
-// leaves exactly the state of a smaller completed prune: a contiguous
-// journal suffix, fully recoverable.
+// cover. The live segment is never touched. Pruning oldest-first means
+// an interruption at any point (crash mid-prune) leaves exactly the
+// state of a smaller completed prune: a contiguous journal suffix, fully
+// recoverable.
 func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -719,14 +542,14 @@ func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, arc
 		if !seg.Sealed {
 			break // the live segment (always last) is never pruned
 		}
-		last, empty, err := f.lastEntryOf(seg.Name)
+		last, err := f.lastIterationOf(seg.Name)
 		if err != nil {
-			return pruned, err
+			return pruned, fmt.Errorf("store: journal segment %s: %w", seg.Name, err)
 		}
 		// Journal iterations are monotone, so a sealed segment whose last
-		// entry the checkpoint covers is covered in full; the first
-		// uncovered segment ends the walk (everything after it is newer).
-		if !empty && last.Iteration > coveredIteration {
+		// entry the checkpoint covers is covered in full (an empty one,
+		// reporting -1, trivially); the first uncovered one ends the walk.
+		if last > coveredIteration {
 			break
 		}
 		path := filepath.Join(f.dir, seg.Name)
@@ -865,38 +688,16 @@ func sameContents(a, b string) (bool, error) {
 	}
 }
 
-// lastEntryOf scans one sealed segment for its final record in a single
-// forward pass, decoding only that record — O(one line) memory. An
-// undecodable final line in a sealed segment is damage (sealing fsyncs
-// the file), reported as an error rather than guessed around.
-func (f *FileStore) lastEntryOf(name string) (last JournalEntry, empty bool, err error) {
-	file, err := os.Open(filepath.Join(f.dir, name))
+// lastIterationOf finds a sealed segment's final iteration by hopping
+// its frame headers (-1 when it is empty). A sealed segment whose tail
+// does not verify is damage (sealing fsyncs the file) and an error.
+func (f *FileStore) lastIterationOf(name string) (int, error) {
+	file, sr, err := openSegment(filepath.Join(f.dir, name), 0, nil)
 	if err != nil {
-		return JournalEntry{}, false, fmt.Errorf("store: open journal segment %s: %w", name, err)
+		return 0, err
 	}
 	defer file.Close()
-	r := bufio.NewReaderSize(file, 64*1024)
-	var lastRaw []byte
-	for {
-		raw, readErr := r.ReadBytes('\n')
-		if readErr != nil && !errors.Is(readErr, io.EOF) {
-			return JournalEntry{}, false, fmt.Errorf("store: scan journal segment %s: %w", name, readErr)
-		}
-		if line := bytes.TrimSuffix(raw, []byte{'\n'}); len(line) > 0 {
-			lastRaw = append(lastRaw[:0], line...)
-		}
-		if readErr != nil {
-			break
-		}
-	}
-	if len(lastRaw) == 0 {
-		return JournalEntry{}, true, nil
-	}
-	var e JournalEntry
-	if err := json.Unmarshal(lastRaw, &e); err != nil {
-		return JournalEntry{}, false, fmt.Errorf("store: journal segment %s final record: %w", name, err)
-	}
-	return e, false, nil
+	return sr.lastIteration()
 }
 
 // FileRoot exposes a directory of per-task FileStores: each immediate

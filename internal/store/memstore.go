@@ -173,34 +173,21 @@ func (m *MemStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	return segs, nil
 }
 
-// OpenCursor mirrors FileStore's bounded streaming read: the starting
-// segment is found by a newest-first walk over each segment's first
-// entry, and the cursor then streams whole segments oldest-first,
-// deep-copying one entry per Next — the same O(one entry) residency
-// contract as the file backend. The cursor holds a point-in-time
-// snapshot of the segment chain: appends, rotations and prunes racing
-// the scan never disturb it.
+// OpenCursor mirrors FileStore's streaming read: the cursor yields the
+// entries past afterIteration oldest-first, deep-copying one entry per
+// Next (covered ones cost a comparison, not a copy), over a point-in-time
+// snapshot of the segment chain that racing appends, rotations and
+// prunes never disturb.
 func (m *MemStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	// Copy the outer slice only: the inner segment slices are append-only
 	// (a racing Append may grow the live segment's backing array, but the
 	// snapshot's header pins the entries visible at open time).
-	segs := make([][]JournalEntry, len(m.segments))
-	copy(segs, m.segments)
-	m.mu.Unlock()
-	start := 0
-	if afterIteration > 0 {
-		for i := len(segs) - 1; i >= 0; i-- {
-			if len(segs[i]) > 0 && segs[i][0].Iteration <= afterIteration+1 {
-				start = i
-				break
-			}
-		}
-	}
-	return &memCursor{segs: segs[start:]}, nil
+	return &memCursor{segs: append([][]JournalEntry(nil), m.segments...), after: afterIteration}, nil
 }
 
 // memCursor iterates a snapshot of the segment chain. Its terminal
@@ -209,9 +196,10 @@ func (m *MemStore) OpenCursor(ctx context.Context, afterIteration int) (JournalC
 // use-after-close bug fails the same way on both backends instead of
 // reading as a clean-but-truncated stream here.
 type memCursor struct {
-	segs [][]JournalEntry
-	i, j int
-	err  error // latched terminal state
+	segs  [][]JournalEntry
+	i, j  int
+	after int   // skip iterations at or below this
+	err   error // latched terminal state
 }
 
 var _ JournalCursor = (*memCursor)(nil)
@@ -224,6 +212,9 @@ func (c *memCursor) Next() (JournalEntry, error) {
 		if c.j < len(c.segs[c.i]) {
 			e := c.segs[c.i][c.j]
 			c.j++
+			if e.Iteration <= c.after {
+				continue
+			}
 			if e.Grad != nil {
 				e.Grad = append([]float64(nil), e.Grad...)
 			}
@@ -251,9 +242,9 @@ var _ SegmentRetainer = (*MemStore)(nil)
 // segments (every segment but the last) whose last entry is at or below
 // coveredIteration are dropped oldest-first, stopping at the first
 // uncovered one; the live segment is never touched. With archiveDir
-// set, each pruned segment is first written out as a JSONL file named
-// exactly as FileStore would have named it (journal-NNNNNNNNNN.jsonl),
-// so the archived audit trail is the same artifact on both backends.
+// set, each pruned segment is first written out as the segment file
+// FileStore would have held under the same name, so the archived audit
+// trail is the same artifact on both backends.
 func (m *MemStore) PruneSegments(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -290,25 +281,25 @@ func (m *MemStore) PruneSegments(ctx context.Context, coveredIteration int, arch
 	return pruned, nil
 }
 
-// writeSegmentFile renders one archived segment as JSONL. O_EXCL:
-// archived segments are the audit trail, and a name collision (two
-// tasks sharing one archive directory) must surface as an error, never
-// silently truncate earlier history.
+// writeSegmentFile renders one archived segment through the encoder
+// FileStore appends with. O_EXCL: archived segments are the audit trail,
+// and a name collision (two tasks sharing one archive directory) must
+// surface as an error, never silently truncate earlier history.
 func writeSegmentFile(path string, seg []JournalEntry) error {
+	var buf []byte
+	for i := range seg {
+		var err error
+		if buf, err = appendEntry(buf, &seg[i]); err != nil {
+			return fmt.Errorf("store: encode archived entry: %w", err)
+		}
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: archive segment: %w", err)
 	}
-	for i := range seg {
-		payload, err := json.Marshal(&seg[i])
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("store: encode archived entry: %w", err)
-		}
-		if _, err := f.Write(append(payload, '\n')); err != nil {
-			f.Close()
-			return fmt.Errorf("store: write archived segment: %w", err)
-		}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return fmt.Errorf("store: write archived segment: %w", err)
 	}
 	return f.Close()
 }

@@ -2,9 +2,9 @@
 // server state. The paper's prototype kept this state in MySQL
 // (Section V-A) so a restarted server resumes the crowd's task with the
 // accumulated contributions intact; Store is the abstraction of that
-// role, with two shipped implementations — FileStore (JSON checkpoints +
-// a JSONL journal under a directory) and MemStore (in-memory, for tests,
-// benchmarks and embedding).
+// role, with two shipped implementations — FileStore (a JSON checkpoint +
+// a journal of wirecodec frames under a directory) and MemStore
+// (in-memory, for tests, benchmarks and embedding).
 //
 // Two artifacts are managed per task:
 //
@@ -65,6 +65,14 @@ var (
 	// into a clean error. MemStore does not lock — simulating a crash by
 	// dropping a hub while keeping the store is exactly what it is for.
 	ErrStoreLocked = errors.New("store: store directory locked by a live journal")
+
+	// ErrLegacyJournal is returned by FileStore's journal operations when
+	// the directory still holds *.jsonl segments from a release that
+	// journaled JSON lines. No converter is needed: a clean shutdown
+	// leaves a checkpoint covering the whole journal, so the old segments
+	// are audit history, not recovery input (docs/OPERATIONS.md).
+	ErrLegacyJournal = errors.New("store: directory holds pre-binary *.jsonl journal segments: stop the old binary cleanly " +
+		"(its final checkpoint then covers the whole journal), move the .jsonl files to the archive, then start this binary")
 )
 
 // Checkpoint wraps a server state with bookkeeping metadata.
@@ -81,10 +89,6 @@ type Checkpoint struct {
 // next state — Grad, NumSamples, ErrCount, LabelCounts and Version are
 // exactly the applied core.CheckinRequest, and Iteration pins where in
 // the SGD sequence it lands.
-//
-// Grad and LabelCounts are empty on entries written by v1 of this
-// package, which journaled only audit summaries; such entries cannot be
-// replayed (see hub restore, which skips them).
 type JournalEntry struct {
 	AtUnixMillis int64  `json:"atUnixMillis"`
 	DeviceID     string `json:"deviceId"`
@@ -102,10 +106,6 @@ type JournalEntry struct {
 	// so replay reproduces the staleness accounting exactly.
 	Version int `json:"version"`
 }
-
-// Replayable reports whether the entry carries enough of the checkin to
-// be re-applied during recovery (v1 audit-only entries do not).
-func (e *JournalEntry) Replayable() bool { return len(e.Grad) > 0 }
 
 // Journal is an append-only, segmented checkin log. Implementations
 // must be safe for concurrent use and must make each entry durable
@@ -173,14 +173,13 @@ type Store interface {
 	// OpenCursor opens a streaming read over the journal suffix a
 	// recovery already holding a checkpoint at afterIteration needs:
 	// every entry with Iteration > afterIteration, reading only the
-	// trailing segments required (whole segments are streamed, so
-	// entries at or below afterIteration may lead the stream —
-	// core.Server.Replay skips them). OpenCursor(ctx, 0) streams the
-	// full journal, oldest entry first — the audit scan. A missing
-	// journal yields a cursor whose first Next returns io.EOF. Segment
-	// selection is a cheap probe of each trailing segment's first
-	// record, never a full decode; the cursor itself holds O(one entry)
-	// of decoded state at a time.
+	// trailing segments required. Both shipped stores yield exactly
+	// those; an implementation may still lead the stream with covered
+	// entries (core.Server.Replay skips them). OpenCursor(ctx, 0)
+	// streams the full journal, oldest entry first — the audit scan. A
+	// missing journal yields a cursor whose first Next returns io.EOF.
+	// Covered segments and entries are ruled out on frame headers, never
+	// decoded; the cursor holds O(one entry) of decoded state at a time.
 	OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error)
 }
 
@@ -201,26 +200,22 @@ type SegmentRetainer interface {
 	//
 	// With archiveDir == "", eligible segments are deleted. Otherwise
 	// they are moved into archiveDir (created if needed), keeping their
-	// segment file names — the audit trail lives on as plain JSONL,
-	// readable with any JSON tooling. Returns the names of the segments
-	// pruned or archived.
+	// segment file names — the audit trail lives on, readable by opening
+	// a FileStore on archiveDir (what crowdml-server -dump-journal does).
+	// Returns the names of the segments pruned or archived.
 	PruneSegments(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error)
 }
 
 // SegmentInfo describes one journal segment for auditing and retention
 // tooling.
 type SegmentInfo struct {
-	// Name is the segment's file name within the store directory (for
-	// the legacy pre-segmentation journal, "checkins.jsonl").
+	// Name is the segment's file name within the store directory.
 	Name string
-	// Seq is the segment's position in the chain (the legacy journal is
-	// 0; numbered segments start at 1).
+	// Seq is the segment's position in the chain, numbered from 1.
 	Seq int
 	// Sealed reports whether the segment has been sealed by a rotation:
 	// immutable, fsynced, eligible for retention once a checkpoint
-	// covers it. The newest segment is the live one (Sealed == false) —
-	// including a legacy checkins.jsonl that no rotation has sealed yet,
-	// which is therefore retention-exempt exactly like any live segment.
+	// covers it. The newest segment is the live one (Sealed == false).
 	Sealed bool
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // ctx is the background context shared by the package's tests.
@@ -95,115 +98,127 @@ func TestLoadCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// writeJournalFile seeds a raw checkins.jsonl for the truncation tests.
-func writeJournalFile(t *testing.T, dir, content string) *FileStore {
+// segmentPath names a segment file by sequence number.
+func segmentPath(fs *FileStore, seq int) string {
+	return filepath.Join(fs.Dir(), fmt.Sprintf(segmentPattern, seq))
+}
+
+// frameOffsets hops a segment's frame headers and returns where each
+// frame starts, plus the file's length as the final element.
+func frameOffsets(t *testing.T, path string) []int64 {
 	t.Helper()
-	fs, err := NewFileStore(dir)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "checkins.jsonl"), []byte(content), 0o644); err != nil {
+	var offs []int64
+	for off := 0; off < len(b); {
+		offs = append(offs, int64(off))
+		_, n, err := wirecodec.JournalFrameLen(b[off:])
+		if err != nil {
+			t.Fatalf("frame at offset %d of %s: %v", off, path, err)
+		}
+		off += n
+	}
+	return append(offs, int64(len(b)))
+}
+
+// rewrite applies edit to a file's bytes in place.
+func rewrite(t *testing.T, path string, edit func(b []byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return fs
+	if err := os.WriteFile(path, edit(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
-const (
-	validLine1 = `{"deviceId":"d1","iteration":1,"numSamples":5,"grad":[1,2,3,4,5,6],"labelCounts":[5,0,0]}`
-	validLine2 = `{"deviceId":"d2","iteration":2,"numSamples":5,"grad":[6,5,4,3,2,1],"labelCounts":[0,5,0]}`
-)
+// tornStore builds a store with a sealed segment (iterations 1-2) and a
+// live segment (3-5), closed, and returns the live segment's frame
+// offsets.
+func tornStore(t *testing.T) (*FileStore, []int64) {
+	t.Helper()
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := fs.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 1, 2)
+	if err := j.Rotate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 3, 3)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return fs, frameOffsets(t, segmentPath(fs, 2))
+}
 
-// TestReadJournalTruncatedTail covers the expected crash artifact: the
-// final line torn mid-append. The valid prefix must come back alongside
-// ErrJournalTruncated so recovery can proceed.
-func TestReadJournalTruncatedTail(t *testing.T) {
-	for name, tail := range map[string]string{
-		"torn mid-record":    validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iter`,
-		"torn with newline":  validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iter` + "\n",
-		"non-JSON last line": validLine1 + "\n" + validLine2 + "\n" + "garbage\n",
-		// A record whose JSON decodes but whose newline never hit the disk
-		// is torn too: the terminator is what marks its Append — and hence
-		// its acknowledgment — complete (OpenJournal drops it by the same
-		// rule, so audit reads and recovery agree).
-		"parseable unterminated": validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iteration":3}`,
-	} {
+// damages is the torn-tail table: what a crash mid-append (a prefix of
+// the frame) or a power loss (a full-length frame of wrong bytes) can do
+// to the frame spanning [start, end).
+var damages = map[string]func(b []byte, start, end int64) []byte{
+	"cut inside header":  func(b []byte, start, _ int64) []byte { return b[:start+10] },
+	"cut inside payload": func(b []byte, start, _ int64) []byte { return b[:start+wirecodec.HeaderLen+20] },
+	"cut inside CRC":     func(b []byte, _, end int64) []byte { return b[:end-2] },
+	"flipped payload byte": func(b []byte, start, _ int64) []byte {
+		b[start+wirecodec.HeaderLen+3] ^= 0x40
+		return b
+	},
+	"flipped length byte": func(b []byte, start, _ int64) []byte {
+		b[start+24] ^= 0x01 // dims: the frame now claims another length
+		return b
+	},
+	"zeroed": func(b []byte, start, end int64) []byte {
+		clear(b[start:end])
+		return b
+	},
+}
+
+// TestTornFinalFrame: damage to the FINAL frame of the LIVE segment is
+// the expected crash artifact. A read yields every valid entry and then
+// ErrJournalTruncated; reopening the journal truncates exactly that
+// frame, and an append made after the repair reads back — across a
+// second open too (the restart-after-recovery path).
+func TestTornFinalFrame(t *testing.T) {
+	for name, damage := range damages {
 		t.Run(name, func(t *testing.T) {
-			fs := writeJournalFile(t, t.TempDir(), tail)
+			fs, offs := tornStore(t)
+			live := segmentPath(fs, 2)
+			rewrite(t, live, func(b []byte) []byte { return damage(b, offs[2], offs[3]) })
+
 			entries, err := readJournal(fs)
 			if !errors.Is(err, ErrJournalTruncated) {
-				t.Fatalf("error = %v, want ErrJournalTruncated", err)
+				t.Fatalf("read error = %v, want ErrJournalTruncated", err)
 			}
-			if len(entries) != 2 || entries[0].DeviceID != "d1" || entries[1].DeviceID != "d2" {
-				t.Errorf("valid prefix = %+v, want the 2 intact entries", entries)
+			if len(entries) != 4 || entries[3].Iteration != 4 {
+				t.Fatalf("valid prefix = %+v, want iterations 1-4", entries)
 			}
-		})
-	}
-}
-
-// TestReadJournalOnlyLineTorn is the crash-on-first-append case: no valid
-// prefix, but still the tolerant sentinel rather than a hard failure.
-func TestReadJournalOnlyLineTorn(t *testing.T) {
-	fs := writeJournalFile(t, t.TempDir(), "{bad\n")
-	entries, err := readJournal(fs)
-	if !errors.Is(err, ErrJournalTruncated) {
-		t.Fatalf("error = %v, want ErrJournalTruncated", err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("entries = %+v, want none", entries)
-	}
-}
-
-// TestReadJournalMidCorruptionIsFatal: a bad line FOLLOWED by valid
-// entries is not a torn tail — replaying past it would silently drop an
-// acknowledged checkin, so it must stay a hard error.
-func TestReadJournalMidCorruptionIsFatal(t *testing.T) {
-	for name, content := range map[string]string{
-		"valid after bad": validLine1 + "\ngarbage\n" + validLine2 + "\n",
-		"two bad lines":   validLine1 + "\ngarbage\nmore-garbage\n",
-	} {
-		t.Run(name, func(t *testing.T) {
-			fs := writeJournalFile(t, t.TempDir(), content)
-			if _, err := readJournal(fs); err == nil || errors.Is(err, ErrJournalTruncated) {
-				t.Errorf("error = %v, want a hard (non-truncation) error", err)
+			tail, err := readJournalTail(fs, 3)
+			if !errors.Is(err, ErrJournalTruncated) || len(tail) != 1 || tail[0].Iteration != 4 {
+				t.Fatalf("tail after 3 = %+v err=%v, want iteration 4 then ErrJournalTruncated", tail, err)
 			}
-		})
-	}
-}
 
-// TestOpenJournalRepairsTornTail: reopening a journal whose final record
-// was torn by a crash must truncate EVERY tail shape ReadJournal
-// tolerates as ErrJournalTruncated — otherwise resuming and appending
-// would strand undecodable bytes mid-file and make the NEXT restart's
-// ReadJournal fail fatally (valid-after-bad), bricking the task.
-func TestOpenJournalRepairsTornTail(t *testing.T) {
-	for name, tail := range map[string]string{
-		"torn mid-record":          validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iter`,
-		"torn with newline":        validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iter` + "\n",
-		"non-JSON last line":       validLine1 + "\n" + validLine2 + "\n" + "garbage\n",
-		"parseable unterminated":   validLine1 + "\n" + validLine2 + "\n" + `{"deviceId":"d3","iteration":3}`,
-		"clean file (no-op)":       validLine1 + "\n" + validLine2 + "\n",
-		"blank line then torn end": validLine1 + "\n\n" + validLine2 + "\n" + "{oops",
-	} {
-		t.Run(name, func(t *testing.T) {
-			fs := writeJournalFile(t, t.TempDir(), tail)
 			j, err := fs.OpenJournal(ctx)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("reopen: %v", err)
 			}
-			if err := j.Append(ctx, JournalEntry{DeviceID: "d4", Iteration: 3}); err != nil {
-				t.Fatal(err)
+			if info, err := os.Stat(live); err != nil || info.Size() != offs[2] {
+				t.Fatalf("repaired segment is %d bytes (err=%v), want exactly the %d before the torn frame",
+					info.Size(), err, offs[2])
 			}
+			appendIters(t, j, 5, 1)
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			// The appended-to journal must read back clean — across a
-			// SECOND open/read cycle too (the restart-after-recovery path).
-			entries, err := readJournal(fs)
-			if err != nil {
-				t.Fatalf("ReadJournal after repair+append: %v", err)
-			}
-			if len(entries) != 3 || entries[2].DeviceID != "d4" {
-				t.Errorf("entries = %+v, want the 2 intact + 1 new", entries)
+			entries, err = readJournal(fs)
+			if err != nil || len(entries) != 5 || entries[4].Iteration != 5 {
+				t.Fatalf("after repair+append: %+v err=%v, want iterations 1-5", entries, err)
 			}
 			if j2, err := fs.OpenJournal(ctx); err != nil {
 				t.Fatalf("second open: %v", err)
@@ -214,36 +229,19 @@ func TestOpenJournalRepairsTornTail(t *testing.T) {
 	}
 }
 
-// TestOpenJournalRefusesRealCorruption: damage no single crash produces
-// must never be silently eaten. Two broken trailing lines fail the open;
-// mid-file corruption (valid entries after a bad line) is left intact
-// for ReadJournal — and therefore restore — to report as fatal.
-func TestOpenJournalRefusesRealCorruption(t *testing.T) {
-	t.Run("two bad tails", func(t *testing.T) {
-		fs := writeJournalFile(t, t.TempDir(), validLine1+"\ngarbage\n{torn")
-		if _, err := fs.OpenJournal(ctx); err == nil {
-			t.Error("OpenJournal should refuse a journal with two broken trailing lines")
-		}
-	})
-	t.Run("valid after bad stays fatal on read", func(t *testing.T) {
-		fs := writeJournalFile(t, t.TempDir(), validLine1+"\ngarbage\n"+validLine2+"\n")
-		j, err := fs.OpenJournal(ctx)
-		if err != nil {
-			t.Fatalf("tail is intact; open should succeed: %v", err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readJournal(fs); err == nil || errors.Is(err, ErrJournalTruncated) {
-			t.Errorf("ReadJournal error = %v, want a hard mid-corruption error", err)
-		}
-	})
-}
-
-// TestOpenJournalRepairsFullyTornFile: a journal that is ONLY a torn
-// record truncates to empty.
-func TestOpenJournalRepairsFullyTornFile(t *testing.T) {
-	fs := writeJournalFile(t, t.TempDir(), `{"deviceId":"d1","iter`)
+// TestTornOnlyFrame is the crash-on-first-append case: no valid prefix,
+// still the tolerant sentinel, and the repair truncates to empty.
+func TestTornOnlyFrame(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segmentPath(fs, 1), []byte(wirecodec.Magic+"\x01\x04"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := readJournal(fs); !errors.Is(err, ErrJournalTruncated) || len(entries) != 0 {
+		t.Fatalf("read = %+v, %v; want no entries and ErrJournalTruncated", entries, err)
+	}
 	j, err := fs.OpenJournal(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -251,20 +249,123 @@ func TestOpenJournalRepairsFullyTornFile(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := readJournal(fs)
-	if err != nil || len(entries) != 0 {
+	if entries, err := readJournal(fs); err != nil || len(entries) != 0 {
 		t.Errorf("after repair: entries=%v err=%v, want none/nil", entries, err)
 	}
 }
 
-func TestReadJournalToleratesBlankLines(t *testing.T) {
-	fs := writeJournalFile(t, t.TempDir(), validLine1+"\n\n"+validLine2+"\n")
-	entries, err := readJournal(fs)
-	if err != nil {
-		t.Fatalf("ReadJournal: %v", err)
+// TestDamageBeforeValidFrameIsFatal: the same damage one frame EARLIER
+// — a valid frame follows it — is not a torn tail. Reading past it would
+// silently drop an acknowledged checkin and repairing it would truncate
+// one away, so reads fail hard and the reopen never shortens the file.
+func TestDamageBeforeValidFrameIsFatal(t *testing.T) {
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			fs, offs := tornStore(t)
+			live := segmentPath(fs, 2)
+			var size int64
+			rewrite(t, live, func(b []byte) []byte {
+				last := append([]byte(nil), b[offs[2]:]...)
+				b = append(damage(b[:offs[2]], offs[1], offs[2]), last...)
+				size = int64(len(b))
+				return b
+			})
+			if _, err := readJournal(fs); err == nil || errors.Is(err, ErrJournalTruncated) {
+				t.Errorf("read error = %v, want a hard (non-truncation) error", err)
+			}
+			// The reopen hops headers and verifies only the tail, so it may
+			// or may not notice damage this deep — but it must not cut.
+			if j, err := fs.OpenJournal(ctx); err == nil {
+				j.Close()
+			}
+			if info, err := os.Stat(live); err != nil || info.Size() != size {
+				t.Errorf("reopen changed the damaged segment's length to %d (err=%v), want %d untouched",
+					info.Size(), err, size)
+			}
+		})
 	}
-	if len(entries) != 2 {
-		t.Errorf("%d entries, want 2", len(entries))
+}
+
+// TestTornSealedSegmentIsFatal: a torn final frame in a SEALED segment
+// is damage no crash produces (sealing fsyncs and closes the file), so
+// reads and retention refuse it instead of silently dropping
+// acknowledged checkins.
+func TestTornSealedSegmentIsFatal(t *testing.T) {
+	for name, damage := range damages {
+		t.Run(name, func(t *testing.T) {
+			fs, _ := tornStore(t)
+			sealed := segmentPath(fs, 1)
+			offs := frameOffsets(t, sealed)
+			rewrite(t, sealed, func(b []byte) []byte { return damage(b, offs[1], offs[2]) })
+			if _, err := readJournal(fs); err == nil || errors.Is(err, ErrJournalTruncated) {
+				t.Errorf("read error = %v, want a hard sealed-segment error", err)
+			}
+			if pruned, err := fs.PruneSegments(ctx, 1<<30, ""); err == nil || len(pruned) != 0 {
+				t.Errorf("PruneSegments = %v, %v; want an error and no removals", pruned, err)
+			}
+		})
+	}
+}
+
+// TestOutOfOrderFrameIsFatal: skipping covered frames on their headers
+// is only sound because iterations strictly increase, so a frame that
+// breaks the order is reported, never yielded.
+func TestOutOfOrderFrameIsFatal(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := fs.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 7, 1)
+	appendIters(t, j, 7, 1)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := readJournal(fs)
+	if err == nil || errors.Is(err, ErrJournalTruncated) || len(entries) != 1 {
+		t.Errorf("read = %d entries, %v; want the first entry then a hard ordering error", len(entries), err)
+	}
+}
+
+// TestLegacyJournalRefused: a directory still holding JSONL segments
+// from a pre-binary release is refused with the upgrade recipe, and
+// works once the operator has moved them out.
+func TestLegacyJournalRefused(t *testing.T) {
+	for _, name := range []string{"checkins.jsonl", "journal-0000000003.jsonl"} {
+		t.Run(name, func(t *testing.T) {
+			fs, err := NewFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy := filepath.Join(fs.Dir(), name)
+			if err := os.WriteFile(legacy, []byte(`{"deviceId":"d1","iteration":1}`+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.OpenJournal(ctx); !errors.Is(err, ErrLegacyJournal) {
+				t.Errorf("OpenJournal error = %v, want ErrLegacyJournal", err)
+			}
+			if _, err := fs.OpenCursor(ctx, 0); !errors.Is(err, ErrLegacyJournal) {
+				t.Errorf("OpenCursor error = %v, want ErrLegacyJournal", err)
+			}
+			if _, err := fs.PruneSegments(ctx, 1<<30, ""); !errors.Is(err, ErrLegacyJournal) {
+				t.Errorf("PruneSegments error = %v, want ErrLegacyJournal", err)
+			}
+			archive := filepath.Join(fs.Dir(), "archive")
+			if err := os.Mkdir(archive, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(legacy, filepath.Join(archive, name)); err != nil {
+				t.Fatal(err)
+			}
+			j, err := fs.OpenJournal(ctx)
+			if err != nil {
+				t.Fatalf("OpenJournal after the legacy segment moved out: %v", err)
+			}
+			j.Close()
+		})
 	}
 }
 
@@ -375,7 +476,7 @@ func TestRotateCreatesNumberedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"journal-0000000001.jsonl", "journal-0000000002.jsonl"}
+	want := []string{"journal-0000000001.wal", "journal-0000000002.wal"}
 	if len(segs) != 2 || segs[0].Name != want[0] || segs[1].Name != want[1] {
 		t.Fatalf("Segments = %v, want %v", segs, want)
 	}
@@ -393,163 +494,8 @@ func TestRotateCreatesNumberedSegments(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalReadAsOldestSegment: a pre-segmentation
-// checkins.jsonl keeps working — appends continue into it until the
-// first rotation seals it, and it reads back as the oldest segment.
-func TestLegacyJournalReadAsOldestSegment(t *testing.T) {
-	fs := writeJournalFile(t, t.TempDir(), validLine1+"\n"+validLine2+"\n")
-	j, err := fs.OpenJournal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendIters(t, j, 3, 1) // lands in checkins.jsonl (the live segment)
-	if err := j.Rotate(ctx); err != nil {
-		t.Fatal(err)
-	}
-	appendIters(t, j, 4, 1) // lands in journal-0000000001.jsonl
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := fs.Segments(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 2 || segs[0].Name != "checkins.jsonl" || segs[1].Name != "journal-0000000001.jsonl" {
-		t.Fatalf("Segments = %v, want [checkins.jsonl journal-0000000001.jsonl]", segs)
-	}
-	if !segs[0].Sealed || segs[0].Seq != 0 || segs[1].Sealed {
-		t.Errorf("Segments status = %+v, want the sealed legacy journal (seq 0) + the live numbered segment", segs)
-	}
-	entries, err := readJournal(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 || entries[0].DeviceID != "d1" || entries[3].Iteration != 4 {
-		t.Fatalf("entries = %+v, want legacy pair + 2 appended", entries)
-	}
-	tail, err := readJournalTail(fs, 3)
-	if err != nil || len(tail) != 1 || tail[0].Iteration != 4 {
-		t.Fatalf("tail after 3 = %+v err=%v, want just iteration 4", tail, err)
-	}
-}
-
-// TestTornLiveSegmentWithSealedHistory: only the LIVE segment can be
-// crash-torn; the tolerance (and the reopen repair) applies there while
-// sealed segments stay strict.
-func TestTornLiveSegmentWithSealedHistory(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := fs.OpenJournal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendIters(t, j, 1, 2)
-	if err := j.Rotate(ctx); err != nil {
-		t.Fatal(err)
-	}
-	appendIters(t, j, 3, 2)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the live segment the way a dying process would.
-	live := filepath.Join(fs.Dir(), "journal-0000000002.jsonl")
-	f, err := os.OpenFile(live, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"deviceId":"torn","iter`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	entries, err := readJournal(fs)
-	if !errors.Is(err, ErrJournalTruncated) {
-		t.Fatalf("ReadJournal error = %v, want ErrJournalTruncated", err)
-	}
-	if len(entries) != 4 {
-		t.Fatalf("valid prefix = %d entries, want 4", len(entries))
-	}
-	tail, err := readJournalTail(fs, 2)
-	if !errors.Is(err, ErrJournalTruncated) {
-		t.Fatalf("readJournalTail error = %v, want ErrJournalTruncated", err)
-	}
-	if len(tail) != 2 || tail[0].Iteration != 3 {
-		t.Fatalf("tail = %+v, want iterations 3..4", tail)
-	}
-	// Reopen repairs the live segment; the sealed one is untouched.
-	j2, err := fs.OpenJournal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if entries, err := readJournal(fs); err != nil || len(entries) != 4 {
-		t.Fatalf("after repair: %d entries err=%v, want 4/nil", len(entries), err)
-	}
-}
-
-// TestTornSealedSegmentIsFatal: a bad final line in a SEALED segment is
-// damage no crash produces (sealing fsyncs and closes the file), so
-// reads refuse it instead of silently dropping acknowledged checkins.
-func TestTornSealedSegmentIsFatal(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal-0000000001.jsonl"),
-		[]byte(validLine1+"\n"+`{"deviceId":"torn","iter`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal-0000000002.jsonl"),
-		[]byte(validLine2+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readJournal(fs); err == nil || errors.Is(err, ErrJournalTruncated) {
-		t.Errorf("ReadJournal error = %v, want a hard sealed-segment error", err)
-	}
-	if _, err := readJournalTail(fs, 0); err == nil || errors.Is(err, ErrJournalTruncated) {
-		t.Errorf("readJournalTail error = %v, want a hard sealed-segment error", err)
-	}
-}
-
 // ---- Retention (FileStore-specific; the conformance suite covers the
 // shared PruneSegments semantics on both backends) ----
-
-// TestLegacyJournalRetentionExempt: a pre-segmentation checkins.jsonl
-// is the LIVE segment until the first rotation seals it, so retention
-// must leave it alone no matter how high the checkpoint — and may prune
-// it the moment a rotation has sealed it.
-func TestLegacyJournalRetentionExempt(t *testing.T) {
-	fs := writeJournalFile(t, t.TempDir(), validLine1+"\n"+validLine2+"\n")
-	pruned, err := fs.PruneSegments(ctx, 1<<30, "")
-	if err != nil {
-		t.Fatalf("PruneSegments: %v", err)
-	}
-	if len(pruned) != 0 {
-		t.Fatalf("pruned %v; the unsealed legacy journal is retention-exempt", pruned)
-	}
-	// Seal it with one rotation; now it is an ordinary covered segment.
-	j, err := fs.OpenJournal(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Rotate(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pruned, err = fs.PruneSegments(ctx, 2, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruned) != 1 || pruned[0] != "checkins.jsonl" {
-		t.Fatalf("pruned %v, want the sealed legacy journal", pruned)
-	}
-}
 
 // TestPruneInterruptedMidwayLeavesRecoverableStore: pruning runs
 // oldest-first, so a crash between two removals leaves exactly what a
@@ -578,7 +524,7 @@ func TestPruneInterruptedMidwayLeavesRecoverableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "Crash" after the first removal of a PruneSegments(4, "") run.
-	if err := os.Remove(filepath.Join(fs.Dir(), "journal-0000000001.jsonl")); err != nil {
+	if err := os.Remove(filepath.Join(fs.Dir(), "journal-0000000001.wal")); err != nil {
 		t.Fatal(err)
 	}
 	// The restore read (checkpoint at 4) is untouched by the gap...
@@ -593,7 +539,7 @@ func TestPruneInterruptedMidwayLeavesRecoverableStore(t *testing.T) {
 	}
 	// ...and re-running the prune finishes the job.
 	pruned, err := fs.PruneSegments(ctx, 4, "")
-	if err != nil || len(pruned) != 1 || pruned[0] != "journal-0000000002.jsonl" {
+	if err != nil || len(pruned) != 1 || pruned[0] != "journal-0000000002.wal" {
 		t.Fatalf("re-run pruned %v err=%v, want the second segment", pruned, err)
 	}
 }
@@ -625,62 +571,42 @@ func TestArchiveCollision(t *testing.T) {
 	t.Run("duplicate resolves", func(t *testing.T) {
 		fs := mkStore(t)
 		archive := t.TempDir()
-		src, err := os.ReadFile(filepath.Join(fs.Dir(), "journal-0000000001.jsonl"))
+		src, err := os.ReadFile(filepath.Join(fs.Dir(), "journal-0000000001.wal"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The leftover of an interrupted earlier archive: dst already
 		// holds the identical bytes.
-		if err := os.WriteFile(filepath.Join(archive, "journal-0000000001.jsonl"), src, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(archive, "journal-0000000001.wal"), src, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		pruned, err := fs.PruneSegments(ctx, 2, archive)
 		if err != nil || len(pruned) != 1 {
 			t.Fatalf("PruneSegments over a crash-duplicate = %v, %v; want it resolved", pruned, err)
 		}
-		if _, err := os.Stat(filepath.Join(fs.Dir(), "journal-0000000001.jsonl")); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(fs.Dir(), "journal-0000000001.wal")); !errors.Is(err, os.ErrNotExist) {
 			t.Error("source segment should be gone after the duplicate resolved")
 		}
 	})
 	t.Run("conflict refused", func(t *testing.T) {
 		fs := mkStore(t)
 		archive := t.TempDir()
-		if err := os.WriteFile(filepath.Join(archive, "journal-0000000001.jsonl"),
-			[]byte(validLine2+"\n"), 0o644); err != nil {
+		foreign, err := appendEntry(nil, &JournalEntry{DeviceID: "someone-else", Iteration: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(archive, "journal-0000000001.wal"), foreign, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if pruned, err := fs.PruneSegments(ctx, 2, archive); err == nil || len(pruned) != 0 {
 			t.Fatalf("PruneSegments over a foreign archive file = %v, %v; want a refusal", pruned, err)
 		}
 		// The foreign file is untouched.
-		got, err := os.ReadFile(filepath.Join(archive, "journal-0000000001.jsonl"))
-		if err != nil || string(got) != validLine2+"\n" {
+		got, err := os.ReadFile(filepath.Join(archive, "journal-0000000001.wal"))
+		if err != nil || !bytes.Equal(got, foreign) {
 			t.Errorf("archive file was disturbed: %q err=%v", got, err)
 		}
 	})
-}
-
-// TestPruneRefusesCorruptSealedSegment: retention decides coverage from
-// a sealed segment's final record; if that record does not decode the
-// segment is damaged (sealing fsyncs the file) and pruning must stop
-// with an error instead of guessing.
-func TestPruneRefusesCorruptSealedSegment(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal-0000000001.jsonl"),
-		[]byte(validLine1+"\ngarbage\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "journal-0000000002.jsonl"),
-		[]byte(validLine2+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if pruned, err := fs.PruneSegments(ctx, 1<<30, ""); err == nil || len(pruned) != 0 {
-		t.Errorf("PruneSegments on a corrupt sealed segment = %v, %v; want an error and no removals", pruned, err)
-	}
 }
 
 // ---- Root implementations ----
@@ -712,10 +638,11 @@ func TestFileRootListOpen(t *testing.T) {
 	}
 }
 
-// TestReadJournalHugeLines: journal lines carry full gradients, so
-// ReadJournal must not impose a line-length cap an Append never had —
-// an entry over the old 1 MB scanner limit has to read back fine.
-func TestReadJournalHugeLines(t *testing.T) {
+// TestJournalLargeFrames: a frame far over the cursor's starting buffer
+// reads back, and an entry too large for any reader to accept
+// (wirecodec.MaxPayload) is refused at Append — before it is
+// acknowledged — instead of being written unreadable.
+func TestJournalLargeFrames(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -724,7 +651,7 @@ func TestReadJournalHugeLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grad := make([]float64, 200_000) // ~3.6 MB as JSON
+	grad := make([]float64, 200_000) // a 1.6 MB frame
 	for i := range grad {
 		grad[i] = 0.123456789 + float64(i)
 	}
@@ -733,15 +660,18 @@ func TestReadJournalHugeLines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := j.Append(ctx, JournalEntry{Iteration: 3, Grad: make([]float64, wirecodec.MaxPayload/8)}); err == nil {
+		t.Error("Append accepted an entry over wirecodec.MaxPayload")
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := readJournal(fs)
 	if err != nil {
-		t.Fatalf("ReadJournal: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if len(entries) != 2 || len(entries[1].Grad) != len(grad) || entries[1].Grad[7] != grad[7] {
-		t.Errorf("huge entries did not round-trip: %d entries", len(entries))
+		t.Errorf("large entries did not round-trip: %d entries", len(entries))
 	}
 }
 
@@ -779,5 +709,30 @@ func TestMemRootSharesStores(t *testing.T) {
 	ids, err := root.List(ctx)
 	if err != nil || len(ids) != 1 || ids[0] != "task" {
 		t.Errorf("List = %v, %v", ids, err)
+	}
+}
+
+// TestAppendAllocatesNothing: an append encodes into the journal's own
+// buffer and issues one write — once the buffer has grown to the entry
+// size, the durable step of a checkin costs no allocation.
+func TestAppendAllocatesNothing(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := fs.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e := JournalEntry{DeviceID: "d1", Grad: make([]float64, 500), LabelCounts: make([]int, 10)}
+	allocs := testing.AllocsPerRun(50, func() {
+		e.Iteration++
+		if err := j.Append(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Append allocates %.0f times per entry, want 0", allocs)
 	}
 }

@@ -1,67 +1,61 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // ErrFeedInterrupted is returned by FeedReader.Next when the byte stream
-// ends without the end-of-stream frame the sender always writes last: the
-// connection was cut mid-feed (a crashed leader, a dropped TCP stream, a
-// proxy timeout). Every frame decoded before the cut is intact — JSONL
-// framing means a torn final line simply fails to decode — so a follower
-// treats the sentinel as "resume from where I got to", not as corruption.
+// stops being a feed before the end-of-stream marker the sender always
+// writes last: the connection was cut (a crashed leader, a dropped TCP
+// stream, a proxy timeout) or a frame failed its CRC on the way. Every
+// entry yielded before that verified, so a follower treats the sentinel
+// as "resume after the last iteration I applied", not as corruption.
 var ErrFeedInterrupted = errors.New("store: journal feed interrupted before end-of-stream")
 
-// feedFrame is one line of the journal wire feed: either a journal entry
-// or the terminal end-of-stream marker. The EOS frame reuses the same
-// JSON object shape (JournalEntry has no "eos" key, so the marker is
-// unambiguous) and carries the sender's current iteration counter, which
-// is what lets a follower measure its replication lag without a second
-// round trip.
-type feedFrame struct {
-	JournalEntry
-	// EOS marks the terminal frame of a complete feed response.
-	EOS bool `json:"eos,omitempty"`
-	// LeaderIteration is the sender's iteration counter at EOS time. It
-	// can exceed the last streamed entry's iteration (checkins applied
-	// while the feed drained), never trail it.
-	LeaderIteration int `json:"leaderIteration,omitempty"`
-}
-
-// FeedWriter encodes a journal cursor onto a wire stream as JSONL — the
-// leader side of WAL shipping. Entries are written one per line exactly
-// as the store persists them, so the feed holds O(one entry) in memory
-// however long the journal is, and the stream doubles as a remote audit
-// scan (the same artifact `OpenCursor` yields locally). A complete
-// response always ends with an EOS frame; its absence tells the reader
+// FeedWriter encodes a journal cursor onto a wire stream — the leader
+// side of WAL shipping. Entries travel as the wirecodec journal frames
+// the store's segments hold, one write per frame out of a reused buffer,
+// so the feed holds O(one entry) in memory however long the journal is,
+// and the stream doubles as a remote audit scan. A complete response
+// always ends with a header-only EOS frame; its absence tells the reader
 // the connection died mid-stream (ErrFeedInterrupted).
 type FeedWriter struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
 }
 
 // NewFeedWriter returns a writer encoding frames onto w. The caller owns
 // any flushing (an HTTP handler flushes after each entry so a live tail
 // reaches the follower without buffering delay).
 func NewFeedWriter(w io.Writer) *FeedWriter {
-	return &FeedWriter{enc: json.NewEncoder(w)}
+	return &FeedWriter{w: w}
 }
 
-// WriteEntry encodes one journal entry as a feed line.
+// WriteEntry encodes one journal entry as a feed frame.
 func (fw *FeedWriter) WriteEntry(e JournalEntry) error {
-	if err := fw.enc.Encode(feedFrame{JournalEntry: e}); err != nil {
-		return fmt.Errorf("store: encode feed entry at iteration %d: %w", e.Iteration, err)
+	buf, err := appendEntry(fw.buf[:0], &e)
+	if err == nil {
+		fw.buf = buf
+		_, err = fw.w.Write(buf)
+	}
+	if err != nil {
+		return fmt.Errorf("store: write feed entry at iteration %d: %w", e.Iteration, err)
 	}
 	return nil
 }
 
 // WriteEOS terminates the feed with the end-of-stream frame carrying the
-// sender's current iteration counter.
+// sender's current iteration counter — it can exceed the last streamed
+// entry's iteration (checkins applied while the feed drained), never
+// trail it — so a follower measures its lag without a second round trip.
 func (fw *FeedWriter) WriteEOS(leaderIteration int) error {
-	if err := fw.enc.Encode(feedFrame{EOS: true, LeaderIteration: leaderIteration}); err != nil {
-		return fmt.Errorf("store: encode feed EOS: %w", err)
+	fw.buf = wirecodec.AppendJournalEOS(fw.buf[:0], leaderIteration)
+	if _, err := fw.w.Write(fw.buf); err != nil {
+		return fmt.Errorf("store: write feed EOS: %w", err)
 	}
 	return nil
 }
@@ -69,39 +63,44 @@ func (fw *FeedWriter) WriteEOS(leaderIteration int) error {
 // FeedReader decodes a journal wire feed — the follower side of WAL
 // shipping. Next yields entries in stream order and returns io.EOF after
 // the EOS frame (the clean end: LeaderIteration then reports the
-// sender's iteration counter), or ErrFeedInterrupted when the underlying
-// stream ends without one. Like a JournalCursor, after the first non-nil
-// error the reader is exhausted and keeps returning it.
+// sender's iteration counter), or ErrFeedInterrupted when the stream
+// ends, or stops verifying, without one. Like a JournalCursor, after the
+// first non-nil error the reader is exhausted and keeps returning it.
 type FeedReader struct {
-	dec             *json.Decoder
+	r               io.Reader
+	buf             []byte // frame staging, reused
 	err             error
 	leaderIteration int
 }
 
 // NewFeedReader returns a reader decoding frames from r.
 func NewFeedReader(r io.Reader) *FeedReader {
-	return &FeedReader{dec: json.NewDecoder(r)}
+	return &FeedReader{r: r}
 }
 
 // Next returns the next journal entry from the feed. io.EOF marks the
-// clean end of a complete response; ErrFeedInterrupted a cut stream.
+// clean end of a complete response; ErrFeedInterrupted a cut or garbled
+// stream.
 func (fr *FeedReader) Next() (JournalEntry, error) {
 	if fr.err != nil {
 		return JournalEntry{}, fr.err
 	}
-	var frame feedFrame
-	switch err := fr.dec.Decode(&frame); {
+	frame, buf, err := wirecodec.ReadJournal(fr.r, fr.buf)
+	fr.buf = buf
+	switch {
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
-		// Raw end of bytes without an EOS frame — including a line torn
-		// mid-object by the cut.
+		// Raw end of bytes without an EOS frame — between frames or
+		// inside one.
 		fr.err = ErrFeedInterrupted
+	case errors.Is(err, wirecodec.ErrFrame):
+		fr.err = fmt.Errorf("%w: %v", ErrFeedInterrupted, err)
 	case err != nil:
-		fr.err = fmt.Errorf("store: decode feed frame: %w", err)
+		fr.err = fmt.Errorf("store: read feed frame: %w", err)
 	case frame.EOS:
-		fr.leaderIteration = frame.LeaderIteration
+		fr.leaderIteration = frame.Iteration
 		fr.err = io.EOF
 	default:
-		return frame.JournalEntry, nil
+		return entryOf(frame), nil
 	}
 	return JournalEntry{}, fr.err
 }

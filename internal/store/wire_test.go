@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func feedEntries(t *testing.T, n int) []JournalEntry {
+func feedEntries(t testing.TB, n int) []JournalEntry {
 	t.Helper()
 	out := make([]JournalEntry, 0, n)
 	for i := 1; i <= n; i++ {
@@ -44,8 +45,7 @@ func TestFeedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Next %d: %v", i, err)
 		}
-		if got.Iteration != want.Iteration || got.DeviceID != want.DeviceID ||
-			len(got.Grad) != len(want.Grad) || got.Grad[0] != want.Grad[0] {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("entry %d mismatch: got %+v want %+v", i, got, want)
 		}
 	}
@@ -61,6 +61,10 @@ func TestFeedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFeedInterrupted: a stream that stops being a feed before its EOS
+// frame — cut between frames, cut inside one, or garbled on the way —
+// yields every entry that verified and then ErrFeedInterrupted, the
+// follower's cue to resume after the last iteration it applied.
 func TestFeedInterrupted(t *testing.T) {
 	entries := feedEntries(t, 3)
 	var buf bytes.Buffer
@@ -70,27 +74,46 @@ func TestFeedInterrupted(t *testing.T) {
 			t.Fatalf("WriteEntry: %v", err)
 		}
 	}
-	// No EOS frame, and the last line torn mid-object — a cut connection.
-	raw := buf.String()
-	cut := raw[:len(raw)-10]
-
-	fr := NewFeedReader(strings.NewReader(cut))
-	n := 0
-	for {
-		_, err := fr.Next()
-		if err != nil {
-			if !errors.Is(err, ErrFeedInterrupted) {
-				t.Fatalf("want ErrFeedInterrupted, got %v", err)
+	noEOS := buf.Len()
+	if err := fw.WriteEOS(3); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	flip := func(at int) []byte {
+		b := bytes.Clone(raw)
+		b[at] ^= 0x10
+		return b
+	}
+	for name, tc := range map[string]struct {
+		stream []byte
+		intact int
+	}{
+		"cut before EOS":         {raw[:noEOS], 3},
+		"cut inside last entry":  {raw[:noEOS-10], 2},
+		"cut inside EOS":         {raw[:len(raw)-3], 3},
+		"corrupt payload byte":   {flip(noEOS - 20), 2},
+		"corrupt header of next": {flip(noEOS/3 + 1), 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fr := NewFeedReader(bytes.NewReader(tc.stream))
+			n := 0
+			for {
+				_, err := fr.Next()
+				if err != nil {
+					if !errors.Is(err, ErrFeedInterrupted) {
+						t.Fatalf("want ErrFeedInterrupted, got %v", err)
+					}
+					break
+				}
+				n++
 			}
-			break
-		}
-		n++
-	}
-	if n != len(entries)-1 {
-		t.Fatalf("yielded %d intact entries before the cut, want %d", n, len(entries)-1)
-	}
-	if _, err := fr.Next(); !errors.Is(err, ErrFeedInterrupted) {
-		t.Fatalf("exhausted reader should repeat ErrFeedInterrupted, got %v", err)
+			if n != tc.intact {
+				t.Fatalf("yielded %d intact entries, want %d", n, tc.intact)
+			}
+			if _, err := fr.Next(); !errors.Is(err, ErrFeedInterrupted) {
+				t.Fatalf("exhausted reader should repeat ErrFeedInterrupted, got %v", err)
+			}
+		})
 	}
 }
 

@@ -24,11 +24,13 @@ const headerLeader = "X-Crowdml-Leader"
 
 // handleJournalFeed serves GET /v1/tasks/{task}/journal?after=N — the
 // WAL-shipping feed and remote-audit endpoint. It streams every journal
-// entry with Iteration > N (whole trailing segments, exactly what
-// Store.OpenCursor yields, so entries at or below N may lead the stream
-// and repliers skip them) as chunked JSONL, one entry per line, flushed
-// per entry so a follower sees new entries without buffering delay, and
-// terminates with an end-of-stream frame carrying the leader's current
+// entry with Iteration > N (exactly what Store.OpenCursor yields: the
+// cursor skips covered entries on their frame headers, so a caught-up
+// follower's poll costs the leader the new entries, not the live
+// segment) as chunked binary frames under ContentTypeBinary — the same
+// wirecodec journal frames the segments hold — flushed per entry so a
+// follower sees new entries without buffering delay, and terminates with
+// a header-only end-of-stream frame carrying the leader's current
 // iteration counter. Memory is O(one entry) however long the journal is.
 // A crash-torn live tail (ErrJournalTruncated) ends the stream cleanly —
 // the torn record was never durable. A mid-stream cursor failure simply
@@ -60,7 +62,7 @@ func (h *Handler) handleJournalFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cur.Close()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", ContentTypeBinary)
 	rc := http.NewResponseController(w)
 	fw := store.NewFeedWriter(w)
 	streamed := h.feedEntriesCounter(t.ID())
@@ -155,6 +157,12 @@ func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFe
 	if err := checkStatus(resp); err != nil {
 		resp.Body.Close()
 		return nil, err
+	}
+	// A leader from before the binary feed answers 200 with JSON lines;
+	// say so instead of reporting its first line as a corrupt frame.
+	if ct := resp.Header.Get("Content-Type"); !isBinaryContentType(ct) {
+		resp.Body.Close()
+		return nil, fmt.Errorf("transport: journal feed is %q, want %s (is the leader an older release?)", ct, ContentTypeBinary)
 	}
 	return &JournalFeed{body: resp.Body, fr: store.NewFeedReader(resp.Body)}, nil
 }

@@ -226,7 +226,8 @@ func (dc *deltaCache) drop() {
 
 // WithWire returns a copy of the client speaking the given wire format
 // on Checkout/Checkin. WireBinaryDelta installs a fresh delta cache;
-// registration, stats and the journal feed always stay JSON.
+// registration and stats always stay JSON, and the journal feed is
+// always binary frames, whatever the format chosen here.
 func (c *HTTPClient) WithWire(f WireFormat) *HTTPClient {
 	cp := *c
 	cp.wire = f

@@ -1,6 +1,7 @@
 package wirecodec
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -18,8 +19,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendCheckout(nil, params, 9, true, 9, nil, nil, false))
 	f.Add(AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, false))
 	f.Add(AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, true))
-	f.Add([]byte(magic))
-	f.Add(make([]byte, headerLen+crcLen))
+	journal, err := AppendJournal(nil, journalFrame())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journal)
+	f.Add(AppendJournalEOS(nil, 12))
+	f.Add([]byte(Magic))
+	f.Add(make([]byte, HeaderLen+crcLen))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := Decode(b)
@@ -57,6 +64,28 @@ func FuzzDecodeFrame(f *testing.F) {
 		case KindCheckin:
 			if len(fr.Values) != fr.Dims {
 				t.Fatalf("inconsistent checkin gradient: %+v", fr)
+			}
+		case KindJournal:
+			if len(fr.Values) != fr.Dims || fr.Iteration < 0 || fr.Since != -1 {
+				t.Fatalf("inconsistent journal frame: %+v", fr)
+			}
+			if fr.EOS && (fr.Dims != 0 || len(fr.LabelCounts) != 0 || fr.DeviceID != "") {
+				t.Fatalf("journal EOS marker with a body: %+v", fr)
+			}
+			// The header alone must size the frame the decoder accepted,
+			// and the encoder must reproduce it byte for byte.
+			if iter, n, err := JournalFrameLen(b); err != nil || n != len(b) || iter != fr.Iteration {
+				t.Fatalf("JournalFrameLen = %d, %d, %v for a decoded %d-byte frame at iteration %d",
+					iter, n, err, len(b), fr.Iteration)
+			}
+			again := AppendJournalEOS(nil, fr.Iteration)
+			if !fr.EOS {
+				if again, err = AppendJournal(nil, fr); err != nil {
+					t.Fatalf("AppendJournal rejected a decoded frame: %v", err)
+				}
+			}
+			if !bytes.Equal(again, b) {
+				t.Fatalf("re-encoding a decoded journal frame changed its bytes")
 			}
 		default:
 			t.Fatalf("unknown kind decoded: %+v", fr)

@@ -5,17 +5,20 @@
 //	offset  size  field
 //	0       4     magic "CMW1"
 //	4       1     codec version (1)
-//	5       1     kind (full=1, delta=2, checkin=3)
-//	6       2     flags (uint16 LE: compressed, done, sparse)
+//	5       1     kind (full=1, delta=2, checkin=3, journal=4)
+//	6       2     flags (uint16 LE: compressed, done, sparse, eos)
 //	8       8     version (int64 LE): the model iteration the frame
 //	              describes; for checkin frames, the echoed checkout
-//	              Version the gradient was computed against
+//	              Version the gradient was computed against; for
+//	              journal frames, the iteration the checkin was applied
+//	              at (the sender's iteration counter on an EOS marker)
 //	16      8     since (int64 LE): the delta base iteration; -1 when
-//	              the frame is not a delta
+//	              the frame is not a delta; for journal frames, the
+//	              device ID's byte length
 //	24      4     dims (uint32 LE): the full vector length
 //	28      4     count (uint32 LE): payload element count — dims for
 //	              full frames, sparse-pair count for sparse deltas,
-//	              label-class count for checkins
+//	              label-class count for checkins and journal frames
 //	32      —     payload (flate-compressed when the flag is set)
 //	last 4        CRC32-IEEE (uint32 LE) over everything before it
 //
@@ -27,6 +30,17 @@
 // a full frame but keeps the since echo; a checkin frame carries the
 // dims gradient values, then NumSamples and ErrCount as int64s, then
 // count int64 label counts.
+//
+// A journal frame is one write-ahead record — the store's at-rest format
+// and the replication feed's unit. Its payload is five 8-byte scalars
+// (AtUnixMillis, GradNorm1, the echoed checkout Version, NumSamples,
+// ErrCount), the dims gradient values, count int64 label counts, then
+// the device ID's bytes. Journal frames are never compressed (Laplace-
+// noised gradients do not compress), so every length that makes up the
+// frame sits in the fixed header: JournalFrameLen computes the total
+// from the header alone and a reader can hop over a frame — or pick out
+// its iteration — without touching the payload. With FlagEOS the frame
+// is header-only: the marker that ends a complete journal feed.
 //
 // The package is dependency-free (stdlib only) and allocation-aware:
 // encoders append to caller-supplied buffers, so a pooled []byte makes
@@ -54,6 +68,9 @@ const (
 	KindDelta = 2
 	// KindCheckin is a device's sanitized gradient contribution.
 	KindCheckin = 3
+	// KindJournal is one write-ahead journal record, or with FlagEOS the
+	// header-only end-of-stream marker of a journal feed.
+	KindJournal = 4
 )
 
 // Frame flags.
@@ -65,13 +82,20 @@ const (
 	// FlagSparse marks a delta payload of (index, value) pairs instead
 	// of a dense value re-send.
 	FlagSparse = 1 << 2
+	// FlagEOS marks the header-only journal frame that ends a feed.
+	FlagEOS = 1 << 3
 )
 
 const (
-	magic     = "CMW1"
-	codecVer  = 1
-	headerLen = 32
-	crcLen    = 4
+	// Magic opens every frame.
+	Magic = "CMW1"
+	// HeaderLen is the fixed header's size.
+	HeaderLen = 32
+
+	codecVer = 1
+	crcLen   = 4
+	// journalScalars is the fixed block that leads a journal payload.
+	journalScalars = 5 * 8
 
 	// MaxPayload bounds the decoded payload size (the HTTP layer limits
 	// request bodies identically), so a forged count field cannot make
@@ -90,14 +114,14 @@ var ErrFrame = errors.New("wirecodec: malformed frame")
 // Frame is one decoded message. Slices never alias the input buffer, so
 // callers may pool and reuse the raw bytes immediately after Decode.
 type Frame struct {
-	// Kind is KindFull, KindDelta or KindCheckin.
+	// Kind is KindFull, KindDelta, KindCheckin or KindJournal.
 	Kind byte
 	// Done mirrors FlagDone.
 	Done bool
 	// Sparse mirrors FlagSparse (meaningful for KindDelta only).
 	Sparse bool
-	// Version is the frame's model iteration (for checkins: the echoed
-	// checkout Version).
+	// Version is the frame's model iteration (for checkins and journal
+	// records: the echoed checkout Version).
 	Version int
 	// Since is the delta base iteration; -1 for non-delta frames.
 	Since int
@@ -105,15 +129,23 @@ type Frame struct {
 	Dims int
 	// Values holds the payload float64s: the full vector (KindFull,
 	// dense KindDelta), the new values at the changed coordinates
-	// (sparse KindDelta), or the gradient (KindCheckin).
+	// (sparse KindDelta), or the gradient (KindCheckin, KindJournal).
 	Values []float64
 	// Indices are the changed coordinates of a sparse delta, each < Dims.
 	Indices []uint32
 	// NumSamples, ErrCount and LabelCounts carry the checkin counters
-	// (KindCheckin only).
+	// (KindCheckin and KindJournal).
 	NumSamples  int
 	ErrCount    int
 	LabelCounts []int
+	// The rest is KindJournal only. Iteration is where in the SGD
+	// sequence the record was applied — or, when EOS is set, the sender's
+	// iteration counter, and every other field is zero.
+	Iteration    int
+	EOS          bool
+	DeviceID     string
+	AtUnixMillis int64
+	GradNorm1    float64
 }
 
 // scratch pools raw-payload staging buffers for the compressing encoders.
@@ -124,7 +156,7 @@ var scratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b 
 var flateWriters = sync.Pool{}
 
 func appendHeader(dst []byte, kind byte, flags uint16, version, since int64, dims, count uint32) []byte {
-	dst = append(dst, magic...)
+	dst = append(dst, Magic...)
 	dst = append(dst, codecVer, kind)
 	dst = binary.LittleEndian.AppendUint16(dst, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(version))
@@ -243,20 +275,139 @@ func AppendCheckin(dst []byte, grad []float64, version, numSamples, errCount int
 	return finishFrame(dst, start, compressed)
 }
 
+// AppendJournal appends one journal record built from fr's journal
+// fields (Iteration, DeviceID, AtUnixMillis, GradNorm1, Version, Values
+// as the gradient, NumSamples, ErrCount, LabelCounts). It writes straight
+// into dst — no staging buffer, no compression — so appending into a
+// reused buffer allocates nothing. A record Decode would refuse (negative
+// iteration, payload over MaxPayload) is an error here: an acknowledged
+// checkin must never be written in a form recovery cannot read back.
+func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
+	if _, err := journalPayloadLen(0, int64(fr.Iteration), int64(len(fr.DeviceID)),
+		uint64(len(fr.Values)), uint64(len(fr.LabelCounts))); err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = appendHeader(dst, KindJournal, 0, int64(fr.Iteration), int64(len(fr.DeviceID)),
+		uint32(len(fr.Values)), uint32(len(fr.LabelCounts)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(fr.AtUnixMillis))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(fr.GradNorm1))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(fr.Version)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(fr.NumSamples)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(fr.ErrCount)))
+	dst = appendFloats(dst, fr.Values)
+	for _, c := range fr.LabelCounts {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(c)))
+	}
+	dst = append(dst, fr.DeviceID...)
+	return finishFrame(dst, start, false), nil
+}
+
+// AppendJournalEOS appends the header-only marker that ends a complete
+// journal feed, carrying the sender's iteration counter.
+func AppendJournalEOS(dst []byte, iteration int) []byte {
+	start := len(dst)
+	dst = appendHeader(dst, KindJournal, FlagEOS, int64(iteration), 0, 0, 0)
+	return finishFrame(dst, start, false)
+}
+
+// journalPayloadLen is the one place a journal frame's header fields
+// turn into a payload size; the encoder, Decode and JournalFrameLen all
+// go through it, so none can accept a header another would size
+// differently.
+func journalPayloadLen(flags uint16, iteration, idLen int64, dims, count uint64) (int, error) {
+	if iteration < 0 {
+		return 0, fmt.Errorf("%w: negative journal iteration", ErrFrame)
+	}
+	if flags == FlagEOS {
+		if idLen != 0 || dims != 0 || count != 0 {
+			return 0, fmt.Errorf("%w: journal EOS marker carries sizes", ErrFrame)
+		}
+		return 0, nil
+	}
+	if flags != 0 {
+		return 0, fmt.Errorf("%w: journal frame with flags %#x", ErrFrame, flags)
+	}
+	// Each term is bounded before the sum, so nothing here can overflow.
+	if idLen < 0 || idLen > MaxPayload || dims > MaxPayload/8 || count > MaxPayload/8 {
+		return 0, fmt.Errorf("%w: implausible journal frame size", ErrFrame)
+	}
+	n := journalScalars + 8*int(dims) + 8*int(count) + int(idLen)
+	if n > MaxPayload {
+		return 0, fmt.Errorf("%w: journal payload of %d bytes exceeds %d", ErrFrame, n, MaxPayload)
+	}
+	return n, nil
+}
+
+// JournalFrameLen reads a journal frame's fixed header (at least
+// HeaderLen bytes) and returns the record's iteration and the frame's
+// total length — header, payload and CRC trailer — without looking at
+// the payload: what lets a segment reader skip covered records, find a
+// segment's first and last iteration, and size its read before it
+// allocates. The header's own integrity is only established when the
+// whole frame is Decoded; a caller that skips on this result trusts the
+// header exactly as far as the next frame's magic check.
+func JournalFrameLen(hdr []byte) (iteration, frameLen int, err error) {
+	if len(hdr) < HeaderLen {
+		return 0, 0, fmt.Errorf("%w: %d bytes is shorter than a header", ErrFrame, len(hdr))
+	}
+	if string(hdr[:4]) != Magic || hdr[4] != codecVer || hdr[5] != KindJournal {
+		return 0, 0, fmt.Errorf("%w: not a journal frame header", ErrFrame)
+	}
+	iter := int64(binary.LittleEndian.Uint64(hdr[8:]))
+	payload, err := journalPayloadLen(binary.LittleEndian.Uint16(hdr[6:]), iter,
+		int64(binary.LittleEndian.Uint64(hdr[16:])),
+		uint64(binary.LittleEndian.Uint32(hdr[24:])), uint64(binary.LittleEndian.Uint32(hdr[28:])))
+	if err != nil {
+		return 0, 0, err
+	}
+	return int(iter), HeaderLen + payload + crcLen, nil
+}
+
+// ReadJournal reads one journal frame off a stream — the fixed header
+// first, which sizes the rest before anything is allocated for it —
+// staging it in buf, which it returns (grown if need be) for the next
+// call. io.EOF means the stream ended between frames,
+// io.ErrUnexpectedEOF inside one; a frame that does not verify wraps
+// ErrFrame.
+func ReadJournal(r io.Reader, buf []byte) (*Frame, []byte, error) {
+	if cap(buf) < HeaderLen {
+		buf = make([]byte, HeaderLen, 4096)
+	}
+	if _, err := io.ReadFull(r, buf[:HeaderLen]); err != nil {
+		return nil, buf, err
+	}
+	_, n, err := JournalFrameLen(buf[:HeaderLen])
+	if err != nil {
+		return nil, buf, err
+	}
+	if cap(buf) < n {
+		buf = append(make([]byte, 0, n), buf[:HeaderLen]...)
+	}
+	if _, err := io.ReadFull(r, buf[HeaderLen:n]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, buf, err
+	}
+	fr, err := Decode(buf[:n])
+	return fr, buf, err
+}
+
 // Decode parses and validates one frame. Every failure wraps ErrFrame:
 // a short buffer, a CRC mismatch (truncation or corruption), an unknown
 // magic/version/kind, a count field inconsistent with the payload, or a
 // sparse index out of range. The returned Frame owns its slices; b may
 // be reused immediately.
 func Decode(b []byte) (*Frame, error) {
-	if len(b) < headerLen+crcLen {
+	if len(b) < HeaderLen+crcLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than a frame", ErrFrame, len(b))
 	}
 	body := b[:len(b)-crcLen]
 	if got, want := binary.LittleEndian.Uint32(b[len(b)-crcLen:]), crc32.ChecksumIEEE(body); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (frame truncated or corrupted)", ErrFrame)
 	}
-	if string(b[:4]) != magic {
+	if string(b[:4]) != Magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFrame)
 	}
 	if b[4] != codecVer {
@@ -308,6 +459,12 @@ func Decode(b []byte) (*Frame, error) {
 		}
 	case KindCheckin:
 		expect = 8*fr.Dims + 16 + 8*count
+	case KindJournal:
+		var err error
+		if expect, err = journalPayloadLen(flags, int64(fr.Version), int64(fr.Since),
+			uint64(fr.Dims), uint64(count)); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, fr.Kind)
 	}
@@ -315,7 +472,7 @@ func Decode(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: implausible payload size", ErrFrame)
 	}
 
-	payload := body[headerLen:]
+	payload := body[HeaderLen:]
 	if flags&FlagCompressed != 0 {
 		out := make([]byte, expect)
 		zr := flate.NewReader(bytes.NewReader(payload))
@@ -358,6 +515,26 @@ func Decode(b []byte) (*Frame, error) {
 		for i := 0; i < count; i++ {
 			fr.LabelCounts[i] = int(int64(binary.LittleEndian.Uint64(payload[off+16+8*i:])))
 		}
+	case KindJournal:
+		// The header's version and since slots held the iteration and the
+		// device-ID length; the Frame reports them under their own names.
+		idLen := fr.Since
+		fr.Iteration, fr.Version, fr.Since = fr.Version, 0, -1
+		if fr.EOS = flags&FlagEOS != 0; fr.EOS {
+			break
+		}
+		fr.AtUnixMillis = int64(binary.LittleEndian.Uint64(payload))
+		fr.GradNorm1 = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
+		fr.Version = int(int64(binary.LittleEndian.Uint64(payload[16:])))
+		fr.NumSamples = int(int64(binary.LittleEndian.Uint64(payload[24:])))
+		fr.ErrCount = int(int64(binary.LittleEndian.Uint64(payload[32:])))
+		fr.Values = decodeFloats(payload[journalScalars:], fr.Dims)
+		off := journalScalars + 8*fr.Dims
+		fr.LabelCounts = make([]int, count)
+		for i := range fr.LabelCounts {
+			fr.LabelCounts[i] = int(int64(binary.LittleEndian.Uint64(payload[off+8*i:])))
+		}
+		fr.DeviceID = string(payload[off+8*count : off+8*count+idLen])
 	}
 	return fr, nil
 }

@@ -1,8 +1,10 @@
 package wirecodec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -232,5 +234,113 @@ func TestCompressionWins(t *testing.T) {
 	}
 	if len(fr.Values) != 1000 {
 		t.Fatalf("got %d values", len(fr.Values))
+	}
+}
+
+func journalFrame() *Frame {
+	return &Frame{
+		Iteration: 41, DeviceID: "device-é-7", AtUnixMillis: 1_700_000_000_123,
+		GradNorm1: 3.5, Version: 39, Values: []float64{1.5, -2.25, 0, math.Pi},
+		NumSamples: 20, ErrCount: 3, LabelCounts: []int{7, 0, 13},
+	}
+}
+
+// TestJournalRoundTrip: a journal frame carries every field of a journal
+// record bit for bit, its length is the one the header alone predicts,
+// and appending into a buffer with room allocates nothing — the store
+// appends every acknowledged checkin this way.
+func TestJournalRoundTrip(t *testing.T) {
+	in := journalFrame()
+	prefix := []byte("prefix")
+	b, err := AppendJournal(append([]byte(nil), prefix...), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = b[len(prefix):]
+	iter, n, err := JournalFrameLen(b[:HeaderLen])
+	if err != nil || iter != in.Iteration || n != len(b) {
+		t.Fatalf("JournalFrameLen = %d, %d, %v; want iteration %d and %d bytes", iter, n, err, in.Iteration, len(b))
+	}
+	got, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *in
+	want.Kind, want.Since, want.Dims = KindJournal, -1, len(in.Values)
+	if !reflect.DeepEqual(got, &want) {
+		t.Fatalf("decoded %+v, want %+v", got, &want)
+	}
+	buf := make([]byte, 0, len(b))
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendJournal(buf[:0], in) }); allocs != 0 {
+		t.Errorf("AppendJournal into a sized buffer allocates %.0f times, want 0", allocs)
+	}
+
+	// An audit-only record (no gradient, no counts, no device) is the
+	// smallest journal frame.
+	empty, err := AppendJournal(nil, &Frame{Iteration: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := Decode(empty); err != nil || fr.Iteration != 1 || len(fr.Values) != 0 || fr.DeviceID != "" {
+		t.Fatalf("empty journal frame decoded to %+v, %v", fr, err)
+	}
+}
+
+// TestJournalEOS: the end-of-stream marker is a header and a CRC, nothing
+// else, and carries the sender's iteration.
+func TestJournalEOS(t *testing.T) {
+	b := AppendJournalEOS(nil, 1234)
+	if len(b) != HeaderLen+crcLen {
+		t.Fatalf("EOS marker is %d bytes, want %d", len(b), HeaderLen+crcLen)
+	}
+	if iter, n, err := JournalFrameLen(b); err != nil || iter != 1234 || n != len(b) {
+		t.Fatalf("JournalFrameLen(EOS) = %d, %d, %v", iter, n, err)
+	}
+	fr, err := Decode(b)
+	if err != nil || !fr.EOS || fr.Iteration != 1234 || fr.Kind != KindJournal {
+		t.Fatalf("EOS decoded to %+v, %v", fr, err)
+	}
+}
+
+// TestJournalRejects: every journal header the length rule cannot size
+// is refused by the header reader and the decoder alike, and the encoder
+// refuses to write a record they would refuse to read.
+func TestJournalRejects(t *testing.T) {
+	valid, err := AppendJournal(nil, journalFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restamp := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		mutate(b)
+		return finishFrame(b[:len(b)-crcLen], 0, false)
+	}
+	for name, b := range map[string][]byte{
+		"compressed flag":    restamp(func(b []byte) { b[6] |= FlagCompressed }),
+		"done flag":          restamp(func(b []byte) { b[6] |= FlagDone }),
+		"EOS with payload":   restamp(func(b []byte) { b[6] = FlagEOS }),
+		"negative iteration": restamp(func(b []byte) { b[15] = 0x80 }),
+		"negative id length": restamp(func(b []byte) { b[23] = 0x80 }),
+		"huge dims":          restamp(func(b []byte) { b[27] = 0x7f }),
+		"huge count":         restamp(func(b []byte) { b[31] = 0x7f }),
+		"id length off by 1": restamp(func(b []byte) { b[16]++ }),
+	} {
+		_, _, hdrErr := JournalFrameLen(b)
+		_, decErr := Decode(b)
+		if name == "id length off by 1" {
+			hdrErr = decErr // only the payload length betrays this one
+		}
+		if !errors.Is(hdrErr, ErrFrame) || !errors.Is(decErr, ErrFrame) {
+			t.Errorf("%s: JournalFrameLen err = %v, Decode err = %v; want ErrFrame from both", name, hdrErr, decErr)
+		}
+	}
+	if _, _, err := JournalFrameLen(AppendFull(nil, []float64{1}, 0, false, false)); !errors.Is(err, ErrFrame) {
+		t.Errorf("JournalFrameLen accepted a full frame's header: %v", err)
+	}
+	if _, err := AppendJournal(nil, &Frame{Iteration: -1}); !errors.Is(err, ErrFrame) {
+		t.Errorf("AppendJournal(negative iteration) = %v, want ErrFrame", err)
+	}
+	if _, err := AppendJournal(nil, &Frame{Iteration: 1, Values: make([]float64, MaxPayload/8)}); !errors.Is(err, ErrFrame) {
+		t.Errorf("AppendJournal(oversized) = %v, want ErrFrame", err)
 	}
 }

@@ -126,6 +126,10 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			crashed := crowdml.NewHub()
+			// The "crashed" hub is only abandoned, and its checkpointer may
+			// still be mid-save when the test ends: stop it before the
+			// temp directory it writes into is removed.
+			t.Cleanup(func() { _ = crashed.Close(ctx) })
 			task, err := crashed.CreateTask(ctx, "task", recServerConfig(),
 				crowdml.WithStore(st),
 				// A count policy exercises mid-run async snapshots, so the
@@ -257,8 +261,10 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// tearLiveSegment appends half a record to the newest journal segment —
-// the artifact a process dying mid-append leaves behind.
+// tearLiveSegment appends a frame cut mid-payload to the newest journal
+// segment — the artifact a process dying mid-append leaves behind. The
+// cut frame is a prefix of the journal's own first frame (a bare partial
+// header when the journal is still empty).
 func tearLiveSegment(t *testing.T, storeDir string) {
 	t.Helper()
 	fs, err := crowdml.NewFileStore(storeDir)
@@ -272,11 +278,17 @@ func tearLiveSegment(t *testing.T, storeDir string) {
 	if len(segs) == 0 {
 		t.Fatal("no journal segments to tear")
 	}
+	torn := []byte("CMW1\x01\x04")
+	if first, err := os.ReadFile(filepath.Join(storeDir, segs[0].Name)); err != nil {
+		t.Fatal(err)
+	} else if len(first) > 48 {
+		torn = first[:48]
+	}
 	f, err := os.OpenFile(filepath.Join(storeDir, segs[len(segs)-1].Name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"deviceId":"torn","iterat`); err != nil {
+	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
