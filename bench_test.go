@@ -21,6 +21,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,6 +329,115 @@ func BenchmarkCheckinBinary(b *testing.B) {
 		}
 		if err := srv.Checkin(ctx, "bench", token, req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// jsonBenchHandler hosts one logreg 10×50 task — the shape of the
+// end-to-end benchmark's crowd_json workload — behind the HTTP handler,
+// with one registered device, and returns a request builder that stamps
+// the device's credentials.
+func jsonBenchHandler(b *testing.B) (http.Handler, func(method, endpoint string) *http.Request) {
+	b.Helper()
+	ctx := context.Background()
+	h := crowdml.NewHub()
+	b.Cleanup(func() { _ = h.Close(ctx) })
+	task, err := h.CreateTask(ctx, "bench", crowdml.ServerConfig{
+		Model:   model.NewLogisticRegression(10, 50),
+		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	token, err := task.Server().RegisterDevice(ctx, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return crowdml.NewHTTPHandler(h, ""), func(method, endpoint string) *http.Request {
+		req := httptest.NewRequest(method, "/v1/tasks/bench/"+endpoint, nil)
+		req.Header.Set("X-Crowdml-Device", "bench")
+		req.Header.Set("X-Crowdml-Token", token)
+		return req
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status only:
+// the handler benches measure the handler, not a recorder's buffer.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// benchGrad is a gradient with the digit count a Laplace-sanitized one
+// has: every value takes the full 17 significant digits on the wire.
+func benchGrad(n int) []float64 {
+	r := rng.New(7)
+	grad := make([]float64, n)
+	for i := range grad {
+		grad[i] = r.Laplace(0.01)
+	}
+	return grad
+}
+
+// checkinPayload is one JSON checkin body for the bench task.
+func checkinPayload(b *testing.B) []byte {
+	b.Helper()
+	payload, err := json.Marshal(&core.CheckinRequest{
+		Grad: benchGrad(10 * 50), NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return payload
+}
+
+// BenchmarkCheckoutJSON measures the default wire's checkout through the
+// HTTP handler in memory: auth, the zero-copy snapshot read and the
+// reflection-free JSON encode into a pooled buffer. One checkin comes
+// first: a fresh model is all zeros, and "0" is not what a float costs
+// to print.
+func BenchmarkCheckoutJSON(b *testing.B) {
+	handler, newRequest := jsonBenchHandler(b)
+	w := &discardWriter{header: http.Header{}}
+	seed := newRequest(http.MethodPost, "checkin")
+	seed.Body = io.NopCloser(bytes.NewReader(checkinPayload(b)))
+	if handler.ServeHTTP(w, seed); w.code >= 300 {
+		b.Fatalf("seeding checkin: status %d", w.code)
+	}
+	req := newRequest(http.MethodGet, "checkout")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handler.ServeHTTP(w, req)
+		if w.code >= 300 {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+}
+
+// BenchmarkCheckinJSON measures the default wire's checkin ingest
+// through the HTTP handler in memory: reading and parsing one JSON body
+// into the pooled gradient scratch, plus the server apply — the JSON
+// twin of BenchmarkCheckinBinary.
+func BenchmarkCheckinJSON(b *testing.B) {
+	handler, newRequest := jsonBenchHandler(b)
+	payload := checkinPayload(b)
+	req := newRequest(http.MethodPost, "checkin")
+	req.Header.Set("Content-Type", "application/json")
+	body := bytes.NewReader(payload)
+	req.Body = io.NopCloser(body)
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(payload)
+		handler.ServeHTTP(w, req)
+		if w.code >= 300 {
+			b.Fatalf("status %d", w.code)
 		}
 	}
 }

@@ -104,9 +104,10 @@ type StateExporter = optimizer.StateExporter
 // CheckinQueueDepth and CheckinFlushInterval).
 type Server = core.Server
 
-// ServerConfig configures a Server. Note the OnCheckin concurrency
-// contract: hooks run outside the server's parameter lock, sequentially
-// in iteration order.
+// ServerConfig configures a Server. Note the OnCheckin contracts: hooks
+// run outside the server's parameter lock, sequentially in iteration
+// order, and the request they are handed is only valid until they
+// return (a hook that keeps the gradient copies it).
 type ServerConfig = core.ServerConfig
 
 // NewServer constructs a standalone server. Most deployments should

@@ -69,6 +69,13 @@ type ServerConfig struct {
 	// subsequent checkins queue until the hook returns — but never blocks
 	// checkouts or statistics reads, and never extends the parameter-lock
 	// hold itself.
+	//
+	// Lifetime contract: req and its slices (Grad, LabelCounts) are only
+	// valid until the hook returns. They belong to Checkin's caller, who
+	// may reuse them the moment Checkin returns — the HTTP handler decodes
+	// every gradient into a pooled scratch and does exactly that — so a
+	// hook that keeps anything must copy it (as the hub's journal sinks
+	// do).
 	OnCheckin func(ctx context.Context, deviceID string, iteration int, req *CheckinRequest)
 	// OnBatchCommit, if non-nil, is invoked by the batch leader once per
 	// applied batch — after every applied checkin's OnCheckin hook has

@@ -82,9 +82,12 @@ type ShardRouter interface {
 	MapVersion() int
 	// RouteDevice returns the member task ID owning the device.
 	RouteDevice(deviceID string) string
-	// Checkout authenticates the device against its owning member and
-	// serves the merged model (lock-free: one atomic load + one copy).
-	Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error)
+	// CheckoutDelta authenticates the device against its owning member
+	// and serves the merged model with core.Server.CheckoutDelta's
+	// contract: Params aliases the published merged view (lock-free: one
+	// atomic load, no copy), plus the change set against since when that
+	// base is still retained.
+	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error)
 	// Checkin applies the device's delta on its owning member.
 	Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error
 	// Register enrolls the device on its owning member.

@@ -24,7 +24,7 @@ func (f *fakeRouter) MapVersion() int     { return 1 }
 func (f *fakeRouter) RouteDevice(deviceID string) string {
 	return f.members[0]
 }
-func (f *fakeRouter) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
+func (f *fakeRouter) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
 	return nil, errors.New("not implemented")
 }
 func (f *fakeRouter) Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error {

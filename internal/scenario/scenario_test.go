@@ -3,11 +3,93 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+
+	"github.com/crowdml/crowdml/internal/core"
 )
+
+// wireTap is an http.RoundTripper that keeps a copy of every checkin
+// request body and every 200 checkout response body passing through it.
+type wireTap struct {
+	base http.RoundTripper
+
+	mu                  sync.Mutex
+	checkins, checkouts [][]byte
+	unsized             int // checkout responses without a Content-Length
+}
+
+func (w *wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/checkin") {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		w.mu.Lock()
+		w.checkins = append(w.checkins, body)
+		w.mu.Unlock()
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		return w.base.RoundTrip(req)
+	}
+	resp, err := w.base.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(req.URL.Path, "/checkout") {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	w.mu.Lock()
+	w.checkouts = append(w.checkouts, body)
+	if resp.ContentLength != int64(len(body)) {
+		w.unsized++
+	}
+	w.mu.Unlock()
+	return resp, nil
+}
+
+// checkWireIsEncodingJSON holds the recorded JSON traffic to the
+// original protocol: every body re-encodes, through encoding/json and
+// the core wire structs, to exactly the bytes that crossed the wire.
+func (w *wireTap) checkWireIsEncodingJSON(t *testing.T) {
+	t.Helper()
+	if len(w.checkins) == 0 || len(w.checkouts) == 0 {
+		t.Fatalf("recorded %d checkins and %d checkouts", len(w.checkins), len(w.checkouts))
+	}
+	if w.unsized != 0 {
+		t.Errorf("%d of %d checkout responses came without a matching Content-Length", w.unsized, len(w.checkouts))
+	}
+	for i, body := range w.checkins {
+		var req core.CheckinRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("checkin %d: %v", i, err)
+		}
+		if again, _ := json.Marshal(&req); !bytes.Equal(body, again) {
+			t.Fatalf("checkin %d is not encoding/json's encoding:\n got %s\nwant %s", i, body, again)
+		}
+	}
+	for i, body := range w.checkouts {
+		var resp core.CheckoutResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("checkout %d: %v", i, err)
+		}
+		var again bytes.Buffer
+		if err := json.NewEncoder(&again).Encode(&resp); err != nil || !bytes.Equal(body, again.Bytes()) {
+			t.Fatalf("checkout %d is not encoding/json's encoding (%v):\n got %s\nwant %s", i, err, body, again.Bytes())
+		}
+	}
+}
 
 // writeReport drops a run's full JSON into SCENARIO_REPORT_DIR when set,
 // so the CI smoke step can upload the reports as an artifact.
@@ -59,10 +141,20 @@ func checkAccounting(t *testing.T, rep *Report) {
 // TestScenarioSameSeedReportsIdentical is the determinism acceptance
 // gate: two Workers=1 runs of the same spec must agree on every report
 // byte outside the wall-clock section — schedule, convergence curve,
-// churn effects, rejects AND the scraped server-side metric deltas.
+// churn effects, rejects AND the scraped server-side metric deltas. It
+// doubles as the JSON wire's golden test over real traffic.
 func TestScenarioSameSeedReportsIdentical(t *testing.T) {
 	spec := mustBuiltin(t, "churn-straggler-2k")
+	// The first run's device traffic is recorded on the way (the
+	// scenario's clients use http.DefaultTransport): the JSON wire must
+	// be byte for byte what encoding/json would have sent, and tapping it
+	// must not change the report.
+	tap := &wireTap{base: http.DefaultTransport}
+	http.DefaultTransport = tap
+	t.Cleanup(func() { http.DefaultTransport = tap.base }) // also when mustRun fails
 	rep1 := mustRun(t, spec)
+	http.DefaultTransport = tap.base
+	tap.checkWireIsEncodingJSON(t)
 	rep2 := mustRun(t, spec)
 	writeReport(t, rep1, spec.Name)
 

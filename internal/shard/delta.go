@@ -32,13 +32,15 @@ func (g *Group) recordMergedView(mv *mergedView) {
 	g.deltaRing = append(g.deltaRing, mv)
 }
 
-// CheckoutDelta is the sharded delta checkout: authenticate on the
-// device's owning member, then answer from the merged-view ring with
+// CheckoutDelta implements hub.ShardRouter, the sharded delta checkout:
+// authenticate on the device's owning member, then answer from the
+// merged-view ring with
 // the same contract as core.Server.CheckoutDelta — a sparse change set
 // when the caller's base iteration is retained, the zero-copy full
-// merged vector otherwise. The transport layer serves the binary wire's
-// ?since=N through this, so devices cannot tell a sharded task from a
-// plain one on the delta path either.
+// merged vector otherwise. The transport layer serves every checkout
+// through this (the JSON wire with since = -1, the binary wire's
+// ?since=N), so devices cannot tell a sharded task from a plain one on
+// the delta path either.
 func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -57,9 +57,10 @@ func (g *Group) RouteDevice(deviceID string) string {
 	return g.members[g.smap.Shard(deviceID)].ID()
 }
 
-// Checkout implements hub.ShardRouter (and the device-side
-// core.Transport): authenticate against the device's owning member —
-// the shard that holds its credentials — then serve the merged model.
+// Checkout implements the device-side core.Transport (the HTTP layer
+// reads through CheckoutDelta): authenticate against the device's
+// owning member — the shard that holds its credentials — then serve the
+// merged model.
 // The read is lock-free: one atomic load of the published view plus the
 // per-caller copy every checkout pays.
 func (g *Group) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {

@@ -200,64 +200,38 @@ func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.shardedSummaries(out))
 }
 
-// handleCheckout serves the parameter checkout. The underlying
-// core.Server read is lock-free (immutable snapshot + sharded auth), so
+// handleCheckout serves the parameter checkout from the shard router of
+// a sharded logical task, from the task's own server otherwise. The
+// backend's read is lock-free (immutable snapshot + sharded auth), so
 // this endpoint scales with whatever concurrency net/http throws at it.
-// Clients that sent "Accept: application/x-crowdml-bin" get binary
-// frames (with ?since=N delta support); everyone else gets the original
-// JSON body.
 func (h *Handler) handleCheckout(w http.ResponseWriter, r *http.Request) {
 	if rt, ok := h.router(r); ok {
-		h.shardedCheckout(w, r, rt)
-		return
+		serveCheckout(w, r, rt)
+	} else if t, ok := h.task(w, r); ok {
+		serveCheckout(w, r, t.Server())
 	}
-	t, ok := h.task(w, r)
-	if !ok {
-		return
-	}
-	if binary, compress := acceptsBinary(r); binary {
-		h.serveBinaryCheckout(w, r, t.Server(), compress)
-		return
-	}
-	resp, err := t.Server().Checkout(r.Context(),
-		r.Header.Get(headerDeviceID), r.Header.Get(headerToken))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, resp)
 }
 
+// handleCheckin is the write twin: the hosted task whose replica role
+// decides whether the write is accepted is the task itself, or in a
+// sharded tier the member owning the device (nil if the hub does not
+// host it; the router then surfaces the miss itself).
 func (h *Handler) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	if rt, ok := h.router(r); ok {
-		h.shardedCheckin(w, r, rt)
-		return
+		if !rejectReadOnly(w, h.shardOwner(rt, r.Header.Get(headerDeviceID))) {
+			serveCheckin(w, r, rt)
+		}
+	} else if t, ok := h.task(w, r); ok && !rejectReadOnly(w, t) {
+		serveCheckin(w, r, t.Server())
 	}
-	t, ok := h.task(w, r)
-	if !ok {
-		return
-	}
-	if rejectReadOnly(w, t) {
-		return
-	}
-	req, err := decodeCheckinBody(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := t.Server().Checkin(r.Context(),
-		r.Header.Get(headerDeviceID), r.Header.Get(headerToken), req); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // rejectReadOnly writes the 409 + leader-hint rejection for writes
-// targeting a follower replica; it reports true when the request was
-// rejected and the caller must stop.
+// targeting a follower replica (in a sharded tier the hint names the
+// owning shard's leader); it reports true when the request was rejected
+// and the caller must stop.
 func rejectReadOnly(w http.ResponseWriter, t *hub.Task) bool {
-	if !t.ReadOnly() {
+	if t == nil || !t.ReadOnly() {
 		return false
 	}
 	w.Header().Set(headerLeader, t.LeaderURL())
@@ -378,58 +352,6 @@ func (c *HTTPClient) endpoint(legacy string) string {
 		return c.baseURL + legacy
 	}
 	return c.baseURL + taskPath(c.taskID, strings.TrimPrefix(legacy, "/v1/"))
-}
-
-// Checkout implements core.Transport. Checkout is idempotent, so a
-// client built WithRetry transparently retries transient failures.
-// With a binary wire format (WithWire) the request negotiates compact
-// frames — and delta downloads — via Accept; the JSON default is
-// byte-identical to the original protocol.
-func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
-	if c.wire != WireJSON {
-		return c.checkoutBinary(ctx, deviceID, token)
-	}
-	hdr := http.Header{}
-	hdr.Set(headerDeviceID, deviceID)
-	hdr.Set(headerToken, token)
-	resp, err := c.doGET(ctx, c.endpoint(PathCheckout), hdr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: checkout: %w", err)
-	}
-	defer resp.Body.Close()
-	if err := checkStatus(resp); err != nil {
-		return nil, err
-	}
-	var out core.CheckoutResponse
-	if err := decodeJSON(resp.Body, &out); err != nil {
-		return nil, fmt.Errorf("transport: decode checkout: %w", err)
-	}
-	return &out, nil
-}
-
-// Checkin implements core.Transport. Binary wire formats POST one
-// wirecodec frame instead of the JSON body.
-func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *core.CheckinRequest) error {
-	if c.wire != WireJSON {
-		return c.checkinBinary(ctx, deviceID, token, body)
-	}
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("transport: encode checkin: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint(PathCheckin), bytes.NewReader(payload))
-	if err != nil {
-		return fmt.Errorf("transport: build checkin: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(headerDeviceID, deviceID)
-	req.Header.Set(headerToken, token)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("transport: checkin: %w", err)
-	}
-	defer resp.Body.Close()
-	return checkStatus(resp)
 }
 
 // Tasks fetches the server's task listing (GET /v1/tasks) — the

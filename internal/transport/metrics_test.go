@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
@@ -128,8 +129,14 @@ func TestFeedStreamsThroughMetricsWrapper(t *testing.T) {
 	if want := `crowdml_feed_entries_streamed_total{task="alpha"} 5`; !strings.Contains(body, want) {
 		t.Errorf("exposition missing %q:\n%s", want, body)
 	}
-	if want := `crowdml_http_requests_total{route="GET /v1/tasks/{task}/journal",code="2xx"} 1`; !strings.Contains(body, want) {
-		t.Errorf("exposition missing %q:\n%s", want, body)
+	// The request is counted when its handler returns, which the client
+	// having read the end-of-stream marker does not wait for.
+	want := `crowdml_http_requests_total{route="GET /v1/tasks/{task}/journal",code="2xx"} 1`
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(body, want); body = scrape(t, ts.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

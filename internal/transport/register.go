@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/hub"
 )
 
 // PathRegister is the legacy enrollment endpoint, the programmatic
@@ -54,26 +55,21 @@ func (h *Handler) EnableEnrollment(key string) {
 			writeError(w, fmt.Errorf("deviceId is required: %w", core.ErrBadCheckin))
 			return
 		}
+		var (
+			owner    *hub.Task
+			register func(ctx context.Context, deviceID string) (string, error)
+		)
 		if rt, ok := h.router(r); ok {
-			if h.rejectShardReadOnly(w, rt, req.DeviceID) {
-				return
-			}
-			token, err := rt.Register(r.Context(), req.DeviceID)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			writeJSON(w, registerResponse{Token: token})
+			owner, register = h.shardOwner(rt, req.DeviceID), rt.Register
+		} else if t, ok := h.task(w, r); ok {
+			owner, register = t, t.Server().RegisterDevice
+		} else {
 			return
 		}
-		t, ok := h.task(w, r)
-		if !ok {
+		if rejectReadOnly(w, owner) {
 			return
 		}
-		if rejectReadOnly(w, t) {
-			return
-		}
-		token, err := t.Server().RegisterDevice(r.Context(), req.DeviceID)
+		token, err := register(r.Context(), req.DeviceID)
 		if err != nil {
 			writeError(w, err)
 			return

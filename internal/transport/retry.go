@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -140,54 +139,14 @@ func drainBody(resp *http.Response) []byte {
 	return body
 }
 
-// bodyBufs pools response-body read buffers: the client's decode paths
-// used to allocate a fresh json.Decoder (with its internal buffer) per
-// call, which showed up as per-checkout garbage under load.
-var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// maxPooledBodyBuf caps what goes back in the pool, so one checkpoint
-// fetch does not pin a giant buffer forever.
-const maxPooledBodyBuf = 1 << 20
-
-// readAllPooled reads r to EOF into a pooled buffer. The caller must
-// call release exactly once, after it is done with data — the bytes are
-// recycled and must not be retained past it.
-func readAllPooled(r io.Reader) (data []byte, release func(), err error) {
-	bp := bodyBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, rerr := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			err = rerr
-			break
-		}
-	}
-	release = func() {
-		if cap(buf) <= maxPooledBodyBuf {
-			*bp = buf[:0]
-			bodyBufs.Put(bp)
-		}
-	}
-	return buf, release, err
-}
-
 // decodeJSON decodes one JSON value from r through a pooled read
 // buffer, avoiding the per-call json.Decoder allocation of the
 // streaming form.
 func decodeJSON(r io.Reader, v any) error {
-	data, release, err := readAllPooled(r)
+	buf, err := readAllPooled(r)
+	defer buf.put()
 	if err != nil {
-		release()
 		return err
 	}
-	err = json.Unmarshal(data, v)
-	release()
-	return err
+	return json.Unmarshal(buf.b, v)
 }

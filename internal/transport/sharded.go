@@ -28,68 +28,12 @@ func (h *Handler) router(r *http.Request) (hub.ShardRouter, bool) {
 	return h.hub.ShardRouterFor(id)
 }
 
-// rejectShardReadOnly writes the 409 + leader-hint rejection when the
-// member that owns the device is a follower replica — the same contract
-// rejectReadOnly applies to a standalone follower, with the hint naming
-// the owning shard's leader. Reports true when the caller must stop.
-func (h *Handler) rejectShardReadOnly(w http.ResponseWriter, rt hub.ShardRouter, deviceID string) bool {
-	t, ok := h.hub.Task(rt.RouteDevice(deviceID))
-	if !ok {
-		return false // let the router surface the miss itself
-	}
-	return rejectReadOnly(w, t)
-}
-
-// shardedCheckout proxies GET checkout through the router: authenticate
-// on the owning shard, serve the merged view. Binary negotiation works
-// exactly like the plain-task path: delta-capable routers (shard.Group)
-// serve ?since=N from their merged-view ring; any other router degrades
-// to full binary frames.
-func (h *Handler) shardedCheckout(w http.ResponseWriter, r *http.Request, rt hub.ShardRouter) {
-	if binary, compress := acceptsBinary(r); binary {
-		if ds, ok := rt.(deltaCheckoutServer); ok {
-			h.serveBinaryCheckout(w, r, ds, compress)
-			return
-		}
-		resp, err := rt.Checkout(r.Context(),
-			r.Header.Get(headerDeviceID), r.Header.Get(headerToken))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeBinaryCheckout(w, &core.ParamDelta{
-			Version: resp.Version,
-			Done:    resp.Done,
-			Params:  resp.Params,
-			Since:   -1,
-		}, compress)
-		return
-	}
-	resp, err := rt.Checkout(r.Context(),
-		r.Header.Get(headerDeviceID), r.Header.Get(headerToken))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// shardedCheckin proxies POST checkin to the device's owning shard.
-func (h *Handler) shardedCheckin(w http.ResponseWriter, r *http.Request, rt hub.ShardRouter) {
-	deviceID := r.Header.Get(headerDeviceID)
-	if h.rejectShardReadOnly(w, rt, deviceID) {
-		return
-	}
-	req, err := decodeCheckinBody(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := rt.Checkin(r.Context(), deviceID, r.Header.Get(headerToken), req); err != nil {
-		writeError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+// shardOwner is the hosted member task that owns the device in a
+// sharded tier, nil when the hub does not host the member the router
+// names.
+func (h *Handler) shardOwner(rt hub.ShardRouter, deviceID string) *hub.Task {
+	t, _ := h.hub.Task(rt.RouteDevice(deviceID))
+	return t
 }
 
 // shardedStats serves the logical task's merged progress view.

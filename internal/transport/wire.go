@@ -3,14 +3,18 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
@@ -66,136 +70,206 @@ func ParseWireFormat(s string) (WireFormat, error) {
 	return WireJSON, fmt.Errorf("transport: unknown wire format %q (want json, binary or binary-delta)", s)
 }
 
-// acceptsBinary inspects the request's Accept header for the binary
-// media type. Unknown or absent Accept values fall back to JSON — an
-// old client can never receive a frame it does not understand.
-func acceptsBinary(r *http.Request) (ok, compress bool) {
-	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
+// negotiate is the one place a request's codec is picked: a checkout
+// asks for its response's through Accept, a checkin declares its body's
+// through Content-Type. Unknown or absent values mean JSON — an old
+// client can never receive a frame it does not understand.
+func negotiate(r *http.Request) (binary, compress bool) {
+	if r.Method == http.MethodPost {
+		return isBinaryContentType(r.Header.Get("Content-Type")), false
+	}
+	accept := r.Header.Get("Accept")
+	if accept == "" {
+		return false, false
+	}
+	for _, part := range strings.Split(accept, ",") {
 		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err != nil {
-			continue
-		}
-		if mt == ContentTypeBinary {
-			ok = true
-			if params["compress"] == wireCompressFlate {
-				compress = true
-			}
+		if err == nil && mt == ContentTypeBinary {
+			binary = true
+			compress = compress || params["compress"] == wireCompressFlate
 		}
 	}
-	return ok, compress
+	return binary, compress
 }
 
 // isBinaryContentType reports whether a header value names the binary
 // media type (parameters ignored — the frame's own flag governs
 // compression).
 func isBinaryContentType(ct string) bool {
+	if ct == ContentTypeBinary {
+		return true
+	}
 	mt, _, err := mime.ParseMediaType(ct)
 	return err == nil && mt == ContentTypeBinary
 }
 
-// wireBufs pools frame-encode buffers (responses server-side, checkin
-// bodies client-side). Oversized buffers are dropped rather than pooled
-// so one giant model does not pin memory forever.
-var wireBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+// pooledBuf is a byte buffer from wireBufs. Everything the hot path
+// stages goes through one: bodies being encoded (checkout responses
+// server-side, checkin requests client-side) and bodies being read.
+type pooledBuf struct{ b []byte }
 
-const maxPooledWireBuf = 1 << 20
+var wireBufs = sync.Pool{New: func() any { return &pooledBuf{b: make([]byte, 0, 4096)} }}
 
-func putWireBuf(bp *[]byte, b []byte) {
-	if cap(b) <= maxPooledWireBuf {
-		*bp = b[:0]
-		wireBufs.Put(bp)
+// maxPooledBuf caps what goes back in the pool, so one giant model (or
+// one checkpoint fetch) does not pin its buffer forever.
+const maxPooledBuf = 1 << 20
+
+func getBuf() *pooledBuf { return wireBufs.Get().(*pooledBuf) }
+
+// put recycles the buffer; its bytes must not be touched afterwards.
+func (p *pooledBuf) put() {
+	if cap(p.b) <= maxPooledBuf {
+		p.b = p.b[:0]
+		wireBufs.Put(p)
 	}
 }
 
-// deltaCheckoutServer is the read surface both a plain task server and
-// the sharded router implement; the handler serves every binary
-// checkout — full or delta — through it.
-type deltaCheckoutServer interface {
+// readAllPooled reads r to EOF into a pooled buffer, which the caller
+// must put back once it is done with the bytes — also after an error.
+func readAllPooled(r io.Reader) (*pooledBuf, error) {
+	buf := getBuf()
+	b := buf.b[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			buf.b = b
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+	}
+}
+
+// deviceBackend is what the two hot endpoints are served from: a plain
+// task's *core.Server, or the router fronting a sharded logical task.
+// Both hand out their published parameter snapshot by reference (the
+// since = -1 read copies nothing), so one handler serves task and
+// router, JSON and binary.
+type deviceBackend interface {
 	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error)
+	Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error
 }
 
 var (
-	_ deltaCheckoutServer = (*core.Server)(nil)
+	_ deviceBackend = (*core.Server)(nil)
+	_ deviceBackend = hub.ShardRouter(nil)
 )
 
-// parseSince extracts the delta base from ?since=N; absent means -1
-// (full frame). A malformed value is the client's error: 400.
-func parseSince(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("since")
-	if raw == "" {
-		return -1, nil
+// serveCheckout answers a checkout in the negotiated codec: binary
+// frames honor ?since=N (the zero-copy full frame when no delta base
+// matched, the smaller of the sparse/dense delta forms otherwise), JSON
+// is always the full vector. Either way the body is encoded from the
+// backend's immutable snapshot into one pooled buffer and leaves with a
+// Content-Length. Errors flow through writeError — the JSON envelope,
+// which a binary client tells apart by Content-Type — and an encoder
+// that refuses (a non-finite parameter has no JSON form) fails before
+// anything is written: 500, never a 200 with half a body.
+func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
+	binary, compress := negotiate(r)
+	since := -1
+	if binary {
+		// ?since=N is the delta base; absent means a full frame. A
+		// malformed value is the client's error: 400.
+		if raw := r.URL.Query().Get("since"); raw != "" {
+			var err error
+			if since, err = strconv.Atoi(raw); err != nil || since < 0 {
+				writeError(w, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin))
+				return
+			}
+		}
 	}
-	since, err := strconv.Atoi(raw)
-	if err != nil || since < 0 {
-		return 0, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
-	}
-	return since, nil
-}
-
-// serveBinaryCheckout answers a binary-negotiated checkout from any
-// delta-capable read surface. Errors still flow through writeError —
-// the JSON envelope — which the client distinguishes by Content-Type.
-func (h *Handler) serveBinaryCheckout(w http.ResponseWriter, r *http.Request, srv deltaCheckoutServer, compress bool) {
-	since, err := parseSince(r)
+	d, err := be.CheckoutDelta(r.Context(), r.Header.Get(headerDeviceID), r.Header.Get(headerToken), since)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	d, err := srv.CheckoutDelta(r.Context(),
-		r.Header.Get(headerDeviceID), r.Header.Get(headerToken), since)
+	buf, contentType := getBuf(), "application/json"
+	defer buf.put()
+	if binary {
+		contentType = ContentTypeBinary
+		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, d.Indices, d.Values, compress)
+	} else if buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done); err != nil {
+		writeError(w, fmt.Errorf("encode checkout: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
+	_, _ = w.Write(buf.b)
+}
+
+// checkinScratch is what one checkin request decodes into. Checkin's
+// contract is that the request's slices are the caller's again as soon
+// as it returns, so the gradient's backing array (fr.Values) is reused
+// from request to request instead of allocated per checkin.
+type checkinScratch struct {
+	fr  wirecodec.Frame
+	req core.CheckinRequest
+}
+
+var checkinScratches = sync.Pool{New: func() any { return new(checkinScratch) }}
+
+// serveCheckin decodes a checkin in the negotiated codec and applies it.
+func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend) {
+	sc := checkinScratches.Get().(*checkinScratch)
+	req, err := decodeCheckin(r, sc)
+	if err == nil {
+		err = be.Checkin(r.Context(), r.Header.Get(headerDeviceID), r.Header.Get(headerToken), req)
+	}
+	// Released here and not by defer: when a panic unwinds out of
+	// Checkin the request may still sit in the applier's queue (see
+	// core's abandoned checkins), and a scratch that is never recycled
+	// is merely garbage.
+	if cap(sc.fr.Values) <= maxPooledBuf/8 {
+		checkinScratches.Put(sc)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeBinaryCheckout(w, d, compress)
+	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeBinaryCheckout encodes a ParamDelta into a pooled buffer and
-// writes it: the zero-copy full frame when no delta base matched, the
-// smaller of the sparse/dense delta forms otherwise.
-func writeBinaryCheckout(w http.ResponseWriter, d *core.ParamDelta, compress bool) {
-	bp := wireBufs.Get().(*[]byte)
-	b := wirecodec.AppendCheckout((*bp)[:0], d.Params, d.Version, d.Done, d.Since, d.Indices, d.Values, compress)
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
-	putWireBuf(bp, b)
-}
-
-// decodeCheckinBody decodes a checkin request by its Content-Type:
-// binary frames when the client POSTed ContentTypeBinary, the original
-// JSON body otherwise. Every malformed payload — bad JSON, a truncated
-// or corrupted frame, the wrong frame kind — wraps core.ErrBadCheckin,
-// so the handler's error mapping yields 400, never 500.
-func decodeCheckinBody(r *http.Request) (*core.CheckinRequest, error) {
-	body := http.MaxBytesReader(nil, r.Body, 64<<20)
-	if !isBinaryContentType(r.Header.Get("Content-Type")) {
-		var req core.CheckinRequest
-		if err := decodeJSON(body, &req); err != nil {
+// decodeCheckin reads and decodes a checkin body into sc; the request
+// it returns aliases sc. Every malformed payload — bad JSON, a
+// truncated or corrupted frame, the wrong frame kind — wraps
+// core.ErrBadCheckin, so the handler's error mapping yields 400, never
+// 500. JSON the hot-path parser declines is json.Unmarshal's, as every
+// JSON body used to be: what it accepts and how its errors read did not
+// change.
+func decodeCheckin(r *http.Request, sc *checkinScratch) (*core.CheckinRequest, error) {
+	buf, err := readAllPooled(http.MaxBytesReader(nil, r.Body, wirecodec.MaxPayload))
+	defer buf.put()
+	if err != nil {
+		return nil, fmt.Errorf("read checkin body: %v: %w", err, core.ErrBadCheckin)
+	}
+	fr := &sc.fr
+	if binary, _ := negotiate(r); binary {
+		if err := wirecodec.DecodeInto(fr, buf.b); err != nil {
+			return nil, fmt.Errorf("%v: %w", err, core.ErrBadCheckin)
+		}
+		if fr.Kind != wirecodec.KindCheckin {
+			return nil, fmt.Errorf("frame kind %d is not a checkin: %w", fr.Kind, core.ErrBadCheckin)
+		}
+	} else if !wirecodec.ParseCheckinJSON(buf.b, fr) {
+		req := new(core.CheckinRequest)
+		if err := json.Unmarshal(buf.b, req); err != nil {
 			return nil, fmt.Errorf("bad JSON: %v: %w", err, core.ErrBadCheckin)
 		}
-		return &req, nil
+		return req, nil
 	}
-	raw, release, err := readAllPooled(body)
-	if err != nil {
-		release()
-		return nil, fmt.Errorf("read checkin frame: %v: %w", err, core.ErrBadCheckin)
-	}
-	fr, err := wirecodec.Decode(raw)
-	release()
-	if err != nil {
-		return nil, fmt.Errorf("%v: %w", err, core.ErrBadCheckin)
-	}
-	if fr.Kind != wirecodec.KindCheckin {
-		return nil, fmt.Errorf("frame kind %d is not a checkin: %w", fr.Kind, core.ErrBadCheckin)
-	}
-	return &core.CheckinRequest{
+	sc.req = core.CheckinRequest{
 		Grad:        fr.Values,
 		NumSamples:  fr.NumSamples,
 		ErrCount:    fr.ErrCount,
 		LabelCounts: fr.LabelCounts,
 		Version:     fr.Version,
-	}, nil
+	}
+	return &sc.req, nil
 }
 
 // --- client side ---
@@ -250,48 +324,47 @@ func (c *HTTPClient) WithWireFlate() *HTTPClient {
 // Wire returns the client's negotiated wire format.
 func (c *HTTPClient) Wire() WireFormat { return c.wire }
 
-// acceptValue is the Accept header the client sends on binary checkouts.
-func (c *HTTPClient) acceptValue() string {
-	if c.wireFlate {
-		return ContentTypeBinary + ";compress=" + wireCompressFlate
-	}
-	return ContentTypeBinary
-}
-
-// checkoutBinary is the binary/delta checkout flow. A response that is
-// not the binary media type (an old server, a proxy) falls back to the
-// JSON decoding, so negotiation can never strand the client; a delta
-// whose base no longer matches the cache drops it and refetches one
-// full frame.
-func (c *HTTPClient) checkoutBinary(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
+// Checkout implements core.Transport. Checkout is idempotent, so a
+// client built WithRetry transparently retries transient failures. With
+// a binary wire format (WithWire) the request negotiates compact frames
+// — and delta downloads — via Accept; the JSON default is byte-identical
+// to the original protocol. A delta whose base no longer matches the
+// cache drops it and refetches one full frame.
+func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
 	since := -1
 	if c.delta != nil {
 		if v, ok := c.delta.base(); ok {
 			since = v
 		}
 	}
-	resp, retry, err := c.checkoutBinaryOnce(ctx, deviceID, token, since)
+	resp, retry, err := c.checkoutOnce(ctx, deviceID, token, since)
 	if retry {
 		// Stale or mismatched delta base: one full refetch resynchronizes.
 		if c.delta != nil {
 			c.delta.drop()
 		}
-		resp, _, err = c.checkoutBinaryOnce(ctx, deviceID, token, -1)
+		resp, _, err = c.checkoutOnce(ctx, deviceID, token, -1)
 	}
 	return resp, err
 }
 
-// checkoutBinaryOnce performs one negotiated checkout round trip.
-// retry=true means the delta base was rejected and the caller should
-// refetch a full frame.
-func (c *HTTPClient) checkoutBinaryOnce(ctx context.Context, deviceID, token string, since int) (*core.CheckoutResponse, bool, error) {
-	hdr := http.Header{}
-	hdr.Set(headerDeviceID, deviceID)
-	hdr.Set(headerToken, token)
-	hdr.Set("Accept", c.acceptValue())
+// checkoutOnce performs one checkout round trip and decodes the answer
+// by its Content-Type, so negotiation can never strand the client: a
+// server (or proxy) that ignores the Accept header answers JSON and is
+// read as JSON. retry=true means the delta base was rejected and the
+// caller should refetch a full frame.
+func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, since int) (*core.CheckoutResponse, bool, error) {
+	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
 	url := c.endpoint(PathCheckout)
-	if since >= 0 {
-		url += "?since=" + strconv.Itoa(since)
+	if c.wire != WireJSON {
+		accept := ContentTypeBinary
+		if c.wireFlate {
+			accept += ";compress=" + wireCompressFlate
+		}
+		hdr.Set("Accept", accept)
+		if since >= 0 {
+			url += "?since=" + strconv.Itoa(since)
+		}
 	}
 	resp, err := c.doGET(ctx, url, hdr)
 	if err != nil {
@@ -300,25 +373,26 @@ func (c *HTTPClient) checkoutBinaryOnce(ctx context.Context, deviceID, token str
 	defer resp.Body.Close()
 	if err := checkStatus(resp); err != nil {
 		// Errors are always the JSON envelope; checkStatus already read
-		// it — the binary decoder below never sees an error body.
+		// it — the decoders below never see an error body.
 		return nil, false, err
 	}
-	if !isBinaryContentType(resp.Header.Get("Content-Type")) {
-		// The server answered 2xx but not in our format: decode as JSON
-		// rather than feeding the frame decoder something it never was.
-		var out core.CheckoutResponse
-		if err := decodeJSON(resp.Body, &out); err != nil {
-			return nil, false, fmt.Errorf("transport: decode checkout: %w", err)
-		}
-		return &out, false, nil
-	}
-	raw, release, err := readAllPooled(resp.Body)
+	buf, err := readAllPooled(resp.Body)
+	defer buf.put()
 	if err != nil {
-		release()
-		return nil, false, fmt.Errorf("transport: read checkout frame: %w", err)
+		return nil, false, fmt.Errorf("transport: read checkout: %w", err)
 	}
-	fr, err := wirecodec.Decode(raw)
-	release()
+	if !isBinaryContentType(resp.Header.Get("Content-Type")) {
+		out := new(core.CheckoutResponse)
+		var ok bool
+		if out.Params, out.Version, out.Done, ok = wirecodec.ParseCheckoutJSON(buf.b); !ok {
+			*out = core.CheckoutResponse{}
+			if err := json.Unmarshal(buf.b, out); err != nil {
+				return nil, false, fmt.Errorf("transport: decode checkout: %w", err)
+			}
+		}
+		return out, false, nil
+	}
+	fr, err := wirecodec.Decode(buf.b)
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: decode checkout: %w", err)
 	}
@@ -367,30 +441,72 @@ func (c *HTTPClient) checkoutBinaryOnce(ctx context.Context, deviceID, token str
 	return &core.CheckoutResponse{Params: params, Version: fr.Version, Done: fr.Done}, false, nil
 }
 
-// checkinBinary POSTs the checkin as one binary frame. Error responses
-// stay JSON server-side; checkStatus reads them as usual.
-func (c *HTTPClient) checkinBinary(ctx context.Context, deviceID, token string, body *core.CheckinRequest) error {
-	bp := wireBufs.Get().(*[]byte)
-	b := wirecodec.AppendCheckin((*bp)[:0], body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts, c.wireFlate)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint(PathCheckin), bytes.NewReader(b))
+// pooledBody is a request body held in a pooled buffer. net/http may
+// still be reading a request body after Do has returned — a follower's
+// 409 or a 404 is sent before the body is consumed, and a RoundTripper
+// only promises to Close it eventually — so the buffer goes back to the
+// pool when the sender has let go AND every reader opened over it has
+// been closed, whichever comes last.
+type pooledBody struct {
+	buf  *pooledBuf
+	refs atomic.Int32
+}
+
+type pooledBodyReader struct {
+	*bytes.Reader
+	body   *pooledBody
+	closed atomic.Bool
+}
+
+func (p *pooledBody) open() io.ReadCloser {
+	p.refs.Add(1)
+	return &pooledBodyReader{Reader: bytes.NewReader(p.buf.b), body: p}
+}
+
+func (p *pooledBody) release() {
+	if p.refs.Add(-1) == 0 {
+		p.buf.put()
+	}
+}
+
+func (r *pooledBodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.body.release()
+	}
+	return nil
+}
+
+// Checkin implements core.Transport: one POST of the request in the
+// client's wire format — a wirecodec frame, or the JSON body the
+// original protocol sends — encoded into a pooled buffer. Error
+// responses are the JSON envelope on either wire; checkStatus reads
+// them as usual.
+func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *core.CheckinRequest) error {
+	buf, contentType := getBuf(), "application/json"
+	sent := &pooledBody{buf: buf}
+	sent.refs.Store(1) // the sender's hold, until Do has returned
+	defer sent.release()
+	if c.wire != WireJSON {
+		contentType = ContentTypeBinary
+		buf.b = wirecodec.AppendCheckin(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts, c.wireFlate)
+	} else {
+		var err error
+		if buf.b, err = wirecodec.AppendCheckinJSON(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts); err != nil {
+			return fmt.Errorf("transport: encode checkin: %w", err)
+		}
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint(PathCheckin), nil)
 	if err != nil {
-		putWireBuf(bp, b)
 		return fmt.Errorf("transport: build checkin: %w", err)
 	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Header.Set(headerDeviceID, deviceID)
-	req.Header.Set(headerToken, token)
+	// What NewRequest sets up for a *bytes.Reader body, by hand.
+	req.Body, req.ContentLength = sent.open(), int64(len(buf.b))
+	req.GetBody = func() (io.ReadCloser, error) { return sent.open(), nil }
+	req.Header = http.Header{"Content-Type": {contentType}, headerDeviceID: {deviceID}, headerToken: {token}}
 	resp, err := c.client.Do(req)
-	putWireBuf(bp, b)
 	if err != nil {
 		return fmt.Errorf("transport: checkin: %w", err)
 	}
 	defer resp.Body.Close()
 	return checkStatus(resp)
 }
-
-// Sharded tasks: the handler serves their binary checkouts via the
-// router's CheckoutDelta (shard.Group implements deltaCheckoutServer
-// over its merged-view ring); a mounted router that lacks the method
-// degrades to full binary frames built from its plain Checkout — see
-// shardedCheckout.

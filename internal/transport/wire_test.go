@@ -3,15 +3,22 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/hub"
+	"github.com/crowdml/crowdml/internal/model"
+	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
@@ -441,4 +448,206 @@ func TestShardedBinaryWire(t *testing.T) {
 	if err := binCl.Checkin(ctx, "device-002", tok, checkinReq()); err != nil {
 		t.Fatalf("sharded binary checkin: %v", err)
 	}
+}
+
+// TestJSONCheckoutIsEncodingJSONWithContentLength: the JSON checkout
+// body is what json.Encoder used to write, byte for byte, and now leaves
+// with a Content-Length instead of chunked framing — for a plain task
+// and for a sharded one, which share the handler.
+func TestJSONCheckoutIsEncodingJSONWithContentLength(t *testing.T) {
+	hd, g := newShardedHandler(t)
+	ts := httptest.NewServer(hd)
+	defer ts.Close()
+	ctx := context.Background()
+	solo, _ := hd.hub.Task("solo")
+	soloToken, _ := solo.Server().RegisterDevice(ctx, "d1")
+	actToken, err := g.Register(ctx, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad := &core.CheckinRequest{Grad: []float64{1e-7, -2.5, 1e21, 1.0 / 3}, NumSamples: 1, LabelCounts: []int{1, 0}}
+	if err := solo.Server().Checkin(ctx, "d1", soloToken, grad); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Checkin(ctx, "d1", actToken, grad); err != nil {
+		t.Fatal(err)
+	}
+	g.Merge()
+
+	for task, token := range map[string]string{"solo": soloToken, "act": actToken} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+taskPath(task, "checkout"), nil)
+		req.Header.Set(headerDeviceID, "d1")
+		req.Header.Set(headerToken, token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, Content-Type %q", task, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				task, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		var decoded core.CheckoutResponse
+		if err := json.Unmarshal(body, &decoded); err != nil {
+			t.Fatalf("%s: %v", task, err)
+		}
+		if decoded.Version != 1 || len(decoded.Params) != 4 || decoded.Params[0] == 0 {
+			t.Fatalf("%s: checkout = %+v", task, decoded)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(decoded); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body differs from encoding/json's:\n got %q\nwant %q", task, body, want.Bytes())
+		}
+	}
+}
+
+// TestNonFiniteCheckoutIs500: a parameter JSON cannot carry used to
+// turn the checkout into a 200 with an empty body (the encoder failed
+// after the headers were out). The encoder now refuses before anything
+// is written: 500 with the JSON error envelope. The binary wire carries
+// the value as it is.
+func TestNonFiniteCheckoutIs500(t *testing.T) {
+	hd, srv := newHandler(t)
+	ctx := context.Background()
+	token, _ := srv.RegisterDevice(ctx, "d1")
+	state := srv.ExportState()
+	state.Params[2] = math.Inf(-1)
+	if err := srv.ImportState(state); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(hd)
+	defer ts.Close()
+
+	status, ct, body := rawCheckout(t, ts.URL, "d1", token, "", "")
+	var envelope errorResponse
+	if status != http.StatusInternalServerError || ct != "application/json" ||
+		json.Unmarshal(body, &envelope) != nil || !strings.Contains(envelope.Error, "unsupported value: -Inf") {
+		t.Errorf("JSON checkout of a non-finite model: status %d, Content-Type %q, body %q", status, ct, body)
+	}
+	if _, err := NewHTTPClient(ts.URL, nil).Checkout(ctx, "d1", token); err == nil || !strings.Contains(err.Error(), "500") {
+		t.Errorf("client checkout err = %v, want the 500", err)
+	}
+	got, err := NewHTTPClient(ts.URL, nil).WithWire(WireBinary).Checkout(ctx, "d1", token)
+	if err != nil || !math.IsInf(got.Params[2], -1) {
+		t.Errorf("binary checkout = %+v, %v", got, err)
+	}
+}
+
+// TestOddJSONCheckinStaysEncodingJSONs: bodies the hot-path parser
+// declines are decoded by json.Unmarshal exactly as every body used to
+// be — case-folded keys and duplicate keys are accepted the way they
+// were, null leaves the field unset, and a type error reads as before.
+func TestOddJSONCheckinStaysEncodingJSONs(t *testing.T) {
+	hd, srv := newHandler(t)
+	ctx := context.Background()
+	token, _ := srv.RegisterDevice(ctx, "d1")
+	ts := httptest.NewServer(hd)
+	defer ts.Close()
+	post := func(body string) (int, string) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+PathCheckin, strings.NewReader(body))
+		req.Header.Set(headerDeviceID, "d1")
+		req.Header.Set(headerToken, token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, errorMessage(raw)
+	}
+	for _, ok := range []string{
+		`{"GRAD":[1,0,0,0],"NumSamples":1,"labelcounts":[1,0]}`,
+		`{"grad":[9,9,9,9],"grad":[1,0,0,0],"numSamples":1,"labelCounts":[1,0],"extra":{"a":[1]}}`,
+		`{"grad":[1,0,0,0],"numSamples":1,"labelCounts":[1,0],"version":null}`,
+		"{\"grad\":[1,0,0,0],\"numSamples\":1,\"labelCounts\":[1,0]}\n",
+	} {
+		if status, msg := post(ok); status != http.StatusNoContent {
+			t.Errorf("%s: status %d (%s), want 204", ok, status, msg)
+		}
+	}
+	if got := srv.Iteration(); got != 4 {
+		t.Errorf("iteration = %d after four accepted checkins", got)
+	}
+	for body, want := range map[string]string{
+		`{"grad":null,"numSamples":1,"labelCounts":[1,0]}`:        "gradient length 0, want 4",
+		`{"grad":[1,0,0,0],"numSamples":1.5,"labelCounts":[1,0]}`: "bad JSON: json: cannot unmarshal number 1.5 into Go struct field CheckinRequest.numSamples of type int",
+		`{"grad":[1,0,0,1e999],"numSamples":1,"labelCounts":[1]}`: "bad JSON: json: cannot unmarshal number 1e999 into Go struct field CheckinRequest.grad of type float64",
+		`{"grad":[1,0,0,0],"numSamples":1,"labelCounts":[1,0]} x`: "bad JSON: invalid character 'x' after top-level value",
+		`{"grad":[01,0,0,0]}`: "bad JSON: invalid character '1' after array element",
+	} {
+		if status, msg := post(body); status != http.StatusBadRequest || !strings.HasPrefix(msg, want) {
+			t.Errorf("%s: status %d, error %q, want 400 %q", body, status, msg, want)
+		}
+	}
+}
+
+// slowBodyTransport feeds each request's body to the real transport a
+// few KB at a time, as a congested uplink would: the request is still
+// being written long after an early response has come back.
+type slowBodyTransport struct{}
+
+type slowBody struct{ io.ReadCloser }
+
+func (b slowBody) Read(p []byte) (int, error) {
+	time.Sleep(50 * time.Microsecond)
+	return b.ReadCloser.Read(p[:min(len(p), 4096)])
+}
+
+func (slowBodyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	slowed := req.Clone(req.Context())
+	slowed.Body = slowBody{req.Body}
+	return http.DefaultTransport.RoundTrip(slowed)
+}
+
+// TestPooledCheckinBodySurvivesEarlyResponse hammers a read-only
+// replica with concurrent checkins on both wires. The follower answers
+// 409 without reading a body this large, so net/http is still writing
+// the request when Do returns — which RoundTripper allows: the body is
+// the transport's until it is Closed. A body buffer recycled when Do
+// returns is overwritten by the next checkin's encoder while the
+// transport reads it; -race reports exactly that.
+func TestPooledCheckinBodySurvivesEarlyResponse(t *testing.T) {
+	h := hub.New()
+	const leader = "http://leader.example:8080"
+	if _, err := h.CreateTask(context.Background(), "alpha", core.ServerConfig{
+		Model:   model.NewLogisticRegression(2, 2),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
+	}, hub.AsReplicaOf(leader)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(h))
+	defer ts.Close()
+
+	// Past net/http's 256 KB post-handler drain on either wire, so the
+	// server replies before it has consumed the body.
+	grad := make([]float64, 40_000)
+	for i := range grad {
+		grad[i] = float64(i) + 0.125
+	}
+	base := NewHTTPClient(ts.URL, &http.Client{Transport: slowBodyTransport{}}).WithTask("alpha")
+	var wg sync.WaitGroup
+	for _, cl := range []*HTTPClient{base, base.WithWire(WireBinary)} {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := &core.CheckinRequest{Grad: grad, NumSamples: 1, LabelCounts: []int{1, 0}}
+				for i := 0; i < 8; i++ {
+					err := cl.Checkin(context.Background(), "d", "t", req)
+					if hint, ok := LeaderHint(err); !ok || hint != leader || !errors.Is(err, ErrReadOnlyReplica) {
+						t.Errorf("%v checkin %d: err = %v, want the leader hint", cl.Wire(), i, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -400,21 +400,35 @@ func ReadJournal(r io.Reader, buf []byte) (*Frame, []byte, error) {
 // sparse index out of range. The returned Frame owns its slices; b may
 // be reused immediately.
 func Decode(b []byte) (*Frame, error) {
+	fr := new(Frame)
+	if err := DecodeInto(fr, b); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// DecodeInto is Decode into a caller-supplied Frame, for callers that
+// pool one: fr is overwritten whole, except that Values reuses the
+// backing array fr.Values came in with when it is large enough — the
+// caller must be done with that array's previous contents. After an
+// error fr is unspecified.
+func DecodeInto(fr *Frame, b []byte) error {
 	if len(b) < HeaderLen+crcLen {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than a frame", ErrFrame, len(b))
+		return fmt.Errorf("%w: %d bytes is shorter than a frame", ErrFrame, len(b))
 	}
 	body := b[:len(b)-crcLen]
 	if got, want := binary.LittleEndian.Uint32(b[len(b)-crcLen:]), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (frame truncated or corrupted)", ErrFrame)
+		return fmt.Errorf("%w: CRC mismatch (frame truncated or corrupted)", ErrFrame)
 	}
 	if string(b[:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFrame)
+		return fmt.Errorf("%w: bad magic", ErrFrame)
 	}
 	if b[4] != codecVer {
-		return nil, fmt.Errorf("%w: unsupported codec version %d", ErrFrame, b[4])
+		return fmt.Errorf("%w: unsupported codec version %d", ErrFrame, b[4])
 	}
 	flags := binary.LittleEndian.Uint16(b[6:])
-	fr := &Frame{
+	scratch := fr.Values
+	*fr = Frame{
 		Kind:    b[5],
 		Done:    flags&FlagDone != 0,
 		Sparse:  flags&FlagSparse != 0,
@@ -424,7 +438,7 @@ func Decode(b []byte) (*Frame, error) {
 	}
 	count := int(binary.LittleEndian.Uint32(b[28:]))
 	if fr.Version < 0 || fr.Since < -1 {
-		return nil, fmt.Errorf("%w: negative version/since", ErrFrame)
+		return fmt.Errorf("%w: negative version/since", ErrFrame)
 	}
 
 	// Work out the expected raw payload size per kind BEFORE touching the
@@ -433,27 +447,27 @@ func Decode(b []byte) (*Frame, error) {
 	switch fr.Kind {
 	case KindFull:
 		if count != fr.Dims {
-			return nil, fmt.Errorf("%w: full frame count %d != dims %d", ErrFrame, count, fr.Dims)
+			return fmt.Errorf("%w: full frame count %d != dims %d", ErrFrame, count, fr.Dims)
 		}
 		if fr.Since != -1 {
-			return nil, fmt.Errorf("%w: full frame carries a since", ErrFrame)
+			return fmt.Errorf("%w: full frame carries a since", ErrFrame)
 		}
 		expect = 8 * count
 	case KindDelta:
 		if fr.Since < 0 {
-			return nil, fmt.Errorf("%w: delta frame without a since", ErrFrame)
+			return fmt.Errorf("%w: delta frame without a since", ErrFrame)
 		}
 		if fr.Since > fr.Version {
-			return nil, fmt.Errorf("%w: delta since %d ahead of version %d", ErrFrame, fr.Since, fr.Version)
+			return fmt.Errorf("%w: delta since %d ahead of version %d", ErrFrame, fr.Since, fr.Version)
 		}
 		if fr.Sparse {
 			if count > fr.Dims {
-				return nil, fmt.Errorf("%w: sparse delta with %d pairs for %d dims", ErrFrame, count, fr.Dims)
+				return fmt.Errorf("%w: sparse delta with %d pairs for %d dims", ErrFrame, count, fr.Dims)
 			}
 			expect = 12 * count
 		} else {
 			if count != fr.Dims {
-				return nil, fmt.Errorf("%w: dense delta count %d != dims %d", ErrFrame, count, fr.Dims)
+				return fmt.Errorf("%w: dense delta count %d != dims %d", ErrFrame, count, fr.Dims)
 			}
 			expect = 8 * count
 		}
@@ -463,13 +477,13 @@ func Decode(b []byte) (*Frame, error) {
 		var err error
 		if expect, err = journalPayloadLen(flags, int64(fr.Version), int64(fr.Since),
 			uint64(fr.Dims), uint64(count)); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, fr.Kind)
+		return fmt.Errorf("%w: unknown kind %d", ErrFrame, fr.Kind)
 	}
 	if fr.Dims < 0 || count < 0 || expect < 0 || expect > MaxPayload {
-		return nil, fmt.Errorf("%w: implausible payload size", ErrFrame)
+		return fmt.Errorf("%w: implausible payload size", ErrFrame)
 	}
 
 	payload := body[HeaderLen:]
@@ -477,37 +491,37 @@ func Decode(b []byte) (*Frame, error) {
 		out := make([]byte, expect)
 		zr := flate.NewReader(bytes.NewReader(payload))
 		if _, err := io.ReadFull(zr, out); err != nil {
-			return nil, fmt.Errorf("%w: flate payload: %v", ErrFrame, err)
+			return fmt.Errorf("%w: flate payload: %v", ErrFrame, err)
 		}
 		var tail [1]byte
 		if n, err := zr.Read(tail[:]); n != 0 || err != io.EOF {
-			return nil, fmt.Errorf("%w: trailing compressed data", ErrFrame)
+			return fmt.Errorf("%w: trailing compressed data", ErrFrame)
 		}
 		payload = out
 	} else if len(payload) != expect {
-		return nil, fmt.Errorf("%w: payload %d bytes, want %d", ErrFrame, len(payload), expect)
+		return fmt.Errorf("%w: payload %d bytes, want %d", ErrFrame, len(payload), expect)
 	}
 
 	switch fr.Kind {
 	case KindFull:
-		fr.Values = decodeFloats(payload, count)
+		fr.Values = decodeFloats(scratch, payload, count)
 	case KindDelta:
 		if fr.Sparse {
 			fr.Indices = make([]uint32, count)
-			fr.Values = make([]float64, count)
+			fr.Values = sizeFloats(scratch, count)
 			for i := 0; i < count; i++ {
 				idx := binary.LittleEndian.Uint32(payload[12*i:])
 				if int(idx) >= fr.Dims {
-					return nil, fmt.Errorf("%w: sparse index %d out of range [0,%d)", ErrFrame, idx, fr.Dims)
+					return fmt.Errorf("%w: sparse index %d out of range [0,%d)", ErrFrame, idx, fr.Dims)
 				}
 				fr.Indices[i] = idx
 				fr.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[12*i+4:]))
 			}
 		} else {
-			fr.Values = decodeFloats(payload, count)
+			fr.Values = decodeFloats(scratch, payload, count)
 		}
 	case KindCheckin:
-		fr.Values = decodeFloats(payload, fr.Dims)
+		fr.Values = decodeFloats(scratch, payload, fr.Dims)
 		off := 8 * fr.Dims
 		fr.NumSamples = int(int64(binary.LittleEndian.Uint64(payload[off:])))
 		fr.ErrCount = int(int64(binary.LittleEndian.Uint64(payload[off+8:])))
@@ -528,7 +542,7 @@ func Decode(b []byte) (*Frame, error) {
 		fr.Version = int(int64(binary.LittleEndian.Uint64(payload[16:])))
 		fr.NumSamples = int(int64(binary.LittleEndian.Uint64(payload[24:])))
 		fr.ErrCount = int(int64(binary.LittleEndian.Uint64(payload[32:])))
-		fr.Values = decodeFloats(payload[journalScalars:], fr.Dims)
+		fr.Values = decodeFloats(scratch, payload[journalScalars:], fr.Dims)
 		off := journalScalars + 8*fr.Dims
 		fr.LabelCounts = make([]int, count)
 		for i := range fr.LabelCounts {
@@ -536,11 +550,20 @@ func Decode(b []byte) (*Frame, error) {
 		}
 		fr.DeviceID = string(payload[off+8*count : off+8*count+idLen])
 	}
-	return fr, nil
+	return nil
 }
 
-func decodeFloats(payload []byte, n int) []float64 {
-	out := make([]float64, n)
+// sizeFloats returns scratch resliced to n values when its backing array
+// is large enough, a new (never nil) slice otherwise.
+func sizeFloats(scratch []float64, n int) []float64 {
+	if scratch == nil || cap(scratch) < n {
+		return make([]float64, n)
+	}
+	return scratch[:n]
+}
+
+func decodeFloats(scratch []float64, payload []byte, n int) []float64 {
+	out := sizeFloats(scratch, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
