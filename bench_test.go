@@ -259,7 +259,7 @@ func BenchmarkCheckoutBinary(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, d.Indices, d.Values, false)
+			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
 		}
 	})
 }
@@ -268,7 +268,8 @@ func BenchmarkCheckoutBinary(b *testing.B) {
 // protocol's headline: a device that already holds the current iteration
 // asks ?since=current and is answered with an empty ~40-byte delta frame
 // instead of the full C·D float64 vector. Benchgate pins this B/op at a
-// fraction of BenchmarkCheckoutParallel's full-copy cost.
+// fraction of BenchmarkCheckoutParallel's full-copy cost. (The poll that
+// does find a change is BenchmarkCheckoutDeltaChanged's.)
 func BenchmarkCheckoutDelta(b *testing.B) {
 	srv, token := newCheckoutBenchServer(b)
 	ctx := context.Background()
@@ -298,9 +299,88 @@ func BenchmarkCheckoutDelta(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, d.Indices, d.Values, false)
+			// An up-to-date caller's delta has no base to diff: no change set.
+			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
 		}
 	})
+}
+
+// BenchmarkCheckoutDeltaChanged measures the delta poll that finds the
+// model moved, through the HTTP handler in memory: the ring lookup, the
+// diff of base and current snapshot into the handler's pooled scratch,
+// and the encode — sparse pairs when one coordinate in ten moved, the
+// dense re-send when all did (where the change set is built only to be
+// passed over). Neither may allocate anything the size of the model.
+func BenchmarkCheckoutDeltaChanged(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		stride int // every stride-th coordinate moves
+	}{{"sparse10pct", 10}, {"dense", 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			handler, newRequest := jsonBenchHandler(b)
+			postCheckin(b, handler, newRequest, stridedGrad(tc.stride))
+			req := newRequest(http.MethodGet, "checkout?since=0")
+			req.Header.Set("Accept", "application/x-crowdml-bin")
+			w := &discardWriter{header: http.Header{}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				handler.ServeHTTP(w, req)
+				if w.code >= 300 {
+					b.Fatalf("status %d", w.code)
+				}
+			}
+		})
+	}
+}
+
+// handlerTransport answers an http.Client from a handler in memory.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// BenchmarkClientDeltaPoll measures the device's side of a delta poll:
+// a WireBinaryDelta client over the in-memory handler. Unchanged is the
+// hot case — the model has not moved, the empty delta re-serves the
+// cached snapshot and nothing the size of the model is allocated; dense
+// follows a checkin that moved every coordinate, where the decoded
+// vector is adopted as the next snapshot (one vector, not two).
+func BenchmarkClientDeltaPoll(b *testing.B) {
+	for _, dense := range []bool{false, true} {
+		name := "unchanged"
+		if dense {
+			name = "dense"
+		}
+		b.Run(name, func(b *testing.B) {
+			handler, newRequest := jsonBenchHandler(b)
+			// The bench device's token, as the request builder stamps it.
+			token := newRequest(http.MethodGet, "checkout").Header.Get("X-Crowdml-Token")
+			cl := crowdml.NewHTTPClient("http://bench.invalid", &http.Client{Transport: handlerTransport{handler}}).
+				WithTask("bench").WithWire(crowdml.WireBinaryDelta)
+			ctx := context.Background()
+			grad := stridedGrad(1)
+			postCheckin(b, handler, newRequest, grad)
+			if _, err := cl.Checkout(ctx, "bench", token); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dense {
+					b.StopTimer()
+					postCheckin(b, handler, newRequest, grad)
+					b.StartTimer()
+				}
+				if _, err := cl.Checkout(ctx, "bench", token); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCheckinBinary measures the binary checkin ingest: decoding
@@ -384,15 +464,38 @@ func benchGrad(n int) []float64 {
 }
 
 // checkinPayload is one JSON checkin body for the bench task.
-func checkinPayload(b *testing.B) []byte {
+func checkinPayload(b *testing.B, grad []float64) []byte {
 	b.Helper()
 	payload, err := json.Marshal(&core.CheckinRequest{
-		Grad: benchGrad(10 * 50), NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10),
+		Grad: grad, NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return payload
+}
+
+// stridedGrad is a bench-task gradient that moves every stride-th
+// coordinate (plain SGD leaves the others where they were).
+func stridedGrad(stride int) []float64 {
+	grad := benchGrad(10 * 50)
+	for i := range grad {
+		if i%stride != 0 {
+			grad[i] = 0
+		}
+	}
+	return grad
+}
+
+// postCheckin applies one JSON checkin through the handler.
+func postCheckin(b *testing.B, handler http.Handler, newRequest func(method, endpoint string) *http.Request, grad []float64) {
+	b.Helper()
+	req := newRequest(http.MethodPost, "checkin")
+	req.Body = io.NopCloser(bytes.NewReader(checkinPayload(b, grad)))
+	w := &discardWriter{header: http.Header{}}
+	if handler.ServeHTTP(w, req); w.code >= 300 {
+		b.Fatalf("checkin: status %d", w.code)
+	}
 }
 
 // BenchmarkCheckoutJSON measures the default wire's checkout through the
@@ -403,11 +506,7 @@ func checkinPayload(b *testing.B) []byte {
 func BenchmarkCheckoutJSON(b *testing.B) {
 	handler, newRequest := jsonBenchHandler(b)
 	w := &discardWriter{header: http.Header{}}
-	seed := newRequest(http.MethodPost, "checkin")
-	seed.Body = io.NopCloser(bytes.NewReader(checkinPayload(b)))
-	if handler.ServeHTTP(w, seed); w.code >= 300 {
-		b.Fatalf("seeding checkin: status %d", w.code)
-	}
+	postCheckin(b, handler, newRequest, benchGrad(10*50))
 	req := newRequest(http.MethodGet, "checkout")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -425,7 +524,7 @@ func BenchmarkCheckoutJSON(b *testing.B) {
 // twin of BenchmarkCheckinBinary.
 func BenchmarkCheckinJSON(b *testing.B) {
 	handler, newRequest := jsonBenchHandler(b)
-	payload := checkinPayload(b)
+	payload := checkinPayload(b, benchGrad(10*50))
 	req := newRequest(http.MethodPost, "checkin")
 	req.Header.Set("Content-Type", "application/json")
 	body := bytes.NewReader(payload)

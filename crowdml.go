@@ -236,6 +236,8 @@ type SampleSource = core.SampleSource
 type Transport = core.Transport
 
 // CheckoutResponse and CheckinRequest are the framework's wire messages.
+// CheckoutResponse.Params is the caller's own slice except from a
+// WireBinaryDelta HTTPClient, where it is shared and read-only.
 type (
 	CheckoutResponse = core.CheckoutResponse
 	CheckinRequest   = core.CheckinRequest
@@ -555,7 +557,10 @@ type WireFormat = transport.WireFormat
 // WireBinary negotiates the framed little-endian binary protocol
 // (docs/WIRE.md); WireBinaryDelta additionally requests sparse deltas
 // against the client's last checkout, shrinking steady-state polls to a
-// few dozen bytes.
+// few dozen bytes. A WireBinaryDelta client's Checkout returns its cached
+// snapshot itself — CheckoutResponse.Params is then shared and
+// read-only, copy before writing; WireJSON and WireBinary hand out a
+// private slice.
 const (
 	WireJSON        = transport.WireJSON
 	WireBinary      = transport.WireBinary

@@ -31,8 +31,8 @@ func TestParamDeltaEmptyWhenCurrent(t *testing.T) {
 	if d.Since != cur || d.Version != cur {
 		t.Fatalf("want empty delta at %d, got since=%d version=%d", cur, d.Since, d.Version)
 	}
-	if len(d.Indices) != 0 || len(d.Values) != 0 {
-		t.Fatalf("current base produced %d changes", len(d.Indices))
+	if d.Base != nil {
+		t.Fatal("current base offered a diff: an up-to-date poll must cost no pass over the model")
 	}
 	if d.Params == nil {
 		t.Fatal("Params fallback missing")
@@ -50,14 +50,18 @@ func TestParamDeltaRingHit(t *testing.T) {
 	if d.Since != base.Version {
 		t.Fatalf("ring miss for version %d (since=%d)", base.Version, d.Since)
 	}
-	if len(d.Indices) == 0 {
+	if &d.Base[0] != &base.Params[0] {
+		t.Fatal("Base is not the retained snapshot itself: the ring copied")
+	}
+	idx, vals := DiffParamsInto(nil, nil, d.Base, d.Params)
+	if len(idx) == 0 {
 		t.Fatal("two applied checkins produced no changed coordinates")
 	}
 	// Applying the delta to the base must reproduce the current snapshot
 	// bit for bit.
 	got := append([]float64(nil), base.Params...)
-	for i, idx := range d.Indices {
-		got[idx] = d.Values[i]
+	for i, k := range idx {
+		got[k] = vals[i]
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(d.Params[i]) {
@@ -87,20 +91,97 @@ func TestParamDeltaFallbacks(t *testing.T) {
 	}
 }
 
-func TestParamDeltaRingBounded(t *testing.T) {
-	s := newTestServer(t, ServerConfig{DeltaHistory: 3})
-	token := register(t, s, "d1")
-	checkinN(t, s, "d1", token, 10)
+// The four below exercise SnapshotRing itself — the one ring a Server
+// and a shard.Group both record into — so each rule is pinned once.
 
-	s.ringMu.Lock()
-	n := len(s.ring)
-	s.ringMu.Unlock()
-	if n > 3 {
-		t.Fatalf("ring grew to %d entries with DeltaHistory=3", n)
+// vec returns a distinguishable one-coordinate snapshot.
+func vec(v float64) []float64 { return []float64{v, 0} }
+
+func TestSnapshotRingSameVersionIsAliasSwap(t *testing.T) {
+	r := NewSnapshotRing(4)
+	r.Record(1, vec(1))
+	first, again := vec(2), vec(2)
+	r.Record(2, first)
+	r.Record(2, again)
+	if n := len(r.entries); n != 2 {
+		t.Fatalf("re-publishing version 2 left %d entries, want 2", n)
 	}
-	// The most recent retained base must still produce a delta.
-	if d := s.ParamDelta(s.SnapshotVersion() - 1); d.Since == -1 {
-		t.Fatal("most recent ring entry not served")
+	if d := r.Delta(vec(3), 3, false, 2); d.Since != 2 || &d.Base[0] != &again[0] {
+		t.Fatalf("base of version 2 is not the re-published slice (since=%d)", d.Since)
+	}
+	if d := r.Delta(vec(3), 3, false, 1); d.Since != 1 {
+		t.Fatal("the swap disturbed the entry before the tail")
+	}
+}
+
+func TestSnapshotRingEvictsAtHistory(t *testing.T) {
+	r := NewSnapshotRing(3)
+	for v := 0; v <= 10; v++ {
+		r.Record(v, vec(float64(v)))
+	}
+	if n := len(r.entries); n != 3 {
+		t.Fatalf("ring holds %d entries with history 3", n)
+	}
+	cur := vec(11)
+	for since, want := range map[int]int{7: -1, 8: 8, 9: 9, 10: 10} {
+		d := r.Delta(cur, 11, false, since)
+		if d.Since != want {
+			t.Errorf("since=%d: served since=%d, want %d", since, d.Since, want)
+		}
+		if want >= 0 && d.Base[0] != float64(since) {
+			t.Errorf("since=%d: base is version %v's snapshot", since, d.Base[0])
+		}
+	}
+	if got := NewSnapshotRing(0).history; got != DefaultDeltaHistory {
+		t.Errorf("history 0 retains %d, want the default %d", got, DefaultDeltaHistory)
+	}
+}
+
+func TestSnapshotRingFallbacks(t *testing.T) {
+	r := NewSnapshotRing(4)
+	r.Record(3, vec(3))
+	r.Record(5, vec(5))
+	cur := vec(6)
+	for name, since := range map[string]int{
+		"negative": -1, "ahead": 7, "before the ring": 2, "in a gap": 4,
+	} {
+		if d := r.Delta(cur, 6, true, since); d.Since != -1 || d.Base != nil || !d.Done || d.Version != 6 || &d.Params[0] != &cur[0] {
+			t.Errorf("%s (since=%d): %+v, want the full fallback", name, since, d)
+		}
+	}
+	if d := r.Delta([]float64{6}, 6, false, 5); d.Since != -1 {
+		t.Error("a base of another length was offered for a diff")
+	}
+	if d := r.Delta(cur, 6, false, 6); d.Since != 6 || d.Base != nil {
+		t.Errorf("current caller: %+v, want the empty delta", d)
+	}
+	r.Reset()
+	if d := r.Delta(cur, 6, false, 5); d.Since != -1 {
+		t.Error("a base survived Reset")
+	}
+}
+
+// TestSnapshotRingRewindDropsBases: a shard group's merged iteration is
+// the sum of its members' and moves backwards when one restores older
+// state; the version numbers it then re-issues must not find the bases
+// recorded under them before.
+func TestSnapshotRingRewindDropsBases(t *testing.T) {
+	r := NewSnapshotRing(8)
+	for v := 1; v <= 5; v++ {
+		r.Record(v, vec(float64(v)))
+	}
+	r.Record(3, vec(-3)) // rewound
+	r.Record(4, vec(-4))
+	r.Record(5, vec(-5))
+	cur := vec(-6)
+	for since := 1; since <= 5; since++ {
+		d := r.Delta(cur, 6, false, since)
+		if d.Since >= 0 && d.Base[0] > 0 {
+			t.Errorf("since=%d served the pre-rewind snapshot %v", since, d.Base[0])
+		}
+		if want := since >= 3; (d.Since >= 0) != want {
+			t.Errorf("since=%d: served=%v, want %v", since, d.Since >= 0, want)
+		}
 	}
 }
 
@@ -148,17 +229,22 @@ func TestCheckoutDeltaAuth(t *testing.T) {
 	}
 }
 
-func TestDiffParams(t *testing.T) {
-	base := []float64{1, 2, 3, 0}
-	cur := []float64{1, 5, 3, math.Copysign(0, -1)}
-	idx, vals := DiffParams(base, cur)
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 3 {
+func TestDiffParamsInto(t *testing.T) {
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	base := []float64{1, 2, 3, 0, nan1, nan1}
+	cur := []float64{1, 5, 3, math.Copysign(0, -1), nan2, nan1}
+	idx, vals := DiffParamsInto(nil, nil, base, cur)
+	if len(idx) != 3 || idx[0] != 1 || idx[1] != 3 || idx[2] != 4 {
 		t.Fatalf("indices %v", idx)
 	}
-	if vals[0] != 5 || math.Float64bits(vals[1]) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("values %v (−0 must survive bitwise)", vals)
+	if vals[0] != 5 || math.Float64bits(vals[1]) != math.Float64bits(math.Copysign(0, -1)) ||
+		math.Float64bits(vals[2]) != math.Float64bits(nan2) {
+		t.Fatalf("values %v (−0 and NaN payloads must survive bitwise)", vals)
 	}
-	if idx, _ := DiffParams(cur, cur); len(idx) != 0 {
+	if idx, _ := DiffParamsInto(idx[:0], vals[:0], cur, cur); len(idx) != 0 {
 		t.Fatal("identical vectors produced changes")
+	}
+	if n := testing.AllocsPerRun(20, func() { idx, vals = DiffParamsInto(idx[:0], vals[:0], base, cur) }); n != 0 {
+		t.Fatalf("a diff into grown scratch allocated %v times", n)
 	}
 }

@@ -156,6 +156,18 @@ func (r *deviceRegistry) importStats(deviceID string, stats DeviceStats) {
 	e.stats = stats
 }
 
+// count returns the number of enrolled devices.
+func (r *deviceRegistry) count() int {
+	n := 0
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.RLock()
+		n += len(sh.entries)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
 // forEach calls fn for every enrolled device, one shard at a time under
 // its read lock. The *DeviceStats passed to fn aliases registry memory
 // and must not be retained.

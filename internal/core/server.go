@@ -186,12 +186,10 @@ type Server struct {
 
 	devices *deviceRegistry
 
-	// ring retains the last cfg.DeltaHistory published snapshots (by
-	// pointer) so ParamDelta can diff against a client's base iteration.
-	// ringMu is leaf-level: taken alone by readers, after wMu by the
-	// publication path, never the other way around.
-	ringMu sync.Mutex
-	ring   []*paramSnapshot
+	// ring retains the last cfg.DeltaHistory published snapshots so
+	// ParamDelta can name a client's base iteration. publishSnapshotLocked
+	// records into it; ImportState resets it.
+	ring *SnapshotRing
 
 	// queue and leaderSem implement the batched applier: pending checkins
 	// wait in queue; whoever holds the single leaderSem slot drains and
@@ -225,9 +223,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.CheckinQueueDepth > maxCheckinQueueHardLimit {
 		cfg.CheckinQueueDepth = maxCheckinQueueHardLimit
 	}
-	if cfg.DeltaHistory < 1 {
-		cfg.DeltaHistory = DefaultDeltaHistory
-	}
 	w := model.NewParams(cfg.Model)
 	if cfg.InitParams != nil {
 		if err := w.CopyFrom(cfg.InitParams); err != nil {
@@ -239,6 +234,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		w:         w,
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
+		ring:      NewSnapshotRing(cfg.DeltaHistory),
 		queue:     make(chan *pendingCheckin, cfg.CheckinQueueDepth),
 		leaderSem: make(chan struct{}, 1),
 	}
@@ -259,7 +255,7 @@ func (s *Server) publishSnapshotLocked() {
 		version: int(s.t.Load()),
 	}
 	s.snap.Store(snap)
-	s.recordSnapshotLocked(snap)
+	s.ring.Record(snap.version, snap.params)
 }
 
 // RegisterDevice enrolls a device and returns its authentication token

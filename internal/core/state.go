@@ -83,7 +83,6 @@ func (s *Server) ExportState() *ServerState {
 		TotalSamples:     int(s.totalNs.Load()),
 		TotalErrors:      int(s.totalNe.Load()),
 		TotalLabelCounts: totalNky,
-		Devices:          make(map[string]DeviceStateEntry),
 	}
 	st.UpdaterName = s.cfg.Updater.Name()
 	if se, ok := s.cfg.Updater.(optimizer.StateExporter); ok {
@@ -91,11 +90,26 @@ func (s *Server) ExportState() *ServerState {
 		// so this export is from the same quiescent point as the rest.
 		st.UpdaterState = se.ExportState()
 	}
+	// One map sized up front and one slab for every device's label counts:
+	// a checkpoint of a large crowd is two allocations, not two per device
+	// plus the map's doublings. Devices may enroll while this runs (that
+	// takes no apply lock), so the count is a hint: one that no longer fits
+	// the slab gets a slice of its own.
+	n := s.devices.count()
+	st.Devices = make(map[string]DeviceStateEntry, n)
+	slab := make([]int, 0, n*classes)
 	s.devices.forEach(func(id string, d *DeviceStats) {
+		if cap(slab)-len(slab) < len(d.LabelCounts) {
+			slab = make([]int, 0, len(d.LabelCounts))
+		}
+		lo := len(slab)
+		slab = append(slab, d.LabelCounts...)
 		st.Devices[id] = DeviceStateEntry{
-			Samples:      d.Samples,
-			Errors:       d.Errors,
-			LabelCounts:  append([]int(nil), d.LabelCounts...),
+			Samples: d.Samples,
+			Errors:  d.Errors,
+			// Capped at its own length: an append on one entry reallocates
+			// instead of running into its neighbour's counts.
+			LabelCounts:  slab[lo:len(slab):len(slab)],
 			Checkins:     d.Checkins,
 			StalenessSum: d.StalenessSum,
 		}
@@ -177,7 +191,7 @@ func (s *Server) ImportState(st *ServerState) error {
 	// the retained delta ring would no longer identify the bases clients
 	// hold. Drop it before republishing: delta checkouts fall back to
 	// full frames until fresh snapshots accumulate.
-	s.invalidateDeltaRing()
+	s.ring.Reset()
 	s.publishSnapshotLocked()
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/linalg"
@@ -171,5 +172,77 @@ func TestUpdaterStateRoundTripAndReset(t *testing.T) {
 	}
 	if got := other.ExportState(); got != nil {
 		t.Errorf("cross-updater restore imported state %v, want a reset (nil)", got)
+	}
+}
+
+// crowdServer returns a server with n enrolled devices of the given
+// class count, each with distinct label counts.
+func crowdServer(tb testing.TB, n, classes int) *Server {
+	tb.Helper()
+	s, err := NewServer(ServerConfig{
+		Model:   model.NewLogisticRegression(classes, 4),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		counts := make([]int, classes)
+		for k := range counts {
+			counts[k] = i*classes + k
+		}
+		s.devices.importStats(fmt.Sprintf("device-%04d", i), DeviceStats{Samples: i, LabelCounts: counts})
+	}
+	return s
+}
+
+// TestExportStateSlabEntriesAreIndependent: every device's LabelCounts
+// is carved from one slab, so each must be capped at its own length (an
+// append reallocates instead of overwriting the neighbour) and the
+// export must cost a handful of allocations, not two per device.
+func TestExportStateSlabEntriesAreIndependent(t *testing.T) {
+	const devices, classes = 64, 3
+	s := crowdServer(t, devices, classes)
+	st := s.ExportState()
+	if len(st.Devices) != devices {
+		t.Fatalf("exported %d devices, want %d", len(st.Devices), devices)
+	}
+	for id, e := range st.Devices {
+		if cap(e.LabelCounts) != classes {
+			t.Fatalf("%s: LabelCounts cap %d, want %d", id, cap(e.LabelCounts), classes)
+		}
+		_ = append(e.LabelCounts, -1)
+		e.LabelCounts[0]++ // the export is the caller's: live counters must not move
+	}
+	for i := 0; i < devices; i++ {
+		id := fmt.Sprintf("device-%04d", i)
+		e := st.Devices[id]
+		live, _ := s.DeviceStats(id)
+		for k := 0; k < classes; k++ {
+			want := i*classes + k
+			if live.LabelCounts[k] != want {
+				t.Fatalf("%s: live count[%d] = %d, want %d", id, k, live.LabelCounts[k], want)
+			}
+			if k == 0 {
+				want++
+			}
+			if e.LabelCounts[k] != want {
+				t.Fatalf("%s: exported count[%d] = %d, want %d", id, k, e.LabelCounts[k], want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { s.ExportState() }); n > devices/2 {
+		t.Errorf("ExportState of %d devices allocates %v times: not one slab and one map", devices, n)
+	}
+}
+
+// BenchmarkExportState prices one checkpoint's state export at the
+// crowd size of the end-to-end benchmark's durable workloads.
+func BenchmarkExportState(b *testing.B) {
+	s := crowdServer(b, 2000, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ExportState()
 	}
 }

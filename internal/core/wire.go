@@ -10,7 +10,10 @@ import "context"
 // CheckoutResponse carries the current model parameters from the server to
 // a device (Server Routine 1 / workflow step 3).
 type CheckoutResponse struct {
-	// Params is the flattened C×D parameter matrix, row-major.
+	// Params is the flattened C×D parameter matrix, row-major. The
+	// caller owns it, except from a delta-caching transport (an HTTP
+	// client on the binary-delta wire), which hands every caller its one
+	// cached vector: shared and read-only there — copy before writing.
 	Params []float64 `json:"params"`
 	// Version is the server iteration t at which the parameters were read.
 	// Devices echo it on check-in so staleness can be measured.

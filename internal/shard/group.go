@@ -104,12 +104,12 @@ type Group struct {
 	// mergeMu serializes merged-view builds: the periodic merger and any
 	// explicit Merge caller publish in a consistent order.
 	mergeMu sync.Mutex
-	// deltaMu guards deltaRing, the recent merged views retained for
-	// delta checkouts (see delta.go). Leaf lock, taken after mergeMu by
-	// the publisher and alone by readers.
-	deltaMu   sync.Mutex
-	deltaRing []*mergedView
-	m         *groupMetrics
+	// ring retains the recent merged views for delta checkouts; merge
+	// records every view it publishes. The merged iteration (Σ member
+	// versions) only moves backwards when a member restores older state,
+	// and the ring drops its bases when it does.
+	ring *core.SnapshotRing
+	m    *groupMetrics
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -160,6 +160,7 @@ func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard in
 		info:       c.info,
 		smap:       smap,
 		mergeEvery: c.mergeEvery,
+		ring:       core.NewSnapshotRing(0),
 		m:          newGroupMetrics(c.metrics, taskID, c.shards),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),

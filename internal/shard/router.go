@@ -57,13 +57,17 @@ func (g *Group) RouteDevice(deviceID string) string {
 	return g.members[g.smap.Shard(deviceID)].ID()
 }
 
-// Checkout implements the device-side core.Transport (the HTTP layer
-// reads through CheckoutDelta): authenticate against the device's
-// owning member — the shard that holds its credentials — then serve the
-// merged model.
-// The read is lock-free: one atomic load of the published view plus the
-// per-caller copy every checkout pays.
-func (g *Group) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
+// CheckoutDelta implements hub.ShardRouter, the sharded checkout:
+// authenticate against the device's owning member — the shard that
+// holds its credentials — then answer from the merged view and the ring
+// of its predecessors, with the same contract as
+// core.Server.CheckoutDelta: the caller's base when its iteration is
+// retained, the zero-copy full merged vector otherwise. The read is
+// lock-free up to the ring's lookup. The transport layer serves every
+// checkout through this (the JSON wire with since = -1, the binary
+// wire's ?since=N), so devices cannot tell a sharded task from a plain
+// one.
+func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -73,11 +77,17 @@ func (g *Group) Checkout(ctx context.Context, deviceID, token string) (*core.Che
 	}
 	g.m.routedCheckout(k)
 	mv := g.merged.Load()
-	return &core.CheckoutResponse{
-		Params:  linalg.Copy(mv.params), // callers own the returned slice
-		Version: mv.iteration,
-		Done:    mv.done,
-	}, nil
+	return g.ring.Delta(mv.params, mv.iteration, mv.done, since), nil
+}
+
+// Checkout implements the device-side core.Transport for in-process
+// devices: the full merged model, in a slice the caller owns.
+func (g *Group) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
+	d, err := g.CheckoutDelta(ctx, deviceID, token, -1)
+	if err != nil {
+		return nil, err
+	}
+	return &core.CheckoutResponse{Params: linalg.Copy(d.Params), Version: d.Version, Done: d.Done}, nil
 }
 
 // Checkin implements hub.ShardRouter (and core.Transport): apply the
@@ -226,6 +236,6 @@ func (g *Group) merge() {
 		advanced = mv.iteration - prev.iteration
 	}
 	g.merged.Store(mv)
-	g.recordMergedView(mv)
+	g.ring.Record(mv.iteration, mv.params)
 	g.m.observeMerge(start, advanced)
 }

@@ -137,3 +137,29 @@ func TestFeedEOSOnly(t *testing.T) {
 		t.Fatalf("LeaderIteration = %d, want 7", fr.LeaderIteration())
 	}
 }
+
+// TestFeedWriterGrowsOnce: a feed writer starts every poll from a nil
+// buffer, and a frame's length is known before it is encoded — so the
+// first entry sizes the buffer in one allocation (not a run of append
+// doublings) and every further entry of that shape allocates nothing.
+func TestFeedWriterGrowsOnce(t *testing.T) {
+	e := JournalEntry{
+		DeviceID: "device-0042", Iteration: 7, NumSamples: 20, Version: 6,
+		Grad: make([]float64, 1960), LabelCounts: make([]int, 10),
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := NewFeedWriter(io.Discard).WriteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 { // the writer and its buffer
+		t.Errorf("a fresh writer's first entry allocated %v times", n)
+	}
+	fw := NewFeedWriter(io.Discard)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := fw.WriteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a further entry of the same shape allocated %v times", n)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -308,10 +309,11 @@ type HTTPClient struct {
 	// WireJSON preserves the original protocol byte for byte.
 	wire      WireFormat
 	wireFlate bool
-	// delta is the base cache for WireBinaryDelta checkouts. A pointer,
-	// so the value copies the With* combinators make share one cache;
-	// WithTask and WithWire install a fresh one.
-	delta *deltaCache
+	// delta is the base for WireBinaryDelta checkouts: the last snapshot
+	// the client was served, nil inside before the first and after a
+	// drop. A pointer, so the value copies the With* combinators make
+	// share one cache; WithTask and WithWire install a fresh one.
+	delta *atomic.Pointer[clientSnapshot]
 }
 
 var _ core.Transport = (*HTTPClient)(nil)
@@ -336,7 +338,7 @@ func (c *HTTPClient) WithTask(taskID string) *HTTPClient {
 	if cp.delta != nil {
 		// A different task is a different model: never apply deltas
 		// against the old task's base.
-		cp.delta = &deltaCache{}
+		cp.delta = new(atomic.Pointer[clientSnapshot])
 	}
 	return &cp
 }

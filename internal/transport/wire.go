@@ -160,11 +160,41 @@ var (
 	_ deviceBackend = hub.ShardRouter(nil)
 )
 
+// checkoutScratch is where one binary checkout's change set is built:
+// the diff of the backend's base and current snapshots lands in slices
+// recycled from request to request, so a delta checkout allocates
+// nothing that scales with the model or with how much of it moved.
+type checkoutScratch struct {
+	idx  []uint32
+	vals []float64
+}
+
+var checkoutScratches = sync.Pool{New: func() any { return new(checkoutScratch) }}
+
+// sinceParam reads the delta base off a checkout's query string: -1
+// when absent. The one shape clients send, "since=<digits>", is read in
+// place; anything else (escapes, several parameters) takes the
+// url.Values route, so what is accepted and what is refused did not
+// change.
+func sinceParam(r *http.Request) (int, error) {
+	raw := r.URL.RawQuery
+	if digits, ok := strings.CutPrefix(raw, "since="); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
+		raw = digits
+	} else if raw = r.URL.Query().Get("since"); raw == "" {
+		return -1, nil
+	}
+	since, err := strconv.Atoi(raw)
+	if err != nil || since < 0 {
+		return 0, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
+	}
+	return since, nil
+}
+
 // serveCheckout answers a checkout in the negotiated codec: binary
 // frames honor ?since=N (the zero-copy full frame when no delta base
 // matched, the smaller of the sparse/dense delta forms otherwise), JSON
 // is always the full vector. Either way the body is encoded from the
-// backend's immutable snapshot into one pooled buffer and leaves with a
+// backend's immutable snapshots into one pooled buffer and leaves with a
 // Content-Length. Errors flow through writeError — the JSON envelope,
 // which a binary client tells apart by Content-Type — and an encoder
 // that refuses (a non-finite parameter has no JSON form) fails before
@@ -173,14 +203,12 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 	binary, compress := negotiate(r)
 	since := -1
 	if binary {
-		// ?since=N is the delta base; absent means a full frame. A
-		// malformed value is the client's error: 400.
-		if raw := r.URL.Query().Get("since"); raw != "" {
-			var err error
-			if since, err = strconv.Atoi(raw); err != nil || since < 0 {
-				writeError(w, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin))
-				return
-			}
+		// Absent means a full frame; a malformed value is the client's
+		// error: 400.
+		var err error
+		if since, err = sinceParam(r); err != nil {
+			writeError(w, err)
+			return
 		}
 	}
 	d, err := be.CheckoutDelta(r.Context(), r.Header.Get(headerDeviceID), r.Header.Get(headerToken), since)
@@ -192,7 +220,15 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 	defer buf.put()
 	if binary {
 		contentType = ContentTypeBinary
-		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, d.Indices, d.Values, compress)
+		sc := checkoutScratches.Get().(*checkoutScratch)
+		sc.idx, sc.vals = sc.idx[:0], sc.vals[:0]
+		if d.Base != nil {
+			sc.idx, sc.vals = core.DiffParamsInto(sc.idx, sc.vals, d.Base, d.Params)
+		}
+		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, sc.idx, sc.vals, compress)
+		if cap(sc.vals) <= maxPooledBuf/8 {
+			checkoutScratches.Put(sc)
+		}
 	} else if buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done); err != nil {
 		writeError(w, fmt.Errorf("encode checkout: %w", err))
 		return
@@ -274,28 +310,13 @@ func decodeCheckin(r *http.Request, sc *checkinScratch) (*core.CheckinRequest, e
 
 // --- client side ---
 
-// deltaCache is the client's base for delta checkouts: a private copy
-// of the last parameters it saw and their iteration. It is a pointer
-// field on HTTPClient so the WithRetry/With* copies share one cache
-// (same task, same model); WithTask allocates a fresh one.
-type deltaCache struct {
-	mu      sync.Mutex
+// clientSnapshot is one parameter vector a delta client was served and
+// the iteration it belongs to. Immutable once published: the vector is
+// shared by the cache, by every caller it was handed to, and by later
+// sparse deltas that copy from it.
+type clientSnapshot struct {
 	params  []float64
 	version int
-	valid   bool
-}
-
-func (dc *deltaCache) base() (int, bool) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.version, dc.valid
-}
-
-func (dc *deltaCache) drop() {
-	dc.mu.Lock()
-	dc.valid = false
-	dc.params = nil
-	dc.mu.Unlock()
 }
 
 // WithWire returns a copy of the client speaking the given wire format
@@ -307,7 +328,7 @@ func (c *HTTPClient) WithWire(f WireFormat) *HTTPClient {
 	cp.wire = f
 	cp.delta = nil
 	if f == WireBinaryDelta {
-		cp.delta = &deltaCache{}
+		cp.delta = new(atomic.Pointer[clientSnapshot])
 	}
 	return &cp
 }
@@ -330,39 +351,48 @@ func (c *HTTPClient) Wire() WireFormat { return c.wire }
 // — and delta downloads — via Accept; the JSON default is byte-identical
 // to the original protocol. A delta whose base no longer matches the
 // cache drops it and refetches one full frame.
+//
+// JSON and plain WireBinary hand out a private slice. A WireBinaryDelta
+// client returns its cached snapshot itself — the same vector to every
+// caller until the model moves — so Params is shared and read-only: copy
+// before writing.
 func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*core.CheckoutResponse, error) {
-	since := -1
+	var base *clientSnapshot
 	if c.delta != nil {
-		if v, ok := c.delta.base(); ok {
-			since = v
-		}
+		base = c.delta.Load()
 	}
-	resp, retry, err := c.checkoutOnce(ctx, deviceID, token, since)
+	resp, retry, err := c.checkoutOnce(ctx, deviceID, token, base)
 	if retry {
 		// Stale or mismatched delta base: one full refetch resynchronizes.
 		if c.delta != nil {
-			c.delta.drop()
+			c.delta.Store(nil)
 		}
-		resp, _, err = c.checkoutOnce(ctx, deviceID, token, -1)
+		resp, _, err = c.checkoutOnce(ctx, deviceID, token, nil)
 	}
 	return resp, err
 }
 
-// checkoutOnce performs one checkout round trip and decodes the answer
-// by its Content-Type, so negotiation can never strand the client: a
-// server (or proxy) that ignores the Accept header answers JSON and is
-// read as JSON. retry=true means the delta base was rejected and the
-// caller should refetch a full frame.
-func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, since int) (*core.CheckoutResponse, bool, error) {
+// checkoutOnce performs one checkout round trip — a delta against base
+// when there is one — and decodes the answer by its Content-Type, so
+// negotiation can never strand the client: a server (or proxy) that
+// ignores the Accept header answers JSON and is read as JSON. What a
+// delta client is served becomes its next base without a copy: a full
+// or dense frame's decoded vector is adopted, an empty delta re-serves
+// base's, and only a sparse delta that changes something builds a new
+// one. retry=true means the delta base was rejected and the caller
+// should refetch a full frame.
+func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, base *clientSnapshot) (*core.CheckoutResponse, bool, error) {
 	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
 	url := c.endpoint(PathCheckout)
+	since := -1
 	if c.wire != WireJSON {
 		accept := ContentTypeBinary
 		if c.wireFlate {
 			accept += ";compress=" + wireCompressFlate
 		}
 		hdr.Set("Accept", accept)
-		if since >= 0 {
+		if base != nil {
+			since = base.version
 			url += "?since=" + strconv.Itoa(since)
 		}
 	}
@@ -392,8 +422,8 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, s
 		}
 		return out, false, nil
 	}
-	fr, err := wirecodec.Decode(buf.b)
-	if err != nil {
+	var fr wirecodec.Frame
+	if err := wirecodec.DecodeInto(&fr, buf.b); err != nil {
 		return nil, false, fmt.Errorf("transport: decode checkout: %w", err)
 	}
 
@@ -407,18 +437,10 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, s
 			// protocol violation; resynchronize with a full frame.
 			return nil, true, fmt.Errorf("transport: delta base %d, asked for %d", fr.Since, since)
 		}
-		if fr.Sparse {
-			c.delta.mu.Lock()
-			if !c.delta.valid || c.delta.version != fr.Since || len(c.delta.params) != fr.Dims {
-				c.delta.mu.Unlock()
-				return nil, true, fmt.Errorf("transport: no delta base for iteration %d", fr.Since)
-			}
-			params, err = wirecodec.ApplyDelta(c.delta.params, fr)
-			c.delta.mu.Unlock()
-		} else {
-			params, err = wirecodec.ApplyDelta(nil, fr)
+		if fr.Sparse && len(base.params) != fr.Dims {
+			return nil, true, fmt.Errorf("transport: delta base has %d dims, frame %d", len(base.params), fr.Dims)
 		}
-		if err != nil {
+		if params, err = wirecodec.ApplyDelta(base.params, &fr); err != nil {
 			return nil, false, fmt.Errorf("transport: apply delta: %w", err)
 		}
 	default:
@@ -430,13 +452,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, s
 		return nil, true, fmt.Errorf("transport: checkout went backwards: %d < base %d", fr.Version, since)
 	}
 	if c.delta != nil {
-		// The cache keeps its own copy; the caller owns the returned
-		// slice, exactly like the JSON path.
-		c.delta.mu.Lock()
-		c.delta.params = append(c.delta.params[:0], params...)
-		c.delta.version = fr.Version
-		c.delta.valid = true
-		c.delta.mu.Unlock()
+		c.delta.Store(&clientSnapshot{params: params, version: fr.Version})
 	}
 	return &core.CheckoutResponse{Params: params, Version: fr.Version, Done: fr.Done}, false, nil
 }

@@ -56,6 +56,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -283,10 +284,14 @@ func AppendCheckin(dst []byte, grad []float64, version, numSamples, errCount int
 // iteration, payload over MaxPayload) is an error here: an acknowledged
 // checkin must never be written in a form recovery cannot read back.
 func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
-	if _, err := journalPayloadLen(0, int64(fr.Iteration), int64(len(fr.DeviceID)),
-		uint64(len(fr.Values)), uint64(len(fr.LabelCounts))); err != nil {
+	n, err := journalPayloadLen(0, int64(fr.Iteration), int64(len(fr.DeviceID)),
+		uint64(len(fr.Values)), uint64(len(fr.LabelCounts)))
+	if err != nil {
 		return dst, err
 	}
+	// The frame's length is known: a buffer starting from nil (a feed
+	// writer's, one per poll) grows once, not by doubling.
+	dst = slices.Grow(dst, HeaderLen+n+crcLen)
 	start := len(dst)
 	dst = appendHeader(dst, KindJournal, 0, int64(fr.Iteration), int64(len(fr.DeviceID)),
 		uint32(len(fr.Values)), uint32(len(fr.LabelCounts)))
@@ -570,12 +575,14 @@ func decodeFloats(scratch []float64, payload []byte, n int) []float64 {
 	return out
 }
 
-// ApplyDelta reconstructs the full vector a delta frame describes:
-// sparse deltas copy base and overwrite the changed coordinates (the
-// result is bit-identical to the server's snapshot at fr.Version);
-// dense deltas carry every value already and ignore base. The returned
-// slice is freshly allocated (or the frame's own for dense deltas) —
-// never an alias of base.
+// ApplyDelta reconstructs the full vector a delta frame describes, at a
+// cost proportional to what changed. Dense deltas carry every value
+// already: the frame's own Values, base ignored. An empty sparse delta
+// changes nothing: base itself. Only a non-empty sparse delta allocates
+// — one vector: base copied, the changed coordinates overwritten,
+// bit-identical to the server's snapshot at fr.Version. base is never
+// written, so a caller may hold it as an immutable snapshot and treat
+// the result as the next one.
 func ApplyDelta(base []float64, fr *Frame) ([]float64, error) {
 	if fr.Kind != KindDelta {
 		return nil, fmt.Errorf("%w: ApplyDelta on kind %d", ErrFrame, fr.Kind)
@@ -585,6 +592,9 @@ func ApplyDelta(base []float64, fr *Frame) ([]float64, error) {
 	}
 	if len(base) != fr.Dims {
 		return nil, fmt.Errorf("%w: delta base has %d dims, frame %d", ErrFrame, len(base), fr.Dims)
+	}
+	if len(fr.Indices) == 0 {
+		return base, nil
 	}
 	out := make([]float64, len(base))
 	copy(out, base)
