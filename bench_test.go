@@ -12,7 +12,7 @@
 // server update, and the b/2 communication reduction.
 //
 // Ablation benches (BenchmarkAblation*) cover the design choices listed in
-// DESIGN.md §5.
+// docs/EXPERIMENTS.md, on the same crowd engine as the figures.
 package crowdml_test
 
 import (
@@ -37,8 +37,6 @@ import (
 	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/rng"
 	"github.com/crowdml/crowdml/internal/scenario"
-	"github.com/crowdml/crowdml/internal/sim"
-	"github.com/crowdml/crowdml/internal/simnet"
 	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
 	"github.com/crowdml/crowdml/internal/wirecodec"
@@ -1013,26 +1011,40 @@ func BenchmarkCommPayloadBytes(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md §5) ----
+// ---- Ablation benches (docs/EXPERIMENTS.md) ----
 
-func ablationTask(b *testing.B) (*dataset.Dataset, model.Model) {
+// ablationCrowd is the ablations' common crowd on the engine's in-process
+// topology: 50 devices, three passes over a small digit task, the tuned
+// SGD, b = 1.
+func ablationCrowd(b *testing.B) scenario.Crowd {
 	b.Helper()
 	ds, err := dataset.MNISTLike(2000, 600, 23)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds, model.NewLogisticRegression(ds.Classes, ds.Dim)
+	return scenario.Crowd{
+		Plan: scenario.Plan{
+			Name: "ablation", Topology: scenario.TopologyInProcess,
+			Devices: 50, Minibatch: 1, Samples: 3 * len(ds.Train),
+			EvalEvery: 3 * len(ds.Train) / 50, EvalSubset: 300, Seed: 5,
+		},
+		Model: model.NewLogisticRegression(ds.Classes, ds.Dim),
+		Train: ds.Train, Test: ds.Test,
+		NewUpdater: func() optimizer.Updater {
+			return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: experiments.DefaultRate}}
+		},
+	}
 }
 
-func runAblation(b *testing.B, cfg sim.CrowdConfig) {
+func runAblation(b *testing.B, c scenario.Crowd) {
 	b.Helper()
 	var final float64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunCrowd(cfg)
+		rep, err := scenario.RunCrowd(context.Background(), c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		final = res.Curve.Final()
+		final = rep.FinalTestError
 	}
 	b.ReportMetric(final, "finalerr")
 }
@@ -1040,16 +1052,13 @@ func runAblation(b *testing.B, cfg sim.CrowdConfig) {
 // BenchmarkAblationMinibatch sweeps b under the Fig. 5 privacy level —
 // the noise/latency trade-off of Eq. (13).
 func BenchmarkAblationMinibatch(b *testing.B) {
-	ds, m := ablationTask(b)
+	base := ablationCrowd(b)
+	base.Budget = privacy.Budget{Gradient: privacy.FromInv(0.1)}
 	for _, batch := range []int{1, 5, 10, 20, 50} {
 		b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
-			runAblation(b, sim.CrowdConfig{
-				Model: m, Train: ds.Train, Test: ds.Test,
-				Devices: 50, Minibatch: batch,
-				Schedule: optimizer.InvSqrt{C: experiments.DefaultRate},
-				Budget:   privacy.Budget{Gradient: privacy.FromInv(0.1)},
-				Passes:   3, EvalSubset: 300, Seed: 5,
-			})
+			c := base
+			c.Minibatch = batch
+			runAblation(b, c)
 		})
 	}
 }
@@ -1057,47 +1066,34 @@ func BenchmarkAblationMinibatch(b *testing.B) {
 // BenchmarkAblationSchedule compares the Eq. (5) schedule against a
 // constant rate and the AdaGrad updater of Remark 3.
 func BenchmarkAblationSchedule(b *testing.B) {
-	ds, m := ablationTask(b)
-	base := sim.CrowdConfig{
-		Model: m, Train: ds.Train, Test: ds.Test,
-		Devices: 50, Minibatch: 1,
-		Passes: 3, EvalSubset: 300, Seed: 5,
+	base := ablationCrowd(b)
+	for _, v := range []struct {
+		name string
+		mk   func() optimizer.Updater
+	}{
+		{"invsqrt", base.NewUpdater},
+		{"constant", func() optimizer.Updater { return &optimizer.SGD{Schedule: optimizer.Constant{C: 5}} }},
+		{"invt", func() optimizer.Updater { return &optimizer.SGD{Schedule: optimizer.InvT{C: 200}} }},
+		{"adagrad", func() optimizer.Updater { return &optimizer.AdaGrad{Eta: 0.3} }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			c := base
+			c.NewUpdater = v.mk
+			runAblation(b, c)
+		})
 	}
-	b.Run("invsqrt", func(b *testing.B) {
-		cfg := base
-		cfg.Schedule = optimizer.InvSqrt{C: experiments.DefaultRate}
-		runAblation(b, cfg)
-	})
-	b.Run("constant", func(b *testing.B) {
-		cfg := base
-		cfg.Schedule = optimizer.Constant{C: 5}
-		runAblation(b, cfg)
-	})
-	b.Run("invt", func(b *testing.B) {
-		cfg := base
-		cfg.Schedule = optimizer.InvT{C: 200}
-		runAblation(b, cfg)
-	})
-	b.Run("adagrad", func(b *testing.B) {
-		cfg := base
-		cfg.Schedule = optimizer.InvSqrt{C: 1} // unused by custom updater
-		cfg.Updater = &optimizer.AdaGrad{Eta: 0.3}
-		runAblation(b, cfg)
-	})
 }
 
 // BenchmarkAblationProjection toggles the Π_W projection of Eq. (3).
 func BenchmarkAblationProjection(b *testing.B) {
-	ds, m := ablationTask(b)
+	base := ablationCrowd(b)
 	for _, radius := range []float64{0, 5, 50} {
 		b.Run(fmt.Sprintf("R=%g", radius), func(b *testing.B) {
-			runAblation(b, sim.CrowdConfig{
-				Model: m, Train: ds.Train, Test: ds.Test,
-				Devices: 50, Minibatch: 1,
-				Schedule: optimizer.InvSqrt{C: experiments.DefaultRate},
-				Radius:   radius,
-				Passes:   3, EvalSubset: 300, Seed: 5,
-			})
+			c := base
+			c.NewUpdater = func() optimizer.Updater {
+				return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: experiments.DefaultRate}, Radius: radius}
+			}
+			runAblation(b, c)
 		})
 	}
 }
@@ -1107,25 +1103,23 @@ func BenchmarkAblationProjection(b *testing.B) {
 // Remark 1: the counters do not feed learning, so their budget should not
 // change the error).
 func BenchmarkAblationBudgetSplit(b *testing.B) {
-	ds, m := ablationTask(b)
-	budgets := map[string]privacy.Budget{
-		"gradient-only": {Gradient: privacy.FromInv(0.1)},
-		"with-counters": {
+	base := ablationCrowd(b)
+	base.Minibatch = 20
+	for _, v := range []struct {
+		name   string
+		budget privacy.Budget
+	}{
+		{"gradient-only", privacy.Budget{Gradient: privacy.FromInv(0.1)}},
+		{"with-counters", privacy.Budget{
 			Gradient:   privacy.FromInv(0.1),
 			ErrCount:   privacy.Eps(0.01),
 			LabelCount: privacy.Eps(0.001),
-		},
-	}
-	for name, budget := range budgets {
-		b.Run(name, func(b *testing.B) {
-			runAblation(b, sim.CrowdConfig{
-				Model: m, Train: ds.Train, Test: ds.Test,
-				Devices: 50, Minibatch: 20,
-				Schedule: optimizer.InvSqrt{C: experiments.DefaultRate},
-				Budget:   budgets[name],
-				Passes:   3, EvalSubset: 300, Seed: 5,
-			})
-			_ = budget
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			c := base
+			c.Budget = v.budget
+			runAblation(b, c)
 		})
 	}
 }
@@ -1134,21 +1128,19 @@ func BenchmarkAblationBudgetSplit(b *testing.B) {
 // behaviour, backed by the delayed-SGD convergence results it cites)
 // against dropping them at the server.
 func BenchmarkAblationStale(b *testing.B) {
-	ds, m := ablationTask(b)
+	base := ablationCrowd(b)
+	base.Straggler = scenario.StragglerSpec{Fraction: 1, Tau: 100}
 	for _, drop := range []int{0, 10} {
 		name := "apply-stale"
 		if drop > 0 {
 			name = fmt.Sprintf("drop-over-%d", drop)
 		}
 		b.Run(name, func(b *testing.B) {
-			runAblation(b, sim.CrowdConfig{
-				Model: m, Train: ds.Train, Test: ds.Test,
-				Devices: 50, Minibatch: 1,
-				Schedule:           optimizer.InvSqrt{C: experiments.DefaultRate},
-				Delay:              simnet.Uniform{Max: 100},
-				StaleDropThreshold: drop,
-				Passes:             3, EvalSubset: 300, Seed: 5,
-			})
+			c := base
+			if drop > 0 {
+				c.Intercept = experiments.DropStale(drop)
+			}
+			runAblation(b, c)
 		})
 	}
 }
@@ -1159,11 +1151,13 @@ func BenchmarkAblationStale(b *testing.B) {
 // deterministic harness's hot path with the virtual clock factored out.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	bench, err := scenario.NewBench(scenario.Spec{
-		Name: "bench", Topology: scenario.TopologySingle,
-		Devices: 64, Samples: 1, Classes: 3, Dim: 10,
-		TrainSize: 640, TestSize: 64,
-		LearningRate: 8, Seed: 42,
-		Privacy: scenario.PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
+		Plan: scenario.Plan{
+			Name: "bench", Topology: scenario.TopologySingle,
+			Devices: 64, Samples: 1, Seed: 42,
+		},
+		Classes: 3, Dim: 10, TrainSize: 640, TestSize: 64,
+		LearningRate: 8,
+		Privacy:      scenario.PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
 	})
 	if err != nil {
 		b.Fatal(err)

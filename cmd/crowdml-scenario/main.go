@@ -1,7 +1,9 @@
 // Command crowdml-scenario runs named or file-defined deterministic
-// scenarios against the real Crowd-ML HTTP stack and writes a
-// machine-readable JSON report: convergence curve, throughput, churn and
-// rejection counts, and scraped /v1/metrics deltas.
+// scenarios against the real Crowd-ML server — behind the real HTTP stack
+// (topologies single, follower, sharded) or in process without sockets
+// (topology inprocess) — and writes a machine-readable JSON report:
+// convergence curve, throughput, churn and rejection counts, and scraped
+// /v1/metrics deltas.
 //
 // Examples:
 //
@@ -9,6 +11,7 @@
 //	crowdml-scenario -name churn-straggler-2k    # run a built-in
 //	crowdml-scenario -file my-scenario.json -o report.json
 //	crowdml-scenario -name byzantine-2k -seed 7 -workers 4
+//	crowdml-scenario -name crowd-100k-inprocess  # 100,000 devices, no sockets
 package main
 
 import (

@@ -4,12 +4,15 @@
 //
 // A crowd of 100 devices learns the digit task while 10% of them are
 // malignant and check in huge random gradients. The program compares the
-// damage under the plain c/√t SGD server against the AdaGrad server, and
+// damage under the plain c/√t SGD server against the AdaGrad server and a
+// sensitivity-aware clip (each crowd is internal/scenario's engine, in
+// process, with a byzantine cohort), and
 // also reports how well an optimal eavesdropper can distinguish neighboring
 // minibatches from the sanitized traffic (the empirical side of Theorem 1).
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +21,7 @@ import (
 	"github.com/crowdml/crowdml/internal/dataset"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
+	"github.com/crowdml/crowdml/internal/scenario"
 )
 
 func main() {
@@ -55,18 +59,24 @@ func run() error {
 		}},
 	} {
 		for _, frac := range []float64{0, 0.1} {
-			res, err := attack.RunPoisoning(attack.PoisonConfig{
+			// The crowd engine, in process: the poisoned gradients go
+			// through the same core.Server production runs.
+			rep, err := scenario.RunCrowd(context.Background(), scenario.Crowd{
+				Plan: scenario.Plan{
+					Name: "robustness", Topology: scenario.TopologyInProcess,
+					Devices: 100, Samples: 12000, Seed: 3,
+					Byzantine: scenario.ByzantineSpec{
+						Fraction: frac, Strategy: attack.PoisonLargeGradient.String(), Magnitude: 30,
+					},
+				},
 				Model: m, Train: ds.Train, Test: ds.Test,
-				Devices: 100, MaliciousFrac: frac,
-				Strategy: attack.PoisonLargeGradient, Magnitude: 30,
-				Updater: tc.mk(),
-				Rounds:  12000, Seed: 3,
+				NewUpdater: tc.mk,
 			})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("  %-20s malicious=%3.0f%%  test error %.3f  (%d bad checkins)\n",
-				tc.name, frac*100, res.TestError, res.MaliciousCheckins)
+				tc.name, frac*100, rep.FinalTestError, rep.ByzantineCheckins)
 		}
 	}
 
@@ -84,7 +94,8 @@ func run() error {
 			float64(eps), res.Accuracy, res.Bound)
 	}
 	fmt.Println("\nThe adversary never exceeds its information-theoretic bound;")
-	fmt.Println("AdaGrad dampens the poisoning that cripples plain SGD, and the")
+	fmt.Println("at this magnitude the poisoning cripples plain SGD and AdaGrad alike")
+	fmt.Println("(AdaGrad ends lower at most seeds, not all), and the")
 	fmt.Println("sensitivity-aware server-side clip neutralizes it entirely.")
 	return nil
 }

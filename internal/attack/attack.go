@@ -11,8 +11,10 @@
 //   - Malignant device: a registered participant that checks in adversarial
 //     gradients to poison the shared model. Remark 3 argues adaptive
 //     learning rates "provide a robustness to large gradients from outlying
-//     or malignant devices"; RunPoisoning quantifies that claim by pitting
-//     plain SGD against AdaGrad under a configurable fraction of attackers.
+//     or malignant devices"; Corrupt is the adversarial gradient the crowd
+//     engine's byzantine cohorts (internal/scenario) check in, which is
+//     where that claim is measured: plain SGD against AdaGrad and a
+//     sensitivity-aware clip under a configurable fraction of attackers.
 package attack
 
 import (
@@ -20,7 +22,6 @@ import (
 	"math"
 
 	"github.com/crowdml/crowdml/internal/linalg"
-	"github.com/crowdml/crowdml/internal/metrics"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
@@ -168,9 +169,7 @@ func (s PoisonStrategy) String() string {
 }
 
 // Corrupt replaces the honest gradient g in place with the strategy's
-// adversarial version — the single poisoning implementation shared by
-// RunPoisoning and the scenario harness's byzantine cohorts, so the two
-// can never drift. r drives PoisonLargeGradient's random coordinates;
+// adversarial version. r drives PoisonLargeGradient's random coordinates;
 // unknown strategies leave g untouched.
 func Corrupt(g *linalg.Matrix, strategy PoisonStrategy, magnitude float64, r *rng.RNG) {
 	switch strategy {
@@ -182,87 +181,4 @@ func Corrupt(g *linalg.Matrix, strategy PoisonStrategy, magnitude float64, r *rn
 	case PoisonSignFlip:
 		g.Scale(-magnitude)
 	}
-}
-
-// PoisonConfig sets up the model-poisoning experiment.
-type PoisonConfig struct {
-	// Model is the shared classifier; required.
-	Model model.Model
-	// Train and Test are the sample sets.
-	Train, Test []model.Sample
-	// Devices is the crowd size; MaliciousFrac of them are attackers.
-	Devices int
-	// MaliciousFrac is the fraction of malignant devices in [0, 1).
-	MaliciousFrac float64
-	// Strategy selects the attack.
-	Strategy PoisonStrategy
-	// Magnitude scales the adversarial gradients.
-	Magnitude float64
-	// Updater is the server's update rule under test (SGD vs AdaGrad).
-	Updater optimizer.Updater
-	// Rounds is the number of checkins processed.
-	Rounds int
-	// Seed drives everything.
-	Seed uint64
-}
-
-// PoisonResult reports the outcome of a poisoning run.
-type PoisonResult struct {
-	// TestError is the final shared-model error.
-	TestError float64
-	// MaliciousCheckins counts adversarial updates applied.
-	MaliciousCheckins int
-}
-
-// RunPoisoning trains the shared model with a mixed honest/malignant crowd
-// and reports the damage. Comparing Updater = SGD against AdaGrad
-// quantifies Remark 3's robustness claim.
-func RunPoisoning(cfg PoisonConfig) (*PoisonResult, error) {
-	if cfg.Model == nil || cfg.Updater == nil {
-		return nil, fmt.Errorf("attack: Model and Updater are required")
-	}
-	if len(cfg.Train) == 0 {
-		return nil, fmt.Errorf("attack: empty training set")
-	}
-	if cfg.Devices < 1 {
-		cfg.Devices = 100
-	}
-	if cfg.MaliciousFrac < 0 || cfg.MaliciousFrac >= 1 {
-		return nil, fmt.Errorf("attack: MaliciousFrac %v outside [0, 1)", cfg.MaliciousFrac)
-	}
-	if cfg.Rounds < 1 {
-		cfg.Rounds = len(cfg.Train)
-	}
-	if cfg.Magnitude <= 0 {
-		cfg.Magnitude = 100
-	}
-	switch cfg.Strategy {
-	case PoisonLargeGradient, PoisonSignFlip:
-	default:
-		return nil, fmt.Errorf("attack: unknown strategy %d", cfg.Strategy)
-	}
-
-	r := rng.New(cfg.Seed)
-	malicious := make([]bool, cfg.Devices)
-	wantBad := int(cfg.MaliciousFrac * float64(cfg.Devices))
-	for _, idx := range r.Perm(cfg.Devices)[:wantBad] {
-		malicious[idx] = true
-	}
-
-	w := model.NewParams(cfg.Model)
-	badCheckins := 0
-	for t := 1; t <= cfg.Rounds; t++ {
-		dev := r.Intn(cfg.Devices)
-		s := cfg.Train[r.Intn(len(cfg.Train))]
-		g := optimizer.AverageGradient(cfg.Model, w, []model.Sample{s}, 0)
-		if malicious[dev] {
-			badCheckins++
-			Corrupt(g, cfg.Strategy, cfg.Magnitude, r)
-		}
-		cfg.Updater.Update(w, g, t)
-	}
-	return &PoisonResult{
-		TestError:         metrics.TestError(cfg.Model, w, cfg.Test),
-		MaliciousCheckins: badCheckins,
-	}, nil
 }

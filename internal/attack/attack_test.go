@@ -4,10 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"github.com/crowdml/crowdml/internal/dataset"
 	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/model"
-	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/rng"
 )
@@ -84,132 +82,6 @@ func TestDistinguishValidation(t *testing.T) {
 		Model: model.NewLogisticRegression(2, 2),
 	}); err == nil {
 		t.Error("disabled eps should error")
-	}
-}
-
-func poisonTask(t *testing.T) (*dataset.Dataset, model.Model) {
-	t.Helper()
-	ds, err := dataset.MNISTLike(3000, 600, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds, model.NewLogisticRegression(ds.Classes, ds.Dim)
-}
-
-func TestPoisoningDegradesPlainSGD(t *testing.T) {
-	ds, m := poisonTask(t)
-	clean, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Test: ds.Test,
-		Devices: 100, MaliciousFrac: 0, Strategy: PoisonLargeGradient,
-		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 50}},
-		Rounds:  6000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Test: ds.Test,
-		Devices: 100, MaliciousFrac: 0.1, Strategy: PoisonLargeGradient,
-		Magnitude: 100,
-		Updater:   &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 50}},
-		Rounds:    6000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if poisoned.MaliciousCheckins == 0 {
-		t.Fatal("no malicious checkins happened")
-	}
-	if poisoned.TestError < clean.TestError+0.1 {
-		t.Errorf("poisoning should hurt plain SGD: clean %v, poisoned %v",
-			clean.TestError, poisoned.TestError)
-	}
-}
-
-// Remark 3's claim: adaptive learning rates provide robustness to large
-// gradients from malignant devices. AdaGrad's per-coordinate normalization
-// caps the damage a huge gradient can do.
-func TestAdaGradMoreRobustThanSGDUnderPoisoning(t *testing.T) {
-	ds, m := poisonTask(t)
-	run := func(u optimizer.Updater) float64 {
-		res, err := RunPoisoning(PoisonConfig{
-			Model: m, Train: ds.Train, Test: ds.Test,
-			Devices: 100, MaliciousFrac: 0.1, Strategy: PoisonLargeGradient,
-			Magnitude: 100,
-			Updater:   u,
-			Rounds:    6000, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TestError
-	}
-	sgd := run(&optimizer.SGD{Schedule: optimizer.InvSqrt{C: 50}})
-	ada := run(&optimizer.AdaGrad{Eta: 0.5})
-	if ada >= sgd {
-		t.Errorf("AdaGrad (%v) should beat SGD (%v) under poisoning", ada, sgd)
-	}
-}
-
-func TestPoisonSignFlipStrategy(t *testing.T) {
-	ds, m := poisonTask(t)
-	res, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Test: ds.Test,
-		Devices: 50, MaliciousFrac: 0.2, Strategy: PoisonSignFlip,
-		Magnitude: 10,
-		Updater:   &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 50}},
-		Rounds:    3000, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaliciousCheckins < 400 {
-		t.Errorf("expected ~600 malicious checkins, got %d", res.MaliciousCheckins)
-	}
-}
-
-func TestPoisoningValidation(t *testing.T) {
-	ds, m := poisonTask(t)
-	u := &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}}
-	if _, err := RunPoisoning(PoisonConfig{Train: ds.Train, Updater: u}); err == nil {
-		t.Error("missing model should error")
-	}
-	if _, err := RunPoisoning(PoisonConfig{Model: m, Updater: u}); err == nil {
-		t.Error("empty training set should error")
-	}
-	if _, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Updater: u, MaliciousFrac: 1.5,
-		Strategy: PoisonSignFlip,
-	}); err == nil {
-		t.Error("bad fraction should error")
-	}
-	if _, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Updater: u, Strategy: 0,
-	}); err == nil {
-		t.Error("unknown strategy should error")
-	}
-}
-
-// The sensitivity-aware server-side clip (optimizer.Clip) must neutralize
-// the large-gradient attack almost completely: honest averaged gradients
-// have L1 norm at most 2, so a clip at 4 never touches them.
-func TestClipNeutralizesPoisoning(t *testing.T) {
-	ds, m := poisonTask(t)
-	res, err := RunPoisoning(PoisonConfig{
-		Model: m, Train: ds.Train, Test: ds.Test,
-		Devices: 100, MaliciousFrac: 0.1, Strategy: PoisonLargeGradient,
-		Magnitude: 100,
-		Updater: &optimizer.Clip{
-			Inner:    &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 50}},
-			MaxNorm1: 4,
-		},
-		Rounds: 6000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TestError > 0.2 {
-		t.Errorf("clipped server still poisoned: test error %v", res.TestError)
 	}
 }
 

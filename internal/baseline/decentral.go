@@ -1,4 +1,4 @@
-package sim
+package baseline
 
 import (
 	"fmt"
@@ -46,13 +46,13 @@ type DecentralConfig struct {
 // device-averaged test-error curve vs global samples used.
 func RunDecentral(cfg DecentralConfig) (metrics.Series, error) {
 	if cfg.Model == nil || cfg.Schedule == nil {
-		return metrics.Series{}, fmt.Errorf("sim: Model and Schedule are required")
+		return metrics.Series{}, fmt.Errorf("baseline: Model and Schedule are required")
 	}
 	if cfg.Devices < 1 {
-		return metrics.Series{}, fmt.Errorf("sim: Devices must be ≥ 1")
+		return metrics.Series{}, fmt.Errorf("baseline: Devices must be ≥ 1")
 	}
 	if len(cfg.Train) == 0 {
-		return metrics.Series{}, fmt.Errorf("sim: empty training set")
+		return metrics.Series{}, fmt.Errorf("baseline: empty training set")
 	}
 	if cfg.Passes < 1 {
 		cfg.Passes = 1
@@ -64,7 +64,7 @@ func RunDecentral(cfg DecentralConfig) (metrics.Series, error) {
 			cfg.EvalEvery = 1
 		}
 	}
-	// Split streams per consumer, same discipline as RunCrowd: eval
+	// Split streams per consumer, same discipline as the crowd engine: eval
 	// sub-sampling knobs must not perturb the arrival schedule.
 	root := rng.New(cfg.Seed)
 	assignRNG := root.Split()

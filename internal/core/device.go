@@ -214,11 +214,9 @@ func (d *Device) AddSample(ctx context.Context, s model.Sample) error {
 	return nil
 }
 
-// Flush implements Device Routines 2 and 3: check out the current
-// parameters, compute per-sample predictions and the averaged regularized
-// gradient, sanitize everything with the local privacy mechanisms, and
-// check the results in. On any communication failure the buffer is
-// retained for a later retry.
+// Flush checks out the current parameters, runs Device Routines 2 and 3
+// (DeviceStep) on the buffered minibatch and checks the result in. On any
+// communication failure the buffer is retained for a later retry.
 func (d *Device) Flush(ctx context.Context) error {
 	if len(d.buffer) == 0 {
 		return nil
@@ -237,54 +235,9 @@ func (d *Device) Flush(ctx context.Context) error {
 		d.done = true
 		return ErrStopped
 	}
-	classes, dim := d.cfg.Model.Shape()
-	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
+	req, err := DeviceStep(&d.cfg, nil, co, d.buffer, d.rng)
 	if err != nil {
-		return fmt.Errorf("checkout params: %w", err)
-	}
-
-	// Device Routine 2: predictions, counters, gradient. With a holdout
-	// fraction (Remark 2), the misclassification counter is computed only
-	// from the held-out samples, whose gradients are excluded from the
-	// average; the server's error estimate then reflects generalization
-	// rather than training error. Without holdout, every sample feeds
-	// both the counter and the gradient, exactly as Algorithm 1 reads.
-	ns := len(d.buffer)
-	ne := 0
-	nky := make([]int, classes)
-	holdout := d.cfg.HoldoutFraction > 0
-	training := d.buffer
-	if holdout {
-		training = make([]model.Sample, 0, ns)
-	}
-	for _, s := range d.buffer {
-		nky[s.Y]++
-		heldOut := holdout && d.rng.Float64() < d.cfg.HoldoutFraction
-		if !holdout || heldOut {
-			if d.cfg.Model.Misclassified(w, s) {
-				ne++
-			}
-		}
-		if holdout && !heldOut {
-			training = append(training, s)
-		}
-	}
-	g := optimizer.AverageGradient(d.cfg.Model, w, training, d.cfg.Lambda)
-	if g == nil {
-		// Every sample was held out; send a zero gradient so the counters
-		// still reach the server.
-		g = model.NewParams(d.cfg.Model)
-	}
-
-	// Device Routine 3: sanitize with the local mechanisms.
-	privacy.PerturbGradient(g, len(training), d.cfg.Model.GradientSensitivity(),
-		d.cfg.Budget.Gradient, d.rng)
-	req := &CheckinRequest{
-		Grad:        g.Data(),
-		NumSamples:  ns,
-		ErrCount:    privacy.SanitizeCount(ne, d.cfg.Budget.ErrCount, d.rng),
-		LabelCounts: privacy.SanitizeCounts(nky, d.cfg.Budget.LabelCount, d.rng),
-		Version:     co.Version,
+		return err
 	}
 	if err := d.cfg.Transport.Checkin(ctx, d.cfg.ID, d.cfg.Token, req); err != nil {
 		if errors.Is(err, ErrStopped) {
@@ -298,4 +251,74 @@ func (d *Device) Flush(ctx context.Context) error {
 	d.buffer = d.buffer[:0]
 	d.checkins++
 	return nil
+}
+
+// GradientMechanism is the gradient half of Device Routine 3: it sanitizes
+// — or, for a modelled adversary, replaces — the averaged gradient g of n
+// training samples in place, drawing from the device's stream r.
+type GradientMechanism func(g *linalg.Matrix, n int, r *rng.RNG)
+
+// DeviceStep implements Device Routines 2 and 3 of Algorithm 1 — the one
+// place a minibatch and the checked-out w become what leaves the device:
+// per-sample predictions and counters, the averaged regularized gradient,
+// and their sanitization with the local privacy mechanisms. Of cfg it
+// reads Model, Lambda, Budget and HoldoutFraction. A non-nil mech replaces
+// the Eq. (10) Laplace mechanism at Budget.Gradient (a byzantine device's
+// attack.Corrupt, footnote 1's Gaussian variant); the counts are sanitized
+// by Eqs. (11)–(12) either way. r is drawn in a fixed order: holdout
+// selection (one draw per sample, only with a holdout fraction), gradient
+// noise, ErrCount noise, LabelCounts noise.
+func DeviceStep(cfg *DeviceConfig, mech GradientMechanism, co *CheckoutResponse, batch []model.Sample, r *rng.RNG) (*CheckinRequest, error) {
+	classes, dim := cfg.Model.Shape()
+	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
+	if err != nil {
+		return nil, fmt.Errorf("checkout params: %w", err)
+	}
+
+	// Device Routine 2: predictions, counters, gradient. With a holdout
+	// fraction (Remark 2), the misclassification counter is computed only
+	// from the held-out samples, whose gradients are excluded from the
+	// average; the server's error estimate then reflects generalization
+	// rather than training error. Without holdout, every sample feeds
+	// both the counter and the gradient, exactly as Algorithm 1 reads.
+	ne := 0
+	nky := make([]int, classes)
+	holdout := cfg.HoldoutFraction > 0
+	training := batch
+	if holdout {
+		training = make([]model.Sample, 0, len(batch))
+	}
+	for _, s := range batch {
+		nky[s.Y]++
+		heldOut := holdout && r.Float64() < cfg.HoldoutFraction
+		if !holdout || heldOut {
+			if cfg.Model.Misclassified(w, s) {
+				ne++
+			}
+		}
+		if holdout && !heldOut {
+			training = append(training, s)
+		}
+	}
+	g := optimizer.AverageGradient(cfg.Model, w, training, cfg.Lambda)
+	if g == nil {
+		// Every sample was held out; send a zero gradient so the counters
+		// still reach the server.
+		g = model.NewParams(cfg.Model)
+	}
+
+	// Device Routine 3: sanitize with the local mechanisms.
+	if mech != nil {
+		mech(g, len(training), r)
+	} else {
+		privacy.PerturbGradient(g, len(training), cfg.Model.GradientSensitivity(),
+			cfg.Budget.Gradient, r)
+	}
+	return &CheckinRequest{
+		Grad:        g.Data(),
+		NumSamples:  len(batch),
+		ErrCount:    privacy.SanitizeCount(ne, cfg.Budget.ErrCount, r),
+		LabelCounts: privacy.SanitizeCounts(nky, cfg.Budget.LabelCount, r),
+		Version:     co.Version,
+	}, nil
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/model"
+	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
+	"github.com/crowdml/crowdml/internal/rng"
 )
 
 // fakeTransport is a scriptable Transport for device-side tests.
@@ -368,5 +371,170 @@ func TestDeviceHoldoutErrorCounterOnlyHeldOut(t *testing.T) {
 	// At w=0 every prediction is class 0, so the two y=1 samples miss.
 	if got := ft2.checkins[0].ErrCount; got != 2 {
 		t.Errorf("ErrCount = %d, want 2", got)
+	}
+}
+
+// referenceStep is Device Routines 2–3 as Device.Flush wrote them out
+// before DeviceStep was extracted — kept here, independent of device.go,
+// as the fixed point DeviceStep and Flush are both held to.
+func referenceStep(cfg *DeviceConfig, co *CheckoutResponse, batch []model.Sample, r *rng.RNG) *CheckinRequest {
+	classes, dim := cfg.Model.Shape()
+	w, _ := linalg.NewMatrixFrom(classes, dim, co.Params)
+	ne := 0
+	nky := make([]int, classes)
+	holdout := cfg.HoldoutFraction > 0
+	training := batch
+	if holdout {
+		training = nil
+	}
+	for _, s := range batch {
+		nky[s.Y]++
+		heldOut := holdout && r.Float64() < cfg.HoldoutFraction
+		if (!holdout || heldOut) && cfg.Model.Misclassified(w, s) {
+			ne++
+		}
+		if holdout && !heldOut {
+			training = append(training, s)
+		}
+	}
+	g := optimizer.AverageGradient(cfg.Model, w, training, cfg.Lambda)
+	if g == nil {
+		g = model.NewParams(cfg.Model)
+	}
+	privacy.PerturbGradient(g, len(training), cfg.Model.GradientSensitivity(), cfg.Budget.Gradient, r)
+	return &CheckinRequest{
+		Grad:        g.Data(),
+		NumSamples:  len(batch),
+		ErrCount:    privacy.SanitizeCount(ne, cfg.Budget.ErrCount, r),
+		LabelCounts: privacy.SanitizeCounts(nky, cfg.Budget.LabelCount, r),
+		Version:     co.Version,
+	}
+}
+
+var (
+	stepParams = []float64{0.3, -0.2, 0.1, 0, 0.4, -0.5}
+	stepBatch  = []model.Sample{sampleFor(0), sampleFor(1), sampleFor(1), sampleFor(0)}
+)
+
+// TestDeviceStepMatchesFlush holds the extracted Device Routines 2–3, and
+// the Flush that now calls them, to the routine as it was written before
+// the extraction: for the same checkout, minibatch and seed, all three
+// build the same request and leave their random streams in the same place
+// — same draws, same order.
+func TestDeviceStepMatchesFlush(t *testing.T) {
+	budget := privacy.Budget{Gradient: 10, ErrCount: 1, LabelCount: 0.5}
+	for _, tc := range []struct {
+		name    string
+		holdout float64
+		budget  privacy.Budget
+	}{
+		{"plain", 0, privacy.Budget{}},
+		{"holdout", 0.4, privacy.Budget{}},
+		{"budget", 0, budget},
+		{"holdout+budget", 0.4, budget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DeviceConfig{
+				Minibatch: len(stepBatch), Lambda: 0.01, Seed: 77,
+				HoldoutFraction: tc.holdout, Budget: tc.budget,
+			}
+			ref, _ := newTestDevice(t, cfg) // same seed, untouched stream
+			co := &CheckoutResponse{Params: stepParams, Version: 9}
+			want := referenceStep(&ref.cfg, co, stepBatch, ref.rng)
+			next := ref.rng.Float64()
+
+			twin, _ := newTestDevice(t, cfg)
+			got, err := DeviceStep(&twin.cfg, nil, co, stepBatch, twin.rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("DeviceStep built %+v, the reference routine %+v", got, want)
+			}
+			if a := twin.rng.Float64(); a != next {
+				t.Errorf("DeviceStep left its stream out of step: next draw %v, want %v", a, next)
+			}
+
+			d, ft := newTestDevice(t, cfg)
+			ft.params, ft.version = stepParams, co.Version
+			for _, s := range stepBatch {
+				if err := d.AddSample(context.Background(), s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(ft.checkins) != 1 {
+				t.Fatalf("flushes = %d, want 1", len(ft.checkins))
+			}
+			if !reflect.DeepEqual(ft.checkins[0], want) {
+				t.Errorf("Flush sent %+v, the reference routine %+v", ft.checkins[0], want)
+			}
+			if a := d.rng.Float64(); a != next {
+				t.Errorf("Flush left the device's stream out of step: next draw %v, want %v", a, next)
+			}
+		})
+	}
+}
+
+// TestDeviceStepCustomMechanism covers the one branch the extraction
+// added: a non-nil mechanism replaces Eq. (10) — it sees the averaged
+// gradient and the training count, draws before the counters do, and the
+// Laplace mechanism is not applied on top — while the counts are still
+// sanitized by Eqs. (11)–(12) from the same stream.
+func TestDeviceStepCustomMechanism(t *testing.T) {
+	m := model.NewLogisticRegression(2, 3)
+	cfg := &DeviceConfig{
+		Model: m, Lambda: 0.01,
+		Budget: privacy.Budget{Gradient: 10, ErrCount: 0.2, LabelCount: 0.2},
+	}
+	co := &CheckoutResponse{Params: stepParams, Version: 9}
+	w, err := linalg.NewMatrixFrom(2, 3, stepParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := optimizer.AverageGradient(m, w, stepBatch, cfg.Lambda).Data()
+	ne, nky := 0, make([]int, 2)
+	for _, s := range stepBatch {
+		nky[s.Y]++
+		if m.Misclassified(w, s) {
+			ne++
+		}
+	}
+
+	calls, gotN := 0, 0
+	var seen []float64
+	mech := func(g *linalg.Matrix, n int, r *rng.RNG) {
+		calls++
+		gotN = n
+		seen = append([]float64(nil), g.Data()...)
+		g.Data()[0] = r.Float64()
+	}
+	got, err := DeviceStep(cfg, mech, co, stepBatch, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || gotN != len(stepBatch) {
+		t.Errorf("mechanism called %d times with n = %d, want once with n = %d", calls, gotN, len(stepBatch))
+	}
+	if !reflect.DeepEqual(seen, clean) {
+		t.Errorf("mechanism saw %v, want the clean averaged gradient %v", seen, clean)
+	}
+
+	// The expected request, drawn in the documented order from a twin
+	// stream: the mechanism's draw, then ErrCount, then LabelCounts.
+	r := rng.New(5)
+	wantGrad := append([]float64(nil), clean...)
+	wantGrad[0] = r.Float64()
+	want := &CheckinRequest{
+		Grad:        wantGrad,
+		NumSamples:  len(stepBatch),
+		ErrCount:    privacy.SanitizeCount(ne, cfg.Budget.ErrCount, r),
+		LabelCounts: privacy.SanitizeCounts(nky, cfg.Budget.LabelCount, r),
+		Version:     co.Version,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("DeviceStep built %+v, want %+v", got, want)
+	}
+	if got.ErrCount == ne && reflect.DeepEqual(got.LabelCounts, nky) {
+		t.Errorf("counts left the device unsanitized: %d %v", got.ErrCount, got.LabelCounts)
 	}
 }

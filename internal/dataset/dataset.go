@@ -6,7 +6,7 @@
 // precondition of the privacy analysis), and within-class variance tuned
 // so multiclass logistic regression reaches approximately the paper's
 // asymptotic test errors (~0.1 for the digit task, ~0.3 for the object
-// task). See DESIGN.md §3 for the substitution rationale.
+// task). docs/EXPERIMENTS.md records what the substitution changes.
 package dataset
 
 import (

@@ -1,19 +1,22 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/crowdml/crowdml/internal/attack"
+	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/metrics"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
-	"github.com/crowdml/crowdml/internal/sim"
-	"github.com/crowdml/crowdml/internal/simnet"
+	"github.com/crowdml/crowdml/internal/rng"
+	"github.com/crowdml/crowdml/internal/scenario"
 )
 
-// The ablation studies of DESIGN.md §5: each isolates one design choice of
-// the framework on the digit task and reports the same error-vs-iteration
-// curves as the paper figures.
+// The ablation studies: each isolates one design choice of the framework
+// on the digit task and reports the same error-vs-iteration curves as the
+// paper figures (docs/EXPERIMENTS.md lists them).
 
 // AblationMinibatch sweeps the minibatch size b under the Fig. 5 privacy
 // level — the noise/latency trade-off of Eq. (13) in isolation.
@@ -58,30 +61,26 @@ func AblationSchedule(cfg Config) (*Figure, error) {
 	}
 	const passes = 2
 	variants := []struct {
-		name   string
-		mutate func(*sim.CrowdConfig)
+		name string
+		mk   func() optimizer.Updater
 	}{
-		{name: "c/sqrt(t)", mutate: func(c *sim.CrowdConfig) {
-			c.Schedule = optimizer.InvSqrt{C: DefaultRate}
+		{name: "c/sqrt(t)", mk: sgd},
+		{name: "constant", mk: func() optimizer.Updater {
+			return &optimizer.SGD{Schedule: optimizer.Constant{C: 5}}
 		}},
-		{name: "constant", mutate: func(c *sim.CrowdConfig) {
-			c.Schedule = optimizer.Constant{C: 5}
+		{name: "c/t", mk: func() optimizer.Updater {
+			return &optimizer.SGD{Schedule: optimizer.InvT{C: 200}}
 		}},
-		{name: "c/t", mutate: func(c *sim.CrowdConfig) {
-			c.Schedule = optimizer.InvT{C: 200}
+		{name: "adagrad", mk: func() optimizer.Updater {
+			return &optimizer.AdaGrad{Eta: 0.3}
 		}},
-		{name: "adagrad", mutate: func(c *sim.CrowdConfig) {
-			c.Schedule = optimizer.InvSqrt{C: 1} // ignored by custom updater
-			c.Updater = &optimizer.AdaGrad{Eta: 0.3}
-		}},
-		{name: "momentum", mutate: func(c *sim.CrowdConfig) {
-			c.Schedule = optimizer.InvSqrt{C: DefaultRate}
-			c.Updater = &optimizer.Momentum{Schedule: optimizer.InvSqrt{C: DefaultRate}, Beta: 0.9}
+		{name: "momentum", mk: func() optimizer.Updater {
+			return &optimizer.Momentum{Schedule: optimizer.InvSqrt{C: DefaultRate}, Beta: 0.9}
 		}},
 	}
 	for _, v := range variants {
 		base := setup.crowdBase(cfg, passes)
-		v.mutate(&base)
+		base.NewUpdater = v.mk
 		curve, err := crowdCurve(cfg, base, v.name)
 		if err != nil {
 			return nil, err
@@ -106,7 +105,9 @@ func AblationProjection(cfg Config) (*Figure, error) {
 	const passes = 2
 	for _, radius := range []float64{0, 2, 10, 50} {
 		base := setup.crowdBase(cfg, passes)
-		base.Radius = radius
+		base.NewUpdater = func() optimizer.Updater {
+			return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: DefaultRate}, Radius: radius}
+		}
 		name := fmt.Sprintf("R=%g", radius)
 		if radius == 0 {
 			name = "no projection"
@@ -118,6 +119,30 @@ func AblationProjection(cfg Config) (*Figure, error) {
 		fig.Curves = append(fig.Curves, curve)
 	}
 	return fig, nil
+}
+
+// DropStale returns a scenario.Crowd.Intercept that declines a checkin
+// whose staleness — server updates between its checkout and its arrival —
+// exceeds threshold; the engine counts the decline as a rejected checkin.
+// Exact because the in-process engine is single-threaded: nothing moves
+// srv.Iteration() between this check and the apply.
+func DropStale(threshold int) func(*core.Server, core.Transport) core.Transport {
+	return func(srv *core.Server, next core.Transport) core.Transport {
+		return dropStale{Transport: next, srv: srv, threshold: threshold}
+	}
+}
+
+type dropStale struct {
+	core.Transport
+	srv       *core.Server
+	threshold int
+}
+
+func (d dropStale) Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error {
+	if stale := d.srv.Iteration() - req.Version; stale > d.threshold {
+		return fmt.Errorf("experiments: dropped checkin %d updates stale", stale)
+	}
+	return d.Transport.Checkin(ctx, deviceID, token, req)
 }
 
 // AblationStale compares applying stale gradients (the paper's behaviour)
@@ -136,10 +161,10 @@ func AblationStale(cfg Config) (*Figure, error) {
 	const passes = 3
 	for _, drop := range []int{0, 10, 100} {
 		base := setup.crowdBase(cfg, passes)
-		base.Delay = simnet.Uniform{Max: 100}
-		base.StaleDropThreshold = drop
+		base.Straggler = scenario.StragglerSpec{Fraction: 1, Tau: 100}
 		name := "apply all"
 		if drop > 0 {
+			base.Intercept = DropStale(drop)
 			name = fmt.Sprintf("drop staleness>%d", drop)
 		}
 		curve, err := crowdCurve(cfg, base, name)
@@ -175,7 +200,10 @@ func AblationGaussian(cfg Config) (*Figure, error) {
 	}
 	gau := setup.crowdBase(cfg, passes)
 	gau.Minibatch = 20
-	gau.GaussianBudget = sim.GaussianBudget{Eps: privacy.FromInv(Fig5Inv), Delta: 1e-5}
+	sens := setup.m.GradientSensitivity()
+	gau.Mechanism = func(g *linalg.Matrix, n int, r *rng.RNG) {
+		privacy.PerturbGradientGaussian(g, n, sens, privacy.FromInv(Fig5Inv), 1e-5, r)
+	}
 	gauCurve, err := crowdCurve(cfg, gau, "gaussian")
 	if err != nil {
 		return nil, err
@@ -210,39 +238,32 @@ func AblationPoisoning(cfg Config) (*Figure, error) {
 		XLabel: "trial", YLabel: "Final test error",
 	}
 	fig.addNote("honest averaged gradients have ‖g̃‖₁ ≤ 2, so clip(4) never touches them")
-	rounds := 2 * len(setup.ds.Train)
 	variants := []struct {
 		name string
 		mk   func() optimizer.Updater
 	}{
-		{name: "sgd", mk: func() optimizer.Updater {
-			return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: DefaultRate}}
-		}},
+		{name: "sgd", mk: sgd},
 		{name: "adagrad", mk: func() optimizer.Updater {
 			return &optimizer.AdaGrad{Eta: 0.5}
 		}},
 		{name: "sgd+clip", mk: func() optimizer.Updater {
-			return &optimizer.Clip{
-				Inner:    &optimizer.SGD{Schedule: optimizer.InvSqrt{C: DefaultRate}},
-				MaxNorm1: 4,
-			}
+			return &optimizer.Clip{Inner: sgd(), MaxNorm1: 4}
 		}},
 	}
 	for _, v := range variants {
 		series := metrics.Series{Name: v.name}
 		for trial := 0; trial < cfg.Trials; trial++ {
-			res, err := attack.RunPoisoning(attack.PoisonConfig{
-				Model: setup.m, Train: setup.ds.Train, Test: setup.ds.Test,
-				Devices: setup.devices, MaliciousFrac: 0.1,
-				Strategy: attack.PoisonLargeGradient, Magnitude: 100,
-				Updater: v.mk(),
-				Rounds:  rounds,
-				Seed:    cfg.Seed + uint64(trial)*1_000_003,
-			})
+			c := setup.crowdBase(cfg, 2)
+			c.NewUpdater = v.mk
+			c.Byzantine = scenario.ByzantineSpec{
+				Fraction: 0.1, Strategy: attack.PoisonLargeGradient.String(), Magnitude: 100,
+			}
+			c.Seed = cfg.Seed + uint64(trial)*1_000_003
+			rep, err := scenario.RunCrowd(context.Background(), c)
 			if err != nil {
 				return nil, err
 			}
-			series.Append(float64(trial+1), res.TestError)
+			series.Append(float64(trial+1), rep.FinalTestError)
 		}
 		fig.Curves = append(fig.Curves, series)
 	}

@@ -7,23 +7,33 @@
 // (M = 1000 devices, 60000/50000 training samples, 10 trials) can be shrunk
 // proportionally for quick runs, tests, and benchmarks. Shapes — who wins,
 // by roughly what factor, where the crossovers fall — are preserved across
-// scales; EXPERIMENTS.md records paper-vs-measured values.
+// scales; docs/EXPERIMENTS.md records paper-vs-measured values.
+//
+// Every crowd curve runs on internal/scenario's engine over its in-process
+// topology: the figures exercise the same core.Server — batching,
+// registry, staleness accounting, Eq. (14) composition — as production.
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/crowdml/crowdml/internal/dataset"
 	"github.com/crowdml/crowdml/internal/metrics"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
-	"github.com/crowdml/crowdml/internal/sim"
+	"github.com/crowdml/crowdml/internal/scenario"
 )
 
 // DefaultRate is the tuned c in η(t) = c/√t for the L1-normalized synthetic
 // datasets (the paper selects c per task from averaged trials; this value
-// was calibrated the same way — see EXPERIMENTS.md).
+// was calibrated the same way — see docs/EXPERIMENTS.md).
 const DefaultRate = 50.0
+
+// sgd is the paper's server update rule at the tuned rate.
+func sgd() optimizer.Updater {
+	return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: DefaultRate}}
+}
 
 // Config controls the size and statistical strength of an experiment run.
 type Config struct {
@@ -105,17 +115,20 @@ func objectTask(cfg Config) (*dataset.Dataset, model.Model, error) {
 	return ds, model.NewLogisticRegression(ds.Classes, ds.Dim), nil
 }
 
-// crowdCurve averages Trials runs of a crowd configuration.
-func crowdCurve(cfg Config, base sim.CrowdConfig, name string) (metrics.Series, error) {
+// crowdCurve averages Trials runs of a crowd — the "averaged test errors
+// from 10 trials" protocol of Section V-C.
+func crowdCurve(cfg Config, base scenario.Crowd, name string) (metrics.Series, error) {
 	trials := make([]metrics.Series, cfg.Trials)
 	for i := 0; i < cfg.Trials; i++ {
 		c := base
 		c.Seed = cfg.Seed + uint64(i)*1_000_003
-		res, err := sim.RunCrowd(c)
+		rep, err := scenario.RunCrowd(context.Background(), c)
 		if err != nil {
 			return metrics.Series{}, err
 		}
-		trials[i] = res.Curve
+		for _, p := range rep.Curve {
+			trials[i].Append(float64(p.Samples), p.TestError)
+		}
 	}
 	avg, err := metrics.AverageSeries(trials)
 	if err != nil {
@@ -156,15 +169,18 @@ func newComparisonSetup(cfg Config, digits bool) (*comparisonSetup, error) {
 	}, nil
 }
 
-func (s *comparisonSetup) crowdBase(cfg Config, passes int) sim.CrowdConfig {
+// crowdBase is the figures' common crowd: M devices over the task for the
+// given number of passes, b = 1, the tuned SGD, no privacy, no delay.
+func (s *comparisonSetup) crowdBase(cfg Config, passes int) scenario.Crowd {
 	total := passes * len(s.ds.Train)
-	return sim.CrowdConfig{
+	return scenario.Crowd{
+		Plan: scenario.Plan{
+			Name: "crowd-ml", Topology: scenario.TopologyInProcess,
+			Devices: s.devices, Samples: total,
+			EvalEvery: total / cfg.EvalPoints, EvalSubset: s.eval,
+		},
 		Model: s.m, Train: s.ds.Train, Test: s.ds.Test,
-		Devices:    s.devices,
-		Schedule:   optimizer.InvSqrt{C: DefaultRate},
-		Passes:     passes,
-		EvalEvery:  total / cfg.EvalPoints,
-		EvalSubset: s.eval,
+		NewUpdater: sgd,
 	}
 }
 

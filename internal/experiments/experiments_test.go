@@ -133,6 +133,43 @@ func TestFig7HarderThanFig4(t *testing.T) {
 	}
 }
 
+// TestCrowdCurveAveragesTrials pins the "averaged test errors from 10
+// trials" protocol: the curve of n trials is the pointwise mean of the
+// single-trial curves at seeds Seed, Seed+1_000_003, ….
+func TestCrowdCurveAveragesTrials(t *testing.T) {
+	cfg := quickCfg()
+	setup, err := newComparisonSetup(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := setup.crowdBase(cfg, 1)
+	cfg.Trials = 3
+	avg, err := crowdCurve(cfg, base, "avg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg.Name != "avg" || avg.Len() != cfg.EvalPoints {
+		t.Fatalf("averaged curve %q has %d points, want %d", avg.Name, avg.Len(), cfg.EvalPoints)
+	}
+	sum := make([]float64, avg.Len())
+	for i := 0; i < 3; i++ {
+		one := cfg
+		one.Trials, one.Seed = 1, cfg.Seed+uint64(i)*1_000_003
+		c, err := crowdCurve(one, base, "one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, y := range c.Y {
+			sum[j] += y
+		}
+	}
+	for j := range sum {
+		if d := avg.Y[j] - sum[j]/3; d > 1e-12 || d < -1e-12 {
+			t.Errorf("point %d: averaged %v, mean of trials %v", j, avg.Y[j], sum[j]/3)
+		}
+	}
+}
+
 func TestAllRegistryComplete(t *testing.T) {
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"} {
 		if All[id] == nil {

@@ -11,8 +11,8 @@ import (
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
-	"github.com/crowdml/crowdml/internal/sim"
-	"github.com/crowdml/crowdml/internal/simnet"
+	"github.com/crowdml/crowdml/internal/scenario"
+	"github.com/crowdml/crowdml/internal/transport"
 )
 
 // Fig3Rates is the learning-rate sweep of Fig. 3. The paper sweeps
@@ -85,7 +85,7 @@ func runFig3Trial(rate float64, devices, totalSamples int, seed uint64) (metrics
 			ID:        fmt.Sprintf("phone-%d", i),
 			Token:     token,
 			Model:     m,
-			Transport: serverLoopback{srv},
+			Transport: transport.NewLoopback(srv),
 			Minibatch: 1,
 			Seed:      seed + uint64(i)*15485863,
 		})
@@ -108,19 +108,6 @@ func runFig3Trial(rate float64, devices, totalSamples int, seed uint64) (metrics
 		}
 	}
 	return curve, nil
-}
-
-// serverLoopback avoids importing package transport (which would create an
-// import cycle through the experiments used in its docs); it is identical
-// to transport.Loopback.
-type serverLoopback struct{ s *core.Server }
-
-func (t serverLoopback) Checkout(ctx context.Context, id, token string) (*core.CheckoutResponse, error) {
-	return t.s.Checkout(ctx, id, token)
-}
-
-func (t serverLoopback) Checkin(ctx context.Context, id, token string, req *core.CheckinRequest) error {
-	return t.s.Checkin(ctx, id, token, req)
 }
 
 // comparisonNoPrivacy implements Figs. 4 and 7: centralized batch vs
@@ -166,7 +153,7 @@ func decentralCurve(cfg Config, setup *comparisonSetup, passes int) (metrics.Ser
 	total := passes * len(setup.ds.Train)
 	trials := make([]metrics.Series, cfg.Trials)
 	for i := 0; i < cfg.Trials; i++ {
-		c, err := sim.RunDecentral(sim.DecentralConfig{
+		c, err := baseline.RunDecentral(baseline.DecentralConfig{
 			Model: setup.m, Train: setup.ds.Train, Test: setup.ds.Test,
 			Devices:     setup.devices,
 			Schedule:    optimizer.InvSqrt{C: DefaultRate},
@@ -315,7 +302,7 @@ func comparisonWithDelay(cfg Config, digits bool, id, title string) (*Figure, er
 			base := setup.crowdBase(cfg, passes)
 			base.Minibatch = b
 			base.Budget = privacy.Budget{Gradient: eps}
-			base.Delay = simnet.Uniform{Max: tau}
+			base.Straggler = scenario.StragglerSpec{Fraction: 1, Tau: tau}
 			crowd, err := crowdCurve(cfg, base,
 				fmt.Sprintf("Crowd-ML (b=%d,%gΔ)", b, tau))
 			if err != nil {

@@ -6,23 +6,17 @@ import (
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/dataset"
-	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/model"
-	"github.com/crowdml/crowdml/internal/optimizer"
-	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/rng"
 )
 
 // Bench is a pre-built stack plus a registered device pool for
 // throughput benchmarking: Step performs one complete virtual-device
-// flush cycle — real HTTP checkout, local gradient + DP sanitization,
-// real HTTP checkin — the scenario engine's hot path with the virtual
-// clock factored out.
+// flush cycle — real checkout, core.DeviceStep, real checkin — the
+// scenario engine's hot path with the virtual clock factored out.
 type Bench struct {
 	stack   *stack
-	model   model.Model
-	sens    float64
-	budget  privacy.Budget
+	step    core.DeviceConfig
 	devs    []*vdevice
 	batches [][]model.Sample
 }
@@ -35,38 +29,26 @@ func NewBench(spec Spec) (*Bench, error) {
 		return nil, err
 	}
 	ctx := context.Background()
-	m := model.NewLogisticRegression(spec.Classes, spec.Dim)
-	ds, err := dataset.GenerateMixture(dataset.MixtureConfig{
-		Name: spec.Name, Classes: spec.Classes, Dim: spec.Dim,
-		TrainSize: spec.TrainSize, TestSize: spec.TestSize,
-		MeanScale: 1, NoiseScale: 0.35, Seed: spec.Seed,
-	})
+	c, err := spec.crowd()
 	if err != nil {
 		return nil, err
 	}
-	st, err := buildStack(ctx, spec, m)
+	st, err := buildStack(ctx, c)
 	if err != nil {
 		return nil, err
 	}
-	root := rng.New(spec.Seed)
-	shards := dataset.Assign(ds.Train, spec.Devices, root.Split())
+	root := rng.New(c.Seed)
+	shards := dataset.Assign(c.Train, c.Devices, root.Split())
 	noiseRoot := root.Split()
-	entry := st.clientFor(st.entryURL)
 
 	b := &Bench{
 		stack: st,
-		model: m,
-		sens:  m.GradientSensitivity(),
-		budget: privacy.Budget{
-			Gradient:   privacy.FromInv(spec.Privacy.GradientEpsInv),
-			ErrCount:   privacy.FromInv(spec.Privacy.CountEpsInv),
-			LabelCount: privacy.FromInv(spec.Privacy.CountEpsInv),
-		},
+		step:  core.DeviceConfig{Model: c.Model, Lambda: c.Lambda, Budget: c.Budget},
 	}
-	for i := 0; i < spec.Devices; i++ {
+	for i := 0; i < c.Devices; i++ {
 		d := &vdevice{
 			id:     fmt.Sprintf("dev-%05d", i),
-			client: entry,
+			client: st.entry,
 			noise:  noiseRoot.Split(),
 		}
 		tok, err := d.client.Register(ctx, d.id, joinKey)
@@ -76,8 +58,8 @@ func NewBench(spec Spec) (*Bench, error) {
 		}
 		d.token = tok
 		batch := shards[i]
-		if len(batch) > spec.Minibatch {
-			batch = batch[:spec.Minibatch]
+		if len(batch) > c.Minibatch {
+			batch = batch[:c.Minibatch]
 		}
 		if len(batch) == 0 {
 			continue
@@ -92,38 +74,18 @@ func NewBench(spec Spec) (*Bench, error) {
 	return b, nil
 }
 
-// Step runs the i-th flush cycle: checkout, gradient, sanitize, checkin.
+// Step runs the i-th flush cycle: checkout, device step, checkin.
 func (b *Bench) Step(ctx context.Context, i int) error {
 	d := b.devs[i%len(b.devs)]
-	batch := b.batches[i%len(b.batches)]
 	co, err := d.client.Checkout(ctx, d.id, d.token)
 	if err != nil {
 		return err
 	}
-	classes, dim := b.model.Shape()
-	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
+	req, err := core.DeviceStep(&b.step, nil, co, b.batches[i%len(b.batches)], d.noise)
 	if err != nil {
 		return err
 	}
-	g := optimizer.AverageGradient(b.model, w, batch, 0)
-	errCount := 0
-	labelCounts := make([]int, classes)
-	for _, s := range batch {
-		if b.model.Misclassified(w, s) {
-			errCount++
-		}
-		labelCounts[s.Y]++
-	}
-	privacy.PerturbGradient(g, len(batch), b.sens, b.budget.Gradient, d.noise)
-	errCount = privacy.SanitizeCount(errCount, b.budget.ErrCount, d.noise)
-	labelCounts = privacy.SanitizeCounts(labelCounts, b.budget.LabelCount, d.noise)
-	return d.client.Checkin(ctx, d.id, d.token, &core.CheckinRequest{
-		Grad:        g.Data(),
-		NumSamples:  len(batch),
-		ErrCount:    errCount,
-		LabelCounts: labelCounts,
-		Version:     co.Version,
-	})
+	return d.client.Checkin(ctx, d.id, d.token, req)
 }
 
 // Close tears the stack down.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -68,8 +69,8 @@ type Report struct {
 	ByzantineCheckins int `json:"byzantineCheckins"`
 	StragglerDevices  int `json:"stragglerDevices"`
 
-	// ServerIteration and the Eq. (14) estimate come from the real
-	// /stats endpoint at the end of the run.
+	// ServerIteration and the Eq. (14) estimate come from the task's
+	// statistics (the real /stats endpoint over HTTP) at the end of the run.
 	ServerIteration int      `json:"serverIteration"`
 	ErrorEstimate   *float64 `json:"errorEstimate,omitempty"`
 
@@ -83,8 +84,9 @@ type Report struct {
 	FollowerConsistent *bool `json:"followerConsistent,omitempty"`
 
 	// MetricsDeltas is the end-minus-start change of the deterministic
-	// counter families scraped from the real /v1/metrics endpoint,
-	// keyed by the full series name including labels.
+	// counter families scraped from the real /v1/metrics endpoint (in
+	// process: from the same registry's exposition), keyed by the full
+	// series name including labels.
 	MetricsDeltas map[string]float64 `json:"metricsDeltas"`
 
 	WallClock WallClock `json:"wallClock"`
@@ -127,8 +129,13 @@ func scrapeMetrics(baseURL string) (map[string]float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("scenario: metrics scrape: status %d", resp.StatusCode)
 	}
+	return parseMetrics(resp.Body)
+}
+
+// parseMetrics reads the allowlisted series out of a text exposition.
+func parseMetrics(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())

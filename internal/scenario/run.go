@@ -15,21 +15,14 @@ import (
 	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/metrics"
 	"github.com/crowdml/crowdml/internal/model"
-	"github.com/crowdml/crowdml/internal/optimizer"
-	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/rng"
 	"github.com/crowdml/crowdml/internal/simnet"
 	"github.com/crowdml/crowdml/internal/transport"
 )
 
-// parseStrategy adapts attack.ParseStrategy for Spec.Validate.
-func parseStrategy(name string) (attack.PoisonStrategy, error) {
-	return attack.ParseStrategy(name)
-}
-
 // vdevice is one multiplexed virtual device: a struct, not a goroutine —
 // crowds are bounded by memory, and a bounded worker pool carries the
-// HTTP traffic. Fields after the identity block are only touched by the
+// traffic. Fields after the identity block are only touched by the
 // event loop or by the single worker executing this device's wave group,
 // so per-device state needs no locking.
 type vdevice struct {
@@ -37,7 +30,7 @@ type vdevice struct {
 	byzantine bool
 	straggler bool
 
-	client *transport.HTTPClient // current write/read target (follows hints)
+	client backend // current write/read target (follows hints)
 	token  string
 	joined bool
 	shard  []model.Sample
@@ -49,8 +42,8 @@ type vdevice struct {
 type eventKind int
 
 const (
-	// evFlush performs the real checkout, computes and sanitizes (or
-	// poisons) the minibatch gradient, and schedules its delivery.
+	// evFlush performs the real checkout, runs core.DeviceStep on the
+	// minibatch (honest or poisoned), and schedules the delivery.
 	evFlush eventKind = iota + 1
 	// evDeliver performs the real checkin with the echoed version.
 	evDeliver
@@ -70,12 +63,12 @@ type event struct {
 	dev     int
 	batch   []model.Sample
 	token   string
-	client  *transport.HTTPClient
+	client  backend
 	ciDelay float64 // pre-drawn checkin leg, carried so workers never touch the delay stream
 	req     *core.CheckinRequest
 }
 
-// eventQueue is a min-heap on (at, seq) — identical ordering to sim's.
+// eventQueue is a min-heap on (at, seq).
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -98,15 +91,15 @@ func (q *eventQueue) Pop() any {
 
 // engine is one run's mutable state.
 type engine struct {
-	spec    Spec
-	model   model.Model
-	sens    float64
-	budget  privacy.Budget
-	strat   attack.PoisonStrategy
+	crowd Crowd
+	// step is the crowd's device configuration for core.DeviceStep;
+	// poison is the byzantine cohort's gradient mechanism.
+	step    core.DeviceConfig
+	poison  core.GradientMechanism
 	stack   *stack
 	devs    []*vdevice
 	evalSet []model.Sample
-	delay   simnet.DelayModel
+	delay   simnet.Uniform
 
 	queue eventQueue
 	seq   int
@@ -128,33 +121,38 @@ func (e *engine) push(ev *event) {
 	heap.Push(&e.queue, ev)
 }
 
-// Run executes one scenario against a freshly built real-stack topology
-// and returns its report.
+// Run executes one scenario — the JSON description of a crowd — and
+// returns its report.
 func Run(ctx context.Context, spec Spec) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := model.NewLogisticRegression(spec.Classes, spec.Dim)
-	ds, err := dataset.GenerateMixture(dataset.MixtureConfig{
-		Name: spec.Name, Classes: spec.Classes, Dim: spec.Dim,
-		TrainSize: spec.TrainSize, TestSize: spec.TestSize,
-		MeanScale: 1, NoiseScale: 0.35, Seed: spec.Seed,
-	})
+	c, err := spec.crowd()
 	if err != nil {
 		return nil, err
 	}
+	return RunCrowd(ctx, c)
+}
 
-	st, err := buildStack(ctx, spec, m)
+// RunCrowd executes one crowd against a freshly built real-stack topology
+// and returns its report.
+func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
+	c.Plan = c.Plan.withDefaults()
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	st, err := buildStack(ctx, c)
 	if err != nil {
 		return nil, err
 	}
 	defer st.close()
 
-	// Stream isolation mirrors internal/sim: every randomness consumer
-	// gets its own split so one stressor's draw count can never perturb
-	// another's schedule (the same-seed contract).
-	root := rng.New(spec.Seed)
+	// Every randomness consumer gets its own split, in a fixed order, so
+	// one stressor's draw count can never perturb another's schedule:
+	// same-seed runs are bit-identical, and same-seed runs that differ in
+	// one knob differ only through that knob's effect.
+	root := rng.New(c.Seed)
 	assignRNG := root.Split()
 	evalRNG := root.Split()
 	cohortRNG := root.Split()
@@ -163,67 +161,64 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	churnRNG := root.Split()
 	noiseRoot := root.Split()
 
-	shards := dataset.Assign(ds.Train, spec.Devices, assignRNG)
-	evalSet := ds.Test
-	if spec.EvalSubset > 0 && spec.EvalSubset < len(evalSet) {
-		evalSet = dataset.Shuffled(evalSet, evalRNG)[:spec.EvalSubset]
+	shards := dataset.Assign(c.Train, c.Devices, assignRNG)
+	evalSet := c.Test
+	if c.EvalSubset > 0 && c.EvalSubset < len(evalSet) {
+		evalSet = dataset.Shuffled(evalSet, evalRNG)[:c.EvalSubset]
 	}
 
 	e := &engine{
-		spec:     spec,
-		model:    m,
-		sens:     m.GradientSensitivity(),
+		crowd:    c,
+		step:     core.DeviceConfig{Model: c.Model, Lambda: c.Lambda, Budget: c.Budget},
 		stack:    st,
 		evalSet:  evalSet,
-		delay:    simnet.Uniform{Max: spec.Straggler.Tau},
+		delay:    simnet.Uniform{Max: c.Straggler.Tau},
 		delayRNG: delayRNG,
-		budget: privacy.Budget{
-			Gradient:   privacy.FromInv(spec.Privacy.GradientEpsInv),
-			ErrCount:   privacy.FromInv(spec.Privacy.CountEpsInv),
-			LabelCount: privacy.FromInv(spec.Privacy.CountEpsInv),
-		},
 		rep: &Report{
-			Scenario: spec.Name, Topology: spec.Topology, Seed: spec.Seed,
-			Devices: spec.Devices, Workers: spec.Workers,
-			GlobalSamples: spec.Samples,
+			Scenario: c.Name, Topology: c.Topology, Seed: c.Seed,
+			Devices: c.Devices, Workers: c.Workers,
+			GlobalSamples: c.Samples,
 		},
 	}
-	if spec.Topology == TopologySharded {
-		e.rep.Shards = spec.Shards
+	if c.Topology == TopologySharded {
+		e.rep.Shards = c.Shards
 	}
-	if spec.Byzantine.Fraction > 0 {
-		e.strat, _ = parseStrategy(spec.Byzantine.Strategy)
+	if c.Byzantine.Fraction > 0 {
+		strat, _ := attack.ParseStrategy(c.Byzantine.Strategy)
+		e.poison = func(g *linalg.Matrix, _ int, r *rng.RNG) {
+			attack.Corrupt(g, strat, c.Byzantine.Magnitude, r)
+		}
 	}
 
-	entry := st.clientFor(st.entryURL)
-	e.devs = make([]*vdevice, spec.Devices)
+	e.devs = make([]*vdevice, c.Devices)
 	for i := range e.devs {
 		e.devs[i] = &vdevice{
 			id:     fmt.Sprintf("dev-%05d", i),
-			client: entry,
+			client: st.entry,
 			shard:  shards[i],
 			noise:  noiseRoot.Split(),
 		}
 	}
-	byzN := int(spec.Byzantine.Fraction * float64(spec.Devices))
-	for _, idx := range cohortRNG.Perm(spec.Devices)[:byzN] {
+	byzN := int(c.Byzantine.Fraction * float64(c.Devices))
+	for _, idx := range cohortRNG.Perm(c.Devices)[:byzN] {
 		e.devs[idx].byzantine = true
 	}
-	stragN := int(spec.Straggler.Fraction * float64(spec.Devices))
-	for _, idx := range cohortRNG.Perm(spec.Devices)[:stragN] {
+	stragN := int(c.Straggler.Fraction * float64(c.Devices))
+	for _, idx := range cohortRNG.Perm(c.Devices)[:stragN] {
 		e.devs[idx].straggler = true
 	}
 	e.rep.ByzantineDevices = byzN
 	e.rep.StragglerDevices = stragN
 
-	before, err := scrapeMetrics(st.metricsURL)
+	before, err := st.scrape()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
 
-	// Initial join wave: every device registers through the entry URL,
-	// following leader hints (the follower topology's one redirect hop).
+	// Initial join wave: every device registers through the entry
+	// backend, following leader hints (the follower topology's one
+	// redirect hop).
 	for _, d := range e.devs {
 		if err := e.register(ctx, d); err != nil {
 			return nil, fmt.Errorf("scenario: register %s: %w", d.id, err)
@@ -231,16 +226,16 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	}
 	// The evaluation probe is an ordinary registered device whose
 	// checkouts read the real serving path at each measurement.
-	probe := &vdevice{id: "probe", client: entry}
+	probe := &vdevice{id: "probe", client: st.entry}
 	if err := e.register(ctx, probe); err != nil {
 		return nil, fmt.Errorf("scenario: register probe: %w", err)
 	}
 	e.probeToken = probe.token
 	probeClient := probe.client
 
-	// The virtual-time loop: one global sample per tick, exactly sim's
-	// clock, but every flush crosses the real HTTP stack.
-	for n := 1; n <= spec.Samples; n++ {
+	// The virtual-time loop: one global sample per tick (the paper's
+	// clock), every flush through the real server.
+	for n := 1; n <= c.Samples; n++ {
 		now := float64(n)
 		if st.sync != nil {
 			st.sync()
@@ -248,10 +243,10 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		if err := e.drainDue(ctx, now); err != nil {
 			return nil, err
 		}
-		if spec.Churn.Every > 0 && n%spec.Churn.Every == 0 {
+		if c.Churn.Every > 0 && n%c.Churn.Every == 0 {
 			e.departOne(churnRNG, now)
 		}
-		idx := arrivalRNG.Intn(spec.Devices)
+		idx := arrivalRNG.Intn(c.Devices)
 		d := e.devs[idx]
 		switch {
 		case !d.joined:
@@ -262,7 +257,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		default:
 			d.buffer = append(d.buffer, d.shard[d.pos%len(d.shard)])
 			d.pos++
-			if len(d.buffer) >= spec.Minibatch {
+			if len(d.buffer) >= c.Minibatch {
 				batch := make([]model.Sample, len(d.buffer))
 				copy(batch, d.buffer)
 				d.buffer = d.buffer[:0]
@@ -278,7 +273,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 				})
 			}
 		}
-		if n%spec.EvalEvery == 0 && n != spec.Samples {
+		if n%c.EvalEvery == 0 && n != c.Samples {
 			if err := e.eval(ctx, probeClient, n); err != nil {
 				return nil, err
 			}
@@ -296,7 +291,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	if st.sync != nil {
 		st.sync()
 	}
-	if err := e.eval(ctx, probeClient, spec.Samples); err != nil {
+	if err := e.eval(ctx, probeClient, c.Samples); err != nil {
 		return nil, err
 	}
 	if len(e.rep.Curve) > 0 {
@@ -317,7 +312,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		}
 	}
 
-	after, err := scrapeMetrics(st.metricsURL)
+	after, err := st.scrape()
 	if err != nil {
 		return nil, err
 	}
@@ -373,28 +368,28 @@ func (e *engine) departOne(churnRNG *rng.RNG, now float64) {
 		d.joined = false
 		d.buffer = nil // uncollected samples leave with the device
 		e.rep.Churn.Leaves++
-		if e.spec.Churn.RejoinAfter > 0 {
-			e.push(&event{at: now + e.spec.Churn.RejoinAfter, kind: evRejoin, dev: (start + i) % len(e.devs)})
+		if e.crowd.Churn.RejoinAfter > 0 {
+			e.push(&event{at: now + e.crowd.Churn.RejoinAfter, kind: evRejoin, dev: (start + i) % len(e.devs)})
 		}
 		return
 	}
 }
 
 // eval measures held-out test error through the probe's real checkout.
-func (e *engine) eval(ctx context.Context, probe *transport.HTTPClient, n int) error {
+func (e *engine) eval(ctx context.Context, probe backend, n int) error {
 	co, err := probe.Checkout(ctx, "probe", e.probeToken)
 	if err != nil {
 		return fmt.Errorf("scenario: probe checkout: %w", err)
 	}
 	e.httpCalls++
-	classes, dim := e.model.Shape()
+	classes, dim := e.crowd.Model.Shape()
 	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
 	if err != nil {
 		return err
 	}
 	e.rep.Curve = append(e.rep.Curve, CurvePoint{
 		Samples:   n,
-		TestError: metrics.TestError(e.model, w, e.evalSet),
+		TestError: metrics.TestError(e.crowd.Model, w, e.evalSet),
 	})
 	return nil
 }
@@ -416,7 +411,7 @@ func (e *engine) drainDue(ctx context.Context, now float64) error {
 			return nil
 		}
 		followups := make([]*event, len(due))
-		if e.spec.Workers <= 1 {
+		if e.crowd.Workers <= 1 {
 			for i, ev := range due {
 				f, err := e.process(ctx, ev)
 				if err != nil {
@@ -447,7 +442,7 @@ func (e *engine) processParallel(ctx context.Context, due []*event, followups []
 		}
 		groups[ev.dev] = append(groups[ev.dev], i)
 	}
-	sem := make(chan struct{}, e.spec.Workers)
+	sem := make(chan struct{}, e.crowd.Workers)
 	var wg sync.WaitGroup
 	var errMu sync.Mutex
 	var firstErr error
@@ -501,40 +496,20 @@ func (e *engine) process(ctx context.Context, ev *event) (*event, error) {
 			e.countReject(err)
 			return nil, nil
 		}
-		classes, dim := e.model.Shape()
-		w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
+		// A malignant device poisons its gradient but reports its counts
+		// honestly — the stealthiest variant: Eq. (14)'s progress
+		// estimates stay plausible while the model degrades.
+		mech := e.crowd.Mechanism
+		if d.byzantine {
+			mech = e.poison
+		}
+		req, err := core.DeviceStep(&e.step, mech, co, ev.batch, d.noise)
 		if err != nil {
 			return nil, err
 		}
-		g := optimizer.AverageGradient(e.model, w, ev.batch, 0)
-		errCount := 0
-		labelCounts := make([]int, classes)
-		for _, s := range ev.batch {
-			if e.model.Misclassified(w, s) {
-				errCount++
-			}
-			labelCounts[s.Y]++
-		}
-		if d.byzantine {
-			// A malignant device poisons its gradient but reports its
-			// counts honestly — the stealthiest variant: Eq. (14)'s
-			// progress estimates stay plausible while the model degrades.
-			attack.Corrupt(g, e.strat, e.spec.Byzantine.Magnitude, d.noise)
-		} else {
-			privacy.PerturbGradient(g, len(ev.batch), e.sens, e.budget.Gradient, d.noise)
-		}
-		errCount = privacy.SanitizeCount(errCount, e.budget.ErrCount, d.noise)
-		labelCounts = privacy.SanitizeCounts(labelCounts, e.budget.LabelCount, d.noise)
 		return &event{
 			at: ev.at + ev.ciDelay, kind: evDeliver, dev: ev.dev,
-			token: ev.token, client: ev.client,
-			req: &core.CheckinRequest{
-				Grad:        g.Data(),
-				NumSamples:  len(ev.batch),
-				ErrCount:    errCount,
-				LabelCounts: labelCounts,
-				Version:     co.Version,
-			},
+			token: ev.token, client: ev.client, req: req,
 		}, nil
 
 	case evDeliver:

@@ -1,25 +1,29 @@
-// Package scenario is the deterministic large-scale harness of the
-// ROADMAP's "million-device scenario harness" item: it drives crowds of
-// virtual devices through the REAL transport/hub/core stack — the same
-// HTTP handler, routing, batching and registry code production runs —
-// rather than the in-process loop of internal/sim, and composes the
-// orthogonal stressors the paper's Section V studies one at a time:
+// Package scenario is the repo's one crowd engine: the simulated
+// environment of the paper's Section V-C (M virtual devices, one global
+// sample per tick, three delayed communication legs, Device Routines 2–3
+// on every flush) driven through the REAL hub/core stack — the same
+// batching, registry and staleness accounting production runs — over
+// HTTP (single, follower, sharded) or in process (inprocess). The paper's
+// figures (internal/experiments) and the named stress scenarios are the
+// same loop; it composes the orthogonal stressors Section V studies one at
+// a time:
 //
 //   - device churn: join/leave mid-training with credential
 //     re-registration (token rotation, in-flight old-token rejects);
 //   - stragglers: a cohort whose request/checkout/checkin legs are
-//     delayed by simnet's Δ = τ·M·F_s model, delivering stale gradients;
+//     delayed by simnet's Δ = τ·M·F_s model, delivering stale gradients
+//     (fraction 1 is the all-devices delay of Figs. 6/9);
 //   - byzantine cohorts: internal/attack's poisoning strategies checked
 //     in through the real write path;
 //   - device-local DP noise: internal/privacy's Eq. (10)–(12)
 //     sanitization at the configured budget.
 //
-// Time is virtual, in global-sample units exactly like internal/sim: a
+// Time is virtual, in global-sample units (the x-axis of Figs. 4–9): a
 // min-heap of events keyed on (at, seq) advances one sample per tick, and
 // every piece of randomness (assignment, arrival order, cohort selection,
 // churn schedule, delays, noise) flows through dedicated internal/rng
 // split streams. With Workers == 1 (the default) the harness performs one
-// HTTP request at a time, so a fixed seed reproduces the same schedule of
+// request at a time, so a fixed seed reproduces the same schedule of
 // joins, drops, delays, attacks AND the same server-side state evolution
 // bit for bit — the determinism contract Report.CanonicalJSON captures.
 // Workers > 1 keeps the schedule deterministic but races request
@@ -35,6 +39,12 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/crowdml/crowdml/internal/attack"
+	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/dataset"
+	"github.com/crowdml/crowdml/internal/model"
+	"github.com/crowdml/crowdml/internal/optimizer"
+	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/transport"
 )
 
@@ -51,6 +61,11 @@ const (
 	// TopologySharded is a sharded logical task: Shards member leaders
 	// behind the routing front-end, merged reads, device-hash writes.
 	TopologySharded Topology = "sharded"
+	// TopologyInProcess is the single leader task without sockets: the
+	// crowd calls the hub task's core.Server through transport.Loopback.
+	// Same engine, same server; what it omits is the HTTP codec, the
+	// enrollment key and the per-request HTTP metrics.
+	TopologyInProcess Topology = "inprocess"
 )
 
 // ChurnSpec schedules mid-training departures and re-registrations.
@@ -94,13 +109,12 @@ type PrivacySpec struct {
 	CountEpsInv float64 `json:"countEpsInv"`
 }
 
-// Spec is one scenario: a topology, a crowd, and composed stressors.
-// The zero value is not runnable; see Builtin for ready-made scenarios
-// and Validate for the required fields.
-type Spec struct {
+// Plan is the part of a run both descriptions share: the topology, the
+// crowd's size and clock, and the composed stressors.
+type Plan struct {
 	// Name labels the run in reports and file names.
 	Name string `json:"name"`
-	// Topology is single, follower or sharded.
+	// Topology is single, follower, sharded or inprocess.
 	Topology Topology `json:"topology"`
 	// Shards is the member count for TopologySharded (default 4).
 	Shards int `json:"shards,omitempty"`
@@ -110,6 +124,41 @@ type Spec struct {
 	Samples int `json:"samples"`
 	// Minibatch is the device buffer size b before a flush (default 1).
 	Minibatch int `json:"minibatch,omitempty"`
+	// Seed drives every random choice; same seed, same report
+	// (modulo wall-clock fields) when Workers <= 1.
+	Seed uint64 `json:"seed"`
+	// Stressors; zero values disable each.
+	Churn     ChurnSpec     `json:"churn,omitempty"`
+	Straggler StragglerSpec `json:"straggler,omitempty"`
+	Byzantine ByzantineSpec `json:"byzantine,omitempty"`
+	// EvalEvery measures test error every this many global samples
+	// (default Samples/25).
+	EvalEvery int `json:"evalEvery,omitempty"`
+	// EvalSubset caps test samples per evaluation (0 = all).
+	EvalSubset int `json:"evalSubset,omitempty"`
+	// Workers bounds concurrent requests per event wave. 1 (the
+	// default) is the determinism contract; larger values trade
+	// bit-reproducibility of the report for wall-clock speed.
+	Workers int `json:"workers,omitempty"`
+	// Wire selects the device wire format: "json" (default), "binary" or
+	// "binary-delta" (docs/WIRE.md). Both binary encodings are bit-exact
+	// for float64 parameters, so same-seed reports are identical across
+	// wire formats — the convergence-equivalence tier-1 test pins this.
+	// TopologyInProcess has no wire and accepts only the default.
+	Wire string `json:"wire,omitempty"`
+	// MergeEvery only applies to TopologySharded: the harness calls the
+	// router's merge deterministically from the event loop every tick, so
+	// this is the wall-clock fallback cadence handed to the router
+	// (default 1h, i.e. effectively never).
+	MergeEvery time.Duration `json:"-"`
+}
+
+// Spec is one scenario as a JSON file describes it: a Plan plus a
+// generated Gaussian-mixture logistic-regression task and an updater by
+// name. The zero value is not runnable; see Builtin for ready-made
+// scenarios and Validate for the required fields.
+type Spec struct {
+	Plan
 	// Classes and Dim shape the logistic-regression task.
 	Classes int `json:"classes"`
 	Dim     int `json:"dim"`
@@ -121,80 +170,110 @@ type Spec struct {
 	// Updater is "sgd" (default) or "adagrad" (Remark 3's robust rule;
 	// LearningRate is its Eta).
 	Updater string `json:"updater,omitempty"`
-	// Seed drives every random choice; same seed, same report
-	// (modulo wall-clock fields) when Workers <= 1.
-	Seed uint64 `json:"seed"`
-	// Stressors; zero values disable each.
-	Churn     ChurnSpec     `json:"churn,omitempty"`
-	Straggler StragglerSpec `json:"straggler,omitempty"`
-	Byzantine ByzantineSpec `json:"byzantine,omitempty"`
-	Privacy   PrivacySpec   `json:"privacy,omitempty"`
-	// EvalEvery measures test error every this many global samples
-	// (default Samples/25).
-	EvalEvery int `json:"evalEvery,omitempty"`
-	// EvalSubset caps test samples per evaluation (0 = all).
-	EvalSubset int `json:"evalSubset,omitempty"`
-	// Workers bounds concurrent HTTP requests per event wave. 1 (the
-	// default) is the determinism contract; larger values trade
-	// bit-reproducibility of the report for wall-clock speed.
-	Workers int `json:"workers,omitempty"`
-	// Wire selects the device wire format: "json" (default), "binary" or
-	// "binary-delta" (docs/WIRE.md). Both binary encodings are bit-exact
-	// for float64 parameters, so same-seed reports are identical across
-	// wire formats — the convergence-equivalence tier-1 test pins this.
-	Wire string `json:"wire,omitempty"`
-	// MergeEvery only applies to TopologySharded: the harness calls the
-	// router's merge deterministically from the event loop every tick, so
-	// this is the wall-clock fallback cadence handed to the router
-	// (default 1h, i.e. effectively never).
-	MergeEvery time.Duration `json:"-"`
+	// Privacy is the device-local DP budget.
+	Privacy PrivacySpec `json:"privacy,omitempty"`
+}
+
+// Crowd is one run as a program describes it: a Plan plus the learning
+// task itself. Spec is a thin translation into it; internal/experiments
+// builds the paper's figures from it directly.
+type Crowd struct {
+	Plan
+	// Model is the classifier; required.
+	Model model.Model
+	// Train is dealt to the devices; Test is held out for the curve.
+	Train, Test []model.Sample
+	// Lambda is the regularization weight λ of Eq. (2).
+	Lambda float64
+	// NewUpdater builds the server-side update rule; called once per
+	// server (updaters are stateful and must never be shared). Required.
+	NewUpdater func() optimizer.Updater
+	// Budget sets the device-local privacy levels.
+	Budget privacy.Budget
+	// Mechanism, if non-nil, replaces the Eq. (10) Laplace gradient
+	// mechanism on honest devices (core.DeviceStep).
+	Mechanism core.GradientMechanism
+	// Intercept, if non-nil, wraps the transport between the crowd and
+	// the task's server — TopologyInProcess with Workers <= 1 only, where
+	// the server is reachable and the single-threaded loop makes what it
+	// observes exact.
+	Intercept func(*core.Server, core.Transport) core.Transport
+}
+
+// withDefaults returns a copy with optional fields defaulted.
+func (p Plan) withDefaults() Plan {
+	if p.Minibatch < 1 {
+		p.Minibatch = 1
+	}
+	if p.Shards < 1 {
+		p.Shards = 4
+	}
+	if p.EvalEvery <= 0 {
+		p.EvalEvery = p.Samples / 25
+		if p.EvalEvery == 0 {
+			p.EvalEvery = 1
+		}
+	}
+	if p.Workers < 1 {
+		p.Workers = 1
+	}
+	if p.Wire == "" {
+		p.Wire = "json"
+	}
+	if p.Byzantine.Fraction > 0 && p.Byzantine.Magnitude <= 0 {
+		p.Byzantine.Magnitude = 10
+	}
+	if p.MergeEvery <= 0 {
+		p.MergeEvery = time.Hour
+	}
+	return p
+}
+
+// validate reports the first problem with the plan.
+func (p Plan) validate() error {
+	switch p.Topology {
+	case TopologySingle, TopologyFollower, TopologySharded, TopologyInProcess:
+	default:
+		return fmt.Errorf("scenario: unknown topology %q", p.Topology)
+	}
+	if p.Devices < 1 {
+		return fmt.Errorf("scenario: Devices must be >= 1")
+	}
+	if p.Samples < 1 {
+		return fmt.Errorf("scenario: Samples must be >= 1")
+	}
+	wire, err := transport.ParseWireFormat(p.Wire)
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	if p.Topology == TopologyInProcess && wire != transport.WireJSON {
+		return fmt.Errorf("scenario: topology %q has no wire; wire %q needs an HTTP topology", p.Topology, p.Wire)
+	}
+	if f := p.Straggler.Fraction; f < 0 || f > 1 {
+		return fmt.Errorf("scenario: straggler fraction %v outside [0, 1]", f)
+	}
+	if f := p.Byzantine.Fraction; f < 0 || f >= 1 {
+		return fmt.Errorf("scenario: byzantine fraction %v outside [0, 1)", f)
+	}
+	if p.Byzantine.Fraction > 0 {
+		if _, err := attack.ParseStrategy(p.Byzantine.Strategy); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // withDefaults returns a copy with optional fields defaulted.
 func (s Spec) withDefaults() Spec {
-	if s.Minibatch < 1 {
-		s.Minibatch = 1
-	}
-	if s.Shards < 1 {
-		s.Shards = 4
-	}
-	if s.EvalEvery <= 0 {
-		s.EvalEvery = s.Samples / 25
-		if s.EvalEvery == 0 {
-			s.EvalEvery = 1
-		}
-	}
-	if s.Workers < 1 {
-		s.Workers = 1
-	}
+	s.Plan = s.Plan.withDefaults()
 	if s.Updater == "" {
 		s.Updater = "sgd"
-	}
-	if s.Wire == "" {
-		s.Wire = "json"
-	}
-	if s.Byzantine.Fraction > 0 && s.Byzantine.Magnitude <= 0 {
-		s.Byzantine.Magnitude = 10
-	}
-	if s.MergeEvery <= 0 {
-		s.MergeEvery = time.Hour
 	}
 	return s
 }
 
 // Validate reports the first problem with the spec.
 func (s Spec) Validate() error {
-	switch s.Topology {
-	case TopologySingle, TopologyFollower, TopologySharded:
-	default:
-		return fmt.Errorf("scenario: unknown topology %q", s.Topology)
-	}
-	if s.Devices < 1 {
-		return fmt.Errorf("scenario: Devices must be >= 1")
-	}
-	if s.Samples < 1 {
-		return fmt.Errorf("scenario: Samples must be >= 1")
-	}
 	if s.Classes < 2 || s.Dim < 1 {
 		return fmt.Errorf("scenario: invalid task shape C=%d D=%d", s.Classes, s.Dim)
 	}
@@ -209,21 +288,50 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown updater %q", s.Updater)
 	}
-	if _, err := transport.ParseWireFormat(s.Wire); err != nil {
-		return fmt.Errorf("scenario: %w", err)
+	return s.Plan.validate()
+}
+
+// crowd translates a validated spec: the mixture task is generated from
+// the spec's seed and the updater is built by name.
+func (s Spec) crowd() (Crowd, error) {
+	ds, err := dataset.GenerateMixture(dataset.MixtureConfig{
+		Name: s.Name, Classes: s.Classes, Dim: s.Dim,
+		TrainSize: s.TrainSize, TestSize: s.TestSize,
+		MeanScale: 1, NoiseScale: 0.35, Seed: s.Seed,
+	})
+	if err != nil {
+		return Crowd{}, err
 	}
-	if f := s.Straggler.Fraction; f < 0 || f > 1 {
-		return fmt.Errorf("scenario: straggler fraction %v outside [0, 1]", f)
+	counts := privacy.FromInv(s.Privacy.CountEpsInv)
+	return Crowd{
+		Plan:  s.Plan,
+		Model: model.NewLogisticRegression(s.Classes, s.Dim),
+		Train: ds.Train, Test: ds.Test,
+		NewUpdater: func() optimizer.Updater {
+			if s.Updater == "adagrad" {
+				return &optimizer.AdaGrad{Eta: s.LearningRate}
+			}
+			return &optimizer.SGD{Schedule: optimizer.InvSqrt{C: s.LearningRate}}
+		},
+		Budget: privacy.Budget{
+			Gradient: privacy.FromInv(s.Privacy.GradientEpsInv),
+			ErrCount: counts, LabelCount: counts,
+		},
+	}, nil
+}
+
+// validate reports the first problem with the crowd.
+func (c Crowd) validate() error {
+	if c.Model == nil || c.NewUpdater == nil {
+		return fmt.Errorf("scenario: Model and NewUpdater are required")
 	}
-	if f := s.Byzantine.Fraction; f < 0 || f >= 1 {
-		return fmt.Errorf("scenario: byzantine fraction %v outside [0, 1)", f)
+	if len(c.Train) == 0 {
+		return fmt.Errorf("scenario: empty training set")
 	}
-	if s.Byzantine.Fraction > 0 {
-		if _, err := parseStrategy(s.Byzantine.Strategy); err != nil {
-			return err
-		}
+	if c.Intercept != nil && (c.Topology != TopologyInProcess || c.Workers > 1) {
+		return fmt.Errorf("scenario: Intercept needs topology %q and workers <= 1", TopologyInProcess)
 	}
-	return nil
+	return c.Plan.validate()
 }
 
 // Builtin returns one of the named ready-made scenarios (the ones the CI
@@ -251,39 +359,57 @@ func BuiltinNames() []string {
 // is the single-leader control the 4-shard variant is pinned against.
 var builtins = []Spec{
 	{
-		Name:     "churn-straggler-2k",
-		Topology: TopologySingle,
-		Devices:  2000, Samples: 6000, Minibatch: 1,
+		Plan: Plan{
+			Name: "churn-straggler-2k", Topology: TopologySingle,
+			Devices: 2000, Samples: 6000, Minibatch: 1, Seed: 42,
+			Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
+			Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},
+		},
 		Classes: 3, Dim: 10, TrainSize: 3000, TestSize: 600,
-		LearningRate: 8, Seed: 42,
-		Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
-		Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},
-		Privacy:   PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
+		LearningRate: 8,
+		Privacy:      PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
 	},
 	{
-		Name:     "churn-straggler-2k-4shard",
-		Topology: TopologySharded, Shards: 4,
-		Devices: 2000, Samples: 6000, Minibatch: 1,
+		Plan: Plan{
+			Name: "churn-straggler-2k-4shard", Topology: TopologySharded, Shards: 4,
+			Devices: 2000, Samples: 6000, Minibatch: 1, Seed: 42,
+			Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
+			Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},
+		},
 		Classes: 3, Dim: 10, TrainSize: 3000, TestSize: 600,
-		LearningRate: 8, Seed: 42,
-		Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
-		Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},
-		Privacy:   PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
+		LearningRate: 8,
+		Privacy:      PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
 	},
 	{
-		Name:     "byzantine-2k",
-		Topology: TopologySingle,
-		Devices:  2000, Samples: 6000, Minibatch: 1,
+		Plan: Plan{
+			Name: "byzantine-2k", Topology: TopologySingle,
+			Devices: 2000, Samples: 6000, Minibatch: 1, Seed: 42,
+			Byzantine: ByzantineSpec{Fraction: 0.3, Strategy: "sign-flip", Magnitude: 10},
+		},
 		Classes: 3, Dim: 10, TrainSize: 3000, TestSize: 600,
-		LearningRate: 8, Seed: 42,
-		Byzantine: ByzantineSpec{Fraction: 0.3, Strategy: "sign-flip", Magnitude: 10},
+		LearningRate: 8,
 	},
 	{
-		Name:     "follower-hint-1k",
-		Topology: TopologyFollower,
-		Devices:  1000, Samples: 3000, Minibatch: 1,
+		Plan: Plan{
+			Name: "follower-hint-1k", Topology: TopologyFollower,
+			Devices: 1000, Samples: 3000, Minibatch: 1, Seed: 42,
+			Straggler: StragglerSpec{Fraction: 0.1, Tau: 100},
+		},
 		Classes: 3, Dim: 10, TrainSize: 2000, TestSize: 400,
-		LearningRate: 8, Seed: 42,
-		Straggler: StragglerSpec{Fraction: 0.1, Tau: 100},
+		LearningRate: 8,
+	},
+	// The paper's "crowd of smart devices" at a size the HTTP topologies
+	// cannot reach in CI: every stressor on, no sockets.
+	{
+		Plan: Plan{
+			Name: "crowd-100k-inprocess", Topology: TopologyInProcess,
+			Devices: 100000, Samples: 300000, Minibatch: 1, Seed: 42,
+			Churn:      ChurnSpec{Every: 500, RejoinAfter: 2000},
+			Straggler:  StragglerSpec{Fraction: 0.2, Tau: 5000},
+			EvalSubset: 1000,
+		},
+		Classes: 3, Dim: 10, TrainSize: 100000, TestSize: 2000,
+		LearningRate: 8,
+		Privacy:      PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
 	},
 }

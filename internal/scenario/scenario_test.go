@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -363,6 +365,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"bad byzantine strategy", func(s *Spec) { s.Byzantine = ByzantineSpec{Fraction: 0.1, Strategy: "nope"} }},
 		{"no learning rate", func(s *Spec) { s.LearningRate = 0 }},
 		{"bad wire", func(s *Spec) { s.Wire = "protobuf" }},
+		{"wire without sockets", func(s *Spec) { s.Topology, s.Wire = TopologyInProcess, "binary" }},
 	}
 	for _, tc := range cases {
 		spec := base
@@ -379,5 +382,93 @@ func TestScenarioValidate(t *testing.T) {
 		if err := spec.withDefaults().Validate(); err != nil {
 			t.Errorf("builtin %s invalid: %v", name, err)
 		}
+	}
+}
+
+// TestBuiltinGoldens holds the engine to the four HTTP built-ins' reports
+// as the commit before the in-process refactor produced them
+// (testdata/<builtin>.canonical.json, recorded there and committed
+// untouched): byte for byte on amd64, where Go does not fuse
+// multiply-adds; the integer accounting everywhere.
+func TestBuiltinGoldens(t *testing.T) {
+	for _, name := range []string{
+		"churn-straggler-2k", "churn-straggler-2k-4shard", "byzantine-2k", "follower-hint-1k",
+	} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".canonical.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mustRun(t, mustBuiltin(t, name)).CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runtime.GOARCH == "amd64" {
+				if !bytes.Equal(append(got, '\n'), want) {
+					t.Fatalf("report moved:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+				}
+				return
+			}
+			var g, w Report
+			if err := json.Unmarshal(got, &g); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(want, &w); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Report{&g, &w} {
+				r.Curve, r.FinalTestError, r.ErrorEstimate = nil, 0, nil
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("accounting moved:\n got %+v\nwant %+v", g, w)
+			}
+		})
+	}
+}
+
+// TestInProcessEqualsHTTP is the proof that the in-process seam is the
+// HTTP path minus sockets: the same crowd run as single and as inprocess
+// produces the same report apart from the topology label and the scraped
+// metric deltas.
+func TestInProcessEqualsHTTP(t *testing.T) {
+	for _, name := range []string{"churn-straggler-2k", "byzantine-2k"} {
+		t.Run(name, func(t *testing.T) {
+			spec := mustBuiltin(t, name)
+			overHTTP := mustRun(t, spec)
+			spec.Topology = TopologyInProcess
+			inProc := mustRun(t, spec)
+			inProc.Topology, inProc.MetricsDeltas = overHTTP.Topology, overHTTP.MetricsDeltas
+			a, err := overHTTP.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := inProc.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("in-process report diverged from HTTP:\n--- single ---\n%s\n--- inprocess ---\n%s", a, b)
+			}
+		})
+	}
+}
+
+// TestScenarioCrowd100kInProcess is the paper's "crowd of smart devices"
+// at a size the HTTP topologies cannot reach in CI: 100,000 devices with
+// churn, stragglers and DP noise against the real server, no sockets.
+func TestScenarioCrowd100kInProcess(t *testing.T) {
+	spec := mustBuiltin(t, "crowd-100k-inprocess")
+	rep := mustRun(t, spec)
+	writeReport(t, rep, spec.Name)
+	checkAccounting(t, rep)
+	if rep.ServerIteration != rep.Checkins || rep.Checkins < spec.Samples*99/100 {
+		t.Errorf("checkins %d, server iteration %d of %d samples", rep.Checkins, rep.ServerIteration, spec.Samples)
+	}
+	if rep.Churn.Rejoins == 0 || rep.RejectedAuth == 0 || rep.StragglerDevices != spec.Devices/5 {
+		t.Errorf("stressors idle: rejoins %d, stale-token rejects %d, stragglers %d",
+			rep.Churn.Rejoins, rep.RejectedAuth, rep.StragglerDevices)
+	}
+	if rep.FinalTestError > 0.10 {
+		t.Errorf("the crowd failed to converge: final error %v", rep.FinalTestError)
 	}
 }

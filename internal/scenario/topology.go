@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -10,8 +11,6 @@ import (
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
-	"github.com/crowdml/crowdml/internal/model"
-	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/replica"
 	"github.com/crowdml/crowdml/internal/shard"
 	"github.com/crowdml/crowdml/internal/store"
@@ -25,16 +24,45 @@ const taskID = "scenario"
 // joinKey is the enrollment key the harness's virtual devices present.
 const joinKey = "scenario-join"
 
-// stack is one running topology: real hubs behind real HTTP servers,
-// plus the hooks the engine needs to keep runs deterministic.
+// backend is the engine's whole view of the server side: the device
+// transport plus enrollment and the task statistics. *transport.HTTPClient
+// satisfies it as it is; inProcess is the socket-free implementation.
+type backend interface {
+	core.Transport
+	Register(ctx context.Context, deviceID, enrollKey string) (string, error)
+	Stats(ctx context.Context) (*transport.StatsResponse, error)
+}
+
+// inProcess is the backend of TopologyInProcess: the hub task's server
+// behind transport.Loopback (or what Crowd.Intercept wrapped around it).
+type inProcess struct {
+	core.Transport
+	srv *core.Server
+}
+
+func (b inProcess) Register(ctx context.Context, deviceID, _ string) (string, error) {
+	return b.srv.RegisterDevice(ctx, deviceID)
+}
+
+func (b inProcess) Stats(context.Context) (*transport.StatsResponse, error) {
+	resp := &transport.StatsResponse{TaskID: taskID, Iteration: b.srv.Iteration(), Stopped: b.srv.Stopped()}
+	if est, ok := b.srv.ErrEstimate(); ok {
+		resp.ErrorEstimate = &est
+	}
+	return resp, nil
+}
+
+// stack is one running topology: real hubs, behind real HTTP servers
+// unless the topology is in-process, plus the hooks the engine needs to
+// keep runs deterministic.
 type stack struct {
-	// entryURL is the base URL devices contact first. In the follower
+	// entry is the backend devices contact first. In the follower
 	// topology this is the follower, whose 409 leader hints redirect
 	// every device's writes — exactly the production join flow.
-	entryURL string
-	// metricsURL is the exposition endpoint the report scrapes (the
-	// leader's, where all deterministic counters live).
-	metricsURL string
+	entry backend
+	// scrape reads the exposition the report's metric deltas come from
+	// (the leader's, where all deterministic counters live).
+	scrape func() (map[string]float64, error)
 	// sync deterministically publishes pending server-side state to the
 	// read path (the sharded router's merge). Nil when reads are always
 	// current. Called from the single-threaded event loop only.
@@ -45,7 +73,7 @@ type stack struct {
 	// close tears the whole stack down.
 	close func()
 
-	// wire is the device wire format (Spec.Wire): every cached client
+	// wire is the device wire format (Plan.Wire): every cached client
 	// speaks it on checkout/checkin.
 	wire transport.WireFormat
 
@@ -72,40 +100,62 @@ func (st *stack) clientFor(baseURL string) *transport.HTTPClient {
 
 // serverConfig builds one member/leader ServerConfig. Called once per
 // server — updaters are stateful and must never be shared.
-func (s Spec) serverConfig(m model.Model) core.ServerConfig {
-	var up optimizer.Updater
-	if s.Updater == "adagrad" {
-		up = &optimizer.AdaGrad{Eta: s.LearningRate}
-	} else {
-		up = &optimizer.SGD{Schedule: optimizer.InvSqrt{C: s.LearningRate}}
-	}
-	return core.ServerConfig{Model: m, Updater: up}
+func (c Crowd) serverConfig() core.ServerConfig {
+	return core.ServerConfig{Model: c.Model, Updater: c.NewUpdater()}
 }
 
-// buildStack assembles the spec's topology from the real layers: hub
-// tasks (sharded members, follower replicas), the transport handler with
-// enrollment and telemetry enabled, and httptest servers carrying real
-// TCP traffic.
-func buildStack(ctx context.Context, spec Spec, m model.Model) (*stack, error) {
-	var st *stack
-	var err error
-	switch spec.Topology {
+// buildStack assembles the crowd's topology from the real layers: hub
+// tasks (sharded members, follower replicas) and, for the HTTP
+// topologies, the transport handler with enrollment and telemetry enabled
+// behind httptest servers carrying real TCP traffic.
+func buildStack(ctx context.Context, c Crowd) (*stack, error) {
+	switch c.Topology {
+	case TopologyInProcess:
+		return buildInProcess(ctx, c)
 	case TopologySingle:
-		st, err = buildSingle(ctx, spec, m)
+		return buildSingle(ctx, c)
 	case TopologySharded:
-		st, err = buildSharded(ctx, spec, m)
+		return buildSharded(ctx, c)
 	case TopologyFollower:
-		st, err = buildFollower(ctx, spec, m)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology %q", spec.Topology)
+		return buildFollower(ctx, c)
 	}
+	return nil, fmt.Errorf("scenario: unknown topology %q", c.Topology)
+}
+
+// httpStack points a stack at its HTTP servers. The wire format is a pure
+// encoding choice (validate already vetted it); the replication feed and
+// stats scrapes stay JSON regardless.
+func httpStack(c Crowd, entryURL, metricsURL string, st *stack) *stack {
+	st.wire, _ = transport.ParseWireFormat(c.Wire)
+	st.clients = make(map[string]*transport.HTTPClient)
+	st.entry = st.clientFor(entryURL)
+	st.scrape = func() (map[string]float64, error) { return scrapeMetrics(metricsURL) }
+	return st
+}
+
+func buildInProcess(ctx context.Context, c Crowd) (*stack, error) {
+	reg := telemetry.NewRegistry()
+	h := hub.New()
+	task, err := h.CreateTask(ctx, taskID, c.serverConfig(), hub.WithMetrics(reg))
 	if err != nil {
 		return nil, err
 	}
-	// The wire format is a pure encoding choice (Validate already vetted
-	// it); the replication feed and stats scrapes stay JSON regardless.
-	st.wire, _ = transport.ParseWireFormat(spec.Wire)
-	return st, nil
+	srv := task.Server()
+	var tr core.Transport = transport.NewLoopback(srv)
+	if c.Intercept != nil {
+		tr = c.Intercept(srv, tr)
+	}
+	return &stack{
+		entry: inProcess{Transport: tr, srv: srv},
+		scrape: func() (map[string]float64, error) {
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				return nil, err
+			}
+			return parseMetrics(&buf)
+		},
+		close: func() { _ = h.Close(context.Background()) },
+	}, nil
 }
 
 // newHandler wires a hub behind the real HTTP handler with enrollment
@@ -117,50 +167,44 @@ func newHandler(h *hub.Hub, reg *telemetry.Registry) *transport.Handler {
 	return hd
 }
 
-func buildSingle(ctx context.Context, spec Spec, m model.Model) (*stack, error) {
+func buildSingle(ctx context.Context, c Crowd) (*stack, error) {
 	reg := telemetry.NewRegistry()
 	h := hub.New()
-	if _, err := h.CreateTask(ctx, taskID, spec.serverConfig(m), hub.WithMetrics(reg)); err != nil {
+	if _, err := h.CreateTask(ctx, taskID, c.serverConfig(), hub.WithMetrics(reg)); err != nil {
 		return nil, err
 	}
 	srv := httptest.NewServer(newHandler(h, reg))
-	return &stack{
-		entryURL:   srv.URL,
-		metricsURL: srv.URL,
-		clients:    make(map[string]*transport.HTTPClient),
+	return httpStack(c, srv.URL, srv.URL, &stack{
 		close: func() {
 			srv.Close()
 			_ = h.Close(context.Background())
 		},
-	}, nil
+	}), nil
 }
 
-func buildSharded(ctx context.Context, spec Spec, m model.Model) (*stack, error) {
+func buildSharded(ctx context.Context, c Crowd) (*stack, error) {
 	reg := telemetry.NewRegistry()
 	h := hub.New()
 	// The router's wall-clock merger is parked on a huge interval; the
 	// engine calls Merge from the event loop instead, so the merged view
 	// advances at deterministic points of virtual time.
 	g, err := shard.New(ctx, h, taskID,
-		func(int) core.ServerConfig { return spec.serverConfig(m) },
-		shard.WithShards(spec.Shards),
-		shard.WithMergeInterval(spec.MergeEvery),
+		func(int) core.ServerConfig { return c.serverConfig() },
+		shard.WithShards(c.Shards),
+		shard.WithMergeInterval(c.MergeEvery),
 		shard.WithMetrics(reg))
 	if err != nil {
 		return nil, err
 	}
 	srv := httptest.NewServer(newHandler(h, reg))
-	return &stack{
-		entryURL:   srv.URL,
-		metricsURL: srv.URL,
-		sync:       g.Merge,
-		clients:    make(map[string]*transport.HTTPClient),
+	return httpStack(c, srv.URL, srv.URL, &stack{
+		sync: g.Merge,
 		close: func() {
 			srv.Close()
 			_ = g.Close(context.Background())
 			_ = h.Close(context.Background())
 		},
-	}, nil
+	}), nil
 }
 
 // dropSilent removes device entries that never checked in.
@@ -172,10 +216,10 @@ func dropSilent(st *core.ServerState) {
 	}
 }
 
-func buildFollower(ctx context.Context, spec Spec, m model.Model) (*stack, error) {
+func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
 	reg := telemetry.NewRegistry()
 	leaderHub := hub.New()
-	leaderTask, err := leaderHub.CreateTask(ctx, taskID, spec.serverConfig(m),
+	leaderTask, err := leaderHub.CreateTask(ctx, taskID, c.serverConfig(),
 		hub.WithMetrics(reg), hub.WithStore(store.NewMemStore()))
 	if err != nil {
 		return nil, err
@@ -183,7 +227,7 @@ func buildFollower(ctx context.Context, spec Spec, m model.Model) (*stack, error
 	leaderSrv := httptest.NewServer(newHandler(leaderHub, reg))
 
 	feed := transport.NewHTTPClient(leaderSrv.URL, nil).WithTask(taskID)
-	followerCfg := spec.serverConfig(m)
+	followerCfg := c.serverConfig()
 	followerCfg.AuthFallback = feed.AuthProbe
 	followerHub := hub.New()
 	followerTask, err := followerHub.CreateTask(ctx, taskID, followerCfg,
@@ -211,10 +255,7 @@ func buildFollower(ctx context.Context, spec Spec, m model.Model) (*stack, error
 	repCtx, cancel := context.WithCancel(context.Background())
 	rep.Start(repCtx)
 
-	return &stack{
-		entryURL:   followerSrv.URL,
-		metricsURL: leaderSrv.URL,
-		clients:    make(map[string]*transport.HTTPClient),
+	return httpStack(c, followerSrv.URL, leaderSrv.URL, &stack{
 		finish: func(r *Report) error {
 			leader := leaderTask.Server()
 			deadline := time.Now().Add(30 * time.Second)
@@ -248,5 +289,5 @@ func buildFollower(ctx context.Context, spec Spec, m model.Model) (*stack, error
 			_ = followerHub.Close(context.Background())
 			_ = leaderHub.Close(context.Background())
 		},
-	}, nil
+	}), nil
 }

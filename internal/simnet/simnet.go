@@ -1,32 +1,14 @@
-// Package simnet models communication delay for the simulated experiments
-// of Section V-C. Delays are expressed in the paper's Δ units: the amount
-// of global "sample time" that passes during one communication leg, i.e.
-// the number of samples generated by all devices during the delay. Each of
+// Package simnet models communication delay for the crowd engine
+// (internal/scenario), as in the simulated experiments of Section V-C.
+// Delays are expressed in the paper's Δ units: the amount of global
+// "sample time" that passes during one communication leg, i.e. the
+// number of samples generated by all devices during the delay. Each of
 // the three legs (request τ_req, check-out τ_co, check-in τ_ci) is drawn
 // independently and uniformly from [0, τ], exactly as the paper specifies
 // ("the actual delays are sampled randomly and uniformly from [0, τ]").
 package simnet
 
 import "github.com/crowdml/crowdml/internal/rng"
-
-// DelayModel draws one communication-leg delay in global-sample units.
-type DelayModel interface {
-	// Draw samples one delay value ≥ 0.
-	Draw(r *rng.RNG) float64
-	// Name identifies the model in experiment output.
-	Name() string
-}
-
-// NoDelay is the τ = 0 setting: synchronous communication.
-type NoDelay struct{}
-
-var _ DelayModel = NoDelay{}
-
-// Draw implements DelayModel.
-func (NoDelay) Draw(*rng.RNG) float64 { return 0 }
-
-// Name implements DelayModel.
-func (NoDelay) Name() string { return "no-delay" }
 
 // Uniform draws delays uniformly from [0, Max] — the paper's model with
 // Max = τ in Δ units (e.g. 1000Δ in Fig. 6 means up to 1000 samples are
@@ -36,35 +18,10 @@ type Uniform struct {
 	Max float64
 }
 
-var _ DelayModel = Uniform{}
-
-// Draw implements DelayModel.
+// Draw samples one communication-leg delay ≥ 0 in global-sample units.
 func (u Uniform) Draw(r *rng.RNG) float64 {
 	if u.Max <= 0 {
 		return 0
 	}
 	return r.Uniform(0, u.Max)
 }
-
-// Name implements DelayModel.
-func (u Uniform) Name() string { return "uniform-delay" }
-
-// Fixed always returns the same delay; useful for deterministic tests and
-// worst-case analyses ("assuming a finite maximum latency", Section IV-B3).
-type Fixed struct {
-	// Value is the constant delay in Δ units.
-	Value float64
-}
-
-var _ DelayModel = Fixed{}
-
-// Draw implements DelayModel.
-func (f Fixed) Draw(*rng.RNG) float64 {
-	if f.Value < 0 {
-		return 0
-	}
-	return f.Value
-}
-
-// Name implements DelayModel.
-func (f Fixed) Name() string { return "fixed-delay" }

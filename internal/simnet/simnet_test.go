@@ -6,19 +6,6 @@ import (
 	"github.com/crowdml/crowdml/internal/rng"
 )
 
-func TestNoDelay(t *testing.T) {
-	r := rng.New(1)
-	var d NoDelay
-	for i := 0; i < 100; i++ {
-		if d.Draw(r) != 0 {
-			t.Fatal("NoDelay must draw 0")
-		}
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := rng.New(2)
 	d := Uniform{Max: 10}
@@ -34,9 +21,6 @@ func TestUniformRange(t *testing.T) {
 	}
 	if !seenHigh {
 		t.Error("uniform delays never exceeded half the range")
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
 	}
 }
 
@@ -63,19 +47,5 @@ func TestUniformMean(t *testing.T) {
 	mean := sum / n
 	if mean < 48 || mean > 52 {
 		t.Errorf("uniform mean = %v, want ~50", mean)
-	}
-}
-
-func TestFixed(t *testing.T) {
-	r := rng.New(5)
-	d := Fixed{Value: 7}
-	if d.Draw(r) != 7 {
-		t.Error("Fixed should return its value")
-	}
-	if (Fixed{Value: -1}).Draw(r) != 0 {
-		t.Error("negative Fixed should clamp to 0")
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
 	}
 }
