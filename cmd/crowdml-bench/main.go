@@ -53,7 +53,7 @@ func run() error {
 
 		serverURL  = flag.String("server", "", "load-bench a live server at this base URL instead of regenerating figures")
 		durability = flag.Bool("durability", false, "measure in-process checkin throughput with the write-ahead journal off vs on, then exit")
-		taskID     = flag.String("task", "", "task ID to bench against (empty: the server's default task)")
+		taskID     = flag.String("task", "default", "task ID to bench against")
 		enrollKey  = flag.String("enroll-key", "", "enrollment key for the load bench")
 		devices    = flag.Int("devices", 8, "concurrent devices in the load bench")
 		samples    = flag.Int("samples", 200, "samples per device in the load bench")
@@ -135,10 +135,7 @@ func loadBench(serverURL, taskID, enrollKey string, devices, samples, minibatch,
 	// benchClient builds one device's task-bound client speaking the
 	// selected wire format.
 	benchClient := func() *crowdml.HTTPClient {
-		client := crowdml.NewHTTPClient(serverURL, nil)
-		if taskID != "" {
-			client = client.WithTask(taskID)
-		}
+		client := crowdml.NewHTTPClient(serverURL, nil).WithTask(taskID)
 		if wire != crowdml.WireJSON {
 			client = client.WithWire(wire)
 		}
@@ -150,7 +147,7 @@ func loadBench(serverURL, taskID, enrollKey string, devices, samples, minibatch,
 	}
 	var summary *crowdml.TaskSummary
 	for i := range listing {
-		if taskID == "" && listing[i].Default || listing[i].ID == taskID {
+		if listing[i].ID == taskID {
 			summary = &listing[i]
 			break
 		}

@@ -6,9 +6,9 @@
 // with local differential privacy, and streams them until the server stops
 // the task or the sample budget is exhausted.
 //
-// With -task, the device joins that task on a multi-task server via the
-// task-scoped /v1/tasks/{id}/ routes; without it, the server's default
-// task via the legacy /v1/* paths.
+// The device joins the task named by -task via the task-scoped
+// /v1/tasks/{id}/ routes; the flag defaults to "default", the ID
+// crowdml-server gives the task its single-task flags define.
 //
 // Example:
 //
@@ -40,7 +40,7 @@ func main() {
 func run() error {
 	var (
 		serverURL = flag.String("server", "http://localhost:8080", "server base URL")
-		taskID    = flag.String("task", "", "task ID to join (empty: the server's default task)")
+		taskID    = flag.String("task", "default", "task ID to join")
 		id        = flag.String("id", "phone-1", "device ID")
 		enrollKey = flag.String("enroll-key", "", "enrollment key (empty: use -token)")
 		token     = flag.String("token", "", "pre-registered auth token")
@@ -61,10 +61,7 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	client := crowdml.NewHTTPClient(*serverURL, nil)
-	if *taskID != "" {
-		client = client.WithTask(*taskID)
-	}
+	client := crowdml.NewHTTPClient(*serverURL, nil).WithTask(*taskID)
 	if wireFormat != crowdml.WireJSON {
 		client = client.WithWire(wireFormat)
 	}

@@ -17,8 +17,6 @@
 //     (checkin/checkout throughput and latency, journal and checkpoint
 //     durability counters, per-route HTTP totals, replica lag);
 //     -metrics=false disables the instrumentation and the endpoint;
-//   - /v1/checkout, /v1/checkin, /v1/stats, /v1/register — legacy
-//     single-task aliases bound to the default task;
 //   - /portal/ — the public multi-task Web portal with live DP statistics.
 //
 // Tasks come either from the single-task flags (-classes, -dim, …) or
@@ -118,7 +116,6 @@ type taskSpec struct {
 	Labels      []string `json:"labels"`
 	Objective   string   `json:"objective"`
 	SensorData  string   `json:"sensorData"`
-	Default     bool     `json:"default"`
 	// Batched-checkin tuning (0 = server defaults): how many queued
 	// checkins one batch leader applies per parameter-lock acquisition,
 	// how deep the bounded pending queue is before checkins block, and
@@ -231,7 +228,7 @@ func run() error {
 		tmax       = flag.Int("tmax", 0, "maximum iterations Tmax (0 = unbounded)")
 		rho        = flag.Float64("target-error", 0, "stop when error estimate ≤ ρ (0 disables)")
 		enrollKey  = flag.String("enroll-key", "", "enrollment key; empty disables self-enrollment")
-		devices    = flag.Int("preregister", 0, "pre-register this many devices on the default task and print their tokens")
+		devices    = flag.Int("preregister", 0, "pre-register this many devices on the first task and print their tokens")
 		stateDir   = flag.String("state-dir", "", "durability directory, one store per task (empty disables persistence)")
 		saveEvery  = flag.Duration("checkpoint-every", time.Minute, "asynchronous checkpoint interval with -state-dir")
 		syncMode   = flag.String("sync", "none", "journal fsync policy with -state-dir: none, batch (group-commit per applied batch), or every")
@@ -266,7 +263,7 @@ func run() error {
 	specs := []taskSpec{{
 		ID: *taskID, Name: *taskName, Model: *modelName,
 		Classes: *classes, Dim: *dim, Rate: *rate, Radius: *radius,
-		Tmax: *tmax, TargetError: *rho, Default: true,
+		Tmax: *tmax, TargetError: *rho,
 		CheckinBatch: *checkinBatch, CheckinQueue: *checkinQueue,
 		checkinFlush: *checkinFlush, SyncPolicy: *syncMode,
 		Retention: *retention, ArchiveDir: *archiveDir,
@@ -306,13 +303,7 @@ func run() error {
 			r.Stop()
 		}
 	}()
-	var (
-		groups []*crowdml.ShardedTask
-		// defaultGroup is the sharded task that the "default" spec named,
-		// so -preregister can enroll through its router (a sharded logical
-		// task is not a hub task and cannot be the hub default).
-		defaultGroup *crowdml.ShardedTask
-	)
+	var groups []*crowdml.ShardedTask
 	// Sharded shutdown: stop every merger goroutine; the members flush
 	// like any durable task when the hub closes.
 	defer func() {
@@ -331,9 +322,6 @@ func run() error {
 				return err
 			}
 			groups = append(groups, g)
-			if spec.Default {
-				defaultGroup = g
-			}
 			continue
 		}
 		r, err := createTask(ctx, h, spec, *stateDir, *saveEvery, *followPoll, reg)
@@ -352,21 +340,23 @@ func run() error {
 	// then finds everything already closed and is a no-op.
 	defer flushHub(h)
 
+	// -preregister enrolls into the first task defined.
 	for i := 0; i < *devices; i++ {
 		id := fmt.Sprintf("device-%03d", i)
-		if defaultGroup != nil {
+		if specs[0].Shards > 0 {
 			// The router places the credential on the device's owning shard.
-			token, err := defaultGroup.Register(ctx, id)
+			g := groups[0]
+			token, err := g.Register(ctx, id)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stdout, "registered %s token=%s on task %s (shard %s)\n",
-				id, token, defaultGroup.LogicalID(), defaultGroup.RouteDevice(id))
+				id, token, g.LogicalID(), g.RouteDevice(id))
 			continue
 		}
-		task, ok := h.DefaultTask()
+		task, ok := h.Task(specs[0].ID)
 		if !ok {
-			return errors.New("-preregister needs a default task")
+			return fmt.Errorf("-preregister: task %q is not hosted", specs[0].ID)
 		}
 		token, err := task.Server().RegisterDevice(ctx, id)
 		if err != nil {
@@ -635,9 +625,6 @@ func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir str
 		return nil, err
 	}
 	opts := []crowdml.TaskOption{crowdml.WithTaskInfo(info)}
-	if spec.Default {
-		opts = append(opts, crowdml.AsDefaultTask())
-	}
 	if reg != nil {
 		opts = append(opts, crowdml.WithMetrics(reg))
 	}

@@ -125,8 +125,7 @@ type Hub = hub.Hub
 // metadata. Obtain with Hub.CreateTask or Hub.Task.
 type Task = hub.Task
 
-// TaskOption customizes Hub.CreateTask; see WithTaskInfo and
-// AsDefaultTask.
+// TaskOption customizes Hub.CreateTask; see WithTaskInfo and WithStore.
 type TaskOption = hub.TaskOption
 
 // NewHub returns an empty task hub.
@@ -168,10 +167,6 @@ type CheckpointPolicy = hub.CheckpointPolicy
 
 // WithTaskInfo attaches portal metadata to a task at creation.
 func WithTaskInfo(info TaskInfo) TaskOption { return hub.WithInfo(info) }
-
-// AsDefaultTask makes the created task the target of the legacy
-// single-task /v1/* endpoints (by default, the first task created).
-func AsDefaultTask() TaskOption { return hub.AsDefault() }
 
 // WithStore makes the task durable on st: persisted state is restored
 // before the task goes live, every applied checkin is journaled ahead of
@@ -254,16 +249,16 @@ var (
 // NewLoopback returns an in-process Transport wrapping the server.
 func NewLoopback(s *Server) Transport { return transport.NewLoopback(s) }
 
-// HTTPClient is the device-side HTTP transport. A fresh client targets
-// the server's default task via the legacy /v1/* paths; bind it to a
-// named task with WithTask. All its methods honor context cancellation
+// HTTPClient is the device-side HTTP transport. Every device-protocol
+// route is task-scoped: bind the client to a task with WithTask before
+// using it as a Transport. All its methods honor context cancellation
 // and deadlines.
 type HTTPClient = transport.HTTPClient
 
 // NewHTTPClient returns a Transport speaking to baseURL over HTTP
-// (nil client = 30 s timeout default). Its Register method enrolls via
-// the server's enrollment endpoint; WithTask binds it to one task's
-// /v1/tasks/{id}/ routes.
+// (nil client = 30 s timeout default). WithTask binds it to one task's
+// /v1/tasks/{id}/ routes; its Register method then enrolls via that
+// task's enrollment endpoint.
 func NewHTTPClient(baseURL string, client *http.Client) *HTTPClient {
 	return transport.NewHTTPClient(baseURL, client)
 }
@@ -273,10 +268,8 @@ type TaskSummary = transport.TaskSummary
 
 // NewHTTPHandler exposes every task hosted on the hub over HTTP:
 // task-scoped routes /v1/tasks/{id}/{checkout,checkin,stats} plus a
-// /v1/tasks listing, with the legacy /v1/checkout, /v1/checkin and
-// /v1/stats paths aliased to the hub's default task. If enrollKey is
-// non-empty, /v1/register and /v1/tasks/{id}/register are enabled so
-// devices holding the key can self-enroll.
+// /v1/tasks listing. If enrollKey is non-empty, /v1/tasks/{id}/register
+// is enabled so devices holding the key can self-enroll.
 func NewHTTPHandler(h *Hub, enrollKey string) http.Handler {
 	hd := transport.NewHandler(h)
 	hd.EnableEnrollment(enrollKey)

@@ -73,7 +73,7 @@ func TestPublicAPIHTTPWithEnrollment(t *testing.T) {
 	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "join-key"))
 	defer ts.Close()
 
-	client := crowdml.NewHTTPClient(ts.URL, nil)
+	client := crowdml.NewHTTPClient(ts.URL, nil).WithTask("api-test")
 	token, err := client.Register(ctx, "phone-2", "join-key")
 	if err != nil {
 		t.Fatal(err)

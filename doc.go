@@ -175,8 +175,7 @@
 //
 // # Architecture
 //
-//	Hub     — named-task registry (sharded); CreateTask/Task/CloseTask,
-//	          a default task for the legacy single-task endpoints;
+//	Hub     — named-task registry (sharded); CreateTask/Task/CloseTask;
 //	          hub-managed durability (WithStore, OpenHub/Restore, Close).
 //	Store   — pluggable persistence: checkpoints + segmented write-ahead
 //	          checkin journal (rotation, group-commit fsync, streaming
@@ -201,8 +200,7 @@
 //	          tasks behind one logical task ID (NewShardedTask).
 //	HTTP    — task-scoped routes /v1/tasks/{id}/checkout|checkin|stats|
 //	          register|journal|checkpoint plus a /v1/tasks listing and
-//	          /v1/healthz; the legacy /v1/* paths alias the hub's
-//	          default task. NewPortalIndex serves the human-facing
+//	          /v1/healthz. NewPortalIndex serves the human-facing
 //	          multi-task portal.
 //
 // # Quick start

@@ -4,9 +4,7 @@
 // can join), and a crowd of device processes (goroutines here, but each
 // speaking real HTTP through the same client a separate process would
 // use) enrolls into its task via the task-scoped /v1/tasks/{id}/ routes.
-// One device deliberately uses the legacy /v1/* paths to show they keep
-// working as aliases for the default task. The /v1/tasks listing is
-// polled like the paper's Web portal index.
+// The /v1/tasks listing is polled like the paper's Web portal index.
 package main
 
 import (
@@ -46,7 +44,7 @@ func run() error {
 		Name:      "Activity recognition",
 		Algorithm: "multiclass logistic regression via private distributed SGD",
 		Labels:    activity.Names[:],
-	}), crowdml.AsDefaultTask()); err != nil {
+	})); err != nil {
 		return err
 	}
 	svmModel := crowdml.NewLinearSVM(activity.NumClasses, activity.FeatureDim)
@@ -87,10 +85,7 @@ func run() error {
 			wg.Add(1)
 			go func(taskID string, m crowdml.Model, i int) {
 				defer wg.Done()
-				// Device 0 of the default task exercises the legacy /v1/*
-				// alias paths; everyone else uses /v1/tasks/{id}/ routes.
-				legacy := taskID == "activity" && i == 0
-				errs <- runDevice(ctx, baseURL, taskID, legacy, m, enrollKey, i, perDevice)
+				errs <- runDevice(ctx, baseURL, taskID, m, enrollKey, i, perDevice)
 			}(spec.taskID, spec.model, i)
 		}
 	}
@@ -109,11 +104,7 @@ func run() error {
 	}
 	fmt.Printf("\nportal task listing after %d device contributions:\n", 2*devicesPerTask*perDevice)
 	for _, t := range tasks {
-		marker := " "
-		if t.Default {
-			marker = "*"
-		}
-		line := fmt.Sprintf("%s %-22s iter=%4d", marker, t.ID, t.Iteration)
+		line := fmt.Sprintf("  %-22s iter=%4d", t.ID, t.Iteration)
 		if t.ErrorEstimate != nil {
 			line += fmt.Sprintf("  online error=%.3f", *t.ErrorEstimate)
 		}
@@ -129,12 +120,9 @@ func run() error {
 	return nil
 }
 
-func runDevice(ctx context.Context, baseURL, taskID string, legacy bool, m crowdml.Model, enrollKey string, idx, samples int) error {
+func runDevice(ctx context.Context, baseURL, taskID string, m crowdml.Model, enrollKey string, idx, samples int) error {
 	id := fmt.Sprintf("%s-phone-%02d", taskID, idx)
-	client := crowdml.NewHTTPClient(baseURL, nil)
-	if !legacy {
-		client = client.WithTask(taskID)
-	}
+	client := crowdml.NewHTTPClient(baseURL, nil).WithTask(taskID)
 	token, err := client.Register(ctx, id, enrollKey)
 	if err != nil {
 		return fmt.Errorf("%s enroll: %w", id, err)

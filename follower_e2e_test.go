@@ -77,18 +77,24 @@ func waitReplicaCaughtUp(t *testing.T, leader *crowdml.Server, follower *crowdml
 }
 
 // waitCheckpointAt polls the leader store until its checkpoint covers the
-// given iteration (the checkpointer runs asynchronously).
-func waitCheckpointAt(t *testing.T, st *crowdml.MemStore, iteration int) {
+// given iteration, driving one more checkin per poll, and returns how many
+// it drove. The checkpointer runs asynchronously, so WHERE a save lands is
+// not the test's to choose: a save that lands late leaves fewer than AfterN
+// dirty checkins behind it, and with the workload finished no later save
+// would ever come. Supplying the checkins makes the wait end by
+// construction instead of by the first save landing on a lucky iteration.
+func waitCheckpointAt(t *testing.T, st *crowdml.MemStore, iteration int, drive func()) (driven int) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
+	for ; driven <= 500; driven++ {
 		cp, err := st.Load(context.Background())
 		if err == nil && cp.State.Iteration >= iteration {
-			return
+			return driven
 		}
+		drive()
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("leader never checkpointed through iteration %d", iteration)
+	t.Fatalf("leader never checkpointed through iteration %d in %d further checkins", iteration, driven)
+	return driven
 }
 
 func TestFollowerReplicationEndToEnd(t *testing.T) {
@@ -152,8 +158,9 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	rep.Start(ctx)
 
 	// Phase 1: live tail through two full checkpoint+prune cycles.
+	driveOne := func() { repDrive(t, leaderClient, "phone-1", token, 1) }
 	repDrive(t, leaderClient, "phone-1", token, 12)
-	waitCheckpointAt(t, leaderStore, 10) // ≥2 AfterN=5 cycles completed
+	extra := waitCheckpointAt(t, leaderStore, 10, driveOne) // ≥2 AfterN=5 cycles completed
 	waitReplicaCaughtUp(t, leader, followerTask)
 	if !reflect.DeepEqual(leader.ExportState(), followerTask.Server().ExportState()) {
 		t.Fatal("follower state diverged from leader after live tail")
@@ -206,7 +213,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	rep.Stop()
 	atCrash := followerTask.Server().Iteration()
 	repDrive(t, leaderClient, "phone-1", token, 15)
-	waitCheckpointAt(t, leaderStore, atCrash+10)
+	extra += waitCheckpointAt(t, leaderStore, atCrash+10, driveOne)
 
 	rep2 := newReplicator()
 	rep2.Start(ctx)
@@ -217,8 +224,8 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	if !reflect.DeepEqual(ls, fs) {
 		t.Fatalf("follower state diverged after re-bootstrap:\nleader   %+v\nfollower %+v", ls, fs)
 	}
-	if ls.Iteration != 27 {
-		t.Errorf("leader iteration = %d, want 27", ls.Iteration)
+	if want := 12 + 15 + extra; ls.Iteration != want {
+		t.Errorf("leader iteration = %d, want %d", ls.Iteration, want)
 	}
 
 	// And the follower still serves reads at the converged state.

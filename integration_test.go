@@ -118,7 +118,6 @@ func TestIntegrationStoppingOverHTTP(t *testing.T) {
 	server := task.Server()
 	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key"))
 	defer ts.Close()
-	// The task-scoped route and the legacy alias are the same task.
 	client := crowdml.NewHTTPClient(ts.URL, nil).WithTask("stopping")
 	token, err := client.Register(ctx, "p1", "key")
 	if err != nil {
@@ -181,7 +180,7 @@ func TestIntegrationConcurrentHTTPCrowd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ctx := context.Background()
-			client := crowdml.NewHTTPClient(ts.URL, nil)
+			client := crowdml.NewHTTPClient(ts.URL, nil).WithTask("crowd")
 			id := string(rune('a' + i))
 			token, err := client.Register(ctx, id, "key")
 			if err != nil {
@@ -241,10 +240,8 @@ func asInternalModel(m crowdml.Model) model.Model { return m }
 
 // TestIntegrationMultiTaskHub is the headline v1 scenario: ONE server
 // process hosts two concurrent learning tasks over HTTP. Device crowds
-// drive each task through its task-scoped /v1/tasks/{id}/ routes (one
-// crowd uses the legacy /v1/* aliases, which must keep addressing the
-// default task), the tasks learn independently, and the /v1/tasks
-// listing reflects both.
+// drive each task through its task-scoped /v1/tasks/{id}/ routes, the
+// tasks learn independently, and the /v1/tasks listing reflects both.
 func TestIntegrationMultiTaskHub(t *testing.T) {
 	const (
 		devicesPerTask = 4
@@ -258,14 +255,10 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 		"activity-svm":    crowdml.NewLinearSVM(activity.NumClasses, activity.FeatureDim),
 	}
 	for id, m := range models {
-		opts := []crowdml.TaskOption{}
-		if id == "activity-logreg" {
-			opts = append(opts, crowdml.AsDefaultTask())
-		}
 		if _, err := hub.CreateTask(ctx, id, crowdml.ServerConfig{
 			Model:   m,
 			Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 10}, 0),
-		}, opts...); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,12 +272,7 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 			wg.Add(1)
 			go func(taskID string, m crowdml.Model, i int) {
 				defer wg.Done()
-				client := crowdml.NewHTTPClient(ts.URL, nil)
-				// One device of the default task exercises the legacy
-				// alias paths; everyone else is task-scoped.
-				if !(taskID == "activity-logreg" && i == 0) {
-					client = client.WithTask(taskID)
-				}
+				client := crowdml.NewHTTPClient(ts.URL, nil).WithTask(taskID)
 				id := fmt.Sprintf("%s-dev-%d", taskID, i)
 				token, err := client.Register(ctx, id, "key")
 				if err != nil {
@@ -322,8 +310,7 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 		}
 	}
 
-	// Both tasks advanced independently and by the full amount — the
-	// legacy-alias device must have landed on the default task.
+	// Both tasks advanced independently and by the full amount.
 	wantIter := devicesPerTask * perDevice / minibatch
 	for id := range models {
 		task, ok := hub.Task(id)
@@ -335,7 +322,7 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 		}
 	}
 
-	// The portal-facing listing sees both tasks, with the default marked.
+	// The portal-facing listing sees both tasks.
 	summaries, err := crowdml.NewHTTPClient(ts.URL, nil).Tasks(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -346,9 +333,6 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 	for _, s := range summaries {
 		if s.Iteration != wantIter {
 			t.Errorf("listing %s iteration = %d, want %d", s.ID, s.Iteration, wantIter)
-		}
-		if s.Default != (s.ID == "activity-logreg") {
-			t.Errorf("listing %s default flag = %v", s.ID, s.Default)
 		}
 	}
 }

@@ -579,29 +579,16 @@ func restoreInto(ctx context.Context, srv *core.Server, st store.Store, taskID s
 	}
 	defer cur.Close()
 	if _, err := srv.Replay(func() (core.ReplayRecord, error) {
-		for {
-			e, err := cur.Next()
-			if errors.Is(err, io.EOF) || errors.Is(err, store.ErrJournalTruncated) {
-				return core.ReplayRecord{}, io.EOF
-			}
-			if err != nil {
-				return core.ReplayRecord{}, err
-			}
-			// The cursor allocates fresh slices per entry, so handing them
-			// to the request is safe; Replay consumes the record before
-			// pulling the next one — O(one entry) resident.
-			return core.ReplayRecord{
-				DeviceID:  e.DeviceID,
-				Iteration: e.Iteration,
-				Req: &core.CheckinRequest{
-					Grad:        e.Grad,
-					NumSamples:  e.NumSamples,
-					ErrCount:    e.ErrCount,
-					LabelCounts: e.LabelCounts,
-					Version:     e.Version,
-				},
-			}, nil
+		e, err := cur.Next()
+		if errors.Is(err, io.EOF) || errors.Is(err, store.ErrJournalTruncated) {
+			return core.ReplayRecord{}, io.EOF
 		}
+		if err != nil {
+			return core.ReplayRecord{}, err
+		}
+		// Replay consumes the record before pulling the next one —
+		// O(one entry) resident.
+		return e.ReplayRecord(), nil
 	}); err != nil {
 		return fmt.Errorf("task %q: replay journal: %w", taskID, err)
 	}

@@ -127,7 +127,6 @@ type TaskOption func(*createOptions)
 
 type createOptions struct {
 	info      TaskInfo
-	asDefault bool
 	store     store.Store
 	policy    CheckpointPolicy
 	sync      SyncPolicy
@@ -140,14 +139,6 @@ type createOptions struct {
 // Name, the task ID is used.
 func WithInfo(info TaskInfo) TaskOption {
 	return func(o *createOptions) { o.info = info }
-}
-
-// AsDefault makes the new task the hub's default task — the one the
-// legacy single-task /v1/* endpoints are aliased to. Without this
-// option, a created task only becomes the default when the hub has none
-// (it is the first task, or the previous default was closed).
-func AsDefault() TaskOption {
-	return func(o *createOptions) { o.asDefault = true }
 }
 
 // shard is one independently locked slice of the registry.
@@ -167,13 +158,6 @@ type Hub struct {
 	// sharded indexes the mounted ShardRouters fronting sharded logical
 	// tasks (see sharded.go).
 	sharded shardIndex
-
-	defaultMu sync.RWMutex
-	defaultID string
-	// defaultClosed records that the default slot is empty because its
-	// task was closed (vs never assigned), so the legacy endpoints can
-	// tell devices to stand down (409) rather than 404.
-	defaultClosed bool
 }
 
 // New returns an empty hub.
@@ -213,10 +197,8 @@ func ValidTaskID(id string) bool {
 }
 
 // CreateTask constructs a core.Server from cfg and registers it under
-// taskID. Whenever the hub has no default task — it is empty, or the
-// previous default was closed — the created task becomes the default
-// (see AsDefault). Re-using the ID of a previously closed task clears
-// that task's tombstone. It fails with ErrTaskExists for duplicate IDs
+// taskID. Re-using the ID of a previously closed task clears that task's
+// tombstone. It fails with ErrTaskExists for duplicate IDs
 // and ErrBadTaskID for IDs unusable in URLs.
 //
 // With WithStore, the task is durable: any state already persisted is
@@ -339,23 +321,6 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	delete(sh.closed, taskID)
 	registered = true
 	sh.mu.Unlock()
-
-	h.defaultMu.Lock()
-	if h.defaultID == "" || o.asDefault {
-		h.defaultID = taskID
-		h.defaultClosed = false
-	}
-	h.defaultMu.Unlock()
-	// A concurrent CloseTask may have removed the task between the shard
-	// insert and the default election above; don't leave the default
-	// pointing at a task that no longer resolves.
-	if _, ok := h.Task(taskID); !ok {
-		h.defaultMu.Lock()
-		if h.defaultID == taskID {
-			h.defaultID = ""
-		}
-		h.defaultMu.Unlock()
-	}
 	return task, nil
 }
 
@@ -368,45 +333,12 @@ func (h *Hub) Task(taskID string) (*Task, bool) {
 	return t, ok
 }
 
-// DefaultTask returns the task the legacy single-task endpoints are bound
-// to, or false when the hub is empty (or the default has been closed).
-func (h *Hub) DefaultTask() (*Task, bool) {
-	h.defaultMu.RLock()
-	id := h.defaultID
-	h.defaultMu.RUnlock()
-	if id == "" {
-		return nil, false
-	}
-	return h.Task(id)
-}
-
-// SetDefaultTask rebinds the legacy endpoints to an existing task.
-func (h *Hub) SetDefaultTask(taskID string) error {
-	if _, ok := h.Task(taskID); !ok {
-		return fmt.Errorf("%q: %w", taskID, ErrTaskNotFound)
-	}
-	h.defaultMu.Lock()
-	h.defaultID = taskID
-	h.defaultClosed = false
-	h.defaultMu.Unlock()
-	return nil
-}
-
-// DefaultClosed reports that the hub currently has no default task
-// because the previous default was closed (rather than never set).
-func (h *Hub) DefaultClosed() bool {
-	h.defaultMu.RLock()
-	defer h.defaultMu.RUnlock()
-	return h.defaultID == "" && h.defaultClosed
-}
-
 // CloseTask stops the task's server (administrative shutdown, so devices
 // checking out learn to stand down if they still hold the pointer),
 // flushes a durable task's state — final checkpoint, journal closed —
 // and removes the task from the registry, leaving a tombstone so the
 // HTTP layer can tell remote devices the task has stopped (409) rather
-// than that it never existed (404). Closing the default task leaves the
-// hub with no default until SetDefaultTask or the next CreateTask.
+// than that it never existed (404).
 //
 // The flush runs BEFORE the removal: if it fails (a wedged or erroring
 // store), the error is returned and the task stays registered — stopped,
@@ -444,12 +376,6 @@ func (h *Hub) CloseTask(ctx context.Context, taskID string) error {
 	}
 	sh.closed[taskID] = struct{}{}
 	sh.mu.Unlock()
-	h.defaultMu.Lock()
-	if h.defaultID == taskID {
-		h.defaultID = ""
-		h.defaultClosed = true
-	}
-	h.defaultMu.Unlock()
 	return nil
 }
 

@@ -92,44 +92,6 @@ func TestCreateTaskValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultTaskSelection(t *testing.T) {
-	h := New()
-	ctx := context.Background()
-	if _, ok := h.DefaultTask(); ok {
-		t.Fatal("empty hub should have no default task")
-	}
-	first, _ := h.CreateTask(ctx, "first", serverConfig())
-	if d, ok := h.DefaultTask(); !ok || d != first {
-		t.Error("first created task should be the default")
-	}
-	if _, err := h.CreateTask(ctx, "second", serverConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := h.DefaultTask(); d != first {
-		t.Error("creating a second task must not steal the default")
-	}
-	third, _ := h.CreateTask(ctx, "third", serverConfig(), AsDefault())
-	if d, _ := h.DefaultTask(); d != third {
-		t.Error("AsDefault should rebind the default task")
-	}
-	if err := h.SetDefaultTask("second"); err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := h.DefaultTask(); d.ID() != "second" {
-		t.Error("SetDefaultTask did not rebind")
-	}
-	if err := h.SetDefaultTask("ghost"); !errors.Is(err, ErrTaskNotFound) {
-		t.Errorf("SetDefaultTask(ghost) = %v, want ErrTaskNotFound", err)
-	}
-	// Closing the default leaves no default rather than a dangling one.
-	if err := h.CloseTask(ctx, "second"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.DefaultTask(); ok {
-		t.Error("closed default task should clear the default")
-	}
-}
-
 func TestTaskInfoDefaultsToID(t *testing.T) {
 	h := New()
 	task, err := h.CreateTask(context.Background(), "bare", serverConfig())

@@ -282,17 +282,7 @@ func (r *Replicator) tailOnce(ctx context.Context) error {
 // interleave freely with a live tail — and the feed's network reads
 // never happen under the lock (Replay's source must not block).
 func (r *Replicator) apply(e store.JournalEntry) (int, error) {
-	n, err := r.srv.Replay(core.ReplaySlice([]core.ReplayRecord{{
-		DeviceID:  e.DeviceID,
-		Iteration: e.Iteration,
-		Req: &core.CheckinRequest{
-			Grad:        e.Grad,
-			NumSamples:  e.NumSamples,
-			ErrCount:    e.ErrCount,
-			LabelCounts: e.LabelCounts,
-			Version:     e.Version,
-		},
-	}}))
+	n, err := r.srv.Replay(core.ReplaySlice([]core.ReplayRecord{e.ReplayRecord()}))
 	if errors.Is(err, core.ErrReplayGap) {
 		return n, errOf(CategoryGap, "apply", err)
 	}

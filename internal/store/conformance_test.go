@@ -400,7 +400,9 @@ func testCursorSkipsCovered(t *testing.T, st Store) {
 	appendIters(t, j, 1, 16)
 	small := tailAllocs(16)
 	appendIters(t, j, 17, 1008)
-	if large := tailAllocs(1024); large > small+1 {
+	// A cursor paying per covered entry would show ~1000 more; the slack
+	// absorbs the runtime's own background allocations under -race.
+	if large := tailAllocs(1024); large > small+16 {
 		t.Errorf("a 2-entry tail read costs %.0f allocations behind 1022 covered entries but %.0f behind 14: "+
 			"the cursor pays per covered entry", large, small)
 	}
@@ -609,6 +611,10 @@ func testRetentionNeverLive(t *testing.T, st Store) {
 // the directory).
 func testRetentionArchive(t *testing.T, st Store) {
 	segmentedJournal(t, st)
+	before, err := readJournal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir() + "/archive" // PruneSegments must create it
 	pruned, err := retainer(t, st).PruneSegments(ctx, 5, dir)
 	if err != nil {
@@ -632,13 +638,23 @@ func testRetentionArchive(t *testing.T, st Store) {
 	if err != nil {
 		t.Fatalf("read archived segments: %v", err)
 	}
-	if len(archived) != 5 {
-		t.Fatalf("archive holds %d entries, want the 5 covered ones", len(archived))
+	if !reflect.DeepEqual(archived, before[:5]) {
+		t.Fatalf("archive holds %+v, want the 5 covered entries exactly as the store's cursor yielded them: %+v",
+			archived, before[:5])
 	}
-	for i := range archived {
-		if archived[i].Iteration != i+1 {
-			t.Errorf("archived entry %d has iteration %d", i, archived[i].Iteration)
-		}
+	// An archived name is never overwritten: a second chain archiving a
+	// different segment under the same name is refused, on either backend.
+	other := NewMemStore()
+	j, err := other.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 1, 1)
+	if err := j.Rotate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if pruned, err := other.PruneSegments(ctx, 5, dir); err == nil || len(pruned) != 0 {
+		t.Errorf("archiving over another chain's segment = %v, %v; want a refusal", pruned, err)
 	}
 }
 

@@ -3,26 +3,17 @@
 package store
 
 import (
-	"fmt"
+	"errors"
 	"os"
 )
 
-// acquireDirLock on platforms with neither flock(2) nor LockFileEx
-// (see filelock_unix.go and filelock_windows.go) only creates the lock
-// file: the single-live-journal exclusion documented on FileStore is
-// NOT enforced here, exactly the pre-lock behavior. Deployments on such
-// platforms must not point two servers at one store directory.
-func acquireDirLock(path string) (*os.File, error) {
-	lock, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open lock file: %w", err)
-	}
-	return lock, nil
-}
+var errLockHeld = errors.New("store: lock held")
 
-func releaseDirLock(lock *os.File) {
-	if lock == nil {
-		return
-	}
-	_ = lock.Close()
-}
+// lockFile on platforms with neither flock(2) nor LockFileEx (see
+// filelock_unix.go and filelock_windows.go) does nothing: the
+// single-live-journal exclusion documented on FileStore is NOT enforced
+// here, exactly the pre-lock behavior. Deployments on such platforms must
+// not point two servers at one store directory.
+func lockFile(*os.File) error { return nil }
+
+func unlockFile(*os.File) {}

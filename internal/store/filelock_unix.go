@@ -3,40 +3,25 @@
 package store
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"syscall"
 )
 
-// acquireDirLock takes a non-blocking exclusive flock on the store
-// directory's lock file, creating it if needed. The lock is advisory —
+// errLockHeld is what lockFile reports when another holder has the lock.
+var errLockHeld error = syscall.EWOULDBLOCK
+
+// lockFile takes a non-blocking exclusive flock. The lock is advisory —
 // it binds cooperating crowdml processes, not arbitrary tools — and is
 // attached to the open file description, so the kernel releases it the
 // instant a crashed holder dies: stale locks cannot exist and the file
 // is never unlinked (unlinking would reopen the classic race where two
 // processes lock different inodes behind one path).
-func acquireDirLock(path string) (*os.File, error) {
-	lock, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open lock file: %w", err)
-	}
-	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		lock.Close()
-		if errors.Is(err, syscall.EWOULDBLOCK) {
-			return nil, fmt.Errorf("%s: %w", path, ErrStoreLocked)
-		}
-		return nil, fmt.Errorf("store: lock %s: %w", path, err)
-	}
-	return lock, nil
+func lockFile(f *os.File) error {
+	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
 }
 
-// releaseDirLock drops the advisory lock. Closing the file releases the
-// flock with it; the explicit unlock just makes the handoff immediate.
-func releaseDirLock(lock *os.File) {
-	if lock == nil {
-		return
-	}
-	_ = syscall.Flock(int(lock.Fd()), syscall.LOCK_UN)
-	_ = lock.Close()
+// unlockFile drops the flock. Closing the file releases it too; the
+// explicit unlock just makes the handoff immediate.
+func unlockFile(f *os.File) {
+	_ = syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
 }

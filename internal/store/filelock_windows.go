@@ -3,8 +3,6 @@
 package store
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"syscall"
 	"unsafe"
@@ -34,7 +32,8 @@ const (
 	lockfileFailImmediately = 0x00000001 // LOCKFILE_FAIL_IMMEDIATELY
 	lockfileExclusiveLock   = 0x00000002 // LOCKFILE_EXCLUSIVE_LOCK
 
-	errnoLockViolation syscall.Errno = 33 // ERROR_LOCK_VIOLATION
+	// errLockHeld is what lockFile reports when another holder has the lock.
+	errLockHeld syscall.Errno = 33 // ERROR_LOCK_VIOLATION
 )
 
 // lockRange covers the whole (empty) lock file: LockFileEx locks byte
@@ -49,32 +48,15 @@ func lockRange(f *os.File, flags uintptr) error {
 	return nil
 }
 
-// acquireDirLock takes a non-blocking exclusive LockFileEx lock on the
-// store directory's lock file, creating it if needed. A conflicting
-// holder yields ErrStoreLocked, mirroring the unix implementation.
-func acquireDirLock(path string) (*os.File, error) {
-	lock, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open lock file: %w", err)
-	}
-	if err := lockRange(lock, lockfileExclusiveLock|lockfileFailImmediately); err != nil {
-		lock.Close()
-		if errors.Is(err, errnoLockViolation) {
-			return nil, fmt.Errorf("%s: %w", path, ErrStoreLocked)
-		}
-		return nil, fmt.Errorf("store: lock %s: %w", path, err)
-	}
-	return lock, nil
+// lockFile takes a non-blocking exclusive LockFileEx lock.
+func lockFile(f *os.File) error {
+	return lockRange(f, lockfileExclusiveLock|lockfileFailImmediately)
 }
 
-// releaseDirLock drops the lock. Closing the handle releases it with
-// the process's reference; the explicit unlock just makes the handoff
+// unlockFile drops the lock. Closing the handle releases it with the
+// process's reference; the explicit unlock just makes the handoff
 // immediate.
-func releaseDirLock(lock *os.File) {
-	if lock == nil {
-		return
-	}
+func unlockFile(f *os.File) {
 	var ol syscall.Overlapped
-	_, _, _ = procUnlockFileEx.Call(lock.Fd(), 0, 1, 0, uintptr(unsafe.Pointer(&ol)))
-	_ = lock.Close()
+	_, _, _ = procUnlockFileEx.Call(f.Fd(), 0, 1, 0, uintptr(unsafe.Pointer(&ol)))
 }

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,18 +17,7 @@ import (
 	"github.com/crowdml/crowdml/internal/core"
 )
 
-// Journal segment naming. The journal is a sequence of segment files,
-// journal-0000000001.wal, journal-0000000002.wal, …, each a run of
-// wirecodec journal frames (see segment.go); the highest sequence number
-// is the live (appended-to) segment and every lower one is sealed. The
-// suffix differs from earlier releases' JSONL segments so the formats
-// cannot be confused: *.jsonl files are refused with ErrLegacyJournal.
-const (
-	segmentPrefix  = "journal-"
-	segmentSuffix  = ".wal"
-	segmentPattern = segmentPrefix + "%010d" + segmentSuffix
-	lockFileName   = "LOCK"
-)
+const lockFileName = "LOCK"
 
 // FileStore persists checkpoints and journals under a directory:
 // checkpoint.json (atomic write-to-temp + rename) and a segmented
@@ -82,7 +69,8 @@ func (f *FileStore) checkpointPath() string {
 	return filepath.Join(f.dir, "checkpoint.json")
 }
 
-// Save atomically writes a checkpoint of the given state.
+// Save atomically writes a checkpoint of the given state, streaming the
+// encoder into the temp file: no whole-document copy is held.
 func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -90,36 +78,44 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	if state == nil {
 		return errors.New("store: nil state")
 	}
-	tmp, err := os.CreateTemp(f.dir, "checkpoint-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	// Compact JSON out of the encoder's pooled buffer in one write: no
-	// indented second copy of the whole document.
 	cp := Checkpoint{SavedAtUnixMillis: now.UnixMilli(), State: state}
-	if err := json.NewEncoder(tmp).Encode(&cp); err != nil {
+	err := writeFileAtomic(f.checkpointPath(), func(w io.Writer) error { return EncodeCheckpoint(w, &cp) })
+	if err != nil {
+		return fmt.Errorf("store: save checkpoint: %w", err)
+	}
+	// Sync the directory so the rename itself survives a machine crash.
+	// Best-effort HERE only: a checkpoint whose rename is lost to power
+	// failure costs a longer journal replay, never data — the journal
+	// covers every acknowledged checkin regardless.
+	_ = syncDir(f.dir)
+	return nil
+}
+
+// writeFileAtomic is the package's one temp → write → fsync → close →
+// rename sequence: path either keeps what it held or holds everything
+// write produced, never a prefix, and a failure at any step leaves no
+// temp file behind. Making the rename itself durable (syncDir) is left to
+// the caller, because callers differ in whether a lost rename loses data.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
+	// Every failing call below is an *os.PathError (or write's own error)
+	// that already names the step and the file.
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op after the successful rename
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: write checkpoint: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: sync checkpoint: %w", err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: close checkpoint: %w", err)
+		return err
 	}
-	if err := os.Rename(tmpName, f.checkpointPath()); err != nil {
-		return fmt.Errorf("store: publish checkpoint: %w", err)
-	}
-	// Sync the directory so the rename itself survives a machine crash
-	// (the temp file's contents were already synced above). Best-effort
-	// HERE only: a checkpoint whose rename is lost to power failure
-	// costs a longer journal replay, never data — the journal covers
-	// every acknowledged checkin regardless.
-	_ = syncDir(f.dir)
-	return nil
+	return os.Rename(tmp.Name(), path)
 }
 
 // syncDir fsyncs a directory, making file creates and renames inside it
@@ -146,30 +142,15 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	payload, err := os.ReadFile(f.checkpointPath())
+	file, err := os.Open(f.checkpointPath())
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCheckpoint
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
-		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
-	}
-	if cp.State == nil {
-		return nil, errors.New("store: checkpoint missing state")
-	}
-	return &cp, nil
-}
-
-// segmentSeq parses a segment file name into its sequence number (≥ 1).
-func segmentSeq(name string) (int, bool) {
-	var seq int
-	if _, err := fmt.Sscanf(name, segmentPattern, &seq); err != nil || seq < 1 {
-		return 0, false
-	}
-	return seq, name == fmt.Sprintf(segmentPattern, seq)
+	defer file.Close()
+	return DecodeCheckpoint(file)
 }
 
 // Segments returns the journal's segments, oldest first, with their
@@ -203,6 +184,29 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		segs[n-1].Sealed = false
 	}
 	return segs, nil
+}
+
+// The rest of segmentChain: a segment is a file in the store directory.
+
+func (f *FileStore) openSegment(name string) (segmentImage, int64, error) {
+	file, err := os.Open(filepath.Join(f.dir, name))
+	if err != nil {
+		return nil, 0, err
+	}
+	info, err := file.Stat()
+	if err != nil {
+		file.Close()
+		return nil, 0, err
+	}
+	return file, info.Size(), nil
+}
+
+func (f *FileStore) removeSegment(name string) error {
+	return os.Remove(filepath.Join(f.dir, name))
+}
+
+func (f *FileStore) renameSegment(name, dst string) error {
+	return os.Rename(filepath.Join(f.dir, name), dst)
 }
 
 // fileJournal is the append-only segmented journal behind a FileStore.
@@ -252,17 +256,38 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if len(segs) > 0 {
 		seq = segs[len(segs)-1].Seq
 	}
-	path := filepath.Join(f.dir, fmt.Sprintf(segmentPattern, seq))
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, err := os.OpenFile(filepath.Join(f.dir, segmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
-	if err := repairTornTail(path); err != nil {
+	if err := f.repairTornTail(segmentName(seq)); err != nil {
 		file.Close()
 		return nil, fmt.Errorf("store: repair journal tail: %w", err)
 	}
 	ok = true
 	return &fileJournal{dir: f.dir, file: file, seq: seq, lock: lock}, nil
+}
+
+// acquireDirLock takes the store directory's lock on its LOCK file,
+// creating it if needed; lockFile and unlockFile are the platform's.
+func acquireDirLock(path string) (*os.File, error) {
+	lock, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: open lock file: %w", err)
+	}
+	if err := lockFile(lock); err != nil {
+		lock.Close()
+		if errors.Is(err, errLockHeld) {
+			return nil, fmt.Errorf("%s: %w", path, ErrStoreLocked)
+		}
+		return nil, fmt.Errorf("store: lock %s: %w", path, err)
+	}
+	return lock, nil
+}
+
+func releaseDirLock(lock *os.File) {
+	unlockFile(lock)
+	_ = lock.Close()
 }
 
 // repairTornTail truncates the live segment back to its last valid frame
@@ -271,9 +296,9 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 // loss can leave several bad frames at the end — the frame a cut exposes
 // must verify too, or the next append (O_APPEND: at the new end) would
 // bury it mid-segment.
-func repairTornTail(path string) error {
+func (f *FileStore) repairTornTail(name string) error {
 	for {
-		file, sr, err := openSegment(path, 0, nil)
+		file, sr, err := readSegment(f, name, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -282,7 +307,7 @@ func repairTornTail(path string) error {
 		if !errors.Is(err, errTorn) {
 			return err
 		}
-		if err := os.Truncate(path, sr.off); err != nil {
+		if err := os.Truncate(filepath.Join(f.dir, name), sr.off); err != nil {
 			return fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
@@ -354,8 +379,7 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	if err := j.file.Sync(); err != nil {
 		return fmt.Errorf("store: sync before rotate: %w", err)
 	}
-	next, err := os.OpenFile(filepath.Join(j.dir, fmt.Sprintf(segmentPattern, j.seq+1)),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	next, err := os.OpenFile(filepath.Join(j.dir, segmentName(j.seq+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create next segment: %w", err)
 	}
@@ -392,176 +416,16 @@ func (j *fileJournal) Close() error {
 	return j.file.Close()
 }
 
-// OpenCursor opens the streaming journal read. Segment selection walks
-// the chain newest-first reading only each segment's FIRST frame header:
-// the walk stops at the first segment whose first iteration is at or
-// below afterIteration+1, because every earlier segment then holds only
-// iterations the checkpoint already covers (journal iterations strictly
-// increase) — recovery cost tracks rotation cadence, not journal size. A
-// segment with no readable first header cannot prove coverage, so the
-// walk keeps going — erring toward streaming more, never less. Within the
-// chosen segments, covered frames are skipped on their headers.
+// OpenCursor opens the streaming journal read (see openCursor).
 func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	segs, err := f.Segments(ctx)
-	if err != nil {
-		return nil, err
-	}
-	start := 0
-	if afterIteration > 0 {
-		for i := len(segs) - 1; i >= 0; i-- {
-			if first, ok := f.firstIterationOf(segs[i].Name); ok && first <= afterIteration+1 {
-				start = i
-				break
-			}
-		}
-	}
-	return &fileCursor{dir: f.dir, segs: segs[start:], after: afterIteration}, nil
-}
-
-// firstIterationOf reads a segment's first frame header; ok is false when
-// there is none to trust (empty, torn, just pruned, unreadable — the
-// cursor that then covers the segment will say which).
-func (f *FileStore) firstIterationOf(name string) (first int, ok bool) {
-	file, sr, err := openSegment(filepath.Join(f.dir, name), 0, nil)
-	if err != nil {
-		return 0, false
-	}
-	defer file.Close()
-	first, _, err = sr.frameAt(0)
-	return first, err == nil
-}
-
-// fileCursor streams journal segments oldest-first, frame by frame,
-// holding one open file and one decoded entry at a time. A torn tail on
-// the LIVE (newest) segment — the expected artifact of a crash
-// mid-append — ends the stream with ErrJournalTruncated after every valid
-// entry has been yielded; in a sealed segment (which no crash can tear),
-// or with valid frames after it, damage is corruption and a hard error.
-type fileCursor struct {
-	dir   string
-	segs  []SegmentInfo // remaining + current, oldest first
-	idx   int           // the open segment, or the next to open once file is nil
-	after int           // skip iterations at or below this
-
-	file *os.File
-	sr   segmentReader
-
-	err error // latched terminal state (io.EOF, ErrJournalTruncated, or a hard error)
-}
-
-var _ JournalCursor = (*fileCursor)(nil)
-
-// fail latches a terminal error and returns it.
-func (c *fileCursor) fail(err error) (JournalEntry, error) {
-	c.Close()
-	c.err = err
-	return JournalEntry{}, err
-}
-
-// Next returns the next journal entry, io.EOF at the clean end of the
-// chain, or ErrJournalTruncated (wrapped with the segment context) in
-// io.EOF's place when the live segment ends in a crash-torn frame.
-func (c *fileCursor) Next() (JournalEntry, error) {
-	if c.err != nil {
-		return JournalEntry{}, c.err
-	}
-	for {
-		if c.idx >= len(c.segs) {
-			return c.fail(io.EOF)
-		}
-		name := c.segs[c.idx].Name
-		if c.file == nil {
-			// The buffer and the floor carry over: ordering spans segments.
-			file, sr, err := openSegment(filepath.Join(c.dir, name), c.sr.floor, c.sr.buf)
-			if errors.Is(err, fs.ErrNotExist) {
-				c.idx++ // raced a concurrent prune; nothing to read here
-				continue
-			}
-			if err != nil {
-				return c.fail(fmt.Errorf("store: open journal segment %s: %w", name, err))
-			}
-			c.file, c.sr = file, sr
-		}
-		e, err := c.sr.next(c.after)
-		switch {
-		case err == nil:
-			return e, nil
-		case errors.Is(err, io.EOF):
-			c.file.Close()
-			c.file = nil
-			c.idx++
-		case errors.Is(err, errTorn) && c.idx == len(c.segs)-1:
-			return c.fail(fmt.Errorf("store: journal segment %s: %v: %w", name, err, ErrJournalTruncated))
-		default:
-			return c.fail(fmt.Errorf("store: journal segment %s: %w", name, err))
-		}
-	}
-}
-
-// Close releases the cursor's open segment file, if any.
-func (c *fileCursor) Close() error {
-	if c.err == nil {
-		c.err = errors.New("store: cursor closed")
-	}
-	if c.file != nil {
-		err := c.file.Close()
-		c.file = nil
-		return err
-	}
-	return nil
+	return openCursor(ctx, f, afterIteration)
 }
 
 var _ SegmentRetainer = (*FileStore)(nil)
 
-// PruneSegments implements automated retention: sealed segments whose
-// last record's iteration is at or below coveredIteration are removed
-// (archiveDir == "") or moved into archiveDir, oldest first, stopping
-// at the first segment a checkpoint at coveredIteration does not fully
-// cover. The live segment is never touched. Pruning oldest-first means
-// an interruption at any point (crash mid-prune) leaves exactly the
-// state of a smaller completed prune: a contiguous journal suffix, fully
-// recoverable.
+// PruneSegments implements automated retention (see pruneChain).
 func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	segs, err := f.Segments(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if archiveDir != "" {
-		if err := os.MkdirAll(archiveDir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: create archive dir: %w", err)
-		}
-	}
-	var pruned []string
-	for _, seg := range segs {
-		if !seg.Sealed {
-			break // the live segment (always last) is never pruned
-		}
-		last, err := f.lastIterationOf(seg.Name)
-		if err != nil {
-			return pruned, fmt.Errorf("store: journal segment %s: %w", seg.Name, err)
-		}
-		// Journal iterations are monotone, so a sealed segment whose last
-		// entry the checkpoint covers is covered in full (an empty one,
-		// reporting -1, trivially); the first uncovered one ends the walk.
-		if last > coveredIteration {
-			break
-		}
-		path := filepath.Join(f.dir, seg.Name)
-		if archiveDir != "" {
-			if err := moveFile(path, filepath.Join(archiveDir, seg.Name)); err != nil {
-				return pruned, fmt.Errorf("store: archive segment %s: %w", seg.Name, err)
-			}
-		} else if err := os.Remove(path); err != nil {
-			return pruned, fmt.Errorf("store: prune segment %s: %w", seg.Name, err)
-		}
-		pruned = append(pruned, seg.Name)
-	}
+	pruned, err := pruneChain(ctx, f, coveredIteration, archiveDir)
 	if len(pruned) > 0 {
 		// Make the removals durable so a machine crash cannot resurrect a
 		// pruned dirent. Best-effort: a resurrected segment only lengthens
@@ -569,135 +433,7 @@ func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, arc
 		// covered by the checkpoint).
 		_ = syncDir(f.dir)
 	}
-	return pruned, nil
-}
-
-// moveFile moves src to dst, preferring a plain rename and falling back
-// to copy-then-remove when the two sit on different filesystems (EXDEV)
-// — an archive directory on a separate audit volume is the natural
-// deployment, and rename alone would fail every retention cycle there.
-// The copy lands via a temp file + rename inside the destination
-// directory, so a crash mid-copy never leaves a half-written file under
-// the segment's name, and the source is removed only after the copy is
-// fsynced — a crash between the two leaves a duplicate, never a loss.
-//
-// An EXISTING dst is never overwritten: archived segments are the audit
-// trail, and a name collision means either a misconfiguration (two
-// tasks sharing one archive directory, a store restored from backup
-// re-issuing sequence numbers) — refused with an error — or the
-// crash-duplicate this function's own copy path can leave, recognized
-// by identical contents and resolved by just removing the source.
-func moveFile(src, dst string) error {
-	if _, err := os.Lstat(dst); err == nil {
-		same, err := sameContents(src, dst)
-		if err != nil {
-			return err
-		}
-		if !same {
-			return fmt.Errorf("archive destination %s already exists with different contents", dst)
-		}
-		return os.Remove(src) // duplicate from an interrupted earlier move
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	renameErr := os.Rename(src, dst)
-	if renameErr == nil {
-		return nil
-	}
-	if !errors.Is(renameErr, syscall.EXDEV) {
-		// Only a cross-device rename earns the copy fallback; any other
-		// failure (permissions, read-only volume) surfaces as itself so
-		// the recorded retention error names the real cause. (Windows
-		// reports cross-volume renames with its own error code, not
-		// EXDEV — archiving across volumes there surfaces that error
-		// rather than silently copying.)
-		return renameErr
-	}
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after the successful rename
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, dst); err != nil {
-		return err
-	}
-	// The destination dirent must be durable BEFORE the source unlink:
-	// otherwise a machine crash could make the unlink durable while the
-	// never-synced archive dirent is not, losing the segment from both
-	// directories. (The plain-rename path above has no such window —
-	// rename is atomic, so the segment is always in exactly one place.)
-	if err := syncDir(filepath.Dir(dst)); err != nil {
-		return err
-	}
-	return os.Remove(src)
-}
-
-// sameContents streams two files side by side, reporting whether their
-// bytes are identical — O(one buffer) memory, like every other read in
-// this package.
-func sameContents(a, b string) (bool, error) {
-	fa, err := os.Open(a)
-	if err != nil {
-		return false, err
-	}
-	defer fa.Close()
-	fb, err := os.Open(b)
-	if err != nil {
-		return false, err
-	}
-	defer fb.Close()
-	bufA, bufB := make([]byte, 64*1024), make([]byte, 64*1024)
-	for {
-		na, errA := io.ReadFull(fa, bufA)
-		nb, errB := io.ReadFull(fb, bufB)
-		if na != nb || !bytes.Equal(bufA[:na], bufB[:nb]) {
-			return false, nil
-		}
-		endA := errors.Is(errA, io.EOF) || errors.Is(errA, io.ErrUnexpectedEOF)
-		endB := errors.Is(errB, io.EOF) || errors.Is(errB, io.ErrUnexpectedEOF)
-		switch {
-		case errA == nil && errB == nil:
-			continue
-		case endA && endB:
-			return true, nil
-		case endA != endB:
-			return false, nil
-		default:
-			if errA != nil && !endA {
-				return false, errA
-			}
-			return false, errB
-		}
-	}
-}
-
-// lastIterationOf finds a sealed segment's final iteration by hopping
-// its frame headers (-1 when it is empty). A sealed segment whose tail
-// does not verify is damage (sealing fsyncs the file) and an error.
-func (f *FileStore) lastIterationOf(name string) (int, error) {
-	file, sr, err := openSegment(filepath.Join(f.dir, name), 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	defer file.Close()
-	return sr.lastIteration()
+	return pruned, err
 }
 
 // FileRoot exposes a directory of per-task FileStores: each immediate

@@ -2,19 +2,66 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
+	"syscall"
 
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // A journal segment is wirecodec.KindJournal frames laid end to end, the
-// same frames the replication feed ships (docs/WIRE.md). This file is the
-// one place entries turn into frames and back; FileStore's segments,
-// MemStore's archive writer and the feed all go through it.
+// same frames the replication feed ships (docs/WIRE.md), and a journal is
+// a chain of named segments, journal-0000000001.wal,
+// journal-0000000002.wal, …: the highest sequence number is the live
+// (appended-to) segment and every lower one is sealed. This file is the
+// one place entries turn into frames and back and the one implementation
+// of reading, pruning and archiving a chain; a backend supplies only the
+// segmentChain below. The suffix differs from earlier releases' JSONL
+// segments so the formats cannot be confused: *.jsonl files are refused
+// with ErrLegacyJournal.
+const (
+	segmentPrefix  = "journal-"
+	segmentSuffix  = ".wal"
+	segmentPattern = segmentPrefix + "%010d" + segmentSuffix
+)
+
+// segmentName names the segment at a chain position (numbered from 1).
+func segmentName(seq int) string { return fmt.Sprintf(segmentPattern, seq) }
+
+// segmentSeq parses a segment name into its sequence number (≥ 1).
+func segmentSeq(name string) (int, bool) {
+	var seq int
+	if _, err := fmt.Sscanf(name, segmentPattern, &seq); err != nil || seq < 1 {
+		return 0, false
+	}
+	return seq, name == segmentName(seq)
+}
+
+// segmentChain is what a backend (FileStore: files in a directory;
+// MemStore: byte slices) supplies to the code in this file.
+type segmentChain interface {
+	// Segments lists the chain oldest first; all but the newest are sealed.
+	Segments(ctx context.Context) ([]SegmentInfo, error)
+	// openSegment opens a segment as it is now: its first size bytes never
+	// change afterwards. A segment that is gone reports fs.ErrNotExist.
+	openSegment(name string) (image segmentImage, size int64, err error)
+	removeSegment(name string) error
+	// renameSegment moves a segment out of the chain to the file dst, or
+	// reports syscall.EXDEV when no rename can get it there.
+	renameSegment(name, dst string) error
+}
+
+// segmentImage is an open segment's bytes.
+type segmentImage interface {
+	io.ReaderAt
+	io.Closer
+}
 
 // appendEntry appends e's frame to dst. It retains nothing of e.
 func appendEntry(dst []byte, e *JournalEntry) ([]byte, error) {
@@ -68,19 +115,14 @@ type segmentReader struct {
 	buf    []byte // frame staging, reused
 }
 
-// openSegment opens a segment file for reading as it is now, accepting
+// readSegment opens a chain's segment for reading as it is now, accepting
 // iterations from floor up and staging frames in buf.
-func openSegment(path string, floor int, buf []byte) (*os.File, segmentReader, error) {
-	file, err := os.Open(path)
+func readSegment(c segmentChain, name string, floor int, buf []byte) (segmentImage, segmentReader, error) {
+	image, size, err := c.openSegment(name)
 	if err != nil {
 		return nil, segmentReader{}, err
 	}
-	info, err := file.Stat()
-	if err != nil {
-		file.Close()
-		return nil, segmentReader{}, err
-	}
-	return file, segmentReader{ra: file, size: info.Size(), floor: floor, hopped: -1, buf: buf}, nil
+	return image, segmentReader{ra: image, size: size, floor: floor, hopped: -1, buf: buf}, nil
 }
 
 // next returns the next entry whose iteration exceeds after, or io.EOF
@@ -205,4 +247,252 @@ func (s *segmentReader) settle(cause error) error {
 		off += int64(len(window)) - overlap
 	}
 	return fmt.Errorf("%w from offset %d on: %v", errTorn, s.off, cause)
+}
+
+// openCursor is Store.OpenCursor for any chain. Segment selection walks
+// the chain newest-first reading only each segment's FIRST frame header:
+// the walk stops at the first segment whose first iteration is at or
+// below afterIteration+1, because every earlier segment then holds only
+// iterations the checkpoint already covers — recovery cost tracks rotation
+// cadence, not journal size. A segment with no readable first header
+// (empty, torn, just pruned — the cursor that then covers it will say
+// which) cannot prove coverage, so the walk keeps going — erring toward
+// streaming more, never less.
+func openCursor(ctx context.Context, c segmentChain, afterIteration int) (JournalCursor, error) {
+	segs, err := c.Segments(ctx)
+	if err != nil {
+		return nil, err
+	}
+	start := 0
+	if afterIteration > 0 {
+		for i := len(segs) - 1; i >= 0; i-- {
+			image, sr, err := readSegment(c, segs[i].Name, 0, nil)
+			if err != nil {
+				continue
+			}
+			first, _, err := sr.frameAt(0)
+			image.Close()
+			if err == nil && first <= afterIteration+1 {
+				start = i
+				break
+			}
+		}
+	}
+	return &cursor{chain: c, segs: segs[start:], after: afterIteration}, nil
+}
+
+// cursor streams a chain's segments oldest-first, frame by frame, holding
+// one open segment and one decoded entry at a time. A torn tail on the
+// LIVE (newest) segment — the expected artifact of a crash mid-append —
+// ends the stream with ErrJournalTruncated after every valid entry has
+// been yielded; in a sealed segment (which no crash can tear), or with
+// valid frames after it, damage is corruption and a hard error.
+type cursor struct {
+	chain segmentChain
+	segs  []SegmentInfo // remaining + current, oldest first
+	idx   int           // the open segment, or the next to open once image is nil
+	after int           // skip iterations at or below this
+
+	image segmentImage
+	sr    segmentReader
+
+	err error // latched terminal state (io.EOF, ErrJournalTruncated, or a hard error)
+}
+
+// fail latches a terminal error and returns it.
+func (c *cursor) fail(err error) (JournalEntry, error) {
+	c.Close()
+	c.err = err
+	return JournalEntry{}, err
+}
+
+// Next returns the next journal entry, io.EOF at the clean end of the
+// chain, or ErrJournalTruncated (wrapped with the segment context) in
+// io.EOF's place when the live segment ends in a crash-torn frame.
+func (c *cursor) Next() (JournalEntry, error) {
+	if c.err != nil {
+		return JournalEntry{}, c.err
+	}
+	for {
+		if c.idx >= len(c.segs) {
+			return c.fail(io.EOF)
+		}
+		name := c.segs[c.idx].Name
+		if c.image == nil {
+			// The buffer and the floor carry over: ordering spans segments.
+			image, sr, err := readSegment(c.chain, name, c.sr.floor, c.sr.buf)
+			if errors.Is(err, fs.ErrNotExist) {
+				c.idx++ // raced a concurrent prune; nothing to read here
+				continue
+			}
+			if err != nil {
+				return c.fail(fmt.Errorf("store: open journal segment %s: %w", name, err))
+			}
+			c.image, c.sr = image, sr
+		}
+		e, err := c.sr.next(c.after)
+		switch {
+		case err == nil:
+			return e, nil
+		case errors.Is(err, io.EOF):
+			c.image.Close()
+			c.image = nil
+			c.idx++
+		case errors.Is(err, errTorn) && c.idx == len(c.segs)-1:
+			return c.fail(fmt.Errorf("store: journal segment %s: %v: %w", name, err, ErrJournalTruncated))
+		default:
+			return c.fail(fmt.Errorf("store: journal segment %s: %w", name, err))
+		}
+	}
+}
+
+// Close releases the cursor's open segment, if any.
+func (c *cursor) Close() error {
+	if c.err == nil {
+		c.err = errors.New("store: cursor closed")
+	}
+	if c.image != nil {
+		err := c.image.Close()
+		c.image = nil
+		return err
+	}
+	return nil
+}
+
+// pruneChain is SegmentRetainer.PruneSegments — which states the contract
+// — for any chain.
+func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archiveDir string) ([]string, error) {
+	segs, err := c.Segments(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if archiveDir != "" {
+		if err := os.MkdirAll(archiveDir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: create archive dir: %w", err)
+		}
+	}
+	var pruned []string
+	for _, seg := range segs {
+		if !seg.Sealed {
+			break // the live segment (always last) is never pruned
+		}
+		// A sealed segment whose tail does not verify is damage (sealing
+		// fsyncs the file) and an error, not a torn tail.
+		image, sr, err := readSegment(c, seg.Name, 0, nil)
+		if err != nil {
+			return pruned, fmt.Errorf("store: journal segment %s: %w", seg.Name, err)
+		}
+		last, err := sr.lastIteration()
+		image.Close()
+		if err != nil {
+			return pruned, fmt.Errorf("store: journal segment %s: %w", seg.Name, err)
+		}
+		// Journal iterations are monotone, so a sealed segment whose last
+		// entry the checkpoint covers is covered in full (an empty one,
+		// reporting -1, trivially); the first uncovered one ends the walk.
+		if last > coveredIteration {
+			break
+		}
+		if archiveDir != "" {
+			if err := archiveSegment(c, seg.Name, filepath.Join(archiveDir, seg.Name)); err != nil {
+				return pruned, fmt.Errorf("store: archive segment %s: %w", seg.Name, err)
+			}
+		} else if err := c.removeSegment(seg.Name); err != nil {
+			return pruned, fmt.Errorf("store: prune segment %s: %w", seg.Name, err)
+		}
+		pruned = append(pruned, seg.Name)
+	}
+	return pruned, nil
+}
+
+// archiveSegment moves a sealed segment to the file dst, preferring a
+// plain rename and falling back to copy-then-remove when the chain cannot
+// rename it there (EXDEV): the two sit on different filesystems — an
+// archive directory on a separate audit volume is the natural deployment,
+// and rename alone would fail every retention cycle there — or the chain
+// is in memory. The copy lands through writeFileAtomic, so a crash
+// mid-copy never leaves a half-written file under the segment's name, and
+// the source is removed only after the copy and its directory entry are
+// fsynced: a machine crash could otherwise make the unlink durable while
+// the never-synced archive dirent is not, losing the segment from both
+// places. A crash between the two leaves a duplicate, never a loss. (The
+// rename path has no such window — the segment is always in exactly one
+// place. Windows reports cross-volume renames with its own error code, not
+// EXDEV — archiving across volumes there surfaces that error rather than
+// silently copying.)
+//
+// An EXISTING dst is never overwritten: archived segments are the audit
+// trail, and a name collision means either a misconfiguration (two tasks
+// sharing one archive directory, a store restored from backup re-issuing
+// sequence numbers) — refused with an error — or the crash-duplicate the
+// copy path can leave, recognized by identical contents and resolved by
+// just removing the source.
+func archiveSegment(c segmentChain, name, dst string) error {
+	if _, err := os.Lstat(dst); err == nil {
+		same, err := segmentEquals(c, name, dst)
+		if err != nil {
+			return err
+		}
+		if !same {
+			return fmt.Errorf("archive destination %s already exists with different contents", dst)
+		}
+		return c.removeSegment(name)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	// Only EXDEV earns the copy fallback; any other failure (permissions,
+	// read-only volume) surfaces as itself so the recorded retention error
+	// names the real cause.
+	if err := c.renameSegment(name, dst); !errors.Is(err, syscall.EXDEV) {
+		return err
+	}
+	image, size, err := c.openSegment(name)
+	if err != nil {
+		return err
+	}
+	err = writeFileAtomic(dst, func(w io.Writer) error {
+		_, err := io.Copy(w, io.NewSectionReader(image, 0, size))
+		return err
+	})
+	image.Close()
+	if err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(dst)); err != nil {
+		return err
+	}
+	return c.removeSegment(name)
+}
+
+// segmentEquals reports whether the file at path holds exactly the named
+// segment's bytes, streaming both side by side — O(one buffer) memory,
+// like every other read in this package.
+func segmentEquals(c segmentChain, name, path string) (bool, error) {
+	image, size, err := c.openSegment(name)
+	if err != nil {
+		return false, err
+	}
+	defer image.Close()
+	file, err := os.Open(path)
+	if err != nil {
+		return false, err
+	}
+	defer file.Close()
+	if info, err := file.Stat(); err != nil || info.Size() != size {
+		return false, err
+	}
+	a, b := make([]byte, 64<<10), make([]byte, 64<<10)
+	for off := int64(0); off < size; off += int64(len(a)) {
+		n := min(int64(len(a)), size-off)
+		if _, err := io.ReadFull(io.NewSectionReader(image, off, n), a[:n]); err != nil {
+			return false, err
+		}
+		if _, err := io.ReadFull(io.NewSectionReader(file, off, n), b[:n]); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(a[:n], b[:n]) {
+			return false, nil
+		}
+	}
+	return true, nil
 }

@@ -28,6 +28,15 @@ func FuzzSegmentCursor(f *testing.F) {
 		}
 	}
 	f.Add(seg)
+	// The same frames as a MemStore holds them: its live segment's bytes.
+	mem := NewMemStore()
+	j, _ := mem.OpenJournal(ctx)
+	for _, e := range goldenEntries {
+		if err := j.Append(ctx, e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(bytes.Clone(mem.chain.segs[0]))
 	f.Add(seg[:len(seg)-7])
 	f.Add(append(bytes.Clone(seg), make([]byte, 100)...))
 	f.Add(append(bytes.Clone(seg[:40]), seg...))

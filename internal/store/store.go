@@ -38,7 +38,10 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -83,6 +86,34 @@ type Checkpoint struct {
 	State *core.ServerState `json:"state"`
 }
 
+// EncodeCheckpoint writes cp in the checkpoint format — compact JSON, one
+// line — straight onto w. With DecodeCheckpoint it is the one place the
+// format is known: FileStore's checkpoint.json, MemStore's held bytes and
+// the replication checkpoint endpoint are all this document.
+func EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
+	if err := json.NewEncoder(w).Encode(cp); err != nil {
+		return fmt.Errorf("store: encode checkpoint: %w", err)
+	}
+	return nil
+}
+
+// DecodeCheckpoint reads one checkpoint document from r, refusing one
+// that carries no state.
+func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
+	payload, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: read checkpoint: %w", err)
+	}
+	var cp Checkpoint
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
+	}
+	if cp.State == nil {
+		return nil, errors.New("store: checkpoint missing state")
+	}
+	return &cp, nil
+}
+
 // JournalEntry is one write-ahead record: the complete sanitized checkin
 // a device contributed at one server iteration. Together with the
 // checkpoint it replays from, the entry fully determines the server's
@@ -105,6 +136,23 @@ type JournalEntry struct {
 	// Version echoes the checkout version the device computed against,
 	// so replay reproduces the staleness accounting exactly.
 	Version int `json:"version"`
+}
+
+// ReplayRecord is the entry as core.Server.Replay consumes it. The request
+// aliases the entry's slices: a cursor or feed allocates them fresh per
+// entry, so handing them on is safe.
+func (e JournalEntry) ReplayRecord() core.ReplayRecord {
+	return core.ReplayRecord{
+		DeviceID:  e.DeviceID,
+		Iteration: e.Iteration,
+		Req: &core.CheckinRequest{
+			Grad:        e.Grad,
+			NumSamples:  e.NumSamples,
+			ErrCount:    e.ErrCount,
+			LabelCounts: e.LabelCounts,
+			Version:     e.Version,
+		},
+	}
 }
 
 // Journal is an append-only, segmented checkin log. Implementations

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -734,5 +737,243 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Append allocates %.0f times per entry, want 0", allocs)
+	}
+}
+
+// ---- The shared pieces: one atomic write, one format on both backends ----
+
+// TestWriteFileAtomicFailsClean fails the temp → write → fsync → rename
+// sequence at each step in turn: whichever step fails, nothing appears
+// under the final name and no temp file is left behind.
+func TestWriteFileAtomicFailsClean(t *testing.T) {
+	payload := func(w io.Writer) error {
+		_, err := w.Write([]byte("payload"))
+		return err
+	}
+	steps := map[string]struct {
+		prepare func(t *testing.T, dir string) // breaks the step
+		write   func(w io.Writer) error
+	}{
+		"create": {
+			prepare: func(t *testing.T, dir string) {
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			},
+			write: payload,
+		},
+		"write": {
+			write: func(w io.Writer) error {
+				_, _ = w.Write([]byte("pay"))
+				return errors.New("disk full")
+			},
+		},
+		"sync": {
+			// A temp file closed behind the helper's back cannot be fsynced.
+			write: func(w io.Writer) error {
+				if err := payload(w); err != nil {
+					return err
+				}
+				return w.(*os.File).Close()
+			},
+		},
+		"rename": {
+			// The final name is taken by a non-empty directory.
+			prepare: func(t *testing.T, dir string) {
+				if err := os.MkdirAll(filepath.Join(dir, "final", "occupied"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			},
+			write: payload,
+		},
+	}
+	for name, step := range steps {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if step.prepare != nil {
+				step.prepare(t, dir)
+			}
+			final := filepath.Join(dir, "final")
+			if err := writeFileAtomic(final, step.write); err == nil {
+				t.Fatal("writeFileAtomic succeeded with the step broken")
+			}
+			if info, err := os.Stat(final); err == nil && !info.IsDir() {
+				t.Errorf("a file appeared under the final name")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if strings.HasSuffix(e.Name(), ".tmp") {
+					t.Errorf("leftover temp file %s", e.Name())
+				}
+			}
+		})
+	}
+	// And the sequence itself: the old contents, then all of the new.
+	final := filepath.Join(t.TempDir(), "final")
+	for _, want := range []string{"first", "second, longer"} {
+		err := writeFileAtomic(final, func(w io.Writer) error {
+			_, err := io.WriteString(w, want)
+			return err
+		})
+		if got, _ := os.ReadFile(final); err != nil || string(got) != want {
+			t.Fatalf("writeFileAtomic: %v, file holds %q, want %q", err, got, want)
+		}
+	}
+}
+
+// goldenStore is testdata/golden: a checkpoint and a live segment written
+// by the release before MemStore and FileStore shared their segment and
+// checkpoint code (FileStore.Save at goldenSavedAt, then three Appends).
+var (
+	goldenSavedAt = time.UnixMilli(1790000000123)
+	goldenEntries = []JournalEntry{
+		{AtUnixMillis: 1790000000200, DeviceID: "dev-a", Iteration: 3, NumSamples: 3, ErrCount: 1, GradNorm1: 2.75,
+			Grad: []float64{0.5, -1.25, 1e-7, 1, 0, 0}, LabelCounts: []int{1, 1, 1}, Version: 2},
+		{AtUnixMillis: 1790000000300, DeviceID: "dev-b", Iteration: 4, NumSamples: 2, Version: 2},
+		{AtUnixMillis: 1790000000400, DeviceID: "设备-c", Iteration: 7, NumSamples: 1, GradNorm1: 6,
+			Grad: []float64{-1, -2, -3, 0, 0, 0}, LabelCounts: []int{0, 0, 1}, Version: 5},
+	}
+)
+
+// TestGoldenStoreFormat pins the bytes at rest in both directions: a
+// store the previous release wrote opens here, entry for entry, and what
+// either backend writes for the same state and entries is that store,
+// byte for byte — so the previous release opens this one's too.
+func TestGoldenStoreFormat(t *testing.T) {
+	golden := map[string][]byte{}
+	dir := t.TempDir()
+	for _, name := range []string{"checkpoint.json", segmentName(1)} {
+		b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden[name] = b
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := old.Load(ctx)
+	if err != nil || cp.SavedAtUnixMillis != goldenSavedAt.UnixMilli() || cp.State.Iteration != 2 {
+		t.Fatalf("Load of the golden checkpoint = %+v, %v", cp, err)
+	}
+	if entries, err := readJournal(old); err != nil || !reflect.DeepEqual(entries, goldenEntries) {
+		t.Fatalf("golden segment reads %+v, %v; want %+v", entries, err, goldenEntries)
+	}
+
+	fresh, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemStore()
+	for name, st := range map[string]Store{"FileStore": fresh, "MemStore": mem} {
+		if err := st.Save(ctx, cp.State, goldenSavedAt); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		j, err := st.OpenJournal(ctx)
+		if err != nil {
+			t.Fatalf("%s: OpenJournal: %v", name, err)
+		}
+		for _, e := range goldenEntries {
+			if err := j.Append(ctx, e); err != nil {
+				t.Fatalf("%s: Append: %v", name, err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := map[string]map[string][]byte{
+		"MemStore":  {"checkpoint.json": mem.cp, segmentName(1): mem.chain.segs[0]},
+		"FileStore": {},
+	}
+	for name := range golden {
+		b, err := os.ReadFile(filepath.Join(fresh.Dir(), name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written["FileStore"][name] = b
+	}
+	for backend, files := range written {
+		for name, want := range golden {
+			if !bytes.Equal(files[name], want) {
+				t.Errorf("%s wrote %s as\n%q\nthe golden store holds\n%q", backend, name, files[name], want)
+			}
+		}
+	}
+}
+
+// TestMemStoreCursorPointInTime: a MemStore cursor reads the chain as it
+// stood when it was opened — the frame bytes it shares with the store are
+// append-only, so appends, rotations and prunes racing it (run with -race)
+// change nothing it sees, and neither does the writer reusing its
+// gradient buffer between Appends.
+func TestMemStoreCursorPointInTime(t *testing.T) {
+	st := NewMemStore()
+	j, err := st.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad := []float64{0}
+	appendReusing := func(from, n int) error {
+		for i := from; i < from+n; i++ {
+			grad[0] = float64(i)
+			if err := j.Append(ctx, JournalEntry{DeviceID: "d1", Iteration: i, Grad: grad}); err != nil {
+				return err
+			}
+			if i%4 == 0 {
+				if err := j.Rotate(ctx); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	const opened = 10 // entries in the journal when the cursor opens
+	if err := appendReusing(1, opened); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := st.OpenCursor(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	done := make(chan error, 1)
+	go func() {
+		err := appendReusing(opened+1, 200)
+		if err == nil {
+			_, err = st.PruneSegments(ctx, 1<<30, "")
+		}
+		done <- err
+	}()
+	for want := 1; ; want++ {
+		e, err := cur.Next()
+		if errors.Is(err, io.EOF) {
+			if want != opened+1 {
+				t.Errorf("cursor ended after %d entries, want the %d present when it opened", want-1, opened)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if e.Iteration != want || len(e.Grad) != 1 || e.Grad[0] != float64(want) {
+			t.Fatalf("entry %d = %+v, want iteration %d carrying its own gradient", want, e, want)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := st.SegmentCount(); n != 1 {
+		t.Errorf("%d segments after pruning everything sealed, want the live one", n)
 	}
 }

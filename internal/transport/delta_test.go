@@ -109,7 +109,7 @@ func TestDeltaClientSnapshotsAreImmutable(t *testing.T) {
 	be := newRingBackend(3, mutate(r, make([]float64, dims), dims))
 	ts := httptest.NewServer(be)
 	defer ts.Close()
-	cl := NewHTTPClient(ts.URL, nil).WithWire(WireBinaryDelta)
+	cl := NewHTTPClient(ts.URL, nil).WithTask("ring").WithWire(WireBinaryDelta)
 
 	type handed struct {
 		params  []float64
@@ -222,7 +222,7 @@ func referenceDiffParams(base, cur []float64) ([]uint32, []float64) {
 // checkoutFrame is one binary checkout through the handler in memory.
 func checkoutFrame(t *testing.T, h http.Handler, query string, flate bool) []byte {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, PathCheckout+query, nil)
+	req := httptest.NewRequest(http.MethodGet, taskPath("ring", "checkout")+query, nil)
 	accept := ContentTypeBinary
 	if flate {
 		accept += ";compress=" + wireCompressFlate
@@ -367,7 +367,7 @@ func TestDeltaPathAllocations(t *testing.T) {
 		be := newRingBackend(4, base)
 		be.publish(1, cur)
 
-		req := httptest.NewRequest(http.MethodGet, PathCheckout+"?since=0", nil)
+		req := httptest.NewRequest(http.MethodGet, taskPath("ring", "checkout")+"?since=0", nil)
 		req.Header.Set("Accept", ContentTypeBinary)
 		w := &nullWriter{header: http.Header{}}
 		// A bound that knows neither dims nor the change set: headers, the
@@ -380,7 +380,7 @@ func TestDeltaPathAllocations(t *testing.T) {
 		// The client polls from version 0 every time: its cache is put
 		// back to the base before each poll.
 		frame := checkoutFrame(t, be, "?since=0", false)
-		cl := NewHTTPClient("http://mem.invalid", &http.Client{Transport: cannedTransport{frame}}).WithWire(WireBinaryDelta)
+		cl := NewHTTPClient("http://mem.invalid", &http.Client{Transport: cannedTransport{frame}}).WithTask("ring").WithWire(WireBinaryDelta)
 		start := &clientSnapshot{params: base, version: 0}
 		var co *core.CheckoutResponse
 		got := bytesPerRun(50, func() {

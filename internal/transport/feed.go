@@ -113,7 +113,8 @@ func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("task %q: load checkpoint: %w", t.ID(), err))
 		return
 	}
-	writeJSON(w, cp)
+	w.Header().Set("Content-Type", "application/json")
+	_ = store.EncodeCheckpoint(w, cp) // headers are already sent; nothing more to do
 }
 
 // JournalFeed is an open streaming read of a leader's journal feed — the
@@ -138,15 +139,13 @@ func (f *JournalFeed) LeaderIteration() int { return f.fr.LeaderIteration() }
 func (f *JournalFeed) Close() error { return f.body.Close() }
 
 // OpenJournalFeed opens a streaming read of the bound task's journal on
-// the server, starting after the given iteration. The client must be
-// bound to a task with WithTask (the feed endpoints have no legacy
-// default-task alias). Opening retries per the client's retry policy;
-// mid-stream failures surface from Next instead.
+// the server, starting after the given iteration. Opening retries per the
+// client's retry policy; mid-stream failures surface from Next instead.
 func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFeed, error) {
-	if c.taskID == "" {
-		return nil, errors.New("transport: journal feed needs a task-bound client (WithTask)")
+	u, err := c.endpoint("journal")
+	if err != nil {
+		return nil, err
 	}
-	u := c.baseURL + taskPath(c.taskID, "journal")
 	if after > 0 {
 		u += "?after=" + strconv.Itoa(after)
 	}
@@ -169,12 +168,13 @@ func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFe
 
 // FetchCheckpoint retrieves the bound task's latest checkpoint from the
 // server, or store.ErrNoCheckpoint when the task has not checkpointed
-// yet. The client must be bound to a task with WithTask.
+// yet.
 func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, error) {
-	if c.taskID == "" {
-		return nil, errors.New("transport: checkpoint fetch needs a task-bound client (WithTask)")
+	u, err := c.endpoint("checkpoint")
+	if err != nil {
+		return nil, err
 	}
-	resp, err := c.doGET(ctx, c.baseURL+taskPath(c.taskID, "checkpoint"), nil)
+	resp, err := c.doGET(ctx, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: fetch checkpoint: %w", err)
 	}
@@ -185,11 +185,11 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 	if err := checkStatus(resp); err != nil {
 		return nil, err
 	}
-	var cp store.Checkpoint
-	if err := decodeJSON(resp.Body, &cp); err != nil {
-		return nil, fmt.Errorf("transport: decode checkpoint: %w", err)
+	cp, err := store.DecodeCheckpoint(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("transport: fetch checkpoint: %w", err)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
 // AuthProbe verifies device credentials against the server without
@@ -199,7 +199,11 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 // behind a follower replica's core.ServerConfig.AuthFallback, paid once
 // per unknown device and then cached locally.
 func (c *HTTPClient) AuthProbe(ctx context.Context, deviceID, token string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.endpoint(PathCheckout), nil)
+	u, err := c.endpoint("checkout")
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodHead, u, nil)
 	if err != nil {
 		return fmt.Errorf("transport: build auth probe: %w", err)
 	}

@@ -243,7 +243,7 @@ func TestRetryRecoversFromTransient5xx(t *testing.T) {
 	})
 	ts := httptest.NewServer(flaky)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil).WithRetry(RetryPolicy{
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
 		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
 	})
 	if _, err := client.Checkout(context.Background(), "d1", token); err != nil {
@@ -284,7 +284,7 @@ func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 	})
 	ts := httptest.NewServer(counting)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil).WithRetry(RetryPolicy{
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
 		MaxAttempts: 5, BaseDelay: time.Millisecond,
 	})
 	if _, err := client.Checkout(context.Background(), "ghost", "bad"); !errors.Is(err, core.ErrAuth) {

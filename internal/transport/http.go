@@ -17,15 +17,11 @@ import (
 	"github.com/crowdml/crowdml/internal/hub"
 )
 
-// HTTP endpoint paths served by Handler and used by HTTPClient. The
-// task-scoped forms live under PathTasks ("/v1/tasks/{task}/checkout",
-// …); the legacy single-task paths are aliases bound to the hub's
-// default task.
+// HTTP endpoint paths served by Handler and used by HTTPClient. Every
+// device-protocol route is task-scoped, under PathTasks
+// ("/v1/tasks/{task}/checkout", …).
 const (
-	PathTasks    = "/v1/tasks"
-	PathCheckout = "/v1/checkout"
-	PathCheckin  = "/v1/checkin"
-	PathStats    = "/v1/stats"
+	PathTasks = "/v1/tasks"
 
 	headerDeviceID = "X-Crowdml-Device"
 	headerToken    = "X-Crowdml-Token"
@@ -72,7 +68,6 @@ type TaskSummary struct {
 	Iteration     int      `json:"iteration"`
 	Stopped       bool     `json:"stopped"`
 	ErrorEstimate *float64 `json:"errorEstimate,omitempty"`
-	Default       bool     `json:"default,omitempty"`
 	// Shards is the shard count of a sharded logical task; plain tasks
 	// omit it. Member tasks never appear in the listing.
 	Shards int `json:"shards,omitempty"`
@@ -85,8 +80,7 @@ type errorResponse struct {
 }
 
 // Handler adapts a hub.Hub to net/http: task-scoped device-protocol
-// routes under /v1/tasks/{task}/, a /v1/tasks listing, and the legacy
-// single-task /v1/* aliases bound to the hub's default task. All
+// routes under /v1/tasks/{task}/ and a /v1/tasks listing. All
 // endpoints speak JSON; method mismatches get 405 with an Allow header
 // (via net/http's method-aware patterns).
 type Handler struct {
@@ -109,9 +103,6 @@ func NewHandler(h *hub.Hub) *Handler {
 	hd.mux.HandleFunc("GET "+PathTasks+"/{task}/journal", hd.handleJournalFeed)
 	hd.mux.HandleFunc("GET "+PathTasks+"/{task}/checkpoint", hd.handleCheckpoint)
 	hd.mux.HandleFunc("GET "+PathHealthz, hd.handleHealthz)
-	hd.mux.HandleFunc("GET "+PathCheckout, hd.handleCheckout)
-	hd.mux.HandleFunc("POST "+PathCheckin, hd.handleCheckin)
-	hd.mux.HandleFunc("GET "+PathStats, hd.handleStats)
 	return hd
 }
 
@@ -129,28 +120,15 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.metrics.observe(r.Pattern, sw.status())
 }
 
-// task resolves the request's target task: the {task} path segment when
-// present, the hub's default task on the legacy alias paths. A failed
-// resolution writes the response itself and returns ok=false: 409 (the
-// stopped-task status) for a task that existed and was closed — so
-// remote devices stand down instead of retrying a 404 forever — and 404
-// for a task that never existed.
+// task resolves the request's target task from the {task} path segment.
+// A failed resolution writes the response itself and returns ok=false:
+// 409 (the stopped-task status) for a task that existed and was closed —
+// so remote devices stand down instead of retrying a 404 forever — and
+// 404 for a task that never existed.
 func (h *Handler) task(w http.ResponseWriter, r *http.Request) (*hub.Task, bool) {
 	id := r.PathValue("task")
-	var (
-		t  *hub.Task
-		ok bool
-	)
-	if id == "" {
-		if t, ok = h.hub.DefaultTask(); !ok {
-			if h.hub.DefaultClosed() {
-				writeError(w, fmt.Errorf("the default task has been closed: %w", core.ErrStopped))
-			} else {
-				writeError(w, fmt.Errorf("no default task: %w", hub.ErrTaskNotFound))
-			}
-			return nil, false
-		}
-	} else if t, ok = h.hub.Task(id); !ok {
+	t, ok := h.hub.Task(id)
+	if !ok {
 		if rt, sharded := h.hub.ShardRouterFor(id); sharded {
 			// A sharded logical task has no single server behind it. The
 			// device-protocol handlers route through the router before ever
@@ -169,10 +147,6 @@ func (h *Handler) task(w http.ResponseWriter, r *http.Request) (*hub.Task, bool)
 }
 
 func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
-	var defaultID string
-	if t, ok := h.hub.DefaultTask(); ok {
-		defaultID = t.ID()
-	}
 	out := make([]TaskSummary, 0, h.hub.Len())
 	for _, t := range h.hub.Tasks() {
 		if _, member := h.hub.ShardMemberOf(t.ID()); member {
@@ -191,7 +165,6 @@ func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
 			Dim:       dim,
 			Iteration: t.Server().Iteration(),
 			Stopped:   t.Server().Stopped(),
-			Default:   t.ID() == defaultID,
 		}
 		if est, ok := t.Server().ErrEstimate(); ok {
 			s.ErrorEstimate = &est
@@ -296,9 +269,9 @@ func writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(errorResponse{Error: err.Error()}) //nolint:errcheck // headers sent
 }
 
-// HTTPClient is the device-side HTTP transport. The zero task ID targets
-// the server's legacy single-task endpoints; WithTask derives a client
-// bound to one named task.
+// HTTPClient is the device-side HTTP transport. Every device-protocol
+// route is task-scoped, so a client serves a task only once WithTask has
+// bound it to one; unbound, it can list tasks and probe health.
 type HTTPClient struct {
 	baseURL string
 	taskID  string
@@ -331,7 +304,7 @@ func NewHTTPClient(baseURL string, client *http.Client) *HTTPClient {
 
 // WithTask returns a copy of the client bound to the given task ID, so
 // its Checkout/Checkin/Register calls hit the task-scoped
-// /v1/tasks/{task}/ routes. An empty taskID returns to the legacy paths.
+// /v1/tasks/{task}/ routes.
 func (c *HTTPClient) WithTask(taskID string) *HTTPClient {
 	cp := *c
 	cp.taskID = taskID
@@ -343,17 +316,16 @@ func (c *HTTPClient) WithTask(taskID string) *HTTPClient {
 	return &cp
 }
 
-// TaskID returns the task the client is bound to ("" = default task via
-// the legacy paths).
+// TaskID returns the task the client is bound to ("" = none yet).
 func (c *HTTPClient) TaskID() string { return c.taskID }
 
-// endpoint resolves a legacy path ("/v1/checkout") or its task-scoped
-// equivalent depending on the client's task binding.
-func (c *HTTPClient) endpoint(legacy string) string {
+// endpoint resolves one of the bound task's routes ("checkout" →
+// ".../v1/tasks/{task}/checkout").
+func (c *HTTPClient) endpoint(name string) (string, error) {
 	if c.taskID == "" {
-		return c.baseURL + legacy
+		return "", fmt.Errorf("transport: %s needs a task-bound client (WithTask)", name)
 	}
-	return c.baseURL + taskPath(c.taskID, strings.TrimPrefix(legacy, "/v1/"))
+	return c.baseURL + taskPath(c.taskID, name), nil
 }
 
 // Tasks fetches the server's task listing (GET /v1/tasks) — the
@@ -377,7 +349,11 @@ func (c *HTTPClient) Tasks(ctx context.Context) ([]TaskSummary, error) {
 // Stats fetches the task's public progress view (GET stats) — the
 // differentially private error and prior estimates a portal displays.
 func (c *HTTPClient) Stats(ctx context.Context) (*StatsResponse, error) {
-	resp, err := c.doGET(ctx, c.endpoint(PathStats), nil)
+	u, err := c.endpoint("stats")
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.doGET(ctx, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: stats: %w", err)
 	}

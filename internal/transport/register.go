@@ -13,11 +13,6 @@ import (
 	"github.com/crowdml/crowdml/internal/hub"
 )
 
-// PathRegister is the legacy enrollment endpoint, the programmatic
-// equivalent of the paper's Web portal "join a crowd-learning task" flow
-// (Section V-A). The task-scoped form is /v1/tasks/{task}/register.
-const PathRegister = "/v1/register"
-
 const headerEnrollKey = "X-Crowdml-Enroll-Key"
 
 type registerRequest struct {
@@ -28,9 +23,10 @@ type registerResponse struct {
 	Token string `json:"token"`
 }
 
-// EnableEnrollment adds the enrollment endpoints — PathRegister for the
-// default task and /v1/tasks/{task}/register for each hosted task —
-// guarded by the given enrollment key. Devices presenting the key
+// EnableEnrollment adds the enrollment endpoint
+// /v1/tasks/{task}/register — the programmatic equivalent of the paper's
+// Web portal "join a crowd-learning task" flow (Section V-A) — guarded by
+// the given enrollment key. Devices presenting the key
 // receive an authentication token for checkout/checkin. An empty key
 // leaves enrollment disabled (devices must be registered through the Go
 // API).
@@ -38,7 +34,7 @@ func (h *Handler) EnableEnrollment(key string) {
 	if key == "" {
 		return
 	}
-	handle := func(w http.ResponseWriter, r *http.Request) {
+	h.mux.HandleFunc("POST "+PathTasks+"/{task}/register", func(w http.ResponseWriter, r *http.Request) {
 		got := r.Header.Get(headerEnrollKey)
 		if subtle.ConstantTimeCompare([]byte(got), []byte(key)) != 1 {
 			writeError(w, fmt.Errorf("bad enrollment key: %w", core.ErrAuth))
@@ -75,21 +71,21 @@ func (h *Handler) EnableEnrollment(key string) {
 			return
 		}
 		writeJSON(w, registerResponse{Token: token})
-	}
-	h.mux.HandleFunc("POST "+PathRegister, handle)
-	h.mux.HandleFunc("POST "+PathTasks+"/{task}/register", handle)
+	})
 }
 
-// Register enrolls a device over HTTP and returns its token. A client
-// bound with WithTask enrolls into that task; otherwise the server's
-// default task.
+// Register enrolls a device into the bound task over HTTP and returns
+// its token.
 func (c *HTTPClient) Register(ctx context.Context, deviceID, enrollKey string) (string, error) {
 	payload, err := json.Marshal(registerRequest{DeviceID: deviceID})
 	if err != nil {
 		return "", fmt.Errorf("transport: encode register: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.endpoint(PathRegister), strings.NewReader(string(payload)))
+	u, err := c.endpoint("register")
+	if err != nil {
+		return "", err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(string(payload)))
 	if err != nil {
 		return "", fmt.Errorf("transport: build register: %w", err)
 	}

@@ -16,7 +16,7 @@ func TestEnrollmentFlow(t *testing.T) {
 	h.EnableEnrollment("sesame")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	ctx := context.Background()
 
 	token, err := client.Register(ctx, "phone-9", "sesame")
@@ -37,7 +37,7 @@ func TestEnrollmentBadKey(t *testing.T) {
 	h.EnableEnrollment("sesame")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	if _, err := client.Register(context.Background(), "d", "wrong"); !errors.Is(err, core.ErrAuth) {
 		t.Errorf("error = %v, want ErrAuth", err)
 	}
@@ -47,7 +47,7 @@ func TestEnrollmentDisabledByDefault(t *testing.T) {
 	h, _ := newHandler(t)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	if _, err := client.Register(context.Background(), "d", "anything"); err == nil {
 		t.Error("registration should fail when enrollment is disabled")
 	}
@@ -58,7 +58,7 @@ func TestEnrollmentEmptyKeyIgnored(t *testing.T) {
 	h.EnableEnrollment("")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+PathRegister, "application/json", strings.NewReader(`{"deviceId":"d"}`))
+	resp, err := http.Post(ts.URL+alphaPath("register"), "application/json", strings.NewReader(`{"deviceId":"d"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEnrollmentValidation(t *testing.T) {
 	defer ts.Close()
 
 	do := func(method, body string) int {
-		req, _ := http.NewRequest(method, ts.URL+PathRegister, strings.NewReader(body))
+		req, _ := http.NewRequest(method, ts.URL+alphaPath("register"), strings.NewReader(body))
 		req.Header.Set(headerEnrollKey, "k")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {

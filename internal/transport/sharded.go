@@ -17,15 +17,9 @@ import (
 // healthz bodies grow sharding detail.
 
 // router resolves the request's {task} path segment to a mounted shard
-// router, when one exists. The legacy alias paths (no segment) never
-// resolve to a router: the hub's default-task mechanism is for hosted
-// tasks, and a sharded logical task is not one.
+// router, when one exists.
 func (h *Handler) router(r *http.Request) (hub.ShardRouter, bool) {
-	id := r.PathValue("task")
-	if id == "" {
-		return nil, false
-	}
-	return h.hub.ShardRouterFor(id)
+	return h.hub.ShardRouterFor(r.PathValue("task"))
 }
 
 // shardOwner is the hosted member task that owns the device in a

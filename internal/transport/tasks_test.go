@@ -35,8 +35,7 @@ func newTwoTaskHandler(t *testing.T) (*Handler, *core.Server, *core.Server) {
 }
 
 // TestTaskScopedRoutesAreIsolated proves a checkin on one task's route
-// moves only that task, and that the legacy alias paths stay bound to
-// the default task.
+// moves only that task.
 func TestTaskScopedRoutesAreIsolated(t *testing.T) {
 	hd, alpha, beta := newTwoTaskHandler(t)
 	ts := httptest.NewServer(hd)
@@ -47,7 +46,6 @@ func TestTaskScopedRoutesAreIsolated(t *testing.T) {
 
 	alphaClient := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	betaClient := NewHTTPClient(ts.URL, nil).WithTask("beta")
-	legacyClient := NewHTTPClient(ts.URL, nil) // default task = alpha
 
 	if err := betaClient.Checkin(ctx, "d1", betaTok, checkinReq()); err != nil {
 		t.Fatalf("beta checkin: %v", err)
@@ -59,20 +57,16 @@ func TestTaskScopedRoutesAreIsolated(t *testing.T) {
 		t.Errorf("alpha iterations = %d, want 0 (cross-task leak)", got)
 	}
 
-	// The default task's credentials do not work on beta's route.
+	// Alpha's credentials do not work on beta's route.
 	if err := betaClient.Checkin(ctx, "d1", alphaTok, checkinReq()); !errors.Is(err, core.ErrAuth) {
 		t.Errorf("cross-task token error = %v, want ErrAuth", err)
 	}
 
-	// Legacy alias and task-scoped route address the same default task.
-	if err := legacyClient.Checkin(ctx, "d1", alphaTok, checkinReq()); err != nil {
-		t.Fatalf("legacy checkin: %v", err)
-	}
 	if err := alphaClient.Checkin(ctx, "d1", alphaTok, checkinReq()); err != nil {
 		t.Fatalf("task-scoped checkin: %v", err)
 	}
-	if got := alpha.Iteration(); got != 2 {
-		t.Errorf("alpha iterations = %d, want 2 (legacy + scoped)", got)
+	if got := alpha.Iteration(); got != 1 {
+		t.Errorf("alpha iterations = %d, want 1", got)
 	}
 }
 
@@ -114,37 +108,6 @@ func TestClosedTaskStandsDevicesDown(t *testing.T) {
 	}
 }
 
-// TestClosedDefaultTaskStandsLegacyDevicesDown: closing the default
-// task must also answer 409 on the legacy alias paths, so devices that
-// joined without a task ID stand down too.
-func TestClosedDefaultTaskStandsLegacyDevicesDown(t *testing.T) {
-	hd, alpha, _ := newTwoTaskHandler(t)
-	ts := httptest.NewServer(hd)
-	defer ts.Close()
-	ctx := context.Background()
-	token, _ := alpha.RegisterDevice(ctx, "d1")
-	client := NewHTTPClient(ts.URL, nil) // legacy paths, default = alpha
-	if err := hd.hub.CloseTask(ctx, "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Checkout(ctx, "d1", token); !errors.Is(err, core.ErrStopped) {
-		t.Errorf("legacy checkout after closing default = %v, want ErrStopped", err)
-	}
-	// Creating a new task takes over the default slot and the alias
-	// serves it again.
-	task, err := hd.hub.CreateTask(ctx, "fresh", core.ServerConfig{
-		Model:   model.NewLogisticRegression(2, 2),
-		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok2, _ := task.Server().RegisterDevice(ctx, "d2")
-	if _, err := client.Checkout(ctx, "d2", tok2); err != nil {
-		t.Errorf("legacy checkout on new default: %v", err)
-	}
-}
-
 func TestUnknownTaskIs404(t *testing.T) {
 	hd, _, _ := newTwoTaskHandler(t)
 	ts := httptest.NewServer(hd)
@@ -158,13 +121,45 @@ func TestUnknownTaskIs404(t *testing.T) {
 	}
 }
 
-func TestEmptyHubLegacyPathsAre404(t *testing.T) {
-	hd := NewHandler(hub.New())
+// TestUnscopedRoutesAreGone: the device protocol exists only under
+// /v1/tasks/{id}/ — the un-scoped paths earlier releases aliased to a
+// default task are not routed at all, and a client that was never bound
+// to a task says so instead of guessing one.
+func TestUnscopedRoutesAreGone(t *testing.T) {
+	hd, _, _ := newTwoTaskHandler(t)
+	hd.EnableEnrollment("join")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
-	if _, err := client.Checkout(context.Background(), "d", "t"); !errors.Is(err, hub.ErrTaskNotFound) {
-		t.Errorf("error = %v, want ErrTaskNotFound (no default task)", err)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/checkout"},
+		{http.MethodPost, "/v1/checkin"},
+		{http.MethodGet, "/v1/stats"},
+		{http.MethodPost, "/v1/register"},
+	} {
+		req, _ := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", route.method, route.path, resp.StatusCode)
+		}
+	}
+	ctx := context.Background()
+	unbound := NewHTTPClient(ts.URL, nil)
+	_, checkoutErr := unbound.Checkout(ctx, "d", "t")
+	_, statsErr := unbound.Stats(ctx)
+	_, registerErr := unbound.Register(ctx, "d", "join")
+	_, checkpointErr := unbound.FetchCheckpoint(ctx)
+	for call, err := range map[string]error{
+		"Checkout": checkoutErr, "Checkin": unbound.Checkin(ctx, "d", "t", checkinReq()),
+		"Stats": statsErr, "Register": registerErr, "FetchCheckpoint": checkpointErr,
+		"AuthProbe": unbound.AuthProbe(ctx, "d", "t"),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "needs a task-bound client (WithTask)") {
+			t.Errorf("%s on an unbound client = %v, want the WithTask error", call, err)
+		}
 	}
 }
 
@@ -174,7 +169,7 @@ func TestTaskListing(t *testing.T) {
 	defer ts.Close()
 	ctx := context.Background()
 	tok, _ := alpha.RegisterDevice(ctx, "d1")
-	if err := NewHTTPClient(ts.URL, nil).Checkin(ctx, "d1", tok, checkinReq()); err != nil {
+	if err := NewHTTPClient(ts.URL, nil).WithTask("alpha").Checkin(ctx, "d1", tok, checkinReq()); err != nil {
 		t.Fatal(err)
 	}
 	tasks, err := NewHTTPClient(ts.URL, nil).Tasks(ctx)
@@ -183,9 +178,6 @@ func TestTaskListing(t *testing.T) {
 	}
 	if len(tasks) != 2 || tasks[0].ID != "alpha" || tasks[1].ID != "beta" {
 		t.Fatalf("listing = %+v", tasks)
-	}
-	if !tasks[0].Default || tasks[1].Default {
-		t.Error("alpha should be flagged as the default task")
 	}
 	if tasks[0].Iteration != 1 || tasks[0].ErrorEstimate == nil {
 		t.Errorf("alpha summary = %+v", tasks[0])
@@ -197,7 +189,6 @@ func TestStatsIncludesTaskID(t *testing.T) {
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 	for path, want := range map[string]string{
-		PathStats:                  `"taskId":"alpha"`, // legacy alias → default
 		taskPath("beta", "stats"):  `"taskId":"beta"`,
 		taskPath("alpha", "stats"): `"taskId":"alpha"`,
 	} {
@@ -241,10 +232,10 @@ func TestJSONContentType(t *testing.T) {
 		resp *http.Response
 		code int
 	}{
-		{"stats", get(PathStats, "", ""), http.StatusOK},
+		{"stats", get(taskPath("alpha", "stats"), "", ""), http.StatusOK},
 		{"listing", get(PathTasks, "", ""), http.StatusOK},
-		{"checkout ok", get(PathCheckout, "d1", tok), http.StatusOK},
-		{"checkout auth error", get(PathCheckout, "ghost", "bad"), http.StatusUnauthorized},
+		{"checkout ok", get(taskPath("alpha", "checkout"), "d1", tok), http.StatusOK},
+		{"checkout auth error", get(taskPath("alpha", "checkout"), "ghost", "bad"), http.StatusUnauthorized},
 		{"unknown task", get(taskPath("ghost", "stats"), "", ""), http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -270,7 +261,7 @@ func TestHTTPClientContextCancellationMidRequest(t *testing.T) {
 	defer ts.Close()
 	defer close(release)
 
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("stalled")
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {

@@ -29,8 +29,8 @@ func newServer(t *testing.T) *core.Server {
 	return s
 }
 
-// newHandler hosts a fresh server as the hub's default task "alpha" and
-// returns the HTTP handler plus the task's server.
+// newHandler hosts a fresh server as the hub's task "alpha" and returns
+// the HTTP handler plus the task's server.
 func newHandler(t *testing.T) (*Handler, *core.Server) {
 	t.Helper()
 	h := hub.New()
@@ -43,6 +43,9 @@ func newHandler(t *testing.T) (*Handler, *core.Server) {
 	}
 	return NewHandler(h), task.Server()
 }
+
+// alphaPath is one of the routes of the task newHandler hosts.
+func alphaPath(name string) string { return taskPath("alpha", name) }
 
 func checkinReq() *core.CheckinRequest {
 	return &core.CheckinRequest{
@@ -95,7 +98,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 
 	co, err := client.Checkout(ctx, "d1", token)
 	if err != nil {
@@ -127,7 +130,7 @@ func TestHTTPAuthErrors(t *testing.T) {
 	hd, _ := newHandler(t)
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	ctx := context.Background()
 	if _, err := client.Checkout(ctx, "ghost", "bad"); !errors.Is(err, core.ErrAuth) {
 		t.Errorf("Checkout error = %v, want ErrAuth", err)
@@ -142,7 +145,7 @@ func TestHTTPBadCheckin(t *testing.T) {
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	bad := &core.CheckinRequest{Grad: []float64{1}, LabelCounts: []int{0, 0}}
 	if err := client.Checkin(context.Background(), "d1", token, bad); !errors.Is(err, core.ErrBadCheckin) {
 		t.Errorf("error = %v, want ErrBadCheckin", err)
@@ -155,7 +158,7 @@ func TestHTTPStoppedMapsToErrStopped(t *testing.T) {
 	srv.Stop()
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	if err := client.Checkin(context.Background(), "d1", token, checkinReq()); !errors.Is(err, core.ErrStopped) {
 		t.Errorf("error = %v, want ErrStopped", err)
 	}
@@ -173,11 +176,11 @@ func TestHTTPStatsEndpoint(t *testing.T) {
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	client := NewHTTPClient(ts.URL, nil)
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	if err := client.Checkin(context.Background(), "d1", token, checkinReq()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + PathStats)
+	resp, err := http.Get(ts.URL + alphaPath("stats"))
 	if err != nil {
 		t.Fatalf("stats GET: %v", err)
 	}
@@ -210,9 +213,9 @@ func TestHTTPMethodEnforcement(t *testing.T) {
 		method, path string
 		allow        string
 	}{
-		{method: http.MethodPost, path: PathCheckout, allow: "GET"},
-		{method: http.MethodGet, path: PathCheckin, allow: "POST"},
-		{method: http.MethodPost, path: PathStats, allow: "GET"},
+		{method: http.MethodPost, path: alphaPath("checkout"), allow: "GET"},
+		{method: http.MethodGet, path: alphaPath("checkin"), allow: "POST"},
+		{method: http.MethodPost, path: alphaPath("stats"), allow: "GET"},
 		{method: http.MethodPost, path: taskPath("alpha", "checkout"), allow: "GET"},
 		{method: http.MethodGet, path: taskPath("alpha", "checkin"), allow: "POST"},
 		{method: http.MethodDelete, path: PathTasks, allow: "GET"},
@@ -238,7 +241,7 @@ func TestHTTPBadJSON(t *testing.T) {
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+PathCheckin, strings.NewReader("{not json"))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+alphaPath("checkin"), strings.NewReader("{not json"))
 	req.Header.Set(headerDeviceID, "d1")
 	req.Header.Set(headerToken, token)
 	resp, err := http.DefaultClient.Do(req)
@@ -270,7 +273,7 @@ func TestDeviceOverHTTP(t *testing.T) {
 
 	dev, err := core.NewDevice(core.DeviceConfig{
 		ID: "phone-1", Token: token, Model: m,
-		Transport: NewHTTPClient(ts.URL, nil),
+		Transport: NewHTTPClient(ts.URL, nil).WithTask("phones"),
 		Minibatch: 5,
 	})
 	if err != nil {

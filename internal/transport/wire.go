@@ -383,7 +383,10 @@ func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*cor
 // should refetch a full frame.
 func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, base *clientSnapshot) (*core.CheckoutResponse, bool, error) {
 	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
-	url := c.endpoint(PathCheckout)
+	url, err := c.endpoint("checkout")
+	if err != nil {
+		return nil, false, err
+	}
 	since := -1
 	if c.wire != WireJSON {
 		accept := ContentTypeBinary
@@ -511,7 +514,11 @@ func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *
 			return fmt.Errorf("transport: encode checkin: %w", err)
 		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint(PathCheckin), nil)
+	u, err := c.endpoint("checkin")
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return fmt.Errorf("transport: build checkin: %w", err)
 	}

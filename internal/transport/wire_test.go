@@ -26,7 +26,7 @@ import (
 // returning status, Content-Type and body.
 func rawCheckout(t *testing.T, url, deviceID, token, accept, query string) (int, string, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url+PathCheckout+query, nil)
+	req, err := http.NewRequest(http.MethodGet, url+alphaPath("checkout")+query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBinaryCheckoutMatchesJSON(t *testing.T) {
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 
-	jsonCl := NewHTTPClient(ts.URL, nil)
+	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	for _, wire := range []WireFormat{WireBinary, WireBinaryDelta} {
 		binCl := jsonCl.WithWire(wire)
 		if err := jsonCl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
@@ -133,7 +133,7 @@ func TestDeltaSequenceOverHTTP(t *testing.T) {
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	jsonCl := NewHTTPClient(ts.URL, nil)
+	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	deltaCl := jsonCl.WithWire(WireBinaryDelta)
 
 	// First checkout: no base, full frame.
@@ -234,7 +234,7 @@ func TestMalformedBinaryCheckinRejected(t *testing.T) {
 		"wrong-kind": wrongKind,
 	}
 	for name, payload := range cases {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+PathCheckin, bytes.NewReader(payload))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+alphaPath("checkin"), bytes.NewReader(payload))
 		req.Header.Set("Content-Type", ContentTypeBinary)
 		req.Header.Set(headerDeviceID, "d1")
 		req.Header.Set(headerToken, token)
@@ -261,7 +261,7 @@ func TestBinaryCheckinReachesServer(t *testing.T) {
 		token, _ := srv.RegisterDevice(ctx, "d1")
 		ts := httptest.NewServer(hd)
 		defer ts.Close()
-		cl := NewHTTPClient(ts.URL, nil).WithWire(wire)
+		cl := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithWire(wire)
 		for i := 0; i < 4; i++ {
 			if err := cl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
 				t.Fatalf("%v checkin: %v", wire, err)
@@ -303,7 +303,7 @@ func TestBinaryErrorStaysJSON(t *testing.T) {
 
 	// Through the client: sentinel mapping identical to the JSON wire.
 	for _, wire := range []WireFormat{WireBinary, WireBinaryDelta} {
-		cl := NewHTTPClient(ts.URL, nil).WithWire(wire)
+		cl := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithWire(wire)
 		if _, err := cl.Checkout(ctx, "ghost", "bad"); !errors.Is(err, core.ErrAuth) {
 			t.Errorf("%v checkout error = %v, want ErrAuth", wire, err)
 		}
@@ -325,7 +325,7 @@ func TestWireFlateRoundTrip(t *testing.T) {
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	jsonCl := NewHTTPClient(ts.URL, nil)
+	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	cl := jsonCl.WithWire(WireBinaryDelta).WithWireFlate()
 
 	if err := cl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
@@ -363,7 +363,7 @@ func TestDeltaCacheResyncAfterImport(t *testing.T) {
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
-	jsonCl := NewHTTPClient(ts.URL, nil)
+	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
 	cl := jsonCl.WithWire(WireBinaryDelta)
 
 	for i := 0; i < 3; i++ {
@@ -531,10 +531,10 @@ func TestNonFiniteCheckoutIs500(t *testing.T) {
 		json.Unmarshal(body, &envelope) != nil || !strings.Contains(envelope.Error, "unsupported value: -Inf") {
 		t.Errorf("JSON checkout of a non-finite model: status %d, Content-Type %q, body %q", status, ct, body)
 	}
-	if _, err := NewHTTPClient(ts.URL, nil).Checkout(ctx, "d1", token); err == nil || !strings.Contains(err.Error(), "500") {
+	if _, err := NewHTTPClient(ts.URL, nil).WithTask("alpha").Checkout(ctx, "d1", token); err == nil || !strings.Contains(err.Error(), "500") {
 		t.Errorf("client checkout err = %v, want the 500", err)
 	}
-	got, err := NewHTTPClient(ts.URL, nil).WithWire(WireBinary).Checkout(ctx, "d1", token)
+	got, err := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithWire(WireBinary).Checkout(ctx, "d1", token)
 	if err != nil || !math.IsInf(got.Params[2], -1) {
 		t.Errorf("binary checkout = %+v, %v", got, err)
 	}
@@ -551,7 +551,7 @@ func TestOddJSONCheckinStaysEncodingJSONs(t *testing.T) {
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 	post := func(body string) (int, string) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+PathCheckin, strings.NewReader(body))
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+alphaPath("checkin"), strings.NewReader(body))
 		req.Header.Set(headerDeviceID, "d1")
 		req.Header.Set(headerToken, token)
 		resp, err := http.DefaultClient.Do(req)

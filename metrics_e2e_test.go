@@ -130,7 +130,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 	// Drive enough rounds to cycle checkpoint+prune at least twice, then
 	// let the follower catch up so its replay counters have moved.
 	repDrive(t, leaderClient, "phone-1", token, 12)
-	waitCheckpointAt(t, leaderStore, 10)
+	waitCheckpointAt(t, leaderStore, 10, func() { repDrive(t, leaderClient, "phone-1", token, 1) })
 	waitReplicaCaughtUp(t, leader, followerTask)
 	if _, err := crowdml.NewHTTPClient(followerSrv.URL, nil).WithTask("activity").
 		Checkout(ctx, "phone-1", token); err != nil {
