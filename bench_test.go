@@ -723,6 +723,55 @@ func BenchmarkCheckinJournaledSyncBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointSave prices one steady-state checkpoint at the shape
+// of the end-to-end benchmark's follower_reads leader (2,000 devices,
+// logreg 10×196): the checkpointer's state export into its warm buffer,
+// then Store.Save. MemStore, so the number is the encoding and not the
+// runner's disk. B/op is the gated column: a checkpoint is meant to cost
+// no garbage.
+func BenchmarkCheckpointSave(b *testing.B) {
+	const devices, classes, dim = 2000, 10, 196
+	ctx := context.Background()
+	state := &core.ServerState{
+		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
+		Params:           make([]float64, classes*dim),
+		TotalLabelCounts: make([]int, classes),
+		Devices:          make(map[string]core.DeviceStateEntry, devices),
+	}
+	for i := range state.Params {
+		state.Params[i] = 0.001 * float64(i)
+	}
+	for i := 0; i < devices; i++ {
+		counts := make([]int, classes)
+		for k := range counts {
+			counts[k] = i%7 + k
+		}
+		state.Devices[fmt.Sprintf("dev-%05d", i)] = core.DeviceStateEntry{
+			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
+		}
+	}
+	srv, err := core.NewServer(core.ServerConfig{
+		Model:   model.NewLogisticRegression(classes, dim),
+		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.ImportState(state); err != nil {
+		b.Fatal(err)
+	}
+	st := store.NewMemStore()
+	var buf core.StateBuffer
+	now := time.UnixMilli(1790000000123)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Save(ctx, srv.ExportStateInto(&buf), now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkJournalTailRestore measures the restore-path journal read as
 // checkpoint history accumulates: the store holds `checkpoints` sealed
 // segments (one per past checkpoint-and-rotate cycle) plus a short live

@@ -65,6 +65,8 @@
 // -dump-journal <dir> is a one-shot audit mode, not a serving option: it
 // prints the journal segments under a task's store directory (or a
 // retention archive) as one JSON object per line and exits.
+// -dump-checkpoint <dir> does the same for the directory's checkpoint: one
+// JSON document, the one releases before the checkpoint frame stored.
 //
 // Example: a 3-class activity-recognition task over 64-bin FFT features,
 // plus a read replica on another host:
@@ -249,7 +251,8 @@ func run() error {
 
 		metricsOn = flag.Bool("metrics", true, "instrument all layers and serve Prometheus telemetry on /v1/metrics")
 
-		dumpDir = flag.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
+		dumpDir  = flag.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
+		dumpCkpt = flag.String("dump-checkpoint", "", "print the checkpoint under this task store directory as one JSON document (the pre-frame checkpoint.json) and exit")
 	)
 	flag.Parse()
 
@@ -258,6 +261,9 @@ func run() error {
 
 	if *dumpDir != "" {
 		return dumpJournal(ctx, os.Stdout, *dumpDir)
+	}
+	if *dumpCkpt != "" {
+		return dumpCheckpoint(ctx, os.Stdout, *dumpCkpt)
 	}
 
 	specs := []taskSpec{{
@@ -442,6 +448,26 @@ func dumpJournal(ctx context.Context, out io.Writer, dir string) error {
 			return err
 		}
 	}
+}
+
+// dumpCheckpoint is the audit tool behind -dump-checkpoint: it prints the
+// checkpoint in dir — a binary frame at rest — as the JSON document
+// releases before the frame kept in checkpoint.json, byte for byte what
+// they would have written for the same state. That makes it the rollback
+// path too: those releases read the output as their checkpoint.
+func dumpCheckpoint(ctx context.Context, out io.Writer, dir string) error {
+	if _, err := os.Stat(dir); err != nil {
+		return fmt.Errorf("-dump-checkpoint: %w", err)
+	}
+	st, err := crowdml.NewFileStore(dir)
+	if err != nil {
+		return err
+	}
+	cp, err := st.Load(ctx)
+	if err != nil {
+		return fmt.Errorf("-dump-checkpoint %s: %w", dir, err)
+	}
+	return json.NewEncoder(out).Encode(cp)
 }
 
 // flushHub closes hub durability (final checkpoint + journal close per

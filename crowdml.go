@@ -401,7 +401,7 @@ func NewPortalIndex(h *Hub) http.Handler {
 // streaming replay of the journal tail.
 type Store = store.Store
 
-// FileStore is the file-backed Store: JSON checkpoints (atomic
+// FileStore is the file-backed Store: checkpoint frames (atomic
 // write-to-temp + rename) and a segmented journal of binary wirecodec
 // frames (journal-*.wal; sealed segments are the audit trail) under one
 // directory, guarded by an advisory flock so a second process cannot

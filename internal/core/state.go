@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/optimizer"
 )
 
@@ -61,43 +60,76 @@ type DeviceStateEntry struct {
 	StalenessSum int   `json:"stalenessSum"`
 }
 
-// ExportState snapshots the server's learning state. It takes the apply
-// lock, so the exported parameters, iteration counter, crowd totals and
-// per-device counters all come from the same quiescent point between
-// batches.
-func (s *Server) ExportState() *ServerState {
+// StateBuffer is the memory one ExportStateInto call leaves behind for the
+// next: the parameter, totals and updater vectors, the Devices map (its
+// buckets survive the clear) and the slab every device's label counts are
+// carved from. The zero value is ready to use. A buffer belongs to one
+// caller at a time, and each export into it overwrites the last — the
+// *ServerState a call returns is valid until the next call with the same
+// buffer.
+type StateBuffer struct {
+	st   ServerState
+	slab []int
+}
+
+// ExportState snapshots the server's learning state into memory of its
+// own: ExportStateInto(nil).
+func (s *Server) ExportState() *ServerState { return s.ExportStateInto(nil) }
+
+// ExportStateInto snapshots the server's learning state, reusing buf's
+// memory (nil means a fresh buffer: the result is then the caller's to
+// keep). It takes the apply lock, so the exported parameters, iteration
+// counter, crowd totals and per-device counters all come from the same
+// quiescent point between batches — and with a warm buffer the lock is
+// held for a copy into memory that already exists, not for building a map
+// of the crowd.
+func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
+	if buf == nil {
+		buf = new(StateBuffer)
+	}
+	st := &buf.st
 	s.wMu.Lock()
 	defer s.wMu.Unlock()
 	classes, dim := s.cfg.Model.Shape()
-	totalNky := make([]int, len(s.totalNky))
+	st.TotalLabelCounts = st.TotalLabelCounts[:0]
 	for k := range s.totalNky {
-		totalNky[k] = int(s.totalNky[k].Load())
+		st.TotalLabelCounts = append(st.TotalLabelCounts, int(s.totalNky[k].Load()))
 	}
-	st := &ServerState{
-		ModelName:        s.cfg.Model.Name(),
-		Classes:          classes,
-		Dim:              dim,
-		Params:           linalg.Copy(s.w.Data()),
-		Iteration:        int(s.t.Load()),
-		Stopped:          s.stopped.Load(),
-		TotalSamples:     int(s.totalNs.Load()),
-		TotalErrors:      int(s.totalNe.Load()),
-		TotalLabelCounts: totalNky,
-	}
+	st.ModelName = s.cfg.Model.Name()
+	st.Classes, st.Dim = classes, dim
+	st.Params = append(st.Params[:0], s.w.Data()...)
+	st.Iteration = int(s.t.Load())
+	st.Stopped = s.stopped.Load()
+	st.TotalSamples = int(s.totalNs.Load())
+	st.TotalErrors = int(s.totalNe.Load())
 	st.UpdaterName = s.cfg.Updater.Name()
-	if se, ok := s.cfg.Updater.(optimizer.StateExporter); ok {
-		// The updater only ever runs under wMu (applyBatchLocked, Replay),
-		// so this export is from the same quiescent point as the rest.
-		st.UpdaterState = se.ExportState()
+	// The updater only ever runs under wMu (applyBatchLocked, Replay), so
+	// this export is from the same quiescent point as the rest.
+	st.UpdaterState = st.UpdaterState[:0]
+	switch u := s.cfg.Updater.(type) {
+	case optimizer.StateAppender:
+		st.UpdaterState = u.AppendState(st.UpdaterState)
+	case optimizer.StateExporter:
+		st.UpdaterState = u.ExportState()
 	}
-	// One map sized up front and one slab for every device's label counts:
-	// a checkpoint of a large crowd is two allocations, not two per device
-	// plus the map's doublings. Devices may enroll while this runs (that
-	// takes no apply lock), so the count is a hint: one that no longer fits
-	// the slab gets a slice of its own.
+	if len(st.UpdaterState) == 0 {
+		st.UpdaterState = nil // "no state" is nil, whatever the buffer held
+	}
+	// One map and one slab for every device's label counts: a checkpoint
+	// of a large crowd is two allocations the first time and none after.
+	// Devices may enroll while this runs (that takes no apply lock), so the
+	// count is a hint: one that no longer fits the slab gets a slice of its
+	// own, and the next export sizes the slab for it.
 	n := s.devices.count()
-	st.Devices = make(map[string]DeviceStateEntry, n)
-	slab := make([]int, 0, n*classes)
+	if st.Devices == nil {
+		st.Devices = make(map[string]DeviceStateEntry, n)
+	} else {
+		clear(st.Devices)
+	}
+	if cap(buf.slab) < n*classes {
+		buf.slab = make([]int, 0, n*classes)
+	}
+	slab := buf.slab[:0]
 	s.devices.forEach(func(id string, d *DeviceStats) {
 		if cap(slab)-len(slab) < len(d.LabelCounts) {
 			slab = make([]int, 0, len(d.LabelCounts))

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/linalg"
@@ -237,12 +238,68 @@ func TestExportStateSlabEntriesAreIndependent(t *testing.T) {
 }
 
 // BenchmarkExportState prices one checkpoint's state export at the
-// crowd size of the end-to-end benchmark's durable workloads.
+// crowd size of the end-to-end benchmark's durable workloads: into fresh
+// memory (ExportState, what a stats or test caller pays) and into the
+// warm buffer the hub's checkpointer keeps.
 func BenchmarkExportState(b *testing.B) {
 	s := crowdServer(b, 2000, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ExportState()
+	for name, buf := range map[string]*StateBuffer{"fresh": nil, "warm": new(StateBuffer)} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.ExportStateInto(buf)
+			}
+		})
+	}
+}
+
+// TestExportStateIntoEqualsExportState: an export into a reused buffer is
+// the export into fresh memory, whatever the buffer held before — across
+// enrolment, checkins and plain re-export, when the crowd the buffer last
+// saw was larger or smaller, with and without updater state — and every
+// entry's label counts stay capped at their own length.
+func TestExportStateIntoEqualsExportState(t *testing.T) {
+	var buf StateBuffer
+	check := func(what string, s *Server) {
+		t.Helper()
+		want := s.ExportState()
+		got := s.ExportStateInto(&buf)
+		if !reflect.DeepEqual(got, want) {
+			got.Devices, want.Devices = nil, nil // the crowd would drown the rest
+			t.Fatalf("%s: buffered export diverges (devices elided):\n got %+v\nwant %+v", what, got, want)
+		}
+		for id, e := range got.Devices {
+			if cap(e.LabelCounts) != len(e.LabelCounts) {
+				t.Fatalf("%s: %s: LabelCounts cap %d over len %d", what, id, cap(e.LabelCounts), len(e.LabelCounts))
+			}
+		}
+	}
+
+	small := newTestServer(t, ServerConfig{Updater: &optimizer.AdaGrad{Eta: 0.5}})
+	check("no devices, updater never ran", small)
+	token := register(t, small, "d1")
+	check("one enrolled device", small)
+	req := &CheckinRequest{Grad: []float64{1, 0, -2, 0, 0, 0.5}, NumSamples: 4, ErrCount: 2, LabelCounts: []int{2, 1, 1}}
+	if err := small.Checkin(ctx, "d1", token, req); err != nil {
+		t.Fatal(err)
+	}
+	check("after a checkin (updater state present)", small)
+	check("re-export, nothing changed", small)
+
+	big := crowdServer(t, 300, 5) // more devices, more classes, stateless updater
+	check("a larger crowd than the buffer has seen", big)
+	register(t, big, "late-joiner")
+	check("grown by one", big)
+	check("shrunk back to one device", small)
+	check("and grown again", big)
+
+	// A nil-buffer export is the caller's to keep: later exports, buffered
+	// or not, leave it alone.
+	kept := small.ExportState()
+	before := fmt.Sprintf("%+v", kept)
+	small.ExportStateInto(&buf)
+	big.ExportStateInto(&buf)
+	if after := fmt.Sprintf("%+v", kept); after != before {
+		t.Errorf("an unbuffered export changed under later exports:\n was %s\n now %s", before, after)
 	}
 }

@@ -164,6 +164,10 @@ type durability struct {
 	stopCh    chan struct{}
 	doneCh    chan struct{}
 
+	// export is the checkpointer goroutine's alone: every periodic snapshot
+	// lands in the same memory (Store.Save retains nothing of it).
+	export core.StateBuffer
+
 	// failed latches on the first journal-append failure: the WAL can no
 	// longer honor "every acknowledged checkin is durable", so the task
 	// fail-stops (see onCheckin) rather than silently widening the loss —
@@ -356,13 +360,13 @@ func (d *durability) run() {
 }
 
 // save snapshots the server state, then rotates the journal onto a
-// fresh segment. ExportState takes the apply lock for the duration of
-// one state copy — the same cost a stats export pays — so checkpointing
+// fresh segment. The export takes the apply lock for the duration of one
+// state copy into the checkpointer's warm buffer, so checkpointing
 // throttles the write path only for that copy, never for the Store.Save
-// I/O itself.
+// I/O itself. Called on the checkpointer goroutine only.
 func (d *durability) save(ctx context.Context) {
 	n := d.dirty.Load()
-	state := d.srv.ExportState()
+	state := d.srv.ExportStateInto(&d.export)
 	// Scrub the fail-stop latch exactly as close() does: it is
 	// operational, not learning state, and a snapshot that persisted it
 	// would brick the task across a crash that follows a transient

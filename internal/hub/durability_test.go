@@ -2,6 +2,7 @@ package hub
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -164,6 +165,70 @@ func TestCrashRecoverySnapshotPlusTail(t *testing.T) {
 	}
 	if err := h2.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestartFromLegacyJSONCheckpoint: a store directory as the release
+// before the checkpoint frame left it after a crash — checkpoint.json plus
+// a journal tail beyond it — restarts at the exact iteration with the
+// exact state, and the restarted task's own checkpoints replace the
+// document with the frame.
+func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs, err := store.NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New()
+	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(fs),
+		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkinN(t, task.Server(), "d1", 4)
+	// The mid-run snapshot, written the way that release wrote it.
+	doc, err := json.Marshal(store.Checkpoint{SavedAtUnixMillis: 1, State: task.Server().ExportState()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), append(doc, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checkinN(t, task.Server(), "d2", 3) // the tail beyond the snapshot
+	want := task.Server().ExportState()
+
+	crashed := t.TempDir() // the directory as a kill -9 leaves it: no final checkpoint
+	copyStoreDir(t, dir, crashed)
+	if err := h.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(crashed, "checkpoint.ckpt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the crashed copy already holds a checkpoint frame: %v", err)
+	}
+
+	fs2, err := store.NewFileStore(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2 := New()
+	restored, err := h2.CreateTask(ctx, "t", serverConfig(), WithStore(fs2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restored.Server().ExportState()
+	assertStatesEqual(t, got, want)
+	if got.Iteration != 7 {
+		t.Errorf("iteration = %d, want 7", got.Iteration)
+	}
+	if err := h2.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(crashed, "checkpoint.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("checkpoint.json survived the restarted task's final checkpoint: %v", err)
+	}
+	if cp, err := fs2.Load(ctx); err != nil || cp.State.Iteration != 7 {
+		t.Errorf("the final checkpoint frame loads as %+v, %v", cp, err)
 	}
 }
 

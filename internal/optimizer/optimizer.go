@@ -108,6 +108,17 @@ type StateExporter interface {
 	ImportState(state []float64) error
 }
 
+// StateAppender is optionally implemented beside StateExporter by updaters
+// that can hand their state out without allocating: the server's
+// checkpointer exports into a vector it keeps between checkpoints. All
+// shipped stateful updaters implement it.
+type StateAppender interface {
+	StateExporter
+	// AppendState appends the vector ExportState would return to dst and
+	// returns the extended slice (dst itself when there is no state).
+	AppendState(dst []float64) []float64
+}
+
 // SGD is the plain projected-SGD updater of Eq. (3).
 type SGD struct {
 	// Schedule provides η(t). Required.
@@ -177,15 +188,13 @@ func (u *AdaGrad) Name() string { return fmt.Sprintf("adagrad(eta=%g)", u.Eta) }
 // reused across trials.
 func (u *AdaGrad) Reset() { u.accum = nil }
 
-var _ StateExporter = (*AdaGrad)(nil)
+var _ StateAppender = (*AdaGrad)(nil)
 
-// ExportState implements StateExporter: a copy of the Σ g_i² accumulators.
-func (u *AdaGrad) ExportState() []float64 {
-	if u.accum == nil {
-		return nil
-	}
-	return append([]float64(nil), u.accum...)
-}
+// AppendState implements StateAppender: the Σ g_i² accumulators.
+func (u *AdaGrad) AppendState(dst []float64) []float64 { return append(dst, u.accum...) }
+
+// ExportState implements StateExporter: a copy of the accumulators.
+func (u *AdaGrad) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter.
 func (u *AdaGrad) ImportState(state []float64) error {
@@ -262,15 +271,13 @@ func (u *Momentum) Name() string {
 // Reset clears the velocity so the updater can be reused across trials.
 func (u *Momentum) Reset() { u.velocity = nil }
 
-var _ StateExporter = (*Momentum)(nil)
+var _ StateAppender = (*Momentum)(nil)
+
+// AppendState implements StateAppender: the velocity vector.
+func (u *Momentum) AppendState(dst []float64) []float64 { return append(dst, u.velocity...) }
 
 // ExportState implements StateExporter: a copy of the velocity vector.
-func (u *Momentum) ExportState() []float64 {
-	if u.velocity == nil {
-		return nil
-	}
-	return append([]float64(nil), u.velocity...)
-}
+func (u *Momentum) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter.
 func (u *Momentum) ImportState(state []float64) error {
@@ -314,16 +321,22 @@ func (u *Clip) Name() string {
 	return fmt.Sprintf("clip(L1<=%g, %s)", u.MaxNorm1, u.Inner.Name())
 }
 
-var _ StateExporter = (*Clip)(nil)
+var _ StateAppender = (*Clip)(nil)
 
-// ExportState implements StateExporter by delegating to the wrapped
-// updater (Clip itself is stateless); nil when Inner carries no state.
-func (u *Clip) ExportState() []float64 {
-	if se, ok := u.Inner.(StateExporter); ok {
-		return se.ExportState()
+// AppendState implements StateAppender by delegating to the wrapped
+// updater (Clip itself is stateless).
+func (u *Clip) AppendState(dst []float64) []float64 {
+	switch in := u.Inner.(type) {
+	case StateAppender:
+		return in.AppendState(dst)
+	case StateExporter:
+		return append(dst, in.ExportState()...)
 	}
-	return nil
+	return dst
 }
+
+// ExportState implements StateExporter; nil when Inner carries no state.
+func (u *Clip) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter by delegating to the wrapped
 // updater. State for a stateless Inner is silently dropped — the

@@ -103,12 +103,16 @@ func testSaveLoadRoundTrip(t *testing.T, st Store) {
 		t.Fatal(err)
 	}
 	now := time.Date(2026, 7, 29, 10, 0, 0, 0, time.UTC)
-	if err := st.Save(ctx, srv.ExportState(), now); err != nil {
+	saved := srv.ExportState()
+	if err := st.Save(ctx, saved, now); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	cp, err := st.Load(ctx)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
+	}
+	if !reflect.DeepEqual(cp.State, saved) {
+		t.Errorf("Load returned\n%+v\nSave was given\n%+v", cp.State, saved)
 	}
 	if cp.SavedAtUnixMillis != now.UnixMilli() {
 		t.Errorf("timestamp %d, want %d", cp.SavedAtUnixMillis, now.UnixMilli())
@@ -153,17 +157,26 @@ func testSaveNilState(t *testing.T, st Store) {
 // checkpoint must not corrupt the store).
 func testCheckpointIsolation(t *testing.T, st Store) {
 	srv := newServerT(t)
-	state := srv.ExportState()
+	if _, err := srv.RegisterDevice(ctx, "d1"); err != nil {
+		t.Fatal(err)
+	}
+	// Save must retain nothing of the state: the hub's checkpointer
+	// exports the next snapshot into the same buffer.
+	var buf core.StateBuffer
+	state := srv.ExportStateInto(&buf)
 	if err := st.Save(ctx, state, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	state.Iteration = 999
 	state.Params[0] = 123.456
+	state.Devices["d1"].LabelCounts[0] = 55
+	clear(state.Devices)
 	cp, err := st.Load(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.State.Iteration == 999 || cp.State.Params[0] == 123.456 {
+	if cp.State.Iteration == 999 || cp.State.Params[0] == 123.456 ||
+		len(cp.State.Devices) != 1 || cp.State.Devices["d1"].LabelCounts[0] == 55 {
 		t.Error("checkpoint aliases the saved state's memory")
 	}
 	cp.State.Iteration = 777

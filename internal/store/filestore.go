@@ -20,8 +20,11 @@ import (
 const lockFileName = "LOCK"
 
 // FileStore persists checkpoints and journals under a directory:
-// checkpoint.json (atomic write-to-temp + rename) and a segmented
-// journal-*.wal write-ahead log (append-only, one write per entry).
+// checkpoint.ckpt (one wirecodec checkpoint frame, atomic write-to-temp +
+// rename) and a segmented journal-*.wal write-ahead log (append-only, one
+// write per entry). A directory written by a release that kept the
+// checkpoint as checkpoint.json is read as it is; the first Save replaces
+// that file with checkpoint.ckpt.
 //
 // A store directory belongs to ONE live journal at a time: OpenJournal
 // repairs (truncates) a crash-torn journal tail, so a second process
@@ -33,9 +36,17 @@ const lockFileName = "LOCK"
 // never blocked by a stale lock file.)
 type FileStore struct {
 	dir string
+
+	saveMu sync.Mutex        // serializes Save, which owns enc
+	enc    checkpointEncoder // reused by every Save
 }
 
 var _ Store = (*FileStore)(nil)
+
+const (
+	checkpointName       = "checkpoint.ckpt"
+	legacyCheckpointName = "checkpoint.json"
+)
 
 // NewFileStore creates (if necessary) and opens a store directory.
 func NewFileStore(dir string) (*FileStore, error) {
@@ -48,6 +59,18 @@ func NewFileStore(dir string) (*FileStore, error) {
 // Dir returns the store directory.
 func (f *FileStore) Dir() string { return f.dir }
 
+// openCheckpoint opens the checkpoint: checkpoint.ckpt, or the legacy
+// checkpoint.json when there is no frame yet (a crash between a first
+// Save's rename and its removal of the legacy file leaves both, and the
+// frame is the newer). fs.ErrNotExist means neither exists.
+func (f *FileStore) openCheckpoint() (*os.File, error) {
+	file, err := os.Open(filepath.Join(f.dir, checkpointName))
+	if errors.Is(err, fs.ErrNotExist) {
+		file, err = os.Open(filepath.Join(f.dir, legacyCheckpointName))
+	}
+	return file, err
+}
+
 // HasCheckpoint cheaply reports whether a checkpoint has been saved —
 // an existence probe, without decoding the state (callers that need the
 // contents use Load).
@@ -55,22 +78,20 @@ func (f *FileStore) HasCheckpoint(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	_, err := os.Stat(f.checkpointPath())
+	file, err := f.openCheckpoint()
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
 	if err != nil {
 		return false, err
 	}
+	file.Close()
 	return true, nil
 }
 
-func (f *FileStore) checkpointPath() string {
-	return filepath.Join(f.dir, "checkpoint.json")
-}
-
-// Save atomically writes a checkpoint of the given state, streaming the
-// encoder into the temp file: no whole-document copy is held.
+// Save atomically writes a checkpoint of the given state: the frame is
+// encoded into the store's own buffer and reaches the temp file in one
+// write, so a steady-state Save allocates nothing of the state's size.
 func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -78,11 +99,23 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	if state == nil {
 		return errors.New("store: nil state")
 	}
-	cp := Checkpoint{SavedAtUnixMillis: now.UnixMilli(), State: state}
-	err := writeFileAtomic(f.checkpointPath(), func(w io.Writer) error { return EncodeCheckpoint(w, &cp) })
+	f.saveMu.Lock()
+	defer f.saveMu.Unlock()
+	frame, err := f.enc.encode(state, now.UnixMilli())
+	if err != nil {
+		return err
+	}
+	err = writeFileAtomic(filepath.Join(f.dir, checkpointName), func(w io.Writer) error {
+		_, err := w.Write(frame)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("store: save checkpoint: %w", err)
 	}
+	// A legacy document goes only now that the frame is in place: until
+	// then it was the checkpoint. Usually there is none to remove; a failed
+	// removal is retried by the next Save, and Load prefers the frame.
+	_ = os.Remove(filepath.Join(f.dir, legacyCheckpointName))
 	// Sync the directory so the rename itself survives a machine crash.
 	// Best-effort HERE only: a checkpoint whose rename is lost to power
 	// failure costs a longer journal replay, never data — the journal
@@ -142,7 +175,7 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	file, err := os.Open(f.checkpointPath())
+	file, err := f.openCheckpoint()
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCheckpoint
 	}
@@ -226,7 +259,8 @@ type fileJournal struct {
 // OpenJournal opens the journal for appending: it takes the store
 // directory's advisory lock (ErrStoreLocked if a live journal already
 // holds it), opens the newest segment — creating journal-0000000001.wal
-// for a fresh store — and repairs a crash-torn tail first. The live
+// for a fresh store — removes checkpoint temp files a killed process left
+// behind, and repairs a crash-torn tail first. The live
 // segment ends at the last frame whose CRC verifies: a final frame cut
 // short or failing its CRC was never durable, so its checkin was never
 // acknowledged, and it is truncated away — appending after it would
@@ -248,6 +282,7 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 			releaseDirLock(lock)
 		}
 	}()
+	f.removeOrphanedTemps()
 	segs, err := f.Segments(ctx)
 	if err != nil {
 		return nil, err
@@ -266,6 +301,21 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	}
 	ok = true
 	return &fileJournal{dir: f.dir, file: file, seq: seq, lock: lock}, nil
+}
+
+// removeOrphanedTemps deletes the checkpoint temp files a process killed
+// between writeFileAtomic's CreateTemp and its rename left behind — each a
+// whole checkpoint in size, and nothing else ever looks at them. Called
+// under the directory lock, before this process's checkpointer can have a
+// temp file of its own. Best-effort: a leftover costs disk, never
+// correctness, and the next open tries again.
+func (f *FileStore) removeOrphanedTemps() {
+	entries, _ := os.ReadDir(f.dir) // Segments reports a directory that cannot be read
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "checkpoint") && strings.HasSuffix(name, ".tmp") {
+			_ = os.Remove(filepath.Join(f.dir, name))
+		}
+	}
 }
 
 // acquireDirLock takes the store directory's lock on its LOCK file,

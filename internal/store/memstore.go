@@ -16,7 +16,7 @@ import (
 )
 
 // MemStore is an in-memory Store for tests, benchmarks and embedded use.
-// It holds what FileStore holds — the encoded checkpoint document and a
+// It holds what FileStore holds — the encoded checkpoint frame and a
 // chain of segments of journal frames — as byte slices instead of files,
 // and reads them through the same cursor and retention code, so a "crash"
 // is simulated by dropping the server while keeping the MemStore. For the
@@ -24,8 +24,11 @@ import (
 // reopening after a simulated crash is the point.
 type MemStore struct {
 	mu    sync.Mutex
-	cp    []byte // the checkpoint document, nil before the first Save
+	cp    []byte // the checkpoint frame, nil before the first Save
 	chain memChain
+
+	saveMu sync.Mutex        // serializes Save, which owns enc
+	enc    checkpointEncoder // its buffer and cp trade places on every Save
 }
 
 var _ Store = (*MemStore)(nil)
@@ -37,6 +40,7 @@ func NewMemStore() *MemStore {
 
 // Save replaces the checkpoint with the encoding of the given state, so
 // later mutations of the live server never reach back into the snapshot.
+// The previous checkpoint's bytes become the next Save's buffer.
 func (m *MemStore) Save(ctx context.Context, state *core.ServerState, now time.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -44,28 +48,30 @@ func (m *MemStore) Save(ctx context.Context, state *core.ServerState, now time.T
 	if state == nil {
 		return errors.New("store: nil state")
 	}
-	var doc bytes.Buffer
-	if err := EncodeCheckpoint(&doc, &Checkpoint{SavedAtUnixMillis: now.UnixMilli(), State: state}); err != nil {
+	m.saveMu.Lock()
+	defer m.saveMu.Unlock()
+	frame, err := m.enc.encode(state, now.UnixMilli())
+	if err != nil {
 		return err
 	}
 	m.mu.Lock()
-	m.cp = doc.Bytes()
+	m.cp, m.enc.buf = frame, m.cp
 	m.mu.Unlock()
 	return nil
 }
 
-// Load decodes the most recent checkpoint, or returns ErrNoCheckpoint.
+// Load decodes the most recent checkpoint, or returns ErrNoCheckpoint. It
+// decodes under the store lock: a later Save encodes over these bytes.
 func (m *MemStore) Load(ctx context.Context) (*Checkpoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
-	doc := m.cp
-	m.mu.Unlock()
-	if doc == nil {
+	defer m.mu.Unlock()
+	if m.cp == nil {
 		return nil, ErrNoCheckpoint
 	}
-	return DecodeCheckpoint(bytes.NewReader(doc))
+	return decodeCheckpoint(m.cp)
 }
 
 // memChain is MemStore's segmentChain: each segment is its frames in one

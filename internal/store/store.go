@@ -2,7 +2,7 @@
 // server state. The paper's prototype kept this state in MySQL
 // (Section V-A) so a restarted server resumes the crowd's task with the
 // accumulated contributions intact; Store is the abstraction of that
-// role, with two shipped implementations — FileStore (a JSON checkpoint +
+// role, with two shipped implementations — FileStore (a checkpoint frame +
 // a journal of wirecodec frames under a directory) and MemStore
 // (in-memory, for tests, benchmarks and embedding).
 //
@@ -42,9 +42,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 var (
@@ -86,32 +88,116 @@ type Checkpoint struct {
 	State *core.ServerState `json:"state"`
 }
 
-// EncodeCheckpoint writes cp in the checkpoint format — compact JSON, one
-// line — straight onto w. With DecodeCheckpoint it is the one place the
-// format is known: FileStore's checkpoint.json, MemStore's held bytes and
-// the replication checkpoint endpoint are all this document.
-func EncodeCheckpoint(w io.Writer, cp *Checkpoint) error {
-	if err := json.NewEncoder(w).Encode(cp); err != nil {
-		return fmt.Errorf("store: encode checkpoint: %w", err)
-	}
-	return nil
+// checkpointEncoder turns a state into a wirecodec checkpoint frame in
+// memory it keeps: the sorted device ids and the frame buffer survive
+// between calls, so a store that owns one encodes a steady-state
+// checkpoint without allocating. Not safe for concurrent use.
+type checkpointEncoder struct {
+	ids []string
+	buf []byte
 }
 
-// DecodeCheckpoint reads one checkpoint document from r, refusing one
-// that carries no state.
+// encode returns the frame for state, valid until the next call. Nothing
+// of state is referenced once it returns.
+func (e *checkpointEncoder) encode(state *core.ServerState, savedAtUnixMillis int64) ([]byte, error) {
+	// Sorted, so equal states are equal bytes whatever the map's order;
+	// each row is looked up as the encoder asks for it and exists nowhere
+	// but in the frame.
+	ids := e.ids[:0]
+	for id := range state.Devices {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	buf, err := wirecodec.AppendCheckpoint(e.buf[:0], &wirecodec.Checkpoint{
+		SavedAtUnixMillis: savedAtUnixMillis,
+		ModelName:         state.ModelName,
+		UpdaterName:       state.UpdaterName,
+		Classes:           state.Classes,
+		Dim:               state.Dim,
+		Iteration:         state.Iteration,
+		Stopped:           state.Stopped,
+		TotalSamples:      state.TotalSamples,
+		TotalErrors:       state.TotalErrors,
+		Params:            state.Params,
+		UpdaterState:      state.UpdaterState,
+		TotalLabelCounts:  state.TotalLabelCounts,
+	}, len(ids), func(i int) wirecodec.CheckpointDevice {
+		d := state.Devices[ids[i]]
+		return wirecodec.CheckpointDevice{
+			ID: ids[i], Samples: d.Samples, Errors: d.Errors, Checkins: d.Checkins,
+			StalenessSum: d.StalenessSum, LabelCounts: d.LabelCounts,
+		}
+	})
+	clear(ids) // keep the memory, drop the aliases of state's strings
+	e.ids = ids
+	if err != nil {
+		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
+	}
+	e.buf = buf
+	return buf, nil
+}
+
+// EncodeCheckpoint returns cp in the checkpoint format: one wirecodec
+// KindCheckpoint frame (docs/WIRE.md). With DecodeCheckpoint it is the one
+// place the format is known — FileStore's checkpoint.ckpt, MemStore's held
+// bytes and the replication checkpoint endpoint are all this frame.
+func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+	var enc checkpointEncoder
+	return enc.encode(cp.State, cp.SavedAtUnixMillis)
+}
+
+// DecodeCheckpoint reads one checkpoint from r: the frame EncodeCheckpoint
+// writes or, when the input opens with '{', the JSON document releases
+// before the frame wrote (their checkpoint.json, an older leader's
+// checkpoint reply). Input longer than wirecodec.MaxPayload is refused
+// with an error wrapping wirecodec.ErrFrame before it is held in memory.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	payload, err := io.ReadAll(r)
+	payload, err := io.ReadAll(io.LimitReader(r, wirecodec.MaxPayload+1))
 	if err != nil {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
+	return decodeCheckpoint(payload)
+}
+
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+	if len(payload) > wirecodec.MaxPayload {
+		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
+	}
+	if len(payload) > 0 && payload[0] == '{' {
+		var cp Checkpoint
+		if err := json.Unmarshal(payload, &cp); err != nil {
+			return nil, fmt.Errorf("store: decode legacy JSON checkpoint: %w", err)
+		}
+		if cp.State == nil {
+			return nil, errors.New("store: checkpoint missing state")
+		}
+		return &cp, nil
+	}
+	wc, devices, err := wirecodec.DecodeCheckpoint(payload)
+	if err != nil {
 		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
 	}
-	if cp.State == nil {
-		return nil, errors.New("store: checkpoint missing state")
+	st := &core.ServerState{
+		ModelName:        wc.ModelName,
+		Classes:          wc.Classes,
+		Dim:              wc.Dim,
+		Params:           wc.Params,
+		Iteration:        wc.Iteration,
+		Stopped:          wc.Stopped,
+		TotalSamples:     wc.TotalSamples,
+		TotalErrors:      wc.TotalErrors,
+		TotalLabelCounts: wc.TotalLabelCounts,
+		UpdaterName:      wc.UpdaterName,
+		UpdaterState:     wc.UpdaterState,
+		Devices:          make(map[string]core.DeviceStateEntry, len(devices)),
 	}
-	return &cp, nil
+	for _, d := range devices {
+		st.Devices[d.ID] = core.DeviceStateEntry{
+			Samples: d.Samples, Errors: d.Errors, LabelCounts: d.LabelCounts,
+			Checkins: d.Checkins, StalenessSum: d.StalenessSum,
+		}
+	}
+	return &Checkpoint{SavedAtUnixMillis: wc.SavedAtUnixMillis, State: st}, nil
 }
 
 // JournalEntry is one write-ahead record: the complete sanitized checkin
@@ -211,7 +297,9 @@ type JournalCursor interface {
 // concurrent use; Save, Load and open cursors may race an open
 // journal's Appends.
 type Store interface {
-	// Save atomically replaces the checkpoint with the given state.
+	// Save atomically replaces the checkpoint with the given state. It
+	// must not retain state (or anything state references) after
+	// returning: the hub's checkpointer exports into one buffer it reuses.
 	Save(ctx context.Context, state *core.ServerState, now time.Time) error
 	// Load reads the most recent checkpoint, or ErrNoCheckpoint.
 	Load(ctx context.Context) (*Checkpoint, error)

@@ -89,6 +89,10 @@ func (h *Handler) handleJournalFeed(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// ContentTypeFrame is the media type of a checkpoint reply: one
+// wirecodec checkpoint frame, the bytes the leader's store holds.
+const ContentTypeFrame = "application/x-crowdml-frame"
+
 // handleCheckpoint serves GET /v1/tasks/{task}/checkpoint — the latest
 // snapshot of the task's learning state, the bootstrap artifact a
 // follower starts from when journal retention has pruned the range its
@@ -113,8 +117,14 @@ func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("task %q: load checkpoint: %w", t.ID(), err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = store.EncodeCheckpoint(w, cp) // headers are already sent; nothing more to do
+	frame, err := store.EncodeCheckpoint(cp)
+	if err != nil {
+		writeError(w, fmt.Errorf("task %q: %w", t.ID(), err))
+		return
+	}
+	w.Header().Set("Content-Type", ContentTypeFrame)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	_, _ = w.Write(frame) // headers are already sent; nothing more to do
 }
 
 // JournalFeed is an open streaming read of a leader's journal feed — the
@@ -185,7 +195,14 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 	if err := checkStatus(resp); err != nil {
 		return nil, err
 	}
+	// A leader from before the checkpoint frame answers with the JSON
+	// document, which DecodeCheckpoint still reads; when a reply that is
+	// not a frame fails to decode, say what it was instead of reporting a
+	// corrupt frame.
 	cp, err := store.DecodeCheckpoint(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); err != nil && ct != ContentTypeFrame {
+		return nil, fmt.Errorf("transport: checkpoint reply is %q, want %s (is the leader an older release?): %w", ct, ContentTypeFrame, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: fetch checkpoint: %w", err)
 	}

@@ -2,10 +2,12 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,6 +157,61 @@ func TestFetchCheckpoint(t *testing.T) {
 	}
 	if cp.State == nil || cp.State.Iteration != 1 {
 		t.Errorf("unexpected checkpoint %+v", cp)
+	}
+	// On the wire it is the frame the store holds, under its own type.
+	resp, err := http.Get(ts.URL + alphaPath("checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeFrame || !strings.HasPrefix(string(body), "CMW1") {
+		t.Errorf("checkpoint reply is %q starting %q, want a %s frame", ct, body[:min(len(body), 4)], ContentTypeFrame)
+	}
+}
+
+// TestFetchCheckpointFromOlderLeader: a leader from before the checkpoint
+// frame answers with the JSON document. A follower still bootstraps from
+// it, and when such a reply does not decode the error names what the
+// leader sent instead of calling it a corrupt frame.
+func TestFetchCheckpointFromOlderLeader(t *testing.T) {
+	ctx := context.Background()
+	_, srv, _ := newLeader(t)
+	token, _ := srv.RegisterDevice(ctx, "d1")
+	if err := srv.Checkin(ctx, "d1", token, checkinReq()); err != nil {
+		t.Fatal(err)
+	}
+	want := srv.ExportState()
+	doc, err := json.Marshal(store.Checkpoint{SavedAtUnixMillis: 5, State: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := append(doc, '\n') // json.Encoder's line, as the older handler wrote it
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(reply)
+	}))
+	defer old.Close()
+	client := NewHTTPClient(old.URL, nil).WithTask("alpha")
+	cp, err := client.FetchCheckpoint(ctx)
+	if err != nil || cp.SavedAtUnixMillis != 5 || !reflect.DeepEqual(cp.State, want) {
+		t.Fatalf("FetchCheckpoint from a JSON leader = %+v, %v; want %+v", cp, err, want)
+	}
+	follower, err := core.NewServer(core.ServerConfig{
+		Model:   model.NewLogisticRegression(2, 2),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ImportState(cp.State); err != nil || !reflect.DeepEqual(follower.ExportState(), want) {
+		t.Errorf("a follower bootstrapped from the JSON reply diverges from the leader: %v", err)
+	}
+
+	reply = doc[:len(doc)/2]
+	_, err = client.FetchCheckpoint(ctx)
+	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), "older release") {
+		t.Errorf("truncated JSON reply: %v; want the reply's type and the older-release hint", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package wirecodec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -89,6 +91,111 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unknown kind decoded: %+v", fr)
+		}
+	})
+}
+
+// checkpointFromBytes reads fuzz input as a checkpoint: a few control
+// bytes, then 8-byte words that become floats (any bit pattern, so ±0,
+// NaN payloads and infinities all occur) and counters of either sign.
+func checkpointFromBytes(b []byte) (*Checkpoint, []CheckpointDevice) {
+	next := func() uint64 {
+		var w [8]byte
+		n := copy(w[:], b)
+		b = b[n:]
+		return binary.LittleEndian.Uint64(w[:])
+	}
+	floats := func(n uint64) []float64 {
+		var out []float64
+		for ; n > 0 && len(b) > 0; n-- {
+			out = append(out, math.Float64frombits(next()))
+		}
+		return out
+	}
+	ints := func(n uint64) []int {
+		var out []int
+		for ; n > 0 && len(b) > 0; n-- {
+			out = append(out, int(int64(next())))
+		}
+		return out
+	}
+	ctl := next()
+	cp := &Checkpoint{
+		SavedAtUnixMillis: int64(next()),
+		ModelName:         string(b[:min(int(ctl>>8&7), len(b))]),
+		UpdaterName:       string(b[:min(int(ctl>>11&7), len(b))]),
+		Iteration:         int(next() >> 1),
+		Stopped:           ctl&1 != 0,
+		Classes:           int(int64(next())),
+		Dim:               int(int64(next())),
+		TotalSamples:      int(int64(next())),
+		TotalErrors:       int(int64(next())),
+	}
+	cp.Params = floats(ctl >> 16 & 15)
+	cp.UpdaterState = floats(ctl >> 20 & 15)
+	cp.TotalLabelCounts = ints(ctl >> 24 & 7)
+	var devices []CheckpointDevice
+	for i := uint64(0); i < ctl>>28&7 && len(b) > 0; i++ {
+		devices = append(devices, CheckpointDevice{
+			// Strictly increasing by construction: the index leads the id.
+			ID:      string(rune('a'+i)) + string(b[:min(int(next()&7), len(b))]),
+			Samples: int(int64(next())), Errors: int(int64(next())),
+			Checkins: int(int64(next())), StalenessSum: int(int64(next())),
+			LabelCounts: ints(ctl >> 24 & 7),
+		})
+	}
+	return cp, devices
+}
+
+// FuzzDecodeCheckpoint reads its input twice. As a frame: DecodeCheckpoint
+// never panics, and whatever it accepts the encoder accepts and reproduces
+// (decode → encode → decode is the identity). As the content of a
+// checkpoint: encode → decode is the identity bit for bit, and the frame
+// cut short anywhere or with any one bit flipped is refused.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	cp, devices := testCheckpoint()
+	seed, err := encodeCheckpoint(nil, cp, devices)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	empty, _ := encodeCheckpoint(nil, &Checkpoint{}, nil)
+	f.Add(empty)
+	f.Add(seed[:len(seed)/2])
+	f.Add([]byte(`{"savedAtUnixMillis":1,"state":{}}`))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if cp, devices, err := DecodeCheckpoint(b); err == nil {
+			again, err := encodeCheckpoint(nil, cp, devices)
+			if err != nil {
+				t.Fatalf("AppendCheckpoint rejected a decoded checkpoint: %v", err)
+			}
+			back, backDevices, err := DecodeCheckpoint(again)
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+			}
+			assertCheckpointsEqual(t, back, backDevices, cp, devices)
+		} else if !errors.Is(err, ErrFrame) {
+			t.Fatalf("DecodeCheckpoint failed outside ErrFrame: %v", err)
+		}
+
+		in, inDevices := checkpointFromBytes(b)
+		frame, err := encodeCheckpoint(nil, in, inDevices)
+		if err != nil {
+			t.Fatalf("AppendCheckpoint(%+v, %+v): %v", in, inDevices, err)
+		}
+		out, outDevices, err := DecodeCheckpoint(frame)
+		if err != nil {
+			t.Fatalf("DecodeCheckpoint of the encoder's own frame: %v", err)
+		}
+		assertCheckpointsEqual(t, out, outDevices, in, inDevices)
+		pos := len(b) * 7919 // any position, decided by the input
+		if _, _, err := DecodeCheckpoint(frame[:pos%len(frame)]); !errors.Is(err, ErrFrame) {
+			t.Fatalf("frame cut to %d of %d bytes: %v", pos%len(frame), len(frame), err)
+		}
+		frame[pos%len(frame)] ^= 1 << (pos % 8)
+		if _, _, err := DecodeCheckpoint(frame); !errors.Is(err, ErrFrame) {
+			t.Fatalf("bit %d of byte %d flipped: %v", pos%8, pos%len(frame), err)
 		}
 	})
 }

@@ -5,7 +5,7 @@
 //	offset  size  field
 //	0       4     magic "CMW1"
 //	4       1     codec version (1)
-//	5       1     kind (full=1, delta=2, checkin=3, journal=4)
+//	5       1     kind (full=1, delta=2, checkin=3, journal=4, checkpoint=5)
 //	6       2     flags (uint16 LE: compressed, done, sparse, eos)
 //	8       8     version (int64 LE): the model iteration the frame
 //	              describes; for checkin frames, the echoed checkout
@@ -41,6 +41,10 @@
 // from the header alone and a reader can hop over a frame — or pick out
 // its iteration — without touching the payload. With FlagEOS the frame
 // is header-only: the marker that ends a complete journal feed.
+//
+// A checkpoint frame (KindCheckpoint, checkpoint.go) shares the header
+// and the trailer but carries varint counters, so it is read whole by
+// DecodeCheckpoint rather than sized from its header.
 //
 // The package is dependency-free (stdlib only) and allocation-aware:
 // encoders append to caller-supplied buffers, so a pooled []byte makes
@@ -418,20 +422,11 @@ func Decode(b []byte) (*Frame, error) {
 // caller must be done with that array's previous contents. After an
 // error fr is unspecified.
 func DecodeInto(fr *Frame, b []byte) error {
-	if len(b) < HeaderLen+crcLen {
-		return fmt.Errorf("%w: %d bytes is shorter than a frame", ErrFrame, len(b))
+	flags, err := checkEnvelope(b)
+	if err != nil {
+		return err
 	}
 	body := b[:len(b)-crcLen]
-	if got, want := binary.LittleEndian.Uint32(b[len(b)-crcLen:]), crc32.ChecksumIEEE(body); got != want {
-		return fmt.Errorf("%w: CRC mismatch (frame truncated or corrupted)", ErrFrame)
-	}
-	if string(b[:4]) != Magic {
-		return fmt.Errorf("%w: bad magic", ErrFrame)
-	}
-	if b[4] != codecVer {
-		return fmt.Errorf("%w: unsupported codec version %d", ErrFrame, b[4])
-	}
-	flags := binary.LittleEndian.Uint16(b[6:])
 	scratch := fr.Values
 	*fr = Frame{
 		Kind:    b[5],
@@ -484,6 +479,8 @@ func DecodeInto(fr *Frame, b []byte) error {
 			uint64(fr.Dims), uint64(count)); err != nil {
 			return err
 		}
+	case KindCheckpoint:
+		return fmt.Errorf("%w: a checkpoint frame is read by DecodeCheckpoint", ErrFrame)
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrFrame, fr.Kind)
 	}
@@ -556,6 +553,24 @@ func DecodeInto(fr *Frame, b []byte) error {
 		fr.DeviceID = string(payload[off+8*count : off+8*count+idLen])
 	}
 	return nil
+}
+
+// checkEnvelope verifies what every kind shares — the length of a frame,
+// the CRC trailer, the magic and the codec version — and returns the flags.
+func checkEnvelope(b []byte) (flags uint16, err error) {
+	if len(b) < HeaderLen+crcLen {
+		return 0, fmt.Errorf("%w: %d bytes is shorter than a frame", ErrFrame, len(b))
+	}
+	if got, want := binary.LittleEndian.Uint32(b[len(b)-crcLen:]), crc32.ChecksumIEEE(b[:len(b)-crcLen]); got != want {
+		return 0, fmt.Errorf("%w: CRC mismatch (frame truncated or corrupted)", ErrFrame)
+	}
+	if string(b[:4]) != Magic {
+		return 0, fmt.Errorf("%w: bad magic", ErrFrame)
+	}
+	if b[4] != codecVer {
+		return 0, fmt.Errorf("%w: unsupported codec version %d", ErrFrame, b[4])
+	}
+	return binary.LittleEndian.Uint16(b[6:]), nil
 }
 
 // sizeFloats returns scratch resliced to n values when its backing array
