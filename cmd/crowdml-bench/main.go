@@ -2,9 +2,9 @@
 // (Figs. 3–9; Figs. 7–9 are the Appendix D object-recognition repeats) and
 // prints each as an aligned text table. With -server it instead load-tests
 // a live Crowd-ML server over HTTP, measuring checkin throughput against
-// one hosted task; with -durability it measures the cost of write-ahead
-// journaling on an in-process crowd (the same task run store-less, then
-// with a file-backed WAL + asynchronous checkpoints).
+// one hosted task. (What the write-ahead journal and its fsync cost per
+// checkin is the benchmark's hub.checkin_{mem,file,fsync}_us rungs:
+// go run -C benchmark . -trace 1.)
 //
 // Examples:
 //
@@ -13,21 +13,17 @@
 //	crowdml-bench -fig fig5 -trials 10      # the paper's 10-trial protocol
 //	crowdml-bench -server http://localhost:8080 -task activity \
 //	    -enroll-key join -devices 16 -samples 200   # HTTP load bench
-//	crowdml-bench -durability -devices 16 -samples 400   # WAL overhead
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-	"testing"
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
@@ -51,15 +47,14 @@ func run() error {
 		points = flag.Int("points", 50, "test-error measurements per curve")
 		outDir = flag.String("o", "", "also write one <figure>.csv per figure into this directory")
 
-		serverURL  = flag.String("server", "", "load-bench a live server at this base URL instead of regenerating figures")
-		durability = flag.Bool("durability", false, "measure in-process checkin throughput with the write-ahead journal off vs on, then exit")
-		taskID     = flag.String("task", "default", "task ID to bench against")
-		enrollKey  = flag.String("enroll-key", "", "enrollment key for the load bench")
-		devices    = flag.Int("devices", 8, "concurrent devices in the load bench")
-		samples    = flag.Int("samples", 200, "samples per device in the load bench")
-		minibatch  = flag.Int("minibatch", 5, "minibatch size b in the load bench")
-		checkouts  = flag.Int("checkouts", 0, "after the checkin run, also measure this many checkouts per device (the portal-scale read path; 0 skips)")
-		wire       = flag.String("wire", "json", "wire format for the load bench's checkout/checkin traffic: json, binary or binary-delta")
+		serverURL = flag.String("server", "", "load-bench a live server at this base URL instead of regenerating figures")
+		taskID    = flag.String("task", "default", "task ID to bench against")
+		enrollKey = flag.String("enroll-key", "", "enrollment key for the load bench")
+		devices   = flag.Int("devices", 8, "concurrent devices in the load bench")
+		samples   = flag.Int("samples", 200, "samples per device in the load bench")
+		minibatch = flag.Int("minibatch", 5, "minibatch size b in the load bench")
+		checkouts = flag.Int("checkouts", 0, "after the checkin run, also measure this many checkouts per device (the portal-scale read path; 0 skips)")
+		wire      = flag.String("wire", "json", "wire format for the load bench's checkout/checkin traffic: json, binary or binary-delta")
 	)
 	flag.Parse()
 
@@ -68,9 +63,6 @@ func run() error {
 		return err
 	}
 
-	if *durability {
-		return durabilityBench(*devices, *samples, *minibatch)
-	}
 	if *serverURL != "" {
 		return loadBench(*serverURL, *taskID, *enrollKey, *devices, *samples, *minibatch, *checkouts, wireFormat)
 	}
@@ -248,209 +240,6 @@ func loadBench(serverURL, taskID, enrollKey string, devices, samples, minibatch,
 			devices*checkouts, elapsed.Round(time.Millisecond),
 			float64(devices*checkouts)/elapsed.Seconds())
 	}
-	return nil
-}
-
-// durabilityBench measures what the durability layer costs the write
-// path: the same in-process crowd (loopback transport, activity-shaped
-// task) runs store-less, then with a file-backed write-ahead journal
-// plus asynchronous checkpoints (fsync off — process-crash durability),
-// then again with group-commit fsync (SyncBatch — power-loss
-// durability), and the phase reports each throughput and its overhead
-// over the store-less baseline. The journal append and the per-batch
-// fsync both run on the batch leader outside the parameter lock, so
-// this measures the honest per-checkin durability cost — the fsync-off
-// number is what benchgate guards via BenchmarkCheckinJournaled. That
-// phase also ends with an audit scan: the whole journal is streamed
-// back through a cursor under allocation tracking, reporting B/op (and
-// B per entry) so the read path's bounded memory is measurable, not
-// just asserted.
-func durabilityBench(devices, samples, minibatch int) error {
-	ctx := context.Background()
-	m := crowdml.NewLogisticRegression(activity.NumClasses, activity.FeatureDim)
-
-	run := func(st crowdml.Store, policy crowdml.SyncPolicy) (checkins int, elapsed time.Duration, err error) {
-		h := crowdml.NewHub()
-		opts := []crowdml.TaskOption{}
-		if st != nil {
-			opts = append(opts,
-				crowdml.WithStore(st),
-				// A count policy keeps the checkpointer busy during the run
-				// instead of idling behind a one-minute timer.
-				crowdml.WithCheckpointPolicy(crowdml.CheckpointPolicy{AfterN: 256}),
-				crowdml.WithSyncPolicy(policy))
-		}
-		task, err := h.CreateTask(ctx, "bench", crowdml.ServerConfig{
-			Model:   m,
-			Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 10}, 0),
-		}, opts...)
-		if err != nil {
-			return 0, 0, err
-		}
-		var wg sync.WaitGroup
-		errs := make(chan error, devices)
-		counts := make(chan int, devices)
-		start := time.Now()
-		for i := 0; i < devices; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				id := fmt.Sprintf("bench-%03d", i)
-				token, err := task.Server().RegisterDevice(ctx, id)
-				if err != nil {
-					errs <- err
-					return
-				}
-				device, err := crowdml.NewDevice(crowdml.DeviceConfig{
-					ID: id, Token: token, Model: m,
-					Transport: crowdml.NewLoopback(task.Server()),
-					Minibatch: minibatch,
-					Seed:      uint64(i + 1),
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if _, err := device.Run(ctx, activity.NewGenerator(uint64(1000+i)), samples); err != nil {
-					errs <- fmt.Errorf("%s: %w", id, err)
-					return
-				}
-				counts <- device.Checkins()
-			}(i)
-		}
-		wg.Wait()
-		elapsed = time.Since(start)
-		close(counts)
-		select {
-		case err := <-errs:
-			return 0, 0, err
-		default:
-		}
-		for n := range counts {
-			checkins += n
-		}
-		if err := h.Close(ctx); err != nil {
-			return 0, 0, fmt.Errorf("flush: %w", err)
-		}
-		return checkins, elapsed, nil
-	}
-
-	fmt.Printf("durability bench: %d devices × %d samples (b=%d), in-process loopback\n",
-		devices, samples, minibatch)
-	baseN, baseT, err := run(nil, crowdml.SyncNone)
-	if err != nil {
-		return err
-	}
-	baseRate := float64(baseN) / baseT.Seconds()
-	fmt.Printf("  store-less:      %d checkins in %v — %.0f checkins/s\n",
-		baseN, baseT.Round(time.Millisecond), baseRate)
-
-	walPhase := func(label string, policy crowdml.SyncPolicy, note string, withAuditScan bool) error {
-		dir, err := os.MkdirTemp("", "crowdml-durability-bench-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		fs, err := crowdml.NewFileStore(dir)
-		if err != nil {
-			return err
-		}
-		walN, walT, err := run(fs, policy)
-		if err != nil {
-			return err
-		}
-		walRate := float64(walN) / walT.Seconds()
-		fmt.Printf("  %s %d checkins in %v — %.0f checkins/s\n",
-			label, walN, walT.Round(time.Millisecond), walRate)
-		if walRate > 0 {
-			fmt.Printf("    overhead vs store-less: %.1f%% (%s)\n",
-				(baseRate/walRate-1)*100, note)
-		}
-		// Verify the WAL invariant and the rotation bookkeeping: every
-		// acknowledged checkin has exactly one entry across the segment
-		// chain, and the AfterN checkpoints sealed segments along the way.
-		// The verification streams the journal through a cursor — the
-		// audit path holds one decoded entry at a time.
-		entries, err := countJournal(fs)
-		if err != nil {
-			return fmt.Errorf("verify journal: %w", err)
-		}
-		if entries != walN {
-			return fmt.Errorf("journal has %d entries for %d acknowledged checkins", entries, walN)
-		}
-		segs, err := fs.Segments(ctx)
-		if err != nil {
-			return fmt.Errorf("list segments: %w", err)
-		}
-		fmt.Printf("    journal verified: %d entries across %d segment(s), one entry per acknowledged checkin\n",
-			entries, len(segs))
-		if withAuditScan {
-			if err := auditScan(fs, entries); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walPhase("journaled:      ", crowdml.SyncNone,
-		"fsync off: every acknowledged checkin survives a process crash", true); err != nil {
-		return err
-	}
-	return walPhase("journaled+fsync:", crowdml.SyncBatch,
-		"group-commit fsync: acknowledged checkins survive power loss", false)
-}
-
-// countJournal streams the full journal through a cursor, counting the
-// entries — the audit read, with O(one entry) resident memory.
-func countJournal(st crowdml.Store) (int, error) {
-	cur, err := st.OpenCursor(context.Background(), 0)
-	if err != nil {
-		return 0, err
-	}
-	defer cur.Close()
-	n := 0
-	for {
-		if _, err := cur.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			return n, err
-		}
-		n++
-	}
-}
-
-// auditScan is the -durability bench's streaming-read phase: it runs
-// the full audit scan under testing.Benchmark with allocation tracking
-// and reports B/op — total and per streamed entry. The per-entry figure
-// is the one to watch: it stays flat however many segments (checkpoint
-// cycles) the journal has accumulated, because the cursor never
-// materializes more than one decoded entry, where a slice-based read
-// would retain the entire decoded history at once.
-func auditScan(st crowdml.Store, entries int) error {
-	var scanErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n, err := countJournal(st)
-			if err != nil {
-				scanErr = err
-				b.FailNow()
-			}
-			if n != entries {
-				scanErr = fmt.Errorf("audit scan saw %d entries, want %d", n, entries)
-				b.FailNow()
-			}
-		}
-	})
-	if scanErr != nil {
-		return fmt.Errorf("audit scan: %w", scanErr)
-	}
-	perEntry := 0.0
-	if entries > 0 {
-		perEntry = float64(res.AllocedBytesPerOp()) / float64(entries)
-	}
-	fmt.Printf("    audit scan:     %d entries streamed in %v — %d B/op total, %.0f B per entry (resident memory is O(one entry))\n",
-		entries, time.Duration(res.NsPerOp()).Round(time.Microsecond), res.AllocedBytesPerOp(), perEntry)
 	return nil
 }
 

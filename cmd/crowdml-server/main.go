@@ -35,9 +35,9 @@
 // fresh segment after each snapshot, so restarts replay only the live
 // tail — and a restarted server resumes each task on the exact
 // pre-crash iteration and parameters (latest checkpoint + journal-tail
-// replay). -sync picks the journal fsync policy (none/batch/every;
-// "batch" group-commits one fsync per applied batch for power-loss
-// durability), and -retention (keep/prune/archive, JSON "retention")
+// replay). -sync picks the journal fsync policy (none/batch; "batch"
+// group-commits one fsync per applied batch for power-loss durability),
+// and -retention (keep/prune/archive, JSON "retention")
 // decides whether sealed journal segments the latest checkpoint covers
 // accumulate as the audit trail, are deleted, or are moved aside to
 // -archive-dir. All of that is hub-managed — CreateTask(WithStore,
@@ -118,21 +118,14 @@ type taskSpec struct {
 	Labels      []string `json:"labels"`
 	Objective   string   `json:"objective"`
 	SensorData  string   `json:"sensorData"`
-	// Batched-checkin tuning (0 = server defaults): how many queued
-	// checkins one batch leader applies per parameter-lock acquisition,
-	// how deep the bounded pending queue is before checkins block, and
-	// how many milliseconds a leader lingers to fill a partial batch.
-	CheckinBatch   int `json:"checkinBatch"`
-	CheckinQueue   int `json:"checkinQueue"`
-	CheckinFlushMs int `json:"checkinFlushMs"`
 	// CheckpointAfterN adds a count trigger to the task's checkpoint
 	// policy: snapshot once this many checkins accumulated since the
 	// last one (0 = timer only).
 	CheckpointAfterN int `json:"checkpointAfterN"`
 	// SyncPolicy selects the journal fsync policy with -state-dir:
-	// "none" (default; OS-flushed, process-crash durability), "batch"
+	// "none" (default; OS-flushed, process-crash durability) or "batch"
 	// (group-commit fsync once per applied batch — power-loss
-	// durability at amortized cost), or "every" (fsync per append).
+	// durability at amortized cost).
 	SyncPolicy string `json:"syncPolicy"`
 	// Retention selects the sealed-segment retention policy with
 	// -state-dir: "keep" (default; sealed segments accumulate forever
@@ -162,25 +155,22 @@ type taskSpec struct {
 	// MergeEveryMs sets a sharded task's merger cadence in milliseconds
 	// (0 = the library default).
 	MergeEveryMs int `json:"mergeEveryMs"`
-	// checkinFlush and mergeEvery carry the -checkin-flush and
-	// -merge-every flags at full resolution for the single-task path
-	// (unexported: the JSON path uses the millisecond fields above).
-	checkinFlush time.Duration
-	mergeEvery   time.Duration
+	// mergeEvery carries the -merge-every flag at full resolution for the
+	// single-task path (unexported: the JSON path uses the millisecond
+	// field above).
+	mergeEvery time.Duration
 }
 
 // parseSyncPolicy maps the -sync flag / syncPolicy JSON field onto a
-// crowdml.SyncPolicy ("every" accepts "always" as an alias).
+// crowdml.SyncPolicy.
 func parseSyncPolicy(s string) (crowdml.SyncPolicy, error) {
 	switch s {
 	case "", "none":
 		return crowdml.SyncNone, nil
 	case "batch":
 		return crowdml.SyncBatch, nil
-	case "every", "always":
-		return crowdml.SyncEvery, nil
 	}
-	return crowdml.SyncNone, fmt.Errorf("unknown sync policy %q (want none, batch or every)", s)
+	return crowdml.SyncNone, fmt.Errorf("unknown sync policy %q (want none or batch)", s)
 }
 
 // parseRetention maps the -retention flag / retention JSON field onto a
@@ -198,18 +188,10 @@ func parseRetention(s, archiveDir string) (crowdml.RetentionPolicy, error) {
 	return crowdml.KeepAll, fmt.Errorf("unknown retention policy %q (want keep, prune or archive)", s)
 }
 
-// flushInterval resolves the spec's flush setting, preferring the
+// mergeInterval resolves the sharded merger cadence, preferring the
 // full-resolution flag value over the integer-millisecond JSON field so
-// sub-millisecond flags are not truncated to "apply immediately".
-func (s taskSpec) flushInterval() time.Duration {
-	if s.checkinFlush > 0 {
-		return s.checkinFlush
-	}
-	return time.Duration(s.CheckinFlushMs) * time.Millisecond
-}
-
-// mergeInterval resolves the sharded merger cadence the same way (0
-// lets the library default apply).
+// a sub-millisecond flag is not truncated to zero (0 lets the library
+// default apply).
 func (s taskSpec) mergeInterval() time.Duration {
 	if s.mergeEvery > 0 {
 		return s.mergeEvery
@@ -233,15 +215,11 @@ func run() error {
 		devices    = flag.Int("preregister", 0, "pre-register this many devices on the first task and print their tokens")
 		stateDir   = flag.String("state-dir", "", "durability directory, one store per task (empty disables persistence)")
 		saveEvery  = flag.Duration("checkpoint-every", time.Minute, "asynchronous checkpoint interval with -state-dir")
-		syncMode   = flag.String("sync", "none", "journal fsync policy with -state-dir: none, batch (group-commit per applied batch), or every")
+		syncMode   = flag.String("sync", "none", "journal fsync policy with -state-dir: none or batch (group-commit per applied batch)")
 		retention  = flag.String("retention", "keep", "sealed-segment retention with -state-dir: keep, prune (delete checkpoint-covered segments), or archive (move them to -archive-dir)")
 		archiveDir = flag.String("archive-dir", "", "where -retention archive moves covered segments (default <state-dir>/<task-id>/archive)")
 		taskName   = flag.String("task-name", "Crowd-ML task", "task name shown on the portal (single-task flags)")
 		taskLabels = flag.String("task-labels", "", "comma-separated class names for the portal (single-task flags)")
-
-		checkinBatch = flag.Int("checkin-batch", 0, "max checkins applied per lock acquisition (0 = server default)")
-		checkinQueue = flag.Int("checkin-queue", 0, "bounded pending-checkin queue depth (0 = server default)")
-		checkinFlush = flag.Duration("checkin-flush", 0, "how long a batch leader lingers to fill a partial batch (0 = apply immediately)")
 
 		follow     = flag.String("follow", "", "run as a follower replica of the leader at this base URL (per-task override: the tasks file's \"follow\" field)")
 		followPoll = flag.Duration("follow-poll", 250*time.Millisecond, "how often a caught-up follower re-polls the leader's journal feed")
@@ -269,9 +247,7 @@ func run() error {
 	specs := []taskSpec{{
 		ID: *taskID, Name: *taskName, Model: *modelName,
 		Classes: *classes, Dim: *dim, Rate: *rate, Radius: *radius,
-		Tmax: *tmax, TargetError: *rho,
-		CheckinBatch: *checkinBatch, CheckinQueue: *checkinQueue,
-		checkinFlush: *checkinFlush, SyncPolicy: *syncMode,
+		Tmax: *tmax, TargetError: *rho, SyncPolicy: *syncMode,
 		Retention: *retention, ArchiveDir: *archiveDir,
 		Shards: *shards, mergeEvery: *mergeEvery,
 	}}
@@ -357,7 +333,7 @@ func run() error {
 				return err
 			}
 			fmt.Fprintf(os.Stdout, "registered %s token=%s on task %s (shard %s)\n",
-				id, token, g.LogicalID(), g.RouteDevice(id))
+				id, token, g.LogicalID(), g.Owner(id).ID())
 			continue
 		}
 		task, ok := h.Task(specs[0].ID)
@@ -518,13 +494,10 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 		return crowdml.ServerConfig{}, info, fmt.Errorf("task %s: unknown model %q (want logreg or svm)", spec.ID, spec.Model)
 	}
 	cfg := crowdml.ServerConfig{
-		Model:                m,
-		Updater:              crowdml.NewSGD(crowdml.InvSqrt{C: spec.Rate}, spec.Radius),
-		Tmax:                 spec.Tmax,
-		TargetError:          spec.TargetError,
-		CheckinBatchSize:     spec.CheckinBatch,
-		CheckinQueueDepth:    spec.CheckinQueue,
-		CheckinFlushInterval: spec.flushInterval(),
+		Model:       m,
+		Updater:     crowdml.NewSGD(crowdml.InvSqrt{C: spec.Rate}, spec.Radius),
+		Tmax:        spec.Tmax,
+		TargetError: spec.TargetError,
 	}
 
 	labels := spec.Labels
@@ -633,7 +606,7 @@ func createShardedTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, state
 	if stateDir != "" && resumed > 0 {
 		log.Printf("task %s: %d shards resumed at merged iteration %d", spec.ID, spec.Shards, resumed)
 	} else {
-		log.Printf("task %s: sharded across %d member leaders (map v%d)", spec.ID, spec.Shards, g.MapVersion())
+		log.Printf("task %s: sharded across %d member leaders", spec.ID, spec.Shards)
 	}
 	return g, nil
 }

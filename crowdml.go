@@ -100,8 +100,7 @@ type StateExporter = optimizer.StateExporter
 // and built for read-mostly traffic: checkouts and statistics are served
 // lock-free from an immutable parameter snapshot and atomic counters,
 // while concurrent checkins are applied in groups by a batch leader under
-// a single lock acquisition (see ServerConfig's CheckinBatchSize,
-// CheckinQueueDepth and CheckinFlushInterval).
+// a single lock acquisition.
 type Server = core.Server
 
 // ServerConfig configures a Server. Note the OnCheckin contracts: hooks
@@ -116,9 +115,10 @@ type ServerConfig = core.ServerConfig
 func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 
 // Hub hosts many named learning tasks in one process — the paper's
-// multi-task Web portal design (Section V-A). Its task registry is
-// sharded so concurrent checkins to different tasks never contend on a
-// single mutex.
+// multi-task Web portal design (Section V-A). Its registry is one table
+// under one lock: Resolve answers what an ID serves (a task, or a sharded
+// logical task's router), Hosted lists what the crowd sees, and Progress
+// is the one progress view every endpoint and portal page renders.
 type Hub = hub.Hub
 
 // Task is one learning task hosted on a Hub: a Server plus its portal
@@ -185,8 +185,8 @@ func WithCheckpointPolicy(p CheckpointPolicy) TaskOption { return hub.WithCheckp
 // toward stable storage: SyncNone (flushed to the OS, process-crash
 // durability — the default), SyncBatch (group-commit fsync: the batch
 // leader fsyncs once per applied batch before any of its
-// acknowledgments, buying power-loss durability at amortized cost), or
-// SyncEvery (fsync per append).
+// acknowledgments, buying power-loss durability at amortized cost; an
+// uncontended checkin is a batch of one, so its fsync precedes its ack).
 type SyncPolicy = hub.SyncPolicy
 
 // SyncPolicy values; see the SyncPolicy docs and docs/OPERATIONS.md for
@@ -194,7 +194,6 @@ type SyncPolicy = hub.SyncPolicy
 const (
 	SyncNone  = hub.SyncNone
 	SyncBatch = hub.SyncBatch
-	SyncEvery = hub.SyncEvery
 )
 
 // WithSyncPolicy sets a durable task's journal fsync policy (only
@@ -382,7 +381,7 @@ type TaskInfo = hub.TaskInfo
 // NewPortal returns an http.Handler serving one task's public page with
 // differentially private live statistics (error rate, label distribution).
 func NewPortal(s *Server, info TaskInfo) http.Handler {
-	return portal.New(s, info)
+	return portal.New(func() hub.Progress { return hub.ProgressOf(s) }, info)
 }
 
 // NewPortalIndex returns the multi-task Web portal for a hub: "/" lists
@@ -661,10 +660,12 @@ func WithShardMemberTaskOptions(f func(shard int, memberID string) []TaskOption)
 // every member's ordinary per-task series.
 func WithShardMetrics(reg *MetricsRegistry) ShardOption { return shard.WithMetrics(reg) }
 
-// ShardedStats is the merged progress view of a sharded task
-// (ShardedTask.MergedStats): Σ-of-shards iteration, all-shards-stopped
-// done flag, and estimates recomputed from summed raw counters.
-type ShardedStats = hub.ShardedStats
+// Progress is the public progress view of a hosted task — what every
+// listing, stats body, health row and portal page renders. For a sharded
+// task (ShardedTask.MergedStats) it is the merged view: Σ-of-shards
+// iteration, all-shards-stopped flag, and estimates recomputed from
+// summed raw counters.
+type Progress = hub.Progress
 
 // ShardHealth is one member's sub-row inside a sharded task's healthz
 // entry (HealthTask.Shards).

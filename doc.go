@@ -17,9 +17,8 @@
 // First, one server process hosts many learning tasks. The paper's Web
 // portal (Section V-A) lists multiple crowd-learning tasks that devices
 // browse and join; Hub is that registry. Each task is an independent
-// Server (Algorithm 2 instance) addressed by a stable ID, backed by a
-// sharded task registry so concurrent checkins to different tasks never
-// contend on one lock.
+// Server (Algorithm 2 instance) addressed by a stable ID; the registry
+// is one table under one lock, taken only to look an ID up.
 //
 // Second, every method that does I/O or can block takes a
 // context.Context as its first parameter and returns an error last —
@@ -39,8 +38,8 @@
 //     live in a hash-striped registry. Readers never wait on writers.
 //   - Checkins go through a batched applier: concurrent callers enqueue
 //     their sanitized deltas into a bounded queue and a batch leader
-//     applies up to ServerConfig.CheckinBatchSize of them under a single
-//     parameter-lock acquisition. Algorithm 2 semantics are preserved
+//     applies up to 32 of them under a single parameter-lock
+//     acquisition. Algorithm 2 semantics are preserved
 //     delta by delta (per-checkin iteration number, η(t) step, staleness
 //     accounting, ρ-stop evaluation); Checkin stays synchronous.
 //   - ServerConfig.OnCheckin runs OUTSIDE the parameter critical section,
@@ -105,8 +104,9 @@
 // entries. SyncBatch is group-commit fsync: the batch leader fsyncs
 // once per applied batch, after the batch's appends and before any of
 // its acknowledgments — power-loss durability at a cost amortized over
-// the batch. SyncEvery fsyncs per append. See docs/OPERATIONS.md for
-// tuning guidance.
+// the batch (an uncontended checkin is a batch of one: its fsync
+// precedes its acknowledgment). See docs/OPERATIONS.md for tuning
+// guidance.
 //
 // The ordering contract, per applied checkin at iteration t of a
 // durable task: (1) the delta is applied in memory; (2) the hub appends
@@ -160,7 +160,7 @@
 // logical task created with NewShardedTask(..., WithShards(n)) is
 // partitioned across n member leader tasks ("id.shard-K", each an
 // ordinary durable task — WAL, checkpoints, retention and followers
-// apply per shard unchanged) by stable versioned device-ID hashing.
+// apply per shard unchanged) by stable device-ID hashing.
 // Register and checkin are proxied to the device's owning shard;
 // checkout and stats serve a merged view — member parameter vectors
 // averaged weighted by shard checkin counts, raw crowd counters summed
@@ -175,7 +175,7 @@
 //
 // # Architecture
 //
-//	Hub     — named-task registry (sharded); CreateTask/Task/CloseTask;
+//	Hub     — named-task registry; CreateTask/Task/Resolve/Hosted/CloseTask;
 //	          hub-managed durability (WithStore, OpenHub/Restore, Close).
 //	Store   — pluggable persistence: checkpoints + segmented write-ahead
 //	          checkin journal (rotation, group-commit fsync, streaming
@@ -195,7 +195,7 @@
 //	          task from the leader's checkpoint and tails its journal
 //	          feed with jittered-backoff reconnects and gap-driven
 //	          re-bootstrap.
-//	Shard   — the partitioned leader tier: a versioned device-hash
+//	Shard   — the partitioned leader tier: a device-hash
 //	          ShardMap and a routing/merging Group fronting n member
 //	          tasks behind one logical task ID (NewShardedTask).
 //	HTTP    — task-scoped routes /v1/tasks/{id}/checkout|checkin|stats|

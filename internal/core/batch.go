@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"github.com/crowdml/crowdml/internal/linalg"
 )
@@ -102,7 +101,7 @@ func (s *Server) submit(ctx context.Context, p *pendingCheckin) error {
 // leadFast applies own (first) plus any queued backlog as one batch.
 // Caller holds leaderSem.
 func (s *Server) leadFast(own *pendingCheckin) error {
-	batch := make([]*pendingCheckin, 0, s.cfg.CheckinBatchSize)
+	batch := make([]*pendingCheckin, 0, s.maxBatch)
 	batch = append(batch, own)
 	batch = s.drainInto(batch)
 	return s.applyBatch(batch)[0]
@@ -119,7 +118,7 @@ func (s *Server) lead(own *pendingCheckin) (error, bool) {
 			return err, true
 		default:
 		}
-		batch := s.drainInto(make([]*pendingCheckin, 0, s.cfg.CheckinBatchSize))
+		batch := s.drainInto(make([]*pendingCheckin, 0, s.maxBatch))
 		if len(batch) == 0 {
 			return nil, false
 		}
@@ -127,35 +126,16 @@ func (s *Server) lead(own *pendingCheckin) (error, bool) {
 	}
 }
 
-// drainInto collects pending checkins into batch, up to CheckinBatchSize
-// total, without blocking. With a positive CheckinFlushInterval and a
-// non-full batch it lingers up to that long for more arrivals, trading
-// latency for amortization — but only when the queue actually yielded
-// something this call: an uncontended fast-path leader whose batch holds
-// just its own item has nothing to amortize and must not tax every
-// checkin with the flush interval on an idle server.
+// drainInto collects pending checkins into batch, up to maxBatch total,
+// without blocking: deltas never wait on a timer, because every pending
+// checkin has a caller ready to become the next leader.
 func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
-	maxBatch := s.cfg.CheckinBatchSize
-	drainedFrom := len(batch)
-	for len(batch) < maxBatch {
+	for len(batch) < s.maxBatch {
 		select {
 		case p := <-s.queue:
 			batch = append(batch, p)
-			continue
 		default:
-		}
-		break
-	}
-	if s.cfg.CheckinFlushInterval > 0 && len(batch) > drainedFrom && len(batch) < maxBatch {
-		timer := time.NewTimer(s.cfg.CheckinFlushInterval)
-		defer timer.Stop()
-		for len(batch) < maxBatch {
-			select {
-			case p := <-s.queue:
-				batch = append(batch, p)
-			case <-timer.C:
-				return batch
-			}
+			return batch
 		}
 	}
 	return batch
@@ -343,31 +323,36 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error, appl
 			*applied = i + 1
 			continue
 		}
-		staleness := int(s.t.Load()) - p.req.Version
-
 		// The Updater runs before anything is committed for this item: if
 		// it panics, the item's iteration and counters were never taken,
 		// so the ErrCheckinAborted its waiter receives is honest and a
 		// device retry cannot double-count. (w itself may hold a partial
 		// update — unavoidable with a panicking updater, and exactly the
-		// exposure the old per-checkin lock had.) t only advances under
-		// wMu, so Load+Store is single-writer safe.
-		t := int(s.t.Load()) + 1
-		s.cfg.Updater.Update(s.w, p.grad, t)
-		s.t.Store(int64(t))
-
-		// Crowd totals: errors and label counts strictly before samples,
-		// so a concurrent lock-free ΣN_e/ΣN_s read can only overestimate
-		// the error rate (see evalStopped).
-		s.totalNe.Add(int64(p.req.ErrCount))
-		for k, c := range p.req.LabelCounts {
-			s.totalNky[k].Add(int64(c))
-		}
-		s.totalNs.Add(int64(p.req.NumSamples))
-
-		s.devices.applyCheckinStats(p.deviceID, p.req, staleness)
-
-		p.iteration = t
+		// exposure the old per-checkin lock had.)
+		p.iteration = int(s.t.Load()) + 1
+		s.applyLocked(p.deviceID, p.req, p.grad, p.iteration, false)
 		*applied = i + 1
 	}
+}
+
+// applyLocked is Algorithm 2's server step for one checkin, committed as
+// iteration t: the update w ← w − η(t)ĝ, then t, then the crowd totals,
+// then the device's counters. The live applier and journal Replay both
+// run exactly this sequence, which is what bit-exact recovery rests on.
+// Staleness is measured against the pre-update counter t−1. createDevice
+// is Replay's: credentials are not persisted, so a replayed device may
+// be unknown. Caller holds wMu; t only advances under it, so the store
+// is single-writer safe.
+func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.Matrix, t int, createDevice bool) {
+	s.cfg.Updater.Update(s.w, grad, t)
+	s.t.Store(int64(t))
+	// Errors and label counts strictly before samples, so a concurrent
+	// lock-free ΣN_e/ΣN_s read can only overestimate the error rate (see
+	// evalStopped).
+	s.totalNe.Add(int64(req.ErrCount))
+	for k, c := range req.LabelCounts {
+		s.totalNky[k].Add(int64(c))
+	}
+	s.totalNs.Add(int64(req.NumSamples))
+	s.devices.recordCheckin(deviceID, req, t-1-req.Version, createDevice)
 }

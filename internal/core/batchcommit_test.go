@@ -66,9 +66,8 @@ func TestOnBatchCommitCoversConcurrentBatch(t *testing.T) {
 	ctx := context.Background()
 	var commits, committed atomic.Int64
 	cfg := ServerConfig{
-		Model:            model.NewLogisticRegression(2, 2),
-		Updater:          &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
-		CheckinBatchSize: 8,
+		Model:   model.NewLogisticRegression(2, 2),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
 		OnBatchCommit: func(n int) {
 			commits.Add(1)
 			committed.Add(int64(n))
@@ -78,6 +77,7 @@ func TestOnBatchCommitCoversConcurrentBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkApplier(s, 8, checkinQueueDepth)
 	token, err := s.RegisterDevice(ctx, "d1")
 	if err != nil {
 		t.Fatal(err)

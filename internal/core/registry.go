@@ -85,10 +85,25 @@ func (r *deviceRegistry) authenticate(deviceID, token string) error {
 	return nil
 }
 
-// foldCheckin accumulates one checkin into a device's counters — the
-// single accounting shared by the live apply path and journal replay, so
-// the two can never drift (recovery must be bit-exact).
-func foldCheckin(st *DeviceStats, req *CheckinRequest, staleness int) {
+// recordCheckin folds one applied checkin into a device's counters under
+// the shard write lock — the single accounting shared by the live apply
+// path and journal replay, so the two can never drift (recovery must be
+// bit-exact). With create (replay: the device may have contributed after
+// the checkpoint that would have carried it was taken) a missing entry
+// is created without a credential, like importStats.
+func (r *deviceRegistry) recordCheckin(deviceID string, req *CheckinRequest, staleness int, create bool) {
+	sh := r.shardFor(deviceID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[deviceID]
+	if !ok {
+		if !create {
+			return
+		}
+		e = &deviceEntry{stats: DeviceStats{LabelCounts: make([]int, len(req.LabelCounts))}}
+		sh.entries[deviceID] = e
+	}
+	st := &e.stats
 	st.Samples += req.NumSamples
 	st.Errors += req.ErrCount
 	for k, c := range req.LabelCounts {
@@ -96,35 +111,6 @@ func foldCheckin(st *DeviceStats, req *CheckinRequest, staleness int) {
 	}
 	st.Checkins++
 	st.StalenessSum += staleness
-}
-
-// applyCheckinStats folds one applied checkin into a device's counters
-// under the shard write lock. It reports whether the device exists.
-func (r *deviceRegistry) applyCheckinStats(deviceID string, req *CheckinRequest, staleness int) bool {
-	sh := r.shardFor(deviceID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[deviceID]
-	if !ok {
-		return false
-	}
-	foldCheckin(&e.stats, req, staleness)
-	return true
-}
-
-// recordReplay folds one replayed checkin into a device's counters,
-// creating the entry (without a credential, like importStats) when the
-// device contributed after the checkpoint that created it was taken.
-func (r *deviceRegistry) recordReplay(deviceID string, req *CheckinRequest, staleness, classes int) {
-	sh := r.shardFor(deviceID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[deviceID]
-	if !ok {
-		e = &deviceEntry{stats: DeviceStats{LabelCounts: make([]int, classes)}}
-		sh.entries[deviceID] = e
-	}
-	foldCheckin(&e.stats, req, staleness)
 }
 
 // statsCopy returns a deep copy of a device's counters.

@@ -127,17 +127,7 @@ func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 		if err != nil {
 			return applied, fmt.Errorf("core: replay record %d: %w", r.Iteration, err)
 		}
-		// Same commit sequence as applyBatchLocked: update, iteration,
-		// counters (errors before samples), device stats.
-		staleness := t - r.Req.Version
-		s.cfg.Updater.Update(s.w, g, r.Iteration)
-		s.t.Store(int64(r.Iteration))
-		s.totalNe.Add(int64(r.Req.ErrCount))
-		for k, c := range r.Req.LabelCounts {
-			s.totalNky[k].Add(int64(c))
-		}
-		s.totalNs.Add(int64(r.Req.NumSamples))
-		s.devices.recordReplay(r.DeviceID, r.Req, staleness, classes)
+		s.applyLocked(r.DeviceID, r.Req, g, r.Iteration, true)
 		applied++
 		if applied%replayPublishEvery == 0 {
 			// Keep concurrent readers fed during a long replay (see

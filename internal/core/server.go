@@ -15,12 +15,17 @@ import (
 	"github.com/crowdml/crowdml/internal/optimizer"
 )
 
-// Default checkin-batching parameters (see ServerConfig).
+// The batched applier's limits (see batch.go). checkinBatchSize is the
+// most queued checkins one batch leader applies per acquisition of the
+// parameter lock: larger batches amortize lock traffic and snapshot
+// publication under load, and a batch of 1 (the uncontended case) behaves
+// exactly like an unbatched server. checkinQueueDepth is the capacity of
+// the pending-checkin channel; Checkin is synchronous, so every queued
+// item already has its caller blocked behind it and the depth bounds no
+// memory the callers' goroutines do not.
 const (
-	DefaultCheckinBatchSize  = 32
-	defaultQueueDepthFactor  = 4
-	minDefaultCheckinQueue   = 64
-	maxCheckinQueueHardLimit = 1 << 20
+	checkinBatchSize  = 32
+	checkinQueueDepth = 4 * checkinBatchSize
 )
 
 // ServerConfig configures a Crowd-ML server (Algorithm 2 inputs).
@@ -89,24 +94,6 @@ type ServerConfig struct {
 	// leader, so it back-pressures later checkins but never blocks
 	// checkouts or statistics reads.
 	OnBatchCommit func(n int)
-	// CheckinBatchSize is the maximum number of queued checkins one batch
-	// leader applies per acquisition of the parameter lock. Larger batches
-	// amortize lock traffic and snapshot publication under load; a batch
-	// of 1 (the uncontended case) behaves exactly like the unbatched
-	// server. Defaults to DefaultCheckinBatchSize; values < 1 use the
-	// default.
-	CheckinBatchSize int
-	// CheckinQueueDepth bounds the pending-checkin queue. When the queue
-	// is full, Checkin blocks (backpressure) until space frees or its
-	// context is cancelled. Defaults to 4× CheckinBatchSize (at least 64).
-	CheckinQueueDepth int
-	// CheckinFlushInterval is how long a batch leader lingers to collect
-	// more queued checkins when its batch is not yet full, trading a
-	// little latency for better amortization under bursty load. The
-	// default of 0 applies whatever is queued immediately — deltas never
-	// wait on a timer, because every pending checkin has a caller ready to
-	// become the next leader.
-	CheckinFlushInterval time.Duration
 	// Metrics, if non-nil, receives operational telemetry from the
 	// device-facing hot paths (see NewServerMetrics for the series).
 	// Recording is lock-free atomic adds on pre-bound handles; nil
@@ -158,7 +145,7 @@ type paramSnapshot struct {
 //     registry (16 shards), so authentication scales with cores.
 //   - Checkins are applied in batches: callers enqueue their sanitized
 //     delta into a bounded queue and one caller — the batch leader —
-//     drains up to CheckinBatchSize deltas and applies them under a
+//     drains up to checkinBatchSize deltas and applies them under a
 //     single acquisition of the parameter lock, preserving Algorithm 2
 //     semantics exactly (each delta still gets its own iteration number,
 //     η(t) step, staleness accounting and ρ-stop evaluation). Checkin
@@ -193,9 +180,10 @@ type Server struct {
 
 	// queue and leaderSem implement the batched applier: pending checkins
 	// wait in queue; whoever holds the single leaderSem slot drains and
-	// applies them (see batch.go).
+	// applies them, at most maxBatch per acquisition of wMu (see batch.go).
 	queue     chan *pendingCheckin
 	leaderSem chan struct{}
+	maxBatch  int
 }
 
 // NewServer constructs a server. It returns an error if the config is
@@ -211,18 +199,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MinSamplesForStop == 0 {
 		cfg.MinSamplesForStop = 10 * classes
 	}
-	if cfg.CheckinBatchSize < 1 {
-		cfg.CheckinBatchSize = DefaultCheckinBatchSize
-	}
-	if cfg.CheckinQueueDepth < 1 {
-		cfg.CheckinQueueDepth = defaultQueueDepthFactor * cfg.CheckinBatchSize
-		if cfg.CheckinQueueDepth < minDefaultCheckinQueue {
-			cfg.CheckinQueueDepth = minDefaultCheckinQueue
-		}
-	}
-	if cfg.CheckinQueueDepth > maxCheckinQueueHardLimit {
-		cfg.CheckinQueueDepth = maxCheckinQueueHardLimit
-	}
 	w := model.NewParams(cfg.Model)
 	if cfg.InitParams != nil {
 		if err := w.CopyFrom(cfg.InitParams); err != nil {
@@ -235,8 +211,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
 		ring:      NewSnapshotRing(cfg.DeltaHistory),
-		queue:     make(chan *pendingCheckin, cfg.CheckinQueueDepth),
+		queue:     make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem: make(chan struct{}, 1),
+		maxBatch:  checkinBatchSize,
 	}
 	s.publishSnapshotLocked() // initial snapshot at iteration 0
 	return s, nil

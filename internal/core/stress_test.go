@@ -11,6 +11,14 @@ import (
 	"github.com/crowdml/crowdml/internal/optimizer"
 )
 
+// shrinkApplier gives a server that has not served a checkin yet a tiny
+// batch limit and queue, so a handful of goroutines exercise leader
+// hand-off and queue backpressure rather than the uncontended fast path.
+func shrinkApplier(s *Server, maxBatch, queueDepth int) {
+	s.maxBatch = maxBatch
+	s.queue = make(chan *pendingCheckin, queueDepth)
+}
+
 // TestConcurrentStress interleaves checkout, checkin and stats reads from
 // many devices against one server and asserts the learning state stays
 // consistent: the iteration counter equals the number of applied
@@ -29,14 +37,11 @@ func TestConcurrentStress(t *testing.T) {
 	srv, err := NewServer(ServerConfig{
 		Model:   model.NewLogisticRegression(classes, dim),
 		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
-		// A tiny batch/queue so the stress run exercises leader handoff
-		// and queue backpressure, not just the uncontended fast path.
-		CheckinBatchSize:  4,
-		CheckinQueueDepth: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkApplier(srv, 4, 8)
 	ctx := context.Background()
 
 	tokens := make([]string, devices)
@@ -179,11 +184,11 @@ func TestOnCheckinOrdering(t *testing.T) {
 			iterations = append(iterations, iteration)
 			mu.Unlock()
 		},
-		CheckinBatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shrinkApplier(srv, 4, checkinQueueDepth)
 	ctx := context.Background()
 	const workers = 6
 	tokens := make([]string, workers)

@@ -59,13 +59,6 @@ const (
 	// checkins then survive power loss, at a cost amortized over the
 	// whole batch — under load, a fraction of a per-entry fsync each.
 	SyncBatch
-	// SyncEvery fsyncs after every single append — power-loss durability
-	// with no batching window at all, at full per-entry fsync cost.
-	// SyncBatch gives the same guarantee for acknowledged checkins
-	// (nothing is acknowledged before the batch's sync); SyncEvery only
-	// narrows the window for entries whose acknowledgment never
-	// happened, so it is rarely worth its price.
-	SyncEvery
 )
 
 // WithSyncPolicy sets a durable task's journal fsync policy; it only
@@ -156,7 +149,6 @@ type durability struct {
 	srv       *core.Server // set once the server exists, before any traffic
 
 	policy    CheckpointPolicy
-	sync      SyncPolicy
 	retention RetentionPolicy
 	m         *durMetrics   // nil disables durability telemetry
 	dirty     atomic.Int64  // checkins journaled since the last snapshot
@@ -205,13 +197,11 @@ type durability struct {
 	stopDecided    bool
 }
 
-func newDurability(st store.Store, journal store.Journal, policy CheckpointPolicy, sync SyncPolicy,
-	retention RetentionPolicy,
+func newDurability(st store.Store, journal store.Journal, policy CheckpointPolicy, retention RetentionPolicy,
 	user func(context.Context, string, int, *core.CheckinRequest), userBatch func(int)) *durability {
 	return &durability{
 		st: st, journal: journal, user: user, userBatch: userBatch,
 		policy:    policy.withDefaults(),
-		sync:      sync,
 		retention: retention,
 		kick:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
@@ -259,18 +249,8 @@ func (d *durability) journalCheckin(ctx context.Context, deviceID string, iterat
 			d.m.appendFailures.Inc()
 		}
 		d.failStop(fmt.Errorf("journal append at iteration %d failed; task stopped: %w", iteration, err))
-	} else {
-		if d.m != nil {
-			d.m.appends.Inc()
-		}
-		if d.sync == SyncEvery {
-			done := d.m.observeSync()
-			err := d.journal.Sync(context.WithoutCancel(ctx))
-			done()
-			if err != nil {
-				d.failStop(fmt.Errorf("journal sync at iteration %d failed; task stopped: %w", iteration, err))
-			}
-		}
+	} else if d.m != nil {
+		d.m.appends.Inc()
 	}
 	n := d.dirty.Add(1)
 	if d.policy.AfterN > 0 && n >= int64(d.policy.AfterN) {
@@ -350,6 +330,12 @@ func (d *durability) run() {
 		case <-d.stopCh:
 			return
 		case <-d.kick:
+			// Checkins journaled while the previous save ran re-armed the
+			// kick against the count that save then cleared; only a count
+			// still at the threshold is a trigger.
+			if d.dirty.Load() < int64(d.policy.AfterN) {
+				continue
+			}
 		case <-tick:
 		}
 		if d.dirty.Load() == 0 {

@@ -726,8 +726,8 @@ func (j *syncCountingJournal) Sync(ctx context.Context) error {
 }
 
 // TestSyncPolicyGroupCommit: SyncBatch must sync once per applied batch
-// (sequential checkins are one-item batches), SyncEvery once per append,
-// SyncNone never.
+// (sequential checkins are one-item batches, so that is one fsync per
+// checkin before its ack), SyncNone never.
 func TestSyncPolicyGroupCommit(t *testing.T) {
 	ctx := context.Background()
 	for name, tc := range map[string]struct {
@@ -736,7 +736,6 @@ func TestSyncPolicyGroupCommit(t *testing.T) {
 	}{
 		"SyncNone":  {SyncNone, 0},
 		"SyncBatch": {SyncBatch, 5},
-		"SyncEvery": {SyncEvery, 5},
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := &syncCountingStore{MemStore: store.NewMemStore()}
@@ -851,9 +850,8 @@ func TestUpdaterPanicKeepsJournalContiguous(t *testing.T) {
 	cfg := core.ServerConfig{
 		Model:   serverConfig().Model,
 		Updater: &panicNthUpdater{n: 4},
-		// Force multi-item batches so applied-then-panic coexist: a small
-		// queue plus many concurrent callers.
-		CheckinBatchSize: 8,
+		// Many concurrent callers form multi-item batches, so
+		// applied-then-panic coexist.
 	}
 	task, err := h.CreateTask(ctx, "t", cfg, WithStore(st),
 		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}))
@@ -1258,5 +1256,119 @@ func TestRetentionMisconfigurationFailsCreate(t *testing.T) {
 		WithStore(&hiddenRetainerStore{inner: store.NewMemStore()}),
 		WithRetention(KeepAll)); err != nil {
 		t.Errorf("KeepAll on a plain store must work: %v", err)
+	}
+}
+
+// slowSaveStore's Save blocks until three more checkins have been
+// journaled than when it was entered (or release is called): a
+// checkpoint that takes a while under steady traffic. saves counts Save
+// calls as they are entered.
+type slowSaveStore struct {
+	*store.MemStore
+	mu       sync.Mutex
+	cond     *sync.Cond
+	appended int
+	released bool
+	saves    int
+}
+
+type slowSaveJournal struct {
+	store.Journal
+	st *slowSaveStore
+}
+
+func newSlowSaveStore() *slowSaveStore {
+	s := &slowSaveStore{MemStore: store.NewMemStore()}
+	s.cond = sync.NewCond(&s.mu)
+	return s
+}
+
+func (s *slowSaveStore) OpenJournal(ctx context.Context) (store.Journal, error) {
+	j, err := s.MemStore.OpenJournal(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &slowSaveJournal{Journal: j, st: s}, nil
+}
+
+func (j *slowSaveJournal) Append(ctx context.Context, e store.JournalEntry) error {
+	err := j.Journal.Append(ctx, e)
+	j.st.mu.Lock()
+	j.st.appended++
+	j.st.mu.Unlock()
+	j.st.cond.Broadcast()
+	return err
+}
+
+func (s *slowSaveStore) Save(ctx context.Context, state *core.ServerState, now time.Time) error {
+	s.mu.Lock()
+	s.saves++
+	s.cond.Broadcast()
+	for target := s.appended + 3; s.appended < target && !s.released; {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+	return s.MemStore.Save(ctx, state, now)
+}
+
+// awaitSaves blocks until Save has been entered n times.
+func (s *slowSaveStore) awaitSaves(n int) {
+	s.mu.Lock()
+	for s.saves < n {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+func (s *slowSaveStore) release() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.released = true
+	s.cond.Broadcast()
+	return s.saves
+}
+
+// TestAfterNCheckpointsOncePerThreshold: checkins journaled while a save
+// runs still see the pre-save count at or past AfterN and re-arm the
+// trigger; the checkpointer must not answer that stale kick with a
+// second save of the few checkins the first one left behind. 10·AfterN
+// paced checkins write 10 checkpoints (14–15 before the re-check in run:
+// two per threshold, the second delaying the next threshold by the
+// checkins it waits for).
+func TestAfterNCheckpointsOncePerThreshold(t *testing.T) {
+	ctx := context.Background()
+	const afterN = 8
+	st := newSlowSaveStore()
+	h := New()
+	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
+		WithCheckpointPolicy(CheckpointPolicy{AfterN: afterN}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := task.Server()
+	token, err := srv.RegisterDevice(ctx, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10*afterN; i++ {
+		req := &core.CheckinRequest{Grad: []float64{1, 0, 0, 1}, NumSamples: 1, LabelCounts: []int{1, 0}}
+		if err := srv.Checkin(ctx, "d1", token, req); err != nil {
+			t.Fatal(err)
+		}
+		// A paced crowd, as in production: the pause is what gives the
+		// checkpointer time to act on a stale kick before the next checkin
+		// (a correct checkpointer writes 10 at any pace — every save covers
+		// at least AfterN checkins, and awaitSaves holds the crowd back
+		// until the save each threshold owes has begun).
+		time.Sleep(200 * time.Microsecond)
+		if i%afterN == 0 {
+			st.awaitSaves(i / afterN)
+		}
+	}
+	if saves := st.release(); saves < 9 || saves > 11 {
+		t.Errorf("%d checkpoints for %d checkins at AfterN=%d, want 10 (±1)", saves, 10*afterN, afterN)
+	}
+	if err := h.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,15 +5,18 @@
 // independent core.Server (Algorithm 2 instance) addressed by a stable
 // task ID, and the HTTP layer routes /v1/tasks/{id}/... requests to it.
 //
-// The registry is sharded: task IDs hash onto a fixed set of
-// independently locked shards, so concurrent checkins to different tasks
-// never contend on one registry mutex. Within a task, the core.Server hot
-// path is built for read-mostly concurrency: checkouts and stats reads
-// are lock-free (immutable parameter snapshots, atomic counters, a
-// hash-striped device registry), and concurrent checkins are applied in
-// groups by a batch leader under a single parameter-lock acquisition —
-// see core.ServerConfig's CheckinBatchSize/CheckinQueueDepth/
-// CheckinFlushInterval knobs, which CreateTask passes through untouched.
+// The registry is one table under one read-write lock: hosted tasks,
+// tombstones of closed ones, IDs reserved by an in-flight CreateTask, and
+// the routers of sharded logical tasks with their members. Resolve
+// answers "what does this ID serve" for the request path (one read lock,
+// one map lookup or two), Hosted lists what the crowd sees — shard
+// members folded into their logical row — and Progress is the one
+// progress view every listing, stats body, health row and portal page
+// renders. Within a task, the core.Server hot path is built for
+// read-mostly concurrency: checkouts and stats reads are lock-free
+// (immutable parameter snapshots, atomic counters, a hash-striped device
+// registry), and concurrent checkins are applied in groups by a batch
+// leader under a single parameter-lock acquisition.
 //
 // Durability is hub-managed (the MySQL role of the paper's prototype):
 // CreateTask(..., WithStore(st)) makes a task durable — restored from
@@ -27,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -37,12 +39,9 @@ import (
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
 
-// NumShards is the number of independently locked registry shards.
-const NumShards = 16
-
-// maxTombstonesPerShard bounds the per-shard memory spent remembering
-// closed task IDs (see Hub.Closed).
-const maxTombstonesPerShard = 1024
+// maxTombstones bounds the memory spent remembering closed task IDs (the
+// 409-instead-of-404 answer of Hub.Resolve).
+const maxTombstones = 16 * 1024
 
 var (
 	// ErrTaskExists is returned by CreateTask for a duplicate task ID.
@@ -141,41 +140,30 @@ func WithInfo(info TaskInfo) TaskOption {
 	return func(o *createOptions) { o.info = info }
 }
 
-// shard is one independently locked slice of the registry.
-type shard struct {
+// Hub is the registry of named learning tasks, safe for concurrent use.
+// One lock guards the whole table, so "is this ID free" is decided once
+// for plain tasks and sharded logical tasks alike; it is held for map
+// operations only — never across a store, a server or a router call.
+type Hub struct {
 	mu      sync.RWMutex
 	tasks   map[string]*Task
 	closed  map[string]struct{} // tombstones for CloseTask'd IDs
 	pending map[string]struct{} // IDs reserved by an in-flight CreateTask
-}
-
-// Hub is a sharded registry of named learning tasks. It is safe for
-// concurrent use; operations on different tasks proceed without shared
-// lock contention.
-type Hub struct {
-	shards [NumShards]shard
-
-	// sharded indexes the mounted ShardRouters fronting sharded logical
-	// tasks (see sharded.go).
-	sharded shardIndex
+	// routers maps a sharded logical task's ID to its mounted router,
+	// memberOf each member task's ID to that logical ID (see sharded.go).
+	routers  map[string]ShardRouter
+	memberOf map[string]string
 }
 
 // New returns an empty hub.
 func New() *Hub {
-	h := &Hub{}
-	for i := range h.shards {
-		h.shards[i].tasks = make(map[string]*Task)
-		h.shards[i].closed = make(map[string]struct{})
-		h.shards[i].pending = make(map[string]struct{})
+	return &Hub{
+		tasks:    make(map[string]*Task),
+		closed:   make(map[string]struct{}),
+		pending:  make(map[string]struct{}),
+		routers:  make(map[string]ShardRouter),
+		memberOf: make(map[string]string),
 	}
-	return h
-}
-
-// shardFor picks the shard owning a task ID (FNV-1a).
-func (h *Hub) shardFor(taskID string) *shard {
-	f := fnv.New32a()
-	_, _ = f.Write([]byte(taskID)) // fnv never errors
-	return &h.shards[f.Sum32()%NumShards]
 }
 
 // ValidTaskID reports whether id is usable as a task ID: non-empty, at
@@ -215,11 +203,6 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	if !ValidTaskID(taskID) {
 		return nil, fmt.Errorf("%q: %w", taskID, ErrBadTaskID)
 	}
-	if h.shardRouterExists(taskID) {
-		// A mounted router owns the logical ID's whole URL namespace; a
-		// plain task underneath it would be unreachable.
-		return nil, fmt.Errorf("%q: a sharded logical task uses this ID: %w", taskID, ErrTaskExists)
-	}
 	var o createOptions
 	for _, opt := range opts {
 		opt(&o)
@@ -235,17 +218,22 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	// which may ever touch a store whose task is already live — a racing
 	// duplicate could otherwise truncate the winner's half-flushed append
 	// as a "torn tail". The reservation makes duplicate rejection happen
-	// strictly before the store is opened.
-	sh := h.shardFor(taskID)
-	sh.mu.Lock()
-	_, live := sh.tasks[taskID]
-	_, reserving := sh.pending[taskID]
-	if live || reserving {
-		sh.mu.Unlock()
+	// strictly before the store is opened. A mounted router owns its
+	// logical ID's whole URL namespace (a plain task underneath it would be
+	// unreachable), and MountShardRouter checks the reservation under the
+	// same lock, so of a create and a mount racing for one ID exactly one
+	// wins.
+	h.mu.Lock()
+	if _, sharded := h.routers[taskID]; sharded {
+		h.mu.Unlock()
+		return nil, fmt.Errorf("%q: a sharded logical task uses this ID: %w", taskID, ErrTaskExists)
+	}
+	if h.takenLocked(taskID) {
+		h.mu.Unlock()
 		return nil, fmt.Errorf("%q: %w", taskID, ErrTaskExists)
 	}
-	sh.pending[taskID] = struct{}{}
-	sh.mu.Unlock()
+	h.pending[taskID] = struct{}{}
+	h.mu.Unlock()
 	// Deferred cleanup rather than per-path calls: a panic out of
 	// user-supplied code (an Updater panicking during journal replay)
 	// must not strand the reservation or the open journal handle any
@@ -260,9 +248,9 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 			dur.stopOnce.Do(func() { close(dur.stopCh) })
 			_ = dur.journal.Close()
 		}
-		sh.mu.Lock()
-		delete(sh.pending, taskID)
-		sh.mu.Unlock()
+		h.mu.Lock()
+		delete(h.pending, taskID)
+		h.mu.Unlock()
 	}()
 
 	if o.replicaOf != "" && o.store != nil {
@@ -288,7 +276,7 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 		if err != nil {
 			return nil, fmt.Errorf("task %q: open journal: %w", taskID, err)
 		}
-		dur = newDurability(o.store, journal, o.policy, o.sync, o.retention, cfg.OnCheckin, cfg.OnBatchCommit)
+		dur = newDurability(o.store, journal, o.policy, o.retention, cfg.OnCheckin, cfg.OnBatchCommit)
 		dur.m = newDurMetrics(o.metrics, taskID)
 		dur.m.updateSegmentGauge(ctx, o.store)
 		cfg.OnCheckin = dur.onCheckin
@@ -315,23 +303,153 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	}
 	task := &Task{id: taskID, server: server, info: o.info, dur: dur, replicaOf: o.replicaOf}
 
-	sh.mu.Lock()
-	delete(sh.pending, taskID)
-	sh.tasks[taskID] = task
-	delete(sh.closed, taskID)
+	h.mu.Lock()
+	delete(h.pending, taskID)
+	h.tasks[taskID] = task
+	delete(h.closed, taskID)
 	registered = true
-	sh.mu.Unlock()
+	h.mu.Unlock()
 	return task, nil
 }
 
-// Task looks up a task by ID.
+// takenLocked reports whether taskID is hosted or reserved by an
+// in-flight CreateTask. Caller holds h.mu.
+func (h *Hub) takenLocked(taskID string) bool {
+	_, live := h.tasks[taskID]
+	_, reserving := h.pending[taskID]
+	return live || reserving
+}
+
+// Task looks up a hosted task (a plain task or a shard member) by its own
+// ID. Request paths that must also serve sharded logical IDs use Resolve.
 func (h *Hub) Task(taskID string) (*Task, bool) {
-	sh := h.shardFor(taskID)
-	sh.mu.RLock()
-	t, ok := sh.tasks[taskID]
-	sh.mu.RUnlock()
+	h.mu.RLock()
+	t, ok := h.tasks[taskID]
+	h.mu.RUnlock()
 	return t, ok
 }
+
+// Entry is what one hosted ID serves: exactly one of Task — a plain task,
+// or a shard member addressed by its own ID — and Router, a sharded
+// logical task. Entries are comparable: two are equal iff they name the
+// same ID served by the same task or router instance.
+type Entry struct {
+	id     string
+	Task   *Task
+	Router ShardRouter
+}
+
+// ID returns the ID the entry is hosted under.
+func (e Entry) ID() string { return e.id }
+
+// Info returns the portal metadata of the task or logical task.
+func (e Entry) Info() TaskInfo {
+	if e.Router != nil {
+		return e.Router.Info()
+	}
+	return e.Task.info
+}
+
+// Progress returns the entry's progress view: the task's own, or the
+// router's merged one.
+func (e Entry) Progress() Progress {
+	if e.Router != nil {
+		return e.Router.MergedStats()
+	}
+	return e.Task.Progress()
+}
+
+// Owner returns the hosted task whose replica role decides whether a
+// write from deviceID is accepted: the task itself, or in a sharded tier
+// the member owning the device.
+func (e Entry) Owner(deviceID string) *Task {
+	if e.Router != nil {
+		return e.Router.Owner(deviceID)
+	}
+	return e.Task
+}
+
+// Resolve reports what taskID serves. The misses are typed for the HTTP
+// layer's status mapping: an ID that was hosted here and has been closed
+// (and not re-created since) wraps core.ErrStopped, so remote devices
+// stand down instead of retrying a 404 forever; any other unknown ID
+// wraps ErrTaskNotFound. Tombstones are bounded, so under heavy task
+// churn the oldest closures may be forgotten.
+func (h *Hub) Resolve(taskID string) (Entry, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if t, ok := h.tasks[taskID]; ok {
+		return Entry{id: taskID, Task: t}, nil
+	}
+	if r, ok := h.routers[taskID]; ok {
+		return Entry{id: taskID, Router: r}, nil
+	}
+	if _, closed := h.closed[taskID]; closed {
+		return Entry{}, fmt.Errorf("task %q has been closed: %w", taskID, core.ErrStopped)
+	}
+	return Entry{}, fmt.Errorf("%q: %w", taskID, ErrTaskNotFound)
+}
+
+// Hosted lists what the crowd sees hosted here, sorted by ID: every plain
+// task and every sharded logical task. Shard members are an
+// implementation detail and are folded out — their logical entry
+// represents them.
+func (h *Hub) Hosted() []Entry {
+	h.mu.RLock()
+	out := make([]Entry, 0, len(h.tasks)+len(h.routers))
+	for id, t := range h.tasks {
+		if _, member := h.memberOf[id]; !member {
+			out = append(out, Entry{id: id, Task: t})
+		}
+	}
+	for id, r := range h.routers {
+		out = append(out, Entry{id: id, Router: r})
+	}
+	h.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// Progress is the public progress view of one hosted ID — the
+// differentially private statistics the paper's portal displays (Section
+// V-A). For a plain task every field is read lock-free from its server's
+// atomic counters; for a sharded logical task the values come from the
+// published merged view: Iteration is the sum of the member iterations it
+// incorporates, and the estimates are re-derived from the summed raw
+// counters (ΣN_s, ΣN_e, ΣN^k_y across shards), so they compose exactly as
+// if one leader had served the whole crowd.
+type Progress struct {
+	// Iteration is the number of applied checkins; for a sharded task the
+	// merged counter, monotonically non-decreasing across merges.
+	Iteration int
+	// Stopped reports that the stopping criteria are met — for a sharded
+	// task, on EVERY shard: devices stand down only when no shard will
+	// accept their checkins.
+	Stopped bool
+	// ErrorEstimate is ΣN_e/ΣN_s; HasError is false until there are
+	// samples.
+	ErrorEstimate float64
+	HasError      bool
+	// PriorEstimate is ΣN^k_y/ΣN_s per class; nil until there are samples.
+	PriorEstimate []float64
+	// Classes, Dim is the model shape (shared by all members of a tier).
+	Classes, Dim int
+	// Shards is the member count of a sharded logical task, 0 for a plain
+	// task.
+	Shards int
+}
+
+// ProgressOf reads a server's progress view.
+func ProgressOf(s *core.Server) Progress {
+	p := Progress{Iteration: s.Iteration(), Stopped: s.Stopped()}
+	p.Classes, p.Dim = s.ModelShape()
+	p.ErrorEstimate, p.HasError = s.ErrEstimate()
+	p.PriorEstimate, _ = s.PriorEstimate()
+	return p
+}
+
+// Progress returns the task's progress view.
+func (t *Task) Progress() Progress { return ProgressOf(t.server) }
 
 // CloseTask stops the task's server (administrative shutdown, so devices
 // checking out learn to stand down if they still hold the pointer),
@@ -357,63 +475,42 @@ func (h *Hub) CloseTask(ctx context.Context, taskID string) error {
 	if err := t.closeDurability(ctx); err != nil {
 		return fmt.Errorf("task %q: flush on close: %w", taskID, err)
 	}
-	sh := h.shardFor(taskID)
-	sh.mu.Lock()
-	if _, still := sh.tasks[taskID]; !still {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, still := h.tasks[taskID]; !still {
 		// A concurrent CloseTask won the removal race.
-		sh.mu.Unlock()
 		return fmt.Errorf("%q: %w", taskID, ErrTaskNotFound)
 	}
-	delete(sh.tasks, taskID)
-	if len(sh.closed) >= maxTombstonesPerShard {
+	delete(h.tasks, taskID)
+	if len(h.closed) >= maxTombstones {
 		// Bound tombstone memory under task churn by evicting an
 		// arbitrary old entry; devices of a task evicted here fall
 		// back to 404 instead of 409, which still fails their run.
-		for old := range sh.closed {
-			delete(sh.closed, old)
+		for old := range h.closed {
+			delete(h.closed, old)
 			break
 		}
 	}
-	sh.closed[taskID] = struct{}{}
-	sh.mu.Unlock()
+	h.closed[taskID] = struct{}{}
 	return nil
 }
 
-// Closed reports whether the task ID was hosted here and has been
-// closed (and not re-created since). Tombstones are bounded per shard,
-// so under heavy task churn the oldest closures may be forgotten.
-func (h *Hub) Closed(taskID string) bool {
-	sh := h.shardFor(taskID)
-	sh.mu.RLock()
-	_, ok := sh.closed[taskID]
-	sh.mu.RUnlock()
-	return ok
-}
-
-// Tasks returns every hosted task, sorted by ID (a stable order for the
-// portal listing and the /v1/tasks endpoint).
+// Tasks returns every hosted task, shard members included, sorted by ID —
+// the set Hub.Close flushes. Listings for the crowd use Hosted.
 func (h *Hub) Tasks() []*Task {
-	var out []*Task
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.tasks {
-			out = append(out, t)
-		}
-		sh.mu.RUnlock()
+	h.mu.RLock()
+	out := make([]*Task, 0, len(h.tasks))
+	for _, t := range h.tasks {
+		out = append(out, t)
 	}
+	h.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
-// Len reports the number of hosted tasks.
+// Len reports the number of hosted tasks, shard members included.
 func (h *Hub) Len() int {
-	n := 0
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		n += len(sh.tasks)
-		sh.mu.RUnlock()
-	}
-	return n
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return len(h.tasks)
 }

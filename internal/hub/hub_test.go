@@ -52,18 +52,18 @@ func TestCreateLookupCloseLifecycle(t *testing.T) {
 	if err := h.CloseTask(ctx, "alpha"); !errors.Is(err, ErrTaskNotFound) {
 		t.Errorf("double close error = %v, want ErrTaskNotFound", err)
 	}
-	if !h.Closed("alpha") {
-		t.Error("closed task should leave a tombstone")
+	if _, err := h.Resolve("alpha"); !errors.Is(err, core.ErrStopped) {
+		t.Errorf("Resolve(closed) err = %v, want the tombstone's ErrStopped", err)
 	}
-	if h.Closed("never-existed") {
-		t.Error("unknown task must not read as closed")
+	if _, err := h.Resolve("never-existed"); !errors.Is(err, ErrTaskNotFound) || errors.Is(err, core.ErrStopped) {
+		t.Errorf("Resolve(unknown) err = %v, want ErrTaskNotFound only", err)
 	}
 	// Re-creating the ID clears the tombstone.
 	if _, err := h.CreateTask(ctx, "alpha", serverConfig()); err != nil {
 		t.Fatalf("re-create after close: %v", err)
 	}
-	if h.Closed("alpha") {
-		t.Error("re-created task should not read as closed")
+	if e, err := h.Resolve("alpha"); err != nil || e.Task == nil {
+		t.Errorf("Resolve(re-created) = %+v, %v; the tombstone should be cleared", e, err)
 	}
 }
 

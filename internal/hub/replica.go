@@ -84,6 +84,21 @@ func (t *Task) ReplicaStatus() (ReplicaStatus, bool) {
 	return (*p).ReplicaStatus(), true
 }
 
+// Ready reports whether the task can serve its role, with the replica
+// status the verdict was read from (zero for a leader and for an unbound
+// follower). A leader always can. A follower is ready once its runtime
+// reports it tailing the feed: bootstrapped, serving reads, trailing by
+// a known lag. A replica between CreateTask and its runtime binding a
+// probe, or one still bootstrapping, is not ready yet; one retrying a
+// lost leader keeps serving its last-applied state and stays ready.
+func (t *Task) Ready() (bool, ReplicaStatus) {
+	if !t.ReadOnly() {
+		return true, ReplicaStatus{}
+	}
+	st, ok := t.ReplicaStatus()
+	return ok && (st.State == ReplicaTailing || st.State == ReplicaRetrying), st
+}
+
 // ReplicationLag reports how many iterations the replica trails the
 // leader: the leader's iteration counter from the last completed feed
 // exchange minus the locally applied iteration, clamped at zero (the

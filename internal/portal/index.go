@@ -12,7 +12,9 @@ import (
 // front page lists every crowd-learning task hosted on the hub so
 // prospective participants can browse and pick one; each task links to
 // its full transparency page (objective, collected data, algorithm,
-// privacy budget, live DP statistics).
+// privacy budget, live DP statistics). It lists hub.Hosted and serves
+// hub.Resolve, so a sharded logical task is one task here like anywhere
+// else.
 //
 // Routes (relative to wherever the Index is mounted):
 //
@@ -23,14 +25,21 @@ type Index struct {
 	mux *http.ServeMux
 
 	mu    sync.Mutex
-	pages map[string]*Portal // lazily created per-task detail pages
+	pages map[string]taskPage // lazily created per-task detail pages
+}
+
+// taskPage is a cached detail page and the hub entry it was built for —
+// a task re-created under the same ID gets a fresh page.
+type taskPage struct {
+	*Portal
+	of hub.Entry
 }
 
 var _ http.Handler = (*Index)(nil)
 
 // NewIndex builds the portal index for a hub.
 func NewIndex(h *hub.Hub) *Index {
-	idx := &Index{hub: h, mux: http.NewServeMux(), pages: make(map[string]*Portal)}
+	idx := &Index{hub: h, mux: http.NewServeMux(), pages: make(map[string]taskPage)}
 	idx.mux.HandleFunc("GET /{$}", idx.handleIndex)
 	idx.mux.HandleFunc("GET /tasks/{task}", idx.handleTask)
 	return idx
@@ -53,12 +62,23 @@ type indexRow struct {
 }
 
 func (i *Index) handleIndex(w http.ResponseWriter, r *http.Request) {
-	tasks := i.hub.Tasks()
+	hosted := i.hub.Hosted()
 	// Prune detail pages for tasks that have been closed, so task churn
 	// does not grow the page cache without bound.
-	live := make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		live[t.ID()] = true
+	live := make(map[string]bool, len(hosted))
+	rows := make([]indexRow, 0, len(hosted))
+	for _, e := range hosted {
+		live[e.ID()] = true
+		info, p := e.Info(), e.Progress()
+		rows = append(rows, indexRow{
+			ID:            e.ID(),
+			Name:          info.Name,
+			Algorithm:     info.Algorithm,
+			Iteration:     p.Iteration,
+			Stopped:       p.Stopped,
+			HasEstimate:   p.HasError,
+			ErrorEstimate: p.ErrorEstimate,
+		})
 	}
 	i.mu.Lock()
 	for id := range i.pages {
@@ -67,22 +87,6 @@ func (i *Index) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	i.mu.Unlock()
-
-	var rows []indexRow
-	for _, t := range tasks {
-		row := indexRow{
-			ID:        t.ID(),
-			Name:      t.Info().Name,
-			Algorithm: t.Info().Algorithm,
-			Iteration: t.Server().Iteration(),
-			Stopped:   t.Server().Stopped(),
-		}
-		if est, ok := t.Server().ErrEstimate(); ok {
-			row.HasEstimate = true
-			row.ErrorEstimate = est
-		}
-		rows = append(rows, row)
-	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := indexTemplate.Execute(w, rows); err != nil {
 		return
@@ -91,21 +95,21 @@ func (i *Index) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (i *Index) handleTask(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("task")
-	t, ok := i.hub.Task(id)
-	if !ok {
-		i.mu.Lock()
-		delete(i.pages, id) // the task may have been closed
-		i.mu.Unlock()
-		http.Error(w, "task not found", http.StatusNotFound)
-		return
-	}
+	e, err := i.hub.Resolve(id)
 	i.mu.Lock()
 	page, ok := i.pages[id]
-	if !ok || page.server != t.Server() {
-		page = New(t.Server(), t.Info())
+	switch {
+	case err != nil:
+		delete(i.pages, id) // the task may have been closed
+	case !ok || page.of != e:
+		page = taskPage{New(e.Progress, e.Info()), e}
 		i.pages[id] = page
 	}
 	i.mu.Unlock()
+	if err != nil {
+		http.Error(w, "task not found", http.StatusNotFound)
+		return
+	}
 	page.ServeHTTP(w, r)
 }
 

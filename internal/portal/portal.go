@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
 )
 
@@ -31,10 +30,11 @@ type historyPoint struct {
 	Error     float64 `json:"error"`
 }
 
-// Portal serves the task page for one server.
+// Portal serves the page of one task: a plain task or a sharded logical
+// one — it renders a hub.Progress and cannot tell which.
 type Portal struct {
-	server *core.Server
-	info   TaskInfo
+	progress func() hub.Progress
+	info     TaskInfo
 
 	mu      sync.Mutex
 	history []historyPoint
@@ -45,9 +45,10 @@ var _ http.Handler = (*Portal)(nil)
 // maxHistory bounds the retained error-history points.
 const maxHistory = 500
 
-// New creates a portal for the given server and task description.
-func New(server *core.Server, info TaskInfo) *Portal {
-	return &Portal{server: server, info: info}
+// New creates a portal rendering the given progress source (e.g.
+// (*hub.Task).Progress) under the task description.
+func New(progress func() hub.Progress, info TaskInfo) *Portal {
+	return &Portal{progress: progress, info: info}
 }
 
 // ServeHTTP implements http.Handler: "/" renders the task page.
@@ -84,13 +85,14 @@ type priorRow struct {
 	Bar   string
 }
 
-// snapshot reads the server's current statistics, records a history point,
+// snapshot reads the task's current statistics, records a history point,
 // and builds the view model.
 func (p *Portal) snapshot() pageData {
+	prog := p.progress()
 	data := pageData{
 		Info:      p.info,
-		Iteration: p.server.Iteration(),
-		Stopped:   p.server.Stopped(),
+		Iteration: prog.Iteration,
+		Stopped:   prog.Stopped,
 	}
 	classes := len(p.info.Labels)
 	if classes == 0 {
@@ -100,12 +102,12 @@ func (p *Portal) snapshot() pageData {
 	data.TotalEps = float64(total)
 	data.PrivacyOff = !total.Enabled()
 
-	if est, ok := p.server.ErrEstimate(); ok {
+	if prog.HasError {
 		data.HasEstimates = true
-		data.ErrorEstimate = est
+		data.ErrorEstimate = prog.ErrorEstimate
 		p.mu.Lock()
 		if n := len(p.history); n == 0 || p.history[n-1].Iteration != data.Iteration {
-			p.history = append(p.history, historyPoint{Iteration: data.Iteration, Error: est})
+			p.history = append(p.history, historyPoint{Iteration: data.Iteration, Error: prog.ErrorEstimate})
 			if len(p.history) > maxHistory {
 				p.history = p.history[len(p.history)-maxHistory:]
 			}
@@ -114,14 +116,12 @@ func (p *Portal) snapshot() pageData {
 		p.mu.Unlock()
 		data.Sparkline = sparkline(data.History)
 	}
-	if prior, ok := p.server.PriorEstimate(); ok {
-		for k, v := range prior {
-			label := fmt.Sprintf("class %d", k)
-			if k < len(p.info.Labels) {
-				label = p.info.Labels[k]
-			}
-			data.Prior = append(data.Prior, priorRow{Label: label, Value: v, Bar: bar(v)})
+	for k, v := range prog.PriorEstimate {
+		label := fmt.Sprintf("class %d", k)
+		if k < len(p.info.Labels) {
+			label = p.info.Labels[k]
 		}
+		data.Prior = append(data.Prior, priorRow{Label: label, Value: v, Bar: bar(v)})
 	}
 	return data
 }

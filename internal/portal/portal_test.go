@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
@@ -23,7 +24,7 @@ func testSetup(t *testing.T, budget privacy.Budget) (*core.Server, *Portal) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(srv, TaskInfo{
+	p := New(func() hub.Progress { return hub.ProgressOf(srv) }, TaskInfo{
 		Name:       "Activity recognition study",
 		Objective:  "Learn user activities from motion",
 		SensorData: "accelerometer magnitudes, FFT on device",

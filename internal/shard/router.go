@@ -47,14 +47,11 @@ func (g *Group) MemberIDs() []string {
 	return out
 }
 
-// MapVersion implements hub.ShardRouter.
-func (g *Group) MapVersion() int { return g.smap.Version() }
-
-// RouteDevice implements hub.ShardRouter: the member task ID owning the
-// device. Pure placement — no counters move; the operation methods
-// below count what they serve.
-func (g *Group) RouteDevice(deviceID string) string {
-	return g.members[g.smap.Shard(deviceID)].ID()
+// Owner implements hub.ShardRouter: the member task owning the device.
+// Pure placement — no counters move; the operation methods below count
+// what they serve.
+func (g *Group) Owner(deviceID string) *hub.Task {
+	return g.members[g.smap.Shard(deviceID)]
 }
 
 // CheckoutDelta implements hub.ShardRouter, the sharded checkout:
@@ -134,16 +131,15 @@ func (g *Group) Register(ctx context.Context, deviceID string) (string, error) {
 
 // MergedStats implements hub.ShardRouter: the logical task's progress
 // view, derived from the published merged view's summed raw counters.
-func (g *Group) MergedStats() hub.ShardedStats {
+func (g *Group) MergedStats() hub.Progress {
 	mv := g.merged.Load()
 	classes, dim := g.members[0].Server().ModelShape()
-	s := hub.ShardedStats{
-		Iteration:  mv.iteration,
-		Stopped:    mv.done,
-		Classes:    classes,
-		Dim:        dim,
-		Shards:     g.smap.N(),
-		MapVersion: g.smap.Version(),
+	s := hub.Progress{
+		Iteration: mv.iteration,
+		Stopped:   mv.done,
+		Classes:   classes,
+		Dim:       dim,
+		Shards:    g.smap.N(),
 	}
 	if mv.totalNs > 0 {
 		s.ErrorEstimate = float64(mv.totalNe) / float64(mv.totalNs)
@@ -162,25 +158,16 @@ func (g *Group) ShardRows() []hub.ShardHealthRow {
 	rows := make([]hub.ShardHealthRow, len(g.members))
 	for k, t := range g.members {
 		srv := t.Server()
+		ready, st := t.Ready()
 		row := hub.ShardHealthRow{
-			ID:        t.ID(),
-			Iteration: srv.Iteration(),
-			Stopped:   srv.Stopped(),
-			Ready:     true,
+			ID:           t.ID(),
+			Iteration:    srv.Iteration(),
+			Stopped:      srv.Stopped(),
+			Ready:        ready,
+			ReplicaState: st.State,
 		}
 		if lag := row.Iteration - mv.componentIter[k]; lag > 0 {
 			row.MergeLag = lag
-		}
-		if t.ReadOnly() {
-			// Follower-role member: same readiness rule as a standalone
-			// follower (ready while tailing or retrying with served state).
-			st, ok := t.ReplicaStatus()
-			if !ok {
-				row.Ready = false
-			} else {
-				row.ReplicaState = st.State
-				row.Ready = st.State == hub.ReplicaTailing || st.State == hub.ReplicaRetrying
-			}
 		}
 		rows[k] = row
 	}

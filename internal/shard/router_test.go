@@ -78,15 +78,12 @@ func TestGroupCreatesMembersAndMounts(t *testing.T) {
 		if _, ok := h.Task(id); !ok {
 			t.Errorf("member task %q not hosted", id)
 		}
-		if logical, ok := h.ShardMemberOf(id); !ok || logical != "act" {
-			t.Errorf("ShardMemberOf(%q) = %q, %v", id, logical, ok)
-		}
 	}
-	if r, ok := h.ShardRouterFor("act"); !ok || r.(*Group) != g {
-		t.Fatal("group not mounted as act's router")
+	if e, err := h.Resolve("act"); err != nil || e.Router != hub.ShardRouter(g) {
+		t.Fatalf("Resolve(act) = %+v, %v; want the group as act's router", e, err)
 	}
-	if g.MapVersion() != MapVersion1 {
-		t.Errorf("MapVersion = %d", g.MapVersion())
+	if hosted := h.Hosted(); len(hosted) != 1 || hosted[0].ID() != "act" {
+		t.Errorf("Hosted() = %+v, want the members folded into act", hosted)
 	}
 }
 
@@ -96,8 +93,8 @@ func TestRoutingIsDeterministicAndOwningShardOnly(t *testing.T) {
 	g := newTestGroup(t, h, "act", 4)
 	for i := 0; i < 16; i++ {
 		dev := fmt.Sprintf("device-%03d", i)
-		member := g.RouteDevice(dev)
-		if member != g.RouteDevice(dev) {
+		member := g.Owner(dev).ID()
+		if member != g.Owner(dev).ID() {
 			t.Fatalf("routing for %q not deterministic", dev)
 		}
 		token := drive(t, g, dev, 1)
@@ -136,8 +133,8 @@ func TestMergedViewWeightedAverageAndStats(t *testing.T) {
 	// device-002 hashes to shard 0 of 2 (golden: FNV64a%4==0 ⇒ %2==0),
 	// device-001 to shard 1. Drive them unevenly.
 	const dev0, dev1 = "device-002", "device-001"
-	if g.RouteDevice(dev0) != "act.shard-0" || g.RouteDevice(dev1) != "act.shard-1" {
-		t.Fatalf("test devices route to %q/%q", g.RouteDevice(dev0), g.RouteDevice(dev1))
+	if g.Owner(dev0).ID() != "act.shard-0" || g.Owner(dev1).ID() != "act.shard-1" {
+		t.Fatalf("test devices route to %q/%q", g.Owner(dev0).ID(), g.Owner(dev1).ID())
 	}
 	t0 := drive(t, g, dev0, 1) // shard 0: 1 checkin
 	drive(t, g, dev1, 3)       // shard 1: 3 checkins
@@ -158,7 +155,7 @@ func TestMergedViewWeightedAverageAndStats(t *testing.T) {
 	}
 
 	s := g.MergedStats()
-	if s.Iteration != 4 || s.Stopped || s.Shards != 2 || s.MapVersion != MapVersion1 {
+	if s.Iteration != 4 || s.Stopped || s.Shards != 2 {
 		t.Fatalf("MergedStats = %+v", s)
 	}
 	if s.Classes != testClasses || s.Dim != testDim {
@@ -221,12 +218,7 @@ func TestMergedIterationMonotoneAndVersionClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := 0
-	for _, mt := range g.Members() {
-		if mt.ID() == g.RouteDevice(dev) {
-			local = mt.Server().Iteration()
-		}
-	}
+	local := g.Owner(dev).Server().Iteration()
 	if resp.Version <= local {
 		t.Fatalf("test needs merged version (%d) > shard-local (%d)", resp.Version, local)
 	}
@@ -310,8 +302,8 @@ func TestGroupCloseUnmountsAndClosesMembers(t *testing.T) {
 	if err := g.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := h.ShardRouterFor("act"); ok {
-		t.Error("router still mounted after Close")
+	if _, err := h.Resolve("act"); !errors.Is(err, hub.ErrTaskNotFound) {
+		t.Errorf("Resolve(act) after Close err = %v, want ErrTaskNotFound", err)
 	}
 	for _, id := range []string{"act.shard-0", "act.shard-1"} {
 		if _, ok := h.Task(id); ok {

@@ -8,7 +8,7 @@
 // "{task}.shard-{k}" (valid task IDs and valid store directory names,
 // so every member is a full leader: its own WAL/checkpoint lineage,
 // journal feed, retention, replication and telemetry work per shard
-// unchanged). A versioned ShardMap assigns each device to exactly one
+// unchanged). A ShardMap assigns each device to exactly one
 // member by stable hashing, so a device's whole credential and counter
 // history lives on one shard.
 //
@@ -27,44 +27,30 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"strings"
 )
-
-// MapVersion1 is the current (and only) shard-map placement version:
-// shard(device) = FNV-1a-64(deviceID) mod N. The version is carried so a
-// future resharding can introduce a new placement function and routers
-// can translate between map generations during migration; the
-// conformance test pins version 1's assignments forever.
-const MapVersion1 = 1
 
 // memberSep joins a logical task ID and a shard index into a member
 // task ID. "." keeps the member ID valid both as a hub task ID and as a
 // store directory name (store roots reject path separators).
 const memberSep = ".shard-"
 
-// ShardMap is the versioned device→shard placement for one logical
-// task: N shards and a stable hash. It is a value type — copying it is
-// free, and two processes constructing the same (version, N) map route
-// identically, which is what lets any stateless router front the same
-// tier.
-type ShardMap struct {
-	n       int
-	version int
-}
+// ShardMap is the device→shard placement for one logical task:
+// shard(device) = FNV-1a-64(deviceID) mod N, pinned forever by the
+// conformance test. It is a value type — copying it is free, and two
+// processes constructing the same N-shard map route identically, which is
+// what lets any stateless router front the same tier.
+type ShardMap struct{ n int }
 
-// NewShardMap returns the version-1 map over n shards (n ≥ 1).
+// NewShardMap returns the map over n shards (n ≥ 1).
 func NewShardMap(n int) (ShardMap, error) {
 	if n < 1 {
 		return ShardMap{}, fmt.Errorf("shard: NewShardMap(%d): need at least 1 shard", n)
 	}
-	return ShardMap{n: n, version: MapVersion1}, nil
+	return ShardMap{n: n}, nil
 }
 
 // N returns the shard count.
 func (m ShardMap) N() int { return m.n }
-
-// Version returns the placement version (MapVersion1).
-func (m ShardMap) Version() int { return m.version }
 
 // Shard returns the shard index owning deviceID: FNV-1a-64 of the raw
 // ID, mod N. Stable across processes, restarts, and Go versions — the
@@ -80,20 +66,4 @@ func (m ShardMap) Shard(deviceID string) int {
 // task, e.g. MemberTaskID("activity", 2) → "activity.shard-2".
 func MemberTaskID(taskID string, k int) string {
 	return taskID + memberSep + strconv.Itoa(k)
-}
-
-// ParseMemberID splits a member task ID back into its logical task ID
-// and shard index; ok is false for IDs that are not member-shaped. Used
-// by restart logic (skip members when re-opening a hub; the Group
-// restores them itself) and operator tooling.
-func ParseMemberID(id string) (taskID string, shard int, ok bool) {
-	i := strings.LastIndex(id, memberSep)
-	if i <= 0 {
-		return "", 0, false
-	}
-	k, err := strconv.Atoi(id[i+len(memberSep):])
-	if err != nil || k < 0 {
-		return "", 0, false
-	}
-	return id[:i], k, true
 }

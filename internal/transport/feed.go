@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/store"
 )
 
@@ -21,6 +22,27 @@ var ErrNoFeed = errors.New("transport: task has no journal feed (no durability s
 // headerLeader carries the leader base URL a follower hints back to
 // clients whose writes it rejects (409): retry the same request there.
 const headerLeader = "X-Crowdml-Leader"
+
+// lineage resolves a journal or checkpoint request to the task whose
+// store holds that lineage, writing the miss itself: besides Resolve's,
+// ErrNoFeed for a task without a store and for a sharded logical ID —
+// lineage is per shard, so the error names the members to address.
+func (h *Handler) lineage(w http.ResponseWriter, r *http.Request) (*hub.Task, store.Store, bool) {
+	e, ok := h.resolve(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	if e.Router != nil {
+		writeError(w, fmt.Errorf("task %q is sharded; per-shard state lives on its members %v: %w",
+			e.ID(), e.Router.MemberIDs(), ErrNoFeed))
+		return nil, nil, false
+	}
+	st := e.Task.Store()
+	if st == nil {
+		writeError(w, fmt.Errorf("task %q: %w", e.ID(), ErrNoFeed))
+	}
+	return e.Task, st, st != nil
+}
 
 // handleJournalFeed serves GET /v1/tasks/{task}/journal?after=N — the
 // WAL-shipping feed and remote-audit endpoint. It streams every journal
@@ -37,13 +59,8 @@ const headerLeader = "X-Crowdml-Leader"
 // cuts the response without the EOS frame; the client's FeedReader
 // reports ErrFeedInterrupted and the follower reconnects.
 func (h *Handler) handleJournalFeed(w http.ResponseWriter, r *http.Request) {
-	t, ok := h.task(w, r)
+	t, st, ok := h.lineage(w, r)
 	if !ok {
-		return
-	}
-	st := t.Store()
-	if st == nil {
-		writeError(w, fmt.Errorf("task %q: %w", t.ID(), ErrNoFeed))
 		return
 	}
 	after := 0
@@ -99,13 +116,8 @@ const ContentTypeFrame = "application/x-crowdml-frame"
 // cursor would need. 204 No Content when the task has not checkpointed
 // yet (a fresh follower then simply tails the journal from iteration 0).
 func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	t, ok := h.task(w, r)
+	t, st, ok := h.lineage(w, r)
 	if !ok {
-		return
-	}
-	st := t.Store()
-	if st == nil {
-		writeError(w, fmt.Errorf("task %q: %w", t.ID(), ErrNoFeed))
 		return
 	}
 	cp, err := st.Load(r.Context())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sort"
 
 	"github.com/crowdml/crowdml/internal/hub"
 )
@@ -39,7 +38,8 @@ type HealthTask struct {
 	Shards []ShardHealth `json:"shards,omitempty"`
 }
 
-// ShardHealth is one member's row inside a sharded task's health entry.
+// ShardHealth is one member's row inside a sharded task's health entry
+// (field for field hub.ShardHealthRow, which it is converted from).
 type ShardHealth struct {
 	ID        string `json:"id"`
 	Iteration int    `json:"iteration"`
@@ -61,58 +61,38 @@ type HealthResponse struct {
 	Tasks  []HealthTask `json:"tasks"`
 }
 
-// handleHealthz serves GET /v1/healthz.
+// handleHealthz serves GET /v1/healthz: one row per hosted entry, a
+// sharded logical task's with one sub-row per member.
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{Status: "ok", Tasks: make([]HealthTask, 0, h.hub.Len())}
-	ready := true
-	for _, t := range h.hub.Tasks() {
-		if _, member := h.hub.ShardMemberOf(t.ID()); member {
-			// Reported inside the logical task's sharded row below.
-			continue
-		}
-		row := HealthTask{
-			ID:        t.ID(),
-			Role:      "leader",
-			Iteration: t.Server().Iteration(),
-			Stopped:   t.Server().Stopped(),
-			Ready:     true,
-		}
-		if t.ReadOnly() {
+	hosted := h.hub.Hosted()
+	resp := HealthResponse{Status: "ok", Tasks: make([]HealthTask, 0, len(hosted))}
+	for _, e := range hosted {
+		p := e.Progress()
+		row := HealthTask{ID: e.ID(), Role: "leader", Iteration: p.Iteration, Stopped: p.Stopped, Ready: true}
+		if e.Router != nil {
+			row.Role = "sharded"
+			for _, sr := range e.Router.ShardRows() {
+				row.Shards = append(row.Shards, ShardHealth(sr))
+				row.Ready = row.Ready && sr.Ready
+			}
+		} else if t := e.Task; t.ReadOnly() {
+			var st hub.ReplicaStatus
+			row.Ready, st = t.Ready()
 			row.Role = "follower"
 			row.LeaderURL = t.LeaderURL()
-			// A follower is ready once its runtime reports it tailing the
-			// feed: bootstrapped, serving reads, trailing by a known lag. A
-			// replica between CreateTask and its runtime binding a probe, or
-			// one still bootstrapping, is not ready yet; one retrying a lost
-			// leader keeps serving its last-applied state and stays ready.
-			st, ok := t.ReplicaStatus()
-			if !ok {
-				row.Ready = false
-			} else {
-				row.ReplicaState = st.State
-				row.LeaderIteration = st.LeaderIteration
-				row.LastError = st.LastError
-				row.Ready = st.State == hub.ReplicaTailing || st.State == hub.ReplicaRetrying
-				if lag, ok := t.ReplicationLag(); ok {
-					row.ReplicationLag = &lag
-				}
+			row.ReplicaState = st.State
+			row.LeaderIteration = st.LeaderIteration
+			row.LastError = st.LastError
+			if lag, ok := t.ReplicationLag(); ok {
+				row.ReplicationLag = &lag
 			}
 		}
 		if !row.Ready {
-			ready = false
+			resp.Status = "unavailable"
 		}
 		resp.Tasks = append(resp.Tasks, row)
 	}
-	for _, rt := range h.hub.ShardRouters() {
-		row := shardedHealthRow(rt)
-		if !row.Ready {
-			ready = false
-		}
-		resp.Tasks = append(resp.Tasks, row)
-	}
-	sort.Slice(resp.Tasks, func(i, j int) bool { return resp.Tasks[i].ID < resp.Tasks[j].ID })
-	if !ready {
-		resp.Status = "unavailable"
+	if resp.Status != "ok" {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}

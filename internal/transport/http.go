@@ -120,83 +120,74 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.metrics.observe(r.Pattern, sw.status())
 }
 
-// task resolves the request's target task from the {task} path segment.
-// A failed resolution writes the response itself and returns ok=false:
-// 409 (the stopped-task status) for a task that existed and was closed —
-// so remote devices stand down instead of retrying a 404 forever — and
-// 404 for a task that never existed.
-func (h *Handler) task(w http.ResponseWriter, r *http.Request) (*hub.Task, bool) {
-	id := r.PathValue("task")
-	t, ok := h.hub.Task(id)
-	if !ok {
-		if rt, sharded := h.hub.ShardRouterFor(id); sharded {
-			// A sharded logical task has no single server behind it. The
-			// device-protocol handlers route through the router before ever
-			// resolving here, so this is a lineage endpoint (journal,
-			// checkpoint): those are per shard — address a member directly.
-			writeError(w, fmt.Errorf("task %q is sharded; per-shard state lives on its members %v: %w",
-				id, rt.MemberIDs(), ErrNoFeed))
-		} else if h.hub.Closed(id) {
-			writeError(w, fmt.Errorf("task %q has been closed: %w", id, core.ErrStopped))
-		} else {
-			writeError(w, fmt.Errorf("%q: %w", id, hub.ErrTaskNotFound))
-		}
-		return nil, false
+// resolve looks the request's {task} path segment up on the hub. A miss
+// writes the response itself and returns ok=false: 409 (the stopped-task
+// status) for a task that existed and was closed — so remote devices
+// stand down instead of retrying a 404 forever — and 404 for a task that
+// never existed.
+func (h *Handler) resolve(w http.ResponseWriter, r *http.Request) (hub.Entry, bool) {
+	e, err := h.hub.Resolve(r.PathValue("task"))
+	if err != nil {
+		writeError(w, err)
 	}
-	return t, true
+	return e, err == nil
+}
+
+// backend is what serves the entry's device protocol: a sharded logical
+// task's router, a task's own server otherwise. Devices cannot tell the
+// two apart — same paths, same payloads, same error protocol.
+func backend(e hub.Entry) deviceBackend {
+	if e.Router != nil {
+		return e.Router
+	}
+	return e.Task.Server()
+}
+
+// errorEstimate renders the estimate the way the listing and the stats
+// body carry it: absent until there are samples.
+func errorEstimate(p hub.Progress) *float64 {
+	if !p.HasError {
+		return nil
+	}
+	est := p.ErrorEstimate
+	return &est
 }
 
 func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
-	out := make([]TaskSummary, 0, h.hub.Len())
-	for _, t := range h.hub.Tasks() {
-		if _, member := h.hub.ShardMemberOf(t.ID()); member {
-			// Shard members are an implementation detail; the logical
-			// task's row (appended below) represents them.
-			continue
-		}
-		info := t.Info()
-		classes, dim := t.Server().ModelShape()
-		s := TaskSummary{
-			ID:        t.ID(),
-			Name:      info.Name,
-			Algorithm: info.Algorithm,
-			Labels:    info.Labels,
-			Classes:   classes,
-			Dim:       dim,
-			Iteration: t.Server().Iteration(),
-			Stopped:   t.Server().Stopped(),
-		}
-		if est, ok := t.Server().ErrEstimate(); ok {
-			s.ErrorEstimate = &est
-		}
-		out = append(out, s)
+	hosted := h.hub.Hosted()
+	out := make([]TaskSummary, 0, len(hosted))
+	for _, e := range hosted {
+		info, p := e.Info(), e.Progress()
+		out = append(out, TaskSummary{
+			ID:            e.ID(),
+			Name:          info.Name,
+			Algorithm:     info.Algorithm,
+			Labels:        info.Labels,
+			Classes:       p.Classes,
+			Dim:           p.Dim,
+			Iteration:     p.Iteration,
+			Stopped:       p.Stopped,
+			ErrorEstimate: errorEstimate(p),
+			Shards:        p.Shards,
+		})
 	}
-	writeJSON(w, h.shardedSummaries(out))
+	writeJSON(w, out)
 }
 
-// handleCheckout serves the parameter checkout from the shard router of
-// a sharded logical task, from the task's own server otherwise. The
-// backend's read is lock-free (immutable snapshot + sharded auth), so
-// this endpoint scales with whatever concurrency net/http throws at it.
+// handleCheckout serves the parameter checkout. The backend's read is
+// lock-free (immutable snapshot + sharded auth), so this endpoint scales
+// with whatever concurrency net/http throws at it.
 func (h *Handler) handleCheckout(w http.ResponseWriter, r *http.Request) {
-	if rt, ok := h.router(r); ok {
-		serveCheckout(w, r, rt)
-	} else if t, ok := h.task(w, r); ok {
-		serveCheckout(w, r, t.Server())
+	if e, ok := h.resolve(w, r); ok {
+		serveCheckout(w, r, backend(e))
 	}
 }
 
-// handleCheckin is the write twin: the hosted task whose replica role
-// decides whether the write is accepted is the task itself, or in a
-// sharded tier the member owning the device (nil if the hub does not
-// host it; the router then surfaces the miss itself).
+// handleCheckin is the write twin; a follower replica (in a sharded tier,
+// the follower member owning the device) rejects it with a leader hint.
 func (h *Handler) handleCheckin(w http.ResponseWriter, r *http.Request) {
-	if rt, ok := h.router(r); ok {
-		if !rejectReadOnly(w, h.shardOwner(rt, r.Header.Get(headerDeviceID))) {
-			serveCheckin(w, r, rt)
-		}
-	} else if t, ok := h.task(w, r); ok && !rejectReadOnly(w, t) {
-		serveCheckin(w, r, t.Server())
+	if e, ok := h.resolve(w, r); ok && !rejectReadOnly(w, e.Owner(r.Header.Get(headerDeviceID))) {
+		serveCheckin(w, r, backend(e))
 	}
 }
 
@@ -205,7 +196,7 @@ func (h *Handler) handleCheckin(w http.ResponseWriter, r *http.Request) {
 // owning shard's leader); it reports true when the request was rejected
 // and the caller must stop.
 func rejectReadOnly(w http.ResponseWriter, t *hub.Task) bool {
-	if t == nil || !t.ReadOnly() {
+	if !t.ReadOnly() {
 		return false
 	}
 	w.Header().Set(headerLeader, t.LeaderURL())
@@ -214,27 +205,19 @@ func rejectReadOnly(w http.ResponseWriter, t *hub.Task) bool {
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if rt, ok := h.router(r); ok {
-		h.shardedStats(w, rt)
-		return
-	}
-	t, ok := h.task(w, r)
+	e, ok := h.resolve(w, r)
 	if !ok {
 		return
 	}
-	s := t.Server()
-	resp := StatsResponse{
-		TaskID:    t.ID(),
-		Iteration: s.Iteration(),
-		Stopped:   s.Stopped(),
-	}
-	if est, ok := s.ErrEstimate(); ok {
-		resp.ErrorEstimate = &est
-	}
-	if prior, ok := s.PriorEstimate(); ok {
-		resp.PriorEstimate = prior
-	}
-	writeJSON(w, resp)
+	p := e.Progress()
+	writeJSON(w, StatsResponse{
+		TaskID:        e.ID(),
+		Iteration:     p.Iteration,
+		Stopped:       p.Stopped,
+		ErrorEstimate: errorEstimate(p),
+		PriorEstimate: p.PriorEstimate,
+		Shards:        p.Shards,
+	})
 }
 
 // writeJSON emits v with the JSON content type.
@@ -422,4 +405,35 @@ func checkStatus(resp *http.Response) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("transport: server returned %d: %s", resp.StatusCode, errorMessage(body))
 	}
+}
+
+// LeaderHintError is the client-side image of a 409 rejection that
+// carried an X-Crowdml-Leader hint: the write landed on a read-only
+// follower (standalone, or the follower member owning the device in a
+// sharded tier) and Leader names the base URL to retry against. It
+// unwraps to both ErrReadOnlyReplica and core.ErrStopped, so existing
+// device loops that stand down on ErrStopped keep doing so while
+// hint-aware callers redirect.
+type LeaderHintError struct {
+	// Leader is the hinted leader base URL.
+	Leader string
+	msg    string
+}
+
+func (e *LeaderHintError) Error() string { return e.msg }
+
+// Unwrap makes errors.Is(err, ErrReadOnlyReplica) and
+// errors.Is(err, core.ErrStopped) both true.
+func (e *LeaderHintError) Unwrap() []error {
+	return []error{ErrReadOnlyReplica, core.ErrStopped}
+}
+
+// LeaderHint extracts the leader base URL from an error returned by an
+// HTTPClient write, when the server supplied one.
+func LeaderHint(err error) (string, bool) {
+	var lh *LeaderHintError
+	if errors.As(err, &lh) && lh.Leader != "" {
+		return lh.Leader, true
+	}
+	return "", false
 }

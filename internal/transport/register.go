@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"github.com/crowdml/crowdml/internal/core"
-	"github.com/crowdml/crowdml/internal/hub"
 )
 
 const headerEnrollKey = "X-Crowdml-Enroll-Key"
@@ -51,19 +50,17 @@ func (h *Handler) EnableEnrollment(key string) {
 			writeError(w, fmt.Errorf("deviceId is required: %w", core.ErrBadCheckin))
 			return
 		}
-		var (
-			owner    *hub.Task
-			register func(ctx context.Context, deviceID string) (string, error)
-		)
-		if rt, ok := h.router(r); ok {
-			owner, register = h.shardOwner(rt, req.DeviceID), rt.Register
-		} else if t, ok := h.task(w, r); ok {
-			owner, register = t, t.Server().RegisterDevice
-		} else {
+		e, ok := h.resolve(w, r)
+		if !ok {
 			return
 		}
+		owner := e.Owner(req.DeviceID)
 		if rejectReadOnly(w, owner) {
 			return
+		}
+		register := owner.Server().RegisterDevice
+		if e.Router != nil {
+			register = e.Router.Register
 		}
 		token, err := register(r.Context(), req.DeviceID)
 		if err != nil {
