@@ -163,8 +163,20 @@ func BenchmarkServerUpdate(b *testing.B) {
 
 // BenchmarkServerCheckinFullPath measures the full authenticated checkin
 // path through the real server (Algorithm 2, Server Routine 2).
-func BenchmarkServerCheckinFullPath(b *testing.B) {
-	m := model.NewLogisticRegression(mnistClasses, mnistDim)
+func BenchmarkServerCheckinFullPath(b *testing.B) { benchCheckinFullPath(b, mnistDim, 0) }
+
+// BenchmarkCheckinLargeModel is the same path at 20,000 parameters, timed
+// once the snapshot ring is full: the update and the publication's copy
+// grow with the model, the bytes allocated per checkin must not (at
+// 160 KB a vector, one allocation per checkin is what this row catches).
+func BenchmarkCheckinLargeModel(b *testing.B) {
+	benchCheckinFullPath(b, 2000, core.DefaultDeltaHistory+2)
+}
+
+// benchCheckinFullPath times Server.Checkin on a mnistClasses×dim model
+// after warm untimed checkins.
+func benchCheckinFullPath(b *testing.B, dim, warm int) {
+	m := model.NewLogisticRegression(mnistClasses, dim)
 	srv, err := core.NewServer(core.ServerConfig{
 		Model:   m,
 		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
@@ -178,15 +190,34 @@ func BenchmarkServerCheckinFullPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	req := &core.CheckinRequest{
-		Grad:        make([]float64, mnistClasses*mnistDim),
+		Grad:        make([]float64, mnistClasses*dim),
 		NumSamples:  20,
 		LabelCounts: make([]int, mnistClasses),
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.ReportAllocs()
+	for i := -warm; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+		}
 		if err := srv.Checkin(ctx, "bench", token, req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPublishSnapshot measures one publication through a full
+// SnapshotRing at 20,000 parameters — take a retired vector, copy the
+// parameters in, swap it current, evict the oldest base — which is what
+// every applied batch, every replayed tail and every shard merge pays.
+func BenchmarkPublishSnapshot(b *testing.B) {
+	w := make([]float64, 20000)
+	ring := core.NewSnapshotRing(0, nil)
+	b.ReportAllocs()
+	for i := -(core.DefaultDeltaHistory + 2); i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+		}
+		ring.PublishCopy(i, w)
 	}
 }
 
@@ -258,6 +289,7 @@ func BenchmarkCheckoutBinary(b *testing.B) {
 				return
 			}
 			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
+			d.Release()
 		}
 	})
 }
@@ -299,6 +331,7 @@ func BenchmarkCheckoutDelta(b *testing.B) {
 			}
 			// An up-to-date caller's delta has no base to diff: no change set.
 			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
+			d.Release()
 		}
 	})
 }

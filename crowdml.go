@@ -98,7 +98,7 @@ type StateExporter = optimizer.StateExporter
 
 // Server is the Crowd-ML server (Algorithm 2). Safe for concurrent use
 // and built for read-mostly traffic: checkouts and statistics are served
-// lock-free from an immutable parameter snapshot and atomic counters,
+// lock-free from a pinned, published parameter snapshot and atomic counters,
 // while concurrent checkins are applied in groups by a batch leader under
 // a single lock acquisition.
 type Server = core.Server

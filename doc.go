@@ -33,9 +33,11 @@
 // O(C·D)):
 //
 //   - Checkout and the statistics endpoints are lock-free: parameters are
-//     served from an immutable copy-on-write snapshot behind an atomic
-//     pointer, crowd totals are atomic counters, and device credentials
-//     live in a hash-striped registry. Readers never wait on writers.
+//     served from a published snapshot behind an atomic pointer that a
+//     reader pins with one CAS (and whose memory is recycled once it has
+//     left the delta history and its last reader let go), crowd totals
+//     are atomic counters, and device credentials live in a
+//     hash-striped registry. Readers never wait on writers.
 //   - Checkins go through a batched applier: concurrent callers enqueue
 //     their sanitized deltas into a bounded queue and a batch leader
 //     applies up to 32 of them under a single parameter-lock

@@ -101,10 +101,7 @@ func (s *Server) submit(ctx context.Context, p *pendingCheckin) error {
 // leadFast applies own (first) plus any queued backlog as one batch.
 // Caller holds leaderSem.
 func (s *Server) leadFast(own *pendingCheckin) error {
-	batch := make([]*pendingCheckin, 0, s.maxBatch)
-	batch = append(batch, own)
-	batch = s.drainInto(batch)
-	return s.applyBatch(batch)[0]
+	return s.applyBatch(s.drainInto(append(s.batch[:0], own)))
 }
 
 // lead runs the caller as batch leader until its own item has been
@@ -118,7 +115,7 @@ func (s *Server) lead(own *pendingCheckin) (error, bool) {
 			return err, true
 		default:
 		}
-		batch := s.drainInto(make([]*pendingCheckin, 0, s.maxBatch))
+		batch := s.drainInto(s.batch[:0])
 		if len(batch) == 0 {
 			return nil, false
 		}
@@ -143,8 +140,8 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 
 // applyBatch applies a group of checkins under one acquisition of the
 // parameter lock, then — outside the critical section — runs the
-// OnCheckin hooks in iteration order. The caller delivers the returned
-// per-item results to any waiters. The checkout snapshot is republished
+// OnCheckin hooks in iteration order. It returns the first item's result
+// (leadFast's own). The checkout snapshot is republished
 // once per batch, inside the critical section (see applyBatchLocked), so
 // the parameter copy is amortized over the batch and no acknowledged
 // checkin is ever invisible to a later checkout.
@@ -163,9 +160,17 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 // gets its OnCheckin call even when the Updater panicked later in the
 // batch — a write-ahead journal hook that missed an acknowledged
 // iteration would leave an unrecoverable gap in the log.
-func (s *Server) applyBatch(batch []*pendingCheckin) []error {
+func (s *Server) applyBatch(batch []*pendingCheckin) error {
 	s.cfg.Metrics.observeBatch(len(batch))
-	results := make([]error, len(batch))
+	// batch and results are the server's, lent to whoever leads (batch is
+	// non-empty, and never longer than results). They go to the next leader
+	// empty: a finished checkin's context and request (its caller's pooled
+	// scratch) must not stay reachable from them.
+	results := s.results[:len(batch)]
+	defer func() {
+		clear(batch)
+		clear(results)
+	}()
 	applied := 0 // items whose apply step completed; their result is authoritative
 	hooked := 0  // items whose OnCheckin hook has run
 	delivered := false
@@ -280,7 +285,7 @@ func (s *Server) applyBatch(batch []*pendingCheckin) []error {
 	if hookPanic != nil {
 		panic(hookPanic)
 	}
-	return results
+	return results[0]
 }
 
 // countApplied counts the items whose delta was actually applied (their
@@ -302,11 +307,11 @@ func countApplied(results []error, applied int) int {
 // aborted ones. Before the lock is released — on a panicking Updater too,
 // since the items before it are still acknowledged — it publishes the
 // checkout snapshot if the batch advanced the iteration: one copy per
-// batch, and the reason a checkout that starts after a Checkin returned
+// batch (into a recycled vector), and the reason a checkout that starts after a Checkin returned
 // can never serve parameters older than that checkin.
 func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error, applied *int) {
 	defer func() {
-		if s.snap.Load().version != int(s.t.Load()) {
+		if s.ring.Version() != int(s.t.Load()) {
 			s.publishSnapshotLocked()
 		}
 	}()

@@ -91,73 +91,79 @@ func TestParamDeltaFallbacks(t *testing.T) {
 	}
 }
 
-// The four below exercise SnapshotRing itself — the one ring a Server
-// and a shard.Group both record into — so each rule is pinned once.
+// The five below exercise SnapshotRing itself — the one ring a Server
+// and a shard.Group both publish through — so each rule is pinned once.
 
 // vec returns a distinguishable one-coordinate snapshot.
 func vec(v float64) []float64 { return []float64{v, 0} }
 
-func TestSnapshotRingSameVersionIsAliasSwap(t *testing.T) {
-	r := NewSnapshotRing(4)
-	r.Record(1, vec(1))
-	first, again := vec(2), vec(2)
-	r.Record(2, first)
-	r.Record(2, again)
+// record publishes a copy of params at version.
+func record(r *SnapshotRing, version int, params []float64) { r.PublishCopy(version, params) }
+
+func TestSnapshotRingSameVersionReplacesTail(t *testing.T) {
+	r := NewSnapshotRing(4, nil)
+	record(r, 1, vec(1))
+	record(r, 2, vec(2))
+	record(r, 2, vec(-2)) // told apart from the first only for the test
 	if n := len(r.entries); n != 2 {
 		t.Fatalf("re-publishing version 2 left %d entries, want 2", n)
 	}
-	if d := r.Delta(vec(3), 3, false, 2); d.Since != 2 || &d.Base[0] != &again[0] {
-		t.Fatalf("base of version 2 is not the re-published slice (since=%d)", d.Since)
+	record(r, 3, vec(3))
+	if d := r.Delta(2, false); d.Since != 2 || d.Base[0] != -2 {
+		t.Fatalf("base of version 2 is not the re-published vector (since=%d)", d.Since)
 	}
-	if d := r.Delta(vec(3), 3, false, 1); d.Since != 1 {
+	if d := r.Delta(1, false); d.Since != 1 {
 		t.Fatal("the swap disturbed the entry before the tail")
 	}
 }
 
 func TestSnapshotRingEvictsAtHistory(t *testing.T) {
-	r := NewSnapshotRing(3)
-	for v := 0; v <= 10; v++ {
-		r.Record(v, vec(float64(v)))
+	r := NewSnapshotRing(3, nil)
+	for v := 0; v <= 11; v++ {
+		record(r, v, vec(float64(v)))
 	}
 	if n := len(r.entries); n != 3 {
 		t.Fatalf("ring holds %d entries with history 3", n)
 	}
-	cur := vec(11)
-	for since, want := range map[int]int{7: -1, 8: 8, 9: 9, 10: 10} {
-		d := r.Delta(cur, 11, false, since)
-		if d.Since != want {
-			t.Errorf("since=%d: served since=%d, want %d", since, d.Since, want)
+	for since, want := range map[int]int{8: -1, 9: 9, 10: 10} {
+		d := r.Delta(since, false)
+		if d.Since != want || d.Version != 11 || d.Params[0] != 11 {
+			t.Errorf("since=%d: served since=%d of version %d, want %d of 11", since, d.Since, d.Version, want)
 		}
 		if want >= 0 && d.Base[0] != float64(since) {
 			t.Errorf("since=%d: base is version %v's snapshot", since, d.Base[0])
 		}
 	}
-	if got := NewSnapshotRing(0).history; got != DefaultDeltaHistory {
+	if got := NewSnapshotRing(0, nil).history; got != DefaultDeltaHistory {
 		t.Errorf("history 0 retains %d, want the default %d", got, DefaultDeltaHistory)
 	}
 }
 
 func TestSnapshotRingFallbacks(t *testing.T) {
-	r := NewSnapshotRing(4)
-	r.Record(3, vec(3))
-	r.Record(5, vec(5))
-	cur := vec(6)
+	r := NewSnapshotRing(4, nil)
+	record(r, 3, vec(3))
+	record(r, 5, vec(5))
+	record(r, 6, vec(6))
 	for name, since := range map[string]int{
 		"negative": -1, "ahead": 7, "before the ring": 2, "in a gap": 4,
 	} {
-		if d := r.Delta(cur, 6, true, since); d.Since != -1 || d.Base != nil || !d.Done || d.Version != 6 || &d.Params[0] != &cur[0] {
+		if d := r.Delta(since, true); d.Since != -1 || d.Base != nil || !d.Done || d.Version != 6 || d.Params[0] != 6 {
 			t.Errorf("%s (since=%d): %+v, want the full fallback", name, since, d)
 		}
 	}
-	if d := r.Delta([]float64{6}, 6, false, 5); d.Since != -1 {
-		t.Error("a base of another length was offered for a diff")
-	}
-	if d := r.Delta(cur, 6, false, 6); d.Since != 6 || d.Base != nil {
+	if d := r.Delta(6, false); d.Since != 6 || d.Base != nil {
 		t.Errorf("current caller: %+v, want the empty delta", d)
 	}
 	r.Reset()
-	if d := r.Delta(cur, 6, false, 5); d.Since != -1 {
+	if d := r.Delta(5, false); d.Since != -1 {
 		t.Error("a base survived Reset")
+	}
+	if d := r.Delta(6, false); d.Since != 6 || d.Params[0] != 6 {
+		t.Errorf("Reset took the current snapshot with it: %+v", d)
+	}
+	record(r, 7, []float64{7})
+	if d := r.Delta(6, false); d.Since != -1 {
+		t.Error("a base of another length was offered for a diff")
 	}
 }
 
@@ -166,22 +172,65 @@ func TestSnapshotRingFallbacks(t *testing.T) {
 // state; the version numbers it then re-issues must not find the bases
 // recorded under them before.
 func TestSnapshotRingRewindDropsBases(t *testing.T) {
-	r := NewSnapshotRing(8)
+	r := NewSnapshotRing(8, nil)
 	for v := 1; v <= 5; v++ {
-		r.Record(v, vec(float64(v)))
+		record(r, v, vec(float64(v)))
 	}
-	r.Record(3, vec(-3)) // rewound
-	r.Record(4, vec(-4))
-	r.Record(5, vec(-5))
-	cur := vec(-6)
+	for v := 3; v <= 6; v++ { // rewound to 3
+		record(r, v, vec(float64(-v)))
+	}
 	for since := 1; since <= 5; since++ {
-		d := r.Delta(cur, 6, false, since)
+		d := r.Delta(since, false)
 		if d.Since >= 0 && d.Base[0] > 0 {
 			t.Errorf("since=%d served the pre-rewind snapshot %v", since, d.Base[0])
 		}
 		if want := since >= 3; (d.Since >= 0) != want {
 			t.Errorf("since=%d: served=%v, want %v", since, d.Since >= 0, want)
 		}
+	}
+}
+
+// TestSnapshotRingDropsLeaveNothingReachable: eviction, the same-version
+// swap, a rewind and Reset all clear the slots they vacate — a dropped
+// vector held on by the backing array could be neither collected nor
+// recycled — and give the ring's pin back, so with no reader every
+// dropped snapshot is retired.
+func TestSnapshotRingDropsLeaveNothingReachable(t *testing.T) {
+	r := NewSnapshotRing(4, nil)
+	check := func(after string) {
+		t.Helper()
+		for i, s := range r.entries[:cap(r.entries)] {
+			switch {
+			case i >= len(r.entries) && s != nil:
+				t.Errorf("after %s: slot %d past the ring's length still holds version %d", after, i, s.version)
+			case i < len(r.entries) && s.pins.Load() != 1:
+				t.Errorf("after %s: retained version %d has %d pins, want the ring's one", after, s.version, s.pins.Load())
+			}
+		}
+		for _, s := range r.free {
+			if s.pins.Load() != 0 {
+				t.Errorf("after %s: free-listed snapshot has %d pins", after, s.pins.Load())
+			}
+		}
+	}
+	for v := 1; v <= 6; v++ {
+		record(r, v, vec(float64(v)))
+	}
+	check("eviction")
+	record(r, 6, vec(6))
+	check("a same-version swap")
+	record(r, 2, vec(2))
+	check("a rewind")
+	if len(r.entries) != 1 || len(r.free) != maxSpareSnapshots {
+		t.Fatalf("rewind left %d entries and %d spares, want 1 and %d", len(r.entries), len(r.free), maxSpareSnapshots)
+	}
+	for v := 3; v <= 5; v++ {
+		record(r, v, vec(float64(v)))
+	}
+	r.Reset()
+	check("Reset")
+	if len(r.entries) != 1 || r.entries[0].version != 5 {
+		t.Fatalf("Reset kept %d entries, want only the current snapshot", len(r.entries))
 	}
 }
 

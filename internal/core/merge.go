@@ -9,26 +9,34 @@ import (
 
 // ParamView is a zero-copy, read-only view of a server's published
 // checkout snapshot: the flattened parameter vector and the iteration it
-// was captured at. The slice aliases the immutable snapshot — callers
-// must treat it as frozen and copy before mutating. This is the merge
-// hook a sharded front-end builds its combined model from: pulling one
-// view per shard per merge cycle costs two atomic loads instead of a
-// parameter-matrix copy.
+// was captured at. The slice is the ring's own vector, pinned for this
+// view — callers must treat it as frozen, copy before mutating, and not
+// read it after Release. This is the merge hook a sharded front-end
+// builds its combined model from: pulling one view per shard per merge
+// cycle costs a pin instead of a parameter-matrix copy.
 type ParamView struct {
-	// Params aliases the published immutable snapshot. Read-only.
+	// Params is the pinned published snapshot. Read-only.
 	Params []float64
 	// Version is the iteration counter the snapshot was captured at.
 	// Monotonically non-decreasing across successive views of one server.
 	Version int
+
+	pin *snapshot
+}
+
+// Release unpins Params, which must not be read afterwards, so the ring
+// may reuse the vector once it has left the delta history. Calling it
+// again is a no-op, and a view that is never released costs the ring one
+// allocation, nothing else. A copy of the view shares its one pin.
+func (v *ParamView) Release() {
+	v.pin.unpin()
+	v.pin, v.Params = nil, nil
 }
 
 // ParamView returns the current published snapshot without copying the
 // parameters. Like Checkout's, the view trails the iteration counter only
 // while a batch is mid-apply.
-func (s *Server) ParamView() ParamView {
-	snap := s.snap.Load()
-	return ParamView{Params: snap.params, Version: snap.version}
-}
+func (s *Server) ParamView() ParamView { return s.ring.View() }
 
 // Authenticate verifies a device's credentials without serving any
 // learning state — the entry point a routing front-end uses to
@@ -63,26 +71,27 @@ func (s *Server) CrowdTotals() (samples, errs int64, labels []int64) {
 // proportionally more weight (pass its snapshot Version). When every
 // weight is zero (no shard has progressed yet) the views are averaged
 // uniformly, so a brand-new tier still serves its common initial model.
-// The returned slice is freshly allocated; the views are not mutated.
-func MergeParamViews(views []ParamView, weights []float64) ([]float64, error) {
+// The average is written over out — the caller's vector, typically the
+// one a SnapshotRing.Publish hands its fill — whose previous contents
+// are ignored; the views are not mutated.
+func MergeParamViews(out []float64, views []ParamView, weights []float64) error {
 	if len(views) == 0 {
-		return nil, fmt.Errorf("core: MergeParamViews: no views")
+		return fmt.Errorf("core: MergeParamViews: no views")
 	}
 	if len(weights) != len(views) {
-		return nil, fmt.Errorf("core: MergeParamViews: %d weights for %d views", len(weights), len(views))
+		return fmt.Errorf("core: MergeParamViews: %d weights for %d views", len(weights), len(views))
 	}
-	n := len(views[0].Params)
 	total := 0.0
 	for i, v := range views {
-		if len(v.Params) != n {
-			return nil, fmt.Errorf("core: MergeParamViews: view %d has %d params, view 0 has %d", i, len(v.Params), n)
+		if len(v.Params) != len(out) {
+			return fmt.Errorf("core: MergeParamViews: view %d has %d params, want %d", i, len(v.Params), len(out))
 		}
 		if weights[i] < 0 {
-			return nil, fmt.Errorf("core: MergeParamViews: negative weight %g for view %d", weights[i], i)
+			return fmt.Errorf("core: MergeParamViews: negative weight %g for view %d", weights[i], i)
 		}
 		total += weights[i]
 	}
-	out := make([]float64, n)
+	clear(out)
 	if total == 0 {
 		// Uniform average: all shards share the (deterministic) initial
 		// parameters before any checkin, so this also preserves them exactly.
@@ -90,7 +99,7 @@ func MergeParamViews(views []ParamView, weights []float64) ([]float64, error) {
 		for _, v := range views {
 			linalg.Axpy(inv, v.Params, out)
 		}
-		return out, nil
+		return nil
 	}
 	for i, v := range views {
 		if weights[i] == 0 {
@@ -98,5 +107,5 @@ func MergeParamViews(views []ParamView, weights []float64) ([]float64, error) {
 		}
 		linalg.Axpy(weights[i]/total, v.Params, out)
 	}
-	return out, nil
+	return nil
 }

@@ -120,38 +120,38 @@ func TestMergeParamViews(t *testing.T) {
 		{Params: []float64{1, 2}, Version: 1},
 		{Params: []float64{3, 6}, Version: 3},
 	}
-	// Weighted by versions: (1·1 + 3·3)/4 = 2.5, (1·2 + 3·6)/4 = 5.
-	got, err := MergeParamViews(views, []float64{1, 3})
-	if err != nil {
+	// Weighted by versions: (1·1 + 3·3)/4 = 2.5, (1·2 + 3·6)/4 = 5. What the
+	// destination held before (a recycled snapshot's old contents) is ignored.
+	got := []float64{math.Inf(1), math.NaN()}
+	if err := MergeParamViews(got, views, []float64{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0]-2.5) > 1e-12 || math.Abs(got[1]-5) > 1e-12 {
 		t.Fatalf("weighted merge = %v, want [2.5 5]", got)
 	}
 	// All-zero weights fall back to a uniform average.
-	got, err = MergeParamViews(views, []float64{0, 0})
-	if err != nil {
+	if err := MergeParamViews(got, views, []float64{0, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0]-2) > 1e-12 || math.Abs(got[1]-4) > 1e-12 {
 		t.Fatalf("uniform merge = %v, want [2 4]", got)
 	}
-	// The inputs must not be mutated and the output must be fresh storage.
+	// The inputs must not be mutated.
 	if views[0].Params[0] != 1 || views[1].Params[0] != 3 {
 		t.Fatalf("merge mutated its inputs: %v", views)
 	}
 
-	if _, err := MergeParamViews(nil, nil); err == nil {
+	if err := MergeParamViews(got, nil, nil); err == nil {
 		t.Error("MergeParamViews(no views) did not error")
 	}
-	if _, err := MergeParamViews(views, []float64{1}); err == nil {
+	if err := MergeParamViews(got, views, []float64{1}); err == nil {
 		t.Error("MergeParamViews(weight/view mismatch) did not error")
 	}
-	if _, err := MergeParamViews(views, []float64{1, -1}); err == nil {
+	if err := MergeParamViews(got, views, []float64{1, -1}); err == nil {
 		t.Error("MergeParamViews(negative weight) did not error")
 	}
 	bad := []ParamView{{Params: []float64{1}}, {Params: []float64{1, 2}}}
-	if _, err := MergeParamViews(bad, []float64{1, 1}); err == nil {
+	if err := MergeParamViews(got, bad, []float64{1, 1}); err == nil {
 		t.Error("MergeParamViews(shape mismatch) did not error")
 	}
 }

@@ -22,6 +22,8 @@ import (
 //	crowdml_checkin_seconds            histogram  checkin latency (incl. queueing)
 //	crowdml_checkins_rejected_total    counter    + reason: auth | bad_request | stopped | aborted
 //	crowdml_checkin_batch_size         histogram  deltas applied per parameter-lock acquisition
+//
+// plus the snapshot ring's two families (see RingMetrics).
 type ServerMetrics struct {
 	checkouts       *telemetry.Counter
 	checkoutSeconds *telemetry.Histogram
@@ -33,6 +35,8 @@ type ServerMetrics struct {
 	rejectedBad     *telemetry.Counter
 	rejectedStopped *telemetry.Counter
 	rejectedAborted *telemetry.Counter
+
+	ring *RingMetrics
 }
 
 // NewServerMetrics binds the core-layer metric series for the given
@@ -65,6 +69,81 @@ func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
 		rejectedBad:     rejected("bad_request"),
 		rejectedStopped: rejected("stopped"),
 		rejectedAborted: rejected("aborted"),
+		ring:            NewRingMetrics(reg, task),
+	}
+}
+
+// ringMetrics returns the snapshot ring's handles (nil when telemetry is
+// off).
+func (m *ServerMetrics) ringMetrics() *RingMetrics {
+	if m == nil {
+		return nil
+	}
+	return m.ring
+}
+
+// RingMetrics holds the pre-bound handles a SnapshotRing counts into —
+// the one place a Server's and a shard.Group's snapshots are published
+// and their delta checkouts answered. Nil disables it at one branch per
+// call.
+//
+//	crowdml_snapshots_published_total  counter  + source: recycled | allocated
+//	crowdml_checkout_delta_total       counter  + outcome: current | delta | full_fallback
+//
+// After warm-up source="allocated" stands still unless readers keep
+// snapshots pinned past their eviction. The second family counts
+// checkouts that named a base (?since=N): current is the empty delta,
+// full_fallback a base the ring no longer held or never issued.
+type RingMetrics struct {
+	recycled, allocated *telemetry.Counter
+	outcomes            [3]*telemetry.Counter
+}
+
+// The outcomes of a checkout that named a base, indexing
+// RingMetrics.outcomes.
+const (
+	deltaCurrent = iota
+	deltaServed
+	deltaFullFallback
+)
+
+// NewRingMetrics binds the ring's series for the given task in reg; a
+// nil registry yields nil.
+func NewRingMetrics(reg *telemetry.Registry, task string) *RingMetrics {
+	if reg == nil {
+		return nil
+	}
+	t := telemetry.L("task", task)
+	published := func(source string) *telemetry.Counter {
+		return reg.Counter("crowdml_snapshots_published_total",
+			"Parameter snapshots published, by where the vector came from.",
+			t, telemetry.L("source", source))
+	}
+	outcome := func(o string) *telemetry.Counter {
+		return reg.Counter("crowdml_checkout_delta_total",
+			"Checkouts that named a base iteration, by what could be served.",
+			t, telemetry.L("outcome", o))
+	}
+	return &RingMetrics{
+		recycled:  published("recycled"),
+		allocated: published("allocated"),
+		outcomes:  [3]*telemetry.Counter{outcome("current"), outcome("delta"), outcome("full_fallback")},
+	}
+}
+
+func (m *RingMetrics) published(recycled bool) {
+	switch {
+	case m == nil:
+	case recycled:
+		m.recycled.Inc()
+	default:
+		m.allocated.Inc()
+	}
+}
+
+func (m *RingMetrics) delta(outcome int) {
+	if m != nil {
+		m.outcomes[outcome].Inc()
 	}
 }
 

@@ -101,9 +101,9 @@ type ServerConfig struct {
 	Metrics *ServerMetrics
 	// DeltaHistory is how many recently published parameter snapshots
 	// the server retains to answer delta checkouts (ParamDelta; the
-	// binary wire's ?since=N). The ring holds pointers to snapshots
-	// published anyway, so the cost is retained memory, never extra
-	// copies. A base older than the ring falls back to a full checkout.
+	// binary wire's ?since=N). The cost is retained memory (history ×
+	// vector); steady-state publication reuses retired vectors. A base
+	// older than the ring falls back to a full checkout.
 	// Defaults to DefaultDeltaHistory; values < 1 use the default.
 	DeltaHistory int
 }
@@ -124,23 +124,15 @@ type DeviceStats struct {
 	StalenessSum int
 }
 
-// paramSnapshot is the immutable copy-on-write view served to checkouts:
-// the flattened parameters and the iteration they were captured at. A new
-// snapshot is published after every applied batch; readers load it with a
-// single atomic pointer read and never contend with writers.
-type paramSnapshot struct {
-	params  []float64 // immutable after publication
-	version int
-}
-
 // Server is the Crowd-ML server of Algorithm 2. It is safe for concurrent
 // use by many devices and built for read-mostly traffic (Section IV-B1:
 // devices do the heavy lifting, the server's update is O(C·D)):
 //
 //   - Checkouts and statistics reads are lock-free. Parameters are served
-//     from an immutable snapshot behind an atomic pointer, and the crowd
-//     totals are atomic counters, so a million-device portal polling for
-//     parameters never serializes on the update lock.
+//     from a published snapshot that readers pin with one CAS (see
+//     SnapshotRing), and the crowd totals are atomic counters, so a
+//     million-device portal polling for parameters never serializes on
+//     the update lock.
 //   - Device credentials and per-device counters live in a hash-striped
 //     registry (16 shards), so authentication scales with cores.
 //   - Checkins are applied in batches: callers enqueue their sanitized
@@ -153,9 +145,6 @@ type paramSnapshot struct {
 //     its OnCheckin hook has run.
 type Server struct {
 	cfg ServerConfig
-
-	// snap is the published checkout snapshot (copy-on-write).
-	snap atomic.Pointer[paramSnapshot]
 
 	// wMu is the parameter/apply lock: it guards w and serializes batch
 	// application, snapshot publication, and state import/export. The
@@ -173,9 +162,10 @@ type Server struct {
 
 	devices *deviceRegistry
 
-	// ring retains the last cfg.DeltaHistory published snapshots so
-	// ParamDelta can name a client's base iteration. publishSnapshotLocked
-	// records into it; ImportState resets it.
+	// ring publishes the checkout snapshot and retains the last
+	// cfg.DeltaHistory of them so ParamDelta can name a client's base
+	// iteration. publishSnapshotLocked publishes into it; ImportState
+	// resets it.
 	ring *SnapshotRing
 
 	// queue and leaderSem implement the batched applier: pending checkins
@@ -184,6 +174,11 @@ type Server struct {
 	queue     chan *pendingCheckin
 	leaderSem chan struct{}
 	maxBatch  int
+	// batch and results are the leader's working slices, reused from one
+	// leader to the next: whoever holds leaderSem owns them, and applyBatch
+	// clears what it used of them before it returns.
+	batch   []*pendingCheckin
+	results []error
 }
 
 // NewServer constructs a server. It returns an error if the config is
@@ -210,29 +205,28 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		w:         w,
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
-		ring:      NewSnapshotRing(cfg.DeltaHistory),
+		ring:      NewSnapshotRing(cfg.DeltaHistory, cfg.Metrics.ringMetrics()),
 		queue:     make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem: make(chan struct{}, 1),
 		maxBatch:  checkinBatchSize,
+		batch:     make([]*pendingCheckin, 0, checkinBatchSize),
+		results:   make([]error, checkinBatchSize),
 	}
 	s.publishSnapshotLocked() // initial snapshot at iteration 0
 	return s, nil
 }
 
-// publishSnapshotLocked captures w into a fresh immutable snapshot and
-// swaps it in. Callers must hold wMu (NewServer is exempt: the server is
-// not yet shared). Because t only advances under wMu, published versions
-// are monotonically non-decreasing. Every path that advances t publishes
-// before it releases wMu — that is the server's read-your-writes
-// guarantee: once a Checkin has returned, every later Checkout serves a
-// snapshot at or past that checkin's iteration.
+// publishSnapshotLocked copies w into a vector the ring has retired (a
+// new one only while the ring warms up, or when readers hold on to every
+// spare) and makes it the current snapshot. Callers must hold wMu
+// (NewServer is exempt: the server is not yet shared). Because t only
+// advances under wMu, published versions are monotonically
+// non-decreasing. Every path that advances t publishes before it
+// releases wMu — that is the server's read-your-writes guarantee: once a
+// Checkin has returned, every later Checkout serves a snapshot at or
+// past that checkin's iteration.
 func (s *Server) publishSnapshotLocked() {
-	snap := &paramSnapshot{
-		params:  linalg.Copy(s.w.Data()),
-		version: int(s.t.Load()),
-	}
-	s.snap.Store(snap)
-	s.ring.Record(snap.version, snap.params)
+	s.ring.PublishCopy(int(s.t.Load()), s.w.Data())
 }
 
 // RegisterDevice enrolls a device and returns its authentication token
@@ -278,7 +272,7 @@ func (s *Server) authenticate(ctx context.Context, deviceID, token string) error
 
 // Checkout implements Server Routine 1: authenticate and hand out the
 // current parameters. It is lock-free — authentication takes one shard
-// read lock and the parameters come from the immutable snapshot — so
+// read lock and the parameters come from the pinned snapshot — so
 // checkout throughput scales with cores instead of serializing behind
 // concurrent checkins. A stopped server still answers (with Done set) so
 // devices learn to stand down.
@@ -294,13 +288,15 @@ func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*Checkou
 		s.cfg.Metrics.observeCheckout(start, err)
 		return nil, err
 	}
-	snap := s.snap.Load()
-	s.cfg.Metrics.observeCheckout(start, nil)
-	return &CheckoutResponse{
-		Params:  linalg.Copy(snap.params), // callers own the returned slice
-		Version: snap.version,
+	v := s.ring.View()
+	resp := &CheckoutResponse{
+		Params:  linalg.Copy(v.Params), // callers own the returned slice
+		Version: v.Version,
 		Done:    s.evalStopped(),
-	}, nil
+	}
+	v.Release()
+	s.cfg.Metrics.observeCheckout(start, nil)
+	return resp, nil
 }
 
 // Checkin implements Server Routine 2: authenticate, accumulate the
@@ -417,14 +413,15 @@ func (s *Server) Iteration() int {
 // parameter lock, so it trails Iteration only while a batch is mid-apply,
 // and it never decreases.
 func (s *Server) SnapshotVersion() int {
-	return s.snap.Load().version
+	return s.ring.Version()
 }
 
 // Params returns a snapshot copy of the current parameter matrix.
 func (s *Server) Params() *linalg.Matrix {
-	snap := s.snap.Load()
+	v := s.ring.View()
 	classes, dim := s.cfg.Model.Shape()
-	m, err := linalg.NewMatrixFrom(classes, dim, linalg.Copy(snap.params))
+	m, err := linalg.NewMatrixFrom(classes, dim, linalg.Copy(v.Params))
+	v.Release()
 	if err != nil {
 		// The snapshot is always published with the model's shape.
 		panic(err)

@@ -221,9 +221,9 @@ func (s *Server) ImportState(st *ServerState) error {
 	}
 	// A restore can rewind the iteration counter, so version numbers in
 	// the retained delta ring would no longer identify the bases clients
-	// hold. Drop it before republishing: delta checkouts fall back to
+	// hold. Republish, then drop every base: delta checkouts fall back to
 	// full frames until fresh snapshots accumulate.
-	s.ring.Reset()
 	s.publishSnapshotLocked()
+	s.ring.Reset()
 	return nil
 }

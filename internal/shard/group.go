@@ -95,17 +95,18 @@ type Group struct {
 	smap    ShardMap
 	members []*hub.Task // index = shard
 
-	// merged is the published merged view; lock-free readers, replaced
-	// wholesale by the merger. Never nil after New (which merges once
-	// synchronously before the Group is visible).
+	// merged is the published merged view's bookkeeping; lock-free
+	// readers, replaced wholesale by the merger. Never nil after New
+	// (which merges once synchronously before the Group is visible).
 	merged atomic.Pointer[mergedView]
 
 	mergeEvery time.Duration
 	// mergeMu serializes merged-view builds: the periodic merger and any
 	// explicit Merge caller publish in a consistent order.
 	mergeMu sync.Mutex
-	// ring retains the recent merged views for delta checkouts; merge
-	// records every view it publishes. The merged iteration (Σ member
+	// ring publishes the merged parameter vector and retains the recent
+	// ones for delta checkouts; merge publishes every view through it (and
+	// only then stores merged). The merged iteration (Σ member
 	// versions) only moves backwards when a member restores older state,
 	// and the ring drops its bases when it does.
 	ring *core.SnapshotRing
@@ -160,7 +161,7 @@ func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard in
 		info:       c.info,
 		smap:       smap,
 		mergeEvery: c.mergeEvery,
-		ring:       core.NewSnapshotRing(0),
+		ring:       core.NewSnapshotRing(0, core.NewRingMetrics(c.metrics, taskID)),
 		m:          newGroupMetrics(c.metrics, taskID, c.shards),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),

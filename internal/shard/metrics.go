@@ -12,7 +12,9 @@ import (
 // per operation for the routing counters), so the hot paths record with
 // lock-free atomic adds and never touch the registry again. A nil
 // *groupMetrics disables recording at one branch per call — the same
-// nil-safety contract the rest of the telemetry layer follows.
+// nil-safety contract the rest of the telemetry layer follows. The merged
+// view's snapshot and delta-checkout counters are core.RingMetrics, bound
+// in New under the logical task's ID.
 type groupMetrics struct {
 	// routed[k] counts requests routed to (or served for) shard k, one
 	// counter per operation: checkout, checkin, register.

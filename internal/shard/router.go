@@ -10,14 +10,13 @@ import (
 	"github.com/crowdml/crowdml/internal/linalg"
 )
 
-// mergedView is one published combination of the member snapshots.
+// mergedView is the bookkeeping of one published combination of the
+// member snapshots; the merged parameter vector itself — the
+// checkin-count-weighted average of the members' (uniform before any
+// checkin) — is published through Group.ring under the same iteration.
 // Immutable after publication; readers load it with a single atomic
-// pointer read (the same copy-on-write discipline core.Server uses for
-// its own checkout snapshot).
+// pointer read.
 type mergedView struct {
-	// params is the checkin-count-weighted average of the member
-	// parameter vectors (uniform before any checkin).
-	params []float64
 	// iteration is Σ member snapshot versions — the logical task's
 	// iteration counter. Monotone: each component is monotone.
 	iteration int
@@ -59,8 +58,8 @@ func (g *Group) Owner(deviceID string) *hub.Task {
 // holds its credentials — then answer from the merged view and the ring
 // of its predecessors, with the same contract as
 // core.Server.CheckoutDelta: the caller's base when its iteration is
-// retained, the zero-copy full merged vector otherwise. The read is
-// lock-free up to the ring's lookup. The transport layer serves every
+// retained, the zero-copy full merged vector otherwise, both pinned until
+// the caller's Release. The read is lock-free up to the ring's lookup. The transport layer serves every
 // checkout through this (the JSON wire with since = -1, the binary
 // wire's ?since=N), so devices cannot tell a sharded task from a plain
 // one.
@@ -73,8 +72,10 @@ func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since
 		return nil, err
 	}
 	g.m.routedCheckout(k)
-	mv := g.merged.Load()
-	return g.ring.Delta(mv.params, mv.iteration, mv.done, since), nil
+	// done before the pin: merge publishes the vector first, so the
+	// parameters served are never older than the view that said done.
+	done := g.merged.Load().done
+	return g.ring.Delta(since, done), nil
 }
 
 // Checkout implements the device-side core.Transport for in-process
@@ -84,7 +85,9 @@ func (g *Group) Checkout(ctx context.Context, deviceID, token string) (*core.Che
 	if err != nil {
 		return nil, err
 	}
-	return &core.CheckoutResponse{Params: linalg.Copy(d.Params), Version: d.Version, Done: d.Done}, nil
+	resp := &core.CheckoutResponse{Params: linalg.Copy(d.Params), Version: d.Version, Done: d.Done}
+	d.Release()
+	return resp, nil
 }
 
 // Checkin implements hub.ShardRouter (and core.Transport): apply the
@@ -174,11 +177,11 @@ func (g *Group) ShardRows() []hub.ShardHealthRow {
 	return rows
 }
 
-// merge rebuilds and publishes the merged view: pull every member's
+// merge rebuilds and publishes the merged view: pin every member's
 // zero-copy snapshot, average the parameter vectors weighted by each
 // shard's checkin count (its snapshot version — paper-style model
-// averaging over unevenly loaded shards), and sum the raw crowd
-// counters. Called by the merger goroutine, once synchronously from
+// averaging over unevenly loaded shards) straight into a vector the ring
+// recycles, release the pins, and sum the raw crowd counters. Called by the merger goroutine, once synchronously from
 // New, and by explicit Merge callers; mergeMu serializes builds so the
 // published iteration never moves backwards.
 func (g *Group) merge() {
@@ -209,20 +212,23 @@ func (g *Group) merge() {
 			mv.totalNky[i] += c
 		}
 	}
-	params, err := core.MergeParamViews(views, weights)
+	err := g.ring.Publish(mv.iteration, len(views[0].Params), func(dst []float64) error {
+		return core.MergeParamViews(dst, views, weights)
+	})
+	for k := range views {
+		views[k].Release()
+	}
 	if err != nil {
 		// Shapes are validated at New and snapshots never change shape;
 		// reaching this means a programming error. Keep serving the last
 		// good view rather than publishing garbage.
 		return
 	}
-	mv.params = params
 	prev := g.merged.Load()
 	advanced := 0
 	if prev != nil {
 		advanced = mv.iteration - prev.iteration
 	}
 	g.merged.Store(mv)
-	g.ring.Record(mv.iteration, mv.params)
 	g.m.observeMerge(start, advanced)
 }

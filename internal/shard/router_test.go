@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -359,5 +360,58 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		g.Stop()
+	}
+}
+
+// TestMergeAllocatesNoVector: a merge writes the weighted average
+// straight into a vector the group's ring recycled and releases its pins
+// on the members' snapshots, so neither the merged view nor the members'
+// own publications allocate anything that grows with the model once the
+// rings are full — at the parent a checkin-plus-merge cycle allocated two
+// vectors (the member's snapshot and the merged one).
+func TestMergeAllocatesNoVector(t *testing.T) {
+	ctx := context.Background()
+	cycleBytes := func(dim int) float64 {
+		const classes = 10
+		g, err := New(ctx, hub.New(), "act", func(int) core.ServerConfig {
+			return core.ServerConfig{
+				Model:   model.NewLogisticRegression(classes, dim),
+				Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 1}},
+			}
+		}, WithShards(2), WithMergeInterval(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Stop()
+		token, err := g.Register(ctx, "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &core.CheckinRequest{Grad: make([]float64, classes*dim), NumSamples: 1, LabelCounts: make([]int, classes)}
+		cycle := func() {
+			if err := g.Checkin(ctx, "d", token, req); err != nil {
+				t.Fatal(err)
+			}
+			g.Merge()
+		}
+		for i := 0; i < core.DefaultDeltaHistory+4; i++ {
+			cycle()
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		if resp, err := g.Checkout(ctx, "d", token); err != nil || resp.Version != core.DefaultDeltaHistory+4+runs {
+			t.Fatalf("merged checkout after the run: %+v, %v", resp, err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := cycleBytes(50), cycleBytes(2000)
+	if large >= 2048 || large-small > 64 {
+		t.Errorf("a checkin+merge cycle allocates %.0f B at 500 parameters and %.0f B at 20,000: want the same, under 2 KB", small, large)
 	}
 }

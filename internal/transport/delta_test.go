@@ -27,27 +27,24 @@ import (
 // shard.Group answer delta checkouts from.
 type ringBackend struct {
 	ring *core.SnapshotRing
-	cur  atomic.Pointer[core.ParamView]
 	// published keeps every vector ever published, by version: what a
 	// client's copy of that version must equal bit for bit.
 	published sync.Map
 }
 
 func newRingBackend(history int, initial []float64) *ringBackend {
-	b := &ringBackend{ring: core.NewSnapshotRing(history)}
+	b := &ringBackend{ring: core.NewSnapshotRing(history, nil)}
 	b.publish(0, initial)
 	return b
 }
 
 func (b *ringBackend) publish(version int, params []float64) {
 	b.published.Store(version, params)
-	b.ring.Record(version, params)
-	b.cur.Store(&core.ParamView{Params: params, Version: version})
+	b.ring.PublishCopy(version, params)
 }
 
 func (b *ringBackend) CheckoutDelta(_ context.Context, _, _ string, since int) (*core.ParamDelta, error) {
-	v := b.cur.Load()
-	return b.ring.Delta(v.Params, v.Version, false, since), nil
+	return b.ring.Delta(since, false), nil
 }
 
 func (b *ringBackend) Checkin(context.Context, string, string, *core.CheckinRequest) error {

@@ -147,9 +147,9 @@ func readAllPooled(r io.Reader) (*pooledBuf, error) {
 
 // deviceBackend is what the two hot endpoints are served from: a plain
 // task's *core.Server, or the router fronting a sharded logical task.
-// Both hand out their published parameter snapshot by reference (the
-// since = -1 read copies nothing), so one handler serves task and
-// router, JSON and binary.
+// Both hand out their published parameter snapshot by reference, pinned
+// until the handler's Release (the since = -1 read copies nothing), so
+// one handler serves task and router, JSON and binary.
 type deviceBackend interface {
 	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error)
 	Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error
@@ -194,8 +194,8 @@ func sinceParam(r *http.Request) (int, error) {
 // frames honor ?since=N (the zero-copy full frame when no delta base
 // matched, the smaller of the sparse/dense delta forms otherwise), JSON
 // is always the full vector. Either way the body is encoded from the
-// backend's immutable snapshots into one pooled buffer and leaves with a
-// Content-Length. Errors flow through writeError — the JSON envelope,
+// backend's pinned snapshots into one pooled buffer — after which the
+// snapshots are released for reuse — and leaves with a Content-Length. Errors flow through writeError — the JSON envelope,
 // which a binary client tells apart by Content-Type — and an encoder
 // that refuses (a non-finite parameter has no JSON form) fails before
 // anything is written: 500, never a 200 with half a body.
@@ -229,7 +229,13 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 		if cap(sc.vals) <= maxPooledBuf/8 {
 			checkoutScratches.Put(sc)
 		}
-	} else if buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done); err != nil {
+	} else {
+		buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done)
+	}
+	// Encoded (or refused): the body no longer references the snapshots,
+	// so the ring may recycle them while the response is on the wire.
+	d.Release()
+	if err != nil {
 		writeError(w, fmt.Errorf("encode checkout: %w", err))
 		return
 	}

@@ -146,6 +146,12 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		"crowdml_checkins_applied_total",
 		"crowdml_checkin_seconds_bucket",
 		"crowdml_checkin_batch_size_bucket",
+		// the snapshot ring both read and write path go through
+		`crowdml_snapshots_published_total{task="activity",source="recycled"}`,
+		`crowdml_snapshots_published_total{task="activity",source="allocated"}`,
+		`crowdml_checkout_delta_total{task="activity",outcome="current"}`,
+		`crowdml_checkout_delta_total{task="activity",outcome="delta"}`,
+		`crowdml_checkout_delta_total{task="activity",outcome="full_fallback"}`,
 		// hub durability
 		"crowdml_journal_appends_total",
 		"crowdml_journal_rotations_total",
@@ -164,6 +170,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		"crowdml_replica_bootstraps_total",
 		"crowdml_replica_lag_iterations",
 		"crowdml_checkouts_total",
+		"crowdml_snapshots_published_total", // Replay publishes through the same ring
 		"crowdml_http_requests_total",
 	)
 

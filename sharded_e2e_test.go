@@ -265,6 +265,11 @@ func TestShardedMetricsExposition(t *testing.T) {
 		`crowdml_shard_merges_total{task="act"}`,
 		`crowdml_shard_merge_seconds_bucket`,
 		`crowdml_shard_merge_staleness_iterations{task="act"}`,
+		// The merged view's ring, under the logical ID; each member's own
+		// under its member ID.
+		`crowdml_snapshots_published_total{task="act",source="recycled"}`,
+		`crowdml_checkout_delta_total{task="act",outcome="full_fallback"}`,
+		`crowdml_snapshots_published_total{task="act.shard-0",source="allocated"}`,
 		// Member tasks keep their ordinary per-task series, labeled with
 		// their member IDs.
 		`crowdml_checkins_applied_total{task="act.shard-0"}`,
