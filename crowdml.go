@@ -438,9 +438,11 @@ func NewMemRoot() *store.MemRoot { return store.NewMemRoot() }
 // entry has been yielded, so recovery treats it as a clean end of
 // stream); ErrStoreLocked is returned by FileStore.OpenJournal when
 // another live journal holds the store directory's advisory lock;
-// ErrLegacyJournal is returned by FileStore's journal operations when
-// the directory still holds a pre-binary release's *.jsonl segments (its
-// message is the upgrade recipe; see docs/OPERATIONS.md).
+// ErrLegacyJournal is returned by FileStore's journal operations — so by
+// CreateTask and OpenHub over the directory — when it still holds a
+// pre-binary release's *.jsonl segments or pre-frame checkpoint.json (the
+// wrapping message names the file and the upgrade step; see
+// docs/OPERATIONS.md).
 var (
 	ErrNoCheckpoint     = store.ErrNoCheckpoint
 	ErrJournalTruncated = store.ErrJournalTruncated

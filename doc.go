@@ -120,8 +120,11 @@
 // file step (2) appends to. The converse edge is at-least-once: a crash
 // after the journal append but before the device saw the acknowledgment
 // replays the checkin on recovery, and a device that retries it
-// contributes that minibatch twice — the same semantics as a
-// network-level retry, which asynchronous SGD absorbs.
+// contributes that minibatch twice. The retry resends the same sanitized
+// request — a Device sanitizes each minibatch once and holds the result
+// until it is acknowledged — so no data is released twice, but the server
+// applies the duplicate: deduplicating it is still to come (ROADMAP item
+// 1b).
 //
 // A LIVE segment whose final record is torn by a crash mid-append is
 // repaired on reopen (the record was never durable, so it was never
@@ -187,7 +190,8 @@
 //	          w ← Π_W[w − η(t)·ĝ], progress counters, stopping criteria;
 //	          lock-free checkout/stats, batched checkin application.
 //	Device  — Algorithm 1: sample buffering (minibatch b, cap B), gradient
-//	          computation, local sanitization, check-in with retry.
+//	          computation, local sanitization once per minibatch, check-in
+//	          with retry of the same sanitized request.
 //	Privacy — Eq. (10) gradient perturbation, Eqs. (11)–(12) count
 //	          sanitization, ε = ε_g + ε_e + C·ε_yk composition.
 //	Models  — multiclass logistic regression (Table I), linear SVM,
@@ -224,8 +228,8 @@
 //	_ = device.AddSample(ctx, crowdml.Sample{X: features, Y: label})
 //
 // Over HTTP, serve the hub with NewHTTPHandler and point devices at it
-// with NewHTTPClient(baseURL, nil).WithTask("activity"); see README.md
-// for the v0 → v1 migration table.
+// with NewHTTPClient(baseURL, nil).WithTask("activity"); README.md lists
+// the routes and docs/WIRE.md the wire formats.
 //
 // See examples/ for runnable programs (quickstart, activity recognition,
 // a digit-recognition simulation study, and a multi-task HTTP cluster),

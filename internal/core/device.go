@@ -61,6 +61,9 @@ type Device struct {
 	rng *rng.RNG
 
 	buffer []model.Sample
+	// pending is a sanitized minibatch not yet acknowledged: resent as it
+	// is, never sanitized again, so a retry releases nothing new.
+	pending *CheckinRequest
 	// dropped counts samples discarded because the buffer was full.
 	dropped int
 	// checkins counts successful flushes.
@@ -103,7 +106,7 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 // Done reports whether the server has told this device the task is over.
 func (d *Device) Done() bool { return d.done }
 
-// Buffered returns the current number of buffered samples (n_s).
+// Buffered returns the number of buffered samples not yet sanitized (n_s).
 func (d *Device) Buffered() int { return len(d.buffer) }
 
 // Dropped returns the number of samples discarded due to a full buffer.
@@ -122,10 +125,10 @@ type SampleSource interface {
 // exhausted (io.EOF), the server stops the task, the optional max sample
 // count is reached, or ctx is cancelled. It returns the number of
 // samples consumed from the source; consumed samples not yet confirmed
-// by the server remain buffered (see Buffered and Checkins). Transient
-// transport failures are non-critical (paper Remark 1) and do not abort
-// the run: the affected samples stay buffered and are retried on
-// subsequent steps. If the buffer reaches its cap B and cannot be
+// by the server remain buffered or, once sanitized, pending (see Buffered
+// and Checkins). Transient transport failures are non-critical (paper
+// Remark 1) and do not abort the run: the affected minibatch is retried
+// on subsequent steps. If the buffer reaches its cap B and cannot be
 // drained (the transport is persistently failing), Run returns
 // ErrBufferFull rather than spinning or discarding samples — the buffer
 // is retained, so the caller can back off and call Run again. A failure
@@ -194,8 +197,8 @@ func (d *Device) Run(ctx context.Context, src SampleSource, max int) (sent int, 
 // AddSample implements Device Routine 1: buffer the sample and, when the
 // minibatch threshold b is reached, attempt a checkout+checkin round trip.
 //
-// Per the paper's Remark 1, communication failures are non-critical: the
-// sample stays buffered and the flush is retried on the next AddSample.
+// Per the paper's Remark 1, communication failures are non-critical: an
+// unacknowledged checkin is resent on the next AddSample.
 // The returned error reports such a failure (so callers can log or back
 // off) but the device remains usable. ErrBufferFull means the sample was
 // discarded because the buffer hit its cap B.
@@ -211,15 +214,16 @@ func (d *Device) AddSample(ctx context.Context, s model.Sample) error {
 	if len(d.buffer) >= d.cfg.Minibatch {
 		return d.Flush(ctx)
 	}
-	return nil
+	return d.checkinPending(ctx)
 }
 
-// Flush checks out the current parameters, runs Device Routines 2 and 3
-// (DeviceStep) on the buffered minibatch and checks the result in. On any
-// communication failure the buffer is retained for a later retry.
+// Flush first resends an unacknowledged checkin as it is (no checkout, no
+// fresh noise), then checks out the current parameters, runs Device
+// Routines 2 and 3 (DeviceStep) on the buffer and checks the result in.
+// The buffer is cleared once sanitized, so each minibatch is released once.
 func (d *Device) Flush(ctx context.Context) error {
-	if len(d.buffer) == 0 {
-		return nil
+	if err := d.checkinPending(ctx); err != nil || len(d.buffer) == 0 {
+		return err
 	}
 	co, err := d.cfg.Transport.Checkout(ctx, d.cfg.ID, d.cfg.Token)
 	if errors.Is(err, ErrStopped) {
@@ -239,18 +243,32 @@ func (d *Device) Flush(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := d.cfg.Transport.Checkin(ctx, d.cfg.ID, d.cfg.Token, req); err != nil {
-		if errors.Is(err, ErrStopped) {
-			d.done = true
-			return ErrStopped
-		}
-		return fmt.Errorf("checkin: %w", err)
-	}
-
 	// Reset n_s, n_e, n^k_y (end of Device Routine 2).
 	d.buffer = d.buffer[:0]
-	d.checkins++
-	return nil
+	d.pending = req
+	return d.checkinPending(ctx)
+}
+
+// checkinPending sends the pending request, if any. It is dropped once
+// acknowledged or refused as malformed (resending cannot help), and kept
+// for the next attempt on any other failure.
+func (d *Device) checkinPending(ctx context.Context) error {
+	if d.pending == nil {
+		return nil
+	}
+	err := d.cfg.Transport.Checkin(ctx, d.cfg.ID, d.cfg.Token, d.pending)
+	switch {
+	case err == nil:
+		d.pending = nil
+		d.checkins++
+		return nil
+	case errors.Is(err, ErrStopped):
+		d.done = true
+		return ErrStopped
+	case errors.Is(err, ErrBadCheckin):
+		d.pending = nil
+	}
+	return fmt.Errorf("checkin: %w", err)
 }
 
 // GradientMechanism is the gradient half of Device Routine 3: it sanitizes

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -21,7 +22,9 @@ type fakeTransport struct {
 	done        bool
 	failCO      bool
 	failCI      bool
+	ciErr       error // returned by Checkin when set
 	checkins    []*CheckinRequest
+	attempts    []*CheckinRequest // every Checkin call, failed ones too
 	checkoutCnt int
 }
 
@@ -36,12 +39,16 @@ func (f *fakeTransport) Checkout(ctx context.Context, id, token string) (*Checko
 }
 
 func (f *fakeTransport) Checkin(ctx context.Context, id, token string, req *CheckinRequest) error {
-	if f.failCI {
-		return errors.New("network down")
-	}
 	cp := *req
 	cp.Grad = append([]float64(nil), req.Grad...)
 	cp.LabelCounts = append([]int(nil), req.LabelCounts...)
+	f.attempts = append(f.attempts, &cp)
+	if f.failCI {
+		return errors.New("network down")
+	}
+	if f.ciErr != nil {
+		return f.ciErr
+	}
 	f.checkins = append(f.checkins, &cp)
 	return nil
 }
@@ -179,22 +186,54 @@ func TestDeviceBufferCap(t *testing.T) {
 	}
 }
 
+// TestDeviceCheckinFailureRetains: a minibatch is sanitized once. After a
+// failed checkin the device retains the sanitized request, not the samples
+// (Buffered is 0), and the retry resends it bit for bit — same noisy
+// gradient, same noisy counts, same Version — without a second checkout,
+// although the model has moved on meanwhile. Fresh noise over the same
+// samples would release them twice. A checkin refused as malformed is
+// dropped instead: resending it cannot help.
 func TestDeviceCheckinFailureRetains(t *testing.T) {
-	d, ft := newTestDevice(t, DeviceConfig{Minibatch: 1})
-	ft.failCI = true
-	err := d.AddSample(context.Background(), sampleFor(0))
-	if err == nil {
+	d, ft := newTestDevice(t, DeviceConfig{Minibatch: 2,
+		Budget: privacy.Budget{Gradient: 0.5, ErrCount: 0.5, LabelCount: 0.5}})
+	ctx := context.Background()
+	ft.version, ft.failCI = 3, true
+	if err := d.AddSample(ctx, sampleFor(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddSample(ctx, sampleFor(1)); err == nil {
 		t.Fatal("expected checkin failure")
 	}
-	if d.Buffered() != 1 {
-		t.Errorf("buffer = %d after failed checkin, want 1 (retained)", d.Buffered())
+	if d.Buffered() != 0 {
+		t.Errorf("buffer = %d after the minibatch was sanitized, want 0", d.Buffered())
 	}
-	ft.failCI = false
-	if err := d.Flush(context.Background()); err != nil {
+	ft.version, ft.failCI = 9, false
+	if err := d.Flush(ctx); err != nil {
 		t.Fatalf("retry flush: %v", err)
 	}
-	if d.Buffered() != 0 || len(ft.checkins) != 1 {
-		t.Error("retry did not deliver the retained samples")
+	if ft.checkoutCnt != 1 || len(ft.attempts) != 2 || len(ft.checkins) != 1 || d.Checkins() != 1 {
+		t.Fatalf("%d checkouts, %d checkin attempts, %d delivered; want 1, 2, 1", ft.checkoutCnt, len(ft.attempts), len(ft.checkins))
+	}
+	failed, resent := ft.attempts[0], ft.checkins[0]
+	for i := range failed.Grad {
+		if math.Float64bits(failed.Grad[i]) != math.Float64bits(resent.Grad[i]) {
+			t.Fatalf("resent gradient differs at %d: %v, first sent %v", i, resent.Grad[i], failed.Grad[i])
+		}
+	}
+	if !reflect.DeepEqual(failed, resent) || resent.Version != 3 {
+		t.Errorf("resent %+v, first sent %+v (Version 3)", resent, failed)
+	}
+
+	ft.ciErr = fmt.Errorf("refused: %w", ErrBadCheckin)
+	if err := d.AddSample(ctx, sampleFor(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddSample(ctx, sampleFor(1)); !errors.Is(err, ErrBadCheckin) {
+		t.Fatalf("error = %v, want ErrBadCheckin", err)
+	}
+	ft.ciErr = nil
+	if err := d.Flush(ctx); err != nil || len(ft.attempts) != 3 || d.Checkins() != 1 {
+		t.Errorf("after a refused checkin Flush = %v with %d attempts, %d checkins; want nothing resent", err, len(ft.attempts), d.Checkins())
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 	"sync"
 )
 
-// deviceShards is the number of independently locked registry shards —
-// the same 16-way hash-striping idiom as the hub's task registry, so a
-// crowd of devices authenticating concurrently never funnels through one
-// mutex.
+// deviceShards is the number of independently locked registry shards
+// (16-way hash striping), so a crowd of devices authenticating
+// concurrently never funnels through one mutex.
 const deviceShards = 16
 
 // deviceEntry is one enrolled device: its credential and its Algorithm 2

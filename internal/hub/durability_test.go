@@ -2,7 +2,6 @@ package hub
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -168,67 +167,51 @@ func TestCrashRecoverySnapshotPlusTail(t *testing.T) {
 	}
 }
 
-// TestRestartFromLegacyJSONCheckpoint: a store directory as the release
-// before the checkpoint frame left it after a crash — checkpoint.json plus
-// a journal tail beyond it — restarts at the exact iteration with the
-// exact state, and the restarted task's own checkpoints replace the
-// document with the frame.
-func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
+// TestRestartRefusesLegacyJSONCheckpoint: a store directory whose
+// checkpoint is still the checkpoint.json of a release before the
+// checkpoint frame (the store package's golden document) is refused by
+// CreateTask and by Restore with ErrLegacyJournal, and nothing is written
+// into it: the upgrade goes through a release that reads the document and
+// replaces it (docs/OPERATIONS.md).
+func TestRestartRefusesLegacyJSONCheckpoint(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
+	legacy, err := os.ReadFile(filepath.Join("..", "store", "testdata", "golden", "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := store.NewFileRoot(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root.Dir(), "t")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	fs, err := store.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := New()
-	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(fs),
-		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}))
+	if _, err := New().CreateTask(ctx, "t", serverConfig(), WithStore(fs)); !errors.Is(err, store.ErrLegacyJournal) {
+		t.Errorf("CreateTask over checkpoint.json = %v, want ErrLegacyJournal", err)
+	}
+	configure := func(string) (core.ServerConfig, []TaskOption, error) { return serverConfig(), nil, nil }
+	if _, err := New().Restore(ctx, root, configure); !errors.Is(err, store.ErrLegacyJournal) {
+		t.Errorf("Restore over checkpoint.json = %v, want ErrLegacyJournal", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkinN(t, task.Server(), "d1", 4)
-	// The mid-run snapshot, written the way that release wrote it.
-	doc, err := json.Marshal(store.Checkpoint{SavedAtUnixMillis: 1, State: task.Server().ExportState()})
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range entries {
+		if e.Name() != "checkpoint.json" && e.Name() != "LOCK" {
+			t.Errorf("the refused directory gained %s", e.Name())
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"), append(doc, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	checkinN(t, task.Server(), "d2", 3) // the tail beyond the snapshot
-	want := task.Server().ExportState()
-
-	crashed := t.TempDir() // the directory as a kill -9 leaves it: no final checkpoint
-	copyStoreDir(t, dir, crashed)
-	if err := h.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(crashed, "checkpoint.ckpt")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("the crashed copy already holds a checkpoint frame: %v", err)
-	}
-
-	fs2, err := store.NewFileStore(crashed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := New()
-	restored, err := h2.CreateTask(ctx, "t", serverConfig(), WithStore(fs2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := restored.Server().ExportState()
-	assertStatesEqual(t, got, want)
-	if got.Iteration != 7 {
-		t.Errorf("iteration = %d, want 7", got.Iteration)
-	}
-	if err := h2.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(crashed, "checkpoint.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("checkpoint.json survived the restarted task's final checkpoint: %v", err)
-	}
-	if cp, err := fs2.Load(ctx); err != nil || cp.State.Iteration != 7 {
-		t.Errorf("the final checkpoint frame loads as %+v, %v", cp, err)
+	if got, err := os.ReadFile(filepath.Join(dir, "checkpoint.json")); err != nil || string(got) != string(legacy) {
+		t.Errorf("checkpoint.json changed: %v", err)
 	}
 }
 

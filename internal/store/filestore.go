@@ -22,9 +22,8 @@ const lockFileName = "LOCK"
 // FileStore persists checkpoints and journals under a directory:
 // checkpoint.ckpt (one wirecodec checkpoint frame, atomic write-to-temp +
 // rename) and a segmented journal-*.wal write-ahead log (append-only, one
-// write per entry). A directory written by a release that kept the
-// checkpoint as checkpoint.json is read as it is; the first Save replaces
-// that file with checkpoint.ckpt.
+// write per entry). A directory still holding a pre-frame release's
+// checkpoint.json or *.jsonl segments is refused (ErrLegacyJournal).
 //
 // A store directory belongs to ONE live journal at a time: OpenJournal
 // repairs (truncates) a crash-torn journal tail, so a second process
@@ -59,18 +58,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 // Dir returns the store directory.
 func (f *FileStore) Dir() string { return f.dir }
 
-// openCheckpoint opens the checkpoint: checkpoint.ckpt, or the legacy
-// checkpoint.json when there is no frame yet (a crash between a first
-// Save's rename and its removal of the legacy file leaves both, and the
-// frame is the newer). fs.ErrNotExist means neither exists.
-func (f *FileStore) openCheckpoint() (*os.File, error) {
-	file, err := os.Open(filepath.Join(f.dir, checkpointName))
-	if errors.Is(err, fs.ErrNotExist) {
-		file, err = os.Open(filepath.Join(f.dir, legacyCheckpointName))
-	}
-	return file, err
-}
-
 // HasCheckpoint cheaply reports whether a checkpoint has been saved —
 // an existence probe, without decoding the state (callers that need the
 // contents use Load).
@@ -78,7 +65,7 @@ func (f *FileStore) HasCheckpoint(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	file, err := f.openCheckpoint()
+	file, err := os.Open(filepath.Join(f.dir, checkpointName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
@@ -112,10 +99,6 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	if err != nil {
 		return fmt.Errorf("store: save checkpoint: %w", err)
 	}
-	// A legacy document goes only now that the frame is in place: until
-	// then it was the checkpoint. Usually there is none to remove; a failed
-	// removal is retried by the next Save, and Load prefers the frame.
-	_ = os.Remove(filepath.Join(f.dir, legacyCheckpointName))
 	// Sync the directory so the rename itself survives a machine crash.
 	// Best-effort HERE only: a checkpoint whose rename is lost to power
 	// failure costs a longer journal replay, never data — the journal
@@ -175,7 +158,7 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	file, err := f.openCheckpoint()
+	file, err := os.Open(filepath.Join(f.dir, checkpointName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCheckpoint
 	}
@@ -190,8 +173,9 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 // sealed-vs-live status: every segment except the newest is sealed (a
 // rotation sealed it when it created its successor), and the newest is
 // the live one. Empty when no journal exists yet. A directory holding a
-// *.jsonl segment is refused with ErrLegacyJournal — every journal
-// operation lists segments first, so none half-reads a mixed directory.
+// *.jsonl segment or a checkpoint.json is refused with ErrLegacyJournal —
+// every journal operation lists segments first, so none half-reads a
+// mixed directory, and a task is never created over one.
 func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -205,8 +189,13 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		if e.IsDir() {
 			continue
 		}
-		if strings.HasSuffix(e.Name(), ".jsonl") {
-			return nil, fmt.Errorf("%w (found %s)", ErrLegacyJournal, filepath.Join(f.dir, e.Name()))
+		switch path := filepath.Join(f.dir, e.Name()); {
+		case strings.HasSuffix(e.Name(), ".jsonl"):
+			return nil, fmt.Errorf("%w: found %s: stop the old binary cleanly (its final checkpoint then covers "+
+				"the whole journal), move the .jsonl files to the archive, then start this binary", ErrLegacyJournal, path)
+		case e.Name() == legacyCheckpointName:
+			return nil, fmt.Errorf("%w: found %s: run a PR 18-20 release on this directory until its first "+
+				"checkpoint replaces the file with %s, then start this binary", ErrLegacyJournal, path, checkpointName)
 		}
 		if seq, ok := segmentSeq(e.Name()); ok {
 			segs = append(segs, SegmentInfo{Name: e.Name(), Seq: seq, Sealed: true})

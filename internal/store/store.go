@@ -38,7 +38,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -72,12 +71,12 @@ var (
 	ErrStoreLocked = errors.New("store: store directory locked by a live journal")
 
 	// ErrLegacyJournal is returned by FileStore's journal operations when
-	// the directory still holds *.jsonl segments from a release that
-	// journaled JSON lines. No converter is needed: a clean shutdown
-	// leaves a checkpoint covering the whole journal, so the old segments
-	// are audit history, not recovery input (docs/OPERATIONS.md).
-	ErrLegacyJournal = errors.New("store: directory holds pre-binary *.jsonl journal segments: stop the old binary cleanly " +
-		"(its final checkpoint then covers the whole journal), move the .jsonl files to the archive, then start this binary")
+	// the directory still holds a format this release does not read:
+	// *.jsonl segments from a release that journaled JSON lines, or the
+	// checkpoint.json of a release before the checkpoint frame. The
+	// wrapping error names the file and the upgrade step; no converter is
+	// needed (docs/OPERATIONS.md).
+	ErrLegacyJournal = errors.New("store: directory holds a pre-binary format this release does not read")
 )
 
 // Checkpoint wraps a server state with bookkeeping metadata.
@@ -147,10 +146,10 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 }
 
 // DecodeCheckpoint reads one checkpoint from r: the frame EncodeCheckpoint
-// writes or, when the input opens with '{', the JSON document releases
-// before the frame wrote (their checkpoint.json, an older leader's
-// checkpoint reply). Input longer than wirecodec.MaxPayload is refused
-// with an error wrapping wirecodec.ErrFrame before it is held in memory.
+// writes. Anything else — the JSON document releases before the frame
+// wrote included — and input longer than wirecodec.MaxPayload (refused
+// before it is held in memory) fail with an error wrapping
+// wirecodec.ErrFrame.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	payload, err := io.ReadAll(io.LimitReader(r, wirecodec.MaxPayload+1))
 	if err != nil {
@@ -162,16 +161,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	if len(payload) > wirecodec.MaxPayload {
 		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
-	}
-	if len(payload) > 0 && payload[0] == '{' {
-		var cp Checkpoint
-		if err := json.Unmarshal(payload, &cp); err != nil {
-			return nil, fmt.Errorf("store: decode legacy JSON checkpoint: %w", err)
-		}
-		if cp.State == nil {
-			return nil, errors.New("store: checkpoint missing state")
-		}
-		return &cp, nil
 	}
 	wc, devices, err := wirecodec.DecodeCheckpoint(payload)
 	if err != nil {

@@ -89,68 +89,18 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 }
 
 func TestLoadCorruptCheckpoint(t *testing.T) {
-	for name, content := range map[string]string{
-		legacyCheckpointName: "{broken",
-		checkpointName:       wirecodec.Magic + "\x01\x05 not a frame",
-	} {
+	for _, content := range []string{"{broken", wirecodec.Magic + "\x01\x05 not a frame"} {
 		dir := t.TempDir()
 		fs, err := NewFileStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, checkpointName), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Load(ctx); err == nil {
-			t.Errorf("corrupt %s should fail to load", name)
+		if _, err := fs.Load(ctx); !errors.Is(err, wirecodec.ErrFrame) {
+			t.Errorf("corrupt checkpoint %q: Load error = %v, want ErrFrame", content, err)
 		}
-	}
-}
-
-// TestLegacyCheckpointReadThenReplaced: a directory whose checkpoint is
-// the JSON document of earlier releases loads as it is; the first Save
-// writes the frame and only then removes the document; and should a crash
-// leave both, the frame — the newer — wins.
-func TestLegacyCheckpointReadThenReplaced(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := os.ReadFile(filepath.Join("testdata", "golden", legacyCheckpointName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyCheckpointName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := fs.HasCheckpoint(ctx); !ok || err != nil {
-		t.Fatalf("HasCheckpoint on a legacy directory = %v, %v", ok, err)
-	}
-	cp, err := fs.Load(ctx)
-	if err != nil || cp.State.Iteration != 2 {
-		t.Fatalf("Load of the legacy document = %+v, %v", cp, err)
-	}
-	cp.State.Iteration = 9
-	if err := fs.Save(ctx, cp.State, goldenSavedAt); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, legacyCheckpointName)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("the legacy document survived the first Save: %v", err)
-	}
-	if again, err := fs.Load(ctx); err != nil || !reflect.DeepEqual(again.State, cp.State) {
-		t.Errorf("Load after the first Save = %+v, %v; want %+v", again, err, cp.State)
-	}
-	// Both present (a crash between the rename and the removal).
-	if err := os.WriteFile(filepath.Join(dir, legacyCheckpointName), legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := reopened.Load(ctx); err != nil || again.State.Iteration != 9 {
-		t.Errorf("with both files Load = %+v, %v; want the frame's iteration 9", again, err)
 	}
 }
 
@@ -232,7 +182,7 @@ func (e *endless) Read(p []byte) (int, error) {
 
 // TestDecodeCheckpointBoundsItsRead: whatever a disk or a leader hands
 // over, DecodeCheckpoint holds at most MaxPayload+1 bytes of it and
-// refuses the rest as a malformed frame — legacy JSON included.
+// refuses the rest as a malformed frame, whatever its first byte.
 func TestDecodeCheckpointBoundsItsRead(t *testing.T) {
 	for _, first := range []byte{'{', 'C'} {
 		src := &endless{b: first}
@@ -531,19 +481,35 @@ func TestOutOfOrderFrameIsFatal(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalRefused: a directory still holding JSONL segments
-// from a pre-binary release is refused with the upgrade recipe, and
-// works once the operator has moved them out.
+// TestLegacyJournalRefused: a directory still holding a pre-binary
+// release's files — JSONL segments, or the golden checkpoint.json a
+// release before the checkpoint frame wrote — is refused with the upgrade
+// recipe, and works once they are gone. A checkpoint.json is never read:
+// Load does not see it.
 func TestLegacyJournalRefused(t *testing.T) {
-	for _, name := range []string{"checkins.jsonl", "journal-0000000003.jsonl"} {
+	legacyCheckpoint, err := os.ReadFile(filepath.Join("testdata", "golden", legacyCheckpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		"checkins.jsonl":           []byte(`{"deviceId":"d1","iteration":1}` + "\n"),
+		"journal-0000000003.jsonl": []byte(`{"deviceId":"d1","iteration":1}` + "\n"),
+		legacyCheckpointName:       legacyCheckpoint,
+	} {
 		t.Run(name, func(t *testing.T) {
 			fs, err := NewFileStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			legacy := filepath.Join(fs.Dir(), name)
-			if err := os.WriteFile(legacy, []byte(`{"deviceId":"d1","iteration":1}`+"\n"), 0o644); err != nil {
+			if err := os.WriteFile(legacy, content, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if _, err := fs.Segments(ctx); !errors.Is(err, ErrLegacyJournal) || !strings.Contains(err.Error(), legacy) {
+				t.Errorf("Segments error = %v, want ErrLegacyJournal naming %s", err, legacy)
+			}
+			if _, err := fs.Load(ctx); !errors.Is(err, ErrNoCheckpoint) {
+				t.Errorf("Load error = %v, want ErrNoCheckpoint", err)
 			}
 			if _, err := fs.OpenJournal(ctx); !errors.Is(err, ErrLegacyJournal) {
 				t.Errorf("OpenJournal error = %v, want ErrLegacyJournal", err)
@@ -610,18 +576,23 @@ func TestOpenJournalFailsWhenDirRemoved(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointMissingState: a frame cut off where the state begins
+// fails to load.
 func TestLoadCheckpointMissingState(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.json"),
-		[]byte(`{"savedAtUnixMillis": 1}`), 0o644); err != nil {
+	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: newServer(t).ExportState()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Load(ctx); err == nil {
-		t.Error("checkpoint without state should fail to load")
+	if err := os.WriteFile(filepath.Join(dir, checkpointName), frame[:wirecodec.HeaderLen+8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Load(ctx); !errors.Is(err, wirecodec.ErrFrame) {
+		t.Errorf("checkpoint without state: Load error = %v, want ErrFrame", err)
 	}
 }
 
@@ -1042,40 +1013,46 @@ var (
 )
 
 // TestGoldenStoreFormat pins the bytes at rest in both directions: a
-// store the previous release wrote — JSON checkpoint included — opens
+// store an earlier release wrote — checkpoint frame and segment — opens
 // here, entry for entry, and what either backend writes for the same state
 // and entries is the golden frame and segment, byte for byte (the device
-// table is sorted, so equal states give equal bytes).
+// table is sorted, so equal states give equal bytes). The golden JSON
+// checkpoint is no longer read: beside the same segment it is refused.
 func TestGoldenStoreFormat(t *testing.T) {
 	golden := map[string][]byte{}
-	dir := t.TempDir()
 	for _, name := range []string{legacyCheckpointName, checkpointName, segmentName(1)} {
 		b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		golden[name] = b
-		if name == checkpointName {
-			continue // the directory is the previous release's
+	}
+	storeOf := func(names ...string) *FileStore {
+		t.Helper()
+		dir := t.TempDir()
+		for _, name := range names {
+			if err := os.WriteFile(filepath.Join(dir, name), golden[name], 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		fs, err := NewFileStore(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return fs
 	}
-	old, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := storeOf(checkpointName, segmentName(1))
 	cp, err := old.Load(ctx)
 	if err != nil || cp.SavedAtUnixMillis != goldenSavedAt.UnixMilli() || cp.State.Iteration != 2 {
-		t.Fatalf("Load of the golden JSON checkpoint = %+v, %v", cp, err)
-	}
-	if frame, err := DecodeCheckpoint(bytes.NewReader(golden[checkpointName])); err != nil || !reflect.DeepEqual(frame, cp) {
-		t.Fatalf("the golden frame decodes to %+v, %v; the golden JSON document to %+v", frame, err, cp)
+		t.Fatalf("Load of the golden checkpoint frame = %+v, %v", cp, err)
 	}
 	if entries, err := readJournal(old); err != nil || !reflect.DeepEqual(entries, goldenEntries) {
 		t.Fatalf("golden segment reads %+v, %v; want %+v", entries, err, goldenEntries)
 	}
+	if _, err := storeOf(legacyCheckpointName, segmentName(1)).OpenJournal(ctx); !errors.Is(err, ErrLegacyJournal) {
+		t.Errorf("OpenJournal beside the golden checkpoint.json = %v, want ErrLegacyJournal", err)
+	}
+	delete(golden, legacyCheckpointName) // the refusal fixture, never written
 
 	fresh, err := NewFileStore(t.TempDir())
 	if err != nil {
@@ -1099,7 +1076,6 @@ func TestGoldenStoreFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	delete(golden, legacyCheckpointName) // read above, never written again
 	written := map[string]map[string][]byte{
 		"MemStore":  {checkpointName: mem.cp, segmentName(1): mem.chain.segs[0]},
 		"FileStore": {},

@@ -208,9 +208,9 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 		return nil, err
 	}
 	// A leader from before the checkpoint frame answers with the JSON
-	// document, which DecodeCheckpoint still reads; when a reply that is
-	// not a frame fails to decode, say what it was instead of reporting a
-	// corrupt frame.
+	// document, which this release does not read: when a reply that is
+	// not a frame fails to decode, say what it was instead of only
+	// reporting a corrupt frame.
 	cp, err := store.DecodeCheckpoint(resp.Body)
 	if ct := resp.Header.Get("Content-Type"); err != nil && ct != ContentTypeFrame {
 		return nil, fmt.Errorf("transport: checkpoint reply is %q, want %s (is the leader an older release?): %w", ct, ContentTypeFrame, err)

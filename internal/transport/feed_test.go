@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +17,7 @@ import (
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/store"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // newLeader hosts task "alpha" with a MemStore-backed journal and
@@ -171,47 +171,25 @@ func TestFetchCheckpoint(t *testing.T) {
 }
 
 // TestFetchCheckpointFromOlderLeader: a leader from before the checkpoint
-// frame answers with the JSON document. A follower still bootstraps from
-// it, and when such a reply does not decode the error names what the
-// leader sent instead of calling it a corrupt frame.
+// frame answers with the JSON document, which this release no longer
+// reads. The error names what the leader sent and hints at the older
+// release instead of only calling it a corrupt frame.
 func TestFetchCheckpointFromOlderLeader(t *testing.T) {
 	ctx := context.Background()
 	_, srv, _ := newLeader(t)
-	token, _ := srv.RegisterDevice(ctx, "d1")
-	if err := srv.Checkin(ctx, "d1", token, checkinReq()); err != nil {
-		t.Fatal(err)
-	}
-	want := srv.ExportState()
-	doc, err := json.Marshal(store.Checkpoint{SavedAtUnixMillis: 5, State: want})
+	doc, err := json.Marshal(store.Checkpoint{SavedAtUnixMillis: 5, State: srv.ExportState()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := append(doc, '\n') // json.Encoder's line, as the older handler wrote it
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(reply)
+		_, _ = w.Write(append(doc, '\n')) // json.Encoder's line, as the older handler wrote it
 	}))
 	defer old.Close()
-	client := NewHTTPClient(old.URL, nil).WithTask("alpha")
-	cp, err := client.FetchCheckpoint(ctx)
-	if err != nil || cp.SavedAtUnixMillis != 5 || !reflect.DeepEqual(cp.State, want) {
-		t.Fatalf("FetchCheckpoint from a JSON leader = %+v, %v; want %+v", cp, err, want)
-	}
-	follower, err := core.NewServer(core.ServerConfig{
-		Model:   model.NewLogisticRegression(2, 2),
-		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := follower.ImportState(cp.State); err != nil || !reflect.DeepEqual(follower.ExportState(), want) {
-		t.Errorf("a follower bootstrapped from the JSON reply diverges from the leader: %v", err)
-	}
-
-	reply = doc[:len(doc)/2]
-	_, err = client.FetchCheckpoint(ctx)
-	if err == nil || !strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), "older release") {
-		t.Errorf("truncated JSON reply: %v; want the reply's type and the older-release hint", err)
+	cp, err := NewHTTPClient(old.URL, nil).WithTask("alpha").FetchCheckpoint(ctx)
+	if cp != nil || !errors.Is(err, wirecodec.ErrFrame) ||
+		!strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), "older release") {
+		t.Errorf("FetchCheckpoint from a JSON leader = %+v, %v; want ErrFrame with the reply's type and the older-release hint", cp, err)
 	}
 }
 

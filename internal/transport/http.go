@@ -263,8 +263,7 @@ type HTTPClient struct {
 	retryOn bool
 	// wire selects the hot-path encoding (WithWire); the default
 	// WireJSON preserves the original protocol byte for byte.
-	wire      WireFormat
-	wireFlate bool
+	wire WireFormat
 	// delta is the base for WireBinaryDelta checkouts: the last snapshot
 	// the client was served, nil inside before the first and after a
 	// drop. A pointer, so the value copies the With* combinators make

@@ -20,15 +20,13 @@ import (
 
 // ContentTypeBinary is the negotiated media type of the binary wire
 // protocol (internal/wirecodec, docs/WIRE.md). A checkout request opts
-// in with "Accept: application/x-crowdml-bin" (append ";compress=flate"
-// to also ask for compressed frames); a checkin opts in by POSTing its
-// frame under this Content-Type. JSON remains the default: requests
-// that do not ask get exactly the pre-existing behavior, and error
-// responses are ALWAYS the JSON envelope regardless of negotiation.
+// in with "Accept: application/x-crowdml-bin"; a checkin opts in by
+// POSTing its frame under this Content-Type. Media-type parameters are
+// ignored (an old client's ";compress=flate" included). JSON remains the
+// default: requests that do not ask get exactly the pre-existing
+// behavior, and error responses are ALWAYS the JSON envelope regardless
+// of negotiation.
 const ContentTypeBinary = "application/x-crowdml-bin"
-
-// wireCompressFlate is the Accept parameter requesting flate frames.
-const wireCompressFlate = "flate"
 
 // WireFormat selects the client's encoding for the device hot path.
 type WireFormat int
@@ -70,31 +68,27 @@ func ParseWireFormat(s string) (WireFormat, error) {
 	return WireJSON, fmt.Errorf("transport: unknown wire format %q (want json, binary or binary-delta)", s)
 }
 
-// negotiate is the one place a request's codec is picked: a checkout
-// asks for its response's through Accept, a checkin declares its body's
-// through Content-Type. Unknown or absent values mean JSON — an old
-// client can never receive a frame it does not understand.
-func negotiate(r *http.Request) (binary, compress bool) {
+// negotiate is the one place a request's codec is picked, true meaning
+// binary: a checkout asks for its response's through Accept, a checkin
+// declares its body's through Content-Type. Unknown or absent values
+// mean JSON — an old client can never receive a frame it does not
+// understand.
+func negotiate(r *http.Request) bool {
 	if r.Method == http.MethodPost {
-		return isBinaryContentType(r.Header.Get("Content-Type")), false
+		return isBinaryContentType(r.Header.Get("Content-Type"))
 	}
-	accept := r.Header.Get("Accept")
-	if accept == "" {
-		return false, false
-	}
-	for _, part := range strings.Split(accept, ",") {
-		mt, params, err := mime.ParseMediaType(strings.TrimSpace(part))
-		if err == nil && mt == ContentTypeBinary {
-			binary = true
-			compress = compress || params["compress"] == wireCompressFlate
+	for accept := r.Header.Get("Accept"); accept != ""; {
+		var part string
+		part, accept, _ = strings.Cut(accept, ",")
+		if isBinaryContentType(strings.TrimSpace(part)) {
+			return true
 		}
 	}
-	return binary, compress
+	return false
 }
 
 // isBinaryContentType reports whether a header value names the binary
-// media type (parameters ignored — the frame's own flag governs
-// compression).
+// media type (parameters ignored).
 func isBinaryContentType(ct string) bool {
 	if ct == ContentTypeBinary {
 		return true
@@ -200,7 +194,7 @@ func sinceParam(r *http.Request) (int, error) {
 // that refuses (a non-finite parameter has no JSON form) fails before
 // anything is written: 500, never a 200 with half a body.
 func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
-	binary, compress := negotiate(r)
+	binary := negotiate(r)
 	since := -1
 	if binary {
 		// Absent means a full frame; a malformed value is the client's
@@ -225,7 +219,7 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 		if d.Base != nil {
 			sc.idx, sc.vals = core.DiffParamsInto(sc.idx, sc.vals, d.Base, d.Params)
 		}
-		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, sc.idx, sc.vals, compress)
+		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, sc.idx, sc.vals, false)
 		if cap(sc.vals) <= maxPooledBuf/8 {
 			checkoutScratches.Put(sc)
 		}
@@ -290,7 +284,7 @@ func decodeCheckin(r *http.Request, sc *checkinScratch) (*core.CheckinRequest, e
 		return nil, fmt.Errorf("read checkin body: %v: %w", err, core.ErrBadCheckin)
 	}
 	fr := &sc.fr
-	if binary, _ := negotiate(r); binary {
+	if negotiate(r) {
 		if err := wirecodec.DecodeInto(fr, buf.b); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, core.ErrBadCheckin)
 		}
@@ -336,15 +330,6 @@ func (c *HTTPClient) WithWire(f WireFormat) *HTTPClient {
 	if f == WireBinaryDelta {
 		cp.delta = new(atomic.Pointer[clientSnapshot])
 	}
-	return &cp
-}
-
-// WithWireFlate returns a copy that additionally asks the server to
-// flate-compress its binary frames and compresses its own checkin
-// frames. Only meaningful combined with WireBinary/WireBinaryDelta.
-func (c *HTTPClient) WithWireFlate() *HTTPClient {
-	cp := *c
-	cp.wireFlate = true
 	return &cp
 }
 
@@ -395,11 +380,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 	}
 	since := -1
 	if c.wire != WireJSON {
-		accept := ContentTypeBinary
-		if c.wireFlate {
-			accept += ";compress=" + wireCompressFlate
-		}
-		hdr.Set("Accept", accept)
+		hdr.Set("Accept", ContentTypeBinary)
 		if base != nil {
 			since = base.version
 			url += "?since=" + strconv.Itoa(since)
@@ -513,7 +494,7 @@ func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *
 	defer sent.release()
 	if c.wire != WireJSON {
 		contentType = ContentTypeBinary
-		buf.b = wirecodec.AppendCheckin(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts, c.wireFlate)
+		buf.b = wirecodec.AppendCheckin(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts, false)
 	} else {
 		var err error
 		if buf.b, err = wirecodec.AppendCheckinJSON(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts); err != nil {

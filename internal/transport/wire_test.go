@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -226,7 +228,7 @@ func TestMalformedBinaryCheckinRejected(t *testing.T) {
 	defer ts.Close()
 
 	valid := wirecodec.AppendCheckin(nil, []float64{1, 0, 0, 0}, 0, 1, 0, []int{1, 0}, false)
-	wrongKind := wirecodec.AppendFull(nil, []float64{1, 2}, 3, false, false)
+	wrongKind := wirecodec.AppendFull(nil, []float64{1, 2}, 3, false)
 	cases := map[string][]byte{
 		"garbage":    []byte("not a frame at all"),
 		"empty":      {},
@@ -317,41 +319,40 @@ func TestBinaryErrorStaysJSON(t *testing.T) {
 	}
 }
 
-// TestWireFlateRoundTrip: compressed frames survive the full client flow
-// for both directions.
-func TestWireFlateRoundTrip(t *testing.T) {
+// TestCompressedCheckinRefusedBeforeAllocating: the flag bit that once
+// marked a flate payload is refused with 400 before the header sizes
+// anything. The 62-byte unauthenticated frame claims 8,000,000 gradient
+// values; the decoder used to allocate their 64 MB to inflate into before
+// it could say no.
+func TestCompressedCheckinRefusedBeforeAllocating(t *testing.T) {
 	hd, srv := newHandler(t)
-	ctx := context.Background()
-	token, _ := srv.RegisterDevice(ctx, "d1")
-	ts := httptest.NewServer(hd)
-	defer ts.Close()
-	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
-	cl := jsonCl.WithWire(WireBinaryDelta).WithWireFlate()
-
-	if err := cl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
-		t.Fatal(err)
+	frame := append([]byte(wirecodec.Magic), 1, wirecodec.KindCheckin, 1, 0) // codec 1, flags: bit 0
+	frame = binary.LittleEndian.AppendUint64(frame, 0)                       // version
+	frame = binary.LittleEndian.AppendUint64(frame, math.MaxUint64)          // since -1
+	frame = binary.LittleEndian.AppendUint32(frame, 8_000_000)               // dims
+	frame = binary.LittleEndian.AppendUint32(frame, 0)                       // count
+	frame = append(frame, make([]byte, 26)...)                               // the "compressed" payload
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	if len(frame) != 62 {
+		t.Fatalf("frame is %d bytes, want 62", len(frame))
 	}
-	want, err := jsonCl.Checkout(ctx, "d1", token)
-	if err != nil {
-		t.Fatal(err)
+	var code int
+	got := bytesPerRun(20, func() {
+		req := httptest.NewRequest(http.MethodPost, alphaPath("checkin"), bytes.NewReader(frame))
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		rec := httptest.NewRecorder()
+		hd.ServeHTTP(rec, req)
+		code = rec.Code
+	})
+	if code != http.StatusBadRequest {
+		t.Errorf("status = %d, want 400", code)
 	}
-	got, err := cl.Checkout(ctx, "d1", token)
-	if err != nil {
-		t.Fatal(err)
+	if got >= 64<<10 {
+		t.Errorf("refusing the frame allocated %.0f B, want < 64 KiB", got)
 	}
-	sameParams(t, got.Params, want.Params)
-	if err := cl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
-		t.Fatal(err)
+	if srv.Iteration() != 0 {
+		t.Error("the refused checkin advanced the model")
 	}
-	got2, err := cl.Checkout(ctx, "d1", token) // delta against the cache
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := jsonCl.Checkout(ctx, "d1", token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameParams(t, got2.Params, want2.Params)
 }
 
 // TestDeltaCacheResyncAfterImport: an ImportState that rewinds the

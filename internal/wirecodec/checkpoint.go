@@ -75,11 +75,7 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint, n int, row func(i int) Checkpo
 		return dst, fmt.Errorf("%w: negative checkpoint iteration", ErrFrame)
 	}
 	start := len(dst)
-	var flags uint16
-	if cp.Stopped {
-		flags = FlagDone
-	}
-	dst = appendHeader(dst, KindCheckpoint, flags, int64(cp.Iteration), -1, uint32(len(cp.Params)), uint32(n))
+	dst = appendHeader(dst, KindCheckpoint, doneFlag(cp.Stopped), int64(cp.Iteration), -1, uint32(len(cp.Params)), uint32(n))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(cp.SavedAtUnixMillis))
 	dst = appendFloats(dst, cp.Params)
 	dst = binary.AppendUvarint(dst, uint64(len(cp.UpdaterState)))
@@ -100,7 +96,7 @@ func AppendCheckpoint(dst []byte, cp *Checkpoint, n int, row func(i int) Checkpo
 	if size := len(dst) - start + crcLen; size > MaxPayload {
 		return dst[:start], fmt.Errorf("%w: checkpoint frame of %d bytes exceeds %d", ErrFrame, size, MaxPayload)
 	}
-	return finishFrame(dst, start, false), nil
+	return finishFrame(dst, start), nil
 }
 
 // payloadReader walks a checkpoint payload. The first malformed field

@@ -153,7 +153,7 @@ func TestCheckpointRefused(t *testing.T) {
 	// Damage under a valid CRC: only the decoder's own checks stand
 	// between these and a panic or a forged allocation.
 	reseal := func(b []byte) []byte {
-		return finishFrame(b[:len(b)-crcLen], 0, false)
+		return finishFrame(b[:len(b)-crcLen], 0)
 	}
 	for name, edit := range map[string]func(b []byte) []byte{
 		"journal kind":       func(b []byte) []byte { b[5] = KindJournal; return b },

@@ -10,17 +10,17 @@ import (
 
 // FuzzDecodeFrame throws arbitrary bytes at Decode. The invariants: no
 // panic, no unvalidated success (a decoded frame must satisfy the
-// documented field constraints), and every valid encoder output decodes
-// back (seeded below, mutated by the fuzzer).
+// documented field constraints), every valid encoder output decodes
+// back (seeded below, mutated by the fuzzer), and a message has one
+// encoding: a decoded full, checkin or journal frame re-encodes to the
+// very bytes it came from.
 func FuzzDecodeFrame(f *testing.F) {
 	params := []float64{1.5, -2.25, 0, math.Pi, 1e-300}
-	f.Add(AppendFull(nil, params, 7, true, false))
-	f.Add(AppendFull(nil, params, 7, false, true))
+	f.Add(AppendFull(nil, params, 7, true))
 	f.Add(AppendCheckout(nil, params, 9, false, 4, []uint32{1, 3}, []float64{8, -8}, false))
-	f.Add(AppendCheckout(nil, params, 9, false, 4, []uint32{0, 1, 2, 3, 4}, params, true))
+	f.Add(AppendCheckout(nil, params, 9, false, 4, []uint32{0, 1, 2, 3, 4}, params, false))
 	f.Add(AppendCheckout(nil, params, 9, true, 9, nil, nil, false))
 	f.Add(AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, false))
-	f.Add(AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, true))
 	journal, err := AppendJournal(nil, journalFrame())
 	if err != nil {
 		f.Fatal(err)
@@ -29,6 +29,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendJournalEOS(nil, 12))
 	f.Add([]byte(Magic))
 	f.Add(make([]byte, HeaderLen+crcLen))
+	// What old WithWireFlate clients sent: bit 0 set under a valid CRC.
+	for _, fr := range [][]byte{AppendFull(nil, params, 7, false), AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, false)} {
+		fr[6] |= 1
+		f.Add(finishFrame(fr[:len(fr)-crcLen], 0))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := Decode(b)
@@ -42,6 +47,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		case KindFull:
 			if len(fr.Values) != fr.Dims || fr.Since != -1 {
 				t.Fatalf("inconsistent full frame: %+v", fr)
+			}
+			if !bytes.Equal(AppendFull(nil, fr.Values, fr.Version, fr.Done), b) {
+				t.Fatalf("re-encoding a decoded full frame changed its bytes")
 			}
 		case KindDelta:
 			if fr.Since < 0 || fr.Since > fr.Version {
@@ -66,6 +74,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		case KindCheckin:
 			if len(fr.Values) != fr.Dims {
 				t.Fatalf("inconsistent checkin gradient: %+v", fr)
+			}
+			if !bytes.Equal(AppendCheckin(nil, fr.Values, fr.Version, fr.NumSamples, fr.ErrCount, fr.LabelCounts, false), b) {
+				t.Fatalf("re-encoding a decoded checkin frame changed its bytes")
 			}
 		case KindJournal:
 			if len(fr.Values) != fr.Dims || fr.Iteration < 0 || fr.Since != -1 {

@@ -6,7 +6,7 @@
 //	0       4     magic "CMW1"
 //	4       1     codec version (1)
 //	5       1     kind (full=1, delta=2, checkin=3, journal=4, checkpoint=5)
-//	6       2     flags (uint16 LE: compressed, done, sparse, eos)
+//	6       2     flags (uint16 LE: done, sparse, eos; bit 0 refused)
 //	8       8     version (int64 LE): the model iteration the frame
 //	              describes; for checkin frames, the echoed checkout
 //	              Version the gradient was computed against; for
@@ -19,7 +19,7 @@
 //	28      4     count (uint32 LE): payload element count — dims for
 //	              full frames, sparse-pair count for sparse deltas,
 //	              label-class count for checkins and journal frames
-//	32      —     payload (flate-compressed when the flag is set)
+//	32      —     payload
 //	last 4        CRC32-IEEE (uint32 LE) over everything before it
 //
 // Payloads are little-endian float64s: a full frame carries dims
@@ -35,12 +35,12 @@
 // and the replication feed's unit. Its payload is five 8-byte scalars
 // (AtUnixMillis, GradNorm1, the echoed checkout Version, NumSamples,
 // ErrCount), the dims gradient values, count int64 label counts, then
-// the device ID's bytes. Journal frames are never compressed (Laplace-
-// noised gradients do not compress), so every length that makes up the
-// frame sits in the fixed header: JournalFrameLen computes the total
-// from the header alone and a reader can hop over a frame — or pick out
-// its iteration — without touching the payload. With FlagEOS the frame
-// is header-only: the marker that ends a complete journal feed.
+// the device ID's bytes. No payload is compressed (Laplace-noised
+// gradients do not compress), so every length that makes up a frame sits
+// in the fixed header: JournalFrameLen computes the total from the
+// header alone and a reader can hop over a frame — or pick out its
+// iteration — without touching the payload. With FlagEOS the frame is
+// header-only: the marker that ends a complete journal feed.
 //
 // A checkpoint frame (KindCheckpoint, checkpoint.go) shares the header
 // and the trailer but carries varint counters, so it is read whole by
@@ -52,8 +52,6 @@
 package wirecodec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -61,7 +59,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Frame kinds.
@@ -78,10 +75,9 @@ const (
 	KindJournal = 4
 )
 
-// Frame flags.
+// Frame flags. Bit 0 once marked a flate-compressed payload; it is
+// refused like every bit a frame's kind does not define.
 const (
-	// FlagCompressed marks a flate-compressed payload.
-	FlagCompressed = 1 << 0
 	// FlagDone mirrors CheckoutResponse.Done: the task has stopped.
 	FlagDone = 1 << 1
 	// FlagSparse marks a delta payload of (index, value) pairs instead
@@ -106,10 +102,6 @@ const (
 	// request bodies identically), so a forged count field cannot make
 	// Decode allocate unbounded memory.
 	MaxPayload = 64 << 20
-
-	// compressMin is the smallest payload worth running through flate;
-	// below it the frame is sent raw even when compression was asked for.
-	compressMin = 64
 )
 
 // ErrFrame is wrapped by every Decode failure, so transports can map
@@ -153,13 +145,6 @@ type Frame struct {
 	GradNorm1    float64
 }
 
-// scratch pools raw-payload staging buffers for the compressing encoders.
-var scratch = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// flateWriters pools flate writers (their allocation dwarfs everything
-// else on a compressed encode).
-var flateWriters = sync.Pool{}
-
 func appendHeader(dst []byte, kind byte, flags uint16, version, since int64, dims, count uint32) []byte {
 	dst = append(dst, Magic...)
 	dst = append(dst, codecVer, kind)
@@ -171,37 +156,8 @@ func appendHeader(dst []byte, kind byte, flags uint16, version, since int64, dim
 	return dst
 }
 
-// appendPayload appends raw, flate-compressing when compress is set and
-// the compressed form is actually smaller; it reports whether it was.
-func appendPayload(dst, raw []byte, compress bool) ([]byte, bool) {
-	if !compress || len(raw) < compressMin {
-		return append(dst, raw...), false
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(raw))
-	fw, _ := flateWriters.Get().(*flate.Writer)
-	if fw == nil {
-		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
-	} else {
-		fw.Reset(&buf)
-	}
-	_, werr := fw.Write(raw)
-	cerr := fw.Close()
-	flateWriters.Put(fw)
-	if werr != nil || cerr != nil || buf.Len() >= len(raw) {
-		return append(dst, raw...), false
-	}
-	return append(dst, buf.Bytes()...), true
-}
-
-// finishFrame stamps the compressed flag (encoders only learn whether
-// compression won after the payload is in place) and appends the CRC
-// trailer over the frame built at dst[start:].
-func finishFrame(dst []byte, start int, compressed bool) []byte {
-	if compressed {
-		flags := binary.LittleEndian.Uint16(dst[start+6:])
-		binary.LittleEndian.PutUint16(dst[start+6:], flags|FlagCompressed)
-	}
+// finishFrame appends the CRC trailer over the frame built at dst[start:].
+func finishFrame(dst []byte, start int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
@@ -212,21 +168,20 @@ func appendFloats(dst []byte, vals []float64) []byte {
 	return dst
 }
 
+func doneFlag(done bool) uint16 {
+	if done {
+		return FlagDone
+	}
+	return 0
+}
+
 // AppendFull appends a full-vector frame to dst and returns the
 // extended buffer.
-func AppendFull(dst []byte, params []float64, version int, done, compress bool) []byte {
-	start := len(dst)
-	var flags uint16
-	if done {
-		flags |= FlagDone
-	}
-	n := uint32(len(params))
-	dst = appendHeader(dst, KindFull, flags, int64(version), -1, n, n)
-	raw := (*scratch.Get().(*[]byte))[:0]
-	raw = appendFloats(raw, params)
-	dst, compressed := appendPayload(dst, raw, compress)
-	scratch.Put(&raw)
-	return finishFrame(dst, start, compressed)
+func AppendFull(dst []byte, params []float64, version int, done bool) []byte {
+	dst = slices.Grow(dst, HeaderLen+8*len(params)+crcLen)
+	start, n := len(dst), uint32(len(params))
+	dst = appendHeader(dst, KindFull, doneFlag(done), int64(version), -1, n, n)
+	return finishFrame(appendFloats(dst, params), start)
 }
 
 // AppendCheckout appends the negotiated checkout frame: a full frame
@@ -234,59 +189,56 @@ func AppendFull(dst []byte, params []float64, version int, done, compress bool) 
 // sparse and dense delta forms. indices/values list the coordinates
 // that changed between iteration since and version, carrying the NEW
 // absolute values; params is the complete current vector the dense
-// form falls back to.
+// form falls back to. Like every encoder here it writes straight into
+// dst, so appending into a reused buffer allocates nothing.
+//
+// The trailing compress argument is ignored (Deprecated: frames are
+// never compressed; it stays only until benchmark/ladder.go stops
+// passing it).
 func AppendCheckout(dst []byte, params []float64, version int, done bool, since int, indices []uint32, values []float64, compress bool) []byte {
 	if since < 0 {
-		return AppendFull(dst, params, version, done, compress)
-	}
-	start := len(dst)
-	var flags uint16
-	if done {
-		flags |= FlagDone
+		return AppendFull(dst, params, version, done)
 	}
 	n := uint32(len(params))
-	raw := (*scratch.Get().(*[]byte))[:0]
 	if sparseBytes := 12 * len(indices); sparseBytes < 8*len(params) {
-		flags |= FlagSparse
-		dst = appendHeader(dst, KindDelta, flags, int64(version), int64(since), n, uint32(len(indices)))
+		dst = slices.Grow(dst, HeaderLen+sparseBytes+crcLen)
+		start := len(dst)
+		dst = appendHeader(dst, KindDelta, doneFlag(done)|FlagSparse, int64(version), int64(since), n, uint32(len(indices)))
 		for i, idx := range indices {
-			raw = binary.LittleEndian.AppendUint32(raw, idx)
-			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(values[i]))
+			dst = binary.LittleEndian.AppendUint32(dst, idx)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(values[i]))
 		}
-	} else {
-		dst = appendHeader(dst, KindDelta, flags, int64(version), int64(since), n, n)
-		raw = appendFloats(raw, params)
+		return finishFrame(dst, start)
 	}
-	dst, compressed := appendPayload(dst, raw, compress)
-	scratch.Put(&raw)
-	return finishFrame(dst, start, compressed)
+	dst = slices.Grow(dst, HeaderLen+8*len(params)+crcLen)
+	start := len(dst)
+	dst = appendHeader(dst, KindDelta, doneFlag(done), int64(version), int64(since), n, n)
+	return finishFrame(appendFloats(dst, params), start)
 }
 
 // AppendCheckin appends a device checkin frame: the sanitized gradient,
-// the echoed checkout version, and the paper's counters.
+// the echoed checkout version, and the paper's counters. The trailing
+// compress argument is ignored (Deprecated: as AppendCheckout's).
 func AppendCheckin(dst []byte, grad []float64, version, numSamples, errCount int, labelCounts []int, compress bool) []byte {
+	dst = slices.Grow(dst, HeaderLen+8*len(grad)+16+8*len(labelCounts)+crcLen)
 	start := len(dst)
 	dst = appendHeader(dst, KindCheckin, 0, int64(version), -1,
 		uint32(len(grad)), uint32(len(labelCounts)))
-	raw := (*scratch.Get().(*[]byte))[:0]
-	raw = appendFloats(raw, grad)
-	raw = binary.LittleEndian.AppendUint64(raw, uint64(int64(numSamples)))
-	raw = binary.LittleEndian.AppendUint64(raw, uint64(int64(errCount)))
+	dst = appendFloats(dst, grad)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(numSamples)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(errCount)))
 	for _, c := range labelCounts {
-		raw = binary.LittleEndian.AppendUint64(raw, uint64(int64(c)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(c)))
 	}
-	dst, compressed := appendPayload(dst, raw, compress)
-	scratch.Put(&raw)
-	return finishFrame(dst, start, compressed)
+	return finishFrame(dst, start)
 }
 
 // AppendJournal appends one journal record built from fr's journal
 // fields (Iteration, DeviceID, AtUnixMillis, GradNorm1, Version, Values
-// as the gradient, NumSamples, ErrCount, LabelCounts). It writes straight
-// into dst — no staging buffer, no compression — so appending into a
-// reused buffer allocates nothing. A record Decode would refuse (negative
-// iteration, payload over MaxPayload) is an error here: an acknowledged
-// checkin must never be written in a form recovery cannot read back.
+// as the gradient, NumSamples, ErrCount, LabelCounts) straight into dst.
+// A record Decode would refuse (negative iteration, payload over
+// MaxPayload) is an error here: an acknowledged checkin must never be
+// written in a form recovery cannot read back.
 func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
 	n, err := journalPayloadLen(0, int64(fr.Iteration), int64(len(fr.DeviceID)),
 		uint64(len(fr.Values)), uint64(len(fr.LabelCounts)))
@@ -309,7 +261,7 @@ func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(c)))
 	}
 	dst = append(dst, fr.DeviceID...)
-	return finishFrame(dst, start, false), nil
+	return finishFrame(dst, start), nil
 }
 
 // AppendJournalEOS appends the header-only marker that ends a complete
@@ -317,7 +269,7 @@ func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
 func AppendJournalEOS(dst []byte, iteration int) []byte {
 	start := len(dst)
 	dst = appendHeader(dst, KindJournal, FlagEOS, int64(iteration), 0, 0, 0)
-	return finishFrame(dst, start, false)
+	return finishFrame(dst, start)
 }
 
 // journalPayloadLen is the one place a journal frame's header fields
@@ -405,9 +357,9 @@ func ReadJournal(r io.Reader, buf []byte) (*Frame, []byte, error) {
 
 // Decode parses and validates one frame. Every failure wraps ErrFrame:
 // a short buffer, a CRC mismatch (truncation or corruption), an unknown
-// magic/version/kind, a count field inconsistent with the payload, or a
-// sparse index out of range. The returned Frame owns its slices; b may
-// be reused immediately.
+// magic/version/kind, a flag the kind does not define, a count field
+// inconsistent with the payload, or a sparse index out of range. The
+// returned Frame owns its slices; b may be reused immediately.
 func Decode(b []byte) (*Frame, error) {
 	fr := new(Frame)
 	if err := DecodeInto(fr, b); err != nil {
@@ -426,7 +378,6 @@ func DecodeInto(fr *Frame, b []byte) error {
 	if err != nil {
 		return err
 	}
-	body := b[:len(b)-crcLen]
 	scratch := fr.Values
 	*fr = Frame{
 		Kind:    b[5],
@@ -441,11 +392,15 @@ func DecodeInto(fr *Frame, b []byte) error {
 		return fmt.Errorf("%w: negative version/since", ErrFrame)
 	}
 
-	// Work out the expected raw payload size per kind BEFORE touching the
+	// Work out the expected payload size per kind BEFORE touching the
 	// payload, so a forged header cannot trigger an oversized allocation.
+	// defined is the flag bits the kind may carry: any other — bit 0,
+	// which once marked a flate payload, among them — is refused.
 	var expect int
+	var defined uint16
 	switch fr.Kind {
 	case KindFull:
+		defined = FlagDone
 		if count != fr.Dims {
 			return fmt.Errorf("%w: full frame count %d != dims %d", ErrFrame, count, fr.Dims)
 		}
@@ -454,6 +409,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 		}
 		expect = 8 * count
 	case KindDelta:
+		defined = FlagDone | FlagSparse
 		if fr.Since < 0 {
 			return fmt.Errorf("%w: delta frame without a since", ErrFrame)
 		}
@@ -474,6 +430,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 	case KindCheckin:
 		expect = 8*fr.Dims + 16 + 8*count
 	case KindJournal:
+		defined = FlagEOS
 		var err error
 		if expect, err = journalPayloadLen(flags, int64(fr.Version), int64(fr.Since),
 			uint64(fr.Dims), uint64(count)); err != nil {
@@ -484,23 +441,15 @@ func DecodeInto(fr *Frame, b []byte) error {
 	default:
 		return fmt.Errorf("%w: unknown kind %d", ErrFrame, fr.Kind)
 	}
+	if flags&^defined != 0 {
+		return fmt.Errorf("%w: kind %d frame with flags %#x", ErrFrame, fr.Kind, flags)
+	}
 	if fr.Dims < 0 || count < 0 || expect < 0 || expect > MaxPayload {
 		return fmt.Errorf("%w: implausible payload size", ErrFrame)
 	}
 
-	payload := body[HeaderLen:]
-	if flags&FlagCompressed != 0 {
-		out := make([]byte, expect)
-		zr := flate.NewReader(bytes.NewReader(payload))
-		if _, err := io.ReadFull(zr, out); err != nil {
-			return fmt.Errorf("%w: flate payload: %v", ErrFrame, err)
-		}
-		var tail [1]byte
-		if n, err := zr.Read(tail[:]); n != 0 || err != io.EOF {
-			return fmt.Errorf("%w: trailing compressed data", ErrFrame)
-		}
-		payload = out
-	} else if len(payload) != expect {
+	payload := b[HeaderLen : len(b)-crcLen]
+	if len(payload) != expect {
 		return fmt.Errorf("%w: payload %d bytes, want %d", ErrFrame, len(payload), expect)
 	}
 

@@ -18,21 +18,22 @@ func randVec(r *rand.Rand, n int) []float64 {
 
 func TestFullRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, compress := range []bool{false, true} {
-		for _, n := range []int{0, 1, 7, 500, 4096} {
-			params := randVec(r, n)
-			b := AppendFull(nil, params, 42, true, compress)
-			fr, err := Decode(b)
-			if err != nil {
-				t.Fatalf("n=%d compress=%v: %v", n, compress, err)
-			}
-			if fr.Kind != KindFull || fr.Version != 42 || !fr.Done || fr.Since != -1 || fr.Dims != n {
-				t.Fatalf("n=%d: bad header %+v", n, fr)
-			}
-			for i := range params {
-				if math.Float64bits(fr.Values[i]) != math.Float64bits(params[i]) {
-					t.Fatalf("n=%d: value %d: %v != %v", n, i, fr.Values[i], params[i])
-				}
+	for _, n := range []int{0, 1, 7, 500, 4096} {
+		params := randVec(r, n)
+		b := AppendFull(nil, params, 42, true)
+		if len(b) != HeaderLen+8*n+crcLen {
+			t.Fatalf("n=%d: frame is %d bytes, want %d", n, len(b), HeaderLen+8*n+crcLen)
+		}
+		fr, err := Decode(b)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if fr.Kind != KindFull || fr.Version != 42 || !fr.Done || fr.Since != -1 || fr.Dims != n {
+			t.Fatalf("n=%d: bad header %+v", n, fr)
+		}
+		for i := range params {
+			if math.Float64bits(fr.Values[i]) != math.Float64bits(params[i]) {
+				t.Fatalf("n=%d: value %d: %v != %v", n, i, fr.Values[i], params[i])
 			}
 		}
 	}
@@ -49,28 +50,26 @@ func TestSparseDeltaRoundTrip(t *testing.T) {
 		indices = append(indices, uint32(i))
 		values = append(values, cur[i])
 	}
-	for _, compress := range []bool{false, true} {
-		b := AppendCheckout(nil, cur, 9, false, 5, indices, values, compress)
-		fr, err := Decode(b)
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
+	b := AppendCheckout(nil, cur, 9, false, 5, indices, values, false)
+	fr, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Kind != KindDelta || !fr.Sparse || fr.Version != 9 || fr.Since != 5 || fr.Done {
+		t.Fatalf("bad header %+v", fr)
+	}
+	held := append([]float64(nil), base...)
+	got, err := ApplyDelta(base, fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cur {
+		if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
+			t.Fatalf("applied value %d: %v != %v", i, got[i], cur[i])
 		}
-		if fr.Kind != KindDelta || !fr.Sparse || fr.Version != 9 || fr.Since != 5 || fr.Done {
-			t.Fatalf("bad header %+v", fr)
-		}
-		held := append([]float64(nil), base...)
-		got, err := ApplyDelta(base, fr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cur {
-			if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
-				t.Fatalf("applied value %d: %v != %v", i, got[i], cur[i])
-			}
-			// base is some caller's immutable snapshot.
-			if math.Float64bits(base[i]) != math.Float64bits(held[i]) {
-				t.Fatalf("ApplyDelta wrote base[%d]", i)
-			}
+		// base is some caller's immutable snapshot.
+		if math.Float64bits(base[i]) != math.Float64bits(held[i]) {
+			t.Fatalf("ApplyDelta wrote base[%d]", i)
 		}
 	}
 }
@@ -133,22 +132,20 @@ func TestCheckinRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	grad := randVec(r, 120)
 	labels := []int{3, 0, 9}
-	for _, compress := range []bool{false, true} {
-		b := AppendCheckin(nil, grad, 11, 5, 2, labels, compress)
-		fr, err := Decode(b)
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if fr.Kind != KindCheckin || fr.Version != 11 || fr.NumSamples != 5 || fr.ErrCount != 2 {
-			t.Fatalf("bad frame %+v", fr)
-		}
-		if len(fr.LabelCounts) != 3 || fr.LabelCounts[0] != 3 || fr.LabelCounts[2] != 9 {
-			t.Fatalf("bad label counts %v", fr.LabelCounts)
-		}
-		for i := range grad {
-			if math.Float64bits(fr.Values[i]) != math.Float64bits(grad[i]) {
-				t.Fatalf("grad value %d mismatch", i)
-			}
+	b := AppendCheckin(nil, grad, 11, 5, 2, labels, false)
+	fr, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Kind != KindCheckin || fr.Version != 11 || fr.NumSamples != 5 || fr.ErrCount != 2 {
+		t.Fatalf("bad frame %+v", fr)
+	}
+	if len(fr.LabelCounts) != 3 || fr.LabelCounts[0] != 3 || fr.LabelCounts[2] != 9 {
+		t.Fatalf("bad label counts %v", fr.LabelCounts)
+	}
+	for i := range grad {
+		if math.Float64bits(fr.Values[i]) != math.Float64bits(grad[i]) {
+			t.Fatalf("grad value %d mismatch", i)
 		}
 	}
 }
@@ -156,7 +153,7 @@ func TestCheckinRoundTrip(t *testing.T) {
 // TestTruncationDetected chops a valid frame at every possible length;
 // no prefix may decode successfully (the CRC trailer covers it all).
 func TestTruncationDetected(t *testing.T) {
-	b := AppendFull(nil, []float64{1.5, -2.25, 3}, 8, false, false)
+	b := AppendFull(nil, []float64{1.5, -2.25, 3}, 8, false)
 	for n := 0; n < len(b); n++ {
 		if _, err := Decode(b[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", n, len(b))
@@ -178,26 +175,67 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	valid := AppendFull(nil, []float64{1}, 0, false, false)
-	reencode := func(mutate func(b []byte)) []byte {
+	full := AppendFull(nil, []float64{1}, 0, false)
+	delta := AppendCheckout(nil, []float64{1, 2}, 3, false, 2, []uint32{1}, []float64{5}, false)
+	checkin := AppendCheckin(nil, []float64{1, 2}, 0, 1, 0, []int{1}, false)
+	reencode := func(valid []byte, mutate func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		mutate(b)
 		// Re-stamp the CRC so the mutation reaches the semantic checks.
-		return finishFrame(b[:len(b)-crcLen], 0, false)
+		return finishFrame(b[:len(b)-crcLen], 0)
 	}
 	cases := map[string][]byte{
 		"empty":       nil,
-		"bad magic":   reencode(func(b []byte) { b[0] = 'X' }),
-		"bad version": reencode(func(b []byte) { b[4] = 99 }),
-		"bad kind":    reencode(func(b []byte) { b[5] = 42 }),
-		"full with since": reencode(func(b []byte) {
+		"bad magic":   reencode(full, func(b []byte) { b[0] = 'X' }),
+		"bad version": reencode(full, func(b []byte) { b[4] = 99 }),
+		"bad kind":    reencode(full, func(b []byte) { b[5] = 42 }),
+		"full with since": reencode(full, func(b []byte) {
 			b[16] = 3 // since 3 on a full frame
 		}),
-		"count mismatch": reencode(func(b []byte) { b[28] = 7 }),
+		"count mismatch": reencode(full, func(b []byte) { b[28] = 7 }),
+		// Bit 0 once marked a flate payload; every kind now refuses it,
+		// and each refuses the bits only other kinds define.
+		"full, bit 0":       reencode(full, func(b []byte) { b[6] |= 1 }),
+		"full, sparse":      reencode(full, func(b []byte) { b[6] |= FlagSparse }),
+		"delta, bit 0":      reencode(delta, func(b []byte) { b[6] |= 1 }),
+		"delta, eos":        reencode(delta, func(b []byte) { b[6] |= FlagEOS }),
+		"checkin, bit 0":    reencode(checkin, func(b []byte) { b[6] |= 1 }),
+		"checkin, done":     reencode(checkin, func(b []byte) { b[6] |= FlagDone }),
+		"checkin, high bit": reencode(checkin, func(b []byte) { b[7] |= 0x80 }),
 	}
 	for name, b := range cases {
-		if _, err := Decode(b); err == nil {
-			t.Errorf("%s: decoded successfully", name)
+		if _, err := Decode(b); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: Decode err = %v, want ErrFrame", name, err)
+		}
+	}
+}
+
+// TestBinaryEncodersAllocateNothing: every device-message encoder writes
+// straight into dst, so encoding into a buffer that already has room
+// allocates nothing, and the frame is exactly header + payload + CRC.
+func TestBinaryEncodersAllocateNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	params := randVec(r, 500)
+	few := []uint32{3, 99, 400}
+	fewVals := []float64{params[3], params[99], params[400]}
+	many := make([]uint32, 400)
+	manyVals := make([]float64, len(many))
+	for i := range many {
+		many[i], manyVals[i] = uint32(i), params[i]
+	}
+	labels := []int{4, 0, 6, 1, 9, 0, 0, 2, 3, 5}
+	for name, enc := range map[string]func([]byte) []byte{
+		"full":         func(b []byte) []byte { return AppendCheckout(b, params, 7, false, -1, nil, nil, false) },
+		"sparse delta": func(b []byte) []byte { return AppendCheckout(b, params, 7, false, 5, few, fewVals, false) },
+		"dense delta":  func(b []byte) []byte { return AppendCheckout(b, params, 7, false, 5, many, manyVals, false) },
+		"checkin":      func(b []byte) []byte { return AppendCheckin(b, params, 7, 20, 3, labels, false) },
+	} {
+		buf := enc(nil)
+		if _, err := Decode(buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = enc(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: encoding into a warm buffer allocates %.0f times, want 0", name, allocs)
 		}
 	}
 }
@@ -211,30 +249,12 @@ func TestSparseIndexOutOfRange(t *testing.T) {
 
 func TestAppendExtendsDst(t *testing.T) {
 	prefix := []byte("prefix")
-	b := AppendFull(prefix, []float64{1, 2}, 1, false, false)
+	b := AppendFull(prefix, []float64{1, 2}, 1, false)
 	if string(b[:6]) != "prefix" {
 		t.Fatal("AppendFull clobbered dst")
 	}
 	if _, err := Decode(b[6:]); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCompressionWins verifies a compressible payload actually shrinks
-// on the wire and still round-trips exactly.
-func TestCompressionWins(t *testing.T) {
-	params := make([]float64, 1000) // all zero: maximally compressible
-	raw := AppendFull(nil, params, 1, false, false)
-	comp := AppendFull(nil, params, 1, false, true)
-	if len(comp) >= len(raw) {
-		t.Fatalf("compressed frame %d bytes >= raw %d", len(comp), len(raw))
-	}
-	fr, err := Decode(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Values) != 1000 {
-		t.Fatalf("got %d values", len(fr.Values))
 	}
 }
 
@@ -314,10 +334,10 @@ func TestJournalRejects(t *testing.T) {
 	restamp := func(mutate func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		mutate(b)
-		return finishFrame(b[:len(b)-crcLen], 0, false)
+		return finishFrame(b[:len(b)-crcLen], 0)
 	}
 	for name, b := range map[string][]byte{
-		"compressed flag":    restamp(func(b []byte) { b[6] |= FlagCompressed }),
+		"bit 0 (was flate)":  restamp(func(b []byte) { b[6] |= 1 }),
 		"done flag":          restamp(func(b []byte) { b[6] |= FlagDone }),
 		"EOS with payload":   restamp(func(b []byte) { b[6] = FlagEOS }),
 		"negative iteration": restamp(func(b []byte) { b[15] = 0x80 }),
@@ -335,7 +355,7 @@ func TestJournalRejects(t *testing.T) {
 			t.Errorf("%s: JournalFrameLen err = %v, Decode err = %v; want ErrFrame from both", name, hdrErr, decErr)
 		}
 	}
-	if _, _, err := JournalFrameLen(AppendFull(nil, []float64{1}, 0, false, false)); !errors.Is(err, ErrFrame) {
+	if _, _, err := JournalFrameLen(AppendFull(nil, []float64{1}, 0, false)); !errors.Is(err, ErrFrame) {
 		t.Errorf("JournalFrameLen accepted a full frame's header: %v", err)
 	}
 	if _, err := AppendJournal(nil, &Frame{Iteration: -1}); !errors.Is(err, ErrFrame) {
