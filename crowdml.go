@@ -103,10 +103,11 @@ type StateExporter = optimizer.StateExporter
 // a single lock acquisition.
 type Server = core.Server
 
-// ServerConfig configures a Server. Note the OnCheckin contracts: hooks
-// run outside the server's parameter lock, sequentially in iteration
-// order, and the request they are handed is only valid until they
-// return (a hook that keeps the gradient copies it).
+// ServerConfig configures a Server. Note the OnCommit contracts: it runs
+// once per applying batch, outside the server's parameter lock and before
+// any of the batch's Checkin calls return, its records are in iteration
+// order, and they are only valid until it returns (a sink that keeps the
+// gradient copies it). A durable hub task's OnCommit is its journal.
 type ServerConfig = core.ServerConfig
 
 // NewServer constructs a standalone server. Most deployments should

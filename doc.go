@@ -44,10 +44,11 @@
 //     acquisition. Algorithm 2 semantics are preserved
 //     delta by delta (per-checkin iteration number, η(t) step, staleness
 //     accounting, ρ-stop evaluation); Checkin stays synchronous.
-//   - ServerConfig.OnCheckin runs OUTSIDE the parameter critical section,
-//     invoked by the batch leader sequentially in iteration order after
-//     the updates are applied — journaling never extends the lock hold
-//     or blocks reads (later checkins queue behind a slow hook).
+//   - ServerConfig.OnCommit runs OUTSIDE the parameter critical section:
+//     the batch leader calls it once per applying batch, with the batch's
+//     records in iteration order, after the updates are applied —
+//     journaling never extends the lock hold or blocks reads (later
+//     checkins queue behind a slow commit).
 //
 // # Durability and recovery
 //
@@ -111,13 +112,12 @@
 // guidance.
 //
 // The ordering contract, per applied checkin at iteration t of a
-// durable task: (1) the delta is applied in memory; (2) the hub appends
-// t's journal record; (3) the user's OnCheckin hook for t runs — it can
-// rely on t's record being written; (4) once the whole batch's hooks
-// have run, the batch's single group-commit point (OnBatchCommit —
-// under SyncBatch, the fsync); (5) the originating Checkin returns.
-// Rotation never reorders any of this: it only decides which segment
-// file step (2) appends to. The converse edge is at-least-once: a crash
+// durable task: (1) the delta is applied in memory; (2) the batch's one
+// OnCommit call — the hub's journal — appends t's record with the rest
+// of the batch's, in iteration order; (3) under SyncBatch, the same call
+// then fsyncs once for the whole batch; (4) the originating Checkin
+// returns. Rotation never reorders any of this: it only decides which
+// segment file step (2) appends to. The converse edge is at-least-once: a crash
 // after the journal append but before the device saw the acknowledgment
 // replays the checkin on recovery, and a device that retries it
 // contributes that minibatch twice. The retry resends the same sanitized

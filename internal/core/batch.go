@@ -12,14 +12,10 @@ import (
 // only when the checkin takes the queued slow path; a fast-path checkin
 // is applied directly by its own goroutine and never needs it.
 type pendingCheckin struct {
-	ctx      context.Context
 	deviceID string
 	req      *CheckinRequest
 	grad     *linalg.Matrix
 	done     chan error
-
-	// iteration is the t assigned at apply time, for the OnCheckin hook.
-	iteration int
 
 	// abandoned is set when this item's own Checkin call is unwinding
 	// from a leader panic while the item is still queued: its caller has
@@ -47,7 +43,7 @@ type pendingCheckin struct {
 func (s *Server) submit(ctx context.Context, p *pendingCheckin) error {
 	select {
 	case s.leaderSem <- struct{}{}:
-		// Release via defer: a panic in a user-supplied Updater or hook
+		// Release via defer: a panic in a user-supplied Updater or OnCommit
 		// must not wedge the applier (the old per-checkin mutex was
 		// likewise defer-released).
 		return func() error {
@@ -139,12 +135,13 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 }
 
 // applyBatch applies a group of checkins under one acquisition of the
-// parameter lock, then — outside the critical section — runs the
-// OnCheckin hooks in iteration order. It returns the first item's result
-// (leadFast's own). The checkout snapshot is republished
-// once per batch, inside the critical section (see applyBatchLocked), so
-// the parameter copy is amortized over the batch and no acknowledged
-// checkin is ever invisible to a later checkout.
+// parameter lock, then — outside the critical section — hands the
+// applied items' records to OnCommit in one call, and only then releases
+// the waiters. It returns the first item's result (leadFast's own). The
+// checkout snapshot is republished once per batch, inside the critical
+// section (see applyBatchLocked), so the parameter copy is amortized over
+// the batch and no acknowledged checkin is ever invisible to a later
+// checkout.
 //
 // Algorithm 2 semantics are preserved delta by delta: each checkin gets
 // its own iteration number t, its own η(t) update step, its own staleness
@@ -152,191 +149,101 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 // the stopping rule (a checkin later in the batch observes the stop
 // tripped by an earlier one and is rejected, exactly as if it had lost a
 // per-checkin lock race).
-// applyBatch also delivers each queued waiter's result on its done
-// channel (fast-path leaders have no channel and read the return value
-// directly); delivery is guaranteed even when a callback panics, so
-// waiters never hang on a dead leader. The hook invariant is likewise
-// unconditional: every applied (hence acknowledged-as-success) checkin
-// gets its OnCheckin call even when the Updater panicked later in the
-// batch — a write-ahead journal hook that missed an acknowledged
-// iteration would leave an unrecoverable gap in the log.
+//
+// The commit and the delivery run in one deferred function, so they hold
+// on the panic path too. A panicking Updater still leaves every waiter
+// with an answer (no waiter hangs on a dead leader), and the items it
+// applied before the panic still reach OnCommit before they are
+// acknowledged — a write-ahead journal that missed an acknowledged
+// iteration would leave an unrecoverable gap in the log. A panicking
+// OnCommit is recovered, every waiter gets its real result, and the panic
+// then resumes out of the leader's own Checkin call; while an Updater
+// panic is already unwinding, an OnCommit panic is dropped instead.
 func (s *Server) applyBatch(batch []*pendingCheckin) error {
 	s.cfg.Metrics.observeBatch(len(batch))
-	// batch and results are the server's, lent to whoever leads (batch is
-	// non-empty, and never longer than results). They go to the next leader
-	// empty: a finished checkin's context and request (its caller's pooled
-	// scratch) must not stay reachable from them.
+	// batch, results and s.records are the server's, lent to whoever leads
+	// (batch is non-empty, and never longer than results). Every result
+	// starts as ErrCheckinAborted and applyBatchLocked overwrites it once
+	// the item's outcome is settled, so an item the critical section never
+	// reached is reported aborted, and no waiter is told its applied delta
+	// failed (a retry would double-apply the gradient).
 	results := s.results[:len(batch)]
+	for i := range results {
+		results[i] = ErrCheckinAborted
+	}
+	unwinding := true
 	defer func() {
-		clear(batch)
-		clear(results)
-	}()
-	applied := 0 // items whose apply step completed; their result is authoritative
-	hooked := 0  // items whose OnCheckin hook has run
-	delivered := false
-	defer func() {
-		if delivered {
-			return
-		}
-		// Unwinding from a panic in the Updater or a hook: no waiter may
-		// be stranded, and no waiter may be told its applied delta failed
-		// (a retry would double-apply the gradient). Items the critical
-		// section completed get their real result; the rest get
-		// ErrCheckinAborted. The panic itself keeps propagating out of
-		// the leader's Checkin call.
-		//
-		// Before delivering, run the hook for every APPLIED item it has
-		// not yet seen: those checkins are about to be acknowledged as
-		// successes, and the hook is what makes them durable (the hub's
-		// write-ahead journal) — skipping it would leave acknowledged
-		// iterations missing from the journal, an unrecoverable replay
-		// gap. Each call is recover-guarded; a hook panic here is dropped
-		// (the original panic is already propagating).
-		if s.cfg.OnCheckin != nil {
-			for i, p := range batch {
-				if i >= applied || results[i] != nil || i < hooked {
-					continue
-				}
-				func() {
-					defer func() { _ = recover() }()
-					s.cfg.OnCheckin(p.ctx, p.deviceID, p.iteration, p.req)
-				}()
-			}
-		}
-		// The group-commit hook gets its call too: the applied items are
-		// about to be acknowledged, and a durability sink relying on
-		// OnBatchCommit (fsync) must cover them first. Recover-guarded —
-		// the original panic is already propagating.
-		if s.cfg.OnBatchCommit != nil {
-			if n := countApplied(results, applied); n > 0 {
-				func() {
-					defer func() { _ = recover() }()
-					s.cfg.OnBatchCommit(n)
-				}()
-			}
-		}
+		commitPanic := s.commit()
 		for i, p := range batch {
-			if p.done == nil {
-				continue
-			}
-			if i < applied {
+			if p.done != nil {
 				p.done <- results[i]
-			} else {
-				p.done <- ErrCheckinAborted
 			}
+		}
+		// The next leader gets them empty: a finished checkin's request
+		// (its caller's pooled scratch) must not stay reachable from them.
+		clear(batch)
+		clear(s.records)
+		s.records = s.records[:0]
+		if commitPanic != nil && !unwinding {
+			panic(commitPanic)
 		}
 	}()
 	s.wMu.Lock()
 	func() {
 		defer s.wMu.Unlock()
-		s.applyBatchLocked(batch, results, &applied)
+		s.applyBatchLocked(batch, results)
 	}()
-
-	// Journaling and other hooks run outside the critical section so a
-	// slow sink never extends the lock hold. The single active leader
-	// invokes them sequentially in iteration order, so an order-sensitive
-	// sink (e.g. store.Journal) still sees monotonically increasing
-	// iterations. Each hook is isolated: one panicking hook must not
-	// silently skip the remaining items' hooks (their checkins ARE
-	// applied, and an audit sink is entitled to a record per applied
-	// checkin), so every hook still runs, the waiters get their real
-	// results, and the first captured panic then resumes out of the
-	// leader's own Checkin call — the same caller that observed a hook
-	// panic under the old per-checkin lock.
-	var hookPanic any
-	if s.cfg.OnCheckin != nil {
-		for i, p := range batch {
-			hooked = i + 1
-			if results[i] != nil {
-				continue
-			}
-			func() {
-				defer func() {
-					if r := recover(); r != nil && hookPanic == nil {
-						hookPanic = r
-					}
-				}()
-				s.cfg.OnCheckin(p.ctx, p.deviceID, p.iteration, p.req)
-			}()
-		}
-	}
-	// Group commit: one OnBatchCommit per applied batch, after every
-	// per-item hook and before any waiter is released — the point where
-	// a durability sink fsyncs once for the whole batch so each of the
-	// acknowledgments below stands on stable storage.
-	if s.cfg.OnBatchCommit != nil {
-		if n := countApplied(results, applied); n > 0 {
-			func() {
-				defer func() {
-					if r := recover(); r != nil && hookPanic == nil {
-						hookPanic = r
-					}
-				}()
-				s.cfg.OnBatchCommit(n)
-			}()
-		}
-	}
-	delivered = true
-	for i, p := range batch {
-		if p.done != nil {
-			p.done <- results[i]
-		}
-	}
-	if hookPanic != nil {
-		panic(hookPanic)
-	}
+	unwinding = false
 	return results[0]
 }
 
-// countApplied counts the items whose delta was actually applied (their
-// apply step completed with a nil result) — the n an OnBatchCommit call
-// reports. Items rejected by the stopping rule or aborted keep n honest.
-func countApplied(results []error, applied int) int {
-	n := 0
-	for i := 0; i < applied && i < len(results); i++ {
-		if results[i] == nil {
-			n++
-		}
+// commit is the batch's one call to OnCommit — outside the parameter
+// lock, before any waiter is released, and skipped when the batch applied
+// nothing. It recovers a panicking OnCommit and returns what it panicked
+// with, for applyBatch to resume once the waiters have their results.
+func (s *Server) commit() (panicked any) {
+	if s.cfg.OnCommit == nil || len(s.records) == 0 {
+		return nil
 	}
-	return n
+	defer func() { panicked = recover() }()
+	s.cfg.OnCommit(s.records)
+	return nil
 }
 
 // applyBatchLocked is the parameter-lock critical section of applyBatch.
-// It advances *applied past each item whose outcome is settled, so the
-// panic-recovery path in applyBatch can tell applied deltas apart from
-// aborted ones. Before the lock is released — on a panicking Updater too,
-// since the items before it are still acknowledged — it publishes the
-// checkout snapshot if the batch advanced the iteration: one copy per
-// batch (into a recycled vector), and the reason a checkout that starts after a Checkin returned
-// can never serve parameters older than that checkin.
-func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error, applied *int) {
+// It settles each item's result and appends one record per applied item
+// to s.records, in iteration order. Before the lock is released — on a
+// panicking Updater too, since the items before it are still
+// acknowledged — it publishes the checkout snapshot if the batch advanced
+// the iteration: one copy per batch (into a recycled vector), and the
+// reason a checkout that starts after a Checkin returned can never serve
+// parameters older than that checkin.
+func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 	defer func() {
 		if s.ring.Version() != int(s.t.Load()) {
 			s.publishSnapshotLocked()
 		}
 	}()
 	for i, p := range batch {
-		if p.abandoned.Load() {
+		switch {
+		case p.abandoned.Load():
 			// Its caller already unwound from an earlier leader panic and
-			// reported failure; applying now would double-count a retry.
-			results[i] = ErrCheckinAborted
-			*applied = i + 1
-			continue
-		}
-		if s.evalStopped() {
+			// reported failure; applying now would double-count a retry. The
+			// result stays ErrCheckinAborted.
+		case s.evalStopped():
 			results[i] = ErrStopped
-			*applied = i + 1
-			continue
+		default:
+			// The Updater runs before anything is committed for this item: if
+			// it panics, the item's iteration and counters were never taken,
+			// so the ErrCheckinAborted its waiter receives is honest and a
+			// device retry cannot double-count. (w itself may hold a partial
+			// update — unavoidable with a panicking updater, and exactly the
+			// exposure the old per-checkin lock had.)
+			t := int(s.t.Load()) + 1
+			s.applyLocked(p.deviceID, p.req, p.grad, t, false)
+			s.records = append(s.records, ReplayRecord{DeviceID: p.deviceID, Iteration: t, Req: p.req})
+			results[i] = nil
 		}
-		// The Updater runs before anything is committed for this item: if
-		// it panics, the item's iteration and counters were never taken,
-		// so the ErrCheckinAborted its waiter receives is honest and a
-		// device retry cannot double-count. (w itself may hold a partial
-		// update — unavoidable with a panicking updater, and exactly the
-		// exposure the old per-checkin lock had.)
-		p.iteration = int(s.t.Load()) + 1
-		s.applyLocked(p.deviceID, p.req, p.grad, p.iteration, false)
-		*applied = i + 1
 	}
 }
 

@@ -21,9 +21,10 @@ var (
 	ErrBufferFull = errors.New("crowdml: device buffer full")
 
 	// ErrCheckinAborted is returned to checkins waiting in an apply batch
-	// whose leader panicked (a user-supplied Updater or OnCheckin hook
-	// misbehaving). The panic itself propagates out of the leader's own
-	// Checkin call; waiters get this error instead of hanging, and the
-	// server remains usable.
+	// whose leader panicked in a user-supplied Updater before applying
+	// them. The panic itself propagates out of the leader's own Checkin
+	// call; waiters get this error instead of hanging, and the server
+	// remains usable. (A panicking OnCommit aborts nothing: its batch is
+	// already applied, and every waiter gets its real result.)
 	ErrCheckinAborted = errors.New("crowdml: checkin aborted by a panic in the batch apply")
 )

@@ -121,25 +121,25 @@ func TestApplierPanicSafety(t *testing.T) {
 	}
 }
 
-// TestHookPanicIsolation checks that one panicking OnCheckin hook does
-// not silently skip the remaining applied items' hooks: an audit sink is
-// entitled to one record per applied checkin, the waiters still get
-// their (successful) results, and the panic surfaces from the leader.
+// TestHookPanicIsolation checks that a panicking OnCommit aborts
+// nothing: its batch is already applied, so every waiter gets its real
+// (successful) result, and the panic then resumes out of the leader —
+// out of exactly one Checkin call. Later batches commit as usual.
 func TestHookPanicIsolation(t *testing.T) {
 	const classes, dim = 2, 4
 	var mu sync.Mutex
 	var logged []int
-	calls := 0
+	var explode atomic.Bool // the next OnCommit call panics
 	srv, err := NewServer(ServerConfig{
 		Model:   model.NewLogisticRegression(classes, dim),
 		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
-		OnCheckin: func(ctx context.Context, deviceID string, iteration int, req *CheckinRequest) {
+		OnCommit: func(records []ReplayRecord) {
 			mu.Lock()
-			calls++
-			first := calls == 1
-			logged = append(logged, iteration)
+			for _, r := range records {
+				logged = append(logged, r.Iteration)
+			}
 			mu.Unlock()
-			if first {
+			if explode.CompareAndSwap(true, false) {
 				panic("journal exploded")
 			}
 		},
@@ -147,11 +147,27 @@ func TestHookPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// A batch of three waiters whose commit explodes: all three are told
+	// they succeeded, and the leader sees the panic.
+	explode.Store(true)
+	batch := []*pendingCheckin{pendingFor(t, srv, "dev"), pendingFor(t, srv, "dev"), pendingFor(t, srv, "dev")}
+	if r := applyAsLeader(srv, batch...); r != "journal exploded" {
+		t.Fatalf("leader recovered %v, want the OnCommit panic", r)
+	}
+	for i, err := range answers(batch...) {
+		if err != nil {
+			t.Errorf("waiter %d got %v; an OnCommit panic must not fail applied checkins", i, err)
+		}
+	}
+
+	// The same through concurrent Checkin calls.
 	ctx := context.Background()
 	token, err := srv.RegisterDevice(ctx, "dev")
 	if err != nil {
 		t.Fatal(err)
 	}
+	explode.Store(true)
 	req := func() *CheckinRequest {
 		return &CheckinRequest{
 			Grad:        make([]float64, classes*dim),
@@ -185,20 +201,20 @@ func TestHookPanicIsolation(t *testing.T) {
 		panicCount++
 	}
 	if panicCount != 1 {
-		t.Fatalf("observed %d panics, want 1 (the leader that ran the exploding hook)", panicCount)
+		t.Fatalf("observed %d panics, want 1 (the leader whose OnCommit exploded)", panicCount)
 	}
 	for err := range failed {
-		t.Errorf("checkin failed with %v; hook panics must not fail applied checkins", err)
+		t.Errorf("checkin failed with %v; an OnCommit panic must not fail applied checkins", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(logged) != callers {
-		t.Fatalf("hook ran %d times, want %d (one per applied checkin, panicking one included)",
-			len(logged), callers)
+	if want := len(batch) + callers; len(logged) != want || srv.Iteration() != want {
+		t.Fatalf("%d records committed, server at iteration %d, want %d (one per applied checkin)",
+			len(logged), srv.Iteration(), want)
 	}
-	for i := 1; i < len(logged); i++ {
-		if logged[i] != logged[i-1]+1 {
-			t.Fatalf("hook iterations out of order: %v", logged)
+	for i, it := range logged {
+		if it != i+1 {
+			t.Fatalf("committed iterations out of order: %v", logged)
 		}
 	}
 }

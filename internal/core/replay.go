@@ -24,9 +24,10 @@ var ErrReplayGap = errors.New("core: replay records skip an iteration")
 // N applies.
 const replayPublishEvery = 64
 
-// ReplayRecord is one journaled, previously-acknowledged checkin on its
-// way back into a restored server — the store.JournalEntry fields that
-// determine the state transition.
+// ReplayRecord is one applied checkin as the server's state transition
+// sees it: what ServerConfig.OnCommit hands out for journaling, and what
+// Replay takes back from the journal — the store.JournalEntry fields
+// that determine the transition.
 type ReplayRecord struct {
 	// DeviceID is the contributing device.
 	DeviceID string
@@ -80,9 +81,9 @@ func ReplaySlice(records []ReplayRecord) ReplaySource {
 // serving the read path. Unlike Checkin it performs no authentication
 // (credentials are not part of persisted state), does not consult the
 // stopping rule (every record was acknowledged, so it passed the rule
-// when originally applied), and does not invoke the OnCheckin hook (the
-// records came FROM the journal; journaling them again would duplicate
-// the log). It returns the number of records applied.
+// when originally applied), and does not call OnCommit (the records came
+// FROM the journal; journaling them again would duplicate the log). It
+// returns the number of records applied.
 //
 // Exactness holds for updaters whose step depends only on (w, ĝ, t) —
 // the paper's SGD schedules — and equally for stateful updaters that

@@ -61,39 +61,24 @@ type ServerConfig struct {
 	// ErrAuth; the fallback's own failure is never surfaced to the device
 	// (it must not learn whether the fallback was even attempted).
 	AuthFallback func(ctx context.Context, deviceID, token string) error
-	// OnCheckin, if non-nil, is invoked after every successfully applied
-	// checkin with the request context, the device ID, the resulting
-	// iteration number, and the sanitized request (safe to log: it only
-	// ever contains sanitized data).
+	// OnCommit, if non-nil, is the commit point of every batch that
+	// applied at least one checkin: the batch leader calls it once, outside
+	// the parameter lock and BEFORE any of the batch's Checkin calls
+	// return, with one record per applied checkin in strictly increasing
+	// iteration order — the record Replay takes back. Checkins rejected by
+	// the stopping rule or aborted by a panic never appear. This is where a
+	// durability sink (the hub's write-ahead journal) appends and syncs
+	// once per batch, so every acknowledgment stands on it. A slow sink
+	// back-pressures later checkins but never blocks checkouts or
+	// statistics reads. The requests are sanitized, hence safe to log.
 	//
-	// Concurrency contract: OnCheckin does NOT run under the server's
-	// parameter lock. The batch leader that applied the checkin invokes it
-	// after releasing the critical section, sequentially and in iteration
-	// order, and the originating Checkin call does not return until its
-	// hook has run. A slow hook therefore back-pressures the write path —
-	// subsequent checkins queue until the hook returns — but never blocks
-	// checkouts or statistics reads, and never extends the parameter-lock
-	// hold itself.
-	//
-	// Lifetime contract: req and its slices (Grad, LabelCounts) are only
-	// valid until the hook returns. They belong to Checkin's caller, who
-	// may reuse them the moment Checkin returns — the HTTP handler decodes
-	// every gradient into a pooled scratch and does exactly that — so a
-	// hook that keeps anything must copy it (as the hub's journal sinks
-	// do).
-	OnCheckin func(ctx context.Context, deviceID string, iteration int, req *CheckinRequest)
-	// OnBatchCommit, if non-nil, is invoked by the batch leader once per
-	// applied batch — after every applied checkin's OnCheckin hook has
-	// run and BEFORE any of the batch's Checkin calls return — with n,
-	// the number of checkins the batch applied (n ≥ 1; batches that
-	// applied nothing skip the hook). This is the group-commit point: a
-	// sink that must make a batch's OnCheckin effects durable before the
-	// devices see their acknowledgments (the hub's fsync SyncPolicy) pays
-	// its cost once per batch here instead of once per checkin. Like
-	// OnCheckin it runs outside the parameter lock, on the single active
-	// leader, so it back-pressures later checkins but never blocks
-	// checkouts or statistics reads.
-	OnBatchCommit func(n int)
+	// Lifetime contract: records and each Req (with its Grad and
+	// LabelCounts) are only valid until OnCommit returns. The server
+	// reuses the slice for the next batch, and Checkin's caller may reuse
+	// req the moment Checkin returns — the HTTP handler decodes every
+	// gradient into a pooled scratch and does exactly that — so a sink
+	// that keeps anything must copy it (as the hub's journal does).
+	OnCommit func(records []ReplayRecord)
 	// Metrics, if non-nil, receives operational telemetry from the
 	// device-facing hot paths (see NewServerMetrics for the series).
 	// Recording is lock-free atomic adds on pre-bound handles; nil
@@ -142,7 +127,7 @@ type DeviceStats struct {
 //     semantics exactly (each delta still gets its own iteration number,
 //     η(t) step, staleness accounting and ρ-stop evaluation). Checkin
 //     remains synchronous: it returns once its delta has been applied and
-//     its OnCheckin hook has run.
+//     its batch's OnCommit has run.
 type Server struct {
 	cfg ServerConfig
 
@@ -174,11 +159,13 @@ type Server struct {
 	queue     chan *pendingCheckin
 	leaderSem chan struct{}
 	maxBatch  int
-	// batch and results are the leader's working slices, reused from one
-	// leader to the next: whoever holds leaderSem owns them, and applyBatch
-	// clears what it used of them before it returns.
+	// batch, results and records (what OnCommit receives) are the
+	// leader's working slices, reused from one leader to the next: whoever
+	// holds leaderSem owns them, and applyBatch clears batch and records
+	// before it returns.
 	batch   []*pendingCheckin
 	results []error
+	records []ReplayRecord
 }
 
 // NewServer constructs a server. It returns an error if the config is
@@ -211,6 +198,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		maxBatch:  checkinBatchSize,
 		batch:     make([]*pendingCheckin, 0, checkinBatchSize),
 		results:   make([]error, checkinBatchSize),
+		records:   make([]ReplayRecord, 0, checkinBatchSize),
 	}
 	s.publishSnapshotLocked() // initial snapshot at iteration 0
 	return s, nil
@@ -334,9 +322,9 @@ func (s *Server) checkin(ctx context.Context, deviceID, token string, req *Check
 	}
 	for _, v := range req.Grad {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			// A non-finite value would poison w for every later device (and
-			// a NaN cannot even be journaled — encoding/json rejects it), so
-			// one malformed checkin must be rejected here, not applied.
+			// One non-finite value would poison w for every later device,
+			// and Replay would re-apply it faithfully after a restart, so a
+			// malformed checkin must be rejected here, not applied.
 			return fmt.Errorf("non-finite gradient value: %w", ErrBadCheckin)
 		}
 	}
@@ -352,7 +340,6 @@ func (s *Server) checkin(ctx context.Context, deviceID, token string, req *Check
 		return fmt.Errorf("%v: %w", err, ErrBadCheckin)
 	}
 	return s.submit(ctx, &pendingCheckin{
-		ctx:      ctx,
 		deviceID: deviceID,
 		req:      req,
 		grad:     g,

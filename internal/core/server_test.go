@@ -307,42 +307,3 @@ func TestStopAdministrative(t *testing.T) {
 		t.Errorf("checkin after Stop = %v, want ErrStopped", err)
 	}
 }
-
-func TestOnCheckinObserver(t *testing.T) {
-	var got []int
-	s := newTestServer(t, ServerConfig{
-		OnCheckin: func(_ context.Context, id string, iter int, req *CheckinRequest) {
-			if id != "d1" {
-				t.Errorf("observer saw device %q", id)
-			}
-			if req == nil || len(req.Grad) != 6 {
-				t.Error("observer got malformed request")
-			}
-			got = append(got, iter)
-		},
-	})
-	token := register(t, s, "d1")
-	for i := 0; i < 3; i++ {
-		if err := s.Checkin(ctx, "d1", token, validCheckin(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("observer iterations = %v, want [1 2 3]", got)
-	}
-}
-
-func TestOnCheckinNotCalledOnRejection(t *testing.T) {
-	calls := 0
-	s := newTestServer(t, ServerConfig{
-		OnCheckin: func(context.Context, string, int, *CheckinRequest) { calls++ },
-	})
-	token := register(t, s, "d1")
-	bad := &CheckinRequest{Grad: []float64{1}, LabelCounts: []int{0, 0, 0}}
-	if err := s.Checkin(ctx, "d1", token, bad); err == nil {
-		t.Fatal("expected rejection")
-	}
-	if calls != 0 {
-		t.Errorf("observer fired %d times on a rejected checkin", calls)
-	}
-}

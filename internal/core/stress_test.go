@@ -169,65 +169,4 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestOnCheckinOrdering asserts the relaxed-locking contract of
-// ServerConfig.OnCheckin: hooks run outside the parameter lock but
-// strictly in iteration order, each before its own Checkin returns.
-func TestOnCheckinOrdering(t *testing.T) {
-	const classes, dim = 2, 4
-	var mu sync.Mutex
-	var iterations []int
-	srv, err := NewServer(ServerConfig{
-		Model:   model.NewLogisticRegression(classes, dim),
-		Updater: &optimizer.SGD{Schedule: optimizer.InvSqrt{C: 1}},
-		OnCheckin: func(ctx context.Context, deviceID string, iteration int, req *CheckinRequest) {
-			mu.Lock()
-			iterations = append(iterations, iteration)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrinkApplier(srv, 4, checkinQueueDepth)
-	ctx := context.Background()
-	const workers = 6
-	tokens := make([]string, workers)
-	for i := range tokens {
-		if tokens[i], err = srv.RegisterDevice(ctx, deviceID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	const perWorker = 50
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := &CheckinRequest{
-				Grad:        make([]float64, classes*dim),
-				NumSamples:  1,
-				LabelCounts: make([]int, classes),
-			}
-			for n := 0; n < perWorker; n++ {
-				if err := srv.Checkin(ctx, deviceID(i), tokens[i], req); err != nil {
-					t.Errorf("checkin: %v", err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(iterations) != workers*perWorker {
-		t.Fatalf("hook ran %d times, want %d", len(iterations), workers*perWorker)
-	}
-	for i := 1; i < len(iterations); i++ {
-		if iterations[i] != iterations[i-1]+1 {
-			t.Fatalf("hook iterations out of order at %d: %d after %d",
-				i, iterations[i], iterations[i-1])
-		}
-	}
-}
-
 func deviceID(i int) string { return fmt.Sprintf("device-%02d", i) }

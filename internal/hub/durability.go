@@ -137,15 +137,14 @@ func WithCheckpointPolicy(p CheckpointPolicy) TaskOption {
 }
 
 // durability is the per-task persistence engine: the write-ahead journal
-// hook plus the coalescing asynchronous checkpointer. The hook runs on
-// the batch leader OUTSIDE the server's parameter lock (the PR 2 hot
-// path is untouched); the checkpointer runs on its own goroutine and
-// never blocks checkins at all.
+// commit plus the coalescing asynchronous checkpointer. The commit runs
+// on the batch leader OUTSIDE the server's parameter lock; the
+// checkpointer runs on its own goroutine and never blocks checkins at
+// all.
 type durability struct {
 	st        store.Store
 	journal   store.Journal
-	user      func(ctx context.Context, deviceID string, iteration int, req *core.CheckinRequest)
-	userBatch func(n int)  // the user's own OnBatchCommit, chained after the sync
+	syncBatch bool         // SyncBatch: one journal Sync per commit
 	srv       *core.Server // set once the server exists, before any traffic
 
 	policy    CheckpointPolicy
@@ -160,9 +159,9 @@ type durability struct {
 	// lands in the same memory (Store.Save retains nothing of it).
 	export core.StateBuffer
 
-	// failed latches on the first journal-append failure: the WAL can no
-	// longer honor "every acknowledged checkin is durable", so the task
-	// fail-stops (see onCheckin) rather than silently widening the loss —
+	// failed latches on the first journal append or sync failure: the WAL
+	// can no longer honor "every acknowledged checkin is durable", so the
+	// task fail-stops (see commit) rather than silently widening the loss —
 	// and no later append may succeed, which would leave a hole that
 	// breaks replay contiguity on recovery. preFailStopped captures the
 	// learning-rule stop state at the moment of failure, so close() can
@@ -174,13 +173,13 @@ type durability struct {
 	// stopOnce guards stopCh against double close across retried closes.
 	stopOnce sync.Once
 
-	// closeMu fences the journal against close: the hook appends under
-	// the read lock, and close() takes the write lock to set closing —
-	// which both drains every in-flight append and makes later hooks skip
-	// journaling. An append racing journal.Close would otherwise latch a
-	// bogus fail-stop from the spurious error. Skipping loses nothing:
+	// closeMu fences the journal against close: commit appends and syncs
+	// under the read lock, and close() takes the write lock to set closing
+	// — which both drains every in-flight commit and makes later commits
+	// skip journaling. An append racing journal.Close would otherwise latch
+	// a bogus fail-stop from the spurious error. Skipping loses nothing:
 	// close() stops the server BEFORE its state export, so any checkin
-	// whose hook got this far is covered by the final checkpoint.
+	// whose commit got this far is covered by the final checkpoint.
 	closeMu sync.RWMutex
 	closing bool
 
@@ -197,10 +196,9 @@ type durability struct {
 	stopDecided    bool
 }
 
-func newDurability(st store.Store, journal store.Journal, policy CheckpointPolicy, retention RetentionPolicy,
-	user func(context.Context, string, int, *core.CheckinRequest), userBatch func(int)) *durability {
+func newDurability(st store.Store, journal store.Journal, policy CheckpointPolicy, retention RetentionPolicy, sp SyncPolicy) *durability {
 	return &durability{
-		st: st, journal: journal, user: user, userBatch: userBatch,
+		st: st, journal: journal, syncBatch: sp == SyncBatch,
 		policy:    policy.withDefaults(),
 		retention: retention,
 		kick:      make(chan struct{}, 1),
@@ -209,54 +207,67 @@ func newDurability(st store.Store, journal store.Journal, policy CheckpointPolic
 	}
 }
 
-// onCheckin is the ServerConfig.OnCheckin hook CreateTask installs. Per
-// the core contract it runs after the checkin is applied in memory but
-// before the originating Checkin call returns — so the journal record is
-// durable before the device ever sees an acknowledgment, and before the
-// user's own OnCheckin hook observes the iteration.
-func (d *durability) onCheckin(ctx context.Context, deviceID string, iteration int, req *core.CheckinRequest) {
-	d.journalCheckin(ctx, deviceID, iteration, req)
-	if d.user != nil {
-		d.user(ctx, deviceID, iteration, req)
-	}
-}
-
-// journalCheckin appends the WAL record under closeMu's read lock. The
-// lock is scoped to the journaling alone — never the user hook — so a
-// hook that itself closes the task cannot deadlock against close()'s
-// write lock.
-func (d *durability) journalCheckin(ctx context.Context, deviceID string, iteration int, req *core.CheckinRequest) {
+// commit is the core.ServerConfig.OnCommit hook CreateTask installs. Per
+// the core contract it runs after the batch is applied in memory but
+// before any of its Checkin calls return, so each record is in the
+// journal — and, under SyncBatch, on stable storage after ONE Sync for
+// the whole batch (group commit) — before its device sees an
+// acknowledgment. The first append or sync failure fail-stops the task:
+// the WAL can no longer keep its guarantee, so the task must not keep
+// widening the at-risk window, and no later append may succeed behind
+// the failure (a hole would break replay contiguity). Every record still
+// counts toward the next checkpoint, which then covers the unjournaled
+// ones.
+func (d *durability) commit(records []core.ReplayRecord) {
 	d.closeMu.RLock()
 	defer d.closeMu.RUnlock()
 	if d.failed.Load() || d.closing {
 		return
 	}
-	entry := store.JournalEntry{
-		AtUnixMillis: time.Now().UnixMilli(),
-		DeviceID:     deviceID,
-		Iteration:    iteration,
-		NumSamples:   req.NumSamples,
-		ErrCount:     req.ErrCount,
-		GradNorm1:    linalg.Norm1(req.Grad),
-		Grad:         req.Grad,
-		LabelCounts:  req.LabelCounts,
-		Version:      req.Version,
-	}
-	// The checkin is already applied to the model; the record must be
-	// written even if the device's request context has been cancelled.
-	if err := d.journal.Append(context.WithoutCancel(ctx), entry); err != nil {
-		if d.m != nil {
-			d.m.appendFailures.Inc()
+	// The checkins are already applied to the model; their records must
+	// be written whatever became of the devices' requests.
+	ctx := context.Background()
+	now := time.Now().UnixMilli()
+	var err error
+	for _, r := range records {
+		err = d.journal.Append(ctx, store.JournalEntry{
+			AtUnixMillis: now,
+			DeviceID:     r.DeviceID,
+			Iteration:    r.Iteration,
+			NumSamples:   r.Req.NumSamples,
+			ErrCount:     r.Req.ErrCount,
+			GradNorm1:    linalg.Norm1(r.Req.Grad),
+			Grad:         r.Req.Grad,
+			LabelCounts:  r.Req.LabelCounts,
+			Version:      r.Req.Version,
+		})
+		if err != nil {
+			if d.m != nil {
+				d.m.appendFailures.Inc()
+			}
+			err = fmt.Errorf("journal append at iteration %d failed; task stopped: %w", r.Iteration, err)
+			break
 		}
-		d.failStop(fmt.Errorf("journal append at iteration %d failed; task stopped: %w", iteration, err))
-	} else if d.m != nil {
-		d.m.appends.Inc()
+		if d.m != nil {
+			d.m.appends.Inc()
+		}
 	}
-	n := d.dirty.Add(1)
+	if err == nil && d.syncBatch {
+		done := d.m.observeSync()
+		err = d.journal.Sync(ctx)
+		done()
+		if err != nil {
+			err = fmt.Errorf("journal group-commit sync failed; task stopped: %w", err)
+		}
+	}
+	if err != nil {
+		d.failStop(err)
+	}
+	n := d.dirty.Add(int64(len(records)))
 	if d.policy.AfterN > 0 && n >= int64(d.policy.AfterN) {
 		select {
 		case d.kick <- struct{}{}:
-		default: // a kick is already pending; it will see this checkin too
+		default: // a kick is already pending; it will see these checkins too
 		}
 	}
 }
@@ -282,36 +293,6 @@ func (d *durability) failStop(err error) {
 		d.m.failStops.Inc()
 	}
 	d.recordErr(err)
-}
-
-// onBatchCommit is the core.ServerConfig.OnBatchCommit hook CreateTask
-// installs under SyncBatch: one fsync per applied batch, after the
-// batch's journal appends and before any of its Checkin calls return —
-// group commit. A sync failure fail-stops exactly like an append
-// failure: the batch's entries may not be on stable storage, so the
-// task must not keep widening the at-risk window.
-func (d *durability) onBatchCommit(n int) {
-	d.syncBatch()
-	if d.userBatch != nil {
-		d.userBatch(n)
-	}
-}
-
-// syncBatch performs the group-commit fsync under closeMu's read lock
-// (scoped like journalCheckin's: never around the user hook, so a hook
-// that closes the task cannot deadlock against close()).
-func (d *durability) syncBatch() {
-	d.closeMu.RLock()
-	defer d.closeMu.RUnlock()
-	if d.failed.Load() || d.closing {
-		return
-	}
-	done := d.m.observeSync()
-	err := d.journal.Sync(context.Background())
-	done()
-	if err != nil {
-		d.failStop(fmt.Errorf("journal group-commit sync failed; task stopped: %w", err))
-	}
 }
 
 // run is the checkpointer goroutine: it waits for a trigger, then writes
@@ -519,14 +500,14 @@ func (d *durability) close(ctx context.Context) error {
 	state := d.srv.ExportState() // wMu barrier: everything applied so far
 	state.Stopped = stopped
 	if err := d.st.Save(ctx, state, time.Now()); err != nil {
-		// The journal stays open and hooks keep appending: every
+		// The journal stays open and commits keep appending: every
 		// acknowledged checkin remains durable in the WAL even though the
 		// snapshot failed, and a retried close re-exports and re-saves.
 		return done(false, fmt.Errorf("final checkpoint: %w", err))
 	}
-	// Only now fence the journal — the fence drains in-flight hook
-	// appends and makes later hooks skip journaling. Any checkin those
-	// late hooks represent was applied before the Stop above, so the
+	// Only now fence the journal — the fence drains in-flight commits and
+	// makes later ones skip journaling. Any checkin those late commits
+	// carry was applied before the Stop above, so the
 	// just-written checkpoint already covers it durably; fencing earlier
 	// would instead leave such checkins nowhere if the Save had failed.
 	d.closeMu.Lock()

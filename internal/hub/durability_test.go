@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/store"
+	"github.com/crowdml/crowdml/internal/telemetry"
 )
 
 // readAll drains a store's full journal through its streaming cursor —
@@ -398,39 +400,72 @@ func TestRestoreReconstructsAllTasks(t *testing.T) {
 	}
 }
 
-// TestUserHookRunsAfterJournalAppend: the redesign's ordering contract —
-// when the user's OnCheckin observes iteration t, t's journal record is
-// already durable.
-func TestUserHookRunsAfterJournalAppend(t *testing.T) {
+// TestJournalHoldsEntryWhenCheckinReturns: the write-ahead contract —
+// by the time Checkin for iteration t returns, t's journal entry is in
+// the journal, carrying the request exactly as applied.
+func TestJournalHoldsEntryWhenCheckinReturns(t *testing.T) {
 	ctx := context.Background()
 	st := store.NewMemStore()
 	h := New()
-	cfg := serverConfig()
-	var observed []int
-	hookErr := make(chan error, 64)
-	cfg.OnCheckin = func(ctx context.Context, deviceID string, iteration int, req *core.CheckinRequest) {
-		observed = append(observed, iteration)
-		entries, err := readAll(st)
-		if err != nil {
-			hookErr <- err
-			return
-		}
-		if len(entries) == 0 || entries[len(entries)-1].Iteration != iteration {
-			hookErr <- fmt.Errorf("journal tail at hook time = %d entries, want one ending at iteration %d",
-				len(entries), iteration)
-		}
-	}
-	task, err := h.CreateTask(ctx, "t", cfg, WithStore(st))
+	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
+		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkinN(t, task.Server(), "d1", 4)
-	close(hookErr)
-	for err := range hookErr {
-		t.Error(err)
+	srv := task.Server()
+	token, err := srv.RegisterDevice(ctx, "d1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(observed) != 4 {
-		t.Errorf("user hook ran %d times, want 4", len(observed))
+	for i := 1; i <= 4; i++ {
+		req := &core.CheckinRequest{Grad: []float64{float64(i), 0, 0, 1}, NumSamples: 2, ErrCount: 1, LabelCounts: []int{1, 1}}
+		if err := srv.Checkin(ctx, "d1", token, req); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := readAll(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != i {
+			t.Fatalf("%d journal entries once checkin %d returned, want %d", len(entries), i, i)
+		}
+		e := entries[i-1]
+		if e.Iteration != i || e.DeviceID != "d1" || !reflect.DeepEqual(e.Grad, req.Grad) ||
+			e.NumSamples != 2 || e.ErrCount != 1 || !reflect.DeepEqual(e.LabelCounts, req.LabelCounts) {
+			t.Errorf("entry %d = %+v, want checkin %d as applied", i, e, i)
+		}
+	}
+	if err := h.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableTaskRefusesOnCommit: a durable task's OnCommit is its
+// journal, so a cfg that already sets one is refused at CreateTask,
+// leaving neither the task ID nor the store held. A task without a store
+// keeps its own OnCommit.
+func TestDurableTaskRefusesOnCommit(t *testing.T) {
+	ctx := context.Background()
+	st := store.NewMemStore()
+	h := New()
+	var commits atomic.Int64
+	cfg := serverConfig()
+	cfg.OnCommit = func(records []core.ReplayRecord) { commits.Add(int64(len(records))) }
+	if _, err := h.CreateTask(ctx, "t", cfg, WithStore(st)); err == nil || !strings.Contains(err.Error(), "OnCommit") {
+		t.Fatalf("CreateTask with a store and cfg.OnCommit = %v, want a refusal naming OnCommit", err)
+	}
+	durable, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st))
+	if err != nil {
+		t.Fatalf("the same ID and store without cfg.OnCommit: %v", err)
+	}
+	checkinN(t, durable.Server(), "d1", 2)
+	plain, err := h.CreateTask(ctx, "plain", cfg)
+	if err != nil {
+		t.Fatalf("a task without a store: %v", err)
+	}
+	checkinN(t, plain.Server(), "d1", 3)
+	if commits.Load() != 3 {
+		t.Errorf("a plain task's own OnCommit saw %d records, want 3", commits.Load())
 	}
 	if err := h.Close(ctx); err != nil {
 		t.Fatal(err)
@@ -708,9 +743,10 @@ func (j *syncCountingJournal) Sync(ctx context.Context) error {
 	return j.Journal.Sync(ctx)
 }
 
-// TestSyncPolicyGroupCommit: SyncBatch must sync once per applied batch
+// TestSyncPolicyGroupCommit: SyncBatch must sync once per applying batch
 // (sequential checkins are one-item batches, so that is one fsync per
-// checkin before its ack), SyncNone never.
+// checkin before its ack), SyncNone never. Under concurrency the sync
+// count is the number of applying batches, whatever their sizes.
 func TestSyncPolicyGroupCommit(t *testing.T) {
 	ctx := context.Background()
 	for name, tc := range map[string]struct {
@@ -738,40 +774,59 @@ func TestSyncPolicyGroupCommit(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSyncBatchChainsUserHook: the user's own OnBatchCommit still runs,
-// after the group-commit sync — mirroring the OnCheckin chaining
-// contract.
-func TestSyncBatchChainsUserHook(t *testing.T) {
-	ctx := context.Background()
-	st := &syncCountingStore{MemStore: store.NewMemStore()}
-	h := New()
-	cfg := serverConfig()
-	var sawBatches atomic.Int64
-	var syncedFirst atomic.Bool
-	cfg.OnBatchCommit = func(n int) {
-		sawBatches.Add(int64(n))
-		if st.syncs.Load() > 0 {
-			syncedFirst.Store(true)
+	t.Run("SyncBatchConcurrent", func(t *testing.T) {
+		const devices, perDevice = 8, 25
+		st := &syncCountingStore{MemStore: store.NewMemStore()}
+		reg := telemetry.NewRegistry()
+		cfg := serverConfig()
+		cfg.Metrics = core.NewServerMetrics(reg, "t")
+		h := New()
+		task, err := h.CreateTask(ctx, "t", cfg, WithStore(st),
+			WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}),
+			WithSyncPolicy(SyncBatch))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	task, err := h.CreateTask(ctx, "t", cfg, WithStore(st),
-		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}),
-		WithSyncPolicy(SyncBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkinN(t, task.Server(), "d1", 3)
-	if sawBatches.Load() != 3 {
-		t.Errorf("user OnBatchCommit saw %d applied checkins, want 3", sawBatches.Load())
-	}
-	if !syncedFirst.Load() {
-		t.Error("user OnBatchCommit must run after the group-commit sync")
-	}
-	if err := h.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
+		srv := task.Server()
+		var wg sync.WaitGroup
+		for i := 0; i < devices; i++ {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				token, err := srv.RegisterDevice(ctx, id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for n := 0; n < perDevice; n++ {
+					req := &core.CheckinRequest{Grad: []float64{1, 0.5, -0.25, 1}, NumSamples: 2, LabelCounts: []int{1, 1}}
+					if err := srv.Checkin(ctx, id, token, req); err != nil {
+						t.Errorf("%s checkin %d: %v", id, n, err)
+						return
+					}
+				}
+			}(fmt.Sprintf("d%d", i))
+		}
+		wg.Wait()
+		// The server's batch-size histogram counts one observation per
+		// batch; none was stopped, so every batch applied something.
+		batches := reg.Histogram("crowdml_checkin_batch_size",
+			"Checkin deltas applied per parameter-lock acquisition.",
+			telemetry.BatchBuckets, telemetry.L("task", "t")).Count()
+		if got := st.syncs.Load(); uint64(got) != batches {
+			t.Errorf("%d journal syncs for %d applying batches", got, batches)
+		}
+		entries, err := readAll(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != devices*perDevice {
+			t.Errorf("%d journal entries for %d checkins", len(entries), devices*perDevice)
+		}
+		if err := h.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSyncFailureFailStops: a failed group-commit fsync breaks the

@@ -194,8 +194,8 @@ func ValidTaskID(id string) bool {
 // tail) before the task is registered, every applied checkin is
 // journaled write-ahead of its acknowledgment, and an asynchronous
 // checkpointer snapshots the state per WithCheckpointPolicy. The
-// supplied cfg.OnCheckin still runs, after the journal append for the
-// same iteration.
+// journal is the task's cfg.OnCommit, so a durable task whose cfg
+// already sets one is refused.
 func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConfig, opts ...TaskOption) (*Task, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -254,13 +254,16 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	}()
 
 	if o.replicaOf != "" && o.store != nil {
-		// A follower's state arrives through Server.Replay, which bypasses
-		// the OnCheckin journaling hook by design — a local WAL would
-		// silently diverge from the replica's actual state. Followers
-		// re-bootstrap from the leader instead of recovering locally.
+		// A follower's state arrives through Server.Replay, which never
+		// calls OnCommit by design — a local WAL would silently diverge
+		// from the replica's actual state. Followers re-bootstrap from the
+		// leader instead of recovering locally.
 		return nil, fmt.Errorf("task %q: a replica task (AsReplicaOf) cannot also have a store", taskID)
 	}
 	if o.store != nil {
+		if cfg.OnCommit != nil {
+			return nil, fmt.Errorf("task %q: a durable task's OnCommit is its write-ahead journal; cfg.OnCommit must be nil", taskID)
+		}
 		// Fail retention misconfiguration at creation, not at the first
 		// checkpoint: a policy other than KeepAll needs a store that can
 		// actually prune, and the archive mode needs a destination.
@@ -276,17 +279,10 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 		if err != nil {
 			return nil, fmt.Errorf("task %q: open journal: %w", taskID, err)
 		}
-		dur = newDurability(o.store, journal, o.policy, o.retention, cfg.OnCheckin, cfg.OnBatchCommit)
+		dur = newDurability(o.store, journal, o.policy, o.retention, o.sync)
 		dur.m = newDurMetrics(o.metrics, taskID)
 		dur.m.updateSegmentGauge(ctx, o.store)
-		cfg.OnCheckin = dur.onCheckin
-		if o.sync == SyncBatch {
-			// Group commit rides the batch leader's per-batch hook: one
-			// fsync covering the whole batch, before any of its
-			// acknowledgments (the user's own OnBatchCommit, if any, runs
-			// after the sync).
-			cfg.OnBatchCommit = dur.onBatchCommit
-		}
+		cfg.OnCommit = dur.commit
 	}
 	server, err := core.NewServer(cfg)
 	if err != nil {

@@ -50,7 +50,7 @@ type ReplicaProbe interface {
 // by replaying the leader's shipped journal, the HTTP layer rejects
 // writes (checkin, register) with 409 and a leader hint, and reads
 // (checkout, stats) are served locally. Incompatible with WithStore —
-// replayed entries bypass the journaling hook, so a follower's own WAL
+// replayed entries never reach OnCommit, so a follower's own WAL
 // would silently diverge from its state; a follower that dies simply
 // re-bootstraps from the leader's checkpoint.
 func AsReplicaOf(leaderURL string) TaskOption {
