@@ -246,8 +246,9 @@ var (
 	ErrBufferFull = core.ErrBufferFull
 )
 
-// NewLoopback returns an in-process Transport wrapping the server.
-func NewLoopback(s *Server) Transport { return transport.NewLoopback(s) }
+// NewLoopback returns the in-process Transport to the server: the server
+// itself, which implements Transport.
+func NewLoopback(s *Server) Transport { return s }
 
 // HTTPClient is the device-side HTTP transport. Every device-protocol
 // route is task-scoped: bind the client to a task with WithTask before

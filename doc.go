@@ -141,6 +141,14 @@
 // contiguity), and Hub.Close reports the failure; its final checkpoint,
 // if it succeeds, still captures the full in-memory state.
 //
+// A stop is learning state; a halt is not. Algorithm 2's stopping rule
+// (Tmax, target error) and Server.Stop — what CloseTask calls — are
+// exported with the state, so every checkpoint carries them and a
+// restored task stays stopped. Server.Halt — what Hub.Close applies
+// before its final checkpoint, and what a journal failure applies — only
+// stops this process serving checkins: Stopped and checkout Done report
+// it, no checkpoint records it, and a restored task resumes.
+//
 // # Replication
 //
 // The write-ahead journal doubles as a replication feed: the HTTP

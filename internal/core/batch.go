@@ -230,7 +230,7 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 			// Its caller already unwound from an earlier leader panic and
 			// reported failure; applying now would double-count a retry. The
 			// result stays ErrCheckinAborted.
-		case s.evalStopped():
+		case s.Stopped():
 			results[i] = ErrStopped
 		default:
 			// The Updater runs before anything is committed for this item: if
@@ -260,7 +260,7 @@ func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.
 	s.t.Store(int64(t))
 	// Errors and label counts strictly before samples, so a concurrent
 	// lock-free ΣN_e/ΣN_s read can only overestimate the error rate (see
-	// evalStopped).
+	// learningStopped).
 	s.totalNe.Add(int64(req.ErrCount))
 	for k, c := range req.LabelCounts {
 		s.totalNky[k].Add(int64(c))

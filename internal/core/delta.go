@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// DefaultDeltaHistory is how many recently published snapshots a
-// SnapshotRing retains when asked for fewer than one (a server's
-// ServerConfig.DeltaHistory left unset, a shard group). The cost is
-// retained memory (history × vector); publishing copies into a vector
-// the ring has retired, so steady state allocates nothing.
+// DefaultDeltaHistory is how many recently published snapshots a server's
+// SnapshotRing retains to answer delta checkouts (and any ring asked for
+// fewer than one, such as a shard group's). The cost is retained memory
+// (history × vector); publishing copies into a vector the ring has
+// retired, so steady state allocates nothing. A base older than the ring
+// falls back to a full checkout.
 const DefaultDeltaHistory = 16
 
 // maxSpareSnapshots bounds the ring's free list. One spare is what a
@@ -289,7 +290,7 @@ func (r *SnapshotRing) Delta(since int, done bool) *ParamDelta {
 // from the published snapshot: lock-free on the snapshot (same
 // discipline as Checkout) plus the ring's lookup. Release it when done.
 func (s *Server) ParamDelta(since int) *ParamDelta {
-	return s.ring.Delta(since, s.evalStopped())
+	return s.ring.Delta(since, s.Stopped())
 }
 
 // CheckoutDelta is the delta-aware Checkout: authenticate, then derive

@@ -71,7 +71,7 @@ func TestParamDeltaRingHit(t *testing.T) {
 }
 
 func TestParamDeltaFallbacks(t *testing.T) {
-	s := newTestServer(t, ServerConfig{DeltaHistory: 2})
+	s := newTestServer(t, ServerConfig{}).retainHistory(2)
 	token := register(t, s, "d1")
 	checkinN(t, s, "d1", token, 5)
 

@@ -316,7 +316,7 @@ func TestDeviceEndToEndWithServer(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, err := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 2,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,18 +334,6 @@ func TestDeviceEndToEndWithServer(t *testing.T) {
 	if st.Samples != 20 {
 		t.Errorf("server counted %d samples, want 20", st.Samples)
 	}
-}
-
-// serverTransport adapts a *Server directly (mirrors transport.Loopback
-// without the import, keeping core's tests self-contained).
-type serverTransport struct{ s *Server }
-
-func (t serverTransport) Checkout(ctx context.Context, id, token string) (*CheckoutResponse, error) {
-	return t.s.Checkout(ctx, id, token)
-}
-
-func (t serverTransport) Checkin(ctx context.Context, id, token string, req *CheckinRequest) error {
-	return t.s.Checkin(ctx, id, token, req)
 }
 
 func TestDeviceDefaultsApplied(t *testing.T) {

@@ -138,7 +138,7 @@ func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 	}
 	// Re-latch the stopping rule from the replayed counters, then publish
 	// the recovered parameters for checkouts.
-	s.evalStopped()
+	s.learningStopped()
 	s.publishSnapshotLocked()
 	return applied, nil
 }

@@ -37,7 +37,7 @@ func TestRunDrainsSourceAndFlushesTail(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, err := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 4,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRunHonorsMax(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, _ := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 1,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	sent, err := d.Run(context.Background(), runSource(100), 7)
 	if err != nil || sent != 7 {
@@ -78,7 +78,7 @@ func TestRunStopsOnCancelledContext(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, _ := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 1,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -93,7 +93,7 @@ func TestRunReturnsCleanlyWhenTaskStops(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, _ := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 1,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	sent, err := d.Run(context.Background(), runSource(50), 0)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestRunOnDoneDeviceConsumesNothing(t *testing.T) {
 	token := register(t, srv, "d1")
 	d, _ := NewDevice(DeviceConfig{
 		ID: "d1", Token: token, Model: m, Minibatch: 1,
-		Transport: serverTransport{srv},
+		Transport: srv,
 	})
 	if _, err := d.Run(context.Background(), runSource(10), 0); err != nil {
 		t.Fatal(err)

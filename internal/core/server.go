@@ -84,13 +84,6 @@ type ServerConfig struct {
 	// Recording is lock-free atomic adds on pre-bound handles; nil
 	// disables telemetry at the cost of one branch per request.
 	Metrics *ServerMetrics
-	// DeltaHistory is how many recently published parameter snapshots
-	// the server retains to answer delta checkouts (ParamDelta; the
-	// binary wire's ?since=N). The cost is retained memory (history ×
-	// vector); steady-state publication reuses retired vectors. A base
-	// older than the ring falls back to a full checkout.
-	// Defaults to DefaultDeltaHistory; values < 1 use the default.
-	DeltaHistory int
 }
 
 // DeviceStats are the server's per-device progress counters from
@@ -140,15 +133,19 @@ type Server struct {
 	// Learning-state counters, written only while wMu is held, read
 	// lock-free by the stats endpoints.
 	t        atomic.Int64 // iteration counter (completed checkins)
-	stopped  atomic.Bool
+	stopped  atomic.Bool  // the stopping rule's or Stop's latched verdict
 	totalNs  atomic.Int64
 	totalNe  atomic.Int64
 	totalNky []atomic.Int64
 
+	// halted is Halt's latch: this process serves no more checkins. It is
+	// not learning state, so no export carries it.
+	halted atomic.Bool
+
 	devices *deviceRegistry
 
 	// ring publishes the checkout snapshot and retains the last
-	// cfg.DeltaHistory of them so ParamDelta can name a client's base
+	// DefaultDeltaHistory of them so ParamDelta can name a client's base
 	// iteration. publishSnapshotLocked publishes into it; ImportState
 	// resets it.
 	ring *SnapshotRing
@@ -192,7 +189,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		w:         w,
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
-		ring:      NewSnapshotRing(cfg.DeltaHistory, cfg.Metrics.ringMetrics()),
+		ring:      NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ringMetrics()),
 		queue:     make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem: make(chan struct{}, 1),
 		maxBatch:  checkinBatchSize,
@@ -280,7 +277,7 @@ func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*Checkou
 	resp := &CheckoutResponse{
 		Params:  linalg.Copy(v.Params), // callers own the returned slice
 		Version: v.Version,
-		Done:    s.evalStopped(),
+		Done:    s.Stopped(),
 	}
 	v.Release()
 	s.cfg.Metrics.observeCheckout(start, nil)
@@ -312,7 +309,7 @@ func (s *Server) checkin(ctx context.Context, deviceID, token string, req *Check
 	if err := s.authenticate(ctx, deviceID, token); err != nil {
 		return err
 	}
-	if s.evalStopped() {
+	if s.Stopped() {
 		return ErrStopped
 	}
 	classes, dim := s.cfg.Model.Shape()
@@ -346,15 +343,22 @@ func (s *Server) checkin(ctx context.Context, deviceID, token string, req *Check
 	})
 }
 
-// evalStopped evaluates the Algorithm 2 stopping criteria from the atomic
-// counters. Once a criterion trips the decision is latched, matching the
-// locked implementation's stickiness (the ρ estimate may drift back above
-// the target later; a stopped task stays stopped). Batch leaders call
+// Stopped reports whether the server refuses checkins (and checkouts say
+// Done): the stopping criteria have been met, Stop was called, or the
+// server was halted.
+func (s *Server) Stopped() bool {
+	return s.learningStopped() || s.halted.Load()
+}
+
+// learningStopped evaluates the Algorithm 2 stopping criteria from the
+// atomic counters. Once a criterion trips the decision is latched, matching
+// the locked implementation's stickiness (the ρ estimate may drift back
+// above the target later; a stopped task stays stopped). Batch leaders call
 // this while holding wMu, which makes their view authoritative; lock-free
 // callers may observe the transition one batch late, never early enough
 // to matter (counters are updated errors-before-samples, so a torn read
 // can only overestimate the error rate and delay the ρ stop).
-func (s *Server) evalStopped() bool {
+func (s *Server) learningStopped() bool {
 	if s.stopped.Load() {
 		return true
 	}
@@ -374,14 +378,18 @@ func (s *Server) evalStopped() bool {
 	return false
 }
 
-// Stopped reports whether the stopping criteria have been met.
-func (s *Server) Stopped() bool {
-	return s.evalStopped()
-}
-
-// Stop forces the task to end (administrative shutdown).
+// Stop ends the task for good. Like the stopping rule's verdict it is
+// learning state: exports carry it, so a restored task stays stopped.
 func (s *Server) Stop() {
 	s.stopped.Store(true)
+}
+
+// Halt stops this process serving checkins — a shutdown, or a journal that
+// can no longer keep its guarantee. Stopped and checkout Done report it,
+// but it is not learning state: no export carries it, so a server restored
+// from this one's state accepts checkins again.
+func (s *Server) Halt() {
+	s.halted.Store(true)
 }
 
 // ModelShape returns the task's (classes, dim) parameter shape — what a

@@ -306,4 +306,52 @@ func TestStopAdministrative(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", token, validCheckin(0)); !errors.Is(err, ErrStopped) {
 		t.Errorf("checkin after Stop = %v, want ErrStopped", err)
 	}
+	if !s.ExportState().Stopped {
+		t.Error("Stop is learning state: the export must carry it")
+	}
+}
+
+// TestHaltIsNotLearningState: a halted server refuses checkins — also one
+// already queued when the halt landed — and tells devices Done, but the
+// halt belongs to this process: its export says running, and a server
+// restored from that export accepts checkins.
+func TestHaltIsNotLearningState(t *testing.T) {
+	s := newTestServer(t, ServerConfig{})
+	token := register(t, s, "d1")
+	queued := pendingFor(t, s, "d1")
+	s.Halt()
+	if err := s.Checkin(ctx, "d1", token, validCheckin(0)); !errors.Is(err, ErrStopped) {
+		t.Errorf("checkin after Halt = %v, want ErrStopped", err)
+	}
+	if r := applyAsLeader(s, queued); r != nil {
+		t.Fatalf("apply panicked: %v", r)
+	}
+	if err := answers(queued)[0]; !errors.Is(err, ErrStopped) {
+		t.Errorf("a checkin queued before Halt was answered %v, want ErrStopped", err)
+	}
+	if s.Iteration() != 0 {
+		t.Errorf("a halted server applied a checkin: iteration %d", s.Iteration())
+	}
+	co, err := s.Checkout(ctx, "d1", token)
+	if err != nil || !co.Done {
+		t.Errorf("checkout after Halt = %+v, %v; want Done", co, err)
+	}
+	if d := s.ParamDelta(-1); !d.Done {
+		t.Error("delta checkout after Halt is not Done")
+	}
+	if !s.Stopped() {
+		t.Error("Stopped() = false after Halt")
+	}
+	st := s.ExportState()
+	if st.Stopped {
+		t.Fatal("the export carries the halt as learning state")
+	}
+	restored := newTestServer(t, ServerConfig{})
+	if err := restored.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	token = register(t, restored, "d1")
+	if err := restored.Checkin(ctx, "d1", token, validCheckin(0)); err != nil {
+		t.Errorf("checkin on a server restored from a halted one's export: %v", err)
+	}
 }

@@ -22,14 +22,14 @@ import (
 func countingServer(t testing.TB, classes, dim, history int, m *ServerMetrics) (*Server, string, *CheckinRequest) {
 	t.Helper()
 	s, err := NewServer(ServerConfig{
-		Model:        model.NewLogisticRegression(classes, dim),
-		Updater:      &optimizer.SGD{Schedule: optimizer.Constant{C: 1}},
-		DeltaHistory: history,
-		Metrics:      m,
+		Model:   model.NewLogisticRegression(classes, dim),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 1}},
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.retainHistory(history)
 	token, err := s.RegisterDevice(ctx, "d")
 	if err != nil {
 		t.Fatal(err)

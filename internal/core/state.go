@@ -26,7 +26,8 @@ type ServerState struct {
 	Params []float64 `json:"params"`
 	// Iteration is the SGD iteration counter t.
 	Iteration int `json:"iteration"`
-	// Stopped records whether the stopping criteria had been met.
+	// Stopped records the learning stop: the stopping criteria were met
+	// or Stop was called. A Halt is never recorded.
 	Stopped bool `json:"stopped"`
 	// TotalSamples, TotalErrors and TotalLabelCounts are the crowd-wide
 	// counters behind the Eq. (14) estimates.
@@ -99,7 +100,7 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	st.Classes, st.Dim = classes, dim
 	st.Params = append(st.Params[:0], s.w.Data()...)
 	st.Iteration = int(s.t.Load())
-	st.Stopped = s.stopped.Load()
+	st.Stopped = s.learningStopped()
 	st.TotalSamples = int(s.totalNs.Load())
 	st.TotalErrors = int(s.totalNe.Load())
 	st.UpdaterName = s.cfg.Updater.Name()

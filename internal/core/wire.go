@@ -42,7 +42,7 @@ type CheckinRequest struct {
 }
 
 // Transport is the device's view of the communication channel to the
-// server. Implementations: transport.Loopback (in-process) and
+// server. Implementations: *Server itself (in process) and
 // transport.HTTPClient (the networked prototype).
 type Transport interface {
 	// Checkout requests the current parameters (workflow steps 2–3).
@@ -50,3 +50,5 @@ type Transport interface {
 	// Checkin submits a sanitized gradient and counters (workflow step 4).
 	Checkin(ctx context.Context, deviceID, token string, req *CheckinRequest) error
 }
+
+var _ Transport = (*Server)(nil)

@@ -12,7 +12,6 @@ import (
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/scenario"
-	"github.com/crowdml/crowdml/internal/transport"
 )
 
 // Fig3Rates is the learning-rate sweep of Fig. 3. The paper sweeps
@@ -85,7 +84,7 @@ func runFig3Trial(rate float64, devices, totalSamples int, seed uint64) (metrics
 			ID:        fmt.Sprintf("phone-%d", i),
 			Token:     token,
 			Model:     m,
-			Transport: transport.NewLoopback(srv),
+			Transport: srv,
 			Minibatch: 1,
 			Seed:      seed + uint64(i)*15485863,
 		})

@@ -155,20 +155,17 @@ type durability struct {
 	stopCh    chan struct{}
 	doneCh    chan struct{}
 
-	// export is the checkpointer goroutine's alone: every periodic snapshot
-	// lands in the same memory (Store.Save retains nothing of it).
+	// export is the memory every snapshot is exported into (Store.Save
+	// retains nothing of it): the checkpointer goroutine's while it runs,
+	// close's once it has exited.
 	export core.StateBuffer
 
 	// failed latches on the first journal append or sync failure: the WAL
 	// can no longer honor "every acknowledged checkin is durable", so the
 	// task fail-stops (see commit) rather than silently widening the loss —
 	// and no later append may succeed, which would leave a hole that
-	// breaks replay contiguity on recovery. preFailStopped captures the
-	// learning-rule stop state at the moment of failure, so close() can
-	// persist THAT instead of the fail-stop latch — a transient disk
-	// error must not brick the task across restarts.
-	failed         atomic.Bool
-	preFailStopped atomic.Bool
+	// breaks replay contiguity on recovery.
+	failed atomic.Bool
 
 	// stopOnce guards stopCh against double close across retried closes.
 	stopOnce sync.Once
@@ -178,22 +175,18 @@ type durability struct {
 	// — which both drains every in-flight commit and makes later commits
 	// skip journaling. An append racing journal.Close would otherwise latch
 	// a bogus fail-stop from the spurious error. Skipping loses nothing:
-	// close() stops the server BEFORE its state export, so any checkin
+	// close() halts the server BEFORE its state export, so any checkin
 	// whose commit got this far is covered by the final checkpoint.
 	closeMu sync.RWMutex
 	closing bool
 
-	mu        sync.Mutex
-	asyncErr  []error       // failures on the async paths, surfaced by close
-	closed    bool          // fully flushed; latched only on flush success
-	closeBusy bool          // a close attempt is in flight
-	closeWait chan struct{} // closed when the in-flight attempt finishes
-	// persistStopped is the stop flag the final checkpoint should carry,
-	// decided once on the first close attempt (before close's own
-	// administrative Stop latches the server) so a RETRIED close after a
-	// flush failure does not mistake that Stop for learning state.
-	persistStopped bool
-	stopDecided    bool
+	// closeSlot admits one close attempt at a time; closed (fully flushed,
+	// latched only on success) is read and written only by its holder.
+	closeSlot chan struct{}
+	closed    bool
+
+	mu       sync.Mutex
+	asyncErr []error // failures on the async paths, surfaced by close
 }
 
 func newDurability(st store.Store, journal store.Journal, policy CheckpointPolicy, retention RetentionPolicy, sp SyncPolicy) *durability {
@@ -204,6 +197,7 @@ func newDurability(st store.Store, journal store.Journal, policy CheckpointPolic
 		kick:      make(chan struct{}, 1),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
+		closeSlot: make(chan struct{}, 1),
 	}
 }
 
@@ -282,13 +276,12 @@ func (d *durability) recordErr(err error) {
 // honor "every acknowledged checkin is durable", so the task stops
 // accepting checkins (keeping the at-risk window as narrow as one
 // batch), no later append may succeed behind the failure (a hole would
-// break replay contiguity), and the error surfaces at Close. The
-// learning-rule stop state is captured first: the fail-stop is
-// operational, and must not be persisted as learning state.
+// break replay contiguity), and the error surfaces at Close. The server
+// is halted, not stopped: a transient disk error is not learning state,
+// and no checkpoint may persist it.
 func (d *durability) failStop(err error) {
-	d.preFailStopped.Store(d.srv.Stopped())
 	d.failed.Store(true)
-	d.srv.Stop()
+	d.srv.Halt()
 	if d.m != nil {
 		d.m.failStops.Inc()
 	}
@@ -326,32 +319,15 @@ func (d *durability) run() {
 	}
 }
 
-// save snapshots the server state, then rotates the journal onto a
-// fresh segment. The export takes the apply lock for the duration of one
-// state copy into the checkpointer's warm buffer, so checkpointing
-// throttles the write path only for that copy, never for the Store.Save
-// I/O itself. Called on the checkpointer goroutine only.
+// save is the checkpointer's cycle: one checkpoint, then the journal
+// rotated onto a fresh segment and retention applied behind it. Called on
+// the checkpointer goroutine only.
 func (d *durability) save(ctx context.Context) {
 	n := d.dirty.Load()
-	state := d.srv.ExportStateInto(&d.export)
-	// Scrub the fail-stop latch exactly as close() does: it is
-	// operational, not learning state, and a snapshot that persisted it
-	// would brick the task across a crash that follows a transient
-	// journal error. (failed is checked AFTER the export: the fail-stop
-	// stores preFailStopped and failed before it stops the server, so an
-	// export that saw the stop also sees failed here.)
-	if d.failed.Load() {
-		state.Stopped = d.preFailStopped.Load()
-	}
-	if err := d.st.Save(ctx, state, time.Now()); err != nil {
-		if d.m != nil {
-			d.m.checkpointFailures.Inc()
-		}
+	state, err := d.checkpoint(ctx)
+	if err != nil {
 		d.recordErr(fmt.Errorf("checkpoint: %w", err))
 		return
-	}
-	if d.m != nil {
-		d.m.checkpointSaves.Inc()
 	}
 	// Checkins that raced in between the Load and the export are covered
 	// by the snapshot too; counting them as still-dirty only means one
@@ -360,6 +336,24 @@ func (d *durability) save(ctx context.Context) {
 	if d.rotate(ctx) {
 		d.retain(ctx, state.Iteration)
 	}
+}
+
+// checkpoint writes one snapshot and counts the outcome: the only
+// Store.Save call, for the periodic checkpoints and the final one alike.
+// The export takes the apply lock for the duration of one state copy into
+// the warm d.export, so checkpointing throttles the write path only for
+// that copy, never for the Store.Save I/O itself.
+func (d *durability) checkpoint(ctx context.Context) (*core.ServerState, error) {
+	state := d.srv.ExportStateInto(&d.export)
+	err := d.st.Save(ctx, state, time.Now())
+	switch {
+	case d.m == nil:
+	case err != nil:
+		d.m.checkpointFailures.Inc()
+	default:
+		d.m.checkpointSaves.Inc()
+	}
+	return state, err
 }
 
 // rotate seals the live journal segment behind a successful checkpoint,
@@ -419,105 +413,79 @@ func (d *durability) retain(ctx context.Context, coveredIteration int) {
 	}
 }
 
-// close stops the checkpointer, stops the server, writes the final
+// close stops the checkpointer, halts the server, writes the final
 // snapshot, closes the journal, and reports every error the async paths
-// accumulated. Stopping the server before the final export closes the
-// shutdown loss window: a checkin not yet applied when the stop latches
+// accumulated. Halting the server before the final export closes the
+// shutdown loss window: a checkin not yet applied when the halt latches
 // is rejected (ErrStopped, never acknowledged), so nothing acknowledged
-// can postdate the final checkpoint. The stop is shutdown mechanics, not
-// learning state — the snapshot records the server's pre-shutdown
-// stopped flag, so a restored task resumes accepting checkins unless the
-// learning rule (or CloseTask) had already stopped it.
+// can postdate the final checkpoint. The halt is not learning state, so
+// the snapshot carries only the learning stop — a restored task resumes
+// accepting checkins unless the learning rule (or CloseTask) stopped it.
 //
-// The flushed latch is set only when the flush SUCCEEDS: a close that
-// failed on a wedged or full store returns its error and may be retried
-// (Hub.Close and a flush-failed CloseTask leave the task reachable for
-// exactly that); once a close succeeds, later calls return nil.
+// One attempt runs at a time; a concurrent closer waits for it (or for
+// its own ctx) and then finds the task flushed, or retries: it must not
+// report success (and, in CloseTask's case, deregister the task) while
+// the real flush is still running and may yet fail. closed latches only
+// when a flush SUCCEEDS: a close that failed on a wedged or full store
+// returns its error and may be retried (Hub.Close and a flush-failed
+// CloseTask leave the task reachable for exactly that). A task without a
+// store has a nil durability, whose close is a no-op.
 func (d *durability) close(ctx context.Context) error {
-	// Claim the single close slot, or wait for the attempt already in
-	// flight and then re-check: a concurrent closer must not report
-	// success (and, in CloseTask's case, deregister the task) while the
-	// real flush is still running and may yet fail.
-	for {
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
-			return nil
-		}
-		if !d.closeBusy {
-			d.closeBusy = true
-			d.closeWait = make(chan struct{})
-			d.mu.Unlock()
-			break
-		}
-		wait := d.closeWait
-		d.mu.Unlock()
-		select {
-		case <-wait:
-		case <-ctx.Done():
-			return fmt.Errorf("waiting on a concurrent durability close: %w", ctx.Err())
-		}
+	if d == nil {
+		return nil
 	}
-	done := func(final bool, errs ...error) error {
-		d.mu.Lock()
-		d.closeBusy = false
-		d.closed = final
-		close(d.closeWait)
-		errs = append(errs, d.asyncErr...)
-		d.asyncErr = nil
-		d.mu.Unlock()
-		return errors.Join(errs...)
+	select {
+	case d.closeSlot <- struct{}{}:
+	case <-ctx.Done():
+		return fmt.Errorf("waiting on a concurrent durability close: %w", ctx.Err())
 	}
+	defer func() { <-d.closeSlot }()
+	if d.closed {
+		return nil
+	}
+	err := d.flush(ctx)
+	d.closed = err == nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	err = errors.Join(append([]error{err}, d.asyncErr...)...)
+	d.asyncErr = nil
+	return err
+}
+
+// flush is one close attempt.
+func (d *durability) flush(ctx context.Context) error {
 	d.stopOnce.Do(func() { close(d.stopCh) })
 	select {
 	case <-d.doneCh:
 	case <-ctx.Done():
 		// The checkpointer is wedged in a hung Store.Save; hand the caller
-		// its deadline back and leave the latch open for a retry once the
-		// store recovers. (The checkpointer goroutine itself exits when
-		// the wedged Save returns and does not restart — the journal still
-		// records every checkin, so nothing is lost, but snapshots resume
-		// only after a successful retried close... which is the only
-		// supported continuation: close again, don't keep serving.)
-		return done(false, fmt.Errorf("checkpointer did not stop before the deadline: %w", ctx.Err()))
+		// its deadline back for a retry once the store recovers. (The
+		// checkpointer goroutine itself exits when the wedged Save returns
+		// and does not restart — the journal still records every checkin,
+		// so nothing is lost, but the only supported continuation is to
+		// close again, not to keep serving.)
+		return fmt.Errorf("checkpointer did not stop before the deadline: %w", ctx.Err())
 	}
-	d.mu.Lock()
-	if !d.stopDecided {
-		// Decide what stop flag to persist BEFORE close's own Stop below
-		// latches the server (a retried close must not mistake it for
-		// learning state), and likewise ignore a fail-stop latch — both
-		// are operational; only the learning rule's (or CloseTask's
-		// pre-existing) verdict belongs in the checkpoint.
-		d.persistStopped = d.srv.Stopped()
-		if d.failed.Load() {
-			d.persistStopped = d.preFailStopped.Load()
-		}
-		d.stopDecided = true
-	}
-	stopped := d.persistStopped
-	d.mu.Unlock()
-	d.srv.Stop()
-	state := d.srv.ExportState() // wMu barrier: everything applied so far
-	state.Stopped = stopped
-	if err := d.st.Save(ctx, state, time.Now()); err != nil {
+	d.srv.Halt()
+	// The export takes the apply lock: everything applied so far is in it.
+	if _, err := d.checkpoint(ctx); err != nil {
 		// The journal stays open and commits keep appending: every
 		// acknowledged checkin remains durable in the WAL even though the
 		// snapshot failed, and a retried close re-exports and re-saves.
-		return done(false, fmt.Errorf("final checkpoint: %w", err))
+		return fmt.Errorf("final checkpoint: %w", err)
 	}
 	// Only now fence the journal — the fence drains in-flight commits and
 	// makes later ones skip journaling. Any checkin those late commits
-	// carry was applied before the Stop above, so the
-	// just-written checkpoint already covers it durably; fencing earlier
-	// would instead leave such checkins nowhere if the Save had failed.
+	// carry was applied before the Halt above, so the just-written
+	// checkpoint already covers it durably; fencing earlier would instead
+	// leave such checkins nowhere if the Save had failed.
 	d.closeMu.Lock()
 	d.closing = true
 	d.closeMu.Unlock()
-	var errs []error
 	if err := d.journal.Close(); err != nil {
-		errs = append(errs, fmt.Errorf("close journal: %w", err))
+		return fmt.Errorf("close journal: %w", err)
 	}
-	return done(len(errs) == 0, errs...)
+	return nil
 }
 
 // restoreInto reconstructs a freshly built server from its store: load
@@ -613,18 +581,18 @@ func (h *Hub) Restore(ctx context.Context, root store.Root, configure TaskConfig
 }
 
 // Close flushes durability for every hosted task: each task's
-// checkpointer is stopped, its server is stopped (so no checkin can be
+// checkpointer is stopped, its server is halted (so no checkin can be
 // acknowledged past its final snapshot — devices get ErrStopped, and
 // checkouts still answer, with Done set), a final snapshot is written,
-// and the journal is closed; tasks without a store are untouched. The
-// stop is not persisted as learning state: a hub reopened from the same
-// stores resumes every task. Errors
-// are collected per task (prefixed with the task ID) and joined, so one
-// failing store never hides another task's flush failure. Idempotent.
+// and the journal is closed; tasks without a store are untouched. A halt
+// is not learning state: a hub reopened from the same stores resumes
+// every task the learning rule had not stopped. Errors are collected per
+// task (prefixed with the task ID) and joined, so one failing store never
+// hides another task's flush failure. Idempotent.
 func (h *Hub) Close(ctx context.Context) error {
 	var errs []error
 	for _, t := range h.Tasks() {
-		if err := t.closeDurability(ctx); err != nil {
+		if err := t.dur.close(ctx); err != nil {
 			errs = append(errs, fmt.Errorf("task %q: %w", t.id, err))
 		}
 	}

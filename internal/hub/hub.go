@@ -111,16 +111,6 @@ func (t *Task) Store() store.Store {
 	return t.dur.st
 }
 
-// closeDurability flushes and shuts down the task's durability engine
-// (final snapshot + journal close). No-op for tasks without a store or
-// whose durability was already closed.
-func (t *Task) closeDurability(ctx context.Context) error {
-	if t.dur == nil {
-		return nil
-	}
-	return t.dur.close(ctx)
-}
-
 // TaskOption customizes CreateTask.
 type TaskOption func(*createOptions)
 
@@ -447,12 +437,12 @@ func ProgressOf(s *core.Server) Progress {
 // Progress returns the task's progress view.
 func (t *Task) Progress() Progress { return ProgressOf(t.server) }
 
-// CloseTask stops the task's server (administrative shutdown, so devices
-// checking out learn to stand down if they still hold the pointer),
-// flushes a durable task's state — final checkpoint, journal closed —
-// and removes the task from the registry, leaving a tombstone so the
-// HTTP layer can tell remote devices the task has stopped (409) rather
-// than that it never existed (404).
+// CloseTask stops the task's server for good (so devices checking out
+// learn to stand down if they still hold the pointer), flushes a durable
+// task's state — final checkpoint, journal closed; the stop is in it, so
+// the task restores stopped — and removes the task from the registry,
+// leaving a tombstone so the HTTP layer can tell remote devices the task
+// has stopped (409) rather than that it never existed (404).
 //
 // The flush runs BEFORE the removal: if it fails (a wedged or erroring
 // store), the error is returned and the task stays registered — stopped,
@@ -468,7 +458,7 @@ func (h *Hub) CloseTask(ctx context.Context, taskID string) error {
 		return fmt.Errorf("%q: %w", taskID, ErrTaskNotFound)
 	}
 	t.server.Stop()
-	if err := t.closeDurability(ctx); err != nil {
+	if err := t.dur.close(ctx); err != nil {
 		return fmt.Errorf("task %q: flush on close: %w", taskID, err)
 	}
 	h.mu.Lock()

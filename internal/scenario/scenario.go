@@ -62,7 +62,7 @@ const (
 	// behind the routing front-end, merged reads, device-hash writes.
 	TopologySharded Topology = "sharded"
 	// TopologyInProcess is the single leader task without sockets: the
-	// crowd calls the hub task's core.Server through transport.Loopback.
+	// crowd calls the hub task's core.Server directly.
 	// Same engine, same server; what it omits is the HTTP codec, the
 	// enrollment key and the per-request HTTP metrics.
 	TopologyInProcess Topology = "inprocess"

@@ -33,8 +33,8 @@ type backend interface {
 	Stats(ctx context.Context) (*transport.StatsResponse, error)
 }
 
-// inProcess is the backend of TopologyInProcess: the hub task's server
-// behind transport.Loopback (or what Crowd.Intercept wrapped around it).
+// inProcess is the backend of TopologyInProcess: the hub task's server as
+// the transport (or what Crowd.Intercept wrapped around it).
 type inProcess struct {
 	core.Transport
 	srv *core.Server
@@ -141,7 +141,7 @@ func buildInProcess(ctx context.Context, c Crowd) (*stack, error) {
 		return nil, err
 	}
 	srv := task.Server()
-	var tr core.Transport = transport.NewLoopback(srv)
+	var tr core.Transport = srv
 	if c.Intercept != nil {
 		tr = c.Intercept(srv, tr)
 	}

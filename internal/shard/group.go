@@ -87,7 +87,7 @@ func WithMetrics(reg *telemetry.Registry) Option {
 // routing/merging front-end. It implements hub.ShardRouter (New mounts
 // it on the hub, which is what routes the logical task's HTTP traffic
 // through it) and core.Transport (in-process devices can run against it
-// directly, exactly like against a Loopback).
+// directly, exactly like against a core.Server).
 type Group struct {
 	hub     *hub.Hub
 	id      string

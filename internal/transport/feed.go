@@ -222,8 +222,8 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 }
 
 // AuthProbe verifies device credentials against the server without
-// transferring parameters: a HEAD on the checkout endpoint, which
-// authenticates exactly like a checkout but discards the body. nil means
+// transferring parameters: a HEAD on the checkout endpoint, which the
+// server answers by authenticating only (no checkout is served). nil means
 // the server vouches for the credentials — this is the leader-side check
 // behind a follower replica's core.ServerConfig.AuthFallback, paid once
 // per unknown device and then cached locally.

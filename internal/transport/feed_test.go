@@ -17,6 +17,7 @@ import (
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/store"
+	"github.com/crowdml/crowdml/internal/telemetry"
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
@@ -262,6 +263,63 @@ func TestAuthProbe(t *testing.T) {
 	}
 	if err := client.AuthProbe(ctx, "d1", "wrong"); !errors.Is(err, core.ErrAuth) {
 		t.Errorf("bad token: err = %v, want ErrAuth", err)
+	}
+}
+
+// TestAuthProbeIsNotACheckout: the probe authenticates and does nothing
+// else — no parameters encoded, no checkout counted — and a bad token
+// still gets 401, on a plain task and on a sharded one, where the member
+// owning the device decides.
+func TestAuthProbeIsNotACheckout(t *testing.T) {
+	ctx := context.Background()
+	reg := telemetry.NewRegistry()
+	h := hub.New()
+	task, err := h.CreateTask(ctx, "alpha", core.ServerConfig{
+		Model:   model.NewLogisticRegression(2, 2),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
+	}, hub.WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, _ := task.Server().RegisterDevice(ctx, "d1")
+	ts := httptest.NewServer(NewHandler(h))
+	defer ts.Close()
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
+	if err := client.AuthProbe(ctx, "d1", token); err != nil {
+		t.Errorf("valid credentials: %v", err)
+	}
+	if err := client.AuthProbe(ctx, "d1", "wrong"); !errors.Is(err, core.ErrAuth) {
+		t.Errorf("bad token: err = %v, want ErrAuth", err)
+	}
+	checkouts := reg.Counter("crowdml_checkouts_total", "Successful parameter checkouts.", telemetry.L("task", "alpha"))
+	if n := checkouts.Value(); n != 0 {
+		t.Errorf("two auth probes counted %d checkouts, want 0", n)
+	}
+	if _, err := client.Checkout(ctx, "d1", token); err != nil || checkouts.Value() != 1 {
+		t.Errorf("a real checkout: %v, counted %d, want 1", err, checkouts.Value())
+	}
+
+	shd, _ := newShardedHandler(t)
+	shd.EnableEnrollment("k")
+	sts := httptest.NewServer(shd)
+	defer sts.Close()
+	sharded := NewHTTPClient(sts.URL, nil).WithTask("act")
+	// device-002 hashes to shard 0, device-001 to shard 1 (golden map).
+	tok0, err := sharded.Register(ctx, "device-002", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok1, err := sharded.Register(ctx, "device-001", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, tok := range map[string]string{"device-002": tok0, "device-001": tok1} {
+		if err := sharded.AuthProbe(ctx, id, tok); err != nil {
+			t.Errorf("sharded task, %s's own credentials: %v", id, err)
+		}
+	}
+	if err := sharded.AuthProbe(ctx, "device-002", tok1); !errors.Is(err, core.ErrAuth) {
+		t.Errorf("sharded task, another shard's token: err = %v, want ErrAuth", err)
 	}
 }
 

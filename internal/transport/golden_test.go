@@ -59,7 +59,7 @@ func TestEndpointGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkin(NewLoopback(solo.Server()), solo.Server().RegisterDevice, "d1", right, wrong, right)
+	checkin(solo.Server(), solo.Server().RegisterDevice, "d1", right, wrong, right)
 
 	act, err := shard.New(ctx, h, "act", cfg, shard.WithShards(2), shard.WithMergeInterval(time.Hour),
 		shard.WithInfo(hub.TaskInfo{Name: "Activity", Algorithm: "sharded logreg"}))

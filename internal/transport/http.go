@@ -1,3 +1,8 @@
+// Package transport connects Crowd-ML devices to the server over HTTP,
+// reproducing the paper's networked prototype (Section V-A, where the
+// original system used Apache/HTTPS; TLS termination is orthogonal and can
+// be layered with net/http's TLS support). In process, a *core.Server is
+// itself a core.Transport.
 package transport
 
 import (
@@ -98,6 +103,7 @@ func NewHandler(h *hub.Hub) *Handler {
 	hd := &Handler{hub: h, mux: http.NewServeMux()}
 	hd.mux.HandleFunc("GET "+PathTasks, hd.handleListTasks)
 	hd.mux.HandleFunc("GET "+PathTasks+"/{task}/checkout", hd.handleCheckout)
+	hd.mux.HandleFunc("HEAD "+PathTasks+"/{task}/checkout", hd.handleAuthProbe)
 	hd.mux.HandleFunc("POST "+PathTasks+"/{task}/checkin", hd.handleCheckin)
 	hd.mux.HandleFunc("GET "+PathTasks+"/{task}/stats", hd.handleStats)
 	hd.mux.HandleFunc("GET "+PathTasks+"/{task}/journal", hd.handleJournalFeed)
@@ -180,6 +186,19 @@ func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleCheckout(w http.ResponseWriter, r *http.Request) {
 	if e, ok := h.resolve(w, r); ok {
 		serveCheckout(w, r, backend(e))
+	}
+}
+
+// handleAuthProbe answers HTTPClient.AuthProbe, a HEAD on the checkout
+// route, by authenticating only: nothing is encoded and no checkout is
+// counted. The server owning the device decides (in a sharded task, its
+// member), AuthFallback included.
+func (h *Handler) handleAuthProbe(w http.ResponseWriter, r *http.Request) {
+	if e, ok := h.resolve(w, r); ok {
+		id := r.Header.Get(headerDeviceID)
+		if err := e.Owner(id).Server().Authenticate(r.Context(), id, r.Header.Get(headerToken)); err != nil {
+			writeError(w, err)
+		}
 	}
 }
 

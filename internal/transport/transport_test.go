@@ -55,13 +55,15 @@ func checkinReq() *core.CheckinRequest {
 	}
 }
 
+// TestLoopbackRoundTrip: in process, the server is the device's
+// transport.
 func TestLoopbackRoundTrip(t *testing.T) {
 	srv := newServer(t)
 	token, err := srv.RegisterDevice(context.Background(), "d1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := NewLoopback(srv)
+	var lb core.Transport = srv
 	ctx := context.Background()
 	co, err := lb.Checkout(ctx, "d1", token)
 	if err != nil {
@@ -81,7 +83,7 @@ func TestLoopbackRoundTrip(t *testing.T) {
 func TestLoopbackRespectsContext(t *testing.T) {
 	srv := newServer(t)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
-	lb := NewLoopback(srv)
+	var lb core.Transport = srv
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := lb.Checkout(ctx, "d1", token); !errors.Is(err, context.Canceled) {

@@ -315,6 +315,54 @@ func TestOpenHubEmptyRoot(t *testing.T) {
 	}
 }
 
+// TestCloseTaskStopPersistsAcrossOpenHub: CloseTask ends the task for
+// good, so its stop is learning state — unlike Hub.Close's shutdown, it is
+// in the final checkpoint, and the task OpenHub restores stays stopped.
+func TestCloseTaskStopPersistsAcrossOpenHub(t *testing.T) {
+	ctx := context.Background()
+	root := crowdml.NewMemRoot()
+	st, err := root.Open(ctx, "task")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := crowdml.NewHub()
+	task, err := h.CreateTask(ctx, "task", recServerConfig(), crowdml.WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveCrowd(t, task)
+	want := task.Server().Iteration()
+	if err := h.CloseTask(ctx, "task"); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := crowdml.OpenHub(ctx, root, func(string) (crowdml.ServerConfig, []crowdml.TaskOption, error) {
+		return recServerConfig(), nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, ok := reopened.Task("task")
+	if !ok {
+		t.Fatal("OpenHub did not restore the closed task")
+	}
+	srv := restored.Server()
+	if !srv.Stopped() || srv.Iteration() != want {
+		t.Errorf("restored task: stopped %v at iteration %d, want stopped at %d", srv.Stopped(), srv.Iteration(), want)
+	}
+	token, err := srv.RegisterDevice(ctx, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &crowdml.CheckinRequest{Grad: make([]float64, recClasses*recDim), NumSamples: 1, LabelCounts: make([]int, recClasses)}
+	if err := srv.Checkin(ctx, "late", token, req); !errors.Is(err, crowdml.ErrStopped) {
+		t.Errorf("checkin on the restored closed task = %v, want ErrStopped", err)
+	}
+	if err := reopened.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // countingStore wraps a Store and counts the journal records streamed
 // through the cursors it opens — the restore path's actual read volume,
 // which segmentation must bound by rotation cadence.
