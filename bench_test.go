@@ -769,7 +769,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
 		Params:           make([]float64, classes*dim),
 		TotalLabelCounts: make([]int, classes),
-		Devices:          make(map[string]core.DeviceStateEntry, devices),
+		Devices:          make(map[string]core.DeviceStats, devices),
 	}
 	for i := range state.Params {
 		state.Params[i] = 0.001 * float64(i)
@@ -779,7 +779,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		for k := range counts {
 			counts[k] = i%7 + k
 		}
-		state.Devices[fmt.Sprintf("dev-%05d", i)] = core.DeviceStateEntry{
+		state.Devices[fmt.Sprintf("dev-%05d", i)] = core.DeviceStats{
 			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
 		}
 	}

@@ -36,8 +36,9 @@
 //     served from a published snapshot behind an atomic pointer that a
 //     reader pins with one CAS (and whose memory is recycled once it has
 //     left the delta history and its last reader let go), crowd totals
-//     are atomic counters, and device credentials live in a
-//     hash-striped registry. Readers never wait on writers.
+//     are atomic counters, and device credentials live in one registry
+//     table behind a read-write lock. Readers never wait on the parameter
+//     lock.
 //   - Checkins go through a batched applier: concurrent callers enqueue
 //     their sanitized deltas into a bounded queue and a batch leader
 //     applies up to 32 of them under a single parameter-lock

@@ -220,11 +220,20 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	defer rep2.Stop()
 	waitReplicaCaughtUp(t, leader, followerTask)
 
+	// A device that joins after the re-bootstrap reaches the tailing
+	// follower through the journal alone: replay must create its row.
+	lateToken, err := leader.RegisterDevice(ctx, "phone-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repDrive(t, leaderClient, "phone-2", lateToken, 1)
+	waitReplicaCaughtUp(t, leader, followerTask)
+
 	ls, fs := leader.ExportState(), followerTask.Server().ExportState()
 	if !reflect.DeepEqual(ls, fs) {
 		t.Fatalf("follower state diverged after re-bootstrap:\nleader   %+v\nfollower %+v", ls, fs)
 	}
-	if want := 12 + 15 + extra; ls.Iteration != want {
+	if want := 12 + 15 + extra + 1; ls.Iteration != want {
 		t.Errorf("leader iteration = %d, want %d", ls.Iteration, want)
 	}
 

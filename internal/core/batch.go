@@ -240,7 +240,7 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 			// update — unavoidable with a panicking updater, and exactly the
 			// exposure the old per-checkin lock had.)
 			t := int(s.t.Load()) + 1
-			s.applyLocked(p.deviceID, p.req, p.grad, t, false)
+			s.applyLocked(p.deviceID, p.req, p.grad, t)
 			s.records = append(s.records, ReplayRecord{DeviceID: p.deviceID, Iteration: t, Req: p.req})
 			results[i] = nil
 		}
@@ -251,11 +251,9 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 // iteration t: the update w ← w − η(t)ĝ, then t, then the crowd totals,
 // then the device's counters. The live applier and journal Replay both
 // run exactly this sequence, which is what bit-exact recovery rests on.
-// Staleness is measured against the pre-update counter t−1. createDevice
-// is Replay's: credentials are not persisted, so a replayed device may
-// be unknown. Caller holds wMu; t only advances under it, so the store
-// is single-writer safe.
-func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.Matrix, t int, createDevice bool) {
+// Staleness is measured against the pre-update counter t−1. Caller holds
+// wMu; t only advances under it, so the store is single-writer safe.
+func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.Matrix, t int) {
 	s.cfg.Updater.Update(s.w, grad, t)
 	s.t.Store(int64(t))
 	// Errors and label counts strictly before samples, so a concurrent
@@ -266,5 +264,5 @@ func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.
 		s.totalNky[k].Add(int64(c))
 	}
 	s.totalNs.Add(int64(req.NumSamples))
-	s.devices.recordCheckin(deviceID, req, t-1-req.Version, createDevice)
+	s.devices.recordCheckin(deviceID, req, t-1-req.Version)
 }

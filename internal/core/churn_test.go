@@ -34,7 +34,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", oldToken, validCheckin(co.Version)); err != nil {
 		t.Fatal(err)
 	}
-	stats, ok := s.DeviceStats("d1")
+	stats, ok := s.ExportState().Devices["d1"]
 	if !ok {
 		t.Fatal("d1 stats missing after checkin")
 	}
@@ -60,7 +60,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 			}
 		}
 	}
-	stats, ok = s.DeviceStats("d1")
+	stats, ok = s.ExportState().Devices["d1"]
 	if !ok {
 		t.Fatal("d1 stats missing after re-registration")
 	}
@@ -81,7 +81,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", oldToken, validCheckin(0)); !errors.Is(err, ErrAuth) {
 		t.Errorf("old-token checkin err = %v, want ErrAuth", err)
 	}
-	if st, _ := s.DeviceStats("d1"); st.Checkins != 1 {
+	if st := s.ExportState().Devices["d1"]; st.Checkins != 1 {
 		t.Errorf("rejected old-token checkin was counted: %+v", st)
 	}
 
@@ -94,7 +94,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", newToken, validCheckin(co.Version)); err != nil {
 		t.Fatal(err)
 	}
-	stats, _ = s.DeviceStats("d1")
+	stats = s.ExportState().Devices["d1"]
 	if stats.Checkins != 2 || stats.StalenessSum != 3 {
 		t.Errorf("post-rejoin stats = %+v, want 2 checkins with staleness still 3", stats)
 	}

@@ -330,7 +330,7 @@ func TestDeviceEndToEndWithServer(t *testing.T) {
 	if srv.Iteration() != 10 {
 		t.Errorf("server iterations = %d, want 10", srv.Iteration())
 	}
-	st, _ := srv.DeviceStats("d1")
+	st := srv.ExportState().Devices["d1"]
 	if st.Samples != 20 {
 		t.Errorf("server counted %d samples, want 20", st.Samples)
 	}

@@ -108,7 +108,7 @@ func TestApplierPanicSafety(t *testing.T) {
 	if got, want := srv.Iteration(), succeeded; got != want {
 		t.Errorf("Iteration() = %d, want %d (one per successful checkin)", got, want)
 	}
-	if st, ok := srv.DeviceStats("dev"); !ok || st.Checkins != succeeded {
+	if st, ok := srv.ExportState().Devices["dev"]; !ok || st.Checkins != succeeded {
 		t.Errorf("device Checkins = %d (ok=%v), want %d", st.Checkins, ok, succeeded)
 	}
 

@@ -128,7 +128,7 @@ func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 		if err != nil {
 			return applied, fmt.Errorf("core: replay record %d: %w", r.Iteration, err)
 		}
-		s.applyLocked(r.DeviceID, r.Req, g, r.Iteration, true)
+		s.applyLocked(r.DeviceID, r.Req, g, r.Iteration)
 		applied++
 		if applied%replayPublishEvery == 0 {
 			// Keep concurrent readers fed during a long replay (see

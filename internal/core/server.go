@@ -87,19 +87,20 @@ type ServerConfig struct {
 }
 
 // DeviceStats are the server's per-device progress counters from
-// Algorithm 2: N^m_s, N^m_e and N^{k,m}_y.
+// Algorithm 2: N^m_s, N^m_e and N^{k,m}_y — one row of the registry and
+// of ServerState.Devices.
 type DeviceStats struct {
 	// Samples is N^m_s, the total (unperturbed) sample count.
-	Samples int
+	Samples int `json:"samples"`
 	// Errors is N^m_e, the accumulated sanitized misclassification count.
-	Errors int
+	Errors int `json:"errors"`
 	// LabelCounts is N^{k,m}_y per class, accumulated sanitized counts.
-	LabelCounts []int
+	LabelCounts []int `json:"labelCounts"`
 	// Checkins counts completed checkins from this device.
-	Checkins int
+	Checkins int `json:"checkins"`
 	// StalenessSum accumulates (t_apply − t_checkout) over checkins, for
 	// latency analysis (Section IV-B3).
-	StalenessSum int
+	StalenessSum int `json:"stalenessSum"`
 }
 
 // Server is the Crowd-ML server of Algorithm 2. It is safe for concurrent
@@ -111,8 +112,9 @@ type DeviceStats struct {
 //     SnapshotRing), and the crowd totals are atomic counters, so a
 //     million-device portal polling for parameters never serializes on
 //     the update lock.
-//   - Device credentials and per-device counters live in a hash-striped
-//     registry (16 shards), so authentication scales with cores.
+//   - Device credentials and per-device counters live in one registry
+//     table: authentication takes its read lock, and the counters are
+//     guarded by the apply lock (wMu) that every write to them holds.
 //   - Checkins are applied in batches: callers enqueue their sanitized
 //     delta into a bounded queue and one caller — the batch leader —
 //     drains up to checkinBatchSize deltas and applies them under a
@@ -124,9 +126,10 @@ type DeviceStats struct {
 type Server struct {
 	cfg ServerConfig
 
-	// wMu is the parameter/apply lock: it guards w and serializes batch
-	// application, snapshot publication, and state import/export. The
-	// read paths never take it.
+	// wMu is the parameter/apply lock: it guards w and every device's
+	// counters (deviceEntry.stats) and serializes batch application,
+	// snapshot publication, and state import/export. The read paths never
+	// take it.
 	wMu sync.Mutex
 	w   *linalg.Matrix
 
@@ -256,7 +259,7 @@ func (s *Server) authenticate(ctx context.Context, deviceID, token string) error
 }
 
 // Checkout implements Server Routine 1: authenticate and hand out the
-// current parameters. It is lock-free — authentication takes one shard
+// current parameters. It is lock-free — authentication takes the registry
 // read lock and the parameters come from the pinned snapshot — so
 // checkout throughput scales with cores instead of serializing behind
 // concurrent checkins. A stopped server still answers (with Done set) so
@@ -447,10 +450,4 @@ func (s *Server) PriorEstimate() ([]float64, bool) {
 		out[k] = float64(s.totalNky[k].Load()) / float64(ns)
 	}
 	return out, true
-}
-
-// DeviceStats returns a copy of the per-device counters, or false if the
-// device is unknown.
-func (s *Server) DeviceStats(deviceID string) (DeviceStats, bool) {
-	return s.devices.statsCopy(deviceID)
 }

@@ -221,7 +221,7 @@ func TestEstimates(t *testing.T) {
 func TestDeviceStatsTracking(t *testing.T) {
 	s := newTestServer(t, ServerConfig{})
 	token := register(t, s, "d1")
-	if _, ok := s.DeviceStats("unknown"); ok {
+	if _, ok := s.ExportState().Devices["unknown"]; ok {
 		t.Error("unknown device should not have stats")
 	}
 	// First checkin with version 0 (no staleness), second stale by 1.
@@ -231,7 +231,7 @@ func TestDeviceStatsTracking(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", token, validCheckin(0)); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.DeviceStats("d1")
+	st, ok := s.ExportState().Devices["d1"]
 	if !ok {
 		t.Fatal("missing device stats")
 	}
@@ -243,9 +243,9 @@ func TestDeviceStatsTracking(t *testing.T) {
 	}
 	// Returned slice must be a copy.
 	st.LabelCounts[0] = 99
-	st2, _ := s.DeviceStats("d1")
+	st2 := s.ExportState().Devices["d1"]
 	if st2.LabelCounts[0] == 99 {
-		t.Error("DeviceStats leaked internal slice")
+		t.Error("ExportState leaked internal slice")
 	}
 }
 

@@ -49,16 +49,7 @@ type ServerState struct {
 	// vector back and journal-tail replay advances it deterministically.
 	UpdaterState []float64 `json:"updaterState,omitempty"`
 	// Devices holds the per-device counters, keyed by device ID.
-	Devices map[string]DeviceStateEntry `json:"devices"`
-}
-
-// DeviceStateEntry is the serializable form of DeviceStats.
-type DeviceStateEntry struct {
-	Samples      int   `json:"samples"`
-	Errors       int   `json:"errors"`
-	LabelCounts  []int `json:"labelCounts"`
-	Checkins     int   `json:"checkins"`
-	StalenessSum int   `json:"stalenessSum"`
+	Devices map[string]DeviceStats `json:"devices"`
 }
 
 // StateBuffer is the memory one ExportStateInto call leaves behind for the
@@ -123,7 +114,7 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	// own, and the next export sizes the slab for it.
 	n := s.devices.count()
 	if st.Devices == nil {
-		st.Devices = make(map[string]DeviceStateEntry, n)
+		st.Devices = make(map[string]DeviceStats, n)
 	} else {
 		clear(st.Devices)
 	}
@@ -137,15 +128,11 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 		}
 		lo := len(slab)
 		slab = append(slab, d.LabelCounts...)
-		st.Devices[id] = DeviceStateEntry{
-			Samples: d.Samples,
-			Errors:  d.Errors,
-			// Capped at its own length: an append on one entry reallocates
-			// instead of running into its neighbour's counts.
-			LabelCounts:  slab[lo:len(slab):len(slab)],
-			Checkins:     d.Checkins,
-			StalenessSum: d.StalenessSum,
-		}
+		row := *d
+		// Capped at its own length: an append on one entry reallocates
+		// instead of running into its neighbour's counts.
+		row.LabelCounts = slab[lo:len(slab):len(slab)]
+		st.Devices[id] = row
 	})
 	return st
 }
@@ -211,14 +198,9 @@ func (s *Server) ImportState(st *ServerState) error {
 		s.totalNky[k].Store(int64(st.TotalLabelCounts[k]))
 	}
 	s.stopped.Store(st.Stopped)
-	for id, entry := range st.Devices {
-		s.devices.importStats(id, DeviceStats{
-			Samples:      entry.Samples,
-			Errors:       entry.Errors,
-			LabelCounts:  append([]int(nil), entry.LabelCounts...),
-			Checkins:     entry.Checkins,
-			StalenessSum: entry.StalenessSum,
-		})
+	for id, row := range st.Devices {
+		row.LabelCounts = append([]int(nil), row.LabelCounts...)
+		s.devices.importStats(id, row)
 	}
 	// A restore can rewind the iteration counter, so version numbers in
 	// the retained delta ring would no longer identify the bases clients

@@ -46,7 +46,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if !ok || gotEst != wantEst {
 		t.Errorf("error estimate %v, want %v", gotEst, wantEst)
 	}
-	stats, ok := dst.DeviceStats("d1")
+	stats, ok := dst.ExportState().Devices["d1"]
 	if !ok || stats.Samples != 4 || stats.Errors != 2 {
 		t.Errorf("restored device stats = %+v ok=%v", stats, ok)
 	}
@@ -113,7 +113,7 @@ func TestImportStateValidation(t *testing.T) {
 		t.Error("bad label-count arity should be rejected")
 	}
 	st3 := s.ExportState()
-	st3.Devices = map[string]DeviceStateEntry{"x": {LabelCounts: []int{1}}}
+	st3.Devices = map[string]DeviceStats{"x": {LabelCounts: []int{1}}}
 	if err := s.ImportState(st3); err == nil {
 		t.Error("bad device label-count arity should be rejected")
 	}
@@ -218,7 +218,7 @@ func TestExportStateSlabEntriesAreIndependent(t *testing.T) {
 	for i := 0; i < devices; i++ {
 		id := fmt.Sprintf("device-%04d", i)
 		e := st.Devices[id]
-		live, _ := s.DeviceStats(id)
+		live := s.ExportState().Devices[id]
 		for k := 0; k < classes; k++ {
 			want := i*classes + k
 			if live.LabelCounts[k] != want {

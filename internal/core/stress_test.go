@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,18 +22,21 @@ func shrinkApplier(s *Server, maxBatch, queueDepth int) {
 	s.queue = make(chan *pendingCheckin, queueDepth)
 }
 
-// TestConcurrentStress interleaves checkout, checkin and stats reads from
-// many devices against one server and asserts the learning state stays
-// consistent: the iteration counter equals the number of applied
-// checkins, the crowd totals ΣN_s/ΣN_e/ΣN^k_y equal the sums of what the
-// devices contributed, per-device counters match, and the checkout
-// snapshot version is monotonic from any single observer's point of view.
-// Run with -race to exercise the lock-free read paths against the batched
-// applier.
+// TestConcurrentStress interleaves checkout, checkin, state export and
+// enrolment from many goroutines against one server and asserts the
+// learning state stays consistent: the iteration counter equals the number
+// of applied checkins, the crowd totals ΣN_s/ΣN_e/ΣN^k_y equal the sums of
+// what the devices contributed, every export's per-device Checkins sum to
+// its iteration, each device's counters equal what it was acked for, and
+// the checkout snapshot version is monotonic from any single observer's
+// point of view. Meanwhile RegisterDevice rotates the checking-in devices'
+// tokens and enrolls new IDs. Run with -race: it exercises the registry
+// lock (tokens, the map) against the apply lock (counters).
 func TestConcurrentStress(t *testing.T) {
 	const (
 		devices           = 8
 		checkinsPerDevice = 120
+		rotations         = 120
 		classes           = 3
 		dim               = 16
 	)
@@ -44,21 +50,27 @@ func TestConcurrentStress(t *testing.T) {
 	shrinkApplier(srv, 4, 8)
 	ctx := context.Background()
 
-	tokens := make([]string, devices)
+	// tokens[i] is device i's current token; the rotator replaces it.
+	tokens := make([]atomic.Pointer[string], devices)
+	rotate := func(i int) error {
+		tok, err := srv.RegisterDevice(ctx, deviceID(i))
+		tokens[i].Store(&tok)
+		return err
+	}
 	for i := range tokens {
-		if tokens[i], err = srv.RegisterDevice(ctx, deviceID(i)); err != nil {
+		if err := rotate(i); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	var writers, readers sync.WaitGroup
+	var writers, others sync.WaitGroup
 	stopReaders := make(chan struct{})
 
-	// Stats readers hammer the lock-free read paths while writers apply.
+	// Readers hammer the lock-free read paths while writers apply.
 	for r := 0; r < 2; r++ {
-		readers.Add(1)
+		others.Add(1)
 		go func() {
-			defer readers.Done()
+			defer others.Done()
 			lastVersion := -1
 			for {
 				select {
@@ -76,18 +88,70 @@ func TestConcurrentStress(t *testing.T) {
 				srv.PriorEstimate()
 				srv.Iteration()
 				srv.Stopped()
-				srv.DeviceStats(deviceID(0))
 			}
 		}()
 	}
 
+	// The exporter does what a checkpointer does, against enrolment (the
+	// registry lock) and applies (the apply lock).
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		var buf StateBuffer
+		for {
+			select {
+			case <-stopReaders:
+				return
+			default:
+			}
+			st := srv.ExportStateInto(&buf)
+			if n := sumCheckins(st); n != st.Iteration {
+				t.Errorf("export at iteration %d: devices' checkins sum to %d", st.Iteration, n)
+				return
+			}
+		}
+	}()
+
+	// The rotator re-registers the writers in turn (a writer's next request
+	// with the old token gets ErrAuth) and enrolls a new device after each
+	// rotation, spread over the writers' run by the iteration counter.
+	total := devices * checkinsPerDevice
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for n := 0; n < rotations; n++ {
+			for srv.Iteration() < n*total/rotations {
+				select {
+				case <-stopReaders:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			if err := rotate(n % devices); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := srv.RegisterDevice(ctx, fmt.Sprintf("late-%02d", n)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	acked := make([]int, devices)
 	for i := 0; i < devices; i++ {
 		writers.Add(1)
 		go func(i int) {
 			defer writers.Done()
 			lastVersion := -1
-			for n := 0; n < checkinsPerDevice; n++ {
-				co, err := srv.Checkout(ctx, deviceID(i), tokens[i])
+			for acked[i] < checkinsPerDevice {
+				token := *tokens[i].Load()
+				co, err := srv.Checkout(ctx, deviceID(i), token)
+				if errors.Is(err, ErrAuth) {
+					runtime.Gosched() // rotated under us: take the new token
+					continue
+				}
 				if err != nil {
 					t.Errorf("device %d checkout: %v", i, err)
 					return
@@ -106,8 +170,11 @@ func TestConcurrentStress(t *testing.T) {
 					Version:     co.Version,
 				}
 				req.Grad[i%len(req.Grad)] = 0.01
-				if err := srv.Checkin(ctx, deviceID(i), tokens[i], req); err != nil {
-					t.Errorf("device %d checkin %d: %v", i, n, err)
+				switch err := srv.Checkin(ctx, deviceID(i), token, req); {
+				case err == nil:
+					acked[i]++
+				case !errors.Is(err, ErrAuth):
+					t.Errorf("device %d checkin %d: %v", i, acked[i], err)
 					return
 				}
 			}
@@ -127,9 +194,8 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("stress run timed out")
 	}
 	close(stopReaders)
-	readers.Wait()
+	others.Wait()
 
-	total := devices * checkinsPerDevice
 	if got := srv.Iteration(); got != total {
 		t.Errorf("Iteration() = %d, want %d", got, total)
 	}
@@ -143,30 +209,46 @@ func TestConcurrentStress(t *testing.T) {
 	if prior[0] != 0.5 || prior[1] != 0.5 || prior[2] != 0 {
 		t.Errorf("PriorEstimate() = %v, want [0.5 0.5 0]", prior)
 	}
+	st := srv.ExportState()
+	if len(st.Devices) != devices+rotations {
+		t.Errorf("exported %d devices, want %d writers + %d enrolled", len(st.Devices), devices, rotations)
+	}
+	if n := sumCheckins(st); n != srv.Iteration() {
+		t.Errorf("exported checkins sum to %d, Iteration() = %d", n, srv.Iteration())
+	}
 	for i := 0; i < devices; i++ {
-		st, ok := srv.DeviceStats(deviceID(i))
+		d, ok := st.Devices[deviceID(i)]
 		if !ok {
-			t.Fatalf("device %d missing from stats", i)
+			t.Fatalf("device %d missing from the export", i)
 		}
-		if st.Checkins != checkinsPerDevice {
-			t.Errorf("device %d Checkins = %d, want %d", i, st.Checkins, checkinsPerDevice)
+		if d.Checkins != acked[i] {
+			t.Errorf("device %d Checkins = %d, acked %d", i, d.Checkins, acked[i])
 		}
-		if st.Samples != 2*checkinsPerDevice || st.Errors != checkinsPerDevice {
+		if d.Samples != 2*acked[i] || d.Errors != acked[i] {
 			t.Errorf("device %d counters = (%d samples, %d errors), want (%d, %d)",
-				i, st.Samples, st.Errors, 2*checkinsPerDevice, checkinsPerDevice)
+				i, d.Samples, d.Errors, 2*acked[i], acked[i])
 		}
-		if st.StalenessSum < 0 {
-			t.Errorf("device %d StalenessSum = %d, want >= 0", i, st.StalenessSum)
+		if d.StalenessSum < 0 {
+			t.Errorf("device %d StalenessSum = %d, want >= 0", i, d.StalenessSum)
 		}
 	}
 	// The final snapshot must converge to the final iteration once a
 	// reader asks for it.
-	if _, err := srv.Checkout(ctx, deviceID(0), tokens[0]); err != nil {
+	if _, err := srv.Checkout(ctx, deviceID(0), *tokens[0].Load()); err != nil {
 		t.Fatal(err)
 	}
 	if v := srv.SnapshotVersion(); v != total {
 		t.Errorf("SnapshotVersion() after final checkout = %d, want %d", v, total)
 	}
+}
+
+// sumCheckins is Σ Checkins over an export's devices.
+func sumCheckins(st *ServerState) int {
+	n := 0
+	for _, d := range st.Devices {
+		n += d.Checkins
+	}
+	return n
 }
 
 func deviceID(i int) string { return fmt.Sprintf("device-%02d", i) }

@@ -14,8 +14,8 @@
 // progress view every listing, stats body, health row and portal page
 // renders. Within a task, the core.Server hot path is built for
 // read-mostly concurrency: checkouts and stats reads are lock-free
-// (immutable parameter snapshots, atomic counters, a hash-striped device
-// registry), and concurrent checkins are applied in groups by a batch
+// (immutable parameter snapshots, atomic counters, one device registry
+// table behind a read-write lock), and concurrent checkins are applied in groups by a batch
 // leader under a single parameter-lock acquisition.
 //
 // Durability is hub-managed (the MySQL role of the paper's prototype):

@@ -235,7 +235,7 @@ func TestMergedIterationMonotoneAndVersionClamp(t *testing.T) {
 	if req.Version != local {
 		t.Fatalf("echoed version clamped to %d, want shard-local %d", req.Version, local)
 	}
-	st, ok := g.Members()[0].Server().DeviceStats(dev)
+	st, ok := g.Members()[0].Server().ExportState().Devices[dev]
 	if !ok || st.StalenessSum < 0 {
 		t.Fatalf("device staleness sum = %+v (ok=%v), want ≥ 0", st, ok)
 	}

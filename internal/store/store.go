@@ -178,10 +178,10 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 		TotalLabelCounts: wc.TotalLabelCounts,
 		UpdaterName:      wc.UpdaterName,
 		UpdaterState:     wc.UpdaterState,
-		Devices:          make(map[string]core.DeviceStateEntry, len(devices)),
+		Devices:          make(map[string]core.DeviceStats, len(devices)),
 	}
 	for _, d := range devices {
-		st.Devices[d.ID] = core.DeviceStateEntry{
+		st.Devices[d.ID] = core.DeviceStats{
 			Samples: d.Samples, Errors: d.Errors, LabelCounts: d.LabelCounts,
 			Checkins: d.Checkins, StalenessSum: d.StalenessSum,
 		}

@@ -171,7 +171,7 @@ func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFe
 	if after > 0 {
 		u += "?after=" + strconv.Itoa(after)
 	}
-	resp, err := c.doGET(ctx, u, nil)
+	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: open journal feed: %w", err)
 	}
@@ -196,7 +196,7 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.doGET(ctx, u, nil)
+	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: fetch checkpoint: %w", err)
 	}
@@ -226,19 +226,16 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 // server answers by authenticating only (no checkout is served). nil means
 // the server vouches for the credentials — this is the leader-side check
 // behind a follower replica's core.ServerConfig.AuthFallback, paid once
-// per unknown device and then cached locally.
+// per unknown device and then cached locally. The probe is idempotent, so
+// a client built WithRetry retries transient failures: a leader's passing
+// 5xx must not turn into ErrAuth for a correctly credentialed device.
 func (c *HTTPClient) AuthProbe(ctx context.Context, deviceID, token string) error {
 	u, err := c.endpoint("checkout")
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, u, nil)
-	if err != nil {
-		return fmt.Errorf("transport: build auth probe: %w", err)
-	}
-	req.Header.Set(headerDeviceID, deviceID)
-	req.Header.Set(headerToken, token)
-	resp, err := c.client.Do(req)
+	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
+	resp, err := c.do(ctx, http.MethodHead, u, hdr)
 	if err != nil {
 		return fmt.Errorf("transport: auth probe: %w", err)
 	}

@@ -347,6 +347,45 @@ func TestRetryRecoversFromTransient5xx(t *testing.T) {
 	}
 }
 
+// TestAuthProbeRetriesTransient5xx: the follower's credential probe goes
+// through the client's retry policy — one passing 503 from the leader is
+// not a 401 for a correctly credentialed device — while a bad token is
+// answered after one attempt, never retried.
+func TestAuthProbeRetriesTransient5xx(t *testing.T) {
+	hd, srv := newHandler(t)
+	token, _ := srv.RegisterDevice(context.Background(), "d1")
+	var heads, failed atomic.Int32
+	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodHead {
+			heads.Add(1)
+			if failed.CompareAndSwap(0, 1) {
+				http.Error(w, "leader restarting", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		hd.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(flaky)
+	defer ts.Close()
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
+		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+	})
+	ctx := context.Background()
+	if err := client.AuthProbe(ctx, "d1", token); err != nil {
+		t.Fatalf("probe after one 503: %v", err)
+	}
+	if n := heads.Load(); n != 2 {
+		t.Errorf("probe attempts = %d, want 2 (one 503, one answer)", n)
+	}
+	heads.Store(0)
+	if err := client.AuthProbe(ctx, "d1", "wrong"); !errors.Is(err, core.ErrAuth) {
+		t.Errorf("bad token: err = %v, want ErrAuth", err)
+	}
+	if n := heads.Load(); n != 1 {
+		t.Errorf("bad-token probe attempts = %d, want 1 (401 is not retried)", n)
+	}
+}
+
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -332,7 +332,7 @@ func (c *HTTPClient) endpoint(name string) (string, error) {
 // Tasks fetches the server's task listing (GET /v1/tasks) — the
 // programmatic portal index a device browses before joining a task.
 func (c *HTTPClient) Tasks(ctx context.Context) ([]TaskSummary, error) {
-	resp, err := c.doGET(ctx, c.baseURL+PathTasks, nil)
+	resp, err := c.do(ctx, http.MethodGet, c.baseURL+PathTasks, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: task listing: %w", err)
 	}
@@ -354,7 +354,7 @@ func (c *HTTPClient) Stats(ctx context.Context) (*StatsResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.doGET(ctx, u, nil)
+	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, fmt.Errorf("transport: stats: %w", err)
 	}

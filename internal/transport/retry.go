@@ -11,8 +11,8 @@ import (
 )
 
 // RetryPolicy configures transparent retries for the client's idempotent
-// GET requests (checkout, stats, task listing, checkpoint fetch, journal
-// feed open). Only transport-level failures and transient server
+// requests (checkout, stats, task listing, checkpoint fetch, journal feed
+// open, auth probe). Only transport-level failures and transient server
 // statuses (5xx, 429) are retried — application errors (401, 404, 409,
 // 400) surface immediately, and non-idempotent requests (checkin,
 // register) are never retried at all: a request that may have been
@@ -64,7 +64,7 @@ func (p RetryPolicy) delay(attempt int) time.Duration {
 }
 
 // WithRetry returns a copy of the client that transparently retries its
-// idempotent GET requests per the policy. The zero policy selects the
+// idempotent requests per the policy. The zero policy selects the
 // documented defaults.
 func (c *HTTPClient) WithRetry(p RetryPolicy) *HTTPClient {
 	cp := *c
@@ -80,11 +80,11 @@ func retryableStatus(code int) bool {
 	return code >= 500 || code == http.StatusTooManyRequests
 }
 
-// doGET executes a GET against url with the given extra headers,
-// retrying per the client's policy. A fresh request is built per attempt
-// (request bodies are never involved — GETs only). The caller owns the
-// returned response body.
-func (c *HTTPClient) doGET(ctx context.Context, url string, header http.Header) (*http.Response, error) {
+// do executes an idempotent, bodiless request (GET, or HEAD for the auth
+// probe) against url with the given extra headers, retrying per the
+// client's policy. A fresh request is built per attempt. The caller owns
+// the returned response body.
+func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Header) (*http.Response, error) {
 	attempts := 1
 	if c.retryOn {
 		attempts = c.retry.MaxAttempts
@@ -100,7 +100,7 @@ func (c *HTTPClient) doGET(ctx context.Context, url string, header http.Header) 
 			case <-t.C:
 			}
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		req, err := http.NewRequestWithContext(ctx, method, url, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func (c *HTTPClient) doGET(ctx context.Context, url string, header http.Header) 
 		}
 		return resp, nil
 	}
-	return nil, fmt.Errorf("transport: GET failed after %d attempt(s): %w", attempts, lastErr)
+	return nil, fmt.Errorf("transport: %s failed after %d attempt(s): %w", method, attempts, lastErr)
 }
 
 // drainBody reads (capped) and closes a response body being discarded by

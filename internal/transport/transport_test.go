@@ -295,7 +295,7 @@ func TestDeviceOverHTTP(t *testing.T) {
 	if srv.Iteration() != 5 {
 		t.Errorf("server iterations = %d, want 5", srv.Iteration())
 	}
-	st, _ := srv.DeviceStats("phone-1")
+	st := srv.ExportState().Devices["phone-1"]
 	if st.Samples != 25 {
 		t.Errorf("samples = %d, want 25", st.Samples)
 	}

@@ -386,7 +386,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 			url += "?since=" + strconv.Itoa(since)
 		}
 	}
-	resp, err := c.doGET(ctx, url, hdr)
+	resp, err := c.do(ctx, http.MethodGet, url, hdr)
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: checkout: %w", err)
 	}

@@ -221,7 +221,7 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 			if got := finalTask.Server().Iteration(); got != wantCheckins+1 {
 				t.Errorf("after reopen iteration = %d, want %d", got, wantCheckins+1)
 			}
-			if _, ok := finalTask.Server().DeviceStats("late-device"); !ok {
+			if _, ok := finalTask.Server().ExportState().Devices["late-device"]; !ok {
 				t.Error("post-recovery checkin lost its device counters")
 			}
 			if err := again.Close(ctx); err != nil {
