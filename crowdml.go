@@ -514,8 +514,9 @@ func WithRetention(p RetentionPolicy) TaskOption { return hub.WithRetention(p) }
 func AsReplicaOf(leaderURL string) TaskOption { return hub.AsReplicaOf(leaderURL) }
 
 // ReplicaStatus is a follower task's replication telemetry (state,
-// leader URL, leader iteration, last error), surfaced per task on the
-// GET /v1/healthz endpoint and via Task.ReplicaStatus.
+// leader iteration, last error), published by its Replicator
+// (Task.SetReplicaStatus) and surfaced per task on the GET /v1/healthz
+// endpoint and via Task.ReplicaStatus; the leader is Task.LeaderURL.
 type ReplicaStatus = hub.ReplicaStatus
 
 // Replica states reported in ReplicaStatus.State.
@@ -536,11 +537,12 @@ type Replicator = replica.Replicator
 
 // ReplicaConfig configures a Replicator: the local follower task
 // (created with AsReplicaOf), a task-bound HTTPClient aimed at the
-// leader, and optional poll/backoff tuning.
+// leader — whose RetryPolicy also times the waits after failed
+// exchanges — and optional poll tuning.
 type ReplicaConfig = replica.Config
 
-// NewReplicator validates the configuration and binds the replicator to
-// the follower task's health probe.
+// NewReplicator validates the configuration and publishes the follower
+// task's initial bootstrapping status.
 func NewReplicator(cfg ReplicaConfig) (*Replicator, error) { return replica.New(cfg) }
 
 // WireFormat selects an HTTPClient's encoding for the device hot path
@@ -571,7 +573,8 @@ func ParseWireFormat(s string) (WireFormat, error) { return transport.ParseWireF
 // (with full jitter) for an HTTPClient's idempotent GET requests —
 // checkout, stats, task listing, checkpoint fetch, journal feed open.
 // Derive a retrying client with HTTPClient.WithRetry; non-idempotent
-// requests (checkin, register) are never retried.
+// requests (checkin, register) are never retried. A Replicator waits
+// its feed client's policy (RetryPolicy.Delay) between failed exchanges.
 type RetryPolicy = transport.RetryPolicy
 
 // StatsResponse is the body of the GET stats endpoints — the

@@ -208,8 +208,8 @@
 //	          (sub)gradient fits the framework.
 //	Replica — the follower runtime: Replicator bootstraps a read-only
 //	          task from the leader's checkpoint and tails its journal
-//	          feed with jittered-backoff reconnects and gap-driven
-//	          re-bootstrap.
+//	          feed, reconnecting on the feed client's RetryPolicy and
+//	          re-bootstrapping on a retention gap.
 //	Shard   — the partitioned leader tier: a device-hash
 //	          ShardMap and a routing/merging Group fronting n member
 //	          tasks behind one logical task ID (NewShardedTask).

@@ -145,8 +145,6 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 			Task:         followerTask,
 			Feed:         feed,
 			PollInterval: 2 * time.Millisecond,
-			BackoffMin:   2 * time.Millisecond,
-			BackoffMax:   20 * time.Millisecond,
 			Logf:         t.Logf,
 		})
 		if err != nil {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/privacy"
@@ -88,10 +89,11 @@ type Task struct {
 	info   TaskInfo
 	dur    *durability // nil without WithStore
 	// replicaOf is the leader base URL for a follower replica task
-	// (AsReplicaOf); "" for a leader-role task. probe is the replication
-	// runtime's telemetry hook (see BindReplicaProbe in replica.go).
+	// (AsReplicaOf); "" for a leader-role task. replica is the status the
+	// replication runtime last published (see SetReplicaStatus in
+	// replica.go).
 	replicaOf string
-	probe     probeBox
+	replica   atomic.Pointer[ReplicaStatus]
 }
 
 // ID returns the task's registry key.

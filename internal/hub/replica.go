@@ -1,48 +1,37 @@
 package hub
 
-import (
-	"sync/atomic"
-)
-
 // Replica states reported by ReplicaStatus.State; defined here (rather
-// than in the replica runtime) so the HTTP layer can interpret a probe's
+// than in the replica runtime) so the HTTP layer can interpret a task's
 // status without importing the runtime package.
 const (
-	// ReplicaBootstrapping: the follower is fetching the leader's latest
-	// checkpoint (or retrying after losing the journal feed's continuity
-	// to retention) and is not yet a faithful read replica.
+	// ReplicaBootstrapping: the follower has not completed its first
+	// exchange with the leader yet (failures before it stay here, with
+	// LastError set), or is re-fetching the checkpoint after losing the
+	// journal feed's continuity to retention. Not a faithful read replica.
 	ReplicaBootstrapping = "bootstrapping"
 	// ReplicaTailing: bootstrapped and applying the live journal feed;
 	// the replica serves reads, trailing the leader by ReplicationLag.
 	ReplicaTailing = "tailing"
-	// ReplicaRetrying: the leader is unreachable; the follower serves its
-	// last-applied state while reconnecting under capped backoff.
+	// ReplicaRetrying: the leader became unreachable after the follower
+	// had synced; it serves its last-applied state while reconnecting on
+	// its feed client's RetryPolicy.
 	ReplicaRetrying = "retrying"
 	// ReplicaStopped: the replication runtime has shut down.
 	ReplicaStopped = "stopped"
 )
 
-// ReplicaStatus is a follower task's replication telemetry, reported by
-// the runtime driving it (see BindReplicaProbe) and surfaced on the
-// /v1/healthz endpoint.
+// ReplicaStatus is a follower task's replication telemetry, published by
+// the runtime driving it (see SetReplicaStatus) and surfaced on the
+// /v1/healthz endpoint. The leader it replicates from is Task.LeaderURL.
 type ReplicaStatus struct {
 	// State is one of the Replica* constants above.
 	State string
-	// LeaderURL is the leader this task replicates from.
-	LeaderURL string
 	// LeaderIteration is the leader's iteration counter as of the last
 	// completed feed exchange (0 until one completes).
 	LeaderIteration int
 	// LastError describes the most recent replication failure, cleared
 	// on the next successful exchange.
 	LastError string
-}
-
-// ReplicaProbe is implemented by the runtime replicating into a task
-// (replica.Replicator); the task holds it so the hub's HTTP surface can
-// report replication health without depending on the runtime package.
-type ReplicaProbe interface {
-	ReplicaStatus() ReplicaStatus
 }
 
 // AsReplicaOf marks the task as a read-only follower replica of the
@@ -66,30 +55,30 @@ func (t *Task) ReadOnly() bool { return t.replicaOf != "" }
 // for a leader-role task.
 func (t *Task) LeaderURL() string { return t.replicaOf }
 
-// BindReplicaProbe attaches the replication runtime's telemetry probe to
-// the task. Called once by the runtime when it starts; safe to call
-// again (a restarted runtime re-binds, latest wins).
-func (t *Task) BindReplicaProbe(p ReplicaProbe) {
-	t.probe.Store(&p)
+// SetReplicaStatus publishes the replication runtime's current status
+// for the task's health surface. The task keeps its own copy, so the
+// runtime may go on mutating the value it passed; the latest call wins.
+func (t *Task) SetReplicaStatus(st ReplicaStatus) {
+	t.replica.Store(&st)
 }
 
 // ReplicaStatus reports the task's replication telemetry; ok is false
-// for leader-role tasks and for replicas whose runtime has not bound a
-// probe yet (a follower between CreateTask and Replicator start).
+// for leader-role tasks and for replicas whose runtime has not published
+// a status yet (a follower between CreateTask and replica.New).
 func (t *Task) ReplicaStatus() (ReplicaStatus, bool) {
-	p := t.probe.Load()
+	p := t.replica.Load()
 	if p == nil {
 		return ReplicaStatus{}, false
 	}
-	return (*p).ReplicaStatus(), true
+	return *p, true
 }
 
 // Ready reports whether the task can serve its role, with the replica
-// status the verdict was read from (zero for a leader and for an unbound
-// follower). A leader always can. A follower is ready once its runtime
-// reports it tailing the feed: bootstrapped, serving reads, trailing by
-// a known lag. A replica between CreateTask and its runtime binding a
-// probe, or one still bootstrapping, is not ready yet; one retrying a
+// status the verdict was read from (zero for a leader and for a follower
+// with no status yet). A leader always can. A follower is ready once its
+// runtime reports it tailing the feed: bootstrapped, serving reads,
+// trailing by a known lag. A replica whose runtime has not published a
+// status, or one still bootstrapping, is not ready yet; one retrying a
 // lost leader keeps serving its last-applied state and stays ready.
 func (t *Task) Ready() (bool, ReplicaStatus) {
 	if !t.ReadOnly() {
@@ -103,8 +92,8 @@ func (t *Task) Ready() (bool, ReplicaStatus) {
 // leader: the leader's iteration counter from the last completed feed
 // exchange minus the locally applied iteration, clamped at zero (the
 // local counter can briefly lead the EOS-frame observation). ok is
-// false when no probe is bound or no exchange has completed yet — lag
-// is then unknown, not zero.
+// false when no status is published or no exchange has completed yet —
+// lag is then unknown, not zero.
 func (t *Task) ReplicationLag() (int, bool) {
 	st, ok := t.ReplicaStatus()
 	if !ok || st.LeaderIteration == 0 {
@@ -116,6 +105,3 @@ func (t *Task) ReplicationLag() (int, bool) {
 	}
 	return lag, true
 }
-
-// probeBox is the atomic holder for a task's replica probe.
-type probeBox = atomic.Pointer[ReplicaProbe]

@@ -5,9 +5,10 @@ package hub
 // ordinary member tasks — each a full leader with its own
 // WAL/checkpoint/replication lineage — as ONE logical task ID. The hub
 // only indexes routers and answers membership queries; the routing,
-// merging and telemetry live in the implementation. This mirrors the
-// ReplicaProbe decoupling in replica.go: the HTTP layer stays a hub
-// consumer and never imports the runtime packages.
+// merging and telemetry live in the implementation. Like the replica
+// status a follower's runtime publishes onto its task (replica.go), this
+// keeps the HTTP layer a hub consumer that never imports the runtime
+// packages.
 
 import (
 	"context"

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
 
@@ -40,16 +41,13 @@ func newReplicaMetrics(reg *telemetry.Registry, task string) *replicaMetrics {
 	}
 }
 
-// setLag records the lag after a complete exchange, clamped at zero the
-// same way hub.Task.ReplicationLag clamps it (the leader counter in the
-// EOS frame was sampled before our last applied entries).
-func (m *replicaMetrics) setLag(leaderIteration, localIteration int) {
+// setLag records the lag the task reports after a complete exchange
+// (hub.Task.ReplicationLag, the figure /v1/healthz shows).
+func (m *replicaMetrics) setLag(t *hub.Task) {
 	if m == nil {
 		return
 	}
-	lag := leaderIteration - localIteration
-	if lag < 0 {
-		lag = 0
+	if lag, ok := t.ReplicationLag(); ok {
+		m.lag.Set(float64(lag))
 	}
-	m.lag.Set(float64(lag))
 }

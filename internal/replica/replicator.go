@@ -11,6 +11,9 @@
 //	      │            ErrReplayGap                    backoff, then
 //	      └──────(retention pruned our range)◀──────── reconnect ──▶ tailing
 //
+// Failures before the first complete exchange stay bootstrapping, with
+// LastError set; the n-th failure in a row waits Feed.RetryPolicy().Delay(n).
+//
 // While tailing, the follower serves the read path (checkout, stats)
 // from its local replica, trailing the leader by the replication lag the
 // healthz endpoint reports; writes are rejected by the HTTP layer with a
@@ -24,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -40,16 +42,13 @@ type Config struct {
 	// replicator maintains. Required.
 	Task *hub.Task
 	// Feed is the HTTP client bound (WithTask) to the same task ID on the
-	// leader; build it WithRetry so transient leader hiccups are absorbed
-	// below the replication state machine. Required.
+	// leader. Required. Its RetryPolicy absorbs transient leader hiccups
+	// (build it WithRetry) and times the waits between failed exchanges
+	// (defaults: 100ms doubling to 2s).
 	Feed *transport.HTTPClient
 	// PollInterval is how long the follower idles after draining the feed
 	// to the leader's current end before re-polling. Default 250ms.
 	PollInterval time.Duration
-	// BackoffMin / BackoffMax bound the jittered exponential backoff
-	// between reconnect attempts after a failure. Defaults 100ms / 5s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Logf, when set, receives one line per state transition and failure
 	// (log.Printf-shaped). Nil discards.
 	Logf func(format string, args ...any)
@@ -60,24 +59,25 @@ type Config struct {
 
 // Replicator drives one follower task: Start launches the
 // bootstrap-and-tail loop in a goroutine, Stop shuts it down. It
-// implements hub.ReplicaProbe (New binds it to the task), so the task's
-// healthz row reflects its live state.
+// publishes a copy of its status onto the task after every change
+// (hub.Task.SetReplicaStatus), so the task's healthz row reflects its
+// live state.
 type Replicator struct {
 	cfg  Config
 	srv  *core.Server
 	logf func(string, ...any)
 	m    *replicaMetrics // nil disables replica telemetry
 
-	status chan hub.ReplicaStatus // 1-buffered mailbox holding current telemetry
+	// st is the current status: New writes it before Start, then only the
+	// Run goroutine does; readers see the copies publish hands the task.
+	st hub.ReplicaStatus
 
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-var _ hub.ReplicaProbe = (*Replicator)(nil)
-
-// New validates the configuration, binds the replicator to the task's
-// health probe, and returns it ready to Start.
+// New validates the configuration, publishes the task's initial
+// bootstrapping status, and returns the replicator ready to Start.
 func New(cfg Config) (*Replicator, error) {
 	if cfg.Task == nil {
 		return nil, errors.New("replica: Config.Task is required")
@@ -94,43 +94,22 @@ func New(cfg Config) (*Replicator, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		cfg.BackoffMax = 5 * time.Second
-		if cfg.BackoffMax < cfg.BackoffMin {
-			cfg.BackoffMax = cfg.BackoffMin
-		}
-	}
 	r := &Replicator{
-		cfg:    cfg,
-		srv:    cfg.Task.Server(),
-		logf:   cfg.Logf,
-		m:      newReplicaMetrics(cfg.Metrics, cfg.Task.ID()),
-		status: make(chan hub.ReplicaStatus, 1),
+		cfg:  cfg,
+		srv:  cfg.Task.Server(),
+		logf: cfg.Logf,
+		m:    newReplicaMetrics(cfg.Metrics, cfg.Task.ID()),
+		st:   hub.ReplicaStatus{State: hub.ReplicaBootstrapping},
 	}
 	if r.logf == nil {
 		r.logf = func(string, ...any) {}
 	}
-	r.status <- hub.ReplicaStatus{State: hub.ReplicaBootstrapping, LeaderURL: cfg.Task.LeaderURL()}
-	cfg.Task.BindReplicaProbe(r)
+	r.publish()
 	return r, nil
 }
 
-// ReplicaStatus implements hub.ReplicaProbe.
-func (r *Replicator) ReplicaStatus() hub.ReplicaStatus {
-	st := <-r.status
-	r.status <- st
-	return st
-}
-
-// update mutates the current telemetry through fn.
-func (r *Replicator) update(fn func(*hub.ReplicaStatus)) {
-	st := <-r.status
-	fn(&st)
-	r.status <- st
-}
+// publish hands the task a copy of the current status.
+func (r *Replicator) publish() { r.cfg.Task.SetReplicaStatus(r.st) }
 
 // Start launches Run in a goroutine. Stop (or cancelling ctx) ends it.
 func (r *Replicator) Start(ctx context.Context) {
@@ -155,18 +134,36 @@ func (r *Replicator) Stop() {
 // exported for callers that manage their own goroutines; Start/Stop wrap
 // it for everyone else.
 func (r *Replicator) Run(ctx context.Context) {
-	defer r.update(func(st *hub.ReplicaStatus) { st.State = hub.ReplicaStopped })
-	backoff := r.cfg.BackoffMin
+	defer func() {
+		r.st.State = hub.ReplicaStopped
+		r.publish()
+	}()
+	policy := r.cfg.Feed.RetryPolicy()
+	failures := 0   // consecutive failed exchanges; a clean one resets it
+	synced := false // a complete exchange has happened: retrying, not bootstrapping
 	needBootstrap := true
+	fail := func(err error) {
+		r.logf("replica[%s]: %v", r.cfg.Task.ID(), err)
+		if r.m != nil {
+			r.m.retries.Inc()
+		}
+		if synced {
+			r.st.State = hub.ReplicaRetrying
+		}
+		r.st.LastError = err.Error()
+		r.publish()
+		failures++
+		sleep(ctx, policy.Delay(failures))
+	}
 	for ctx.Err() == nil {
 		if needBootstrap {
-			r.update(func(st *hub.ReplicaStatus) { st.State = hub.ReplicaBootstrapping })
+			r.st.State = hub.ReplicaBootstrapping
+			r.publish()
 			if err := r.bootstrap(ctx); err != nil {
 				if ctx.Err() != nil {
 					return
 				}
-				r.logf("replica[%s]: %v", r.cfg.Task.ID(), err)
-				backoff = r.failWait(ctx, err, backoff)
+				fail(err)
 				continue
 			}
 			needBootstrap = false
@@ -180,18 +177,17 @@ func (r *Replicator) Run(ctx context.Context) {
 		case ctx.Err() != nil:
 			return
 		case err == nil:
-			backoff = r.cfg.BackoffMin // a full clean exchange resets the budget
-			r.idle(ctx)
+			synced, failures = true, 0
+			sleep(ctx, r.cfg.PollInterval)
 		case errors.Is(err, core.ErrReplayGap):
 			// Leader retention pruned past our position; the checkpoint
 			// covers the pruned range by construction. Re-bootstrap now —
 			// waiting would only grow the gap.
 			r.logf("replica[%s]: %v; re-bootstrapping from checkpoint", r.cfg.Task.ID(), err)
-			r.update(func(st *hub.ReplicaStatus) { st.LastError = err.Error() })
+			r.st.LastError = err.Error()
 			needBootstrap = true
 		default:
-			r.logf("replica[%s]: %v", r.cfg.Task.ID(), err)
-			backoff = r.failWait(ctx, err, backoff)
+			fail(err)
 		}
 	}
 }
@@ -266,12 +262,9 @@ func (r *Replicator) tailOnce(ctx context.Context) error {
 			fmt.Errorf("feed ended empty at leader iteration %d with replica at %d: %w",
 				feed.LeaderIteration(), r.srv.Iteration(), core.ErrReplayGap))
 	}
-	r.m.setLag(feed.LeaderIteration(), r.srv.Iteration())
-	r.update(func(st *hub.ReplicaStatus) {
-		st.State = hub.ReplicaTailing
-		st.LeaderIteration = feed.LeaderIteration()
-		st.LastError = ""
-	})
+	r.st = hub.ReplicaStatus{State: hub.ReplicaTailing, LeaderIteration: feed.LeaderIteration()}
+	r.publish()
+	r.m.setLag(r.cfg.Task)
 	return nil
 }
 
@@ -292,37 +285,13 @@ func (r *Replicator) apply(e store.JournalEntry) (int, error) {
 	return n, nil
 }
 
-// idle waits PollInterval (or cancellation) between caught-up polls.
-func (r *Replicator) idle(ctx context.Context) {
-	t := time.NewTimer(r.cfg.PollInterval)
+// sleep waits d or until ctx is cancelled: the one wait of the loop,
+// between caught-up polls and after a failure.
+func sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 	case <-t.C:
 	}
-}
-
-// failWait records a failure, sleeps the jittered backoff, and returns
-// the next (doubled, capped) backoff.
-func (r *Replicator) failWait(ctx context.Context, err error, backoff time.Duration) time.Duration {
-	if r.m != nil {
-		r.m.retries.Inc()
-	}
-	r.update(func(st *hub.ReplicaStatus) {
-		st.State = hub.ReplicaRetrying
-		st.LastError = err.Error()
-	})
-	// Full jitter into [backoff/2, backoff]: a fleet of followers losing
-	// one leader must not reconnect in lockstep.
-	half := backoff / 2
-	t := time.NewTimer(half + rand.N(half+1))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-	if backoff *= 2; backoff > r.cfg.BackoffMax {
-		backoff = r.cfg.BackoffMax
-	}
-	return backoff
 }

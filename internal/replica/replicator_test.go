@@ -2,11 +2,13 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,24 +49,34 @@ func newLeader(t *testing.T, opts ...hub.TaskOption) (string, *core.Server, *sto
 // Replicator driving it (not yet started).
 func newFollower(t *testing.T, baseURL string) (*hub.Task, *Replicator) {
 	t.Helper()
+	_, task := newFollowerTask(t, baseURL)
+	return task, newReplicator(t, task, baseURL)
+}
+
+// newFollowerTask creates the replica task "alpha" of the leader at
+// baseURL on a hub of its own.
+func newFollowerTask(t *testing.T, baseURL string) (*hub.Hub, *hub.Task) {
+	t.Helper()
 	h := hub.New()
 	task, err := h.CreateTask(context.Background(), "alpha", serverConfig(),
 		hub.AsReplicaOf(baseURL))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Config{
-		Task:         task,
-		Feed:         transport.NewHTTPClient(baseURL, nil).WithTask("alpha"),
-		PollInterval: 5 * time.Millisecond,
-		BackoffMin:   2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
+	return h, task
+}
+
+// newReplicator builds a replicator for an existing follower task. Its
+// feed's RetryPolicy is the follower's only timing knob besides the poll.
+func newReplicator(t *testing.T, task *hub.Task, baseURL string) *Replicator {
+	t.Helper()
+	feed := transport.NewHTTPClient(baseURL, nil).WithTask("alpha").
+		WithRetry(transport.RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	r, err := New(Config{Task: task, Feed: feed, PollInterval: 5 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return task, r
+	return r
 }
 
 func drive(t *testing.T, srv *core.Server, device string, n int) {
@@ -180,28 +192,11 @@ func TestReplicatorGapRebootstrap(t *testing.T) {
 
 	// A fresh replicator on the same task resumes after=followerAt, hits
 	// the retention gap, and must re-bootstrap from the checkpoint.
-	_, r2 := newFollower2(t, task, url)
+	r2 := newReplicator(t, task, url)
 	r2.Start(context.Background())
 	defer r2.Stop()
 	waitConverged(t, leader, task)
 	requireSameState(t, leader, task.Server())
-}
-
-// newFollower2 builds a replicator for an existing follower task.
-func newFollower2(t *testing.T, task *hub.Task, baseURL string) (*hub.Task, *Replicator) {
-	t.Helper()
-	r, err := New(Config{
-		Task:         task,
-		Feed:         transport.NewHTTPClient(baseURL, nil).WithTask("alpha"),
-		PollInterval: 5 * time.Millisecond,
-		BackoffMin:   2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return task, r
 }
 
 // waitPrunedPast polls until the journal's oldest retained entry is past
@@ -226,17 +221,35 @@ func waitPrunedPast(t *testing.T, st *store.MemStore, iteration int) {
 	t.Fatalf("retention never pruned past iteration %d", iteration)
 }
 
-func TestReplicatorRetriesThroughLeaderOutage(t *testing.T) {
-	stHub := hub.New()
-	leaderTask, err := stHub.CreateTask(context.Background(), "alpha", serverConfig(),
+// waitStatus polls until the task's published replica status satisfies
+// ok, failing with what after ten seconds.
+func waitStatus(t *testing.T, task *hub.Task, what string, ok func(hub.ReplicaStatus) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := task.ReplicaStatus()
+		if ok(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never reported %s, status %+v", what, st)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// darkableLeader hosts task "alpha" behind a switch: while down is set
+// every request is answered 503, as a leader behind a failing proxy is.
+func darkableLeader(t *testing.T) (url string, leader *core.Server, down *atomic.Bool) {
+	t.Helper()
+	h := hub.New()
+	task, err := h.CreateTask(context.Background(), "alpha", serverConfig(),
 		hub.WithStore(store.NewMemStore()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader := leaderTask.Server()
-	inner := transport.NewHandler(stHub)
-	var down atomic.Bool
-	down.Store(true)
+	inner := transport.NewHandler(h)
+	down = new(atomic.Bool)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if down.Load() {
 			http.Error(w, "leader down", http.StatusServiceUnavailable)
@@ -244,32 +257,100 @@ func TestReplicatorRetriesThroughLeaderOutage(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	defer ts.Close()
-	drive(t, leader, "d1", 3)
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { h.Close(context.Background()) })
+	return ts.URL, task.Server(), down
+}
 
-	task, r := newFollower(t, ts.URL)
+// TestReplicatorNeverSyncedIsNotReady: a follower whose leader has been
+// dark from the start has nothing faithful to serve. Its failures leave it
+// bootstrapping with LastError set — never retrying, which counts as
+// ready — so /v1/healthz keeps draining it.
+func TestReplicatorNeverSyncedIsNotReady(t *testing.T) {
+	url, _, down := darkableLeader(t)
+	down.Store(true)
+	h, task := newFollowerTask(t, url)
+	r := newReplicator(t, task, url)
 	r.Start(context.Background())
 	defer r.Stop()
 
-	// With the leader dark the follower must settle into retrying.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := task.ReplicaStatus()
-		if st.State == hub.ReplicaRetrying && st.LastError != "" {
-			break
+	waitStatus(t, task, "a failure", func(st hub.ReplicaStatus) bool { return st.LastError != "" })
+	for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if ready, st := task.Ready(); ready || st.State != hub.ReplicaBootstrapping {
+			t.Fatalf("never-synced follower: ready %v, status %+v; want not ready, bootstrapping", ready, st)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never reported retrying, status %+v", st)
+	}
+	rec := httptest.NewRecorder()
+	transport.NewHandler(h).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, transport.PathHealthz, nil))
+	var hr transport.HealthResponse
+	if err := json.NewDecoder(rec.Body).Decode(&hr); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || len(hr.Tasks) != 1 {
+		t.Fatalf("healthz = %d %+v, want 503 with one row", rec.Code, hr)
+	}
+	if row := hr.Tasks[0]; row.Ready || row.ReplicaState != hub.ReplicaBootstrapping || row.LastError == "" {
+		t.Errorf("healthz row %+v, want not ready, bootstrapping, with lastError", row)
+	}
+}
+
+// TestReplicatorRetriesThroughLeaderOutage: a synced follower that loses
+// its leader reports retrying, stays ready and keeps serving the last
+// state it replicated; when the leader returns it tails again, clears the
+// error and converges. A reader polls the published status throughout, so
+// the race detector sees publisher and reader together.
+func TestReplicatorRetriesThroughLeaderOutage(t *testing.T) {
+	url, leader, down := darkableLeader(t)
+	drive(t, leader, "d1", 3)
+	task, r := newFollower(t, url)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			task.ReplicaStatus()
+			task.Ready()
+			task.ReplicationLag()
+			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}()
+	defer func() { close(stop); wg.Wait() }()
+
+	r.Start(context.Background())
+	defer r.Stop()
+	waitConverged(t, leader, task)
+	// The leader is quiescent here; the follower's published snapshot may
+	// still trail its counter by the entry being applied.
+	synced, params := leader.Iteration(), leader.Params()
+
+	// The leader goes dark and moves on without the follower.
+	down.Store(true)
+	drive(t, leader, "d1", 2)
+	waitStatus(t, task, "retrying with an error", func(st hub.ReplicaStatus) bool {
+		return st.State == hub.ReplicaRetrying && st.LastError != ""
+	})
+	if ready, st := task.Ready(); !ready {
+		t.Errorf("retrying follower not ready, status %+v", st)
+	}
+	if got := task.Server().SnapshotVersion(); got != synced {
+		t.Errorf("follower serves version %d during the outage, want %d", got, synced)
+	}
+	if !reflect.DeepEqual(task.Server().Params(), params) {
+		t.Error("follower parameters changed during the outage")
 	}
 
 	// Leader returns: the follower converges and clears the error.
 	down.Store(false)
 	waitConverged(t, leader, task)
 	requireSameState(t, leader, task.Server())
-	st, _ := task.ReplicaStatus()
-	if st.State != hub.ReplicaTailing || st.LastError != "" {
+	if st, _ := task.ReplicaStatus(); st.State != hub.ReplicaTailing || st.LastError != "" {
 		t.Errorf("recovered status %+v, want tailing with no error", st)
 	}
 }

@@ -226,7 +226,8 @@ func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
 	}
 	leaderSrv := httptest.NewServer(newHandler(leaderHub, reg))
 
-	feed := transport.NewHTTPClient(leaderSrv.URL, nil).WithTask(taskID)
+	feed := transport.NewHTTPClient(leaderSrv.URL, nil).WithTask(taskID).
+		WithRetry(transport.RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond})
 	followerCfg := c.serverConfig()
 	followerCfg.AuthFallback = feed.AuthProbe
 	followerHub := hub.New()
@@ -242,8 +243,6 @@ func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
 		Task:         followerTask,
 		Feed:         feed,
 		PollInterval: 2 * time.Millisecond,
-		BackoffMin:   2 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
 	})
 	if err != nil {
 		followerSrv.Close()

@@ -108,3 +108,12 @@ func (fr *FeedReader) Next() (JournalEntry, error) {
 // LeaderIteration reports the sender's iteration counter from the EOS
 // frame; it is meaningful only after Next has returned io.EOF.
 func (fr *FeedReader) LeaderIteration() int { return fr.leaderIteration }
+
+// Close closes the underlying reader when it is an io.Closer (an HTTP
+// response body); for any other reader it does nothing.
+func (fr *FeedReader) Close() error {
+	if c, ok := fr.r.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
+}

@@ -138,6 +138,26 @@ func TestFeedEOSOnly(t *testing.T) {
 	}
 }
 
+// closeCounter is an io.ReadCloser that counts its Close calls.
+type closeCounter struct {
+	io.Reader
+	closed int
+}
+
+func (c *closeCounter) Close() error { c.closed++; return nil }
+
+// TestFeedReaderClose: Close reaches a reader that can be closed (an HTTP
+// response body) and is a no-op over one that cannot (a bytes.Buffer).
+func TestFeedReaderClose(t *testing.T) {
+	body := &closeCounter{Reader: strings.NewReader("")}
+	if err := NewFeedReader(body).Close(); err != nil || body.closed != 1 {
+		t.Fatalf("Close over an io.Closer: err %v, closed %d times, want nil and 1", err, body.closed)
+	}
+	if err := NewFeedReader(&bytes.Buffer{}).Close(); err != nil {
+		t.Fatalf("Close over a plain reader: %v", err)
+	}
+}
+
 // TestFeedWriterGrowsOnce: a feed writer starts every poll from a nil
 // buffer, and a frame's length is known before it is encoded — so the
 // first entry sizes the buffer in one allocation (not a run of append

@@ -139,31 +139,15 @@ func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(frame) // headers are already sent; nothing more to do
 }
 
-// JournalFeed is an open streaming read of a leader's journal feed — the
-// follower side of one GET /v1/tasks/{task}/journal response. Next
-// yields entries in stream order; io.EOF marks the complete response
-// (LeaderIteration is then valid) and store.ErrFeedInterrupted a cut
-// connection — resume by opening a new feed after the last applied
-// iteration. Close must always be called.
-type JournalFeed struct {
-	body io.ReadCloser
-	fr   *store.FeedReader
-}
-
-// Next returns the next journal entry from the feed.
-func (f *JournalFeed) Next() (store.JournalEntry, error) { return f.fr.Next() }
-
-// LeaderIteration reports the leader's iteration counter from the
-// end-of-stream frame; meaningful only after Next returned io.EOF.
-func (f *JournalFeed) LeaderIteration() int { return f.fr.LeaderIteration() }
-
-// Close releases the underlying response body.
-func (f *JournalFeed) Close() error { return f.body.Close() }
-
 // OpenJournalFeed opens a streaming read of the bound task's journal on
-// the server, starting after the given iteration. Opening retries per the
-// client's retry policy; mid-stream failures surface from Next instead.
-func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFeed, error) {
+// the server, starting after the given iteration: a store.FeedReader over
+// the response body. Next yields entries in stream order; io.EOF marks
+// the complete response (LeaderIteration is then valid) and
+// store.ErrFeedInterrupted a cut connection — resume by opening a new
+// feed after the last applied iteration. Close must always be called.
+// Opening retries per the client's retry policy; mid-stream failures
+// surface from Next instead.
+func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*store.FeedReader, error) {
 	u, err := c.endpoint("journal")
 	if err != nil {
 		return nil, err
@@ -185,7 +169,7 @@ func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*JournalFe
 		resp.Body.Close()
 		return nil, fmt.Errorf("transport: journal feed is %q, want %s (is the leader an older release?)", ct, ContentTypeBinary)
 	}
-	return &JournalFeed{body: resp.Body, fr: store.NewFeedReader(resp.Body)}, nil
+	return store.NewFeedReader(resp.Body), nil
 }
 
 // FetchCheckpoint retrieves the bound task's latest checkpoint from the

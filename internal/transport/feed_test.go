@@ -386,6 +386,30 @@ func TestAuthProbeRetriesTransient5xx(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyDelay pins the one jittered backoff: under the defaults
+// the n-th wait lies in [d/2, d] with d = min(100ms·2^(n−1), 2s), and a
+// client built without WithRetry reports exactly those defaults.
+func TestRetryPolicyDelay(t *testing.T) {
+	p := NewHTTPClient("http://leader", nil).RetryPolicy()
+	if want := (RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}); p != want {
+		t.Fatalf("RetryPolicy() without WithRetry = %+v, want %+v", p, want)
+	}
+	for _, tc := range []struct {
+		attempt int
+		d       time.Duration
+	}{
+		{1, 100 * time.Millisecond}, {2, 200 * time.Millisecond}, {3, 400 * time.Millisecond},
+		{4, 800 * time.Millisecond}, {5, 1600 * time.Millisecond}, {6, 2 * time.Second},
+		{7, 2 * time.Second}, {8, 2 * time.Second},
+	} {
+		for i := 0; i < 1000; i++ {
+			if got := p.Delay(tc.attempt); got < tc.d/2 || got > tc.d {
+				t.Fatalf("Delay(%d) = %v, want within [%v, %v]", tc.attempt, got, tc.d/2, tc.d)
+			}
+		}
+	}
+}
+
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -479,11 +503,6 @@ func TestHealthzLeader(t *testing.T) {
 	}
 }
 
-// stubProbe feeds a fixed status into a replica task's health row.
-type stubProbe struct{ st hub.ReplicaStatus }
-
-func (p stubProbe) ReplicaStatus() hub.ReplicaStatus { return p.st }
-
 func TestHealthzFollower(t *testing.T) {
 	h := hub.New()
 	task, err := h.CreateTask(context.Background(), "alpha", core.ServerConfig{
@@ -497,13 +516,13 @@ func TestHealthzFollower(t *testing.T) {
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil)
 
-	// No probe bound yet: the follower is not ready.
+	// No status published yet: the follower is not ready.
 	hr, err := client.Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hr.Status != "unavailable" || hr.Tasks[0].Ready {
-		t.Errorf("unbound follower should be unavailable, got %+v", hr)
+		t.Errorf("follower without a status should be unavailable, got %+v", hr)
 	}
 	resp, _ := http.Get(ts.URL + PathHealthz)
 	resp.Body.Close()
@@ -511,10 +530,8 @@ func TestHealthzFollower(t *testing.T) {
 		t.Errorf("status = %d, want 503", resp.StatusCode)
 	}
 
-	// A tailing probe flips it ready and reports lag.
-	task.BindReplicaProbe(stubProbe{st: hub.ReplicaStatus{
-		State: hub.ReplicaTailing, LeaderURL: "http://leader:8080", LeaderIteration: 7,
-	}})
+	// A tailing status flips it ready and reports lag.
+	task.SetReplicaStatus(hub.ReplicaStatus{State: hub.ReplicaTailing, LeaderIteration: 7})
 	hr, err = client.Healthz(context.Background())
 	if err != nil {
 		t.Fatal(err)

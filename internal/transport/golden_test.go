@@ -85,21 +85,21 @@ func TestEndpointGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rep.Stop)
-	rep.Members()[0].BindReplicaProbe(stubProbe{st: hub.ReplicaStatus{State: hub.ReplicaRetrying, LeaderURL: leaderURL}})
+	rep.Members()[0].SetReplicaStatus(hub.ReplicaStatus{State: hub.ReplicaRetrying})
 
 	for id, st := range map[string]*hub.ReplicaStatus{
 		"f-unbound":       nil,
-		"f-bootstrapping": {State: hub.ReplicaBootstrapping, LeaderURL: leaderURL},
-		"f-tailing":       {State: hub.ReplicaTailing, LeaderURL: leaderURL, LeaderIteration: 7},
-		"f-retrying":      {State: hub.ReplicaRetrying, LeaderURL: leaderURL, LeaderIteration: 3, LastError: "dial tcp: connection refused"},
-		"f-stopped":       {State: hub.ReplicaStopped, LeaderURL: leaderURL, LeaderIteration: 9},
+		"f-bootstrapping": {State: hub.ReplicaBootstrapping},
+		"f-tailing":       {State: hub.ReplicaTailing, LeaderIteration: 7},
+		"f-retrying":      {State: hub.ReplicaRetrying, LeaderIteration: 3, LastError: "dial tcp: connection refused"},
+		"f-stopped":       {State: hub.ReplicaStopped, LeaderIteration: 9},
 	} {
 		f, err := h.CreateTask(ctx, id, cfg(0), hub.AsReplicaOf(leaderURL))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != nil {
-			f.BindReplicaProbe(stubProbe{st: *st})
+			f.SetReplicaStatus(*st)
 		}
 	}
 

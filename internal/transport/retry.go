@@ -48,10 +48,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// delay returns the jittered wait before the given retry (attempt ≥ 1):
+// Delay returns the jittered wait before the given retry (attempt ≥ 1):
 // exponential growth from BaseDelay capped at MaxDelay, then full jitter
-// into [d/2, d].
-func (p RetryPolicy) delay(attempt int) time.Duration {
+// into [d/2, d]. The client's retries and the follower loop's waits
+// (replica.Replicator) both use it, on a policy with its defaults applied.
+func (p RetryPolicy) Delay(attempt int) time.Duration {
 	d := p.BaseDelay
 	for i := 1; i < attempt && d < p.MaxDelay; i++ {
 		d *= 2
@@ -73,6 +74,11 @@ func (c *HTTPClient) WithRetry(p RetryPolicy) *HTTPClient {
 	return &cp
 }
 
+// RetryPolicy returns the client's effective policy: the one given to
+// WithRetry with its defaults applied, or the defaults for a client built
+// without it.
+func (c *HTTPClient) RetryPolicy() RetryPolicy { return c.retry.withDefaults() }
+
 // retryableStatus reports whether an HTTP status is worth retrying: the
 // server answered, but with a condition expected to clear (backend
 // overload, a restarting leader, explicit throttling).
@@ -92,7 +98,7 @@ func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Hea
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
-			t := time.NewTimer(c.retry.delay(attempt - 1))
+			t := time.NewTimer(c.retry.Delay(attempt - 1))
 			select {
 			case <-ctx.Done():
 				t.Stop()

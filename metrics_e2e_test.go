@@ -116,8 +116,6 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		Task:         followerTask,
 		Feed:         feed,
 		PollInterval: 2 * time.Millisecond,
-		BackoffMin:   2 * time.Millisecond,
-		BackoffMax:   20 * time.Millisecond,
 		Logf:         t.Logf,
 		Metrics:      followerReg,
 	})
