@@ -402,36 +402,33 @@ func NewPortalIndex(h *Hub) http.Handler {
 // streaming replay of the journal tail.
 type Store = store.Store
 
-// FileStore is the file-backed Store: checkpoint frames (atomic
+// FileStore is the one Store implementation: checkpoint frames (atomic
 // write-to-temp + rename) and a segmented journal of binary wirecodec
 // frames (journal-*.wal; sealed segments are the audit trail) under one
-// directory, guarded by an advisory flock so a second process cannot
-// open a live journal (ErrStoreLocked).
+// directory. On disk it is guarded by an advisory flock so a second
+// process cannot open a live journal (ErrStoreLocked).
 type FileStore = store.FileStore
 
 // NewFileStore opens (creating if needed) a store directory.
 func NewFileStore(dir string) (*FileStore, error) { return store.NewFileStore(dir) }
 
-// MemStore is the in-memory Store, for tests, benchmarks and embedded
-// use; a "crash" is simulated by dropping the hub while keeping the
-// store.
-type MemStore = store.MemStore
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return store.NewMemStore() }
+// NewMemStore returns an empty FileStore in memory, for tests, benchmarks
+// and embedded use. It takes no lock, so a "crash" is simulated by
+// dropping the hub while keeping the store.
+func NewMemStore() *FileStore { return store.NewMemStore() }
 
 // StoreRoot is a namespace of per-task Stores — what OpenHub restores a
 // whole process from. NewFileRoot exposes a directory of per-task
 // subdirectories (the cmd/crowdml-server -state-dir layout); NewMemRoot
-// is its in-memory counterpart.
+// is the same in memory.
 type StoreRoot = store.Root
 
 // NewFileRoot opens (creating if needed) a root directory of per-task
 // stores.
 func NewFileRoot(dir string) (*store.FileRoot, error) { return store.NewFileRoot(dir) }
 
-// NewMemRoot returns an empty in-memory root of per-task stores.
-func NewMemRoot() *store.MemRoot { return store.NewMemRoot() }
+// NewMemRoot returns an empty root of per-task stores in memory.
+func NewMemRoot() *store.FileRoot { return store.NewMemRoot() }
 
 // Store-layer sentinel errors. ErrNoCheckpoint is returned by Store.Load
 // when nothing has been saved yet; ErrJournalTruncated is returned by
@@ -501,8 +498,8 @@ func ArchiveCovered(dir string) RetentionPolicy { return hub.ArchiveCovered(dir)
 
 // WithRetention sets a durable task's segment retention policy (only
 // meaningful together with WithStore; any policy other than KeepAll
-// requires a store implementing store.SegmentRetainer — both shipped
-// stores do). The zero policy is KeepAll.
+// requires a store implementing store.SegmentRetainer — FileStore does,
+// on disk and in memory). The zero policy is KeepAll.
 func WithRetention(p RetentionPolicy) TaskOption { return hub.WithRetention(p) }
 
 // AsReplicaOf marks a task created on this hub as a read-only follower

@@ -55,10 +55,11 @@
 //
 // Persistence is a pluggable Store (the MySQL role in the paper's
 // prototype): atomic checkpoints of the learning state plus a
-// segmented, append-only write-ahead checkin journal. Two
-// implementations ship — FileStore (a directory, flock-guarded) and
-// MemStore (in-memory, for tests and benchmarks) — and both pass one
-// shared conformance suite. Durability is hub-managed:
+// segmented, append-only write-ahead checkin journal. One implementation
+// ships, FileStore: a directory on disk (NewFileStore, flock-guarded) or
+// in memory (NewMemStore, for tests and benchmarks), the same code over
+// two file systems, and both pass one shared conformance suite.
+// Durability is hub-managed:
 //
 //	st, _ := crowdml.NewFileStore("/var/lib/crowdml/activity")
 //	task, _ := hub.CreateTask(ctx, "activity", cfg,
@@ -194,7 +195,7 @@
 //	Store   — pluggable persistence: checkpoints + segmented write-ahead
 //	          checkin journal (rotation, group-commit fsync, streaming
 //	          cursor reads, automated retention, audit trail); FileStore
-//	          and MemStore, grouped under a StoreRoot.
+//	          on disk or in memory, grouped under a StoreRoot.
 //	Server  — Algorithm 2: authenticated checkout/checkin, SGD update
 //	          w ← Π_W[w − η(t)·ĝ], progress counters, stopping criteria;
 //	          lock-free checkout/stats, batched checkin application.

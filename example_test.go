@@ -111,10 +111,14 @@ func ExampleWithCheckpointPolicy() {
 	}
 	// The checkpointer is asynchronous; wait for the AfterN snapshot's
 	// rotation to land.
-	for st.SegmentCount() < 2 {
+	segments := func() int {
+		segs, _ := st.Segments(ctx)
+		return len(segs)
+	}
+	for segments() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	fmt.Println("segments after the first checkpoint:", st.SegmentCount())
+	fmt.Println("segments after the first checkpoint:", segments())
 	if err := hub.Close(ctx); err != nil {
 		fmt.Println("close:", err)
 	}

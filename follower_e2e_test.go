@@ -13,11 +13,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
+	"github.com/crowdml/crowdml/internal/invariants"
 )
 
 const (
@@ -83,7 +83,7 @@ func waitReplicaCaughtUp(t *testing.T, leader *crowdml.Server, follower *crowdml
 // dirty checkins behind it, and with the workload finished no later save
 // would ever come. Supplying the checkins makes the wait end by
 // construction instead of by the first save landing on a lucky iteration.
-func waitCheckpointAt(t *testing.T, st *crowdml.MemStore, iteration int, drive func()) (driven int) {
+func waitCheckpointAt(t *testing.T, st *crowdml.FileStore, iteration int, drive func()) (driven int) {
 	t.Helper()
 	for ; driven <= 500; driven++ {
 		cp, err := st.Load(context.Background())
@@ -160,8 +160,8 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	repDrive(t, leaderClient, "phone-1", token, 12)
 	extra := waitCheckpointAt(t, leaderStore, 10, driveOne) // ≥2 AfterN=5 cycles completed
 	waitReplicaCaughtUp(t, leader, followerTask)
-	if !reflect.DeepEqual(leader.ExportState(), followerTask.Server().ExportState()) {
-		t.Fatal("follower state diverged from leader after live tail")
+	if err := invariants.Same(followerTask.Server().ExportState(), leader.ExportState()); err != nil {
+		t.Fatalf("follower state diverged from leader after live tail: %v", err)
 	}
 
 	// The follower serves the read path: a leader-registered device checks
@@ -228,8 +228,8 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	waitReplicaCaughtUp(t, leader, followerTask)
 
 	ls, fs := leader.ExportState(), followerTask.Server().ExportState()
-	if !reflect.DeepEqual(ls, fs) {
-		t.Fatalf("follower state diverged after re-bootstrap:\nleader   %+v\nfollower %+v", ls, fs)
+	if err := invariants.Same(fs, ls); err != nil {
+		t.Fatalf("follower state diverged after re-bootstrap: %v", err)
 	}
 	if want := 12 + 15 + extra + 1; ls.Iteration != want {
 		t.Errorf("leader iteration = %d, want %d", ls.Iteration, want)

@@ -11,11 +11,11 @@ import (
 	"github.com/crowdml/crowdml/internal/store"
 )
 
-// gatedSaveStore wraps a MemStore whose checkpoint Save blocks until gate
+// gatedSaveStore wraps a memory store whose checkpoint Save blocks until gate
 // is closed and then fails while fail is set: a store that is slow, broken,
 // or both, for exactly as long as a test says.
 type gatedSaveStore struct {
-	*store.MemStore
+	*store.FileStore
 	// entered gets one token per Save entered; buffered beyond the three
 	// Saves any test makes, so a Save never waits on a test not reading it.
 	entered chan struct{}
@@ -25,7 +25,7 @@ type gatedSaveStore struct {
 }
 
 func newGatedSaveStore(open bool) *gatedSaveStore {
-	s := &gatedSaveStore{MemStore: store.NewMemStore(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
+	s := &gatedSaveStore{FileStore: store.NewMemStore(), entered: make(chan struct{}, 16), gate: make(chan struct{})}
 	if open {
 		close(s.gate)
 	}
@@ -39,7 +39,7 @@ func (s *gatedSaveStore) Save(ctx context.Context, state *core.ServerState, now 
 	if s.fail.Load() {
 		return errors.New("disk full")
 	}
-	return s.MemStore.Save(ctx, state, now)
+	return s.FileStore.Save(ctx, state, now)
 }
 
 // TestConcurrentCloseWaitsForInFlightAttempt: a Close that arrives while

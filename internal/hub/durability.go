@@ -101,15 +101,15 @@ var PruneCovered = RetentionPolicy{mode: retentionPrune}
 // ArchiveCovered moves covered sealed segments into dir instead of
 // deleting them: the store directory stays bounded like PruneCovered,
 // while the audit trail lives on in dir as the same frame segments
-// (both backends write the same artifact; crowdml-server -dump-journal
-// dir prints it as JSON lines).
+// (a store in memory archives into its own memory; crowdml-server
+// -dump-journal dir prints an archive on disk as JSON lines).
 func ArchiveCovered(dir string) RetentionPolicy {
 	return RetentionPolicy{mode: retentionArchive, dir: dir}
 }
 
 // WithRetention sets a durable task's segment retention policy; it only
 // has an effect together with WithStore, and requires a store
-// implementing store.SegmentRetainer (both shipped stores do) for any
+// implementing store.SegmentRetainer (FileStore does) for any
 // policy other than KeepAll. The zero policy is KeepAll.
 func WithRetention(p RetentionPolicy) TaskOption {
 	return func(o *createOptions) { o.retention = p }

@@ -68,6 +68,18 @@ func checkinN(t *testing.T, srv *core.Server, deviceID string, n int) {
 	}
 }
 
+// segmentCount reports the number of journal segments, sealed and live.
+func segmentCount(t *testing.T, st interface {
+	Segments(context.Context) ([]store.SegmentInfo, error)
+}) int {
+	t.Helper()
+	segs, err := st.Segments(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(segs)
+}
+
 // stateWithoutDeviceSecrets compares everything recovery must reproduce.
 func assertStatesEqual(t *testing.T, got, want *core.ServerState) {
 	t.Helper()
@@ -499,10 +511,10 @@ func TestReplayGapFailsCreate(t *testing.T) {
 	}
 }
 
-// failingStore wraps a MemStore with a journal that starts erroring
+// failingStore wraps a memory store with a journal that starts erroring
 // after failAfter successful appends.
 type failingStore struct {
-	*store.MemStore
+	*store.FileStore
 	failAfter int
 }
 
@@ -513,7 +525,7 @@ type failingJournal struct {
 }
 
 func (f *failingStore) OpenJournal(ctx context.Context) (store.Journal, error) {
-	j, err := f.MemStore.OpenJournal(ctx)
+	j, err := f.FileStore.OpenJournal(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +547,7 @@ func (j *failingJournal) Append(ctx context.Context, e store.JournalEntry) error
 // and Close must surface the error.
 func TestJournalAppendFailureFailStops(t *testing.T) {
 	ctx := context.Background()
-	st := &failingStore{MemStore: store.NewMemStore(), failAfter: 2}
+	st := &failingStore{FileStore: store.NewMemStore(), failAfter: 2}
 	h := New()
 	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
 		WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}))
@@ -614,7 +626,7 @@ func TestCheckpointRotatesJournal(t *testing.T) {
 	}
 	checkinN(t, task.Server(), "d1", 3)
 	deadline := time.Now().Add(5 * time.Second)
-	for st.SegmentCount() < 2 {
+	for segmentCount(t, st) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("checkpoint never rotated the journal")
 		}
@@ -635,13 +647,13 @@ func TestCheckpointRotatesJournal(t *testing.T) {
 	}
 }
 
-// rotateBlockedStore wraps a MemStore with a journal whose Rotate fails
+// rotateBlockedStore wraps a memory store with a journal whose Rotate fails
 // while armed — the observable state of a crash (or transient error)
 // landing between checkpoint success and the segment seal: the
 // checkpoint exists, but the covered entries still sit in the live
 // segment.
 type rotateBlockedStore struct {
-	*store.MemStore
+	*store.FileStore
 	blocked atomic.Bool
 }
 
@@ -651,7 +663,7 @@ type rotateBlockedJournal struct {
 }
 
 func (s *rotateBlockedStore) OpenJournal(ctx context.Context) (store.Journal, error) {
-	j, err := s.MemStore.OpenJournal(ctx)
+	j, err := s.FileStore.OpenJournal(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -672,7 +684,7 @@ func (j *rotateBlockedJournal) Rotate(ctx context.Context) error {
 // and land on the exact pre-crash state.
 func TestCrashBetweenCheckpointSuccessAndSeal(t *testing.T) {
 	ctx := context.Background()
-	st := &rotateBlockedStore{MemStore: store.NewMemStore()}
+	st := &rotateBlockedStore{FileStore: store.NewMemStore()}
 	st.blocked.Store(true)
 	h := New()
 	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
@@ -691,8 +703,8 @@ func TestCrashBetweenCheckpointSuccessAndSeal(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st.SegmentCount() != 1 {
-		t.Fatalf("rotation happened despite the simulated crash window (%d segments)", st.SegmentCount())
+	if n := segmentCount(t, st); n != 1 {
+		t.Fatalf("rotation happened despite the simulated crash window (%d segments)", n)
 	}
 	checkinN(t, task.Server(), "d2", 2) // tail beyond the checkpoint, same segment
 	want := task.Server().ExportState()
@@ -714,10 +726,10 @@ func TestCrashBetweenCheckpointSuccessAndSeal(t *testing.T) {
 	}
 }
 
-// syncCountingStore wraps a MemStore and counts journal Sync calls, so
+// syncCountingStore wraps a memory store and counts journal Sync calls, so
 // the SyncPolicy wiring is observable.
 type syncCountingStore struct {
-	*store.MemStore
+	*store.FileStore
 	syncs    atomic.Int64
 	syncFail atomic.Bool
 }
@@ -728,7 +740,7 @@ type syncCountingJournal struct {
 }
 
 func (s *syncCountingStore) OpenJournal(ctx context.Context) (store.Journal, error) {
-	j, err := s.MemStore.OpenJournal(ctx)
+	j, err := s.FileStore.OpenJournal(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -757,7 +769,7 @@ func TestSyncPolicyGroupCommit(t *testing.T) {
 		"SyncBatch": {SyncBatch, 5},
 	} {
 		t.Run(name, func(t *testing.T) {
-			st := &syncCountingStore{MemStore: store.NewMemStore()}
+			st := &syncCountingStore{FileStore: store.NewMemStore()}
 			h := New()
 			task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
 				WithCheckpointPolicy(CheckpointPolicy{Every: time.Hour}),
@@ -776,7 +788,7 @@ func TestSyncPolicyGroupCommit(t *testing.T) {
 	}
 	t.Run("SyncBatchConcurrent", func(t *testing.T) {
 		const devices, perDevice = 8, 25
-		st := &syncCountingStore{MemStore: store.NewMemStore()}
+		st := &syncCountingStore{FileStore: store.NewMemStore()}
 		reg := telemetry.NewRegistry()
 		cfg := serverConfig()
 		cfg.Metrics = core.NewServerMetrics(reg, "t")
@@ -835,7 +847,7 @@ func TestSyncPolicyGroupCommit(t *testing.T) {
 // surface it.
 func TestSyncFailureFailStops(t *testing.T) {
 	ctx := context.Background()
-	st := &syncCountingStore{MemStore: store.NewMemStore()}
+	st := &syncCountingStore{FileStore: store.NewMemStore()}
 	st.syncFail.Store(true)
 	h := New()
 	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
@@ -953,7 +965,7 @@ func TestUpdaterPanicKeepsJournalContiguous(t *testing.T) {
 // must not restore the task permanently stopped.
 func TestAsyncCheckpointScrubsFailStop(t *testing.T) {
 	ctx := context.Background()
-	st := &failingStore{MemStore: store.NewMemStore(), failAfter: 1}
+	st := &failingStore{FileStore: store.NewMemStore(), failAfter: 1}
 	h := New()
 	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
 		WithCheckpointPolicy(CheckpointPolicy{AfterN: 1}))
@@ -1015,7 +1027,7 @@ func TestDuplicateDurableTaskAborted(t *testing.T) {
 
 // ---- Segment retention (WithRetention) ----
 
-// retentionBackend is one shipped store under retention test: the
+// retentionBackend is one store under retention test: the
 // store, its segment listing, and a crash-faithful reopen (FileStore
 // copies the tree so the dead hub's advisory lock does not block the
 // restore, exactly like the top-level recovery tests).
@@ -1025,8 +1037,8 @@ type retentionBackend struct {
 	reopen   func(t *testing.T) store.Store
 }
 
-// retentionBackends parameterizes the retention tests over both shipped
-// stores.
+// retentionBackends parameterizes the retention tests over a store in
+// memory and one on disk.
 func retentionBackends(t *testing.T) map[string]func(t *testing.T) retentionBackend {
 	list := func(fn func(context.Context) ([]store.SegmentInfo, error)) func() []store.SegmentInfo {
 		return func() []store.SegmentInfo {
@@ -1160,7 +1172,7 @@ func TestRetentionPruneCoveredBounded(t *testing.T) {
 // corruption the never-touch-the-live-segment rule exists to prevent.
 func TestRetentionSkippedOnFailedRotation(t *testing.T) {
 	ctx := context.Background()
-	st := &rotateBlockedStore{MemStore: store.NewMemStore()}
+	st := &rotateBlockedStore{FileStore: store.NewMemStore()}
 	st.blocked.Store(true)
 	h := New()
 	task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(st),
@@ -1174,8 +1186,8 @@ func TestRetentionSkippedOnFailedRotation(t *testing.T) {
 		cp, err := st.Load(ctx)
 		return err == nil && cp.State.Iteration == 3
 	})
-	if st.SegmentCount() != 1 {
-		t.Fatalf("rotation happened despite the simulated failure (%d segments)", st.SegmentCount())
+	if n := segmentCount(t, st); n != 1 {
+		t.Fatalf("rotation happened despite the simulated failure (%d segments)", n)
 	}
 	// Retention must not have touched the (covered but un-rotated) live
 	// segment: every journaled entry is still there.
@@ -1203,60 +1215,60 @@ func TestRetentionSkippedOnFailedRotation(t *testing.T) {
 // TestRetentionArchiveKeepsAuditTrail: ArchiveCovered moves covered
 // segments aside instead of deleting them — the store stays bounded
 // like PruneCovered, while the archive directory accumulates the full
-// covered history as ordinary journal segments.
+// covered history as ordinary journal segments. On disk only: a store in
+// memory archives into its own memory, which this package cannot read
+// back (the store package's conformance suite does).
 func TestRetentionArchiveKeepsAuditTrail(t *testing.T) {
 	ctx := context.Background()
-	for name, mk := range retentionBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			backend := mk(t)
-			archiveDir := t.TempDir()
-			archive, err := store.NewFileStore(archiveDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := New()
-			task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(backend.st),
-				WithCheckpointPolicy(CheckpointPolicy{AfterN: 4}),
-				WithRetention(ArchiveCovered(archiveDir)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkinN(t, task.Server(), "d1", 4)
-			// The cycle is observable at its END: the archive holds the
-			// covered history (waiting on segment counts alone would race
-			// the checkpoint-rotate-archive pipeline).
-			waitForCond(t, "checkpoint+archive cycle", func() bool {
-				archived, err := readAll(archive)
-				return err == nil && len(archived) == 4
-			})
-			want := task.Server().ExportState()
-
-			// The archived history reads back as a plain segment chain.
+	t.Run("FileStore", func(t *testing.T) {
+		backend := retentionBackends(t)["FileStore"](t)
+		archiveDir := t.TempDir()
+		archive, err := store.NewFileStore(archiveDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := New()
+		task, err := h.CreateTask(ctx, "t", serverConfig(), WithStore(backend.st),
+			WithCheckpointPolicy(CheckpointPolicy{AfterN: 4}),
+			WithRetention(ArchiveCovered(archiveDir)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkinN(t, task.Server(), "d1", 4)
+		// The cycle is observable at its END: the archive holds the
+		// covered history (waiting on segment counts alone would race
+		// the checkpoint-rotate-archive pipeline).
+		waitForCond(t, "checkpoint+archive cycle", func() bool {
 			archived, err := readAll(archive)
-			if err != nil {
-				t.Fatalf("read archive: %v", err)
-			}
-			for i := range archived {
-				if archived[i].Iteration != i+1 || len(archived[i].Grad) == 0 {
-					t.Errorf("archived entry %d = %+v", i, archived[i])
-				}
-			}
-			// And the store alone still restores the exact state.
-			h2 := New()
-			restored, err := h2.CreateTask(ctx, "t", serverConfig(), WithStore(backend.reopen(t)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStatesEqual(t, restored.Server().ExportState(), want)
-			if err := h2.Close(ctx); err != nil {
-				t.Fatal(err)
-			}
-			_ = h.Close(ctx) // release the crashed hub's goroutines and lock
+			return err == nil && len(archived) == 4
 		})
-	}
+		want := task.Server().ExportState()
+
+		// The archived history reads back as a plain segment chain.
+		archived, err := readAll(archive)
+		if err != nil {
+			t.Fatalf("read archive: %v", err)
+		}
+		for i := range archived {
+			if archived[i].Iteration != i+1 || len(archived[i].Grad) == 0 {
+				t.Errorf("archived entry %d = %+v", i, archived[i])
+			}
+		}
+		// And the store alone still restores the exact state.
+		h2 := New()
+		restored, err := h2.CreateTask(ctx, "t", serverConfig(), WithStore(backend.reopen(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStatesEqual(t, restored.Server().ExportState(), want)
+		if err := h2.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		_ = h.Close(ctx) // release the crashed hub's goroutines and lock
+	})
 }
 
-// hiddenRetainerStore wraps a MemStore behind the plain Store interface
+// hiddenRetainerStore wraps a memory store behind the plain Store interface
 // so the SegmentRetainer implementation is invisible.
 type hiddenRetainerStore struct{ inner store.Store }
 
@@ -1302,7 +1314,7 @@ func TestRetentionMisconfigurationFailsCreate(t *testing.T) {
 // checkpoint that takes a while under steady traffic. saves counts Save
 // calls as they are entered.
 type slowSaveStore struct {
-	*store.MemStore
+	*store.FileStore
 	mu       sync.Mutex
 	cond     *sync.Cond
 	appended int
@@ -1316,13 +1328,13 @@ type slowSaveJournal struct {
 }
 
 func newSlowSaveStore() *slowSaveStore {
-	s := &slowSaveStore{MemStore: store.NewMemStore()}
+	s := &slowSaveStore{FileStore: store.NewMemStore()}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
 func (s *slowSaveStore) OpenJournal(ctx context.Context) (store.Journal, error) {
-	j, err := s.MemStore.OpenJournal(ctx)
+	j, err := s.FileStore.OpenJournal(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1346,7 +1358,7 @@ func (s *slowSaveStore) Save(ctx context.Context, state *core.ServerState, now t
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
-	return s.MemStore.Save(ctx, state, now)
+	return s.FileStore.Save(ctx, state, now)
 }
 
 // awaitSaves blocks until Save has been entered n times.

@@ -87,8 +87,8 @@ func (m *durMetrics) observeSync() func() {
 }
 
 // updateSegmentGauge refreshes the live segment-chain gauge from the
-// store, when the store can enumerate segments (both shipped stores
-// can). Called off the hot path — after rotations and retention passes —
+// store, when the store can enumerate segments (FileStore can). Called
+// off the hot path — after rotations and retention passes —
 // so the Segments listing cost never taxes a checkin.
 func (m *durMetrics) updateSegmentGauge(ctx context.Context, st store.Store) {
 	if m == nil {

@@ -28,9 +28,9 @@ func serverConfig() core.ServerConfig {
 	}
 }
 
-// newLeader hosts task "alpha" with a MemStore journal behind an HTTP
+// newLeader hosts task "alpha" with a journal in memory behind an HTTP
 // server and returns its base URL, server, and store.
-func newLeader(t *testing.T, opts ...hub.TaskOption) (string, *core.Server, *store.MemStore) {
+func newLeader(t *testing.T, opts ...hub.TaskOption) (string, *core.Server, *store.FileStore) {
 	t.Helper()
 	st := store.NewMemStore()
 	h := hub.New()
@@ -159,7 +159,7 @@ func TestReplicatorBootstrapsFromCheckpoint(t *testing.T) {
 // waitCheckpointCovering polls until the store holds a checkpoint at or
 // past the given iteration (the async checkpointer runs on its own
 // goroutine).
-func waitCheckpointCovering(t *testing.T, st *store.MemStore, iteration int) {
+func waitCheckpointCovering(t *testing.T, st *store.FileStore, iteration int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -201,7 +201,7 @@ func TestReplicatorGapRebootstrap(t *testing.T) {
 
 // waitPrunedPast polls until the journal's oldest retained entry is past
 // the given iteration — i.e. a cursor positioned there has a gap.
-func waitPrunedPast(t *testing.T, st *store.MemStore, iteration int) {
+func waitPrunedPast(t *testing.T, st *store.FileStore, iteration int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -3,14 +3,15 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
+	"github.com/crowdml/crowdml/internal/invariants"
 	"github.com/crowdml/crowdml/internal/replica"
 	"github.com/crowdml/crowdml/internal/shard"
 	"github.com/crowdml/crowdml/internal/store"
@@ -273,10 +274,14 @@ func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
 			ls, fs := leader.ExportState(), followerTask.Server().ExportState()
 			dropSilent(ls)
 			dropSilent(fs)
-			consistent := reflect.DeepEqual(ls, fs)
+			diverged := invariants.Same(fs, ls)
+			consistent := diverged == nil
 			r.FollowerConsistent = &consistent
-			if !consistent {
-				return fmt.Errorf("scenario: follower state diverged from leader")
+			if diverged != nil {
+				return fmt.Errorf("scenario: follower state diverged from leader: %w", diverged)
+			}
+			if err := errors.Join(invariants.Counters(ls), invariants.Counters(fs)); err != nil {
+				return fmt.Errorf("scenario: leader or follower counters: %w", err)
 			}
 			return nil
 		},

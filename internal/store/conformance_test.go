@@ -40,9 +40,10 @@ func readJournalTail(st Store, afterIteration int) ([]JournalEntry, error) {
 	}
 }
 
-// TestStoreConformance runs every shipped Store implementation through
-// one shared suite, so FileStore and MemStore cannot drift in the
-// semantics recovery depends on: atomic checkpoint replacement,
+// TestStoreConformance runs the one Store implementation over both of its
+// file systems — the disk and memory (NewMemStore) — through one shared
+// suite, so neither can drift in the semantics recovery depends on:
+// atomic checkpoint replacement,
 // checkpoint isolation from later state mutation, and an append-only
 // journal whose entries survive journal reopens and caller slice reuse.
 func TestStoreConformance(t *testing.T) {
@@ -482,8 +483,8 @@ func testCancelledContext(t *testing.T, st Store) {
 // later Nexts (not feign a clean io.EOF end — a use-after-close bug
 // would otherwise read as a truncated-but-valid journal), while a
 // cursor that reached io.EOF keeps reporting io.EOF after Close. Both
-// backends must agree, or a bug would pass MemStore tests and fail on
-// files in production.
+// file systems must agree, or a bug would pass tests in memory and fail
+// on disk in production.
 func testCursorUseAfterClose(t *testing.T, st Store) {
 	j, err := st.OpenJournal(ctx)
 	if err != nil {
@@ -524,8 +525,8 @@ func testCursorUseAfterClose(t *testing.T, st Store) {
 	}
 }
 
-// retainer asserts the shipped stores implement SegmentRetainer (the
-// conformance suite IS the proof WithRetention can rely on them).
+// retainer asserts the store implements SegmentRetainer (the
+// conformance suite IS the proof WithRetention can rely on it).
 func retainer(t *testing.T, st Store) SegmentRetainer {
 	t.Helper()
 	r, ok := st.(SegmentRetainer)
@@ -619,9 +620,9 @@ func testRetentionNeverLive(t *testing.T, st Store) {
 }
 
 // testRetentionArchive: archived segments are moved, not lost — the
-// audit trail lives on in the archive directory as the frame segments
-// both backends render identically (readable by pointing a FileStore at
-// the directory).
+// audit trail lives on in the archive directory as ordinary frame
+// segments, readable by pointing a FileStore on the same file system at
+// the directory.
 func testRetentionArchive(t *testing.T, st Store) {
 	segmentedJournal(t, st)
 	before, err := readJournal(st)
@@ -643,7 +644,8 @@ func testRetentionArchive(t *testing.T, st Store) {
 	}
 	// ...and the archive holds the full covered history, as an ordinary
 	// segment chain.
-	archive, err := NewFileStore(dir)
+	fsys := st.(*FileStore).fsys
+	archive, err := newFileStore(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -656,8 +658,11 @@ func testRetentionArchive(t *testing.T, st Store) {
 			archived, before[:5])
 	}
 	// An archived name is never overwritten: a second chain archiving a
-	// different segment under the same name is refused, on either backend.
-	other := NewMemStore()
+	// different segment under the same name is refused.
+	other, err := newFileStore(fsys, t.TempDir()+"/other")
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := other.OpenJournal(ctx)
 	if err != nil {
 		t.Fatal(err)

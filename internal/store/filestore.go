@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -33,8 +30,12 @@ const lockFileName = "LOCK"
 // a conflicting open fails with ErrStoreLocked instead of racing. (The
 // kernel releases the lock when a crashed holder dies, so recovery is
 // never blocked by a stale lock file.)
+//
+// Every file operation goes through the store's fileSystem: the disk for
+// NewFileStore, memory for NewMemStore.
 type FileStore struct {
-	dir string
+	fsys fileSystem
+	dir  string
 
 	saveMu sync.Mutex        // serializes Save, which owns enc
 	enc    checkpointEncoder // reused by every Save
@@ -48,11 +49,13 @@ const (
 )
 
 // NewFileStore creates (if necessary) and opens a store directory.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func NewFileStore(dir string) (*FileStore, error) { return newFileStore(osFS{}, dir) }
+
+func newFileStore(fsys fileSystem, dir string) (*FileStore, error) {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	return &FileStore{dir: dir}, nil
+	return &FileStore{fsys: fsys, dir: dir}, nil
 }
 
 // Dir returns the store directory.
@@ -65,15 +68,11 @@ func (f *FileStore) HasCheckpoint(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	file, err := os.Open(filepath.Join(f.dir, checkpointName))
+	_, err := f.fsys.Stat(filepath.Join(f.dir, checkpointName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	file.Close()
-	return true, nil
+	return err == nil, err
 }
 
 // Save atomically writes a checkpoint of the given state: the frame is
@@ -92,7 +91,7 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(filepath.Join(f.dir, checkpointName), func(w io.Writer) error {
+	err = f.writeFileAtomic(filepath.Join(f.dir, checkpointName), func(w io.Writer) error {
 		_, err := w.Write(frame)
 		return err
 	})
@@ -103,53 +102,36 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	// Best-effort HERE only: a checkpoint whose rename is lost to power
 	// failure costs a longer journal replay, never data — the journal
 	// covers every acknowledged checkin regardless.
-	_ = syncDir(f.dir)
+	_ = f.fsys.SyncDir(f.dir)
 	return nil
 }
 
 // writeFileAtomic is the package's one temp → write → fsync → close →
 // rename sequence: path either keeps what it held or holds everything
 // write produced, never a prefix, and a failure at any step leaves no
-// temp file behind. Making the rename itself durable (syncDir) is left to
+// temp file behind. Making the rename itself durable (SyncDir) is left to
 // the caller, because callers differ in whether a lost rename loses data.
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
-	// Every failing call below is an *os.PathError (or write's own error)
-	// that already names the step and the file.
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+func (f *FileStore) writeFileAtomic(path string, write func(w io.Writer) error) error {
+	// Every failing call below returns an error (or write's own) that
+	// already names the step and the file.
+	tmp, err := f.fsys.CreateTemp(path)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after the successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = f.fsys.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// syncDir fsyncs a directory, making file creates and renames inside it
-// durable against machine crashes. Filesystems that refuse directory
-// fsync (EINVAL) are tolerated — on those there is nothing stronger to
-// offer; any other failure is reported so callers for whom the dirent's
-// durability is load-bearing (Rotate under a fsyncing SyncPolicy) can
-// treat it as fatal.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
 	if err != nil {
-		return err
+		_ = f.fsys.Remove(tmp.Name())
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) {
-		return err
-	}
-	return nil
+	return err
 }
 
 // Load reads the most recent checkpoint. It returns ErrNoCheckpoint when
@@ -158,15 +140,15 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	file, err := os.Open(filepath.Join(f.dir, checkpointName))
+	image, size, err := f.fsys.Open(filepath.Join(f.dir, checkpointName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoCheckpoint
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
-	defer file.Close()
-	return DecodeCheckpoint(file)
+	defer image.Close()
+	return DecodeCheckpoint(io.NewSectionReader(image, 0, size))
 }
 
 // Segments returns the journal's segments, oldest first, with their
@@ -180,7 +162,7 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(f.dir)
+	entries, err := f.fsys.ReadDir(f.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: list segments: %w", err)
 	}
@@ -197,52 +179,32 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 			return nil, fmt.Errorf("%w: found %s: run a PR 18-20 release on this directory until its first "+
 				"checkpoint replaces the file with %s, then start this binary", ErrLegacyJournal, path, checkpointName)
 		}
+		// Names are zero-padded, so name order is sequence order.
 		if seq, ok := segmentSeq(e.Name()); ok {
 			segs = append(segs, SegmentInfo{Name: e.Name(), Seq: seq, Sealed: true})
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
 	if n := len(segs); n > 0 {
 		segs[n-1].Sealed = false
 	}
 	return segs, nil
 }
 
-// The rest of segmentChain: a segment is a file in the store directory.
-
-func (f *FileStore) openSegment(name string) (segmentImage, int64, error) {
-	file, err := os.Open(filepath.Join(f.dir, name))
-	if err != nil {
-		return nil, 0, err
-	}
-	info, err := file.Stat()
-	if err != nil {
-		file.Close()
-		return nil, 0, err
-	}
-	return file, info.Size(), nil
-}
-
-func (f *FileStore) removeSegment(name string) error {
-	return os.Remove(filepath.Join(f.dir, name))
-}
-
-func (f *FileStore) renameSegment(name, dst string) error {
-	return os.Rename(filepath.Join(f.dir, name), dst)
-}
-
 // fileJournal is the append-only segmented journal behind a FileStore.
 // It is safe for concurrent use; a shutdown-path Close can race in-flight
 // Appends and Rotates.
 type fileJournal struct {
-	dir string
+	f *FileStore
 
 	mu     sync.Mutex
-	file   *os.File // live segment
-	buf    []byte   // frame staging, reused by every Append under mu
-	seq    int      // live segment's sequence number
-	lock   *os.File // flock'd LOCK file, held until Close
+	file   file      // live segment
+	buf    []byte    // frame staging, reused by every Append under mu
+	seq    int       // live segment's sequence number
+	lock   io.Closer // the LOCK file's lock, held until Close
 	closed bool
+	// refused, once set, fails every later Append and Rotate: a failed
+	// Rotate left a successor segment behind that it could not remove.
+	refused error
 }
 
 // OpenJournal opens the journal for appending: it takes the store
@@ -261,14 +223,14 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lock, err := acquireDirLock(filepath.Join(f.dir, lockFileName))
+	lock, err := f.fsys.Lock(filepath.Join(f.dir, lockFileName))
 	if err != nil {
 		return nil, err
 	}
 	ok := false
 	defer func() {
 		if !ok {
-			releaseDirLock(lock)
+			lock.Close()
 		}
 	}()
 	f.removeOrphanedTemps()
@@ -280,7 +242,7 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if len(segs) > 0 {
 		seq = segs[len(segs)-1].Seq
 	}
-	file, err := os.OpenFile(filepath.Join(f.dir, segmentName(seq)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	file, err := f.fsys.OpenAppend(filepath.Join(f.dir, segmentName(seq)))
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
@@ -289,7 +251,7 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 		return nil, fmt.Errorf("store: repair journal tail: %w", err)
 	}
 	ok = true
-	return &fileJournal{dir: f.dir, file: file, seq: seq, lock: lock}, nil
+	return &fileJournal{f: f, file: file, seq: seq, lock: lock}, nil
 }
 
 // removeOrphanedTemps deletes the checkpoint temp files a process killed
@@ -299,34 +261,12 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 // temp file of its own. Best-effort: a leftover costs disk, never
 // correctness, and the next open tries again.
 func (f *FileStore) removeOrphanedTemps() {
-	entries, _ := os.ReadDir(f.dir) // Segments reports a directory that cannot be read
+	entries, _ := f.fsys.ReadDir(f.dir) // Segments reports a directory that cannot be read
 	for _, e := range entries {
 		if name := e.Name(); strings.HasPrefix(name, "checkpoint") && strings.HasSuffix(name, ".tmp") {
-			_ = os.Remove(filepath.Join(f.dir, name))
+			_ = f.fsys.Remove(filepath.Join(f.dir, name))
 		}
 	}
-}
-
-// acquireDirLock takes the store directory's lock on its LOCK file,
-// creating it if needed; lockFile and unlockFile are the platform's.
-func acquireDirLock(path string) (*os.File, error) {
-	lock, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open lock file: %w", err)
-	}
-	if err := lockFile(lock); err != nil {
-		lock.Close()
-		if errors.Is(err, errLockHeld) {
-			return nil, fmt.Errorf("%s: %w", path, ErrStoreLocked)
-		}
-		return nil, fmt.Errorf("store: lock %s: %w", path, err)
-	}
-	return lock, nil
-}
-
-func releaseDirLock(lock *os.File) {
-	unlockFile(lock)
-	_ = lock.Close()
 }
 
 // repairTornTail truncates the live segment back to its last valid frame
@@ -346,7 +286,7 @@ func (f *FileStore) repairTornTail(name string) error {
 		if !errors.Is(err, errTorn) {
 			return err
 		}
-		if err := os.Truncate(filepath.Join(f.dir, name), sr.off); err != nil {
+		if err := f.fsys.Truncate(filepath.Join(f.dir, name), sr.off); err != nil {
 			return fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
@@ -365,8 +305,8 @@ func (j *fileJournal) Append(ctx context.Context, e JournalEntry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("store: append to closed journal")
+	if err := j.usable("append to"); err != nil {
+		return err
 	}
 	buf, err := appendEntry(j.buf[:0], &e)
 	if err != nil {
@@ -408,8 +348,8 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errors.New("store: rotate on closed journal")
+	if err := j.usable("rotate on"); err != nil {
+		return err
 	}
 	// Seal durably: everything in the old segment reaches stable storage
 	// before the rotation is visible. The checkpoint that triggered this
@@ -418,7 +358,8 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	if err := j.file.Sync(); err != nil {
 		return fmt.Errorf("store: sync before rotate: %w", err)
 	}
-	next, err := os.OpenFile(filepath.Join(j.dir, segmentName(j.seq+1)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(j.f.dir, segmentName(j.seq+1))
+	next, err := j.f.fsys.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: create next segment: %w", err)
 	}
@@ -428,10 +369,19 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	// every post-rotation "synced" entry with it. A failed directory
 	// sync therefore fails the rotation (appends stay in the old, known-
 	// durable segment, and the checkpointer retries next time) instead
-	// of being quietly dropped.
-	if err := syncDir(j.dir); err != nil {
+	// of being quietly dropped — and takes the new file with it: left in
+	// place, it would be the newest segment, so Segments would call the
+	// segment still being appended to sealed, and a crash tearing its tail
+	// would make it unrecoverable. If even the removal fails, the journal
+	// refuses to go on, and the hub fail-stops the task.
+	if err := j.f.fsys.SyncDir(j.f.dir); err != nil {
 		next.Close()
-		return fmt.Errorf("store: sync dir for next segment: %w", err)
+		err = fmt.Errorf("store: sync dir for next segment: %w", err)
+		if rmErr := j.f.fsys.Remove(path); rmErr != nil {
+			j.refused = fmt.Errorf("store: journal refuses appends after a failed rotation left %s: %w", path, rmErr)
+			return errors.Join(err, j.refused)
+		}
+		return err
 	}
 	old := j.file
 	j.file, j.seq = next, j.seq+1
@@ -439,6 +389,14 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 		return fmt.Errorf("store: close sealed segment: %w", err)
 	}
 	return nil
+}
+
+// usable reports why the journal takes no more appends or rotations.
+func (j *fileJournal) usable(op string) error {
+	if j.closed {
+		return fmt.Errorf("store: %s closed journal", op)
+	}
+	return j.refused
 }
 
 // Close closes the journal, then releases the store directory's advisory
@@ -451,26 +409,21 @@ func (j *fileJournal) Close() error {
 		return nil
 	}
 	j.closed = true
-	defer releaseDirLock(j.lock)
+	defer j.lock.Close()
 	return j.file.Close()
-}
-
-// OpenCursor opens the streaming journal read (see openCursor).
-func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
-	return openCursor(ctx, f, afterIteration)
 }
 
 var _ SegmentRetainer = (*FileStore)(nil)
 
 // PruneSegments implements automated retention (see pruneChain).
 func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
-	pruned, err := pruneChain(ctx, f, coveredIteration, archiveDir)
+	pruned, err := f.pruneChain(ctx, coveredIteration, archiveDir)
 	if len(pruned) > 0 {
 		// Make the removals durable so a machine crash cannot resurrect a
 		// pruned dirent. Best-effort: a resurrected segment only lengthens
 		// the audit trail, it cannot affect recovery (its entries are all
 		// covered by the checkpoint).
-		_ = syncDir(f.dir)
+		_ = f.fsys.SyncDir(f.dir)
 	}
 	return pruned, err
 }
@@ -479,17 +432,18 @@ func (f *FileStore) PruneSegments(ctx context.Context, coveredIteration int, arc
 // subdirectory is one task's store, named by task ID — the layout
 // cmd/crowdml-server's -state-dir produces.
 type FileRoot struct {
-	dir string
+	fsys fileSystem
+	dir  string
 }
 
 var _ Root = (*FileRoot)(nil)
 
 // NewFileRoot creates (if necessary) and opens a root directory.
 func NewFileRoot(dir string) (*FileRoot, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := (osFS{}).MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("store: create root dir: %w", err)
 	}
-	return &FileRoot{dir: dir}, nil
+	return &FileRoot{fsys: osFS{}, dir: dir}, nil
 }
 
 // Dir returns the root directory.
@@ -500,7 +454,7 @@ func (r *FileRoot) List(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(r.dir)
+	entries, err := r.fsys.ReadDir(r.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: list root: %w", err)
 	}
@@ -510,7 +464,6 @@ func (r *FileRoot) List(ctx context.Context) ([]string, error) {
 			ids = append(ids, e.Name())
 		}
 	}
-	sort.Strings(ids)
 	return ids, nil
 }
 
@@ -526,5 +479,5 @@ func (r *FileRoot) Open(ctx context.Context, taskID string) (Store, error) {
 		strings.ContainsAny(taskID, `/\`) {
 		return nil, fmt.Errorf("store: task ID %q is not a valid store name", taskID)
 	}
-	return NewFileStore(filepath.Join(r.dir, taskID))
+	return newFileStore(r.fsys, filepath.Join(r.dir, taskID))
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"syscall"
 
@@ -21,8 +20,8 @@ import (
 // journal-0000000002.wal, …: the highest sequence number is the live
 // (appended-to) segment and every lower one is sealed. This file is the
 // one place entries turn into frames and back and the one implementation
-// of reading, pruning and archiving a chain; a backend supplies only the
-// segmentChain below. The suffix differs from earlier releases' JSONL
+// of reading, pruning and archiving a chain, all of it through the
+// FileStore's fileSystem. The suffix differs from earlier releases' JSONL
 // segments so the formats cannot be confused: *.jsonl files are refused
 // with ErrLegacyJournal.
 const (
@@ -41,26 +40,6 @@ func segmentSeq(name string) (int, bool) {
 		return 0, false
 	}
 	return seq, name == segmentName(seq)
-}
-
-// segmentChain is what a backend (FileStore: files in a directory;
-// MemStore: byte slices) supplies to the code in this file.
-type segmentChain interface {
-	// Segments lists the chain oldest first; all but the newest are sealed.
-	Segments(ctx context.Context) ([]SegmentInfo, error)
-	// openSegment opens a segment as it is now: its first size bytes never
-	// change afterwards. A segment that is gone reports fs.ErrNotExist.
-	openSegment(name string) (image segmentImage, size int64, err error)
-	removeSegment(name string) error
-	// renameSegment moves a segment out of the chain to the file dst, or
-	// reports syscall.EXDEV when no rename can get it there.
-	renameSegment(name, dst string) error
-}
-
-// segmentImage is an open segment's bytes.
-type segmentImage interface {
-	io.ReaderAt
-	io.Closer
 }
 
 // appendEntry appends e's frame to dst. It retains nothing of e.
@@ -115,10 +94,10 @@ type segmentReader struct {
 	buf    []byte // frame staging, reused
 }
 
-// readSegment opens a chain's segment for reading as it is now, accepting
+// readSegment opens a segment for reading as it is now, accepting
 // iterations from floor up and staging frames in buf.
-func readSegment(c segmentChain, name string, floor int, buf []byte) (segmentImage, segmentReader, error) {
-	image, size, err := c.openSegment(name)
+func readSegment(f *FileStore, name string, floor int, buf []byte) (fileImage, segmentReader, error) {
+	image, size, err := f.fsys.Open(filepath.Join(f.dir, name))
 	if err != nil {
 		return nil, segmentReader{}, err
 	}
@@ -249,7 +228,7 @@ func (s *segmentReader) settle(cause error) error {
 	return fmt.Errorf("%w from offset %d on: %v", errTorn, s.off, cause)
 }
 
-// openCursor is Store.OpenCursor for any chain. Segment selection walks
+// OpenCursor opens the streaming journal read. Segment selection walks
 // the chain newest-first reading only each segment's FIRST frame header:
 // the walk stops at the first segment whose first iteration is at or
 // below afterIteration+1, because every earlier segment then holds only
@@ -258,15 +237,15 @@ func (s *segmentReader) settle(cause error) error {
 // (empty, torn, just pruned — the cursor that then covers it will say
 // which) cannot prove coverage, so the walk keeps going — erring toward
 // streaming more, never less.
-func openCursor(ctx context.Context, c segmentChain, afterIteration int) (JournalCursor, error) {
-	segs, err := c.Segments(ctx)
+func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
+	segs, err := f.Segments(ctx)
 	if err != nil {
 		return nil, err
 	}
 	start := 0
 	if afterIteration > 0 {
 		for i := len(segs) - 1; i >= 0; i-- {
-			image, sr, err := readSegment(c, segs[i].Name, 0, nil)
+			image, sr, err := readSegment(f, segs[i].Name, 0, nil)
 			if err != nil {
 				continue
 			}
@@ -278,22 +257,22 @@ func openCursor(ctx context.Context, c segmentChain, afterIteration int) (Journa
 			}
 		}
 	}
-	return &cursor{chain: c, segs: segs[start:], after: afterIteration}, nil
+	return &cursor{f: f, segs: segs[start:], after: afterIteration}, nil
 }
 
-// cursor streams a chain's segments oldest-first, frame by frame, holding
+// cursor streams a store's segments oldest-first, frame by frame, holding
 // one open segment and one decoded entry at a time. A torn tail on the
 // LIVE (newest) segment — the expected artifact of a crash mid-append —
 // ends the stream with ErrJournalTruncated after every valid entry has
 // been yielded; in a sealed segment (which no crash can tear), or with
 // valid frames after it, damage is corruption and a hard error.
 type cursor struct {
-	chain segmentChain
+	f     *FileStore
 	segs  []SegmentInfo // remaining + current, oldest first
 	idx   int           // the open segment, or the next to open once image is nil
 	after int           // skip iterations at or below this
 
-	image segmentImage
+	image fileImage
 	sr    segmentReader
 
 	err error // latched terminal state (io.EOF, ErrJournalTruncated, or a hard error)
@@ -320,7 +299,7 @@ func (c *cursor) Next() (JournalEntry, error) {
 		name := c.segs[c.idx].Name
 		if c.image == nil {
 			// The buffer and the floor carry over: ordering spans segments.
-			image, sr, err := readSegment(c.chain, name, c.sr.floor, c.sr.buf)
+			image, sr, err := readSegment(c.f, name, c.sr.floor, c.sr.buf)
 			if errors.Is(err, fs.ErrNotExist) {
 				c.idx++ // raced a concurrent prune; nothing to read here
 				continue
@@ -359,15 +338,15 @@ func (c *cursor) Close() error {
 	return nil
 }
 
-// pruneChain is SegmentRetainer.PruneSegments — which states the contract
-// — for any chain.
-func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archiveDir string) ([]string, error) {
-	segs, err := c.Segments(ctx)
+// pruneChain is SegmentRetainer.PruneSegments, which states the contract,
+// without the closing directory sync.
+func (f *FileStore) pruneChain(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
+	segs, err := f.Segments(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if archiveDir != "" {
-		if err := os.MkdirAll(archiveDir, 0o755); err != nil {
+		if err := f.fsys.MkdirAll(archiveDir); err != nil {
 			return nil, fmt.Errorf("store: create archive dir: %w", err)
 		}
 	}
@@ -378,7 +357,7 @@ func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archi
 		}
 		// A sealed segment whose tail does not verify is damage (sealing
 		// fsyncs the file) and an error, not a torn tail.
-		image, sr, err := readSegment(c, seg.Name, 0, nil)
+		image, sr, err := readSegment(f, seg.Name, 0, nil)
 		if err != nil {
 			return pruned, fmt.Errorf("store: journal segment %s: %w", seg.Name, err)
 		}
@@ -394,10 +373,10 @@ func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archi
 			break
 		}
 		if archiveDir != "" {
-			if err := archiveSegment(c, seg.Name, filepath.Join(archiveDir, seg.Name)); err != nil {
+			if err := f.archiveSegment(seg.Name, filepath.Join(archiveDir, seg.Name)); err != nil {
 				return pruned, fmt.Errorf("store: archive segment %s: %w", seg.Name, err)
 			}
-		} else if err := c.removeSegment(seg.Name); err != nil {
+		} else if err := f.fsys.Remove(filepath.Join(f.dir, seg.Name)); err != nil {
 			return pruned, fmt.Errorf("store: prune segment %s: %w", seg.Name, err)
 		}
 		pruned = append(pruned, seg.Name)
@@ -406,11 +385,10 @@ func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archi
 }
 
 // archiveSegment moves a sealed segment to the file dst, preferring a
-// plain rename and falling back to copy-then-remove when the chain cannot
-// rename it there (EXDEV): the two sit on different filesystems — an
-// archive directory on a separate audit volume is the natural deployment,
-// and rename alone would fail every retention cycle there — or the chain
-// is in memory. The copy lands through writeFileAtomic, so a crash
+// plain rename and falling back to copy-then-remove when the rename
+// reports EXDEV: the two sit on different filesystems — an archive
+// directory on a separate audit volume is the natural deployment, and
+// rename alone would fail every retention cycle there. The copy lands through writeFileAtomic, so a crash
 // mid-copy never leaves a half-written file under the segment's name, and
 // the source is removed only after the copy and its directory entry are
 // fsynced: a machine crash could otherwise make the unlink durable while
@@ -427,30 +405,31 @@ func pruneChain(ctx context.Context, c segmentChain, coveredIteration int, archi
 // sequence numbers) — refused with an error — or the crash-duplicate the
 // copy path can leave, recognized by identical contents and resolved by
 // just removing the source.
-func archiveSegment(c segmentChain, name, dst string) error {
-	if _, err := os.Lstat(dst); err == nil {
-		same, err := segmentEquals(c, name, dst)
+func (f *FileStore) archiveSegment(name, dst string) error {
+	src := filepath.Join(f.dir, name)
+	if _, err := f.fsys.Stat(dst); err == nil {
+		same, err := f.segmentEquals(src, dst)
 		if err != nil {
 			return err
 		}
 		if !same {
 			return fmt.Errorf("archive destination %s already exists with different contents", dst)
 		}
-		return c.removeSegment(name)
+		return f.fsys.Remove(src)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	// Only EXDEV earns the copy fallback; any other failure (permissions,
 	// read-only volume) surfaces as itself so the recorded retention error
 	// names the real cause.
-	if err := c.renameSegment(name, dst); !errors.Is(err, syscall.EXDEV) {
+	if err := f.fsys.Rename(src, dst); !errors.Is(err, syscall.EXDEV) {
 		return err
 	}
-	image, size, err := c.openSegment(name)
+	image, size, err := f.fsys.Open(src)
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(dst, func(w io.Writer) error {
+	err = f.writeFileAtomic(dst, func(w io.Writer) error {
 		_, err := io.Copy(w, io.NewSectionReader(image, 0, size))
 		return err
 	})
@@ -458,39 +437,39 @@ func archiveSegment(c segmentChain, name, dst string) error {
 	if err != nil {
 		return err
 	}
-	if err := syncDir(filepath.Dir(dst)); err != nil {
+	if err := f.fsys.SyncDir(filepath.Dir(dst)); err != nil {
 		return err
 	}
-	return c.removeSegment(name)
+	return f.fsys.Remove(src)
 }
 
-// segmentEquals reports whether the file at path holds exactly the named
-// segment's bytes, streaming both side by side — O(one buffer) memory,
-// like every other read in this package.
-func segmentEquals(c segmentChain, name, path string) (bool, error) {
-	image, size, err := c.openSegment(name)
+// segmentEquals reports whether the files at a and b hold the same bytes,
+// streaming both side by side — O(one buffer) memory, like every other
+// read in this package.
+func (f *FileStore) segmentEquals(a, b string) (bool, error) {
+	ia, size, err := f.fsys.Open(a)
 	if err != nil {
 		return false, err
 	}
-	defer image.Close()
-	file, err := os.Open(path)
+	defer ia.Close()
+	ib, sizeB, err := f.fsys.Open(b)
 	if err != nil {
 		return false, err
 	}
-	defer file.Close()
-	if info, err := file.Stat(); err != nil || info.Size() != size {
-		return false, err
+	defer ib.Close()
+	if sizeB != size {
+		return false, nil
 	}
-	a, b := make([]byte, 64<<10), make([]byte, 64<<10)
-	for off := int64(0); off < size; off += int64(len(a)) {
-		n := min(int64(len(a)), size-off)
-		if _, err := io.ReadFull(io.NewSectionReader(image, off, n), a[:n]); err != nil {
+	bufA, bufB := make([]byte, 64<<10), make([]byte, 64<<10)
+	for off := int64(0); off < size; off += int64(len(bufA)) {
+		n := min(int64(len(bufA)), size-off)
+		if _, err := io.ReadFull(io.NewSectionReader(ia, off, n), bufA[:n]); err != nil {
 			return false, err
 		}
-		if _, err := io.ReadFull(io.NewSectionReader(file, off, n), b[:n]); err != nil {
+		if _, err := io.ReadFull(io.NewSectionReader(ib, off, n), bufB[:n]); err != nil {
 			return false, err
 		}
-		if !bytes.Equal(a[:n], b[:n]) {
+		if !bytes.Equal(bufA[:n], bufB[:n]) {
 			return false, nil
 		}
 	}

@@ -28,7 +28,7 @@ func FuzzSegmentCursor(f *testing.F) {
 		}
 	}
 	f.Add(seg)
-	// The same frames as a MemStore holds them: its live segment's bytes.
+	// The same frames as a store in memory holds them: its live segment.
 	mem := NewMemStore()
 	j, _ := mem.OpenJournal(ctx)
 	for _, e := range goldenEntries {
@@ -36,7 +36,7 @@ func FuzzSegmentCursor(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	f.Add(bytes.Clone(mem.chain.segs[0]))
+	f.Add(fileBytes(f, mem, segmentName(1)))
 	f.Add(seg[:len(seg)-7])
 	f.Add(append(bytes.Clone(seg), make([]byte, 100)...))
 	f.Add(append(bytes.Clone(seg[:40]), seg...))

@@ -2,9 +2,10 @@
 // server state. The paper's prototype kept this state in MySQL
 // (Section V-A) so a restarted server resumes the crowd's task with the
 // accumulated contributions intact; Store is the abstraction of that
-// role, with two shipped implementations — FileStore (a checkpoint frame +
-// a journal of wirecodec frames under a directory) and MemStore
-// (in-memory, for tests, benchmarks and embedding).
+// role, with one implementation: FileStore, a checkpoint frame + a journal
+// of wirecodec frames under a directory, on disk (NewFileStore) or in
+// memory (NewMemStore, for tests, benchmarks and embedding). Both run the
+// same code; only the file system under it differs.
 //
 // Two artifacts are managed per task:
 //
@@ -66,8 +67,9 @@ var (
 	// directory's advisory lock. Opening a journal repairs (truncates) a
 	// crash-torn tail, so a second opener racing a live journal could
 	// destroy a half-flushed record; the lock turns that misdeployment
-	// into a clean error. MemStore does not lock — simulating a crash by
-	// dropping a hub while keeping the store is exactly what it is for.
+	// into a clean error. A store in memory (NewMemStore) does not lock —
+	// simulating a crash by dropping a hub while keeping the store is
+	// exactly what it is for.
 	ErrStoreLocked = errors.New("store: store directory locked by a live journal")
 
 	// ErrLegacyJournal is returned by FileStore's journal operations when
@@ -138,8 +140,8 @@ func (e *checkpointEncoder) encode(state *core.ServerState, savedAtUnixMillis in
 
 // EncodeCheckpoint returns cp in the checkpoint format: one wirecodec
 // KindCheckpoint frame (docs/WIRE.md). With DecodeCheckpoint it is the one
-// place the format is known — FileStore's checkpoint.ckpt, MemStore's held
-// bytes and the replication checkpoint endpoint are all this frame.
+// place the format is known — FileStore's checkpoint.ckpt, on disk or in
+// memory, and the replication checkpoint endpoint are both this frame.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	var enc checkpointEncoder
 	return enc.encode(cp.State, cp.SavedAtUnixMillis)
@@ -155,10 +157,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
-	return decodeCheckpoint(payload)
-}
-
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	if len(payload) > wirecodec.MaxPayload {
 		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
 	}
@@ -254,7 +252,7 @@ type Journal interface {
 	Rotate(ctx context.Context) error
 	// Sync forces everything appended so far onto stable storage
 	// (fsync), upgrading those entries from process-crash durability to
-	// power-loss durability. No-op for MemStore.
+	// power-loss durability. A no-op in memory.
 	Sync(ctx context.Context) error
 	Close() error
 }
@@ -298,9 +296,9 @@ type Store interface {
 	// OpenCursor opens a streaming read over the journal suffix a
 	// recovery already holding a checkpoint at afterIteration needs:
 	// every entry with Iteration > afterIteration, reading only the
-	// trailing segments required. Both shipped stores yield exactly
-	// those; an implementation may still lead the stream with covered
-	// entries (core.Server.Replay skips them). OpenCursor(ctx, 0)
+	// trailing segments required. FileStore yields exactly those; another
+	// implementation may still lead the stream with covered entries
+	// (core.Server.Replay skips them). OpenCursor(ctx, 0)
 	// streams the full journal, oldest entry first — the audit scan. A
 	// missing journal yields a cursor whose first Next returns io.EOF.
 	// Covered segments and entries are ruled out on frame headers, never
@@ -309,7 +307,7 @@ type Store interface {
 }
 
 // SegmentRetainer is implemented by stores whose journal supports
-// automated retention of sealed segments (both shipped stores do). The
+// automated retention of sealed segments (FileStore does). The
 // hub's checkpointer calls PruneSegments after each successful
 // checkpoint-and-rotate cycle when a retention policy is attached.
 type SegmentRetainer interface {

@@ -21,9 +21,9 @@ import (
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
-// newLeader hosts task "alpha" with a MemStore-backed journal and
+// newLeader hosts task "alpha" with a journal in memory and
 // returns the handler, the task's server, and the store.
-func newLeader(t *testing.T) (*Handler, *core.Server, *store.MemStore) {
+func newLeader(t *testing.T) (*Handler, *core.Server, *store.FileStore) {
 	t.Helper()
 	st := store.NewMemStore()
 	h := hub.New()

@@ -25,7 +25,7 @@ import (
 // returns, which is only sound if nothing downstream kept the slice.
 // After a run of checkins on both wires every scratch in the pool is
 // scribbled over, and the three places a gradient goes must not have
-// noticed: the journal entries (MemStore keeps its own copies), the
+// noticed: the journal entries (the store keeps its own copies), the
 // server's parameters (equal to a reference server that was handed the
 // same requests directly) and a follower fed from that journal.
 func TestPooledGradNotRetained(t *testing.T) {

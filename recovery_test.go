@@ -12,12 +12,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
+	"github.com/crowdml/crowdml/internal/invariants"
 	"github.com/crowdml/crowdml/internal/rng"
 )
 
@@ -177,15 +177,20 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 			// EXACTLY the pre-crash state, which must be EXACTLY the
 			// never-crashed control state — iteration counter, parameter
 			// vector, crowd totals and per-device counters alike.
-			if !reflect.DeepEqual(got, preCrash) {
-				t.Errorf("recovered state != pre-crash state:\n got: %+v\nwant: %+v", got, preCrash)
+			if err := invariants.Same(got, preCrash); err != nil {
+				t.Errorf("recovered state != pre-crash state: %v", err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("recovered state != uncrashed control state:\n got: %+v\nwant: %+v", got, want)
+			if err := invariants.Same(got, want); err != nil {
+				t.Errorf("recovered state != uncrashed control state: %v", err)
 			}
 			if got.Iteration != wantCheckins {
 				t.Errorf("recovered iteration = %d, want %d", got.Iteration, wantCheckins)
 			}
+			restoredStore, err := root.Open(ctx, "task")
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRestored(t, restoredStore, got)
 
 			// The restored task keeps learning AND journaling: new checkins
 			// apply and survive a clean shutdown + second reopen.
@@ -293,6 +298,19 @@ func tearLiveSegment(t *testing.T, storeDir string) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkRestored checks what every restore must leave: counters that
+// compose (Eq. 14), and a journal holding each iteration up to the
+// restored one exactly once.
+func checkRestored(t *testing.T, st crowdml.Store, got *crowdml.ServerState) {
+	t.Helper()
+	if err := invariants.Counters(got); err != nil {
+		t.Error(err)
+	}
+	if err := invariants.Journal(context.Background(), st, 0, got.Iteration); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -463,7 +481,7 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 	backends := map[string]func(t *testing.T) (st crowdml.Store, segments func() int, reopen func(t *testing.T) crowdml.Store){
 		"MemStore": func(t *testing.T) (crowdml.Store, func() int, func(t *testing.T) crowdml.Store) {
 			st := crowdml.NewMemStore()
-			return st, st.SegmentCount, func(t *testing.T) crowdml.Store { return st }
+			return st, segmentCount(t, st), func(t *testing.T) crowdml.Store { return st }
 		},
 		"FileStore": func(t *testing.T) (crowdml.Store, func() int, func(t *testing.T) crowdml.Store) {
 			dir := t.TempDir()
@@ -471,13 +489,7 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segments := func() int {
-				segs, err := st.Segments(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return len(segs)
-			}
+			segments := segmentCount(t, st)
 			reopen := func(t *testing.T) crowdml.Store {
 				// Crash semantics: freeze the files and release the dead
 				// process's flock by copying the tree (see copyTree).
@@ -526,8 +538,8 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := restored.Server().ExportState()
-			if !reflect.DeepEqual(got, preCrash) {
-				t.Errorf("recovered state != pre-crash state:\n got: %+v\nwant: %+v", got, preCrash)
+			if err := invariants.Same(got, preCrash); err != nil {
+				t.Errorf("recovered state != pre-crash state: %v", err)
 			}
 			if got.Iteration != totalN {
 				t.Errorf("recovered iteration = %d, want %d", got.Iteration, totalN)
@@ -538,6 +550,7 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 				t.Errorf("restore read %d journal records, want only the %d-record live segment tail",
 					counting.tailRecords, tailLen)
 			}
+			checkRestored(t, counting.Store, got)
 			// Sealed segments remain the complete audit trail.
 			audit := drainJournal(t, counting)
 			if len(audit) != totalN {
@@ -552,6 +565,17 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// segmentCount returns a probe of st's journal segment count.
+func segmentCount(t *testing.T, st *crowdml.FileStore) func() int {
+	return func() int {
+		segs, err := st.Segments(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(segs)
 	}
 }
 
@@ -640,12 +664,12 @@ func TestAdaGradCrashRecoveryBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := restored.Server().ExportState()
-			// reflect.DeepEqual on float64 slices is bitwise equality: the
-			// parameters AND the recovered accumulators must match the
-			// never-crashed control exactly.
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("recovered AdaGrad state != uncrashed control state:\n got: %+v\nwant: %+v", got, want)
+			// The parameters AND the recovered accumulators must match the
+			// never-crashed control bit for bit.
+			if err := invariants.Same(got, want); err != nil {
+				t.Errorf("recovered AdaGrad state != uncrashed control state: %v", err)
 			}
+			checkRestored(t, restoreStore, got)
 			if err := h2.Close(ctx); err != nil {
 				t.Fatal(err)
 			}
