@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync/atomic"
+	"time"
 
 	"github.com/crowdml/crowdml/internal/linalg"
 )
@@ -14,8 +15,12 @@ import (
 type pendingCheckin struct {
 	deviceID string
 	req      *CheckinRequest
-	grad     *linalg.Matrix
 	done     chan error
+	// at is where the checkin's current stage started, as an offset from
+	// the server's epoch, which keeps the item in its allocation size
+	// class: its Checkin entry until its batch is applied, then the end of
+	// the batch's OnCommit, written before done is signalled.
+	at time.Duration
 
 	// abandoned is set when this item's own Checkin call is unwinding
 	// from a leader panic while the item is still queued: its caller has
@@ -174,7 +179,10 @@ func (s *Server) applyBatch(batch []*pendingCheckin) error {
 	unwinding := true
 	defer func() {
 		commitPanic := s.commit()
+		ci, _ := s.Stages()
+		acked := ci.Start().Sub(s.epoch)
 		for i, p := range batch {
+			p.at = acked
 			if p.done != nil {
 				p.done <- results[i]
 			}
@@ -218,10 +226,19 @@ func (s *Server) commit() (panicked any) {
 // the iteration: one copy per batch (into a recycled vector), and the
 // reason a checkout that starts after a Checkin returned can never serve
 // parameters older than that checkin.
+//
+// A Version the server has not issued yet (a checkout from before a
+// SyncNone power loss, or a forged one) is clamped to t−1 before the
+// record is taken: staleness 0, not negative, and the journal carries
+// the clamped value Replay reproduces.
 func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
+	ci, _ := s.Stages()
+	locked := ci.Start()
 	defer func() {
 		if s.ring.Version() != int(s.t.Load()) {
+			applied := ci.Lap(StageApply, locked)
 			s.publishSnapshotLocked()
+			ci.Lap(StagePublish, applied)
 		}
 	}()
 	for i, p := range batch {
@@ -240,7 +257,12 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 			// update — unavoidable with a panicking updater, and exactly the
 			// exposure the old per-checkin lock had.)
 			t := int(s.t.Load()) + 1
-			s.applyLocked(p.deviceID, p.req, p.grad, t)
+			if p.req.Version > t-1 {
+				p.req.Version = t - 1
+			}
+			s.applyLocked(p.deviceID, p.req, t)
+			s.cfg.Metrics.observeStaleness(t - 1 - p.req.Version)
+			ci.Span(StageQueueWait, s.epoch.Add(p.at), locked)
 			s.records = append(s.records, ReplayRecord{DeviceID: p.deviceID, Iteration: t, Req: p.req})
 			results[i] = nil
 		}
@@ -252,8 +274,13 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 // then the device's counters. The live applier and journal Replay both
 // run exactly this sequence, which is what bit-exact recovery rests on.
 // Staleness is measured against the pre-update counter t−1. Caller holds
-// wMu; t only advances under it, so the store is single-writer safe.
-func (s *Server) applyLocked(deviceID string, req *CheckinRequest, grad *linalg.Matrix, t int) {
+// wMu; t only advances under it, so the store is single-writer safe. Both
+// callers have checked the gradient's length.
+func (s *Server) applyLocked(deviceID string, req *CheckinRequest, t int) {
+	grad, err := linalg.NewMatrixFrom(s.w.Rows(), s.w.Cols(), req.Grad)
+	if err != nil {
+		panic(err)
+	}
 	s.cfg.Updater.Update(s.w, grad, t)
 	s.t.Store(int64(t))
 	// Errors and label counts strictly before samples, so a concurrent

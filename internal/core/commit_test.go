@@ -36,11 +36,7 @@ func pendingFor(t *testing.T, s *Server, deviceID string) *pendingCheckin {
 	t.Helper()
 	classes, dim := s.ModelShape()
 	req := &CheckinRequest{Grad: make([]float64, classes*dim), NumSamples: 1, LabelCounts: make([]int, classes)}
-	g, err := linalg.NewMatrixFrom(classes, dim, req.Grad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &pendingCheckin{deviceID: deviceID, req: req, grad: g, done: make(chan error, 1)}
+	return &pendingCheckin{deviceID: deviceID, req: req, done: make(chan error, 1)}
 }
 
 // applyAsLeader applies batch the way a batch leader does — in the

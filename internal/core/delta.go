@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultDeltaHistory is how many recently published snapshots a server's
@@ -300,19 +299,12 @@ func (s *Server) ParamDelta(since int) *ParamDelta {
 // Base are the ring's pinned snapshots — the transport encodes them
 // without copying and then calls Release; callers must not mutate them.
 func (s *Server) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*ParamDelta, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if s.cfg.Metrics != nil {
-		start = time.Now()
-	}
-	if err := s.authenticate(ctx, deviceID, token); err != nil {
-		s.cfg.Metrics.observeCheckout(start, err)
+	start, authed, err := s.authCheckout(ctx, deviceID, token)
+	if err != nil {
 		return nil, err
 	}
 	d := s.ParamDelta(since)
-	s.cfg.Metrics.observeCheckout(start, nil)
+	s.cfg.Metrics.observeCheckout(start, authed, nil)
 	return d, nil
 }
 

@@ -2,10 +2,46 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
+
+// The stages of crowdml_checkin_stage_seconds, indexing the checkin family
+// Server.Stages returns, in the order a checkin meets them. decode,
+// queue_wait and ack are observed once per applied checkin; apply,
+// publish, journal and fsync once per batch that applied any.
+const (
+	StageDecode    = iota // transport: handler entry → body read and decoded
+	StageQueueWait        // core: Checkin entry (auth, validation, leader slot, queue) → its batch holds the apply lock
+	StageApply            // core: the batch's Updater steps and counter commits
+	StagePublish          // core: the batch's checkout snapshot
+	StageJournal          // hub: the batch's journal appends (durable tasks only)
+	StageFsync            // hub: the batch's group-commit Sync (SyncBatch only)
+	StageAck              // core: end of the batch's OnCommit → that checkin's Checkin returns
+)
+
+// The stages of crowdml_checkout_stage_seconds, indexing the checkout
+// family, observed once per successful checkout.
+const (
+	StageAuth   = iota // core: authenticate, AuthFallback included
+	StageView          // core: pin the snapshot or derive the delta (plus Checkout's copy)
+	StageEncode        // transport: diff and encode into the response buffer
+)
+
+const (
+	checkinStageFamily = "crowdml_checkin_stage_seconds"
+	checkinStageHelp   = "Time one checkin spent in each stage, from the handler to its acknowledgment, in seconds."
+)
+
+// checkinStages names the checkin family's stages. The commit stages are
+// unnamed, hence unbound, until a durable task binds them (CommitStages).
+var checkinStages = []string{"decode", "queue_wait", "apply", "publish", "", "", "ack"}
+
+// stalenessBuckets bound τ, the iterations between a checkin's checkout
+// and its application: 0, 1, 2, 4 … 1024.
+var stalenessBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // ServerMetrics holds the pre-bound telemetry handles for one server's
 // device-facing hot paths. Handles are resolved once at construction —
@@ -16,12 +52,15 @@ import (
 //
 // Metric names (all carry a task label):
 //
-//	crowdml_checkouts_total            counter    successful checkouts
-//	crowdml_checkout_seconds           histogram  checkout latency
-//	crowdml_checkins_applied_total     counter    checkins applied to w
-//	crowdml_checkin_seconds            histogram  checkin latency (incl. queueing)
-//	crowdml_checkins_rejected_total    counter    + reason: auth | bad_request | stopped | aborted
-//	crowdml_checkin_batch_size         histogram  deltas applied per parameter-lock acquisition
+//	crowdml_checkouts_total                counter    successful checkouts
+//	crowdml_checkout_seconds               histogram  checkout latency (auth + view)
+//	crowdml_checkout_stage_seconds         histogram  + stage: auth | view | encode
+//	crowdml_checkins_applied_total         counter    checkins applied to w
+//	crowdml_checkin_seconds                histogram  checkin latency (Checkin entry → return)
+//	crowdml_checkin_stage_seconds          histogram  + stage: decode | queue_wait | apply | publish | journal | fsync | ack
+//	crowdml_checkin_staleness_iterations   histogram  τ of each live applied checkin
+//	crowdml_checkins_rejected_total        counter    + reason: auth | bad_request | stopped | aborted
+//	crowdml_checkin_batch_size             histogram  deltas applied per parameter-lock acquisition
 //
 // plus the snapshot ring's two families (see RingMetrics).
 type ServerMetrics struct {
@@ -30,6 +69,9 @@ type ServerMetrics struct {
 	checkinsApplied *telemetry.Counter
 	checkinSeconds  *telemetry.Histogram
 	batchSize       *telemetry.Histogram
+	staleness       *telemetry.Histogram
+
+	checkin, checkout *telemetry.Stages
 
 	rejectedAuth    *telemetry.Counter
 	rejectedBad     *telemetry.Counter
@@ -37,6 +79,10 @@ type ServerMetrics struct {
 	rejectedAborted *telemetry.Counter
 
 	ring *RingMetrics
+
+	// reg and task rebind the checkin family in CommitStages.
+	reg  *telemetry.Registry
+	task telemetry.Label
 }
 
 // NewServerMetrics binds the core-layer metric series for the given
@@ -65,12 +111,48 @@ func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
 		batchSize: reg.Histogram("crowdml_checkin_batch_size",
 			"Checkin deltas applied per parameter-lock acquisition.",
 			telemetry.BatchBuckets, t),
+		staleness: reg.Histogram("crowdml_checkin_staleness_iterations",
+			"Server iterations between a checkin's checkout and its application (the paper's tau).",
+			stalenessBuckets, t),
+		checkin: reg.Stages(checkinStageFamily, checkinStageHelp, checkinStages, t),
+		checkout: reg.Stages("crowdml_checkout_stage_seconds",
+			"Time one checkout spent in each stage, in seconds.",
+			[]string{"auth", "view", "encode"}, t),
 		rejectedAuth:    rejected("auth"),
 		rejectedBad:     rejected("bad_request"),
 		rejectedStopped: rejected("stopped"),
 		rejectedAborted: rejected("aborted"),
 		ring:            NewRingMetrics(reg, task),
+		reg:             reg,
+		task:            t,
 	}
+}
+
+// CommitStages returns a copy of m that also binds the journal stage, and
+// the fsync stage when every batch is synced: the hub calls it for durable
+// tasks only, so no task advertises a stage it cannot run. Nil-safe.
+func (m *ServerMetrics) CommitStages(fsync bool) *ServerMetrics {
+	if m == nil {
+		return nil
+	}
+	names := slices.Clone(checkinStages)
+	names[StageJournal] = "journal"
+	if fsync {
+		names[StageFsync] = "fsync"
+	}
+	cp := *m
+	cp.checkin = m.reg.Stages(checkinStageFamily, checkinStageHelp, names, m.task)
+	return &cp
+}
+
+// Stages returns the server's checkin and checkout stage families, which
+// the transport and the hub lap into next to core. Both are nil, and a
+// Start or Lap on them one branch, when the server has no metrics.
+func (s *Server) Stages() (checkin, checkout *telemetry.Stages) {
+	if m := s.cfg.Metrics; m != nil {
+		return m.checkin, m.checkout
+	}
+	return nil, nil
 }
 
 // ringMetrics returns the snapshot ring's handles (nil when telemetry is
@@ -147,31 +229,34 @@ func (m *RingMetrics) delta(outcome int) {
 	}
 }
 
-// observeCheckout records one Checkout outcome. Context-cancellation
-// errors are counted nowhere: the device gave up, the server did no
-// classifiable work.
-func (m *ServerMetrics) observeCheckout(start time.Time, err error) {
+// observeCheckout records one Checkout outcome. A successful one laps its
+// view stage from authed, the end of its auth stage, and its total from
+// start. Context-cancellation errors are counted nowhere: the device gave
+// up, the server did no classifiable work.
+func (m *ServerMetrics) observeCheckout(start, authed time.Time, err error) {
 	if m == nil {
 		return
 	}
 	switch {
 	case err == nil:
 		m.checkouts.Inc()
-		m.checkoutSeconds.ObserveSince(start)
+		m.checkoutSeconds.Observe(m.checkout.Lap(StageView, authed).Sub(start).Seconds())
 	case errors.Is(err, ErrAuth):
 		m.rejectedAuth.Inc()
 	}
 }
 
-// observeCheckin records one Checkin outcome.
-func (m *ServerMetrics) observeCheckin(start time.Time, err error) {
+// observeCheckin records one Checkin outcome. An applied one laps its ack
+// stage from acked, the end of its batch's OnCommit, and its total from
+// start.
+func (m *ServerMetrics) observeCheckin(start, acked time.Time, err error) {
 	if m == nil {
 		return
 	}
 	switch {
 	case err == nil:
 		m.checkinsApplied.Inc()
-		m.checkinSeconds.ObserveSince(start)
+		m.checkinSeconds.Observe(m.checkin.Lap(StageAck, acked).Sub(start).Seconds())
 	case errors.Is(err, ErrAuth):
 		m.rejectedAuth.Inc()
 	case errors.Is(err, ErrBadCheckin):
@@ -189,4 +274,13 @@ func (m *ServerMetrics) observeBatch(n int) {
 		return
 	}
 	m.batchSize.Observe(float64(n))
+}
+
+// observeStaleness records the staleness of one live applied checkin.
+// Replay never calls it: a restore or a follower does not re-count
+// history.
+func (m *ServerMetrics) observeStaleness(tau int) {
+	if m != nil {
+		m.staleness.Observe(float64(tau))
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"github.com/crowdml/crowdml/internal/linalg"
 )
 
 // ErrReplayGap is returned by Replay when the journal tail skips an
@@ -124,11 +122,7 @@ func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 			return applied, fmt.Errorf("core: replay record %d label counts length %d, want %d",
 				r.Iteration, len(r.Req.LabelCounts), classes)
 		}
-		g, err := linalg.NewMatrixFrom(classes, dim, r.Req.Grad)
-		if err != nil {
-			return applied, fmt.Errorf("core: replay record %d: %w", r.Iteration, err)
-		}
-		s.applyLocked(r.DeviceID, r.Req, g, r.Iteration)
+		s.applyLocked(r.DeviceID, r.Req, r.Iteration)
 		applied++
 		if applied%replayPublishEvery == 0 {
 			// Keep concurrent readers fed during a long replay (see

@@ -145,6 +145,10 @@ type Server struct {
 	// not learning state, so no export carries it.
 	halted atomic.Bool
 
+	// epoch is the clock at NewServer (zero with metrics off), the origin
+	// of a pending checkin's stage start (pendingCheckin.at).
+	epoch time.Time
+
 	devices *deviceRegistry
 
 	// ring publishes the checkout snapshot and retains the last
@@ -200,6 +204,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		results:   make([]error, checkinBatchSize),
 		records:   make([]ReplayRecord, 0, checkinBatchSize),
 	}
+	ci, _ := s.Stages()
+	s.epoch = ci.Start()
 	s.publishSnapshotLocked() // initial snapshot at iteration 0
 	return s, nil
 }
@@ -265,15 +271,8 @@ func (s *Server) authenticate(ctx context.Context, deviceID, token string) error
 // concurrent checkins. A stopped server still answers (with Done set) so
 // devices learn to stand down.
 func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*CheckoutResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if s.cfg.Metrics != nil {
-		start = time.Now()
-	}
-	if err := s.authenticate(ctx, deviceID, token); err != nil {
-		s.cfg.Metrics.observeCheckout(start, err)
+	start, authed, err := s.authCheckout(ctx, deviceID, token)
+	if err != nil {
 		return nil, err
 	}
 	v := s.ring.View()
@@ -283,8 +282,23 @@ func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*Checkou
 		Done:    s.Stopped(),
 	}
 	v.Release()
-	s.cfg.Metrics.observeCheckout(start, nil)
+	s.cfg.Metrics.observeCheckout(start, authed, nil)
 	return resp, nil
+}
+
+// authCheckout is a checkout's auth stage. It returns the checkout's
+// start and the stage's end; a refusal is counted here.
+func (s *Server) authCheckout(ctx context.Context, deviceID, token string) (start, authed time.Time, err error) {
+	if err := ctx.Err(); err != nil {
+		return start, authed, err
+	}
+	_, co := s.Stages()
+	start = co.Start()
+	if err := s.authenticate(ctx, deviceID, token); err != nil {
+		s.cfg.Metrics.observeCheckout(start, start, err)
+		return start, authed, err
+	}
+	return start, co.Lap(StageAuth, start), nil
 }
 
 // Checkin implements Server Routine 2: authenticate, accumulate the
@@ -292,24 +306,26 @@ func (s *Server) Checkout(ctx context.Context, deviceID, token string) (*Checkou
 // is applied through the batched applier (see the Server doc comment);
 // the call returns once the delta has been applied — so callers may
 // immediately reuse req's slices — or with the context's error if the
-// bounded queue stays full past cancellation.
+// bounded queue stays full past cancellation. A Version the server has
+// not issued yet is clamped in req (see applyBatchLocked).
 func (s *Server) Checkin(ctx context.Context, deviceID, token string, req *CheckinRequest) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var start time.Time
-	if s.cfg.Metrics != nil {
-		start = time.Now()
-	}
-	err := s.checkin(ctx, deviceID, token, req)
-	s.cfg.Metrics.observeCheckin(start, err)
+	ci, _ := s.Stages()
+	start := ci.Start()
+	p := &pendingCheckin{deviceID: deviceID, req: req, at: start.Sub(s.epoch)}
+	err := s.checkin(ctx, token, p)
+	s.cfg.Metrics.observeCheckin(start, s.epoch.Add(p.at), err)
 	return err
 }
 
-// checkin is Checkin's classification-free body; the wrapper times it
-// and feeds the outcome to the telemetry layer.
-func (s *Server) checkin(ctx context.Context, deviceID, token string, req *CheckinRequest) error {
-	if err := s.authenticate(ctx, deviceID, token); err != nil {
+// checkin is Checkin's classification-free body: it validates p and
+// submits it to the batched applier. The wrapper feeds the outcome to the
+// telemetry layer.
+func (s *Server) checkin(ctx context.Context, token string, p *pendingCheckin) error {
+	req := p.req
+	if err := s.authenticate(ctx, p.deviceID, token); err != nil {
 		return err
 	}
 	if s.Stopped() {
@@ -335,15 +351,12 @@ func (s *Server) checkin(ctx context.Context, deviceID, token string, req *Check
 	if req.NumSamples < 0 {
 		return fmt.Errorf("negative sample count: %w", ErrBadCheckin)
 	}
-	g, err := linalg.NewMatrixFrom(classes, dim, req.Grad)
-	if err != nil {
-		return fmt.Errorf("%v: %w", err, ErrBadCheckin)
+	if req.Version < 0 {
+		// It would put a huge staleness into the device's counters, the
+		// checkpoint and every export after it.
+		return fmt.Errorf("negative version: %w", ErrBadCheckin)
 	}
-	return s.submit(ctx, &pendingCheckin{
-		deviceID: deviceID,
-		req:      req,
-		grad:     g,
-	})
+	return s.submit(ctx, p)
 }
 
 // Stopped reports whether the server refuses checkins (and checkouts say

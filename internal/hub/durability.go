@@ -211,7 +211,8 @@ func newDurability(st store.Store, journal store.Journal, policy CheckpointPolic
 // widening the at-risk window, and no later append may succeed behind
 // the failure (a hole would break replay contiguity). Every record still
 // counts toward the next checkpoint, which then covers the unjournaled
-// ones.
+// ones. The appends and the sync are the server's journal and fsync
+// checkin stages.
 func (d *durability) commit(records []core.ReplayRecord) {
 	d.closeMu.RLock()
 	defer d.closeMu.RUnlock()
@@ -221,6 +222,8 @@ func (d *durability) commit(records []core.ReplayRecord) {
 	// The checkins are already applied to the model; their records must
 	// be written whatever became of the devices' requests.
 	ctx := context.Background()
+	ci, _ := d.srv.Stages()
+	start := ci.Start()
 	now := time.Now().UnixMilli()
 	var err error
 	for _, r := range records {
@@ -246,10 +249,10 @@ func (d *durability) commit(records []core.ReplayRecord) {
 			d.m.appends.Inc()
 		}
 	}
+	start = ci.Lap(core.StageJournal, start)
 	if err == nil && d.syncBatch {
-		done := d.m.observeSync()
 		err = d.journal.Sync(ctx)
-		done()
+		ci.Lap(core.StageFsync, start)
 		if err != nil {
 			err = fmt.Errorf("journal group-commit sync failed; task stopped: %w", err)
 		}

@@ -275,6 +275,7 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 		dur.m = newDurMetrics(o.metrics, taskID)
 		dur.m.updateSegmentGauge(ctx, o.store)
 		cfg.OnCommit = dur.commit
+		cfg.Metrics = cfg.Metrics.CommitStages(o.sync == SyncBatch)
 	}
 	server, err := core.NewServer(cfg)
 	if err != nil {

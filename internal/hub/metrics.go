@@ -2,7 +2,6 @@ package hub
 
 import (
 	"context"
-	"time"
 
 	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
@@ -11,10 +10,12 @@ import (
 // WithMetrics attaches an operational telemetry registry to the task.
 // CreateTask binds the core hot-path series (unless cfg.Metrics is
 // already set, which wins) and, together with WithStore, the durability
-// series — journal appends, fsync latency, checkpoint saves, rotations,
-// retention prunes, fail-stops, and the live segment-count gauge. All
-// series carry a task label; see docs/OPERATIONS.md "Monitoring" for
-// the full name table. A nil registry is valid and disables telemetry.
+// series — journal appends, checkpoint saves, rotations, retention
+// prunes, fail-stops, and the live segment-count gauge — plus the
+// journal (and, under SyncBatch, fsync) stage of the task's checkin
+// stage family. All series carry a task label; see docs/OPERATIONS.md
+// "Monitoring" for the full name table. A nil registry is valid and
+// disables telemetry.
 func WithMetrics(reg *telemetry.Registry) TaskOption {
 	return func(o *createOptions) { o.metrics = reg }
 }
@@ -27,7 +28,6 @@ func WithMetrics(reg *telemetry.Registry) TaskOption {
 //
 //	crowdml_journal_appends_total            counter    WAL records appended
 //	crowdml_journal_append_failures_total    counter    failed appends (each fail-stops the task)
-//	crowdml_journal_sync_seconds             histogram  journal fsync latency
 //	crowdml_journal_rotations_total          counter    segments sealed after checkpoints
 //	crowdml_journal_segments                 gauge      live segment-chain length
 //	crowdml_retention_pruned_segments_total  counter    sealed segments pruned/archived
@@ -37,7 +37,6 @@ func WithMetrics(reg *telemetry.Registry) TaskOption {
 type durMetrics struct {
 	appends            *telemetry.Counter
 	appendFailures     *telemetry.Counter
-	syncSeconds        *telemetry.Histogram
 	rotations          *telemetry.Counter
 	segments           *telemetry.Gauge
 	prunedSegments     *telemetry.Counter
@@ -58,9 +57,6 @@ func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
 			"Write-ahead journal records appended.", t),
 		appendFailures: reg.Counter("crowdml_journal_append_failures_total",
 			"Failed journal appends; each one fail-stops its task.", t),
-		syncSeconds: reg.Histogram("crowdml_journal_sync_seconds",
-			"Journal fsync latency in seconds (per-entry or group commit).",
-			telemetry.DurationBuckets, t),
 		rotations: reg.Counter("crowdml_journal_rotations_total",
 			"Journal segments sealed after successful checkpoints.", t),
 		segments: reg.Gauge("crowdml_journal_segments",
@@ -74,16 +70,6 @@ func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
 		failStops: reg.Counter("crowdml_failstops_total",
 			"WAL-broken fail-stop latches (task stopped to protect durability).", t),
 	}
-}
-
-// observeSync times one journal fsync. Returns a done func so call
-// sites stay one-line; both the method and the handle tolerate nil.
-func (m *durMetrics) observeSync() func() {
-	if m == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { m.syncSeconds.ObserveSince(start) }
 }
 
 // updateSegmentGauge refreshes the live segment-chain gauge from the

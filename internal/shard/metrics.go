@@ -86,6 +86,14 @@ func (m *groupMetrics) routedRegister(k int) {
 	}
 }
 
+// mergeStart reads a merge's start (no clock read with telemetry off).
+func (m *groupMetrics) mergeStart() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return m.mergeSeconds.Start()
+}
+
 // observeMerge records one merger cycle: its latency and the iterations
 // the tier advanced since the previous published view.
 func (m *groupMetrics) observeMerge(start time.Time, advanced int) {

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
@@ -62,20 +61,27 @@ func (g *Group) Owner(deviceID string) *hub.Task {
 // the caller's Release. The read is lock-free up to the ring's lookup. The transport layer serves every
 // checkout through this (the JSON wire with since = -1, the binary
 // wire's ?since=N), so devices cannot tell a sharded task from a plain
-// one.
+// one. Its auth and view stages are timed in the owning member's
+// checkout stage family, where the transport's encode stage lands too.
 func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	k := g.smap.Shard(deviceID)
-	if err := g.members[k].Server().Authenticate(ctx, deviceID, token); err != nil {
+	srv := g.members[k].Server()
+	_, co := srv.Stages()
+	start := co.Start()
+	if err := srv.Authenticate(ctx, deviceID, token); err != nil {
 		return nil, err
 	}
+	authed := co.Lap(core.StageAuth, start)
 	g.m.routedCheckout(k)
 	// done before the pin: merge publishes the vector first, so the
 	// parameters served are never older than the view that said done.
 	done := g.merged.Load().done
-	return g.ring.Delta(since, done), nil
+	d := g.ring.Delta(since, done)
+	co.Lap(core.StageView, authed)
+	return d, nil
 }
 
 // Checkout implements the device-side core.Transport for in-process
@@ -187,7 +193,7 @@ func (g *Group) ShardRows() []hub.ShardHealthRow {
 func (g *Group) merge() {
 	g.mergeMu.Lock()
 	defer g.mergeMu.Unlock()
-	start := time.Now()
+	start := g.m.mergeStart()
 	n := len(g.members)
 	views := make([]core.ParamView, n)
 	weights := make([]float64, n)

@@ -187,13 +187,62 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since start — the latency
-// shorthand the instrumented hot paths use. No-op on a nil receiver.
+// clock is the one clock read for latency: the zero Time, and no read,
+// when the timer it serves is disabled.
+func clock(on bool) time.Time {
+	if !on {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// Start reads the clock for a later ObserveSince (not on nil).
+func (h *Histogram) Start() time.Time { return clock(h != nil) }
+
+// ObserveSince records the seconds elapsed since start. No-op on a nil
+// receiver.
 func (h *Histogram) ObserveSince(start time.Time) {
 	if h == nil {
 		return
 	}
 	h.Observe(time.Since(start).Seconds())
+}
+
+// Stages is one duration histogram family split by a stage label, for the
+// stages one operation passes through. A nil *Stages reads no clock.
+type Stages struct{ h []*Histogram }
+
+// Stages binds one series per stage, labeled stage="<name>" after labels.
+// An empty name leaves its index unbound; laps into it record nothing.
+func (r *Registry) Stages(name, help string, stages []string, labels ...Label) *Stages {
+	if r == nil {
+		return nil
+	}
+	s := &Stages{h: make([]*Histogram, len(stages))}
+	for i, st := range stages {
+		if st != "" {
+			s.h[i] = r.Histogram(name, help, DurationBuckets, append(labels[:len(labels):len(labels)], L("stage", st))...)
+		}
+	}
+	return s
+}
+
+// Start reads the first stage's start (not on nil).
+func (s *Stages) Start() time.Time { return clock(s != nil) }
+
+// Lap observes now − since under stage and returns now, the next stage's
+// start, so each boundary is read once (not on nil).
+func (s *Stages) Lap(stage int, since time.Time) time.Time {
+	now := s.Start()
+	s.Span(stage, since, now)
+	return now
+}
+
+// Span observes to − from under stage, for boundaries read already.
+func (s *Stages) Span(stage int, from, to time.Time) {
+	if s != nil {
+		s.h[stage].Observe(to.Sub(from).Seconds())
+	}
 }
 
 // Count returns the total number of observations (0 on nil).

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,6 +85,40 @@ func TestHistogramObserveSince(t *testing.T) {
 	}
 }
 
+// TestStagesLap: one series per stage under the stage label, each lap
+// observing the time since the previous boundary and returning the next;
+// an unnamed stage is unbound and takes laps without exposing a series.
+func TestStagesLap(t *testing.T) {
+	r := NewRegistry()
+	st := r.Stages("op_stage_seconds", "Stages.", []string{"first", "", "last"}, L("task", "t"))
+	hist := func(stage string) *Histogram {
+		return r.Histogram("op_stage_seconds", "Stages.", DurationBuckets, L("task", "t"), L("stage", stage))
+	}
+	start := time.Now().Add(-10 * time.Millisecond)
+	mid := st.Lap(0, start)
+	if mid.Sub(start) < 10*time.Millisecond {
+		t.Fatalf("Lap returned %v, not the clock after its start", mid)
+	}
+	end := st.Lap(1, mid) // unbound: nothing recorded
+	st.Span(2, mid, end.Add(time.Second))
+	if first := hist("first"); first.Count() != 1 || first.Sum() < 0.01 {
+		t.Errorf("first: count %d sum %v, want one lap of ≥ 10ms", first.Count(), first.Sum())
+	}
+	if last := hist("last"); last.Count() != 1 || last.Sum() < 1 {
+		t.Errorf("last: count %d sum %v, want one span of ≥ 1s", last.Count(), last.Sum())
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), "op_stage_seconds_count{"); got != 2 {
+		t.Errorf("%d stage series exposed, want 2 (the unnamed stage is unbound):\n%s", got, b.String())
+	}
+	if !strings.Contains(b.String(), `op_stage_seconds_count{task="t",stage="first"} 1`) {
+		t.Errorf("stage label missing from the exposition:\n%s", b.String())
+	}
+}
+
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")
@@ -103,6 +138,15 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	h.ObserveSince(time.Now())
 	_ = h.Count()
 	_ = h.Sum()
+	st := r.Stages("x_stage_seconds", "x", []string{"a"})
+	if st != nil {
+		t.Fatalf("nil registry must hand out nil stages")
+	}
+	// A disabled timer reads no clock: every reading is the zero Time.
+	if !h.Start().IsZero() || !st.Start().IsZero() || !st.Lap(0, time.Now()).IsZero() {
+		t.Fatalf("nil handles must not read the clock")
+	}
+	st.Span(0, time.Now(), time.Now())
 	if err := r.WritePrometheus(&failWriter{}); err != nil {
 		t.Fatalf("nil registry WritePrometheus: %v", err)
 	}

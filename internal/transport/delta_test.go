@@ -51,7 +51,9 @@ func (b *ringBackend) Checkin(context.Context, string, string, *core.CheckinRequ
 	return core.ErrStopped
 }
 
-func (b *ringBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) { serveCheckout(w, r, b) }
+func (b *ringBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	serveCheckout(w, r, b, r.Header.Get(headerDeviceID), nil)
+}
 
 // oddFloats is the corpus a bit-exact delta path has to carry: both
 // zeros, NaNs that differ only in payload, infinities, denormals.

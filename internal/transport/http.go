@@ -182,10 +182,14 @@ func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
 
 // handleCheckout serves the parameter checkout. The backend's read is
 // lock-free (immutable snapshot + sharded auth), so this endpoint scales
-// with whatever concurrency net/http throws at it.
+// with whatever concurrency net/http throws at it. The stages the
+// handler times land in the server serving the device (in a sharded
+// task, the member owning it), next to that server's own.
 func (h *Handler) handleCheckout(w http.ResponseWriter, r *http.Request) {
 	if e, ok := h.resolve(w, r); ok {
-		serveCheckout(w, r, backend(e))
+		id := r.Header.Get(headerDeviceID)
+		_, co := e.Owner(id).Server().Stages()
+		serveCheckout(w, r, backend(e), id, co)
 	}
 }
 
@@ -205,8 +209,14 @@ func (h *Handler) handleAuthProbe(w http.ResponseWriter, r *http.Request) {
 // handleCheckin is the write twin; a follower replica (in a sharded tier,
 // the follower member owning the device) rejects it with a leader hint.
 func (h *Handler) handleCheckin(w http.ResponseWriter, r *http.Request) {
-	if e, ok := h.resolve(w, r); ok && !rejectReadOnly(w, e.Owner(r.Header.Get(headerDeviceID))) {
-		serveCheckin(w, r, backend(e))
+	e, ok := h.resolve(w, r)
+	if !ok {
+		return
+	}
+	id := r.Header.Get(headerDeviceID)
+	if owner := e.Owner(id); !rejectReadOnly(w, owner) {
+		ci, _ := owner.Server().Stages()
+		serveCheckin(w, r, backend(e), id, ci)
 	}
 }
 

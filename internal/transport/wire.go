@@ -15,6 +15,7 @@ import (
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
+	"github.com/crowdml/crowdml/internal/telemetry"
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
@@ -189,11 +190,13 @@ func sinceParam(r *http.Request) (int, error) {
 // matched, the smaller of the sparse/dense delta forms otherwise), JSON
 // is always the full vector. Either way the body is encoded from the
 // backend's pinned snapshots into one pooled buffer — after which the
-// snapshots are released for reuse — and leaves with a Content-Length. Errors flow through writeError — the JSON envelope,
-// which a binary client tells apart by Content-Type — and an encoder
-// that refuses (a non-finite parameter has no JSON form) fails before
-// anything is written: 500, never a 200 with half a body.
-func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
+// snapshots are released for reuse — and leaves with a Content-Length;
+// the encode is the checkout's encode stage, lapped into co. Errors flow
+// through writeError — the JSON envelope, which a binary client tells
+// apart by Content-Type — and an encoder that refuses (a non-finite
+// parameter has no JSON form) fails before anything is written: 500,
+// never a 200 with half a body.
+func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co *telemetry.Stages) {
 	binary := negotiate(r)
 	since := -1
 	if binary {
@@ -205,11 +208,12 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 			return
 		}
 	}
-	d, err := be.CheckoutDelta(r.Context(), r.Header.Get(headerDeviceID), r.Header.Get(headerToken), since)
+	d, err := be.CheckoutDelta(r.Context(), deviceID, r.Header.Get(headerToken), since)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	start := co.Start()
 	buf, contentType := getBuf(), "application/json"
 	defer buf.put()
 	if binary {
@@ -233,6 +237,7 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 		writeError(w, fmt.Errorf("encode checkout: %w", err))
 		return
 	}
+	co.Lap(core.StageEncode, start)
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
 	_, _ = w.Write(buf.b)
@@ -250,11 +255,14 @@ type checkinScratch struct {
 var checkinScratches = sync.Pool{New: func() any { return new(checkinScratch) }}
 
 // serveCheckin decodes a checkin in the negotiated codec and applies it.
-func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend) {
+// Its decode stage is observed in ci once the checkin has been applied.
+func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, ci *telemetry.Stages) {
+	start := ci.Start()
 	sc := checkinScratches.Get().(*checkinScratch)
 	req, err := decodeCheckin(r, sc)
+	decoded := ci.Start()
 	if err == nil {
-		err = be.Checkin(r.Context(), r.Header.Get(headerDeviceID), r.Header.Get(headerToken), req)
+		err = be.Checkin(r.Context(), deviceID, r.Header.Get(headerToken), req)
 	}
 	// Released here and not by defer: when a panic unwinds out of
 	// Checkin the request may still sit in the applier's queue (see
@@ -267,6 +275,7 @@ func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend) {
 		writeError(w, err)
 		return
 	}
+	ci.Span(core.StageDecode, start, decoded)
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -144,6 +144,18 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		"crowdml_checkins_applied_total",
 		"crowdml_checkin_seconds_bucket",
 		"crowdml_checkin_batch_size_bucket",
+		"crowdml_checkin_staleness_iterations_bucket",
+		// one checkin's and one checkout's time, stage by stage: the
+		// transport's, core's and the journal's (this leader is SyncNone)
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="decode"`,
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="queue_wait"`,
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="apply"`,
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="publish"`,
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="journal"`,
+		`crowdml_checkin_stage_seconds_bucket{task="activity",stage="ack"`,
+		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="auth"`,
+		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="view"`,
+		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="encode"`,
 		// the snapshot ring both read and write path go through
 		`crowdml_snapshots_published_total{task="activity",source="recycled"}`,
 		`crowdml_snapshots_published_total{task="activity",source="allocated"}`,
@@ -170,12 +182,21 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		"crowdml_checkouts_total",
 		"crowdml_snapshots_published_total", // Replay publishes through the same ring
 		"crowdml_http_requests_total",
+		`crowdml_checkout_stage_seconds_count{task="activity",stage="auth"}`,
+		`crowdml_checkout_stage_seconds_count{task="activity",stage="view"}`,
+		`crowdml_checkout_stage_seconds_count{task="activity",stage="encode"}`,
 	)
 
 	// The follower never journals locally: its registry must not have
-	// invented leader-only durability series.
-	if strings.Contains(followerBody, "crowdml_journal_appends_total") {
-		t.Errorf("follower exposition carries leader-only journal series:\n%s", followerBody)
+	// invented leader-only durability series, nor stages it cannot run.
+	for _, leaderOnly := range []string{"crowdml_journal_appends_total", `stage="journal"`, `stage="fsync"`} {
+		if strings.Contains(followerBody, leaderOnly) {
+			t.Errorf("follower exposition carries leader-only series %s:\n%s", leaderOnly, followerBody)
+		}
+	}
+	// Nor does a SyncNone leader advertise an fsync it never runs.
+	if strings.Contains(leaderBody, `stage="fsync"`) {
+		t.Errorf("SyncNone leader exposition carries an fsync stage:\n%s", leaderBody)
 	}
 
 	// A second scrape after more traffic still lints clean and the

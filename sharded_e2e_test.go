@@ -274,6 +274,12 @@ func TestShardedMetricsExposition(t *testing.T) {
 		// their member IDs.
 		`crowdml_checkins_applied_total{task="act.shard-0"}`,
 		`crowdml_checkins_applied_total{task="act.shard-1"}`,
+		// and their stage families: the router's checkout stages and the
+		// transport's land in the member owning the device.
+		`crowdml_checkin_stage_seconds_count{task="act.shard-0",stage="decode"}`,
+		`crowdml_checkin_stage_seconds_count{task="act.shard-1",stage="queue_wait"}`,
+		`crowdml_checkout_stage_seconds_count{task="act.shard-0",stage="auth"}`,
+		`crowdml_checkout_stage_seconds_count{task="act.shard-1",stage="encode"}`,
 		// And the transport counts the task-scoped routes.
 		`crowdml_http_requests_total`,
 	)
