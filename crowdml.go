@@ -244,11 +244,8 @@ var (
 	ErrStopped    = core.ErrStopped
 	ErrBadCheckin = core.ErrBadCheckin
 	ErrBufferFull = core.ErrBufferFull
+	ErrBadSample  = core.ErrBadSample
 )
-
-// NewLoopback returns the in-process Transport to the server: the server
-// itself, which implements Transport.
-func NewLoopback(s *Server) Transport { return s }
 
 // HTTPClient is the device-side HTTP transport. Every device-protocol
 // route is task-scoped: bind the client to a task with WithTask before
@@ -324,14 +321,14 @@ func WithMetrics(reg *MetricsRegistry) TaskOption { return hub.WithMetrics(reg) 
 type ServerMetrics = core.ServerMetrics
 
 // NewServerMetrics binds the core-layer series for one task name in
-// reg; nil reg yields nil (telemetry disabled).
+// reg; a nil reg yields a disabled bundle, never nil.
 func NewServerMetrics(reg *MetricsRegistry, task string) *ServerMetrics {
 	return core.NewServerMetrics(reg, task)
 }
 
 // NormalizeL1 scales x in place to unit L1 norm — the feature
 // normalization required by the privacy analysis (Theorem 1 assumes
-// ‖x‖₁ ≤ 1).
+// ‖x‖₁ ≤ 1, and Device.AddSample refuses a larger x with ErrBadSample).
 func NormalizeL1(x []float64) {
 	var n float64
 	for _, v := range x {

@@ -28,7 +28,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	device, err := crowdml.NewDevice(crowdml.DeviceConfig{
 		ID: "phone-1", Token: token, Model: m,
-		Transport: crowdml.NewLoopback(server),
+		Transport: server,
 		Minibatch: 2,
 		Budget:    crowdml.Budget{Gradient: crowdml.FromInv(0.01)}, // ε=100, mild
 		Seed:      1,

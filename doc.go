@@ -231,7 +231,7 @@
 //	token, _ := task.Server().RegisterDevice(ctx, "phone-1")
 //	device, _ := crowdml.NewDevice(crowdml.DeviceConfig{
 //		ID: "phone-1", Token: token, Model: m,
-//		Transport: crowdml.NewLoopback(task.Server()),
+//		Transport: task.Server(),
 //		Minibatch: 1,
 //		Budget:    crowdml.Budget{Gradient: crowdml.FromInv(0.1)},
 //	})

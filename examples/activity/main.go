@@ -56,7 +56,7 @@ func run() error {
 		gens[i] = activity.NewGenerator(uint64(1000 + i))
 		devs[i], err = crowdml.NewDevice(crowdml.DeviceConfig{
 			ID: id, Token: token, Model: m,
-			Transport: crowdml.NewLoopback(server),
+			Transport: server,
 			Minibatch: minibatch,
 			// The counter budgets only affect the quality of the portal's
 			// progress estimates, never the learning itself (Appendix B

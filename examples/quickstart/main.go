@@ -50,7 +50,7 @@ func run() error {
 		}
 		devs[i], err = crowdml.NewDevice(crowdml.DeviceConfig{
 			ID: id, Token: token, Model: m,
-			Transport: crowdml.NewLoopback(server),
+			Transport: server,
 			Minibatch: 4,
 			Budget:    crowdml.Budget{Gradient: crowdml.Eps(100)},
 			Seed:      uint64(i + 1),

@@ -92,7 +92,7 @@ func run() error {
 		}
 		devices[i], err = crowdml.NewDevice(crowdml.DeviceConfig{
 			ID: id, Token: token, Model: m,
-			Transport: crowdml.NewLoopback(server),
+			Transport: server,
 			Minibatch: minibatch,
 			Budget:    crowdml.Budget{Gradient: crowdml.Eps(50)},
 			Seed:      uint64(i + 1),

@@ -57,7 +57,7 @@ func TestIntegrationFailureInjection(t *testing.T) {
 	ctx := context.Background()
 	token, _ := server.RegisterDevice(ctx, "flaky-phone")
 	flaky := &flakyTransport{
-		inner: crowdml.NewLoopback(server), r: rng.New(1), dropRate: 0.4,
+		inner: server, r: rng.New(1), dropRate: 0.4,
 	}
 	device, err := crowdml.NewDevice(crowdml.DeviceConfig{
 		ID: "flaky-phone", Token: token, Model: m,

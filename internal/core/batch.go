@@ -165,7 +165,7 @@ func (s *Server) drainInto(batch []*pendingCheckin) []*pendingCheckin {
 // then resumes out of the leader's own Checkin call; while an Updater
 // panic is already unwinding, an OnCommit panic is dropped instead.
 func (s *Server) applyBatch(batch []*pendingCheckin) error {
-	s.cfg.Metrics.observeBatch(len(batch))
+	s.cfg.Metrics.batchSize.Observe(float64(len(batch)))
 	// batch, results and s.records are the server's, lent to whoever leads
 	// (batch is non-empty, and never longer than results). Every result
 	// starts as ErrCheckinAborted and applyBatchLocked overwrites it once
@@ -261,7 +261,7 @@ func (s *Server) applyBatchLocked(batch []*pendingCheckin, results []error) {
 				p.req.Version = t - 1
 			}
 			s.applyLocked(p.deviceID, p.req, t)
-			s.cfg.Metrics.observeStaleness(t - 1 - p.req.Version)
+			s.cfg.Metrics.staleness.Observe(float64(t - 1 - p.req.Version)) // live only: Replay does not re-count history
 			ci.Span(StageQueueWait, s.epoch.Add(p.at), locked)
 			s.records = append(s.records, ReplayRecord{DeviceID: p.deviceID, Iteration: t, Req: p.req})
 			results[i] = nil

@@ -123,12 +123,16 @@ type SnapshotRing struct {
 }
 
 // NewSnapshotRing returns a ring retaining history snapshots
-// (DefaultDeltaHistory when history < 1), counting into m (nil: off).
-func NewSnapshotRing(history int, m *RingMetrics) *SnapshotRing {
+// (DefaultDeltaHistory when history < 1), counting into metrics (nil:
+// off).
+func NewSnapshotRing(history int, metrics *RingMetrics) *SnapshotRing {
 	if history < 1 {
 		history = DefaultDeltaHistory
 	}
-	return &SnapshotRing{history: history, free: make([]*snapshot, 0, maxSpareSnapshots), m: m}
+	if metrics == nil {
+		metrics = NewRingMetrics(nil, "")
+	}
+	return &SnapshotRing{history: history, free: make([]*snapshot, 0, maxSpareSnapshots), m: metrics}
 }
 
 // Publish makes a vector of n parameters, written by fill, the current
@@ -150,9 +154,10 @@ func (r *SnapshotRing) Publish(version, n int, fill func(dst []float64) error) e
 		r.free = r.free[:k]
 	}
 	r.mu.Unlock()
-	recycled := s != nil && len(s.params) == n
-	if !recycled {
+	published := r.m.recycled
+	if s == nil || len(s.params) != n {
 		s = &snapshot{ring: r, params: make([]float64, n)}
+		published = r.m.allocated
 	}
 	if err := fill(s.params); err != nil {
 		r.mu.Lock()
@@ -162,7 +167,7 @@ func (r *SnapshotRing) Publish(version, n int, fill func(dst []float64) error) e
 	}
 	s.version = version
 	s.pins.Store(1) // the ring's own
-	r.m.published(recycled)
+	published.Inc()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -281,7 +286,7 @@ func (r *SnapshotRing) Delta(since int, done bool) *ParamDelta {
 		}
 		r.mu.Unlock()
 	}
-	r.m.delta(outcome)
+	r.m.outcomes[outcome].Inc()
 	return d
 }
 

@@ -64,8 +64,9 @@ type Device struct {
 	// pending is a sanitized minibatch not yet acknowledged: resent as it
 	// is, never sanitized again, so a retry releases nothing new.
 	pending *CheckinRequest
-	// dropped counts samples discarded because the buffer was full.
-	dropped int
+	// dropped counts samples discarded because the buffer was full;
+	// refused, samples refused with ErrBadSample.
+	dropped, refused int
 	// checkins counts successful flushes.
 	checkins int
 	// done latches once the server reports the task has stopped.
@@ -111,6 +112,9 @@ func (d *Device) Buffered() int { return len(d.buffer) }
 
 // Dropped returns the number of samples discarded due to a full buffer.
 func (d *Device) Dropped() int { return d.dropped }
+
+// Refused returns the number of samples refused with ErrBadSample.
+func (d *Device) Refused() int { return d.refused }
 
 // Checkins returns the number of successful checkins so far.
 func (d *Device) Checkins() int { return d.checkins }
@@ -169,7 +173,8 @@ func (d *Device) Run(ctx context.Context, src SampleSource, max int) (sent int, 
 		}
 		err = d.AddSample(ctx, s)
 		// On every path below except ErrBufferFull the sample was
-		// consumed and buffered (or flushed), so it counts toward sent.
+		// consumed: buffered, flushed, or refused (ErrBadSample, counted
+		// by Refused), so it counts toward sent.
 		switch {
 		case errors.Is(err, ErrStopped):
 			return sent + 1, nil
@@ -201,10 +206,15 @@ func (d *Device) Run(ctx context.Context, src SampleSource, max int) (sent int, 
 // unacknowledged checkin is resent on the next AddSample.
 // The returned error reports such a failure (so callers can log or back
 // off) but the device remains usable. ErrBufferFull means the sample was
-// discarded because the buffer hit its cap B.
+// discarded because the buffer hit its cap B; ErrBadSample, that it was
+// refused, unchanged, because the privacy mechanism cannot cover it.
 func (d *Device) AddSample(ctx context.Context, s model.Sample) error {
 	if d.done {
 		return ErrStopped
+	}
+	if err := checkSample(d.cfg.Model, s); err != nil {
+		d.refused++
+		return err
 	}
 	if len(d.buffer) >= d.cfg.MaxBuffer {
 		d.dropped++
@@ -215,6 +225,24 @@ func (d *Device) AddSample(ctx context.Context, s model.Sample) error {
 		return d.Flush(ctx)
 	}
 	return d.checkinPending(ctx)
+}
+
+// checkSample refuses a sample DeviceStep cannot sanitize as configured:
+// every GradientSensitivity assumes ‖x‖₁ ≤ 1, so a larger x would release
+// a gradient whose real ε is ‖x‖₁ times the configured one, and a label
+// outside [0, C) cannot be counted. A NaN fails the norm comparison and
+// an infinite feature exceeds it, so non-finite features are refused too.
+func checkSample(m model.Model, s model.Sample) error {
+	classes, dim := m.Shape()
+	switch norm := linalg.Norm1(s.X); {
+	case s.Y < 0 || s.Y >= classes:
+		return fmt.Errorf("core: label %d outside [0, %d): %w", s.Y, classes, ErrBadSample)
+	case len(s.X) != dim:
+		return fmt.Errorf("core: %d features, model has %d: %w", len(s.X), dim, ErrBadSample)
+	case !(norm <= 1+1e-9):
+		return fmt.Errorf("core: ‖x‖₁ = %g exceeds 1 (normalize with NormalizeL1): %w", norm, ErrBadSample)
+	}
+	return nil
 }
 
 // Flush first resends an unacknowledged checkin as it is (no checkout, no

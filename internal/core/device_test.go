@@ -101,6 +101,50 @@ func TestNewDeviceValidation(t *testing.T) {
 	}
 }
 
+// TestDeviceRefusesBadSample: a sample the privacy mechanism cannot cover
+// is refused with ErrBadSample before it is buffered — not clipped, not
+// sent — and counted by Refused. A label outside [0, C) used to panic at
+// the flush; the others were sanitized with a sensitivity bound they
+// exceed, releasing more than the configured ε.
+func TestDeviceRefusesBadSample(t *testing.T) {
+	tests := []struct {
+		name string
+		s    model.Sample
+		ok   bool
+	}{
+		{name: "normalized", s: model.Sample{X: []float64{0.5, -0.3, 0.2}, Y: 1}, ok: true},
+		{name: "l1 within tolerance", s: model.Sample{X: []float64{0.5, 0.5, 1e-10}, Y: 0}, ok: true},
+		{name: "zero features", s: model.Sample{X: []float64{0, 0, 0}, Y: 0}, ok: true},
+		{name: "label negative", s: model.Sample{X: []float64{0.5, 0.3, 0.2}, Y: -1}},
+		{name: "label equals classes", s: model.Sample{X: []float64{0.5, 0.3, 0.2}, Y: 2}},
+		{name: "too few features", s: model.Sample{X: []float64{0.5, 0.5}, Y: 0}},
+		{name: "too many features", s: model.Sample{X: []float64{0.25, 0.25, 0.25, 0.25}, Y: 0}},
+		{name: "NaN feature", s: model.Sample{X: []float64{math.NaN(), 0, 0}, Y: 0}},
+		{name: "infinite feature", s: model.Sample{X: []float64{math.Inf(-1), 0, 0}, Y: 0}},
+		{name: "l1 above one", s: model.Sample{X: []float64{0.5, 0.5, 1e-8}, Y: 0}},
+		{name: "unnormalized", s: model.Sample{X: []float64{3, -4, 5}, Y: 1}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			d, ft := newTestDevice(t, DeviceConfig{Minibatch: 1})
+			err := d.AddSample(context.Background(), tt.s)
+			if tt.ok {
+				if err != nil || len(ft.checkins) != 1 || d.Refused() != 0 {
+					t.Fatalf("AddSample = %v, %d checkins, Refused %d; want accepted and sent", err, len(ft.checkins), d.Refused())
+				}
+				return
+			}
+			if !errors.Is(err, ErrBadSample) {
+				t.Fatalf("AddSample = %v, want ErrBadSample", err)
+			}
+			if d.Refused() != 1 || d.Buffered() != 0 || ft.checkoutCnt != 0 || len(ft.attempts) != 0 {
+				t.Errorf("Refused %d, Buffered %d, %d checkouts, %d checkins; want 1, 0, 0, 0",
+					d.Refused(), d.Buffered(), ft.checkoutCnt, len(ft.attempts))
+			}
+		})
+	}
+}
+
 func TestDeviceFlushOnMinibatch(t *testing.T) {
 	d, ft := newTestDevice(t, DeviceConfig{Minibatch: 3})
 	ctx := context.Background()

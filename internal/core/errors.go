@@ -20,6 +20,12 @@ var (
 	// (Device Routine 1: "stop collection to prevent resource outage").
 	ErrBufferFull = errors.New("crowdml: device buffer full")
 
+	// ErrBadSample is returned by Device.AddSample for a sample the
+	// privacy mechanism cannot cover: a label outside [0, C), a feature
+	// count other than D, a non-finite feature, or ‖x‖₁ > 1 (Theorem 1's
+	// sensitivity bound assumes ‖x‖₁ ≤ 1). The sample is not buffered.
+	ErrBadSample = errors.New("crowdml: sample outside the model's domain")
+
 	// ErrCheckinAborted is returned to checkins waiting in an apply batch
 	// whose leader panicked in a user-supplied Updater before applying
 	// them. The panic itself propagates out of the leader's own Checkin

@@ -20,7 +20,7 @@ func (r *SnapshotRing) scribbleFree(v float64) int {
 // retains history snapshots (history < 1: DefaultDeltaHistory), so tests
 // can watch eviction at depths 1 and 2.
 func (s *Server) retainHistory(history int) *Server {
-	s.ring = NewSnapshotRing(history, s.cfg.Metrics.ringMetrics())
+	s.ring = NewSnapshotRing(history, s.cfg.Metrics.ring)
 	s.publishSnapshotLocked()
 	return s
 }

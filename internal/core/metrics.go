@@ -46,9 +46,8 @@ var stalenessBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // ServerMetrics holds the pre-bound telemetry handles for one server's
 // device-facing hot paths. Handles are resolved once at construction —
 // the per-request cost is atomic adds on already-bound series, never a
-// registry lookup — and every field tolerates being nil, so a nil
-// *ServerMetrics (telemetry disabled) costs the hot path exactly one
-// predictable branch.
+// registry lookup. A disabled bundle holds nil handles, and a nil handle
+// does nothing, so telemetry off costs one predictable branch per handle.
 //
 // Metric names (all carry a task label):
 //
@@ -86,12 +85,8 @@ type ServerMetrics struct {
 }
 
 // NewServerMetrics binds the core-layer metric series for the given
-// task in reg. A nil registry yields nil (telemetry disabled), which
-// every recording site accepts.
+// task in reg. A nil registry yields a disabled bundle, never nil.
 func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
-	if reg == nil {
-		return nil
-	}
 	t := telemetry.L("task", task)
 	rejected := func(reason string) *telemetry.Counter {
 		return reg.Counter("crowdml_checkins_rejected_total",
@@ -130,11 +125,8 @@ func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
 
 // CommitStages returns a copy of m that also binds the journal stage, and
 // the fsync stage when every batch is synced: the hub calls it for durable
-// tasks only, so no task advertises a stage it cannot run. Nil-safe.
+// tasks only, so no task advertises a stage it cannot run.
 func (m *ServerMetrics) CommitStages(fsync bool) *ServerMetrics {
-	if m == nil {
-		return nil
-	}
 	names := slices.Clone(checkinStages)
 	names[StageJournal] = "journal"
 	if fsync {
@@ -149,25 +141,13 @@ func (m *ServerMetrics) CommitStages(fsync bool) *ServerMetrics {
 // the transport and the hub lap into next to core. Both are nil, and a
 // Start or Lap on them one branch, when the server has no metrics.
 func (s *Server) Stages() (checkin, checkout *telemetry.Stages) {
-	if m := s.cfg.Metrics; m != nil {
-		return m.checkin, m.checkout
-	}
-	return nil, nil
-}
-
-// ringMetrics returns the snapshot ring's handles (nil when telemetry is
-// off).
-func (m *ServerMetrics) ringMetrics() *RingMetrics {
-	if m == nil {
-		return nil
-	}
-	return m.ring
+	return s.cfg.Metrics.checkin, s.cfg.Metrics.checkout
 }
 
 // RingMetrics holds the pre-bound handles a SnapshotRing counts into —
 // the one place a Server's and a shard.Group's snapshots are published
-// and their delta checkouts answered. Nil disables it at one branch per
-// call.
+// and their delta checkouts answered. A disabled bundle holds nil
+// handles.
 //
 //	crowdml_snapshots_published_total  counter  + source: recycled | allocated
 //	crowdml_checkout_delta_total       counter  + outcome: current | delta | full_fallback
@@ -190,11 +170,8 @@ const (
 )
 
 // NewRingMetrics binds the ring's series for the given task in reg; a
-// nil registry yields nil.
+// nil registry yields a disabled bundle, never nil.
 func NewRingMetrics(reg *telemetry.Registry, task string) *RingMetrics {
-	if reg == nil {
-		return nil
-	}
 	t := telemetry.L("task", task)
 	published := func(source string) *telemetry.Counter {
 		return reg.Counter("crowdml_snapshots_published_total",
@@ -213,30 +190,11 @@ func NewRingMetrics(reg *telemetry.Registry, task string) *RingMetrics {
 	}
 }
 
-func (m *RingMetrics) published(recycled bool) {
-	switch {
-	case m == nil:
-	case recycled:
-		m.recycled.Inc()
-	default:
-		m.allocated.Inc()
-	}
-}
-
-func (m *RingMetrics) delta(outcome int) {
-	if m != nil {
-		m.outcomes[outcome].Inc()
-	}
-}
-
 // observeCheckout records one Checkout outcome. A successful one laps its
 // view stage from authed, the end of its auth stage, and its total from
 // start. Context-cancellation errors are counted nowhere: the device gave
 // up, the server did no classifiable work.
 func (m *ServerMetrics) observeCheckout(start, authed time.Time, err error) {
-	if m == nil {
-		return
-	}
 	switch {
 	case err == nil:
 		m.checkouts.Inc()
@@ -250,9 +208,6 @@ func (m *ServerMetrics) observeCheckout(start, authed time.Time, err error) {
 // stage from acked, the end of its batch's OnCommit, and its total from
 // start.
 func (m *ServerMetrics) observeCheckin(start, acked time.Time, err error) {
-	if m == nil {
-		return
-	}
 	switch {
 	case err == nil:
 		m.checkinsApplied.Inc()
@@ -265,22 +220,5 @@ func (m *ServerMetrics) observeCheckin(start, acked time.Time, err error) {
 		m.rejectedStopped.Inc()
 	case errors.Is(err, ErrCheckinAborted):
 		m.rejectedAborted.Inc()
-	}
-}
-
-// observeBatch records the size of one applied batch.
-func (m *ServerMetrics) observeBatch(n int) {
-	if m == nil {
-		return
-	}
-	m.batchSize.Observe(float64(n))
-}
-
-// observeStaleness records the staleness of one live applied checkin.
-// Replay never calls it: a restore or a follower does not re-count
-// history.
-func (m *ServerMetrics) observeStaleness(tau int) {
-	if m != nil {
-		m.staleness.Observe(float64(tau))
 	}
 }

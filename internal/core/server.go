@@ -79,10 +79,10 @@ type ServerConfig struct {
 	// gradient into a pooled scratch and does exactly that — so a sink
 	// that keeps anything must copy it (as the hub's journal does).
 	OnCommit func(records []ReplayRecord)
-	// Metrics, if non-nil, receives operational telemetry from the
-	// device-facing hot paths (see NewServerMetrics for the series).
-	// Recording is lock-free atomic adds on pre-bound handles; nil
-	// disables telemetry at the cost of one branch per request.
+	// Metrics receives operational telemetry from the device-facing hot
+	// paths (see NewServerMetrics for the series). Recording is lock-free
+	// atomic adds on pre-bound handles; nil disables telemetry at the cost
+	// of one branch per handle.
 	Metrics *ServerMetrics
 }
 
@@ -185,6 +185,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MinSamplesForStop == 0 {
 		cfg.MinSamplesForStop = 10 * classes
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewServerMetrics(nil, "")
+	}
 	w := model.NewParams(cfg.Model)
 	if cfg.InitParams != nil {
 		if err := w.CopyFrom(cfg.InitParams); err != nil {
@@ -196,7 +199,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		w:         w,
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
-		ring:      NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ringMetrics()),
+		ring:      NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),
 		queue:     make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem: make(chan struct{}, 1),
 		maxBatch:  checkinBatchSize,

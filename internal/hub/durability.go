@@ -149,7 +149,7 @@ type durability struct {
 
 	policy    CheckpointPolicy
 	retention RetentionPolicy
-	m         *durMetrics   // nil disables durability telemetry
+	m         *durMetrics   // never nil; its handles are nil with telemetry off
 	dirty     atomic.Int64  // checkins journaled since the last snapshot
 	kick      chan struct{} // AfterN trigger (capacity 1, coalescing)
 	stopCh    chan struct{}
@@ -239,15 +239,11 @@ func (d *durability) commit(records []core.ReplayRecord) {
 			Version:      r.Req.Version,
 		})
 		if err != nil {
-			if d.m != nil {
-				d.m.appendFailures.Inc()
-			}
+			d.m.appendFailures.Inc()
 			err = fmt.Errorf("journal append at iteration %d failed; task stopped: %w", r.Iteration, err)
 			break
 		}
-		if d.m != nil {
-			d.m.appends.Inc()
-		}
+		d.m.appends.Inc()
 	}
 	start = ci.Lap(core.StageJournal, start)
 	if err == nil && d.syncBatch {
@@ -285,9 +281,7 @@ func (d *durability) recordErr(err error) {
 func (d *durability) failStop(err error) {
 	d.failed.Store(true)
 	d.srv.Halt()
-	if d.m != nil {
-		d.m.failStops.Inc()
-	}
+	d.m.failStops.Inc()
 	d.recordErr(err)
 }
 
@@ -349,11 +343,9 @@ func (d *durability) save(ctx context.Context) {
 func (d *durability) checkpoint(ctx context.Context) (*core.ServerState, error) {
 	state := d.srv.ExportStateInto(&d.export)
 	err := d.st.Save(ctx, state, time.Now())
-	switch {
-	case d.m == nil:
-	case err != nil:
+	if err != nil {
 		d.m.checkpointFailures.Inc()
-	default:
+	} else {
 		d.m.checkpointSaves.Inc()
 	}
 	return state, err
@@ -380,10 +372,8 @@ func (d *durability) rotate(ctx context.Context) bool {
 		d.recordErr(fmt.Errorf("rotate journal: %w", err))
 		return false
 	}
-	if d.m != nil {
-		d.m.rotations.Inc()
-		d.m.updateSegmentGauge(ctx, d.st)
-	}
+	d.m.rotations.Inc()
+	d.m.updateSegmentGauge(ctx, d.st)
 	return true
 }
 
@@ -410,10 +400,8 @@ func (d *durability) retain(ctx context.Context, coveredIteration int) {
 	}
 	// An interrupted prune still removed the segments it reports; count
 	// them and refresh the gauge regardless of the error.
-	if d.m != nil {
-		d.m.prunedSegments.Add(uint64(len(pruned)))
-		d.m.updateSegmentGauge(ctx, d.st)
-	}
+	d.m.prunedSegments.Add(uint64(len(pruned)))
+	d.m.updateSegmentGauge(ctx, d.st)
 }
 
 // close stops the checkpointer, halts the server, writes the final

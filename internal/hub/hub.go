@@ -202,7 +202,7 @@ func (h *Hub) CreateTask(ctx context.Context, taskID string, cfg core.ServerConf
 	if o.info.Name == "" {
 		o.info.Name = taskID
 	}
-	if o.metrics != nil && cfg.Metrics == nil {
+	if cfg.Metrics == nil {
 		cfg.Metrics = core.NewServerMetrics(o.metrics, taskID)
 	}
 	// Reserve the ID before any side effects: opening the store's journal

@@ -21,8 +21,8 @@ func WithMetrics(reg *telemetry.Registry) TaskOption {
 }
 
 // durMetrics holds the pre-bound handles for one durable task's
-// journal/checkpoint/retention paths. A nil *durMetrics disables all of
-// them (every method and handle is nil-safe).
+// journal/checkpoint/retention paths. A disabled bundle holds nil
+// handles, and a nil handle does nothing.
 //
 // Metric names (all carry a task label):
 //
@@ -45,12 +45,9 @@ type durMetrics struct {
 	failStops          *telemetry.Counter
 }
 
-// newDurMetrics binds the durability series for one task; nil registry
-// yields nil.
+// newDurMetrics binds the durability series for one task; a nil registry
+// yields a disabled bundle.
 func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
-	if reg == nil {
-		return nil
-	}
 	t := telemetry.L("task", task)
 	return &durMetrics{
 		appends: reg.Counter("crowdml_journal_appends_total",
@@ -75,9 +72,10 @@ func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
 // updateSegmentGauge refreshes the live segment-chain gauge from the
 // store, when the store can enumerate segments (FileStore can). Called
 // off the hot path — after rotations and retention passes —
-// so the Segments listing cost never taxes a checkin.
+// so the Segments listing cost never taxes a checkin, and skipped with
+// telemetry off.
 func (m *durMetrics) updateSegmentGauge(ctx context.Context, st store.Store) {
-	if m == nil {
+	if m.segments == nil {
 		return
 	}
 	lister, ok := st.(interface {

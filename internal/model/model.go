@@ -9,7 +9,8 @@
 // parameter matrix W ∈ R^{C×D}, and exposes the L1 global-sensitivity bound
 // of its single-sample gradient that the privacy mechanism of Theorem 1
 // requires. All sensitivity bounds assume ‖x‖₁ ≤ 1 (the paper's
-// normalization precondition, enforced by the dataset pipeline).
+// normalization precondition: the dataset pipeline normalizes, and
+// core.Device refuses a sample that is not).
 package model
 
 import (

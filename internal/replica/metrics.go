@@ -1,13 +1,10 @@
 package replica
 
-import (
-	"github.com/crowdml/crowdml/internal/hub"
-	"github.com/crowdml/crowdml/internal/telemetry"
-)
+import "github.com/crowdml/crowdml/internal/telemetry"
 
 // replicaMetrics holds the pre-bound telemetry handles for one
-// replicator. A nil *replicaMetrics (Config.Metrics unset) disables all
-// of them; every handle is nil-safe.
+// replicator. With Config.Metrics unset every handle is nil, and a nil
+// handle does nothing.
 //
 // Metric names (all carry a task label):
 //
@@ -22,12 +19,9 @@ type replicaMetrics struct {
 	lag             *telemetry.Gauge
 }
 
-// newReplicaMetrics binds the replica series for one task; nil registry
-// yields nil.
+// newReplicaMetrics binds the replica series for one task; a nil registry
+// yields a disabled bundle.
 func newReplicaMetrics(reg *telemetry.Registry, task string) *replicaMetrics {
-	if reg == nil {
-		return nil
-	}
 	t := telemetry.L("task", task)
 	return &replicaMetrics{
 		entriesReplayed: reg.Counter("crowdml_replica_entries_replayed_total",
@@ -38,16 +32,5 @@ func newReplicaMetrics(reg *telemetry.Registry, task string) *replicaMetrics {
 			"Backoff retries after replication failures.", t),
 		lag: reg.Gauge("crowdml_replica_lag_iterations",
 			"Replication lag: leader iteration minus local iteration at the last complete exchange (mirrors /v1/healthz).", t),
-	}
-}
-
-// setLag records the lag the task reports after a complete exchange
-// (hub.Task.ReplicationLag, the figure /v1/healthz shows).
-func (m *replicaMetrics) setLag(t *hub.Task) {
-	if m == nil {
-		return
-	}
-	if lag, ok := t.ReplicationLag(); ok {
-		m.lag.Set(float64(lag))
 	}
 }

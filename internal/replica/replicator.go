@@ -66,7 +66,7 @@ type Replicator struct {
 	cfg  Config
 	srv  *core.Server
 	logf func(string, ...any)
-	m    *replicaMetrics // nil disables replica telemetry
+	m    *replicaMetrics // never nil; its handles are nil with telemetry off
 
 	// st is the current status: New writes it before Start, then only the
 	// Run goroutine does; readers see the copies publish hands the task.
@@ -144,9 +144,7 @@ func (r *Replicator) Run(ctx context.Context) {
 	needBootstrap := true
 	fail := func(err error) {
 		r.logf("replica[%s]: %v", r.cfg.Task.ID(), err)
-		if r.m != nil {
-			r.m.retries.Inc()
-		}
+		r.m.retries.Inc()
 		if synced {
 			r.st.State = hub.ReplicaRetrying
 		}
@@ -167,9 +165,7 @@ func (r *Replicator) Run(ctx context.Context) {
 				continue
 			}
 			needBootstrap = false
-			if r.m != nil {
-				r.m.bootstraps.Inc()
-			}
+			r.m.bootstraps.Inc()
 			r.logf("replica[%s]: bootstrapped at iteration %d", r.cfg.Task.ID(), r.srv.Iteration())
 		}
 		err := r.tailOnce(ctx)
@@ -244,7 +240,7 @@ func (r *Replicator) tailOnce(ctx context.Context) error {
 			return err
 		}
 		applied++
-		if r.m != nil && n > 0 {
+		if n > 0 {
 			// Count entries Replay actually applied, not everything the
 			// feed shipped: a segment-granular feed re-streams entries the
 			// replica already holds, and Replay skips those silently.
@@ -264,7 +260,9 @@ func (r *Replicator) tailOnce(ctx context.Context) error {
 	}
 	r.st = hub.ReplicaStatus{State: hub.ReplicaTailing, LeaderIteration: feed.LeaderIteration()}
 	r.publish()
-	r.m.setLag(r.cfg.Task)
+	if lag, ok := r.cfg.Task.ReplicationLag(); ok { // the figure /v1/healthz shows
+		r.m.lag.Set(float64(lag))
+	}
 	return nil
 }
 

@@ -188,9 +188,7 @@ func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard in
 			}
 			memberOpts = append(memberOpts, hub.WithStore(st))
 		}
-		if c.metrics != nil {
-			memberOpts = append(memberOpts, hub.WithMetrics(c.metrics))
-		}
+		memberOpts = append(memberOpts, hub.WithMetrics(c.metrics))
 		memberOpts = append(memberOpts, c.taskOpts...)
 		if c.memberOpts != nil {
 			memberOpts = append(memberOpts, c.memberOpts(k, memberID)...)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"strconv"
-	"time"
 
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
@@ -10,9 +9,8 @@ import (
 // groupMetrics is the router-layer telemetry of one sharded logical
 // task. All handles are pre-bound at Group construction (per shard and
 // per operation for the routing counters), so the hot paths record with
-// lock-free atomic adds and never touch the registry again. A nil
-// *groupMetrics disables recording at one branch per call — the same
-// nil-safety contract the rest of the telemetry layer follows. The merged
+// lock-free atomic adds and never touch the registry again. A disabled
+// bundle holds nil handles, and a nil handle does nothing. The merged
 // view's snapshot and delta-checkout counters are core.RingMetrics, bound
 // in New under the logical task's ID.
 type groupMetrics struct {
@@ -32,12 +30,9 @@ type routedOps struct {
 	checkout, checkin, register *telemetry.Counter
 }
 
-// newGroupMetrics binds the sharding series for a logical task; nil reg
-// returns nil (telemetry off).
+// newGroupMetrics binds the sharding series for a logical task; a nil
+// registry yields a disabled bundle.
 func newGroupMetrics(reg *telemetry.Registry, taskID string, shards int) *groupMetrics {
-	if reg == nil {
-		return nil
-	}
 	m := &groupMetrics{
 		routed: make([]routedOps, shards),
 		mergeSeconds: reg.Histogram("crowdml_shard_merge_seconds",
@@ -66,41 +61,4 @@ func newGroupMetrics(reg *telemetry.Registry, taskID string, shards int) *groupM
 		}
 	}
 	return m
-}
-
-func (m *groupMetrics) routedCheckout(k int) {
-	if m != nil {
-		m.routed[k].checkout.Inc()
-	}
-}
-
-func (m *groupMetrics) routedCheckin(k int) {
-	if m != nil {
-		m.routed[k].checkin.Inc()
-	}
-}
-
-func (m *groupMetrics) routedRegister(k int) {
-	if m != nil {
-		m.routed[k].register.Inc()
-	}
-}
-
-// mergeStart reads a merge's start (no clock read with telemetry off).
-func (m *groupMetrics) mergeStart() time.Time {
-	if m == nil {
-		return time.Time{}
-	}
-	return m.mergeSeconds.Start()
-}
-
-// observeMerge records one merger cycle: its latency and the iterations
-// the tier advanced since the previous published view.
-func (m *groupMetrics) observeMerge(start time.Time, advanced int) {
-	if m == nil {
-		return
-	}
-	m.mergeSeconds.ObserveSince(start)
-	m.merges.Inc()
-	m.staleness.Set(float64(advanced))
 }

@@ -75,7 +75,7 @@ func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since
 		return nil, err
 	}
 	authed := co.Lap(core.StageAuth, start)
-	g.m.routedCheckout(k)
+	g.m.routed[k].checkout.Inc()
 	// done before the pin: merge publishes the vector first, so the
 	// parameters served are never older than the view that said done.
 	done := g.merged.Load().done
@@ -119,7 +119,7 @@ func (g *Group) Checkin(ctx context.Context, deviceID, token string, req *core.C
 	if local := srv.Iteration(); req.Version > local {
 		req.Version = local
 	}
-	g.m.routedCheckin(k)
+	g.m.routed[k].checkin.Inc()
 	return srv.Checkin(ctx, deviceID, token, req)
 }
 
@@ -134,7 +134,7 @@ func (g *Group) Register(ctx context.Context, deviceID string) (string, error) {
 	if t.ReadOnly() {
 		return "", fmt.Errorf("shard %q replicates %s: %w", t.ID(), t.LeaderURL(), core.ErrStopped)
 	}
-	g.m.routedRegister(k)
+	g.m.routed[k].register.Inc()
 	return t.Server().RegisterDevice(ctx, deviceID)
 }
 
@@ -193,7 +193,7 @@ func (g *Group) ShardRows() []hub.ShardHealthRow {
 func (g *Group) merge() {
 	g.mergeMu.Lock()
 	defer g.mergeMu.Unlock()
-	start := g.m.mergeStart()
+	start := g.m.mergeSeconds.Start()
 	n := len(g.members)
 	views := make([]core.ParamView, n)
 	weights := make([]float64, n)
@@ -236,5 +236,7 @@ func (g *Group) merge() {
 		advanced = mv.iteration - prev.iteration
 	}
 	g.merged.Store(mv)
-	g.m.observeMerge(start, advanced)
+	g.m.mergeSeconds.ObserveSince(start)
+	g.m.merges.Inc()
+	g.m.staleness.Set(float64(advanced))
 }

@@ -14,10 +14,12 @@
 //     ~µs lock-free path serving a million-device portal) without
 //     moving its benchmark. Registration (Counter/Gauge/Histogram) may
 //     lock; it happens at task creation, not per request.
-//   - Nil-safety end to end. A nil *Registry hands out nil handles, and
-//     every handle method no-ops on a nil receiver, so instrumented code
-//     never guards call sites — a deployment started with -metrics=false
-//     simply threads nil through and pays one predictable branch.
+//   - Nil-safety in one layer, the handles. A nil *Registry hands out nil
+//     handles, and every handle method no-ops on a nil receiver. The
+//     packages' bundles of pre-bound handles are never nil themselves: a
+//     nil registry yields a bundle of nil handles. So instrumented code
+//     never guards a call site — a deployment started with -metrics=false
+//     threads nil through and pays one predictable branch per handle.
 //   - Stable exposition. Families and series are emitted in sorted
 //     order with escaped labels and construction-monotone histogram
 //     buckets, so scrapes diff cleanly and internal/tools/promlint can

@@ -45,9 +45,6 @@ func (h *Handler) EnableMetrics(reg *telemetry.Registry) {
 // ("" for unmatched requests — ServeMux's 404s — which are folded into
 // one series so scan traffic cannot mint unbounded label values).
 func (m *httpMetrics) observe(route string, status int) {
-	if m == nil {
-		return
-	}
 	if route == "" {
 		route = "unmatched"
 	}

@@ -61,7 +61,7 @@ func driveCrowdSeeded(t *testing.T, task *crowdml.Task, seedBase uint64) {
 		}
 		devices[i], err = crowdml.NewDevice(crowdml.DeviceConfig{
 			ID: id, Token: token, Model: m,
-			Transport: crowdml.NewLoopback(task.Server()),
+			Transport: task.Server(),
 			Minibatch: recMinibatch,
 			Budget:    crowdml.Budget{Gradient: crowdml.FromInv(0.05)},
 			Seed:      seedBase + uint64(i+1),

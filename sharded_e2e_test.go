@@ -17,6 +17,7 @@ import (
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
+	"github.com/crowdml/crowdml/internal/invariants"
 )
 
 const (
@@ -63,9 +64,9 @@ func driveShardedCrowd(t *testing.T, baseURL, taskID string) {
 				grad[d%len(grad)] = 0.5
 				req := &crowdml.CheckinRequest{
 					Grad:        grad,
-					NumSamples:  2,
-					ErrCount:    1,
-					LabelCounts: []int{1, 1},
+					NumSamples:  2 + d%3, // uneven counts, so the Eq. (14) ratios are inexact
+					ErrCount:    (d + r) % 2,
+					LabelCounts: []int{1 + d%3, 1},
 					Version:     co.Version,
 				}
 				if err := cl.Checkin(ctx, deviceID, token, req); err != nil {
@@ -170,6 +171,33 @@ func TestShardedTierMatchesSingleLeader(t *testing.T) {
 	}
 	if memberSum != want {
 		t.Errorf("Σ member iterations = %d, want %d", memberSum, want)
+	}
+	// Eq. (14) per shard: each member's totals compose from its own
+	// devices' counters. Merged: the estimates are exactly ΣN_e/ΣN_s and
+	// ΣN^k_y/ΣN_s over the members' exported totals, bit for bit.
+	var ns, ne int
+	nky := make([]int, shardedClasses)
+	for _, mt := range g.Members() {
+		st := mt.Server().ExportState()
+		if err := invariants.Counters(st); err != nil {
+			t.Errorf("member %s: %v", mt.ID(), err)
+		}
+		ns, ne = ns+st.TotalSamples, ne+st.TotalErrors
+		for k, c := range st.TotalLabelCounts {
+			nky[k] += c
+		}
+	}
+	merged := g.MergedStats()
+	if wantErr := float64(ne) / float64(ns); !merged.HasError || math.Float64bits(merged.ErrorEstimate) != math.Float64bits(wantErr) {
+		t.Errorf("merged error estimate = %v (has %v), want ΣN_e/ΣN_s = %v", merged.ErrorEstimate, merged.HasError, wantErr)
+	}
+	if len(merged.PriorEstimate) != len(nky) {
+		t.Fatalf("merged prior estimate %v, want %d classes", merged.PriorEstimate, len(nky))
+	}
+	for k, c := range nky {
+		if wantPrior := float64(c) / float64(ns); math.Float64bits(merged.PriorEstimate[k]) != math.Float64bits(wantPrior) {
+			t.Errorf("merged prior estimate[%d] = %v, want ΣN^k_y/ΣN_s = %v", k, merged.PriorEstimate[k], wantPrior)
+		}
 	}
 	// Eq. (14) statistics compose exactly: summed raw counters give the
 	// same estimates the single leader computed.
