@@ -414,6 +414,38 @@ func BenchmarkClientDeltaPoll(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckinLoopback measures a whole checkin trip over a loopback
+// socket: the device's encode into a pooled buffer, net/http's framing
+// and write, the handler's read, decode and apply, and the 204. Client
+// and server share the process, so B/op counts both halves. The task is
+// the 10×50 shape of the end-to-end benchmark's crowd_* workloads, and
+// its snapshot ring is filled first, so the server recycles its vectors.
+func BenchmarkCheckinLoopback(b *testing.B) {
+	for _, wire := range []crowdml.WireFormat{crowdml.WireJSON, crowdml.WireBinary} {
+		b.Run(wire.String(), func(b *testing.B) {
+			handler, newRequest := jsonBenchHandler(b)
+			token := newRequest(http.MethodGet, "checkout").Header.Get("X-Crowdml-Token")
+			ts := httptest.NewServer(handler)
+			defer ts.Close()
+			cl := crowdml.NewHTTPClient(ts.URL, nil).WithTask("bench").WithWire(wire)
+			req := &core.CheckinRequest{Grad: benchGrad(10 * 50), NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10)}
+			ctx := context.Background()
+			for i := 0; i <= core.DefaultDeltaHistory; i++ {
+				if err := cl.Checkin(ctx, "bench", token, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cl.Checkin(ctx, "bench", token, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckinBinary measures the binary checkin ingest: decoding
 // one pre-encoded gradient frame plus the batched server apply — the
 // server-side twin of a device POSTing Content-Type binary.

@@ -48,7 +48,8 @@ func (m *LogisticRegression) scores(w *linalg.Matrix, x []float64, dst []float64
 
 // Predict implements Model.
 func (m *LogisticRegression) Predict(w *linalg.Matrix, x []float64) int {
-	scores := make([]float64, m.classes)
+	var buf [stackClasses]float64
+	scores := scoreSlice(&buf, m.classes)
 	m.scores(w, x, scores)
 	return linalg.ArgMax(scores)
 }
@@ -60,14 +61,16 @@ func (m *LogisticRegression) Misclassified(w *linalg.Matrix, s Sample) bool {
 
 // Loss implements Model: −w_y'x + logΣexp(w_l'x).
 func (m *LogisticRegression) Loss(w *linalg.Matrix, s Sample) float64 {
-	scores := make([]float64, m.classes)
+	var buf [stackClasses]float64
+	scores := scoreSlice(&buf, m.classes)
 	m.scores(w, s.X, scores)
 	return linalg.LogSumExp(scores) - scores[s.Y]
 }
 
 // AddGradient implements Model: grad_k += x·(P_k − I[y=k]).
 func (m *LogisticRegression) AddGradient(w, grad *linalg.Matrix, s Sample) {
-	probs := make([]float64, m.classes)
+	var buf [stackClasses]float64
+	probs := scoreSlice(&buf, m.classes)
 	m.scores(w, s.X, probs)
 	linalg.Softmax(probs, probs)
 	for k := 0; k < m.classes; k++ {

@@ -66,6 +66,19 @@ func CheckShape(m Model, w *linalg.Matrix) error {
 	return nil
 }
 
+// stackClasses is the most classes whose per-sample scores fit the
+// caller's stack array; every model in the paper's experiments has fewer.
+const stackClasses = 16
+
+// scoreSlice returns c scores' worth of space: the front of buf, which
+// stays on the caller's stack, or a heap slice when c does not fit.
+func scoreSlice(buf *[stackClasses]float64, c int) []float64 {
+	if c <= stackClasses {
+		return buf[:c]
+	}
+	return make([]float64, c)
+}
+
 // NewParams allocates a zero parameter matrix of the model's shape.
 func NewParams(m Model) *linalg.Matrix {
 	c, d := m.Shape()

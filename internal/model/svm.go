@@ -41,7 +41,8 @@ func (m *LinearSVM) GradientSensitivity() float64 { return 4 }
 
 // Predict implements Model.
 func (m *LinearSVM) Predict(w *linalg.Matrix, x []float64) int {
-	scores := make([]float64, m.classes)
+	var buf [stackClasses]float64
+	scores := scoreSlice(&buf, m.classes)
 	w.MulVec(x, scores)
 	return linalg.ArgMax(scores)
 }
@@ -54,7 +55,8 @@ func (m *LinearSVM) Misclassified(w *linalg.Matrix, s Sample) bool {
 // violator returns the highest-scoring class other than y and its margin
 // violation value 1 + w_k'x − w_y'x.
 func (m *LinearSVM) violator(w *linalg.Matrix, s Sample) (k int, violation float64) {
-	scores := make([]float64, m.classes)
+	var buf [stackClasses]float64
+	scores := scoreSlice(&buf, m.classes)
 	w.MulVec(s.X, scores)
 	k = -1
 	best := 0.0

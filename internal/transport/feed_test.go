@@ -122,7 +122,7 @@ func TestJournalFeedAfterSkipsPrefix(t *testing.T) {
 }
 
 func TestJournalFeedNoStore(t *testing.T) {
-	hd, _ := newHandler(t) // no WithStore
+	hd, _ := newHandler(t, 2, 2) // no WithStore
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
@@ -252,7 +252,7 @@ func TestReplicaTaskRejectsStore(t *testing.T) {
 }
 
 func TestAuthProbe(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -324,7 +324,7 @@ func TestAuthProbeIsNotACheckout(t *testing.T) {
 }
 
 func TestRetryRecoversFromTransient5xx(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	var calls atomic.Int32
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -352,7 +352,7 @@ func TestRetryRecoversFromTransient5xx(t *testing.T) {
 // not a 401 for a correctly credentialed device — while a bad token is
 // answered after one attempt, never retried.
 func TestAuthProbeRetriesTransient5xx(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	var heads, failed atomic.Int32
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -432,7 +432,7 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 }
 
 func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
-	hd, _ := newHandler(t)
+	hd, _ := newHandler(t, 2, 2)
 	var calls atomic.Int32
 	counting := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
@@ -475,7 +475,7 @@ func TestRetryRespectsContextCancel(t *testing.T) {
 }
 
 func TestHealthzLeader(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	if err := srv.Checkin(context.Background(), "d1", token, checkinReq()); err != nil {
 		t.Fatal(err)
@@ -549,7 +549,7 @@ func TestHealthzFollower(t *testing.T) {
 }
 
 func TestStatsClient(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	if err := srv.Checkin(context.Background(), "d1", token, checkinReq()); err != nil {
 		t.Fatal(err)

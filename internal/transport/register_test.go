@@ -12,7 +12,7 @@ import (
 )
 
 func TestEnrollmentFlow(t *testing.T) {
-	h, _ := newHandler(t)
+	h, _ := newHandler(t, 2, 2)
 	h.EnableEnrollment("sesame")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -33,7 +33,7 @@ func TestEnrollmentFlow(t *testing.T) {
 }
 
 func TestEnrollmentBadKey(t *testing.T) {
-	h, _ := newHandler(t)
+	h, _ := newHandler(t, 2, 2)
 	h.EnableEnrollment("sesame")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -44,7 +44,7 @@ func TestEnrollmentBadKey(t *testing.T) {
 }
 
 func TestEnrollmentDisabledByDefault(t *testing.T) {
-	h, _ := newHandler(t)
+	h, _ := newHandler(t, 2, 2)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
@@ -54,7 +54,7 @@ func TestEnrollmentDisabledByDefault(t *testing.T) {
 }
 
 func TestEnrollmentEmptyKeyIgnored(t *testing.T) {
-	h, _ := newHandler(t)
+	h, _ := newHandler(t, 2, 2)
 	h.EnableEnrollment("")
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -69,7 +69,7 @@ func TestEnrollmentEmptyKeyIgnored(t *testing.T) {
 }
 
 func TestEnrollmentValidation(t *testing.T) {
-	h, _ := newHandler(t)
+	h, _ := newHandler(t, 2, 2)
 	h.EnableEnrollment("k")
 	ts := httptest.NewServer(h)
 	defer ts.Close()

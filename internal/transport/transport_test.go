@@ -29,15 +29,15 @@ func newServer(t *testing.T) *core.Server {
 	return s
 }
 
-// newHandler hosts a fresh server as the hub's task "alpha" and returns
-// the HTTP handler plus the task's server.
-func newHandler(t *testing.T) (*Handler, *core.Server) {
+// newHandler hosts a fresh classes×dim logistic-regression server as the
+// hub's task "alpha" and returns the HTTP handler plus the task's server.
+func newHandler(t *testing.T, classes, dim int, opts ...hub.TaskOption) (*Handler, *core.Server) {
 	t.Helper()
 	h := hub.New()
 	task, err := h.CreateTask(context.Background(), "alpha", core.ServerConfig{
-		Model:   model.NewLogisticRegression(2, 2),
+		Model:   model.NewLogisticRegression(classes, dim),
 		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
-	})
+	}, opts...)
 	if err != nil {
 		t.Fatalf("CreateTask: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestLoopbackRespectsContext(t *testing.T) {
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -129,7 +129,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 func TestHTTPAuthErrors(t *testing.T) {
-	hd, _ := newHandler(t)
+	hd, _ := newHandler(t, 2, 2)
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
@@ -143,7 +143,7 @@ func TestHTTPAuthErrors(t *testing.T) {
 }
 
 func TestHTTPBadCheckin(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -155,7 +155,7 @@ func TestHTTPBadCheckin(t *testing.T) {
 }
 
 func TestHTTPStoppedMapsToErrStopped(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	srv.Stop()
 	ts := httptest.NewServer(hd)
@@ -174,7 +174,7 @@ func TestHTTPStoppedMapsToErrStopped(t *testing.T) {
 }
 
 func TestHTTPStatsEndpoint(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -208,7 +208,7 @@ func TestHTTPStatsEndpoint(t *testing.T) {
 }
 
 func TestHTTPMethodEnforcement(t *testing.T) {
-	hd, _ := newHandler(t)
+	hd, _ := newHandler(t, 2, 2)
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
 	tests := []struct {
@@ -239,7 +239,7 @@ func TestHTTPMethodEnforcement(t *testing.T) {
 }
 
 func TestHTTPBadJSON(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()

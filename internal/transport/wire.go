@@ -491,6 +491,9 @@ func (r *pooledBodyReader) Close() error {
 	return nil
 }
 
+// chunkedEncoding is every checkin's Transfer-Encoding; net/http only reads it.
+var chunkedEncoding = []string{"chunked"}
+
 // Checkin implements core.Transport: one POST of the request in the
 // client's wire format — a wirecodec frame, or the JSON body the
 // original protocol sends — encoded into a pooled buffer. Error
@@ -518,9 +521,13 @@ func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *
 	if err != nil {
 		return fmt.Errorf("transport: build checkin: %w", err)
 	}
-	// What NewRequest sets up for a *bytes.Reader body, by hand.
+	// What NewRequest sets up for a *bytes.Reader body, by hand, sent
+	// chunked: net/http then writes the body through its own WriteTo,
+	// where a Content-Length framing copies it through a body-sized
+	// io.Copy temporary first. ContentLength is still the body's size.
 	req.Body, req.ContentLength = sent.open(), int64(len(buf.b))
 	req.GetBody = func() (io.ReadCloser, error) { return sent.open(), nil }
+	req.TransferEncoding = chunkedEncoding
 	req.Header = http.Header{"Content-Type": {contentType}, headerDeviceID: {deviceID}, headerToken: {token}}
 	resp, err := c.client.Do(req)
 	if err != nil {

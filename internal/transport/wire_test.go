@@ -64,7 +64,7 @@ func sameParams(t *testing.T, got, want []float64) {
 // TestBinaryCheckoutMatchesJSON: the binary wire serves bit-for-bit the
 // parameters the JSON wire serves, under the negotiated media type.
 func TestBinaryCheckoutMatchesJSON(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -107,7 +107,7 @@ func TestBinaryCheckoutMatchesJSON(t *testing.T) {
 // TestUnknownAcceptStaysJSON: anything but the exact media type — absent,
 // a wildcard, an unknown type, garbage — gets the original JSON body.
 func TestUnknownAcceptStaysJSON(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -130,7 +130,7 @@ func TestUnknownAcceptStaysJSON(t *testing.T) {
 // the JSON view at every step — and an up-to-date poll costs only an
 // empty delta.
 func TestDeltaSequenceOverHTTP(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -184,7 +184,7 @@ func TestDeltaSequenceOverHTTP(t *testing.T) {
 // TestDeltaSinceAheadServesFull: a base the leader has never seen (ahead
 // of its iteration — e.g. after a restore) degrades to a full frame.
 func TestDeltaSinceAheadServesFull(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -204,7 +204,7 @@ func TestDeltaSinceAheadServesFull(t *testing.T) {
 // TestMalformedSinceRejected: a non-numeric or negative ?since is the
 // caller's error — 400, not 500.
 func TestMalformedSinceRejected(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -222,7 +222,7 @@ func TestMalformedSinceRejected(t *testing.T) {
 // TestMalformedBinaryCheckinRejected: garbage, truncated and
 // wrong-kind frames under the binary Content-Type are 400s, never 500s.
 func TestMalformedBinaryCheckinRejected(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	token, _ := srv.RegisterDevice(context.Background(), "d1")
 	ts := httptest.NewServer(hd)
 	defer ts.Close()
@@ -259,7 +259,7 @@ func TestMalformedBinaryCheckinRejected(t *testing.T) {
 func TestBinaryCheckinReachesServer(t *testing.T) {
 	ctx := context.Background()
 	run := func(wire WireFormat) []float64 {
-		hd, srv := newHandler(t)
+		hd, srv := newHandler(t, 2, 2)
 		token, _ := srv.RegisterDevice(ctx, "d1")
 		ts := httptest.NewServer(hd)
 		defer ts.Close()
@@ -285,7 +285,7 @@ func TestBinaryCheckinReachesServer(t *testing.T) {
 // responses on a binary-negotiated request keep the JSON envelope, and
 // the binary client maps them to the same sentinels as the JSON client.
 func TestBinaryErrorStaysJSON(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -325,7 +325,7 @@ func TestBinaryErrorStaysJSON(t *testing.T) {
 // values; the decoder used to allocate their 64 MB to inflate into before
 // it could say no.
 func TestCompressedCheckinRefusedBeforeAllocating(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	frame := append([]byte(wirecodec.Magic), 1, wirecodec.KindCheckin, 1, 0) // codec 1, flags: bit 0
 	frame = binary.LittleEndian.AppendUint64(frame, 0)                       // version
 	frame = binary.LittleEndian.AppendUint64(frame, math.MaxUint64)          // since -1
@@ -359,7 +359,7 @@ func TestCompressedCheckinRefusedBeforeAllocating(t *testing.T) {
 // leader invalidates its delta ring; a delta client holding a now-alien
 // base resynchronizes transparently via the full-frame retry.
 func TestDeltaCacheResyncAfterImport(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
@@ -515,7 +515,7 @@ func TestJSONCheckoutIsEncodingJSONWithContentLength(t *testing.T) {
 // is written: 500 with the JSON error envelope. The binary wire carries
 // the value as it is.
 func TestNonFiniteCheckoutIs500(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	state := srv.ExportState()
@@ -546,7 +546,7 @@ func TestNonFiniteCheckoutIs500(t *testing.T) {
 // be — case-folded keys and duplicate keys are accepted the way they
 // were, null leaves the field unset, and a type error reads as before.
 func TestOddJSONCheckinStaysEncodingJSONs(t *testing.T) {
-	hd, srv := newHandler(t)
+	hd, srv := newHandler(t, 2, 2)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	ts := httptest.NewServer(hd)
