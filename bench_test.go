@@ -417,24 +417,12 @@ func BenchmarkClientDeltaPoll(b *testing.B) {
 // BenchmarkCheckinLoopback measures a whole checkin trip over a loopback
 // socket: the device's encode into a pooled buffer, net/http's framing
 // and write, the handler's read, decode and apply, and the 204. Client
-// and server share the process, so B/op counts both halves. The task is
-// the 10×50 shape of the end-to-end benchmark's crowd_* workloads, and
-// its snapshot ring is filled first, so the server recycles its vectors.
+// and server share the process, so B/op counts both halves.
 func BenchmarkCheckinLoopback(b *testing.B) {
 	for _, wire := range []crowdml.WireFormat{crowdml.WireJSON, crowdml.WireBinary} {
 		b.Run(wire.String(), func(b *testing.B) {
-			handler, newRequest := jsonBenchHandler(b)
-			token := newRequest(http.MethodGet, "checkout").Header.Get("X-Crowdml-Token")
-			ts := httptest.NewServer(handler)
-			defer ts.Close()
-			cl := crowdml.NewHTTPClient(ts.URL, nil).WithTask("bench").WithWire(wire)
-			req := &core.CheckinRequest{Grad: benchGrad(10 * 50), NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10)}
+			cl, token, req := loopbackBench(b, wire)
 			ctx := context.Background()
-			for i := 0; i <= core.DefaultDeltaHistory; i++ {
-				if err := cl.Checkin(ctx, "bench", token, req); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -444,6 +432,51 @@ func BenchmarkCheckinLoopback(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckoutLoopback is the checkout half of the loopback trip:
+// the device's request, net/http's framing on both ends, the handler's
+// auth, snapshot read and encode, and the device's read and decode.
+// With binary-delta the model does not move while the loop runs, so
+// every poll after the first is answered by the empty delta.
+func BenchmarkCheckoutLoopback(b *testing.B) {
+	for _, wire := range []crowdml.WireFormat{crowdml.WireJSON, crowdml.WireBinaryDelta} {
+		b.Run(wire.String(), func(b *testing.B) {
+			cl, token, _ := loopbackBench(b, wire)
+			ctx := context.Background()
+			if _, err := cl.Checkout(ctx, "bench", token); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Checkout(ctx, "bench", token); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// loopbackBench serves the bench task on a loopback socket and returns a
+// client speaking wire, the device's token and a checkin for the task.
+// The task is the 10×50 shape of the end-to-end benchmark's crowd_*
+// workloads, and its snapshot ring is filled first, so the server
+// recycles its vectors.
+func loopbackBench(b *testing.B, wire crowdml.WireFormat) (*crowdml.HTTPClient, string, *core.CheckinRequest) {
+	b.Helper()
+	handler, newRequest := jsonBenchHandler(b)
+	token := newRequest(http.MethodGet, "checkout").Header.Get("X-Crowdml-Token")
+	ts := httptest.NewServer(handler)
+	b.Cleanup(ts.Close)
+	cl := crowdml.NewHTTPClient(ts.URL, nil).WithTask("bench").WithWire(wire)
+	req := &core.CheckinRequest{Grad: benchGrad(10 * 50), NumSamples: 20, ErrCount: 3, LabelCounts: make([]int, 10)}
+	for i := 0; i <= core.DefaultDeltaHistory; i++ {
+		if err := cl.Checkin(context.Background(), "bench", token, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return cl, token, req
 }
 
 // BenchmarkCheckinBinary measures the binary checkin ingest: decoding

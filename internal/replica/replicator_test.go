@@ -346,8 +346,13 @@ func TestReplicatorRetriesThroughLeaderOutage(t *testing.T) {
 		t.Error("follower parameters changed during the outage")
 	}
 
-	// Leader returns: the follower converges and clears the error.
+	// Leader returns: the follower converges and clears the error. It
+	// holds the leader's iteration before the exchange that carried it
+	// has ended and published "tailing", so wait for the status first.
 	down.Store(false)
+	waitStatus(t, task, "tailing with no error", func(st hub.ReplicaStatus) bool {
+		return st.State == hub.ReplicaTailing && st.LastError == ""
+	})
 	waitConverged(t, leader, task)
 	requireSameState(t, leader, task.Server())
 	if st, _ := task.ReplicaStatus(); st.State != hub.ReplicaTailing || st.LastError != "" {

@@ -28,8 +28,9 @@ import (
 const (
 	PathTasks = "/v1/tasks"
 
-	headerDeviceID = "X-Crowdml-Device"
-	headerToken    = "X-Crowdml-Token"
+	headerDeviceID       = "X-Crowdml-Device"
+	headerToken          = "X-Crowdml-Token"
+	headerAcceptEncoding = "Accept-Encoding"
 )
 
 // taskPath builds a task-scoped endpoint path, e.g.
@@ -290,6 +291,8 @@ type HTTPClient struct {
 	client  *http.Client
 	retry   RetryPolicy
 	retryOn bool
+	// The bound task's two hot routes, built once by WithTask.
+	checkoutURL, checkinURL string
 	// wire selects the hot-path encoding (WithWire); the default
 	// WireJSON preserves the original protocol byte for byte.
 	wire WireFormat
@@ -319,6 +322,8 @@ func NewHTTPClient(baseURL string, client *http.Client) *HTTPClient {
 func (c *HTTPClient) WithTask(taskID string) *HTTPClient {
 	cp := *c
 	cp.taskID = taskID
+	cp.checkoutURL = c.baseURL + taskPath(taskID, "checkout")
+	cp.checkinURL = c.baseURL + taskPath(taskID, "checkin")
 	if cp.delta != nil {
 		// A different task is a different model: never apply deltas
 		// against the old task's base.
@@ -335,6 +340,12 @@ func (c *HTTPClient) TaskID() string { return c.taskID }
 func (c *HTTPClient) endpoint(name string) (string, error) {
 	if c.taskID == "" {
 		return "", fmt.Errorf("transport: %s needs a task-bound client (WithTask)", name)
+	}
+	switch name {
+	case "checkout":
+		return c.checkoutURL, nil
+	case "checkin":
+		return c.checkinURL, nil
 	}
 	return c.baseURL + taskPath(c.taskID, name), nil
 }

@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"maps"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
@@ -16,14 +18,17 @@ const PathMetrics = "/v1/metrics"
 
 // httpMetrics is the transport layer's own instrumentation: per-route
 // request counts by status class, plus the feed-entry throughput
-// counter. Request counters are cached in a sync.Map keyed by
-// (route, class) so the per-request cost after first sight is one map
-// load and one atomic add — the registry's mutex is only taken when a
-// new combination appears.
+// counter. Request counters are cached by (route, class), a comparable
+// key built without allocating, in a map that is replaced copy-on-write
+// when a new combination appears, so the per-request cost after first
+// sight is one lock-free map lookup and one atomic add.
 type httpMetrics struct {
 	reg      *telemetry.Registry
-	requests sync.Map // "route|class" → *telemetry.Counter
+	mu       sync.Mutex // serializes the copy-on-write of requests
+	requests atomic.Pointer[map[routeClass]*telemetry.Counter]
 }
+
+type routeClass struct{ route, class string }
 
 // EnableMetrics wires the operational telemetry registry into the
 // handler: GET /v1/metrics serves reg's Prometheus exposition, and
@@ -38,6 +43,7 @@ func (h *Handler) EnableMetrics(reg *telemetry.Registry) {
 	h.mux.Handle("GET "+PathMetrics, reg.Handler())
 	if reg != nil {
 		h.metrics = &httpMetrics{reg: reg}
+		h.metrics.requests.Store(&map[routeClass]*telemetry.Counter{})
 	}
 }
 
@@ -61,15 +67,20 @@ func (m *httpMetrics) observe(route string, status int) {
 	default:
 		class = "5xx"
 	}
-	key := route + "|" + class
-	if c, ok := m.requests.Load(key); ok {
-		c.(*telemetry.Counter).Inc()
-		return
+	key := routeClass{route, class}
+	c := (*m.requests.Load())[key]
+	if c == nil {
+		m.mu.Lock()
+		if c = (*m.requests.Load())[key]; c == nil {
+			c = m.reg.Counter("crowdml_http_requests_total",
+				"HTTP requests served, by matched route pattern and status class.",
+				telemetry.L("route", route), telemetry.L("code", class))
+			next := maps.Clone(*m.requests.Load())
+			next[key] = c
+			m.requests.Store(&next)
+		}
+		m.mu.Unlock()
 	}
-	c := m.reg.Counter("crowdml_http_requests_total",
-		"HTTP requests served, by matched route pattern and status class.",
-		telemetry.L("route", route), telemetry.L("code", class))
-	m.requests.Store(key, c)
 	c.Inc()
 }
 

@@ -87,6 +87,35 @@ func TestMetricsRouteCounting(t *testing.T) {
 	}
 }
 
+// TestObserveAllocatesNothingAfterFirstSight: once a route and status
+// class have been seen, counting another request on them allocates
+// nothing, and every request is counted.
+func TestObserveAllocatesNothingAfterFirstSight(t *testing.T) {
+	hd := NewHandler(hub.New())
+	reg := telemetry.NewRegistry()
+	hd.EnableMetrics(reg)
+	for _, tc := range []struct {
+		route  string
+		status int
+		series string
+	}{
+		{"GET /v1/tasks/{task}/checkout", http.StatusOK, `{route="GET /v1/tasks/{task}/checkout",code="2xx"}`},
+		{"POST /v1/tasks/{task}/checkin", http.StatusNoContent, `{route="POST /v1/tasks/{task}/checkin",code="2xx"}`},
+		{"POST /v1/tasks/{task}/checkin", http.StatusBadRequest, `{route="POST /v1/tasks/{task}/checkin",code="4xx"}`},
+		{"", http.StatusNotFound, `{route="unmatched",code="4xx"}`},
+	} {
+		hd.metrics.observe(tc.route, tc.status)
+		if n := testing.AllocsPerRun(100, func() { hd.metrics.observe(tc.route, tc.status) }); n != 0 {
+			t.Errorf("observe(%q, %d) allocates %.0f times after first sight, want 0", tc.route, tc.status, n)
+		}
+		rec := httptest.NewRecorder()
+		reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathMetrics, nil))
+		if want := "crowdml_http_requests_total" + tc.series + " 102"; !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, rec.Body)
+		}
+	}
+}
+
 // TestFeedStreamsThroughMetricsWrapper proves the statusWriter wrapper
 // is transparent to the journal feed's per-entry Flush (Unwrap must
 // expose the real writer to http.NewResponseController) and that each

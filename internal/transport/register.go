@@ -88,6 +88,7 @@ func (c *HTTPClient) Register(ctx context.Context, deviceID, enrollKey string) (
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(headerEnrollKey, enrollKey)
+	req.Header[headerAcceptEncoding] = identityEncoding
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return "", fmt.Errorf("transport: register: %w", err)

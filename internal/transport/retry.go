@@ -115,6 +115,7 @@ func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Hea
 				req.Header.Add(k, v)
 			}
 		}
+		req.Header[headerAcceptEncoding] = identityEncoding
 		resp, err := c.client.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -89,10 +89,11 @@ func negotiate(r *http.Request) bool {
 }
 
 // isBinaryContentType reports whether a header value names the binary
-// media type (parameters ignored).
+// media type (parameters ignored). Only a value with parameters is
+// parsed; one without is compared trimmed and case-insensitively.
 func isBinaryContentType(ct string) bool {
-	if ct == ContentTypeBinary {
-		return true
+	if !strings.Contains(ct, ";") {
+		return strings.EqualFold(strings.TrimSpace(ct), ContentTypeBinary)
 	}
 	mt, _, err := mime.ParseMediaType(ct)
 	return err == nil && mt == ContentTypeBinary
@@ -121,6 +122,8 @@ func (p *pooledBuf) put() {
 
 // readAllPooled reads r to EOF into a pooled buffer, which the caller
 // must put back once it is done with the bytes — also after an error.
+// A body past wirecodec.MaxPayload is an error, so a peer cannot make
+// the reader buffer whatever it sends.
 func readAllPooled(r io.Reader) (*pooledBuf, error) {
 	buf := getBuf()
 	b := buf.b[:0]
@@ -128,8 +131,11 @@ func readAllPooled(r io.Reader) (*pooledBuf, error) {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
-		n, err := r.Read(b[len(b):cap(b)])
+		n, err := r.Read(b[len(b):min(cap(b), wirecodec.MaxPayload+1)])
 		b = b[:len(b)+n]
+		if len(b) > wirecodec.MaxPayload {
+			err = fmt.Errorf("body exceeds %d bytes", wirecodec.MaxPayload)
+		}
 		if err != nil {
 			buf.b = b
 			if err == io.EOF {
@@ -491,8 +497,11 @@ func (r *pooledBodyReader) Close() error {
 	return nil
 }
 
-// chunkedEncoding is every checkin's Transfer-Encoding; net/http only reads it.
-var chunkedEncoding = []string{"chunked"}
+// chunkedEncoding is every checkin's Transfer-Encoding and identityEncoding
+// every client request's Accept-Encoding; net/http only reads them. Without
+// the latter, the Transport adds "gzip" to each request in a second header
+// map, for a coding this protocol never uses.
+var chunkedEncoding, identityEncoding = []string{"chunked"}, []string{"identity"}
 
 // Checkin implements core.Transport: one POST of the request in the
 // client's wire format — a wirecodec frame, or the JSON body the
@@ -528,7 +537,7 @@ func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *
 	req.Body, req.ContentLength = sent.open(), int64(len(buf.b))
 	req.GetBody = func() (io.ReadCloser, error) { return sent.open(), nil }
 	req.TransferEncoding = chunkedEncoding
-	req.Header = http.Header{"Content-Type": {contentType}, headerDeviceID: {deviceID}, headerToken: {token}}
+	req.Header = http.Header{"Content-Type": {contentType}, headerAcceptEncoding: identityEncoding, headerDeviceID: {deviceID}, headerToken: {token}}
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("transport: checkin: %w", err)

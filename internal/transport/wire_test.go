@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"mime"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -122,6 +123,55 @@ func TestUnknownAcceptStaysJSON(t *testing.T) {
 		if !bytes.HasPrefix(bytes.TrimSpace(body), []byte("{")) {
 			t.Errorf("Accept=%q body is not JSON: %q", accept, body[:min(len(body), 32)])
 		}
+	}
+}
+
+// TestBinaryContentTypeMatchesMime: the media-type check gives
+// mime.ParseMediaType's verdict on every input, and allocates nothing
+// for a value without parameters. Client and server run it on every
+// checkout reply and every checkin.
+func TestBinaryContentTypeMatchesMime(t *testing.T) {
+	reference := func(ct string) bool {
+		mt, _, err := mime.ParseMediaType(ct)
+		return err == nil && mt == ContentTypeBinary
+	}
+	for _, ct := range []string{
+		ContentTypeBinary,
+		"APPLICATION/X-CROWDML-BIN",
+		"Application/X-Crowdml-Bin",
+		" application/x-crowdml-bin ",
+		"\tapplication/x-crowdml-bin",
+		"application/x-crowdml-bin; v=1",
+		"application/x-crowdml-bin;compress=flate",
+		" Application/x-crowdml-bin ; charset=utf-8",
+		"application/x-crowdml-bin;",
+		"application/x-crowdml-bin; =",
+		"application/x-crowdml-bin/x",
+		"application/x-crowdml-bin/x; v=1",
+		"application/x-crowdml-binary",
+		"application/x-crowdml",
+		"application /x-crowdml-bin",
+		"/",
+		"",
+		";",
+		"application/json",
+		"application/json; charset=utf-8",
+		"*/*",
+	} {
+		if got, want := isBinaryContentType(ct), reference(ct); got != want {
+			t.Errorf("isBinaryContentType(%q) = %v, mime says %v", ct, got, want)
+		}
+		if !strings.Contains(ct, ";") {
+			if n := testing.AllocsPerRun(100, func() { isBinaryContentType(ct) }); n != 0 {
+				t.Errorf("isBinaryContentType(%q) allocates %.0f times, want 0", ct, n)
+			}
+		}
+	}
+	// The one divergence, on purpose: mime lower-cases with
+	// strings.ToLower, which maps U+0130 onto 'i', so it reads this
+	// non-token value as the binary type. It is not one: JSON.
+	if isBinaryContentType("applİcation/x-crowdml-bin") {
+		t.Error("a non-ASCII lookalike of the binary type was taken for it")
 	}
 }
 
