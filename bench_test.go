@@ -288,7 +288,7 @@ func BenchmarkCheckoutBinary(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
+			buf = wirecodec.AppendDelta(buf[:0], d.Base, d.Params, d.Version, d.Done, d.Since, true)
 			d.Release()
 		}
 	})
@@ -329,28 +329,30 @@ func BenchmarkCheckoutDelta(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			// An up-to-date caller's delta has no base to diff: no change set.
-			buf = wirecodec.AppendCheckout(buf[:0], d.Params, d.Version, d.Done, d.Since, nil, nil, false)
+			// An up-to-date caller's delta has no base to diff: the empty delta.
+			buf = wirecodec.AppendDelta(buf[:0], d.Base, d.Params, d.Version, d.Done, d.Since, true)
 			d.Release()
 		}
 	})
 }
 
 // BenchmarkCheckoutDeltaChanged measures the delta poll that finds the
-// model moved, through the HTTP handler in memory: the ring lookup, the
-// diff of base and current snapshot into the handler's pooled scratch,
-// and the encode — sparse pairs when one coordinate in ten moved, the
-// dense re-send when all did (where the change set is built only to be
-// passed over). Neither may allocate anything the size of the model.
+// model moved, through the HTTP handler in memory: the ring lookup and
+// the encoder's walk over base and current snapshot — sparse pairs when
+// one coordinate in ten moved, and when all did, the smaller of the XOR
+// delta and the full frame for a request that opts in to XOR deltas, as
+// every delta client does. Neither may allocate anything the size of
+// the model.
 func BenchmarkCheckoutDeltaChanged(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		stride int // every stride-th coordinate moves
-	}{{"sparse10pct", 10}, {"dense", 1}} {
+		query  string
+	}{{"sparse10pct", 10, "since=0"}, {"dense", 1, "since=0&xor=1"}} {
 		b.Run(tc.name, func(b *testing.B) {
 			handler, newRequest := jsonBenchHandler(b)
 			postCheckin(b, handler, newRequest, stridedGrad(tc.stride))
-			req := newRequest(http.MethodGet, "checkout?since=0")
+			req := newRequest(http.MethodGet, "checkout?"+tc.query)
 			req.Header.Set("Accept", "application/x-crowdml-bin")
 			w := &discardWriter{header: http.Header{}}
 			b.ReportAllocs()
@@ -378,8 +380,9 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // a WireBinaryDelta client over the in-memory handler. Unchanged is the
 // hot case — the model has not moved, the empty delta re-serves the
 // cached snapshot and nothing the size of the model is allocated; dense
-// follows a checkin that moved every coordinate, where the decoded
-// vector is adopted as the next snapshot (one vector, not two).
+// follows a checkin that moved every coordinate, where the vector the
+// frame decodes into (XOR words with the base XORed in, or a full
+// frame's values) is adopted as the next snapshot (one vector, not two).
 func BenchmarkClientDeltaPoll(b *testing.B) {
 	for _, dense := range []bool{false, true} {
 		name := "unchanged"

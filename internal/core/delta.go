@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -43,11 +42,10 @@ type ParamDelta struct {
 	// derived (base too old, ring reset by a state restore, or since
 	// ahead of the counter) and the full Params must be served instead.
 	Since int
-	// Base is the pinned retained snapshot of iteration Since — read-only.
-	// The change set is DiffParamsInto(…, Base, Params): copy the base,
-	// overwrite those coordinates, and the result is bit-identical to
-	// Params. Nil when Since < 0, and when Since == Version: the caller is
-	// current and nothing changed (the hot polling case).
+	// Base is the pinned retained snapshot of iteration Since — read-only:
+	// what the wire layer encodes the change to Params against. Nil when
+	// Since < 0, and when Since == Version: the caller is current and
+	// nothing changed (the hot polling case).
 	Base []float64
 
 	cur, base *snapshot // the pins behind Params and Base
@@ -311,21 +309,4 @@ func (s *Server) CheckoutDelta(ctx context.Context, deviceID, token string, sinc
 	d := s.ParamDelta(since)
 	s.cfg.Metrics.observeCheckout(start, authed, nil)
 	return d, nil
-}
-
-// DiffParamsInto appends the sparse change set between two equal-length
-// vectors to idx and vals — the coordinates whose bit patterns differ
-// and cur's values there — and returns the extended slices; pass
-// recycled slices resliced to [:0] and a diff allocates nothing once
-// they have grown. Bit comparison (not ==) so that ±0 transitions and
-// NaN payloads survive the trip and applying the delta to base
-// reproduces cur exactly.
-func DiffParamsInto(idx []uint32, vals []float64, base, cur []float64) ([]uint32, []float64) {
-	for i, v := range cur {
-		if math.Float64bits(v) != math.Float64bits(base[i]) {
-			idx = append(idx, uint32(i))
-			vals = append(vals, v)
-		}
-	}
-	return idx, vals
 }

@@ -278,6 +278,24 @@ func TestCheckoutDeltaAuth(t *testing.T) {
 	}
 }
 
+// DiffParamsInto is the change set a ParamDelta stands for, as tests
+// spell it out (the wire layer encodes straight from Base and Params):
+// it appends the sparse change set between two equal-length vectors to idx and vals — the coordinates whose bit patterns differ
+// and cur's values there — and returns the extended slices; pass
+// recycled slices resliced to [:0] and a diff allocates nothing once
+// they have grown. Bit comparison (not ==) so that ±0 transitions and
+// NaN payloads survive the trip and applying the delta to base
+// reproduces cur exactly.
+func DiffParamsInto(idx []uint32, vals []float64, base, cur []float64) ([]uint32, []float64) {
+	for i, v := range cur {
+		if math.Float64bits(v) != math.Float64bits(base[i]) {
+			idx = append(idx, uint32(i))
+			vals = append(vals, v)
+		}
+	}
+	return idx, vals
+}
+
 func TestDiffParamsInto(t *testing.T) {
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	base := []float64{1, 2, 3, 0, nan1, nan1}

@@ -30,6 +30,16 @@ const (
 	StageEncode        // transport: diff and encode into the response buffer
 )
 
+// The forms of crowdml_checkout_body_bytes, indexing the family
+// Server.CheckoutBodies returns: what one checkout's body carried.
+const (
+	FormJSON   = iota // the JSON document
+	FormFull          // a full frame
+	FormEmpty         // an empty delta: the caller was current
+	FormSparse        // a sparse delta
+	FormXOR           // an XOR delta
+)
+
 const (
 	checkinStageFamily = "crowdml_checkin_stage_seconds"
 	checkinStageHelp   = "Time one checkin spent in each stage, from the handler to its acknowledgment, in seconds."
@@ -54,6 +64,7 @@ var stalenessBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 //	crowdml_checkouts_total                counter    successful checkouts
 //	crowdml_checkout_seconds               histogram  checkout latency (auth + view)
 //	crowdml_checkout_stage_seconds         histogram  + stage: auth | view | encode
+//	crowdml_checkout_body_bytes            histogram  + form: json | full | empty | sparse | xor
 //	crowdml_checkins_applied_total         counter    checkins applied to w
 //	crowdml_checkin_seconds                histogram  checkin latency (Checkin entry → return)
 //	crowdml_checkin_stage_seconds          histogram  + stage: decode | queue_wait | apply | publish | journal | fsync | ack
@@ -70,7 +81,7 @@ type ServerMetrics struct {
 	batchSize       *telemetry.Histogram
 	staleness       *telemetry.Histogram
 
-	checkin, checkout *telemetry.Stages
+	checkin, checkout, bodies *telemetry.Stages
 
 	rejectedAuth    *telemetry.Counter
 	rejectedBad     *telemetry.Counter
@@ -113,6 +124,9 @@ func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
 		checkout: reg.Stages("crowdml_checkout_stage_seconds",
 			"Time one checkout spent in each stage, in seconds.",
 			[]string{"auth", "view", "encode"}, t),
+		bodies: reg.Family("crowdml_checkout_body_bytes", "Checkout response body size in bytes, by form.", "form",
+			[]string{"json", "full", "empty", "sparse", "xor"},
+			[]float64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}, t), // 64 B to 64 MiB (wirecodec.MaxPayload)
 		rejectedAuth:    rejected("auth"),
 		rejectedBad:     rejected("bad_request"),
 		rejectedStopped: rejected("stopped"),
@@ -143,6 +157,10 @@ func (m *ServerMetrics) CommitStages(fsync bool) *ServerMetrics {
 func (s *Server) Stages() (checkin, checkout *telemetry.Stages) {
 	return s.cfg.Metrics.checkin, s.cfg.Metrics.checkout
 }
+
+// CheckoutBodies returns the family, indexed by form, the transport
+// observes each checkout's body size in; nil without metrics.
+func (s *Server) CheckoutBodies() *telemetry.Stages { return s.cfg.Metrics.bodies }
 
 // RingMetrics holds the pre-bound handles a SnapshotRing counts into —
 // the one place a Server's and a shard.Group's snapshots are published

@@ -210,23 +210,35 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Stages is one duration histogram family split by a stage label, for the
-// stages one operation passes through. A nil *Stages reads no clock.
+// Stages is one histogram family split by a label, indexed by value. A
+// nil *Stages reads no clock and records nothing.
 type Stages struct{ h []*Histogram }
 
-// Stages binds one series per stage, labeled stage="<name>" after labels.
-// An empty name leaves its index unbound; laps into it record nothing.
+// Stages binds one duration series per stage, labeled stage="<name>" after
+// labels. An empty name leaves its index unbound; laps into it record nothing.
 func (r *Registry) Stages(name, help string, stages []string, labels ...Label) *Stages {
+	return r.Family(name, help, "stage", stages, DurationBuckets, labels...)
+}
+
+// Family is Stages for any label and bounds.
+func (r *Registry) Family(name, help, label string, values []string, bounds []float64, labels ...Label) *Stages {
 	if r == nil {
 		return nil
 	}
-	s := &Stages{h: make([]*Histogram, len(stages))}
-	for i, st := range stages {
-		if st != "" {
-			s.h[i] = r.Histogram(name, help, DurationBuckets, append(labels[:len(labels):len(labels)], L("stage", st))...)
+	s := &Stages{h: make([]*Histogram, len(values))}
+	for i, v := range values {
+		if v != "" {
+			s.h[i] = r.Histogram(name, help, bounds, append(labels[:len(labels):len(labels)], L(label, v))...)
 		}
 	}
 	return s
+}
+
+// Observe records v under value i (not on nil).
+func (s *Stages) Observe(i int, v float64) {
+	if s != nil {
+		s.h[i].Observe(v)
+	}
 }
 
 // Start reads the first stage's start (not on nil).
@@ -241,11 +253,7 @@ func (s *Stages) Lap(stage int, since time.Time) time.Time {
 }
 
 // Span observes to − from under stage, for boundaries read already.
-func (s *Stages) Span(stage int, from, to time.Time) {
-	if s != nil {
-		s.h[stage].Observe(to.Sub(from).Seconds())
-	}
-}
+func (s *Stages) Span(stage int, from, to time.Time) { s.Observe(stage, to.Sub(from).Seconds()) }
 
 // Count returns the total number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -52,7 +53,7 @@ func (b *ringBackend) Checkin(context.Context, string, string, *core.CheckinRequ
 }
 
 func (b *ringBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	serveCheckout(w, r, b, r.Header.Get(headerDeviceID), nil)
+	serveCheckout(w, r, b, r.Header.Get(headerDeviceID), nil, nil)
 }
 
 // oddFloats is the corpus a bit-exact delta path has to carry: both
@@ -198,8 +199,8 @@ func bitEqual(a, b []float64) bool {
 }
 
 // referenceDiffParams is the allocating two-pass diff the handler used to
-// be handed ready-made (core.DiffParams before the change set moved into
-// the handler's scratch), kept as what DiffParamsInto is checked against.
+// be handed ready-made (core.DiffParams), kept as what the change set a
+// sparse delta carries is checked against.
 func referenceDiffParams(base, cur []float64) ([]uint32, []float64) {
 	changed := 0
 	for i := range cur {
@@ -232,12 +233,13 @@ func checkoutFrame(t *testing.T, h http.Handler, query, accept string) []byte {
 	return rec.Body.Bytes()
 }
 
-// TestDeltaFramesByteIdentical: building the change set in the
-// handler's pooled scratch changed where the diff is computed, not one
-// byte of what is sent. Over random (base, cur) pairs with none, a few,
-// one short of the sparse/dense break-even (⅔·n), exactly ⅔·n and all
-// coordinates changed, the frame the handler serves is the frame the one
-// encoder builds from the reference diff — and a base the ring does not
+// TestDeltaFramesByteIdentical: encoding straight from the base changed
+// where the diff is computed, not what a client that did not opt in to
+// XOR deltas is sent. Over random (base, cur) pairs with none, a few, one
+// short of the sparse/full break-even (⅔·n), exactly ⅔·n and all
+// coordinates changed, the handler serves the encoder's frame: below the
+// break-even a sparse delta carrying exactly the reference diff, from it
+// on the full frame (no longer a dense delta). A base the ring does not
 // hold is still answered by the full frame. An old client's
 // ";compress=flate" Accept parameter is ignored: it gets the same bytes.
 func TestDeltaFramesByteIdentical(t *testing.T) {
@@ -255,18 +257,23 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 			}
 			for _, accept := range []string{ContentTypeBinary, ContentTypeBinary + ";compress=flate"} {
 				got := checkoutFrame(t, be, "?since=0", accept)
-				want := wirecodec.AppendCheckout(nil, cur, 1, false, 0, idx, vals, false)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("n=%d changed=%d Accept %q: handler's frame differs from AppendCheckout(DiffParams)", n, k, accept)
+				if want := wirecodec.AppendDelta(nil, base, cur, 1, false, 0, false); !bytes.Equal(got, want) {
+					t.Fatalf("n=%d changed=%d Accept %q: handler's frame differs from AppendDelta's", n, k, accept)
 				}
 				fr, err := wirecodec.Decode(got)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if wantSparse := 3*k < 2*n; fr.Kind != wirecodec.KindDelta || fr.Sparse != wantSparse {
-					t.Fatalf("n=%d changed=%d: kind %d sparse %v, want a delta with sparse %v", n, k, fr.Kind, fr.Sparse, wantSparse)
+				if wantSparse := 3*k < 2*n; (fr.Kind == wirecodec.KindDelta) != wantSparse || fr.Sparse != wantSparse {
+					t.Fatalf("n=%d changed=%d: kind %d sparse %v, want sparse %v (else full)", n, k, fr.Kind, fr.Sparse, wantSparse)
 				}
-				applied, err := wirecodec.ApplyDelta(base, fr)
+				if fr.Sparse && (!reflect.DeepEqual(fr.Indices, idx) || !bitEqual(fr.Values, vals)) {
+					t.Fatalf("n=%d changed=%d: the sparse delta is not the reference diff", n, k)
+				}
+				applied, err := fr.Values, error(nil)
+				if fr.Kind == wirecodec.KindDelta {
+					applied, err = wirecodec.ApplyDelta(base, fr)
+				}
 				if err != nil || !bitEqual(applied, cur) {
 					t.Fatalf("n=%d changed=%d: applying the frame does not reproduce cur (%v)", n, k, err)
 				}
@@ -280,38 +287,43 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSinceParamMatchesQueryParsing: reading "since=<digits>" in place
-// is an optimisation of url.Values, not a second grammar — every query
-// string gets the value, or the refusal, the general parser gives it.
+// TestSinceParamMatchesQueryParsing: reading "since=<digits>" (and the
+// "&xor=1" opt-in after it) in place is an optimisation of url.Values,
+// not a second grammar — every query string gets the value and the
+// opt-in, or the refusal, the general parser gives it.
 func TestSinceParamMatchesQueryParsing(t *testing.T) {
-	viaValues := func(rawQuery string) (int, bool) {
+	viaValues := func(rawQuery string) (int, bool, bool) {
 		q, _ := url.ParseQuery(rawQuery)
-		raw := q.Get("since")
+		raw, xor := q.Get("since"), q.Get("xor") == "1"
 		if raw == "" {
-			return -1, true
+			return -1, xor, true
 		}
 		n, err := strconv.Atoi(raw)
-		return n, err == nil && n >= 0
+		return n, xor, err == nil && n >= 0
 	}
 	for _, rawQuery := range []string{
 		"", "since=0", "since=7", "since=0042", "since=9223372036854775807", "since=9223372036854775808",
 		"since=", "since=-1", "since=+1", "since=%31", "since=1%30", "since=abc", "since=1e9", "since=1.0",
 		"since=1&x=2", "x=2&since=3", "since=1&since=2", "since=1;x", "Since=1", "since=１", "since= 1", "sinc=1",
+		"since=4&xor=1", "xor=1&since=4", "since=4&xor=0", "since=4&xor=1&x=2", "since=4&xor=1&xor=1",
+		"since=4&xor=2&xor=1", "since=4&XOR=1", "since=&xor=1", "since=abc&xor=1", "&xor=1", "xor=1", "since=4&&xor=1",
 	} {
-		want, ok := viaValues(rawQuery)
-		got, err := sinceParam(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
+		want, wantXOR, ok := viaValues(rawQuery)
+		got, xor, err := sinceParam(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
 		switch {
 		case !ok && err == nil:
 			t.Errorf("%q: accepted as %d, url.Values refuses it", rawQuery, got)
-		case ok && (err != nil || got != want):
-			t.Errorf("%q: got %d, %v; want %d", rawQuery, got, err, want)
+		case ok && (err != nil || got != want || xor != wantXOR):
+			t.Errorf("%q: got %d xor=%v, %v; want %d xor=%v", rawQuery, got, xor, err, want, wantXOR)
 		case !ok && !errors.Is(err, core.ErrBadCheckin):
 			t.Errorf("%q: refusal %v does not map to 400", rawQuery, err)
 		}
 	}
-	r := &http.Request{URL: &url.URL{RawQuery: "since=123456"}}
-	if n := testing.AllocsPerRun(20, func() { _, _ = sinceParam(r) }); n != 0 {
-		t.Errorf("since=<digits> allocated %v times", n)
+	for _, rawQuery := range []string{"since=123456", "since=123456&xor=1"} {
+		r := &http.Request{URL: &url.URL{RawQuery: rawQuery}}
+		if n := testing.AllocsPerRun(20, func() { _, _, _ = sinceParam(r) }); n != 0 {
+			t.Errorf("%s allocated %v times", rawQuery, n)
+		}
 	}
 }
 

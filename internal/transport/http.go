@@ -189,8 +189,9 @@ func (h *Handler) handleListTasks(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleCheckout(w http.ResponseWriter, r *http.Request) {
 	if e, ok := h.resolve(w, r); ok {
 		id := r.Header.Get(headerDeviceID)
-		_, co := e.Owner(id).Server().Stages()
-		serveCheckout(w, r, backend(e), id, co)
+		srv := e.Owner(id).Server()
+		_, co := srv.Stages()
+		serveCheckout(w, r, backend(e), id, co, srv.CheckoutBodies())
 	}
 }
 

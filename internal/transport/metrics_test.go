@@ -183,3 +183,20 @@ func TestMetricsEndpointWithNilRegistry(t *testing.T) {
 		t.Fatalf("nil registry must not install request counting")
 	}
 }
+
+// TestCheckoutBodyObservationAllocatesNothing: the checkout body family
+// is bound when the server is built, so observing a body under any form
+// allocates nothing, and every observation lands in its form's series.
+func TestCheckoutBodyObservationAllocatesNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, srv := newHandler(t, 2, 2, hub.WithMetrics(reg))
+	bodies := srv.CheckoutBodies()
+	for form, name := range []string{"json", "full", "empty", "sparse", "xor"} {
+		if n := testing.AllocsPerRun(100, func() { bodies.Observe(form, 3293) }); n != 0 {
+			t.Errorf("observing a %s body allocates %.0f times, want 0", name, n)
+		}
+		if n, sum := bodyBytes(t, reg, "alpha", name); n != 101 || sum != 101*3293 {
+			t.Errorf("%s: %.0f observations summing %.0f, want 101 of 3293", name, n, sum)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -161,55 +162,59 @@ var (
 	_ deviceBackend = hub.ShardRouter(nil)
 )
 
-// checkoutScratch is where one binary checkout's change set is built:
-// the diff of the backend's base and current snapshots lands in slices
-// recycled from request to request, so a delta checkout allocates
-// nothing that scales with the model or with how much of it moved.
-type checkoutScratch struct {
-	idx  []uint32
-	vals []float64
-}
-
-var checkoutScratches = sync.Pool{New: func() any { return new(checkoutScratch) }}
-
-// sinceParam reads the delta base off a checkout's query string: -1
-// when absent. The one shape clients send, "since=<digits>", is read in
-// place; anything else (escapes, several parameters) takes the
-// url.Values route, so what is accepted and what is refused did not
-// change.
-func sinceParam(r *http.Request) (int, error) {
-	raw := r.URL.RawQuery
+// sinceParam reads the delta base off a checkout's query string (-1
+// when absent) and whether it opts in to XOR deltas with xor=1, without
+// which none is sent. The shape clients send, "since=<digits>" and maybe
+// "&xor=1", is read in place; anything else takes the url.Values route,
+// so what is accepted and what is refused did not change.
+func sinceParam(r *http.Request) (since int, xor bool, err error) {
+	raw, xor := strings.CutSuffix(r.URL.RawQuery, "&xor=1")
 	if digits, ok := strings.CutPrefix(raw, "since="); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
 		raw = digits
-	} else if raw = r.URL.Query().Get("since"); raw == "" {
-		return -1, nil
+	} else {
+		q := r.URL.Query()
+		if raw, xor = q.Get("since"), q.Get("xor") == "1"; raw == "" {
+			return -1, xor, nil
+		}
 	}
-	since, err := strconv.Atoi(raw)
-	if err != nil || since < 0 {
-		return 0, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
+	if since, err = strconv.Atoi(raw); err != nil || since < 0 {
+		return 0, false, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
 	}
-	return since, nil
+	return since, xor, nil
+}
+
+// bodyForm reads a checkout frame's core.Form… off its header.
+func bodyForm(frame []byte) int {
+	switch {
+	case frame[5] == wirecodec.KindFull:
+		return core.FormFull
+	case frame[6]&wirecodec.FlagXOR != 0:
+		return core.FormXOR
+	case binary.LittleEndian.Uint32(frame[28:]) == 0:
+		return core.FormEmpty
+	}
+	return core.FormSparse
 }
 
 // serveCheckout answers a checkout in the negotiated codec: binary
-// frames honor ?since=N (the zero-copy full frame when no delta base
-// matched, the smaller of the sparse/dense delta forms otherwise), JSON
-// is always the full vector. Either way the body is encoded from the
-// backend's pinned snapshots into one pooled buffer — after which the
-// snapshots are released for reuse — and leaves with a Content-Length;
-// the encode is the checkout's encode stage, lapped into co. Errors flow
+// frames honor ?since=N (see wirecodec.AppendDelta), JSON is always the
+// full vector. Either way the body is encoded from the backend's pinned
+// snapshots into one pooled buffer — after which the snapshots are
+// released for reuse — and leaves with a Content-Length; the encode is
+// the checkout's encode stage, lapped into co, and its size is observed
+// in bodies by form. Errors flow
 // through writeError — the JSON envelope, which a binary client tells
 // apart by Content-Type — and an encoder that refuses (a non-finite
 // parameter has no JSON form) fails before anything is written: 500,
 // never a 200 with half a body.
-func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co *telemetry.Stages) {
+func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co, bodies *telemetry.Stages) {
 	binary := negotiate(r)
-	since := -1
+	since, xor := -1, false
 	if binary {
 		// Absent means a full frame; a malformed value is the client's
 		// error: 400.
 		var err error
-		if since, err = sinceParam(r); err != nil {
+		if since, xor, err = sinceParam(r); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -220,19 +225,11 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, dev
 		return
 	}
 	start := co.Start()
-	buf, contentType := getBuf(), "application/json"
+	buf, contentType, form := getBuf(), "application/json", core.FormJSON
 	defer buf.put()
 	if binary {
-		contentType = ContentTypeBinary
-		sc := checkoutScratches.Get().(*checkoutScratch)
-		sc.idx, sc.vals = sc.idx[:0], sc.vals[:0]
-		if d.Base != nil {
-			sc.idx, sc.vals = core.DiffParamsInto(sc.idx, sc.vals, d.Base, d.Params)
-		}
-		buf.b = wirecodec.AppendCheckout(buf.b, d.Params, d.Version, d.Done, d.Since, sc.idx, sc.vals, false)
-		if cap(sc.vals) <= maxPooledBuf/8 {
-			checkoutScratches.Put(sc)
-		}
+		buf.b = wirecodec.AppendDelta(buf.b, d.Base, d.Params, d.Version, d.Done, d.Since, xor)
+		contentType, form = ContentTypeBinary, bodyForm(buf.b)
 	} else {
 		buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done)
 	}
@@ -244,6 +241,7 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, dev
 		return
 	}
 	co.Lap(core.StageEncode, start)
+	bodies.Observe(form, float64(len(buf.b)))
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
 	_, _ = w.Write(buf.b)
@@ -378,14 +376,15 @@ func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*cor
 	return resp, err
 }
 
-// checkoutOnce performs one checkout round trip — a delta against base
-// when there is one — and decodes the answer by its Content-Type, so
-// negotiation can never strand the client: a server (or proxy) that
-// ignores the Accept header answers JSON and is read as JSON. What a
-// delta client is served becomes its next base without a copy: a full
-// or dense frame's decoded vector is adopted, an empty delta re-serves
-// base's, and only a sparse delta that changes something builds a new
-// one. retry=true means the delta base was rejected and the caller
+// checkoutOnce performs one checkout round trip — a delta against base,
+// XOR deltas welcome, when there is one — and decodes the answer by its
+// Content-Type, so negotiation can never strand the client: a server (or
+// proxy) that ignores the Accept header answers JSON and is read as
+// JSON. What a delta client is served becomes its next base without a
+// copy: a full, dense or XOR frame's decoded vector is adopted (base
+// XORed in), an empty delta re-serves base's, and only a sparse delta
+// that changes something builds a new one. retry=true means a delta was
+// unusable — wrong base, or it does not decode or apply — and the caller
 // should refetch a full frame.
 func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, base *clientSnapshot) (*core.CheckoutResponse, bool, error) {
 	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
@@ -398,7 +397,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 		hdr.Set("Accept", ContentTypeBinary)
 		if base != nil {
 			since = base.version
-			url += "?since=" + strconv.Itoa(since)
+			url += "?since=" + strconv.Itoa(since) + "&xor=1"
 		}
 	}
 	resp, err := c.do(ctx, http.MethodGet, url, hdr)
@@ -429,7 +428,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 	}
 	var fr wirecodec.Frame
 	if err := wirecodec.DecodeInto(&fr, buf.b); err != nil {
-		return nil, false, fmt.Errorf("transport: decode checkout: %w", err)
+		return nil, since >= 0, fmt.Errorf("transport: decode checkout: %w", err)
 	}
 
 	var params []float64
@@ -442,11 +441,8 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 			// protocol violation; resynchronize with a full frame.
 			return nil, true, fmt.Errorf("transport: delta base %d, asked for %d", fr.Since, since)
 		}
-		if fr.Sparse && len(base.params) != fr.Dims {
-			return nil, true, fmt.Errorf("transport: delta base has %d dims, frame %d", len(base.params), fr.Dims)
-		}
 		if params, err = wirecodec.ApplyDelta(base.params, &fr); err != nil {
-			return nil, false, fmt.Errorf("transport: apply delta: %w", err)
+			return nil, true, fmt.Errorf("transport: apply delta: %w", err)
 		}
 	default:
 		return nil, false, fmt.Errorf("transport: unexpected frame kind %d on checkout", fr.Kind)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -17,9 +18,15 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	params := []float64{1.5, -2.25, 0, math.Pi, 1e-300}
 	f.Add(AppendFull(nil, params, 7, true))
-	f.Add(AppendCheckout(nil, params, 9, false, 4, []uint32{1, 3}, []float64{8, -8}, false))
-	f.Add(AppendCheckout(nil, params, 9, false, 4, []uint32{0, 1, 2, 3, 4}, params, false))
-	f.Add(AppendCheckout(nil, params, 9, true, 9, nil, nil, false))
+	f.Add(AppendDelta(nil, params, []float64{1.5, 8, 0, -8, 1e-300}, 9, false, 4, false))
+	f.Add(AppendDelta(nil, params, randVec(rand.New(rand.NewSource(1)), 5), 9, false, 4, false))
+	f.Add(AppendDelta(nil, nil, params, 9, true, 9, false))
+	// XOR deltas of even and odd length (the odd one ends on a padding
+	// nibble), and the dense delta servers before them sent.
+	for _, n := range []int{5, 4} {
+		f.Add(AppendDelta(nil, params[:n], nudge(params[:n], 2), 9, false, 4, true))
+	}
+	f.Add(denseDelta(params, 9, 4))
 	f.Add(AppendCheckin(nil, params, 3, 2, 1, []int{1, 0, 1}, false))
 	journal, err := AppendJournal(nil, journalFrame())
 	if err != nil {
@@ -55,6 +62,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			if fr.Since < 0 || fr.Since > fr.Version {
 				t.Fatalf("inconsistent delta since: %+v", fr)
 			}
+			if fr.Sparse && fr.XOR {
+				t.Fatalf("delta both sparse and XOR: %+v", fr)
+			}
 			if fr.Sparse {
 				if len(fr.Indices) != len(fr.Values) || len(fr.Indices) > fr.Dims {
 					t.Fatalf("inconsistent sparse delta: %+v", fr)
@@ -69,7 +79,18 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("ApplyDelta rejected a decoded frame: %v", err)
 				}
 			} else if len(fr.Values) != fr.Dims {
-				t.Fatalf("inconsistent dense delta: %+v", fr)
+				t.Fatalf("inconsistent dense or XOR delta: %+v", fr)
+			} else if fr.XOR {
+				// Against a zero base the words are the vector; encoded
+				// against it again, they are the same bytes when XOR is
+				// still the smallest form.
+				words := append([]float64(nil), fr.Values...)
+				if got, err := ApplyDelta(make([]float64, fr.Dims), fr); err != nil || !sameBits(got, words) {
+					t.Fatalf("ApplyDelta on a decoded XOR delta: %v", err)
+				}
+				if again := AppendDelta(nil, make([]float64, fr.Dims), words, fr.Version, fr.Done, fr.Since, true); again[6]&FlagXOR != 0 && !bytes.Equal(again, b) {
+					t.Fatalf("re-encoding a decoded XOR delta changed its bytes")
+				}
 			}
 		case KindCheckin:
 			if len(fr.Values) != fr.Dims {
@@ -207,6 +228,60 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		frame[pos%len(frame)] ^= 1 << (pos % 8)
 		if _, _, err := DecodeCheckpoint(frame); !errors.Is(err, ErrFrame) {
 			t.Fatalf("bit %d of byte %d flipped: %v", pos%8, pos%len(frame), err)
+		}
+	})
+}
+
+// floatsFromBytes reads n 8-byte words of b as float64 bit patterns.
+func floatsFromBytes(b []byte, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+// FuzzXORDelta: whatever the bit patterns of a base and a current vector,
+// the frame AppendDelta writes decodes, applied to base reproduces the
+// current vector bit for bit without writing base, and the applied
+// result encodes against base to the very same bytes. A client that did
+// not opt in is never sent an XOR delta. The seeds are near pairs, as a
+// model moves, so the fuzzer starts where XOR deltas are chosen.
+func FuzzXORDelta(f *testing.F) {
+	words := func(v []float64) []byte { return appendFloats(nil, v) }
+	base := []float64{1.5, -2.25, 0, math.Pi, 1e-300, math.Inf(1), math.NaN()}
+	f.Add(words(base), words(nudge(base, 2)), true)
+	f.Add(words(base), words(nudge(base, 6)), true)
+	f.Add(words(base[:6]), words(nudge(base[:6], 1)), false)
+	f.Add(words(xorCorpus), words(xorCorpus[1:]), true)
+
+	f.Fuzz(func(t *testing.T, baseBits, curBits []byte, optIn bool) {
+		n := min(len(baseBits), len(curBits)) / 8
+		base, cur := floatsFromBytes(baseBits, n), floatsFromBytes(curBits, n)
+		held := append([]float64(nil), base...)
+		b := AppendDelta(nil, base, cur, 9, false, 4, optIn)
+		var fr Frame
+		if err := DecodeInto(&fr, b); err != nil {
+			t.Fatalf("the encoder's own frame does not decode: %v", err)
+		}
+		if fr.XOR && !optIn {
+			t.Fatal("XOR delta written for a client that did not opt in")
+		}
+		got := fr.Values
+		if fr.Kind == KindDelta {
+			var err error
+			if got, err = ApplyDelta(base, &fr); err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+		}
+		if !sameBits(got, cur) {
+			t.Fatal("the applied frame differs from the current vector")
+		}
+		if !sameBits(base, held) {
+			t.Fatal("decoding or applying wrote the base")
+		}
+		if again := AppendDelta(nil, base, got, 9, false, 4, optIn); !bytes.Equal(again, b) {
+			t.Fatal("re-encoding the applied vector changed the frame")
 		}
 	})
 }

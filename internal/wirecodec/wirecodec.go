@@ -6,7 +6,7 @@
 //	0       4     magic "CMW1"
 //	4       1     codec version (1)
 //	5       1     kind (full=1, delta=2, checkin=3, journal=4, checkpoint=5)
-//	6       2     flags (uint16 LE: done, sparse, eos; bit 0 refused)
+//	6       2     flags (uint16 LE: done, sparse, eos, xor; bit 0 refused)
 //	8       8     version (int64 LE): the model iteration the frame
 //	              describes; for checkin frames, the echoed checkout
 //	              Version the gradient was computed against; for
@@ -17,8 +17,8 @@
 //	              device ID's byte length
 //	24      4     dims (uint32 LE): the full vector length
 //	28      4     count (uint32 LE): payload element count — dims for
-//	              full frames, sparse-pair count for sparse deltas,
-//	              label-class count for checkins and journal frames
+//	              full frames and dense or XOR deltas, pair count for
+//	              sparse deltas, label-class count for checkins/journals
 //	32      —     payload
 //	last 4        CRC32-IEEE (uint32 LE) over everything before it
 //
@@ -26,17 +26,21 @@
 // values; a sparse delta carries count (uint32 index, float64 value)
 // pairs holding the NEW absolute values at the changed coordinates
 // (absolute, not differences, so applying a delta reproduces the
-// server's vector bit for bit); a dense delta carries dims values like
-// a full frame but keeps the since echo; a checkin frame carries the
-// dims gradient values, then NumSamples and ErrCount as int64s, then
-// count int64 label counts.
+// server's vector bit for bit); an XOR delta carries ⌈dims/2⌉ control
+// bytes, each holding two coordinates' 4-bit lengths (the even one's in
+// the low nibble, a zero nibble after an odd last one), then for each
+// coordinate that many low-order bytes of Float64bits(new) ^
+// Float64bits(base), the shortest that hold it; a dense delta (read, no
+// longer written) carries dims values like a full frame but keeps the
+// since echo; a checkin frame carries the dims gradient values, then
+// NumSamples and ErrCount as int64s, then count int64 label counts.
 //
 // A journal frame is one write-ahead record — the store's at-rest format
 // and the replication feed's unit. Its payload is five 8-byte scalars
 // (AtUnixMillis, GradNorm1, the echoed checkout Version, NumSamples,
 // ErrCount), the dims gradient values, count int64 label counts, then
-// the device ID's bytes. No payload is compressed (Laplace-noised
-// gradients do not compress), so every length that makes up a frame sits
+// the device ID's bytes. No journal payload is compressed (Laplace-noised
+// gradients do not compress), so every length that makes up one sits
 // in the fixed header: JournalFrameLen computes the total from the
 // header alone and a reader can hop over a frame — or pick out its
 // iteration — without touching the payload. With FlagEOS the frame is
@@ -58,6 +62,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -66,7 +71,8 @@ const (
 	// KindFull is a complete parameter vector at one iteration.
 	KindFull = 1
 	// KindDelta is a change set against the base iteration in since:
-	// sparse (index, value) pairs, or a dense re-send of every value.
+	// sparse (index, value) pairs, every value XORed with the base, or
+	// (from older servers) a dense re-send of every value.
 	KindDelta = 2
 	// KindCheckin is a device's sanitized gradient contribution.
 	KindCheckin = 3
@@ -85,6 +91,8 @@ const (
 	FlagSparse = 1 << 2
 	// FlagEOS marks the header-only journal frame that ends a feed.
 	FlagEOS = 1 << 3
+	// FlagXOR marks a delta of XOR words, sent only to a client that asks.
+	FlagXOR = 1 << 4
 )
 
 const (
@@ -115,8 +123,8 @@ type Frame struct {
 	Kind byte
 	// Done mirrors FlagDone.
 	Done bool
-	// Sparse mirrors FlagSparse (meaningful for KindDelta only).
-	Sparse bool
+	// Sparse and XOR mirror FlagSparse and FlagXOR (KindDelta only).
+	Sparse, XOR bool
 	// Version is the frame's model iteration (for checkins and journal
 	// records: the echoed checkout Version).
 	Version int
@@ -126,7 +134,8 @@ type Frame struct {
 	Dims int
 	// Values holds the payload float64s: the full vector (KindFull,
 	// dense KindDelta), the new values at the changed coordinates
-	// (sparse KindDelta), or the gradient (KindCheckin, KindJournal).
+	// (sparse KindDelta), the XOR words as bit patterns (XOR KindDelta,
+	// until ApplyDelta), or the gradient (KindCheckin, KindJournal).
 	Values []float64
 	// Indices are the changed coordinates of a sparse delta, each < Dims.
 	Indices []uint32
@@ -184,41 +193,66 @@ func AppendFull(dst []byte, params []float64, version int, done bool) []byte {
 	return finishFrame(appendFloats(dst, params), start)
 }
 
-// AppendCheckout appends the negotiated checkout frame: a full frame
-// when since < 0 (no usable delta base), otherwise the smaller of the
-// sparse and dense delta forms. indices/values list the coordinates
-// that changed between iteration since and version, carrying the NEW
-// absolute values; params is the complete current vector the dense
-// form falls back to. Like every encoder here it writes straight into
-// dst, so appending into a reused buffer allocates nothing.
+// AppendCheckout appends the full frame of params, whatever else it is passed.
 //
-// The trailing compress argument is ignored (Deprecated: frames are
-// never compressed; it stays only until benchmark/ladder.go stops
-// passing it).
+// Deprecated: use AppendFull or AppendDelta.
 func AppendCheckout(dst []byte, params []float64, version int, done bool, since int, indices []uint32, values []float64, compress bool) []byte {
+	return AppendFull(dst, params, version, done)
+}
+
+// AppendDelta appends the checkout frame of params at version for a
+// client holding base at since, as core.ParamDelta has them (since < 0:
+// no base; base nil: the client is current): the smallest of the sparse
+// delta, the XOR delta if the client opted in (xor) and the full frame,
+// full on a tie, sparse over XOR. A dst with room means no allocation.
+func AppendDelta(dst []byte, base, params []float64, version int, done bool, since int, xor bool) []byte {
 	if since < 0 {
 		return AppendFull(dst, params, version, done)
 	}
-	n := uint32(len(params))
-	if sparseBytes := 12 * len(indices); sparseBytes < 8*len(params) {
-		dst = slices.Grow(dst, HeaderLen+sparseBytes+crcLen)
-		start := len(dst)
-		dst = appendHeader(dst, KindDelta, doneFlag(done)|FlagSparse, int64(version), int64(since), n, uint32(len(indices)))
-		for i, idx := range indices {
-			dst = binary.LittleEndian.AppendUint32(dst, idx)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(values[i]))
+	start, n, changed := len(dst), len(params), 0
+	if xor && base != nil { // written as the changes are counted, undone if not the smallest
+		c := (n + 1) / 2
+		dst = appendHeader(slices.Grow(dst, HeaderLen+c+8*n+crcLen+8), KindDelta, doneFlag(done)|FlagXOR, int64(version), int64(since), uint32(n), uint32(n))
+		h := len(dst)
+		w, p := dst[:h+c+8*n+8], h+c // PutUint64 writes a whole word: 8 bytes of slack
+		for i := 0; i < n; i += 2 {
+			x0, x1 := math.Float64bits(params[i])^math.Float64bits(base[i]), uint64(0)
+			if i+1 < n {
+				x1 = math.Float64bits(params[i+1]) ^ math.Float64bits(base[i+1])
+			}
+			l0, l1 := (bits.Len64(x0)+7)>>3, (bits.Len64(x1)+7)>>3
+			w[h+i/2] = byte(l0 | l1<<4)
+			binary.LittleEndian.PutUint64(w[p:], x0)
+			binary.LittleEndian.PutUint64(w[p+l0:], x1)
+			p, changed = p+l0+l1, changed+min(l0, 1)+min(l1, 1)
 		}
-		return finishFrame(dst, start)
+		if p-h < 12*changed && p-h < 8*n {
+			return finishFrame(w[:p], start)
+		}
+		dst = dst[:start]
+	} else {
+		for i, v := range base {
+			if math.Float64bits(params[i]) != math.Float64bits(v) {
+				changed++
+			}
+		}
 	}
-	dst = slices.Grow(dst, HeaderLen+8*len(params)+crcLen)
-	start := len(dst)
-	dst = appendHeader(dst, KindDelta, doneFlag(done), int64(version), int64(since), n, n)
-	return finishFrame(appendFloats(dst, params), start)
+	if 12*changed >= 8*n {
+		return AppendFull(dst, params, version, done)
+	}
+	dst = appendHeader(slices.Grow(dst, HeaderLen+12*changed+crcLen), KindDelta, doneFlag(done)|FlagSparse, int64(version), int64(since), uint32(n), uint32(changed))
+	for i, v := range base {
+		if math.Float64bits(params[i]) != math.Float64bits(v) {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(params[i]))
+		}
+	}
+	return finishFrame(dst, start)
 }
 
 // AppendCheckin appends a device checkin frame: the sanitized gradient,
 // the echoed checkout version, and the paper's counters. The trailing
-// compress argument is ignored (Deprecated: as AppendCheckout's).
+// compress argument is ignored (frames are never compressed).
 func AppendCheckin(dst []byte, grad []float64, version, numSamples, errCount int, labelCounts []int, compress bool) []byte {
 	dst = slices.Grow(dst, HeaderLen+8*len(grad)+16+8*len(labelCounts)+crcLen)
 	start := len(dst)
@@ -383,6 +417,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 		Kind:    b[5],
 		Done:    flags&FlagDone != 0,
 		Sparse:  flags&FlagSparse != 0,
+		XOR:     flags&FlagXOR != 0,
 		Version: int(int64(binary.LittleEndian.Uint64(b[8:]))),
 		Since:   int(int64(binary.LittleEndian.Uint64(b[16:]))),
 		Dims:    int(binary.LittleEndian.Uint32(b[24:])),
@@ -409,22 +444,27 @@ func DecodeInto(fr *Frame, b []byte) error {
 		}
 		expect = 8 * count
 	case KindDelta:
-		defined = FlagDone | FlagSparse
+		defined = FlagDone | FlagSparse | FlagXOR
 		if fr.Since < 0 {
 			return fmt.Errorf("%w: delta frame without a since", ErrFrame)
 		}
 		if fr.Since > fr.Version {
 			return fmt.Errorf("%w: delta since %d ahead of version %d", ErrFrame, fr.Since, fr.Version)
 		}
-		if fr.Sparse {
-			if count > fr.Dims {
-				return fmt.Errorf("%w: sparse delta with %d pairs for %d dims", ErrFrame, count, fr.Dims)
+		switch {
+		case fr.Sparse:
+			if count > fr.Dims || fr.XOR {
+				return fmt.Errorf("%w: sparse delta with %d pairs for %d dims (xor %v)", ErrFrame, count, fr.Dims, fr.XOR)
 			}
 			expect = 12 * count
-		} else {
-			if count != fr.Dims {
-				return fmt.Errorf("%w: dense delta count %d != dims %d", ErrFrame, count, fr.Dims)
+		case count != fr.Dims:
+			return fmt.Errorf("%w: delta count %d != dims %d", ErrFrame, count, fr.Dims)
+		case fr.XOR:
+			// At least half a byte per coordinate, as many as a dense delta.
+			if expect = len(b) - HeaderLen - crcLen; expect < (count+1)/2 || count > MaxPayload/8 {
+				return fmt.Errorf("%w: XOR delta of %d bytes for %d dims", ErrFrame, expect, count)
 			}
+		default:
 			expect = 8 * count
 		}
 	case KindCheckin:
@@ -457,7 +497,12 @@ func DecodeInto(fr *Frame, b []byte) error {
 	case KindFull:
 		fr.Values = decodeFloats(scratch, payload, count)
 	case KindDelta:
-		if fr.Sparse {
+		switch {
+		case fr.XOR:
+			if fr.Values = sizeFloats(scratch, count); !decodeXOR(fr.Values, b[:len(b)-crcLen]) {
+				return fmt.Errorf("%w: malformed XOR delta payload", ErrFrame)
+			}
+		case fr.Sparse:
 			fr.Indices = make([]uint32, count)
 			fr.Values = sizeFloats(scratch, count)
 			for i := 0; i < count; i++ {
@@ -468,7 +513,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 				fr.Indices[i] = idx
 				fr.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[12*i+4:]))
 			}
-		} else {
+		default:
 			fr.Values = decodeFloats(scratch, payload, count)
 		}
 	case KindCheckin:
@@ -539,23 +584,54 @@ func decodeFloats(scratch []float64, payload []byte, n int) []float64 {
 	return out
 }
 
+// decodeXOR reads the XOR delta payload that ends frame into words, each
+// from the 8 bytes ending with its last (the header keeps that read in
+// the frame). A length past 8 or longer than its word needs, a padding
+// nibble, or bytes after the last word make it false: one encoding.
+func decodeXOR(words []float64, frame []byte) bool {
+	c := (len(words) + 1) / 2
+	ctl, end := frame[HeaderLen:HeaderLen+c], HeaderLen+c
+	for i := 0; i < len(words); i += 2 {
+		l0, l1 := int(ctl[i>>1]&15), int(ctl[i>>1]>>4)
+		if l0 > 8 || l1 > 8 || end+l0+l1 > len(frame) || (i+1 == len(words) && l1 != 0) {
+			return false
+		}
+		x0 := binary.LittleEndian.Uint64(frame[end+l0-8:]) >> (64 - 8*l0)
+		x1 := binary.LittleEndian.Uint64(frame[end+l0+l1-8:]) >> (64 - 8*l1)
+		if end += l0 + l1; bits.Len64(x0) <= 8*l0-8 || bits.Len64(x1) <= 8*l1-8 {
+			return false
+		}
+		if words[i] = math.Float64frombits(x0); i+1 < len(words) {
+			words[i+1] = math.Float64frombits(x1)
+		}
+	}
+	return end == len(frame)
+}
+
 // ApplyDelta reconstructs the full vector a delta frame describes, at a
-// cost proportional to what changed. Dense deltas carry every value
-// already: the frame's own Values, base ignored. An empty sparse delta
-// changes nothing: base itself. Only a non-empty sparse delta allocates
-// — one vector: base copied, the changed coordinates overwritten,
-// bit-identical to the server's snapshot at fr.Version. base is never
-// written, so a caller may hold it as an immutable snapshot and treat
-// the result as the next one.
+// cost proportional to what changed: a dense delta's own Values, base
+// ignored; an XOR delta's words with base XORed in, in place, leaving the
+// dense delta it equals; base itself for an empty sparse delta; one new
+// vector, base with the changed coordinates overwritten, for any other.
+// Each is bit-identical to the server's snapshot at fr.Version, and base
+// is never written: a caller may hold it as an immutable snapshot and
+// treat the result as the next one.
 func ApplyDelta(base []float64, fr *Frame) ([]float64, error) {
 	if fr.Kind != KindDelta {
 		return nil, fmt.Errorf("%w: ApplyDelta on kind %d", ErrFrame, fr.Kind)
 	}
-	if !fr.Sparse {
+	if !fr.Sparse && !fr.XOR {
 		return fr.Values, nil
 	}
 	if len(base) != fr.Dims {
 		return nil, fmt.Errorf("%w: delta base has %d dims, frame %d", ErrFrame, len(base), fr.Dims)
+	}
+	if fr.XOR {
+		for i, b := range base {
+			fr.Values[i] = math.Float64frombits(math.Float64bits(fr.Values[i]) ^ math.Float64bits(b))
+		}
+		fr.XOR = false
+		return fr.Values, nil
 	}
 	if len(fr.Indices) == 0 {
 		return base, nil

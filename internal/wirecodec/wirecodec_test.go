@@ -1,6 +1,7 @@
 package wirecodec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -50,13 +51,16 @@ func TestSparseDeltaRoundTrip(t *testing.T) {
 		indices = append(indices, uint32(i))
 		values = append(values, cur[i])
 	}
-	b := AppendCheckout(nil, cur, 9, false, 5, indices, values, false)
+	b := AppendDelta(nil, base, cur, 9, false, 5, false)
 	fr, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr.Kind != KindDelta || !fr.Sparse || fr.Version != 9 || fr.Since != 5 || fr.Done {
 		t.Fatalf("bad header %+v", fr)
+	}
+	if !reflect.DeepEqual(fr.Indices, indices) || !sameBits(fr.Values, values) {
+		t.Fatalf("change set %v %v, want %v %v", fr.Indices, fr.Values, indices, values)
 	}
 	held := append([]float64(nil), base...)
 	got, err := ApplyDelta(base, fr)
@@ -76,7 +80,7 @@ func TestSparseDeltaRoundTrip(t *testing.T) {
 
 func TestEmptySparseDelta(t *testing.T) {
 	base := []float64{1, 2, 3}
-	b := AppendCheckout(nil, base, 7, true, 7, nil, nil, false)
+	b := AppendDelta(nil, nil, base, 7, true, 7, true) // no base: the caller is current
 	fr, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
@@ -94,19 +98,14 @@ func TestEmptySparseDelta(t *testing.T) {
 	}
 }
 
-// TestDenseDeltaChosen pins the size rule: when ≥ 2/3 of the
-// coordinates changed, 12-byte sparse pairs lose to an 8-byte dense
-// re-send and the encoder must switch forms (keeping the since echo).
-func TestDenseDeltaChosen(t *testing.T) {
+// TestDenseDeltaDecodes: no encoder writes the dense delta any more —
+// where 12-byte sparse pairs lose to 8 bytes a value, the full frame is
+// sent — but servers before XOR deltas did, so it still decodes (keeping
+// the since echo) and applies without a base.
+func TestDenseDeltaDecodes(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	cur := randVec(r, 30)
-	indices := make([]uint32, 25)
-	values := make([]float64, 25)
-	for i := range indices {
-		indices[i] = uint32(i)
-		values[i] = cur[i]
-	}
-	b := AppendCheckout(nil, cur, 3, false, 1, indices, values, false)
+	b := denseDelta(cur, 3, 1)
 	fr, err := Decode(b)
 	if err != nil {
 		t.Fatal(err)
@@ -126,6 +125,15 @@ func TestDenseDeltaChosen(t *testing.T) {
 			t.Fatalf("value %d: %v != %v", i, got[i], cur[i])
 		}
 	}
+}
+
+// denseDelta builds the dense delta older servers sent: a full frame of
+// cur at version, kind and since echo rewritten.
+func denseDelta(cur []float64, version, since int) []byte {
+	b := AppendFull(nil, cur, version, false)
+	b[5] = KindDelta
+	binary.LittleEndian.PutUint64(b[16:], uint64(since))
+	return finishFrame(b[:len(b)-crcLen], 0)
 }
 
 func TestCheckinRoundTrip(t *testing.T) {
@@ -176,7 +184,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestDecodeRejects(t *testing.T) {
 	full := AppendFull(nil, []float64{1}, 0, false)
-	delta := AppendCheckout(nil, []float64{1, 2}, 3, false, 2, []uint32{1}, []float64{5}, false)
+	delta := AppendDelta(nil, []float64{1, 2}, []float64{1, 5}, 3, false, 2, false)
 	checkin := AppendCheckin(nil, []float64{1, 2}, 0, 1, 0, []int{1}, false)
 	reencode := func(valid []byte, mutate func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
@@ -216,18 +224,14 @@ func TestDecodeRejects(t *testing.T) {
 func TestBinaryEncodersAllocateNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	params := randVec(r, 500)
-	few := []uint32{3, 99, 400}
-	fewVals := []float64{params[3], params[99], params[400]}
-	many := make([]uint32, 400)
-	manyVals := make([]float64, len(many))
-	for i := range many {
-		many[i], manyVals[i] = uint32(i), params[i]
-	}
+	nudged, fewMoved, mostMoved := nudge(params, 3), append([]float64(nil), params...), randVec(r, 500)
+	fewMoved[3], fewMoved[99], fewMoved[400] = 1, 2, 3
 	labels := []int{4, 0, 6, 1, 9, 0, 0, 2, 3, 5}
 	for name, enc := range map[string]func([]byte) []byte{
 		"full":         func(b []byte) []byte { return AppendCheckout(b, params, 7, false, -1, nil, nil, false) },
-		"sparse delta": func(b []byte) []byte { return AppendCheckout(b, params, 7, false, 5, few, fewVals, false) },
-		"dense delta":  func(b []byte) []byte { return AppendCheckout(b, params, 7, false, 5, many, manyVals, false) },
+		"sparse delta": func(b []byte) []byte { return AppendDelta(b, params, fewMoved, 7, false, 5, true) },
+		"xor delta":    func(b []byte) []byte { return AppendDelta(b, params, nudged, 7, false, 5, true) },
+		"most changed": func(b []byte) []byte { return AppendDelta(b, params, mostMoved, 7, false, 5, true) },
 		"checkin":      func(b []byte) []byte { return AppendCheckin(b, params, 7, 20, 3, labels, false) },
 	} {
 		buf := enc(nil)
@@ -241,8 +245,9 @@ func TestBinaryEncodersAllocateNothing(t *testing.T) {
 }
 
 func TestSparseIndexOutOfRange(t *testing.T) {
-	b := AppendCheckout(nil, []float64{1, 2, 3}, 4, false, 2, []uint32{5}, []float64{9}, false)
-	if _, err := Decode(b); err == nil {
+	b := AppendDelta(nil, []float64{1, 2, 3}, []float64{1, 2, 9}, 4, false, 2, false)
+	b[HeaderLen] = 5 // the changed index, 2, becomes 5
+	if _, err := Decode(finishFrame(b[:len(b)-crcLen], 0)); err == nil {
 		t.Fatal("out-of-range sparse index decoded successfully")
 	}
 }

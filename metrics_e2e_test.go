@@ -156,6 +156,9 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="auth"`,
 		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="view"`,
 		`crowdml_checkout_stage_seconds_bucket{task="activity",stage="encode"`,
+		// what each checkout's body carried, by form
+		`crowdml_checkout_body_bytes_bucket{task="activity",form="json"`,
+		`crowdml_checkout_body_bytes_count{task="activity",form="xor"}`,
 		// the snapshot ring both read and write path go through
 		`crowdml_snapshots_published_total{task="activity",source="recycled"}`,
 		`crowdml_snapshots_published_total{task="activity",source="allocated"}`,
@@ -185,6 +188,8 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		`crowdml_checkout_stage_seconds_count{task="activity",stage="auth"}`,
 		`crowdml_checkout_stage_seconds_count{task="activity",stage="view"}`,
 		`crowdml_checkout_stage_seconds_count{task="activity",stage="encode"}`,
+		`crowdml_checkout_body_bytes_bucket{task="activity",form="full"`,
+		`crowdml_checkout_body_bytes_sum{task="activity",form="json"}`,
 	)
 
 	// The follower never journals locally: its registry must not have

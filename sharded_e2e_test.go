@@ -308,6 +308,9 @@ func TestShardedMetricsExposition(t *testing.T) {
 		`crowdml_checkin_stage_seconds_count{task="act.shard-1",stage="queue_wait"}`,
 		`crowdml_checkout_stage_seconds_count{task="act.shard-0",stage="auth"}`,
 		`crowdml_checkout_stage_seconds_count{task="act.shard-1",stage="encode"}`,
+		// The checkout body family, observed by the member owning the device.
+		`crowdml_checkout_body_bytes_count{task="act.shard-0",form="json"}`,
+		`crowdml_checkout_body_bytes_bucket{task="act.shard-1",form="xor"`,
 		// And the transport counts the task-scoped routes.
 		`crowdml_http_requests_total`,
 	)
