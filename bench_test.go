@@ -532,7 +532,7 @@ func jsonBenchHandler(b *testing.B) (http.Handler, func(method, endpoint string)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return crowdml.NewHTTPHandler(h, ""), func(method, endpoint string) *http.Request {
+	return crowdml.NewHTTPHandler(h, "", nil), func(method, endpoint string) *http.Request {
 		req := httptest.NewRequest(method, "/v1/tasks/bench/"+endpoint, nil)
 		req.Header.Set("X-Crowdml-Device", "bench")
 		req.Header.Set("X-Crowdml-Token", token)

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
-	"github.com/crowdml/crowdml/internal/activity"
 )
 
 func main() {
@@ -84,7 +83,7 @@ func run() error {
 			s = s*131 + uint64(c)
 		}
 	}
-	m := crowdml.NewLogisticRegression(activity.NumClasses, activity.FeatureDim)
+	m := crowdml.NewLogisticRegression(crowdml.ActivityClasses, crowdml.ActivityFeatureDim)
 	device, err := crowdml.NewDevice(crowdml.DeviceConfig{
 		ID: *id, Token: authToken, Model: m,
 		Transport: client,
@@ -96,7 +95,7 @@ func run() error {
 		return err
 	}
 
-	gen := activity.NewGenerator(s)
+	gen := crowdml.NewActivitySimulator(s)
 	var src crowdml.SampleSource = gen
 	if *interval > 0 {
 		src = &pacedSource{inner: gen, ctx: ctx, interval: *interval}

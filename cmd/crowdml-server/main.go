@@ -348,11 +348,7 @@ func run() error {
 	}
 
 	mux := http.NewServeMux()
-	if reg != nil {
-		mux.Handle("/", crowdml.NewHTTPHandlerWithMetrics(h, *enrollKey, reg))
-	} else {
-		mux.Handle("/", crowdml.NewHTTPHandler(h, *enrollKey))
-	}
+	mux.Handle("/", crowdml.NewHTTPHandler(h, *enrollKey, reg))
 	mux.Handle("/portal/", http.StripPrefix("/portal", crowdml.NewPortalIndex(h)))
 	mux.Handle("/portal", http.RedirectHandler("/portal/", http.StatusMovedPermanently))
 

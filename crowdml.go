@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"github.com/crowdml/crowdml/internal/activity"
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/model"
@@ -67,9 +68,6 @@ type InvSqrt = optimizer.InvSqrt
 
 // Constant is a fixed learning rate.
 type Constant = optimizer.Constant
-
-// InvT is the η(t) = c/t schedule for strongly convex risks.
-type InvT = optimizer.InvT
 
 // Updater applies one server-side parameter update (Eq. 3).
 type Updater = optimizer.Updater
@@ -227,6 +225,26 @@ func NewDevice(cfg DeviceConfig) (*Device, error) { return core.NewDevice(cfg) }
 // io.EOF ends the stream cleanly.
 type SampleSource = core.SampleSource
 
+// The paper's activity-recognition task (Section V-B): ActivityClasses
+// activities, each sample ActivityFeatureDim L1-normalized FFT bins of
+// accelerometer magnitude.
+const (
+	ActivityClasses    = activity.NumClasses
+	ActivityFeatureDim = activity.FeatureDim
+)
+
+// ActivityNames returns the activities' names, indexed by label.
+func ActivityNames() []string {
+	names := activity.Names
+	return names[:]
+}
+
+// NewActivitySimulator returns an endless, seeded stream of simulated
+// smartphone activity samples: a tri-axial accelerometer at 20 Hz, one
+// 3.2 s window per sample, each sample's activity differing from the one
+// before (the paper's label-change-triggered collection).
+func NewActivitySimulator(seed uint64) SampleSource { return activity.NewGenerator(seed) }
+
 // Transport connects devices to a server.
 type Transport = core.Transport
 
@@ -267,24 +285,18 @@ type TaskSummary = transport.TaskSummary
 // NewHTTPHandler exposes every task hosted on the hub over HTTP:
 // task-scoped routes /v1/tasks/{id}/{checkout,checkin,stats} plus a
 // /v1/tasks listing. If enrollKey is non-empty, /v1/tasks/{id}/register
-// is enabled so devices holding the key can self-enroll.
-func NewHTTPHandler(h *Hub, enrollKey string) http.Handler {
+// is enabled so devices holding the key can self-enroll. A non-nil reg
+// adds operational telemetry: GET /v1/metrics serves reg's Prometheus
+// text exposition (on leaders and followers alike), and every request
+// through the handler is counted by matched route pattern and status
+// class. Pass the same registry to WithMetrics / ReplicaConfig.Metrics so
+// the core, durability and replica series surface on the same endpoint.
+func NewHTTPHandler(h *Hub, enrollKey string, reg *MetricsRegistry) http.Handler {
 	hd := transport.NewHandler(h)
 	hd.EnableEnrollment(enrollKey)
-	return hd
-}
-
-// NewHTTPHandlerWithMetrics is NewHTTPHandler plus operational
-// telemetry: GET /v1/metrics serves reg's Prometheus text exposition
-// (on leaders and followers alike), and every request through the
-// handler is counted by matched route pattern and status class. Pass
-// the same registry to WithMetrics / ReplicaConfig.Metrics so the
-// core, durability and replica series surface on the same endpoint.
-// A nil registry serves an empty exposition and skips request counting.
-func NewHTTPHandlerWithMetrics(h *Hub, enrollKey string, reg *MetricsRegistry) http.Handler {
-	hd := transport.NewHandler(h)
-	hd.EnableEnrollment(enrollKey)
-	hd.EnableMetrics(reg)
+	if reg != nil {
+		hd.EnableMetrics(reg)
+	}
 	return hd
 }
 
@@ -298,7 +310,7 @@ func NewHTTPHandlerWithMetrics(h *Hub, enrollKey string, reg *MetricsRegistry) h
 type MetricsRegistry = telemetry.Registry
 
 // NewMetricsRegistry returns an empty operational telemetry registry.
-// Wire it into the HTTP layer with NewHTTPHandlerWithMetrics, into
+// Wire it into the HTTP layer with NewHTTPHandler, into
 // tasks with WithMetrics, and into followers via
 // ReplicaConfig.Metrics; see docs/OPERATIONS.md "Monitoring" for the
 // metric name table.
@@ -360,12 +372,8 @@ type ReplayRecord = core.ReplayRecord
 // ReplaySource streams replay records into Server.Replay, one at a
 // time (io.EOF ends the stream) — recovery memory stays O(one entry)
 // however long the journal tail is. The hub's restore path adapts a
-// JournalCursor into one; ReplaySlice adapts a materialized slice.
+// JournalCursor into one.
 type ReplaySource = core.ReplaySource
-
-// ReplaySlice adapts an in-memory record slice to a ReplaySource, for
-// embedders that already hold the records (the v3 Replay signature).
-func ReplaySlice(records []ReplayRecord) ReplaySource { return core.ReplaySlice(records) }
 
 // ErrReplayGap is returned by Server.Replay when the journal tail skips
 // an iteration — replaying past a gap would silently diverge from the
@@ -376,12 +384,6 @@ var ErrReplayGap = core.ErrReplayGap
 // sensory data, labels, algorithm, and privacy budget — the transparency
 // details of the paper's Section V-A portal.
 type TaskInfo = hub.TaskInfo
-
-// NewPortal returns an http.Handler serving one task's public page with
-// differentially private live statistics (error rate, label distribution).
-func NewPortal(s *Server, info TaskInfo) http.Handler {
-	return portal.New(func() hub.Progress { return hub.ProgressOf(s) }, info)
-}
 
 // NewPortalIndex returns the multi-task Web portal for a hub: "/" lists
 // every hosted task and "tasks/{id}" serves each task's transparency
@@ -513,14 +515,6 @@ func AsReplicaOf(leaderURL string) TaskOption { return hub.AsReplicaOf(leaderURL
 // endpoint and via Task.ReplicaStatus; the leader is Task.LeaderURL.
 type ReplicaStatus = hub.ReplicaStatus
 
-// Replica states reported in ReplicaStatus.State.
-const (
-	ReplicaBootstrapping = hub.ReplicaBootstrapping
-	ReplicaTailing       = hub.ReplicaTailing
-	ReplicaRetrying      = hub.ReplicaRetrying
-	ReplicaStopped       = hub.ReplicaStopped
-)
-
 // Replicator drives one follower task: it bootstraps from the leader's
 // latest checkpoint, tails the leader's journal feed, and applies each
 // shipped entry through the same deterministic replay path crash
@@ -614,10 +608,6 @@ type ShardedTask = shard.Group
 // ShardOption configures NewShardedTask.
 type ShardOption = shard.Option
 
-// DefaultShardMergeInterval is how often a sharded task's merger
-// rebuilds the merged view unless WithShardMergeInterval overrides it.
-const DefaultShardMergeInterval = shard.DefaultMergeInterval
-
 // NewShardedTask creates the member tasks on the hub, mounts the
 // routing front-end under taskID, and starts the merger. configure is
 // called once per shard and must return a fresh ServerConfig each time
@@ -632,9 +622,9 @@ func NewShardedTask(ctx context.Context, h *Hub, taskID string, configure func(s
 // WithShards sets the shard count N (default 1).
 func WithShards(n int) ShardOption { return shard.WithShards(n) }
 
-// WithShardMergeInterval sets the merger cadence (default
-// DefaultShardMergeInterval). Merged checkouts trail the shard tier by
-// at most one cadence plus one merge.
+// WithShardMergeInterval sets the merger cadence (default 100 ms).
+// Merged checkouts trail the shard tier by at most one cadence plus one
+// merge.
 func WithShardMergeInterval(d time.Duration) ShardOption { return shard.WithMergeInterval(d) }
 
 // WithShardStores makes every member durable: member k journals and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestPublicAPIHTTPWithEnrollment(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := task.Server()
-	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "join-key"))
+	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "join-key", nil))
 	defer ts.Close()
 
 	client := crowdml.NewHTTPClient(ts.URL, nil).WithTask("api-test")
@@ -141,5 +142,49 @@ func TestBudgetComposition(t *testing.T) {
 	total := b.Total(10)
 	if math.Abs(float64(total)-(1+0.01+10*0.001)) > 1e-12 {
 		t.Errorf("Total = %v", total)
+	}
+}
+
+// TestHTTPHandlerMetricsRoute: the handler serves /v1/metrics only when
+// it is given a registry.
+func TestHTTPHandlerMetricsRoute(t *testing.T) {
+	for _, tc := range []struct {
+		reg  *crowdml.MetricsRegistry
+		want int
+	}{{nil, http.StatusNotFound}, {crowdml.NewMetricsRegistry(), http.StatusOK}} {
+		rec := httptest.NewRecorder()
+		crowdml.NewHTTPHandler(crowdml.NewHub(), "", tc.reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
+		if rec.Code != tc.want {
+			t.Errorf("registry %v: GET /v1/metrics = %d, want %d", tc.reg != nil, rec.Code, tc.want)
+		}
+	}
+}
+
+// TestActivitySimulator: the facade's activity task hands out samples a
+// device of ActivityClasses × ActivityFeatureDim accepts, one name per
+// class.
+func TestActivitySimulator(t *testing.T) {
+	if n := len(crowdml.ActivityNames()); n != crowdml.ActivityClasses {
+		t.Fatalf("%d names for %d classes", n, crowdml.ActivityClasses)
+	}
+	m := crowdml.NewLogisticRegression(crowdml.ActivityClasses, crowdml.ActivityFeatureDim)
+	server, err := crowdml.NewServer(crowdml.ServerConfig{Model: m, Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 10}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	token, err := server.RegisterDevice(ctx, "phone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	device, err := crowdml.NewDevice(crowdml.DeviceConfig{ID: "phone", Token: token, Model: m, Transport: server, Minibatch: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent, err := device.Run(ctx, crowdml.NewActivitySimulator(1), 50); err != nil || sent != 50 {
+		t.Fatalf("Run = %d, %v; want 50 samples", sent, err)
+	}
+	if got := server.Iteration(); got != 10 {
+		t.Errorf("iteration %d, want 10", got)
 	}
 }

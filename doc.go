@@ -241,11 +241,14 @@
 // with NewHTTPClient(baseURL, nil).WithTask("activity"); README.md lists
 // the routes and docs/WIRE.md the wire formats.
 //
-// See examples/ for runnable programs (quickstart, activity recognition,
-// a digit-recognition simulation study, and a multi-task HTTP cluster),
-// the Example functions in this package's test files for the durability
-// lifecycle, and cmd/crowdml-bench for the harness that regenerates
-// every figure of the paper's evaluation plus an HTTP load bench.
+// See examples/ for runnable programs (quickstart, smart thermostats,
+// activity recognition, and a multi-task HTTP cluster). They are a module
+// of their own that the go command forbids any internal/ import, so they
+// build against this package alone; run them with
+// `go -C examples run ./quickstart`. See the Example functions in this
+// package's test files for the durability lifecycle, and
+// cmd/crowdml-bench for the harness that regenerates every figure and
+// ablation of the paper's evaluation.
 // docs/ARCHITECTURE.md maps the layers and the durability state
 // machine; docs/OPERATIONS.md is the operator's tuning guide.
 package crowdml

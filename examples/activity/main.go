@@ -13,7 +13,6 @@ import (
 	"log"
 
 	crowdml "github.com/crowdml/crowdml"
-	"github.com/crowdml/crowdml/internal/activity"
 )
 
 func main() {
@@ -35,7 +34,7 @@ func run() error {
 		epsInv    = 0.02
 		minibatch = 5
 	)
-	m := crowdml.NewLogisticRegression(activity.NumClasses, activity.FeatureDim)
+	m := crowdml.NewLogisticRegression(crowdml.ActivityClasses, crowdml.ActivityFeatureDim)
 	server, err := crowdml.NewServer(crowdml.ServerConfig{
 		Model:   m,
 		Updater: crowdml.NewSGD(crowdml.InvSqrt{C: rate}, 0),
@@ -45,7 +44,7 @@ func run() error {
 	}
 
 	ctx := context.Background()
-	gens := make([]*activity.Generator, phones)
+	gens := make([]crowdml.SampleSource, phones)
 	devs := make([]*crowdml.Device, phones)
 	for i := range devs {
 		id := fmt.Sprintf("phone-%d", i)
@@ -53,7 +52,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		gens[i] = activity.NewGenerator(uint64(1000 + i))
+		gens[i] = crowdml.NewActivitySimulator(uint64(1000 + i))
 		devs[i], err = crowdml.NewDevice(crowdml.DeviceConfig{
 			ID: id, Token: token, Model: m,
 			Transport: server,
@@ -76,7 +75,7 @@ func run() error {
 	total := crowdml.Budget{
 		Gradient: crowdml.FromInv(epsInv), ErrCount: crowdml.Eps(5),
 		LabelCount: crowdml.Eps(5),
-	}.Total(activity.NumClasses)
+	}.Total(crowdml.ActivityClasses)
 	fmt.Printf("7 phones, 3 activities, per-checkin privacy ε = %.2f\n\n", float64(total))
 
 	fmt.Println("samples  time-averaged error")
@@ -98,8 +97,9 @@ func run() error {
 
 	prior, _ := server.PriorEstimate()
 	fmt.Println("\nestimated activity distribution (differentially private):")
+	names := crowdml.ActivityNames()
 	for k, p := range prior {
-		fmt.Printf("  %-10s %.2f\n", activity.Names[k], p)
+		fmt.Printf("  %-10s %.2f\n", names[k], p)
 	}
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	crowdml "github.com/crowdml/crowdml"
-	"github.com/crowdml/crowdml/internal/activity"
 )
 
 func main() {
@@ -36,25 +35,25 @@ func run() error {
 
 	// One process, one hub, two independent learning tasks.
 	hub := crowdml.NewHub()
-	activityModel := crowdml.NewLogisticRegression(activity.NumClasses, activity.FeatureDim)
+	activityModel := crowdml.NewLogisticRegression(crowdml.ActivityClasses, crowdml.ActivityFeatureDim)
 	if _, err := hub.CreateTask(ctx, "activity", crowdml.ServerConfig{
 		Model:   activityModel,
 		Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 10}, 0),
 	}, crowdml.WithTaskInfo(crowdml.TaskInfo{
 		Name:      "Activity recognition",
 		Algorithm: "multiclass logistic regression via private distributed SGD",
-		Labels:    activity.Names[:],
+		Labels:    crowdml.ActivityNames(),
 	})); err != nil {
 		return err
 	}
-	svmModel := crowdml.NewLinearSVM(activity.NumClasses, activity.FeatureDim)
+	svmModel := crowdml.NewLinearSVM(crowdml.ActivityClasses, crowdml.ActivityFeatureDim)
 	if _, err := hub.CreateTask(ctx, "activity-svm", crowdml.ServerConfig{
 		Model:   svmModel,
 		Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 5}, 0),
 	}, crowdml.WithTaskInfo(crowdml.TaskInfo{
 		Name:      "Activity recognition (SVM)",
 		Algorithm: "Crammer–Singer linear SVM via private distributed SGD",
-		Labels:    activity.Names[:],
+		Labels:    crowdml.ActivityNames(),
 	})); err != nil {
 		return err
 	}
@@ -64,7 +63,7 @@ func run() error {
 		return err
 	}
 	httpServer := &http.Server{
-		Handler:           crowdml.NewHTTPHandler(hub, enrollKey),
+		Handler:           crowdml.NewHTTPHandler(hub, enrollKey, nil),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	serveErr := make(chan error, 1)
@@ -137,7 +136,7 @@ func runDevice(ctx context.Context, baseURL, taskID string, m crowdml.Model, enr
 	if err != nil {
 		return err
 	}
-	sent, err := device.Run(ctx, activity.NewGenerator(uint64(100+idx)), samples)
+	sent, err := device.Run(ctx, crowdml.NewActivitySimulator(uint64(100+idx)), samples)
 	if err != nil {
 		return fmt.Errorf("%s: %w", id, err)
 	}

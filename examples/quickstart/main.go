@@ -9,9 +9,9 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand/v2"
 
 	crowdml "github.com/crowdml/crowdml"
-	"github.com/crowdml/crowdml/internal/rng"
 )
 
 func main() {
@@ -61,13 +61,13 @@ func run() error {
 	}
 
 	// Each device streams its own sensor-like data: two noisy clusters.
-	r := rng.New(7)
+	r := rand.New(rand.NewPCG(7, 0))
 	for round := 0; round < perDevice; round++ {
 		for i, d := range devs {
 			y := (round + i) % 2
 			x := make([]float64, dim)
 			for j := range x {
-				x[j] = 0.1 * r.Gaussian()
+				x[j] = 0.1 * r.NormFloat64()
 			}
 			x[y] += 1 // class signal in coordinate y
 			crowdml.NormalizeL1(x)

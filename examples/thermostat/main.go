@@ -14,9 +14,9 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"math/rand/v2"
 
 	crowdml "github.com/crowdml/crowdml"
-	"github.com/crowdml/crowdml/internal/rng"
 )
 
 // Feature layout for the thermostat context vector (L1-normalized).
@@ -43,8 +43,8 @@ func main() {
 
 // contextSample draws one (context, preferred offset) observation for a
 // household with individual taste noise.
-func contextSample(r *rng.RNG) crowdml.Sample {
-	hour := r.Uniform(0, 24)
+func contextSample(r *rand.Rand) crowdml.Sample {
+	hour := 24 * r.Float64()
 	x := make([]float64, numFeatures)
 	x[fBias] = 1
 	x[fSinHour] = math.Sin(2 * math.Pi * hour / 24)
@@ -52,7 +52,7 @@ func contextSample(r *rng.RNG) crowdml.Sample {
 	if r.Float64() < 0.6 {
 		x[fOccupied] = 1
 	}
-	outdoor := r.Uniform(-10, 30) // °C
+	outdoor := -10 + 40*r.Float64() // °C
 	if outdoor < 10 {
 		x[fOutdoorCold] = (10 - outdoor) / 20
 	}
@@ -60,7 +60,7 @@ func contextSample(r *rng.RNG) crowdml.Sample {
 	for i, w := range trueWeights {
 		target += w * x[i]
 	}
-	target += 0.02 * r.Gaussian() // household taste noise
+	target += 0.02 * r.NormFloat64() // household taste noise
 	crowdml.NormalizeL1(x)
 	// The model predicts from the normalized features, so scale the
 	// target consistently with the same norm the device transmitted.
@@ -102,9 +102,9 @@ func run() error {
 		}
 	}
 
-	streams := make([]*rng.RNG, thermostats)
+	streams := make([]*rand.Rand, thermostats)
 	for i := range streams {
-		streams[i] = rng.New(uint64(100 + i))
+		streams[i] = rand.New(rand.NewPCG(uint64(100+i), 0))
 	}
 	for round := 0; round < perDevice; round++ {
 		for i, d := range devices {
@@ -116,7 +116,7 @@ func run() error {
 
 	// Evaluate the fleet model on fresh contexts: mean absolute error of
 	// the predicted temperature offset, reported in °C.
-	eval := rng.New(999)
+	eval := rand.New(rand.NewPCG(999, 0))
 	var mae float64
 	const evalN = 2000
 	w := server.Params()

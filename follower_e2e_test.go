@@ -114,7 +114,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	}
 	defer leaderHub.Close(ctx)
 	leader := leaderTask.Server()
-	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, ""))
+	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "", nil))
 	defer leaderSrv.Close()
 	leaderClient := crowdml.NewHTTPClient(leaderSrv.URL, nil).WithTask("activity")
 
@@ -136,7 +136,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	followerSrv := httptest.NewServer(crowdml.NewHTTPHandler(followerHub, ""))
+	followerSrv := httptest.NewServer(crowdml.NewHTTPHandler(followerHub, "", nil))
 	defer followerSrv.Close()
 	followerClient := crowdml.NewHTTPClient(followerSrv.URL, nil).WithTask("activity")
 

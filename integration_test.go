@@ -116,7 +116,7 @@ func TestIntegrationStoppingOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := task.Server()
-	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key"))
+	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key", nil))
 	defer ts.Close()
 	client := crowdml.NewHTTPClient(ts.URL, nil).WithTask("stopping")
 	token, err := client.Register(ctx, "p1", "key")
@@ -170,7 +170,7 @@ func TestIntegrationConcurrentHTTPCrowd(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := task.Server()
-	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key"))
+	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key", nil))
 	defer ts.Close()
 
 	var wg sync.WaitGroup
@@ -262,7 +262,7 @@ func TestIntegrationMultiTaskHub(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key"))
+	ts := httptest.NewServer(crowdml.NewHTTPHandler(hub, "key", nil))
 	defer ts.Close()
 
 	var wg sync.WaitGroup

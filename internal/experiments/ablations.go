@@ -215,12 +215,13 @@ func AblationGaussian(cfg Config) (*Figure, error) {
 // Ablations maps ablation IDs to their runners (kept separate from All so
 // `crowdml-bench -fig all` remains exactly the paper's figures).
 var Ablations = map[string]func(Config) (*Figure, error){
-	"ablation-minibatch":  AblationMinibatch,
-	"ablation-schedule":   AblationSchedule,
-	"ablation-projection": AblationProjection,
-	"ablation-stale":      AblationStale,
-	"ablation-gaussian":   AblationGaussian,
-	"ablation-poisoning":  AblationPoisoning,
+	"ablation-minibatch":   AblationMinibatch,
+	"ablation-schedule":    AblationSchedule,
+	"ablation-projection":  AblationProjection,
+	"ablation-stale":       AblationStale,
+	"ablation-gaussian":    AblationGaussian,
+	"ablation-poisoning":   AblationPoisoning,
+	"ablation-distinguish": AblationDistinguish,
 }
 
 // AblationPoisoning quantifies Remark 3 + server-side hardening: the same
@@ -267,5 +268,37 @@ func AblationPoisoning(cfg Config) (*Figure, error) {
 		}
 		fig.Curves = append(fig.Curves, series)
 	}
+	return fig, nil
+}
+
+// AblationDistinguish is Theorem 1 measured: the optimal eavesdropper's
+// accuracy at telling two neighboring minibatches (b = 20) apart from
+// their sanitized gradients, against the bound e^ε/(1+e^ε) that the
+// Laplace mechanism guarantees for any adversary.
+func AblationDistinguish(cfg Config) (*Figure, error) {
+	cfg = cfg.normalized()
+	_, m, err := digitTask(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure{
+		ID:     "ablation-distinguish",
+		Title:  "Eavesdropper distinguishing neighboring minibatches (Theorem 1)",
+		XLabel: "ε", YLabel: "Adversary accuracy",
+	}
+	rounds := scaleInt(100_000, cfg.Scale, 1000)
+	fig.addNote("likelihood-ratio adversary, b=20, %d rounds per ε; bound is e^ε/(1+e^ε)", rounds)
+	adversary, bound := metrics.Series{Name: "adversary"}, metrics.Series{Name: "bound"}
+	for _, eps := range []privacy.Eps{1, 2, 10} {
+		res, err := attack.RunDistinguish(attack.DistinguishConfig{
+			Model: m, Eps: eps, Batch: 20, Rounds: rounds, Seed: cfg.Seed,
+		})
+		if err != nil {
+			return nil, err
+		}
+		adversary.Append(float64(eps), res.Accuracy)
+		bound.Append(float64(eps), res.Bound)
+	}
+	fig.Curves = append(fig.Curves, adversary, bound)
 	return fig, nil
 }

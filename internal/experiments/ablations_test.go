@@ -120,7 +120,7 @@ func TestAblationGaussianBothLearn(t *testing.T) {
 func TestAblationsRegistry(t *testing.T) {
 	want := []string{
 		"ablation-minibatch", "ablation-schedule", "ablation-projection",
-		"ablation-stale", "ablation-gaussian",
+		"ablation-stale", "ablation-gaussian", "ablation-distinguish",
 	}
 	for _, id := range want {
 		if Ablations[id] == nil {

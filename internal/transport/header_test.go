@@ -170,6 +170,7 @@ func TestCheckoutReplyIsCapped(t *testing.T) {
 	}{
 		{"checkout", func(c *HTTPClient) error { _, err := c.Checkout(context.Background(), "d", "t"); return err }},
 		{"stats", func(c *HTTPClient) error { _, err := c.Stats(context.Background()); return err }},
+		{"register", func(c *HTTPClient) error { _, err := c.Register(context.Background(), "d", "k"); return err }},
 	} {
 		body := &endlessBody{guard: wirecodec.MaxPayload + 64<<10}
 		cl := NewHTTPClient("http://mem.invalid", &http.Client{Transport: endlessTransport{body}}).WithTask("alpha")

@@ -98,7 +98,7 @@ func (c *HTTPClient) Register(ctx context.Context, deviceID, enrollKey string) (
 		return "", err
 	}
 	var out registerResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeJSON(resp.Body, &out); err != nil {
 		return "", fmt.Errorf("transport: decode register: %w", err)
 	}
 	return out.Token, nil

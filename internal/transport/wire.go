@@ -381,7 +381,7 @@ func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*cor
 // Content-Type, so negotiation can never strand the client: a server (or
 // proxy) that ignores the Accept header answers JSON and is read as
 // JSON. What a delta client is served becomes its next base without a
-// copy: a full, dense or XOR frame's decoded vector is adopted (base
+// copy: a full or XOR frame's decoded vector is adopted (base
 // XORed in), an empty delta re-serves base's, and only a sparse delta
 // that changes something builds a new one. retry=true means a delta was
 // unusable — wrong base, or it does not decode or apply — and the caller

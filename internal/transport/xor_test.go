@@ -82,17 +82,25 @@ func TestXORDeltaOnlyWhenOptedIn(t *testing.T) {
 // TestUndecodableDeltaRefetchesFull: a delta the client cannot decode or
 // apply is "drop the cache, refetch full" (docs/WIRE.md), never a failed
 // checkout. The handler answers every ?since= request with a bad delta —
-// one carrying a flag bit no frame defines, or an XOR delta for a vector
-// of another length — and full requests normally.
+// one carrying a flag bit no frame defines, an XOR delta for a vector of
+// another length, or the dense delta servers before XOR deltas sent —
+// and full requests normally.
 func TestUndecodableDeltaRefetchesFull(t *testing.T) {
+	reseal := func(b []byte) []byte {
+		return binary.LittleEndian.AppendUint32(b[:len(b)-4], crc32.ChecksumIEEE(b[:len(b)-4]))
+	}
 	params := []float64{1, 2, 3}
 	full := wirecodec.AppendFull(nil, params, 5, false)
 	undefinedFlag := wirecodec.AppendDelta(nil, nil, params, 5, false, 5, true) // the empty delta
 	undefinedFlag[7] |= 0x40
-	undefinedFlag = binary.LittleEndian.AppendUint32(undefinedFlag[:len(undefinedFlag)-4], crc32.ChecksumIEEE(undefinedFlag[:len(undefinedFlag)-4]))
+	undefinedFlag = reseal(undefinedFlag)
 	longer := []float64{1, 2, 3, 4}
 	wrongDims := wirecodec.AppendDelta(nil, longer, nudgeLow(rand.New(rand.NewSource(1)), longer, 4), 5, false, 5, true)
-	for name, delta := range map[string][]byte{"undefined flag": undefinedFlag, "xor for 4 dims": wrongDims} {
+	dense := wirecodec.AppendFull(nil, params, 5, false)
+	dense[5] = wirecodec.KindDelta
+	binary.LittleEndian.PutUint64(dense[16:], 5)
+	dense = reseal(dense)
+	for name, delta := range map[string][]byte{"undefined flag": undefinedFlag, "xor for 4 dims": wrongDims, "dense": dense} {
 		var queries []string
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			queries = append(queries, r.URL.RawQuery)

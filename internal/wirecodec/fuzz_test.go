@@ -22,7 +22,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendDelta(nil, params, randVec(rand.New(rand.NewSource(1)), 5), 9, false, 4, false))
 	f.Add(AppendDelta(nil, nil, params, 9, true, 9, false))
 	// XOR deltas of even and odd length (the odd one ends on a padding
-	// nibble), and the dense delta servers before them sent.
+	// nibble), and the dense delta servers before them sent, which is
+	// refused.
 	for _, n := range []int{5, 4} {
 		f.Add(AppendDelta(nil, params[:n], nudge(params[:n], 2), 9, false, 4, true))
 	}
@@ -62,8 +63,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if fr.Since < 0 || fr.Since > fr.Version {
 				t.Fatalf("inconsistent delta since: %+v", fr)
 			}
-			if fr.Sparse && fr.XOR {
-				t.Fatalf("delta both sparse and XOR: %+v", fr)
+			if fr.Sparse == fr.XOR {
+				t.Fatalf("delta neither or both sparse and XOR: %+v", fr)
 			}
 			if fr.Sparse {
 				if len(fr.Indices) != len(fr.Values) || len(fr.Indices) > fr.Dims {
@@ -79,8 +80,8 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("ApplyDelta rejected a decoded frame: %v", err)
 				}
 			} else if len(fr.Values) != fr.Dims {
-				t.Fatalf("inconsistent dense or XOR delta: %+v", fr)
-			} else if fr.XOR {
+				t.Fatalf("inconsistent XOR delta: %+v", fr)
+			} else {
 				// Against a zero base the words are the vector; encoded
 				// against it again, they are the same bytes when XOR is
 				// still the smallest form.

@@ -17,7 +17,7 @@
 //	              device ID's byte length
 //	24      4     dims (uint32 LE): the full vector length
 //	28      4     count (uint32 LE): payload element count — dims for
-//	              full frames and dense or XOR deltas, pair count for
+//	              full frames and XOR deltas, pair count for
 //	              sparse deltas, label-class count for checkins/journals
 //	32      —     payload
 //	last 4        CRC32-IEEE (uint32 LE) over everything before it
@@ -30,10 +30,10 @@
 // bytes, each holding two coordinates' 4-bit lengths (the even one's in
 // the low nibble, a zero nibble after an odd last one), then for each
 // coordinate that many low-order bytes of Float64bits(new) ^
-// Float64bits(base), the shortest that hold it; a dense delta (read, no
-// longer written) carries dims values like a full frame but keeps the
-// since echo; a checkin frame carries the dims gradient values, then
-// NumSamples and ErrCount as int64s, then count int64 label counts.
+// Float64bits(base), the shortest that hold it; a delta that is neither
+// sparse nor XOR (the dense re-send older servers wrote) is refused; a
+// checkin frame carries the dims gradient values, then NumSamples and
+// ErrCount as int64s, then count int64 label counts.
 //
 // A journal frame is one write-ahead record — the store's at-rest format
 // and the replication feed's unit. Its payload is five 8-byte scalars
@@ -71,8 +71,7 @@ const (
 	// KindFull is a complete parameter vector at one iteration.
 	KindFull = 1
 	// KindDelta is a change set against the base iteration in since:
-	// sparse (index, value) pairs, every value XORed with the base, or
-	// (from older servers) a dense re-send of every value.
+	// sparse (index, value) pairs, or every value XORed with the base.
 	KindDelta = 2
 	// KindCheckin is a device's sanitized gradient contribution.
 	KindCheckin = 3
@@ -86,8 +85,7 @@ const (
 const (
 	// FlagDone mirrors CheckoutResponse.Done: the task has stopped.
 	FlagDone = 1 << 1
-	// FlagSparse marks a delta payload of (index, value) pairs instead
-	// of a dense value re-send.
+	// FlagSparse marks a delta payload of (index, value) pairs.
 	FlagSparse = 1 << 2
 	// FlagEOS marks the header-only journal frame that ends a feed.
 	FlagEOS = 1 << 3
@@ -132,10 +130,10 @@ type Frame struct {
 	Since int
 	// Dims is the full vector length.
 	Dims int
-	// Values holds the payload float64s: the full vector (KindFull,
-	// dense KindDelta), the new values at the changed coordinates
-	// (sparse KindDelta), the XOR words as bit patterns (XOR KindDelta,
-	// until ApplyDelta), or the gradient (KindCheckin, KindJournal).
+	// Values holds the payload float64s: the full vector (KindFull), the
+	// new values at the changed coordinates (sparse KindDelta), the XOR
+	// words as bit patterns (XOR KindDelta, until ApplyDelta turns them
+	// into the full vector), or the gradient (KindCheckin, KindJournal).
 	Values []float64
 	// Indices are the changed coordinates of a sparse delta, each < Dims.
 	Indices []uint32
@@ -452,20 +450,21 @@ func DecodeInto(fr *Frame, b []byte) error {
 			return fmt.Errorf("%w: delta since %d ahead of version %d", ErrFrame, fr.Since, fr.Version)
 		}
 		switch {
+		case fr.Sparse == fr.XOR:
+			return fmt.Errorf("%w: delta must be sparse or XOR (sparse %v, xor %v)", ErrFrame, fr.Sparse, fr.XOR)
 		case fr.Sparse:
-			if count > fr.Dims || fr.XOR {
-				return fmt.Errorf("%w: sparse delta with %d pairs for %d dims (xor %v)", ErrFrame, count, fr.Dims, fr.XOR)
+			if count > fr.Dims {
+				return fmt.Errorf("%w: sparse delta with %d pairs for %d dims", ErrFrame, count, fr.Dims)
 			}
 			expect = 12 * count
 		case count != fr.Dims:
 			return fmt.Errorf("%w: delta count %d != dims %d", ErrFrame, count, fr.Dims)
-		case fr.XOR:
-			// At least half a byte per coordinate, as many as a dense delta.
+		default:
+			// At least half a byte per coordinate, at most a full frame's
+			// worth of coordinates.
 			if expect = len(b) - HeaderLen - crcLen; expect < (count+1)/2 || count > MaxPayload/8 {
 				return fmt.Errorf("%w: XOR delta of %d bytes for %d dims", ErrFrame, expect, count)
 			}
-		default:
-			expect = 8 * count
 		}
 	case KindCheckin:
 		expect = 8*fr.Dims + 16 + 8*count
@@ -497,24 +496,21 @@ func DecodeInto(fr *Frame, b []byte) error {
 	case KindFull:
 		fr.Values = decodeFloats(scratch, payload, count)
 	case KindDelta:
-		switch {
-		case fr.XOR:
+		if fr.XOR {
 			if fr.Values = sizeFloats(scratch, count); !decodeXOR(fr.Values, b[:len(b)-crcLen]) {
 				return fmt.Errorf("%w: malformed XOR delta payload", ErrFrame)
 			}
-		case fr.Sparse:
-			fr.Indices = make([]uint32, count)
-			fr.Values = sizeFloats(scratch, count)
-			for i := 0; i < count; i++ {
-				idx := binary.LittleEndian.Uint32(payload[12*i:])
-				if int(idx) >= fr.Dims {
-					return fmt.Errorf("%w: sparse index %d out of range [0,%d)", ErrFrame, idx, fr.Dims)
-				}
-				fr.Indices[i] = idx
-				fr.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[12*i+4:]))
+			break
+		}
+		fr.Indices = make([]uint32, count)
+		fr.Values = sizeFloats(scratch, count)
+		for i := 0; i < count; i++ {
+			idx := binary.LittleEndian.Uint32(payload[12*i:])
+			if int(idx) >= fr.Dims {
+				return fmt.Errorf("%w: sparse index %d out of range [0,%d)", ErrFrame, idx, fr.Dims)
 			}
-		default:
-			fr.Values = decodeFloats(scratch, payload, count)
+			fr.Indices[i] = idx
+			fr.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[12*i+4:]))
 		}
 	case KindCheckin:
 		fr.Values = decodeFloats(scratch, payload, fr.Dims)
@@ -609,10 +605,11 @@ func decodeXOR(words []float64, frame []byte) bool {
 }
 
 // ApplyDelta reconstructs the full vector a delta frame describes, at a
-// cost proportional to what changed: a dense delta's own Values, base
-// ignored; an XOR delta's words with base XORed in, in place, leaving the
-// dense delta it equals; base itself for an empty sparse delta; one new
-// vector, base with the changed coordinates overwritten, for any other.
+// cost proportional to what changed: an XOR delta's words with base XORed
+// in, in place, after which the frame is neither sparse nor XOR and a
+// second call hands back the same Values; base itself for an empty sparse
+// delta; one new vector, base with the changed coordinates overwritten,
+// for any other.
 // Each is bit-identical to the server's snapshot at fr.Version, and base
 // is never written: a caller may hold it as an immutable snapshot and
 // treat the result as the next one.

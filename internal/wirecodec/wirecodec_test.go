@@ -98,32 +98,15 @@ func TestEmptySparseDelta(t *testing.T) {
 	}
 }
 
-// TestDenseDeltaDecodes: no encoder writes the dense delta any more —
-// where 12-byte sparse pairs lose to 8 bytes a value, the full frame is
-// sent — but servers before XOR deltas did, so it still decodes (keeping
-// the since echo) and applies without a base.
-func TestDenseDeltaDecodes(t *testing.T) {
+// TestDenseDeltaRefused: the dense delta — a full frame's values under
+// the delta kind, neither sparse nor XOR — is written by no encoder, and
+// servers before XOR deltas were the last to send it. It is refused like
+// any malformed frame, so a device that receives one drops its cache and
+// refetches the full frame.
+func TestDenseDeltaRefused(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	cur := randVec(r, 30)
-	b := denseDelta(cur, 3, 1)
-	fr, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Kind != KindDelta || fr.Sparse {
-		t.Fatalf("want dense delta, got %+v", fr)
-	}
-	if fr.Since != 1 {
-		t.Fatalf("dense delta lost the since echo: %+v", fr)
-	}
-	got, err := ApplyDelta(nil, fr) // dense deltas need no base
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cur {
-		if got[i] != cur[i] {
-			t.Fatalf("value %d: %v != %v", i, got[i], cur[i])
-		}
+	if fr, err := Decode(denseDelta(randVec(r, 30), 3, 1)); !errors.Is(err, ErrFrame) {
+		t.Fatalf("dense delta decoded: %+v, %v", fr, err)
 	}
 }
 

@@ -52,7 +52,7 @@ func TestLeaderHintRetryFromFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaderHub.Close(ctx)
-	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "join"))
+	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "join", nil))
 	defer leaderSrv.Close()
 
 	followerHub := crowdml.NewHub()
@@ -61,7 +61,7 @@ func TestLeaderHintRetryFromFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer followerHub.Close(ctx)
-	followerSrv := httptest.NewServer(crowdml.NewHTTPHandler(followerHub, "join"))
+	followerSrv := httptest.NewServer(crowdml.NewHTTPHandler(followerHub, "join", nil))
 	defer followerSrv.Close()
 
 	entry := crowdml.NewHTTPClient(followerSrv.URL, nil).WithTask("act")
@@ -109,7 +109,7 @@ func TestLeaderHintRetryFromShardedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leaderHub.Close(ctx)
-	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "join"))
+	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "join", nil))
 	defer leaderSrv.Close()
 
 	// The sharded front-end: member 0 follows the leader above, member 1
@@ -129,7 +129,7 @@ func TestLeaderHintRetryFromShardedMember(t *testing.T) {
 	}
 	defer g.Close(ctx)
 	defer routerHub.Close(ctx)
-	routerSrv := httptest.NewServer(crowdml.NewHTTPHandler(routerHub, "join"))
+	routerSrv := httptest.NewServer(crowdml.NewHTTPHandler(routerHub, "join", nil))
 	defer routerSrv.Close()
 
 	entry := crowdml.NewHTTPClient(routerSrv.URL, nil).WithTask("act")

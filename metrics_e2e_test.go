@@ -85,7 +85,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 	}
 	defer leaderHub.Close(ctx)
 	leader := leaderTask.Server()
-	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandlerWithMetrics(leaderHub, "", leaderReg))
+	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "", leaderReg))
 	defer leaderSrv.Close()
 	leaderClient := crowdml.NewHTTPClient(leaderSrv.URL, nil).WithTask("activity")
 
@@ -109,7 +109,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	followerSrv := httptest.NewServer(crowdml.NewHTTPHandlerWithMetrics(followerHub, "", followerReg))
+	followerSrv := httptest.NewServer(crowdml.NewHTTPHandler(followerHub, "", followerReg))
 	defer followerSrv.Close()
 
 	rep, err := crowdml.NewReplicator(crowdml.ReplicaConfig{

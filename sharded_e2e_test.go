@@ -96,7 +96,7 @@ func TestShardedTierMatchesSingleLeader(t *testing.T) {
 	if _, err := ctlHub.CreateTask(ctx, "act", shardedConfig()); err != nil {
 		t.Fatal(err)
 	}
-	ctlSrv := httptest.NewServer(crowdml.NewHTTPHandler(ctlHub, "join"))
+	ctlSrv := httptest.NewServer(crowdml.NewHTTPHandler(ctlHub, "join", nil))
 	defer ctlSrv.Close()
 
 	// Subject: the same logical task sharded 4 ways, merging fast enough
@@ -109,7 +109,7 @@ func TestShardedTierMatchesSingleLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Stop()
-	shSrv := httptest.NewServer(crowdml.NewHTTPHandler(shHub, "join"))
+	shSrv := httptest.NewServer(crowdml.NewHTTPHandler(shHub, "join", nil))
 	defer shSrv.Close()
 
 	// Concurrent poller: merged iteration must be monotone.
@@ -278,7 +278,7 @@ func TestShardedMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Stop()
-	srv := httptest.NewServer(crowdml.NewHTTPHandlerWithMetrics(h, "join", reg))
+	srv := httptest.NewServer(crowdml.NewHTTPHandler(h, "join", reg))
 	defer srv.Close()
 
 	driveShardedCrowd(t, srv.URL, "act")

@@ -170,7 +170,7 @@ func TestCheckinStageAttribution(t *testing.T) {
 		if _, err := h.CreateTask(ctx, "t", repServerConfig(), crowdml.WithMetrics(reg)); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(crowdml.NewHTTPHandlerWithMetrics(h, "join", reg))
+		srv := httptest.NewServer(crowdml.NewHTTPHandler(h, "join", reg))
 		defer srv.Close()
 		var wg sync.WaitGroup
 		for i := 0; i < 6; i++ {
@@ -243,7 +243,7 @@ func TestCheckinVersionBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := task.Server()
-	hsrv := httptest.NewServer(crowdml.NewHTTPHandler(h, ""))
+	hsrv := httptest.NewServer(crowdml.NewHTTPHandler(h, "", nil))
 	defer hsrv.Close()
 	token, err := srv.RegisterDevice(ctx, "d")
 	if err != nil {
@@ -312,7 +312,7 @@ func TestCheckinStalenessRecount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hsrv := httptest.NewServer(crowdml.NewHTTPHandlerWithMetrics(h, "", reg))
+	hsrv := httptest.NewServer(crowdml.NewHTTPHandler(h, "", reg))
 	defer hsrv.Close()
 	srv := task.Server()
 
