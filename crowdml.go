@@ -466,7 +466,10 @@ type JournalEntry = store.JournalEntry
 // ErrJournalTruncated in its place when the live segment ends in a
 // crash-torn record (every valid entry has been yielded by then). An
 // audit scan (OpenCursor with afterIteration 0) or a restore holds one
-// decoded entry resident at a time, however large the journal is.
+// decoded entry resident at a time, however large the journal is: an
+// entry's Grad and LabelCounts are the cursor's own memory, valid until
+// the next Next or Close (the bufio.Scanner.Bytes rule), so a caller that
+// keeps them copies them. DeviceID is a string of its own.
 type JournalCursor = store.JournalCursor
 
 // SegmentInfo describes one journal segment (FileStore.Segments): its

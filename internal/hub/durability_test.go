@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,8 @@ func readAll(st store.Store) ([]store.JournalEntry, error) {
 		if err != nil {
 			return out, err
 		}
+		// Entries share the cursor's memory until its next Next.
+		e.Grad, e.LabelCounts = slices.Clone(e.Grad), slices.Clone(e.LabelCounts)
 		out = append(out, e)
 	}
 }

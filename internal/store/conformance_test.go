@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -36,6 +37,8 @@ func readJournalTail(st Store, afterIteration int) ([]JournalEntry, error) {
 			// prefix alongside the sentinel.
 			return out, err
 		}
+		// Entries share the cursor's memory until its next Next.
+		e.Grad, e.LabelCounts = slices.Clone(e.Grad), slices.Clone(e.LabelCounts)
 		out = append(out, e)
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"syscall"
 
 	"github.com/crowdml/crowdml/internal/wirecodec"
@@ -33,14 +36,32 @@ const (
 // segmentName names the segment at a chain position (numbered from 1).
 func segmentName(seq int) string { return fmt.Sprintf(segmentPattern, seq) }
 
-// segmentSeq parses a segment name into its sequence number (≥ 1).
+// segmentSeq parses a name segmentName wrote — ten digits, no sign —
+// into its sequence number (≥ 1) without allocating: Segments runs it on
+// every directory entry. Atoi takes a sign; a minus fails seq >= 1.
 func segmentSeq(name string) (int, bool) {
-	var seq int
-	if _, err := fmt.Sscanf(name, segmentPattern, &seq); err != nil || seq < 1 {
+	digits, hasPrefix := strings.CutPrefix(name, segmentPrefix)
+	digits, hasSuffix := strings.CutSuffix(digits, segmentSuffix)
+	if !hasPrefix || !hasSuffix || len(digits) != 10 || digits[0] == '+' {
 		return 0, false
 	}
-	return seq, name == segmentName(seq)
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil && seq >= 1
 }
+
+// scratch is what a journal cursor, feed reader or feed writer stages and
+// decodes frames in. It comes from scratches and goes back on Close (the
+// writer's on WriteEOS), so each follower poll, on both sides, reuses
+// the previous one's.
+type scratch struct {
+	buf []byte
+	fr  wirecodec.Frame
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// errClosed is what a cursor or feed reader returns from Next after Close.
+var errClosed = errors.New("store: Next after Close")
 
 // appendEntry appends e's frame to dst. It retains nothing of e.
 func appendEntry(dst []byte, e *JournalEntry) ([]byte, error) {
@@ -51,9 +72,10 @@ func appendEntry(dst []byte, e *JournalEntry) ([]byte, error) {
 	})
 }
 
-// entryOf moves a decoded journal frame's fields into an entry. Decode
-// allocated the frame's slices, so the entry owns them; empty ones become
-// nil, which is what an entry without them was written from.
+// entryOf moves a decoded journal frame's fields into an entry. The
+// entry's slices alias the frame's, so they last until the frame is
+// decoded into again; empty ones become nil, which is what an entry
+// without them was written from.
 func entryOf(fr *wirecodec.Frame) JournalEntry {
 	e := JournalEntry{
 		AtUnixMillis: fr.AtUnixMillis, DeviceID: fr.DeviceID, Iteration: fr.Iteration,
@@ -91,17 +113,18 @@ type segmentReader struct {
 	// checked, until the next header parses and vouches for its length.
 	hopped int64
 	hdr    [wirecodec.HeaderLen]byte
-	buf    []byte // frame staging, reused
+	sc     *scratch // frame staging and decoding, reused; nil until first needed
 }
 
 // readSegment opens a segment for reading as it is now, accepting
-// iterations from floor up and staging frames in buf.
-func readSegment(f *FileStore, name string, floor int, buf []byte) (fileImage, segmentReader, error) {
+// iterations from floor up and decoding frames in sc (nil: a scratch of
+// its own, made when the first frame is decoded).
+func readSegment(f *FileStore, name string, floor int, sc *scratch) (fileImage, segmentReader, error) {
 	image, size, err := f.fsys.Open(filepath.Join(f.dir, name))
 	if err != nil {
 		return nil, segmentReader{}, err
 	}
-	return image, segmentReader{ra: image, size: size, floor: floor, hopped: -1, buf: buf}, nil
+	return image, segmentReader{ra: image, size: size, floor: floor, hopped: -1, sc: sc}, nil
 }
 
 // next returns the next entry whose iteration exceeds after, or io.EOF
@@ -160,15 +183,20 @@ func (s *segmentReader) frameAt(off int64) (iter, n int, err error) {
 	return iter, n, nil
 }
 
-// decodeAt reads, verifies and decodes the n-byte frame at off.
+// decodeAt reads, verifies and decodes the n-byte frame at off into the
+// reader's scratch frame, which it returns.
 func (s *segmentReader) decodeAt(off int64, n int) (*wirecodec.Frame, error) {
-	if cap(s.buf) < n {
-		s.buf = make([]byte, n)
+	if s.sc == nil {
+		s.sc = new(scratch)
 	}
-	if _, err := s.ra.ReadAt(s.buf[:n], off); err != nil {
+	if cap(s.sc.buf) < n {
+		s.sc.buf = make([]byte, n)
+	}
+	if _, err := s.ra.ReadAt(s.sc.buf[:n], off); err != nil {
 		return nil, fmt.Errorf("read frame at offset %d: %w", off, err)
 	}
-	fr, err := wirecodec.Decode(s.buf[:n])
+	fr := &s.sc.fr
+	err := wirecodec.DecodeInto(fr, s.sc.buf[:n])
 	if err == nil && fr.EOS {
 		err = errors.New("feed end-of-stream marker inside a segment")
 	}
@@ -245,7 +273,7 @@ func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (Journal
 	start := 0
 	if afterIteration > 0 {
 		for i := len(segs) - 1; i >= 0; i-- {
-			image, sr, err := readSegment(f, segs[i].Name, 0, nil)
+			image, sr, err := readSegment(f, segs[i].Name, 0, nil) // headers only
 			if err != nil {
 				continue
 			}
@@ -257,11 +285,14 @@ func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (Journal
 			}
 		}
 	}
-	return &cursor{f: f, segs: segs[start:], after: afterIteration}, nil
+	c := &cursor{f: f, segs: segs[start:], after: afterIteration}
+	c.sr.sc = scratches.Get().(*scratch)
+	return c, nil
 }
 
 // cursor streams a store's segments oldest-first, frame by frame, holding
-// one open segment and one decoded entry at a time. A torn tail on the
+// one open segment and one decoded entry at a time, in a pooled scratch
+// it gives back on Close. A torn tail on the
 // LIVE (newest) segment — the expected artifact of a crash mid-append —
 // ends the stream with ErrJournalTruncated after every valid entry has
 // been yielded; in a sealed segment (which no crash can tear), or with
@@ -298,8 +329,8 @@ func (c *cursor) Next() (JournalEntry, error) {
 		}
 		name := c.segs[c.idx].Name
 		if c.image == nil {
-			// The buffer and the floor carry over: ordering spans segments.
-			image, sr, err := readSegment(c.f, name, c.sr.floor, c.sr.buf)
+			// The scratch and the floor carry over: ordering spans segments.
+			image, sr, err := readSegment(c.f, name, c.sr.floor, c.sr.sc)
 			if errors.Is(err, fs.ErrNotExist) {
 				c.idx++ // raced a concurrent prune; nothing to read here
 				continue
@@ -325,10 +356,15 @@ func (c *cursor) Next() (JournalEntry, error) {
 	}
 }
 
-// Close releases the cursor's open segment, if any.
+// Close releases the cursor's open segment, if any, and its scratch. The
+// latched error keeps a later Next off the scratch's next owner.
 func (c *cursor) Close() error {
 	if c.err == nil {
-		c.err = errors.New("store: cursor closed")
+		c.err = errClosed
+	}
+	if c.sr.sc != nil {
+		scratches.Put(c.sr.sc)
+		c.sr.sc = nil
 	}
 	if c.image != nil {
 		err := c.image.Close()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -45,12 +46,12 @@ func FuzzSegmentCursor(f *testing.F) {
 	// drain reads an image to its end, returning the iterations yielded,
 	// the terminal error and, for a torn tail, where the damage starts.
 	drain := func(t *testing.T, image []byte, after int) (iters []int, tornAt int, err error) {
-		sr := segmentReader{ra: bytes.NewReader(image), size: int64(len(image)), hopped: -1}
+		sr := segmentReader{ra: bytes.NewReader(image), size: int64(len(image)), hopped: -1, sc: new(scratch)}
 		for {
 			e, err := sr.next(after)
 			if err != nil {
-				if cap(sr.buf) > len(image) {
-					t.Fatalf("staged %d bytes for a %d-byte image", cap(sr.buf), len(image))
+				if cap(sr.sc.buf) > len(image) {
+					t.Fatalf("staged %d bytes for a %d-byte image", cap(sr.sc.buf), len(image))
 				}
 				if errors.Is(err, errTorn) && (sr.off < 0 || sr.off >= int64(len(image))) {
 					t.Fatalf("torn offset %d outside the %d-byte image", sr.off, len(image))
@@ -86,4 +87,127 @@ func FuzzSegmentCursor(f *testing.F) {
 				tornAt, again, err, iters)
 		}
 	})
+}
+
+// TestSegmentSeq: a segment name is the prefix, exactly ten digits and
+// the suffix — what segmentName writes, and nothing else. Segments parses
+// every directory entry on every call, so the parse allocates nothing.
+func TestSegmentSeq(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seq  int
+		ok   bool
+	}{
+		{"journal-0000000001.wal", 1, true},
+		{"journal-0000000042.wal", 42, true},
+		{"journal-9999999999.wal", 9999999999, true},
+		{"journal-0000000000.wal", 0, false}, // chains number from 1
+		{"journal-000000001.wal", 0, false},  // nine digits
+		{"journal-00000000001.wal", 0, false},
+		{"journal-+000000001.wal", 0, false},
+		{"journal--000000001.wal", 0, false},
+		{"journal- 000000001.wal", 0, false},
+		{"journal-000000001 .wal", 0, false},
+		{" journal-0000000001.wal", 0, false},
+		{"journal-0000000001.wal ", 0, false},
+		{"journal-0000000001.WAL", 0, false},
+		{"journal-0000000001.jsonl", 0, false},
+		{"journal-0000000001.wal.tmp", 0, false},
+		{"journal-.wal", 0, false},
+		{"0000000001.wal", 0, false},
+		{"journal-0000000001", 0, false},
+		{"segment-0000000001.wal", 0, false},
+		{"checkpoint.ckpt", 0, false},
+	} {
+		if seq, ok := segmentSeq(tc.name); ok != tc.ok || (ok && seq != tc.seq) {
+			t.Errorf("segmentSeq(%q) = %d, %v; want %d, %v", tc.name, seq, ok, tc.seq, tc.ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { segmentSeq("journal-0000000042.wal") }); n != 0 {
+		t.Errorf("segmentSeq allocates %v times, want 0", n)
+	}
+}
+
+// The shape of the follower_reads model: 10 classes × 196 features.
+const modelClasses, modelDim = 10, 196
+
+// modelEntries returns n journal entries of a 10×196 model.
+func modelEntries(n int) []JournalEntry {
+	grad := make([]float64, modelClasses*modelDim)
+	for i := range grad {
+		grad[i] = 0.001 * float64(i%17)
+	}
+	out := make([]JournalEntry, n)
+	for i := range out {
+		out[i] = JournalEntry{
+			DeviceID: "device-0042", Iteration: i + 1, NumSamples: 20, Version: i,
+			Grad: grad, LabelCounts: make([]int, modelClasses),
+		}
+	}
+	return out
+}
+
+// bytesPerRun is the heap bytes one call of f allocates, averaged over
+// runs after a warm-up call, on one P so f's pooled memory stays where
+// the next call looks for it.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestCursorEntryAllocatesNothing: a cursor decodes each entry into its
+// pooled frame, so once the pool is warm a scan of a 10×196 journal —
+// a restore, a feed the leader serves — allocates a few bytes per entry
+// (the device ID) on either file system, not a fresh 15.7 KB gradient.
+func TestCursorEntryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const n = 32
+	disk, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]Store{"FileStore": disk, "MemStore": NewMemStore()} {
+		j, err := st.OpenJournal(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range modelEntries(n) {
+			if err := j.Append(ctx, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		scan := func() {
+			cur, err := st.OpenCursor(ctx, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			for i := 1; ; i++ {
+				e, err := cur.Next()
+				if errors.Is(err, io.EOF) && i == n+1 {
+					return
+				}
+				if err != nil || e.Iteration != i || len(e.Grad) != modelClasses*modelDim {
+					t.Fatalf("%s: entry %d: iteration %d, %d coordinates, %v", name, i, e.Iteration, len(e.Grad), err)
+				}
+			}
+		}
+		if per := bytesPerRun(20, scan) / n; per >= 256 {
+			t.Errorf("%s: a warm cursor allocates %.0f B per entry, want under 256", name, per)
+		} else {
+			t.Logf("%s: %.0f B per entry", name, per)
+		}
+	}
 }

@@ -270,10 +270,12 @@ type Journal interface {
 // called exactly as for any io.Closer, whether or not the stream was
 // drained.
 //
-// Each entry's slices (Grad, LabelCounts) are freshly allocated per
-// Next call, so a caller may retain them — but a caller that does NOT
-// retain them keeps resident memory at O(one entry) however long the
-// journal is, which is the point of the cursor over a slice read.
+// Each entry's slices (Grad, LabelCounts) are the cursor's own memory,
+// valid until the next Next or Close — the bufio.Scanner.Bytes rule — so
+// a scan keeps resident memory at O(one entry) however long the journal
+// is and allocates no model-sized gradient per entry; a caller that keeps
+// an entry past that copies its slices. DeviceID is a fresh string
+// (Replay may make it a registry key).
 type JournalCursor interface {
 	Next() (JournalEntry, error)
 	Close() error

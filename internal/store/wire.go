@@ -18,14 +18,15 @@ var ErrFeedInterrupted = errors.New("store: journal feed interrupted before end-
 
 // FeedWriter encodes a journal cursor onto a wire stream — the leader
 // side of WAL shipping. Entries travel as the wirecodec journal frames
-// the store's segments hold, one write per frame out of a reused buffer,
-// so the feed holds O(one entry) in memory however long the journal is,
-// and the stream doubles as a remote audit scan. A complete response
-// always ends with a header-only EOS frame; its absence tells the reader
-// the connection died mid-stream (ErrFeedInterrupted).
+// the store's segments hold, one write per frame out of a pooled buffer
+// it takes on the first write and gives back on WriteEOS, so the feed
+// holds O(one entry) in memory however long the journal is, and the
+// stream doubles as a remote audit scan. A complete response always ends
+// with a header-only EOS frame; its absence tells the reader the
+// connection died mid-stream (ErrFeedInterrupted).
 type FeedWriter struct {
-	w   io.Writer
-	buf []byte
+	w  io.Writer
+	sc *scratch
 }
 
 // NewFeedWriter returns a writer encoding frames onto w. The caller owns
@@ -35,11 +36,21 @@ func NewFeedWriter(w io.Writer) *FeedWriter {
 	return &FeedWriter{w: w}
 }
 
+// staging returns the writer's scratch, taking one from the pool first
+// if it holds none.
+func (fw *FeedWriter) staging() *scratch {
+	if fw.sc == nil {
+		fw.sc = scratches.Get().(*scratch)
+	}
+	return fw.sc
+}
+
 // WriteEntry encodes one journal entry as a feed frame.
 func (fw *FeedWriter) WriteEntry(e JournalEntry) error {
-	buf, err := appendEntry(fw.buf[:0], &e)
+	sc := fw.staging()
+	buf, err := appendEntry(sc.buf[:0], &e)
 	if err == nil {
-		fw.buf = buf
+		sc.buf = buf
 		_, err = fw.w.Write(buf)
 	}
 	if err != nil {
@@ -52,9 +63,14 @@ func (fw *FeedWriter) WriteEntry(e JournalEntry) error {
 // sender's current iteration counter — it can exceed the last streamed
 // entry's iteration (checkins applied while the feed drained), never
 // trail it — so a follower measures its lag without a second round trip.
+// It gives the writer's buffer back to the pool.
 func (fw *FeedWriter) WriteEOS(leaderIteration int) error {
-	fw.buf = wirecodec.AppendJournalEOS(fw.buf[:0], leaderIteration)
-	if _, err := fw.w.Write(fw.buf); err != nil {
+	sc := fw.staging()
+	sc.buf = wirecodec.AppendJournalEOS(sc.buf[:0], leaderIteration)
+	_, err := fw.w.Write(sc.buf)
+	scratches.Put(sc)
+	fw.sc = nil
+	if err != nil {
 		return fmt.Errorf("store: write feed EOS: %w", err)
 	}
 	return nil
@@ -65,17 +81,19 @@ func (fw *FeedWriter) WriteEOS(leaderIteration int) error {
 // the EOS frame (the clean end: LeaderIteration then reports the
 // sender's iteration counter), or ErrFeedInterrupted when the stream
 // ends, or stops verifying, without one. Like a JournalCursor, after the
-// first non-nil error the reader is exhausted and keeps returning it.
+// first non-nil error the reader is exhausted and keeps returning it, and
+// an entry's Grad and LabelCounts are the reader's own memory, valid
+// until the next Next or Close: a caller that keeps them copies them.
 type FeedReader struct {
 	r               io.Reader
-	buf             []byte // frame staging, reused
+	sc              *scratch // frame staging and decoding, pooled until Close
 	err             error
 	leaderIteration int
 }
 
 // NewFeedReader returns a reader decoding frames from r.
 func NewFeedReader(r io.Reader) *FeedReader {
-	return &FeedReader{r: r}
+	return &FeedReader{r: r, sc: scratches.Get().(*scratch)}
 }
 
 // Next returns the next journal entry from the feed. io.EOF marks the
@@ -85,8 +103,9 @@ func (fr *FeedReader) Next() (JournalEntry, error) {
 	if fr.err != nil {
 		return JournalEntry{}, fr.err
 	}
-	frame, buf, err := wirecodec.ReadJournal(fr.r, fr.buf)
-	fr.buf = buf
+	frame := &fr.sc.fr
+	buf, err := wirecodec.ReadJournal(fr.r, fr.sc.buf, frame)
+	fr.sc.buf = buf
 	switch {
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 		// Raw end of bytes without an EOS frame — between frames or
@@ -109,9 +128,17 @@ func (fr *FeedReader) Next() (JournalEntry, error) {
 // frame; it is meaningful only after Next has returned io.EOF.
 func (fr *FeedReader) LeaderIteration() int { return fr.leaderIteration }
 
-// Close closes the underlying reader when it is an io.Closer (an HTTP
-// response body); for any other reader it does nothing.
+// Close gives the reader's scratch back to the pool and closes the
+// underlying reader when it is an io.Closer (an HTTP response body). A
+// Next after Close returns an error.
 func (fr *FeedReader) Close() error {
+	if fr.err == nil {
+		fr.err = errClosed
+	}
+	if fr.sc != nil {
+		scratches.Put(fr.sc)
+		fr.sc = nil
+	}
 	if c, ok := fr.r.(io.Closer); ok {
 		return c.Close()
 	}

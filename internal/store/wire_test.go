@@ -158,10 +158,12 @@ func TestFeedReaderClose(t *testing.T) {
 	}
 }
 
-// TestFeedWriterGrowsOnce: a feed writer starts every poll from a nil
-// buffer, and a frame's length is known before it is encoded — so the
-// first entry sizes the buffer in one allocation (not a run of append
-// doublings) and every further entry of that shape allocates nothing.
+// TestFeedWriterGrowsOnce: a feed writer that finds the scratch pool
+// empty (these writers never reach WriteEOS, so none gives its scratch
+// back) starts from a nil buffer, and a frame's length is known before it
+// is encoded — so the first entry sizes the buffer in one allocation (not
+// a run of append doublings) and every further entry of that shape
+// allocates nothing.
 func TestFeedWriterGrowsOnce(t *testing.T) {
 	e := JournalEntry{
 		DeviceID: "device-0042", Iteration: 7, NumSamples: 20, Version: 6,
@@ -171,7 +173,7 @@ func TestFeedWriterGrowsOnce(t *testing.T) {
 		if err := NewFeedWriter(io.Discard).WriteEntry(e); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 { // the writer and its buffer
+	}); n > 2 { // the scratch and its buffer
 		t.Errorf("a fresh writer's first entry allocated %v times", n)
 	}
 	fw := NewFeedWriter(io.Discard)
@@ -181,5 +183,86 @@ func TestFeedWriterGrowsOnce(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a further entry of the same shape allocated %v times", n)
+	}
+}
+
+// TestFeedReaderEntryAllocatesNothing: a follower decodes each shipped
+// entry into its reader's pooled frame, so once the pool is warm a poll
+// over a 10×196 model allocates a few bytes per entry (the device ID),
+// not a fresh 15.7 KB gradient.
+func TestFeedReaderEntryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const n = 32
+	var feed bytes.Buffer
+	fw := NewFeedWriter(&feed)
+	for _, e := range modelEntries(n) {
+		if err := fw.WriteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.WriteEOS(n); err != nil {
+		t.Fatal(err)
+	}
+	poll := func() {
+		fr := NewFeedReader(bytes.NewReader(feed.Bytes()))
+		defer fr.Close()
+		for i := 1; ; i++ {
+			e, err := fr.Next()
+			if errors.Is(err, io.EOF) && i == n+1 {
+				return
+			}
+			if err != nil || e.Iteration != i || len(e.Grad) != modelClasses*modelDim {
+				t.Fatalf("entry %d: iteration %d, %d coordinates, %v", i, e.Iteration, len(e.Grad), err)
+			}
+		}
+	}
+	if per := bytesPerRun(20, poll) / n; per >= 256 {
+		t.Errorf("a warm feed reader allocates %.0f B per entry, want under 256", per)
+	} else {
+		t.Logf("%.0f B per entry", per)
+	}
+}
+
+// TestNextAfterCloseIsRefused: Close gives a reader's scratch back to the
+// pool, where the next reader takes it, so a Next after Close must fail
+// without reading — on a journal cursor and on a feed reader alike.
+func TestNextAfterCloseIsRefused(t *testing.T) {
+	entries := feedEntries(t, 3)
+	st := NewMemStore()
+	j, err := st.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feed bytes.Buffer
+	fw := NewFeedWriter(&feed)
+	for _, e := range entries {
+		if err := j.Append(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.WriteEntry(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.WriteEOS(len(entries)); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := st.OpenCursor(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]JournalCursor{"cursor": cur, "feed reader": NewFeedReader(&feed)} {
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("%s: first Next: %v", name, err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		for range 2 {
+			if e, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
+				t.Errorf("%s: Next after Close = %+v, %v; want an error", name, e, err)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -182,6 +183,8 @@ func journalOf(t *testing.T, st store.Store) []store.JournalEntry {
 			t.Fatal(err)
 		}
 		e.AtUnixMillis = 0
+		// Entries share the cursor's memory until its next Next.
+		e.Grad, e.LabelCounts = slices.Clone(e.Grad), slices.Clone(e.LabelCounts)
 		out = append(out, e)
 	}
 }

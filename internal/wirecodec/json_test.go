@@ -261,6 +261,42 @@ func TestDecodeIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoKeepsItsArrays: a pooled frame keeps its Values and
+// LabelCounts arrays through every decode — a checkin, a journal record,
+// and an end-of-stream marker that carries neither — so a warm frame
+// decodes a checkin without allocating.
+func TestDecodeIntoKeepsItsArrays(t *testing.T) {
+	checkin := AppendCheckin(nil, []float64{1, 2, 3}, 4, 5, 6, []int{7, 8}, false)
+	journal, err := AppendJournal(nil, &Frame{Iteration: 9, Values: []float64{-1, -2}, LabelCounts: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr Frame
+	if err := DecodeInto(&fr, checkin); err != nil {
+		t.Fatal(err)
+	}
+	values, counts := &fr.Values[0], &fr.LabelCounts[0]
+	for _, b := range [][]byte{AppendJournalEOS(nil, 10), journal, checkin} {
+		if err := DecodeInto(&fr, b); err != nil {
+			t.Fatal(err)
+		}
+		if cap(fr.Values) == 0 || cap(fr.LabelCounts) == 0 ||
+			&fr.Values[:1][0] != values || &fr.LabelCounts[:1][0] != counts {
+			t.Fatalf("kind %d (EOS %v): the frame's arrays were replaced", fr.Kind, fr.EOS)
+		}
+	}
+	if !sameFloatBits(fr.Values, []float64{1, 2, 3}) || len(fr.LabelCounts) != 2 || fr.LabelCounts[1] != 8 {
+		t.Fatalf("a reused frame decoded %v, %v", fr.Values, fr.LabelCounts)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := DecodeInto(&fr, checkin); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm checkin decode allocates %v times, want 0", n)
+	}
+}
+
 // TestJSONHotPathAllocations pins what the codec is for: encoding into
 // a warm buffer allocates nothing, parsing a checkin into a warm scratch
 // allocates only LabelCounts, and parsing a checkout allocates exactly

@@ -277,9 +277,13 @@ func AppendJournal(dst []byte, fr *Frame) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	// The frame's length is known: a buffer starting from nil (a feed
-	// writer's, one per poll) grows once, not by doubling.
-	dst = slices.Grow(dst, HeaderLen+n+crcLen)
+	// The frame's length is known: a buffer without room (a feed
+	// writer's, when the pool had none to give it) grows once, not by
+	// doubling, and in one allocation even under the race detector, where
+	// slices.Grow takes two.
+	if size := HeaderLen + n + crcLen; cap(dst)-len(dst) < size {
+		dst = append(make([]byte, 0, len(dst)+size), dst...)
+	}
 	start := len(dst)
 	dst = appendHeader(dst, KindJournal, 0, int64(fr.Iteration), int64(len(fr.DeviceID)),
 		uint32(len(fr.Values)), uint32(len(fr.LabelCounts)))
@@ -360,19 +364,19 @@ func JournalFrameLen(hdr []byte) (iteration, frameLen int, err error) {
 // ReadJournal reads one journal frame off a stream — the fixed header
 // first, which sizes the rest before anything is allocated for it —
 // staging it in buf, which it returns (grown if need be) for the next
-// call. io.EOF means the stream ended between frames,
-// io.ErrUnexpectedEOF inside one; a frame that does not verify wraps
-// ErrFrame.
-func ReadJournal(r io.Reader, buf []byte) (*Frame, []byte, error) {
+// call, and decoding it into fr as DecodeInto does. io.EOF means the
+// stream ended between frames, io.ErrUnexpectedEOF inside one; a frame
+// that does not verify wraps ErrFrame. After any error fr is unspecified.
+func ReadJournal(r io.Reader, buf []byte, fr *Frame) ([]byte, error) {
 	if cap(buf) < HeaderLen {
 		buf = make([]byte, HeaderLen, 4096)
 	}
 	if _, err := io.ReadFull(r, buf[:HeaderLen]); err != nil {
-		return nil, buf, err
+		return buf, err
 	}
 	_, n, err := JournalFrameLen(buf[:HeaderLen])
 	if err != nil {
-		return nil, buf, err
+		return buf, err
 	}
 	if cap(buf) < n {
 		buf = append(make([]byte, 0, n), buf[:HeaderLen]...)
@@ -381,10 +385,9 @@ func ReadJournal(r io.Reader, buf []byte) (*Frame, []byte, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, buf, err
+		return buf, err
 	}
-	fr, err := Decode(buf[:n])
-	return fr, buf, err
+	return buf, DecodeInto(fr, buf[:n])
 }
 
 // Decode parses and validates one frame. Every failure wraps ErrFrame:
@@ -401,24 +404,26 @@ func Decode(b []byte) (*Frame, error) {
 }
 
 // DecodeInto is Decode into a caller-supplied Frame, for callers that
-// pool one: fr is overwritten whole, except that Values reuses the
-// backing array fr.Values came in with when it is large enough — the
-// caller must be done with that array's previous contents. After an
-// error fr is unspecified.
+// pool one: fr is overwritten whole, except that Values and LabelCounts
+// keep the backing arrays they came in with — emptied when the frame
+// carries none, reused when large enough — so the caller must be done
+// with their previous contents. After an error fr is unspecified.
 func DecodeInto(fr *Frame, b []byte) error {
 	flags, err := checkEnvelope(b)
 	if err != nil {
 		return err
 	}
-	scratch := fr.Values
+	scratch, counts := fr.Values[:0], fr.LabelCounts[:0]
 	*fr = Frame{
-		Kind:    b[5],
-		Done:    flags&FlagDone != 0,
-		Sparse:  flags&FlagSparse != 0,
-		XOR:     flags&FlagXOR != 0,
-		Version: int(int64(binary.LittleEndian.Uint64(b[8:]))),
-		Since:   int(int64(binary.LittleEndian.Uint64(b[16:]))),
-		Dims:    int(binary.LittleEndian.Uint32(b[24:])),
+		Values:      scratch,
+		LabelCounts: counts,
+		Kind:        b[5],
+		Done:        flags&FlagDone != 0,
+		Sparse:      flags&FlagSparse != 0,
+		XOR:         flags&FlagXOR != 0,
+		Version:     int(int64(binary.LittleEndian.Uint64(b[8:]))),
+		Since:       int(int64(binary.LittleEndian.Uint64(b[16:]))),
+		Dims:        int(binary.LittleEndian.Uint32(b[24:])),
 	}
 	count := int(binary.LittleEndian.Uint32(b[28:]))
 	if fr.Version < 0 || fr.Since < -1 {
@@ -497,13 +502,13 @@ func DecodeInto(fr *Frame, b []byte) error {
 		fr.Values = decodeFloats(scratch, payload, count)
 	case KindDelta:
 		if fr.XOR {
-			if fr.Values = sizeFloats(scratch, count); !decodeXOR(fr.Values, b[:len(b)-crcLen]) {
+			if fr.Values = sized(scratch, count); !decodeXOR(fr.Values, b[:len(b)-crcLen]) {
 				return fmt.Errorf("%w: malformed XOR delta payload", ErrFrame)
 			}
 			break
 		}
 		fr.Indices = make([]uint32, count)
-		fr.Values = sizeFloats(scratch, count)
+		fr.Values = sized(scratch, count)
 		for i := 0; i < count; i++ {
 			idx := binary.LittleEndian.Uint32(payload[12*i:])
 			if int(idx) >= fr.Dims {
@@ -517,10 +522,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 		off := 8 * fr.Dims
 		fr.NumSamples = int(int64(binary.LittleEndian.Uint64(payload[off:])))
 		fr.ErrCount = int(int64(binary.LittleEndian.Uint64(payload[off+8:])))
-		fr.LabelCounts = make([]int, count)
-		for i := 0; i < count; i++ {
-			fr.LabelCounts[i] = int(int64(binary.LittleEndian.Uint64(payload[off+16+8*i:])))
-		}
+		fr.LabelCounts = decodeInts(counts, payload[off+16:], count)
 	case KindJournal:
 		// The header's version and since slots held the iteration and the
 		// device-ID length; the Frame reports them under their own names.
@@ -536,10 +538,7 @@ func DecodeInto(fr *Frame, b []byte) error {
 		fr.ErrCount = int(int64(binary.LittleEndian.Uint64(payload[32:])))
 		fr.Values = decodeFloats(scratch, payload[journalScalars:], fr.Dims)
 		off := journalScalars + 8*fr.Dims
-		fr.LabelCounts = make([]int, count)
-		for i := range fr.LabelCounts {
-			fr.LabelCounts[i] = int(int64(binary.LittleEndian.Uint64(payload[off+8*i:])))
-		}
+		fr.LabelCounts = decodeInts(counts, payload[off:], count)
 		fr.DeviceID = string(payload[off+8*count : off+8*count+idLen])
 	}
 	return nil
@@ -563,19 +562,28 @@ func checkEnvelope(b []byte) (flags uint16, err error) {
 	return binary.LittleEndian.Uint16(b[6:]), nil
 }
 
-// sizeFloats returns scratch resliced to n values when its backing array
-// is large enough, a new (never nil) slice otherwise.
-func sizeFloats(scratch []float64, n int) []float64 {
+// sized returns scratch resliced to n values when its backing array is
+// large enough, a new (never nil) slice otherwise.
+func sized[T any](scratch []T, n int) []T {
 	if scratch == nil || cap(scratch) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return scratch[:n]
 }
 
 func decodeFloats(scratch []float64, payload []byte, n int) []float64 {
-	out := sizeFloats(scratch, n)
+	out := sized(scratch, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
+	}
+	return out
+}
+
+// decodeInts is decodeFloats for the label counts.
+func decodeInts(scratch []int, payload []byte, n int) []int {
+	out := sized(scratch, n)
+	for i := range out {
+		out[i] = int(int64(binary.LittleEndian.Uint64(payload[8*i:])))
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -428,6 +429,8 @@ func drainJournal(t *testing.T, st crowdml.Store) []crowdml.JournalEntry {
 		if err != nil {
 			t.Fatalf("audit read: %v", err)
 		}
+		// Entries share the cursor's memory until its next Next.
+		e.Grad, e.LabelCounts = slices.Clone(e.Grad), slices.Clone(e.LabelCounts)
 		out = append(out, e)
 	}
 }
