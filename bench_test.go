@@ -378,7 +378,7 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // BenchmarkClientDeltaPoll measures the device's side of a delta poll:
 // a WireBinaryDelta client over the in-memory handler. Unchanged is the
-// hot case — the model has not moved, the empty delta re-serves the
+// hot case — the model has not moved, a bodyless 204 re-serves the
 // cached snapshot and nothing the size of the model is allocated; dense
 // follows a checkin that moved every coordinate, where the vector the
 // frame decodes into (XOR words with the base XORed in, or a full
@@ -441,7 +441,7 @@ func BenchmarkCheckinLoopback(b *testing.B) {
 // the device's request, net/http's framing on both ends, the handler's
 // auth, snapshot read and encode, and the device's read and decode.
 // With binary-delta the model does not move while the loop runs, so
-// every poll after the first is answered by the empty delta.
+// every poll after the first is answered by a bodyless 204.
 func BenchmarkCheckoutLoopback(b *testing.B) {
 	for _, wire := range []crowdml.WireFormat{crowdml.WireJSON, crowdml.WireBinaryDelta} {
 		b.Run(wire.String(), func(b *testing.B) {

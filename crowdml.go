@@ -544,9 +544,9 @@ type WireFormat = transport.WireFormat
 
 // Wire formats. WireJSON is the default and the compatibility baseline;
 // WireBinary negotiates the framed little-endian binary protocol
-// (docs/WIRE.md); WireBinaryDelta additionally requests sparse deltas
-// against the client's last checkout, shrinking steady-state polls to a
-// few dozen bytes. A WireBinaryDelta client's Checkout returns its cached
+// (docs/WIRE.md); WireBinaryDelta additionally requests deltas against
+// the client's last checkout, and a bodyless 204 when nothing changed,
+// so a steady-state poll carries no body at all. A WireBinaryDelta client's Checkout returns its cached
 // snapshot itself — CheckoutResponse.Params is then shared and
 // read-only, copy before writing; WireJSON and WireBinary hand out a
 // private slice.

@@ -35,10 +35,21 @@ const (
 const (
 	FormJSON   = iota // the JSON document
 	FormFull          // a full frame
-	FormEmpty         // an empty delta: the caller was current
+	FormEmpty         // an empty delta, or a 204 with no body: the caller was current
 	FormSparse        // a sparse delta
 	FormXOR           // an XOR delta
 )
+
+// The forms of crowdml_checkin_body_bytes, indexing the family
+// Server.CheckinBodies returns: the codec a checkin's body arrived in.
+const (
+	CheckinFormJSON   = iota // the JSON document
+	CheckinFormBinary        // a checkin frame
+)
+
+// bodyBuckets bound a request or response body: 64 B to 64 MiB
+// (wirecodec.MaxPayload).
+var bodyBuckets = []float64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}
 
 const (
 	checkinStageFamily = "crowdml_checkin_stage_seconds"
@@ -66,6 +77,7 @@ var stalenessBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 //	crowdml_checkout_stage_seconds         histogram  + stage: auth | view | encode
 //	crowdml_checkout_body_bytes            histogram  + form: json | full | empty | sparse | xor
 //	crowdml_checkins_applied_total         counter    checkins applied to w
+//	crowdml_checkin_body_bytes             histogram  + form: json | bin
 //	crowdml_checkin_seconds                histogram  checkin latency (Checkin entry → return)
 //	crowdml_checkin_stage_seconds          histogram  + stage: decode | queue_wait | apply | publish | journal | fsync | ack
 //	crowdml_checkin_staleness_iterations   histogram  τ of each live applied checkin
@@ -81,7 +93,7 @@ type ServerMetrics struct {
 	batchSize       *telemetry.Histogram
 	staleness       *telemetry.Histogram
 
-	checkin, checkout, bodies *telemetry.Stages
+	checkin, checkout, bodies, checkinBodies *telemetry.Stages
 
 	rejectedAuth    *telemetry.Counter
 	rejectedBad     *telemetry.Counter
@@ -125,8 +137,9 @@ func NewServerMetrics(reg *telemetry.Registry, task string) *ServerMetrics {
 			"Time one checkout spent in each stage, in seconds.",
 			[]string{"auth", "view", "encode"}, t),
 		bodies: reg.Family("crowdml_checkout_body_bytes", "Checkout response body size in bytes, by form.", "form",
-			[]string{"json", "full", "empty", "sparse", "xor"},
-			[]float64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20}, t), // 64 B to 64 MiB (wirecodec.MaxPayload)
+			[]string{"json", "full", "empty", "sparse", "xor"}, bodyBuckets, t),
+		checkinBodies: reg.Family("crowdml_checkin_body_bytes", "Applied checkin request body size in bytes, by codec.", "form",
+			[]string{"json", "bin"}, bodyBuckets, t),
 		rejectedAuth:    rejected("auth"),
 		rejectedBad:     rejected("bad_request"),
 		rejectedStopped: rejected("stopped"),
@@ -161,6 +174,10 @@ func (s *Server) Stages() (checkin, checkout *telemetry.Stages) {
 // CheckoutBodies returns the family, indexed by form, the transport
 // observes each checkout's body size in; nil without metrics.
 func (s *Server) CheckoutBodies() *telemetry.Stages { return s.cfg.Metrics.bodies }
+
+// CheckinBodies returns the family, indexed by CheckinForm…, the transport
+// observes each applied checkin's body size in; nil without metrics.
+func (s *Server) CheckinBodies() *telemetry.Stages { return s.cfg.Metrics.checkinBodies }
 
 // RingMetrics holds the pre-bound handles a SnapshotRing counts into —
 // the one place a Server's and a shard.Group's snapshots are published

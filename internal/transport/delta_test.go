@@ -288,13 +288,14 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 }
 
 // TestSinceParamMatchesQueryParsing: reading "since=<digits>" (and the
-// "&xor=1" opt-in after it) in place is an optimisation of url.Values,
-// not a second grammar — every query string gets the value and the
-// opt-in, or the refusal, the general parser gives it.
+// "&xor=1" or "&xor=2" opt-in after it) in place is an optimisation of
+// url.Values, not a second grammar — every query string gets the value
+// and the opt-in level, or the refusal, the general parser gives it: the
+// first xor value, exactly "1" or "2", else none.
 func TestSinceParamMatchesQueryParsing(t *testing.T) {
-	viaValues := func(rawQuery string) (int, bool, bool) {
+	viaValues := func(rawQuery string) (int, int, bool) {
 		q, _ := url.ParseQuery(rawQuery)
-		raw, xor := q.Get("since"), q.Get("xor") == "1"
+		raw, xor := q.Get("since"), map[string]int{"1": optInXOR, "2": optInBodyless}[q.Get("xor")]
 		if raw == "" {
 			return -1, xor, true
 		}
@@ -307,6 +308,9 @@ func TestSinceParamMatchesQueryParsing(t *testing.T) {
 		"since=1&x=2", "x=2&since=3", "since=1&since=2", "since=1;x", "Since=1", "since=１", "since= 1", "sinc=1",
 		"since=4&xor=1", "xor=1&since=4", "since=4&xor=0", "since=4&xor=1&x=2", "since=4&xor=1&xor=1",
 		"since=4&xor=2&xor=1", "since=4&XOR=1", "since=&xor=1", "since=abc&xor=1", "&xor=1", "xor=1", "since=4&&xor=1",
+		"since=4&xor=2", "xor=2&since=4", "since=4&xor=3", "since=4&xor=", "since=4&xor=22", "since=4&xor=%32", "since=4&xor=2;x",
+		"since=4&xor=+2", "since=4&xor=2&x=1", "since=4&xor=1&xor=2", "since=4&xor=3&xor=2", "since=4&xor=2&xor=3",
+		"since=4&xor=2&xor=%zz", "since=4&xor=2&since=5", "since=&xor=2", "since=-1&xor=2", "xor=2", "XOR=2&since=4",
 	} {
 		want, wantXOR, ok := viaValues(rawQuery)
 		got, xor, err := sinceParam(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
@@ -319,7 +323,10 @@ func TestSinceParamMatchesQueryParsing(t *testing.T) {
 			t.Errorf("%q: refusal %v does not map to 400", rawQuery, err)
 		}
 	}
-	for _, rawQuery := range []string{"since=123456", "since=123456&xor=1"} {
+	for _, rawQuery := range []string{
+		"since=123456", "since=123456&xor=1", "since=123456&xor=2", "since=123456&xor=3",
+		"since=123456&xor=1&xor=2", "since=123456&xor=2&xor=2",
+	} {
 		r := &http.Request{URL: &url.URL{RawQuery: rawQuery}}
 		if n := testing.AllocsPerRun(20, func() { _, _, _ = sinceParam(r) }); n != 0 {
 			t.Errorf("%s allocated %v times", rawQuery, n)

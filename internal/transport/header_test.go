@@ -80,7 +80,7 @@ func TestDeviceRequestHeaderDeclaresIdentity(t *testing.T) {
 		"GET /v1/tasks/alpha/checkout",
 		"POST /v1/tasks/alpha/checkin",
 		"POST /v1/tasks/alpha/checkin",
-		"GET /v1/tasks/alpha/checkout?since=0&xor=1",
+		"GET /v1/tasks/alpha/checkout?since=0&xor=2",
 		"HEAD /v1/tasks/alpha/checkout",
 	}
 	if len(got) != len(routes) {

@@ -217,8 +217,9 @@ func (h *Handler) handleCheckin(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.Header.Get(headerDeviceID)
 	if owner := e.Owner(id); !rejectReadOnly(w, owner) {
-		ci, _ := owner.Server().Stages()
-		serveCheckin(w, r, backend(e), id, ci)
+		srv := owner.Server()
+		ci, _ := srv.Stages()
+		serveCheckin(w, r, backend(e), id, ci, srv.CheckinBodies())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
 	"github.com/crowdml/crowdml/internal/telemetry"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // scrape fetches PathMetrics from the test server and returns the body.
@@ -195,8 +196,40 @@ func TestCheckoutBodyObservationAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { bodies.Observe(form, 3293) }); n != 0 {
 			t.Errorf("observing a %s body allocates %.0f times, want 0", name, n)
 		}
-		if n, sum := bodyBytes(t, reg, "alpha", name); n != 101 || sum != 101*3293 {
+		if n, sum := bodyBytes(t, reg, "crowdml_checkout_body_bytes", "alpha", name); n != 101 || sum != 101*3293 {
 			t.Errorf("%s: %.0f observations summing %.0f, want 101 of 3293", name, n, sum)
+		}
+	}
+}
+
+// TestCheckinBodyBytesByCodec: each applied checkin is one sample of
+// crowdml_checkin_body_bytes under the codec it arrived in, sized exactly
+// as its encoder wrote it; a refused one is none.
+func TestCheckinBodyBytesByCodec(t *testing.T) {
+	const checkins = 3
+	reg := telemetry.NewRegistry()
+	hd, srv := newHandler(t, 10, 50, hub.WithMetrics(reg))
+	ts, token := serveLoopback(t, hd, srv)
+	req := wideCheckin(50)
+	jsonBody, err := wirecodec.AppendCheckinJSON(nil, req.Grad, req.Version, req.NumSamples, req.ErrCount, req.LabelCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wirecodec.AppendCheckin(nil, req.Grad, req.Version, req.NumSamples, req.ErrCount, req.LabelCounts, false)
+	cl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
+	for _, wire := range []WireFormat{WireJSON, WireBinary} {
+		for i := 0; i < checkins; i++ {
+			if err := cl.WithWire(wire).Checkin(context.Background(), "d1", token, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := cl.Checkin(context.Background(), "d1", "forged", req); err == nil {
+		t.Fatal("a forged token was applied")
+	}
+	for form, size := range map[string]int{"json": len(jsonBody), "bin": len(frame)} {
+		if n, sum := bodyBytes(t, reg, "crowdml_checkin_body_bytes", "alpha", form); n != checkins || sum != float64(checkins*size) {
+			t.Errorf("form=%s: %.0f samples summing %.0f, want %d of %d bytes", form, n, sum, checkins, size)
 		}
 	}
 }

@@ -38,9 +38,9 @@ const (
 	WireJSON WireFormat = iota
 	// WireBinary negotiates binary frames for checkout and checkin.
 	WireBinary
-	// WireBinaryDelta additionally sends ?since=N on checkouts, so an
-	// up-to-date poller downloads a ~36-byte empty delta instead of the
-	// full parameter vector.
+	// WireBinaryDelta additionally sends ?since=N&xor=2 on checkouts, so
+	// a poller is sent what changed, and an up-to-date one a bodyless
+	// 204, instead of the full parameter vector.
 	WireBinaryDelta
 )
 
@@ -162,25 +162,39 @@ var (
 	_ deviceBackend = hub.ShardRouter(nil)
 )
 
+// The opt-in levels a checkout's xor parameter names: optInLevels maps
+// the values that opt in, and any other value, or none, is optInNone.
+const (
+	optInNone     = iota
+	optInXOR      // xor=1: XOR deltas welcome
+	optInBodyless // xor=2: XOR deltas, and a 204 No Content when the base is current
+)
+
+var optInLevels = map[string]int{"1": optInXOR, "2": optInBodyless}
+
 // sinceParam reads the delta base off a checkout's query string (-1
-// when absent) and whether it opts in to XOR deltas with xor=1, without
-// which none is sent. The shape clients send, "since=<digits>" and maybe
-// "&xor=1", is read in place; anything else takes the url.Values route,
-// so what is accepted and what is refused did not change.
-func sinceParam(r *http.Request) (since int, xor bool, err error) {
-	raw, xor := strings.CutSuffix(r.URL.RawQuery, "&xor=1")
-	if digits, ok := strings.CutPrefix(raw, "since="); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
-		raw = digits
+// when absent) and its opt-in level, without which no XOR delta and no
+// bodyless answer is sent. The shape clients send, "since=<digits>" and
+// maybe "&xor=" and a value, is read in place — only the first xor
+// counts, as with url.Values, and a value url.Values would unescape is
+// not read here; anything else takes the url.Values route, so what is
+// accepted and what is refused did not change.
+func sinceParam(r *http.Request) (since, optIn int, err error) {
+	raw, rest, _ := strings.Cut(r.URL.RawQuery, "&xor=")
+	v, _, _ := strings.Cut(rest, "&")
+	digits, ok := strings.CutPrefix(raw, "since=")
+	if ok && digits != "" && strings.Trim(digits, "0123456789") == "" && !strings.ContainsAny(v, "%+;") {
+		raw, optIn = digits, optInLevels[v]
 	} else {
 		q := r.URL.Query()
-		if raw, xor = q.Get("since"), q.Get("xor") == "1"; raw == "" {
-			return -1, xor, nil
+		if raw, optIn = q.Get("since"), optInLevels[q.Get("xor")]; raw == "" {
+			return -1, optIn, nil
 		}
 	}
 	if since, err = strconv.Atoi(raw); err != nil || since < 0 {
-		return 0, false, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
+		return 0, optInNone, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
 	}
-	return since, xor, nil
+	return since, optIn, nil
 }
 
 // bodyForm reads a checkout frame's core.Form… off its header.
@@ -202,19 +216,21 @@ func bodyForm(frame []byte) int {
 // snapshots into one pooled buffer — after which the snapshots are
 // released for reuse — and leaves with a Content-Length; the encode is
 // the checkout's encode stage, lapped into co, and its size is observed
-// in bodies by form. Errors flow
-// through writeError — the JSON envelope, which a binary client tells
-// apart by Content-Type — and an encoder that refuses (a non-finite
-// parameter has no JSON form) fails before anything is written: 500,
-// never a 200 with half a body.
+// in bodies by form. A client that opted in with xor=2 and is current on
+// a task still learning gets 204 No Content instead of the empty delta:
+// no buffer, no header map, observed as an empty form of 0 bytes. Errors
+// flow through writeError — the JSON envelope, which a binary client
+// tells apart by Content-Type — and an encoder that refuses (a
+// non-finite parameter has no JSON form) fails before anything is
+// written: 500, never a 200 with half a body.
 func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co, bodies *telemetry.Stages) {
 	binary := negotiate(r)
-	since, xor := -1, false
+	since, optIn := -1, optInNone
 	if binary {
 		// Absent means a full frame; a malformed value is the client's
 		// error: 400.
 		var err error
-		if since, xor, err = sinceParam(r); err != nil {
+		if since, optIn, err = sinceParam(r); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -225,10 +241,17 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, dev
 		return
 	}
 	start := co.Start()
+	if optIn == optInBodyless && d.Since == d.Version && d.Base == nil && !d.Done {
+		d.Release()
+		co.Lap(core.StageEncode, start)
+		bodies.Observe(core.FormEmpty, 0)
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
 	buf, contentType, form := getBuf(), "application/json", core.FormJSON
 	defer buf.put()
 	if binary {
-		buf.b = wirecodec.AppendDelta(buf.b, d.Base, d.Params, d.Version, d.Done, d.Since, xor)
+		buf.b = wirecodec.AppendDelta(buf.b, d.Base, d.Params, d.Version, d.Done, d.Since, optIn != optInNone)
 		contentType, form = ContentTypeBinary, bodyForm(buf.b)
 	} else {
 		buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done)
@@ -259,11 +282,16 @@ type checkinScratch struct {
 var checkinScratches = sync.Pool{New: func() any { return new(checkinScratch) }}
 
 // serveCheckin decodes a checkin in the negotiated codec and applies it.
-// Its decode stage is observed in ci once the checkin has been applied.
-func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, ci *telemetry.Stages) {
+// Once it has been applied, its decode stage is observed in ci and its
+// body's size in bodies, by codec.
+func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, ci, bodies *telemetry.Stages) {
 	start := ci.Start()
 	sc := checkinScratches.Get().(*checkinScratch)
-	req, err := decodeCheckin(r, sc)
+	form := core.CheckinFormJSON
+	if negotiate(r) {
+		form = core.CheckinFormBinary
+	}
+	req, n, err := decodeCheckin(r, form == core.CheckinFormBinary, sc)
 	decoded := ci.Start()
 	if err == nil {
 		err = be.Checkin(r.Context(), deviceID, r.Header.Get(headerToken), req)
@@ -280,36 +308,37 @@ func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, devi
 		return
 	}
 	ci.Span(core.StageDecode, start, decoded)
+	bodies.Observe(form, float64(n))
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// decodeCheckin reads and decodes a checkin body into sc; the request
-// it returns aliases sc. Every malformed payload — bad JSON, a
-// truncated or corrupted frame, the wrong frame kind — wraps
-// core.ErrBadCheckin, so the handler's error mapping yields 400, never
-// 500. JSON the hot-path parser declines is json.Unmarshal's, as every
-// JSON body used to be: what it accepts and how its errors read did not
-// change.
-func decodeCheckin(r *http.Request, sc *checkinScratch) (*core.CheckinRequest, error) {
+// decodeCheckin reads a checkin body and decodes it, as a frame when
+// binary, into sc; the request it returns aliases sc, and n is the
+// body's length. Every malformed payload — bad JSON, a truncated or
+// corrupted frame, the wrong frame kind — wraps core.ErrBadCheckin, so
+// the handler's error mapping yields 400, never 500. JSON the hot-path
+// parser declines is json.Unmarshal's, as every JSON body used to be:
+// what it accepts and how its errors read did not change.
+func decodeCheckin(r *http.Request, binary bool, sc *checkinScratch) (req *core.CheckinRequest, n int, err error) {
 	buf, err := readAllPooled(http.MaxBytesReader(nil, r.Body, wirecodec.MaxPayload))
 	defer buf.put()
 	if err != nil {
-		return nil, fmt.Errorf("read checkin body: %v: %w", err, core.ErrBadCheckin)
+		return nil, 0, fmt.Errorf("read checkin body: %v: %w", err, core.ErrBadCheckin)
 	}
-	fr := &sc.fr
-	if negotiate(r) {
+	n, fr := len(buf.b), &sc.fr
+	if binary {
 		if err := wirecodec.DecodeInto(fr, buf.b); err != nil {
-			return nil, fmt.Errorf("%v: %w", err, core.ErrBadCheckin)
+			return nil, n, fmt.Errorf("%v: %w", err, core.ErrBadCheckin)
 		}
 		if fr.Kind != wirecodec.KindCheckin {
-			return nil, fmt.Errorf("frame kind %d is not a checkin: %w", fr.Kind, core.ErrBadCheckin)
+			return nil, n, fmt.Errorf("frame kind %d is not a checkin: %w", fr.Kind, core.ErrBadCheckin)
 		}
 	} else if !wirecodec.ParseCheckinJSON(buf.b, fr) {
-		req := new(core.CheckinRequest)
+		req = new(core.CheckinRequest)
 		if err := json.Unmarshal(buf.b, req); err != nil {
-			return nil, fmt.Errorf("bad JSON: %v: %w", err, core.ErrBadCheckin)
+			return nil, n, fmt.Errorf("bad JSON: %v: %w", err, core.ErrBadCheckin)
 		}
-		return req, nil
+		return req, n, nil
 	}
 	sc.req = core.CheckinRequest{
 		Grad:        fr.Values,
@@ -318,7 +347,7 @@ func decodeCheckin(r *http.Request, sc *checkinScratch) (*core.CheckinRequest, e
 		LabelCounts: fr.LabelCounts,
 		Version:     fr.Version,
 	}
-	return &sc.req, nil
+	return &sc.req, n, nil
 }
 
 // --- client side ---
@@ -377,15 +406,15 @@ func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*cor
 }
 
 // checkoutOnce performs one checkout round trip — a delta against base,
-// XOR deltas welcome, when there is one — and decodes the answer by its
-// Content-Type, so negotiation can never strand the client: a server (or
-// proxy) that ignores the Accept header answers JSON and is read as
-// JSON. What a delta client is served becomes its next base without a
-// copy: a full or XOR frame's decoded vector is adopted (base
-// XORed in), an empty delta re-serves base's, and only a sparse delta
-// that changes something builds a new one. retry=true means a delta was
-// unusable — wrong base, or it does not decode or apply — and the caller
-// should refetch a full frame.
+// XOR deltas and a bodyless answer welcome, when there is one — and
+// decodes the answer by its Content-Type, so negotiation can never
+// strand the client: a server (or proxy) that ignores the Accept header
+// answers JSON and is read as JSON. What a delta client is served
+// becomes its next base without a copy: a full or XOR frame's decoded
+// vector is adopted (base XORed in), a 204 or an empty delta re-serves
+// base's, and only a sparse delta that changes something builds a new
+// one. retry=true means a delta was unusable — wrong base, or it does
+// not decode or apply — and the caller should refetch a full frame.
 func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, base *clientSnapshot) (*core.CheckoutResponse, bool, error) {
 	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
 	url, err := c.endpoint("checkout")
@@ -397,7 +426,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 		hdr.Set("Accept", ContentTypeBinary)
 		if base != nil {
 			since = base.version
-			url += "?since=" + strconv.Itoa(since) + "&xor=1"
+			url += "?since=" + strconv.Itoa(since) + "&xor=2"
 		}
 	}
 	resp, err := c.do(ctx, http.MethodGet, url, hdr)
@@ -409,6 +438,14 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 		// Errors are always the JSON envelope; checkStatus already read
 		// it — the decoders below never see an error body.
 		return nil, false, err
+	}
+	if resp.StatusCode == http.StatusNoContent {
+		// Nothing changed since base, so there is nothing to decode. A
+		// request that named no base has no model to re-serve.
+		if base == nil {
+			return nil, false, fmt.Errorf("transport: checkout answered %d without a base to re-serve", resp.StatusCode)
+		}
+		return &core.CheckoutResponse{Params: base.params, Version: base.version}, false, nil
 	}
 	buf, err := readAllPooled(resp.Body)
 	defer buf.put()

@@ -119,22 +119,22 @@ func TestUndecodableDeltaRefetchesFull(t *testing.T) {
 			}
 		}
 		ts.Close()
-		if want := []string{"", "since=5&xor=1", ""}; !reflect.DeepEqual(queries, want) {
+		if want := []string{"", "since=5&xor=2", ""}; !reflect.DeepEqual(queries, want) {
 			t.Errorf("%s: queries %q, want %q", name, queries, want)
 		}
 	}
 }
 
-// bodyBytes reads crowdml_checkout_body_bytes' count and sum for one
-// task and form off reg's exposition.
-func bodyBytes(t *testing.T, reg *telemetry.Registry, task, form string) (count, sum float64) {
+// bodyBytes reads a body family's count and sum for one task and form
+// off reg's exposition.
+func bodyBytes(t *testing.T, reg *telemetry.Registry, family, task, form string) (count, sum float64) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, PathMetrics, nil))
 	labels := fmt.Sprintf(`{task=%q,form=%q} `, task, form)
 	for sc := bufio.NewScanner(rec.Body); sc.Scan(); {
 		for suffix, v := range map[string]*float64{"_count": &count, "_sum": &sum} {
-			if rest, ok := strings.CutPrefix(sc.Text(), "crowdml_checkout_body_bytes"+suffix+labels); ok {
+			if rest, ok := strings.CutPrefix(sc.Text(), family+suffix+labels); ok {
 				n, err := strconv.ParseFloat(rest, 64)
 				if err != nil {
 					t.Fatal(err)
@@ -197,7 +197,7 @@ func TestXORDeltaLoopback(t *testing.T) {
 	if co.Version != 200 || view.Version != 200 || !bitEqual(co.Params, view.Params) {
 		t.Fatalf("client at %d, server at %d: snapshots differ", co.Version, view.Version)
 	}
-	n, sum := bodyBytes(t, reg, "alpha", "xor")
+	n, sum := bodyBytes(t, reg, "crowdml_checkout_body_bytes", "alpha", "xor")
 	if fullFrame := float64(wirecodec.HeaderLen + 8*classes*dim + 4); n < 100 || sum/n >= fullFrame {
 		t.Fatalf("%.0f XOR deltas of %.0f bytes on average, want most polls and under the full frame's %.0f", n, sum/n, fullFrame)
 	}

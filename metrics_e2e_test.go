@@ -159,6 +159,8 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		// what each checkout's body carried, by form
 		`crowdml_checkout_body_bytes_bucket{task="activity",form="json"`,
 		`crowdml_checkout_body_bytes_count{task="activity",form="xor"}`,
+		// and what each applied checkin's body carried, by codec
+		`crowdml_checkin_body_bytes_count{task="activity",form="json"}`,
 		// the snapshot ring both read and write path go through
 		`crowdml_snapshots_published_total{task="activity",source="recycled"}`,
 		`crowdml_snapshots_published_total{task="activity",source="allocated"}`,
