@@ -23,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1022,118 +1021,6 @@ func BenchmarkFollowerReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// ---- Sharded leader tier (internal/shard) ----
-
-// shardBenchConfig is the model the sharded checkin bench runs: a
-// dimension large enough that the serialized O(C·D) parameter update —
-// the cost partitioning is meant to parallelize — dominates the
-// per-checkin bookkeeping.
-func shardBenchConfig() crowdml.ServerConfig {
-	return crowdml.ServerConfig{
-		Model:   crowdml.NewLogisticRegression(mnistClasses, 2000),
-		Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 1}, 0),
-	}
-}
-
-// BenchmarkShardedCheckinParallel measures concurrent checkin throughput
-// through the shard router at 1 vs 4 member leaders. Each worker keeps
-// affinity to one pre-registered device (so routing is stable and no
-// tokens rotate mid-run), and the merger is parked on a long interval so
-// the numbers isolate the write path. With one shard every update
-// serializes on a single member's applier; with four, the dominating
-// O(C·D) work spreads over four independent appliers — so the throughput
-// ratio between the two sub-benches approaches min(4, GOMAXPROCS, cores)
-// on a multi-core runner, while a single-core runner measures pure
-// routing overhead instead (there is no second core to spread onto).
-func BenchmarkShardedCheckinParallel(b *testing.B) {
-	const benchShardDevices = 64
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			ctx := context.Background()
-			h := crowdml.NewHub()
-			g, err := crowdml.NewShardedTask(ctx, h, "bench",
-				func(int) crowdml.ServerConfig { return shardBenchConfig() },
-				crowdml.WithShards(shards),
-				crowdml.WithShardMergeInterval(time.Hour))
-			if err != nil {
-				b.Fatal(err)
-			}
-			devices := make([]string, benchShardDevices)
-			tokens := make([]string, benchShardDevices)
-			for i := range devices {
-				devices[i] = fmt.Sprintf("bench-%03d", i)
-				if tokens[i], err = g.Register(ctx, devices[i]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			classes, dim := g.Members()[0].Server().ModelShape()
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(next.Add(1)-1) % benchShardDevices
-				req := &core.CheckinRequest{
-					Grad:        make([]float64, classes*dim),
-					NumSamples:  20,
-					LabelCounts: make([]int, classes),
-				}
-				for pb.Next() {
-					if err := g.Checkin(ctx, devices[i], tokens[i], req); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			g.Stop()
-			if err := h.Close(ctx); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkRouterCheckout measures the merged checkout read path on a
-// 4-shard group: authenticate against the owning member, then one
-// atomic load of the published merged view plus the per-caller copy.
-// It runs the same model shape as BenchmarkCheckoutParallel so the two
-// are directly comparable: the router adds a hash and a pointer load,
-// never a lock, so benchgate holds it to the same envelope as the
-// single-leader read.
-func BenchmarkRouterCheckout(b *testing.B) {
-	ctx := context.Background()
-	h := crowdml.NewHub()
-	g, err := crowdml.NewShardedTask(ctx, h, "bench",
-		func(int) crowdml.ServerConfig {
-			return crowdml.ServerConfig{
-				Model:   crowdml.NewLogisticRegression(mnistClasses, mnistDim),
-				Updater: crowdml.NewSGD(crowdml.InvSqrt{C: 1}, 0),
-			}
-		},
-		crowdml.WithShards(4),
-		crowdml.WithShardMergeInterval(time.Hour))
-	if err != nil {
-		b.Fatal(err)
-	}
-	token, err := g.Register(ctx, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := g.Checkout(ctx, "bench", token); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	g.Stop()
-	if err := h.Close(ctx); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command crowdml-scenario runs named or file-defined deterministic
 // scenarios against the real Crowd-ML server — behind the real HTTP stack
-// (topologies single, follower, sharded) or in process without sockets
+// (topologies single and follower) or in process without sockets
 // (topology inprocess) — and writes a machine-readable JSON report:
 // convergence curve, throughput, churn and rejection counts, and scraped
 // /v1/metrics deltas.

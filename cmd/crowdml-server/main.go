@@ -52,16 +52,6 @@
 // unknown device credentials against the leader once, then caching them
 // — and rejects writes with 409 plus an X-Crowdml-Leader hint.
 //
-// With -shards N (or a per-task "shards" field), a task is split across
-// N member leader tasks ("{id}.shard-{k}", each durable in its own
-// per-member store under -state-dir) behind a routing front-end mounted
-// at the logical ID: writes go to the member owning the device (stable
-// hash of the device ID), merged checkouts and stats serve a
-// periodically rebuilt checkin-count-weighted average ("mergeEveryMs" /
-// -merge-every tunes the cadence). Devices use the same
-// /v1/tasks/{id}/ routes either way; /v1/healthz reports one aggregated
-// row with per-shard sub-rows. See docs/SHARDING.md.
-//
 // -dump-journal <dir> is a one-shot audit mode, not a serving option: it
 // prints the journal segments under a task's store directory (or a
 // retention archive) as one JSON object per line and exits.
@@ -79,6 +69,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -145,20 +136,26 @@ type taskSpec struct {
 	// are never durable locally (a dead follower re-bootstraps from its
 	// leader), so -state-dir is ignored for them.
 	Follow string `json:"follow"`
-	// Shards splits the task across this many member leader tasks
-	// ("{id}.shard-{k}", each with its own WAL/checkpoint lineage under
-	// -state-dir) behind a routing front-end: writes go to the member
-	// owning the device, merged reads are served from a periodically
-	// rebuilt weighted average. 0 (the default) hosts a plain
-	// single-leader task. Incompatible with "follow".
-	Shards int `json:"shards"`
-	// MergeEveryMs sets a sharded task's merger cadence in milliseconds
-	// (0 = the library default).
-	MergeEveryMs int `json:"mergeEveryMs"`
-	// mergeEvery carries the -merge-every flag at full resolution for the
-	// single-task path (unexported: the JSON path uses the millisecond
-	// field above).
-	mergeEvery time.Duration
+}
+
+// parseTasks decodes a -tasks file. A field the spec does not know is
+// refused, not ignored: a misspelled "retenton" would otherwise mean
+// "keep", and a field a release no longer reads ("shards") would start a
+// different task than the file describes.
+func parseTasks(payload []byte) ([]taskSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	var specs []taskSpec
+	if err := dec.Decode(&specs); err != nil {
+		return nil, fmt.Errorf("parse -tasks: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("parse -tasks: data after the task list")
+	}
+	if len(specs) == 0 {
+		return nil, errors.New("-tasks file defines no tasks")
+	}
+	return specs, nil
 }
 
 // parseSyncPolicy maps the -sync flag / syncPolicy JSON field onto a
@@ -188,17 +185,6 @@ func parseRetention(s, archiveDir string) (crowdml.RetentionPolicy, error) {
 	return crowdml.KeepAll, fmt.Errorf("unknown retention policy %q (want keep, prune or archive)", s)
 }
 
-// mergeInterval resolves the sharded merger cadence, preferring the
-// full-resolution flag value over the integer-millisecond JSON field so
-// a sub-millisecond flag is not truncated to zero (0 lets the library
-// default apply).
-func (s taskSpec) mergeInterval() time.Duration {
-	if s.mergeEvery > 0 {
-		return s.mergeEvery
-	}
-	return time.Duration(s.MergeEveryMs) * time.Millisecond
-}
-
 func run() error {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
@@ -224,9 +210,6 @@ func run() error {
 		follow     = flag.String("follow", "", "run as a follower replica of the leader at this base URL (per-task override: the tasks file's \"follow\" field)")
 		followPoll = flag.Duration("follow-poll", 250*time.Millisecond, "how often a caught-up follower re-polls the leader's journal feed")
 
-		shards     = flag.Int("shards", 0, "split the single-task-flags task across this many member leaders behind a routing front-end (0 = plain task; per-task: the tasks file's \"shards\" field)")
-		mergeEvery = flag.Duration("merge-every", 0, "sharded merger cadence (0 = library default; per-task: \"mergeEveryMs\")")
-
 		metricsOn = flag.Bool("metrics", true, "instrument all layers and serve Prometheus telemetry on /v1/metrics")
 
 		dumpDir  = flag.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
@@ -249,7 +232,6 @@ func run() error {
 		Classes: *classes, Dim: *dim, Rate: *rate, Radius: *radius,
 		Tmax: *tmax, TargetError: *rho, SyncPolicy: *syncMode,
 		Retention: *retention, ArchiveDir: *archiveDir,
-		Shards: *shards, mergeEvery: *mergeEvery,
 	}}
 	if *taskLabels != "" {
 		specs[0].Labels = strings.Split(*taskLabels, ",")
@@ -259,14 +241,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("read -tasks: %w", err)
 		}
-		// Fresh slice: Unmarshal into the flag-built one would leak the
+		// A fresh slice: decoding into the flag-built one would leak the
 		// flag defaults into JSON entries that omit those fields.
-		specs = nil
-		if err := json.Unmarshal(payload, &specs); err != nil {
-			return fmt.Errorf("parse -tasks: %w", err)
-		}
-		if len(specs) == 0 {
-			return errors.New("-tasks file defines no tasks")
+		if specs, err = parseTasks(payload); err != nil {
+			return err
 		}
 	}
 
@@ -285,26 +263,9 @@ func run() error {
 			r.Stop()
 		}
 	}()
-	var groups []*crowdml.ShardedTask
-	// Sharded shutdown: stop every merger goroutine; the members flush
-	// like any durable task when the hub closes.
-	defer func() {
-		for _, g := range groups {
-			g.Stop()
-		}
-	}()
 	for _, spec := range specs {
 		if spec.Follow == "" {
 			spec.Follow = *follow
-		}
-		if spec.Shards > 0 {
-			g, err := createShardedTask(ctx, h, spec, *stateDir, *saveEvery, reg)
-			if err != nil {
-				flushHub(h)
-				return err
-			}
-			groups = append(groups, g)
-			continue
 		}
 		r, err := createTask(ctx, h, spec, *stateDir, *saveEvery, *followPoll, reg)
 		if err != nil {
@@ -322,29 +283,10 @@ func run() error {
 	// then finds everything already closed and is a no-op.
 	defer flushHub(h)
 
-	// -preregister enrolls into the first task defined.
-	for i := 0; i < *devices; i++ {
-		id := fmt.Sprintf("device-%03d", i)
-		if specs[0].Shards > 0 {
-			// The router places the credential on the device's owning shard.
-			g := groups[0]
-			token, err := g.Register(ctx, id)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stdout, "registered %s token=%s on task %s (shard %s)\n",
-				id, token, g.LogicalID(), g.Owner(id).ID())
-			continue
-		}
-		task, ok := h.Task(specs[0].ID)
-		if !ok {
-			return fmt.Errorf("-preregister: task %q is not hosted", specs[0].ID)
-		}
-		token, err := task.Server().RegisterDevice(ctx, id)
-		if err != nil {
+	if *devices > 0 {
+		if err := preregister(ctx, os.Stdout, h, specs[0].ID, *devices); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stdout, "registered %s token=%s on task %s\n", id, token, task.ID())
 	}
 
 	mux := http.NewServeMux()
@@ -442,6 +384,30 @@ func dumpCheckpoint(ctx context.Context, out io.Writer, dir string) error {
 	return json.NewEncoder(out).Encode(cp)
 }
 
+// preregister enrolls n devices ("device-000", …) into the task id and
+// prints each token. A follower's registry is not the one its leader
+// authenticates writes against, so a token issued there would be refused
+// wherever the device is sent to write: preregistering on a follower is
+// an error that names the leader.
+func preregister(ctx context.Context, out io.Writer, h *crowdml.Hub, id string, n int) error {
+	task, ok := h.Task(id)
+	if !ok {
+		return fmt.Errorf("-preregister: task %q is not hosted", id)
+	}
+	if task.ReadOnly() {
+		return fmt.Errorf("-preregister: task %s follows %s; register devices on the leader", id, task.LeaderURL())
+	}
+	for i := 0; i < n; i++ {
+		dev := fmt.Sprintf("device-%03d", i)
+		token, err := task.Server().RegisterDevice(ctx, dev)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "registered %s token=%s on task %s\n", dev, token, id)
+	}
+	return nil
+}
+
 // flushHub closes hub durability (final checkpoint + journal close per
 // task) under its own fresh deadline, logging each task's flush error
 // instead of dropping it.
@@ -463,8 +429,7 @@ func flushHub(h *crowdml.Hub) {
 }
 
 // specConfig builds one task's server configuration and portal info
-// from its spec. Every call returns a FRESH config — updaters are
-// stateful, so the sharded path calls this once per member.
+// from its spec.
 func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 	var info crowdml.TaskInfo
 	// Validate the ID before it is used as an on-disk directory name —
@@ -522,89 +487,6 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 		Algorithm:  fmt.Sprintf("%s via privacy-preserving distributed SGD (η(t)=%g/√t)", m.Name(), spec.Rate),
 	}
 	return cfg, info, nil
-}
-
-// createShardedTask builds one sharded logical task: N member leaders
-// ("{id}.shard-{k}") behind a routing front-end mounted under the
-// spec's ID. With a state directory every member is durable in its own
-// per-member store, so a restarted server resumes each shard's lineage.
-func createShardedTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir string, saveEvery time.Duration, reg *crowdml.MetricsRegistry) (*crowdml.ShardedTask, error) {
-	if spec.Follow != "" {
-		return nil, fmt.Errorf("task %s: a sharded task cannot follow a leader (replicate per member instead)", spec.ID)
-	}
-	// Validates the spec (and yields the shared portal info) before any
-	// member exists.
-	_, info, err := specConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	opts := []crowdml.ShardOption{
-		crowdml.WithShards(spec.Shards),
-		crowdml.WithShardInfo(info),
-	}
-	if d := spec.mergeInterval(); d > 0 {
-		opts = append(opts, crowdml.WithShardMergeInterval(d))
-	}
-	if reg != nil {
-		opts = append(opts, crowdml.WithShardMetrics(reg))
-	}
-	if stateDir != "" {
-		sync, err := parseSyncPolicy(spec.SyncPolicy)
-		if err != nil {
-			return nil, fmt.Errorf("task %s: %w", spec.ID, err)
-		}
-		root, err := crowdml.NewFileRoot(stateDir)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts,
-			crowdml.WithShardStores(root),
-			crowdml.WithShardTaskOptions(
-				crowdml.WithCheckpointPolicy(crowdml.CheckpointPolicy{
-					Every:  saveEvery,
-					AfterN: spec.CheckpointAfterN,
-				}),
-				crowdml.WithSyncPolicy(sync)))
-		// Retention resolves per member: each archive destination lives
-		// inside that member's own store directory.
-		retSpec := spec
-		opts = append(opts, crowdml.WithShardMemberTaskOptions(
-			func(k int, memberID string) []crowdml.TaskOption {
-				adir := retSpec.ArchiveDir
-				if adir == "" {
-					adir = filepath.Join(stateDir, memberID, "archive")
-				} else {
-					adir = filepath.Join(retSpec.ArchiveDir, memberID)
-				}
-				ret, err := parseRetention(retSpec.Retention, adir)
-				if err != nil {
-					// Surfaced below: an invalid mode fails the throwaway
-					// parse too.
-					ret = crowdml.KeepAll
-				}
-				return []crowdml.TaskOption{crowdml.WithRetention(ret)}
-			}))
-		if _, err := parseRetention(spec.Retention, ""); err != nil {
-			return nil, fmt.Errorf("task %s: %w", spec.ID, err)
-		}
-	}
-	g, err := crowdml.NewShardedTask(ctx, h, spec.ID, func(int) crowdml.ServerConfig {
-		cfg, _, _ := specConfig(spec)
-		return cfg
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	resumed := 0
-	for _, mt := range g.Members() {
-		resumed += mt.Server().Iteration()
-	}
-	if stateDir != "" && resumed > 0 {
-		log.Printf("task %s: %d shards resumed at merged iteration %d", spec.ID, spec.Shards, resumed)
-	} else {
-		log.Printf("task %s: sharded across %d member leaders", spec.ID, spec.Shards)
-	}
-	return g, nil
 }
 
 // createTask builds one task from its spec and registers it on the hub;

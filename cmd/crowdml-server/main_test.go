@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,5 +96,85 @@ func TestDumpToolsOutput(t *testing.T) {
 		`"gradNorm1":1.25,"grad":[-0.25,0,1,0],"labelCounts":[-2,3],"version":0}` + "\n"
 	if got := journal.String(); got != wantJournal {
 		t.Errorf("-dump-journal:\n got %s\nwant %s", got, wantJournal)
+	}
+}
+
+// TestTasksFileRefusesUnknownFields: a -tasks entry naming a field the
+// spec does not have is refused by name, whether it is a typo or a field
+// this release no longer reads; a well-formed file still parses.
+func TestTasksFileRefusesUnknownFields(t *testing.T) {
+	for _, c := range []struct{ name, payload, field string }{
+		{"removed field", `[{"id": "act", "classes": 3, "dim": 4, "shards": 4}]`, `"shards"`},
+		{"typo", `[{"id": "act", "classes": 3, "dim": 4, "retenton": "prune"}]`, `"retenton"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := parseTasks([]byte(c.payload))
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("parseTasks(%s) = %v, want an error naming %s", c.payload, err, c.field)
+			}
+		})
+	}
+	for _, bad := range []string{``, `[]`, `[{"id": "act"}] [{"id": "b"}]`} {
+		if _, err := parseTasks([]byte(bad)); err == nil {
+			t.Errorf("parseTasks(%q) succeeded", bad)
+		}
+	}
+	specs, err := parseTasks([]byte(`[
+		{"id": "act", "classes": 3, "dim": 4, "retention": "prune", "follow": "http://leader:8080"},
+		{"id": "gest", "model": "svm", "classes": 5, "dim": 8}
+	]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 2 || specs[0].Retention != "prune" || specs[0].Follow != "http://leader:8080" || specs[1].Model != "svm" {
+		t.Errorf("parsed %+v", specs)
+	}
+}
+
+// TestPreregisterRefusesFollower: a follower's registry is not the one
+// its leader checks writes against, so -preregister on a follower task
+// issues no token and names the leader; on a leader task it enrolls and
+// prints each device.
+func TestPreregisterRefusesFollower(t *testing.T) {
+	ctx := context.Background()
+	cfg := func() crowdml.ServerConfig {
+		return crowdml.ServerConfig{
+			Model:   crowdml.NewLogisticRegression(2, 2),
+			Updater: crowdml.NewSGD(crowdml.Constant{C: 1}, 0),
+		}
+	}
+	h := crowdml.NewHub()
+	defer h.Close(ctx)
+	const leader = "http://leader.example:8080"
+	follower, err := h.CreateTask(ctx, "act", cfg(), crowdml.AsReplicaOf(leader))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.CreateTask(ctx, "lead", cfg()); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	err = preregister(ctx, &out, h, "act", 2)
+	if err == nil || !strings.Contains(err.Error(), leader) {
+		t.Fatalf("preregister on a follower = %v, want an error naming %s", err, leader)
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %q for a refused follower", out.String())
+	}
+	if n := len(follower.Server().ExportState().Devices); n != 0 {
+		t.Errorf("follower registry holds %d devices, want 0", n)
+	}
+
+	out.Reset()
+	if err := preregister(ctx, &out, h, "lead", 2); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "registered device-001 token=") || !strings.HasSuffix(lines[1], " on task lead") {
+		t.Errorf("leader preregister printed %q", out.String())
+	}
+	if err := preregister(ctx, &out, h, "missing", 1); err == nil {
+		t.Error("preregister on an unhosted task succeeded")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"github.com/crowdml/crowdml/internal/portal"
 	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/replica"
-	"github.com/crowdml/crowdml/internal/shard"
 	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
 	"github.com/crowdml/crowdml/internal/transport"
@@ -115,9 +114,8 @@ func NewServer(cfg ServerConfig) (*Server, error) { return core.NewServer(cfg) }
 
 // Hub hosts many named learning tasks in one process — the paper's
 // multi-task Web portal design (Section V-A). Its registry is one table
-// under one lock: Resolve answers what an ID serves (a task, or a sharded
-// logical task's router), Hosted lists what the crowd sees, and Progress
-// is the one progress view every endpoint and portal page renders.
+// under one lock: Hosted lists what the crowd sees, and Progress is the
+// one progress view every endpoint and portal page renders.
 type Hub = hub.Hub
 
 // Task is one learning task hosted on a Hub: a Server plus its portal
@@ -586,9 +584,8 @@ type HealthTask = transport.HealthTask
 var ErrReadOnlyReplica = transport.ErrReadOnlyReplica
 
 // LeaderHintError is the client-side image of a 409 that carried an
-// X-Crowdml-Leader hint: the write hit a read-only follower (standalone,
-// or the follower member owning the device in a sharded tier) and
-// Leader names the base URL to retry against. It unwraps to both
+// X-Crowdml-Leader hint: the write hit a read-only follower and Leader
+// names the base URL to retry against. It unwraps to both
 // ErrReadOnlyReplica and ErrStopped.
 type LeaderHintError = transport.LeaderHintError
 
@@ -596,71 +593,6 @@ type LeaderHintError = transport.LeaderHintError
 // by an HTTPClient write, when the server supplied one.
 func LeaderHint(err error) (string, bool) { return transport.LeaderHint(err) }
 
-// ShardedTask is a sharded logical learning task: N member leader tasks
-// (each an ordinary durable task with its own WAL/checkpoint lineage,
-// hosted under "{task}.shard-{k}") behind a routing front-end. Writes —
-// checkin, register — go to the member owning the device (stable FNV
-// hash of the device ID); merged reads — checkout, stats — serve a
-// periodically rebuilt checkin-count-weighted average of the member
-// parameter vectors, published through an atomic pointer so checkouts
-// stay lock-free. Devices address the logical task ID over the same
-// /v1/tasks/{id}/ routes as any task. Build with NewShardedTask; it
-// also implements Transport for in-process devices.
-type ShardedTask = shard.Group
-
-// ShardOption configures NewShardedTask.
-type ShardOption = shard.Option
-
-// NewShardedTask creates the member tasks on the hub, mounts the
-// routing front-end under taskID, and starts the merger. configure is
-// called once per shard and must return a fresh ServerConfig each time
-// (updaters are stateful). With WithShardStores, each member restores
-// its own persisted lineage first — restarting a sharded deployment is
-// calling NewShardedTask again with the same arguments. Shut down with
-// ShardedTask.Close.
-func NewShardedTask(ctx context.Context, h *Hub, taskID string, configure func(shard int) ServerConfig, opts ...ShardOption) (*ShardedTask, error) {
-	return shard.New(ctx, h, taskID, configure, opts...)
-}
-
-// WithShards sets the shard count N (default 1).
-func WithShards(n int) ShardOption { return shard.WithShards(n) }
-
-// WithShardMergeInterval sets the merger cadence (default 100 ms).
-// Merged checkouts trail the shard tier by at most one cadence plus one
-// merge.
-func WithShardMergeInterval(d time.Duration) ShardOption { return shard.WithMergeInterval(d) }
-
-// WithShardStores makes every member durable: member k journals and
-// checkpoints into root's store for "{task}.shard-{k}".
-func WithShardStores(root StoreRoot) ShardOption { return shard.WithStores(root) }
-
-// WithShardInfo sets the logical task's portal metadata; members derive
-// theirs from it.
-func WithShardInfo(info TaskInfo) ShardOption { return shard.WithInfo(info) }
-
-// WithShardTaskOptions appends task options applied identically to
-// every member (checkpoint policy, sync policy, retention, ...).
-func WithShardTaskOptions(opts ...TaskOption) ShardOption { return shard.WithTaskOptions(opts...) }
-
-// WithShardMemberTaskOptions supplies per-member task options — for
-// knobs that must differ per shard, like each member's archive
-// directory.
-func WithShardMemberTaskOptions(f func(shard int, memberID string) []TaskOption) ShardOption {
-	return shard.WithMemberTaskOptions(f)
-}
-
-// WithShardMetrics instruments the tier into reg: the router's sharding
-// series (per-shard routed requests, merge latency and staleness) plus
-// every member's ordinary per-task series.
-func WithShardMetrics(reg *MetricsRegistry) ShardOption { return shard.WithMetrics(reg) }
-
 // Progress is the public progress view of a hosted task — what every
-// listing, stats body, health row and portal page renders. For a sharded
-// task (ShardedTask.MergedStats) it is the merged view: Σ-of-shards
-// iteration, all-shards-stopped flag, and estimates recomputed from
-// summed raw counters.
+// listing, stats body, health row and portal page renders.
 type Progress = hub.Progress
-
-// ShardHealth is one member's sub-row inside a sharded task's healthz
-// entry (HealthTask.Shards).
-type ShardHealth = transport.ShardHealth

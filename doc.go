@@ -169,25 +169,6 @@
 // GET /v1/healthz reports each task's replica state and lag. See
 // docs/REPLICATION.md.
 //
-// # Sharding
-//
-// Replication scales reads; the sharded leader tier scales writes. A
-// logical task created with NewShardedTask(..., WithShards(n)) is
-// partitioned across n member leader tasks ("id.shard-K", each an
-// ordinary durable task — WAL, checkpoints, retention and followers
-// apply per shard unchanged) by stable device-ID hashing.
-// Register and checkin are proxied to the device's owning shard;
-// checkout and stats serve a merged view — member parameter vectors
-// averaged weighted by shard checkin counts, raw crowd counters summed
-// so the Eq. (14) estimates compose exactly — rebuilt on a merge
-// interval and published through an atomic pointer, so reads stay
-// lock-free and the merged iteration is monotone. The HTTP handler
-// routes the existing /v1/tasks/{id}/... paths through the tier, folds
-// members out of listings and healthz (one "sharded" row with
-// per-shard sub-rows), and 409s from follower-role members carry the
-// owning shard's leader hint (LeaderHintError, LeaderHint). See
-// docs/SHARDING.md.
-//
 // # Architecture
 //
 //	Hub     — named-task registry; CreateTask/Task/Resolve/Hosted/CloseTask;
@@ -211,9 +192,6 @@
 //	          task from the leader's checkpoint and tails its journal
 //	          feed, reconnecting on the feed client's RetryPolicy and
 //	          re-bootstrapping on a retention gap.
-//	Shard   — the partitioned leader tier: a device-hash
-//	          ShardMap and a routing/merging Group fronting n member
-//	          tasks behind one logical task ID (NewShardedTask).
 //	HTTP    — task-scoped routes /v1/tasks/{id}/checkout|checkin|stats|
 //	          register|journal|checkpoint plus a /v1/tasks listing and
 //	          /v1/healthz. NewPortalIndex serves the human-facing

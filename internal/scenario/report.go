@@ -43,7 +43,6 @@ type WallClock struct {
 type Report struct {
 	Scenario string   `json:"scenario"`
 	Topology Topology `json:"topology"`
-	Shards   int      `json:"shards,omitempty"`
 	Seed     uint64   `json:"seed"`
 	Devices  int      `json:"devices"`
 	Workers  int      `json:"workers"`
@@ -108,14 +107,13 @@ func (r *Report) JSON() ([]byte, error) {
 // deterministicMetricFamilies is the allowlist of scraped counter
 // families whose deltas are a pure function of the virtual schedule when
 // Workers == 1. Families driven by wall-clock machinery (HTTP request
-// counts inflated by replicator feed polls, merge counts, every
+// counts inflated by replicator feed polls, every
 // *_seconds histogram) are deliberately excluded so same-seed reports
 // stay byte-identical.
 var deterministicMetricFamilies = []string{
 	"crowdml_checkouts_total",
 	"crowdml_checkins_applied_total",
 	"crowdml_checkins_rejected_total",
-	"crowdml_shard_routed_requests_total",
 }
 
 // scrapeMetrics fetches baseURL's Prometheus exposition and returns the

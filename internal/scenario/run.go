@@ -180,9 +180,6 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 			GlobalSamples: c.Samples,
 		},
 	}
-	if c.Topology == TopologySharded {
-		e.rep.Shards = c.Shards
-	}
 	if c.Byzantine.Fraction > 0 {
 		strat, _ := attack.ParseStrategy(c.Byzantine.Strategy)
 		e.poison = func(g *linalg.Matrix, _ int, r *rng.RNG) {
@@ -237,9 +234,6 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 	// clock), every flush through the real server.
 	for n := 1; n <= c.Samples; n++ {
 		now := float64(n)
-		if st.sync != nil {
-			st.sync()
-		}
 		if err := e.drainDue(ctx, now); err != nil {
 			return nil, err
 		}
@@ -281,15 +275,9 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 	}
 	// Drain in-flight events so every scheduled checkin lands.
 	for len(e.queue) > 0 {
-		if st.sync != nil {
-			st.sync()
-		}
 		if err := e.drainDue(ctx, math.Inf(1)); err != nil {
 			return nil, err
 		}
-	}
-	if st.sync != nil {
-		st.sync()
 	}
 	if err := e.eval(ctx, probeClient, c.Samples); err != nil {
 		return nil, err

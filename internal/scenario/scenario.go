@@ -3,7 +3,7 @@
 // sample per tick, three delayed communication legs, Device Routines 2–3
 // on every flush) driven through the REAL hub/core stack — the same
 // batching, registry and staleness accounting production runs — over
-// HTTP (single, follower, sharded) or in process (inprocess). The paper's
+// HTTP (single, follower) or in process (inprocess). The paper's
 // figures (internal/experiments) and the named stress scenarios are the
 // same loop; it composes the orthogonal stressors Section V studies one at
 // a time:
@@ -37,7 +37,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/crowdml/crowdml/internal/attack"
 	"github.com/crowdml/crowdml/internal/core"
@@ -58,9 +57,6 @@ const (
 	// by WAL shipping; devices contact the follower first and follow the
 	// 409 leader hint (exactly one redirect hop per registration).
 	TopologyFollower Topology = "follower"
-	// TopologySharded is a sharded logical task: Shards member leaders
-	// behind the routing front-end, merged reads, device-hash writes.
-	TopologySharded Topology = "sharded"
 	// TopologyInProcess is the single leader task without sockets: the
 	// crowd calls the hub task's core.Server directly.
 	// Same engine, same server; what it omits is the HTTP codec, the
@@ -114,10 +110,8 @@ type PrivacySpec struct {
 type Plan struct {
 	// Name labels the run in reports and file names.
 	Name string `json:"name"`
-	// Topology is single, follower, sharded or inprocess.
+	// Topology is single, follower or inprocess.
 	Topology Topology `json:"topology"`
-	// Shards is the member count for TopologySharded (default 4).
-	Shards int `json:"shards,omitempty"`
 	// Devices is the crowd size M.
 	Devices int `json:"devices"`
 	// Samples is the virtual-run length in global samples (ticks).
@@ -146,11 +140,6 @@ type Plan struct {
 	// wire formats — the convergence-equivalence tier-1 test pins this.
 	// TopologyInProcess has no wire and accepts only the default.
 	Wire string `json:"wire,omitempty"`
-	// MergeEvery only applies to TopologySharded: the harness calls the
-	// router's merge deterministically from the event loop every tick, so
-	// this is the wall-clock fallback cadence handed to the router
-	// (default 1h, i.e. effectively never).
-	MergeEvery time.Duration `json:"-"`
 }
 
 // Spec is one scenario as a JSON file describes it: a Plan plus a
@@ -205,9 +194,6 @@ func (p Plan) withDefaults() Plan {
 	if p.Minibatch < 1 {
 		p.Minibatch = 1
 	}
-	if p.Shards < 1 {
-		p.Shards = 4
-	}
 	if p.EvalEvery <= 0 {
 		p.EvalEvery = p.Samples / 25
 		if p.EvalEvery == 0 {
@@ -223,16 +209,13 @@ func (p Plan) withDefaults() Plan {
 	if p.Byzantine.Fraction > 0 && p.Byzantine.Magnitude <= 0 {
 		p.Byzantine.Magnitude = 10
 	}
-	if p.MergeEvery <= 0 {
-		p.MergeEvery = time.Hour
-	}
 	return p
 }
 
 // validate reports the first problem with the plan.
 func (p Plan) validate() error {
 	switch p.Topology {
-	case TopologySingle, TopologyFollower, TopologySharded, TopologyInProcess:
+	case TopologySingle, TopologyFollower, TopologyInProcess:
 	default:
 		return fmt.Errorf("scenario: unknown topology %q", p.Topology)
 	}
@@ -355,23 +338,11 @@ func BuiltinNames() []string {
 }
 
 // builtins are the named scenarios: the ~2k-device smoke set that doubles
-// as tier-1 tests, each under a minute single-threaded. churn-straggler-2k
-// is the single-leader control the 4-shard variant is pinned against.
+// as tier-1 tests, each under a minute single-threaded.
 var builtins = []Spec{
 	{
 		Plan: Plan{
 			Name: "churn-straggler-2k", Topology: TopologySingle,
-			Devices: 2000, Samples: 6000, Minibatch: 1, Seed: 42,
-			Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
-			Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},
-		},
-		Classes: 3, Dim: 10, TrainSize: 3000, TestSize: 600,
-		LearningRate: 8,
-		Privacy:      PrivacySpec{GradientEpsInv: 0.05, CountEpsInv: 1},
-	},
-	{
-		Plan: Plan{
-			Name: "churn-straggler-2k-4shard", Topology: TopologySharded, Shards: 4,
 			Devices: 2000, Samples: 6000, Minibatch: 1, Seed: 42,
 			Churn:     ChurnSpec{Every: 50, RejoinAfter: 120},
 			Straggler: StragglerSpec{Fraction: 0.2, Tau: 200},

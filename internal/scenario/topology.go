@@ -13,7 +13,6 @@ import (
 	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/invariants"
 	"github.com/crowdml/crowdml/internal/replica"
-	"github.com/crowdml/crowdml/internal/shard"
 	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
 	"github.com/crowdml/crowdml/internal/transport"
@@ -54,8 +53,8 @@ func (b inProcess) Stats(context.Context) (*transport.StatsResponse, error) {
 }
 
 // stack is one running topology: real hubs, behind real HTTP servers
-// unless the topology is in-process, plus the hooks the engine needs to
-// keep runs deterministic.
+// unless the topology is in-process, plus the hooks the engine reads the
+// run's metrics and end-of-run checks through.
 type stack struct {
 	// entry is the backend devices contact first. In the follower
 	// topology this is the follower, whose 409 leader hints redirect
@@ -64,10 +63,6 @@ type stack struct {
 	// scrape reads the exposition the report's metric deltas come from
 	// (the leader's, where all deterministic counters live).
 	scrape func() (map[string]float64, error)
-	// sync deterministically publishes pending server-side state to the
-	// read path (the sharded router's merge). Nil when reads are always
-	// current. Called from the single-threaded event loop only.
-	sync func()
 	// finish runs end-of-run topology checks (the follower catch-up and
 	// bit-exact comparison) and records them on the report.
 	finish func(rep *Report) error
@@ -99,14 +94,14 @@ func (st *stack) clientFor(baseURL string) *transport.HTTPClient {
 	return c
 }
 
-// serverConfig builds one member/leader ServerConfig. Called once per
+// serverConfig builds one leader or follower ServerConfig. Called once per
 // server — updaters are stateful and must never be shared.
 func (c Crowd) serverConfig() core.ServerConfig {
 	return core.ServerConfig{Model: c.Model, Updater: c.NewUpdater()}
 }
 
 // buildStack assembles the crowd's topology from the real layers: hub
-// tasks (sharded members, follower replicas) and, for the HTTP
+// tasks (a leader, and a follower replica) and, for the HTTP
 // topologies, the transport handler with enrollment and telemetry enabled
 // behind httptest servers carrying real TCP traffic.
 func buildStack(ctx context.Context, c Crowd) (*stack, error) {
@@ -115,8 +110,6 @@ func buildStack(ctx context.Context, c Crowd) (*stack, error) {
 		return buildInProcess(ctx, c)
 	case TopologySingle:
 		return buildSingle(ctx, c)
-	case TopologySharded:
-		return buildSharded(ctx, c)
 	case TopologyFollower:
 		return buildFollower(ctx, c)
 	}
@@ -178,31 +171,6 @@ func buildSingle(ctx context.Context, c Crowd) (*stack, error) {
 	return httpStack(c, srv.URL, srv.URL, &stack{
 		close: func() {
 			srv.Close()
-			_ = h.Close(context.Background())
-		},
-	}), nil
-}
-
-func buildSharded(ctx context.Context, c Crowd) (*stack, error) {
-	reg := telemetry.NewRegistry()
-	h := hub.New()
-	// The router's wall-clock merger is parked on a huge interval; the
-	// engine calls Merge from the event loop instead, so the merged view
-	// advances at deterministic points of virtual time.
-	g, err := shard.New(ctx, h, taskID,
-		func(int) core.ServerConfig { return c.serverConfig() },
-		shard.WithShards(c.Shards),
-		shard.WithMergeInterval(c.MergeEvery),
-		shard.WithMetrics(reg))
-	if err != nil {
-		return nil, err
-	}
-	srv := httptest.NewServer(newHandler(h, reg))
-	return httpStack(c, srv.URL, srv.URL, &stack{
-		sync: g.Merge,
-		close: func() {
-			srv.Close()
-			_ = g.Close(context.Background())
 			_ = h.Close(context.Background())
 		},
 	}), nil

@@ -10,7 +10,6 @@ import (
 
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
-	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
 
@@ -27,9 +26,7 @@ type Option func(*config)
 type config struct {
 	shards     int
 	mergeEvery time.Duration
-	stores     store.Root
 	info       hub.TaskInfo
-	taskOpts   []hub.TaskOption
 	memberOpts func(shard int, memberID string) []hub.TaskOption
 	metrics    *telemetry.Registry
 }
@@ -46,31 +43,14 @@ func WithMergeInterval(d time.Duration) Option {
 	return func(c *config) { c.mergeEvery = d }
 }
 
-// WithStores makes every member task durable: member k journals and
-// checkpoints into root's store for its member ID ("{task}.shard-{k}"),
-// so each shard has its own WAL/checkpoint lineage and a restarted tier
-// restores per shard exactly like any durable task. Combine with
-// WithTaskOptions / WithMemberTaskOptions to set checkpoint, sync and
-// retention policies.
-func WithStores(root store.Root) Option {
-	return func(c *config) { c.stores = root }
-}
-
 // WithInfo sets the logical task's portal metadata. Member tasks derive
 // theirs from it (the name gains a "(shard k/N)" suffix).
 func WithInfo(info hub.TaskInfo) Option {
 	return func(c *config) { c.info = info }
 }
 
-// WithTaskOptions appends hub options applied identically to every
-// member task (checkpoint policy, sync policy, retention, ...).
-func WithTaskOptions(opts ...hub.TaskOption) Option {
-	return func(c *config) { c.taskOpts = append(c.taskOpts, opts...) }
-}
-
 // WithMemberTaskOptions supplies per-member hub options — for knobs
-// that must differ per shard, like an archive directory rooted inside
-// each member's own store. Applied after WithTaskOptions.
+// that must differ per shard, like a member's replica role.
 func WithMemberTaskOptions(f func(shard int, memberID string) []hub.TaskOption) Option {
 	return func(c *config) { c.memberOpts = f }
 }
@@ -127,9 +107,7 @@ var (
 // view, and starts the merger goroutine. configure is called once per
 // shard and must return a fresh ServerConfig each time — Updaters are
 // stateful (AdaGrad accumulators, Momentum velocity) and cannot be
-// shared across shards. With WithStores, members restore any persisted
-// state before the tier goes live, so restarting a sharded deployment
-// is just calling New again with the same arguments.
+// shared across shards.
 func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard int) core.ServerConfig, opts ...Option) (*Group, error) {
 	if h == nil {
 		return nil, errors.New("shard: New: nil hub")
@@ -180,16 +158,7 @@ func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard in
 		cfg := configure(k)
 		info := c.info
 		info.Name = fmt.Sprintf("%s (shard %d/%d)", c.info.Name, k, c.shards)
-		memberOpts := []hub.TaskOption{hub.WithInfo(info)}
-		if c.stores != nil {
-			st, err := c.stores.Open(ctx, memberID)
-			if err != nil {
-				return fail(fmt.Errorf("shard: open store for %q: %w", memberID, err))
-			}
-			memberOpts = append(memberOpts, hub.WithStore(st))
-		}
-		memberOpts = append(memberOpts, hub.WithMetrics(c.metrics))
-		memberOpts = append(memberOpts, c.taskOpts...)
+		memberOpts := []hub.TaskOption{hub.WithInfo(info), hub.WithMetrics(c.metrics)}
 		if c.memberOpts != nil {
 			memberOpts = append(memberOpts, c.memberOpts(k, memberID)...)
 		}

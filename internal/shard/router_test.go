@@ -13,7 +13,6 @@ import (
 	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
-	"github.com/crowdml/crowdml/internal/store"
 )
 
 const (
@@ -253,43 +252,6 @@ func TestGroupDoneOnlyWhenAllShardsStop(t *testing.T) {
 	g.merge()
 	if !g.MergedStats().Stopped {
 		t.Fatal("merged view not done with every shard stopped")
-	}
-}
-
-func TestGroupDurableRestart(t *testing.T) {
-	ctx := context.Background()
-	root := store.NewMemRoot()
-
-	h1 := hub.New()
-	g1, err := New(ctx, h1, "act", testConfigure,
-		WithShards(2), WithMergeInterval(time.Hour), WithStores(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, g1, "device-002", 2) // shard 0
-	drive(t, g1, "device-001", 3) // shard 1
-	if err := g1.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Restart": a fresh hub, same stores — every member must resume its
-	// own lineage, and the merged view reflect the recovered tier.
-	h2 := hub.New()
-	g2, err := New(ctx, h2, "act", testConfigure,
-		WithShards(2), WithMergeInterval(time.Hour), WithStores(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Stop()
-	iters := []int{}
-	for _, mt := range g2.Members() {
-		iters = append(iters, mt.Server().Iteration())
-	}
-	if iters[0] != 2 || iters[1] != 3 {
-		t.Fatalf("restored member iterations = %v, want [2 3]", iters)
-	}
-	if s := g2.MergedStats(); s.Iteration != 5 {
-		t.Fatalf("restored merged iteration = %d, want 5", s.Iteration)
 	}
 }
 

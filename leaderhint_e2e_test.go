@@ -1,6 +1,5 @@
 // End-to-end leader-hint retry tests: a device whose write lands on a
-// read-only surface — a follower replica, or a sharded member in the
-// follower role — receives a 409 carrying the owning leader's base URL,
+// read-only follower replica receives a 409 carrying its leader's base URL,
 // and following that hint ONCE must complete the write. This is the
 // client-side retry discipline the scenario harness (and any production
 // device) implements; the tests pin that one hop is always enough.
@@ -94,80 +93,5 @@ func TestLeaderHintRetryFromFollower(t *testing.T) {
 	retry := crowdml.NewHTTPClient(hint, nil).WithTask("act")
 	if err := retry.Checkin(ctx, "phone-1", token, req); err != nil {
 		t.Fatalf("hinted checkin retry failed: %v", err)
-	}
-}
-
-// TestLeaderHintRetryFromShardedMember: a write routed to a sharded
-// member in the follower role is hinted to that shard's leader, and one
-// hop completes it there.
-func TestLeaderHintRetryFromShardedMember(t *testing.T) {
-	ctx := context.Background()
-
-	// The shard-0 leader: a plain hub hosting "act" as a normal task.
-	leaderHub := crowdml.NewHub()
-	if _, err := leaderHub.CreateTask(ctx, "act", repServerConfig()); err != nil {
-		t.Fatal(err)
-	}
-	defer leaderHub.Close(ctx)
-	leaderSrv := httptest.NewServer(crowdml.NewHTTPHandler(leaderHub, "join", nil))
-	defer leaderSrv.Close()
-
-	// The sharded front-end: member 0 follows the leader above, member 1
-	// is an ordinary leader member.
-	routerHub := crowdml.NewHub()
-	g, err := crowdml.NewShardedTask(ctx, routerHub, "act",
-		func(int) crowdml.ServerConfig { return repServerConfig() },
-		crowdml.WithShards(2),
-		crowdml.WithShardMemberTaskOptions(func(k int, memberID string) []crowdml.TaskOption {
-			if k == 0 {
-				return []crowdml.TaskOption{crowdml.AsReplicaOf(leaderSrv.URL)}
-			}
-			return nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close(ctx)
-	defer routerHub.Close(ctx)
-	routerSrv := httptest.NewServer(crowdml.NewHTTPHandler(routerHub, "join", nil))
-	defer routerSrv.Close()
-
-	entry := crowdml.NewHTTPClient(routerSrv.URL, nil).WithTask("act")
-
-	// device-002 hashes to shard 0 (the follower member): its
-	// registration must take exactly one hop to the shard leader.
-	token, leaderClient, hops := registerFollowingHint(t, entry, "device-002", "join")
-	if hops != 1 {
-		t.Fatalf("sharded registration took %d hops, want exactly 1", hops)
-	}
-
-	// Same discipline on the checkin write path through the router.
-	co, err := leaderClient.Checkout(ctx, "device-002", token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := &crowdml.CheckinRequest{
-		Grad:        make([]float64, repClasses*repDim),
-		NumSamples:  1,
-		ErrCount:    0,
-		LabelCounts: []int{0, 1, 0},
-		Version:     co.Version,
-	}
-	err = entry.Checkin(ctx, "device-002", token, req)
-	hint, ok := crowdml.LeaderHint(err)
-	if !ok {
-		t.Fatalf("routed checkin err = %v, want leader hint", err)
-	}
-	if hint != leaderSrv.URL {
-		t.Fatalf("hint = %q, want %q", hint, leaderSrv.URL)
-	}
-	retry := crowdml.NewHTTPClient(hint, nil).WithTask("act")
-	if err := retry.Checkin(ctx, "device-002", token, req); err != nil {
-		t.Fatalf("hinted checkin retry failed: %v", err)
-	}
-
-	// A device on the leader-role member stays hint-free: zero hops.
-	if _, _, hops := registerFollowingHint(t, entry, "device-001", "join"); hops != 0 {
-		t.Errorf("leader-member registration took %d hops, want 0", hops)
 	}
 }
