@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,7 +46,7 @@ func run() error {
 		token     = flag.String("token", "", "pre-registered auth token")
 		samples   = flag.Int("samples", 300, "number of samples to contribute")
 		minibatch = flag.Int("minibatch", 1, "minibatch size b")
-		epsInv    = flag.Float64("eps-inv", 0, "privacy level ε⁻¹ for gradients (0 = off)")
+		epsInv    = flag.Float64("eps-inv", 0, "privacy level ε⁻¹ for gradients (0 = off; negative, NaN and Inf are refused)")
 		interval  = flag.Duration("interval", 0, "delay between samples (0 = as fast as possible)")
 		seed      = flag.Uint64("seed", 0, "sensor-simulation seed (default: derived from id)")
 		wire      = flag.String("wire", "json", "wire format for checkout/checkin: json, binary or binary-delta")
@@ -53,6 +54,10 @@ func run() error {
 	flag.Parse()
 
 	wireFormat, err := crowdml.ParseWireFormat(*wire)
+	if err != nil {
+		return err
+	}
+	budget, err := gradientBudget(*epsInv)
 	if err != nil {
 		return err
 	}
@@ -88,7 +93,7 @@ func run() error {
 		ID: *id, Token: authToken, Model: m,
 		Transport: client,
 		Minibatch: *minibatch,
-		Budget:    crowdml.Budget{Gradient: crowdml.FromInv(*epsInv)},
+		Budget:    budget,
 		Seed:      s,
 	})
 	if err != nil {
@@ -132,6 +137,17 @@ func run() error {
 	}
 	log.Printf("%s: contributed %d samples in %d checkins", *id, sent, device.Checkins())
 	return nil
+}
+
+// gradientBudget turns -eps-inv into the device's budget. 0 turns the
+// noise off on purpose. FromInv would read a negative, NaN or infinite
+// ε⁻¹ as "no noise" as well, and +Inf asks for the strongest privacy
+// there is, not for none: each is refused.
+func gradientBudget(epsInv float64) (crowdml.Budget, error) {
+	if epsInv < 0 || math.IsNaN(epsInv) || math.IsInf(epsInv, 0) {
+		return crowdml.Budget{}, fmt.Errorf("-eps-inv %v: want 0 (no noise) or a positive finite ε⁻¹", epsInv)
+	}
+	return crowdml.Budget{Gradient: crowdml.FromInv(epsInv)}, nil
 }
 
 // pacedSource throttles a sample source to the configured interval,

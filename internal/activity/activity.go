@@ -10,6 +10,8 @@
 //
 // The feature pipeline is the paper's: acceleration magnitudes over 3.2 s
 // (64-sample) windows → 64-bin FFT magnitude spectrum → L1 normalization.
+// The spectrum comes from an in-place radix-2 decimation-in-time FFT
+// (fft.go).
 // Sampling is label-change triggered, matching the paper's trick of keeping
 // only samples whose label differs from the previous one.
 package activity
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/crowdml/crowdml/internal/features"
 	"github.com/crowdml/crowdml/internal/linalg"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/rng"
@@ -105,7 +106,7 @@ func Features(window []float64) ([]float64, error) {
 	for i, v := range window {
 		centered[i] = v - mean
 	}
-	mag, err := features.MagnitudeSpectrum(centered)
+	mag, err := magnitudeSpectrum(centered)
 	if err != nil {
 		return nil, err
 	}

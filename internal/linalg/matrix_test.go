@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -100,23 +99,6 @@ func TestAddScaledAndNorms(t *testing.T) {
 	}
 }
 
-func TestCovariance(t *testing.T) {
-	// Two perfectly correlated dimensions.
-	rows := [][]float64{{1, 2}, {3, 6}, {5, 10}}
-	cov := Covariance(rows)
-	// var(x) = mean of (x-3)^2 over {1,3,5} = (4+0+4)/3
-	wantVar := 8.0 / 3
-	if math.Abs(cov.At(0, 0)-wantVar) > 1e-12 {
-		t.Errorf("cov[0][0] = %v, want %v", cov.At(0, 0), wantVar)
-	}
-	if math.Abs(cov.At(0, 1)-2*wantVar) > 1e-12 {
-		t.Errorf("cov[0][1] = %v, want %v", cov.At(0, 1), 2*wantVar)
-	}
-	if math.Abs(cov.At(0, 1)-cov.At(1, 0)) > 1e-12 {
-		t.Error("covariance must be symmetric")
-	}
-}
-
 func TestMeanVariance(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) should be 0")
@@ -129,12 +111,5 @@ func TestMeanVariance(t *testing.T) {
 	}
 	if got := Variance([]float64{1, 3}); got != 1 {
 		t.Errorf("Variance = %v, want 1", got)
-	}
-	mu := ColumnMeans([][]float64{{1, 2}, {3, 4}})
-	if !Equal(mu, []float64{2, 3}, 1e-12) {
-		t.Errorf("ColumnMeans = %v", mu)
-	}
-	if ColumnMeans(nil) != nil {
-		t.Error("ColumnMeans(nil) should be nil")
 	}
 }

@@ -26,44 +26,3 @@ func Variance(x []float64) float64 {
 	}
 	return s / float64(len(x))
 }
-
-// ColumnMeans returns the per-column mean of the n×d sample matrix rows.
-func ColumnMeans(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	d := len(rows[0])
-	mu := make([]float64, d)
-	for _, r := range rows {
-		Axpy(1, r, mu)
-	}
-	Scale(1/float64(len(rows)), mu)
-	return mu
-}
-
-// Covariance returns the d×d sample covariance matrix of rows (population
-// normalization, 1/n), with the column means subtracted.
-func Covariance(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	d := len(rows[0])
-	mu := ColumnMeans(rows)
-	cov := NewMatrix(d, d)
-	centered := make([]float64, d)
-	for _, r := range rows {
-		Sub(r, mu, centered)
-		for i := 0; i < d; i++ {
-			ci := centered[i]
-			if ci == 0 {
-				continue
-			}
-			row := cov.Row(i)
-			for j := 0; j < d; j++ {
-				row[j] += ci * centered[j]
-			}
-		}
-	}
-	cov.Scale(1 / float64(len(rows)))
-	return cov
-}

@@ -46,16 +46,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Add computes dst = a + b elementwise.
-func Add(a, b, dst []float64) {
-	if len(a) != len(b) || len(a) != len(dst) {
-		panic("linalg: Add length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // Sub computes dst = a - b elementwise.
 func Sub(a, b, dst []float64) {
 	if len(a) != len(b) || len(a) != len(dst) {
@@ -101,17 +91,6 @@ func Norm2Sq(x []float64) float64 {
 		s += v * v
 	}
 	return s
-}
-
-// NormInf returns the maximum absolute element of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgMax returns the index of the largest element of x.

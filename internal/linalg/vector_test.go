@@ -51,10 +51,6 @@ func TestScaleAddSub(t *testing.T) {
 		t.Errorf("Scale = %v", x)
 	}
 	dst := make([]float64, 3)
-	Add([]float64{1, 2, 3}, []float64{4, 5, 6}, dst)
-	if !Equal(dst, []float64{5, 7, 9}, 0) {
-		t.Errorf("Add = %v", dst)
-	}
 	Sub([]float64{1, 2, 3}, []float64{4, 5, 6}, dst)
 	if !Equal(dst, []float64{-3, -3, -3}, 0) {
 		t.Errorf("Sub = %v", dst)
@@ -71,9 +67,6 @@ func TestNorms(t *testing.T) {
 	}
 	if got := Norm2Sq(x); got != 25 {
 		t.Errorf("Norm2Sq = %v, want 25", got)
-	}
-	if got := NormInf(x); got != 4 {
-		t.Errorf("NormInf = %v, want 4", got)
 	}
 }
 

@@ -1,6 +1,5 @@
-// Package metrics provides the evaluation measurements the paper reports:
-// held-out test error, the time-averaged online error Err(t) of Fig. 3,
-// confusion matrices, and (x, y) series with multi-trial averaging.
+// Package metrics provides the evaluation measurements the paper's figures
+// plot: held-out test error, and (x, y) series with multi-trial averaging.
 package metrics
 
 import (
@@ -24,45 +23,6 @@ func TestError(m model.Model, w *linalg.Matrix, samples []model.Sample) float64 
 	}
 	return float64(errs) / float64(len(samples))
 }
-
-// ConfusionMatrix returns the C×C count matrix with true classes as rows
-// and predicted classes as columns.
-func ConfusionMatrix(m model.Model, w *linalg.Matrix, samples []model.Sample) *linalg.Matrix {
-	classes, _ := m.Shape()
-	cm := linalg.NewMatrix(classes, classes)
-	for _, s := range samples {
-		pred := m.Predict(w, s.X)
-		cm.Set(s.Y, pred, cm.At(s.Y, pred)+1)
-	}
-	return cm
-}
-
-// OnlineError tracks the time-averaged misclassification error
-// Err(t) = (1/t)·Σ_{i≤t} I[y_i ≠ ŷ_i] used in the activity-recognition
-// experiment (Fig. 3). The zero value is ready to use.
-type OnlineError struct {
-	total int
-	errs  int
-}
-
-// Observe records one prediction outcome.
-func (o *OnlineError) Observe(misclassified bool) {
-	o.total++
-	if misclassified {
-		o.errs++
-	}
-}
-
-// Value returns Err(t), 0 before any observation.
-func (o *OnlineError) Value() float64 {
-	if o.total == 0 {
-		return 0
-	}
-	return float64(o.errs) / float64(o.total)
-}
-
-// Count returns the number of observations t.
-func (o *OnlineError) Count() int { return o.total }
 
 // Series is one named curve: y values measured at x positions
 // (iteration counts in all the paper's figures).

@@ -32,32 +32,6 @@ func TestTestError(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m, w, samples := twoClassFixture()
-	cm := ConfusionMatrix(m, w, samples)
-	// Row = true class, col = predicted.
-	if cm.At(0, 0) != 1 || cm.At(0, 1) != 1 || cm.At(1, 0) != 1 || cm.At(1, 1) != 1 {
-		t.Errorf("confusion matrix = %v", cm.Data())
-	}
-}
-
-func TestOnlineError(t *testing.T) {
-	var o OnlineError
-	if o.Value() != 0 || o.Count() != 0 {
-		t.Error("zero value should report 0")
-	}
-	o.Observe(true)
-	o.Observe(false)
-	o.Observe(false)
-	o.Observe(true)
-	if got := o.Value(); got != 0.5 {
-		t.Errorf("Value = %v, want 0.5", got)
-	}
-	if o.Count() != 4 {
-		t.Errorf("Count = %d", o.Count())
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	if s.Final() != 0 || s.Min() != 0 {

@@ -205,28 +205,3 @@ func TestNewLogisticRegressionPanics(t *testing.T) {
 	}()
 	NewLogisticRegression(1, 5)
 }
-
-func TestCheckShape(t *testing.T) {
-	m := NewLogisticRegression(3, 4)
-	if err := CheckShape(m, linalg.NewMatrix(3, 4)); err != nil {
-		t.Errorf("CheckShape on correct shape: %v", err)
-	}
-	if err := CheckShape(m, linalg.NewMatrix(4, 3)); err == nil {
-		t.Error("CheckShape should reject wrong shape")
-	}
-}
-
-func TestRisk(t *testing.T) {
-	m := NewLogisticRegression(2, 2)
-	w := NewParams(m)
-	w.Set(0, 0, 1)
-	// Empty sample set: only the regularizer.
-	if got := Risk(m, w, nil, 2.0); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("Risk(empty) = %v, want 1.0", got)
-	}
-	s := Sample{X: []float64{1, 0}, Y: 0}
-	r := Risk(m, w, []Sample{s}, 0)
-	if math.Abs(r-m.Loss(w, s)) > 1e-12 {
-		t.Errorf("Risk = %v, want %v", r, m.Loss(w, s))
-	}
-}

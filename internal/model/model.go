@@ -13,12 +13,7 @@
 // core.Device refuses a sample that is not).
 package model
 
-import (
-	"errors"
-	"fmt"
-
-	"github.com/crowdml/crowdml/internal/linalg"
-)
+import "github.com/crowdml/crowdml/internal/linalg"
 
 // Sample is one (feature vector, target) pair. Classification models read Y;
 // the regression model reads T.
@@ -53,19 +48,6 @@ type Model interface {
 	GradientSensitivity() float64
 }
 
-// ErrBadShape is returned when a parameter matrix does not match a model.
-var ErrBadShape = errors.New("model: parameter shape mismatch")
-
-// CheckShape verifies that w matches the model's declared shape.
-func CheckShape(m Model, w *linalg.Matrix) error {
-	c, d := m.Shape()
-	if w.Rows() != c || w.Cols() != d {
-		return fmt.Errorf("model %s wants %dx%d, got %dx%d: %w",
-			m.Name(), c, d, w.Rows(), w.Cols(), ErrBadShape)
-	}
-	return nil
-}
-
 // stackClasses is the most classes whose per-sample scores fit the
 // caller's stack array; every model in the paper's experiments has fewer.
 const stackClasses = 16
@@ -83,17 +65,4 @@ func scoreSlice(buf *[stackClasses]float64, c int) []float64 {
 func NewParams(m Model) *linalg.Matrix {
 	c, d := m.Shape()
 	return linalg.NewMatrix(c, d)
-}
-
-// Risk computes the regularized empirical risk of Eq. (2) over samples:
-// (1/N) Σ l(h(x;w), y) + (λ/2)‖w‖².
-func Risk(m Model, w *linalg.Matrix, samples []Sample, lambda float64) float64 {
-	if len(samples) == 0 {
-		return 0.5 * lambda * linalg.Norm2Sq(w.Data())
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += m.Loss(w, s)
-	}
-	return sum/float64(len(samples)) + 0.5*lambda*linalg.Norm2Sq(w.Data())
 }

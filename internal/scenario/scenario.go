@@ -266,6 +266,12 @@ func (s Spec) Validate() error {
 	if s.LearningRate <= 0 {
 		return fmt.Errorf("scenario: LearningRate must be > 0")
 	}
+	// privacy.FromInv reads a negative ε⁻¹ as "no noise": refuse it rather
+	// than run a crowd without the privacy the spec seems to ask for.
+	if s.Privacy.GradientEpsInv < 0 || s.Privacy.CountEpsInv < 0 {
+		return fmt.Errorf("scenario: privacy ε⁻¹ must be >= 0 (0 disables noise), got gradient %v, count %v",
+			s.Privacy.GradientEpsInv, s.Privacy.CountEpsInv)
+	}
 	switch s.Updater {
 	case "", "sgd", "adagrad":
 	default:

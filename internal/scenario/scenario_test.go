@@ -329,6 +329,8 @@ func TestScenarioValidate(t *testing.T) {
 		{"bad byzantine fraction", func(s *Spec) { s.Byzantine.Fraction = 1 }},
 		{"bad byzantine strategy", func(s *Spec) { s.Byzantine = ByzantineSpec{Fraction: 0.1, Strategy: "nope"} }},
 		{"no learning rate", func(s *Spec) { s.LearningRate = 0 }},
+		{"negative gradient eps-inv", func(s *Spec) { s.Privacy.GradientEpsInv = -0.1 }},
+		{"negative count eps-inv", func(s *Spec) { s.Privacy.CountEpsInv = -1 }},
 		{"bad wire", func(s *Spec) { s.Wire = "protobuf" }},
 		{"wire without sockets", func(s *Spec) { s.Topology, s.Wire = TopologyInProcess, "binary" }},
 	}
