@@ -12,33 +12,49 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "crowdml-bench:", err)
+		os.Exit(1)
 	}
 }
 
-func run() error {
+// errUsage marks a command line the flag set refused and has explained.
+var errUsage = errors.New("usage")
+
+// run is the command: it prints each figure's table on stdout.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crowdml-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig    = flag.String("fig", "all", "what to run: fig3..fig9, all, an ablation id, or ablations")
-		scale  = flag.Float64("scale", 1.0, "experiment scale (1.0 = paper size)")
-		trials = flag.Int("trials", 1, "randomized trials per curve (paper: 10)")
-		seed   = flag.Uint64("seed", 42, "base random seed")
-		points = flag.Int("points", 50, "test-error measurements per curve")
-		outDir = flag.String("o", "", "also write one <figure>.csv per figure into this directory")
+		fig    = fs.String("fig", "all", "what to run: fig3..fig9, all, an ablation id, or ablations")
+		scale  = fs.Float64("scale", 1.0, "experiment scale (1.0 = paper size)")
+		trials = fs.Int("trials", 1, "randomized trials per curve (paper: 10)")
+		seed   = fs.Uint64("seed", 42, "base random seed")
+		points = fs.Int("points", 50, "test-error measurements per curve")
+		outDir = fs.String("o", "", "also write one <figure>.csv per figure into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	cfg := experiments.Config{
 		Scale: *scale, Trials: *trials, Seed: *seed, EvalPoints: *points,
@@ -47,17 +63,9 @@ func run() error {
 	ids := []string{*fig}
 	switch *fig {
 	case "all":
-		ids = ids[:0]
-		for id := range experiments.All {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
+		ids = slices.Sorted(maps.Keys(experiments.All))
 	case "ablations":
-		ids = ids[:0]
-		for id := range experiments.Ablations {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
+		ids = slices.Sorted(maps.Keys(experiments.Ablations))
 	}
 	for _, id := range ids {
 		runner, ok := experiments.All[id]
@@ -72,7 +80,7 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
-		if err := experiments.Render(os.Stdout, result); err != nil {
+		if err := experiments.Render(stdout, result); err != nil {
 			return err
 		}
 		if *outDir != "" {
@@ -80,7 +88,7 @@ func run() error {
 				return err
 			}
 		}
-		fmt.Printf("   (%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "   (%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // the task or the sample budget is exhausted.
 //
 // The device joins the task named by -task via the task-scoped
-// /v1/tasks/{id}/ routes; the flag defaults to "default", the ID
-// crowdml-server gives the task its single-task flags define.
+// /v1/tasks/{id}/ routes; the flag defaults to "default", the task
+// crowdml-server hosts when it is given no -tasks file.
 //
 // Example:
 //
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -32,26 +33,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "crowdml-device:", err)
+		os.Exit(1)
 	}
 }
 
-func run() error {
+// errUsage marks a command line the flag set refused and has explained.
+var errUsage = errors.New("usage")
+
+// run is the command: it contributes -samples samples, or fewer if the
+// server stops the task or ctx is cancelled. Its messages go to stderr;
+// it prints nothing on stdout.
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crowdml-device", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		serverURL = flag.String("server", "http://localhost:8080", "server base URL")
-		taskID    = flag.String("task", "default", "task ID to join")
-		id        = flag.String("id", "phone-1", "device ID")
-		enrollKey = flag.String("enroll-key", "", "enrollment key (empty: use -token)")
-		token     = flag.String("token", "", "pre-registered auth token")
-		samples   = flag.Int("samples", 300, "number of samples to contribute")
-		minibatch = flag.Int("minibatch", 1, "minibatch size b")
-		epsInv    = flag.Float64("eps-inv", 0, "privacy level ε⁻¹ for gradients (0 = off; negative, NaN and Inf are refused)")
-		interval  = flag.Duration("interval", 0, "delay between samples (0 = as fast as possible)")
-		seed      = flag.Uint64("seed", 0, "sensor-simulation seed (default: derived from id)")
-		wire      = flag.String("wire", "json", "wire format for checkout/checkin: json, binary or binary-delta")
+		serverURL = fs.String("server", "http://localhost:8080", "server base URL")
+		taskID    = fs.String("task", "default", "task ID to join")
+		id        = fs.String("id", "phone-1", "device ID")
+		enrollKey = fs.String("enroll-key", "", "enrollment key (empty: use -token)")
+		token     = fs.String("token", "", "pre-registered auth token")
+		samples   = fs.Int("samples", 300, "number of samples to contribute")
+		minibatch = fs.Int("minibatch", 1, "minibatch size b")
+		epsInv    = fs.Float64("eps-inv", 0, "privacy level ε⁻¹ for gradients (0 = off; negative, NaN and Inf are refused)")
+		interval  = fs.Duration("interval", 0, "delay between samples (0 = as fast as possible)")
+		seed      = fs.Uint64("seed", 0, "sensor-simulation seed (default: derived from id)")
+		wire      = fs.String("wire", "json", "wire format for checkout/checkin: json, binary or binary-delta")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	wireFormat, err := crowdml.ParseWireFormat(*wire)
 	if err != nil {
@@ -62,9 +81,6 @@ func run() error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	client := crowdml.NewHTTPClient(*serverURL, nil).WithTask(*taskID)
 	if wireFormat != crowdml.WireJSON {
 		client = client.WithWire(wireFormat)
@@ -74,12 +90,11 @@ func run() error {
 		if *enrollKey == "" {
 			return errors.New("either -token or -enroll-key is required")
 		}
-		var err error
 		authToken, err = client.Register(ctx, *id, *enrollKey)
 		if err != nil {
 			return fmt.Errorf("enroll: %w", err)
 		}
-		log.Printf("%s: enrolled", *id)
+		logf("%s: enrolled", *id)
 	}
 
 	s := *seed
@@ -112,18 +127,15 @@ func run() error {
 		switch {
 		case errors.Is(err, context.Canceled):
 			// Ctrl-C / SIGTERM: stand down cleanly.
-			log.Printf("%s: interrupted after %d samples", *id, sent)
+			logf("%s: interrupted after %d samples", *id, sent)
 			return nil
-		case errors.Is(err, crowdml.ErrTaskNotFound):
-			// The task does not exist on this server: retrying cannot help.
-			return err
 		case errors.Is(err, crowdml.ErrBufferFull):
-			log.Printf("%s: buffer full, backing off: %v", *id, err)
+			logf("%s: buffer full, backing off: %v", *id, err)
 			select {
 			case <-time.After(time.Second):
 				continue
 			case <-ctx.Done():
-				log.Printf("%s: interrupted after %d samples", *id, sent)
+				logf("%s: interrupted after %d samples", *id, sent)
 				return nil
 			}
 		case err != nil:
@@ -132,10 +144,10 @@ func run() error {
 		break // Run finished: max reached, source drained, or task stopped.
 	}
 	if device.Done() {
-		log.Printf("%s: server reports task complete after %d samples", *id, sent)
+		logf("%s: server reports task complete after %d samples", *id, sent)
 		return nil
 	}
-	log.Printf("%s: contributed %d samples in %d checkins", *id, sent, device.Checkins())
+	logf("%s: contributed %d samples in %d checkins", *id, sent, device.Checkins())
 	return nil
 }
 

@@ -17,9 +17,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -27,24 +28,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+	switch err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "crowdml-scenario:", err)
+		os.Exit(1)
 	}
 }
 
-func run() error {
+// errUsage marks a command line the flag set refused and has explained.
+var errUsage = errors.New("usage")
+
+// run is the command: it writes the JSON report to -o, or to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crowdml-scenario", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name    = flag.String("name", "", "built-in scenario to run (see -list)")
-		file    = flag.String("file", "", "JSON scenario spec file to run instead of a built-in")
-		list    = flag.Bool("list", false, "list built-in scenarios and exit")
-		out     = flag.String("o", "", "write the JSON report here (default stdout)")
-		seed    = flag.Uint64("seed", 0, "override the spec's seed (0 keeps it)")
-		workers = flag.Int("workers", 0, "override the spec's worker count (0 keeps it; 1 = deterministic)")
+		name    = fs.String("name", "", "built-in scenario to run (see -list)")
+		file    = fs.String("file", "", "JSON scenario spec file to run instead of a built-in")
+		list    = fs.Bool("list", false, "list built-in scenarios and exit")
+		out     = fs.String("o", "", "write the JSON report here (default stdout)")
+		seed    = fs.Uint64("seed", 0, "override the spec's seed (0 keeps it)")
+		workers = fs.Int("workers", 0, "override the spec's worker count (0 keeps it; 1 = deterministic)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if *list {
-		fmt.Println(strings.Join(scenario.BuiltinNames(), "\n"))
+		fmt.Fprintln(stdout, strings.Join(scenario.BuiltinNames(), "\n"))
 		return nil
 	}
 
@@ -76,7 +90,7 @@ func run() error {
 		spec.Workers = *workers
 	}
 
-	rep, err := scenario.Run(context.Background(), spec)
+	rep, err := scenario.Run(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -86,7 +100,7 @@ func run() error {
 	}
 	data = append(data, '\n')
 	if *out == "" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(*out, data, 0o644)

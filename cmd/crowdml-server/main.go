@@ -19,8 +19,9 @@
 //     -metrics=false disables the instrumentation and the endpoint;
 //   - /portal/ — the public multi-task Web portal with live DP statistics.
 //
-// Tasks come either from the single-task flags (-classes, -dim, …) or
-// from a -tasks JSON file hosting many at once:
+// Without -tasks the server hosts one task, "default" (logreg, 3 classes,
+// 64 features, rate 10), the one crowdml-device joins by default. A -tasks
+// JSON file describes the hosted tasks instead:
 //
 //	[
 //	  {"id": "activity", "name": "Activity recognition", "model": "logreg",
@@ -35,14 +36,13 @@
 // fresh segment after each snapshot, so restarts replay only the live
 // tail — and a restarted server resumes each task on the exact
 // pre-crash iteration and parameters (latest checkpoint + journal-tail
-// replay). -sync picks the journal fsync policy (none/batch; "batch"
-// group-commits one fsync per applied batch for power-loss durability),
-// and -retention (keep/prune/archive, JSON "retention")
-// decides whether sealed journal segments the latest checkpoint covers
-// accumulate as the audit trail, are deleted, or are moved aside to
-// -archive-dir. All of that is hub-managed — CreateTask(WithStore,
-// WithCheckpointPolicy, WithSyncPolicy, WithRetention) on the way in,
-// Hub.Close on the way out.
+// replay). A task's "syncPolicy" (none/batch; "batch" group-commits one
+// fsync per applied batch for power-loss durability) and "retention"
+// (keep/prune/archive: whether sealed segments the latest checkpoint
+// covers accumulate as the audit trail, are deleted, or move to its
+// "archiveDir") default to -sync and -retention. All of that is
+// hub-managed — CreateTask(WithStore, WithCheckpointPolicy,
+// WithSyncPolicy, WithRetention) on the way in, Hub.Close on the way out.
 //
 // With -follow <leader-url> (or a per-task "follow" field in the -tasks
 // file), the process instead runs its tasks as read-only follower
@@ -58,18 +58,18 @@
 // -dump-checkpoint <dir> does the same for the directory's checkpoint: one
 // JSON document, the one releases before the checkpoint frame stored.
 //
-// Example: a 3-class activity-recognition task over 64-bin FFT features,
-// plus a read replica on another host:
+// Example: the tasks of activity.json, plus a read replica on another host:
 //
-//	crowdml-server -addr :8080 -classes 3 -dim 64 -rate 10 \
+//	crowdml-server -addr :8080 -tasks activity.json \
 //	    -enroll-key join -state-dir /var/lib/crowdml
-//	crowdml-server -addr :8081 -classes 3 -dim 64 \
+//	crowdml-server -addr :8081 -tasks activity.json \
 //	    -follow http://leader.example:8080
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,11 +77,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -89,13 +89,22 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "crowdml-server:", err)
+		os.Exit(1)
 	}
 }
 
-// taskSpec is one task entry of the -tasks JSON file (also synthesized
-// from the single-task flags when -tasks is not given).
+// errUsage marks a command line the flag set refused and has explained.
+var errUsage = errors.New("usage")
+
+// taskSpec is one task entry of the -tasks JSON file.
 type taskSpec struct {
 	ID          string   `json:"id"`
 	Name        string   `json:"name"`
@@ -116,14 +125,15 @@ type taskSpec struct {
 	// SyncPolicy selects the journal fsync policy with -state-dir:
 	// "none" (default; OS-flushed, process-crash durability) or "batch"
 	// (group-commit fsync once per applied batch — power-loss
-	// durability at amortized cost).
+	// durability at amortized cost). Empty takes the -sync flag.
 	SyncPolicy string `json:"syncPolicy"`
 	// Retention selects the sealed-segment retention policy with
 	// -state-dir: "keep" (default; sealed segments accumulate forever
 	// as the audit trail), "prune" (delete segments the latest
 	// checkpoint fully covers), or "archive" (move covered segments
 	// into ArchiveDir — or <state-dir>/<task-id>/archive when unset —
-	// keeping the audit trail out of the recovery path).
+	// keeping the audit trail out of the recovery path). Empty takes the
+	// -retention flag.
 	Retention string `json:"retention"`
 	// ArchiveDir overrides where "archive" retention moves this task's
 	// covered segments.
@@ -185,64 +195,50 @@ func parseRetention(s, archiveDir string) (crowdml.RetentionPolicy, error) {
 	return crowdml.KeepAll, fmt.Errorf("unknown retention policy %q (want keep, prune or archive)", s)
 }
 
-func run() error {
+// run is the command: it serves until ctx is cancelled, then drains and
+// flushes every task. Messages go to stderr; -preregister tokens and the
+// dump modes' output go to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crowdml-server", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		tasksFile  = flag.String("tasks", "", "JSON file describing the hosted tasks (overrides the single-task flags)")
-		taskID     = flag.String("task", "default", "task ID for the single-task flags")
-		classes    = flag.Int("classes", 3, "number of classes C")
-		dim        = flag.Int("dim", 64, "feature dimensionality D")
-		modelName  = flag.String("model", "logreg", "model: logreg or svm")
-		rate       = flag.Float64("rate", 10, "learning-rate constant c in η(t)=c/√t")
-		radius     = flag.Float64("radius", 0, "projection-ball radius R (0 disables)")
-		tmax       = flag.Int("tmax", 0, "maximum iterations Tmax (0 = unbounded)")
-		rho        = flag.Float64("target-error", 0, "stop when error estimate ≤ ρ (0 disables)")
-		enrollKey  = flag.String("enroll-key", "", "enrollment key; empty disables self-enrollment")
-		devices    = flag.Int("preregister", 0, "pre-register this many devices on the first task and print their tokens")
-		stateDir   = flag.String("state-dir", "", "durability directory, one store per task (empty disables persistence)")
-		saveEvery  = flag.Duration("checkpoint-every", time.Minute, "asynchronous checkpoint interval with -state-dir")
-		syncMode   = flag.String("sync", "none", "journal fsync policy with -state-dir: none or batch (group-commit per applied batch)")
-		retention  = flag.String("retention", "keep", "sealed-segment retention with -state-dir: keep, prune (delete checkpoint-covered segments), or archive (move them to -archive-dir)")
-		archiveDir = flag.String("archive-dir", "", "where -retention archive moves covered segments (default <state-dir>/<task-id>/archive)")
-		taskName   = flag.String("task-name", "Crowd-ML task", "task name shown on the portal (single-task flags)")
-		taskLabels = flag.String("task-labels", "", "comma-separated class names for the portal (single-task flags)")
-
-		follow     = flag.String("follow", "", "run as a follower replica of the leader at this base URL (per-task override: the tasks file's \"follow\" field)")
-		followPoll = flag.Duration("follow-poll", 250*time.Millisecond, "how often a caught-up follower re-polls the leader's journal feed")
-
-		metricsOn = flag.Bool("metrics", true, "instrument all layers and serve Prometheus telemetry on /v1/metrics")
-
-		dumpDir  = flag.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
-		dumpCkpt = flag.String("dump-checkpoint", "", "print the checkpoint under this task store directory as one JSON document (the pre-frame checkpoint.json) and exit")
+		addr       = fs.String("addr", ":8080", "listen address (port 0 binds a free port; the bound address is printed)")
+		tasksFile  = fs.String("tasks", "", "JSON file describing the hosted tasks (default: one logreg 3×64 task \"default\")")
+		enrollKey  = fs.String("enroll-key", "", "enrollment key; empty disables self-enrollment")
+		devices    = fs.Int("preregister", 0, "pre-register this many devices on the first task and print their tokens")
+		stateDir   = fs.String("state-dir", "", "durability directory, one store per task (empty disables persistence)")
+		saveEvery  = fs.Duration("checkpoint-every", time.Minute, "asynchronous checkpoint interval with -state-dir")
+		syncMode   = fs.String("sync", "none", "journal fsync policy with -state-dir: none or batch (group-commit per applied batch); a task's \"syncPolicy\" overrides it")
+		retention  = fs.String("retention", "keep", "sealed-segment retention with -state-dir: keep, prune (delete checkpoint-covered segments), or archive (move them to the task's \"archiveDir\"); a task's \"retention\" overrides it")
+		follow     = fs.String("follow", "", "run as a follower replica of the leader at this base URL (per-task override: the tasks file's \"follow\" field)")
+		followPoll = fs.Duration("follow-poll", 250*time.Millisecond, "how often a caught-up follower re-polls the leader's journal feed")
+		metricsOn  = fs.Bool("metrics", true, "instrument all layers and serve Prometheus telemetry on /v1/metrics")
+		dumpDir    = fs.String("dump-journal", "", "print the journal under this task store (or archive) directory as one JSON object per line, oldest entry first, and exit")
+		dumpCkpt   = fs.String("dump-checkpoint", "", "print the checkpoint under this task store directory as one JSON document (the pre-frame checkpoint.json) and exit")
 	)
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	if *dumpDir != "" {
-		return dumpJournal(ctx, os.Stdout, *dumpDir)
+		err := dumpJournal(ctx, stdout, *dumpDir)
+		if errors.Is(err, crowdml.ErrJournalTruncated) {
+			logf("journal ends in a torn record (a crash mid-append; never acknowledged): %v", err)
+			return nil
+		}
+		return err
 	}
 	if *dumpCkpt != "" {
-		return dumpCheckpoint(ctx, os.Stdout, *dumpCkpt)
+		return dumpCheckpoint(ctx, stdout, *dumpCkpt)
 	}
 
-	specs := []taskSpec{{
-		ID: *taskID, Name: *taskName, Model: *modelName,
-		Classes: *classes, Dim: *dim, Rate: *rate, Radius: *radius,
-		Tmax: *tmax, TargetError: *rho, SyncPolicy: *syncMode,
-		Retention: *retention, ArchiveDir: *archiveDir,
-	}}
-	if *taskLabels != "" {
-		specs[0].Labels = strings.Split(*taskLabels, ",")
-	}
+	specs := []taskSpec{{ID: "default", Name: "Crowd-ML task", Model: "logreg", Classes: 3, Dim: 64, Rate: 10}}
 	if *tasksFile != "" {
 		payload, err := os.ReadFile(*tasksFile)
 		if err != nil {
 			return fmt.Errorf("read -tasks: %w", err)
 		}
-		// A fresh slice: decoding into the flag-built one would leak the
-		// flag defaults into JSON entries that omit those fields.
 		if specs, err = parseTasks(payload); err != nil {
 			return err
 		}
@@ -264,12 +260,12 @@ func run() error {
 		}
 	}()
 	for _, spec := range specs {
-		if spec.Follow == "" {
-			spec.Follow = *follow
-		}
-		r, err := createTask(ctx, h, spec, *stateDir, *saveEvery, *followPoll, reg)
+		spec.Follow = cmp.Or(spec.Follow, *follow)
+		spec.SyncPolicy = cmp.Or(spec.SyncPolicy, *syncMode)
+		spec.Retention = cmp.Or(spec.Retention, *retention)
+		r, err := createTask(ctx, h, spec, *stateDir, *saveEvery, *followPoll, reg, logf)
 		if err != nil {
-			flushHub(h)
+			flushHub(h, logf)
 			return err
 		}
 		if r != nil {
@@ -281,10 +277,10 @@ func run() error {
 	// for every task, whatever path run() exits through. The normal path
 	// flushes explicitly (inside the shutdown deadline) first; this defer
 	// then finds everything already closed and is a no-op.
-	defer flushHub(h)
+	defer flushHub(h, logf)
 
 	if *devices > 0 {
-		if err := preregister(ctx, os.Stdout, h, specs[0].ID, *devices); err != nil {
+		if err := preregister(ctx, stdout, h, specs[0].ID, *devices); err != nil {
 			return err
 		}
 	}
@@ -294,23 +290,23 @@ func run() error {
 	mux.Handle("/portal/", http.StripPrefix("/portal", crowdml.NewPortalIndex(h)))
 	mux.Handle("/portal", http.RedirectHandler("/portal/", http.StatusMovedPermanently))
 
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
+	httpServer := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpServer.ListenAndServe() }()
-	log.Printf("crowdml-server: hosting %d task(s) on %s (portal at /portal/)", h.Len(), *addr)
+	go func() { serveErr <- httpServer.Serve(ln) }()
+	logf("crowdml-server: hosting %d task(s) on %s (portal at /portal/)", h.Len(), ln.Addr())
 	for _, t := range h.Tasks() {
-		log.Printf("  task %s: %s", t.ID(), t.Info().Algorithm)
+		logf("  task %s: %s", t.ID(), t.Info().Algorithm)
 	}
 
 	select {
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
-		log.Printf("shutting down")
+		logf("shutting down")
 		// Drain in-flight HTTP requests (checkins applied during the drain
 		// are journaled by their own requests), then flush every task's
 		// durability under its OWN deadline — a slow client exhausting the
@@ -319,7 +315,7 @@ func run() error {
 		drainCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		err := httpServer.Shutdown(drainCtx)
-		flushHub(h)
+		flushHub(h, logf)
 		return err
 	}
 }
@@ -329,7 +325,8 @@ func run() error {
 // or not, or a retention archive — through the store's own cursor and
 // prints each as a JSON line, so the binary segments stay greppable and
 // jq-able without a second reader of the format. A crash-torn live tail
-// ends the dump cleanly (the torn record was never acknowledged).
+// ends the dump with what came before it and ErrJournalTruncated (the
+// torn record was never acknowledged).
 func dumpJournal(ctx context.Context, out io.Writer, dir string) error {
 	if _, err := os.Stat(dir); err != nil {
 		return fmt.Errorf("-dump-journal: %w", err)
@@ -348,10 +345,6 @@ func dumpJournal(ctx context.Context, out io.Writer, dir string) error {
 	for {
 		e, err := cur.Next()
 		if errors.Is(err, io.EOF) {
-			return w.Flush()
-		}
-		if errors.Is(err, crowdml.ErrJournalTruncated) {
-			log.Printf("journal ends in a torn record (a crash mid-append; never acknowledged): %v", err)
 			return w.Flush()
 		}
 		if err != nil {
@@ -411,7 +404,7 @@ func preregister(ctx context.Context, out io.Writer, h *crowdml.Hub, id string, 
 // flushHub closes hub durability (final checkpoint + journal close per
 // task) under its own fresh deadline, logging each task's flush error
 // instead of dropping it.
-func flushHub(h *crowdml.Hub) {
+func flushHub(h *crowdml.Hub, logf func(string, ...any)) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := h.Close(ctx)
@@ -421,11 +414,11 @@ func flushHub(h *crowdml.Hub) {
 	// Hub.Close joins one error per failing task; log them one line each.
 	if joined, ok := err.(interface{ Unwrap() []error }); ok {
 		for _, e := range joined.Unwrap() {
-			log.Printf("durability flush: %v", e)
+			logf("durability flush: %v", e)
 		}
 		return
 	}
-	log.Printf("durability flush: %v", err)
+	logf("durability flush: %v", err)
 }
 
 // specConfig builds one task's server configuration and portal info
@@ -438,9 +431,7 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 	if !crowdml.ValidTaskID(spec.ID) {
 		return crowdml.ServerConfig{}, info, fmt.Errorf("task %q: %w", spec.ID, crowdml.ErrBadTaskID)
 	}
-	if spec.Rate == 0 {
-		spec.Rate = 10
-	}
+	spec.Rate = cmp.Or(spec.Rate, 10)
 	if spec.Classes < 2 || spec.Dim < 1 {
 		return crowdml.ServerConfig{}, info, fmt.Errorf("task %s: invalid shape classes=%d dim=%d (want classes ≥ 2, dim ≥ 1)",
 			spec.ID, spec.Classes, spec.Dim)
@@ -467,22 +458,10 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 			labels = append(labels, fmt.Sprintf("class %d", k))
 		}
 	}
-	name := spec.Name
-	if name == "" {
-		name = spec.ID
-	}
-	objective := spec.Objective
-	if objective == "" {
-		objective = "Collectively learn a shared classifier from device data with local differential privacy."
-	}
-	sensorData := spec.SensorData
-	if sensorData == "" {
-		sensorData = "Device-local features; only noise-sanitized gradients and counters ever leave a device."
-	}
 	info = crowdml.TaskInfo{
-		Name:       name,
-		Objective:  objective,
-		SensorData: sensorData,
+		Name:       cmp.Or(spec.Name, spec.ID),
+		Objective:  cmp.Or(spec.Objective, "Collectively learn a shared classifier from device data with local differential privacy."),
+		SensorData: cmp.Or(spec.SensorData, "Device-local features; only noise-sanitized gradients and counters ever leave a device."),
 		Labels:     labels,
 		Algorithm:  fmt.Sprintf("%s via privacy-preserving distributed SGD (η(t)=%g/√t)", m.Name(), spec.Rate),
 	}
@@ -496,7 +475,7 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 // returned Replicator (nil for leader tasks) is ready to Start. A
 // non-nil reg instruments the task (core hot paths, durability, and —
 // for followers — the replication loop) into the shared registry.
-func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir string, saveEvery, followPoll time.Duration, reg *crowdml.MetricsRegistry) (*crowdml.Replicator, error) {
+func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir string, saveEvery, followPoll time.Duration, reg *crowdml.MetricsRegistry, logf func(string, ...any)) (*crowdml.Replicator, error) {
 	cfg, info, err := specConfig(spec)
 	if err != nil {
 		return nil, err
@@ -510,7 +489,7 @@ func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir str
 		// follower), leader-vouched auth for devices checking out here,
 		// and a replication runtime tailing the leader's journal feed.
 		if stateDir != "" {
-			log.Printf("task %s: follower of %s; -state-dir ignored", spec.ID, spec.Follow)
+			logf("task %s: follower of %s; -state-dir ignored", spec.ID, spec.Follow)
 		}
 		feed := crowdml.NewHTTPClient(spec.Follow, nil).
 			WithTask(spec.ID).
@@ -525,13 +504,13 @@ func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir str
 			Task:         task,
 			Feed:         feed,
 			PollInterval: followPoll,
-			Logf:         log.Printf,
+			Logf:         logf,
 			Metrics:      reg,
 		})
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("task %s: following %s", spec.ID, spec.Follow)
+		logf("task %s: following %s", spec.ID, spec.Follow)
 		return r, nil
 	}
 	var fs *crowdml.FileStore
@@ -544,11 +523,7 @@ func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir str
 		// directory (Segments skips subdirectories), so archived history
 		// travels with the store in backups without ever being mistaken
 		// for another task by a root listing.
-		adir := spec.ArchiveDir
-		if adir == "" {
-			adir = filepath.Join(stateDir, spec.ID, "archive")
-		}
-		ret, err := parseRetention(spec.Retention, adir)
+		ret, err := parseRetention(spec.Retention, cmp.Or(spec.ArchiveDir, filepath.Join(stateDir, spec.ID, "archive")))
 		if err != nil {
 			return nil, fmt.Errorf("task %s: %w", spec.ID, err)
 		}
@@ -576,9 +551,9 @@ func createTask(ctx context.Context, h *crowdml.Hub, spec taskSpec, stateDir str
 		// restore path just loaded.
 		hasCP, _ := fs.HasCheckpoint(ctx)
 		if hasCP || task.Server().Iteration() > 0 {
-			log.Printf("task %s: resumed at iteration %d", spec.ID, task.Server().Iteration())
+			logf("task %s: resumed at iteration %d", spec.ID, task.Server().Iteration())
 		} else {
-			log.Printf("task %s: no persisted state; starting fresh", spec.ID)
+			logf("task %s: no persisted state; starting fresh", spec.ID)
 		}
 	}
 	return nil, nil

@@ -3,6 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -176,5 +182,82 @@ func TestPreregisterRefusesFollower(t *testing.T) {
 	}
 	if err := preregister(ctx, &out, h, "missing", 1); err == nil {
 		t.Error("preregister on an unhosted task succeeded")
+	}
+}
+
+// TestTasksFileTakesSyncAndRetentionFlags: -sync and -retention are the
+// defaults for a tasks-file task that leaves "syncPolicy" or "retention"
+// empty, and a task that sets its own keeps it. A task started with
+// -sync batch fsyncs its checkins, and one started with -retention prune
+// prunes the segments its checkpoints cover.
+func TestTasksFileTakesSyncAndRetentionFlags(t *testing.T) {
+	dir := t.TempDir()
+	tasks := filepath.Join(dir, "tasks.json")
+	if err := os.WriteFile(tasks, []byte(`[
+		{"id": "flags", "classes": 3, "dim": 4, "checkpointAfterN": 1},
+		{"id": "own", "classes": 3, "dim": 4, "syncPolicy": "none", "retention": "keep", "checkpointAfterN": 1}
+	]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, stop := startServer(t, "-tasks", tasks, "-sync", "batch", "-retention", "prune",
+		"-state-dir", filepath.Join(dir, "state"), "-enroll-key", "join")
+	for _, id := range []string{"flags", "own"} {
+		client := crowdml.NewHTTPClient(base, nil).WithTask(id)
+		token, err := client.Register(ctx, "d", "join")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			co, err := client.Checkout(ctx, "d", token)
+			if err == nil {
+				err = client.Checkin(ctx, "d", token, &crowdml.CheckinRequest{
+					Grad: make([]float64, 12), NumSamples: 1, LabelCounts: []int{1, 0, 0}, Version: co.Version})
+			}
+			if err != nil {
+				t.Fatalf("task %s checkin %d: %v", id, i, err)
+			}
+		}
+	}
+	fsyncs := func(id string) float64 {
+		return scrape(t, base)[fmt.Sprintf(`crowdml_checkin_stage_seconds_count{task=%q,stage="fsync"}`, id)]
+	}
+	if got := fsyncs("flags"); got == 0 {
+		t.Error(`task without "syncPolicy" under -sync batch: no fsync stage observed`)
+	}
+	if got := fsyncs("own"); got != 0 {
+		t.Errorf(`task with "syncPolicy": "none" under -sync batch: %v fsyncs`, got)
+	}
+	// Checkpoints are asynchronous: wait for the first prune.
+	pruned := func(id string) float64 {
+		return scrape(t, base)[fmt.Sprintf(`crowdml_retention_pruned_segments_total{task=%q}`, id)]
+	}
+	for deadline := time.Now().Add(10 * time.Second); pruned("flags") == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(`task without "retention" under -retention prune: nothing pruned in 10s`)
+		}
+	}
+	if got := pruned("own"); got != 0 {
+		t.Errorf(`task with "retention": "keep" under -retention prune: %v segments pruned`, got)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCommandLine: -h lists the server's 13 flags and is not a failure;
+// a flag the server does not have is a usage error.
+func TestCommandLine(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, io.Discard, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	if n := strings.Count(stderr.String(), "\n  -"); n != 13 {
+		t.Errorf("-h lists %d flags, want 13:\n%s", n, stderr.String())
+	}
+	for _, gone := range []string{"-classes", "-archive-dir", "-task-name"} {
+		if err := run(context.Background(), []string{gone, "x"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
+			t.Errorf("run %s = %v, want a usage error", gone, err)
+		}
 	}
 }

@@ -22,10 +22,12 @@ import (
 var Fig3Rates = []float64{0.1, 1, 10, 100}
 
 // Fig3 reproduces the activity-recognition experiment in a "real
-// environment": 7 devices running the full Algorithm 1/2 stack over the
-// loopback transport, 3-class logistic regression, b = 1, λ = 0, no
-// privacy, time-averaged error over the first 300 samples for each
-// learning rate.
+// environment": 7 devices running Algorithm 1 against Algorithm 2's
+// server, called in process (core.Device → core.Server, no sockets),
+// 3-class logistic regression, b = 1, λ = 0, no privacy, time-averaged
+// error over the first 300 samples for each learning rate. The same
+// crowd over HTTP, on the shipped crowdml-server and crowdml-device, is
+// cmd/crowdml-server's TestDeploymentFig3.
 func Fig3(cfg Config) (*Figure, error) {
 	cfg = cfg.normalized()
 	const (

@@ -84,10 +84,3 @@ func (m *LogisticRegression) AddGradient(w, grad *linalg.Matrix, s Sample) {
 		linalg.Axpy(coef, s.X, grad.Row(k))
 	}
 }
-
-// Posterior writes P(y=k|x;w) for all k into dst (length C). Exposed for
-// tests and for the analysis benchmarks.
-func (m *LogisticRegression) Posterior(w *linalg.Matrix, x []float64, dst []float64) {
-	m.scores(w, x, dst)
-	linalg.Softmax(dst, dst)
-}

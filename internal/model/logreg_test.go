@@ -84,25 +84,6 @@ func TestLogRegLossAtZeroIsLogC(t *testing.T) {
 	}
 }
 
-func TestLogRegPosteriorSumsToOne(t *testing.T) {
-	r := rng.New(2)
-	m := NewLogisticRegression(5, 8)
-	w := randomParams(r, m)
-	s := randomSample(r, 5, 8)
-	probs := make([]float64, 5)
-	m.Posterior(w, s.X, probs)
-	var sum float64
-	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("posterior out of range: %v", probs)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("posterior sums to %v", sum)
-	}
-}
-
 // averagedGradient computes g̃ = (1/b)Σ∇l over the minibatch (no λw term),
 // exactly as Device Routine 2 does.
 func averagedGradient(m Model, w *linalg.Matrix, batch []Sample) *linalg.Matrix {

@@ -23,13 +23,6 @@ func (r *RNG) Laplace(scale float64) float64 {
 	return -scale * math.Log(1-2*u)
 }
 
-// LaplaceVec fills dst with independent Laplace(scale) samples.
-func (r *RNG) LaplaceVec(scale float64, dst []float64) {
-	for i := range dst {
-		dst[i] = r.Laplace(scale)
-	}
-}
-
 // DiscreteLaplace returns an integer sample from the discrete Laplace
 // distribution P(z) ∝ exp(−|z|/scale) for z ∈ ℤ (Inusah & Kozubowski 2006),
 // the "discrete Laplace noise" of the paper's Eqs. (11)–(12) used to
@@ -57,32 +50,4 @@ func (r *RNG) geometric(p float64) int {
 	}
 	// P(G >= k) = p^k, so G = floor(ln(u)/ln(p)).
 	return int(math.Floor(math.Log(u) / math.Log(p)))
-}
-
-// Categorical samples an index from the (not necessarily normalized)
-// non-negative weight vector. It panics if the weights are empty or sum to
-// a non-positive value.
-func (r *RNG) Categorical(weights []float64) int {
-	if len(weights) == 0 {
-		panic("rng: Categorical with empty weights")
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("rng: Categorical with negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: Categorical with non-positive total weight")
-	}
-	u := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

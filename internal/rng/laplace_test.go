@@ -79,24 +79,6 @@ func TestLaplacePanics(t *testing.T) {
 	New(1).Laplace(0)
 }
 
-func TestLaplaceVec(t *testing.T) {
-	r := New(43)
-	dst := make([]float64, 64)
-	r.LaplaceVec(0.5, dst)
-	allZero := true
-	for _, v := range dst {
-		if v != 0 {
-			allZero = false
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("LaplaceVec produced non-finite value %v", v)
-		}
-	}
-	if allZero {
-		t.Error("LaplaceVec left destination all-zero")
-	}
-}
-
 func TestDiscreteLaplaceMoments(t *testing.T) {
 	// Discrete Laplace with p = exp(-1/scale) has mean 0 and variance
 	// 2p/(1-p)^2 (Inusah & Kozubowski 2006) — the paper quotes the same
@@ -159,42 +141,4 @@ func TestDiscreteLaplacePanics(t *testing.T) {
 		}
 	}()
 	New(1).DiscreteLaplace(-1)
-}
-
-func TestCategorical(t *testing.T) {
-	r := New(59)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight category sampled %d times", counts[1])
-	}
-	frac0 := float64(counts[0]) / n
-	if math.Abs(frac0-0.25) > 0.02 {
-		t.Errorf("category 0 fraction = %v, want ~0.25", frac0)
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	tests := []struct {
-		name    string
-		weights []float64
-	}{
-		{name: "empty", weights: nil},
-		{name: "all zero", weights: []float64{0, 0}},
-		{name: "negative", weights: []float64{1, -1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			New(1).Categorical(tt.weights)
-		})
-	}
 }
