@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"encoding/hex"
+	"encoding/base64"
 	"fmt"
 	"math"
 	"sync"
@@ -227,8 +227,9 @@ func (s *Server) publishSnapshotLocked() {
 }
 
 // RegisterDevice enrolls a device and returns its authentication token
-// (the Web-portal "join task" step of Section V-A). Registering an already
-// known device rotates its token.
+// (the Web-portal "join task" step of Section V-A): 16 random bytes as 22
+// URL-safe base64 characters, an opaque string the device sends back on
+// every request. Registering an already known device rotates its token.
 func (s *Server) RegisterDevice(ctx context.Context, deviceID string) (token string, err error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -237,7 +238,7 @@ func (s *Server) RegisterDevice(ctx context.Context, deviceID string) (token str
 	if _, err := rand.Read(buf); err != nil {
 		return "", fmt.Errorf("core: token generation: %w", err)
 	}
-	token = hex.EncodeToString(buf)
+	token = base64.RawURLEncoding.EncodeToString(buf)
 	classes, _ := s.cfg.Model.Shape()
 	s.devices.register(deviceID, token, classes)
 	return token, nil

@@ -324,6 +324,7 @@ func TestSinceParamMatchesQueryParsing(t *testing.T) {
 		}
 	}
 	for _, rawQuery := range []string{
+		"", // every JSON checkout
 		"since=123456", "since=123456&xor=1", "since=123456&xor=2", "since=123456&xor=3",
 		"since=123456&xor=1&xor=2", "since=123456&xor=2&xor=2",
 	} {

@@ -218,8 +218,7 @@ func (c *HTTPClient) AuthProbe(ctx context.Context, deviceID, token string) erro
 	if err != nil {
 		return err
 	}
-	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
-	resp, err := c.do(ctx, http.MethodHead, u, hdr)
+	resp, err := c.do(ctx, http.MethodHead, u, deviceHeader(deviceID, token))
 	if err != nil {
 		return fmt.Errorf("transport: auth probe: %w", err)
 	}

@@ -3,12 +3,15 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,25 +20,33 @@ import (
 	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
-// TestDeviceRequestHeaderDeclaresIdentity: every request a device sends
-// names its own Accept-Encoding, "identity", exactly once. A request
-// that names none gets "gzip" from the Transport, a coding this protocol
-// never uses, in a header map built per request. The checkin bodies are
-// still the encoders' output byte for byte.
-func TestDeviceRequestHeaderDeclaresIdentity(t *testing.T) {
+// TestDeviceRequestHeaderBudget pins, for every request a device sends,
+// the exact set of header names that reaches the server: each one has a
+// reader there. No request carries a User-Agent (net/http's default is 32
+// bytes nobody reads), every one names Accept-Encoding "identity" exactly
+// once (without it the Transport adds "gzip", a coding this protocol
+// never uses), and a binary checkout sends Accept only when it names no
+// delta base — a base asks for a frame by itself. The token is 22
+// URL-safe characters, 16 random bytes. The checkin bodies are still the
+// encoders' output byte for byte.
+func TestDeviceRequestHeaderBudget(t *testing.T) {
 	hd, srv := newHandler(t, 10, 50)
 	hd.EnableEnrollment("join")
 	type seen struct {
 		route string
+		names []string
+		agent string
 		enc   []string
+		token string
 		body  []byte
 	}
 	var mu sync.Mutex
 	var got []seen
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
+		names := slices.Sorted(maps.Keys(r.Header))
 		mu.Lock()
-		got = append(got, seen{r.Method + " " + r.URL.RequestURI(), r.Header.Values("Accept-Encoding"), body})
+		got = append(got, seen{r.Method + " " + r.URL.RequestURI(), names, r.UserAgent(), r.Header.Values("Accept-Encoding"), r.Header.Get(headerToken), body})
 		mu.Unlock()
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		hd.ServeHTTP(w, r)
@@ -43,59 +54,74 @@ func TestDeviceRequestHeaderDeclaresIdentity(t *testing.T) {
 	defer ts.Close()
 	ctx := context.Background()
 	jsonCl := NewHTTPClient(ts.URL, nil).WithTask("alpha")
+	binCl := jsonCl.WithWire(WireBinary)
 	deltaCl := jsonCl.WithWire(WireBinaryDelta)
-	token, err := jsonCl.Register(ctx, "d1", "join")
-	if err != nil {
-		t.Fatal(err)
-	}
+	var token string
 	req := wideCheckin(50)
 	wantJSON, err := wirecodec.AppendCheckinJSON(nil, req.Grad, req.Version, req.NumSamples, req.ErrCount, req.LabelCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBin := wirecodec.AppendCheckin(nil, req.Grad, req.Version, req.NumSamples, req.ErrCount, req.LabelCounts, false)
-	steps := []func() error{
-		func() error { _, err := jsonCl.Tasks(ctx); return err },
-		func() error { _, err := jsonCl.Stats(ctx); return err },
-		func() error { _, err := jsonCl.Checkout(ctx, "d1", token); return err },
-		func() error { _, err := deltaCl.Checkout(ctx, "d1", token); return err },
-		func() error { return jsonCl.Checkin(ctx, "d1", token, req) },
-		func() error { return deltaCl.Checkin(ctx, "d1", token, req) },
-		func() error { _, err := deltaCl.Checkout(ctx, "d1", token); return err },
-		func() error { return jsonCl.AuthProbe(ctx, "d1", token) },
+	checkout := func(c *HTTPClient) func() error {
+		return func() error { _, err := c.Checkout(ctx, "d1", token); return err }
 	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
+	creds := []string{"Accept-Encoding", "X-Crowdml-Device", "X-Crowdml-Token"}
+	withAccept := []string{"Accept", "Accept-Encoding", "X-Crowdml-Device", "X-Crowdml-Token"}
+	checkin := []string{"Accept-Encoding", "Content-Type", "X-Crowdml-Device", "X-Crowdml-Token"}
+	for i, tc := range []struct {
+		name, route string
+		names       []string
+		run         func() error
+		body        []byte
+	}{
+		{"register", "POST /v1/tasks/alpha/register", []string{"Accept-Encoding", "Content-Length", "Content-Type", "X-Crowdml-Enroll-Key"},
+			func() (err error) { token, err = jsonCl.Register(ctx, "d1", "join"); return err }, nil},
+		{"tasks", "GET /v1/tasks", []string{"Accept-Encoding"}, func() error { _, err := jsonCl.Tasks(ctx); return err }, nil},
+		{"stats", "GET /v1/tasks/alpha/stats", []string{"Accept-Encoding"}, func() error { _, err := jsonCl.Stats(ctx); return err }, nil},
+		{"checkout json", "GET /v1/tasks/alpha/checkout", creds, checkout(jsonCl), nil},
+		{"checkout binary", "GET /v1/tasks/alpha/checkout", withAccept, checkout(binCl), nil},
+		{"checkout delta-first", "GET /v1/tasks/alpha/checkout", withAccept, checkout(deltaCl), nil},
+		{"checkout delta-with-base (current)", "GET /v1/tasks/alpha/checkout?since=0&xor=2", creds, checkout(deltaCl), nil},
+		{"checkin json", "POST /v1/tasks/alpha/checkin", checkin, func() error { return jsonCl.Checkin(ctx, "d1", token, req) }, wantJSON},
+		{"checkin binary", "POST /v1/tasks/alpha/checkin", checkin, func() error { return binCl.Checkin(ctx, "d1", token, req) }, wantBin},
+		{"checkout delta-with-base (behind)", "GET /v1/tasks/alpha/checkout?since=0&xor=2", creds, checkout(deltaCl), nil},
+		{"auth probe", "HEAD /v1/tasks/alpha/checkout", creds, func() error { return jsonCl.AuthProbe(ctx, "d1", token) }, nil},
+	} {
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mu.Lock()
+		n, s := len(got), got[len(got)-1]
+		mu.Unlock()
+		if n != i+1 {
+			t.Fatalf("%s: server has seen %d requests, want %d", tc.name, n, i+1)
+		}
+		if s.route != tc.route {
+			t.Errorf("%s: request is %s, want %s", tc.name, s.route, tc.route)
+		}
+		if !reflect.DeepEqual(s.names, tc.names) {
+			t.Errorf("%s: header names %q, want %q", tc.name, s.names, tc.names)
+		}
+		if s.agent != "" {
+			t.Errorf("%s: User-Agent %q, want none", tc.name, s.agent)
+		}
+		if !reflect.DeepEqual(s.enc, []string{"identity"}) {
+			t.Errorf("%s: Accept-Encoding %q, want exactly [identity]", tc.name, s.enc)
+		}
+		if s.token != "" && s.token != token {
+			t.Errorf("%s: token %q, want the registered %q", tc.name, s.token, token)
+		}
+		if tc.body != nil && !bytes.Equal(s.body, tc.body) {
+			t.Errorf("%s: body differs from the encoder's output", tc.name)
 		}
 	}
 	if srv.Iteration() != 2 {
 		t.Fatalf("iteration %d after two checkins", srv.Iteration())
 	}
-	routes := []string{
-		"POST /v1/tasks/alpha/register",
-		"GET /v1/tasks",
-		"GET /v1/tasks/alpha/stats",
-		"GET /v1/tasks/alpha/checkout",
-		"GET /v1/tasks/alpha/checkout",
-		"POST /v1/tasks/alpha/checkin",
-		"POST /v1/tasks/alpha/checkin",
-		"GET /v1/tasks/alpha/checkout?since=0&xor=2",
-		"HEAD /v1/tasks/alpha/checkout",
-	}
-	if len(got) != len(routes) {
-		t.Fatalf("server saw %d requests, want %d", len(got), len(routes))
-	}
-	for i, s := range got {
-		if s.route != routes[i] {
-			t.Errorf("request %d is %s, want %s", i, s.route, routes[i])
-		}
-		if !reflect.DeepEqual(s.enc, []string{"identity"}) {
-			t.Errorf("%s: Accept-Encoding %q, want exactly [identity]", s.route, s.enc)
-		}
-	}
-	if !bytes.Equal(got[5].body, wantJSON) || !bytes.Equal(got[6].body, wantBin) {
-		t.Errorf("checkin bodies differ from the encoders' output")
+	raw, err := base64.RawURLEncoding.DecodeString(token)
+	if len(token) != 22 || err != nil || len(raw) != 16 {
+		t.Errorf("token %q: %d characters decoding to %d bytes (%v), want 22 URL-safe characters of 16 bytes", token, len(token), len(raw), err)
 	}
 }
 

@@ -108,6 +108,7 @@ func (c *HTTPClient) Healthz(ctx context.Context) (*HealthResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: build healthz: %w", err)
 	}
+	req.Header = clientHeader()
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("transport: healthz: %w", err)

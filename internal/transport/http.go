@@ -31,7 +31,31 @@ const (
 	headerDeviceID       = "X-Crowdml-Device"
 	headerToken          = "X-Crowdml-Token"
 	headerAcceptEncoding = "Accept-Encoding"
+	headerUserAgent      = "User-Agent"
 )
+
+// The header values requests share; net/http only reads them. Without
+// identityEncoding the Transport adds "gzip" to each request, in a second
+// header map, for a coding this protocol never uses; without noUserAgent
+// it sends its default User-Agent, which no server route reads (an empty
+// one is omitted).
+var (
+	identityEncoding = []string{"identity"}
+	noUserAgent      = []string{""}
+	jsonType         = []string{"application/json"}
+	binaryType       = []string{ContentTypeBinary}
+)
+
+// clientHeader is a new header holding what every request HTTPClient
+// sends carries: Accept-Encoding: identity and no User-Agent.
+func clientHeader() http.Header {
+	return http.Header{headerAcceptEncoding: identityEncoding, headerUserAgent: noUserAgent}
+}
+
+// deviceHeader is clientHeader plus a device's credentials.
+func deviceHeader(deviceID, token string) http.Header {
+	return http.Header{headerAcceptEncoding: identityEncoding, headerUserAgent: noUserAgent, headerDeviceID: {deviceID}, headerToken: {token}}
+}
 
 // taskPath builds a task-scoped endpoint path, e.g.
 // taskPath("activity", "checkout") → "/v1/tasks/activity/checkout".

@@ -86,9 +86,9 @@ func (c *HTTPClient) Register(ctx context.Context, deviceID, enrollKey string) (
 	if err != nil {
 		return "", fmt.Errorf("transport: build register: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header = clientHeader()
+	req.Header["Content-Type"] = jsonType
 	req.Header.Set(headerEnrollKey, enrollKey)
-	req.Header[headerAcceptEncoding] = identityEncoding
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return "", fmt.Errorf("transport: register: %w", err)

@@ -87,13 +87,20 @@ func retryableStatus(code int) bool {
 }
 
 // do executes an idempotent, bodiless request (GET, or HEAD for the auth
-// probe) against url with the given extra headers, retrying per the
-// client's policy. A fresh request is built per attempt. The caller owns
-// the returned response body.
+// probe) against url with the given header — one clientHeader or
+// deviceHeader made, nil meaning a fresh clientHeader — retrying per the
+// client's policy. A fresh request is built per attempt. The last
+// attempt sends header itself and every earlier one a clone: an
+// http.Client with a cookie jar adds its cookies to the request's own
+// header, so a map two attempts shared would carry them twice. The
+// caller owns the returned response body.
 func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Header) (*http.Response, error) {
 	attempts := 1
 	if c.retryOn {
 		attempts = c.retry.MaxAttempts
+	}
+	if header == nil {
+		header = clientHeader()
 	}
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -110,12 +117,10 @@ func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Hea
 		if err != nil {
 			return nil, err
 		}
-		for k, vs := range header {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
+		req.Header = header
+		if attempt < attempts {
+			req.Header = header.Clone()
 		}
-		req.Header[headerAcceptEncoding] = identityEncoding
 		resp, err := c.client.Do(req)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -22,7 +22,8 @@ import (
 
 // ContentTypeBinary is the negotiated media type of the binary wire
 // protocol (internal/wirecodec, docs/WIRE.md). A checkout request opts
-// in with "Accept: application/x-crowdml-bin"; a checkin opts in by
+// in with "Accept: application/x-crowdml-bin", or by naming a delta base
+// (?since=N), which only a frame can answer; a checkin opts in by
 // POSTing its frame under this Content-Type. Media-type parameters are
 // ignored (an old client's ";compress=flate" included). JSON remains the
 // default: requests that do not ask get exactly the pre-existing
@@ -40,7 +41,8 @@ const (
 	WireBinary
 	// WireBinaryDelta additionally sends ?since=N&xor=2 on checkouts, so
 	// a poller is sent what changed, and an up-to-date one a bodyless
-	// 204, instead of the full parameter vector.
+	// 204, instead of the full parameter vector. The query alone asks
+	// for a frame: Accept goes only on a checkout without a base.
 	WireBinaryDelta
 )
 
@@ -71,13 +73,17 @@ func ParseWireFormat(s string) (WireFormat, error) {
 }
 
 // negotiate is the one place a request's codec is picked, true meaning
-// binary: a checkout asks for its response's through Accept, a checkin
+// binary: a checkout asks for its response's through a delta base
+// (since ≥ 0, which only frames carry) or through Accept, a checkin
 // declares its body's through Content-Type. Unknown or absent values
-// mean JSON — an old client can never receive a frame it does not
-// understand.
-func negotiate(r *http.Request) bool {
+// mean JSON — an old client, which never names a base without also
+// sending Accept, can never receive a frame it does not understand.
+func negotiate(r *http.Request, since int) bool {
 	if r.Method == http.MethodPost {
 		return isBinaryContentType(r.Header.Get("Content-Type"))
+	}
+	if since >= 0 {
+		return true
 	}
 	for accept := r.Header.Get("Accept"); accept != ""; {
 		var part string
@@ -180,6 +186,10 @@ var optInLevels = map[string]int{"1": optInXOR, "2": optInBodyless}
 // not read here; anything else takes the url.Values route, so what is
 // accepted and what is refused did not change.
 func sinceParam(r *http.Request) (since, optIn int, err error) {
+	if r.URL.RawQuery == "" {
+		// Every JSON checkout: no url.Values map to parse an empty query.
+		return -1, optInNone, nil
+	}
 	raw, rest, _ := strings.Cut(r.URL.RawQuery, "&xor=")
 	v, _, _ := strings.Cut(rest, "&")
 	digits, ok := strings.CutPrefix(raw, "since=")
@@ -210,8 +220,9 @@ func bodyForm(frame []byte) int {
 	return core.FormSparse
 }
 
-// serveCheckout answers a checkout in the negotiated codec: binary
-// frames honor ?since=N (see wirecodec.AppendDelta), JSON is always the
+// serveCheckout answers a checkout in the negotiated codec: a request
+// that names ?since=N is sent a frame against that base (see
+// wirecodec.AppendDelta), with or without Accept, and JSON is always the
 // full vector. Either way the body is encoded from the backend's pinned
 // snapshots into one pooled buffer — after which the snapshots are
 // released for reuse — and leaves with a Content-Length; the encode is
@@ -224,17 +235,13 @@ func bodyForm(frame []byte) int {
 // non-finite parameter has no JSON form) fails before anything is
 // written: 500, never a 200 with half a body.
 func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co, bodies *telemetry.Stages) {
-	binary := negotiate(r)
-	since, optIn := -1, optInNone
-	if binary {
-		// Absent means a full frame; a malformed value is the client's
-		// error: 400.
-		var err error
-		if since, optIn, err = sinceParam(r); err != nil {
-			writeError(w, err)
-			return
-		}
+	// Absent means no base; a malformed value is the client's error: 400.
+	since, optIn, err := sinceParam(r)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
+	binary := negotiate(r, since)
 	d, err := be.CheckoutDelta(r.Context(), deviceID, r.Header.Get(headerToken), since)
 	if err != nil {
 		writeError(w, err)
@@ -288,7 +295,7 @@ func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, devi
 	start := ci.Start()
 	sc := checkinScratches.Get().(*checkinScratch)
 	form := core.CheckinFormJSON
-	if negotiate(r) {
+	if negotiate(r, -1) {
 		form = core.CheckinFormBinary
 	}
 	req, n, err := decodeCheckin(r, form == core.CheckinFormBinary, sc)
@@ -381,9 +388,9 @@ func (c *HTTPClient) Wire() WireFormat { return c.wire }
 // Checkout implements core.Transport. Checkout is idempotent, so a
 // client built WithRetry transparently retries transient failures. With
 // a binary wire format (WithWire) the request negotiates compact frames
-// — and delta downloads — via Accept; the JSON default is byte-identical
-// to the original protocol. A delta whose base no longer matches the
-// cache drops it and refetches one full frame.
+// via Accept, and a delta download by its ?since= query alone; the JSON
+// default is byte-identical to the original protocol. A delta whose base
+// no longer matches the cache drops it and refetches one full frame.
 //
 // JSON and plain WireBinary hand out a private slice. A WireBinaryDelta
 // client returns its cached snapshot itself — the same vector to every
@@ -408,23 +415,26 @@ func (c *HTTPClient) Checkout(ctx context.Context, deviceID, token string) (*cor
 // checkoutOnce performs one checkout round trip — a delta against base,
 // XOR deltas and a bodyless answer welcome, when there is one — and
 // decodes the answer by its Content-Type, so negotiation can never
-// strand the client: a server (or proxy) that ignores the Accept header
-// answers JSON and is read as JSON. What a delta client is served
-// becomes its next base without a copy: a full or XOR frame's decoded
-// vector is adopted (base XORed in), a 204 or an empty delta re-serves
-// base's, and only a sparse delta that changes something builds a new
-// one. retry=true means a delta was unusable — wrong base, or it does
+// strand the client: a server (or proxy) that ignores the Accept header,
+// or one that negotiates by Accept alone and is sent a base without it,
+// answers JSON and is read as JSON (the cached base stays as it was).
+// What a delta client is served becomes its next base without a copy: a
+// full or XOR frame's decoded vector is adopted (base XORed in), a 204 or
+// an empty delta re-serves base's, and only a sparse delta that changes
+// something builds a new one. retry=true means a delta was unusable — wrong base, or it does
 // not decode or apply — and the caller should refetch a full frame.
 func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, base *clientSnapshot) (*core.CheckoutResponse, bool, error) {
-	hdr := http.Header{headerDeviceID: {deviceID}, headerToken: {token}}
+	hdr := deviceHeader(deviceID, token)
 	url, err := c.endpoint("checkout")
 	if err != nil {
 		return nil, false, err
 	}
 	since := -1
 	if c.wire != WireJSON {
-		hdr.Set("Accept", ContentTypeBinary)
-		if base != nil {
+		if base == nil {
+			hdr["Accept"] = binaryType
+		} else {
+			// The base asks for a frame by itself: no Accept.
 			since = base.version
 			url += "?since=" + strconv.Itoa(since) + "&xor=2"
 		}
@@ -530,11 +540,9 @@ func (r *pooledBodyReader) Close() error {
 	return nil
 }
 
-// chunkedEncoding is every checkin's Transfer-Encoding and identityEncoding
-// every client request's Accept-Encoding; net/http only reads them. Without
-// the latter, the Transport adds "gzip" to each request in a second header
-// map, for a coding this protocol never uses.
-var chunkedEncoding, identityEncoding = []string{"chunked"}, []string{"identity"}
+// chunkedEncoding is every checkin's Transfer-Encoding; net/http only
+// reads it.
+var chunkedEncoding = []string{"chunked"}
 
 // Checkin implements core.Transport: one POST of the request in the
 // client's wire format — a wirecodec frame, or the JSON body the
@@ -542,12 +550,12 @@ var chunkedEncoding, identityEncoding = []string{"chunked"}, []string{"identity"
 // responses are the JSON envelope on either wire; checkStatus reads
 // them as usual.
 func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *core.CheckinRequest) error {
-	buf, contentType := getBuf(), "application/json"
+	buf, contentType := getBuf(), jsonType
 	sent := &pooledBody{buf: buf}
 	sent.refs.Store(1) // the sender's hold, until Do has returned
 	defer sent.release()
 	if c.wire != WireJSON {
-		contentType = ContentTypeBinary
+		contentType = binaryType
 		buf.b = wirecodec.AppendCheckin(buf.b, body.Grad, body.Version, body.NumSamples, body.ErrCount, body.LabelCounts, false)
 	} else {
 		var err error
@@ -570,7 +578,8 @@ func (c *HTTPClient) Checkin(ctx context.Context, deviceID, token string, body *
 	req.Body, req.ContentLength = sent.open(), int64(len(buf.b))
 	req.GetBody = func() (io.ReadCloser, error) { return sent.open(), nil }
 	req.TransferEncoding = chunkedEncoding
-	req.Header = http.Header{"Content-Type": {contentType}, headerAcceptEncoding: identityEncoding, headerDeviceID: {deviceID}, headerToken: {token}}
+	req.Header = deviceHeader(deviceID, token)
+	req.Header["Content-Type"] = contentType
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return fmt.Errorf("transport: checkin: %w", err)

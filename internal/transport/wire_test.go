@@ -269,6 +269,143 @@ func TestMalformedSinceRejected(t *testing.T) {
 	}
 }
 
+// TestCheckoutNegotiatedByBase: a checkout that names a delta base asks
+// for a frame by itself, so a binary-delta device sends no Accept on one.
+// Without Accept, ?since=N&xor=2 is answered 204 when N is current and
+// with the same frame an Accept request gets otherwise; a checkout that
+// names no base is sent the JSON body, byte for byte; a malformed since
+// is 400, as on a binary checkout. The compat half: a server that negotiates by
+// Accept alone — every release before this rule — answers a base without
+// Accept in full JSON, and a binary-delta client still returns the
+// server's parameters bit for bit.
+func TestCheckoutNegotiatedByBase(t *testing.T) {
+	t.Run("table", func(t *testing.T) {
+		hd, srv := newHandler(t, 2, 2)
+		ctx := context.Background()
+		ts, token := serveLoopback(t, hd, srv)
+		var versions [][]float64
+		for i := 0; i < 2; i++ {
+			co, err := srv.Checkout(ctx, "d1", token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions = append(versions, co.Params)
+			if err := srv.Checkin(ctx, "d1", token, checkinReq()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur, err := srv.Checkout(ctx, "d1", token)
+		if err != nil || cur.Version != 2 {
+			t.Fatalf("checkout at 2: %+v, %v", cur, err)
+		}
+		versions = append(versions, cur.Params)
+		wantJSON, err := wirecodec.AppendCheckoutJSON(nil, cur.Params, cur.Version, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			query  string
+			status int
+			kind   string // "json", "frame" or "" (no body)
+			since  int    // a delta frame's base; -1: the full frame only
+		}{
+			{"?since=2&xor=2", http.StatusNoContent, "", 0},
+			{"?since=1&xor=2", http.StatusOK, "frame", 1},
+			{"?since=0&xor=2", http.StatusOK, "frame", 0},
+			{"?since=2", http.StatusOK, "frame", 2},
+			{"?since=999&xor=2", http.StatusOK, "frame", -1},
+			{"", http.StatusOK, "json", 0},
+			{"?xor=2", http.StatusOK, "json", 0},
+			{"?since=abc&xor=2", http.StatusBadRequest, "json", 0},
+			{"?since=-3", http.StatusBadRequest, "json", 0},
+		} {
+			status, ct, body := rawCheckout(t, ts.URL, "d1", token, "", tc.query)
+			if status != tc.status {
+				t.Errorf("%q: status %d, want %d", tc.query, status, tc.status)
+				continue
+			}
+			switch tc.kind {
+			case "":
+				if ct != "" || len(body) != 0 {
+					t.Errorf("%q: Content-Type %q and %d body bytes, want neither", tc.query, ct, len(body))
+				}
+			case "json":
+				if !strings.HasPrefix(ct, "application/json") {
+					t.Errorf("%q: Content-Type %q, want JSON", tc.query, ct)
+				}
+				if status == http.StatusOK && !bytes.Equal(body, wantJSON) {
+					t.Errorf("%q: body %q, want the JSON body %q", tc.query, body, wantJSON)
+				}
+			case "frame":
+				if !isBinaryContentType(ct) {
+					t.Fatalf("%q: Content-Type %q, want a frame", tc.query, ct)
+				}
+				if _, _, withAccept := rawCheckout(t, ts.URL, "d1", token, ContentTypeBinary, tc.query); !bytes.Equal(body, withAccept) {
+					t.Errorf("%q: frame differs from the one an Accept request gets", tc.query)
+				}
+				fr, err := wirecodec.Decode(body)
+				if err != nil {
+					t.Fatalf("%q: %v", tc.query, err)
+				}
+				got := fr.Values
+				switch {
+				case fr.Kind == wirecodec.KindFull && tc.since != 2: // a current base is always the empty delta
+				case fr.Kind == wirecodec.KindDelta && tc.since >= 0 && fr.Since == tc.since:
+					if got, err = wirecodec.ApplyDelta(versions[tc.since], fr); err != nil {
+						t.Fatalf("%q: %v", tc.query, err)
+					}
+				default:
+					t.Fatalf("%q: kind %d since %d, want a delta against %d or the full frame", tc.query, fr.Kind, fr.Since, tc.since)
+				}
+				if fr.Version != 2 || !bitEqual(got, cur.Params) {
+					t.Errorf("%q: frame does not carry version 2's parameters", tc.query)
+				}
+			}
+		}
+	})
+
+	t.Run("accept-only server", func(t *testing.T) {
+		hd, srv := newHandler(t, 2, 2)
+		ctx := context.Background()
+		var mu sync.Mutex
+		baseAsJSON := 0
+		acceptOnly := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet && !negotiate(r, -1) {
+				// The rule before a base negotiated: a checkout without
+				// Accept is JSON, its since ignored.
+				mu.Lock()
+				baseAsJSON += strings.Count(r.URL.RawQuery, "since=")
+				mu.Unlock()
+				r.URL.RawQuery = ""
+			}
+			hd.ServeHTTP(w, r)
+		})
+		ts := httptest.NewServer(acceptOnly)
+		defer ts.Close()
+		token, _ := srv.RegisterDevice(ctx, "d1")
+		cl := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithWire(WireBinaryDelta)
+		for i := 0; i < 4; i++ {
+			got, err := cl.Checkout(ctx, "d1", token)
+			if err != nil {
+				t.Fatalf("checkout %d: %v", i, err)
+			}
+			want, err := srv.Checkout(ctx, "d1", token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Version != want.Version || !bitEqual(got.Params, want.Params) {
+				t.Fatalf("checkout %d: version %d, want %d with the server's parameters", i, got.Version, want.Version)
+			}
+			if err := cl.Checkin(ctx, "d1", token, checkinReq()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if baseAsJSON != 3 {
+			t.Errorf("%d checkouts named a base and were answered JSON, want 3", baseAsJSON)
+		}
+	})
+}
+
 // TestMalformedBinaryCheckinRejected: garbage, truncated and
 // wrong-kind frames under the binary Content-Type are 400s, never 500s.
 func TestMalformedBinaryCheckinRejected(t *testing.T) {
