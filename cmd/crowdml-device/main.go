@@ -6,6 +6,12 @@
 // with local differential privacy, and streams them until the server stops
 // the task or the sample budget is exhausted.
 //
+// -eps-inv sets ε⁻¹ for everything a checkin reports about the samples:
+// the gradient (Eq. 10), the misclassification count and each label count
+// (Eqs. 11–12). The start-up line logs the composed ε. The noise is drawn
+// from crypto/rand, so no flag and no device ID can make it predictable;
+// -seed seeds only the sensor simulator.
+//
 // The device joins the task named by -task via the task-scoped
 // /v1/tasks/{id}/ routes; the flag defaults to "default", the task
 // crowdml-server hosts when it is given no -tasks file.
@@ -62,7 +68,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		token     = fs.String("token", "", "pre-registered auth token")
 		samples   = fs.Int("samples", 300, "number of samples to contribute")
 		minibatch = fs.Int("minibatch", 1, "minibatch size b")
-		epsInv    = fs.Float64("eps-inv", 0, "privacy level ε⁻¹ for gradients (0 = off; negative, NaN and Inf are refused)")
+		epsInv    = fs.Float64("eps-inv", 0, "privacy level ε⁻¹ for the gradient and both counts (0 = off; negative, NaN and Inf are refused)")
 		interval  = fs.Duration("interval", 0, "delay between samples (0 = as fast as possible)")
 		seed      = fs.Uint64("seed", 0, "sensor-simulation seed (default: derived from id)")
 		wire      = fs.String("wire", "json", "wire format for checkout/checkin: json, binary or binary-delta")
@@ -76,7 +82,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	budget, err := gradientBudget(*epsInv)
+	budget, err := budgetFor(*epsInv)
 	if err != nil {
 		return err
 	}
@@ -109,11 +115,12 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		Transport: client,
 		Minibatch: *minibatch,
 		Budget:    budget,
-		Seed:      s,
 	})
 	if err != nil {
 		return err
 	}
+	logf("%s: joining task %s, ε⁻¹ = %g on the gradient and both counts: composed ε = %g (0: no noise)",
+		*id, *taskID, *epsInv, float64(budget.Total(crowdml.ActivityClasses)))
 
 	gen := crowdml.NewActivitySimulator(s)
 	var src crowdml.SampleSource = gen
@@ -121,13 +128,18 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		src = &pacedSource{inner: gen, ctx: ctx, interval: *interval}
 	}
 	sent := 0
+	// closing logs why the device stopped and where its samples went.
+	closing := func(why string) {
+		logf("%s: %s; took %d samples, sent %d checkins; %d dropped (buffer full), %d refused as bad, %d left buffered",
+			*id, why, sent, device.Checkins(), device.Dropped(), device.Refused(), device.Buffered())
+	}
 	for sent < *samples {
 		n, err := device.Run(ctx, src, *samples-sent)
 		sent += n
 		switch {
 		case errors.Is(err, context.Canceled):
 			// Ctrl-C / SIGTERM: stand down cleanly.
-			logf("%s: interrupted after %d samples", *id, sent)
+			closing("interrupted")
 			return nil
 		case errors.Is(err, crowdml.ErrBufferFull):
 			logf("%s: buffer full, backing off: %v", *id, err)
@@ -135,7 +147,7 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 			case <-time.After(time.Second):
 				continue
 			case <-ctx.Done():
-				logf("%s: interrupted after %d samples", *id, sent)
+				closing("interrupted")
 				return nil
 			}
 		case err != nil:
@@ -144,22 +156,25 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		break // Run finished: max reached, source drained, or task stopped.
 	}
 	if device.Done() {
-		logf("%s: server reports task complete after %d samples", *id, sent)
+		closing("server reports task complete")
 		return nil
 	}
-	logf("%s: contributed %d samples in %d checkins", *id, sent, device.Checkins())
+	closing("done")
 	return nil
 }
 
-// gradientBudget turns -eps-inv into the device's budget. 0 turns the
-// noise off on purpose. FromInv would read a negative, NaN or infinite
-// ε⁻¹ as "no noise" as well, and +Inf asks for the strongest privacy
-// there is, not for none: each is refused.
-func gradientBudget(epsInv float64) (crowdml.Budget, error) {
+// budgetFor turns -eps-inv into the device's budget: the same ε for the
+// gradient and both counts, since an exact count would reveal the
+// device's label histogram. 0 turns the noise off on purpose. FromInv
+// would read a negative, NaN or infinite ε⁻¹ as "no noise" as well, and
+// +Inf asks for the strongest privacy there is, not for none: each is
+// refused.
+func budgetFor(epsInv float64) (crowdml.Budget, error) {
 	if epsInv < 0 || math.IsNaN(epsInv) || math.IsInf(epsInv, 0) {
 		return crowdml.Budget{}, fmt.Errorf("-eps-inv %v: want 0 (no noise) or a positive finite ε⁻¹", epsInv)
 	}
-	return crowdml.Budget{Gradient: crowdml.FromInv(epsInv)}, nil
+	eps := crowdml.FromInv(epsInv)
+	return crowdml.Budget{Gradient: eps, ErrCount: eps, LabelCount: eps}, nil
 }
 
 // pacedSource throttles a sample source to the configured interval,

@@ -182,7 +182,9 @@
 //	          lock-free checkout/stats, batched checkin application.
 //	Device  — Algorithm 1: sample buffering (minibatch b, cap B), gradient
 //	          computation, local sanitization once per minibatch, check-in
-//	          with retry of the same sanitized request.
+//	          with retry of the same sanitized request. The noise comes
+//	          from crypto/rand unless DeviceConfig.Seed is set, which
+//	          makes it a reproducible stream for simulations and tests.
 //	Privacy — Eq. (10) gradient perturbation, Eqs. (11)–(12) count
 //	          sanitization, ε = ε_g + ε_e + C·ε_yk composition.
 //	Models  — multiclass logistic regression (Table I), linear SVM,

@@ -54,6 +54,14 @@ func PerturbDataset(samples []model.Sample, classes int, p InputPerturbation, r 
 	return out
 }
 
+// The centralized batch learner runs batchEpochs epochs of full-batch
+// gradient descent at the fixed step size batchRate, tuned for
+// L1-normalized features.
+const (
+	batchEpochs = 150
+	batchRate   = 40
+)
+
 // BatchConfig configures the centralized batch learner.
 type BatchConfig struct {
 	// Model is the classifier; required.
@@ -63,11 +71,6 @@ type BatchConfig struct {
 	// Perturbation is the optional Appendix C input DP mechanism applied
 	// to the training set before learning.
 	Perturbation InputPerturbation
-	// Epochs of full-batch gradient descent (default 150).
-	Epochs int
-	// Rate is the fixed batch GD step size (default 40, tuned for
-	// L1-normalized features).
-	Rate float64
 	// Lambda is the regularization weight.
 	Lambda float64
 	// Seed drives the perturbation noise.
@@ -83,12 +86,6 @@ func RunBatch(cfg BatchConfig) (float64, error) {
 	if len(cfg.Train) == 0 {
 		return 0, fmt.Errorf("baseline: empty training set")
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 150
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = 40
-	}
 	r := rng.New(cfg.Seed)
 	classes, _ := cfg.Model.Shape()
 	train := PerturbDataset(cfg.Train, classes, cfg.Perturbation, r)
@@ -96,7 +93,7 @@ func RunBatch(cfg BatchConfig) (float64, error) {
 	w := model.NewParams(cfg.Model)
 	g := model.NewParams(cfg.Model)
 	inv := 1 / float64(len(train))
-	for e := 0; e < cfg.Epochs; e++ {
+	for e := 0; e < batchEpochs; e++ {
 		g.Zero()
 		for _, s := range train {
 			cfg.Model.AddGradient(w, g, s)
@@ -107,7 +104,7 @@ func RunBatch(cfg BatchConfig) (float64, error) {
 				return 0, err
 			}
 		}
-		w.AddScaled(-cfg.Rate, g)
+		w.AddScaled(-batchRate, g)
 	}
 	return metrics.TestError(cfg.Model, w, cfg.Test), nil
 }

@@ -34,23 +34,13 @@ type DeviceConfig struct {
 	// Budget sets the local differential-privacy levels (Device Routine 3).
 	// The zero value disables all perturbation, the "ε⁻¹ = 0" setting.
 	Budget privacy.Budget
-	// HoldoutFraction, if positive, sets aside this fraction of each
-	// minibatch as device-local test data (Remark 2): only those samples
-	// feed the misclassification counter, and their gradients are excluded
-	// from the average. Note the server-side error estimate ΣN_e/ΣN_s is
-	// then scaled down by roughly this fraction, since N_s still counts
-	// every sample.
-	HoldoutFraction float64
-	// Seed seeds the device's private noise/holdout randomness. Devices
-	// with equal seeds produce identical noise streams; give every device
-	// a distinct seed.
+	// Seed, if non-zero, makes the device's privacy noise a reproducible
+	// stream, for simulations and tests: devices with equal seeds draw
+	// identical noise, so give every simulated device a distinct seed.
+	// Zero, the default, draws the noise from crypto/rand, as the
+	// local-DP guarantee assumes: a server that knows the seed can
+	// regenerate the noise and subtract it.
 	Seed uint64
-	// SecureNoise switches the sanitization noise to a cryptographically
-	// secure source (crypto/rand). Production deployments should set this:
-	// the DP guarantee assumes unpredictable noise. Seed is ignored for
-	// noise generation when set (holdout selection also becomes
-	// non-deterministic).
-	SecureNoise bool
 }
 
 // Device is the device side of Crowd-ML (Algorithm 1). It is not safe for
@@ -90,12 +80,9 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	if cfg.MaxBuffer < cfg.Minibatch {
 		cfg.MaxBuffer = 8 * cfg.Minibatch
 	}
-	if cfg.HoldoutFraction < 0 || cfg.HoldoutFraction >= 1 {
-		return nil, fmt.Errorf("core: HoldoutFraction %v outside [0,1)", cfg.HoldoutFraction)
-	}
-	noise := rng.New(cfg.Seed ^ 0xc2b2ae3d27d4eb4f)
-	if cfg.SecureNoise {
-		noise = rng.NewSecure()
+	noise := rng.NewSecure()
+	if cfg.Seed != 0 {
+		noise = rng.New(cfg.Seed ^ 0xc2b2ae3d27d4eb4f)
 	}
 	return &Device{
 		cfg:    cfg,
@@ -308,12 +295,11 @@ type GradientMechanism func(g *linalg.Matrix, n int, r *rng.RNG)
 // place a minibatch and the checked-out w become what leaves the device:
 // per-sample predictions and counters, the averaged regularized gradient,
 // and their sanitization with the local privacy mechanisms. Of cfg it
-// reads Model, Lambda, Budget and HoldoutFraction. A non-nil mech replaces
-// the Eq. (10) Laplace mechanism at Budget.Gradient (a byzantine device's
+// reads Model, Lambda and Budget. A non-nil mech replaces the Eq. (10)
+// Laplace mechanism at Budget.Gradient (a byzantine device's
 // attack.Corrupt, footnote 1's Gaussian variant); the counts are sanitized
-// by Eqs. (11)–(12) either way. r is drawn in a fixed order: holdout
-// selection (one draw per sample, only with a holdout fraction), gradient
-// noise, ErrCount noise, LabelCounts noise.
+// by Eqs. (11)–(12) either way. r is drawn in a fixed order: gradient
+// noise, ErrCount noise, LabelCounts noise. batch must not be empty.
 func DeviceStep(cfg *DeviceConfig, mech GradientMechanism, co *CheckoutResponse, batch []model.Sample, r *rng.RNG) (*CheckinRequest, error) {
 	classes, dim := cfg.Model.Shape()
 	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
@@ -321,43 +307,22 @@ func DeviceStep(cfg *DeviceConfig, mech GradientMechanism, co *CheckoutResponse,
 		return nil, fmt.Errorf("checkout params: %w", err)
 	}
 
-	// Device Routine 2: predictions, counters, gradient. With a holdout
-	// fraction (Remark 2), the misclassification counter is computed only
-	// from the held-out samples, whose gradients are excluded from the
-	// average; the server's error estimate then reflects generalization
-	// rather than training error. Without holdout, every sample feeds
-	// both the counter and the gradient, exactly as Algorithm 1 reads.
+	// Device Routine 2: predictions, counters, gradient.
 	ne := 0
 	nky := make([]int, classes)
-	holdout := cfg.HoldoutFraction > 0
-	training := batch
-	if holdout {
-		training = make([]model.Sample, 0, len(batch))
-	}
 	for _, s := range batch {
 		nky[s.Y]++
-		heldOut := holdout && r.Float64() < cfg.HoldoutFraction
-		if !holdout || heldOut {
-			if cfg.Model.Misclassified(w, s) {
-				ne++
-			}
-		}
-		if holdout && !heldOut {
-			training = append(training, s)
+		if cfg.Model.Misclassified(w, s) {
+			ne++
 		}
 	}
-	g := optimizer.AverageGradient(cfg.Model, w, training, cfg.Lambda)
-	if g == nil {
-		// Every sample was held out; send a zero gradient so the counters
-		// still reach the server.
-		g = model.NewParams(cfg.Model)
-	}
+	g := optimizer.AverageGradient(cfg.Model, w, batch, cfg.Lambda)
 
 	// Device Routine 3: sanitize with the local mechanisms.
 	if mech != nil {
-		mech(g, len(training), r)
+		mech(g, len(batch), r)
 	} else {
-		privacy.PerturbGradient(g, len(training), cfg.Model.GradientSensitivity(),
+		privacy.PerturbGradient(g, len(batch), cfg.Model.GradientSensitivity(),
 			cfg.Budget.Gradient, r)
 	}
 	return &CheckinRequest{

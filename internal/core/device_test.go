@@ -90,7 +90,6 @@ func TestNewDeviceValidation(t *testing.T) {
 		{name: "missing id", cfg: DeviceConfig{Model: m, Transport: ft}},
 		{name: "missing model", cfg: DeviceConfig{ID: "d", Transport: ft}},
 		{name: "missing transport", cfg: DeviceConfig{ID: "d", Model: m}},
-		{name: "bad holdout", cfg: DeviceConfig{ID: "d", Model: m, Transport: ft, HoldoutFraction: 1.5}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -332,27 +331,6 @@ func TestDevicePrivacyPerturbsGradient(t *testing.T) {
 	}
 }
 
-func TestDeviceHoldoutExcludesFromGradient(t *testing.T) {
-	// With HoldoutFraction ~1-epsilon... use 0.99 and seed scanning: after
-	// enough samples some must be held out; we verify by checking that the
-	// gradient for a fully-held-out batch is zero.
-	for seed := uint64(0); seed < 50; seed++ {
-		d, ft := newTestDevice(t, DeviceConfig{Minibatch: 1, HoldoutFraction: 0.99, Seed: seed})
-		if err := d.AddSample(context.Background(), sampleFor(0)); err != nil {
-			t.Fatal(err)
-		}
-		ci := ft.checkins[0]
-		if linalg.Norm1(ci.Grad) == 0 {
-			// Held out: gradient zero but the sample still counted.
-			if ci.NumSamples != 1 {
-				t.Error("held-out sample must still be counted in n_s")
-			}
-			return
-		}
-	}
-	t.Error("no seed produced a held-out sample at fraction 0.99")
-}
-
 func TestDeviceEndToEndWithServer(t *testing.T) {
 	// Device + server via a closure transport: full Algorithm 1+2 loop.
 	m := model.NewLogisticRegression(2, 3)
@@ -395,54 +373,47 @@ func ExampleDevice() {
 	// Output: see examples/quickstart for a runnable end-to-end example
 }
 
+// TestDeviceSecureNoiseDiffersAcrossRuns: without a seed the noise comes
+// from crypto/rand, so two identically configured devices given the same
+// sample send different gradients and counts. A seeded stream would send
+// the same ones, which a server knowing the seed could subtract.
 func TestDeviceSecureNoiseDiffersAcrossRuns(t *testing.T) {
-	// Same seed + SecureNoise: the sanitized gradients must differ between
-	// two identically configured devices (deterministic streams would not).
-	mk := func() *CheckinRequest {
-		d, ft := newTestDevice(t, DeviceConfig{
-			Minibatch: 1, Seed: 42, SecureNoise: true,
-			Budget: privacy.Budget{Gradient: 1},
-		})
-		if err := d.AddSample(context.Background(), sampleFor(0)); err != nil {
-			t.Fatal(err)
-		}
-		return ft.checkins[0]
-	}
-	a, b := mk(), mk()
+	a, b := noisyCheckin(t, 0), noisyCheckin(t, 0)
 	if linalg.Equal(a.Grad, b.Grad, 1e-12) {
-		t.Error("secure noise produced identical gradients for identical seeds")
+		t.Error("unseeded noise produced identical gradients on two runs")
+	}
+	if reflect.DeepEqual(a.LabelCounts, b.LabelCounts) && a.ErrCount == b.ErrCount {
+		t.Errorf("unseeded noise produced identical counts on two runs: %d %v", a.ErrCount, a.LabelCounts)
 	}
 }
 
-func TestDeviceHoldoutErrorCounterOnlyHeldOut(t *testing.T) {
-	// With holdout ~0 (but enabled), no sample is ever held out, so n_e
-	// must stay 0 even though the model misclassifies everything — the
-	// counter only sees held-out samples (Remark 2).
-	d, ft := newTestDevice(t, DeviceConfig{Minibatch: 4, HoldoutFraction: 1e-12, Seed: 5})
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		if err := d.AddSample(ctx, sampleFor(i%2)); err != nil {
-			t.Fatal(err)
+// TestDeviceSeededNoiseRepeats: a non-zero seed reproduces the whole
+// sanitized request bit for bit, as simulations and tests need.
+func TestDeviceSeededNoiseRepeats(t *testing.T) {
+	a, b := noisyCheckin(t, 42), noisyCheckin(t, 42)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("seed 42 sent %+v, then %+v", a, b)
+	}
+	for i := range a.Grad {
+		if math.Float64bits(a.Grad[i]) != math.Float64bits(b.Grad[i]) {
+			t.Fatalf("seed 42: coordinate %d differs in its bits", i)
 		}
 	}
-	if ft.checkins[0].ErrCount != 0 {
-		t.Errorf("ErrCount = %d, want 0 (nothing held out)", ft.checkins[0].ErrCount)
+}
+
+// noisyCheckin is the request a fresh device with the given seed sends
+// for one sample, at budgets noisy enough that equal requests twice would
+// not happen by chance.
+func noisyCheckin(t *testing.T, seed uint64) *CheckinRequest {
+	t.Helper()
+	d, ft := newTestDevice(t, DeviceConfig{
+		Minibatch: 1, Seed: seed,
+		Budget: privacy.Budget{Gradient: 1, ErrCount: 0.01, LabelCount: 0.01},
+	})
+	if err := d.AddSample(context.Background(), sampleFor(0)); err != nil {
+		t.Fatal(err)
 	}
-	// With holdout ~1, everything is held out: gradient must be zero and
-	// the counter active.
-	d2, ft2 := newTestDevice(t, DeviceConfig{Minibatch: 4, HoldoutFraction: 0.999999, Seed: 5})
-	for i := 0; i < 4; i++ {
-		if err := d2.AddSample(ctx, sampleFor(i%2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if linalg.Norm1(ft2.checkins[0].Grad) != 0 {
-		t.Error("fully held-out batch should send a zero gradient")
-	}
-	// At w=0 every prediction is class 0, so the two y=1 samples miss.
-	if got := ft2.checkins[0].ErrCount; got != 2 {
-		t.Errorf("ErrCount = %d, want 2", got)
-	}
+	return ft.checkins[0]
 }
 
 // referenceStep is Device Routines 2–3 as Device.Flush wrote them out
@@ -453,26 +424,14 @@ func referenceStep(cfg *DeviceConfig, co *CheckoutResponse, batch []model.Sample
 	w, _ := linalg.NewMatrixFrom(classes, dim, co.Params)
 	ne := 0
 	nky := make([]int, classes)
-	holdout := cfg.HoldoutFraction > 0
-	training := batch
-	if holdout {
-		training = nil
-	}
 	for _, s := range batch {
 		nky[s.Y]++
-		heldOut := holdout && r.Float64() < cfg.HoldoutFraction
-		if (!holdout || heldOut) && cfg.Model.Misclassified(w, s) {
+		if cfg.Model.Misclassified(w, s) {
 			ne++
 		}
-		if holdout && !heldOut {
-			training = append(training, s)
-		}
 	}
-	g := optimizer.AverageGradient(cfg.Model, w, training, cfg.Lambda)
-	if g == nil {
-		g = model.NewParams(cfg.Model)
-	}
-	privacy.PerturbGradient(g, len(training), cfg.Model.GradientSensitivity(), cfg.Budget.Gradient, r)
+	g := optimizer.AverageGradient(cfg.Model, w, batch, cfg.Lambda)
+	privacy.PerturbGradient(g, len(batch), cfg.Model.GradientSensitivity(), cfg.Budget.Gradient, r)
 	return &CheckinRequest{
 		Grad:        g.Data(),
 		NumSamples:  len(batch),
@@ -495,19 +454,16 @@ var (
 func TestDeviceStepMatchesFlush(t *testing.T) {
 	budget := privacy.Budget{Gradient: 10, ErrCount: 1, LabelCount: 0.5}
 	for _, tc := range []struct {
-		name    string
-		holdout float64
-		budget  privacy.Budget
+		name   string
+		budget privacy.Budget
 	}{
-		{"plain", 0, privacy.Budget{}},
-		{"holdout", 0.4, privacy.Budget{}},
-		{"budget", 0, budget},
-		{"holdout+budget", 0.4, budget},
+		{"plain", privacy.Budget{}},
+		{"budget", budget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DeviceConfig{
 				Minibatch: len(stepBatch), Lambda: 0.01, Seed: 77,
-				HoldoutFraction: tc.holdout, Budget: tc.budget,
+				Budget: tc.budget,
 			}
 			ref, _ := newTestDevice(t, cfg) // same seed, untouched stream
 			co := &CheckoutResponse{Params: stepParams, Version: 9}

@@ -45,10 +45,6 @@ type ServerConfig struct {
 	// evaluated, so a couple of lucky early checkins cannot stop the task.
 	// Defaults to 10× the model's class count when zero.
 	MinSamplesForStop int
-	// InitParams optionally seeds the parameter matrix ("Init: randomized
-	// w" in Algorithm 2). Nil starts from zero, which is a valid (and
-	// deterministic) initialization for the convex models in this repo.
-	InitParams *linalg.Matrix
 	// AuthFallback, if non-nil, is consulted when a device presents
 	// credentials this server does not recognize: it receives the device
 	// ID and token and returns nil to vouch for them. On success the
@@ -188,15 +184,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewServerMetrics(nil, "")
 	}
-	w := model.NewParams(cfg.Model)
-	if cfg.InitParams != nil {
-		if err := w.CopyFrom(cfg.InitParams); err != nil {
-			return nil, fmt.Errorf("core: init params: %w", err)
-		}
-	}
 	s := &Server{
 		cfg:       cfg,
-		w:         w,
+		w:         model.NewParams(cfg.Model),
 		totalNky:  make([]atomic.Int64, classes),
 		devices:   newDeviceRegistry(),
 		ring:      NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),

@@ -56,14 +56,6 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{Model: model.NewLogisticRegression(2, 2)}); err == nil {
 		t.Error("expected error for missing updater")
 	}
-	bad := ServerConfig{
-		Model:      model.NewLogisticRegression(2, 2),
-		Updater:    &optimizer.SGD{Schedule: optimizer.Constant{C: 1}},
-		InitParams: linalg.NewMatrix(5, 5),
-	}
-	if _, err := NewServer(bad); err == nil {
-		t.Error("expected error for wrong-shape init params")
-	}
 }
 
 func TestAuthRequired(t *testing.T) {
@@ -246,20 +238,6 @@ func TestDeviceStatsTracking(t *testing.T) {
 	st2 := s.ExportState().Devices["d1"]
 	if st2.LabelCounts[0] == 99 {
 		t.Error("ExportState leaked internal slice")
-	}
-}
-
-func TestInitParams(t *testing.T) {
-	init := linalg.NewMatrix(3, 2)
-	init.Set(0, 0, 7)
-	s := newTestServer(t, ServerConfig{InitParams: init})
-	if got := s.Params().At(0, 0); got != 7 {
-		t.Errorf("init param = %v, want 7", got)
-	}
-	// Server must have copied, not aliased.
-	init.Set(0, 0, 1)
-	if got := s.Params().At(0, 0); got != 7 {
-		t.Error("server aliased caller's init matrix")
 	}
 }
 

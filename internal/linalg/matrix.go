@@ -55,16 +55,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom copies the contents of src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("linalg: CopyFrom %dx%d into %dx%d: %w",
-			src.rows, src.cols, m.rows, m.cols, ErrDimensionMismatch)
-	}
-	copy(m.data, src.data)
-	return nil
-}
-
 // MulVec computes dst = M·x where x has length Cols and dst has length Rows.
 func (m *Matrix) MulVec(x, dst []float64) {
 	if len(x) != m.cols || len(dst) != m.rows {
@@ -90,9 +80,6 @@ func (m *Matrix) Scale(alpha float64) { Scale(alpha, m.data) }
 
 // Zero resets all elements to zero.
 func (m *Matrix) Zero() { Zero(m.data) }
-
-// Norm2 returns the Frobenius norm of the matrix.
-func (m *Matrix) Norm2() float64 { return Norm2(m.data) }
 
 // Norm1 returns the entrywise L1 norm (sum of absolute values).
 func (m *Matrix) Norm1() float64 { return Norm1(m.data) }

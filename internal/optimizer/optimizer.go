@@ -147,13 +147,15 @@ func (u *SGD) Name() string { return "sgd(" + u.Schedule.Name() + ")" }
 type AdaGrad struct {
 	// Eta is the base learning rate.
 	Eta float64
-	// Epsilon is the damping constant ε₀ (defaults to 1e-8 if zero).
-	Epsilon float64
 	// Radius is the projection-ball radius (non-positive disables).
 	Radius float64
 
 	accum []float64 // running Σ g_i², lazily sized
 }
+
+// adaGradDamping is AdaGrad's ε₀: it keeps the first step finite when a
+// coordinate's gradients so far are all zero.
+const adaGradDamping = 1e-8
 
 var _ Updater = (*AdaGrad)(nil)
 
@@ -169,14 +171,10 @@ func (u *AdaGrad) Update(w, g *linalg.Matrix, t int) {
 		panic(fmt.Sprintf("optimizer: adagrad state has %d coordinates, gradient has %d",
 			len(u.accum), len(data)))
 	}
-	eps := u.Epsilon
-	if eps == 0 {
-		eps = 1e-8
-	}
 	wd := w.Data()
 	for i, gi := range data {
 		u.accum[i] += gi * gi
-		wd[i] -= u.Eta / (eps + math.Sqrt(u.accum[i])) * gi
+		wd[i] -= u.Eta / (adaGradDamping + math.Sqrt(u.accum[i])) * gi
 	}
 	linalg.ProjectBall(wd, u.Radius)
 }

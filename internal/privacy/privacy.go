@@ -31,14 +31,6 @@ type Eps float64
 // Enabled reports whether the mechanism should add noise.
 func (e Eps) Enabled() bool { return e > 0 }
 
-// Inv returns ε⁻¹ (the paper's x-axis convention), 0 when disabled.
-func (e Eps) Inv() float64 {
-	if e <= 0 {
-		return 0
-	}
-	return 1 / float64(e)
-}
-
 // FromInv converts the paper's ε⁻¹ parametrization to an Eps.
 // FromInv(0) disables privacy; FromInv(0.1) is ε = 10.
 func FromInv(inv float64) Eps {

@@ -32,12 +32,6 @@ func TestEpsConversions(t *testing.T) {
 			}
 		})
 	}
-	if got := Eps(4).Inv(); got != 0.25 {
-		t.Errorf("Inv = %v, want 0.25", got)
-	}
-	if got := Eps(0).Inv(); got != 0 {
-		t.Errorf("Inv of disabled = %v, want 0", got)
-	}
 }
 
 func TestBudgetTotal(t *testing.T) {

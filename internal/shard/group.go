@@ -239,6 +239,3 @@ func (g *Group) Members() []*hub.Task {
 	copy(out, g.members)
 	return out
 }
-
-// Map returns the group's shard map.
-func (g *Group) Map() ShardMap { return g.smap }

@@ -2,11 +2,15 @@
 // kept alive by its own package's tests alone: no file of another package
 // (test files, benchmark/ and examples/ included) names it as pkg.Name,
 // and no other declaration of its package's non-test code names it (a
-// method's receiver does not count). allow.txt lists the exceptions with
-// their reasons. It parses only, with no type checker, so a local name
-// that shadows an import or a declaration can hide dead code, never
-// invent it. Directories named testdata or starting with . or _ are
-// skipped, as the go command skips them.
+// method's receiver does not count). It fails too on an exported method,
+// of a type or an interface in internal/, that no selector x.Method
+// names outside its package's own tests. allow.txt lists the exceptions
+// with their reasons. It parses only, with no type checker, so a local
+// name that shadows a declaration can hide dead code, never invent it;
+// and a method is matched by its name alone, whatever the type of x, so
+// an allowlisted method (an interface's, say) keeps every method of its
+// name. Directories named testdata or starting with . or _
+// are skipped, as the go command skips them.
 //
 // Usage, from the repository root (exit status 1 lists every finding):
 //
@@ -53,11 +57,16 @@ func main() {
 func scan(fsys fs.FS, allow string) ([]string, error) {
 	fset := token.NewFileSet()
 	type decl struct {
-		name string // "pkg.Name"
-		pos  token.Pos
+		pkg    string
+		name   string // "pkg.Name", or "pkg.Type.Method"
+		method string // a method's name, else ""
+		pos    token.Pos
 	}
 	var decls []decl
 	used := map[string]bool{}
+	// selected[m] holds, for each file naming x.m other than as pkg.m,
+	// the package whose test it is, or "" for any other file.
+	selected := map[string]map[string]bool{}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -71,37 +80,63 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		// Object resolution tells a package name (unresolved) from a
+		// local one that shadows it.
+		f, err := parser.ParseFile(fset, p, src, 0)
 		if err != nil {
 			return err
 		}
 		pkg, own := strings.CutPrefix(path.Dir(p), "internal/")
-		imports := map[string]string{} // local name -> package, another one's
+		test := strings.HasSuffix(p, "_test.go")
+		tester := ""
+		if own && test {
+			tester = pkg
+		}
+		// Each import's local name -> its package under internal/ if that
+		// is another package, else "".
+		imports := map[string]string{}
 		for _, imp := range f.Imports {
 			ip, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(ip)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = ""
 			if _, dep, ok := strings.Cut(ip, "/internal/"); ok && !(own && dep == pkg) {
 				imports[path.Base(dep)] = dep
-				if imp.Name != nil {
-					imports[imp.Name.Name] = dep
-				}
+				imports[name] = dep
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					used[imports[x.Name]+"."+sel.Sel.Name] = true
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil {
+				if dep, isPkg := imports[x.Name]; isPkg {
+					if dep != "" {
+						used[dep+"."+sel.Sel.Name] = true
+					}
+					return true
 				}
 			}
+			if selected[sel.Sel.Name] == nil {
+				selected[sel.Sel.Name] = map[string]bool{}
+			}
+			selected[sel.Sel.Name][tester] = true
 			return true
 		})
-		if !own || strings.HasSuffix(p, "_test.go") {
+		if !own || test {
 			return nil
 		}
 		for _, d := range f.Decls {
-			units(d, func(owners []*ast.Ident, method bool, parts ...ast.Node) {
+			units(d, func(owners []*ast.Ident, method *ast.Ident, parts ...ast.Node) {
+				if method != nil && method.IsExported() {
+					decls = append(decls, decl{pkg, pkg + "." + owners[0].Name + "." + method.Name, method.Name, method.Pos()})
+				}
 				for _, id := range owners {
-					if id.IsExported() && !method {
-						decls = append(decls, decl{pkg + "." + id.Name, id.Pos()})
+					if id.IsExported() && method == nil {
+						decls = append(decls, decl{pkg, pkg + "." + id.Name, "", id.Pos()})
 					}
 				}
 				for _, n := range parts {
@@ -126,8 +161,17 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 			allowed[f[0]] = true
 		}
 	}
+	allowedMethods := map[string]bool{}
+	for _, d := range decls {
+		if d.method != "" && allowed[d.name] {
+			allowedMethods[d.method] = true
+		}
+	}
 	var out []string
 	for _, d := range decls {
+		if by := selected[d.method]; d.method != "" {
+			used[d.name] = allowedMethods[d.method] || len(by) > 1 || len(by) == 1 && !by[d.pkg]
+		}
 		if !used[d.name] && !allowed[d.name] {
 			out = append(out, fmt.Sprintf("%s: %s has no caller outside its own package's tests", fset.Position(d.pos), d.name))
 		}
@@ -135,29 +179,39 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 	return out, nil
 }
 
-// units calls fn once per declared thing in d: a function, a method, or
-// one spec of a type, var or const declaration. owners are the names it
-// declares (a method's: its receiver's type), parts what may name others.
-func units(d ast.Decl, fn func(owners []*ast.Ident, method bool, parts ...ast.Node)) {
+// units calls fn once per declared thing in d: a function, a method, one
+// method of an interface type, or one spec of a type, var or const
+// declaration. owners are the names it declares (a method's: its
+// receiver's type or its interface), method a method's own name, parts
+// what may name others.
+func units(d ast.Decl, fn func(owners []*ast.Ident, method *ast.Ident, parts ...ast.Node)) {
 	if d, ok := d.(*ast.FuncDecl); ok {
-		owners := []*ast.Ident{d.Name}
-		if d.Recv != nil {
-			owners = nil // T, or T and its type parameters, of T, *T or *T[P]
-			refs(d.Recv, func(id *ast.Ident) { owners = append(owners, id) })
+		if d.Recv == nil {
+			fn([]*ast.Ident{d.Name}, nil, d.Type, d.Body)
+			return
 		}
-		fn(owners, d.Recv != nil, d.Type, d.Body)
+		var owners []*ast.Ident // T, or T and its type parameters, of T, *T or *T[P]
+		refs(d.Recv, func(id *ast.Ident) { owners = append(owners, id) })
+		fn(owners, d.Name, d.Type, d.Body)
 		return
 	}
 	for _, s := range d.(*ast.GenDecl).Specs {
 		switch s := s.(type) {
 		case *ast.TypeSpec:
-			fn([]*ast.Ident{s.Name}, false, s.TypeParams, s.Type)
+			fn([]*ast.Ident{s.Name}, nil, s.TypeParams, s.Type)
+			if it, ok := s.Type.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						fn([]*ast.Ident{s.Name}, name)
+					}
+				}
+			}
 		case *ast.ValueSpec:
 			parts := []ast.Node{s.Type}
 			for _, v := range s.Values {
 				parts = append(parts, v)
 			}
-			fn(s.Names, false, parts...)
+			fn(s.Names, nil, parts...)
 		}
 	}
 }

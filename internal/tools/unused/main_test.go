@@ -47,12 +47,12 @@ func TestScan(t *testing.T) {
 		{
 			name:  "a type referenced only as a method receiver",
 			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (t *T) M() *T { return t }\n"},
-			want:  []string{"a.T"},
+			want:  []string{"a.T", "a.T.M"},
 		},
 		{
 			name:  "a generic type referenced only by its methods",
 			files: map[string]string{"internal/a/a.go": "package a\n\ntype G[K comparable, V any] map[K]V\n\nfunc (g G[K, V]) Len() int { return len(g) }\n\nfunc (g *G[K, V]) Self() *G[K, V] { return g }\n"},
-			want:  []string{"a.G"},
+			want:  []string{"a.G", "a.G.Len", "a.G.Self"},
 		},
 		{
 			name:  "a function that only calls itself",
@@ -77,6 +77,29 @@ func TestScan(t *testing.T) {
 			name:  "testdata and dot directories are skipped",
 			files: map[string]string{"internal/a/a.go": decl, "internal/b/testdata/c.go": use("c"), "internal/.d/d.go": use("d"), "internal/a/testdata/e.go": "package e\n\nfunc Dead() {}\n"},
 			want:  []string{"a.F"},
+		},
+		{
+			name:  "a method called only by its own package's tests",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n\nfunc (*T) m() {}\n\nvar _ = T{}\n", "internal/a/a_test.go": "package a\n\nfunc init() { T{}.M(); new(T).m() }\n"},
+			want:  []string{"a.T.M"},
+		},
+		{
+			name:  "a method called by another package's test",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n", "internal/b/b_test.go": "package b\n\nimport \"example.com/m/internal/a\"\n\nfunc init() { a.T{}.M() }\n"},
+		},
+		{
+			name:  "a package's function of the same name is no call",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n\nfunc M() {}\n\nvar _ = T{}\n", "internal/b/b.go": "package b\n\nimport \"example.com/m/internal/a\"\n\nfunc init() { a.M() }\n"},
+			want:  []string{"a.T.M"},
+		},
+		{
+			name:  "a method called on a local that shadows an import",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{}\n\nfunc (T) M() {}\n", "internal/b/b.go": "package b\n\nimport \"example.com/m/internal/a\"\n\nfunc g() {\n\ta := a.T{}\n\ta.M()\n}\n"},
+		},
+		{
+			name:  "an allowlisted interface method keeps its implementations",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype I interface{ M() }\n\ntype T struct{}\n\nfunc (T) M() {}\n\nvar _ I = T{}\n"},
+			allow: "a.I.M the reference form of something\n",
 		},
 		{
 			name:  "outside internal is not checked",
