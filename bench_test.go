@@ -948,6 +948,72 @@ func BenchmarkJournalTailRestore(b *testing.B) {
 	}
 }
 
+// BenchmarkFeedPoll measures a caught-up follower's poll on the leader:
+// open a cursor after the journal's last iteration on a store whose
+// journal is open (as a serving leader's is) and read to the end, finding
+// nothing new. The journal holds `sealed` sealed segments of four entries
+// each and a live segment of `live` entries, 30-dimensional frames as in
+// BenchmarkJournalTailRestore, all written before the timer starts. The
+// poll's cost must not grow with either axis: ns/op and B/op stay within
+// a small factor of the smallest case's (benchgate gates its B/op in CI).
+func BenchmarkFeedPoll(b *testing.B) {
+	const perSealed = 4
+	grad := make([]float64, 30)
+	for i := range grad {
+		grad[i] = 0.125 * float64(i)
+	}
+	for _, sealed := range []int{16, 2048} {
+		for _, live := range []int{4, 4096} {
+			b.Run(fmt.Sprintf("sealed=%d/live=%d", sealed, live), func(b *testing.B) {
+				ctx := context.Background()
+				fs, err := crowdml.NewFileStore(b.TempDir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				j, err := fs.OpenJournal(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer j.Close()
+				iter := 0
+				appendN := func(n int) {
+					for i := 0; i < n; i++ {
+						iter++
+						err := j.Append(ctx, crowdml.JournalEntry{
+							DeviceID: "d1", Iteration: iter, NumSamples: 5,
+							Grad: grad, LabelCounts: []int{3, 2},
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				for s := 0; s < sealed; s++ {
+					appendN(perSealed)
+					if err := j.Rotate(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				appendN(live)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cur, err := fs.OpenCursor(ctx, iter)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := cur.Next(); err != io.EOF {
+						b.Fatalf("caught-up poll: %v, want io.EOF", err)
+					}
+					if err := cur.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkFollowerReplay measures the follower's apply path: decoding
 // one entry of a shipped journal feed (the wirecodec journal frames the
 // leader streams) and replaying it into the local replica as its own Replay

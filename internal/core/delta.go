@@ -29,7 +29,9 @@ const maxSpareSnapshots = 2
 // are read-only and valid until Release, which lets the ring reuse their
 // memory for a later publication. Forgetting Release is safe — the
 // vectors are then garbage-collected and the publisher allocates one —
-// reading them after Release is not.
+// reading them after Release is not. A delta is a value, so a checkout
+// allocates none; copies share its pins, so exactly one of them is
+// released, once.
 type ParamDelta struct {
 	// Version is the iteration of the snapshot this delta leads to.
 	Version int
@@ -263,9 +265,9 @@ func (r *SnapshotRing) View() ParamView {
 // for the full vector; a base ahead of the current version, a base the
 // ring no longer (or never) held, and a base of another length all
 // degrade to the full fallback (Since = -1), never an error.
-func (r *SnapshotRing) Delta(since int, done bool) *ParamDelta {
+func (r *SnapshotRing) Delta(since int, done bool) ParamDelta {
 	cur := r.pinCurrent()
-	d := &ParamDelta{Version: cur.version, Done: done, Params: cur.params, Since: -1, cur: cur}
+	d := ParamDelta{Version: cur.version, Done: done, Params: cur.params, Since: -1, cur: cur}
 	if since < 0 {
 		return d
 	}
@@ -291,7 +293,7 @@ func (r *SnapshotRing) Delta(since int, done bool) *ParamDelta {
 // ParamDelta derives the delta read against the caller's base iteration
 // from the published snapshot: lock-free on the snapshot (same
 // discipline as Checkout) plus the ring's lookup. Release it when done.
-func (s *Server) ParamDelta(since int) *ParamDelta {
+func (s *Server) ParamDelta(since int) ParamDelta {
 	return s.ring.Delta(since, s.Stopped())
 }
 
@@ -301,10 +303,10 @@ func (s *Server) ParamDelta(since int) *ParamDelta {
 // does not blind the operator. Unlike Checkout, the returned Params and
 // Base are the ring's pinned snapshots — the transport encodes them
 // without copying and then calls Release; callers must not mutate them.
-func (s *Server) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*ParamDelta, error) {
+func (s *Server) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (ParamDelta, error) {
 	start, authed, err := s.authCheckout(ctx, deviceID, token)
 	if err != nil {
-		return nil, err
+		return ParamDelta{}, err
 	}
 	d := s.ParamDelta(since)
 	s.cfg.Metrics.observeCheckout(start, authed, nil)

@@ -278,6 +278,32 @@ func TestCheckoutDeltaAuth(t *testing.T) {
 	}
 }
 
+// TestCheckoutDeltaAllocatesNothing: a delta is a value, so a known
+// device's checkout allocates nothing, whether it asks for the full
+// vector, is current or is behind.
+func TestCheckoutDeltaAllocatesNothing(t *testing.T) {
+	s := newTestServer(t, ServerConfig{})
+	token := register(t, s, "d1")
+	checkinN(t, s, "d1", token, 3)
+	cur := s.SnapshotVersion()
+	for _, since := range []int{-1, cur, cur - 2} {
+		var d ParamDelta
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if d, err = s.CheckoutDelta(ctx, "d1", token, since); err != nil {
+				t.Fatal(err)
+			}
+			d.Release()
+		})
+		if allocs != 0 {
+			t.Errorf("CheckoutDelta(since %d) allocates %v times per call, want 0", since, allocs)
+		}
+		if since == cur-2 && d.Since != since {
+			t.Errorf("since %d: the base was not served (Since %d)", since, d.Since)
+		}
+	}
+}
+
 // DiffParamsInto is the change set a ParamDelta stands for, as tests
 // spell it out (the wire layer encodes straight from Base and Params):
 // it appends the sparse change set between two equal-length vectors to idx and vals — the coordinates whose bit patterns differ

@@ -207,7 +207,7 @@ func TestMissedReleaseCostsOneAllocation(t *testing.T) {
 	}
 
 	allocated := m.ring.allocated.Value()
-	kept := make([]*ParamDelta, 0, n)
+	kept := make([]ParamDelta, 0, n)
 	for i := 0; i < n; i++ {
 		kept = append(kept, s.ParamDelta(-1)) // never released
 		checkin()

@@ -70,10 +70,10 @@ func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
 }
 
 // updateSegmentGauge refreshes the live segment-chain gauge from the
-// store, when the store can enumerate segments (FileStore can). Called
-// off the hot path — after rotations and retention passes —
-// so the Segments listing cost never taxes a checkin, and skipped with
-// telemetry off.
+// store, when the store can enumerate segments (FileStore can, from its
+// open journal's index, without listing the directory). Called off the
+// hot path — after rotations and retention passes — so even that copy
+// never taxes a checkin, and skipped with telemetry off.
 func (m *durMetrics) updateSegmentGauge(ctx context.Context, st store.Store) {
 	if m.segments == nil {
 		return

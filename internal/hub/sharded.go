@@ -56,7 +56,7 @@ type ShardRouter interface {
 	// contract: Params aliases the published merged view (lock-free: one
 	// atomic load, no copy), plus the change set against since when that
 	// base is still retained.
-	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error)
+	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (core.ParamDelta, error)
 	// Checkin applies the device's delta on its owning member.
 	Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error
 	// Register enrolls the device on its owning member.

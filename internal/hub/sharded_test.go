@@ -23,8 +23,8 @@ func (f *fakeRouter) LogicalID() string   { return f.id }
 func (f *fakeRouter) Info() TaskInfo      { return TaskInfo{Name: f.id} }
 func (f *fakeRouter) MemberIDs() []string { return f.members }
 func (f *fakeRouter) Owner(string) *Task  { return f.owner }
-func (f *fakeRouter) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
-	return nil, errors.New("not implemented")
+func (f *fakeRouter) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (core.ParamDelta, error) {
+	return core.ParamDelta{}, errors.New("not implemented")
 }
 func (f *fakeRouter) Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error {
 	return errors.New("not implemented")

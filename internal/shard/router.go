@@ -63,16 +63,16 @@ func (g *Group) Owner(deviceID string) *hub.Task {
 // wire's ?since=N), so devices cannot tell a sharded task from a plain
 // one. Its auth and view stages are timed in the owning member's
 // checkout stage family, where the transport's encode stage lands too.
-func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error) {
+func (g *Group) CheckoutDelta(ctx context.Context, deviceID, token string, since int) (core.ParamDelta, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return core.ParamDelta{}, err
 	}
 	k := g.smap.Shard(deviceID)
 	srv := g.members[k].Server()
 	_, co := srv.Stages()
 	start := co.Start()
 	if err := srv.Authenticate(ctx, deviceID, token); err != nil {
-		return nil, err
+		return core.ParamDelta{}, err
 	}
 	authed := co.Lap(core.StageAuth, start)
 	g.m.routed[k].checkout.Inc()

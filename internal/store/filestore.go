@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -39,6 +41,8 @@ type FileStore struct {
 
 	saveMu sync.Mutex        // serializes Save, which owns enc
 	enc    checkpointEncoder // reused by every Save
+
+	ix atomic.Pointer[chainIndex] // the open journal's index of the chain; nil while none is open
 }
 
 var _ Store = (*FileStore)(nil)
@@ -154,13 +158,20 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 // Segments returns the journal's segments, oldest first, with their
 // sealed-vs-live status: every segment except the newest is sealed (a
 // rotation sealed it when it created its successor), and the newest is
-// the live one. Empty when no journal exists yet. A directory holding a
-// *.jsonl segment or a checkpoint.json is refused with ErrLegacyJournal —
-// every journal operation lists segments first, so none half-reads a
-// mixed directory, and a task is never created over one.
+// the live one. Empty when no journal exists yet. An open journal's index
+// answers; otherwise a directory holding a *.jsonl segment or a
+// checkpoint.json is refused with ErrLegacyJournal — every journal
+// operation without that index, OpenJournal included, lists segments
+// first, so none half-reads a mixed directory, and a task is never
+// created over one.
 func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if x := f.ix.Load(); x != nil {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return x.infos(0, len(x.segs)), nil
 	}
 	entries, err := f.fsys.ReadDir(f.dir)
 	if err != nil {
@@ -171,13 +182,13 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		if e.IsDir() {
 			continue
 		}
-		switch path := filepath.Join(f.dir, e.Name()); {
-		case strings.HasSuffix(e.Name(), ".jsonl"):
+		switch name := e.Name(); {
+		case strings.HasSuffix(name, ".jsonl"):
 			return nil, fmt.Errorf("%w: found %s: stop the old binary cleanly (its final checkpoint then covers "+
-				"the whole journal), move the .jsonl files to the archive, then start this binary", ErrLegacyJournal, path)
-		case e.Name() == legacyCheckpointName:
+				"the whole journal), move the .jsonl files to the archive, then start this binary", ErrLegacyJournal, filepath.Join(f.dir, name))
+		case name == legacyCheckpointName:
 			return nil, fmt.Errorf("%w: found %s: run a PR 18-20 release on this directory until its first "+
-				"checkpoint replaces the file with %s, then start this binary", ErrLegacyJournal, path, checkpointName)
+				"checkpoint replaces the file with %s, then start this binary", ErrLegacyJournal, filepath.Join(f.dir, name), checkpointName)
 		}
 		// Names are zero-padded, so name order is sequence order.
 		if seq, ok := segmentSeq(e.Name()); ok {
@@ -197,10 +208,11 @@ type fileJournal struct {
 	f *FileStore
 
 	mu     sync.Mutex
-	file   file      // live segment
-	buf    []byte    // frame staging, reused by every Append under mu
-	seq    int       // live segment's sequence number
-	lock   io.Closer // the LOCK file's lock, held until Close
+	file   file        // live segment
+	buf    []byte      // frame staging, reused by every Append under mu
+	seq    int         // live segment's sequence number
+	ix     *chainIndex // this journal's index, published on f until Close
+	lock   io.Closer   // the LOCK file's lock, held until Close
 	closed bool
 	// refused, once set, fails every later Append and Rotate: a failed
 	// Rotate left a successor segment behind that it could not remove.
@@ -218,7 +230,8 @@ type fileJournal struct {
 // strand unreadable bytes mid-file and poison every later read. The
 // repair removes EXACTLY what a cursor reports as ErrJournalTruncated;
 // damage with a valid frame after it is corruption no crash produces,
-// and OpenJournal refuses to touch it.
+// and OpenJournal refuses to touch it. The listing and the repair's walk
+// build the chainIndex the store's reads use until Close.
 func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -234,24 +247,33 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 		}
 	}()
 	f.removeOrphanedTemps()
+	f.ix.Store(nil) // a journal a store in memory left open (a simulated crash) keeps its index to itself
 	segs, err := f.Segments(ctx)
 	if err != nil {
 		return nil, err
 	}
-	seq := 1
-	if len(segs) > 0 {
-		seq = segs[len(segs)-1].Seq
+	if len(segs) == 0 {
+		segs = []SegmentInfo{{Name: segmentName(1), Seq: 1}}
 	}
-	file, err := f.fsys.OpenAppend(filepath.Join(f.dir, segmentName(seq)))
+	x, bound := &chainIndex{segs: make([]chainSeg, len(segs))}, math.MaxInt
+	for i := len(segs) - 1; i >= 0; i-- { // a sealed segment ends before the first frame after it
+		x.segs[i] = chainSeg{name: segs[i].Name, seq: segs[i].Seq, last: bound}
+		if first, ok := f.firstIteration(segs[i].Name); ok {
+			bound = min(bound, first-1)
+		}
+	}
+	live := &x.segs[len(segs)-1]
+	file, err := f.fsys.OpenAppend(filepath.Join(f.dir, live.name))
 	if err != nil {
 		return nil, fmt.Errorf("store: open journal: %w", err)
 	}
-	if err := f.repairTornTail(segmentName(seq)); err != nil {
+	if live.last, err = f.repairTornTail(live.name); err != nil {
 		file.Close()
 		return nil, fmt.Errorf("store: repair journal tail: %w", err)
 	}
+	f.ix.Store(x)
 	ok = true
-	return &fileJournal{f: f, file: file, seq: seq, lock: lock}, nil
+	return &fileJournal{f: f, file: file, seq: live.seq, ix: x, lock: lock}, nil
 }
 
 // removeOrphanedTemps deletes the checkpoint temp files a process killed
@@ -274,20 +296,21 @@ func (f *FileStore) removeOrphanedTemps() {
 // repeats after each cut: it CRC-checks only the final frame, and a power
 // loss can leave several bad frames at the end — the frame a cut exposes
 // must verify too, or the next append (O_APPEND: at the new end) would
-// bury it mid-segment.
-func (f *FileStore) repairTornTail(name string) error {
+// bury it mid-segment. It returns the repaired segment's last iteration
+// (-1 if it has no frame).
+func (f *FileStore) repairTornTail(name string) (int, error) {
 	for {
 		file, sr, err := readSegment(f, name, 0, nil)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		_, err = sr.lastIteration()
+		last, err := sr.lastIteration()
 		file.Close()
 		if !errors.Is(err, errTorn) {
-			return err
+			return last, err
 		}
 		if err := f.fsys.Truncate(filepath.Join(f.dir, name), sr.off); err != nil {
-			return fmt.Errorf("truncate torn tail: %w", err)
+			return 0, fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
 }
@@ -313,7 +336,9 @@ func (j *fileJournal) Append(ctx context.Context, e JournalEntry) error {
 		return fmt.Errorf("store: encode journal entry: %w", err)
 	}
 	j.buf = buf
-	if _, err := j.file.Write(buf); err != nil {
+	_, err = j.file.Write(buf)
+	j.ix.appended(e.Iteration)
+	if err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
 	}
 	return nil
@@ -358,7 +383,8 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	if err := j.file.Sync(); err != nil {
 		return fmt.Errorf("store: sync before rotate: %w", err)
 	}
-	path := filepath.Join(j.f.dir, segmentName(j.seq+1))
+	name := segmentName(j.seq + 1)
+	path := filepath.Join(j.f.dir, name)
 	next, err := j.f.fsys.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("store: create next segment: %w", err)
@@ -385,6 +411,12 @@ func (j *fileJournal) Rotate(ctx context.Context) error {
 	}
 	old := j.file
 	j.file, j.seq = next, j.seq+1
+	j.ix.mu.Lock()
+	if n := len(j.ix.segs); n > 1 { // a segment sealed empty keeps the bound before it
+		j.ix.segs[n-1].last = max(j.ix.segs[n-1].last, j.ix.segs[n-2].last)
+	}
+	j.ix.segs = append(j.ix.segs, chainSeg{name: name, seq: j.seq, last: -1})
+	j.ix.mu.Unlock()
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("store: close sealed segment: %w", err)
 	}
@@ -409,6 +441,7 @@ func (j *fileJournal) Close() error {
 		return nil
 	}
 	j.closed = true
+	j.f.ix.CompareAndSwap(j.ix, nil)
 	defer j.lock.Close()
 	return j.file.Close()
 }

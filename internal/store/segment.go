@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"math"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -256,36 +257,110 @@ func (s *segmentReader) settle(cause error) error {
 	return fmt.Errorf("%w from offset %d on: %v", errTorn, s.off, cause)
 }
 
-// OpenCursor opens the streaming journal read. Segment selection walks
-// the chain newest-first reading only each segment's FIRST frame header:
-// the walk stops at the first segment whose first iteration is at or
-// below afterIteration+1, because every earlier segment then holds only
-// iterations the checkpoint already covers — recovery cost tracks rotation
-// cadence, not journal size. A segment with no readable first header
-// (empty, torn, just pruned — the cursor that then covers it will say
-// which) cannot prove coverage, so the walk keeps going — erring toward
-// streaming more, never less.
-func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
-	segs, err := f.Segments(ctx)
+// chainIndex is an open journal's account of its own chain, so that no
+// read lists the directory or opens a segment to find where it starts.
+// OpenJournal builds it from its listing and one first-frame header per
+// segment; Append, Rotate and pruneChain keep it, and no file is touched
+// under its lock; Close withdraws it.
+type chainIndex struct {
+	mu   sync.Mutex
+	segs []chainSeg // oldest first; the last is the live segment
+}
+
+// chainSeg is a segment and a bound on its iterations. A sealed segment's
+// last is at or above every iteration in it and in the segments before it,
+// so it never decreases along the chain: one less than the first iteration
+// after it, or its own last frame's when the index saw that appended;
+// math.MaxInt while no later frame bounds it. The live segment's last is
+// its last appended iteration (-1 while it has none).
+type chainSeg struct {
+	name      string
+	seq, last int
+}
+
+// appended records a frame at iteration iter written to the live segment,
+// or perhaps written, by an append that failed: it bounds every sealed
+// segment from above.
+func (x *chainIndex) appended(iter int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := len(x.segs)
+	x.segs[n-1].last = max(x.segs[n-1].last, iter)
+	for i := n - 2; i >= 0 && x.segs[i].last >= iter; i-- {
+		x.segs[i].last = iter - 1
+	}
+}
+
+// infos describes segs[from:to] as Segments does.
+func (x *chainIndex) infos(from, to int) []SegmentInfo {
+	out := make([]SegmentInfo, to-from)
+	for i := range out {
+		s := x.segs[from+i]
+		out[i] = SegmentInfo{Name: s.name, Seq: s.seq, Sealed: from+i < len(x.segs)-1}
+	}
+	return out
+}
+
+// tail returns the segments a cursor after `after` streams: from the
+// oldest whose last exceeds after, found by binary search over the sealed
+// ones, through the live segment unless after covers it too.
+func (x *chainIndex) tail(after int) []SegmentInfo {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	n := len(x.segs)
+	start := sort.Search(n-1, func(i int) bool { return x.segs[i].last > after })
+	end := n
+	if start == n-1 && x.segs[n-1].last <= after {
+		end = start // caught up
+	}
+	return x.infos(start, end)
+}
+
+// firstIteration reads the iteration of a segment's first frame, if it
+// has a readable one.
+func (f *FileStore) firstIteration(name string) (first int, ok bool) {
+	image, sr, err := readSegment(f, name, 0, nil) // headers only
 	if err != nil {
+		return 0, false
+	}
+	defer image.Close()
+	first, _, err = sr.frameAt(0)
+	return first, err == nil
+}
+
+// OpenCursor opens the streaming journal read. It starts at the newest
+// segment whose FIRST frame iteration is at or below afterIteration+1,
+// because every earlier segment then holds only iterations the checkpoint
+// already covers — recovery cost tracks rotation cadence, not journal
+// size. With the journal open, the chainIndex's bounds pick that segment
+// (or a later one that still holds every iteration after afterIteration)
+// by binary search, opening no file, and a caught-up cursor streams
+// nothing: a poll costs O(log segments + frames of the segments streamed).
+// Without it, the chain is listed and walked newest-first reading each
+// first header; a segment with no readable one (empty, torn, just pruned —
+// the cursor that then covers it will say which) cannot prove coverage, so
+// the walk keeps going — erring toward streaming more, never less.
+func (f *FileStore) OpenCursor(ctx context.Context, afterIteration int) (JournalCursor, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	start := 0
-	if afterIteration > 0 {
-		for i := len(segs) - 1; i >= 0; i-- {
-			image, sr, err := readSegment(f, segs[i].Name, 0, nil) // headers only
-			if err != nil {
-				continue
-			}
-			first, _, err := sr.frameAt(0)
-			image.Close()
-			if err == nil && first <= afterIteration+1 {
+	c := &cursor{f: f, after: afterIteration}
+	if x := f.ix.Load(); x != nil {
+		c.segs = x.tail(afterIteration)
+	} else {
+		segs, err := f.Segments(ctx)
+		if err != nil {
+			return nil, err
+		}
+		start := 0
+		for i := len(segs) - 1; i >= 0 && afterIteration > 0; i-- {
+			if first, ok := f.firstIteration(segs[i].Name); ok && first <= afterIteration+1 {
 				start = i
 				break
 			}
 		}
+		c.segs = segs[start:]
 	}
-	c := &cursor{f: f, segs: segs[start:], after: afterIteration}
 	c.sr.sc = scratches.Get().(*scratch)
 	return c, nil
 }
@@ -414,6 +489,13 @@ func (f *FileStore) pruneChain(ctx context.Context, coveredIteration int, archiv
 			}
 		} else if err := f.fsys.Remove(filepath.Join(f.dir, seg.Name)); err != nil {
 			return pruned, fmt.Errorf("store: prune segment %s: %w", seg.Name, err)
+		}
+		if x := f.ix.Load(); x != nil {
+			x.mu.Lock()
+			if len(x.segs) > 1 && x.segs[0].seq == seg.Seq {
+				x.segs = x.segs[1:]
+			}
+			x.mu.Unlock()
 		}
 		pruned = append(pruned, seg.Name)
 	}

@@ -44,7 +44,7 @@ func (b *ringBackend) publish(version int, params []float64) {
 	b.ring.PublishCopy(version, params)
 }
 
-func (b *ringBackend) CheckoutDelta(_ context.Context, _, _ string, since int) (*core.ParamDelta, error) {
+func (b *ringBackend) CheckoutDelta(_ context.Context, _, _ string, since int) (core.ParamDelta, error) {
 	return b.ring.Delta(since, false), nil
 }
 

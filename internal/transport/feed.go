@@ -46,10 +46,11 @@ func (h *Handler) lineage(w http.ResponseWriter, r *http.Request) (*hub.Task, st
 
 // handleJournalFeed serves GET /v1/tasks/{task}/journal?after=N — the
 // WAL-shipping feed and remote-audit endpoint. It streams every journal
-// entry with Iteration > N (exactly what Store.OpenCursor yields: the
-// cursor skips covered entries on their frame headers, so a caught-up
-// follower's poll costs the leader the new entries, not the live
-// segment) as chunked binary frames under ContentTypeBinary — the same
+// entry with Iteration > N (exactly what Store.OpenCursor yields: on a
+// leader's open journal the cursor starts from the journal's index, so a
+// poll costs the leader O(log segments + headers of the segments it
+// streams) — no directory listing, and nothing at all when caught up)
+// as chunked binary frames under ContentTypeBinary — the same
 // wirecodec journal frames the segments hold — flushed per entry so a
 // follower sees new entries without buffering delay, and terminates with
 // a header-only end-of-stream frame carrying the leader's current

@@ -159,7 +159,7 @@ func readAllPooled(r io.Reader) (*pooledBuf, error) {
 // until the handler's Release (the since = -1 read copies nothing), so
 // one handler serves task and router, JSON and binary.
 type deviceBackend interface {
-	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (*core.ParamDelta, error)
+	CheckoutDelta(ctx context.Context, deviceID, token string, since int) (core.ParamDelta, error)
 	Checkin(ctx context.Context, deviceID, token string, req *core.CheckinRequest) error
 }
 
