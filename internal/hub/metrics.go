@@ -70,23 +70,23 @@ func newDurMetrics(reg *telemetry.Registry, task string) *durMetrics {
 }
 
 // updateSegmentGauge refreshes the live segment-chain gauge from the
-// store, when the store can enumerate segments (FileStore can, from its
-// open journal's index, without listing the directory). Called off the
-// hot path — after rotations and retention passes — so even that copy
-// never taxes a checkin, and skipped with telemetry off.
+// store, when the store can count segments (FileStore can, from its open
+// journal's index, without listing the directory or copying the chain).
+// Called off the hot path — after rotations and retention passes — and
+// skipped with telemetry off.
 func (m *durMetrics) updateSegmentGauge(ctx context.Context, st store.Store) {
 	if m.segments == nil {
 		return
 	}
-	lister, ok := st.(interface {
-		Segments(context.Context) ([]store.SegmentInfo, error)
+	counter, ok := st.(interface {
+		SegmentCount(context.Context) (int, error)
 	})
 	if !ok {
 		return
 	}
-	segs, err := lister.Segments(ctx)
+	n, err := counter.SegmentCount(ctx)
 	if err != nil {
 		return // bookkeeping only; the next rotation retries
 	}
-	m.segments.Set(float64(len(segs)))
+	m.segments.Set(float64(n))
 }

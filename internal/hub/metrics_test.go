@@ -181,3 +181,29 @@ func TestInstrumentationOnlyObserves(t *testing.T) {
 		t.Errorf("%d batches for %d checkins", batches, iter)
 	}
 }
+
+// TestSegmentGaugeCopiesNothing: the segment gauge reads the open
+// journal's count of its chain, so a refresh after a rotation or a
+// retention pass allocates nothing, however long the chain has grown.
+func TestSegmentGaugeCopiesNothing(t *testing.T) {
+	ctx := context.Background()
+	st := store.NewMemStore()
+	j, err := st.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	const segments = 2048
+	for i := 1; i < segments; i++ {
+		if err := j.Rotate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newDurMetrics(telemetry.NewRegistry(), "t")
+	if n := testing.AllocsPerRun(20, func() { m.updateSegmentGauge(ctx, st) }); n != 0 {
+		t.Errorf("a gauge refresh over %d segments allocated %v times, want 0", segments, n)
+	}
+	if got := m.segments.Value(); got != segments {
+		t.Errorf("gauge %v, want %d", got, segments)
+	}
+}

@@ -173,9 +173,28 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		defer x.mu.Unlock()
 		return x.infos(0, len(x.segs)), nil
 	}
+	_, segs, err := f.list()
+	return segs, err
+}
+
+// SegmentCount is len(Segments) without the copy: an open journal's index
+// answers under its lock, and a store without one lists the directory.
+func (f *FileStore) SegmentCount(ctx context.Context) (int, error) {
+	if x := f.ix.Load(); x != nil && ctx.Err() == nil {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return len(x.segs), nil
+	}
+	segs, err := f.Segments(ctx)
+	return len(segs), err
+}
+
+// list reads the store directory once: its entries, and the journal's
+// segments among them as Segments reports them, legacy refusal included.
+func (f *FileStore) list() ([]fs.DirEntry, []SegmentInfo, error) {
 	entries, err := f.fsys.ReadDir(f.dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: list segments: %w", err)
+		return nil, nil, fmt.Errorf("store: list segments: %w", err)
 	}
 	var segs []SegmentInfo
 	for _, e := range entries {
@@ -184,10 +203,10 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 		}
 		switch name := e.Name(); {
 		case strings.HasSuffix(name, ".jsonl"):
-			return nil, fmt.Errorf("%w: found %s: stop the old binary cleanly (its final checkpoint then covers "+
+			return nil, nil, fmt.Errorf("%w: found %s: stop the old binary cleanly (its final checkpoint then covers "+
 				"the whole journal), move the .jsonl files to the archive, then start this binary", ErrLegacyJournal, filepath.Join(f.dir, name))
 		case name == legacyCheckpointName:
-			return nil, fmt.Errorf("%w: found %s: run a PR 18-20 release on this directory until its first "+
+			return nil, nil, fmt.Errorf("%w: found %s: run a PR 18-20 release on this directory until its first "+
 				"checkpoint replaces the file with %s, then start this binary", ErrLegacyJournal, filepath.Join(f.dir, name), checkpointName)
 		}
 		// Names are zero-padded, so name order is sequence order.
@@ -198,7 +217,7 @@ func (f *FileStore) Segments(ctx context.Context) ([]SegmentInfo, error) {
 	if n := len(segs); n > 0 {
 		segs[n-1].Sealed = false
 	}
-	return segs, nil
+	return entries, segs, nil
 }
 
 // fileJournal is the append-only segmented journal behind a FileStore.
@@ -230,8 +249,8 @@ type fileJournal struct {
 // strand unreadable bytes mid-file and poison every later read. The
 // repair removes EXACTLY what a cursor reports as ErrJournalTruncated;
 // damage with a valid frame after it is corruption no crash produces,
-// and OpenJournal refuses to touch it. The listing and the repair's walk
-// build the chainIndex the store's reads use until Close.
+// and OpenJournal refuses to touch it. One listing (refusing a legacy
+// journal first) and the repair's walk build the chainIndex reads use.
 func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -246,12 +265,12 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 			lock.Close()
 		}
 	}()
-	f.removeOrphanedTemps()
 	f.ix.Store(nil) // a journal a store in memory left open (a simulated crash) keeps its index to itself
-	segs, err := f.Segments(ctx)
+	entries, segs, err := f.list()
 	if err != nil {
 		return nil, err
 	}
+	f.removeOrphanedTemps(entries)
 	if len(segs) == 0 {
 		segs = []SegmentInfo{{Name: segmentName(1), Seq: 1}}
 	}
@@ -276,14 +295,13 @@ func (f *FileStore) OpenJournal(ctx context.Context) (Journal, error) {
 	return &fileJournal{f: f, file: file, seq: live.seq, ix: x, lock: lock}, nil
 }
 
-// removeOrphanedTemps deletes the checkpoint temp files a process killed
-// between writeFileAtomic's CreateTemp and its rename left behind — each a
-// whole checkpoint in size, and nothing else ever looks at them. Called
-// under the directory lock, before this process's checkpointer can have a
-// temp file of its own. Best-effort: a leftover costs disk, never
-// correctness, and the next open tries again.
-func (f *FileStore) removeOrphanedTemps() {
-	entries, _ := f.fsys.ReadDir(f.dir) // Segments reports a directory that cannot be read
+// removeOrphanedTemps deletes, from OpenJournal's listing, the checkpoint
+// temp files a process killed between writeFileAtomic's CreateTemp and its
+// rename left behind — each a whole checkpoint in size, and nothing else
+// ever looks at them. Called under the directory lock, before this
+// process's checkpointer can have a temp file of its own. Best-effort: a
+// leftover costs disk, never correctness, and the next open tries again.
+func (f *FileStore) removeOrphanedTemps(entries []fs.DirEntry) {
 	for _, e := range entries {
 		if name := e.Name(); strings.HasPrefix(name, "checkpoint") && strings.HasSuffix(name, ".tmp") {
 			_ = f.fsys.Remove(filepath.Join(f.dir, name))

@@ -388,3 +388,106 @@ func TestPollsRacingAppendsMissNothing(t *testing.T) {
 	}
 	<-done
 }
+
+// TestPruneReadsOnlyWhatItRemoves: with the journal open, retention stops
+// at the first sealed segment the checkpoint does not cover without
+// opening it — the index's bound says so — and reads each covered one
+// once, to verify it, before removing it. The bounds are looked up by
+// segment number while the prune drops segments from the index's front.
+func TestPruneReadsOnlyWhatItRemoves(t *testing.T) {
+	cfs := &countingFS{fileSystem: newMemFS()}
+	st, err := newFileStore(cfs, "/task")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := st.OpenJournal(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	appendIters(t, j, 1, 4096) // segment 1, sealed: iterations 1-4096
+	if err := j.Rotate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cfs.opened, cfs.reads = nil, 0
+	for i := 0; i < 3; i++ {
+		if pruned, err := st.PruneSegments(ctx, 4090, ""); err != nil || len(pruned) != 0 {
+			t.Fatalf("prune at 4090: removed %v (%v), want nothing", pruned, err)
+		}
+	}
+	if cfs.reads != 0 || len(cfs.opened) != 0 {
+		t.Errorf("three prunes of an uncovered segment opened %v and made %d reads, want none", cfs.opened, cfs.reads)
+	}
+	for _, from := range []int{4097, 4107} { // segments 2 and 3: 4097-4106, 4107-4116
+		appendIters(t, j, from, 10)
+		if err := j.Rotate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendIters(t, j, 4117, 10) // the live segment 4
+	cfs.opened = nil
+	pruned, err := st.PruneSegments(ctx, 4106, "")
+	if want := []string{segmentName(1), segmentName(2)}; err != nil || !slices.Equal(pruned, want) || !slices.Equal(cfs.opened, want) {
+		t.Errorf("prune at 4106: removed %v and opened %v (%v), want both %v", pruned, cfs.opened, err, want)
+	}
+}
+
+// TestOpenJournalListsOnce: one listing of the store directory serves all
+// of OpenJournal — the legacy refusal, the removal of orphaned checkpoint
+// temps and the chain index — and a legacy directory is refused before
+// any segment is opened.
+func TestOpenJournalListsOnce(t *testing.T) {
+	cfs := &countingFS{fileSystem: newMemFS()}
+	st, err := newFileStore(cfs, "/task")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(name string) {
+		t.Helper()
+		if err := st.writeFileAtomic(filepath.Join("/task", name), func(w io.Writer) error {
+			_, err := w.Write([]byte("half a checkpoint"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(name string) (Journal, error) {
+		t.Helper()
+		cfs.readDirs, cfs.opened = 0, nil
+		j, err := st.OpenJournal(ctx)
+		if cfs.readDirs != 1 {
+			t.Errorf("%s: OpenJournal listed the directory %d times, want 1", name, cfs.readDirs)
+		}
+		return j, err
+	}
+	j, err := open("fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 1, 10)
+	if err := j.Rotate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	appendIters(t, j, 11, 10)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orphan := checkpointName + ".7.tmp"
+	plant(orphan)
+	if j, err = open("populated"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfs.Stat(filepath.Join("/task", orphan)); err == nil {
+		t.Errorf("the orphaned %s survived OpenJournal", orphan)
+	}
+	if got := iterations(t, st, 0); len(got) != 20 {
+		t.Errorf("the reopened journal holds %d entries, want 20", len(got))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plant(legacyCheckpointName)
+	if _, err := open("legacy"); !errors.Is(err, ErrLegacyJournal) || len(cfs.opened) != 0 {
+		t.Errorf("legacy directory: %v after opening %v, want ErrLegacyJournal before any segment", err, cfs.opened)
+	}
+}

@@ -316,6 +316,18 @@ func (x *chainIndex) tail(after int) []SegmentInfo {
 	return x.infos(start, end)
 }
 
+// bound returns segment seq's last, found by number (a prune drops segments
+// from the front as it walks), or math.MinInt once seq has left the index.
+func (x *chainIndex) bound(seq int) int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	i := sort.Search(len(x.segs), func(i int) bool { return x.segs[i].seq >= seq })
+	if i == len(x.segs) || x.segs[i].seq != seq {
+		return math.MinInt
+	}
+	return x.segs[i].last
+}
+
 // firstIteration reads the iteration of a segment's first frame, if it
 // has a readable one.
 func (f *FileStore) firstIteration(name string) (first int, ok bool) {
@@ -452,6 +464,7 @@ func (c *cursor) Close() error {
 // pruneChain is SegmentRetainer.PruneSegments, which states the contract,
 // without the closing directory sync.
 func (f *FileStore) pruneChain(ctx context.Context, coveredIteration int, archiveDir string) ([]string, error) {
+	ix := f.ix.Load()
 	segs, err := f.Segments(ctx)
 	if err != nil {
 		return nil, err
@@ -465,6 +478,11 @@ func (f *FileStore) pruneChain(ctx context.Context, coveredIteration int, archiv
 	for _, seg := range segs {
 		if !seg.Sealed {
 			break // the live segment (always last) is never pruned
+		}
+		// Bounds never decrease along the chain: the first one the
+		// checkpoint does not cover ends the walk, its segment unopened.
+		if ix != nil && ix.bound(seg.Seq) > coveredIteration {
+			break
 		}
 		// A sealed segment whose tail does not verify is damage (sealing
 		// fsyncs the file) and an error, not a torn tail.

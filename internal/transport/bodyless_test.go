@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,6 +250,94 @@ func TestCheckoutOptInMatrix(t *testing.T) {
 				} else if !bytes.Equal(body, leaderBodies[key]) {
 					t.Errorf("%s: the follower's frame differs from the leader's", name)
 				}
+			}
+		}
+	}
+}
+
+// TestDeltaPollNamesOnlyItsBase: a binary-delta device polls with
+// ?since=N and nothing more, and the server reads a base that comes
+// without Accept or xor as the opt-in xor=2 spells: the same XOR frame, or
+// the same 204, against a base that is current, behind, and current on a
+// stopped task. Every older shape keeps its answer: Accept with a base is
+// the encoder's frame without XOR deltas, Accept with xor=1 or xor=2 and
+// xor=2 without Accept are answered as their xor level says.
+func TestDeltaPollNamesOnlyItsBase(t *testing.T) {
+	hd, srv := newHandler(t, 10, 50)
+	var mu sync.Mutex
+	var queries []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		queries = append(queries, r.URL.RawQuery)
+		mu.Unlock()
+		hd.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	token, err := srv.RegisterDevice(ctx, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithWire(WireBinaryDelta)
+	for i := 0; i < 4; i++ { // the last poll is current: a 204
+		co, err := cl.Checkout(ctx, "d1", token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := srv.Checkout(ctx, "d1", token)
+		if err != nil || co.Version != want.Version || !bitEqual(co.Params, want.Params) {
+			t.Fatalf("poll %d: version %d, want the server's %d bit for bit (%v)", i, co.Version, want.Version, err)
+		}
+		if i < 2 {
+			if err := srv.Checkin(ctx, "d1", token, wideCheckin(50)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := []string{"", "since=0", "since=1", "since=2"}; !slices.Equal(queries, want) {
+		t.Errorf("the client's queries %q, want %q", queries, want)
+	}
+
+	shapes := []struct {
+		name, accept, xor string
+		optIn             int
+	}{
+		{"base alone", "", "", optInBodyless},
+		{"xor=2 without Accept", "", "&xor=2", optInBodyless},
+		{"Accept", ContentTypeBinary, "", optInNone},
+		{"Accept, xor=1", ContentTypeBinary, "&xor=1", optInXOR},
+		{"Accept, xor=2", ContentTypeBinary, "&xor=2", optInBodyless},
+	}
+	for _, state := range []string{"current", "behind", "stopped"} {
+		since := 2
+		switch state {
+		case "behind":
+			since = 1
+		case "stopped":
+			srv.Stop()
+		}
+		d, err := srv.CheckoutDelta(ctx, "d1", token, since)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := wirecodec.AppendDelta(nil, d.Base, d.Params, d.Version, d.Done, d.Since, false)
+		xor := wirecodec.AppendDelta(nil, d.Base, d.Params, d.Version, d.Done, d.Since, true)
+		d.Release()
+		if state == "behind" && bytes.Equal(plain, xor) {
+			t.Fatal("behind: the XOR frame is the plain one, so the opt-in shows nothing")
+		}
+		for _, sh := range shapes {
+			name := state + ", " + sh.name
+			status, ct, body := rawCheckout(t, ts.URL, "d1", token, sh.accept, "?since="+strconv.Itoa(since)+sh.xor)
+			want := map[bool][]byte{false: plain, true: xor}[sh.optIn != optInNone]
+			switch {
+			case sh.optIn == optInBodyless && state == "current":
+				if status != http.StatusNoContent || ct != "" || len(body) != 0 {
+					t.Errorf("%s: status %d, %d bytes of %q; want a bare 204", name, status, len(body), ct)
+				}
+			case status != http.StatusOK || ct != ContentTypeBinary || !bytes.Equal(body, want):
+				t.Errorf("%s: status %d, %d bytes of %q; want 200 and the encoder's %d-byte frame (xor %v)",
+					name, status, len(body), ct, len(want), sh.optIn != optInNone)
 			}
 		}
 	}

@@ -291,13 +291,17 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 // "&xor=1" or "&xor=2" opt-in after it) in place is an optimisation of
 // url.Values, not a second grammar — every query string gets the value
 // and the opt-in level, or the refusal, the general parser gives it: the
-// first xor value, exactly "1" or "2", else none.
+// first xor value, exactly "1" or "2", else none, and a base with no xor
+// at all (these requests carry no Accept) the bodyless level.
 func TestSinceParamMatchesQueryParsing(t *testing.T) {
 	viaValues := func(rawQuery string) (int, int, bool) {
 		q, _ := url.ParseQuery(rawQuery)
 		raw, xor := q.Get("since"), map[string]int{"1": optInXOR, "2": optInBodyless}[q.Get("xor")]
 		if raw == "" {
 			return -1, xor, true
+		}
+		if !q.Has("xor") {
+			xor = optInBodyless
 		}
 		n, err := strconv.Atoi(raw)
 		return n, xor, err == nil && n >= 0

@@ -82,10 +82,10 @@ func TestDeviceRequestHeaderBudget(t *testing.T) {
 		{"checkout json", "GET /v1/tasks/alpha/checkout", creds, checkout(jsonCl), nil},
 		{"checkout binary", "GET /v1/tasks/alpha/checkout", withAccept, checkout(binCl), nil},
 		{"checkout delta-first", "GET /v1/tasks/alpha/checkout", withAccept, checkout(deltaCl), nil},
-		{"checkout delta-with-base (current)", "GET /v1/tasks/alpha/checkout?since=0&xor=2", creds, checkout(deltaCl), nil},
+		{"checkout delta-with-base (current)", "GET /v1/tasks/alpha/checkout?since=0", creds, checkout(deltaCl), nil},
 		{"checkin json", "POST /v1/tasks/alpha/checkin", checkin, func() error { return jsonCl.Checkin(ctx, "d1", token, req) }, wantJSON},
 		{"checkin binary", "POST /v1/tasks/alpha/checkin", checkin, func() error { return binCl.Checkin(ctx, "d1", token, req) }, wantBin},
-		{"checkout delta-with-base (behind)", "GET /v1/tasks/alpha/checkout?since=0&xor=2", creds, checkout(deltaCl), nil},
+		{"checkout delta-with-base (behind)", "GET /v1/tasks/alpha/checkout?since=0", creds, checkout(deltaCl), nil},
 		{"auth probe", "HEAD /v1/tasks/alpha/checkout", creds, func() error { return jsonCl.AuthProbe(ctx, "d1", token) }, nil},
 	} {
 		if err := tc.run(); err != nil {

@@ -39,10 +39,10 @@ const (
 	WireJSON WireFormat = iota
 	// WireBinary negotiates binary frames for checkout and checkin.
 	WireBinary
-	// WireBinaryDelta additionally sends ?since=N&xor=2 on checkouts, so
-	// a poller is sent what changed, and an up-to-date one a bodyless
-	// 204, instead of the full parameter vector. The query alone asks
-	// for a frame: Accept goes only on a checkout without a base.
+	// WireBinaryDelta additionally sends ?since=N on checkouts, so a
+	// poller is sent what changed, and an up-to-date one a bodyless 204,
+	// instead of the full parameter vector. The base alone asks for a
+	// frame, XOR deltas and the 204: Accept goes only without a base.
 	WireBinaryDelta
 )
 
@@ -82,9 +82,11 @@ func negotiate(r *http.Request, since int) bool {
 	if r.Method == http.MethodPost {
 		return isBinaryContentType(r.Header.Get("Content-Type"))
 	}
-	if since >= 0 {
-		return true
-	}
+	return since >= 0 || acceptsBinary(r)
+}
+
+// acceptsBinary reports whether a request's Accept names the binary type.
+func acceptsBinary(r *http.Request) bool {
 	for accept := r.Header.Get("Accept"); accept != ""; {
 		var part string
 		part, accept, _ = strings.Cut(accept, ",")
@@ -169,7 +171,8 @@ var (
 )
 
 // The opt-in levels a checkout's xor parameter names: optInLevels maps
-// the values that opt in, and any other value, or none, is optInNone.
+// the values that opt in, and any other value is optInNone. A base with
+// neither xor nor a binary Accept is optInBodyless; older clients sent one.
 const (
 	optInNone     = iota
 	optInXOR      // xor=1: XOR deltas welcome
@@ -190,19 +193,23 @@ func sinceParam(r *http.Request) (since, optIn int, err error) {
 		// Every JSON checkout: no url.Values map to parse an empty query.
 		return -1, optInNone, nil
 	}
-	raw, rest, _ := strings.Cut(r.URL.RawQuery, "&xor=")
+	raw, rest, named := strings.Cut(r.URL.RawQuery, "&xor=")
 	v, _, _ := strings.Cut(rest, "&")
 	digits, ok := strings.CutPrefix(raw, "since=")
 	if ok && digits != "" && strings.Trim(digits, "0123456789") == "" && !strings.ContainsAny(v, "%+;") {
 		raw, optIn = digits, optInLevels[v]
 	} else {
 		q := r.URL.Query()
+		_, named = q["xor"]
 		if raw, optIn = q.Get("since"), optInLevels[q.Get("xor")]; raw == "" {
 			return -1, optIn, nil
 		}
 	}
 	if since, err = strconv.Atoi(raw); err != nil || since < 0 {
 		return 0, optInNone, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
+	}
+	if !named && !acceptsBinary(r) {
+		optIn = optInBodyless // a base alone is the opt-in (docs/WIRE.md)
 	}
 	return since, optIn, nil
 }
@@ -227,13 +234,13 @@ func bodyForm(frame []byte) int {
 // snapshots into one pooled buffer — after which the snapshots are
 // released for reuse — and leaves with a Content-Length; the encode is
 // the checkout's encode stage, lapped into co, and its size is observed
-// in bodies by form. A client that opted in with xor=2 and is current on
-// a task still learning gets 204 No Content instead of the empty delta:
-// no buffer, no header map, observed as an empty form of 0 bytes. Errors
-// flow through writeError — the JSON envelope, which a binary client
-// tells apart by Content-Type — and an encoder that refuses (a
-// non-finite parameter has no JSON form) fails before anything is
-// written: 500, never a 200 with half a body.
+// in bodies by form. A client that opted in to bodyless answers (xor=2,
+// or a base without Accept) and is current on a task still learning gets
+// 204 No Content instead of the empty delta: no buffer, no header map,
+// observed as an empty form of 0 bytes. Errors flow through writeError —
+// the JSON envelope, which a binary client tells apart by Content-Type —
+// and an encoder that refuses (a non-finite parameter has no JSON form)
+// fails before anything is written: 500, never a 200 with half a body.
 func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co, bodies *telemetry.Stages) {
 	// Absent means no base; a malformed value is the client's error: 400.
 	since, optIn, err := sinceParam(r)
@@ -434,9 +441,9 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 		if base == nil {
 			hdr["Accept"] = binaryType
 		} else {
-			// The base asks for a frame by itself: no Accept.
+			// The base alone asks for a frame, XOR deltas and a 204.
 			since = base.version
-			url += "?since=" + strconv.Itoa(since) + "&xor=2"
+			url += "?since=" + strconv.Itoa(since)
 		}
 	}
 	resp, err := c.do(ctx, http.MethodGet, url, hdr)

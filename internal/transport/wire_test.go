@@ -271,8 +271,9 @@ func TestMalformedSinceRejected(t *testing.T) {
 
 // TestCheckoutNegotiatedByBase: a checkout that names a delta base asks
 // for a frame by itself, so a binary-delta device sends no Accept on one.
-// Without Accept, ?since=N&xor=2 is answered 204 when N is current and
-// with the same frame an Accept request gets otherwise; a checkout that
+// Without Accept, ?since=N&xor=2 — and ?since=N alone, the opt-in a base
+// without Accept implies — is answered 204 when N is current and with the
+// same frame an Accept request gets otherwise; a checkout that
 // names no base is sent the JSON body, byte for byte; a malformed since
 // is 400, as on a binary checkout. The compat half: a server that negotiates by
 // Accept alone — every release before this rule — answers a base without
@@ -312,7 +313,7 @@ func TestCheckoutNegotiatedByBase(t *testing.T) {
 			{"?since=2&xor=2", http.StatusNoContent, "", 0},
 			{"?since=1&xor=2", http.StatusOK, "frame", 1},
 			{"?since=0&xor=2", http.StatusOK, "frame", 0},
-			{"?since=2", http.StatusOK, "frame", 2},
+			{"?since=2", http.StatusNoContent, "", 0},
 			{"?since=999&xor=2", http.StatusOK, "frame", -1},
 			{"", http.StatusOK, "json", 0},
 			{"?xor=2", http.StatusOK, "json", 0},

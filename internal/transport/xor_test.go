@@ -119,7 +119,7 @@ func TestUndecodableDeltaRefetchesFull(t *testing.T) {
 			}
 		}
 		ts.Close()
-		if want := []string{"", "since=5&xor=2", ""}; !reflect.DeepEqual(queries, want) {
+		if want := []string{"", "since=5", ""}; !reflect.DeepEqual(queries, want) {
 			t.Errorf("%s: queries %q, want %q", name, queries, want)
 		}
 	}
