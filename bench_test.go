@@ -339,20 +339,22 @@ func BenchmarkCheckoutDelta(b *testing.B) {
 // model moved, through the HTTP handler in memory: the ring lookup and
 // the encoder's walk over base and current snapshot — sparse pairs when
 // one coordinate in ten moved, and when all did, the smaller of the XOR
-// delta and the full frame for a request that opts in to XOR deltas, as
-// every delta client does. Neither may allocate anything the size of
-// the model.
+// delta and the full frame for a base without the binary Accept, as
+// every delta client sends it. Neither may allocate anything the size
+// of the model.
 func BenchmarkCheckoutDeltaChanged(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		stride int // every stride-th coordinate moves
-		query  string
-	}{{"sparse10pct", 10, "since=0"}, {"dense", 1, "since=0&xor=1"}} {
+		accept string
+	}{{"sparse10pct", 10, "application/x-crowdml-bin"}, {"dense", 1, ""}} {
 		b.Run(tc.name, func(b *testing.B) {
 			handler, newRequest := jsonBenchHandler(b)
 			postCheckin(b, handler, newRequest, stridedGrad(tc.stride))
-			req := newRequest(http.MethodGet, "checkout?"+tc.query)
-			req.Header.Set("Accept", "application/x-crowdml-bin")
+			req := newRequest(http.MethodGet, "checkout?since=0")
+			if tc.accept != "" {
+				req.Header.Set("Accept", tc.accept)
+			}
 			w := &discardWriter{header: http.Header{}}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -90,7 +90,8 @@ func NewAdaGrad(eta, radius float64) Updater {
 // accumulators, Momentum's velocity). The exported vector rides inside
 // checkpoints (ServerState.UpdaterState) and is handed back on restore,
 // making recovery bit-exact for stateful updaters too — a custom
-// Updater that wants exact recovery should implement it.
+// Updater that wants exact recovery implements its two methods,
+// AppendState and ImportState.
 type StateExporter = optimizer.StateExporter
 
 // Server is the Crowd-ML server (Algorithm 2). Safe for concurrent use
@@ -561,9 +562,10 @@ func ParseWireFormat(s string) (WireFormat, error) { return transport.ParseWireF
 // RetryPolicy configures transparent capped-exponential-backoff retries
 // (with full jitter) for an HTTPClient's idempotent GET requests —
 // checkout, stats, task listing, checkpoint fetch, journal feed open.
-// Derive a retrying client with HTTPClient.WithRetry; non-idempotent
-// requests (checkin, register) are never retried. A Replicator waits
-// its feed client's policy (RetryPolicy.Delay) between failed exchanges.
+// Derive a retrying client, which tries a request at most 4 times, with
+// HTTPClient.WithRetry; non-idempotent requests (checkin, register) are
+// never retried. A Replicator waits its feed client's policy
+// (RetryPolicy.Delay) between failed exchanges.
 type RetryPolicy = transport.RetryPolicy
 
 // StatsResponse is the body of the GET stats endpoints — the

@@ -78,10 +78,10 @@
 // parameters and totals: no acknowledged checkin is ever lost. Exact
 // parameters hold for updaters that are pure functions of (w, ĝ, t),
 // like the paper's SGD schedules, AND for stateful updaters
-// implementing StateExporter (AdaGrad, Momentum): their internal state
-// rides in every checkpoint and is handed back on restore. After a
-// restart, OpenHub (or Hub.Restore) rebuilds every persisted task from
-// a StoreRoot.
+// implementing StateExporter's AppendState and ImportState (AdaGrad,
+// Momentum): their internal state rides in every checkpoint and is
+// handed back on restore. After a restart, OpenHub (or Hub.Restore)
+// rebuilds every persisted task from a StoreRoot.
 //
 // The journal is segmented. After each successful snapshot, the
 // asynchronous per-task checkpointer rotates the journal: the live

@@ -126,7 +126,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	// Follower: a replica task on its own hub, vouching unknown device
 	// credentials against the leader, driven by a Replicator.
 	feed := leaderClient.WithRetry(crowdml.RetryPolicy{
-		MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
+		BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
 	})
 	followerCfg := repServerConfig()
 	followerCfg.AuthFallback = feed.AuthProbe

@@ -107,10 +107,9 @@ func TestIntegrationStoppingOverHTTP(t *testing.T) {
 	hub := crowdml.NewHub()
 	ctx := context.Background()
 	task, err := hub.CreateTask(ctx, "stopping", crowdml.ServerConfig{
-		Model:             m,
-		Updater:           crowdml.NewSGD(crowdml.InvSqrt{C: 20}, 0),
-		TargetError:       0.2,
-		MinSamplesForStop: 120,
+		Model:       m,
+		Updater:     crowdml.NewSGD(crowdml.InvSqrt{C: 20}, 0),
+		TargetError: 0.2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -84,13 +84,13 @@ func ReplaySlice(records []ReplayRecord) ReplaySource {
 // returns the number of records applied.
 //
 // Exactness holds for updaters whose step depends only on (w, ĝ, t) —
-// the paper's SGD schedules — and equally for stateful updaters that
-// implement optimizer.StateExporter (AdaGrad, Momentum): their internal
-// state rides in ServerState.UpdaterState, ImportState hands it back
-// before Replay runs, and each replayed Update advances it exactly as
-// the original Checkin did. A stateful updater that does NOT implement
-// StateExporter resumes with its internal state reset (the checkpoint
-// had nothing to carry).
+// the paper's SGD schedules — and equally for stateful ones (AdaGrad,
+// Momentum) implementing optimizer.StateExporter's AppendState and
+// ImportState: their state rides in ServerState.UpdaterState,
+// ImportState hands it back before Replay runs, and each replayed Update
+// advances it exactly as the original Checkin did. A stateful updater
+// that does NOT implement StateExporter resumes with its internal state
+// reset (the checkpoint had nothing to carry).
 func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 	classes, dim := s.cfg.Model.Shape()
 	s.wMu.Lock()

@@ -39,12 +39,10 @@ type ServerConfig struct {
 	// unbounded.
 	Tmax int
 	// TargetError is the desired overall error ρ; the server stops when
-	// the running estimate ΣN_e/ΣN_s drops to ρ or below. 0 disables.
+	// the running estimate ΣN_e/ΣN_s drops to ρ or below, once ΣN_s is at
+	// least 10 × C (the model's class count), so a couple of lucky early
+	// checkins cannot stop the task. 0 disables.
 	TargetError float64
-	// MinSamplesForStop is the minimum ΣN_s before the ρ criterion is
-	// evaluated, so a couple of lucky early checkins cannot stop the task.
-	// Defaults to 10× the model's class count when zero.
-	MinSamplesForStop int
 	// AuthFallback, if non-nil, is consulted when a device presents
 	// credentials this server does not recognize: it receives the device
 	// ID and token and returns nil to vouch for them. On success the
@@ -178,9 +176,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("core: ServerConfig.Updater is required")
 	}
 	classes, _ := cfg.Model.Shape()
-	if cfg.MinSamplesForStop == 0 {
-		cfg.MinSamplesForStop = 10 * classes
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewServerMetrics(nil, "")
 	}
@@ -378,7 +373,7 @@ func (s *Server) learningStopped() bool {
 	}
 	if s.cfg.TargetError > 0 {
 		ns := s.totalNs.Load()
-		if ns >= int64(s.cfg.MinSamplesForStop) {
+		if ns >= 10*int64(len(s.totalNky)) { // 10 × C samples first
 			if est := float64(s.totalNe.Load()) / float64(ns); est <= s.cfg.TargetError {
 				s.stopped.Store(true)
 				return true

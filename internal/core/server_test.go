@@ -153,14 +153,14 @@ func TestStoppingTmax(t *testing.T) {
 }
 
 func TestStoppingTargetError(t *testing.T) {
-	s := newTestServer(t, ServerConfig{TargetError: 0.1, MinSamplesForStop: 10})
+	s := newTestServer(t, ServerConfig{TargetError: 0.1})
 	token := register(t, s, "d1")
-	// 10 perfect samples → error estimate 0 ≤ 0.1 → stop.
+	// 30 perfect samples (10 × C with 3 classes) → error estimate 0 ≤ 0.1 → stop.
 	req := &CheckinRequest{
 		Grad:        make([]float64, 6),
-		NumSamples:  10,
+		NumSamples:  30,
 		ErrCount:    0,
-		LabelCounts: []int{10, 0, 0},
+		LabelCounts: []int{30, 0, 0},
 	}
 	if err := s.Checkin(ctx, "d1", token, req); err != nil {
 		t.Fatalf("Checkin: %v", err)
@@ -170,17 +170,27 @@ func TestStoppingTargetError(t *testing.T) {
 	}
 }
 
+// TestStoppingRespectsMinSamples: the ρ criterion waits for 10 × C
+// samples: 29 perfect ones with 3 classes do not stop the task, the 30th
+// does.
 func TestStoppingRespectsMinSamples(t *testing.T) {
-	s := newTestServer(t, ServerConfig{TargetError: 0.5, MinSamplesForStop: 100})
+	s := newTestServer(t, ServerConfig{TargetError: 0.5})
 	token := register(t, s, "d1")
-	req := &CheckinRequest{
-		Grad: make([]float64, 6), NumSamples: 5, LabelCounts: []int{5, 0, 0},
+	checkin := func(n int) {
+		req := &CheckinRequest{
+			Grad: make([]float64, 6), NumSamples: n, LabelCounts: []int{n, 0, 0},
+		}
+		if err := s.Checkin(ctx, "d1", token, req); err != nil {
+			t.Fatalf("Checkin: %v", err)
+		}
 	}
-	if err := s.Checkin(ctx, "d1", token, req); err != nil {
-		t.Fatalf("Checkin: %v", err)
-	}
+	checkin(29)
 	if s.Stopped() {
-		t.Error("server stopped before MinSamplesForStop samples")
+		t.Error("server stopped at 29 samples, before 10 × C = 30")
+	}
+	checkin(1)
+	if !s.Stopped() {
+		t.Error("server did not stop at 30 samples")
 	}
 }
 

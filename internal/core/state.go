@@ -41,12 +41,12 @@ type ServerState struct {
 	// reconfigured for Momentum must not silently reinterpret
 	// accumulators as velocity.
 	UpdaterName string `json:"updaterName,omitempty"`
-	// UpdaterState is the updater's internal state, for updaters that
-	// implement optimizer.StateExporter (AdaGrad's per-coordinate
-	// accumulators, Momentum's velocity). Empty for stateless updaters
-	// like the paper's SGD schedules. With it in the checkpoint, recovery
-	// is bit-exact for stateful updaters too: ImportState hands the
-	// vector back and journal-tail replay advances it deterministically.
+	// UpdaterState is the internal state of an updater implementing
+	// optimizer.StateExporter's AppendState and ImportState (AdaGrad's
+	// accumulators, Momentum's velocity); empty for stateless ones like
+	// the paper's SGD schedules. In the checkpoint it makes recovery
+	// bit-exact for stateful updaters too: ImportState hands it back and
+	// journal-tail replay advances it deterministically.
 	UpdaterState []float64 `json:"updaterState,omitempty"`
 	// Devices holds the per-device counters, keyed by device ID.
 	Devices map[string]DeviceStats `json:"devices"`
@@ -98,11 +98,8 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	// The updater only ever runs under wMu (applyBatchLocked, Replay), so
 	// this export is from the same quiescent point as the rest.
 	st.UpdaterState = st.UpdaterState[:0]
-	switch u := s.cfg.Updater.(type) {
-	case optimizer.StateAppender:
+	if u, ok := s.cfg.Updater.(optimizer.StateExporter); ok {
 		st.UpdaterState = u.AppendState(st.UpdaterState)
-	case optimizer.StateExporter:
-		st.UpdaterState = u.ExportState()
 	}
 	if len(st.UpdaterState) == 0 {
 		st.UpdaterState = nil // "no state" is nil, whatever the buffer held

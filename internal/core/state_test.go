@@ -160,7 +160,7 @@ func TestUpdaterStateRoundTripAndReset(t *testing.T) {
 	if err := dst.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := same.ExportState(); len(got) != 6 || got[0] != st.UpdaterState[0] {
+	if got := same.AppendState(nil); len(got) != 6 || got[0] != st.UpdaterState[0] {
 		t.Errorf("same-updater restore got state %v, want %v", got, st.UpdaterState)
 	}
 
@@ -171,7 +171,7 @@ func TestUpdaterStateRoundTripAndReset(t *testing.T) {
 	if err := dst2.ImportState(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := other.ExportState(); got != nil {
+	if got := other.AppendState(nil); got != nil {
 		t.Errorf("cross-updater restore imported state %v, want a reset (nil)", got)
 	}
 }

@@ -97,26 +97,16 @@ type Updater interface {
 // that parses back to the same float64), and a richer updater can pack
 // multiple slices into one vector.
 type StateExporter interface {
-	// ExportState returns a copy of the updater's internal state, or nil
-	// when it currently has none (never run, or just reset). The caller
-	// owns the returned slice.
-	ExportState() []float64
+	// AppendState appends the updater's internal state to dst and returns
+	// the extended slice: dst itself when it has none (never run, or just
+	// reset). The server's checkpointer appends into a vector it keeps
+	// between checkpoints; AppendState(nil) is a copy of the caller's own.
+	AppendState(dst []float64) []float64
 	// ImportState replaces the updater's internal state with a copy of
 	// state; nil or empty resets it. Implementations cannot validate the
 	// length against the task shape here (they learn it from the first
 	// gradient); a mismatched import surfaces on the next Update.
 	ImportState(state []float64) error
-}
-
-// StateAppender is optionally implemented beside StateExporter by updaters
-// that can hand their state out without allocating: the server's
-// checkpointer exports into a vector it keeps between checkpoints. All
-// shipped stateful updaters implement it.
-type StateAppender interface {
-	StateExporter
-	// AppendState appends the vector ExportState would return to dst and
-	// returns the extended slice (dst itself when there is no state).
-	AppendState(dst []float64) []float64
 }
 
 // SGD is the plain projected-SGD updater of Eq. (3).
@@ -186,13 +176,10 @@ func (u *AdaGrad) Name() string { return fmt.Sprintf("adagrad(eta=%g)", u.Eta) }
 // reused across trials.
 func (u *AdaGrad) Reset() { u.accum = nil }
 
-var _ StateAppender = (*AdaGrad)(nil)
+var _ StateExporter = (*AdaGrad)(nil)
 
-// AppendState implements StateAppender: the Σ g_i² accumulators.
+// AppendState implements StateExporter: the Σ g_i² accumulators.
 func (u *AdaGrad) AppendState(dst []float64) []float64 { return append(dst, u.accum...) }
-
-// ExportState implements StateExporter: a copy of the accumulators.
-func (u *AdaGrad) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter.
 func (u *AdaGrad) ImportState(state []float64) error {
@@ -269,13 +256,10 @@ func (u *Momentum) Name() string {
 // Reset clears the velocity so the updater can be reused across trials.
 func (u *Momentum) Reset() { u.velocity = nil }
 
-var _ StateAppender = (*Momentum)(nil)
+var _ StateExporter = (*Momentum)(nil)
 
-// AppendState implements StateAppender: the velocity vector.
+// AppendState implements StateExporter: the velocity vector.
 func (u *Momentum) AppendState(dst []float64) []float64 { return append(dst, u.velocity...) }
-
-// ExportState implements StateExporter: a copy of the velocity vector.
-func (u *Momentum) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter.
 func (u *Momentum) ImportState(state []float64) error {
@@ -319,22 +303,16 @@ func (u *Clip) Name() string {
 	return fmt.Sprintf("clip(L1<=%g, %s)", u.MaxNorm1, u.Inner.Name())
 }
 
-var _ StateAppender = (*Clip)(nil)
+var _ StateExporter = (*Clip)(nil)
 
-// AppendState implements StateAppender by delegating to the wrapped
-// updater (Clip itself is stateless).
+// AppendState implements StateExporter by delegating to the wrapped
+// updater (Clip itself is stateless): dst itself when Inner has no state.
 func (u *Clip) AppendState(dst []float64) []float64 {
-	switch in := u.Inner.(type) {
-	case StateAppender:
-		return in.AppendState(dst)
-	case StateExporter:
-		return append(dst, in.ExportState()...)
+	if se, ok := u.Inner.(StateExporter); ok {
+		return se.AppendState(dst)
 	}
 	return dst
 }
-
-// ExportState implements StateExporter; nil when Inner carries no state.
-func (u *Clip) ExportState() []float64 { return u.AppendState(nil) }
 
 // ImportState implements StateExporter by delegating to the wrapped
 // updater. State for a stateless Inner is silently dropped — the

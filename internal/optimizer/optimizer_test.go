@@ -267,12 +267,12 @@ func TestStateExporterRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			orig, restored := mk(), mk()
 			se := orig.(StateExporter)
-			if got := se.ExportState(); got != nil {
+			if got := se.AppendState(nil); got != nil {
 				t.Fatalf("fresh updater exported %v, want nil", got)
 			}
 			wOrig := newW()
 			orig.Update(wOrig, newG(0.5, -0.25, 1), 1)
-			state := se.ExportState()
+			state := se.AppendState(nil)
 			if len(state) != 3 {
 				t.Fatalf("exported %d coordinates, want 3", len(state))
 			}
@@ -289,15 +289,15 @@ func TestStateExporterRoundTrip(t *testing.T) {
 			// The export was a copy: step 2 on the live updater must not
 			// have reached back into it.
 			if !slicesEqual(state, snapshot) {
-				t.Fatal("ExportState returned a live alias, not a copy")
+				t.Fatal("AppendState(nil) returned a live alias, not a copy")
 			}
 			// Bit-exact continuation: identical parameters AND identical
 			// internal state after the post-restore step.
 			if !slicesEqual(wRestored.Data(), wOrig.Data()) {
 				t.Errorf("restored trajectory w = %v, want %v", wRestored.Data(), wOrig.Data())
 			}
-			got := restored.(StateExporter).ExportState()
-			want := se.ExportState()
+			got := restored.(StateExporter).AppendState(nil)
+			want := se.AppendState(nil)
 			if !slicesEqual(got, want) {
 				t.Errorf("restored state after step 2 = %v, want %v", got, want)
 			}
@@ -311,13 +311,13 @@ func TestStateExporterImportReset(t *testing.T) {
 	w, _ := linalg.NewMatrixFrom(1, 2, []float64{0, 0})
 	g, _ := linalg.NewMatrixFrom(1, 2, []float64{1, 1})
 	u.Update(w, g, 1)
-	if u.ExportState() == nil {
+	if u.AppendState(nil) == nil {
 		t.Fatal("state expected after an update")
 	}
 	if err := u.ImportState(nil); err != nil {
 		t.Fatal(err)
 	}
-	if u.ExportState() != nil {
+	if u.AppendState(nil) != nil {
 		t.Error("nil import must reset the accumulators")
 	}
 }

@@ -4,13 +4,15 @@
 // and no other declaration of its package's non-test code names it (a
 // method's receiver does not count). It fails too on an exported method,
 // of a type or an interface in internal/, that no selector x.Method
-// names outside its package's own tests. allow.txt lists the exceptions
-// with their reasons. It parses only, with no type checker, so a local
-// name that shadows a declaration can hide dead code, never invent it;
-// and a method is matched by its name alone, whatever the type of x, so
-// an allowlisted method (an interface's, say) keeps every method of its
-// name. Directories named testdata or starting with . or _
-// are skipped, as the go command skips them.
+// names outside its package's own tests, and on an exported field of an
+// exported ...Config or ...Policy struct that no non-test file outside
+// its package sets (as a composite-literal key or by an assignment).
+// allow.txt lists the exceptions with their reasons. It parses only,
+// with no type checker, so a local name that shadows a declaration can
+// hide dead code, never invent it; and a method or a field is matched by
+// its name alone, whatever the type of x, so an allowlisted method (an
+// interface's, say) keeps every method of its name. Directories named
+// testdata or starting with . or _ are skipped, as the go command does.
 //
 // Usage, from the repository root (exit status 1 lists every finding):
 //
@@ -57,15 +59,17 @@ func main() {
 func scan(fsys fs.FS, allow string) ([]string, error) {
 	fset := token.NewFileSet()
 	type decl struct {
-		pkg    string
-		name   string // "pkg.Name", or "pkg.Type.Method"
-		method string // a method's name, else ""
+		pkg    string // a field's: its directory, "internal/pkg"
+		name   string // "pkg.Name", "pkg.Type.Method" or "pkg.Type.Field"
+		method string // a method's name, "=" and a field's, else ""
 		pos    token.Pos
 	}
 	var decls []decl
 	used := map[string]bool{}
 	// selected[m] holds, for each file naming x.m other than as pkg.m,
-	// the package whose test it is, or "" for any other file.
+	// the package whose test it is, or "" for any other file; and
+	// selected["="+f], for each non-test file setting a field f, its
+	// directory.
 	selected := map[string]map[string]bool{}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		switch {
@@ -108,6 +112,18 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && !test {
+					addTo(selected, "="+key.Name, path.Dir(p))
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && !test {
+						addTo(selected, "="+sel.Sel.Name, path.Dir(p))
+					}
+				}
+			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -120,16 +136,27 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 					return true
 				}
 			}
-			if selected[sel.Sel.Name] == nil {
-				selected[sel.Sel.Name] = map[string]bool{}
-			}
-			selected[sel.Sel.Name][tester] = true
+			addTo(selected, sel.Sel.Name, tester)
 			return true
 		})
 		if !own || test {
 			return nil
 		}
 		for _, d := range f.Decls {
+			if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.TYPE {
+				for _, ts := range g.Specs {
+					t := ts.(*ast.TypeSpec).Name
+					if st, ok := ts.(*ast.TypeSpec).Type.(*ast.StructType); ok && t.IsExported() && (strings.HasSuffix(t.Name, "Config") || strings.HasSuffix(t.Name, "Policy")) {
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								if id.IsExported() {
+									decls = append(decls, decl{path.Dir(p), pkg + "." + t.Name + "." + id.Name, "=" + id.Name, id.Pos()})
+								}
+							}
+						}
+					}
+				}
+			}
 			units(d, func(owners []*ast.Ident, method *ast.Ident, parts ...ast.Node) {
 				if method != nil && method.IsExported() {
 					decls = append(decls, decl{pkg, pkg + "." + owners[0].Name + "." + method.Name, method.Name, method.Pos()})
@@ -172,11 +199,23 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 		if by := selected[d.method]; d.method != "" {
 			used[d.name] = allowedMethods[d.method] || len(by) > 1 || len(by) == 1 && !by[d.pkg]
 		}
+		why := "has no caller outside its own package's tests"
+		if strings.HasPrefix(d.method, "=") {
+			why = "is set by no non-test file outside its package"
+		}
 		if !used[d.name] && !allowed[d.name] {
-			out = append(out, fmt.Sprintf("%s: %s has no caller outside its own package's tests", fset.Position(d.pos), d.name))
+			out = append(out, fmt.Sprintf("%s: %s %s", fset.Position(d.pos), d.name, why))
 		}
 	}
 	return out, nil
+}
+
+// addTo adds v to the set m[k].
+func addTo(m map[string]map[string]bool, k, v string) {
+	if m[k] == nil {
+		m[k] = map[string]bool{}
+	}
+	m[k][v] = true
 }
 
 // units calls fn once per declared thing in d: a function, a method, one

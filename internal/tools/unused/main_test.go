@@ -17,6 +17,14 @@ func TestScan(t *testing.T) {
 		caller = "package %s\n\nimport \"example.com/m/internal/a\"\n\nfunc g() { a.F() }\n"
 	)
 	use := func(pkg string) string { return fmt.Sprintf(caller, pkg) }
+	// internal/a declares a struct type of the given name whose fields N
+	// and n its own code reads; nothing sets them unless a case does.
+	conf := func(typ string) string {
+		return fmt.Sprintf("package a\n\ntype %s struct{ N, n int }\n\nfunc f(x %[1]s) int { return x.N + x.n }\n\nvar _ = f\n", typ)
+	}
+	setN := func(pkg, stmt string) string {
+		return fmt.Sprintf("package %s\n\nimport \"example.com/m/internal/a\"\n\n%s\n", pkg, stmt)
+	}
 	tests := []struct {
 		name  string
 		files map[string]string
@@ -100,6 +108,29 @@ func TestScan(t *testing.T) {
 			name:  "an allowlisted interface method keeps its implementations",
 			files: map[string]string{"internal/a/a.go": "package a\n\ntype I interface{ M() }\n\ntype T struct{}\n\nfunc (T) M() {}\n\nvar _ I = T{}\n"},
 			allow: "a.I.M the reference form of something\n",
+		},
+		{
+			name:  "a config field set only by its own package's tests",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "internal/a/a_test.go": "package a\n\nvar _ = XConfig{N: 1}\n"},
+			want:  []string{"a.XConfig.N"},
+		},
+		{
+			name:  "a policy field set only by another package's test",
+			files: map[string]string{"internal/a/a.go": conf("YPolicy"), "internal/b/b_test.go": setN("b", "var _ = a.YPolicy{N: 1}")},
+			want:  []string{"a.YPolicy.N"},
+		},
+		{
+			name:  "a config field set by a cmd literal",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "cmd/c/main.go": setN("main", "var _ = []a.XConfig{{N: 1}}")},
+		},
+		{
+			name:  "a config field set by an assignment outside its package",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "internal/b/b.go": setN("b", "func g(c *a.XConfig) { c.N = 1 }")},
+		},
+		{
+			name:  "an allowlisted config field",
+			files: map[string]string{"internal/a/a.go": conf("XConfig")},
+			allow: "a.XConfig.N the reference form of something\n",
 		},
 		{
 			name:  "outside internal is not checked",

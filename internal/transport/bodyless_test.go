@@ -48,15 +48,18 @@ func (w *spyWriter) Write(p []byte) (int, error) {
 	return w.body.Write(p)
 }
 
-// binaryCheckout sends one binary checkout with query to url as device
-// "d1" and returns the response, its body read and closed.
-func binaryCheckout(t *testing.T, url, token, query string) (*http.Response, []byte) {
+// binaryCheckout sends one checkout with query to url as device "d1",
+// with accept as its Accept header unless that is empty, and returns the
+// response, its body read and closed.
+func binaryCheckout(t *testing.T, url, token, accept, query string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url+alphaPath("checkout")+query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", ContentTypeBinary)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	req.Header.Set(headerDeviceID, "d1")
 	req.Header.Set(headerToken, token)
 	resp, err := http.DefaultClient.Do(req)
@@ -71,8 +74,9 @@ func binaryCheckout(t *testing.T, url, token, query string) (*http.Response, []b
 	return resp, body
 }
 
-// TestCurrentCheckoutIsBodyless: a checkout that opted in with xor=2 and
-// names the current iteration of a task still learning is answered 204
+// TestCurrentCheckoutIsBodyless: a checkout that names a base without
+// the binary Accept, as a binary-delta device sends it, and names the
+// current iteration of a task still learning is answered 204
 // No Content — no Content-Type, no Content-Length, no body — and the
 // handler never asks for the header map. A WireBinaryDelta client reads
 // it as "nothing changed": the cached vector itself, at its version. A
@@ -85,16 +89,15 @@ func TestCurrentCheckoutIsBodyless(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	req := httptest.NewRequest(http.MethodGet, alphaPath("checkout")+"?since=1&xor=2", nil)
-	req.Header.Set("Accept", ContentTypeBinary)
+	req := httptest.NewRequest(http.MethodGet, alphaPath("checkout")+"?since=1", nil)
 	req.Header.Set(headerDeviceID, "d1")
 	req.Header.Set(headerToken, token)
 	spy := &spyWriter{}
 	hd.ServeHTTP(spy, req)
 	if spy.code != http.StatusNoContent || spy.headers != 0 || spy.body.Len() != 0 {
-		t.Fatalf("current xor=2 checkout: status %d, %d Header calls, %d body bytes; want 204, 0, 0", spy.code, spy.headers, spy.body.Len())
+		t.Fatalf("current checkout: status %d, %d Header calls, %d body bytes; want 204, 0, 0", spy.code, spy.headers, spy.body.Len())
 	}
-	resp, body := binaryCheckout(t, ts.URL, token, "?since=1&xor=2")
+	resp, body := binaryCheckout(t, ts.URL, token, "", "?since=1")
 	if resp.StatusCode != http.StatusNoContent || len(body) != 0 {
 		t.Fatalf("over HTTP: status %d with %d body bytes, want 204 and none", resp.StatusCode, len(body))
 	}
@@ -118,10 +121,10 @@ func TestCurrentCheckoutIsBodyless(t *testing.T) {
 	}
 
 	srv.Stop()
-	resp, body = binaryCheckout(t, ts.URL, token, "?since=1&xor=2")
+	resp, body = binaryCheckout(t, ts.URL, token, "", "?since=1")
 	fr, err := wirecodec.Decode(body)
 	if resp.StatusCode != http.StatusOK || err != nil || !fr.Done || fr.Version != 1 {
-		t.Fatalf("stopped task's current xor=2 checkout: status %d, frame %+v, %v; want a done frame at 1", resp.StatusCode, fr, err)
+		t.Fatalf("stopped task's current checkout: status %d, frame %+v, %v; want a done frame at 1", resp.StatusCode, fr, err)
 	}
 	if co, err := cl.Checkout(ctx, "d1", token); err != nil || !co.Done || co.Version != 1 {
 		t.Fatalf("client on a stopped task: %+v, %v; want done at 1", co, err)
@@ -183,13 +186,13 @@ func checkinBoth(t *testing.T, leader *core.Server, token string, f follower, n 
 	}
 }
 
-// TestCheckoutOptInMatrix: every opt-in level against a base that is
-// current, one behind, and current on a stopped task, on a leader and on
-// a follower. Without an opt-in and with xor=1 the answer is the frame
-// the encoder makes of the server's delta read, as before bodyless
-// answers existed; xor=2 gets the xor=1 frame too, except that a current
-// base on a learning task is a 204. A follower answers exactly what its
-// leader does.
+// TestCheckoutOptInMatrix: a base with and without the binary Accept,
+// against a base that is current, one behind, and current on a stopped
+// task, on a leader and on a follower. With Accept the answer is the
+// frame the encoder makes of the server's delta read without XOR deltas,
+// as before bodyless answers existed; without it (what devices send) the
+// encoder may pick an XOR delta, and a current base on a learning task is
+// a 204. A follower answers exactly what its leader does.
 func TestCheckoutOptInMatrix(t *testing.T) {
 	hd, leader := newHandler(t, 10, 50)
 	lts, token := serveLoopback(t, hd, leader)
@@ -215,16 +218,16 @@ func TestCheckoutOptInMatrix(t *testing.T) {
 			since = 2
 		}
 		for _, role := range roles {
-			for level, optIn := range []string{"", "&xor=1", "&xor=2"} {
-				name := role.name + " " + state + " ?since=" + strconv.Itoa(since) + optIn
+			for _, accept := range []string{ContentTypeBinary, ""} {
+				name := role.name + " " + state + " ?since=" + strconv.Itoa(since) + " Accept " + accept
 				d, err := role.srv.CheckoutDelta(ctx, "d1", token, since)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := wirecodec.AppendDelta(nil, d.Base, d.Params, d.Version, d.Done, d.Since, level != optInNone)
+				want := wirecodec.AppendDelta(nil, d.Base, d.Params, d.Version, d.Done, d.Since, accept == "")
 				d.Release()
-				resp, body := binaryCheckout(t, role.url, token, "?since="+strconv.Itoa(since)+optIn)
-				if level == optInBodyless && state == "current" {
+				resp, body := binaryCheckout(t, role.url, token, accept, "?since="+strconv.Itoa(since))
+				if accept == "" && state == "current" {
 					if resp.StatusCode != http.StatusNoContent || len(body) != 0 || resp.Header.Get("Content-Type") != "" {
 						t.Errorf("%s: status %d, %d bytes of %q; want a bare 204", name, resp.StatusCode, len(body), resp.Header.Get("Content-Type"))
 					}
@@ -244,7 +247,7 @@ func TestCheckoutOptInMatrix(t *testing.T) {
 				case state != "behind" && len(body) != wirecodec.HeaderLen+4:
 					t.Errorf("%s: %d bytes, want the empty delta's %d", name, len(body), wirecodec.HeaderLen+4)
 				}
-				key := state + optIn
+				key := state + accept
 				if role.name == "leader" {
 					leaderBodies[key] = body
 				} else if !bytes.Equal(body, leaderBodies[key]) {
@@ -256,12 +259,10 @@ func TestCheckoutOptInMatrix(t *testing.T) {
 }
 
 // TestDeltaPollNamesOnlyItsBase: a binary-delta device polls with
-// ?since=N and nothing more, and the server reads a base that comes
-// without Accept or xor as the opt-in xor=2 spells: the same XOR frame, or
-// the same 204, against a base that is current, behind, and current on a
-// stopped task. Every older shape keeps its answer: Accept with a base is
-// the encoder's frame without XOR deltas, Accept with xor=1 or xor=2 and
-// xor=2 without Accept are answered as their xor level says.
+// ?since=N and nothing more, and a base that comes without the binary
+// Accept is welcome to XOR deltas and to the 204, against a base that is
+// current, behind, and current on a stopped task. Accept with a base is
+// the encoder's frame without XOR deltas, never a 204.
 func TestDeltaPollNamesOnlyItsBase(t *testing.T) {
 	hd, srv := newHandler(t, 10, 50)
 	var mu sync.Mutex
@@ -299,14 +300,11 @@ func TestDeltaPollNamesOnlyItsBase(t *testing.T) {
 	}
 
 	shapes := []struct {
-		name, accept, xor string
-		optIn             int
+		name, accept string
+		xor          bool
 	}{
-		{"base alone", "", "", optInBodyless},
-		{"xor=2 without Accept", "", "&xor=2", optInBodyless},
-		{"Accept", ContentTypeBinary, "", optInNone},
-		{"Accept, xor=1", ContentTypeBinary, "&xor=1", optInXOR},
-		{"Accept, xor=2", ContentTypeBinary, "&xor=2", optInBodyless},
+		{"base alone", "", true},
+		{"Accept", ContentTypeBinary, false},
 	}
 	for _, state := range []string{"current", "behind", "stopped"} {
 		since := 2
@@ -328,16 +326,45 @@ func TestDeltaPollNamesOnlyItsBase(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			name := state + ", " + sh.name
-			status, ct, body := rawCheckout(t, ts.URL, "d1", token, sh.accept, "?since="+strconv.Itoa(since)+sh.xor)
-			want := map[bool][]byte{false: plain, true: xor}[sh.optIn != optInNone]
+			status, ct, body := rawCheckout(t, ts.URL, "d1", token, sh.accept, "?since="+strconv.Itoa(since))
+			want := map[bool][]byte{false: plain, true: xor}[sh.xor]
 			switch {
-			case sh.optIn == optInBodyless && state == "current":
+			case sh.xor && state == "current":
 				if status != http.StatusNoContent || ct != "" || len(body) != 0 {
 					t.Errorf("%s: status %d, %d bytes of %q; want a bare 204", name, status, len(body), ct)
 				}
 			case status != http.StatusOK || ct != ContentTypeBinary || !bytes.Equal(body, want):
 				t.Errorf("%s: status %d, %d bytes of %q; want 200 and the encoder's %d-byte frame (xor %v)",
-					name, status, len(body), ct, len(want), sh.optIn != optInNone)
+					name, status, len(body), ct, len(want), sh.xor)
+			}
+		}
+	}
+}
+
+// TestRetiredOptInsAnsweredByAccept: the server reads no xor parameter,
+// so each shape older devices send — Accept with &xor=1 or &xor=2, and
+// &xor=2 without Accept — gets the status and the bytes the same request
+// without xor gets, against a base that is behind and one that is
+// current: with Accept the sparse or full frame and never a 204, without
+// it XOR deltas and the 204.
+func TestRetiredOptInsAnsweredByAccept(t *testing.T) {
+	hd, srv := newHandler(t, 10, 50)
+	ts, token := serveLoopback(t, hd, srv)
+	for i := 0; i < 2; i++ {
+		if err := srv.Checkin(context.Background(), "d1", token, wideCheckin(50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, since := range []string{"1", "2"} { // behind, current
+		for _, sh := range []struct{ accept, xor string }{
+			{ContentTypeBinary, "&xor=1"}, {ContentTypeBinary, "&xor=2"}, {"", "&xor=2"},
+		} {
+			name := "?since=" + since + sh.xor + " Accept " + sh.accept
+			status, ct, body := rawCheckout(t, ts.URL, "d1", token, sh.accept, "?since="+since+sh.xor)
+			wantStatus, wantCT, want := rawCheckout(t, ts.URL, "d1", token, sh.accept, "?since="+since)
+			if status != wantStatus || ct != wantCT || !bytes.Equal(body, want) {
+				t.Errorf("%s: status %d, %d bytes of %q; want %d, %d bytes of %q as without xor",
+					name, status, len(body), ct, wantStatus, len(want), wantCT)
 			}
 		}
 	}

@@ -287,24 +287,19 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSinceParamMatchesQueryParsing: reading "since=<digits>" (and the
-// "&xor=1" or "&xor=2" opt-in after it) in place is an optimisation of
-// url.Values, not a second grammar — every query string gets the value
-// and the opt-in level, or the refusal, the general parser gives it: the
-// first xor value, exactly "1" or "2", else none, and a base with no xor
-// at all (these requests carry no Accept) the bodyless level.
+// TestSinceParamMatchesQueryParsing: reading "since=<digits>" in place
+// is an optimisation of url.Values, not a second grammar — every query
+// string gets the value, or the refusal, the general parser gives it,
+// whatever xor parameter it carries.
 func TestSinceParamMatchesQueryParsing(t *testing.T) {
-	viaValues := func(rawQuery string) (int, int, bool) {
+	viaValues := func(rawQuery string) (int, bool) {
 		q, _ := url.ParseQuery(rawQuery)
-		raw, xor := q.Get("since"), map[string]int{"1": optInXOR, "2": optInBodyless}[q.Get("xor")]
+		raw := q.Get("since")
 		if raw == "" {
-			return -1, xor, true
-		}
-		if !q.Has("xor") {
-			xor = optInBodyless
+			return -1, true
 		}
 		n, err := strconv.Atoi(raw)
-		return n, xor, err == nil && n >= 0
+		return n, err == nil && n >= 0
 	}
 	for _, rawQuery := range []string{
 		"", "since=0", "since=7", "since=0042", "since=9223372036854775807", "since=9223372036854775808",
@@ -316,24 +311,23 @@ func TestSinceParamMatchesQueryParsing(t *testing.T) {
 		"since=4&xor=+2", "since=4&xor=2&x=1", "since=4&xor=1&xor=2", "since=4&xor=3&xor=2", "since=4&xor=2&xor=3",
 		"since=4&xor=2&xor=%zz", "since=4&xor=2&since=5", "since=&xor=2", "since=-1&xor=2", "xor=2", "XOR=2&since=4",
 	} {
-		want, wantXOR, ok := viaValues(rawQuery)
-		got, xor, err := sinceParam(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
+		want, ok := viaValues(rawQuery)
+		got, err := sinceParam(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
 		switch {
 		case !ok && err == nil:
 			t.Errorf("%q: accepted as %d, url.Values refuses it", rawQuery, got)
-		case ok && (err != nil || got != want || xor != wantXOR):
-			t.Errorf("%q: got %d xor=%v, %v; want %d xor=%v", rawQuery, got, xor, err, want, wantXOR)
+		case ok && (err != nil || got != want):
+			t.Errorf("%q: got %d, %v; want %d", rawQuery, got, err, want)
 		case !ok && !errors.Is(err, core.ErrBadCheckin):
 			t.Errorf("%q: refusal %v does not map to 400", rawQuery, err)
 		}
 	}
 	for _, rawQuery := range []string{
-		"", // every JSON checkout
-		"since=123456", "since=123456&xor=1", "since=123456&xor=2", "since=123456&xor=3",
-		"since=123456&xor=1&xor=2", "since=123456&xor=2&xor=2",
+		"",             // every JSON checkout
+		"since=123456", // every delta poll
 	} {
 		r := &http.Request{URL: &url.URL{RawQuery: rawQuery}}
-		if n := testing.AllocsPerRun(20, func() { _, _, _ = sinceParam(r) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { _, _ = sinceParam(r) }); n != 0 {
 			t.Errorf("%s allocated %v times", rawQuery, n)
 		}
 	}

@@ -337,7 +337,7 @@ func TestRetryRecoversFromTransient5xx(t *testing.T) {
 	ts := httptest.NewServer(flaky)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
-		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+		BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
 	})
 	if _, err := client.Checkout(context.Background(), "d1", token); err != nil {
 		t.Fatalf("Checkout with retry: %v", err)
@@ -368,7 +368,7 @@ func TestAuthProbeRetriesTransient5xx(t *testing.T) {
 	ts := httptest.NewServer(flaky)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
-		MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
+		BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond,
 	})
 	ctx := context.Background()
 	if err := client.AuthProbe(ctx, "d1", token); err != nil {
@@ -391,7 +391,7 @@ func TestAuthProbeRetriesTransient5xx(t *testing.T) {
 // client built without WithRetry reports exactly those defaults.
 func TestRetryPolicyDelay(t *testing.T) {
 	p := NewHTTPClient("http://leader", nil).RetryPolicy()
-	if want := (RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}); p != want {
+	if want := (RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}); p != want {
 		t.Fatalf("RetryPolicy() without WithRetry = %+v, want %+v", p, want)
 	}
 	for _, tc := range []struct {
@@ -418,16 +418,16 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithRetry(RetryPolicy{
-		MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+		BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
 	})
 	_, err := client.Tasks(context.Background())
 	if err == nil {
 		t.Fatal("want error after exhausting retries")
 	}
 	// The final attempt's response is returned as-is (a non-2xx status),
-	// so the two earlier attempts were retried and the third surfaced.
-	if n := calls.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3", n)
+	// so the three earlier attempts were retried and the fourth surfaced.
+	if n := calls.Load(); n != 4 {
+		t.Errorf("attempts = %d, want 4", n)
 	}
 }
 
@@ -441,7 +441,7 @@ func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 	ts := httptest.NewServer(counting)
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
-		MaxAttempts: 5, BaseDelay: time.Millisecond,
+		BaseDelay: time.Millisecond,
 	})
 	if _, err := client.Checkout(context.Background(), "ghost", "bad"); !errors.Is(err, core.ErrAuth) {
 		t.Fatalf("err = %v, want ErrAuth", err)
@@ -457,7 +457,7 @@ func TestRetryRespectsContextCancel(t *testing.T) {
 	}))
 	defer ts.Close()
 	client := NewHTTPClient(ts.URL, nil).WithRetry(RetryPolicy{
-		MaxAttempts: 100, BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond,
+		BaseDelay: 50 * time.Millisecond, MaxDelay: 50 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

@@ -19,13 +19,11 @@ import (
 // applied must not be silently replayed. Delays grow exponentially from
 // BaseDelay, are capped at MaxDelay, and carry full jitter (each wait is
 // uniform in [d/2, d]) so a crowd of devices recovering from the same
-// outage does not reconverge in lockstep. The retry budget always
-// respects the request context: cancellation or deadline expiry ends the
-// attempts immediately.
+// outage does not reconverge in lockstep. A request is tried at most 4
+// times, the first attempt included, and the retry budget always
+// respects the request context: cancellation or deadline expiry ends
+// the attempts immediately.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (first attempt included).
-	// Values < 1 mean the default of 4.
-	MaxAttempts int
 	// BaseDelay is the pre-jitter delay before the first retry; it
 	// doubles per attempt. Values <= 0 mean the default of 100ms.
 	BaseDelay time.Duration
@@ -34,11 +32,11 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
+// retryAttempts is how many times a retrying client tries a request.
+const retryAttempts = 4
+
 // withDefaults fills zero fields with the documented defaults.
 func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 4
-	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond
 	}
@@ -97,7 +95,7 @@ func retryableStatus(code int) bool {
 func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Header) (*http.Response, error) {
 	attempts := 1
 	if c.retryOn {
-		attempts = c.retry.MaxAttempts
+		attempts = retryAttempts
 	}
 	if header == nil {
 		header = clientHeader()

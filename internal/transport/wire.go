@@ -170,48 +170,25 @@ var (
 	_ deviceBackend = hub.ShardRouter(nil)
 )
 
-// The opt-in levels a checkout's xor parameter names: optInLevels maps
-// the values that opt in, and any other value is optInNone. A base with
-// neither xor nor a binary Accept is optInBodyless; older clients sent one.
-const (
-	optInNone     = iota
-	optInXOR      // xor=1: XOR deltas welcome
-	optInBodyless // xor=2: XOR deltas, and a 204 No Content when the base is current
-)
-
-var optInLevels = map[string]int{"1": optInXOR, "2": optInBodyless}
-
 // sinceParam reads the delta base off a checkout's query string (-1
-// when absent) and its opt-in level, without which no XOR delta and no
-// bodyless answer is sent. The shape clients send, "since=<digits>" and
-// maybe "&xor=" and a value, is read in place — only the first xor
-// counts, as with url.Values, and a value url.Values would unescape is
-// not read here; anything else takes the url.Values route, so what is
-// accepted and what is refused did not change.
-func sinceParam(r *http.Request) (since, optIn int, err error) {
-	if r.URL.RawQuery == "" {
+// when absent). The shape devices send, "since=<digits>", is read in
+// place; anything else takes the url.Values route, so what is accepted
+// and what is refused did not change.
+func sinceParam(r *http.Request) (since int, err error) {
+	raw := r.URL.RawQuery
+	if raw == "" {
 		// Every JSON checkout: no url.Values map to parse an empty query.
-		return -1, optInNone, nil
+		return -1, nil
 	}
-	raw, rest, named := strings.Cut(r.URL.RawQuery, "&xor=")
-	v, _, _ := strings.Cut(rest, "&")
-	digits, ok := strings.CutPrefix(raw, "since=")
-	if ok && digits != "" && strings.Trim(digits, "0123456789") == "" && !strings.ContainsAny(v, "%+;") {
-		raw, optIn = digits, optInLevels[v]
-	} else {
-		q := r.URL.Query()
-		_, named = q["xor"]
-		if raw, optIn = q.Get("since"), optInLevels[q.Get("xor")]; raw == "" {
-			return -1, optIn, nil
-		}
+	if digits, ok := strings.CutPrefix(raw, "since="); ok && digits != "" && strings.Trim(digits, "0123456789") == "" {
+		raw = digits
+	} else if raw = r.URL.Query().Get("since"); raw == "" {
+		return -1, nil
 	}
 	if since, err = strconv.Atoi(raw); err != nil || since < 0 {
-		return 0, optInNone, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
+		return 0, fmt.Errorf("bad since %q: %w", raw, core.ErrBadCheckin)
 	}
-	if !named && !acceptsBinary(r) {
-		optIn = optInBodyless // a base alone is the opt-in (docs/WIRE.md)
-	}
-	return since, optIn, nil
+	return since, nil
 }
 
 // bodyForm reads a checkout frame's core.Form… off its header.
@@ -234,28 +211,30 @@ func bodyForm(frame []byte) int {
 // snapshots into one pooled buffer — after which the snapshots are
 // released for reuse — and leaves with a Content-Length; the encode is
 // the checkout's encode stage, lapped into co, and its size is observed
-// in bodies by form. A client that opted in to bodyless answers (xor=2,
-// or a base without Accept) and is current on a task still learning gets
-// 204 No Content instead of the empty delta: no buffer, no header map,
-// observed as an empty form of 0 bytes. Errors flow through writeError —
-// the JSON envelope, which a binary client tells apart by Content-Type —
-// and an encoder that refuses (a non-finite parameter has no JSON form)
-// fails before anything is written: 500, never a 200 with half a body.
+// in bodies by form. A base without the binary Accept is what devices
+// send: it is welcome to XOR deltas, and when it is current on a task
+// still learning it gets 204 No Content instead of the empty delta: no
+// buffer, no header map, observed as an empty form of 0 bytes. A base
+// with the binary Accept gets the sparse or full frame, never a 204.
+// Errors flow through writeError — the JSON envelope, which a binary
+// client tells apart by Content-Type — and an encoder that refuses (a
+// non-finite parameter has no JSON form) fails before anything is
+// written: 500, never a 200 with half a body.
 func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, deviceID string, co, bodies *telemetry.Stages) {
 	// Absent means no base; a malformed value is the client's error: 400.
-	since, optIn, err := sinceParam(r)
+	since, err := sinceParam(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	binary := negotiate(r, since)
+	binary, xor := negotiate(r, since), since >= 0 && !acceptsBinary(r)
 	d, err := be.CheckoutDelta(r.Context(), deviceID, r.Header.Get(headerToken), since)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	start := co.Start()
-	if optIn == optInBodyless && d.Since == d.Version && d.Base == nil && !d.Done {
+	if xor && d.Since == d.Version && d.Base == nil && !d.Done {
 		d.Release()
 		co.Lap(core.StageEncode, start)
 		bodies.Observe(core.FormEmpty, 0)
@@ -265,7 +244,7 @@ func serveCheckout(w http.ResponseWriter, r *http.Request, be deviceBackend, dev
 	buf, contentType, form := getBuf(), "application/json", core.FormJSON
 	defer buf.put()
 	if binary {
-		buf.b = wirecodec.AppendDelta(buf.b, d.Base, d.Params, d.Version, d.Done, d.Since, optIn != optInNone)
+		buf.b = wirecodec.AppendDelta(buf.b, d.Base, d.Params, d.Version, d.Done, d.Since, xor)
 		contentType, form = ContentTypeBinary, bodyForm(buf.b)
 	} else {
 		buf.b, err = wirecodec.AppendCheckoutJSON(buf.b, d.Params, d.Version, d.Done)

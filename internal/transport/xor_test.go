@@ -34,11 +34,13 @@ func nudgeLow(r *rand.Rand, base []float64, k int) []float64 {
 	return cur
 }
 
-// TestXORDeltaOnlyWhenOptedIn: a checkout that does not opt in — which is
-// every client released before XOR deltas — is only ever sent frames
-// such a client decodes: kind full or delta, flags within {done,
-// sparse}. The same pairs, opted in, are answered with XOR deltas where
-// those are smallest, and applying each reproduces the server's vector.
+// TestXORDeltaOnlyWhenOptedIn: a checkout with the binary Accept — which
+// every client released before XOR deltas sends, with or without the
+// xor parameter later ones added — is only ever sent frames such a
+// client decodes: kind full or delta, flags within {done, sparse}. The
+// same pairs asked for by a base without Accept, which opts in, are
+// answered with XOR deltas where those are smallest, and applying each
+// reproduces the server's vector.
 func TestXORDeltaOnlyWhenOptedIn(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	xors := 0
@@ -48,15 +50,15 @@ func TestXORDeltaOnlyWhenOptedIn(t *testing.T) {
 		cur := nudgeLow(r, base, r.Intn(n+1))
 		be := newRingBackend(4, base)
 		be.publish(1, cur)
-		for _, q := range []string{"", "?since=0", "?since=1", "?since=9", "?since=0&x=1", "?since=0&xor=0", "?since=0&xor=yes"} {
+		for _, q := range []string{"", "?since=0", "?since=1", "?since=9", "?since=0&x=1", "?since=0&xor=0", "?since=0&xor=yes", "?since=0&xor=1", "?since=0&xor=2"} {
 			b := checkoutFrame(t, be, q, ContentTypeBinary)
 			kind, flags := b[5], binary.LittleEndian.Uint16(b[6:])
 			if (kind != wirecodec.KindFull && kind != wirecodec.KindDelta) || flags&^(wirecodec.FlagDone|wirecodec.FlagSparse) != 0 {
 				t.Fatalf("n=%d %q: kind %d flags %#x sent without the opt-in", n, q, kind, flags)
 			}
 		}
-		for _, q := range []string{"?since=0&xor=1", "?xor=1&since=0", "?since=%30&xor=1"} {
-			fr, err := wirecodec.Decode(checkoutFrame(t, be, q, ContentTypeBinary))
+		for _, q := range []string{"?since=0", "?x=1&since=0", "?since=%30"} {
+			fr, err := wirecodec.Decode(checkoutFrame(t, be, q, ""))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -256,16 +256,16 @@ func FuzzXORDelta(f *testing.F) {
 	f.Add(words(base[:6]), words(nudge(base[:6], 1)), false)
 	f.Add(words(xorCorpus), words(xorCorpus[1:]), true)
 
-	f.Fuzz(func(t *testing.T, baseBits, curBits []byte, optIn bool) {
+	f.Fuzz(func(t *testing.T, baseBits, curBits []byte, xorOK bool) {
 		n := min(len(baseBits), len(curBits)) / 8
 		base, cur := floatsFromBytes(baseBits, n), floatsFromBytes(curBits, n)
 		held := append([]float64(nil), base...)
-		b := AppendDelta(nil, base, cur, 9, false, 4, optIn)
+		b := AppendDelta(nil, base, cur, 9, false, 4, xorOK)
 		var fr Frame
 		if err := DecodeInto(&fr, b); err != nil {
 			t.Fatalf("the encoder's own frame does not decode: %v", err)
 		}
-		if fr.XOR && !optIn {
+		if fr.XOR && !xorOK {
 			t.Fatal("XOR delta written for a client that did not opt in")
 		}
 		got := fr.Values
@@ -281,7 +281,7 @@ func FuzzXORDelta(f *testing.F) {
 		if !sameBits(base, held) {
 			t.Fatal("decoding or applying wrote the base")
 		}
-		if again := AppendDelta(nil, base, got, 9, false, 4, optIn); !bytes.Equal(again, b) {
+		if again := AppendDelta(nil, base, got, 9, false, 4, xorOK); !bytes.Equal(again, b) {
 			t.Fatal("re-encoding the applied vector changed the frame")
 		}
 	})

@@ -127,7 +127,7 @@ func TestDeltaPicksSmallestForm(t *testing.T) {
 	base := randVec(rand.New(rand.NewSource(8)), n)
 	for _, tc := range []struct {
 		changed, l int
-		optIn      bool
+		xorOK      bool
 		want       string
 		payload    int
 	}{
@@ -143,7 +143,7 @@ func TestDeltaPicksSmallestForm(t *testing.T) {
 		{n, 8, true, "full", 8 * n},    // XOR: 240 + 3,840
 	} {
 		cur := append(nudge(base[:tc.changed], tc.l), base[tc.changed:]...)
-		b := AppendDelta(nil, base, cur, 2, false, 1, tc.optIn)
+		b := AppendDelta(nil, base, cur, 2, false, 1, tc.xorOK)
 		fr, err := Decode(b)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +161,7 @@ func TestDeltaPicksSmallestForm(t *testing.T) {
 		}
 		if got != tc.want || len(b) != HeaderLen+tc.payload+crcLen {
 			t.Errorf("%d changed by %d-byte words, opt-in %v: %s frame of %d bytes, want %s of %d",
-				tc.changed, tc.l, tc.optIn, got, len(b), tc.want, HeaderLen+tc.payload+crcLen)
+				tc.changed, tc.l, tc.xorOK, got, len(b), tc.want, HeaderLen+tc.payload+crcLen)
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestFollowerMetricsExposition(t *testing.T) {
 	// each process separately, so each exposition must stand alone.
 	followerReg := crowdml.NewMetricsRegistry()
 	feed := leaderClient.WithRetry(crowdml.RetryPolicy{
-		MaxAttempts: 4, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
+		BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond,
 	})
 	followerCfg := repServerConfig()
 	followerCfg.AuthFallback = feed.AuthProbe
