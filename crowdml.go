@@ -380,8 +380,8 @@ type ReplaySource = core.ReplaySource
 var ErrReplayGap = core.ErrReplayGap
 
 // TaskInfo describes a crowd-learning task for the Web portal: objective,
-// sensory data, labels, algorithm, and privacy budget — the transparency
-// details of the paper's Section V-A portal.
+// sensory data, labels and algorithm — the transparency details of the
+// paper's Section V-A portal.
 type TaskInfo = hub.TaskInfo
 
 // NewPortalIndex returns the multi-task Web portal for a hub: "/" lists

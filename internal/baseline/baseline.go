@@ -71,8 +71,6 @@ type BatchConfig struct {
 	// Perturbation is the optional Appendix C input DP mechanism applied
 	// to the training set before learning.
 	Perturbation InputPerturbation
-	// Lambda is the regularization weight.
-	Lambda float64
 	// Seed drives the perturbation noise.
 	Seed uint64
 }
@@ -99,11 +97,6 @@ func RunBatch(cfg BatchConfig) (float64, error) {
 			cfg.Model.AddGradient(w, g, s)
 		}
 		g.Scale(inv)
-		if cfg.Lambda != 0 {
-			if err := g.AddScaled(cfg.Lambda, w); err != nil {
-				return 0, err
-			}
-		}
 		w.AddScaled(-batchRate, g)
 	}
 	return metrics.TestError(cfg.Model, w, cfg.Test), nil
@@ -122,10 +115,6 @@ type SGDConfig struct {
 	Minibatch int
 	// Schedule is η(t); required.
 	Schedule optimizer.Schedule
-	// Radius is the projection radius (non-positive disables).
-	Radius float64
-	// Lambda is the regularization weight.
-	Lambda float64
 	// Passes over the training data (default 1).
 	Passes int
 	// EvalEvery measures test error every this many samples
@@ -168,14 +157,14 @@ func RunSGD(cfg SGDConfig) (metrics.Series, error) {
 	}
 
 	w := model.NewParams(cfg.Model)
-	updater := &optimizer.SGD{Schedule: cfg.Schedule, Radius: cfg.Radius}
+	updater := &optimizer.SGD{Schedule: cfg.Schedule}
 	curve := metrics.Series{Name: fmt.Sprintf("central-sgd-b%d", cfg.Minibatch)}
 	batch := make([]model.Sample, 0, cfg.Minibatch)
 	t := 0
 	for n := 1; n <= total; n++ {
 		batch = append(batch, train[(n-1)%len(train)])
 		if len(batch) >= cfg.Minibatch {
-			g := optimizer.AverageGradient(cfg.Model, w, batch, cfg.Lambda)
+			g := optimizer.AverageGradient(cfg.Model, w, batch, 0)
 			t++
 			updater.Update(w, g, t)
 			batch = batch[:0]

@@ -22,12 +22,8 @@ type DecentralConfig struct {
 	Train, Test []model.Sample
 	// Devices is M. Must be ≥ 1.
 	Devices int
-	// Lambda is the regularization weight.
-	Lambda float64
 	// Schedule is η(t) for each device's local SGD; required.
 	Schedule optimizer.Schedule
-	// Radius is the projection radius (non-positive disables).
-	Radius float64
 	// Passes over the training data. Defaults to 1.
 	Passes int
 	// EvalEvery measures error every this many global samples
@@ -91,7 +87,7 @@ func RunDecentral(cfg DecentralConfig) (metrics.Series, error) {
 	for i := range devs {
 		devs[i].w = model.NewParams(cfg.Model)
 	}
-	updater := &optimizer.SGD{Schedule: cfg.Schedule, Radius: cfg.Radius}
+	updater := &optimizer.SGD{Schedule: cfg.Schedule}
 
 	curve := metrics.Series{Name: "decentralized"}
 	for n := 1; n <= total; n++ {
@@ -104,7 +100,7 @@ func RunDecentral(cfg DecentralConfig) (metrics.Series, error) {
 		s := shard[d.pos%len(shard)]
 		d.pos++
 		d.t++
-		g := optimizer.AverageGradient(cfg.Model, d.w, []model.Sample{s}, cfg.Lambda)
+		g := optimizer.AverageGradient(cfg.Model, d.w, []model.Sample{s}, 0)
 		updater.Update(d.w, g, d.t)
 		if n%cfg.EvalEvery == 0 || n == total {
 			var sum float64

@@ -29,8 +29,6 @@ type DeviceConfig struct {
 	// MaxBuffer is B, the secure local buffer cap; sample collection
 	// pauses at this size to prevent resource outage. Defaults to 8×b.
 	MaxBuffer int
-	// Lambda is the regularization weight λ of Eq. (2).
-	Lambda float64
 	// Budget sets the local differential-privacy levels (Device Routine 3).
 	// The zero value disables all perturbation, the "ε⁻¹ = 0" setting.
 	Budget privacy.Budget
@@ -293,13 +291,13 @@ type GradientMechanism func(g *linalg.Matrix, n int, r *rng.RNG)
 
 // DeviceStep implements Device Routines 2 and 3 of Algorithm 1 — the one
 // place a minibatch and the checked-out w become what leaves the device:
-// per-sample predictions and counters, the averaged regularized gradient,
-// and their sanitization with the local privacy mechanisms. Of cfg it
-// reads Model, Lambda and Budget. A non-nil mech replaces the Eq. (10)
-// Laplace mechanism at Budget.Gradient (a byzantine device's
-// attack.Corrupt, footnote 1's Gaussian variant); the counts are sanitized
-// by Eqs. (11)–(12) either way. r is drawn in a fixed order: gradient
-// noise, ErrCount noise, LabelCounts noise. batch must not be empty.
+// per-sample predictions and counters, the averaged gradient, and their
+// sanitization with the local privacy mechanisms. Of cfg it reads Model
+// and Budget. A non-nil mech replaces the Eq. (10) Laplace mechanism at
+// Budget.Gradient (a byzantine device's attack.Corrupt, footnote 1's
+// Gaussian variant); the counts are sanitized by Eqs. (11)–(12) either
+// way. r is drawn in a fixed order: gradient noise, ErrCount noise,
+// LabelCounts noise. batch must not be empty.
 func DeviceStep(cfg *DeviceConfig, mech GradientMechanism, co *CheckoutResponse, batch []model.Sample, r *rng.RNG) (*CheckinRequest, error) {
 	classes, dim := cfg.Model.Shape()
 	w, err := linalg.NewMatrixFrom(classes, dim, co.Params)
@@ -316,7 +314,7 @@ func DeviceStep(cfg *DeviceConfig, mech GradientMechanism, co *CheckoutResponse,
 			ne++
 		}
 	}
-	g := optimizer.AverageGradient(cfg.Model, w, batch, cfg.Lambda)
+	g := optimizer.AverageGradient(cfg.Model, w, batch, 0)
 
 	// Device Routine 3: sanitize with the local mechanisms.
 	if mech != nil {

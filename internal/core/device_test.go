@@ -178,8 +178,8 @@ func TestDeviceFlushOnMinibatch(t *testing.T) {
 
 func TestDeviceGradientMatchesDirectComputation(t *testing.T) {
 	m := model.NewLogisticRegression(2, 3)
-	d, ft := newTestDevice(t, DeviceConfig{Model: m, Minibatch: 2, Lambda: 0.1})
-	// Non-zero server params so the λw term matters.
+	d, ft := newTestDevice(t, DeviceConfig{Model: m, Minibatch: 2})
+	// Non-zero server params so the gradient depends on w.
 	ft.params = []float64{0.1, -0.2, 0.3, 0.4, 0, -0.1}
 	ctx := context.Background()
 	s1, s2 := sampleFor(0), sampleFor(1)
@@ -194,7 +194,6 @@ func TestDeviceGradientMatchesDirectComputation(t *testing.T) {
 	m.AddGradient(w, want, s1)
 	m.AddGradient(w, want, s2)
 	want.Scale(0.5)
-	want.AddScaled(0.1, w)
 	got := ft.checkins[0].Grad
 	if !linalg.Equal(got, want.Data(), 1e-12) {
 		t.Errorf("device gradient %v, want %v", got, want.Data())
@@ -430,7 +429,7 @@ func referenceStep(cfg *DeviceConfig, co *CheckoutResponse, batch []model.Sample
 			ne++
 		}
 	}
-	g := optimizer.AverageGradient(cfg.Model, w, batch, cfg.Lambda)
+	g := optimizer.AverageGradient(cfg.Model, w, batch, 0)
 	privacy.PerturbGradient(g, len(batch), cfg.Model.GradientSensitivity(), cfg.Budget.Gradient, r)
 	return &CheckinRequest{
 		Grad:        g.Data(),
@@ -462,7 +461,7 @@ func TestDeviceStepMatchesFlush(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DeviceConfig{
-				Minibatch: len(stepBatch), Lambda: 0.01, Seed: 77,
+				Minibatch: len(stepBatch), Seed: 77,
 				Budget: tc.budget,
 			}
 			ref, _ := newTestDevice(t, cfg) // same seed, untouched stream
@@ -510,7 +509,7 @@ func TestDeviceStepMatchesFlush(t *testing.T) {
 func TestDeviceStepCustomMechanism(t *testing.T) {
 	m := model.NewLogisticRegression(2, 3)
 	cfg := &DeviceConfig{
-		Model: m, Lambda: 0.01,
+		Model:  m,
 		Budget: privacy.Budget{Gradient: 10, ErrCount: 0.2, LabelCount: 0.2},
 	}
 	co := &CheckoutResponse{Params: stepParams, Version: 9}
@@ -518,7 +517,7 @@ func TestDeviceStepCustomMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := optimizer.AverageGradient(m, w, stepBatch, cfg.Lambda).Data()
+	clean := optimizer.AverageGradient(m, w, stepBatch, 0).Data()
 	ne, nky := 0, make([]int, 2)
 	for _, s := range stepBatch {
 		nky[s.Y]++

@@ -196,11 +196,12 @@ func TestRestartRefusesLegacyJSONCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := store.NewFileRoot(t.TempDir())
+	rootDir := t.TempDir()
+	root, err := store.NewFileRoot(rootDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(root.Dir(), "t")
+	dir := filepath.Join(rootDir, "t")
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 
 	"github.com/crowdml/crowdml/internal/core"
-	"github.com/crowdml/crowdml/internal/privacy"
 	"github.com/crowdml/crowdml/internal/store"
 	"github.com/crowdml/crowdml/internal/telemetry"
 )
@@ -60,8 +59,8 @@ var (
 
 // TaskInfo describes a crowd-learning task to prospective participants —
 // the transparency details the paper's portal lists: objective, sensory
-// data collected, labels collected, learning algorithm, and the privacy
-// budget each contribution spends.
+// data collected, labels collected and learning algorithm. It carries no
+// privacy level: each device picks its own ε.
 type TaskInfo struct {
 	// Name is the task's display name.
 	Name string
@@ -74,9 +73,6 @@ type TaskInfo struct {
 	// Algorithm describes the learner (e.g. "multiclass logistic
 	// regression via private distributed SGD").
 	Algorithm string
-	// Budget is the per-checkin privacy budget, displayed with its
-	// composed total so participants can judge the privacy level.
-	Budget privacy.Budget
 }
 
 // Task is one hosted learning task: a core.Server plus its portal

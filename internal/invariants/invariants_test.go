@@ -160,12 +160,13 @@ func TestJournal(t *testing.T) {
 		}
 	}
 
-	disk, err := store.NewFileStore(t.TempDir())
+	dir := t.TempDir()
+	disk, err := store.NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendIters(t, disk, 1, 2, 3)
-	live := filepath.Join(disk.Dir(), "journal-0000000001.wal")
+	live := filepath.Join(dir, "journal-0000000001.wal")
 	info, err := os.Stat(live)
 	if err != nil {
 		t.Fatal(err)

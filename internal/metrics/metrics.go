@@ -49,20 +49,6 @@ func (s *Series) Final() float64 {
 	return s.Y[len(s.Y)-1]
 }
 
-// Min returns the smallest y value, or 0 when empty.
-func (s *Series) Min() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	m := s.Y[0]
-	for _, v := range s.Y[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // AverageSeries averages multiple trials of the same curve pointwise
 // (all trials must share X grids; the name is taken from the first).
 // This is the "averaged test errors from 10 trials" of Section V-C.

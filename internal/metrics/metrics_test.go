@@ -34,7 +34,7 @@ func TestTestError(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	var s Series
-	if s.Final() != 0 || s.Min() != 0 {
+	if s.Final() != 0 {
 		t.Error("empty series should report 0")
 	}
 	s.Append(1, 0.9)
@@ -45,9 +45,6 @@ func TestSeries(t *testing.T) {
 	}
 	if s.Final() != 0.5 {
 		t.Errorf("Final = %v", s.Final())
-	}
-	if s.Min() != 0.3 {
-		t.Errorf("Min = %v", s.Min())
 	}
 }
 

@@ -34,8 +34,9 @@ type Model interface {
 	// Loss returns l(h(x;w), y) for one sample, excluding regularization.
 	Loss(w *linalg.Matrix, s Sample) float64
 	// AddGradient accumulates the per-sample (sub)gradient ∇_w l into grad.
-	// The λw regularization term is NOT included; the minibatch averaging
-	// step adds it once (Device Routine 2: g̃ = 1/n Σ gᵢ + λw).
+	// The λw regularization term is NOT included: Device Routine 2's
+	// g̃ = 1/n Σ gᵢ + λw adds it once per minibatch, and this
+	// implementation runs at λ = 0.
 	AddGradient(w, grad *linalg.Matrix, s Sample)
 	// Predict returns the predicted class index for x.
 	Predict(w *linalg.Matrix, x []float64) int

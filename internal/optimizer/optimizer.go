@@ -193,7 +193,9 @@ func (u *AdaGrad) ImportState(state []float64) error {
 
 // AverageGradient computes the Eq. (6) minibatch gradient
 // g̃ = (1/n)·Σ ∇l(h(xᵢ;w), yᵢ) + λ·w into a fresh matrix, exactly as Device
-// Routine 2 prescribes. It returns nil if the batch is empty.
+// Routine 2 prescribes. It returns nil if the batch is empty. Every caller
+// in this module passes λ = 0; the parameter stays because the benchmark
+// module's copy of the device step calls it with the same signature.
 func AverageGradient(m model.Model, w *linalg.Matrix, batch []model.Sample, lambda float64) *linalg.Matrix {
 	if len(batch) == 0 {
 		return nil

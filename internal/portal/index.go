@@ -12,7 +12,7 @@ import (
 // front page lists every crowd-learning task hosted on the hub so
 // prospective participants can browse and pick one; each task links to
 // its full transparency page (objective, collected data, algorithm,
-// privacy budget, live DP statistics). It lists hub.Hosted and serves
+// privacy mechanisms, live statistics). It lists hub.Hosted and serves
 // hub.Resolve, so a sharded logical task is one task here like anywhere
 // else.
 //

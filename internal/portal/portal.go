@@ -2,10 +2,10 @@
 // (Section V-A): a page where prospective participants can inspect an
 // ongoing crowd-learning task — its objective, what sensory data and
 // labels are collected, which learning algorithm runs, and how the privacy
-// mechanisms work — together with timely, differentially private
-// statistics (error rate, label distribution). The paper built this with
-// Django and Matplotlib; this implementation uses html/template and
-// text bars, keeping the repository stdlib-only.
+// mechanisms work — together with timely statistics (error rate, label
+// distribution) estimated from the devices' sanitized counters. The paper
+// built this with Django and Matplotlib; this implementation uses
+// html/template and text bars, keeping the repository stdlib-only.
 package portal
 
 import (
@@ -68,8 +68,6 @@ func (p *Portal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // pageData is the template's view model.
 type pageData struct {
 	Info          TaskInfo
-	TotalEps      float64
-	PrivacyOff    bool
 	Iteration     int
 	Stopped       bool
 	HasEstimates  bool
@@ -94,14 +92,6 @@ func (p *Portal) snapshot() pageData {
 		Iteration: prog.Iteration,
 		Stopped:   prog.Stopped,
 	}
-	classes := len(p.info.Labels)
-	if classes == 0 {
-		classes = 1
-	}
-	total := p.info.Budget.Total(classes)
-	data.TotalEps = float64(total)
-	data.PrivacyOff = !total.Enabled()
-
 	if prog.HasError {
 		data.HasEstimates = true
 		data.ErrorEstimate = prog.ErrorEstimate
@@ -124,26 +114,6 @@ func (p *Portal) snapshot() pageData {
 		data.Prior = append(data.Prior, priorRow{Label: label, Value: v, Bar: bar(v)})
 	}
 	return data
-}
-
-// History returns a copy of the recorded error history.
-func (p *Portal) History() []struct {
-	Iteration int
-	Error     float64
-} {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]struct {
-		Iteration int
-		Error     float64
-	}, len(p.history))
-	for i, h := range p.history {
-		out[i] = struct {
-			Iteration int
-			Error     float64
-		}{h.Iteration, h.Error}
-	}
-	return out
 }
 
 // bar renders a 0..1 value as a 20-cell text bar. Values outside [0,1]
@@ -210,18 +180,12 @@ var pageTemplate = template.Must(template.New("portal").Parse(`<!DOCTYPE html>
 </dl>
 
 <h2>Your privacy</h2>
-{{if .PrivacyOff}}
-<p class="muted">This task runs without differential privacy (ε⁻¹ = 0).</p>
-{{else}}
-<p>Everything your device sends is sanitized <em>on the device</em> before
-transmission: gradients receive Laplace noise and progress counters receive
-discrete Laplace noise. Each contribution is
-<strong>ε = {{printf "%.3g" .TotalEps}}</strong> differentially private —
-even an adversary observing all network traffic learns almost nothing about
-any single sample of yours.</p>
-{{end}}
+<p>Your device never sends its samples. It sanitizes what it sends
+<em>on the device</em>, at the privacy level ε it is configured with:
+gradients receive Laplace noise and progress counters receive discrete
+Laplace noise.</p>
 
-<h2>Live statistics (differentially private)</h2>
+<h2>Live statistics</h2>
 <p>Server iteration: {{.Iteration}}</p>
 {{if .HasEstimates}}
 <p>Current error estimate: {{printf "%.3f" .ErrorEstimate}}</p>

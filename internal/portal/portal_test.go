@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,10 +13,9 @@ import (
 	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/model"
 	"github.com/crowdml/crowdml/internal/optimizer"
-	"github.com/crowdml/crowdml/internal/privacy"
 )
 
-func testSetup(t *testing.T, budget privacy.Budget) (*core.Server, *Portal) {
+func testSetup(t *testing.T) (*core.Server, *Portal) {
 	t.Helper()
 	srv, err := core.NewServer(core.ServerConfig{
 		Model:   model.NewLogisticRegression(3, 4),
@@ -30,7 +30,6 @@ func testSetup(t *testing.T, budget privacy.Budget) (*core.Server, *Portal) {
 		SensorData: "accelerometer magnitudes, FFT on device",
 		Labels:     []string{"Still", "On Foot", "In Vehicle"},
 		Algorithm:  "multiclass logistic regression via private SGD",
-		Budget:     budget,
 	})
 	return srv, p
 }
@@ -55,7 +54,7 @@ func fetch(t *testing.T, p *Portal) string {
 }
 
 func TestPortalRendersTaskDetails(t *testing.T) {
-	_, p := testSetup(t, privacy.Budget{Gradient: 1})
+	_, p := testSetup(t)
 	page := fetch(t, p)
 	for _, want := range []string{
 		"Activity recognition study",
@@ -63,7 +62,8 @@ func TestPortalRendersTaskDetails(t *testing.T) {
 		"accelerometer",
 		"Still", "On Foot", "In Vehicle",
 		"logistic regression",
-		"differentially private",
+		"never sends its samples",
+		"Laplace noise",
 		"No contributions received yet",
 	} {
 		if !strings.Contains(page, want) {
@@ -72,25 +72,39 @@ func TestPortalRendersTaskDetails(t *testing.T) {
 	}
 }
 
-func TestPortalShowsComposedEpsilon(t *testing.T) {
-	_, p := testSetup(t, privacy.Budget{Gradient: 1, ErrCount: 0.5, LabelCount: 0.1})
-	page := fetch(t, p)
-	// ε = 1 + 0.5 + 3·0.1 = 1.8
-	if !strings.Contains(page, "1.8") {
-		t.Errorf("page missing composed epsilon 1.8:\n%s", page)
+// TestPortalMakesNoPrivacyClaim renders a task described the way
+// crowdml-server describes one: name, algorithm and labels. Each device
+// picks its own ε, so the server cannot know a privacy level, and the
+// page must not state one — least of all that the task runs without
+// differential privacy.
+func TestPortalMakesNoPrivacyClaim(t *testing.T) {
+	srv, err := core.NewServer(core.ServerConfig{
+		Model:   model.NewLogisticRegression(2, 4),
+		Updater: &optimizer.SGD{Schedule: optimizer.Constant{C: 0.1}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPortalPrivacyOffNotice(t *testing.T) {
-	_, p := testSetup(t, privacy.Budget{})
-	page := fetch(t, p)
-	if !strings.Contains(page, "without differential privacy") {
-		t.Error("page should state that privacy is off")
+	page := fetch(t, New(func() hub.Progress { return hub.ProgressOf(srv) }, TaskInfo{
+		Name:      "activity",
+		Algorithm: "logreg via privacy-preserving distributed SGD",
+		Labels:    []string{"class 0", "class 1"},
+	}))
+	for _, claim := range []string{"ε⁻¹ = 0", "without differential privacy"} {
+		if strings.Contains(page, claim) {
+			t.Errorf("page claims %q:\n%s", claim, page)
+		}
+	}
+	if m := regexp.MustCompile(`ε\s*=\s*[0-9.]`).FindString(page); m != "" {
+		t.Errorf("page states a privacy level %q:\n%s", m, page)
+	}
+	if !strings.Contains(page, "sanitizes") || !strings.Contains(page, "on the device") {
+		t.Errorf("page does not say that sanitization happens on the device:\n%s", page)
 	}
 }
 
 func TestPortalShowsStatsAfterCheckins(t *testing.T) {
-	srv, p := testSetup(t, privacy.Budget{Gradient: 1})
+	srv, p := testSetup(t)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	req := &core.CheckinRequest{
@@ -113,7 +127,7 @@ func TestPortalShowsStatsAfterCheckins(t *testing.T) {
 }
 
 func TestPortalHistoryAccumulates(t *testing.T) {
-	srv, p := testSetup(t, privacy.Budget{Gradient: 1})
+	srv, p := testSetup(t)
 	ctx := context.Background()
 	token, _ := srv.RegisterDevice(ctx, "d1")
 	for i := 0; i < 3; i++ {
@@ -126,7 +140,12 @@ func TestPortalHistoryAccumulates(t *testing.T) {
 		}
 		fetch(t, p)
 	}
-	h := p.History()
+	history := func() []historyPoint {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return append([]historyPoint(nil), p.history...)
+	}
+	h := history()
 	if len(h) != 3 {
 		t.Fatalf("history has %d points, want 3", len(h))
 	}
@@ -135,13 +154,13 @@ func TestPortalHistoryAccumulates(t *testing.T) {
 	}
 	// Re-render without new checkins: no duplicate point.
 	fetch(t, p)
-	if len(p.History()) != 3 {
+	if len(history()) != 3 {
 		t.Error("duplicate history point for unchanged iteration")
 	}
 }
 
 func TestPortalRejectsNonGET(t *testing.T) {
-	_, p := testSetup(t, privacy.Budget{})
+	_, p := testSetup(t)
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 	resp, err := http.Post(ts.URL, "text/plain", strings.NewReader("x"))

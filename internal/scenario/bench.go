@@ -43,7 +43,7 @@ func NewBench(spec Spec) (*Bench, error) {
 
 	b := &Bench{
 		stack: st,
-		step:  core.DeviceConfig{Model: c.Model, Lambda: c.Lambda, Budget: c.Budget},
+		step:  core.DeviceConfig{Model: c.Model, Budget: c.Budget},
 	}
 	for i := 0; i < c.Devices; i++ {
 		d := &vdevice{

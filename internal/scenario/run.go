@@ -169,7 +169,7 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 
 	e := &engine{
 		crowd:    c,
-		step:     core.DeviceConfig{Model: c.Model, Lambda: c.Lambda, Budget: c.Budget},
+		step:     core.DeviceConfig{Model: c.Model, Budget: c.Budget},
 		stack:    st,
 		evalSet:  evalSet,
 		delay:    simnet.Uniform{Max: c.Straggler.Tau},

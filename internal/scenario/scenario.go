@@ -172,8 +172,6 @@ type Crowd struct {
 	Model model.Model
 	// Train is dealt to the devices; Test is held out for the curve.
 	Train, Test []model.Sample
-	// Lambda is the regularization weight λ of Eq. (2).
-	Lambda float64
 	// NewUpdater builds the server-side update rule; called once per
 	// server (updaters are stateful and must never be shared). Required.
 	NewUpdater func() optimizer.Updater

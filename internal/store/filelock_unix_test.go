@@ -25,7 +25,7 @@ func TestOpenJournalLocksStoreDir(t *testing.T) {
 		t.Errorf("second open error = %v, want ErrStoreLocked", err)
 	}
 	// A second FileStore handle on the same directory hits the same lock.
-	fs2, err := NewFileStore(fs.Dir())
+	fs2, err := NewFileStore(fs.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,9 +62,6 @@ func newFileStore(fsys fileSystem, dir string) (*FileStore, error) {
 	return &FileStore{fsys: fsys, dir: dir}, nil
 }
 
-// Dir returns the store directory.
-func (f *FileStore) Dir() string { return f.dir }
-
 // HasCheckpoint cheaply reports whether a checkpoint has been saved —
 // an existence probe, without decoding the state (callers that need the
 // contents use Load).
@@ -496,9 +493,6 @@ func NewFileRoot(dir string) (*FileRoot, error) {
 	}
 	return &FileRoot{fsys: osFS{}, dir: dir}, nil
 }
-
-// Dir returns the root directory.
-func (r *FileRoot) Dir() string { return r.dir }
 
 // List returns the task IDs with a store subdirectory, sorted.
 func (r *FileRoot) List(ctx context.Context) ([]string, error) {

@@ -74,7 +74,7 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 		}
 	}
 	// Exactly one checkpoint file, no leftover temp files.
-	entries, err := os.ReadDir(fs.Dir())
+	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCheckpointSaveAllocations(t *testing.T) {
 
 // segmentPath names a segment file by sequence number.
 func segmentPath(fs *FileStore, seq int) string {
-	return filepath.Join(fs.Dir(), fmt.Sprintf(segmentPattern, seq))
+	return filepath.Join(fs.dir, fmt.Sprintf(segmentPattern, seq))
 }
 
 // frameOffsets hops a segment's frame headers and returns where each
@@ -501,7 +501,7 @@ func TestLegacyJournalRefused(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := filepath.Join(fs.Dir(), name)
+			legacy := filepath.Join(fs.dir, name)
 			if err := os.WriteFile(legacy, content, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -520,7 +520,7 @@ func TestLegacyJournalRefused(t *testing.T) {
 			if _, err := fs.PruneSegments(ctx, 1<<30, ""); !errors.Is(err, ErrLegacyJournal) {
 				t.Errorf("PruneSegments error = %v, want ErrLegacyJournal", err)
 			}
-			archive := filepath.Join(fs.Dir(), "archive")
+			archive := filepath.Join(fs.dir, "archive")
 			if err := os.Mkdir(archive, 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -553,7 +553,7 @@ func TestSaveFailsWhenDirRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(fs.Dir()); err != nil {
+	if err := os.RemoveAll(fs.dir); err != nil {
 		t.Fatal(err)
 	}
 	srv := newServer(t)
@@ -568,7 +568,7 @@ func TestOpenJournalFailsWhenDirRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(fs.Dir()); err != nil {
+	if err := os.RemoveAll(fs.dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.OpenJournal(ctx); err == nil {
@@ -696,7 +696,7 @@ func TestPruneInterruptedMidwayLeavesRecoverableStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "Crash" after the first removal of a PruneSegments(4, "") run.
-	if err := os.Remove(filepath.Join(fs.Dir(), "journal-0000000001.wal")); err != nil {
+	if err := os.Remove(filepath.Join(fs.dir, "journal-0000000001.wal")); err != nil {
 		t.Fatal(err)
 	}
 	// The restore read (checkpoint at 4) is untouched by the gap...
@@ -743,7 +743,7 @@ func TestArchiveCollision(t *testing.T) {
 	t.Run("duplicate resolves", func(t *testing.T) {
 		fs := mkStore(t)
 		archive := t.TempDir()
-		src, err := os.ReadFile(filepath.Join(fs.Dir(), "journal-0000000001.wal"))
+		src, err := os.ReadFile(filepath.Join(fs.dir, "journal-0000000001.wal"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -756,7 +756,7 @@ func TestArchiveCollision(t *testing.T) {
 		if err != nil || len(pruned) != 1 {
 			t.Fatalf("PruneSegments over a crash-duplicate = %v, %v; want it resolved", pruned, err)
 		}
-		if _, err := os.Stat(filepath.Join(fs.Dir(), "journal-0000000001.wal")); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(filepath.Join(fs.dir, "journal-0000000001.wal")); !errors.Is(err, os.ErrNotExist) {
 			t.Error("source segment should be gone after the duplicate resolved")
 		}
 	})
@@ -1084,7 +1084,7 @@ func TestGoldenStoreFormat(t *testing.T) {
 		"FileStore": {},
 	}
 	for name := range golden {
-		b, err := os.ReadFile(filepath.Join(fresh.Dir(), name))
+		b, err := os.ReadFile(filepath.Join(fresh.dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}

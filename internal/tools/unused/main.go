@@ -9,10 +9,11 @@
 // its package sets (as a composite-literal key or by an assignment).
 // allow.txt lists the exceptions with their reasons. It parses only,
 // with no type checker, so a local name that shadows a declaration can
-// hide dead code, never invent it; and a method or a field is matched by
-// its name alone, whatever the type of x, so an allowlisted method (an
-// interface's, say) keeps every method of its name. Directories named
-// testdata or starting with . or _ are skipped, as the go command does.
+// hide dead code, never invent it. A key of a literal T{...} or pkg.T{...}
+// sets T's field alone (B's, if T is an alias of pkg.B); another field or
+// a method is matched by its name, whatever the type of x, so an
+// allowlisted method (an interface's, say) keeps every method of its name.
+// Directories named testdata or starting with . or _ are skipped.
 //
 // Usage, from the repository root (exit status 1 lists every finding):
 //
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	_ "embed"
 	"fmt"
 	"go/ast"
@@ -69,8 +71,9 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 	// selected[m] holds, for each file naming x.m other than as pkg.m,
 	// the package whose test it is, or "" for any other file; and
 	// selected["="+f], for each non-test file setting a field f, its
-	// directory.
+	// directory (selected["=pkg.T."+f] if a key of a T literal sets it).
 	selected := map[string]map[string]bool{}
+	aliases, keys := map[string]string{}, [][3]string{} // "pkg.A." -> "pkg.B."; {type, key, dir}
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -111,11 +114,28 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 				imports[name] = dep
 			}
 		}
+		// typeOf names a type written T or x.T "pkg.T.", any other type "".
+		typeOf := func(e ast.Expr) string {
+			if x, ok := e.(*ast.SelectorExpr); ok {
+				return cmp.Or(imports[fmt.Sprint(x.X)], fmt.Sprint(x.X)) + "." + x.Sel.Name + "."
+			} else if id, ok := e.(*ast.Ident); ok {
+				return f.Name.Name + "." + id.Name + "."
+			}
+			return ""
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if key, ok := n.Key.(*ast.Ident); ok && !test {
-					addTo(selected, "="+key.Name, path.Dir(p))
+			case *ast.TypeSpec:
+				if n.Assign.IsValid() {
+					aliases[typeOf(n.Name)] = typeOf(n.Type)
+				}
+			case *ast.CompositeLit:
+				for _, kv := range n.Elts {
+					if kv, ok := kv.(*ast.KeyValueExpr); ok && !test {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							keys = append(keys, [3]string{typeOf(n.Type), key.Name, path.Dir(p)})
+						}
+					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
@@ -194,10 +214,15 @@ func scan(fsys fs.FS, allow string) ([]string, error) {
 			allowedMethods[d.method] = true
 		}
 	}
+	for _, k := range keys {
+		addTo(selected, "="+cmp.Or(aliases[k[0]], k[0])+k[1], k[2])
+	}
+	// outside reports whether by holds a package or directory other than pkg.
+	outside := func(by map[string]bool, pkg string) bool { return len(by) > 1 || len(by) == 1 && !by[pkg] }
 	var out []string
 	for _, d := range decls {
-		if by := selected[d.method]; d.method != "" {
-			used[d.name] = allowedMethods[d.method] || len(by) > 1 || len(by) == 1 && !by[d.pkg]
+		if d.method != "" {
+			used[d.name] = allowedMethods[d.method] || outside(selected[d.method], d.pkg) || outside(selected["="+d.name], d.pkg)
 		}
 		why := "has no caller outside its own package's tests"
 		if strings.HasPrefix(d.method, "=") {

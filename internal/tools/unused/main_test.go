@@ -128,6 +128,19 @@ func TestScan(t *testing.T) {
 			files: map[string]string{"internal/a/a.go": conf("XConfig"), "internal/b/b.go": setN("b", "func g(c *a.XConfig) { c.N = 1 }")},
 		},
 		{
+			name:  "a config field named only by another type's literal",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "internal/b/b.go": "package b\n\ntype T struct{ N int }\n\nvar _ = &T{N: 1}\n"},
+			want:  []string{"a.XConfig.N"},
+		},
+		{
+			name:  "a config field set by an alias's literal",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "m.go": setN("m", "type X = a.XConfig"), "cmd/c/main.go": "package main\n\nimport \"example.com/m\"\n\nvar _ = m.X{N: 1}\n"},
+		},
+		{
+			name:  "a config field set by an elided literal",
+			files: map[string]string{"internal/a/a.go": conf("XConfig"), "internal/b/b.go": setN("b", "var _ = map[string]a.XConfig{\"x\": {N: 1}}")},
+		},
+		{
 			name:  "an allowlisted config field",
 			files: map[string]string{"internal/a/a.go": conf("XConfig")},
 			allow: "a.XConfig.N the reference form of something\n",

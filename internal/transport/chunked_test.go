@@ -68,9 +68,9 @@ func TestPooledCheckinBodyIsNotCopied(t *testing.T) {
 			checkin()
 		}
 		got := bytesPerRun(20, checkin)
-		t.Logf("%v: %.0f B per warm checkin", cl.Wire(), got)
+		t.Logf("%v: %.0f B per warm checkin", cl.wire, got)
 		if got >= 16<<10 {
-			t.Errorf("%v: a warm checkin allocated %.0f B, want < 16 KB (no copy of the body)", cl.Wire(), got)
+			t.Errorf("%v: a warm checkin allocated %.0f B, want < 16 KB (no copy of the body)", cl.wire, got)
 		}
 	}
 	if srv.Iteration() == 0 {
@@ -117,13 +117,13 @@ func TestCheckinIsChunked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.ContentLength != -1 || !reflect.DeepEqual(got.TransferEncoding, []string{"chunked"}) {
-			t.Errorf("%v: ContentLength %d, TransferEncoding %v; want -1, [chunked]", tc.cl.Wire(), got.ContentLength, got.TransferEncoding)
+			t.Errorf("%v: ContentLength %d, TransferEncoding %v; want -1, [chunked]", tc.cl.wire, got.ContentLength, got.TransferEncoding)
 		}
 		if !bytes.Equal(body, tc.want) {
-			t.Errorf("%v: body of %d B differs from the encoder's %d B", tc.cl.Wire(), len(body), len(tc.want))
+			t.Errorf("%v: body of %d B differs from the encoder's %d B", tc.cl.wire, len(body), len(tc.want))
 		}
 		if rec.got != int64(len(tc.want)) {
-			t.Errorf("%v: the RoundTripper saw ContentLength %d, want the body's %d B", tc.cl.Wire(), rec.got, len(tc.want))
+			t.Errorf("%v: the RoundTripper saw ContentLength %d, want the body's %d B", tc.cl.wire, rec.got, len(tc.want))
 		}
 	}
 }

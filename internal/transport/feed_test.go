@@ -431,6 +431,39 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	}
 }
 
+// TestRetryDiscardsLongBody: a retried answer's body is read for its
+// first 1 KiB only, so a server streaming an endless 503 cannot hold the
+// retry budget on one answer.
+func TestRetryDiscardsLongBody(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		chunk := []byte(strings.Repeat("overloaded ", 400))
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer ts.Close()
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha").WithRetry(RetryPolicy{
+		BaseDelay: time.Millisecond, MaxDelay: time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := client.Stats(ctx); err == nil {
+		t.Fatal("Stats succeeded against a server that only answers 503")
+	}
+	if n := calls.Load(); n != 4 {
+		t.Errorf("requests = %d, want 4", n)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("four attempts took %v, want well under a second", elapsed)
+	}
+}
+
 func TestRetryDoesNotRetryApplicationErrors(t *testing.T) {
 	hd, _ := newHandler(t, 2, 2)
 	var calls atomic.Int32

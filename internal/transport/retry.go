@@ -139,12 +139,12 @@ func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Hea
 	return nil, fmt.Errorf("transport: %s failed after %d attempt(s): %w", method, attempts, lastErr)
 }
 
-// drainBody reads (capped) and closes a response body being discarded by
-// a retry, returning the bytes for the error message. Draining lets the
-// transport reuse the connection.
+// drainBody reads at most 1 KiB of a response body being discarded by a
+// retry, for the error message, and closes it. A shorter body is read to
+// its end, so the transport reuses the connection; the rest of a longer
+// one is never read, so no server can hold a retry on its answer.
 func drainBody(resp *http.Response) []byte {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return body
 }

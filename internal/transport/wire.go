@@ -368,9 +368,6 @@ func (c *HTTPClient) WithWire(f WireFormat) *HTTPClient {
 	return &cp
 }
 
-// Wire returns the client's negotiated wire format.
-func (c *HTTPClient) Wire() WireFormat { return c.wire }
-
 // Checkout implements core.Transport. Checkout is idempotent, so a
 // client built WithRetry transparently retries transient failures. With
 // a binary wire format (WithWire) the request negotiates compact frames

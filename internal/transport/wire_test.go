@@ -825,7 +825,7 @@ func TestPooledCheckinBodySurvivesEarlyResponse(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					err := cl.Checkin(context.Background(), "d", "t", req)
 					if hint, ok := LeaderHint(err); !ok || hint != leader || !errors.Is(err, ErrReadOnlyReplica) {
-						t.Errorf("%v checkin %d: err = %v, want the leader hint", cl.Wire(), i, err)
+						t.Errorf("%v checkin %d: err = %v, want the leader hint", cl.wire, i, err)
 						return
 					}
 				}
