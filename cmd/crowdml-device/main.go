@@ -3,8 +3,9 @@
 // recognition samples from the synthetic accelerometer simulator
 // (Section V-B's pipeline: 20 Hz tri-axial accelerometer → |a| over 3.2 s
 // windows → 64-bin FFT → L1 normalization), sanitizes its contributions
-// with local differential privacy, and streams them until the server stops
-// the task or the sample budget is exhausted.
+// on the device at the ε it is configured with (-eps-inv; the default 0
+// adds no noise), and streams them until the server stops the task or the
+// sample budget is exhausted.
 //
 // -eps-inv sets ε⁻¹ for everything a checkin reports about the samples:
 // the gradient (Eq. 10), the misclassification count and each label count

@@ -10,11 +10,12 @@
 //	crowdml-scenario -list                       # show built-in scenarios
 //	crowdml-scenario -name churn-straggler-2k    # run a built-in
 //	crowdml-scenario -file my-scenario.json -o report.json
-//	crowdml-scenario -name byzantine-2k -seed 7 -workers 4
+//	crowdml-scenario -name byzantine-2k -seed 7
 //	crowdml-scenario -name crowd-100k-inprocess  # 100,000 devices, no sockets
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,12 +47,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("crowdml-scenario", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		name    = fs.String("name", "", "built-in scenario to run (see -list)")
-		file    = fs.String("file", "", "JSON scenario spec file to run instead of a built-in")
-		list    = fs.Bool("list", false, "list built-in scenarios and exit")
-		out     = fs.String("o", "", "write the JSON report here (default stdout)")
-		seed    = fs.Uint64("seed", 0, "override the spec's seed (0 keeps it)")
-		workers = fs.Int("workers", 0, "override the spec's worker count (0 keeps it; 1 = deterministic)")
+		name = fs.String("name", "", "built-in scenario to run (see -list)")
+		file = fs.String("file", "", "JSON scenario spec file to run instead of a built-in")
+		list = fs.Bool("list", false, "list built-in scenarios and exit")
+		out  = fs.String("o", "", "write the JSON report here (default stdout)")
+		seed = fs.Uint64("seed", 0, "override the spec's seed (0 keeps it)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
@@ -69,10 +69,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		dec := json.NewDecoder(strings.NewReader(string(raw)))
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			return fmt.Errorf("parse %s: %w", *file, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return fmt.Errorf("parse %s: data after the spec", *file)
 		}
 	case *name != "":
 		s, ok := scenario.Builtin(*name)
@@ -85,9 +88,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
-	}
-	if *workers != 0 {
-		spec.Workers = *workers
 	}
 
 	rep, err := scenario.Run(ctx, spec)

@@ -6,7 +6,9 @@
 //   - /v1/tasks — the task listing (the portal index, as JSON);
 //   - /v1/tasks/{id}/checkout, /v1/tasks/{id}/checkin — the device
 //     protocol of Algorithm 2, per task;
-//   - /v1/tasks/{id}/stats — differentially private progress statistics;
+//   - /v1/tasks/{id}/stats — progress statistics, composed from the
+//     counters each device sanitizes on the device, at the ε it is
+//     configured with;
 //   - /v1/tasks/{id}/register — device enrollment, guarded by -enroll-key;
 //   - /v1/tasks/{id}/journal, /v1/tasks/{id}/checkpoint — the WAL-
 //     shipping replication feed (and remote-audit endpoint) of a durable
@@ -17,7 +19,7 @@
 //     (checkin/checkout throughput and latency, journal and checkpoint
 //     durability counters, per-route HTTP totals, replica lag);
 //     -metrics=false disables the instrumentation and the endpoint;
-//   - /portal/ — the public multi-task Web portal with live DP statistics.
+//   - /portal/ — the public multi-task Web portal with live statistics.
 //
 // Without -tasks the server hosts one task, "default" (logreg, 3 classes,
 // 64 features, rate 10), the one crowdml-device joins by default. A -tasks
@@ -460,8 +462,8 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 	}
 	info = crowdml.TaskInfo{
 		Name:       cmp.Or(spec.Name, spec.ID),
-		Objective:  cmp.Or(spec.Objective, "Collectively learn a shared classifier from device data with local differential privacy."),
-		SensorData: cmp.Or(spec.SensorData, "Device-local features; only noise-sanitized gradients and counters ever leave a device."),
+		Objective:  cmp.Or(spec.Objective, "Collectively learn a shared classifier from device data."),
+		SensorData: cmp.Or(spec.SensorData, "Device-local features; a device sends gradients and counters, never samples, sanitized on the device at the ε it is configured with."),
 		Labels:     labels,
 		Algorithm:  fmt.Sprintf("%s via privacy-preserving distributed SGD (η(t)=%g/√t)", m.Name(), spec.Rate),
 	}

@@ -137,6 +137,27 @@ func TestTasksFileRefusesUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDefaultTaskInfoMakesNoPrivacyClaim: crowdml-device sends noiseless
+// checkins at its default -eps-inv 0, so the server cannot know whether a
+// device added noise. The portal text a task gets when its spec leaves
+// "objective" and "sensor_data" empty must claim no privacy level, and
+// say that sanitization happens on the device at its configured ε.
+func TestDefaultTaskInfoMakesNoPrivacyClaim(t *testing.T) {
+	_, info, err := specConfig(taskSpec{ID: "default", Classes: 3, Dim: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := info.Objective + "\n" + info.SensorData
+	for _, claim := range []string{"differential", "noise"} {
+		if strings.Contains(text, claim) {
+			t.Errorf("default task info claims %q:\n%s", claim, text)
+		}
+	}
+	if !strings.Contains(info.SensorData, "on the device at the ε it is configured with") {
+		t.Errorf("default sensor data does not say where and at what ε a device sanitizes: %q", info.SensorData)
+	}
+}
+
 // TestPreregisterRefusesFollower: a follower's registry is not the one
 // its leader checks writes against, so -preregister on a follower task
 // issues no token and names the leader; on a leader task it enrolls and

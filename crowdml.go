@@ -568,8 +568,8 @@ func ParseWireFormat(s string) (WireFormat, error) { return transport.ParseWireF
 // (RetryPolicy.Delay) between failed exchanges.
 type RetryPolicy = transport.RetryPolicy
 
-// StatsResponse is the body of the GET stats endpoints — the
-// differentially private progress view (HTTPClient.Stats).
+// StatsResponse is the body of the GET stats endpoints — the public
+// progress view (HTTPClient.Stats).
 type StatsResponse = transport.StatsResponse
 
 // HealthResponse is the body of GET /v1/healthz: overall status plus one

@@ -115,27 +115,37 @@ func objectTask(cfg Config) (*dataset.Dataset, model.Model, error) {
 	return ds, model.NewLogisticRegression(ds.Classes, ds.Dim), nil
 }
 
-// crowdCurve averages Trials runs of a crowd — the "averaged test errors
-// from 10 trials" protocol of Section V-C.
-func crowdCurve(cfg Config, base scenario.Crowd, name string) (metrics.Series, error) {
+// averageTrials averages cfg.Trials runs of one curve — the "averaged test
+// errors from 10 trials" protocol of Section V-C. Trial i runs at seed
+// cfg.Seed + i·seedStep.
+func averageTrials(cfg Config, name string, seedStep uint64, run func(seed uint64) (metrics.Series, error)) (metrics.Series, error) {
 	trials := make([]metrics.Series, cfg.Trials)
-	for i := 0; i < cfg.Trials; i++ {
+	for i := range trials {
+		var err error
+		if trials[i], err = run(cfg.Seed + uint64(i)*seedStep); err != nil {
+			return metrics.Series{}, err
+		}
+	}
+	avg, err := metrics.AverageSeries(trials)
+	avg.Name = name
+	return avg, err
+}
+
+// crowdCurve averages Trials runs of a crowd.
+func crowdCurve(cfg Config, base scenario.Crowd, name string) (metrics.Series, error) {
+	return averageTrials(cfg, name, 1_000_003, func(seed uint64) (metrics.Series, error) {
 		c := base
-		c.Seed = cfg.Seed + uint64(i)*1_000_003
+		c.Seed = seed
 		rep, err := scenario.RunCrowd(context.Background(), c)
 		if err != nil {
 			return metrics.Series{}, err
 		}
+		var curve metrics.Series
 		for _, p := range rep.Curve {
-			trials[i].Append(float64(p.Samples), p.TestError)
+			curve.Append(float64(p.Samples), p.TestError)
 		}
-	}
-	avg, err := metrics.AverageSeries(trials)
-	if err != nil {
-		return metrics.Series{}, err
-	}
-	avg.Name = name
-	return avg, nil
+		return curve, nil
+	})
 }
 
 // comparisonSetup bundles what Figs. 4–9 share: a dataset, a model, and the

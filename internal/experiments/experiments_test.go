@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/metrics"
+	"github.com/crowdml/crowdml/internal/privacy"
 )
 
 // quickCfg is the smallest config that still shows the paper's shapes.
@@ -134,39 +136,71 @@ func TestFig7HarderThanFig4(t *testing.T) {
 }
 
 // TestCrowdCurveAveragesTrials pins the "averaged test errors from 10
-// trials" protocol: the curve of n trials is the pointwise mean of the
-// single-trial curves at seeds Seed, Seed+1_000_003, ….
+// trials" protocol on each of the four averaged curves: the curve of 3
+// trials is, bit for bit, the mean of the single-trial curves at seeds
+// Seed, Seed+step, Seed+2·step, where step is the curve's own seed step
+// (Fig. 3's is 7,919; the figures golden does not tell the two apart).
 func TestCrowdCurveAveragesTrials(t *testing.T) {
 	cfg := quickCfg()
 	setup, err := newComparisonSetup(cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := setup.crowdBase(cfg, 1)
-	cfg.Trials = 3
-	avg, err := crowdCurve(cfg, base, "avg")
-	if err != nil {
-		t.Fatal(err)
+	one := func(s metrics.Series, err error) ([]metrics.Series, error) { return []metrics.Series{s}, err }
+	tests := []struct {
+		name   string
+		step   uint64
+		curves func(Config) ([]metrics.Series, error)
+	}{
+		{"crowd", 1_000_003, func(c Config) ([]metrics.Series, error) {
+			return one(crowdCurve(c, setup.crowdBase(c, 1), "crowd"))
+		}},
+		{"decentral", 1_000_003, func(c Config) ([]metrics.Series, error) {
+			return one(decentralCurve(c, setup, 1))
+		}},
+		{"central SGD", 1_000_003, func(c Config) ([]metrics.Series, error) {
+			return one(centralSGDCurve(c, setup, 10, privacy.FromInv(Fig5Inv), 1, len(setup.ds.Train)))
+		}},
+		{"fig3", 7919, func(c Config) ([]metrics.Series, error) {
+			fig, err := Fig3(c)
+			if err != nil {
+				return nil, err
+			}
+			return fig.Curves, nil
+		}},
 	}
-	if avg.Name != "avg" || avg.Len() != cfg.EvalPoints {
-		t.Fatalf("averaged curve %q has %d points, want %d", avg.Name, avg.Len(), cfg.EvalPoints)
-	}
-	sum := make([]float64, avg.Len())
-	for i := 0; i < 3; i++ {
-		one := cfg
-		one.Trials, one.Seed = 1, cfg.Seed+uint64(i)*1_000_003
-		c, err := crowdCurve(one, base, "one")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, y := range c.Y {
-			sum[j] += y
-		}
-	}
-	for j := range sum {
-		if d := avg.Y[j] - sum[j]/3; d > 1e-12 || d < -1e-12 {
-			t.Errorf("point %d: averaged %v, mean of trials %v", j, avg.Y[j], sum[j]/3)
-		}
+	const trials = 3
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			avgCfg := cfg
+			avgCfg.Trials = trials
+			avg, err := tt.curves(avgCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			singles := make([][]metrics.Series, len(avg)) // curve -> trial
+			for i := uint64(0); i < trials; i++ {
+				oneCfg := cfg
+				oneCfg.Seed = cfg.Seed + i*tt.step
+				got, err := tt.curves(oneCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range avg {
+					singles[k] = append(singles[k], got[k])
+				}
+			}
+			for k, a := range avg {
+				want, err := metrics.AverageSeries(singles[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Name != singles[k][0].Name || !reflect.DeepEqual(a.X, want.X) || !reflect.DeepEqual(a.Y, want.Y) {
+					t.Errorf("curve %q: averaged %v over %v, mean of trials run one at a time %v over %v",
+						a.Name, a.Y, a.X, want.Y, want.X)
+				}
+			}
+		})
 	}
 }
 

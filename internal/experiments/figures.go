@@ -42,20 +42,12 @@ func Fig3(cfg Config) (*Figure, error) {
 	fig.addNote("%d devices, 3-class logistic regression, b=1, λ=0, ε⁻¹=0", devices)
 
 	for _, c := range Fig3Rates {
-		trials := make([]metrics.Series, cfg.Trials)
-		for trial := 0; trial < cfg.Trials; trial++ {
-			curve, err := runFig3Trial(c, devices, totalSamples,
-				cfg.Seed+uint64(trial)*7919)
-			if err != nil {
-				return nil, err
-			}
-			trials[trial] = curve
-		}
-		avg, err := metrics.AverageSeries(trials)
+		avg, err := averageTrials(cfg, fmt.Sprintf("c=%g", c), 7919, func(seed uint64) (metrics.Series, error) {
+			return runFig3Trial(c, devices, totalSamples, seed)
+		})
 		if err != nil {
 			return nil, err
 		}
-		avg.Name = fmt.Sprintf("c=%g", c)
 		fig.Curves = append(fig.Curves, avg)
 	}
 	return fig, nil
@@ -152,9 +144,8 @@ func comparisonNoPrivacy(cfg Config, digits bool, id, title string) (*Figure, er
 
 func decentralCurve(cfg Config, setup *comparisonSetup, passes int) (metrics.Series, error) {
 	total := passes * len(setup.ds.Train)
-	trials := make([]metrics.Series, cfg.Trials)
-	for i := 0; i < cfg.Trials; i++ {
-		c, err := baseline.RunDecentral(baseline.DecentralConfig{
+	return averageTrials(cfg, "Decentral (SGD)", 1_000_003, func(seed uint64) (metrics.Series, error) {
+		return baseline.RunDecentral(baseline.DecentralConfig{
 			Model: setup.m, Train: setup.ds.Train, Test: setup.ds.Test,
 			Devices:     setup.devices,
 			Schedule:    optimizer.InvSqrt{C: DefaultRate},
@@ -162,19 +153,9 @@ func decentralCurve(cfg Config, setup *comparisonSetup, passes int) (metrics.Ser
 			EvalEvery:   total / cfg.EvalPoints,
 			EvalDevices: 20,
 			EvalSubset:  500,
-			Seed:        cfg.Seed + uint64(i)*1_000_003,
+			Seed:        seed,
 		})
-		if err != nil {
-			return metrics.Series{}, err
-		}
-		trials[i] = c
-	}
-	avg, err := metrics.AverageSeries(trials)
-	if err != nil {
-		return metrics.Series{}, err
-	}
-	avg.Name = "Decentral (SGD)"
-	return avg, nil
+	})
 }
 
 // Fig4 reproduces the no-privacy, no-delay comparison on the digit task.
@@ -240,9 +221,8 @@ func comparisonWithPrivacy(cfg Config, digits bool, id, title string) (*Figure, 
 }
 
 func centralSGDCurve(cfg Config, setup *comparisonSetup, b int, eps privacy.Eps, passes, total int) (metrics.Series, error) {
-	trials := make([]metrics.Series, cfg.Trials)
-	for i := 0; i < cfg.Trials; i++ {
-		c, err := baseline.RunSGD(baseline.SGDConfig{
+	return averageTrials(cfg, fmt.Sprintf("Central (SGD,b=%d)", b), 1_000_003, func(seed uint64) (metrics.Series, error) {
+		return baseline.RunSGD(baseline.SGDConfig{
 			Model: setup.m, Train: setup.ds.Train, Test: setup.ds.Test,
 			Perturbation: baseline.SplitEvenly(eps),
 			Minibatch:    b,
@@ -250,19 +230,9 @@ func centralSGDCurve(cfg Config, setup *comparisonSetup, b int, eps privacy.Eps,
 			Passes:       passes,
 			EvalEvery:    total / cfg.EvalPoints,
 			EvalSubset:   setup.eval,
-			Seed:         cfg.Seed + uint64(i)*1_000_003,
+			Seed:         seed,
 		})
-		if err != nil {
-			return metrics.Series{}, err
-		}
-		trials[i] = c
-	}
-	avg, err := metrics.AverageSeries(trials)
-	if err != nil {
-		return metrics.Series{}, err
-	}
-	avg.Name = fmt.Sprintf("Central (SGD,b=%d)", b)
-	return avg, nil
+	})
 }
 
 // Fig5 reproduces the privacy comparison on the digit task.

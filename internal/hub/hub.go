@@ -395,14 +395,14 @@ func (h *Hub) Hosted() []Entry {
 	return out
 }
 
-// Progress is the public progress view of one hosted ID — the
-// differentially private statistics the paper's portal displays (Section
-// V-A). For a plain task every field is read lock-free from its server's
-// atomic counters; for a sharded logical task the values come from the
-// published merged view: Iteration is the sum of the member iterations it
-// incorporates, and the estimates are re-derived from the summed raw
-// counters (ΣN_s, ΣN_e, ΣN^k_y across shards), so they compose exactly as
-// if one leader had served the whole crowd.
+// Progress is the public progress view of one hosted ID — the statistics
+// the paper's portal displays (Section V-A), from counters each device
+// sanitizes at its own ε. For a plain task every field is read lock-free
+// from its server's atomic counters; for a sharded logical task the
+// values come from the published merged view: Iteration is the sum of the
+// member iterations it incorporates, and the estimates are re-derived
+// from the summed raw counters (ΣN_s, ΣN_e, ΣN^k_y across shards), so
+// they compose exactly as if one leader had served the whole crowd.
 type Progress struct {
 	// Iteration is the number of applied checkins; for a sharded task the
 	// merged counter, monotonically non-decreasing across merges.

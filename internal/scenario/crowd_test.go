@@ -104,10 +104,6 @@ func TestCrowdValidation(t *testing.T) {
 			c.Topology = TopologySingle
 			c.Intercept = func(*core.Server, core.Transport) core.Transport { return nil }
 		}},
-		{name: "intercept under parallel workers", mutate: func(c *Crowd) {
-			c.Workers = 2
-			c.Intercept = func(_ *core.Server, tr core.Transport) core.Transport { return tr }
-		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -36,16 +36,18 @@ type WallClock struct {
 	RequestsPerSec  float64 `json:"requestsPerSec"`
 }
 
-// Report is the machine-readable outcome of one scenario run. With
-// Workers <= 1 every field except WallClock is a deterministic function
-// of the Spec (see docs/SCENARIOS.md for the determinism contract and a
-// field-by-field reading guide).
+// Report is the machine-readable outcome of one scenario run. Every
+// field except WallClock is a deterministic function of the Spec (see
+// docs/SCENARIOS.md for the determinism contract and a field-by-field
+// reading guide).
 type Report struct {
 	Scenario string   `json:"scenario"`
 	Topology Topology `json:"topology"`
 	Seed     uint64   `json:"seed"`
 	Devices  int      `json:"devices"`
-	Workers  int      `json:"workers"`
+	// Workers is always 1: the engine performs one request at a time.
+	// It stays so reports keep their recorded shape.
+	Workers int `json:"workers"`
 
 	// GlobalSamples is the virtual-run length actually executed.
 	GlobalSamples int `json:"globalSamples"`
@@ -92,7 +94,7 @@ type Report struct {
 }
 
 // CanonicalJSON renders the report with WallClock zeroed — the byte
-// representation two same-seed Workers=1 runs must agree on exactly.
+// representation two same-seed runs must agree on exactly.
 func (r *Report) CanonicalJSON() ([]byte, error) {
 	cp := *r
 	cp.WallClock = WallClock{}
@@ -105,11 +107,10 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // deterministicMetricFamilies is the allowlist of scraped counter
-// families whose deltas are a pure function of the virtual schedule when
-// Workers == 1. Families driven by wall-clock machinery (HTTP request
-// counts inflated by replicator feed polls, every
-// *_seconds histogram) are deliberately excluded so same-seed reports
-// stay byte-identical.
+// families whose deltas are a pure function of the virtual schedule.
+// Families driven by wall-clock machinery (HTTP request counts inflated by
+// replicator feed polls, every *_seconds histogram) are deliberately
+// excluded so same-seed reports stay byte-identical.
 var deterministicMetricFamilies = []string{
 	"crowdml_checkouts_total",
 	"crowdml_checkins_applied_total",

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/attack"
@@ -21,10 +20,8 @@ import (
 )
 
 // vdevice is one multiplexed virtual device: a struct, not a goroutine —
-// crowds are bounded by memory, and a bounded worker pool carries the
-// traffic. Fields after the identity block are only touched by the
-// event loop or by the single worker executing this device's wave group,
-// so per-device state needs no locking.
+// crowds are bounded by memory, and the one event loop carries the
+// traffic, so per-device state needs no locking.
 type vdevice struct {
 	id        string
 	byzantine bool
@@ -64,7 +61,7 @@ type event struct {
 	batch   []model.Sample
 	token   string
 	client  backend
-	ciDelay float64 // pre-drawn checkin leg, carried so workers never touch the delay stream
+	ciDelay float64 // checkin leg, drawn at scheduling with the other two
 	req     *core.CheckinRequest
 }
 
@@ -104,11 +101,10 @@ type engine struct {
 	queue eventQueue
 	seq   int
 
-	// delayRNG is drawn only at scheduling time, on the event-loop
-	// thread; workers receive pre-drawn delays inside events.
+	// delayRNG is drawn only at scheduling time: an event carries its
+	// pre-drawn checkin leg.
 	delayRNG *rng.RNG
 
-	mu  sync.Mutex // guards rep counters and httpCalls under Workers > 1
 	rep *Report
 
 	httpCalls  int
@@ -176,7 +172,7 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 		delayRNG: delayRNG,
 		rep: &Report{
 			Scenario: c.Name, Topology: c.Topology, Seed: c.Seed,
-			Devices: c.Devices, Workers: c.Workers,
+			Devices: c.Devices, Workers: 1,
 			GlobalSamples: c.Samples,
 		},
 	}
@@ -321,15 +317,11 @@ func RunCrowd(ctx context.Context, c Crowd) (*Report, error) {
 func (e *engine) register(ctx context.Context, d *vdevice) error {
 	for hop := 0; ; hop++ {
 		tok, err := d.client.Register(ctx, d.id, joinKey)
-		e.mu.Lock()
 		e.httpCalls++
-		e.mu.Unlock()
 		if err == nil {
 			d.token = tok
 			d.joined = true
-			e.mu.Lock()
 			e.rep.Churn.Joins++
-			e.mu.Unlock()
 			return nil
 		}
 		hint, ok := transport.LeaderHint(err)
@@ -337,9 +329,7 @@ func (e *engine) register(ctx context.Context, d *vdevice) error {
 			return err
 		}
 		d.client = e.stack.clientFor(hint)
-		e.mu.Lock()
 		e.rep.Retries++
-		e.mu.Unlock()
 	}
 }
 
@@ -382,13 +372,10 @@ func (e *engine) eval(ctx context.Context, probe backend, n int) error {
 	return nil
 }
 
-// drainDue processes every event due by now, in (at, seq) order, in
-// waves: a wave is the currently due set, its follow-ups are pushed
-// after the wave in wave order and picked up by the next wave if they
-// are themselves due. With Workers == 1 waves run sequentially — the
-// determinism contract. With Workers > 1 a wave's events are grouped by
-// device (preserving per-device order) and groups run concurrently
-// under a bounded pool.
+// drainDue processes every event due by now, one at a time, in (at, seq)
+// order, in waves: a wave is the currently due set; its follow-ups are
+// pushed in wave order and picked up by the next wave if they are
+// themselves due.
 func (e *engine) drainDue(ctx context.Context, now float64) error {
 	for {
 		var due []*event
@@ -398,65 +385,16 @@ func (e *engine) drainDue(ctx context.Context, now float64) error {
 		if len(due) == 0 {
 			return nil
 		}
-		followups := make([]*event, len(due))
-		if e.crowd.Workers <= 1 {
-			for i, ev := range due {
-				f, err := e.process(ctx, ev)
-				if err != nil {
-					return err
-				}
-				followups[i] = f
+		for _, ev := range due {
+			f, err := e.process(ctx, ev)
+			if err != nil {
+				return err
 			}
-		} else if err := e.processParallel(ctx, due, followups); err != nil {
-			return err
-		}
-		for _, f := range followups {
 			if f != nil {
 				e.push(f)
 			}
 		}
 	}
-}
-
-// processParallel executes one wave with per-device ordering: events
-// are grouped by device in wave order and each group runs on one
-// worker slot.
-func (e *engine) processParallel(ctx context.Context, due []*event, followups []*event) error {
-	groups := make(map[int][]int) // device -> due indices, in order
-	var order []int
-	for i, ev := range due {
-		if _, ok := groups[ev.dev]; !ok {
-			order = append(order, ev.dev)
-		}
-		groups[ev.dev] = append(groups[ev.dev], i)
-	}
-	sem := make(chan struct{}, e.crowd.Workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, dev := range order {
-		idxs := groups[dev]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for _, i := range idxs {
-				f, err := e.process(ctx, due[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				followups[i] = f
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // process executes one event against the real stack and returns its
@@ -470,16 +408,12 @@ func (e *engine) process(ctx context.Context, ev *event) (*event, error) {
 		if err := e.register(ctx, d); err != nil {
 			return nil, fmt.Errorf("scenario: rejoin %s: %w", d.id, err)
 		}
-		e.mu.Lock()
 		e.rep.Churn.Rejoins++
-		e.mu.Unlock()
 		return nil, nil
 
 	case evFlush:
 		co, err := ev.client.Checkout(ctx, d.id, ev.token)
-		e.mu.Lock()
 		e.httpCalls++
-		e.mu.Unlock()
 		if err != nil {
 			e.countReject(err)
 			return nil, nil
@@ -502,19 +436,15 @@ func (e *engine) process(ctx context.Context, ev *event) (*event, error) {
 
 	case evDeliver:
 		err := ev.client.Checkin(ctx, d.id, ev.token, ev.req)
-		e.mu.Lock()
 		e.httpCalls++
-		e.mu.Unlock()
 		if err != nil {
 			e.countReject(err)
 			return nil, nil
 		}
-		e.mu.Lock()
 		e.rep.Checkins++
 		if d.byzantine {
 			e.rep.ByzantineCheckins++
 		}
-		e.mu.Unlock()
 		return nil, nil
 	}
 	return nil, fmt.Errorf("scenario: unknown event kind %d", ev.kind)
@@ -522,8 +452,6 @@ func (e *engine) process(ctx context.Context, ev *event) (*event, error) {
 
 // countReject classifies a device-visible request failure.
 func (e *engine) countReject(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if errors.Is(err, core.ErrAuth) {
 		e.rep.RejectedAuth++
 	} else {

@@ -22,12 +22,10 @@
 // min-heap of events keyed on (at, seq) advances one sample per tick, and
 // every piece of randomness (assignment, arrival order, cohort selection,
 // churn schedule, delays, noise) flows through dedicated internal/rng
-// split streams. With Workers == 1 (the default) the harness performs one
-// request at a time, so a fixed seed reproduces the same schedule of
-// joins, drops, delays, attacks AND the same server-side state evolution
-// bit for bit — the determinism contract Report.CanonicalJSON captures.
-// Workers > 1 keeps the schedule deterministic but races request
-// interleaving for throughput (see docs/SCENARIOS.md).
+// split streams. The harness performs one request at a time, so a fixed
+// seed reproduces the same schedule of joins, drops, delays, attacks AND
+// the same server-side state evolution bit for bit — the determinism
+// contract Report.CanonicalJSON captures (see docs/SCENARIOS.md).
 //
 // Scale: devices are multiplexed virtual endpoints (a struct plus a
 // pooled HTTP connection), not goroutines, so crowds are bounded by
@@ -119,7 +117,7 @@ type Plan struct {
 	// Minibatch is the device buffer size b before a flush (default 1).
 	Minibatch int `json:"minibatch,omitempty"`
 	// Seed drives every random choice; same seed, same report
-	// (modulo wall-clock fields) when Workers <= 1.
+	// (modulo wall-clock fields).
 	Seed uint64 `json:"seed"`
 	// Stressors; zero values disable each.
 	Churn     ChurnSpec     `json:"churn,omitempty"`
@@ -130,10 +128,6 @@ type Plan struct {
 	EvalEvery int `json:"evalEvery,omitempty"`
 	// EvalSubset caps test samples per evaluation (0 = all).
 	EvalSubset int `json:"evalSubset,omitempty"`
-	// Workers bounds concurrent requests per event wave. 1 (the
-	// default) is the determinism contract; larger values trade
-	// bit-reproducibility of the report for wall-clock speed.
-	Workers int `json:"workers,omitempty"`
 	// Wire selects the device wire format: "json" (default), "binary" or
 	// "binary-delta" (docs/WIRE.md). Both binary encodings are bit-exact
 	// for float64 parameters, so same-seed reports are identical across
@@ -181,9 +175,9 @@ type Crowd struct {
 	// mechanism on honest devices (core.DeviceStep).
 	Mechanism core.GradientMechanism
 	// Intercept, if non-nil, wraps the transport between the crowd and
-	// the task's server — TopologyInProcess with Workers <= 1 only, where
-	// the server is reachable and the single-threaded loop makes what it
-	// observes exact.
+	// the task's server — TopologyInProcess only, where the server is
+	// reachable and the one-request-at-a-time loop makes what it observes
+	// exact.
 	Intercept func(*core.Server, core.Transport) core.Transport
 }
 
@@ -197,9 +191,6 @@ func (p Plan) withDefaults() Plan {
 		if p.EvalEvery == 0 {
 			p.EvalEvery = 1
 		}
-	}
-	if p.Workers < 1 {
-		p.Workers = 1
 	}
 	if p.Wire == "" {
 		p.Wire = "json"
@@ -315,8 +306,8 @@ func (c Crowd) validate() error {
 	if len(c.Train) == 0 {
 		return fmt.Errorf("scenario: empty training set")
 	}
-	if c.Intercept != nil && (c.Topology != TopologyInProcess || c.Workers > 1) {
-		return fmt.Errorf("scenario: Intercept needs topology %q and workers <= 1", TopologyInProcess)
+	if c.Intercept != nil && c.Topology != TopologyInProcess {
+		return fmt.Errorf("scenario: Intercept needs topology %q", TopologyInProcess)
 	}
 	return c.Plan.validate()
 }

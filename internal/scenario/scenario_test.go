@@ -140,7 +140,7 @@ func checkAccounting(t *testing.T, rep *Report) {
 }
 
 // TestScenarioSameSeedReportsIdentical is the determinism acceptance
-// gate: two Workers=1 runs of the same spec must agree on every report
+// gate: two runs of the same spec must agree on every report
 // byte outside the wall-clock section — schedule, convergence curve,
 // churn effects, rejects AND the scraped server-side metric deltas. It
 // doubles as the JSON wire's golden test over real traffic.
@@ -252,26 +252,6 @@ func TestScenarioFollowerHintRedirectAndConsistency(t *testing.T) {
 	}
 	if rep.FinalTestError > 0.10 {
 		t.Errorf("failed to converge through the redirected write path: final error %v", rep.FinalTestError)
-	}
-}
-
-// TestScenarioParallelWorkers exercises the bounded worker pool
-// (Workers > 1 trades bit-reproducibility for throughput; the schedule
-// and per-device event order stay fixed). Run under -race this is the
-// harness's concurrency gate.
-func TestScenarioParallelWorkers(t *testing.T) {
-	spec := mustBuiltin(t, "churn-straggler-2k")
-	spec.Name = "churn-straggler-2k-workers4"
-	spec.Devices = 400
-	spec.Samples = 1500
-	spec.Workers = 4
-	rep := mustRun(t, spec)
-	checkAccounting(t, rep)
-	if rep.Workers != 4 {
-		t.Errorf("Workers = %d, want 4", rep.Workers)
-	}
-	if rep.Checkins == 0 || len(rep.Curve) == 0 {
-		t.Errorf("degenerate parallel run: checkins %d, curve %d", rep.Checkins, len(rep.Curve))
 	}
 }
 

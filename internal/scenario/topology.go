@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"sync"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -75,14 +74,11 @@ type stack struct {
 
 	// clients caches one task-bound HTTP client per base URL, shared by
 	// every virtual device pointed at that URL.
-	mu      sync.Mutex
 	clients map[string]*transport.HTTPClient
 }
 
 // clientFor returns the shared task-bound client for a base URL.
 func (st *stack) clientFor(baseURL string) *transport.HTTPClient {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	c, ok := st.clients[baseURL]
 	if !ok {
 		c = transport.NewHTTPClient(baseURL, nil).WithTask(taskID)

@@ -71,10 +71,10 @@ func taskPath(taskID, endpoint string) string {
 var ErrReadOnlyReplica = errors.New("transport: task is a read-only replica; write to the leader")
 
 // StatsResponse is the public progress view served at the stats
-// endpoints — the differentially private statistics the paper's Web
-// portal displays (error rates and label distributions, Section V-A).
-// Every field is read lock-free from the server's atomic counters, so a
-// crowd polling its portal never slows the learning hot path down.
+// endpoints — the statistics the paper's Web portal displays (error rates
+// and label distributions, Section V-A), from counters each device
+// sanitizes at its own ε. Every field is read lock-free from the server's
+// atomic counters, so a crowd polling its portal never slows the hot path.
 type StatsResponse struct {
 	TaskID        string    `json:"taskId"`
 	Iteration     int       `json:"iteration"`
@@ -394,8 +394,8 @@ func (c *HTTPClient) Tasks(ctx context.Context) ([]TaskSummary, error) {
 	return out, nil
 }
 
-// Stats fetches the task's public progress view (GET stats) — the
-// differentially private error and prior estimates a portal displays.
+// Stats fetches the task's public progress view (GET stats) — the error
+// and prior estimates a portal displays.
 func (c *HTTPClient) Stats(ctx context.Context) (*StatsResponse, error) {
 	u, err := c.endpoint("stats")
 	if err != nil {
