@@ -39,7 +39,8 @@ func main() {
 	}
 }
 
-// errUsage marks a command line the flag set refused and has explained.
+// errUsage marks a command line the command refused and has explained
+// on stderr.
 var errUsage = errors.New("usage")
 
 // run is the command: it writes the JSON report to -o, or to stdout.
@@ -55,6 +56,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	// What the command would not read is refused, not dropped.
+	refused := ""
+	switch {
+	case fs.NArg() > 0:
+		refused = fmt.Sprintf("unexpected argument %q", fs.Arg(0))
+	case *name != "" && *file != "":
+		refused = "-name and -file are exclusive"
+	}
+	if refused != "" {
+		fmt.Fprintln(stderr, refused)
+		fs.Usage()
+		return fmt.Errorf("%w: %s", errUsage, refused)
 	}
 
 	if *list {

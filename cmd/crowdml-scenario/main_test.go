@@ -65,6 +65,32 @@ func TestWorkersFlagRefused(t *testing.T) {
 	}
 }
 
+// TestFileRefusesName: -file runs the file's spec, so a -name beside it
+// would be dropped; the command refuses the pair instead.
+func TestFileRefusesName(t *testing.T) {
+	path := writeSpec(t, tinySpec)
+	for _, name := range []string{"no-such-scenario", "churn-straggler-2k"} {
+		if _, err := runCmd(t, "-name", name, "-file", path); !errors.Is(err, errUsage) {
+			t.Errorf("-name %s -file: %v, want the usage error", name, err)
+		}
+	}
+}
+
+// TestRefusesPositionalArgs: the command reads flags only, with or
+// without -list.
+func TestRefusesPositionalArgs(t *testing.T) {
+	path := writeSpec(t, tinySpec)
+	for _, args := range [][]string{
+		{"-file", path, "extra-arg"},
+		{"-list", "extra"},
+		{"churn-straggler-2k"},
+	} {
+		if out, err := runCmd(t, args...); !errors.Is(err, errUsage) || out != "" {
+			t.Errorf("%q: printed %d bytes, err %v; want nothing and the usage error", args, len(out), err)
+		}
+	}
+}
+
 // TestSpecFileRefusesTrailingData: a spec file holds one JSON document;
 // a second document or junk after it is refused, not silently ignored.
 func TestSpecFileRefusesTrailingData(t *testing.T) {

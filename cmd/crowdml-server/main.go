@@ -465,7 +465,7 @@ func specConfig(spec taskSpec) (crowdml.ServerConfig, crowdml.TaskInfo, error) {
 		Objective:  cmp.Or(spec.Objective, "Collectively learn a shared classifier from device data."),
 		SensorData: cmp.Or(spec.SensorData, "Device-local features; a device sends gradients and counters, never samples, sanitized on the device at the ε it is configured with."),
 		Labels:     labels,
-		Algorithm:  fmt.Sprintf("%s via privacy-preserving distributed SGD (η(t)=%g/√t)", m.Name(), spec.Rate),
+		Algorithm:  fmt.Sprintf("%s via distributed SGD (η(t)=%g/√t)", m.Name(), spec.Rate),
 	}
 	return cfg, info, nil
 }

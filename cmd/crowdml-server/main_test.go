@@ -140,15 +140,19 @@ func TestTasksFileRefusesUnknownFields(t *testing.T) {
 // TestDefaultTaskInfoMakesNoPrivacyClaim: crowdml-device sends noiseless
 // checkins at its default -eps-inv 0, so the server cannot know whether a
 // device added noise. The portal text a task gets when its spec leaves
-// "objective" and "sensor_data" empty must claim no privacy level, and
-// say that sanitization happens on the device at its configured ε.
+// "objective" and "sensor_data" empty, and the Algorithm line every task
+// gets, must claim no privacy level, and the sensor text must say that
+// sanitization happens on the device at its configured ε.
 func TestDefaultTaskInfoMakesNoPrivacyClaim(t *testing.T) {
-	_, info, err := specConfig(taskSpec{ID: "default", Classes: 3, Dim: 64})
+	_, info, err := specConfig(taskSpec{ID: "default", Classes: 3, Dim: 64, Rate: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := info.Objective + "\n" + info.SensorData
-	for _, claim := range []string{"differential", "noise"} {
+	if want := "multiclass-logistic-regression via distributed SGD (η(t)=10/√t)"; info.Algorithm != want {
+		t.Errorf("Algorithm = %q, want %q", info.Algorithm, want)
+	}
+	text := info.Objective + "\n" + info.SensorData + "\n" + info.Algorithm
+	for _, claim := range []string{"differential", "noise", "privacy"} {
 		if strings.Contains(text, claim) {
 			t.Errorf("default task info claims %q:\n%s", claim, text)
 		}

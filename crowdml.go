@@ -359,7 +359,9 @@ func NormalizeL1(x []float64) {
 
 // ServerState is a serializable snapshot of the server's learning state
 // (parameters, iteration counter, per-device progress counters); see
-// Server.ExportState and Server.ImportState. Device credentials are never
+// Server.ExportState and Server.ImportState. Its device table is keyed by
+// ID (Devices) in what ExportState returns, and sorted rows (DeviceRows)
+// in what Server.ExportStateInto returns. Device credentials are never
 // part of the state.
 type ServerState = core.ServerState
 

@@ -119,6 +119,9 @@ type DeviceStats struct {
 //     its batch's OnCommit has run.
 type Server struct {
 	cfg ServerConfig
+	// updaterName is cfg.Updater.Name(), formatted once: a checkpoint's
+	// export records it without allocating.
+	updaterName string
 
 	// wMu is the parameter/apply lock: it guards w and every device's
 	// counters (deviceEntry.stats) and serializes batch application,
@@ -180,17 +183,18 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Metrics = NewServerMetrics(nil, "")
 	}
 	s := &Server{
-		cfg:       cfg,
-		w:         model.NewParams(cfg.Model),
-		totalNky:  make([]atomic.Int64, classes),
-		devices:   newDeviceRegistry(),
-		ring:      NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),
-		queue:     make(chan *pendingCheckin, checkinQueueDepth),
-		leaderSem: make(chan struct{}, 1),
-		maxBatch:  checkinBatchSize,
-		batch:     make([]*pendingCheckin, 0, checkinBatchSize),
-		results:   make([]error, checkinBatchSize),
-		records:   make([]ReplayRecord, 0, checkinBatchSize),
+		cfg:         cfg,
+		updaterName: cfg.Updater.Name(),
+		w:           model.NewParams(cfg.Model),
+		totalNky:    make([]atomic.Int64, classes),
+		devices:     newDeviceRegistry(),
+		ring:        NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),
+		queue:       make(chan *pendingCheckin, checkinQueueDepth),
+		leaderSem:   make(chan struct{}, 1),
+		maxBatch:    checkinBatchSize,
+		batch:       make([]*pendingCheckin, 0, checkinBatchSize),
+		results:     make([]error, checkinBatchSize),
+		records:     make([]ReplayRecord, 0, checkinBatchSize),
 	}
 	ci, _ := s.Stages()
 	s.epoch = ci.Start()

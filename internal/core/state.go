@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/crowdml/crowdml/internal/optimizer"
 )
@@ -48,42 +50,90 @@ type ServerState struct {
 	// bit-exact for stateful updaters too: ImportState hands it back and
 	// journal-tail replay advances it deterministically.
 	UpdaterState []float64 `json:"updaterState,omitempty"`
-	// Devices holds the per-device counters, keyed by device ID.
+	// Devices holds the per-device counters keyed by device ID: the form
+	// ExportState and store.DecodeCheckpoint return, for callers that look
+	// devices up.
 	Devices map[string]DeviceStats `json:"devices"`
+	// DeviceRows holds the same counters as rows in strictly increasing
+	// ID order: the form ExportStateInto returns and the checkpoint frame
+	// stores, in under half the memory of the map. A state carries its
+	// devices in one of the two; SortedDevices reads either.
+	DeviceRows []DeviceRow `json:"deviceRows,omitempty"`
+}
+
+// DeviceRow is one device's counters under its ID: a row of
+// ServerState.DeviceRows.
+type DeviceRow struct {
+	ID string `json:"id"`
+	DeviceStats
+}
+
+func compareRows(a, b DeviceRow) int { return strings.Compare(a.ID, b.ID) }
+
+// SortedDevices returns st's device table as rows in strictly increasing
+// ID order: DeviceRows itself, or Devices copied into fresh rows and
+// sorted. It fails when st sets both, or when DeviceRows is out of order
+// or names a device twice — the property a map gives for free.
+func (st *ServerState) SortedDevices() ([]DeviceRow, error) {
+	if len(st.Devices) > 0 {
+		if len(st.DeviceRows) > 0 {
+			return nil, fmt.Errorf("core: state carries both Devices and DeviceRows")
+		}
+		rows := make([]DeviceRow, 0, len(st.Devices))
+		for id, d := range st.Devices {
+			rows = append(rows, DeviceRow{ID: id, DeviceStats: d})
+		}
+		slices.SortFunc(rows, compareRows)
+		return rows, nil
+	}
+	for i := 1; i < len(st.DeviceRows); i++ {
+		if st.DeviceRows[i].ID <= st.DeviceRows[i-1].ID {
+			return nil, fmt.Errorf("core: device rows not strictly increasing by ID at %q after %q",
+				st.DeviceRows[i].ID, st.DeviceRows[i-1].ID)
+		}
+	}
+	return st.DeviceRows, nil
 }
 
 // StateBuffer is the memory one ExportStateInto call leaves behind for the
-// next: the parameter, totals and updater vectors, the Devices map (its
-// buckets survive the clear) and the slab every device's label counts are
-// carved from. The zero value is ready to use. A buffer belongs to one
-// caller at a time, and each export into it overwrites the last — the
-// *ServerState a call returns is valid until the next call with the same
-// buffer.
+// next: the parameter, totals and updater vectors, the device rows and
+// the slab every device's label counts are carved from. The zero value is
+// ready to use. A buffer belongs to one caller at a time, and each export
+// into it overwrites the last — the *ServerState a call returns is valid
+// until the next call with the same buffer.
 type StateBuffer struct {
 	st   ServerState
 	slab []int
 }
 
 // ExportState snapshots the server's learning state into memory of its
-// own: ExportStateInto(nil).
-func (s *Server) ExportState() *ServerState { return s.ExportStateInto(nil) }
+// own, with the device table keyed by ID (Devices).
+func (s *Server) ExportState() *ServerState {
+	st := s.ExportStateInto(nil)
+	st.Devices = make(map[string]DeviceStats, len(st.DeviceRows))
+	for _, r := range st.DeviceRows {
+		st.Devices[r.ID] = r.DeviceStats
+	}
+	st.DeviceRows = nil
+	return st
+}
 
-// ExportStateInto snapshots the server's learning state, reusing buf's
-// memory (nil means a fresh buffer: the result is then the caller's to
-// keep). It takes the apply lock, so the exported parameters, iteration
-// counter, crowd totals and per-device counters all come from the same
-// quiescent point between batches — and with a warm buffer the lock is
-// held for a copy into memory that already exists, not for building a map
-// of the crowd.
+// ExportStateInto snapshots the server's learning state with the device
+// table as sorted rows (DeviceRows), reusing buf's memory (nil means a
+// fresh buffer: the result is then the caller's to keep). It takes the
+// apply lock, so the exported parameters, iteration counter, crowd totals
+// and per-device counters all come from the same quiescent point between
+// batches — and with a warm buffer the lock is held for a copy into
+// memory that already exists. The rows are sorted after the lock is
+// released.
 func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	if buf == nil {
 		buf = new(StateBuffer)
 	}
 	st := &buf.st
 	s.wMu.Lock()
-	defer s.wMu.Unlock()
 	classes, dim := s.cfg.Model.Shape()
-	st.TotalLabelCounts = st.TotalLabelCounts[:0]
+	st.TotalLabelCounts = slices.Grow(st.TotalLabelCounts[:0], classes)
 	for k := range s.totalNky {
 		st.TotalLabelCounts = append(st.TotalLabelCounts, int(s.totalNky[k].Load()))
 	}
@@ -94,7 +144,7 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	st.Stopped = s.learningStopped()
 	st.TotalSamples = int(s.totalNs.Load())
 	st.TotalErrors = int(s.totalNe.Load())
-	st.UpdaterName = s.cfg.Updater.Name()
+	st.UpdaterName = s.updaterName
 	// The updater only ever runs under wMu (applyBatchLocked, Replay), so
 	// this export is from the same quiescent point as the rest.
 	st.UpdaterState = st.UpdaterState[:0]
@@ -104,16 +154,16 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	if len(st.UpdaterState) == 0 {
 		st.UpdaterState = nil // "no state" is nil, whatever the buffer held
 	}
-	// One map and one slab for every device's label counts: a checkpoint
-	// of a large crowd is two allocations the first time and none after.
-	// Devices may enroll while this runs (that takes no apply lock), so the
-	// count is a hint: one that no longer fits the slab gets a slice of its
-	// own, and the next export sizes the slab for it.
+	// One row slice and one slab for every device's label counts: a
+	// checkpoint of a large crowd is two allocations the first time and
+	// none after. Devices may enroll while this runs (that takes no apply
+	// lock), so the count is a hint: rows grow by append, and a device
+	// that no longer fits the slab gets a slice of its own; the next
+	// export sizes both for it.
 	n := s.devices.count()
-	if st.Devices == nil {
-		st.Devices = make(map[string]DeviceStats, n)
-	} else {
-		clear(st.Devices)
+	rows := st.DeviceRows[:0]
+	if cap(rows) < n {
+		rows = make([]DeviceRow, 0, n)
 	}
 	if cap(buf.slab) < n*classes {
 		buf.slab = make([]int, 0, n*classes)
@@ -125,19 +175,23 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 		}
 		lo := len(slab)
 		slab = append(slab, d.LabelCounts...)
-		row := *d
-		// Capped at its own length: an append on one entry reallocates
+		row := DeviceRow{ID: id, DeviceStats: *d}
+		// Capped at its own length: an append on one row reallocates
 		// instead of running into its neighbour's counts.
 		row.LabelCounts = slab[lo:len(slab):len(slab)]
-		st.Devices[id] = row
+		rows = append(rows, row)
 	})
+	s.wMu.Unlock()
+	slices.SortFunc(rows, compareRows)
+	st.Devices, st.DeviceRows = nil, rows
 	return st
 }
 
 // ImportState restores a previously exported state. The snapshot must
-// match the server's model name and shape. Devices present in the snapshot
-// are re-created with their counters but WITHOUT credentials; they must
-// re-register (see ServerState's security note).
+// match the server's model name and shape, and its device table, in
+// either form, must read back through SortedDevices. Devices present in
+// the snapshot are re-created with their counters but WITHOUT
+// credentials; they must re-register (see ServerState's security note).
 //
 // ImportState is a startup-time operation: restore the checkpoint before
 // the server starts taking traffic. It excludes concurrent batch
@@ -159,10 +213,14 @@ func (s *Server) ImportState(st *ServerState) error {
 		return fmt.Errorf("core: state label counts length %d, want %d",
 			len(st.TotalLabelCounts), classes)
 	}
-	for id, entry := range st.Devices {
-		if len(entry.LabelCounts) != classes {
+	rows, err := st.SortedDevices()
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if len(r.LabelCounts) != classes {
 			return fmt.Errorf("core: device %s label counts length %d, want %d",
-				id, len(entry.LabelCounts), classes)
+				r.ID, len(r.LabelCounts), classes)
 		}
 	}
 	s.wMu.Lock()
@@ -180,7 +238,7 @@ func (s *Server) ImportState(st *ServerState) error {
 		// is ignored for the same reason: the operator's current
 		// configuration wins.
 		state := st.UpdaterState
-		if st.UpdaterName != s.cfg.Updater.Name() {
+		if st.UpdaterName != s.updaterName {
 			state = nil
 		}
 		if err := se.ImportState(state); err != nil {
@@ -195,9 +253,9 @@ func (s *Server) ImportState(st *ServerState) error {
 		s.totalNky[k].Store(int64(st.TotalLabelCounts[k]))
 	}
 	s.stopped.Store(st.Stopped)
-	for id, row := range st.Devices {
-		row.LabelCounts = append([]int(nil), row.LabelCounts...)
-		s.devices.importStats(id, row)
+	for _, r := range rows {
+		r.LabelCounts = append([]int(nil), r.LabelCounts...)
+		s.devices.importStats(r.ID, r.DeviceStats)
 	}
 	// A restore can rewind the iteration counter, so version numbers in
 	// the retained delta ring would no longer identify the bases clients

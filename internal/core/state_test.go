@@ -232,15 +232,84 @@ func TestExportStateSlabEntriesAreIndependent(t *testing.T) {
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(10, func() { s.ExportState() }); n > devices/2 {
-		t.Errorf("ExportState of %d devices allocates %v times: not one slab and one map", devices, n)
+	// Rows, slab, the three vectors and the buffer; the map ExportState
+	// builds on top costs a few more, none of them per device.
+	const rowsAllocs, mapAllocs = 6, 6
+	if n := testing.AllocsPerRun(10, func() { s.ExportStateInto(nil) }); n > rowsAllocs {
+		t.Errorf("ExportStateInto(nil) of %d devices allocates %v times, want at most %d: not one row slice and one slab", devices, n, rowsAllocs)
+	}
+	if n := testing.AllocsPerRun(10, func() { s.ExportState() }); n > rowsAllocs+mapAllocs {
+		t.Errorf("ExportState of %d devices allocates %v times, want at most %d", devices, n, rowsAllocs+mapAllocs)
+	}
+}
+
+// TestExportBytesPerDevice: a fresh export holds a device as one row and
+// its label counts in the slab (72 + 8·C bytes), at the crowd size of the
+// end-to-end benchmark's durable workloads. A map keyed by ID cost ≈ 248
+// bytes per device here.
+func TestExportBytesPerDevice(t *testing.T) {
+	const devices, classes, limit = 2000, 10, 160
+	s := crowdServer(t, devices, classes)
+	if got := bytesPerRun(5, func() { s.ExportStateInto(nil) }) / devices; got > limit {
+		t.Errorf("a fresh export allocates %.1f B per device, want at most %d", got, limit)
+	}
+}
+
+// TestExportStateIntoWarmAllocatesNothing: the checkpointer's export into
+// its warm buffer, sort included, allocates nothing.
+func TestExportStateIntoWarmAllocatesNothing(t *testing.T) {
+	s := crowdServer(t, 300, 5)
+	var buf StateBuffer
+	s.ExportStateInto(&buf)
+	if n := testing.AllocsPerRun(20, func() { s.ExportStateInto(&buf) }); n != 0 {
+		t.Errorf("a warm export allocates %v times, want 0", n)
+	}
+}
+
+// TestImportStateRefusesUnsortedDevices: device rows must be strictly
+// increasing by ID, as the checkpoint frame stores them; a duplicate or
+// an out-of-order row is refused before anything is restored, and so is a
+// state that carries its devices in both forms.
+func TestImportStateRefusesUnsortedDevices(t *testing.T) {
+	row := func(id string) DeviceRow {
+		return DeviceRow{ID: id, DeviceStats: DeviceStats{Checkins: 1, LabelCounts: []int{1, 0, 0}}}
+	}
+	cases := map[string]func(st *ServerState){
+		"duplicate":    func(st *ServerState) { st.DeviceRows = []DeviceRow{row("a"), row("b"), row("b")} },
+		"out of order": func(st *ServerState) { st.DeviceRows = []DeviceRow{row("a"), row("c"), row("b")} },
+		"both forms": func(st *ServerState) {
+			st.DeviceRows = []DeviceRow{row("a")}
+			st.Devices = map[string]DeviceStats{"b": row("b").DeviceStats}
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			s := newTestServer(t, ServerConfig{})
+			st := s.ExportStateInto(nil)
+			mutate(st)
+			if err := s.ImportState(st); err == nil {
+				t.Fatal("ImportState accepted the rows")
+			}
+			if n := len(s.ExportState().Devices); n != 0 {
+				t.Errorf("a refused import restored %d devices", n)
+			}
+		})
+	}
+	s := newTestServer(t, ServerConfig{})
+	st := s.ExportStateInto(nil)
+	st.DeviceRows = []DeviceRow{row("a"), row("b")}
+	if err := s.ImportState(st); err != nil {
+		t.Fatalf("ImportState of sorted rows: %v", err)
+	}
+	if got := s.ExportState().Devices["b"]; got.Checkins != 1 {
+		t.Errorf("restored device b = %+v", got)
 	}
 }
 
 // BenchmarkExportState prices one checkpoint's state export at the
 // crowd size of the end-to-end benchmark's durable workloads: into fresh
-// memory (ExportState, what a stats or test caller pays) and into the
-// warm buffer the hub's checkpointer keeps.
+// memory (ExportStateInto(nil); ExportState adds a map keyed by ID on
+// top) and into the warm buffer the hub's checkpointer keeps.
 func BenchmarkExportState(b *testing.B) {
 	s := crowdServer(b, 2000, 10)
 	for name, buf := range map[string]*StateBuffer{"fresh": nil, "warm": new(StateBuffer)} {
@@ -264,14 +333,27 @@ func TestExportStateIntoEqualsExportState(t *testing.T) {
 		t.Helper()
 		want := s.ExportState()
 		got := s.ExportStateInto(&buf)
-		if !reflect.DeepEqual(got, want) {
-			got.Devices, want.Devices = nil, nil // the crowd would drown the rest
-			t.Fatalf("%s: buffered export diverges (devices elided):\n got %+v\nwant %+v", what, got, want)
+		if got.Devices != nil {
+			t.Fatalf("%s: buffered export keys its devices by ID, want rows", what)
 		}
-		for id, e := range got.Devices {
-			if cap(e.LabelCounts) != len(e.LabelCounts) {
-				t.Fatalf("%s: %s: LabelCounts cap %d over len %d", what, id, cap(e.LabelCounts), len(e.LabelCounts))
+		rows, err := got.SortedDevices()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		devices := make(map[string]DeviceStats, len(rows))
+		for _, r := range rows {
+			devices[r.ID] = r.DeviceStats
+			if cap(r.LabelCounts) != len(r.LabelCounts) {
+				t.Fatalf("%s: %s: LabelCounts cap %d over len %d", what, r.ID, cap(r.LabelCounts), len(r.LabelCounts))
 			}
+		}
+		if !reflect.DeepEqual(devices, want.Devices) {
+			t.Fatalf("%s: buffered export's %d device rows diverge from the %d devices exported fresh", what, len(rows), len(want.Devices))
+		}
+		rest, wantRest := *got, *want
+		rest.DeviceRows, wantRest.Devices = nil, nil // compared above
+		if !reflect.DeepEqual(rest, wantRest) {
+			t.Fatalf("%s: buffered export diverges (devices elided):\n got %+v\nwant %+v", what, rest, wantRest)
 		}
 	}
 

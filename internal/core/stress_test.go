@@ -242,10 +242,13 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// sumCheckins is Σ Checkins over an export's devices.
+// sumCheckins is Σ Checkins over an export's devices, in either form.
 func sumCheckins(st *ServerState) int {
 	n := 0
 	for _, d := range st.Devices {
+		n += d.Checkins
+	}
+	for _, d := range st.DeviceRows {
 		n += d.Checkins
 	}
 	return n

@@ -25,11 +25,15 @@ import (
 // TotalLabelCounts[k] equal the devices' Samples, Errors and
 // LabelCounts[k] summed.
 func Counters(st *core.ServerState) error {
+	rows, err := st.SortedDevices()
+	if err != nil {
+		return fmt.Errorf("invariants: %w", err)
+	}
 	var checkins, samples, errs int
 	labels := make([]int, len(st.TotalLabelCounts))
-	for id, d := range st.Devices {
+	for _, d := range rows {
 		if len(d.LabelCounts) > len(labels) {
-			return fmt.Errorf("invariants: device %q has %d label counts, the crowd %d", id, len(d.LabelCounts), len(labels))
+			return fmt.Errorf("invariants: device %q has %d label counts, the crowd %d", d.ID, len(d.LabelCounts), len(labels))
 		}
 		checkins, samples, errs = checkins+d.Checkins, samples+d.Samples, errs+d.Errors
 		for k, c := range d.LabelCounts {

@@ -87,10 +87,10 @@ func TestPortalMakesNoPrivacyClaim(t *testing.T) {
 	}
 	page := fetch(t, New(func() hub.Progress { return hub.ProgressOf(srv) }, TaskInfo{
 		Name:      "activity",
-		Algorithm: "logreg via privacy-preserving distributed SGD",
+		Algorithm: "logreg via distributed SGD (η(t)=0.1/√t)",
 		Labels:    []string{"class 0", "class 1"},
 	}))
-	for _, claim := range []string{"ε⁻¹ = 0", "without differential privacy"} {
+	for _, claim := range []string{"ε⁻¹ = 0", "without differential privacy", "privacy-preserving"} {
 		if strings.Contains(page, claim) {
 			t.Errorf("page claims %q:\n%s", claim, page)
 		}

@@ -173,8 +173,8 @@ func testCheckpointIsolation(t *testing.T, st Store) {
 	}
 	state.Iteration = 999
 	state.Params[0] = 123.456
-	state.Devices["d1"].LabelCounts[0] = 55
-	clear(state.Devices)
+	state.DeviceRows[0].LabelCounts[0] = 55
+	clear(state.DeviceRows)
 	cp, err := st.Load(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,9 @@ func (f *FileStore) HasCheckpoint(ctx context.Context) (bool, error) {
 
 // Save atomically writes a checkpoint of the given state: the frame is
 // encoded into the store's own buffer and reaches the temp file in one
-// write, so a steady-state Save allocates nothing of the state's size.
+// write, so a steady-state Save of a warm export (rows already sorted)
+// allocates nothing of the state's size; a state keyed by ID is first
+// sorted into rows of its own.
 func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.Time) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -89,26 +88,21 @@ type Checkpoint struct {
 	State *core.ServerState `json:"state"`
 }
 
-// checkpointEncoder turns a state into a wirecodec checkpoint frame in
-// memory it keeps: the sorted device ids and the frame buffer survive
-// between calls, so a store that owns one encodes a steady-state
-// checkpoint without allocating. Not safe for concurrent use.
+// checkpointEncoder turns a state into a wirecodec checkpoint frame in a
+// buffer it keeps between calls, so a store that owns one encodes a warm
+// export (core.Server.ExportStateInto: rows already sorted) without
+// allocating. Not safe for concurrent use.
 type checkpointEncoder struct {
-	ids []string
 	buf []byte
 }
 
 // encode returns the frame for state, valid until the next call. Nothing
 // of state is referenced once it returns.
 func (e *checkpointEncoder) encode(state *core.ServerState, savedAtUnixMillis int64) ([]byte, error) {
-	// Sorted, so equal states are equal bytes whatever the map's order;
-	// each row is looked up as the encoder asks for it and exists nowhere
-	// but in the frame.
-	ids := e.ids[:0]
-	for id := range state.Devices {
-		ids = append(ids, id)
+	rows, err := state.SortedDevices()
+	if err != nil {
+		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
 	}
-	slices.Sort(ids)
 	buf, err := wirecodec.AppendCheckpoint(e.buf[:0], &wirecodec.Checkpoint{
 		SavedAtUnixMillis: savedAtUnixMillis,
 		ModelName:         state.ModelName,
@@ -122,15 +116,13 @@ func (e *checkpointEncoder) encode(state *core.ServerState, savedAtUnixMillis in
 		Params:            state.Params,
 		UpdaterState:      state.UpdaterState,
 		TotalLabelCounts:  state.TotalLabelCounts,
-	}, len(ids), func(i int) wirecodec.CheckpointDevice {
-		d := state.Devices[ids[i]]
+	}, len(rows), func(i int) wirecodec.CheckpointDevice {
+		d := &rows[i]
 		return wirecodec.CheckpointDevice{
-			ID: ids[i], Samples: d.Samples, Errors: d.Errors, Checkins: d.Checkins,
+			ID: d.ID, Samples: d.Samples, Errors: d.Errors, Checkins: d.Checkins,
 			StalenessSum: d.StalenessSum, LabelCounts: d.LabelCounts,
 		}
 	})
-	clear(ids) // keep the memory, drop the aliases of state's strings
-	e.ids = ids
 	if err != nil {
 		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
 	}
