@@ -838,7 +838,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
 		Params:           make([]float64, classes*dim),
 		TotalLabelCounts: make([]int, classes),
-		Devices:          make(map[string]core.DeviceStats, devices),
+		DeviceRows:       make([]core.DeviceRow, devices),
 	}
 	for i := range state.Params {
 		state.Params[i] = 0.001 * float64(i)
@@ -848,9 +848,9 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		for k := range counts {
 			counts[k] = i%7 + k
 		}
-		state.Devices[fmt.Sprintf("dev-%05d", i)] = core.DeviceStats{
+		state.DeviceRows[i] = core.DeviceRow{ID: fmt.Sprintf("dev-%05d", i), DeviceStats: core.DeviceStats{
 			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
-		}
+		}}
 	}
 	srv, err := core.NewServer(core.ServerConfig{
 		Model:   model.NewLogisticRegression(classes, dim),

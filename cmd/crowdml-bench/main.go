@@ -55,6 +55,11 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return fmt.Errorf("%w: unexpected arguments %q", errUsage, fs.Args())
+	}
 
 	cfg := experiments.Config{
 		Scale: *scale, Trials: *trials, Seed: *seed, EvalPoints: *points,

@@ -77,6 +77,11 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return fmt.Errorf("%w: unexpected arguments %q", errUsage, fs.Args())
+	}
 	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	wireFormat, err := crowdml.ParseWireFormat(*wire)

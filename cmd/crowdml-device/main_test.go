@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -119,4 +120,16 @@ func checkinBodies(t *testing.T, samples int) []crowdml.CheckinRequest {
 	mu.Lock()
 	defer mu.Unlock()
 	return bodies
+}
+
+// TestRefusesPositionalArgs: the device ID is -id; a positional argument,
+// which the command would otherwise drop (running as phone-1), is refused
+// as a usage error before anything is parsed further or sent.
+func TestRefusesPositionalArgs(t *testing.T) {
+	var stderr bytes.Buffer
+	err := run(context.Background(), []string{"-wire", "bogus", "phone-2"}, io.Discard, &stderr)
+	if !errors.Is(err, errUsage) || !strings.Contains(stderr.String(), `unexpected arguments ["phone-2"]`) ||
+		!strings.Contains(stderr.String(), "Usage of crowdml-device") {
+		t.Errorf("run -wire bogus phone-2 = %v, stderr %q; want the usage error, explained", err, stderr.String())
+	}
 }

@@ -221,6 +221,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	// What the command would not read is refused, not dropped.
+	refused := fs.Args()
+	if *dumpDir != "" && *dumpCkpt != "" {
+		refused = append(refused, "-dump-checkpoint beside -dump-journal")
+	}
+	if len(refused) > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments %q\n", refused)
+		fs.Usage()
+		return fmt.Errorf("%w: unexpected arguments %q", errUsage, refused)
+	}
 	logf := log.New(stderr, "", log.LstdFlags).Printf
 
 	if *dumpDir != "" {
@@ -376,6 +386,11 @@ func dumpCheckpoint(ctx context.Context, out io.Writer, dir string) error {
 	if err != nil {
 		return fmt.Errorf("-dump-checkpoint %s: %w", dir, err)
 	}
+	devices := make(map[string]crowdml.DeviceStats, len(cp.State.DeviceRows))
+	for _, r := range cp.State.DeviceRows {
+		devices[r.ID] = r.DeviceStats
+	}
+	cp.State.Devices, cp.State.DeviceRows = devices, nil
 	return json.NewEncoder(out).Encode(cp)
 }
 

@@ -193,7 +193,7 @@ func TestPreregisterRefusesFollower(t *testing.T) {
 	if out.Len() != 0 {
 		t.Errorf("printed %q for a refused follower", out.String())
 	}
-	if n := len(follower.Server().ExportState().Devices); n != 0 {
+	if n := len(follower.Server().ExportStateInto(nil).DeviceRows); n != 0 {
 		t.Errorf("follower registry holds %d devices, want 0", n)
 	}
 
@@ -283,6 +283,19 @@ func TestCommandLine(t *testing.T) {
 	for _, gone := range []string{"-classes", "-archive-dir", "-task-name"} {
 		if err := run(context.Background(), []string{gone, "x"}, io.Discard, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("run %s = %v, want a usage error", gone, err)
+		}
+	}
+	// What the command would not read is refused before anything runs:
+	// a positional argument, and a second dump mode the first would drop.
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, args := range [][]string{
+		{"-dump-checkpoint", missing, "extra"},
+		{"-dump-journal", missing, "-dump-checkpoint", missing},
+	} {
+		stderr.Reset()
+		err := run(context.Background(), args, io.Discard, &stderr)
+		if !errors.Is(err, errUsage) || !strings.Contains(stderr.String(), "unexpected arguments") || !strings.Contains(stderr.String(), "Usage of crowdml-server") {
+			t.Errorf("run %q = %v, stderr %q; want the usage error, explained", args, err, stderr.String())
 		}
 	}
 }

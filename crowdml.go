@@ -359,11 +359,13 @@ func NormalizeL1(x []float64) {
 
 // ServerState is a serializable snapshot of the server's learning state
 // (parameters, iteration counter, per-device progress counters); see
-// Server.ExportState and Server.ImportState. Its device table is keyed by
-// ID (Devices) in what ExportState returns, and sorted rows (DeviceRows)
-// in what Server.ExportStateInto returns. Device credentials are never
-// part of the state.
+// Server.ExportStateInto and Server.ImportState. Its device table is rows
+// sorted by ID (DeviceRows); only ExportState keys it by ID (Devices), for
+// the end-to-end benchmark. Device credentials are never part of the state.
 type ServerState = core.ServerState
+
+// DeviceStats are one device's counters in a ServerState's device table.
+type DeviceStats = core.DeviceStats
 
 // ReplayRecord is one journaled, previously-acknowledged checkin for
 // Server.Replay — the low-level recovery entry point WithStore-managed

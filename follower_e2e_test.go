@@ -160,7 +160,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	repDrive(t, leaderClient, "phone-1", token, 12)
 	extra := waitCheckpointAt(t, leaderStore, 10, driveOne) // ≥2 AfterN=5 cycles completed
 	waitReplicaCaughtUp(t, leader, followerTask)
-	if err := invariants.Same(followerTask.Server().ExportState(), leader.ExportState()); err != nil {
+	if err := invariants.Same(followerTask.Server().ExportStateInto(nil), leader.ExportStateInto(nil)); err != nil {
 		t.Fatalf("follower state diverged from leader after live tail: %v", err)
 	}
 
@@ -227,7 +227,7 @@ func TestFollowerReplicationEndToEnd(t *testing.T) {
 	repDrive(t, leaderClient, "phone-2", lateToken, 1)
 	waitReplicaCaughtUp(t, leader, followerTask)
 
-	ls, fs := leader.ExportState(), followerTask.Server().ExportState()
+	ls, fs := leader.ExportStateInto(nil), followerTask.Server().ExportStateInto(nil)
 	if err := invariants.Same(fs, ls); err != nil {
 		t.Fatalf("follower state diverged after re-bootstrap: %v", err)
 	}

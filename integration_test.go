@@ -88,7 +88,7 @@ func TestIntegrationFailureInjection(t *testing.T) {
 	if flaky.drops == 0 {
 		t.Fatal("injection did not fire")
 	}
-	st := server.ExportState().Devices["flaky-phone"]
+	st, _ := deviceStats(server.ExportStateInto(nil), "flaky-phone")
 	// Despite 40% drop rate, the overwhelming majority of samples must
 	// eventually arrive (each failure only defers delivery).
 	if st.Samples < 200 {

@@ -34,7 +34,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", oldToken, validCheckin(co.Version)); err != nil {
 		t.Fatal(err)
 	}
-	stats, ok := s.ExportState().Devices["d1"]
+	stats, ok := exportedDevice(s, "d1")
 	if !ok {
 		t.Fatal("d1 stats missing after checkin")
 	}
@@ -60,7 +60,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 			}
 		}
 	}
-	stats, ok = s.ExportState().Devices["d1"]
+	stats, ok = exportedDevice(s, "d1")
 	if !ok {
 		t.Fatal("d1 stats missing after re-registration")
 	}
@@ -70,7 +70,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 
 	// Exactly one registry entry — the departed incarnation must not be
 	// double-counted in the exported roster.
-	if n := len(s.ExportState().Devices); n != 2 {
+	if n := len(s.ExportStateInto(nil).DeviceRows); n != 2 {
 		t.Errorf("exported %d device entries, want 2 (d1 + helper)", n)
 	}
 
@@ -81,7 +81,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", oldToken, validCheckin(0)); !errors.Is(err, ErrAuth) {
 		t.Errorf("old-token checkin err = %v, want ErrAuth", err)
 	}
-	if st := s.ExportState().Devices["d1"]; st.Checkins != 1 {
+	if st, _ := exportedDevice(s, "d1"); st.Checkins != 1 {
 		t.Errorf("rejected old-token checkin was counted: %+v", st)
 	}
 
@@ -94,7 +94,7 @@ func TestChurnReRegisterKeepsCountersWithoutResurrection(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", newToken, validCheckin(co.Version)); err != nil {
 		t.Fatal(err)
 	}
-	stats = s.ExportState().Devices["d1"]
+	stats, _ = exportedDevice(s, "d1")
 	if stats.Checkins != 2 || stats.StalenessSum != 3 {
 		t.Errorf("post-rejoin stats = %+v, want 2 checkins with staleness still 3", stats)
 	}

@@ -50,7 +50,7 @@ func TestRunDrainsSourceAndFlushesTail(t *testing.T) {
 	if sent != 10 {
 		t.Errorf("sent = %d, want 10", sent)
 	}
-	if st := srv.ExportState().Devices["d1"]; st.Samples != 10 {
+	if st, _ := exportedDevice(srv, "d1"); st.Samples != 10 {
 		t.Errorf("server saw %d samples, want 10 (tail not flushed?)", st.Samples)
 	}
 	if srv.Iteration() != 3 {

@@ -82,7 +82,7 @@ type ServerConfig struct {
 
 // DeviceStats are the server's per-device progress counters from
 // Algorithm 2: N^m_s, N^m_e and N^{k,m}_y — one row of the registry and
-// of ServerState.Devices.
+// of ServerState.DeviceRows.
 type DeviceStats struct {
 	// Samples is N^m_s, the total (unperturbed) sample count.
 	Samples int `json:"samples"`

@@ -223,7 +223,7 @@ func TestEstimates(t *testing.T) {
 func TestDeviceStatsTracking(t *testing.T) {
 	s := newTestServer(t, ServerConfig{})
 	token := register(t, s, "d1")
-	if _, ok := s.ExportState().Devices["unknown"]; ok {
+	if _, ok := exportedDevice(s, "unknown"); ok {
 		t.Error("unknown device should not have stats")
 	}
 	// First checkin with version 0 (no staleness), second stale by 1.
@@ -233,7 +233,7 @@ func TestDeviceStatsTracking(t *testing.T) {
 	if err := s.Checkin(ctx, "d1", token, validCheckin(0)); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.ExportState().Devices["d1"]
+	st, ok := exportedDevice(s, "d1")
 	if !ok {
 		t.Fatal("missing device stats")
 	}
@@ -245,9 +245,9 @@ func TestDeviceStatsTracking(t *testing.T) {
 	}
 	// Returned slice must be a copy.
 	st.LabelCounts[0] = 99
-	st2 := s.ExportState().Devices["d1"]
+	st2, _ := exportedDevice(s, "d1")
 	if st2.LabelCounts[0] == 99 {
-		t.Error("ExportState leaked internal slice")
+		t.Error("the export leaked an internal slice")
 	}
 }
 

@@ -51,13 +51,13 @@ type ServerState struct {
 	// journal-tail replay advances it deterministically.
 	UpdaterState []float64 `json:"updaterState,omitempty"`
 	// Devices holds the per-device counters keyed by device ID: the form
-	// ExportState and store.DecodeCheckpoint return, for callers that look
-	// devices up.
+	// ExportState returns, kept only because the end-to-end benchmark
+	// (crowdbench) reads it; ROADMAP 13a removes it.
 	Devices map[string]DeviceStats `json:"devices"`
 	// DeviceRows holds the same counters as rows in strictly increasing
-	// ID order: the form ExportStateInto returns and the checkpoint frame
-	// stores, in under half the memory of the map. A state carries its
-	// devices in one of the two; SortedDevices reads either.
+	// ID order: what ExportStateInto returns and a checkpoint stores and
+	// decodes to, in under half the memory of the map. A state carries
+	// its devices in one of the two; SortedDevices reads either.
 	DeviceRows []DeviceRow `json:"deviceRows,omitempty"`
 }
 
@@ -107,7 +107,7 @@ type StateBuffer struct {
 }
 
 // ExportState snapshots the server's learning state into memory of its
-// own, with the device table keyed by ID (Devices).
+// own, keying the device table by ID (Devices) for crowdbench alone.
 func (s *Server) ExportState() *ServerState {
 	st := s.ExportStateInto(nil)
 	st.Devices = make(map[string]DeviceStats, len(st.DeviceRows))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/crowdml/crowdml/internal/linalg"
@@ -27,6 +28,16 @@ func populatedServer(t *testing.T) (*Server, string) {
 	return s, token
 }
 
+// exportedDevice returns id's counters from a fresh export's device rows.
+func exportedDevice(s *Server, id string) (DeviceStats, bool) {
+	rows := s.ExportStateInto(nil).DeviceRows
+	i := slices.IndexFunc(rows, func(r DeviceRow) bool { return r.ID == id })
+	if i < 0 {
+		return DeviceStats{}, false
+	}
+	return rows[i].DeviceStats, true
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	src, _ := populatedServer(t)
 	st := src.ExportState()
@@ -46,7 +57,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if !ok || gotEst != wantEst {
 		t.Errorf("error estimate %v, want %v", gotEst, wantEst)
 	}
-	stats, ok := dst.ExportState().Devices["d1"]
+	stats, ok := exportedDevice(dst, "d1")
 	if !ok || stats.Samples != 4 || stats.Errors != 2 {
 		t.Errorf("restored device stats = %+v ok=%v", stats, ok)
 	}
@@ -112,8 +123,8 @@ func TestImportStateValidation(t *testing.T) {
 	if err := s.ImportState(st2); err == nil {
 		t.Error("bad label-count arity should be rejected")
 	}
-	st3 := s.ExportState()
-	st3.Devices = map[string]DeviceStats{"x": {LabelCounts: []int{1}}}
+	st3 := s.ExportStateInto(nil)
+	st3.DeviceRows = []DeviceRow{{ID: "x", DeviceStats: DeviceStats{LabelCounts: []int{1}}}}
 	if err := s.ImportState(st3); err == nil {
 		t.Error("bad device label-count arity should be rejected")
 	}
@@ -290,7 +301,7 @@ func TestImportStateRefusesUnsortedDevices(t *testing.T) {
 			if err := s.ImportState(st); err == nil {
 				t.Fatal("ImportState accepted the rows")
 			}
-			if n := len(s.ExportState().Devices); n != 0 {
+			if n := len(s.ExportStateInto(nil).DeviceRows); n != 0 {
 				t.Errorf("a refused import restored %d devices", n)
 			}
 		})
@@ -301,7 +312,7 @@ func TestImportStateRefusesUnsortedDevices(t *testing.T) {
 	if err := s.ImportState(st); err != nil {
 		t.Fatalf("ImportState of sorted rows: %v", err)
 	}
-	if got := s.ExportState().Devices["b"]; got.Checkins != 1 {
+	if got, _ := exportedDevice(s, "b"); got.Checkins != 1 {
 		t.Errorf("restored device b = %+v", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,18 +210,19 @@ func TestConcurrentStress(t *testing.T) {
 	if prior[0] != 0.5 || prior[1] != 0.5 || prior[2] != 0 {
 		t.Errorf("PriorEstimate() = %v, want [0.5 0.5 0]", prior)
 	}
-	st := srv.ExportState()
-	if len(st.Devices) != devices+rotations {
-		t.Errorf("exported %d devices, want %d writers + %d enrolled", len(st.Devices), devices, rotations)
+	st := srv.ExportStateInto(nil)
+	if len(st.DeviceRows) != devices+rotations {
+		t.Errorf("exported %d devices, want %d writers + %d enrolled", len(st.DeviceRows), devices, rotations)
 	}
 	if n := sumCheckins(st); n != srv.Iteration() {
 		t.Errorf("exported checkins sum to %d, Iteration() = %d", n, srv.Iteration())
 	}
 	for i := 0; i < devices; i++ {
-		d, ok := st.Devices[deviceID(i)]
-		if !ok {
+		j := slices.IndexFunc(st.DeviceRows, func(r DeviceRow) bool { return r.ID == deviceID(i) })
+		if j < 0 {
 			t.Fatalf("device %d missing from the export", i)
 		}
+		d := st.DeviceRows[j]
 		if d.Checkins != acked[i] {
 			t.Errorf("device %d Checkins = %d, acked %d", i, d.Checkins, acked[i])
 		}
@@ -242,12 +244,9 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// sumCheckins is Σ Checkins over an export's devices, in either form.
+// sumCheckins is Σ Checkins over an export's device rows.
 func sumCheckins(st *ServerState) int {
 	n := 0
-	for _, d := range st.Devices {
-		n += d.Checkins
-	}
 	for _, d := range st.DeviceRows {
 		n += d.Checkins
 	}

@@ -130,10 +130,10 @@ func TestInstrumentationOnlyObserves(t *testing.T) {
 	}
 
 	on, off := sides[0], sides[1]
-	if err := invariants.Same(on.task.Server().ExportState(), off.task.Server().ExportState()); err != nil {
+	if err := invariants.Same(on.task.Server().ExportStateInto(nil), off.task.Server().ExportStateInto(nil)); err != nil {
 		t.Errorf("final state: %v", err)
 	}
-	if err := invariants.Counters(on.task.Server().ExportState()); err != nil {
+	if err := invariants.Counters(on.task.Server().ExportStateInto(nil)); err != nil {
 		t.Error(err)
 	}
 	cpOn, errOn := on.st.Load(ctx)

@@ -21,9 +21,9 @@ func consistent() *core.ServerState {
 	return &core.ServerState{
 		ModelName: "logreg", Classes: 2, Dim: 2, Params: []float64{0.5, -0.25, 0, 1},
 		Iteration: 3, TotalSamples: 7, TotalErrors: 2, TotalLabelCounts: []int{4, 3},
-		Devices: map[string]core.DeviceStats{
-			"a": {Samples: 4, Errors: 1, LabelCounts: []int{3, 1}, Checkins: 2, StalenessSum: 1},
-			"b": {Samples: 3, Errors: 1, LabelCounts: []int{1, 2}, Checkins: 1},
+		DeviceRows: []core.DeviceRow{
+			{ID: "a", DeviceStats: core.DeviceStats{Samples: 4, Errors: 1, LabelCounts: []int{3, 1}, Checkins: 2, StalenessSum: 1}},
+			{ID: "b", DeviceStats: core.DeviceStats{Samples: 3, Errors: 1, LabelCounts: []int{1, 2}, Checkins: 1}},
 		},
 	}
 }
@@ -42,7 +42,7 @@ func TestCounters(t *testing.T) {
 		"samples":          {func(st *core.ServerState) { st.TotalSamples-- }, "TotalSamples"},
 		"errors":           {func(st *core.ServerState) { st.TotalErrors++ }, "TotalErrors"},
 		"label counts":     {func(st *core.ServerState) { st.TotalLabelCounts[1]++ }, "TotalLabelCounts[1]"},
-		"a device's label": {func(st *core.ServerState) { st.Devices["b"].LabelCounts[0]++ }, "TotalLabelCounts[0]"},
+		"a device's label": {func(st *core.ServerState) { st.DeviceRows[1].LabelCounts[0]++ }, "TotalLabelCounts[0]"},
 		"label classes":    {func(st *core.ServerState) { st.TotalLabelCounts = st.TotalLabelCounts[:1] }, "label counts"},
 	} {
 		st := consistent()
@@ -75,7 +75,8 @@ func TestCounters(t *testing.T) {
 }
 
 // TestSame: equal states are the same whatever their slices' nil-ness;
-// any field that differs, a float by its bits alone, is named.
+// any field that differs, a float by its bits alone, is named; a state
+// keyed by ID (ExportState's map) is refused on either side, not walked.
 func TestSame(t *testing.T) {
 	if err := Same(consistent(), consistent()); err != nil {
 		t.Fatalf("equal states: %v", err)
@@ -94,25 +95,29 @@ func TestSame(t *testing.T) {
 		change func(st *core.ServerState)
 		names  string
 	}{
-		"negative zero":  {func(st *core.ServerState) { st.Params[2] = math.Copysign(0, -1) }, "state.Params[2]"},
-		"a param":        {func(st *core.ServerState) { st.Params[1] = math.Nextafter(-0.25, 0) }, "state.Params[1]"},
-		"iteration":      {func(st *core.ServerState) { st.Iteration++ }, "state.Iteration"},
-		"stopped":        {func(st *core.ServerState) { st.Stopped = true }, "state.Stopped"},
-		"updater":        {func(st *core.ServerState) { st.UpdaterName = "adagrad" }, "state.UpdaterName"},
-		"updater state":  {func(st *core.ServerState) { st.UpdaterState = []float64{1} }, "state.UpdaterState"},
-		"a device":       {func(st *core.ServerState) { delete(st.Devices, "b") }, `state.Devices["b"]`},
-		"another device": {func(st *core.ServerState) { st.Devices["c"] = core.DeviceStats{} }, `state.Devices["c"]`},
-		"device counter": {func(st *core.ServerState) { st.Devices["a"].LabelCounts[1]++ }, `state.Devices["a"].LabelCounts[1]`},
-		"device staleness": {func(st *core.ServerState) {
-			d := st.Devices["a"]
-			d.StalenessSum++
-			st.Devices["a"] = d
-		}, `state.Devices["a"].StalenessSum`},
+		"negative zero":    {func(st *core.ServerState) { st.Params[2] = math.Copysign(0, -1) }, "state.Params[2]"},
+		"a param":          {func(st *core.ServerState) { st.Params[1] = math.Nextafter(-0.25, 0) }, "state.Params[1]"},
+		"iteration":        {func(st *core.ServerState) { st.Iteration++ }, "state.Iteration"},
+		"stopped":          {func(st *core.ServerState) { st.Stopped = true }, "state.Stopped"},
+		"updater":          {func(st *core.ServerState) { st.UpdaterName = "adagrad" }, "state.UpdaterName"},
+		"updater state":    {func(st *core.ServerState) { st.UpdaterState = []float64{1} }, "state.UpdaterState"},
+		"a device":         {func(st *core.ServerState) { st.DeviceRows = st.DeviceRows[:1] }, "state.DeviceRows has 1 elements, want 2"},
+		"another device":   {func(st *core.ServerState) { st.DeviceRows = append(st.DeviceRows, core.DeviceRow{ID: "c"}) }, "state.DeviceRows has 3 elements, want 2"},
+		"a device's ID":    {func(st *core.ServerState) { st.DeviceRows[1].ID = "c" }, "state.DeviceRows[1].ID"},
+		"device counter":   {func(st *core.ServerState) { st.DeviceRows[0].LabelCounts[1]++ }, "state.DeviceRows[0].DeviceStats.LabelCounts[1]"},
+		"device staleness": {func(st *core.ServerState) { st.DeviceRows[0].StalenessSum++ }, "state.DeviceRows[0].DeviceStats.StalenessSum"},
 	} {
 		got := consistent()
 		tc.change(got)
 		if err := Same(got, consistent()); err == nil || !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%s differs: Same = %v, want an error naming %s", name, err, tc.names)
+		}
+	}
+	keyed := consistent()
+	keyed.Devices = map[string]core.DeviceStats{"a": keyed.DeviceRows[0].DeviceStats}
+	for _, pair := range [][2]*core.ServerState{{keyed, consistent()}, {consistent(), keyed}, {keyed, keyed}} {
+		if err := Same(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "state.Devices") {
+			t.Errorf("a state carrying the device map: Same = %v, want an error naming state.Devices", err)
 		}
 	}
 }

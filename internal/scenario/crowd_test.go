@@ -70,7 +70,7 @@ func runCrowdState(t *testing.T, c Crowd) (*Report, *core.ServerState) {
 		return tr
 	}
 	rep := mustRunCrowd(t, c)
-	return rep, srv.ExportState()
+	return rep, srv.ExportStateInto(nil)
 }
 
 // meanStaleness is the average number of server updates between a
@@ -78,7 +78,7 @@ func runCrowdState(t *testing.T, c Crowd) (*Report, *core.ServerState) {
 // per-device StalenessSum.
 func meanStaleness(st *core.ServerState) float64 {
 	sum := 0
-	for _, d := range st.Devices {
+	for _, d := range st.DeviceRows {
 		sum += d.StalenessSum
 	}
 	return float64(sum) / float64(st.Iteration)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
@@ -174,11 +175,7 @@ func buildSingle(ctx context.Context, c Crowd) (*stack, error) {
 
 // dropSilent removes device entries that never checked in.
 func dropSilent(st *core.ServerState) {
-	for id, e := range st.Devices {
-		if e.Checkins == 0 {
-			delete(st.Devices, id)
-		}
-	}
+	st.DeviceRows = slices.DeleteFunc(st.DeviceRows, func(r core.DeviceRow) bool { return r.Checkins == 0 })
 }
 
 func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
@@ -235,7 +232,7 @@ func buildFollower(ctx context.Context, c Crowd) (*stack, error) {
 			// device the arrival schedule never picked — exist only in the
 			// leader's registry. The replicated learning state is everything
 			// else: compare bit for bit with zero-checkin entries dropped.
-			ls, fs := leader.ExportState(), followerTask.Server().ExportState()
+			ls, fs := leader.ExportStateInto(nil), followerTask.Server().ExportStateInto(nil)
 			dropSilent(ls)
 			dropSilent(fs)
 			diverged := invariants.Same(fs, ls)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,9 +235,9 @@ func TestMergedIterationMonotoneAndVersionClamp(t *testing.T) {
 	if req.Version != local {
 		t.Fatalf("echoed version clamped to %d, want shard-local %d", req.Version, local)
 	}
-	st, ok := g.Members()[0].Server().ExportState().Devices[dev]
-	if !ok || st.StalenessSum < 0 {
-		t.Fatalf("device staleness sum = %+v (ok=%v), want ≥ 0", st, ok)
+	rows := g.Members()[0].Server().ExportStateInto(nil).DeviceRows
+	if i := slices.IndexFunc(rows, func(r core.DeviceRow) bool { return r.ID == dev }); i < 0 || rows[i].StalenessSum < 0 {
+		t.Fatalf("device %s missing or its staleness sum < 0: %+v", dev, rows)
 	}
 }
 

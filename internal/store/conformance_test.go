@@ -107,7 +107,7 @@ func testSaveLoadRoundTrip(t *testing.T, st Store) {
 		t.Fatal(err)
 	}
 	now := time.Date(2026, 7, 29, 10, 0, 0, 0, time.UTC)
-	saved := srv.ExportState()
+	saved := srv.ExportStateInto(nil)
 	if err := st.Save(ctx, saved, now); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -180,7 +180,7 @@ func testCheckpointIsolation(t *testing.T, st Store) {
 		t.Fatal(err)
 	}
 	if cp.State.Iteration == 999 || cp.State.Params[0] == 123.456 ||
-		len(cp.State.Devices) != 1 || cp.State.Devices["d1"].LabelCounts[0] == 55 {
+		len(cp.State.DeviceRows) != 1 || cp.State.DeviceRows[0].ID != "d1" || cp.State.DeviceRows[0].LabelCounts[0] == 55 {
 		t.Error("checkpoint aliases the saved state's memory")
 	}
 	cp.State.Iteration = 777

@@ -72,11 +72,26 @@ func (r *recorder) do(o op, fn func() error) error {
 
 func (r *recorder) ack() { _ = r.do(op{kind: "ack"}, func() error { return nil }) }
 
-// await blocks until the log holds n directory syncs.
-func (r *recorder) await(n int) {
+// awaitTimeout bounds await: a checkpoint cycle that never completes
+// fails the test instead of hanging it.
+const awaitTimeout = 30 * time.Second
+
+// await blocks until the log holds n directory syncs, and fails t if they
+// have not come within awaitTimeout.
+func (r *recorder) await(t *testing.T, n int) {
+	deadline := time.Now().Add(awaitTimeout)
+	timer := time.AfterFunc(awaitTimeout, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.cond.Broadcast()
+	})
+	defer timer.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for count(r.log, "syncdir") < n {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("%s: %d directory syncs after %v, want %d", t.Name(), count(r.log, "syncdir"), awaitTimeout, n)
+		}
 		r.cond.Wait()
 	}
 }
@@ -226,18 +241,18 @@ func script(t *testing.T, retention hub.RetentionPolicy) ([]op, []*core.ServerSt
 		t.Fatal(err)
 	}
 	srv := task.Server()
-	history := []*core.ServerState{srv.ExportState()}
+	history := []*core.ServerState{srv.ExportStateInto(nil)}
 	tokens := map[string]string{}
 	for i := 1; i <= crashCheckins; i++ {
 		if err := checkin(ctx, srv, tokens, []string{"d1", "d2"}[i%2], i); err != nil {
 			t.Fatal(err)
 		}
 		rec.ack()
-		history = append(history, srv.ExportState())
+		history = append(history, srv.ExportStateInto(nil))
 		if i%crashAfterN == 0 {
 			// A cycle syncs the directory three times: after the checkpoint's
 			// rename, the rotation's create and the retention's removals.
-			rec.await(3 * i / crashAfterN)
+			rec.await(t, 3*i/crashAfterN)
 		}
 	}
 	if err := h.Close(ctx); err != nil {
@@ -305,7 +320,7 @@ func restore(t *testing.T, s crashState, history []*core.ServerState) {
 		t.Errorf("%s: restore: %v", s.name, err)
 		return
 	}
-	got := task.Server().ExportState()
+	got := task.Server().ExportStateInto(nil)
 	j := got.Iteration
 	if j < s.acked || j >= len(history) {
 		t.Errorf("%s: restored iteration %d, but %d checkins were acknowledged of %d", s.name, j, s.acked, len(history)-1)

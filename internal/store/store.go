@@ -168,13 +168,13 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		TotalLabelCounts: wc.TotalLabelCounts,
 		UpdaterName:      wc.UpdaterName,
 		UpdaterState:     wc.UpdaterState,
-		Devices:          make(map[string]core.DeviceStats, len(devices)),
+		DeviceRows:       make([]core.DeviceRow, len(devices)),
 	}
-	for _, d := range devices {
-		st.Devices[d.ID] = core.DeviceStats{
+	for i, d := range devices {
+		st.DeviceRows[i] = core.DeviceRow{ID: d.ID, DeviceStats: core.DeviceStats{
 			Samples: d.Samples, Errors: d.Errors, LabelCounts: d.LabelCounts,
 			Checkins: d.Checkins, StalenessSum: d.StalenessSum,
-		}
+		}}
 	}
 	return &Checkpoint{SavedAtUnixMillis: wc.SavedAtUnixMillis, State: st}, nil
 }

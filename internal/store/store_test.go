@@ -243,7 +243,7 @@ func TestCheckpointSaveAllocations(t *testing.T) {
 		} else {
 			t.Logf("%s: %d bytes per warm checkpoint", name, perCycle)
 		}
-		if cp, err := st.Load(ctx); err != nil || len(cp.State.Devices) != devices {
+		if cp, err := st.Load(ctx); err != nil || len(cp.State.DeviceRows) != devices {
 			t.Errorf("%s: Load after the cycles: %v", name, err)
 		}
 	}

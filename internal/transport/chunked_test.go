@@ -155,7 +155,7 @@ func TestRedirectedCheckinResendsBody(t *testing.T) {
 		if it := leaderSrv.Iteration(); it != 1 {
 			t.Fatalf("%v: leader at iteration %d after one redirected checkin", wire, it)
 		}
-		if err := invariants.Same(leaderSrv.ExportState(), directSrv.ExportState()); err != nil {
+		if err := invariants.Same(leaderSrv.ExportStateInto(nil), directSrv.ExportStateInto(nil)); err != nil {
 			t.Errorf("%v: redirected vs direct state: %v", wire, err)
 		}
 		if got, want := journalOf(t, leaderStore), journalOf(t, directStore); !reflect.DeepEqual(got, want) {

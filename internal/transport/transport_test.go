@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -295,9 +296,9 @@ func TestDeviceOverHTTP(t *testing.T) {
 	if srv.Iteration() != 5 {
 		t.Errorf("server iterations = %d, want 5", srv.Iteration())
 	}
-	st := srv.ExportState().Devices["phone-1"]
-	if st.Samples != 25 {
-		t.Errorf("samples = %d, want 25", st.Samples)
+	rows := srv.ExportStateInto(nil).DeviceRows
+	if i := slices.IndexFunc(rows, func(r core.DeviceRow) bool { return r.ID == "phone-1" }); i < 0 || rows[i].Samples != 25 {
+		t.Errorf("phone-1 missing or samples != 25: %+v", rows)
 	}
 }
 

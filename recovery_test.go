@@ -37,6 +37,16 @@ func recServerConfig() crowdml.ServerConfig {
 	}
 }
 
+// deviceStats returns id's counters from st's device rows.
+func deviceStats(st *crowdml.ServerState, id string) (crowdml.DeviceStats, bool) {
+	for _, r := range st.DeviceRows {
+		if r.ID == id {
+			return r.DeviceStats, true
+		}
+	}
+	return crowdml.DeviceStats{}, false
+}
+
 // driveCrowd runs the deterministic workload: recDevices devices feed
 // their samples round-robin, one sample per turn, so every run applies
 // the identical checkin sequence (seeded devices, seeded sample streams,
@@ -100,7 +110,7 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveCrowd(t, controlTask)
-	want := controlTask.Server().ExportState()
+	want := controlTask.Server().ExportStateInto(nil)
 	wantCheckins := recDevices * (recPerDevice / recMinibatch)
 	if want.Iteration != wantCheckins {
 		t.Fatalf("control run applied %d checkins, expected %d", want.Iteration, wantCheckins)
@@ -141,7 +151,7 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveCrowd(t, task)
-			preCrash := task.Server().ExportState()
+			preCrash := task.Server().ExportStateInto(nil)
 
 			// Crash: the hub is dropped with no Hub.Close, so no final
 			// checkpoint covers the journal tail. On the file backend the
@@ -172,7 +182,7 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 			if !ok {
 				t.Fatal("OpenHub did not restore the task")
 			}
-			got := restoredTask.Server().ExportState()
+			got := restoredTask.Server().ExportStateInto(nil)
 
 			// Zero acknowledged-checkin loss: the recovered state must be
 			// EXACTLY the pre-crash state, which must be EXACTLY the
@@ -227,7 +237,7 @@ func TestCrashRecoveryMatchesUncrashedRun(t *testing.T) {
 			if got := finalTask.Server().Iteration(); got != wantCheckins+1 {
 				t.Errorf("after reopen iteration = %d, want %d", got, wantCheckins+1)
 			}
-			if _, ok := finalTask.Server().ExportState().Devices["late-device"]; !ok {
+			if _, ok := deviceStats(finalTask.Server().ExportStateInto(nil), "late-device"); !ok {
 				t.Error("post-recovery checkin lost its device counters")
 			}
 			if err := again.Close(ctx); err != nil {
@@ -530,7 +540,7 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 				waitFor(t, "checkpoint rotation", func() bool { return segments() == w+2 })
 			}
 			push(t, task.Server(), token, coveredN+1, tailLen) // the un-checkpointed tail
-			preCrash := task.Server().ExportState()
+			preCrash := task.Server().ExportStateInto(nil)
 
 			// Crash without Close; restore with a wrapper that counts what
 			// the restore path actually reads.
@@ -540,7 +550,7 @@ func TestRestartReplaysOnlyLiveSegmentTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := restored.Server().ExportState()
+			got := restored.Server().ExportStateInto(nil)
 			if err := invariants.Same(got, preCrash); err != nil {
 				t.Errorf("recovered state != pre-crash state: %v", err)
 			}
@@ -605,7 +615,7 @@ func TestAdaGradCrashRecoveryBitExact(t *testing.T) {
 	}
 	driveCrowdSeeded(t, controlTask, 0)
 	driveCrowdSeeded(t, controlTask, 5000)
-	want := controlTask.Server().ExportState()
+	want := controlTask.Server().ExportStateInto(nil)
 	if len(want.UpdaterState) != recClasses*recDim {
 		t.Fatalf("control run exported %d updater-state coordinates, want %d",
 			len(want.UpdaterState), recClasses*recDim)
@@ -646,7 +656,7 @@ func TestAdaGradCrashRecoveryBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			driveCrowdSeeded(t, task, 0)
-			if err := st.Save(ctx, task.Server().ExportState(), time.Now()); err != nil {
+			if err := st.Save(ctx, task.Server().ExportStateInto(nil), time.Now()); err != nil {
 				t.Fatal(err)
 			}
 			driveCrowdSeeded(t, task, 5000) // the tail beyond the snapshot
@@ -666,7 +676,7 @@ func TestAdaGradCrashRecoveryBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := restored.Server().ExportState()
+			got := restored.Server().ExportStateInto(nil)
 			// The parameters AND the recovered accumulators must match the
 			// never-crashed control bit for bit.
 			if err := invariants.Same(got, want); err != nil {

@@ -272,15 +272,15 @@ func TestCheckinVersionBounds(t *testing.T) {
 	if err := srv.Checkin(ctx, "d", token, ahead); err != nil {
 		t.Fatalf("Version 1<<40: %v", err)
 	}
-	want := srv.ExportState()
+	want := srv.ExportStateInto(nil)
 	if want.Iteration != 3 {
 		t.Fatalf("iteration %d after three applied checkins", want.Iteration)
 	}
 	if ahead.Version != 2 {
 		t.Errorf("request's Version clamped to %d, want 2", ahead.Version)
 	}
-	if got := want.Devices["d"].StalenessSum; got != 0 {
-		t.Errorf("StalenessSum after a version from the future = %d, want 0", got)
+	if d, _ := deviceStats(want, "d"); d.StalenessSum != 0 {
+		t.Errorf("StalenessSum after a version from the future = %d, want 0", d.StalenessSum)
 	}
 	entries := drainJournal(t, st)
 	if e := entries[len(entries)-1]; e.Iteration != 3 || e.Version != 2 {
@@ -292,7 +292,7 @@ func TestCheckinVersionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := invariants.Same(want, restored.Server().ExportState()); err != nil {
+	if err := invariants.Same(want, restored.Server().ExportStateInto(nil)); err != nil {
 		t.Errorf("restored state differs: %v", err)
 	}
 }
@@ -383,9 +383,9 @@ func TestCheckinStalenessRecount(t *testing.T) {
 	if recount[0] == recount[len(recount)-1] {
 		t.Fatal("every checkin was fresh: the crowd did not interleave")
 	}
-	state := srv.ExportState()
+	state := srv.ExportStateInto(nil)
 	var sum int
-	for _, d := range state.Devices {
+	for _, d := range state.DeviceRows {
 		sum += d.StalenessSum
 	}
 	if got := m[series("sum", "")]; got != float64(sum) {
