@@ -71,16 +71,18 @@ func TestAuthenticateExported(t *testing.T) {
 		t.Fatalf("Authenticate(bad token) = %v, want ErrAuth", err)
 	}
 	// The replica-style fallback must apply (and cache) exactly as it does
-	// for Checkout.
+	// for Checkout. It is asked only about a token that could be an issued
+	// one: 22 characters of strict URL-safe base64.
+	const vouched = "vouched-by-the-leaderA"
 	calls := 0
 	s.cfg.AuthFallback = func(ctx context.Context, deviceID, tok string) error {
 		calls++
 		return nil
 	}
-	if err := s.Authenticate(ctx, "d2", "vouched"); err != nil {
+	if err := s.Authenticate(ctx, "d2", vouched); err != nil {
 		t.Fatalf("Authenticate(vouched) = %v", err)
 	}
-	if err := s.Authenticate(ctx, "d2", "vouched"); err != nil {
+	if err := s.Authenticate(ctx, "d2", vouched); err != nil {
 		t.Fatalf("Authenticate(cached vouched) = %v", err)
 	}
 	if calls != 1 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"crypto/rand"
-	"encoding/base64"
 	"fmt"
 	"math"
 	"sync"
@@ -81,8 +80,8 @@ type ServerConfig struct {
 }
 
 // DeviceStats are the server's per-device progress counters from
-// Algorithm 2: N^m_s, N^m_e and N^{k,m}_y — one row of the registry and
-// of ServerState.DeviceRows.
+// Algorithm 2: N^m_s, N^m_e and N^{k,m}_y — one row of the registry's
+// counter slab and of ServerState.DeviceRows.
 type DeviceStats struct {
 	// Samples is N^m_s, the total (unperturbed) sample count.
 	Samples int `json:"samples"`
@@ -106,9 +105,13 @@ type DeviceStats struct {
 //     SnapshotRing), and the crowd totals are atomic counters, so a
 //     million-device portal polling for parameters never serializes on
 //     the update lock.
-//   - Device credentials and per-device counters live in one registry
-//     table: authentication takes its read lock, and the counters are
-//     guarded by the apply lock (wMu) that every write to them holds.
+//   - Device credentials and per-device counters live in one registry:
+//     credential rows in enrolment order, an index of them sorted by ID,
+//     and one counter slab that a device joins with its first counter.
+//     Authentication takes the registry's read lock; the counters are
+//     guarded by the apply lock (wMu), and every counter write and the
+//     export hold the registry's read lock under it too, so an enrolment
+//     that moves the rows cannot lose a write.
 //   - Checkins are applied in batches: callers enqueue their sanitized
 //     delta into a bounded queue and one caller — the batch leader —
 //     drains up to checkinBatchSize deltas and applies them under a
@@ -123,8 +126,8 @@ type Server struct {
 	// export records it without allocating.
 	updaterName string
 
-	// wMu is the parameter/apply lock: it guards w and every device's
-	// counters (deviceEntry.stats) and serializes batch application,
+	// wMu is the parameter/apply lock: it guards w and the registry's
+	// counter slab (see deviceRegistry) and serializes batch application,
 	// snapshot publication, and state import/export. The read paths never
 	// take it.
 	wMu sync.Mutex
@@ -187,7 +190,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		updaterName: cfg.Updater.Name(),
 		w:           model.NewParams(cfg.Model),
 		totalNky:    make([]atomic.Int64, classes),
-		devices:     newDeviceRegistry(),
+		devices:     newDeviceRegistry(classes),
 		ring:        NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),
 		queue:       make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem:   make(chan struct{}, 1),
@@ -223,37 +226,34 @@ func (s *Server) RegisterDevice(ctx context.Context, deviceID string) (token str
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	buf := make([]byte, 16)
-	if _, err := rand.Read(buf); err != nil {
+	var tok [tokenBytes]byte
+	if _, err := rand.Read(tok[:]); err != nil {
 		return "", fmt.Errorf("core: token generation: %w", err)
 	}
-	token = base64.RawURLEncoding.EncodeToString(buf)
-	classes, _ := s.cfg.Model.Shape()
-	s.devices.register(deviceID, token, classes)
-	return token, nil
+	s.devices.register(deviceID, tok)
+	return tokenEncoding.EncodeToString(tok[:]), nil
 }
 
 // authenticate verifies a device's credentials, falling back to
 // cfg.AuthFallback for devices this server does not know. A vouched-for
 // credential is cached in the local registry, so the fallback's cost
 // (for a replica, one round trip to the leader) is paid once per device,
-// and the lock-free fast path is untouched for every later request.
+// and the lock-free fast path is untouched for every later request. A
+// token that is not 22 characters of strict URL-safe base64 cannot be one
+// any server issued: it is refused here, without asking the fallback.
 func (s *Server) authenticate(ctx context.Context, deviceID, token string) error {
-	err := s.devices.authenticate(deviceID, token)
-	if err == nil || s.cfg.AuthFallback == nil {
-		return err
+	tok, ok := parseToken(token)
+	if !ok {
+		return ErrAuth
 	}
-	// Empty tokens never authenticate locally (an unprovisioned restored
-	// entry has an empty stored token) and must not be laundered through
-	// the fallback either.
-	if deviceID == "" || token == "" {
-		return err
+	err := s.devices.authenticate(deviceID, tok)
+	if err == nil || s.cfg.AuthFallback == nil || deviceID == "" {
+		return err // nor is an empty ID laundered through the fallback
 	}
 	if s.cfg.AuthFallback(ctx, deviceID, token) != nil {
 		return err // the device only ever learns ErrAuth
 	}
-	classes, _ := s.cfg.Model.Shape()
-	s.devices.register(deviceID, token, classes)
+	s.devices.register(deviceID, tok)
 	return nil
 }
 

@@ -124,14 +124,15 @@ func (s *Server) ExportState() *ServerState {
 // apply lock, so the exported parameters, iteration counter, crowd totals
 // and per-device counters all come from the same quiescent point between
 // batches — and with a warm buffer the lock is held for a copy into
-// memory that already exists. The rows are sorted after the lock is
-// released.
+// memory that already exists. The registry hands its devices out in ID
+// order, so nothing is sorted.
 func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	if buf == nil {
 		buf = new(StateBuffer)
 	}
 	st := &buf.st
 	s.wMu.Lock()
+	defer s.wMu.Unlock()
 	classes, dim := s.cfg.Model.Shape()
 	st.TotalLabelCounts = slices.Grow(st.TotalLabelCounts[:0], classes)
 	for k := range s.totalNky {
@@ -156,34 +157,9 @@ func (s *Server) ExportStateInto(buf *StateBuffer) *ServerState {
 	}
 	// One row slice and one slab for every device's label counts: a
 	// checkpoint of a large crowd is two allocations the first time and
-	// none after. Devices may enroll while this runs (that takes no apply
-	// lock), so the count is a hint: rows grow by append, and a device
-	// that no longer fits the slab gets a slice of its own; the next
-	// export sizes both for it.
-	n := s.devices.count()
-	rows := st.DeviceRows[:0]
-	if cap(rows) < n {
-		rows = make([]DeviceRow, 0, n)
-	}
-	if cap(buf.slab) < n*classes {
-		buf.slab = make([]int, 0, n*classes)
-	}
-	slab := buf.slab[:0]
-	s.devices.forEach(func(id string, d *DeviceStats) {
-		if cap(slab)-len(slab) < len(d.LabelCounts) {
-			slab = make([]int, 0, len(d.LabelCounts))
-		}
-		lo := len(slab)
-		slab = append(slab, d.LabelCounts...)
-		row := DeviceRow{ID: id, DeviceStats: *d}
-		// Capped at its own length: an append on one row reallocates
-		// instead of running into its neighbour's counts.
-		row.LabelCounts = slab[lo:len(slab):len(slab)]
-		rows = append(rows, row)
-	})
-	s.wMu.Unlock()
-	slices.SortFunc(rows, compareRows)
-	st.Devices, st.DeviceRows = nil, rows
+	// none after.
+	st.DeviceRows, buf.slab = s.devices.exportRows(st.DeviceRows[:0], buf.slab[:0])
+	st.Devices = nil
 	return st
 }
 
@@ -254,7 +230,6 @@ func (s *Server) ImportState(st *ServerState) error {
 	}
 	s.stopped.Store(st.Stopped)
 	for _, r := range rows {
-		r.LabelCounts = append([]int(nil), r.LabelCounts...)
 		s.devices.importStats(r.ID, r.DeviceStats)
 	}
 	// A restore can rewind the iteration counter, so version numbers in

@@ -187,8 +187,8 @@ func TestUpdaterStateRoundTripAndReset(t *testing.T) {
 	}
 }
 
-// crowdServer returns a server with n enrolled devices of the given
-// class count, each with distinct label counts.
+// crowdServer returns a server with n devices of the given class count,
+// each enrolled through RegisterDevice and given distinct counters.
 func crowdServer(tb testing.TB, n, classes int) *Server {
 	tb.Helper()
 	s, err := NewServer(ServerConfig{
@@ -203,7 +203,13 @@ func crowdServer(tb testing.TB, n, classes int) *Server {
 		for k := range counts {
 			counts[k] = i*classes + k
 		}
-		s.devices.importStats(fmt.Sprintf("device-%04d", i), DeviceStats{Samples: i, LabelCounts: counts})
+		id := fmt.Sprintf("device-%04d", i)
+		if _, err := s.RegisterDevice(context.Background(), id); err != nil {
+			tb.Fatal(err)
+		}
+		s.wMu.Lock()
+		s.devices.importStats(id, DeviceStats{Samples: i, LabelCounts: counts})
+		s.wMu.Unlock()
 	}
 	return s
 }

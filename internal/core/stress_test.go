@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,8 +32,10 @@ func shrinkApplier(s *Server, maxBatch, queueDepth int) {
 // its iteration, each device's counters equal what it was acked for, and
 // the checkout snapshot version is monotonic from any single observer's
 // point of view. Meanwhile RegisterDevice rotates the checking-in devices'
-// tokens and enrolls new IDs. Run with -race: it exercises the registry
-// lock (tokens, the map) against the apply lock (counters).
+// tokens and enrolls new IDs, which check in once each. Run with -race: it
+// exercises the registry lock (tokens, the credential rows and the index)
+// against the apply lock (counters), and a counter row first given to a
+// device while an enrolment reallocates the credential rows.
 func TestConcurrentStress(t *testing.T) {
 	const (
 		devices           = 8
@@ -114,12 +117,20 @@ func TestConcurrentStress(t *testing.T) {
 	}()
 
 	// The rotator re-registers the writers in turn (a writer's next request
-	// with the old token gets ErrAuth) and enrolls a new device after each
-	// rotation, spread over the writers' run by the iteration counter.
+	// with the old token gets ErrAuth) and enrolls two new devices after
+	// each rotation, spread over the writers' run by the iteration counter:
+	// one whose ID sorts before the writers' (the index inserts mid-slice
+	// under lookups) and one after. The credential rows reallocate several
+	// times on the way from 8 to 248 devices. Each new device checks in
+	// once from the late writer, so devices get their first counters while
+	// enrolments move the rows.
 	total := devices * checkinsPerDevice
+	type lateDevice struct{ id, token string }
+	late := make(chan lateDevice, 2*rotations) // every enrolment: the rotator never waits
 	others.Add(1)
 	go func() {
 		defer others.Done()
+		defer close(late)
 		for n := 0; n < rotations; n++ {
 			for srv.Iteration() < n*total/rotations {
 				select {
@@ -133,10 +144,27 @@ func TestConcurrentStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := srv.RegisterDevice(ctx, fmt.Sprintf("late-%02d", n)); err != nil {
-				t.Error(err)
+			for _, id := range []string{fmt.Sprintf("a-late-%03d", n), fmt.Sprintf("late-%03d", n)} {
+				tok, err := srv.RegisterDevice(ctx, id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				late <- lateDevice{id, tok}
+			}
+		}
+	}()
+	lateAcked := 0
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for d := range late {
+			req := &CheckinRequest{Grad: make([]float64, classes*dim), NumSamples: 2, ErrCount: 1, LabelCounts: []int{1, 1, 0}}
+			if err := srv.Checkin(ctx, d.id, d.token, req); err != nil {
+				t.Errorf("%s checkin: %v", d.id, err)
 				return
 			}
+			lateAcked++
 		}
 	}()
 
@@ -197,6 +225,10 @@ func TestConcurrentStress(t *testing.T) {
 	close(stopReaders)
 	others.Wait()
 
+	if lateAcked != 2*rotations {
+		t.Errorf("%d late devices checked in, want %d", lateAcked, 2*rotations)
+	}
+	total += lateAcked
 	if got := srv.Iteration(); got != total {
 		t.Errorf("Iteration() = %d, want %d", got, total)
 	}
@@ -211,8 +243,13 @@ func TestConcurrentStress(t *testing.T) {
 		t.Errorf("PriorEstimate() = %v, want [0.5 0.5 0]", prior)
 	}
 	st := srv.ExportStateInto(nil)
-	if len(st.DeviceRows) != devices+rotations {
-		t.Errorf("exported %d devices, want %d writers + %d enrolled", len(st.DeviceRows), devices, rotations)
+	if len(st.DeviceRows) != devices+2*rotations {
+		t.Errorf("exported %d devices, want %d writers + %d enrolled", len(st.DeviceRows), devices, 2*rotations)
+	}
+	for _, d := range st.DeviceRows {
+		if strings.Contains(d.ID, "late-") && (d.Checkins != 1 || d.Samples != 2 || d.LabelCounts[1] != 1) {
+			t.Errorf("late device %s = %+v, want the one checkin it was acked for", d.ID, d.DeviceStats)
+		}
 	}
 	if n := sumCheckins(st); n != srv.Iteration() {
 		t.Errorf("exported checkins sum to %d, Iteration() = %d", n, srv.Iteration())
