@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 const lockFileName = "LOCK"
@@ -39,8 +40,8 @@ type FileStore struct {
 	fsys fileSystem
 	dir  string
 
-	saveMu sync.Mutex        // serializes Save, which owns enc
-	enc    checkpointEncoder // reused by every Save
+	saveMu sync.Mutex // serializes Save, which owns frame
+	frame  []byte     // the checkpoint frame, its memory reused by every Save
 
 	ix atomic.Pointer[chainIndex] // the open journal's index of the chain; nil while none is open
 }
@@ -90,10 +91,11 @@ func (f *FileStore) Save(ctx context.Context, state *core.ServerState, now time.
 	}
 	f.saveMu.Lock()
 	defer f.saveMu.Unlock()
-	frame, err := f.enc.encode(state, now.UnixMilli())
+	frame, err := wirecodec.AppendCheckpoint(f.frame[:0], state, now.UnixMilli())
 	if err != nil {
-		return err
+		return fmt.Errorf("store: encode checkpoint: %w", err)
 	}
+	f.frame = frame
 	err = f.writeFileAtomic(filepath.Join(f.dir, checkpointName), func(w io.Writer) error {
 		_, err := w.Write(frame)
 		return err

@@ -88,55 +88,16 @@ type Checkpoint struct {
 	State *core.ServerState `json:"state"`
 }
 
-// checkpointEncoder turns a state into a wirecodec checkpoint frame in a
-// buffer it keeps between calls, so a store that owns one encodes a warm
-// export (core.Server.ExportStateInto: rows already sorted) without
-// allocating. Not safe for concurrent use.
-type checkpointEncoder struct {
-	buf []byte
-}
-
-// encode returns the frame for state, valid until the next call. Nothing
-// of state is referenced once it returns.
-func (e *checkpointEncoder) encode(state *core.ServerState, savedAtUnixMillis int64) ([]byte, error) {
-	rows, err := state.SortedDevices()
-	if err != nil {
-		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
-	}
-	buf, err := wirecodec.AppendCheckpoint(e.buf[:0], &wirecodec.Checkpoint{
-		SavedAtUnixMillis: savedAtUnixMillis,
-		ModelName:         state.ModelName,
-		UpdaterName:       state.UpdaterName,
-		Classes:           state.Classes,
-		Dim:               state.Dim,
-		Iteration:         state.Iteration,
-		Stopped:           state.Stopped,
-		TotalSamples:      state.TotalSamples,
-		TotalErrors:       state.TotalErrors,
-		Params:            state.Params,
-		UpdaterState:      state.UpdaterState,
-		TotalLabelCounts:  state.TotalLabelCounts,
-	}, len(rows), func(i int) wirecodec.CheckpointDevice {
-		d := &rows[i]
-		return wirecodec.CheckpointDevice{
-			ID: d.ID, Samples: d.Samples, Errors: d.Errors, Checkins: d.Checkins,
-			StalenessSum: d.StalenessSum, LabelCounts: d.LabelCounts,
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
-	}
-	e.buf = buf
-	return buf, nil
-}
-
 // EncodeCheckpoint returns cp in the checkpoint format: one wirecodec
-// KindCheckpoint frame (docs/WIRE.md). With DecodeCheckpoint it is the one
-// place the format is known — FileStore's checkpoint.ckpt, on disk or in
-// memory, and the replication checkpoint endpoint are both this frame.
+// KindCheckpoint frame (docs/WIRE.md), the bytes FileStore.Save writes.
+// FileStore's checkpoint.ckpt, on disk or in memory, and the replication
+// checkpoint endpoint are both this frame, and DecodeCheckpoint reads it.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	var enc checkpointEncoder
-	return enc.encode(cp.State, cp.SavedAtUnixMillis)
+	frame, err := wirecodec.AppendCheckpoint(nil, cp.State, cp.SavedAtUnixMillis)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
+	}
+	return frame, nil
 }
 
 // DecodeCheckpoint reads one checkpoint from r: the frame EncodeCheckpoint
@@ -152,31 +113,11 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if len(payload) > wirecodec.MaxPayload {
 		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
 	}
-	wc, devices, err := wirecodec.DecodeCheckpoint(payload)
+	st, savedAt, err := wirecodec.DecodeCheckpoint(payload)
 	if err != nil {
 		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
 	}
-	st := &core.ServerState{
-		ModelName:        wc.ModelName,
-		Classes:          wc.Classes,
-		Dim:              wc.Dim,
-		Params:           wc.Params,
-		Iteration:        wc.Iteration,
-		Stopped:          wc.Stopped,
-		TotalSamples:     wc.TotalSamples,
-		TotalErrors:      wc.TotalErrors,
-		TotalLabelCounts: wc.TotalLabelCounts,
-		UpdaterName:      wc.UpdaterName,
-		UpdaterState:     wc.UpdaterState,
-		DeviceRows:       make([]core.DeviceRow, len(devices)),
-	}
-	for i, d := range devices {
-		st.DeviceRows[i] = core.DeviceRow{ID: d.ID, DeviceStats: core.DeviceStats{
-			Samples: d.Samples, Errors: d.Errors, LabelCounts: d.LabelCounts,
-			Checkins: d.Checkins, StalenessSum: d.StalenessSum,
-		}}
-	}
-	return &Checkpoint{SavedAtUnixMillis: wc.SavedAtUnixMillis, State: st}, nil
+	return &Checkpoint{SavedAtUnixMillis: savedAt, State: st}, nil
 }
 
 // JournalEntry is one write-ahead record: the complete sanitized checkin

@@ -249,6 +249,102 @@ func TestCheckpointSaveAllocations(t *testing.T) {
 	}
 }
 
+// TestDecodeCheckpointBytesPerDevice: a checkpoint decodes straight into
+// the state's rows — one row table, one label slab and an ID string per
+// device — so beyond reading the frame whole, a restore or bootstrap of
+// the end-to-end benchmark's crowd (2,000 devices × 10 classes) allocates
+// at most 200 B per device. A second row table, filled and then copied,
+// costs 72 B more. The read is measured apart: io.ReadAll's growth steps,
+// not the decoder, decide its size.
+func TestDecodeCheckpointBytesPerDevice(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const devices, classes, dim = 2000, 10, 50
+	st := &core.ServerState{
+		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
+		Params:           make([]float64, classes*dim),
+		TotalLabelCounts: make([]int, classes),
+		DeviceRows:       make([]core.DeviceRow, devices),
+	}
+	for i := range st.DeviceRows {
+		counts := make([]int, classes)
+		for k := range counts {
+			counts[k] = i%7 + k
+		}
+		st.DeviceRows[i] = core.DeviceRow{ID: fmt.Sprintf("dev-%05d", i), DeviceStats: core.DeviceStats{
+			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
+		}}
+	}
+	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := bytesPerRun(10, func() {
+		if _, err := io.ReadAll(io.LimitReader(bytes.NewReader(frame), wirecodec.MaxPayload+1)); err != nil {
+			t.Fatal(err)
+		}
+	}) / devices
+	total := bytesPerRun(10, func() {
+		if cp, err := DecodeCheckpoint(bytes.NewReader(frame)); err != nil || len(cp.State.DeviceRows) != devices {
+			t.Fatalf("DecodeCheckpoint: %v", err)
+		}
+	}) / devices
+	t.Logf("%.0f bytes per device, %.0f of them reading the %d-byte frame", total, read, len(frame))
+	if total-read > 200 {
+		t.Errorf("decoding a checkpoint allocates %.0f bytes per device beyond the read, want at most 200", total-read)
+	}
+}
+
+// TestSaveRefusesUnsortedState: on either backend, a state whose device
+// table the frame cannot hold in ID order — rows out of order, an ID
+// twice, rows and the ID-keyed map both — fails Save and leaves the
+// checkpoint as it was, byte for byte.
+func TestSaveRefusesUnsortedState(t *testing.T) {
+	srv := newServer(t)
+	for _, id := range []string{"c", "a", "b"} {
+		token, err := srv.RegisterDevice(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &core.CheckinRequest{Grad: make([]float64, 6), NumSamples: 1, LabelCounts: []int{1, 0, 0}}
+		if err := srv.Checkin(ctx, id, token, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*FileStore{"FileStore": fs, "MemStore": NewMemStore()} {
+		if err := st.Save(ctx, srv.ExportStateInto(nil), goldenSavedAt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		saved := fileBytes(t, st, checkpointName)
+		for edit, fn := range map[string]func(bad *core.ServerState){
+			"rows out of order": func(bad *core.ServerState) { r := bad.DeviceRows; r[0], r[1] = r[1], r[0] },
+			"a duplicate ID":    func(bad *core.ServerState) { bad.DeviceRows[2].ID = bad.DeviceRows[1].ID },
+			"both forms":        func(bad *core.ServerState) { bad.Devices = map[string]core.DeviceStats{"z": {}} },
+		} {
+			bad := srv.ExportStateInto(nil)
+			fn(bad)
+			if err := st.Save(ctx, bad, goldenSavedAt.Add(time.Second)); err == nil {
+				t.Errorf("%s: Save of %s succeeded", name, edit)
+			}
+			if got := fileBytes(t, st, checkpointName); !bytes.Equal(got, saved) {
+				t.Errorf("%s: Save of %s changed the checkpoint", name, edit)
+			}
+			cp, err := st.Load(ctx)
+			if err != nil {
+				t.Fatalf("%s: Load after a refused Save of %s: %v", name, edit, err)
+			}
+			if again, err := EncodeCheckpoint(cp); err != nil || !bytes.Equal(again, saved) {
+				t.Errorf("%s: Load after a refused Save of %s yields another state (%v)", name, edit, err)
+			}
+		}
+	}
+}
+
 // segmentPath names a segment file by sequence number.
 func segmentPath(fs *FileStore, seq int) string {
 	return filepath.Join(fs.dir, fmt.Sprintf(segmentPattern, seq))

@@ -3,6 +3,8 @@ package wirecodec
 import (
 	"encoding/binary"
 	"fmt"
+
+	"github.com/crowdml/crowdml/internal/core"
 )
 
 // KindCheckpoint is one snapshot of a task's learning state: the store's
@@ -25,25 +27,6 @@ import (
 // counters are zigzag varints because sanitized counts may be negative.
 const KindCheckpoint = 5
 
-// Checkpoint is the content of a KindCheckpoint frame ahead of its device
-// table.
-type Checkpoint struct {
-	SavedAtUnixMillis         int64
-	ModelName, UpdaterName    string
-	Classes, Dim, Iteration   int
-	Stopped                   bool
-	TotalSamples, TotalErrors int
-	Params, UpdaterState      []float64
-	TotalLabelCounts          []int
-}
-
-// CheckpointDevice is one row of a checkpoint's device table.
-type CheckpointDevice struct {
-	ID                                      string
-	Samples, Errors, Checkins, StalenessSum int
-	LabelCounts                             []int
-}
-
 // minDeviceLen is the shortest device row: an empty id, four counters and
 // an empty list, one byte each.
 const minDeviceLen = 6
@@ -63,35 +46,36 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// AppendCheckpoint appends cp and its n device rows — row(i) is the i-th
-// in increasing ID order — as one checkpoint frame, straight into dst:
-// encoding into a reused buffer allocates nothing, and the rows need not
-// exist anywhere at once. A checkpoint DecodeCheckpoint would refuse —
-// negative iteration, rows not strictly increasing by ID, a frame over
-// MaxPayload — is an error here and leaves dst as it came: a store must
-// never replace a readable checkpoint with one recovery cannot read back.
-func AppendCheckpoint(dst []byte, cp *Checkpoint, n int, row func(i int) CheckpointDevice) ([]byte, error) {
-	if cp.Iteration < 0 {
+// AppendCheckpoint appends st, saved at savedAtUnixMillis, as one
+// checkpoint frame straight into dst: a state whose device table is rows
+// (core.Server.ExportStateInto's form) encodes into a reused buffer
+// without allocating. A state DecodeCheckpoint could not give back —
+// negative iteration, a device table SortedDevices refuses, a frame over
+// MaxPayload — is an error wrapping ErrFrame and leaves dst as it came: a
+// store must never replace a readable checkpoint with one recovery cannot
+// read back.
+func AppendCheckpoint(dst []byte, st *core.ServerState, savedAtUnixMillis int64) ([]byte, error) {
+	if st.Iteration < 0 {
 		return dst, fmt.Errorf("%w: negative checkpoint iteration", ErrFrame)
 	}
+	rows, err := st.SortedDevices()
+	if err != nil {
+		return dst, fmt.Errorf("%w: %w", ErrFrame, err)
+	}
 	start := len(dst)
-	dst = appendHeader(dst, KindCheckpoint, doneFlag(cp.Stopped), int64(cp.Iteration), -1, uint32(len(cp.Params)), uint32(n))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(cp.SavedAtUnixMillis))
-	dst = appendFloats(dst, cp.Params)
-	dst = binary.AppendUvarint(dst, uint64(len(cp.UpdaterState)))
-	dst = appendFloats(dst, cp.UpdaterState)
-	dst = appendString(appendString(dst, cp.ModelName), cp.UpdaterName)
-	dst = appendInts(dst, false, cp.Classes, cp.Dim, cp.TotalSamples, cp.TotalErrors)
-	dst = appendInts(dst, true, cp.TotalLabelCounts...)
-	for i, last := 0, ""; i < n; i++ {
-		d := row(i)
-		if i > 0 && d.ID <= last {
-			return dst[:start], fmt.Errorf("%w: checkpoint devices not strictly increasing at %q", ErrFrame, d.ID)
-		}
+	dst = appendHeader(dst, KindCheckpoint, doneFlag(st.Stopped), int64(st.Iteration), -1, uint32(len(st.Params)), uint32(len(rows)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(savedAtUnixMillis))
+	dst = appendFloats(dst, st.Params)
+	dst = binary.AppendUvarint(dst, uint64(len(st.UpdaterState)))
+	dst = appendFloats(dst, st.UpdaterState)
+	dst = appendString(appendString(dst, st.ModelName), st.UpdaterName)
+	dst = appendInts(dst, false, st.Classes, st.Dim, st.TotalSamples, st.TotalErrors)
+	dst = appendInts(dst, true, st.TotalLabelCounts...)
+	for i := range rows {
+		d := &rows[i]
 		dst = appendString(dst, d.ID)
 		dst = appendInts(dst, false, d.Samples, d.Errors, d.Checkins, d.StalenessSum)
 		dst = appendInts(dst, true, d.LabelCounts...)
-		last = d.ID
 	}
 	if size := len(dst) - start + crcLen; size > MaxPayload {
 		return dst[:start], fmt.Errorf("%w: checkpoint frame of %d bytes exceeds %d", ErrFrame, size, MaxPayload)
@@ -176,14 +160,15 @@ func (r *payloadReader) ints(slab *[]int) []int {
 	return (*slab)[lo:len(*slab):len(*slab)]
 }
 
-// DecodeCheckpoint parses and validates one checkpoint frame into its
-// head and its device table. Every failure wraps ErrFrame. The results own
-// their memory — b may be reused at once — and empty vectors and lists
-// decode as nil.
-func DecodeCheckpoint(b []byte) (*Checkpoint, []CheckpointDevice, error) {
+// DecodeCheckpoint parses and validates one checkpoint frame into the
+// state it holds, its device table as rows (DeviceRows) in frame order,
+// and the time it was saved. Every failure wraps ErrFrame. The state owns
+// its memory — b may be reused at once — and empty vectors, lists and
+// tables decode as nil.
+func DecodeCheckpoint(b []byte) (st *core.ServerState, savedAtUnixMillis int64, err error) {
 	flags, err := checkEnvelope(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	iteration, since := int64(binary.LittleEndian.Uint64(b[8:])), int64(binary.LittleEndian.Uint64(b[16:]))
 	dims, devices := int(binary.LittleEndian.Uint32(b[24:])), int(binary.LittleEndian.Uint32(b[28:]))
@@ -193,31 +178,30 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, []CheckpointDevice, error) {
 	if b[5] != KindCheckpoint || len(b) > MaxPayload || flags&^FlagDone != 0 ||
 		iteration < 0 || int64(int(iteration)) != iteration || since != -1 ||
 		len(r.b) < 8 || dims > (len(r.b)-8)/8 || devices > len(r.b)/minDeviceLen {
-		return nil, nil, fmt.Errorf("%w: not a checkpoint header (kind %d, flags %#x, iteration %d, %d bytes)",
+		return nil, 0, fmt.Errorf("%w: not a checkpoint header (kind %d, flags %#x, iteration %d, %d bytes)",
 			ErrFrame, b[5], flags, iteration, len(b))
 	}
-	cp := &Checkpoint{Iteration: int(iteration), Stopped: flags&FlagDone != 0}
-	cp.SavedAtUnixMillis = int64(binary.LittleEndian.Uint64(r.take(8)))
-	cp.Params = r.floats(dims)
-	cp.UpdaterState = r.floats(r.length(8))
-	cp.ModelName, cp.UpdaterName = r.str(), r.str()
-	cp.Classes, cp.Dim, cp.TotalSamples, cp.TotalErrors = r.varint(), r.varint(), r.varint(), r.varint()
+	st = &core.ServerState{Iteration: int(iteration), Stopped: flags&FlagDone != 0}
+	savedAtUnixMillis = int64(binary.LittleEndian.Uint64(r.take(8)))
+	st.Params = r.floats(dims)
+	st.UpdaterState = r.floats(r.length(8))
+	st.ModelName, st.UpdaterName = r.str(), r.str()
+	st.Classes, st.Dim, st.TotalSamples, st.TotalErrors = r.varint(), r.varint(), r.varint(), r.varint()
 	var slab []int
-	cp.TotalLabelCounts = r.ints(&slab)
-	var rows []CheckpointDevice
+	st.TotalLabelCounts = r.ints(&slab)
 	if devices > 0 && r.err == nil {
-		rows = make([]CheckpointDevice, devices)
+		st.DeviceRows = make([]core.DeviceRow, devices)
 		// One slab for the table when every device carries one count per
 		// class (all do, outside tests); a count is at least a byte, which
 		// bounds the guess by the bytes left.
-		slab = make([]int, 0, min(devices*len(cp.TotalLabelCounts), len(r.b)))
+		slab = make([]int, 0, min(devices*len(st.TotalLabelCounts), len(r.b)))
 	}
-	for i := range rows {
-		d := &rows[i]
+	for i := range st.DeviceRows {
+		d := &st.DeviceRows[i]
 		d.ID = r.str()
 		d.Samples, d.Errors, d.Checkins, d.StalenessSum = r.varint(), r.varint(), r.varint(), r.varint()
 		d.LabelCounts = r.ints(&slab)
-		if r.err == nil && i > 0 && d.ID <= rows[i-1].ID {
+		if r.err == nil && i > 0 && d.ID <= st.DeviceRows[i-1].ID {
 			r.err = fmt.Errorf("%w: checkpoint devices not strictly increasing at %q", ErrFrame, d.ID)
 		}
 	}
@@ -225,7 +209,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, []CheckpointDevice, error) {
 		r.err = fmt.Errorf("%w: %d bytes after the checkpoint's device table", ErrFrame, len(r.b))
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, 0, r.err
 	}
-	return cp, rows, nil
+	return st, savedAtUnixMillis, nil
 }

@@ -7,17 +7,21 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/crowdml/crowdml/internal/core"
 )
+
+// testSavedAt is when testCheckpoint's state was saved.
+const testSavedAt = 1_790_000_000_123
 
 // testCheckpoint sits on the codec's edges: -0, NaN with a payload, ±Inf,
 // negative (sanitized) counts, a multi-byte id, an empty id, a device
 // without label counts.
-func testCheckpoint() (*Checkpoint, []CheckpointDevice) {
-	cp := &Checkpoint{
-		SavedAtUnixMillis: 1_790_000_000_123,
-		ModelName:         "multiclass-logistic-regression",
-		UpdaterName:       "adagrad(eta=0.5)",
-		Classes:           3, Dim: 2,
+func testCheckpoint() *core.ServerState {
+	return &core.ServerState{
+		ModelName:   "multiclass-logistic-regression",
+		UpdaterName: "adagrad(eta=0.5)",
+		Classes:     3, Dim: 2,
 		Iteration:    41,
 		Stopped:      true,
 		TotalSamples: 1 << 40, TotalErrors: -7,
@@ -25,18 +29,13 @@ func testCheckpoint() (*Checkpoint, []CheckpointDevice) {
 			math.Inf(1), math.Inf(-1), 1e-300},
 		UpdaterState:     []float64{0.25, 0, 1, 4, 9, 16},
 		TotalLabelCounts: []int{2, -2, 1},
+		DeviceRows: []core.DeviceRow{
+			{ID: "", DeviceStats: core.DeviceStats{Samples: 1, LabelCounts: []int{0, 0, 1}}},
+			{ID: "dev-a", DeviceStats: core.DeviceStats{Samples: 3, Errors: 1, Checkins: 1, LabelCounts: []int{1, -1, 1}}},
+			{ID: "dev-b", DeviceStats: core.DeviceStats{Samples: -2, Checkins: 70000, StalenessSum: 9}},
+			{ID: "设备-c", DeviceStats: core.DeviceStats{Samples: 2, LabelCounts: []int{math.MaxInt64, math.MinInt64, 0}}},
+		},
 	}
-	return cp, []CheckpointDevice{
-		{ID: "", Samples: 1, LabelCounts: []int{0, 0, 1}},
-		{ID: "dev-a", Samples: 3, Errors: 1, Checkins: 1, LabelCounts: []int{1, -1, 1}},
-		{ID: "dev-b", Samples: -2, Checkins: 70000, StalenessSum: 9},
-		{ID: "设备-c", Samples: 2, LabelCounts: []int{math.MaxInt64, math.MinInt64, 0}},
-	}
-}
-
-// encodeCheckpoint is AppendCheckpoint over a device table held in a slice.
-func encodeCheckpoint(dst []byte, cp *Checkpoint, devices []CheckpointDevice) ([]byte, error) {
-	return AppendCheckpoint(dst, cp, len(devices), func(i int) CheckpointDevice { return devices[i] })
 }
 
 // sameBits compares two vectors by bit pattern and nil-ness: DeepEqual
@@ -53,27 +52,28 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// assertCheckpointsEqual compares two decoded (or to-be-encoded)
-// checkpoints, head and device table.
-func assertCheckpointsEqual(t *testing.T, got *Checkpoint, gotDevices []CheckpointDevice, want *Checkpoint, wantDevices []CheckpointDevice) {
+// assertCheckpointsEqual compares two decoded (or to-be-encoded) states,
+// head and device table.
+func assertCheckpointsEqual(t *testing.T, got, want *core.ServerState) {
 	t.Helper()
 	g, w := *got, *want
 	if !sameBits(g.Params, w.Params) || !sameBits(g.UpdaterState, w.UpdaterState) {
 		t.Fatalf("checkpoint vectors differ:\n got %v %v\nwant %v %v", g.Params, g.UpdaterState, w.Params, w.UpdaterState)
 	}
 	g.Params, g.UpdaterState, w.Params, w.UpdaterState = nil, nil, nil, nil
-	if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(gotDevices, wantDevices) {
-		t.Fatalf("checkpoint differs:\n got %+v %+v\nwant %+v %+v", g, gotDevices, w, wantDevices)
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("checkpoint differs:\n got %+v\nwant %+v", g, w)
 	}
 }
 
 // TestCheckpointRoundTrip: every field comes back bit for bit, the frame
-// is appended after what dst already held, and encoding into a buffer
-// with room allocates nothing — a store saves every checkpoint this way.
+// is appended after what dst already held, a state keyed by ID encodes to
+// the same bytes as its rows, and encoding into a buffer with room
+// allocates nothing — a store saves every checkpoint this way.
 func TestCheckpointRoundTrip(t *testing.T) {
-	in, inDevices := testCheckpoint()
+	in := testCheckpoint()
 	prefix := []byte("prefix")
-	b, err := encodeCheckpoint(append([]byte(nil), prefix...), in, inDevices)
+	b, err := AppendCheckpoint(append([]byte(nil), prefix...), in, testSavedAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,31 +81,44 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("AppendCheckpoint overwrote dst's contents")
 	}
 	frame := b[len(prefix):]
-	out, outDevices, err := DecodeCheckpoint(frame)
+	out, savedAt, err := DecodeCheckpoint(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertCheckpointsEqual(t, out, outDevices, in, inDevices)
+	if savedAt != testSavedAt {
+		t.Errorf("saved at %d, want %d", savedAt, testSavedAt)
+	}
+	assertCheckpointsEqual(t, out, in)
 	if _, err := Decode(frame); !errors.Is(err, ErrFrame) {
 		t.Errorf("Decode read a checkpoint frame as a Frame: %v", err)
 	}
-	for _, d := range outDevices {
+	for _, d := range out.DeviceRows {
 		if cap(d.LabelCounts) != len(d.LabelCounts) {
 			t.Errorf("device %q: label counts cap %d over len %d runs into its neighbour", d.ID, cap(d.LabelCounts), len(d.LabelCounts))
 		}
 	}
 
-	empty, err := encodeCheckpoint(nil, &Checkpoint{}, nil)
+	keyed := testCheckpoint()
+	keyed.Devices = map[string]core.DeviceStats{}
+	for _, r := range keyed.DeviceRows {
+		keyed.Devices[r.ID] = r.DeviceStats
+	}
+	keyed.DeviceRows = nil
+	if again, err := AppendCheckpoint(nil, keyed, testSavedAt); err != nil || !bytes.Equal(again, frame) {
+		t.Errorf("the state keyed by ID encodes as %d other bytes, %v", len(again), err)
+	}
+
+	empty, err := AppendCheckpoint(nil, &core.ServerState{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, devices, err := DecodeCheckpoint(empty); err != nil || devices != nil || !reflect.DeepEqual(out, &Checkpoint{}) {
-		t.Errorf("the zero checkpoint decodes as %+v %+v, %v", out, devices, err)
+	if out, savedAt, err := DecodeCheckpoint(empty); err != nil || savedAt != 0 || !reflect.DeepEqual(out, &core.ServerState{}) {
+		t.Errorf("the zero checkpoint decodes as %+v saved at %d, %v", out, savedAt, err)
 	}
 
 	buf := make([]byte, 0, len(frame))
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := encodeCheckpoint(buf[:0], in, inDevices); err != nil {
+		if _, err := AppendCheckpoint(buf[:0], in, testSavedAt); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -117,23 +130,20 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // (leaving dst alone), and the decoder refuses every damaged frame.
 func TestCheckpointRefused(t *testing.T) {
 	dst := []byte("kept")
-	for name, edit := range map[string]func(cp *Checkpoint, devices []CheckpointDevice) []CheckpointDevice{
-		"negative iteration": func(cp *Checkpoint, d []CheckpointDevice) []CheckpointDevice { cp.Iteration = -1; return d },
-		"unsorted devices":   func(cp *Checkpoint, d []CheckpointDevice) []CheckpointDevice { d[1], d[2] = d[2], d[1]; return d },
-		"duplicate device":   func(cp *Checkpoint, d []CheckpointDevice) []CheckpointDevice { d[2].ID = d[1].ID; return d },
-		"over MaxPayload": func(cp *Checkpoint, d []CheckpointDevice) []CheckpointDevice {
-			cp.Params = make([]float64, MaxPayload/8)
-			return d
-		},
+	for name, edit := range map[string]func(st *core.ServerState){
+		"negative iteration": func(st *core.ServerState) { st.Iteration = -1 },
+		"unsorted devices":   func(st *core.ServerState) { d := st.DeviceRows; d[1], d[2] = d[2], d[1] },
+		"duplicate device":   func(st *core.ServerState) { st.DeviceRows[2].ID = st.DeviceRows[1].ID },
+		"both forms":         func(st *core.ServerState) { st.Devices = map[string]core.DeviceStats{"dev-z": {}} },
+		"over MaxPayload":    func(st *core.ServerState) { st.Params = make([]float64, MaxPayload/8) },
 	} {
-		cp, devices := testCheckpoint()
-		devices = edit(cp, devices)
-		if out, err := encodeCheckpoint(dst, cp, devices); !errors.Is(err, ErrFrame) || string(out) != "kept" {
+		st := testCheckpoint()
+		edit(st)
+		if out, err := AppendCheckpoint(dst, st, testSavedAt); !errors.Is(err, ErrFrame) || string(out) != "kept" {
 			t.Errorf("%s: AppendCheckpoint = %d bytes, %v; want dst back and ErrFrame", name, len(out), err)
 		}
 	}
-	cp, devices := testCheckpoint()
-	frame, err := encodeCheckpoint(nil, cp, devices)
+	frame, err := AppendCheckpoint(nil, testCheckpoint(), testSavedAt)
 	if err != nil {
 		t.Fatal(err)
 	}

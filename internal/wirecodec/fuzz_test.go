@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/crowdml/crowdml/internal/core"
 )
 
 // FuzzDecodeFrame throws arbitrary bytes at Decode. The invariants: no
@@ -128,10 +130,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// checkpointFromBytes reads fuzz input as a checkpoint: a few control
+// checkpointFromBytes reads fuzz input as a saved state: a few control
 // bytes, then 8-byte words that become floats (any bit pattern, so ±0,
 // NaN payloads and infinities all occur) and counters of either sign.
-func checkpointFromBytes(b []byte) (*Checkpoint, []CheckpointDevice) {
+func checkpointFromBytes(b []byte) (st *core.ServerState, savedAtUnixMillis int64) {
 	next := func() uint64 {
 		var w [8]byte
 		n := copy(w[:], b)
@@ -153,75 +155,81 @@ func checkpointFromBytes(b []byte) (*Checkpoint, []CheckpointDevice) {
 		return out
 	}
 	ctl := next()
-	cp := &Checkpoint{
-		SavedAtUnixMillis: int64(next()),
-		ModelName:         string(b[:min(int(ctl>>8&7), len(b))]),
-		UpdaterName:       string(b[:min(int(ctl>>11&7), len(b))]),
-		Iteration:         int(next() >> 1),
-		Stopped:           ctl&1 != 0,
-		Classes:           int(int64(next())),
-		Dim:               int(int64(next())),
-		TotalSamples:      int(int64(next())),
-		TotalErrors:       int(int64(next())),
+	savedAtUnixMillis = int64(next())
+	st = &core.ServerState{
+		ModelName:    string(b[:min(int(ctl>>8&7), len(b))]),
+		UpdaterName:  string(b[:min(int(ctl>>11&7), len(b))]),
+		Iteration:    int(next() >> 1),
+		Stopped:      ctl&1 != 0,
+		Classes:      int(int64(next())),
+		Dim:          int(int64(next())),
+		TotalSamples: int(int64(next())),
+		TotalErrors:  int(int64(next())),
 	}
-	cp.Params = floats(ctl >> 16 & 15)
-	cp.UpdaterState = floats(ctl >> 20 & 15)
-	cp.TotalLabelCounts = ints(ctl >> 24 & 7)
-	var devices []CheckpointDevice
+	st.Params = floats(ctl >> 16 & 15)
+	st.UpdaterState = floats(ctl >> 20 & 15)
+	st.TotalLabelCounts = ints(ctl >> 24 & 7)
 	for i := uint64(0); i < ctl>>28&7 && len(b) > 0; i++ {
-		devices = append(devices, CheckpointDevice{
+		st.DeviceRows = append(st.DeviceRows, core.DeviceRow{
 			// Strictly increasing by construction: the index leads the id.
-			ID:      string(rune('a'+i)) + string(b[:min(int(next()&7), len(b))]),
-			Samples: int(int64(next())), Errors: int(int64(next())),
-			Checkins: int(int64(next())), StalenessSum: int(int64(next())),
-			LabelCounts: ints(ctl >> 24 & 7),
+			ID: string(rune('a'+i)) + string(b[:min(int(next()&7), len(b))]),
+			DeviceStats: core.DeviceStats{
+				Samples: int(int64(next())), Errors: int(int64(next())),
+				Checkins: int(int64(next())), StalenessSum: int(int64(next())),
+				LabelCounts: ints(ctl >> 24 & 7),
+			},
 		})
 	}
-	return cp, devices
+	return st, savedAtUnixMillis
 }
 
 // FuzzDecodeCheckpoint reads its input twice. As a frame: DecodeCheckpoint
 // never panics, and whatever it accepts the encoder accepts and reproduces
-// (decode → encode → decode is the identity). As the content of a
-// checkpoint: encode → decode is the identity bit for bit, and the frame
-// cut short anywhere or with any one bit flipped is refused.
+// (decode → encode → decode is the identity). As a saved state: encode →
+// decode is the identity bit for bit, and the frame cut short anywhere or
+// with any one bit flipped is refused.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	cp, devices := testCheckpoint()
-	seed, err := encodeCheckpoint(nil, cp, devices)
+	seed, err := AppendCheckpoint(nil, testCheckpoint(), testSavedAt)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	empty, _ := encodeCheckpoint(nil, &Checkpoint{}, nil)
+	empty, _ := AppendCheckpoint(nil, &core.ServerState{}, 0)
 	f.Add(empty)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte(`{"savedAtUnixMillis":1,"state":{}}`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if cp, devices, err := DecodeCheckpoint(b); err == nil {
-			again, err := encodeCheckpoint(nil, cp, devices)
+		if st, savedAt, err := DecodeCheckpoint(b); err == nil {
+			again, err := AppendCheckpoint(nil, st, savedAt)
 			if err != nil {
 				t.Fatalf("AppendCheckpoint rejected a decoded checkpoint: %v", err)
 			}
-			back, backDevices, err := DecodeCheckpoint(again)
+			back, backSavedAt, err := DecodeCheckpoint(again)
 			if err != nil {
 				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 			}
-			assertCheckpointsEqual(t, back, backDevices, cp, devices)
+			if backSavedAt != savedAt {
+				t.Fatalf("re-encoded checkpoint saved at %d, was %d", backSavedAt, savedAt)
+			}
+			assertCheckpointsEqual(t, back, st)
 		} else if !errors.Is(err, ErrFrame) {
 			t.Fatalf("DecodeCheckpoint failed outside ErrFrame: %v", err)
 		}
 
-		in, inDevices := checkpointFromBytes(b)
-		frame, err := encodeCheckpoint(nil, in, inDevices)
+		in, inSavedAt := checkpointFromBytes(b)
+		frame, err := AppendCheckpoint(nil, in, inSavedAt)
 		if err != nil {
-			t.Fatalf("AppendCheckpoint(%+v, %+v): %v", in, inDevices, err)
+			t.Fatalf("AppendCheckpoint(%+v): %v", in, err)
 		}
-		out, outDevices, err := DecodeCheckpoint(frame)
+		out, outSavedAt, err := DecodeCheckpoint(frame)
 		if err != nil {
 			t.Fatalf("DecodeCheckpoint of the encoder's own frame: %v", err)
 		}
-		assertCheckpointsEqual(t, out, outDevices, in, inDevices)
+		if outSavedAt != inSavedAt {
+			t.Fatalf("saved at %d decodes as %d", inSavedAt, outSavedAt)
+		}
+		assertCheckpointsEqual(t, out, in)
 		pos := len(b) * 7919 // any position, decided by the input
 		if _, _, err := DecodeCheckpoint(frame[:pos%len(frame)]); !errors.Is(err, ErrFrame) {
 			t.Fatalf("frame cut to %d of %d bytes: %v", pos%len(frame), len(frame), err)

@@ -50,9 +50,11 @@
 // and the trailer but carries varint counters, so it is read whole by
 // DecodeCheckpoint rather than sized from its header.
 //
-// The package is dependency-free (stdlib only) and allocation-aware:
-// encoders append to caller-supplied buffers, so a pooled []byte makes
-// encoding zero-allocation on the hot path.
+// Of this module the package imports internal/core alone, whose
+// ServerState is what a checkpoint frame holds: there is no mirror of it
+// here. It is allocation-aware: encoders append to caller-supplied
+// buffers, so a pooled []byte makes encoding zero-allocation on the hot
+// path.
 package wirecodec
 
 import (
