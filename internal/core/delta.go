@@ -6,11 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultDeltaHistory is how many recently published snapshots a server's
-// SnapshotRing retains to answer delta checkouts (and any ring asked for
-// fewer than one, such as a shard group's). The cost is retained memory
-// (history × vector); publishing copies into a vector the ring has
-// retired, so steady state allocates nothing. A base older than the ring
+// DefaultDeltaHistory is how many recent publications a server's
+// SnapshotRing can answer a delta checkout against (and any ring asked
+// for fewer than one, such as a shard group's): the ceiling on the
+// vectors it retains. It keeps only the bases its clients ask for (see
+// SnapshotRing), so the cost is retained memory (up to history ×
+// vector); publishing copies into a vector the ring has retired, so
+// steady state allocates nothing. A base older than history publications
 // falls back to a full checkout.
 const DefaultDeltaHistory = 16
 
@@ -97,24 +99,39 @@ func (s *snapshot) unpin() {
 }
 
 // SnapshotRing publishes parameter snapshots and owns their memory: the
-// current one, the last few retained so a delta checkout can be derived
-// against the iteration a client says it holds, and a short free list of
-// retired vectors the next publication is copied into. A plain task's
-// Server and a sharded task's shard.Group each publish through one.
-// Readers pin the current snapshot lock-free; the mutex (a leaf:
-// publishers take it after their own publication lock, readers alone)
-// covers the retained bases and the free list. Publish once before the
-// first read.
+// current one, the recent ones its clients ask for as delta bases, and a
+// short free list of retired vectors the next publication is copied
+// into. A plain task's Server and a sharded task's shard.Group each
+// publish through one. Readers pin the current snapshot lock-free; the
+// mutex (a leaf: publishers take it after their own publication lock,
+// readers alone) covers the retained bases and the free list. Publish
+// once before the first read.
+//
+// The ring remembers the versions of its last history publications but
+// keeps the vectors of only the keep most recent bases. A base's depth
+// is counted in publications, so a batch that jumps the version is one.
+// keep starts at history−1; at the end of every history publications it
+// becomes the deepest base any checkout named in them (a current poll is
+// depth 0), and a window in which none was named leaves it alone. A miss
+// on a base the ring published within history but no longer kept raises
+// keep to that depth at once, so the next such ask finds it.
 type SnapshotRing struct {
 	cur atomic.Pointer[snapshot]
 	// version is cur's, for reads that need no parameters and so take no
 	// pin. Stored after cur: whoever sees version v can pin v or newer.
 	version atomic.Int64
+	// deepest is the deepest base, in publications, a checkout named in
+	// the current window; -1 until one does. A current poll raises it to 0
+	// without the mutex, deeper asks under it.
+	deepest atomic.Int64
 
-	mu      sync.Mutex
-	history int
-	entries []*snapshot // ascending versions, the tail is cur; one pin each
-	free    []*snapshot // retired, pins == 0; at most maxSpareSnapshots
+	mu       sync.Mutex
+	history  int
+	versions []int       // the last history publications' versions, ascending; the tail is cur's
+	entries  []*snapshot // the last keep+1 publications, the tail is cur; one pin each
+	keep     int         // bases retained beside cur: 0 ≤ keep < history
+	window   int         // publications since the window began
+	free     []*snapshot // retired, pins == 0; at most maxSpareSnapshots
 
 	m *RingMetrics
 	// beforePin, when a test sets it, runs between loading cur and
@@ -122,9 +139,9 @@ type SnapshotRing struct {
 	beforePin func()
 }
 
-// NewSnapshotRing returns a ring retaining history snapshots
-// (DefaultDeltaHistory when history < 1), counting into metrics (nil:
-// off).
+// NewSnapshotRing returns a ring answering deltas against its last
+// history publications (DefaultDeltaHistory when history < 1), counting
+// into metrics (nil: off).
 func NewSnapshotRing(history int, metrics *RingMetrics) *SnapshotRing {
 	if history < 1 {
 		history = DefaultDeltaHistory
@@ -132,7 +149,10 @@ func NewSnapshotRing(history int, metrics *RingMetrics) *SnapshotRing {
 	if metrics == nil {
 		metrics = NewRingMetrics(nil, "")
 	}
-	return &SnapshotRing{history: history, free: make([]*snapshot, 0, maxSpareSnapshots), m: metrics}
+	r := &SnapshotRing{history: history, keep: history - 1,
+		versions: make([]int, 0, history), free: make([]*snapshot, 0, maxSpareSnapshots), m: metrics}
+	r.deepest.Store(-1)
+	return r
 }
 
 // Publish makes a vector of n parameters, written by fill, the current
@@ -180,11 +200,44 @@ func (r *SnapshotRing) Publish(version, n int, fill func(dst []float64) error) e
 		r.dropLocked(k-1, k)
 	case k > 0 && r.entries[k-1].version > version:
 		r.dropLocked(0, k)
-	case k == r.history:
-		r.dropLocked(0, 1)
+		r.versions = r.versions[:0]
+		r.countLocked(version)
+	default:
+		r.countLocked(version)
 	}
 	r.entries = append(r.entries, s)
+	if excess := len(r.entries) - r.keep - 1; excess > 0 {
+		r.dropLocked(0, excess)
+	}
+	r.m.bases.Set(float64(len(r.entries) - 1))
 	return nil
+}
+
+// countLocked records a new publication's version and, at the end of a
+// window, sets keep to the deepest base named in it, if any was.
+func (r *SnapshotRing) countLocked(version int) {
+	if len(r.versions) == r.history {
+		r.versions = r.versions[:copy(r.versions, r.versions[1:])]
+	}
+	r.versions = append(r.versions, version)
+	if r.window++; r.window == r.history {
+		r.window = 0
+		if d := r.deepest.Swap(-1); d >= 0 {
+			r.keep = int(d)
+		}
+	}
+}
+
+// depthLocked returns how many publications ago version was published,
+// or -1 when it is not one of the last history publications.
+func (r *SnapshotRing) depthLocked(version int) int {
+	last := len(r.versions) - 1
+	for i := last; i >= 0 && r.versions[i] >= version; i-- {
+		if r.versions[i] == version {
+			return last - i
+		}
+	}
+	return -1
 }
 
 // PublishCopy publishes a copy of params at version.
@@ -229,6 +282,10 @@ func (r *SnapshotRing) Reset() {
 	if k := len(r.entries); k > 1 {
 		r.dropLocked(0, k-1)
 	}
+	if k := len(r.versions); k > 1 {
+		r.versions = r.versions[:copy(r.versions, r.versions[k-1:])]
+	}
+	r.m.bases.Set(float64(len(r.entries) - 1))
 	r.mu.Unlock()
 }
 
@@ -264,7 +321,8 @@ func (r *SnapshotRing) View() ParamView {
 // change set is the wire layer's, into its own scratch. since < 0 asks
 // for the full vector; a base ahead of the current version, a base the
 // ring no longer (or never) held, and a base of another length all
-// degrade to the full fallback (Since = -1), never an error.
+// degrade to the full fallback (Since = -1), never an error. Every base
+// named counts toward the depth the ring keeps.
 func (r *SnapshotRing) Delta(since int, done bool) ParamDelta {
 	cur := r.pinCurrent()
 	d := ParamDelta{Version: cur.version, Done: done, Params: cur.params, Since: -1, cur: cur}
@@ -275,13 +333,23 @@ func (r *SnapshotRing) Delta(since int, done bool) ParamDelta {
 	switch {
 	case since == cur.version:
 		d.Since, outcome = since, deltaCurrent
+		if r.deepest.Load() < 0 {
+			r.deepest.CompareAndSwap(-1, 0)
+		}
 	case since < cur.version:
 		r.mu.Lock()
-		for i := len(r.entries) - 1; i >= 0 && r.entries[i].version >= since; i-- {
-			if e := r.entries[i]; e.version == since && len(e.params) == len(cur.params) {
-				e.pins.Add(1) // cannot be retired: the ring's pin is held under mu
-				d.Since, d.Base, d.base, outcome = since, e.params, e, deltaServed
-				break
+		if depth := r.depthLocked(since); depth >= 0 {
+			if int64(depth) > r.deepest.Load() {
+				r.deepest.Store(int64(depth))
+			}
+			if k := len(r.entries) - 1 - depth; k >= 0 {
+				if e := r.entries[k]; e.version == since && len(e.params) == len(cur.params) {
+					e.pins.Add(1) // cannot be retired: the ring's pin is held under mu
+					d.Since, d.Base, d.base, outcome = since, e.params, e, deltaServed
+				}
+			} else {
+				r.keep = max(r.keep, depth)
+				r.m.unkept.Inc()
 			}
 		}
 		r.mu.Unlock()

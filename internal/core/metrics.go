@@ -84,7 +84,7 @@ var stalenessBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 //	crowdml_checkins_rejected_total        counter    + reason: auth | bad_request | stopped | aborted
 //	crowdml_checkin_batch_size             histogram  deltas applied per parameter-lock acquisition
 //
-// plus the snapshot ring's two families (see RingMetrics).
+// plus the snapshot ring's four families (see RingMetrics).
 type ServerMetrics struct {
 	checkouts       *telemetry.Counter
 	checkoutSeconds *telemetry.Histogram
@@ -184,16 +184,23 @@ func (s *Server) CheckinBodies() *telemetry.Stages { return s.cfg.Metrics.checki
 // and their delta checkouts answered. A disabled bundle holds nil
 // handles.
 //
-//	crowdml_snapshots_published_total  counter  + source: recycled | allocated
-//	crowdml_checkout_delta_total       counter  + outcome: current | delta | full_fallback
+//	crowdml_snapshots_published_total        counter  + source: recycled | allocated
+//	crowdml_checkout_delta_total             counter  + outcome: current | delta | full_fallback
+//	crowdml_checkout_delta_unkept_total      counter  full fallbacks on a base the ring dropped
+//	crowdml_delta_ring_bases                 gauge    bases retained beside the current snapshot
 //
 // After warm-up source="allocated" stands still unless readers keep
 // snapshots pinned past their eviction. The second family counts
 // checkouts that named a base (?since=N): current is the empty delta,
-// full_fallback a base the ring no longer held or never issued.
+// full_fallback a base the ring no longer held or never issued. The
+// third counts the full fallbacks on a base published within the ring's
+// history whose vector it had stopped keeping because no client asked
+// that deep; each one makes it keep that deep again.
 type RingMetrics struct {
 	recycled, allocated *telemetry.Counter
 	outcomes            [3]*telemetry.Counter
+	unkept              *telemetry.Counter
+	bases               *telemetry.Gauge
 }
 
 // The outcomes of a checkout that named a base, indexing
@@ -222,6 +229,10 @@ func NewRingMetrics(reg *telemetry.Registry, task string) *RingMetrics {
 		recycled:  published("recycled"),
 		allocated: published("allocated"),
 		outcomes:  [3]*telemetry.Counter{outcome("current"), outcome("delta"), outcome("full_fallback")},
+		unkept: reg.Counter("crowdml_checkout_delta_unkept_total",
+			"Checkouts that named a recently published base the snapshot ring no longer kept.", t),
+		bases: reg.Gauge("crowdml_delta_ring_bases",
+			"Delta bases the snapshot ring retains beside the current snapshot.", t),
 	}
 }
 

@@ -47,6 +47,12 @@ const (
 // noCounters is a credential's slot before the device has a counter to keep.
 const noCounters = -1
 
+// slabPageInts sizes a page of the counter slab: 8 KiB, one of the
+// allocator's size classes, holding as many whole counter rows as fit
+// (at least one). A page is allocated when the first of its rows is
+// handed out and never moves, so growing the slab copies no counter.
+const slabPageInts = 1024
+
 // credential is one enrolled device: its ID, its token as the bytes the
 // 22 characters encode, and where its counters are. A credential created by
 // a restore or a replay is not provisioned: it never authenticates, and
@@ -66,9 +72,10 @@ type credential struct {
 //   - byID, the row numbers sorted by ID: binary search finds a device,
 //     and a walk yields the devices in the checkpoint frame's order.
 //   - slab, the Algorithm 2 counters of every device that has one, C +
-//     slabCols ints per device (see the col constants). A device gets its
-//     slab row with its first counter (a checkin, a replayed record or a
-//     non-zero imported row); until then it costs only its credential.
+//     slabCols ints per device (see the col constants), in pages of
+//     perPage rows. A device gets its slab row with its first
+//     counter (a checkin, a replayed record or a non-zero imported row);
+//     until then it costs only its credential.
 //
 // mu guards rows, byID and every token: authentication takes its read
 // lock, enrolment and token rotation its write lock. The slab is guarded
@@ -84,11 +91,13 @@ type deviceRegistry struct {
 	rows []credential
 	byID []int32
 
-	slab []int // guarded by Server.wMu
+	slab    [][]int // pages of perPage rows; guarded by Server.wMu
+	slots   int32   // slab rows handed out
+	perPage int32
 }
 
 func newDeviceRegistry(classes int) *deviceRegistry {
-	return &deviceRegistry{classes: classes}
+	return &deviceRegistry{classes: classes, perPage: int32(max(1, slabPageInts/(slabCols+classes)))}
 }
 
 // find returns the row of deviceID. Caller holds mu.
@@ -163,18 +172,26 @@ func (r *deviceRegistry) counters(deviceID string) []int {
 	return r.countersOf(r.rowLocked(deviceID))
 }
 
-// countersOf returns row's slab row, appending one of zeros if it has
-// none. Caller holds wMu and mu (read or write).
+// countersOf returns row's slab row, handing it the next one of zeros if
+// it has none. Caller holds wMu and mu (read or write).
 func (r *deviceRegistry) countersOf(row int32) []int {
-	width := slabCols + r.classes
 	slot := r.rows[row].slot
 	if slot == noCounters {
-		slot = int32(len(r.slab) / width)
-		r.slab = append(r.slab, make([]int, width)...)
+		slot = r.slots
+		if slot%r.perPage == 0 {
+			r.slab = append(r.slab, make([]int, int(r.perPage)*(slabCols+r.classes)))
+		}
+		r.slots++
 		r.rows[row].slot = slot
 	}
-	lo := int(slot) * width
-	return r.slab[lo : lo+width : lo+width]
+	return r.slabRow(slot)
+}
+
+// slabRow returns the counter row at slot. Caller holds wMu.
+func (r *deviceRegistry) slabRow(slot int32) []int {
+	width := slabCols + r.classes
+	lo := int(slot%r.perPage) * width
+	return r.slab[slot/r.perPage][lo : lo+width : lo+width]
 }
 
 // recordCheckin folds one applied checkin into a device's counters — the
@@ -238,7 +255,6 @@ func (r *deviceRegistry) exportRows(rows []DeviceRow, slab []int) ([]DeviceRow, 
 	if cap(slab) < n*r.classes {
 		slab = make([]int, 0, n*r.classes)
 	}
-	width := slabCols + r.classes
 	for _, row := range r.byID {
 		cred := &r.rows[row]
 		d := DeviceRow{ID: cred.id}
@@ -247,7 +263,7 @@ func (r *deviceRegistry) exportRows(rows []DeviceRow, slab []int) ([]DeviceRow, 
 			slab = slab[:lo+r.classes] // capacity checked above
 			clear(slab[lo:])
 		} else {
-			c := r.slab[int(cred.slot)*width:][:width]
+			c := r.slabRow(cred.slot)
 			d.Samples, d.Errors = c[colSamples], c[colErrors]
 			d.Checkins, d.StalenessSum = c[colCheckins], c[colStaleness]
 			slab = append(slab, c[slabCols:]...)

@@ -232,6 +232,45 @@ func TestRegistryBytesPerDevice(t *testing.T) {
 	}
 }
 
+// TestCounterSlabAllocatesEachCounterOnce: 2,000 devices' first checkins
+// at 10 classes allocate their counter rows once — whole pages that never
+// move — and at most a tenth more than the rows themselves. A slab grown
+// by append copied every row at each growth: about twice the rows.
+func TestCounterSlabAllocatesEachCounterOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const devices, classes = 2000, 10
+	r := newDeviceRegistry(classes)
+	ids := make([]string, devices)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("dev-%05d", i)
+		r.register(ids[i], [tokenBytes]byte{})
+	}
+	req := &CheckinRequest{NumSamples: 1, LabelCounts: make([]int, classes)}
+	req.LabelCounts[3] = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		r.recordCheckin(id, req, 0)
+	}
+	runtime.ReadMemStats(&after)
+	rows := devices * (slabCols + classes) * 8
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d first checkins allocated %d B for %d B of counters", devices, got, rows)
+	if float64(got) > 1.1*float64(rows) {
+		t.Errorf("%d first checkins allocated %d B, want at most 1.1 × the %d B of counters", devices, got, rows)
+	}
+	st := &ServerState{}
+	st.DeviceRows, _ = r.exportRows(nil, nil)
+	for i, d := range st.DeviceRows {
+		if d.Checkins != 1 || d.Samples != 1 || d.LabelCounts[3] != 1 {
+			t.Fatalf("device %d exported %+v, want one checkin of one sample of class 3", i, d.DeviceStats)
+		}
+	}
+}
+
 // TestRegistryShuffled100k enrols 100,000 devices in shuffled order, one
 // in twenty of them checking in once, and reports what a device costs at
 // that size, how long its enrolment took, and how long a warm export of

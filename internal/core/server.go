@@ -151,10 +151,10 @@ type Server struct {
 
 	devices *deviceRegistry
 
-	// ring publishes the checkout snapshot and retains the last
-	// DefaultDeltaHistory of them so ParamDelta can name a client's base
-	// iteration. publishSnapshotLocked publishes into it; ImportState
-	// resets it.
+	// ring publishes the checkout snapshot and retains as many of the
+	// last DefaultDeltaHistory as clients ask for, so ParamDelta can name
+	// a client's base iteration. publishSnapshotLocked publishes into it;
+	// ImportState resets it.
 	ring *SnapshotRing
 
 	// queue and leaderSem implement the batched applier: pending checkins

@@ -153,7 +153,17 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
 	defer image.Close()
-	return DecodeCheckpoint(io.NewSectionReader(image, 0, size))
+	// The size is known, so the frame is read once into a buffer of
+	// exactly its length, and a file longer than any frame is refused
+	// before a byte of it is held.
+	if size > wirecodec.MaxPayload {
+		return nil, errCheckpointTooLong
+	}
+	frame := make([]byte, size)
+	if n, err := image.ReadAt(frame, 0); n < len(frame) {
+		return nil, fmt.Errorf("store: read checkpoint: %w", err)
+	}
+	return decodeCheckpointFrame(frame)
 }
 
 // Segments returns the journal's segments, oldest first, with their

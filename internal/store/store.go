@@ -111,8 +111,16 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
 	if len(payload) > wirecodec.MaxPayload {
-		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
+		return nil, errCheckpointTooLong
 	}
+	return decodeCheckpointFrame(payload)
+}
+
+// errCheckpointTooLong refuses a checkpoint longer than any frame.
+var errCheckpointTooLong = fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
+
+// decodeCheckpointFrame decodes one whole checkpoint frame.
+func decodeCheckpointFrame(payload []byte) (*Checkpoint, error) {
 	st, savedAt, err := wirecodec.DecodeCheckpoint(payload)
 	if err != nil {
 		return nil, fmt.Errorf("store: decode checkpoint: %w", err)

@@ -260,22 +260,8 @@ func TestDecodeCheckpointBytesPerDevice(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted too")
 	}
-	const devices, classes, dim = 2000, 10, 50
-	st := &core.ServerState{
-		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
-		Params:           make([]float64, classes*dim),
-		TotalLabelCounts: make([]int, classes),
-		DeviceRows:       make([]core.DeviceRow, devices),
-	}
-	for i := range st.DeviceRows {
-		counts := make([]int, classes)
-		for k := range counts {
-			counts[k] = i%7 + k
-		}
-		st.DeviceRows[i] = core.DeviceRow{ID: fmt.Sprintf("dev-%05d", i), DeviceStats: core.DeviceStats{
-			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
-		}}
-	}
+	const devices = 2000
+	st := crowdState(devices)
 	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: st})
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +279,81 @@ func TestDecodeCheckpointBytesPerDevice(t *testing.T) {
 	t.Logf("%.0f bytes per device, %.0f of them reading the %d-byte frame", total, read, len(frame))
 	if total-read > 200 {
 		t.Errorf("decoding a checkpoint allocates %.0f bytes per device beyond the read, want at most 200", total-read)
+	}
+}
+
+// crowdState returns the state of a logreg 10×50 task with devices
+// devices, every one of them with counters: the end-to-end benchmark's
+// crowd at 2,000.
+func crowdState(devices int) *core.ServerState {
+	const classes, dim = 10, 50
+	st := &core.ServerState{
+		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
+		Params:           make([]float64, classes*dim),
+		TotalLabelCounts: make([]int, classes),
+		DeviceRows:       make([]core.DeviceRow, devices),
+	}
+	for i := range st.DeviceRows {
+		counts := make([]int, classes)
+		for k := range counts {
+			counts[k] = i%7 + k
+		}
+		st.DeviceRows[i] = core.DeviceRow{ID: fmt.Sprintf("dev-%05d", i), DeviceStats: core.DeviceStats{
+			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
+		}}
+	}
+	return st
+}
+
+// TestLoadReadsTheFrameOnce: Load knows the checkpoint's size, so on
+// either backend it reads the 2,000-device × 10-class frame into one
+// buffer of exactly that size and decodes it there — the frame plus at
+// most 200 B per device in all, where io.ReadAll's growth steps cost
+// about 4.5 frames — and a file longer than any frame is refused with
+// ErrFrame before its bytes are held.
+func TestLoadReadsTheFrameOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const devices = 2000
+	st := crowdState(devices)
+	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Store{"FileStore": fs, "MemStore": NewMemStore()} {
+		if err := s.Save(ctx, st, time.UnixMilli(1)); err != nil {
+			t.Fatal(err)
+		}
+		got := bytesPerRun(10, func() {
+			if cp, err := s.Load(ctx); err != nil || len(cp.State.DeviceRows) != devices {
+				t.Fatalf("%s: Load: %v", name, err)
+			}
+		})
+		limit := float64(len(frame) + 200*devices)
+		t.Logf("%s: a Load allocates %.0f B for a %d-byte frame", name, got, len(frame))
+		if got > limit {
+			t.Errorf("%s: a Load allocates %.0f B, want at most the %d-byte frame plus 200 B per device (%.0f)", name, got, len(frame), limit)
+		}
+	}
+
+	// A sparse file one byte longer than a frame may be: no disk, and no
+	// 64 MiB buffer either.
+	if err := os.Truncate(filepath.Join(dir, checkpointName), wirecodec.MaxPayload+1); err != nil {
+		t.Fatal(err)
+	}
+	var loadErr error
+	got := bytesPerRun(1, func() { _, loadErr = fs.Load(ctx) })
+	if !errors.Is(loadErr, wirecodec.ErrFrame) {
+		t.Errorf("Load of a %d-byte file: %v, want ErrFrame", wirecodec.MaxPayload+1, loadErr)
+	}
+	if got > 64<<10 {
+		t.Errorf("refusing a %d-byte file allocated %.0f B", wirecodec.MaxPayload+1, got)
 	}
 }
 

@@ -167,6 +167,8 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		`crowdml_checkout_delta_total{task="activity",outcome="current"}`,
 		`crowdml_checkout_delta_total{task="activity",outcome="delta"}`,
 		`crowdml_checkout_delta_total{task="activity",outcome="full_fallback"}`,
+		`crowdml_checkout_delta_unkept_total{task="activity"}`,
+		`crowdml_delta_ring_bases{task="activity"}`,
 		// hub durability
 		"crowdml_journal_appends_total",
 		"crowdml_journal_rotations_total",
@@ -186,6 +188,8 @@ func TestFollowerMetricsExposition(t *testing.T) {
 		"crowdml_replica_lag_iterations",
 		"crowdml_checkouts_total",
 		"crowdml_snapshots_published_total", // Replay publishes through the same ring
+		`crowdml_delta_ring_bases{task="activity"}`,
+		`crowdml_checkout_delta_unkept_total{task="activity"}`,
 		"crowdml_http_requests_total",
 		`crowdml_checkout_stage_seconds_count{task="activity",stage="auth"}`,
 		`crowdml_checkout_stage_seconds_count{task="activity",stage="view"}`,
