@@ -210,7 +210,7 @@ func benchCheckinFullPath(b *testing.B, dim, warm int) {
 // every applied batch, every replayed tail and every shard merge pays.
 func BenchmarkPublishSnapshot(b *testing.B) {
 	w := make([]float64, 20000)
-	ring := core.NewSnapshotRing(0, nil)
+	ring := core.NewSnapshotRing(nil)
 	b.ReportAllocs()
 	for i := -(core.DefaultDeltaHistory + 2); i < b.N; i++ {
 		if i == 0 {

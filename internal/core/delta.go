@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultDeltaHistory is how many recent publications a server's
-// SnapshotRing can answer a delta checkout against (and any ring asked
-// for fewer than one, such as a shard group's): the ceiling on the
-// vectors it retains. It keeps only the bases its clients ask for (see
-// SnapshotRing), so the cost is retained memory (up to history ×
-// vector); publishing copies into a vector the ring has retired, so
-// steady state allocates nothing. A base older than history publications
-// falls back to a full checkout.
+// DefaultDeltaHistory is how many recent publications a SnapshotRing
+// (a server's, or a shard group's) can answer a delta checkout against:
+// the ceiling on the vectors it retains. It keeps only the bases its
+// clients ask for (see SnapshotRing), so the cost is retained memory (up
+// to history × vector); publishing copies into a vector the ring has
+// retired, so steady state allocates nothing. A base older than history
+// publications falls back to a full checkout.
 const DefaultDeltaHistory = 16
 
 // maxSpareSnapshots bounds the ring's free list. One spare is what a
@@ -107,14 +106,15 @@ func (s *snapshot) unpin() {
 // readers alone) covers the retained bases and the free list. Publish
 // once before the first read.
 //
-// The ring remembers the versions of its last history publications but
-// keeps the vectors of only the keep most recent bases. A base's depth
-// is counted in publications, so a batch that jumps the version is one.
-// keep starts at history−1; at the end of every history publications it
-// becomes the deepest base any checkout named in them (a current poll is
-// depth 0), and a window in which none was named leaves it alone. A miss
-// on a base the ring published within history but no longer kept raises
-// keep to that depth at once, so the next such ask finds it.
+// The ring remembers the versions of its last DefaultDeltaHistory
+// publications (its history) but keeps the vectors of only the keep most
+// recent bases. A base's depth is counted in publications, so a batch
+// that jumps the version is one. keep starts at history−1; at the end of
+// every history publications it becomes the deepest base any checkout
+// named in them (a current poll is depth 0), and a window in which none
+// was named leaves it alone. A miss on a base the ring published within
+// history but no longer kept raises keep to that depth at once, so the
+// next such ask finds it.
 type SnapshotRing struct {
 	cur atomic.Pointer[snapshot]
 	// version is cur's, for reads that need no parameters and so take no
@@ -126,7 +126,6 @@ type SnapshotRing struct {
 	deepest atomic.Int64
 
 	mu       sync.Mutex
-	history  int
 	versions []int       // the last history publications' versions, ascending; the tail is cur's
 	entries  []*snapshot // the last keep+1 publications, the tail is cur; one pin each
 	keep     int         // bases retained beside cur: 0 ≤ keep < history
@@ -140,17 +139,13 @@ type SnapshotRing struct {
 }
 
 // NewSnapshotRing returns a ring answering deltas against its last
-// history publications (DefaultDeltaHistory when history < 1), counting
-// into metrics (nil: off).
-func NewSnapshotRing(history int, metrics *RingMetrics) *SnapshotRing {
-	if history < 1 {
-		history = DefaultDeltaHistory
-	}
+// DefaultDeltaHistory publications, counting into metrics (nil: off).
+func NewSnapshotRing(metrics *RingMetrics) *SnapshotRing {
 	if metrics == nil {
 		metrics = NewRingMetrics(nil, "")
 	}
-	r := &SnapshotRing{history: history, keep: history - 1,
-		versions: make([]int, 0, history), free: make([]*snapshot, 0, maxSpareSnapshots), m: metrics}
+	r := &SnapshotRing{keep: DefaultDeltaHistory - 1,
+		versions: make([]int, 0, DefaultDeltaHistory), free: make([]*snapshot, 0, maxSpareSnapshots), m: metrics}
 	r.deepest.Store(-1)
 	return r
 }
@@ -216,11 +211,11 @@ func (r *SnapshotRing) Publish(version, n int, fill func(dst []float64) error) e
 // countLocked records a new publication's version and, at the end of a
 // window, sets keep to the deepest base named in it, if any was.
 func (r *SnapshotRing) countLocked(version int) {
-	if len(r.versions) == r.history {
+	if len(r.versions) == DefaultDeltaHistory {
 		r.versions = r.versions[:copy(r.versions, r.versions[1:])]
 	}
 	r.versions = append(r.versions, version)
-	if r.window++; r.window == r.history {
+	if r.window++; r.window == DefaultDeltaHistory {
 		r.window = 0
 		if d := r.deepest.Swap(-1); d >= 0 {
 			r.keep = int(d)

@@ -71,15 +71,15 @@ func TestParamDeltaRingHit(t *testing.T) {
 }
 
 func TestParamDeltaFallbacks(t *testing.T) {
-	s := newTestServer(t, ServerConfig{}).retainHistory(2)
+	s := newTestServer(t, ServerConfig{})
 	token := register(t, s, "d1")
-	checkinN(t, s, "d1", token, 5)
+	checkinN(t, s, "d1", token, DefaultDeltaHistory+3)
 
 	cur := s.SnapshotVersion()
 	for name, since := range map[string]int{
 		"ahead of the counter": cur + 10,
 		"negative":             -1,
-		"older than the ring":  0, // history 2 over 5 versions evicted it
+		"older than the ring":  0, // DefaultDeltaHistory+3 versions evicted it
 	} {
 		d := s.ParamDelta(since)
 		if d.Since != -1 {
@@ -101,7 +101,7 @@ func vec(v float64) []float64 { return []float64{v, 0} }
 func record(r *SnapshotRing, version int, params []float64) { r.PublishCopy(version, params) }
 
 func TestSnapshotRingSameVersionReplacesTail(t *testing.T) {
-	r := NewSnapshotRing(4, nil)
+	r := NewSnapshotRing(nil)
 	record(r, 1, vec(1))
 	record(r, 2, vec(2))
 	record(r, 2, vec(-2)) // told apart from the first only for the test
@@ -118,29 +118,28 @@ func TestSnapshotRingSameVersionReplacesTail(t *testing.T) {
 }
 
 func TestSnapshotRingEvictsAtHistory(t *testing.T) {
-	r := NewSnapshotRing(3, nil)
-	for v := 0; v <= 11; v++ {
+	const last = DefaultDeltaHistory + 8
+	r := NewSnapshotRing(nil)
+	for v := 0; v <= last; v++ {
 		record(r, v, vec(float64(v)))
 	}
-	if n := len(r.entries); n != 3 {
-		t.Fatalf("ring holds %d entries with history 3", n)
+	if n := len(r.entries); n != DefaultDeltaHistory {
+		t.Fatalf("ring holds %d entries, want %d", n, DefaultDeltaHistory)
 	}
-	for since, want := range map[int]int{8: -1, 9: 9, 10: 10} {
+	oldest := last - DefaultDeltaHistory + 1
+	for since, want := range map[int]int{oldest - 1: -1, oldest: oldest, last - 1: last - 1} {
 		d := r.Delta(since, false)
-		if d.Since != want || d.Version != 11 || d.Params[0] != 11 {
-			t.Errorf("since=%d: served since=%d of version %d, want %d of 11", since, d.Since, d.Version, want)
+		if d.Since != want || d.Version != last || d.Params[0] != last {
+			t.Errorf("since=%d: served since=%d of version %d, want %d of %d", since, d.Since, d.Version, want, last)
 		}
 		if want >= 0 && d.Base[0] != float64(since) {
 			t.Errorf("since=%d: base is version %v's snapshot", since, d.Base[0])
 		}
 	}
-	if got := NewSnapshotRing(0, nil).history; got != DefaultDeltaHistory {
-		t.Errorf("history 0 retains %d, want the default %d", got, DefaultDeltaHistory)
-	}
 }
 
 func TestSnapshotRingFallbacks(t *testing.T) {
-	r := NewSnapshotRing(4, nil)
+	r := NewSnapshotRing(nil)
 	record(r, 3, vec(3))
 	record(r, 5, vec(5))
 	record(r, 6, vec(6))
@@ -172,7 +171,7 @@ func TestSnapshotRingFallbacks(t *testing.T) {
 // state; the version numbers it then re-issues must not find the bases
 // recorded under them before.
 func TestSnapshotRingRewindDropsBases(t *testing.T) {
-	r := NewSnapshotRing(8, nil)
+	r := NewSnapshotRing(nil)
 	for v := 1; v <= 5; v++ {
 		record(r, v, vec(float64(v)))
 	}
@@ -196,7 +195,7 @@ func TestSnapshotRingRewindDropsBases(t *testing.T) {
 // recycled — and give the ring's pin back, so with no reader every
 // dropped snapshot is retired.
 func TestSnapshotRingDropsLeaveNothingReachable(t *testing.T) {
-	r := NewSnapshotRing(4, nil)
+	r := NewSnapshotRing(nil)
 	check := func(after string) {
 		t.Helper()
 		for i, s := range r.entries[:cap(r.entries)] {
@@ -213,11 +212,12 @@ func TestSnapshotRingDropsLeaveNothingReachable(t *testing.T) {
 			}
 		}
 	}
-	for v := 1; v <= 6; v++ {
+	const last = DefaultDeltaHistory + 2
+	for v := 1; v <= last; v++ {
 		record(r, v, vec(float64(v)))
 	}
 	check("eviction")
-	record(r, 6, vec(6))
+	record(r, last, vec(last))
 	check("a same-version swap")
 	record(r, 2, vec(2))
 	check("a rewind")

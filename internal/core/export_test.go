@@ -15,12 +15,3 @@ func (r *SnapshotRing) scribbleFree(v float64) int {
 	}
 	return len(r.free)
 }
-
-// retainHistory gives a server that has taken no traffic yet a ring that
-// retains history snapshots (history < 1: DefaultDeltaHistory), so tests
-// can watch eviction at depths 1 and 2.
-func (s *Server) retainHistory(history int) *Server {
-	s.ring = NewSnapshotRing(history, s.cfg.Metrics.ring)
-	s.publishSnapshotLocked()
-	return s
-}

@@ -12,16 +12,6 @@ import (
 // silently diverge from the pre-crash server.
 var ErrReplayGap = errors.New("core: replay records skip an iteration")
 
-// replayPublishEvery is how many applied records a long Replay lets
-// accumulate before republishing the checkout snapshot mid-stream.
-// Replay holds the parameter lock for its whole run and publishes when
-// it ends — a follower replica applying a long bootstrap tail while
-// already serving checkouts would otherwise pin every reader to the
-// pre-replay parameters until then. Publishing every N records bounds
-// that staleness at N iterations for the cost of one parameter copy per
-// N applies.
-const replayPublishEvery = 64
-
 // ReplayRecord is one applied checkin as the server's state transition
 // sees it: what ServerConfig.OnCommit hands out for journaling, and what
 // Replay takes back from the journal — the store.JournalEntry fields
@@ -73,15 +63,15 @@ func ReplaySlice(records []ReplayRecord) ReplaySource {
 //
 // Replay excludes the write path for its whole run (it holds the apply
 // lock) but coexists with concurrent readers: checkouts and stats serve
-// the published snapshot, which Replay republishes every
-// replayPublishEvery applied records and once at the end — the
-// follower-replica mode applies a live journal tail through Replay while
-// serving the read path. Unlike Checkin it performs no authentication
-// (credentials are not part of persisted state), does not consult the
-// stopping rule (every record was acknowledged, so it passed the rule
-// when originally applied), and does not call OnCommit (the records came
-// FROM the journal; journaling them again would duplicate the log). It
-// returns the number of records applied.
+// the published snapshot, which Replay republishes once, at the end. No
+// reader waits long on that: a follower replica serving the read path
+// applies its leader's journal one entry per Replay call, and a restore
+// replays before its task is reachable. Unlike Checkin it performs no
+// authentication (credentials are not part of persisted state), does not
+// consult the stopping rule (every record was acknowledged, so it passed
+// the rule when originally applied), and does not call OnCommit (the
+// records came FROM the journal; journaling them again would duplicate
+// the log). It returns the number of records applied.
 //
 // Exactness holds for updaters whose step depends only on (w, ĝ, t) —
 // the paper's SGD schedules — and equally for stateful ones (AdaGrad,
@@ -124,11 +114,6 @@ func (s *Server) Replay(next ReplaySource) (applied int, err error) {
 		}
 		s.applyLocked(r.DeviceID, r.Req, r.Iteration)
 		applied++
-		if applied%replayPublishEvery == 0 {
-			// Keep concurrent readers fed during a long replay (see
-			// replayPublishEvery); counters above are atomics, already live.
-			s.publishSnapshotLocked()
-		}
 	}
 	// Re-latch the stopping rule from the replayed counters, then publish
 	// the recovered parameters for checkouts.

@@ -26,7 +26,7 @@ func spelled(r *SnapshotRing, version int) {
 // fresh registry, and that bundle.
 func ringWithMetrics() (*SnapshotRing, *RingMetrics) {
 	m := NewRingMetrics(telemetry.NewRegistry(), "t")
-	return NewSnapshotRing(0, m), m
+	return NewSnapshotRing(m), m
 }
 
 // release releases a delta the caller does not read.

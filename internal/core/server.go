@@ -191,7 +191,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		w:           model.NewParams(cfg.Model),
 		totalNky:    make([]atomic.Int64, classes),
 		devices:     newDeviceRegistry(classes),
-		ring:        NewSnapshotRing(DefaultDeltaHistory, cfg.Metrics.ring),
+		ring:        NewSnapshotRing(cfg.Metrics.ring),
 		queue:       make(chan *pendingCheckin, checkinQueueDepth),
 		leaderSem:   make(chan struct{}, 1),
 		maxBatch:    checkinBatchSize,

@@ -19,7 +19,7 @@ import (
 // coordinate of the snapshot at version v exactly v, so a reader can tell
 // a torn or recycled vector from a consistent one without a reference
 // copy. The returned request is that gradient.
-func countingServer(t testing.TB, classes, dim, history int, m *ServerMetrics) (*Server, string, *CheckinRequest) {
+func countingServer(t testing.TB, classes, dim int, m *ServerMetrics) (*Server, string, *CheckinRequest) {
 	t.Helper()
 	s, err := NewServer(ServerConfig{
 		Model:   model.NewLogisticRegression(classes, dim),
@@ -29,7 +29,6 @@ func countingServer(t testing.TB, classes, dim, history int, m *ServerMetrics) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.retainHistory(history)
 	token, err := s.RegisterDevice(ctx, "d")
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +74,7 @@ func TestPublishAllocatesNothingInSteadyState(t *testing.T) {
 	for _, shape := range [][2]int{{10, 50}, {10, 2000}} {
 		classes, dim := shape[0], shape[1]
 		t.Run(fmt.Sprintf("checkin/%dx%d", classes, dim), func(t *testing.T) {
-			s, token, req := countingServer(t, classes, dim, 0, nil)
+			s, token, req := countingServer(t, classes, dim, nil)
 			checkin := func() {
 				if err := s.Checkin(ctx, "d", token, req); err != nil {
 					t.Fatal(err)
@@ -92,7 +91,7 @@ func TestPublishAllocatesNothingInSteadyState(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("replay/%dx%d", classes, dim), func(t *testing.T) {
-			s, _, req := countingServer(t, classes, dim, 0, nil)
+			s, _, req := countingServer(t, classes, dim, nil)
 			// One record per Replay call, so every call publishes once.
 			rec, pending := ReplayRecord{DeviceID: "d", Req: req}, false
 			next := func() (ReplayRecord, error) {
@@ -125,11 +124,16 @@ func TestPublishAllocatesNothingInSteadyState(t *testing.T) {
 // change until it lets go, however many publications go by — while every
 // vector the ring believes retired is overwritten with +Inf before it is
 // refilled, so a reader the ring lost track of would see that (and the
-// race detector would see the reader).
+// race detector would see the reader). At history=1 the readers name the
+// current version, so once a window closes the ring holds the current
+// snapshot alone; at history=16 they name the one before it, from a ring
+// that starts out holding DefaultDeltaHistory. Each reader holds its pin
+// for 2·history+2 publications.
 func TestPinnedSnapshotsAreImmutable(t *testing.T) {
-	for _, history := range []int{1, 16} {
+	for _, history := range []int{1, DefaultDeltaHistory} {
 		t.Run(fmt.Sprintf("history=%d", history), func(t *testing.T) {
-			s, token, req := countingServer(t, 4, 64, history, nil)
+			s, token, req := countingServer(t, 4, 64, nil)
+			back := min(history-1, 1) // how far behind current the readers' base is
 			const readers, rounds = 8, 20
 			var done atomic.Bool
 			var wg, writer sync.WaitGroup
@@ -150,7 +154,7 @@ func TestPinnedSnapshotsAreImmutable(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for round := 0; round < rounds; round++ {
-						d, err := s.CheckoutDelta(ctx, "d", token, max(s.SnapshotVersion()-1, 0))
+						d, err := s.CheckoutDelta(ctx, "d", token, max(s.SnapshotVersion()-back, 0))
 						if err != nil {
 							t.Error(err)
 							return
@@ -193,24 +197,31 @@ func TestPinnedSnapshotsAreImmutable(t *testing.T) {
 // allocation per snapshot it kept; a caller that releases twice is
 // harmless; and a caller that releases once lets the ring recycle.
 func TestMissedReleaseCostsOneAllocation(t *testing.T) {
-	const history, n = 2, 50
+	const n = 50
 	m := NewServerMetrics(telemetry.NewRegistry(), "t")
-	s, token, req := countingServer(t, 3, 8, history, m)
+	s, token, req := countingServer(t, 3, 8, m)
 	checkin := func() {
 		t.Helper()
 		if err := s.Checkin(ctx, "d", token, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < history+maxSpareSnapshots; i++ {
+	for i := 0; i < DefaultDeltaHistory+maxSpareSnapshots; i++ {
 		checkin()
 	}
 
-	allocated := m.ring.allocated.Value()
-	kept := make([]ParamDelta, 0, n)
-	for i := 0; i < n; i++ {
+	kept := make([]ParamDelta, 0, DefaultDeltaHistory+n)
+	keep := func() {
 		kept = append(kept, s.ParamDelta(-1)) // never released
 		checkin()
+	}
+	// First every snapshot the ring retains is pinned by a kept read.
+	for i := 0; i < DefaultDeltaHistory; i++ {
+		keep()
+	}
+	allocated := m.ring.allocated.Value()
+	for i := 0; i < n; i++ {
+		keep()
 	}
 	// The snapshot each kept delta pinned never retires, so the one each
 	// checkin evicts is never recycled: one allocation per checkin once
@@ -225,7 +236,7 @@ func TestMissedReleaseCostsOneAllocation(t *testing.T) {
 	}
 
 	// Released reads — twice each, the second a no-op — allocate nothing.
-	for i := 0; i < history+maxSpareSnapshots; i++ {
+	for i := 0; i < DefaultDeltaHistory+maxSpareSnapshots; i++ {
 		checkin()
 	}
 	allocated = m.ring.allocated.Value()
@@ -262,10 +273,10 @@ func TestMissedReleaseCostsOneAllocation(t *testing.T) {
 // on that newer snapshot. Either way the reader comes back with a vector
 // that spells its version, at or past the version it loaded.
 func TestStalePointerPinsAConsistentSnapshot(t *testing.T) {
-	const history, loaded = 2, 5
+	const history, loaded = DefaultDeltaHistory, 5
 	for name, publishes := range map[string]int{"retired": history, "republished": history + 2} {
 		t.Run(name, func(t *testing.T) {
-			r := NewSnapshotRing(history, nil)
+			r := NewSnapshotRing(nil)
 			publish := func(v int) {
 				_ = r.Publish(v, 4, func(dst []float64) error {
 					for i := range dst {

@@ -139,7 +139,7 @@ func New(ctx context.Context, h *hub.Hub, taskID string, configure func(shard in
 		info:       c.info,
 		smap:       smap,
 		mergeEvery: c.mergeEvery,
-		ring:       core.NewSnapshotRing(0, core.NewRingMetrics(c.metrics, taskID)),
+		ring:       core.NewSnapshotRing(core.NewRingMetrics(c.metrics, taskID)),
 		m:          newGroupMetrics(c.metrics, taskID, c.shards),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),

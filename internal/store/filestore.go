@@ -157,13 +157,17 @@ func (f *FileStore) Load(ctx context.Context) (*Checkpoint, error) {
 	// exactly its length, and a file longer than any frame is refused
 	// before a byte of it is held.
 	if size > wirecodec.MaxPayload {
-		return nil, errCheckpointTooLong
+		return nil, fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
 	}
 	frame := make([]byte, size)
 	if n, err := image.ReadAt(frame, 0); n < len(frame) {
 		return nil, fmt.Errorf("store: read checkpoint: %w", err)
 	}
-	return decodeCheckpointFrame(frame)
+	st, savedAt, err := wirecodec.DecodeCheckpoint(frame)
+	if err != nil {
+		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
+	}
+	return &Checkpoint{SavedAtUnixMillis: savedAt, State: st}, nil
 }
 
 // Segments returns the journal's segments, oldest first, with their

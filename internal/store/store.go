@@ -40,12 +40,9 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/crowdml/crowdml/internal/core"
-	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 var (
@@ -80,52 +77,14 @@ var (
 	ErrLegacyJournal = errors.New("store: directory holds a pre-binary format this release does not read")
 )
 
-// Checkpoint wraps a server state with bookkeeping metadata.
+// Checkpoint wraps a server state with bookkeeping metadata. On disk and
+// on the wire it is one wirecodec checkpoint frame (docs/WIRE.md), written
+// by wirecodec.AppendCheckpoint and read by wirecodec.DecodeCheckpoint.
 type Checkpoint struct {
 	// SavedAtUnixMillis records the wall-clock save time.
 	SavedAtUnixMillis int64 `json:"savedAtUnixMillis"`
 	// State is the server's learning state.
 	State *core.ServerState `json:"state"`
-}
-
-// EncodeCheckpoint returns cp in the checkpoint format: one wirecodec
-// KindCheckpoint frame (docs/WIRE.md), the bytes FileStore.Save writes.
-// FileStore's checkpoint.ckpt, on disk or in memory, and the replication
-// checkpoint endpoint are both this frame, and DecodeCheckpoint reads it.
-func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	frame, err := wirecodec.AppendCheckpoint(nil, cp.State, cp.SavedAtUnixMillis)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode checkpoint: %w", err)
-	}
-	return frame, nil
-}
-
-// DecodeCheckpoint reads one checkpoint from r: the frame EncodeCheckpoint
-// writes. Anything else — the JSON document releases before the frame
-// wrote included — and input longer than wirecodec.MaxPayload (refused
-// before it is held in memory) fail with an error wrapping
-// wirecodec.ErrFrame.
-func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	payload, err := io.ReadAll(io.LimitReader(r, wirecodec.MaxPayload+1))
-	if err != nil {
-		return nil, fmt.Errorf("store: read checkpoint: %w", err)
-	}
-	if len(payload) > wirecodec.MaxPayload {
-		return nil, errCheckpointTooLong
-	}
-	return decodeCheckpointFrame(payload)
-}
-
-// errCheckpointTooLong refuses a checkpoint longer than any frame.
-var errCheckpointTooLong = fmt.Errorf("store: checkpoint is longer than %d bytes: %w", wirecodec.MaxPayload, wirecodec.ErrFrame)
-
-// decodeCheckpointFrame decodes one whole checkpoint frame.
-func decodeCheckpointFrame(payload []byte) (*Checkpoint, error) {
-	st, savedAt, err := wirecodec.DecodeCheckpoint(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: decode checkpoint: %w", err)
-	}
-	return &Checkpoint{SavedAtUnixMillis: savedAt, State: st}, nil
 }
 
 // JournalEntry is one write-ahead record: the complete sanitized checkin

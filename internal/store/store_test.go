@@ -166,36 +166,6 @@ func TestOpenJournalRemovesOrphanedCheckpointTemps(t *testing.T) {
 	}
 }
 
-// endless yields its byte forever, counting what was asked of it.
-type endless struct {
-	b    byte
-	read int
-}
-
-func (e *endless) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = e.b
-	}
-	e.read += len(p)
-	return len(p), nil
-}
-
-// TestDecodeCheckpointBoundsItsRead: whatever a disk or a leader hands
-// over, DecodeCheckpoint holds at most MaxPayload+1 bytes of it and
-// refuses the rest as a malformed frame, whatever its first byte.
-func TestDecodeCheckpointBoundsItsRead(t *testing.T) {
-	for _, first := range []byte{'{', 'C'} {
-		src := &endless{b: first}
-		_, err := DecodeCheckpoint(src)
-		if !errors.Is(err, wirecodec.ErrFrame) {
-			t.Errorf("endless input of %q: %v, want ErrFrame", first, err)
-		}
-		if src.read > 2*wirecodec.MaxPayload {
-			t.Errorf("endless input of %q: read %d bytes before refusing", first, src.read)
-		}
-	}
-}
-
 // TestCheckpointSaveAllocations: a steady-state checkpoint — the export
 // into the checkpointer's warm buffer, then Save — at the end-to-end
 // benchmark's crowd (2,000 devices × 10 classes) costs no garbage to speak
@@ -249,39 +219,6 @@ func TestCheckpointSaveAllocations(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointBytesPerDevice: a checkpoint decodes straight into
-// the state's rows — one row table, one label slab and an ID string per
-// device — so beyond reading the frame whole, a restore or bootstrap of
-// the end-to-end benchmark's crowd (2,000 devices × 10 classes) allocates
-// at most 200 B per device. A second row table, filled and then copied,
-// costs 72 B more. The read is measured apart: io.ReadAll's growth steps,
-// not the decoder, decide its size.
-func TestDecodeCheckpointBytesPerDevice(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's own allocations are counted too")
-	}
-	const devices = 2000
-	st := crowdState(devices)
-	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := bytesPerRun(10, func() {
-		if _, err := io.ReadAll(io.LimitReader(bytes.NewReader(frame), wirecodec.MaxPayload+1)); err != nil {
-			t.Fatal(err)
-		}
-	}) / devices
-	total := bytesPerRun(10, func() {
-		if cp, err := DecodeCheckpoint(bytes.NewReader(frame)); err != nil || len(cp.State.DeviceRows) != devices {
-			t.Fatalf("DecodeCheckpoint: %v", err)
-		}
-	}) / devices
-	t.Logf("%.0f bytes per device, %.0f of them reading the %d-byte frame", total, read, len(frame))
-	if total-read > 200 {
-		t.Errorf("decoding a checkpoint allocates %.0f bytes per device beyond the read, want at most 200", total-read)
-	}
-}
-
 // crowdState returns the state of a logreg 10×50 task with devices
 // devices, every one of them with counters: the end-to-end benchmark's
 // crowd at 2,000.
@@ -317,7 +254,7 @@ func TestLoadReadsTheFrameOnce(t *testing.T) {
 	}
 	const devices = 2000
 	st := crowdState(devices)
-	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: st})
+	frame, err := wirecodec.AppendCheckpoint(nil, st, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +336,7 @@ func TestSaveRefusesUnsortedState(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Load after a refused Save of %s: %v", name, edit, err)
 			}
-			if again, err := EncodeCheckpoint(cp); err != nil || !bytes.Equal(again, saved) {
+			if again, err := wirecodec.AppendCheckpoint(nil, cp.State, cp.SavedAtUnixMillis); err != nil || !bytes.Equal(again, saved) {
 				t.Errorf("%s: Load after a refused Save of %s yields another state (%v)", name, edit, err)
 			}
 		}
@@ -741,7 +678,7 @@ func TestLoadCheckpointMissingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := EncodeCheckpoint(&Checkpoint{SavedAtUnixMillis: 1, State: newServer(t).ExportState()})
+	frame, err := wirecodec.AppendCheckpoint(nil, newServer(t).ExportState(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,8 @@ type ringBackend struct {
 	published sync.Map
 }
 
-func newRingBackend(history int, initial []float64) *ringBackend {
-	b := &ringBackend{ring: core.NewSnapshotRing(history, nil)}
+func newRingBackend(initial []float64) *ringBackend {
+	b := &ringBackend{ring: core.NewSnapshotRing(nil)}
 	b.publish(0, initial)
 	return b
 }
@@ -99,14 +99,14 @@ func hashParams(p []float64) uint64 {
 // again — not a later sparse delta applied on top of it, not a decode
 // into a recycled buffer. Four goroutines share one client while the
 // model keeps moving (nothing, a few, most or all coordinates at a time,
-// and past a short ring, so empty, sparse and dense deltas and full
-// fallbacks all occur): every vector they were ever handed equals the
+// and past the bases the ring keeps, so empty, sparse and dense deltas
+// and full fallbacks all occur): every vector they were ever handed equals the
 // server's snapshot of its version bit for bit, and still hashes at the
 // end to what it hashed to when it arrived. Run under -race.
 func TestDeltaClientSnapshotsAreImmutable(t *testing.T) {
 	const dims, versions, readers = 240, 300, 4
 	r := rand.New(rand.NewSource(15))
-	be := newRingBackend(3, mutate(r, make([]float64, dims), dims))
+	be := newRingBackend(mutate(r, make([]float64, dims), dims))
 	ts := httptest.NewServer(be)
 	defer ts.Close()
 	cl := NewHTTPClient(ts.URL, nil).WithTask("ring").WithWire(WireBinaryDelta)
@@ -158,7 +158,7 @@ func TestDeltaClientSnapshotsAreImmutable(t *testing.T) {
 		be.publish(v, next)
 		cur = next
 		// Three polls per version across four readers: bases trail by a
-		// version or two, sometimes past the ring of three.
+		// version or two, sometimes past the depth the ring keeps.
 		for i := 0; i < 3; i++ {
 			select {
 			case <-polled:
@@ -249,7 +249,7 @@ func TestDeltaFramesByteIdentical(t *testing.T) {
 		for _, k := range []int{0, min(3, n), 2*n/3 - 1, 2 * n / 3, n} {
 			base := mutate(r, make([]float64, n), n)
 			cur := mutate(r, base, k)
-			be := newRingBackend(4, base)
+			be := newRingBackend(base)
 			be.publish(1, cur)
 			idx, vals := referenceDiffParams(base, cur)
 			if len(idx) != k {
@@ -379,7 +379,7 @@ func TestDeltaPathAllocations(t *testing.T) {
 		changed int
 	}{{"unchanged", 0}, {"sparse 10%", dims / 10}, {"dense", dims}} {
 		cur := mutate(r, base, tc.changed)
-		be := newRingBackend(4, base)
+		be := newRingBackend(base)
 		be.publish(1, cur)
 
 		req := httptest.NewRequest(http.MethodGet, taskPath("ring", "checkout")+"?since=0", nil)

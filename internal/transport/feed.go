@@ -11,6 +11,7 @@ import (
 	"github.com/crowdml/crowdml/internal/core"
 	"github.com/crowdml/crowdml/internal/hub"
 	"github.com/crowdml/crowdml/internal/store"
+	"github.com/crowdml/crowdml/internal/wirecodec"
 )
 
 // ErrNoFeed is returned (as a 404) for the journal and checkpoint feed
@@ -130,9 +131,9 @@ func (h *Handler) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("task %q: load checkpoint: %w", t.ID(), err))
 		return
 	}
-	frame, err := store.EncodeCheckpoint(cp)
+	frame, err := wirecodec.AppendCheckpoint(nil, cp.State, cp.SavedAtUnixMillis)
 	if err != nil {
-		writeError(w, fmt.Errorf("task %q: %w", t.ID(), err))
+		writeError(w, fmt.Errorf("task %q: encode checkpoint: %w", t.ID(), err))
 		return
 	}
 	w.Header().Set("Content-Type", ContentTypeFrame)
@@ -175,7 +176,8 @@ func (c *HTTPClient) OpenJournalFeed(ctx context.Context, after int) (*store.Fee
 
 // FetchCheckpoint retrieves the bound task's latest checkpoint from the
 // server, or store.ErrNoCheckpoint when the task has not checkpointed
-// yet.
+// yet. The frame is read once, into a buffer the reply's Content-Length
+// sizes; a reply past wirecodec.MaxPayload fails wrapping ErrFrame.
 func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, error) {
 	u, err := c.endpoint("checkpoint")
 	if err != nil {
@@ -196,14 +198,23 @@ func (c *HTTPClient) FetchCheckpoint(ctx context.Context) (*store.Checkpoint, er
 	// document, which this release does not read: when a reply that is
 	// not a frame fails to decode, say what it was instead of only
 	// reporting a corrupt frame.
-	cp, err := store.DecodeCheckpoint(resp.Body)
+	buf, err := readAllPooled(resp.Body, resp.ContentLength)
+	defer buf.put()
+	if len(buf.b) > wirecodec.MaxPayload {
+		err = fmt.Errorf("%w: %v", wirecodec.ErrFrame, err)
+	}
+	var st *core.ServerState
+	var savedAt int64
+	if err == nil {
+		st, savedAt, err = wirecodec.DecodeCheckpoint(buf.b)
+	}
 	if ct := resp.Header.Get("Content-Type"); err != nil && ct != ContentTypeFrame {
 		return nil, fmt.Errorf("transport: checkpoint reply is %q, want %s (is the leader an older release?): %w", ct, ContentTypeFrame, err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: fetch checkpoint: %w", err)
 	}
-	return cp, nil
+	return &store.Checkpoint{SavedAtUnixMillis: savedAt, State: st}, nil
 }
 
 // AuthProbe verifies device credentials against the server without

@@ -1,12 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -191,6 +195,104 @@ func TestFetchCheckpointFromOlderLeader(t *testing.T) {
 	if cp != nil || !errors.Is(err, wirecodec.ErrFrame) ||
 		!strings.Contains(err.Error(), `"application/json"`) || !strings.Contains(err.Error(), "older release") {
 		t.Errorf("FetchCheckpoint from a JSON leader = %+v, %v; want ErrFrame with the reply's type and the older-release hint", cp, err)
+	}
+}
+
+// TestFetchCheckpointReadsTheFrameOnce: a follower's bootstrap reads the
+// checkpoint reply into one buffer its Content-Length sizes and decodes
+// it there. For the end-to-end benchmark's crowd (2,000 devices × 10
+// classes, a 63.5 KB frame) a fetch allocates at most 250 B per device,
+// HTTP on both ends included: about 32 B for the frame and 173 B for the
+// decode, where a read growing its buffer as the bytes arrive costs
+// about 316 in all. Every fetch starts from an empty buffer pool, so a
+// warm buffer cannot hide a growth step.
+func TestFetchCheckpointReadsTheFrameOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations are counted too")
+	}
+	const devices, classes, dim, runs = 2000, 10, 50, 5
+	st := &core.ServerState{
+		ModelName: model.NewLogisticRegression(classes, dim).Name(), Classes: classes, Dim: dim,
+		Params:           make([]float64, classes*dim),
+		TotalLabelCounts: make([]int, classes),
+		DeviceRows:       make([]core.DeviceRow, devices),
+	}
+	for i := range st.DeviceRows {
+		counts := make([]int, classes)
+		for k := range counts {
+			counts[k] = i%7 + k
+		}
+		st.DeviceRows[i] = core.DeviceRow{ID: fmt.Sprintf("dev-%05d", i), DeviceStats: core.DeviceStats{
+			Samples: 20 * i, Errors: i, LabelCounts: counts, Checkins: i, StalenessSum: 3 * i,
+		}}
+	}
+	frame, err := wirecodec.AppendCheckpoint(nil, st, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", ContentTypeFrame)
+		w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+		_, _ = w.Write(frame)
+	}))
+	defer ts.Close()
+	client := NewHTTPClient(ts.URL, nil).WithTask("alpha")
+	fetch := func() {
+		if cp, err := client.FetchCheckpoint(context.Background()); err != nil || len(cp.State.DeviceRows) != devices {
+			t.Fatalf("FetchCheckpoint: %v", err)
+		}
+	}
+	fetch() // opens the connection
+	var total uint64
+	for i := 0; i < runs; i++ {
+		runtime.GC() // two collections empty a sync.Pool
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fetch()
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	perDevice := float64(total) / runs / devices
+	t.Logf("a fetch allocates %.0f B per device for a %d-byte frame", perDevice, len(frame))
+	if perDevice > 250 {
+		t.Errorf("a fetch allocates %.0f B per device, want at most 250", perDevice)
+	}
+}
+
+// TestFetchCheckpointBoundsItsRead: whatever a leader streams, a fetch
+// holds at most MaxPayload+1 bytes of it and refuses the reply as a
+// malformed frame, whatever its first byte and type. The leader counts
+// what it got out before the client hung up: at most about two frames'
+// worth, the socket's buffers included.
+func TestFetchCheckpointBoundsItsRead(t *testing.T) {
+	for _, tc := range []struct {
+		first byte
+		ct    string
+	}{{'{', "application/json"}, {'C', ContentTypeFrame}} {
+		var written atomic.Int64
+		served := make(chan struct{})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			defer close(served)
+			w.Header().Set("Content-Type", tc.ct)
+			chunk := bytes.Repeat([]byte{tc.first}, 64<<10)
+			for {
+				n, err := w.Write(chunk)
+				written.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		}))
+		_, err := NewHTTPClient(ts.URL, nil).WithTask("alpha").FetchCheckpoint(context.Background())
+		<-served
+		ts.Close()
+		if !errors.Is(err, wirecodec.ErrFrame) {
+			t.Errorf("endless reply of %q: %v, want ErrFrame", tc.first, err)
+		}
+		if n := written.Load(); n > 2*wirecodec.MaxPayload {
+			t.Errorf("endless reply of %q: the leader got out %d bytes before the client refused it", tc.first, n)
+		}
 	}
 }
 

@@ -449,27 +449,31 @@ func checkStatus(resp *http.Response) error {
 		// surface the hint so callers can redirect (LeaderHint). It still
 		// unwraps to core.ErrStopped, so plain device loops stand down.
 		if leader := resp.Header.Get(headerLeader); leader != "" {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-			return &LeaderHintError{Leader: leader, msg: errorMessage(body)}
+			return &LeaderHintError{Leader: leader, msg: errorMessage(errorBody(resp))}
 		}
 		return core.ErrStopped
 	case resp.StatusCode == http.StatusNotFound:
 		// Only our handlers emit the JSON error envelope; a plain-text
 		// 404 is an unregistered route (wrong base URL, enrollment
 		// disabled, …), not a task-registry miss.
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		body := errorBody(resp)
 		var er errorResponse
 		if json.Unmarshal(body, &er) == nil && er.Error != "" {
 			return wrapSentinel(er.Error, hub.ErrTaskNotFound)
 		}
 		return fmt.Errorf("transport: server returned 404: %s", bytes.TrimSpace(body))
 	case resp.StatusCode == http.StatusBadRequest:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return wrapSentinel(errorMessage(body), core.ErrBadCheckin)
+		return wrapSentinel(errorMessage(errorBody(resp)), core.ErrBadCheckin)
 	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("transport: server returned %d: %s", resp.StatusCode, errorMessage(body))
+		return fmt.Errorf("transport: server returned %d: %s", resp.StatusCode, errorMessage(errorBody(resp)))
 	}
+}
+
+// errorBody reads at most 1 KiB of a failed response's body, for its
+// error message.
+func errorBody(resp *http.Response) []byte {
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	return body
 }
 
 // LeaderHintError is the client-side image of a 409 rejection that

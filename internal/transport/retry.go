@@ -144,7 +144,7 @@ func (c *HTTPClient) do(ctx context.Context, method, url string, header http.Hea
 // its end, so the transport reuses the connection; the rest of a longer
 // one is never read, so no server can hold a retry on its answer.
 func drainBody(resp *http.Response) []byte {
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+	body := errorBody(resp)
 	resp.Body.Close()
 	return body
 }
@@ -153,7 +153,7 @@ func drainBody(resp *http.Response) []byte {
 // buffer, avoiding the per-call json.Decoder allocation of the
 // streaming form.
 func decodeJSON(r io.Reader, v any) error {
-	buf, err := readAllPooled(r)
+	buf, err := readAllPooled(r, -1)
 	defer buf.put()
 	if err != nil {
 		return err

@@ -132,10 +132,15 @@ func (p *pooledBuf) put() {
 // readAllPooled reads r to EOF into a pooled buffer, which the caller
 // must put back once it is done with the bytes — also after an error.
 // A body past wirecodec.MaxPayload is an error, so a peer cannot make
-// the reader buffer whatever it sends.
-func readAllPooled(r io.Reader) (*pooledBuf, error) {
+// the reader buffer whatever it sends. A declared size (-1: unknown) up
+// to MaxPayload that the pooled buffer cannot hold sizes one buffer, a
+// byte to spare so that reading EOF takes no growth step.
+func readAllPooled(r io.Reader, size int64) (*pooledBuf, error) {
 	buf := getBuf()
 	b := buf.b[:0]
+	if size >= int64(cap(b)) && size <= wirecodec.MaxPayload {
+		b = make([]byte, 0, size+1)
+	}
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
@@ -313,7 +318,7 @@ func serveCheckin(w http.ResponseWriter, r *http.Request, be deviceBackend, devi
 // parser declines is json.Unmarshal's, as every JSON body used to be:
 // what it accepts and how its errors read did not change.
 func decodeCheckin(r *http.Request, binary bool, sc *checkinScratch) (req *core.CheckinRequest, n int, err error) {
-	buf, err := readAllPooled(http.MaxBytesReader(nil, r.Body, wirecodec.MaxPayload))
+	buf, err := readAllPooled(http.MaxBytesReader(nil, r.Body, wirecodec.MaxPayload), -1)
 	defer buf.put()
 	if err != nil {
 		return nil, 0, fmt.Errorf("read checkin body: %v: %w", err, core.ErrBadCheckin)
@@ -440,7 +445,7 @@ func (c *HTTPClient) checkoutOnce(ctx context.Context, deviceID, token string, b
 		}
 		return &core.CheckoutResponse{Params: base.params, Version: base.version}, false, nil
 	}
-	buf, err := readAllPooled(resp.Body)
+	buf, err := readAllPooled(resp.Body, -1)
 	defer buf.put()
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: read checkout: %w", err)

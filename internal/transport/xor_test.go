@@ -48,7 +48,7 @@ func TestXORDeltaOnlyWhenOptedIn(t *testing.T) {
 		n := 1 + r.Intn(200)
 		base := mutate(r, make([]float64, n), n)
 		cur := nudgeLow(r, base, r.Intn(n+1))
-		be := newRingBackend(4, base)
+		be := newRingBackend(base)
 		be.publish(1, cur)
 		for _, q := range []string{"", "?since=0", "?since=1", "?since=9", "?since=0&x=1", "?since=0&xor=0", "?since=0&xor=yes", "?since=0&xor=1", "?since=0&xor=2"} {
 			b := checkoutFrame(t, be, q, ContentTypeBinary)
